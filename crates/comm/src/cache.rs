@@ -108,7 +108,8 @@ impl BufferCache {
             SerialWork::BoundaryLoop(n),
         );
         if config.sort_and_randomize {
-            keys.sort();
+            // Keys are distinct, so the unstable sort yields the same order.
+            keys.sort_unstable();
             // Deterministic Fisher-Yates with an xorshift generator — the
             // "randomization" Parthenon applies for load-balancing message
             // order.

@@ -82,6 +82,7 @@ pub struct Communicator {
     remote_delivery_delay: u32,
     /// Ordered event log with globally monotone sequence numbers.
     log: Vec<CommEvent>,
+    capture_events: bool,
     cycle: u64,
     /// Task name stamped onto subsequent events (set by the task executor).
     task: Option<&'static str>,
@@ -122,13 +123,22 @@ impl Communicator {
             probe_calls: 0,
             remote_delivery_delay: 0,
             log: Vec::new(),
+            capture_events: true,
             cycle: 0,
             task: None,
             collective_block_ns: 0,
         }
     }
 
-    fn push_event(&mut self, key: BoundaryKey, func: StepFunction, kind: CommEventKind) {
+    /// Appends an event to the log — a no-op while capture is off (see
+    /// [`Communicator::set_event_capture`]), so callers never build events
+    /// nobody reads. Every mailbox operation logs through here; a caller
+    /// that moves a same-rank boundary without the mailbox logs the events
+    /// the mailbox would have.
+    pub fn record_event(&mut self, key: BoundaryKey, func: StepFunction, kind: CommEventKind) {
+        if !self.capture_events {
+            return;
+        }
         let seq = self.transport.next_seq();
         self.log.push(CommEvent {
             seq,
@@ -139,6 +149,17 @@ impl Communicator {
             task: self.task,
             kind,
         });
+    }
+
+    /// Turns the event log on (the default) or off. With capture off no
+    /// event is built and no sequence number is drawn.
+    pub fn set_event_capture(&mut self, on: bool) {
+        self.capture_events = on;
+    }
+
+    /// Whether events are being logged.
+    pub fn captures_events(&self) -> bool {
+        self.capture_events
     }
 
     /// Stamps subsequent events with `cycle` (called by the driver at the
@@ -203,7 +224,7 @@ impl Communicator {
             }
         });
         if fresh {
-            self.push_event(
+            self.record_event(
                 key,
                 StepFunction::StartReceiveBoundBufs,
                 CommEventKind::PostReceive,
@@ -231,7 +252,7 @@ impl Communicator {
         // The Send event is logged *before* the message enters the
         // transport so its sequence number is causally below any event the
         // receiver stamps after consuming it.
-        self.push_event(
+        self.record_event(
             key,
             func,
             CommEventKind::Send {
@@ -368,7 +389,7 @@ impl Communicator {
         let payload = std::mem::take(&mut slot.payload);
         let local = slot.local;
         let bytes = (payload.len() * std::mem::size_of::<f64>()) as u64;
-        self.push_event(
+        self.record_event(
             key,
             StepFunction::ReceiveBoundBufs,
             CommEventKind::Complete { bytes, local },
@@ -405,7 +426,7 @@ impl Communicator {
     pub fn all_gather(&mut self, func: StepFunction, bytes_per_rank: u64, rec: &mut Recorder) {
         let bytes = bytes_per_rank * self.nranks as u64;
         rec.record_collective(func, CollectiveOp::AllGather, bytes);
-        self.push_event(
+        self.record_event(
             BoundaryKey::new(0, 0, 0),
             func,
             CommEventKind::Collective {
@@ -420,7 +441,7 @@ impl Communicator {
     /// [`Communicator::all_reduce_data`].
     pub fn all_reduce(&mut self, func: StepFunction, bytes: u64, rec: &mut Recorder) {
         rec.record_collective(func, CollectiveOp::AllReduce, bytes);
-        self.push_event(
+        self.record_event(
             BoundaryKey::new(0, 0, 0),
             func,
             CommEventKind::Collective {
@@ -445,7 +466,7 @@ impl Communicator {
         self.collective_block_ns += entered.elapsed().as_nanos() as u64;
         let bytes: u64 = parts.iter().map(|p| p.len() as u64).sum();
         rec.record_collective(func, CollectiveOp::AllGather, bytes);
-        self.push_event(
+        self.record_event(
             BoundaryKey::new(0, 0, 0),
             func,
             CommEventKind::Collective {
@@ -472,7 +493,7 @@ impl Communicator {
         let parts = self.transport.all_gather_bytes(func.name(), payload);
         self.collective_block_ns += entered.elapsed().as_nanos() as u64;
         rec.record_collective(func, CollectiveOp::AllReduce, bytes);
-        self.push_event(
+        self.record_event(
             BoundaryKey::new(0, 0, 0),
             func,
             CommEventKind::Collective {
@@ -861,6 +882,32 @@ mod tests {
                 None,
             ]
         );
+    }
+
+    #[test]
+    fn capture_off_logs_nothing_and_draws_no_sequence_numbers() {
+        let mut rec = recorder();
+        let mut comm = Communicator::new(2);
+        let key = BoundaryKey::new(0, 1, 0);
+        let meta = SendMeta {
+            src: 0,
+            dst: 1,
+            cells: 1,
+        };
+        comm.set_event_capture(false);
+        comm.start_receive(key);
+        comm.send(key, vec![1.0], meta, StepFunction::SendBoundBufs, &mut rec);
+        assert!(comm.try_receive(key, &mut rec).is_some());
+        comm.all_reduce(StepFunction::EstimateTimeStep, 8, &mut rec);
+        comm.record_event(key, StepFunction::SendBoundBufs, CommEventKind::PostReceive);
+        assert_eq!(comm.resident_events(), 0);
+        // Back on, numbering starts where it would have without the gap.
+        comm.set_event_capture(true);
+        comm.mark_all_stale();
+        comm.start_receive(key);
+        assert_eq!(comm.events().len(), 1);
+        assert_eq!(comm.events()[0].seq, 0);
+        rec.end_cycle(1, 0, 0, 0);
     }
 
     #[test]

@@ -1,33 +1,54 @@
 //! Ghost-cell communication: the StartReceiveBoundBufs → SendBoundBufs →
 //! ReceiveBoundBufs → SetBounds cycle, plus fine-coarse flux correction.
 //!
-//! The exchange is split into phases so the driver's task graph can keep
-//! interior compute running while messages are in flight:
+//! One plan-compiled engine serves the single-process [`Driver`] and every
+//! [`RankShard`]: at plan time each boundary becomes a dense transfer
+//! record (sender, receiver, key, wire length) with a compiled
+//! [`RowProgram`]; at exchange time each transfer takes one of two routes,
+//! chosen from what the engine observes:
 //!
-//! * [`ExchangePlan::build`] — per-mesh-generation boundary enumeration,
-//!   buffer specs, and variable-id lookups;
-//! * [`ghost_pack_and_send`] — post receives, pack, and ship every buffer;
-//! * [`ghost_poll`] — one non-blocking delivery sweep over pending keys;
-//! * [`ghost_set_bounds`] — unpack the delivered buffers into ghost zones;
-//! * [`flux_corr_send`] / [`flux_corr_poll`] / [`flux_corr_apply`] — the
-//!   same split for fine→coarse flux correction.
+//! * **direct** — both blocks are resident and carry the same rank label:
+//!   the values move straight from the sender's interior into the
+//!   receiver's ghost band ([`RowProgram::fill`]), no buffer, no mailbox;
+//! * **mailbox** — anything else (a virtual-rank neighbor on the shared
+//!   transport, a real one on the channel fabric, chaos-wrapped or not):
+//!   packed into a recycled wire buffer, sent, banked on arrival in a
+//!   table indexed by transfer, unpacked, and the buffer recycled.
 //!
-//! [`exchange_ghosts`] and [`flux_correction`] run the phases back-to-back
-//! for callers that do not overlap (initialization, tests).
+//! The exchange is split into phases so the task graph can keep interior
+//! compute running while messages are in flight:
+//!
+//! * [`ExchangePlan::build`] — per-mesh-generation compilation;
+//! * [`ghost_pack_and_send`] — route, post receives, pack and ship;
+//! * [`ghost_fill_direct`] — fill the direct boundaries (head of the
+//!   WaitUnpack task, while remote messages are in flight);
+//! * [`ghost_poll`] — one non-blocking delivery sweep;
+//! * [`ghost_set_bounds`] — unpack the delivered buffers;
+//! * [`flux_corr_send`] / [`flux_corr_apply`] — the same for fine→coarse
+//!   flux correction.
+//!
+//! Workload accounting comes from the plan in bulk and totals what one
+//! record per message used to.
+//!
+//! [`Driver`]: crate::driver::Driver
+//! [`RankShard`]: crate::shard::RankShard
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::Mutex;
 
-use vibe_comm::{BoundaryKey, BufferCache, CacheConfig, Communicator, SendMeta};
-use vibe_exec::{catalog, ExecCtx, Launcher};
+use vibe_comm::{BoundaryKey, BufferCache, CacheConfig, CommEventKind, Communicator, SendMeta};
+use vibe_exec::{catalog, ExecCtx, Launcher, SharedCells};
 use vibe_field::buffer::compute_buffer_spec_with;
 use vibe_field::{
-    apply_flux, flux_correction_spec, pack, pack_flux, unpack, BufferSpec, FluxCorrSpec, Metadata,
-    VarId,
+    apply_face_bc, flux_correction_spec, BcKind, BlockData, CellRows, FluxProgram, Metadata,
+    RowProgram, Side, TransferProgram, VarId,
 };
 use vibe_mesh::Mesh;
 use vibe_prof::{MemSpace, Recorder, RegionKey, SerialWork, StepFunction};
 
 use crate::block::BlockSlot;
+use crate::tasks::TaskStatus;
 
 /// Configuration of the ghost exchange.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,31 +70,518 @@ impl Default for ExchangeConfig {
     }
 }
 
-/// Everything the communication phases need that only changes when the
-/// mesh does: boundary enumeration, pack/unpack buffer specs, fine→coarse
-/// flux-correction transfers, and the variable-id pack lookups — computed
-/// once per mesh generation instead of once per cycle (the repeated
-/// `pack_by_flag` lookups were a measurable serial hot path).
+/// The blocks an exchange runs over, indexed by gid: the driver's full slot
+/// list, or a rank shard's owned subset of it.
+pub trait BlockTable: Sync {
+    /// Number of blocks in the mesh (resident or not).
+    fn num_blocks(&self) -> usize;
+    /// Block `gid`, if its data lives in this process.
+    fn resident(&self, gid: usize) -> Option<&BlockSlot>;
+    /// Every resident block, ascending gid.
+    fn residents_mut(&mut self) -> impl Iterator<Item = &mut BlockSlot>;
+    /// The rank label block `gid` carries right now, resident or not.
+    /// Read at every exchange, so plain load balancing keeps a plan valid.
+    fn rank_of(&self, gid: usize) -> usize;
+}
+
+impl BlockTable for Vec<BlockSlot> {
+    fn num_blocks(&self) -> usize {
+        self.len()
+    }
+
+    fn resident(&self, gid: usize) -> Option<&BlockSlot> {
+        self.get(gid)
+    }
+
+    fn residents_mut(&mut self) -> impl Iterator<Item = &mut BlockSlot> {
+        self.iter_mut()
+    }
+
+    fn rank_of(&self, gid: usize) -> usize {
+        self[gid].info.rank
+    }
+}
+
+/// A rank shard's view: a slot per gid, `Some` for the blocks it owns, and
+/// the replicated mesh, which knows every block's rank.
+#[derive(Debug)]
+pub struct ShardBlocks<'a> {
+    owned: &'a mut Vec<Option<BlockSlot>>,
+    mesh: &'a Mesh,
+}
+
+impl<'a> ShardBlocks<'a> {
+    /// The view over a shard's `owned` slots and its replicated `mesh`.
+    pub fn of(owned: &'a mut Vec<Option<BlockSlot>>, mesh: &'a Mesh) -> Self {
+        Self { owned, mesh }
+    }
+}
+
+impl BlockTable for ShardBlocks<'_> {
+    fn num_blocks(&self) -> usize {
+        self.owned.len()
+    }
+
+    fn resident(&self, gid: usize) -> Option<&BlockSlot> {
+        self.owned[gid].as_ref()
+    }
+
+    fn residents_mut(&mut self) -> impl Iterator<Item = &mut BlockSlot> {
+        self.owned.iter_mut().flatten()
+    }
+
+    fn rank_of(&self, gid: usize) -> usize {
+        self.mesh.block(gid).rank()
+    }
+}
+
+/// One compiled transfer: who sends, who receives, under which key, and how
+/// many `f64` travel (all exchanged variables together).
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    key: BoundaryKey,
+    recv: usize,
+    send: usize,
+    wire_len: usize,
+}
+
+/// How one transfer travels this exchange, decided from residency and the
+/// live rank labels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// Both blocks here under one rank label: filled directly.
+    Direct,
+    /// Both blocks here under different (virtual) rank labels: through the
+    /// mailbox, both ends in this process.
+    Mailbox,
+    /// Only the sender is here.
+    Send,
+    /// Only the receiver is here.
+    Receive,
+    /// Neither block is here.
+    Elsewhere,
+}
+
+impl Route {
+    /// The route of `t` given every block's (resident, rank label).
+    fn of(labels: &[(bool, usize)], t: &Transfer) -> Self {
+        let ((send_here, src), (recv_here, dst)) = (labels[t.send], labels[t.recv]);
+        match (send_here, recv_here) {
+            (true, true) if src == dst => Route::Direct,
+            (true, true) => Route::Mailbox,
+            (true, false) => Route::Send,
+            (false, true) => Route::Receive,
+            (false, false) => Route::Elsewhere,
+        }
+    }
+
+    fn sender_here(self) -> bool {
+        matches!(self, Route::Direct | Route::Mailbox | Route::Send)
+    }
+
+    fn receiver_here(self) -> bool {
+        matches!(self, Route::Direct | Route::Mailbox | Route::Receive)
+    }
+}
+
+thread_local! {
+    /// Per-worker wire scratch of the direct fill, for the two modes that
+    /// resample on the receiver ([`RowProgram::fill`]); pool workers are
+    /// persistent, so it is grown once and reused.
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// [`SharedCells`] as the rows of a direct fill.
 ///
-/// Ranks are deliberately *not* cached: senders and receivers read live
-/// `BlockSlot::info.rank` at send time, so plain load balancing keeps the
-/// plan valid; only regridding (new gids and neighbor lists) invalidates
-/// it.
-#[derive(Debug, Clone)]
+/// The disjointness that makes the accesses below sound is a property of
+/// the plan: every program reads only its sender's interior and writes only
+/// its receiver's ghost band ([`RowProgram::compile`] asserts it per
+/// transfer in debug builds; for flux arrays [`ExchangePlan`] asserts that
+/// no block face is both corrected and a source), and a fill dispatch hands
+/// each receiver to exactly one worker. Bounds are checked per storage
+/// before a program runs ([`check_span`]).
+struct Rows<'a>(SharedCells<'a>);
+
+impl CellRows for Rows<'_> {
+    #[inline(always)]
+    fn row(&self, start: usize, len: usize) -> &[f64] {
+        // SAFETY: reads lie in a sender's interior (or on a face no
+        // correction writes), which no worker writes during the dispatch.
+        unsafe { self.0.read(start, len) }
+    }
+
+    #[inline(always)]
+    fn row_mut(&mut self, start: usize, len: usize) -> &mut [f64] {
+        // SAFETY: writes lie in the ghost band (or on the corrected faces)
+        // of the receiver this worker claimed; no other worker touches
+        // those cells, and `&mut self` keeps this worker to one row at a
+        // time.
+        unsafe { self.0.write(start, len) }
+    }
+}
+
+/// Panics unless a program spanning `span` cells fits both storages — the
+/// bounds half of [`Rows`]' contract, checked once per program run.
+fn check_span(span: usize, src: &SharedCells<'_>, dst: &SharedCells<'_>) {
+    assert!(
+        span <= src.len() && span <= dst.len(),
+        "transfer program spans {span} cells, storages hold {} and {}",
+        src.len(),
+        dst.len()
+    );
+}
+
+/// One transfer the poll pass waits on.
+#[derive(Debug, Clone, Copy)]
+struct Waiting {
+    transfer: usize,
+    key: BoundaryKey,
+    bytes: u64,
+}
+
+/// In-flight bookkeeping of one exchange round (ghost or flux correction).
+/// Every container is reused from round to round.
+#[derive(Debug, Default)]
+struct Flight {
+    /// Every block's (resident, rank label) as read when the round opened
+    /// — dense, so routing touches no block.
+    labels: Vec<(bool, usize)>,
+    /// Route of every transfer of the plan this round.
+    routes: Vec<Route>,
+    /// What the poll pass still waits on, in plan order: the mailbox
+    /// deliveries — and, while the communicator logs events, the direct
+    /// transfers too, which complete on the first sweep so the event
+    /// stream reads as if they had gone through the mailbox.
+    pending: Vec<Waiting>,
+    /// Transfers received through the mailbox this round.
+    mailed: Vec<usize>,
+    /// Delivered payloads, indexed by transfer.
+    bank: Vec<Vec<f64>>,
+    /// (transfer, buffer) pairs being packed for the mailbox.
+    outgoing: Vec<(usize, Vec<f64>)>,
+    /// Consumed payloads waiting to become send buffers.
+    spare: Vec<Vec<f64>>,
+    /// Cells packed per sending rank and unpacked per receiving rank.
+    sent_cells: Vec<u64>,
+    received_cells: Vec<u64>,
+    /// Transfers whose receiver is here; how many of them are direct; and
+    /// the direct ones' probes the first poll has yet to account.
+    receives: u64,
+    direct: u64,
+    direct_probes: u64,
+    /// Whether the direct transfers have been filled this round.
+    filled: bool,
+}
+
+impl Flight {
+    /// Routes every transfer from residency and the live rank labels,
+    /// posts the mailbox receives, and queues what the poll pass waits on.
+    /// The ghost exchange posts a receive for every boundary it consumes
+    /// (`post_all`); flux correction only where the sender is elsewhere.
+    fn open<B: BlockTable>(
+        &mut self,
+        transfers: &[Transfer],
+        blocks: &B,
+        comm: &mut Communicator,
+        post_all: bool,
+    ) {
+        let logging = comm.captures_events();
+        self.labels.clear();
+        self.labels.extend(
+            (0..blocks.num_blocks())
+                .map(|gid| (blocks.resident(gid).is_some(), blocks.rank_of(gid))),
+        );
+        self.routes.clear();
+        self.pending.clear();
+        self.mailed.clear();
+        self.bank.resize_with(transfers.len(), Vec::new);
+        for cells in [&mut self.sent_cells, &mut self.received_cells] {
+            cells.clear();
+            cells.resize(comm.nranks(), 0);
+        }
+        (self.receives, self.direct, self.filled) = (0, 0, false);
+        for (b, t) in transfers.iter().enumerate() {
+            let route = Route::of(&self.labels, t);
+            self.routes.push(route);
+            if !route.receiver_here() {
+                continue;
+            }
+            self.receives += 1;
+            self.received_cells[self.labels[t.recv].1] += t.wire_len as u64;
+            let waiting = Waiting {
+                transfer: b,
+                key: t.key,
+                bytes: 8 * t.wire_len as u64,
+            };
+            if route == Route::Direct {
+                self.direct += 1;
+                if post_all {
+                    let func = StepFunction::StartReceiveBoundBufs;
+                    comm.record_event(t.key, func, CommEventKind::PostReceive);
+                }
+                if logging {
+                    self.pending.push(waiting);
+                }
+            } else {
+                if post_all || route == Route::Receive {
+                    comm.start_receive(t.key);
+                }
+                self.pending.push(waiting);
+                self.mailed.push(b);
+            }
+        }
+        self.direct_probes = self.direct;
+    }
+
+    /// Packs every mailbox-bound transfer in parallel (pure reads of the
+    /// sender blocks) into recycled buffers, then streams the sends
+    /// serially in plan order and accounts the round's traffic under
+    /// `func`: one record per mailbox message (from the mailbox), one bulk
+    /// add for all direct transfers. Returns the payload bytes now held in
+    /// message buffers bound for another rank.
+    fn ship(
+        &mut self,
+        transfers: &[Transfer],
+        comm: &mut Communicator,
+        func: StepFunction,
+        exec: ExecCtx,
+        rec: &mut Recorder,
+        pack: impl Fn(usize, &mut Vec<f64>) + Send + Sync,
+    ) -> i64 {
+        for (b, route) in self.routes.iter().enumerate() {
+            if matches!(route, Route::Mailbox | Route::Send) {
+                self.outgoing
+                    .push((b, self.spare.pop().unwrap_or_default()));
+            }
+        }
+        exec.for_each_block(&mut self.outgoing, |_, (b, buf)| pack(*b, buf));
+        let mut mail = self.outgoing.drain(..);
+        let mut remote_bytes = 0i64;
+        let (mut sends, mut direct_cells) = (0u64, 0u64);
+        for (t, route) in transfers.iter().zip(&self.routes) {
+            if !route.sender_here() {
+                continue;
+            }
+            sends += 1;
+            let (src, dst) = (self.labels[t.send].1, self.labels[t.recv].1);
+            let cells = t.wire_len as u64;
+            self.sent_cells[src] += cells;
+            if src != dst {
+                remote_bytes += 8 * cells as i64;
+            }
+            if *route == Route::Direct {
+                direct_cells += cells;
+                let kind = CommEventKind::Send {
+                    src,
+                    dst,
+                    bytes: 8 * cells,
+                    cells,
+                    local: true,
+                };
+                comm.record_event(t.key, func, kind);
+            } else {
+                let (_, buf) = mail.next().expect("one packed buffer per mailbox send");
+                comm.send(t.key, buf, SendMeta { src, dst, cells }, func, rec);
+            }
+        }
+        if self.direct > 0 {
+            rec.record_p2p_bulk(func, self.direct, 8 * direct_cells, direct_cells, true);
+        }
+        rec.record_serial(func, SerialWork::BoundaryLoop(sends));
+        remote_bytes
+    }
+
+    /// One delivery sweep: probes every still-pending transfer once,
+    /// banking arrivals. Returns `true` once nothing is pending.
+    fn poll(&mut self, comm: &mut Communicator, rec: &mut Recorder) -> bool {
+        let probes = std::mem::take(&mut self.direct_probes);
+        if probes > 0 {
+            // What probing each direct transfer once used to record.
+            rec.record_serial(
+                StepFunction::ReceiveBoundBufs,
+                SerialWork::BoundaryLoop(probes),
+            );
+        }
+        let (routes, bank) = (&self.routes, &mut self.bank);
+        self.pending.retain(|w| {
+            if routes[w.transfer] == Route::Direct {
+                let kind = CommEventKind::Complete {
+                    bytes: w.bytes,
+                    local: true,
+                };
+                comm.record_event(w.key, StepFunction::ReceiveBoundBufs, kind);
+                return false;
+            }
+            match comm.try_receive(w.key, rec) {
+                Some(payload) => {
+                    bank[w.transfer] = payload;
+                    false
+                }
+                None => true,
+            }
+        });
+        self.pending.is_empty()
+    }
+
+    /// Turns the consumed payloads into the next round's send buffers —
+    /// in reverse, so that the send pass, which pops, hands the first
+    /// mailbox transfer the buffer that carried it last round (where both
+    /// ends are here: the right length already).
+    fn recycle(&mut self) {
+        self.spare.clear();
+        for &b in self.mailed.iter().rev() {
+            self.spare.push(std::mem::take(&mut self.bank[b]));
+        }
+    }
+}
+
+/// The transfers of one kind — ghost boundaries ([`RowProgram`]) or
+/// fine→coarse flux corrections ([`FluxProgram`]) — compiled for a mesh
+/// generation, in the fixed receiver-major enumeration order.
+#[derive(Debug)]
+struct Lane<P> {
+    transfers: Vec<Transfer>,
+    /// The transfers' programs (parallel to `transfers`).
+    progs: Vec<P>,
+    /// `transfers[start[r]..start[r + 1]]` are received by block `r`.
+    start: Vec<usize>,
+    /// The exchanged variables (registration is identical on every block)
+    /// and their component counts.
+    vars: Vec<(VarId, usize)>,
+    /// The last round's bookkeeping and buffers, reused by the next one.
+    parked: Mutex<Flight>,
+}
+
+impl<P: TransferProgram> Lane<P> {
+    fn new(ids: &[VarId], sample: &BlockData) -> Self {
+        Self {
+            transfers: Vec::new(),
+            progs: Vec::new(),
+            start: vec![0],
+            vars: ids.iter().map(|&id| (id, sample.var(id).ncomp())).collect(),
+            parked: Mutex::default(),
+        }
+    }
+
+    fn push(&mut self, key: BoundaryKey, recv: usize, send: usize, prog: P) {
+        self.transfers.push(Transfer {
+            key,
+            recv,
+            send,
+            wire_len: self.vars.iter().map(|&(_, n)| prog.wire_len(n)).sum(),
+        });
+        self.progs.push(prog);
+    }
+
+    /// Transfers received by block `r`, in enumeration order.
+    fn received_by(&self, r: usize) -> Range<usize> {
+        self.start[r]..self.start[r + 1]
+    }
+
+    /// Takes the parked bookkeeping (or a fresh one).
+    fn unpark(&self) -> Flight {
+        std::mem::take(&mut *self.parked.lock().expect("held only for a move"))
+    }
+
+    fn park(&self, flight: Flight) {
+        *self.parked.lock().expect("held only for a move") = flight;
+    }
+
+    /// Packs transfer `b` from its (resident) sender into `buf`, one
+    /// variable after the other.
+    fn pack<B: BlockTable>(&self, b: usize, blocks: &B, buf: &mut Vec<f64>) {
+        let (t, prog) = (&self.transfers[b], &self.progs[b]);
+        let sender = blocks.resident(t.send).expect("sender block resident");
+        buf.resize(t.wire_len, 0.0);
+        let mut at = 0usize;
+        for &(id, ncomp) in &self.vars {
+            let len = prog.wire_len(ncomp);
+            let cells = P::arrays(sender.data.var(id))[prog.array()].as_slice();
+            prog.pack(ncomp, cells, &mut buf[at..at + len]);
+            at += len;
+        }
+    }
+
+    /// Runs every direct transfer straight from the sender's storage into
+    /// the receiver's, in parallel over receiver blocks.
+    fn fill_direct<B: BlockTable>(&self, flight: &Flight, blocks: &mut B, exec: ExecCtx) {
+        // One view per (block, exchanged variable, addressable array).
+        let at = |gid: usize, v: usize, a: usize| (gid * self.vars.len() + v) * P::ARRAYS + a;
+        let mut cells = vec![SharedCells::empty(); at(self.start.len() - 1, 0, 0)];
+        let mut receivers = Vec::new();
+        for slot in blocks.residents_mut() {
+            let gid = slot.info.gid;
+            if !self.received_by(gid).is_empty() {
+                receivers.push(gid);
+            }
+            for (i, var) in slot.data.vars_mut().iter_mut().enumerate() {
+                let Some(v) = self.vars.iter().position(|(id, _)| id.0 == i) else {
+                    continue;
+                };
+                for (a, array) in P::arrays_mut(var).iter_mut().enumerate() {
+                    cells[at(gid, v, a)] = SharedCells::new(array.as_mut_slice());
+                }
+            }
+        }
+        exec.for_each_index(receivers.len(), |i| {
+            let r = receivers[i];
+            SCRATCH.with_borrow_mut(|scratch| {
+                for b in self.received_by(r) {
+                    if flight.routes[b] != Route::Direct {
+                        continue;
+                    }
+                    let (prog, s) = (&self.progs[b], self.transfers[b].send);
+                    for (v, &(_, ncomp)) in self.vars.iter().enumerate() {
+                        let (src, dst) =
+                            (cells[at(s, v, prog.array())], cells[at(r, v, prog.array())]);
+                        check_span(prog.storage_span(ncomp), &src, &dst);
+                        prog.fill(ncomp, &Rows(src), &mut Rows(dst), scratch);
+                    }
+                }
+            });
+        });
+    }
+
+    /// Unpacks every payload the mailbox delivered into its receiver, in
+    /// parallel over receiver blocks.
+    fn unpack_delivered<B: BlockTable>(&self, flight: &Flight, blocks: &mut B, exec: ExecCtx) {
+        if flight.mailed.is_empty() {
+            return;
+        }
+        let mut residents: Vec<&mut BlockSlot> = blocks.residents_mut().collect();
+        exec.for_each_block(&mut residents, |_, slot| {
+            for b in self.received_by(slot.info.gid) {
+                if !matches!(flight.routes[b], Route::Mailbox | Route::Receive) {
+                    continue;
+                }
+                let (wire, prog) = (flight.bank[b].as_slice(), &self.progs[b]);
+                assert_eq!(wire.len(), self.transfers[b].wire_len, "payload length");
+                let mut at = 0usize;
+                for &(id, ncomp) in &self.vars {
+                    let len = prog.wire_len(ncomp);
+                    let array = &mut P::arrays_mut(slot.data.var_mut(id))[prog.array()];
+                    prog.unpack(ncomp, &wire[at..at + len], array.as_mut_slice());
+                    at += len;
+                }
+            }
+        });
+    }
+}
+
+/// Everything the communication phases need that only changes when the
+/// mesh does: the compiled ghost boundaries and fine→coarse flux-correction
+/// transfers, the variable-id pack lookups — and, parked between exchanges,
+/// the buffers the last exchange used, so that after the first exchange of
+/// a mesh generation the cycle path allocates nothing per message.
+///
+/// Ranks are deliberately *not* cached: every exchange reads the live rank
+/// labels, so plain load balancing keeps the plan valid; only regridding
+/// (new gids and neighbor lists) invalidates it.
+#[derive(Debug)]
 pub struct ExchangePlan {
-    /// Ghost boundaries as (key, receiver gid, sender gid), in the fixed
-    /// receiver-major enumeration order.
-    keys: Vec<(BoundaryKey, usize, usize)>,
-    /// Pack/unpack spec per ghost boundary (parallel to `keys`).
-    specs: Vec<BufferSpec>,
-    /// Ghost-boundary indices grouped by receiver gid.
-    by_recv: Vec<Vec<usize>>,
-    /// Fine→coarse flux-correction transfers (key, receiver, sender, spec).
-    transfers: Vec<(BoundaryKey, usize, usize, FluxCorrSpec)>,
-    /// Transfer indices grouped by receiver gid.
-    fcorr_by_recv: Vec<Vec<usize>>,
-    /// [`Metadata::FILL_GHOST`] variable ids (registration is identical on
-    /// every block).
+    ghosts: Lane<RowProgram>,
+    fluxes: Lane<FluxProgram>,
+    /// [`Metadata::FILL_GHOST`] variable ids.
     pub ghost_ids: Vec<VarId>,
     /// [`Metadata::WITH_FLUXES`] variable ids.
     pub flux_ids: Vec<VarId>,
@@ -100,165 +608,97 @@ impl ExchangePlan {
             mesh.num_blocks(),
             "slots out of sync with mesh"
         );
-        let (keys, specs, by_recv, transfers, fcorr_by_recv) = Self::topology(mesh, cfg);
         // Variable selection per block (string-keyed or cached, per
-        // container strategy), once per generation; drain the lookup
-        // counters into the profile.
-        let mut ghost_ids = Vec::new();
-        for slot in slots.iter_mut() {
-            ghost_ids = slot.data.pack_by_flag(Metadata::FILL_GHOST).ids().to_vec();
+        // container strategy), once per generation.
+        for slot in slots.iter_mut().skip(1) {
+            slot.data.pack_by_flag(Metadata::FILL_GHOST);
         }
-        let (flux_ids, two_stage_ids) = match slots.first_mut() {
-            Some(first) => (
-                first
-                    .data
-                    .pack_by_flag(Metadata::WITH_FLUXES)
-                    .ids()
-                    .to_vec(),
-                first.data.pack_by_flag(Metadata::TWO_STAGE).ids().to_vec(),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
-        for slot in slots.iter_mut() {
-            let lookups = slot.data.take_string_lookups();
-            if lookups > 0 {
-                rec.record_serial(
-                    StepFunction::SendBoundBufs,
-                    SerialWork::StringLookups(lookups),
-                );
+        match slots.split_first_mut() {
+            Some((first, rest)) => {
+                let plan = Self::build_from_mesh(mesh, &mut first.data, cfg, rec);
+                for slot in rest {
+                    record_lookups(&mut slot.data, rec);
+                }
+                plan
             }
-        }
-        Self {
-            keys,
-            specs,
-            by_recv,
-            transfers,
-            fcorr_by_recv,
-            ghost_ids,
-            flux_ids,
-            two_stage_ids,
+            None => Self::build_from_mesh(mesh, &mut BlockData::new(mesh.index_shape()), cfg, rec),
         }
     }
 
     /// Builds the plan from the mesh and one sample block container, without
     /// needing every block's slot — the rank-shard path, where a shard owns
     /// only its own blocks but (like every MPI rank) knows the full
-    /// replicated block tree. Boundary enumeration is identical to
-    /// [`ExchangePlan::build`] because it only reads the mesh; variable ids
-    /// come from `sample`, which every block registers identically.
+    /// replicated block tree. Boundary enumeration only reads the mesh;
+    /// variable ids come from `sample`, which every block registers
+    /// identically.
     pub fn build_from_mesh(
         mesh: &Mesh,
-        sample: &mut vibe_field::BlockData,
+        sample: &mut BlockData,
         cfg: &ExchangeConfig,
         rec: &mut Recorder,
     ) -> Self {
-        let (keys, specs, by_recv, transfers, fcorr_by_recv) = Self::topology(mesh, cfg);
         let ghost_ids = sample.pack_by_flag(Metadata::FILL_GHOST).ids().to_vec();
         let flux_ids = sample.pack_by_flag(Metadata::WITH_FLUXES).ids().to_vec();
         let two_stage_ids = sample.pack_by_flag(Metadata::TWO_STAGE).ids().to_vec();
-        let lookups = sample.take_string_lookups();
-        if lookups > 0 {
-            rec.record_serial(
-                StepFunction::SendBoundBufs,
-                SerialWork::StringLookups(lookups),
-            );
-        }
-        Self {
-            keys,
-            specs,
-            by_recv,
-            transfers,
-            fcorr_by_recv,
+        record_lookups(sample, rec);
+        let mut plan = Self {
+            ghosts: Lane::new(&ghost_ids, sample),
+            fluxes: Lane::new(&flux_ids, sample),
             ghost_ids,
             flux_ids,
             two_stage_ids,
-        }
-    }
-
-    /// Boundary enumeration, buffer specs, and flux-correction transfers —
-    /// a pure function of the mesh generation.
-    #[allow(clippy::type_complexity)]
-    fn topology(
-        mesh: &Mesh,
-        cfg: &ExchangeConfig,
-    ) -> (
-        Vec<(BoundaryKey, usize, usize)>,
-        Vec<BufferSpec>,
-        Vec<Vec<usize>>,
-        Vec<(BoundaryKey, usize, usize, FluxCorrSpec)>,
-        Vec<Vec<usize>>,
-    ) {
+        };
         let shape = mesh.index_shape();
-        let nblocks = mesh.num_blocks();
-        let mut keys = Vec::new();
-        let mut specs = Vec::new();
-        let mut by_recv: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-        let mut transfers = Vec::new();
-        for (r, recv_list) in by_recv.iter_mut().enumerate() {
-            for (t, nb) in mesh.neighbors(r).iter().enumerate() {
-                let s = mesh.gid_at(&nb.loc).expect("neighbor is a leaf");
-                recv_list.push(keys.len());
-                keys.push((BoundaryKey::new(s, r, t as u32), r, s));
-                specs.push(compute_buffer_spec_with(
+        // Per block: faces whose fluxes corrections write, and read.
+        let mut faces = vec![(0u8, 0u8); mesh.num_blocks()];
+        for recv in 0..mesh.num_blocks() {
+            let r_loc = mesh.block(recv).loc();
+            for (t, nb) in mesh.neighbors(recv).iter().enumerate() {
+                let send = mesh.gid_at(&nb.loc).expect("neighbor is a leaf");
+                let spec = compute_buffer_spec_with(
                     &shape,
-                    &mesh.block(r).loc(),
+                    &r_loc,
                     &nb.loc,
                     &nb.offset,
                     cfg.restrict_on_send,
-                ));
+                );
+                let key = BoundaryKey::new(send, recv, t as u32);
+                plan.ghosts
+                    .push(key, recv, send, RowProgram::compile(&spec));
                 if nb.is_finer() && nb.offset.order() == 1 {
-                    transfers.push((
-                        BoundaryKey::new(s, r, 1000 + t as u32),
-                        r,
-                        s,
-                        flux_correction_spec(&shape, &mesh.block(r).loc(), &nb.loc, &nb.offset),
-                    ));
+                    let spec = flux_correction_spec(&shape, &r_loc, &nb.loc, &nb.offset);
+                    let prog = FluxProgram::compile(&spec);
+                    // Bit `2 * normal + upper side`; the sender's face is
+                    // the opposite side of the same normal.
+                    let normal = prog.array();
+                    let face = 2 * normal + usize::from(nb.offset.components()[normal] > 0);
+                    faces[recv].0 |= 1 << face;
+                    faces[send].1 |= 1 << (face ^ 1);
+                    let key = BoundaryKey::new(send, recv, 1000 + t as u32);
+                    plan.fluxes.push(key, recv, send, prog);
                 }
             }
+            plan.ghosts.start.push(plan.ghosts.transfers.len());
+            plan.fluxes.start.push(plan.fluxes.transfers.len());
         }
-        let mut fcorr_by_recv: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-        for (b, (_key, r, ..)) in transfers.iter().enumerate() {
-            fcorr_by_recv[*r].push(b);
-        }
-        (keys, specs, by_recv, transfers, fcorr_by_recv)
+        // The flux-correction half of the direct-fill invariant: no face of
+        // any block is both corrected (written) and a source of corrections
+        // (read), so one worker may correct a block while another reads it.
+        debug_assert!(
+            faces.iter().all(|(written, read)| written & read == 0),
+            "a block face is both corrected and a source of corrections"
+        );
+        plan
     }
+}
 
-    /// Ghost boundaries as (key, receiver gid, sender gid) in the fixed
-    /// receiver-major enumeration order.
-    pub fn boundaries(&self) -> &[(BoundaryKey, usize, usize)] {
-        &self.keys
-    }
-
-    /// Pack/unpack spec per ghost boundary (parallel to
-    /// [`ExchangePlan::boundaries`]).
-    pub fn specs(&self) -> &[BufferSpec] {
-        &self.specs
-    }
-
-    /// Boundary indices received by block `r`, in enumeration order.
-    pub fn recv_boundaries(&self, r: usize) -> &[usize] {
-        &self.by_recv[r]
-    }
-
-    /// Fine→coarse flux-correction transfers as (key, receiver, sender,
-    /// spec).
-    pub fn flux_transfers(&self) -> &[(BoundaryKey, usize, usize, FluxCorrSpec)] {
-        &self.transfers
-    }
-
-    /// Flux-correction transfer indices received by block `r`.
-    pub fn fcorr_recv_transfers(&self, r: usize) -> &[usize] {
-        &self.fcorr_by_recv[r]
-    }
-
-    /// Number of ghost boundaries in the plan.
-    pub fn num_boundaries(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Number of fine→coarse flux-correction transfers.
-    pub fn num_flux_transfers(&self) -> usize {
-        self.transfers.len()
+fn record_lookups(data: &mut BlockData, rec: &mut Recorder) {
+    let lookups = data.take_string_lookups();
+    if lookups > 0 {
+        rec.record_serial(
+            StepFunction::SendBoundBufs,
+            SerialWork::StringLookups(lookups),
+        );
     }
 }
 
@@ -266,21 +706,20 @@ impl ExchangePlan {
 /// wait/unpack phases.
 #[derive(Debug, Default)]
 pub struct GhostExchangeState {
-    /// Keys still waiting on delivery.
-    pending: Vec<BoundaryKey>,
-    /// Delivered payloads by key.
-    received: HashMap<BoundaryKey, Vec<f64>>,
+    flight: Flight,
     /// Remote payload bytes currently held in MPI buffers.
     remote_bytes_live: i64,
 }
 
-/// Posts all receives (`StartReceiveBoundBufs`), packs every boundary
-/// buffer in parallel (pure reads of the sender blocks), and streams the
-/// sends serially in key order (`SendBoundBufs`). Returns the in-flight
-/// state that [`ghost_poll`] and [`ghost_set_bounds`] retire.
-pub fn ghost_pack_and_send(
+/// Routes every boundary, posts the receives (`StartReceiveBoundBufs`),
+/// packs the mailbox-bound buffers in parallel (pure reads of the sender
+/// blocks) and streams those sends serially in key order
+/// (`SendBoundBufs`). Direct boundaries move nothing yet:
+/// [`ghost_fill_direct`] fills them. Returns the in-flight state that
+/// [`ghost_poll`] and [`ghost_set_bounds`] retire.
+pub fn ghost_pack_and_send<B: BlockTable>(
     plan: &ExchangePlan,
-    slots: &[BlockSlot],
+    blocks: &B,
     comm: &mut Communicator,
     cache: &mut BufferCache,
     cfg: &ExchangeConfig,
@@ -288,74 +727,68 @@ pub fn ghost_pack_and_send(
     rec: &mut Recorder,
 ) -> GhostExchangeState {
     let wall = rec.wall().clone();
-
+    let lane = &plan.ghosts;
+    let mut flight = lane.unpark();
     {
         let _g = wall.region_hot(RegionKey::Step(StepFunction::StartReceiveBoundBufs));
-        for (key, ..) in &plan.keys {
-            comm.start_receive(*key);
-        }
+        flight.open(&lane.transfers, blocks, comm, true);
         rec.record_serial(
             StepFunction::StartReceiveBoundBufs,
-            SerialWork::BoundaryLoop(plan.keys.len() as u64),
+            SerialWork::BoundaryLoop(flight.receives),
         );
     }
 
     let _send_guard = wall.region(RegionKey::Step(StepFunction::SendBoundBufs));
+    let consumed = lane.transfers.iter().zip(&flight.routes);
     cache.initialize(
-        plan.keys.iter().map(|(k, ..)| *k).collect(),
+        consumed
+            .filter(|(_, route)| route.receiver_here())
+            .map(|(t, _)| t.key)
+            .collect(),
         &cfg.cache_config,
         rec,
     );
-    rec.record_serial(
-        StepFunction::SendBoundBufs,
-        SerialWork::BoundaryLoop(plan.keys.len() as u64),
-    );
-
-    let mut packed: Vec<(Vec<f64>, u64)> = vec![(Vec::new(), 0); plan.keys.len()];
-    {
-        let keys_ro = &plan.keys;
-        let specs_ro = &plan.specs;
-        let ids_ro = &plan.ghost_ids;
-        exec.for_each_block(&mut packed, |b, out| {
-            let (_key, _r, s) = keys_ro[b];
-            let spec = &specs_ro[b];
-            for &id in ids_ro {
-                let var = slots[s].data.var(id);
-                pack(spec, var.data(), &mut out.0);
-                out.1 += spec.buffer_len(var.ncomp()) as u64;
-            }
-        });
-    }
-    let mut packed_cells_per_rank: HashMap<usize, u64> = HashMap::new();
-    let mut remote_bytes_live: i64 = 0;
-    for ((key, r, s), (buf, cells)) in plan.keys.iter().zip(packed) {
-        let src = slots[*s].info.rank;
-        let dst = slots[*r].info.rank;
-        if src != dst {
-            remote_bytes_live += (buf.len() * 8) as i64;
-        }
-        *packed_cells_per_rank.entry(src).or_insert(0) += cells;
-        comm.send(
-            *key,
-            buf,
-            SendMeta { src, dst, cells },
-            StepFunction::SendBoundBufs,
-            rec,
-        );
-    }
+    let func = StepFunction::SendBoundBufs;
+    let remote_bytes_live = flight.ship(&lane.transfers, comm, func, exec, rec, |b, buf| {
+        lane.pack(b, blocks, buf)
+    });
     rec.record_alloc(MemSpace::MpiBuffers, remote_bytes_live);
-    {
-        let mut launcher = Launcher::new(rec);
-        for cells in packed_cells_per_rank.values() {
-            launcher.record_only(&catalog::SEND_BOUND_BUFS, *cells, 1.0);
-        }
+    let mut launcher = Launcher::new(rec);
+    for &cells in flight.sent_cells.iter().filter(|&&cells| cells > 0) {
+        launcher.record_only(&catalog::SEND_BOUND_BUFS, cells, 1.0);
     }
-
     GhostExchangeState {
-        pending: plan.keys.iter().map(|(k, ..)| *k).collect(),
-        received: HashMap::new(),
+        flight,
         remote_bytes_live,
     }
+}
+
+/// Fills every direct boundary of the exchange straight from the sender's
+/// interior into the receiver's ghost band (`SetBounds`), in parallel over
+/// receiver blocks. Nothing writes the exchanged variables between the
+/// pack/send phase and this one, so reading the sender now yields the bits
+/// packing it then would have; and one block's boundaries fill disjoint
+/// cells, so filling the direct ones before the delivered ones changes
+/// nothing. Runs once per exchange: returns `true` if this call did the
+/// filling, `false` (at once) if it was done already or there is nothing
+/// to fill.
+pub fn ghost_fill_direct<B: BlockTable>(
+    plan: &ExchangePlan,
+    state: &mut GhostExchangeState,
+    blocks: &mut B,
+    exec: ExecCtx,
+    rec: &mut Recorder,
+) -> bool {
+    let flight = &mut state.flight;
+    if std::mem::replace(&mut flight.filled, true) || flight.direct == 0 {
+        return false;
+    }
+    let _g = rec
+        .wall()
+        .clone()
+        .region(RegionKey::Step(StepFunction::SetBounds));
+    plan.ghosts.fill_direct(flight, blocks, exec);
+    true
 }
 
 /// One delivery sweep (`ReceiveBoundBufs`): probes every still-pending
@@ -371,111 +804,137 @@ pub fn ghost_poll(
         .wall()
         .clone()
         .region(RegionKey::Step(StepFunction::ReceiveBoundBufs));
-    let received = &mut state.received;
-    state
-        .pending
-        .retain(|key| match comm.try_receive(*key, rec) {
-            Some(buf) => {
-                received.insert(*key, buf);
-                false
-            }
-            None => true,
-        });
-    state.pending.is_empty()
+    state.flight.poll(comm, rec)
 }
 
 /// Unpacks every delivered buffer into its receiver's ghost zones
-/// (`SetBounds`) and releases the exchange's MPI buffer memory. Blocks
-/// unpack in parallel over *receivers*; each consumes its incoming buffers
-/// in global key order, so results are identical to the serial sweep at
-/// any thread count.
+/// (`SetBounds`), after filling the direct boundaries if
+/// [`ghost_fill_direct`] has not run, and releases the exchange's MPI
+/// buffer memory. Blocks unpack in parallel over *receivers*; results are
+/// identical to the serial sweep at any thread count.
 ///
 /// # Panics
 ///
 /// Panics unless [`ghost_poll`] reported completion for `state`.
-pub fn ghost_set_bounds(
+pub fn ghost_set_bounds<B: BlockTable>(
     plan: &ExchangePlan,
-    state: GhostExchangeState,
-    slots: &mut [BlockSlot],
+    mut state: GhostExchangeState,
+    blocks: &mut B,
     comm: &mut Communicator,
     exec: ExecCtx,
     rec: &mut Recorder,
 ) {
-    assert!(state.pending.is_empty(), "all messages arrive in-process");
-    assert_eq!(
-        state.received.len(),
-        plan.keys.len(),
-        "every boundary delivered"
+    assert!(
+        state.flight.pending.is_empty(),
+        "every boundary message delivered"
     );
+    ghost_fill_direct(plan, &mut state, blocks, exec, rec);
     let _set_guard = rec
         .wall()
         .clone()
         .region(RegionKey::Step(StepFunction::SetBounds));
-    let mut unpacked_cells_per_rank: HashMap<usize, u64> = HashMap::new();
-    for ((_key, r, _s), spec) in plan.keys.iter().zip(&plan.specs) {
-        let recv_rank = slots[*r].info.rank;
-        let buf_len: u64 = plan
-            .ghost_ids
-            .iter()
-            .map(|&id| spec.buffer_len(slots[*r].data.var(id).ncomp()) as u64)
-            .sum();
-        *unpacked_cells_per_rank.entry(recv_rank).or_insert(0) += buf_len;
-    }
-    {
-        let keys_ro = &plan.keys;
-        let specs_ro = &plan.specs;
-        let ids_ro = &plan.ghost_ids;
-        let by_recv_ro = &plan.by_recv;
-        let received_ro = &state.received;
-        exec.for_each_block(slots, |r, slot| {
-            for &b in &by_recv_ro[r] {
-                let (key, ..) = keys_ro[b];
-                let spec = &specs_ro[b];
-                let buf = &received_ro[&key];
-                let mut offset = 0usize;
-                for &id in ids_ro {
-                    let var = slot.data.var_mut(id);
-                    let len = spec.buffer_len(var.data().ncomp());
-                    unpack(spec, &buf[offset..offset + len], var.data_mut());
-                    offset += len;
-                }
-            }
-        });
-    }
+    let mut flight = state.flight;
+    plan.ghosts.unpack_delivered(&flight, blocks, exec);
+    flight.recycle();
     {
         let mut launcher = Launcher::new(rec);
-        for cells in unpacked_cells_per_rank.values() {
-            launcher.record_only(&catalog::SET_BOUNDS, *cells, 1.0);
+        for &cells in flight.received_cells.iter().filter(|&&cells| cells > 0) {
+            launcher.record_only(&catalog::SET_BOUNDS, cells, 1.0);
         }
     }
     rec.record_serial(
         StepFunction::SetBounds,
-        SerialWork::BoundaryLoop(plan.keys.len() as u64),
+        SerialWork::BoundaryLoop(flight.receives),
     );
     comm.mark_all_stale();
     rec.record_alloc(MemSpace::MpiBuffers, -state.remote_bytes_live);
+    plan.ghosts.park(flight);
 }
 
-/// Runs the pack/send → poll → set-bounds phases back-to-back with a
+/// The body of a WaitUnpack task: fills the direct boundaries on its first
+/// invocation of an exchange, sweeps for deliveries, and once everything
+/// arrived unpacks it and retires `state`. Until then the status says
+/// whether the invocation worked ([`TaskStatus::Progress`]) or only polled.
+pub fn ghost_wait_unpack<B: BlockTable>(
+    plan: &ExchangePlan,
+    state: &mut GhostExchangeState,
+    blocks: &mut B,
+    comm: &mut Communicator,
+    exec: ExecCtx,
+    rec: &mut Recorder,
+) -> TaskStatus {
+    let filled = ghost_fill_direct(plan, state, blocks, exec, rec);
+    if !ghost_poll(state, comm, rec) {
+        return if filled {
+            TaskStatus::Progress
+        } else {
+            TaskStatus::Incomplete
+        };
+    }
+    ghost_set_bounds(plan, std::mem::take(state), blocks, comm, exec, rec);
+    TaskStatus::Complete
+}
+
+/// Runs the pack/send → fill → poll → set-bounds phases back-to-back with a
 /// prebuilt plan. This is the non-overlapping path (initialization and
 /// direct callers); the cycle path schedules the same phases as separate
 /// tasks so interior compute proceeds while messages are in flight.
-pub fn exchange_ghosts_with_plan(
+pub fn exchange_ghosts_with_plan<B: BlockTable>(
     plan: &ExchangePlan,
-    slots: &mut [BlockSlot],
+    blocks: &mut B,
     comm: &mut Communicator,
     cache: &mut BufferCache,
     cfg: &ExchangeConfig,
     exec: ExecCtx,
     rec: &mut Recorder,
 ) {
-    let mut state = ghost_pack_and_send(plan, slots, comm, cache, cfg, exec, rec);
+    let mut state = ghost_pack_and_send(plan, &*blocks, comm, cache, cfg, exec, rec);
     let mut sweeps = 0u32;
-    while !ghost_poll(&mut state, comm, rec) {
+    while ghost_wait_unpack(plan, &mut state, blocks, comm, exec, rec) != TaskStatus::Complete {
         sweeps += 1;
         assert!(sweeps < 10_000, "ghost messages never arrived");
     }
-    ghost_set_bounds(plan, state, slots, comm, exec, rec);
+}
+
+/// Fills the ghost zones at physical (non-periodic) domain faces of every
+/// resident block — what follows a completed ghost exchange.
+pub fn apply_physical_bcs<B: BlockTable>(
+    plan: &ExchangePlan,
+    mesh: &Mesh,
+    kind: BcKind,
+    blocks: &mut B,
+    exec: ExecCtx,
+    rec: &mut Recorder,
+) {
+    let periodic = mesh.params().region().periodic();
+    let dim = mesh.params().dim();
+    if periodic.iter().take(dim).all(|&p| p) {
+        return;
+    }
+    let _g = rec
+        .wall()
+        .clone()
+        .region_hot(RegionKey::Named("PhysicalBCs"));
+    let shape = mesh.index_shape();
+    let base_blocks = mesh.params().base_blocks();
+    let mut residents: Vec<&mut BlockSlot> = blocks.residents_mut().collect();
+    exec.for_each_block(&mut residents, |_, slot| {
+        let loc = slot.info.loc;
+        for d in (0..dim).filter(|&d| !periodic[d]) {
+            let extent = base_blocks[d] << loc.level();
+            let sides = [
+                (loc.lx_d(d) == 0, Side::Lower),
+                (loc.lx_d(d) == extent - 1, Side::Upper),
+            ];
+            for (_, side) in sides.into_iter().filter(|(at_edge, _)| *at_edge) {
+                for &id in &plan.ghost_ids {
+                    let var = slot.data.var_mut(id);
+                    let is_vector = var.ncomp() == 3;
+                    apply_face_bc(var.data_mut(), &shape, d, side, kind, is_vector);
+                }
+            }
+        }
+    });
 }
 
 /// Performs one full ghost-zone exchange of all [`Metadata::FILL_GHOST`]
@@ -491,7 +950,7 @@ pub fn exchange_ghosts_with_plan(
 /// Panics if `slots` is not indexed by gid consistently with `mesh`.
 pub fn exchange_ghosts(
     mesh: &Mesh,
-    slots: &mut [BlockSlot],
+    slots: &mut Vec<BlockSlot>,
     comm: &mut Communicator,
     cache: &mut BufferCache,
     cfg: &ExchangeConfig,
@@ -506,18 +965,17 @@ pub fn exchange_ghosts(
 /// apply phases.
 #[derive(Debug, Default)]
 pub struct FluxCorrState {
-    /// Transfer indices still waiting on delivery.
-    pending: Vec<usize>,
-    /// Delivered payloads, indexed like the plan's transfer list.
-    bufs: Vec<Option<Vec<f64>>>,
+    flight: Flight,
 }
 
-/// Packs the restricted fine face fluxes of every fine→coarse transfer in
-/// parallel (pure reads), then sends them serially in face order
-/// (`FluxCorrection`).
-pub fn flux_corr_send(
+/// Routes every fine→coarse transfer (`FluxCorrection`): the mailbox-bound
+/// ones are packed in parallel (pure reads) and sent serially in face
+/// order; then the direct ones restrict the fine block's face fluxes
+/// straight into the coarse block's, in parallel over receivers — the
+/// fluxes are final by now, and no corrected face is anyone's source.
+pub fn flux_corr_send<B: BlockTable>(
     plan: &ExchangePlan,
-    slots: &[BlockSlot],
+    blocks: &mut B,
     comm: &mut Communicator,
     exec: ExecCtx,
     rec: &mut Recorder,
@@ -526,106 +984,47 @@ pub fn flux_corr_send(
         .wall()
         .clone()
         .region(RegionKey::Step(StepFunction::FluxCorrection));
-    let mut packed: Vec<(Vec<f64>, u64)> = vec![(Vec::new(), 0); plan.transfers.len()];
+    let lane = &plan.fluxes;
+    let mut flight = lane.unpark();
+    flight.open(&lane.transfers, &*blocks, comm, false);
+    let func = StepFunction::FluxCorrection;
     {
-        let transfers_ro = &plan.transfers;
-        let ids_ro = &plan.flux_ids;
-        exec.for_each_block(&mut packed, |b, out| {
-            let (_key, _r, s, spec) = &transfers_ro[b];
-            for &id in ids_ro {
-                let var = slots[*s].data.var(id);
-                pack_flux(spec, var, &mut out.0);
-                out.1 += spec.buffer_len(var.ncomp()) as u64;
-            }
+        let blocks = &*blocks;
+        flight.ship(&lane.transfers, comm, func, exec, rec, |b, buf| {
+            lane.pack(b, blocks, buf)
         });
     }
-    for ((key, r, s, _spec), (buf, cells)) in plan.transfers.iter().zip(packed) {
-        comm.send(
-            *key,
-            buf,
-            SendMeta {
-                src: slots[*s].info.rank,
-                dst: slots[*r].info.rank,
-                cells,
-            },
-            StepFunction::FluxCorrection,
-            rec,
-        );
+    if flight.direct > 0 {
+        lane.fill_direct(&flight, blocks, exec);
     }
-    rec.record_serial(
-        StepFunction::FluxCorrection,
-        SerialWork::BoundaryLoop(plan.transfers.len() as u64),
-    );
-    FluxCorrState {
-        pending: (0..plan.transfers.len()).collect(),
-        bufs: vec![None; plan.transfers.len()],
-    }
+    FluxCorrState { flight }
 }
 
-/// One delivery sweep over pending flux-correction transfers. Returns
-/// `true` once every correction has arrived.
-pub fn flux_corr_poll(
+/// The body of a FluxCorrApply task: one delivery sweep over the pending
+/// corrections; once every one has arrived, overwrites the coarse fluxes
+/// with the delivered restricted fine fluxes, in parallel over receiver
+/// blocks (the direct corrections were applied by [`flux_corr_send`]), and
+/// retires `state`.
+pub fn flux_corr_apply<B: BlockTable>(
     plan: &ExchangePlan,
     state: &mut FluxCorrState,
+    blocks: &mut B,
     comm: &mut Communicator,
-    rec: &mut Recorder,
-) -> bool {
-    let _g = rec
-        .wall()
-        .clone()
-        .region(RegionKey::Step(StepFunction::FluxCorrection));
-    let bufs = &mut state.bufs;
-    state
-        .pending
-        .retain(|&b| match comm.try_receive(plan.transfers[b].0, rec) {
-            Some(buf) => {
-                bufs[b] = Some(buf);
-                false
-            }
-            None => true,
-        });
-    state.pending.is_empty()
-}
-
-/// Overwrites coarse fluxes with the delivered restricted fine fluxes, in
-/// parallel over receiver blocks, each applying its corrections in face
-/// order.
-///
-/// # Panics
-///
-/// Panics unless [`flux_corr_poll`] reported completion for `state`.
-pub fn flux_corr_apply(
-    plan: &ExchangePlan,
-    state: &FluxCorrState,
-    slots: &mut [BlockSlot],
     exec: ExecCtx,
     rec: &mut Recorder,
-) {
-    assert!(
-        state.pending.is_empty(),
-        "all flux corrections arrive in-process"
-    );
+) -> TaskStatus {
     let _g = rec
         .wall()
         .clone()
         .region(RegionKey::Step(StepFunction::FluxCorrection));
-    let transfers_ro = &plan.transfers;
-    let ids_ro = &plan.flux_ids;
-    let by_recv_ro = &plan.fcorr_by_recv;
-    let bufs_ro = &state.bufs;
-    exec.for_each_block(slots, |r, slot| {
-        for &b in &by_recv_ro[r] {
-            let (_key, _r, _s, spec) = &transfers_ro[b];
-            let buf = bufs_ro[b].as_ref().expect("correction delivered");
-            let mut offset = 0usize;
-            for &id in ids_ro {
-                let var = slot.data.var_mut(id);
-                let len = spec.buffer_len(var.ncomp());
-                apply_flux(spec, &buf[offset..offset + len], var);
-                offset += len;
-            }
-        }
-    });
+    if !state.flight.poll(comm, rec) {
+        return TaskStatus::Incomplete;
+    }
+    let mut flight = std::mem::take(state).flight;
+    plan.fluxes.unpack_delivered(&flight, blocks, exec);
+    flight.recycle();
+    plan.fluxes.park(flight);
+    TaskStatus::Complete
 }
 
 /// Fine→coarse flux correction across all level-boundary faces: restricted
@@ -634,7 +1033,7 @@ pub fn flux_corr_apply(
 /// [`ExchangePlan`] and runs the send/poll/apply phases back-to-back.
 pub fn flux_correction(
     mesh: &Mesh,
-    slots: &mut [BlockSlot],
+    slots: &mut Vec<BlockSlot>,
     comm: &mut Communicator,
     exec: ExecCtx,
     rec: &mut Recorder,
@@ -642,11 +1041,10 @@ pub fn flux_correction(
     let plan = ExchangePlan::build(mesh, slots, &ExchangeConfig::default(), rec);
     let mut state = flux_corr_send(&plan, slots, comm, exec, rec);
     let mut sweeps = 0u32;
-    while !flux_corr_poll(&plan, &mut state, comm, rec) {
+    while flux_corr_apply(&plan, &mut state, slots, comm, exec, rec) != TaskStatus::Complete {
         sweeps += 1;
         assert!(sweeps < 10_000, "flux corrections never arrived");
     }
-    flux_corr_apply(&plan, &state, slots, exec, rec);
 }
 
 #[cfg(test)]
@@ -988,5 +1386,278 @@ mod tests {
         let (b_ghosts, b_msgs) = run(false);
         assert_eq!(a_msgs, b_msgs);
         assert!(a_ghosts == b_ghosts, "bitwise identical ghost fill");
+    }
+
+    /// A 3-D mesh with one refined block: every transfer mode occurs, and
+    /// the small periodic base grid makes blocks neighbors of themselves
+    /// across the wrap.
+    fn refined_mesh_3d() -> Mesh {
+        let mut mesh = Mesh::new(
+            MeshParams::builder()
+                .dim(3)
+                .mesh_cells(16)
+                .block_cells(8)
+                .max_levels(2)
+                .nghost(2)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let flags = [(mesh.block(3).loc(), AmrFlag::Refine)]
+            .into_iter()
+            .collect();
+        let d = enforce_proper_nesting(mesh.tree(), &flags);
+        mesh.regrid(&d).unwrap();
+        mesh
+    }
+
+    /// Two exchanged variables (3 and `ncomp` components), every cell of
+    /// data and fluxes a distinct value.
+    fn build_varied(mesh: &Mesh, ncomp: usize) -> Vec<BlockSlot> {
+        let flags = Metadata::INDEPENDENT | Metadata::FILL_GHOST | Metadata::WITH_FLUXES;
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        (0..mesh.num_blocks())
+            .map(|gid| {
+                let mut data = BlockData::new(mesh.index_shape());
+                data.add_variable("u", 3, flags);
+                data.add_variable("q", ncomp, flags);
+                for var in data.vars_mut() {
+                    var.data_mut().as_mut_slice().fill_with(&mut next);
+                    for flux in var.fluxes_mut().unwrap() {
+                        flux.as_mut_slice().fill_with(&mut next);
+                    }
+                }
+                BlockSlot::new(BlockInfo::from_mesh(mesh, gid), data)
+            })
+            .collect()
+    }
+
+    /// Bit patterns of every cell (data, or fluxes) of every block.
+    fn bits(slots: &[BlockSlot], fluxes: bool) -> Vec<u64> {
+        let mut out = Vec::new();
+        for var in slots.iter().flat_map(|s| s.data.vars()) {
+            let arrays: Vec<&vibe_field::Array4> = if fluxes {
+                (0..3).map(|d| var.flux(d).unwrap()).collect()
+            } else {
+                vec![var.data()]
+            };
+            for a in arrays {
+                out.extend(a.as_slice().iter().map(|v| v.to_bits()));
+            }
+        }
+        out
+    }
+
+    /// Rank labels: everything on rank 0, a 4-rank balance, or one rank per
+    /// block — the last two push boundaries through the mailbox.
+    fn relabel(slots: &mut [BlockSlot], nranks: usize) {
+        let n = slots.len();
+        for (gid, slot) in slots.iter_mut().enumerate() {
+            slot.info.rank = gid * nranks / n;
+        }
+    }
+
+    /// What licenses the direct route: for every mode and at any thread
+    /// count it leaves exactly the bits the mailbox route leaves, in the
+    /// cells it must fill and in the ones it must not touch.
+    #[test]
+    fn direct_fill_matches_the_mailbox_route_bitwise() {
+        let mesh = refined_mesh_3d();
+        for restrict_on_send in [true, false] {
+            let cfg = ExchangeConfig {
+                restrict_on_send,
+                ..ExchangeConfig::default()
+            };
+            let run = |nranks: usize, threads: usize| {
+                let mut slots = build_varied(&mesh, 2);
+                relabel(&mut slots, nranks);
+                let mut comm = Communicator::new(nranks);
+                comm.set_remote_delivery_delay(1);
+                let mut rec = Recorder::new();
+                rec.begin_cycle(0);
+                exchange_ghosts(
+                    &mesh,
+                    &mut slots,
+                    &mut comm,
+                    &mut BufferCache::new(),
+                    &cfg,
+                    ExecCtx::new(threads),
+                    &mut rec,
+                );
+                rec.end_cycle(mesh.num_blocks() as u64, 0, 0, 0);
+                let local = rec.totals().comm[&StepFunction::SendBoundBufs].p2p_local_messages;
+                (bits(&slots, false), local)
+            };
+            let nblocks = mesh.num_blocks();
+            let (direct, all_local) = run(1, 1);
+            let (mailed, none_local) = run(nblocks, 1);
+            assert!(
+                all_local > 0 && none_local == 0,
+                "the two routes were taken"
+            );
+            assert!(direct == mailed, "direct fill differs from pack/unpack");
+            assert!(direct == run(4, 1).0, "mixed routes differ");
+            assert!(direct == run(1, 4).0, "threaded direct fill differs");
+            assert!(direct == run(4, 3).0, "threaded mixed routes differ");
+        }
+    }
+
+    /// Same for flux correction: restricting straight into the coarse
+    /// block's fluxes equals pack/apply through the mailbox.
+    #[test]
+    fn direct_flux_correction_matches_the_mailbox_route_bitwise() {
+        let mesh = refined_mesh_3d();
+        let run = |nranks: usize, threads: usize| {
+            let mut slots = build_varied(&mesh, 2);
+            relabel(&mut slots, nranks);
+            let mut comm = Communicator::new(nranks);
+            comm.set_remote_delivery_delay(1);
+            let mut rec = Recorder::new();
+            rec.begin_cycle(0);
+            flux_correction(
+                &mesh,
+                &mut slots,
+                &mut comm,
+                ExecCtx::new(threads),
+                &mut rec,
+            );
+            rec.end_cycle(mesh.num_blocks() as u64, 0, 0, 0);
+            assert!(rec.totals().comm[&StepFunction::FluxCorrection].cells_communicated > 0);
+            bits(&slots, true)
+        };
+        let direct = run(1, 1);
+        assert!(
+            direct != bits(&build_varied(&mesh, 2), true),
+            "faces corrected"
+        );
+        assert!(
+            direct == run(mesh.num_blocks(), 1),
+            "direct differs from mailed"
+        );
+        assert!(direct == run(4, 3), "threaded mixed routes differ");
+    }
+
+    /// What licenses filling the direct boundaries *before* the delivered
+    /// ones: the boundaries of one block fill pairwise disjoint cells, so
+    /// the order among them cannot matter.
+    #[test]
+    fn receive_regions_of_one_block_are_pairwise_disjoint() {
+        let mut meshes = vec![refined_mesh_3d(), uniform_mesh()];
+        let mut refined_2d = uniform_mesh();
+        let flags = [(refined_2d.block(5).loc(), AmrFlag::Refine)]
+            .into_iter()
+            .collect();
+        let d = enforce_proper_nesting(refined_2d.tree(), &flags);
+        refined_2d.regrid(&d).unwrap();
+        meshes.push(refined_2d);
+        for mesh in &meshes {
+            let shape = mesh.index_shape();
+            for r in 0..mesh.num_blocks() {
+                let regions: Vec<vibe_field::Region> = mesh
+                    .neighbors(r)
+                    .iter()
+                    .map(|nb| {
+                        let r_loc = mesh.block(r).loc();
+                        *compute_buffer_spec_with(&shape, &r_loc, &nb.loc, &nb.offset, true)
+                            .recv_region()
+                    })
+                    .collect();
+                for (a, ra) in regions.iter().enumerate() {
+                    for rb in &regions[a + 1..] {
+                        let overlap = (0..3).all(|d| {
+                            ra.range(d).s <= rb.range(d).e && rb.range(d).s <= ra.range(d).e
+                        });
+                        assert!(!overlap, "block {r}: {ra:?} and {rb:?} overlap");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Event logging is gated at the source: with capture off an exchange
+    /// leaves the communicator's log empty at every point, with it on the
+    /// log reads as if every boundary had gone through the mailbox.
+    #[test]
+    fn event_capture_is_gated_at_the_source() {
+        let mesh = uniform_mesh();
+        let exchange = |capture: bool, nranks: usize| {
+            let mut slots = build(&mesh, 1);
+            relabel(&mut slots, nranks);
+            let mut comm = Communicator::new(nranks);
+            comm.set_event_capture(capture);
+            let mut rec = Recorder::new();
+            rec.begin_cycle(0);
+            exchange_ghosts(
+                &mesh,
+                &mut slots,
+                &mut comm,
+                &mut BufferCache::new(),
+                &ExchangeConfig::default(),
+                ExecCtx::serial(),
+                &mut rec,
+            );
+            rec.end_cycle(16, 0, 0, 0);
+            comm.take_events()
+        };
+        assert!(exchange(false, 1).is_empty());
+        assert!(exchange(false, 4).is_empty());
+        for nranks in [1, 4] {
+            let events = exchange(true, nranks);
+            // 16 blocks x 8 neighbors, each posted, sent and completed.
+            assert_eq!(events.len(), 3 * 128);
+            assert_eq!(vibe_comm::validate_event_order(&events), Ok(128));
+            let posted = events
+                .iter()
+                .take_while(|e| e.kind == CommEventKind::PostReceive)
+                .count();
+            assert_eq!(posted, 128, "receives are posted before anything is sent");
+        }
+    }
+
+    /// After the first exchange of a mesh generation the wire buffers are
+    /// the previous exchange's consumed payloads: same allocations, no
+    /// growth.
+    #[test]
+    fn wire_buffers_are_recycled_across_exchanges() {
+        let mesh = refined_mesh_3d();
+        let mut slots = build_varied(&mesh, 2);
+        relabel(&mut slots, 4);
+        let mut comm = Communicator::new(4);
+        let mut cache = BufferCache::new();
+        let cfg = ExchangeConfig::default();
+        let mut rec = Recorder::new();
+        rec.begin_cycle(0);
+        let plan = ExchangePlan::build(&mesh, &mut slots, &cfg, &mut rec);
+        let mut pools = Vec::new();
+        for _ in 0..3 {
+            exchange_ghosts_with_plan(
+                &plan,
+                &mut slots,
+                &mut comm,
+                &mut cache,
+                &cfg,
+                ExecCtx::new(2),
+                &mut rec,
+            );
+            let parked = plan.ghosts.parked.lock().unwrap();
+            let pool: Vec<(*const f64, usize)> = parked
+                .spare
+                .iter()
+                .map(|buf| (buf.as_ptr(), buf.capacity()))
+                .collect();
+            assert_eq!(pool.len(), parked.mailed.len());
+            assert!(parked.bank.iter().all(Vec::is_empty));
+            pools.push(pool);
+        }
+        rec.end_cycle(mesh.num_blocks() as u64, 0, 0, 0);
+        assert!(!pools[0].is_empty(), "4 ranks => mailbox traffic");
+        assert_eq!(pools[0], pools[1]);
+        assert_eq!(pools[1], pools[2]);
     }
 }

@@ -5,15 +5,15 @@ use std::collections::BTreeMap;
 
 use vibe_comm::{BufferCache, CacheConfig, Communicator};
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{apply_face_bc, BcKind, BlockData, PackStrategy, Side};
+use vibe_field::{BcKind, BlockData, PackStrategy};
 use vibe_mesh::{enforce_proper_nesting, AmrFlag, CostModel, DerefGate, Mesh, RegridSource};
 use vibe_prof::{MemSpace, ProfLevel, Recorder, RegionKey, SerialWork, StepFunction};
 
 use crate::amr::{prolongate_to_child, restrict_to_parent};
 use crate::block::{BlockInfo, BlockSlot};
 use crate::boundary::{
-    exchange_ghosts_with_plan, flux_corr_apply, flux_corr_poll, flux_corr_send,
-    ghost_pack_and_send, ghost_poll, ghost_set_bounds, ExchangeConfig, ExchangePlan, FluxCorrState,
+    apply_physical_bcs, exchange_ghosts_with_plan, flux_corr_apply, flux_corr_send,
+    ghost_pack_and_send, ghost_wait_unpack, ExchangeConfig, ExchangePlan, FluxCorrState,
     GhostExchangeState,
 };
 use crate::package::{FluxPhase, Package};
@@ -66,6 +66,16 @@ pub struct DriverParams {
     /// the modeled [`CostModel`] estimate. Changes only block *ownership*
     /// (never the numerics), so the solution fingerprint is unchanged.
     pub measured_costs: bool,
+}
+
+impl DriverParams {
+    /// The ghost-exchange configuration these parameters select.
+    pub(crate) fn exchange_config(&self) -> ExchangeConfig {
+        ExchangeConfig {
+            cache_config: self.cache_config,
+            restrict_on_send: self.restrict_on_send,
+        }
+    }
 }
 
 impl Default for DriverParams {
@@ -143,7 +153,7 @@ pub struct CycleSummary {
 /// Task names of one RK stage, indexed `[stage][slot]` in graph order:
 /// PackSend, InteriorFlux, WaitUnpack, ExteriorFlux, FluxCorrSend,
 /// FluxCorrApply, Update, FillDerived.
-pub(crate) const STAGE_TASK_NAMES: [[&str; 8]; 2] = [
+const STAGE_TASK_NAMES: [[&str; 8]; 2] = [
     [
         "Stage0::PackSend",
         "Stage0::InteriorFlux",
@@ -299,6 +309,172 @@ enum IcSource<'a> {
     Custom(&'a dyn Fn(&BlockInfo, &mut BlockData)),
 }
 
+/// The task bodies of one cycle, as the single-process [`Driver`] and a
+/// [`RankShard`](crate::shard::RankShard) each provide them;
+/// [`build_cycle_list`] wires them into the graph [`cycle_task_graph`]
+/// exports.
+pub(crate) trait CycleTasks: Sized {
+    fn task_save_stage0(&mut self);
+    fn task_ghost_pack_send(&mut self, task: &'static str);
+    fn task_ghost_wait_unpack(&mut self, task: &'static str) -> TaskStatus;
+    fn task_flux(&mut self, phase: FluxPhase);
+    fn task_fcorr_send(&mut self, task: &'static str);
+    fn task_fcorr_apply(&mut self, task: &'static str) -> TaskStatus;
+    fn task_update(&mut self, stage: usize);
+    fn task_fill_derived(&mut self);
+    fn task_history(&mut self);
+    fn task_refinement_tag(&mut self);
+    fn task_tree_update(&mut self);
+    fn task_regrid(&mut self);
+    fn task_estimate_dt(&mut self);
+}
+
+/// Builds the executable task list for one cycle. Its exported graph is
+/// identical to [`cycle_task_graph`] (checked in debug builds every
+/// cycle and by a unit test).
+pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
+    let mut list: TaskList<T> = TaskList::new();
+    let save = list.add_task_meta("SaveStage0", TaskKind::Compute, [], [], |d: &mut T| {
+        d.task_save_stage0();
+        TaskStatus::Complete
+    });
+    let mut prev = save;
+    for (stage, names) in STAGE_TASK_NAMES.iter().enumerate() {
+        let pack_send = list.add_task_meta(
+            names[0],
+            TaskKind::CommSend,
+            [
+                StepFunction::StartReceiveBoundBufs,
+                StepFunction::SendBoundBufs,
+                StepFunction::InitializeBufferCache,
+            ],
+            [prev],
+            move |d: &mut T| {
+                d.task_ghost_pack_send(names[0]);
+                TaskStatus::Complete
+            },
+        );
+        let interior = list.add_task_meta(
+            names[1],
+            TaskKind::Compute,
+            [StepFunction::CalculateFluxes],
+            [pack_send],
+            |d: &mut T| {
+                d.task_flux(FluxPhase::Interior);
+                TaskStatus::Complete
+            },
+        );
+        let wait = list.add_task_meta(
+            names[2],
+            TaskKind::CommWait,
+            [StepFunction::ReceiveBoundBufs, StepFunction::SetBounds],
+            [pack_send],
+            move |d: &mut T| d.task_ghost_wait_unpack(names[2]),
+        );
+        let exterior = list.add_task_meta(
+            names[3],
+            TaskKind::Compute,
+            [StepFunction::CalculateFluxes],
+            [interior, wait],
+            |d: &mut T| {
+                d.task_flux(FluxPhase::Exterior);
+                TaskStatus::Complete
+            },
+        );
+        let fc_send = list.add_task_meta(
+            names[4],
+            TaskKind::CommSend,
+            [StepFunction::FluxCorrection],
+            [exterior],
+            move |d: &mut T| {
+                d.task_fcorr_send(names[4]);
+                TaskStatus::Complete
+            },
+        );
+        let fc_apply = list.add_task_meta(
+            names[5],
+            TaskKind::CommWait,
+            [StepFunction::FluxCorrection],
+            [fc_send],
+            move |d: &mut T| d.task_fcorr_apply(names[5]),
+        );
+        let update = list.add_task_meta(
+            names[6],
+            TaskKind::Compute,
+            [StepFunction::WeightedSumData, StepFunction::FluxDivergence],
+            [fc_apply],
+            move |d: &mut T| {
+                d.task_update(stage);
+                TaskStatus::Complete
+            },
+        );
+        prev = list.add_task_meta(
+            names[7],
+            TaskKind::Compute,
+            [StepFunction::FillDerived],
+            [update],
+            |d: &mut T| {
+                d.task_fill_derived();
+                TaskStatus::Complete
+            },
+        );
+    }
+    let history = list.add_task_meta(
+        "MassHistory",
+        TaskKind::Compute,
+        [StepFunction::MassHistory],
+        [prev],
+        |d: &mut T| {
+            d.task_history();
+            TaskStatus::Complete
+        },
+    );
+    let tag = list.add_task_meta(
+        "RefinementTag",
+        TaskKind::Compute,
+        [StepFunction::RefinementTag],
+        [prev],
+        |d: &mut T| {
+            d.task_refinement_tag();
+            TaskStatus::Complete
+        },
+    );
+    let tree = list.add_task_meta(
+        "TreeUpdate",
+        TaskKind::Serial,
+        [StepFunction::UpdateMeshBlockTree],
+        [tag],
+        |d: &mut T| {
+            d.task_tree_update();
+            TaskStatus::Complete
+        },
+    );
+    let regrid = list.add_task_meta(
+        "Regrid",
+        TaskKind::Serial,
+        [
+            StepFunction::RedistributeAndRefineMeshBlocks,
+            StepFunction::RebuildBufferCache,
+        ],
+        [tree, history],
+        |d: &mut T| {
+            d.task_regrid();
+            TaskStatus::Complete
+        },
+    );
+    list.add_task_meta(
+        "EstimateTimeStep",
+        TaskKind::Compute,
+        [StepFunction::EstimateTimeStep],
+        [regrid],
+        |d: &mut T| {
+            d.task_estimate_dt();
+            TaskStatus::Complete
+        },
+    );
+    list
+}
+
 /// The evolution driver: owns the mesh, block data, communication state,
 /// and profiler, and advances the simulation with the paper's timestep
 /// loop (`Step` → `LoadBalancingAndAMR` → `EstimateTimeStep`), each cycle
@@ -355,6 +531,7 @@ impl<P: Package> Driver<P> {
         mesh.load_balance(params.nranks);
         let mut comm = Communicator::new(params.nranks);
         comm.set_remote_delivery_delay(params.remote_delivery_polls);
+        comm.set_event_capture(params.capture_comm_events);
         let mut driver = Self {
             comm,
             cache: BufferCache::new(),
@@ -436,13 +613,10 @@ impl<P: Package> Driver<P> {
         self.comm.resident_events()
     }
 
-    /// Drains the communicator's event log into the archive (or drops it
-    /// when event capture is disabled).
+    /// Drains the communicator's event log into the archive (the log stays
+    /// empty when event capture is disabled: nothing is logged at all).
     fn drain_comm_events(&mut self) {
-        let events = self.comm.take_events();
-        if self.params.capture_comm_events {
-            self.comm_log.extend(events);
-        }
+        self.comm_log.append(&mut self.comm.take_events());
     }
 
     /// Consumes the driver, returning the recorder.
@@ -605,7 +779,7 @@ impl<P: Package> Driver<P> {
         }
         let dt = self.dt;
         self.step_dt = dt;
-        let mut list = Self::build_cycle_list();
+        let mut list = build_cycle_list::<Self>();
         debug_assert_eq!(
             list.graph(),
             cycle_task_graph(),
@@ -657,155 +831,9 @@ impl<P: Package> Driver<P> {
             timing,
         }
     }
+}
 
-    /// Builds the executable task list for one cycle. Its exported graph is
-    /// identical to [`cycle_task_graph`] (checked in debug builds every
-    /// cycle and by a unit test).
-    fn build_cycle_list() -> TaskList<Self> {
-        let mut list: TaskList<Self> = TaskList::new();
-        let save = list.add_task_meta("SaveStage0", TaskKind::Compute, [], [], |d: &mut Self| {
-            d.task_save_stage0();
-            TaskStatus::Complete
-        });
-        let mut prev = save;
-        for (stage, names) in STAGE_TASK_NAMES.iter().enumerate() {
-            let pack_send = list.add_task_meta(
-                names[0],
-                TaskKind::CommSend,
-                [
-                    StepFunction::StartReceiveBoundBufs,
-                    StepFunction::SendBoundBufs,
-                    StepFunction::InitializeBufferCache,
-                ],
-                [prev],
-                move |d: &mut Self| {
-                    d.task_ghost_pack_send(names[0]);
-                    TaskStatus::Complete
-                },
-            );
-            let interior = list.add_task_meta(
-                names[1],
-                TaskKind::Compute,
-                [StepFunction::CalculateFluxes],
-                [pack_send],
-                |d: &mut Self| {
-                    d.task_flux(FluxPhase::Interior);
-                    TaskStatus::Complete
-                },
-            );
-            let wait = list.add_task_meta(
-                names[2],
-                TaskKind::CommWait,
-                [StepFunction::ReceiveBoundBufs, StepFunction::SetBounds],
-                [pack_send],
-                move |d: &mut Self| d.task_ghost_wait_unpack(names[2]),
-            );
-            let exterior = list.add_task_meta(
-                names[3],
-                TaskKind::Compute,
-                [StepFunction::CalculateFluxes],
-                [interior, wait],
-                |d: &mut Self| {
-                    d.task_flux(FluxPhase::Exterior);
-                    TaskStatus::Complete
-                },
-            );
-            let fc_send = list.add_task_meta(
-                names[4],
-                TaskKind::CommSend,
-                [StepFunction::FluxCorrection],
-                [exterior],
-                move |d: &mut Self| {
-                    d.task_fcorr_send(names[4]);
-                    TaskStatus::Complete
-                },
-            );
-            let fc_apply = list.add_task_meta(
-                names[5],
-                TaskKind::CommWait,
-                [StepFunction::FluxCorrection],
-                [fc_send],
-                move |d: &mut Self| d.task_fcorr_apply(names[5]),
-            );
-            let update = list.add_task_meta(
-                names[6],
-                TaskKind::Compute,
-                [StepFunction::WeightedSumData, StepFunction::FluxDivergence],
-                [fc_apply],
-                move |d: &mut Self| {
-                    d.task_update(stage);
-                    TaskStatus::Complete
-                },
-            );
-            prev = list.add_task_meta(
-                names[7],
-                TaskKind::Compute,
-                [StepFunction::FillDerived],
-                [update],
-                |d: &mut Self| {
-                    d.task_fill_derived();
-                    TaskStatus::Complete
-                },
-            );
-        }
-        let history = list.add_task_meta(
-            "MassHistory",
-            TaskKind::Compute,
-            [StepFunction::MassHistory],
-            [prev],
-            |d: &mut Self| {
-                d.task_history();
-                TaskStatus::Complete
-            },
-        );
-        let tag = list.add_task_meta(
-            "RefinementTag",
-            TaskKind::Compute,
-            [StepFunction::RefinementTag],
-            [prev],
-            |d: &mut Self| {
-                d.step_flags = d.collect_tags();
-                TaskStatus::Complete
-            },
-        );
-        let tree = list.add_task_meta(
-            "TreeUpdate",
-            TaskKind::Serial,
-            [StepFunction::UpdateMeshBlockTree],
-            [tag],
-            |d: &mut Self| {
-                d.task_tree_update();
-                TaskStatus::Complete
-            },
-        );
-        let regrid = list.add_task_meta(
-            "Regrid",
-            TaskKind::Serial,
-            [
-                StepFunction::RedistributeAndRefineMeshBlocks,
-                StepFunction::RebuildBufferCache,
-            ],
-            [tree, history],
-            |d: &mut Self| {
-                d.task_regrid();
-                TaskStatus::Complete
-            },
-        );
-        list.add_task_meta(
-            "EstimateTimeStep",
-            TaskKind::Compute,
-            [StepFunction::EstimateTimeStep],
-            [regrid],
-            |d: &mut Self| {
-                d.comm.set_task(Some("EstimateTimeStep"));
-                d.estimate_dt();
-                d.comm.set_task(None);
-                TaskStatus::Complete
-            },
-        );
-        list
-    }
-
+impl<P: Package> CycleTasks for Driver<P> {
     /// Copies cycle-start state of all two-stage variables (ids cached in
     /// the exchange plan).
     fn task_save_stage0(&mut self) {
@@ -823,16 +851,16 @@ impl<P: Package> Driver<P> {
         });
     }
 
-    /// PackSend task: posts receives, packs and ships every ghost buffer.
+    /// PackSend task: posts receives, packs and ships the ghost buffers
+    /// that go through the mailbox.
     fn task_ghost_pack_send(&mut self, task: &'static str) {
-        let cfg = self.exchange_config();
+        let cfg = self.params.exchange_config();
         let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
         self.comm.set_task(Some(task));
-        let plan = self.plan.take().expect("plan built");
         self.ghost_state = ghost_pack_and_send(
-            &plan,
+            self.plan.as_ref().expect("plan built"),
             &self.slots,
             &mut self.comm,
             &mut self.cache,
@@ -840,35 +868,32 @@ impl<P: Package> Driver<P> {
             exec,
             &mut self.rec,
         );
-        self.plan = Some(plan);
         self.comm.set_task(None);
     }
 
-    /// WaitUnpack task: polls for delivery; once everything arrived, unpacks
-    /// into ghost zones and applies physical boundary conditions.
+    /// WaitUnpack task: fills the same-rank boundaries directly, then polls
+    /// for delivery; once everything arrived, unpacks into ghost zones and
+    /// applies physical boundary conditions.
     fn task_ghost_wait_unpack(&mut self, task: &'static str) -> TaskStatus {
+        let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
         self.comm.set_task(Some(task));
-        if !ghost_poll(&mut self.ghost_state, &mut self.comm, &mut self.rec) {
-            self.comm.set_task(None);
-            return TaskStatus::Incomplete;
-        }
-        let plan = self.plan.take().expect("plan built");
-        let state = std::mem::take(&mut self.ghost_state);
-        let exec = self.exec();
-        ghost_set_bounds(
-            &plan,
-            state,
+        let plan = self.plan.as_ref().expect("plan built");
+        let status = ghost_wait_unpack(
+            plan,
+            &mut self.ghost_state,
             &mut self.slots,
             &mut self.comm,
             exec,
             &mut self.rec,
         );
-        self.plan = Some(plan);
         self.comm.set_task(None);
-        self.apply_physical_bcs();
-        TaskStatus::Complete
+        if status == TaskStatus::Complete {
+            let kind = self.params.boundary_condition;
+            apply_physical_bcs(plan, &self.mesh, kind, &mut self.slots, exec, &mut self.rec);
+        }
+        status
     }
 
     /// Interior/exterior flux task: one phase of the split sweep. Under
@@ -896,31 +921,34 @@ impl<P: Package> Driver<P> {
         }
     }
 
-    /// FluxCorrSend task: packs and sends restricted fine face fluxes.
+    /// FluxCorrSend task: ships the restricted fine face fluxes that go
+    /// through the mailbox and applies the same-rank ones directly.
     fn task_fcorr_send(&mut self, task: &'static str) {
         let exec = self.exec();
         self.comm.set_task(Some(task));
-        let plan = self.plan.take().expect("plan built");
-        self.fcorr_state = flux_corr_send(&plan, &self.slots, &mut self.comm, exec, &mut self.rec);
-        self.plan = Some(plan);
+        self.fcorr_state = flux_corr_send(
+            self.plan.as_ref().expect("plan built"),
+            &mut self.slots,
+            &mut self.comm,
+            exec,
+            &mut self.rec,
+        );
         self.comm.set_task(None);
     }
 
     /// FluxCorrApply task: polls for corrections, then overwrites coarse
     /// fluxes once everything arrived.
     fn task_fcorr_apply(&mut self, task: &'static str) -> TaskStatus {
+        let exec = self.exec();
         self.comm.set_task(Some(task));
-        let plan = self.plan.take().expect("plan built");
-        let status = if flux_corr_poll(&plan, &mut self.fcorr_state, &mut self.comm, &mut self.rec)
-        {
-            let state = std::mem::take(&mut self.fcorr_state);
-            let exec = self.exec();
-            flux_corr_apply(&plan, &state, &mut self.slots, exec, &mut self.rec);
-            TaskStatus::Complete
-        } else {
-            TaskStatus::Incomplete
-        };
-        self.plan = Some(plan);
+        let status = flux_corr_apply(
+            self.plan.as_ref().expect("plan built"),
+            &mut self.fcorr_state,
+            &mut self.slots,
+            &mut self.comm,
+            exec,
+            &mut self.rec,
+        );
         self.comm.set_task(None);
         status
     }
@@ -1097,6 +1125,18 @@ impl<P: Package> Driver<P> {
         }
     }
 
+    fn task_refinement_tag(&mut self) {
+        self.step_flags = self.collect_tags();
+    }
+
+    fn task_estimate_dt(&mut self) {
+        self.comm.set_task(Some("EstimateTimeStep"));
+        self.estimate_dt();
+        self.comm.set_task(None);
+    }
+}
+
+impl<P: Package> Driver<P> {
     /// Extracts the measured per-stage breakdown of the most recently
     /// archived cycle (all zeros when profiling is off).
     fn last_cycle_timing(&self) -> CycleTiming {
@@ -1163,19 +1203,11 @@ pub(crate) fn map_block_costs(old_costs: &[u64], sources: &[RegridSource]) -> Ve
 }
 
 impl<P: Package> Driver<P> {
-    /// The exchange configuration derived from the driver parameters.
-    fn exchange_config(&self) -> ExchangeConfig {
-        ExchangeConfig {
-            cache_config: self.params.cache_config,
-            restrict_on_send: self.params.restrict_on_send,
-        }
-    }
-
     /// Rebuilds the communication plan if the mesh generation changed
     /// (plan invalidation happens in [`Self::apply_regrid`]).
     fn ensure_plan(&mut self) {
         if self.plan.is_none() {
-            let cfg = self.exchange_config();
+            let cfg = self.params.exchange_config();
             self.plan = Some(ExchangePlan::build(
                 &self.mesh,
                 &mut self.slots,
@@ -1189,17 +1221,14 @@ impl<P: Package> Driver<P> {
     /// by physical boundary conditions at non-periodic domain faces (the
     /// initializer's path; cycles run the same phases as separate tasks).
     fn exchange(&mut self) {
-        let cfg = self.exchange_config();
+        let cfg = self.params.exchange_config();
         let exec = self.exec();
         self.ensure_plan();
-        let _g = self
-            .rec
-            .wall()
-            .clone()
-            .region(RegionKey::Named("GhostExchange"));
-        let plan = self.plan.take().expect("plan built");
+        let wall = self.rec.wall().clone();
+        let _g = wall.region(RegionKey::Named("GhostExchange"));
+        let plan = self.plan.as_ref().expect("plan built");
         exchange_ghosts_with_plan(
-            &plan,
+            plan,
             &mut self.slots,
             &mut self.comm,
             &mut self.cache,
@@ -1207,51 +1236,8 @@ impl<P: Package> Driver<P> {
             exec,
             &mut self.rec,
         );
-        self.plan = Some(plan);
-        self.apply_physical_bcs();
-    }
-
-    /// Fills ghost zones at physical (non-periodic) domain faces.
-    fn apply_physical_bcs(&mut self) {
-        let periodic = self.mesh.params().region().periodic();
-        let dim = self.mesh.params().dim();
-        if periodic.iter().take(dim).all(|&p| p) {
-            return;
-        }
-        let _g = self
-            .rec
-            .wall()
-            .clone()
-            .region_hot(RegionKey::Named("PhysicalBCs"));
-        let shape = self.mesh.index_shape();
         let kind = self.params.boundary_condition;
-        let base_blocks = self.mesh.params().base_blocks();
-        let ids = self.plan.as_ref().expect("plan built").ghost_ids.clone();
-        let exec = self.exec();
-        exec.for_each_block(&mut self.slots, |_, slot| {
-            let loc = slot.info.loc;
-            let level = loc.level();
-            for d in 0..dim {
-                if periodic[d] {
-                    continue;
-                }
-                let extent = base_blocks[d] << level;
-                let sides = [
-                    (loc.lx_d(d) == 0, Side::Lower),
-                    (loc.lx_d(d) == extent - 1, Side::Upper),
-                ];
-                for (at_edge, side) in sides {
-                    if !at_edge {
-                        continue;
-                    }
-                    for &id in &ids {
-                        let var = slot.data.var_mut(id);
-                        let is_vector = var.ncomp() == 3;
-                        apply_face_bc(var.data_mut(), &shape, d, side, kind, is_vector);
-                    }
-                }
-            }
-        });
+        apply_physical_bcs(plan, &self.mesh, kind, &mut self.slots, exec, &mut self.rec);
     }
 
     /// Collects refinement tags from every rank's pack. Returns an ordered
@@ -1771,7 +1757,7 @@ mod tests {
 
     #[test]
     fn executed_graph_matches_exported_graph() {
-        let list = Driver::<Advect>::build_cycle_list();
+        let list = build_cycle_list::<Driver<Advect>>();
         let graph = list.graph();
         assert_eq!(graph, cycle_task_graph());
         let order = crate::tasks::topo_order(&graph).expect("cycle graph is a DAG");
@@ -1838,7 +1824,18 @@ mod tests {
             archived_last = archived;
         }
 
-        // With capture off, nothing accumulates anywhere.
+        // Mid-cycle — after an exchange, before the end-of-cycle drain —
+        // the log holds what it always held: three events per boundary
+        // (post, send, complete), whichever route the boundary took.
+        d.exchange();
+        let boundaries: usize = (0..d.mesh.num_blocks())
+            .map(|gid| d.mesh.neighbors(gid).len())
+            .sum();
+        assert_eq!(d.resident_comm_events(), 3 * boundaries);
+
+        // With capture off, nothing accumulates anywhere: logging is gated
+        // at the source, so the log is empty mid-cycle too, not merely
+        // dropped at the drain.
         let params = DriverParams {
             nranks: 2,
             capture_comm_events: false,
@@ -1849,6 +1846,8 @@ mod tests {
         d.run_cycles(3);
         assert_eq!(d.resident_comm_events(), 0);
         assert!(d.comm_events().is_empty());
+        d.exchange();
+        assert_eq!(d.resident_comm_events(), 0, "nothing is logged at all");
     }
 
     /// Span capture and the measured-cost load-balance feed are

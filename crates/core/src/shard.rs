@@ -47,48 +47,29 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use vibe_comm::{BoundaryKey, BufferCache, Communicator, SendMeta, Transport};
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{apply_face_bc, apply_flux, pack, pack_flux, unpack, BlockData, VarId};
+use vibe_field::{BlockData, VarId};
 use vibe_mesh::{enforce_proper_nesting, AmrFlag, DerefGate, LogicalLocation, Mesh, RegridSource};
 use vibe_prof::{MemSpace, Recorder, RegionKey, SerialWork, StepFunction};
 
 use crate::amr::{prolongate_to_child, restrict_to_parent};
 use crate::block::{BlockInfo, BlockSlot};
-use crate::boundary::{ExchangeConfig, ExchangePlan};
+use crate::boundary::{
+    apply_physical_bcs, flux_corr_apply, flux_corr_send, ghost_pack_and_send, ghost_wait_unpack,
+    ExchangePlan, FluxCorrState, GhostExchangeState, ShardBlocks,
+};
 use crate::driver::{
-    cycle_task_graph, last_cycle_timing_from, map_block_costs, CycleSummary, Driver, DriverParams,
-    STAGE_TASK_NAMES,
+    build_cycle_list, cycle_task_graph, last_cycle_timing_from, map_block_costs, CycleSummary,
+    CycleTasks, Driver, DriverParams,
 };
 use crate::package::{FluxPhase, Package};
 use crate::snapshot::Snapshot;
-use crate::tasks::{TaskKind, TaskList, TaskStatus};
+use crate::tasks::TaskStatus;
 use crate::update::{flux_divergence_update_costed, flux_divergence_update_with_ids};
-use vibe_field::Side;
 
 /// Message-tag namespace for block-migration payloads (ghost boundaries
 /// use the neighbor index, flux corrections 1000+; migration keys are
 /// `BoundaryKey::new(old_gid, old_gid, MIGRATE_TAG)`).
 const MIGRATE_TAG: u32 = 5000;
-
-/// In-flight ghost exchange state between the shard's PackSend and
-/// WaitUnpack tasks.
-#[derive(Debug, Default)]
-struct ShardGhostState {
-    /// Boundary keys this shard receives, still waiting on delivery.
-    pending: Vec<BoundaryKey>,
-    /// Delivered payloads by key.
-    received: HashMap<BoundaryKey, Vec<f64>>,
-    /// Sender-side MPI buffer bytes held live until SetBounds.
-    remote_bytes_live: i64,
-}
-
-/// In-flight flux corrections between FluxCorrSend and FluxCorrApply.
-#[derive(Debug, Default)]
-struct ShardFcorrState {
-    /// Plan transfer indices this shard receives, awaiting delivery.
-    pending: Vec<usize>,
-    /// Delivered payloads by transfer index.
-    bufs: HashMap<usize, Vec<f64>>,
-}
 
 /// Everything a finished shard hands back to the conductor.
 #[derive(Debug)]
@@ -139,8 +120,8 @@ pub struct RankShard<P: Package> {
     cycle: u64,
     history: Vec<(u64, Vec<f64>)>,
     plan: Option<ExchangePlan>,
-    ghost_state: ShardGhostState,
-    fcorr_state: ShardFcorrState,
+    ghost_state: GhostExchangeState,
+    fcorr_state: FluxCorrState,
     step_dt: f64,
     step_flags: BTreeMap<LogicalLocation, AmrFlag>,
     step_decision: Option<vibe_mesh::refinement::RegridDecision>,
@@ -191,6 +172,7 @@ impl<P: Package> RankShard<P> {
         );
         let mut comm = Communicator::with_transport(nranks, transport);
         comm.set_remote_delivery_delay(params.remote_delivery_polls);
+        comm.set_event_capture(params.capture_comm_events);
         let mut rec = Recorder::with_prof_level(params.prof_level);
         let owned: Vec<Option<BlockSlot>> = slots
             .into_iter()
@@ -217,8 +199,8 @@ impl<P: Package> RankShard<P> {
             cycle: parts.cycle,
             history: parts.history,
             plan: None,
-            ghost_state: ShardGhostState::default(),
-            fcorr_state: ShardFcorrState::default(),
+            ghost_state: GhostExchangeState::default(),
+            fcorr_state: FluxCorrState::default(),
             step_dt: 0.0,
             step_flags: BTreeMap::new(),
             step_decision: None,
@@ -384,7 +366,7 @@ impl<P: Package> RankShard<P> {
         }
         let dt = self.dt;
         self.step_dt = dt;
-        let mut list = Self::build_cycle_list();
+        let mut list = build_cycle_list::<Self>();
         debug_assert_eq!(
             list.graph(),
             cycle_task_graph(),
@@ -440,168 +422,11 @@ impl<P: Package> RankShard<P> {
     }
 
     fn drain_comm_events(&mut self) {
-        let events = self.comm.take_events();
-        if self.params.capture_comm_events {
-            self.comm_log.extend(events);
-        }
-    }
-
-    /// The same 22-node graph as [`Driver::step`], with shard-local task
-    /// bodies.
-    fn build_cycle_list() -> TaskList<Self> {
-        let mut list: TaskList<Self> = TaskList::new();
-        let save = list.add_task_meta("SaveStage0", TaskKind::Compute, [], [], |d: &mut Self| {
-            d.task_save_stage0();
-            TaskStatus::Complete
-        });
-        let mut prev = save;
-        for (stage, names) in STAGE_TASK_NAMES.iter().enumerate() {
-            let pack_send = list.add_task_meta(
-                names[0],
-                TaskKind::CommSend,
-                [
-                    StepFunction::StartReceiveBoundBufs,
-                    StepFunction::SendBoundBufs,
-                    StepFunction::InitializeBufferCache,
-                ],
-                [prev],
-                move |d: &mut Self| {
-                    d.task_ghost_pack_send(names[0]);
-                    TaskStatus::Complete
-                },
-            );
-            let interior = list.add_task_meta(
-                names[1],
-                TaskKind::Compute,
-                [StepFunction::CalculateFluxes],
-                [pack_send],
-                |d: &mut Self| {
-                    d.task_flux(FluxPhase::Interior);
-                    TaskStatus::Complete
-                },
-            );
-            let wait = list.add_task_meta(
-                names[2],
-                TaskKind::CommWait,
-                [StepFunction::ReceiveBoundBufs, StepFunction::SetBounds],
-                [pack_send],
-                move |d: &mut Self| d.task_ghost_wait_unpack(names[2]),
-            );
-            let exterior = list.add_task_meta(
-                names[3],
-                TaskKind::Compute,
-                [StepFunction::CalculateFluxes],
-                [interior, wait],
-                |d: &mut Self| {
-                    d.task_flux(FluxPhase::Exterior);
-                    TaskStatus::Complete
-                },
-            );
-            let fc_send = list.add_task_meta(
-                names[4],
-                TaskKind::CommSend,
-                [StepFunction::FluxCorrection],
-                [exterior],
-                move |d: &mut Self| {
-                    d.task_fcorr_send(names[4]);
-                    TaskStatus::Complete
-                },
-            );
-            let fc_apply = list.add_task_meta(
-                names[5],
-                TaskKind::CommWait,
-                [StepFunction::FluxCorrection],
-                [fc_send],
-                move |d: &mut Self| d.task_fcorr_apply(names[5]),
-            );
-            let update = list.add_task_meta(
-                names[6],
-                TaskKind::Compute,
-                [StepFunction::WeightedSumData, StepFunction::FluxDivergence],
-                [fc_apply],
-                move |d: &mut Self| {
-                    d.task_update(stage);
-                    TaskStatus::Complete
-                },
-            );
-            prev = list.add_task_meta(
-                names[7],
-                TaskKind::Compute,
-                [StepFunction::FillDerived],
-                [update],
-                |d: &mut Self| {
-                    d.task_fill_derived();
-                    TaskStatus::Complete
-                },
-            );
-        }
-        let history = list.add_task_meta(
-            "MassHistory",
-            TaskKind::Compute,
-            [StepFunction::MassHistory],
-            [prev],
-            |d: &mut Self| {
-                d.task_history();
-                TaskStatus::Complete
-            },
-        );
-        let tag = list.add_task_meta(
-            "RefinementTag",
-            TaskKind::Compute,
-            [StepFunction::RefinementTag],
-            [prev],
-            |d: &mut Self| {
-                d.step_flags = d.collect_tags();
-                TaskStatus::Complete
-            },
-        );
-        let tree = list.add_task_meta(
-            "TreeUpdate",
-            TaskKind::Serial,
-            [StepFunction::UpdateMeshBlockTree],
-            [tag],
-            |d: &mut Self| {
-                d.task_tree_update();
-                TaskStatus::Complete
-            },
-        );
-        let regrid = list.add_task_meta(
-            "Regrid",
-            TaskKind::Serial,
-            [
-                StepFunction::RedistributeAndRefineMeshBlocks,
-                StepFunction::RebuildBufferCache,
-            ],
-            [tree, history],
-            |d: &mut Self| {
-                d.task_regrid();
-                TaskStatus::Complete
-            },
-        );
-        list.add_task_meta(
-            "EstimateTimeStep",
-            TaskKind::Compute,
-            [StepFunction::EstimateTimeStep],
-            [regrid],
-            |d: &mut Self| {
-                d.comm.set_task(Some("EstimateTimeStep"));
-                d.task_estimate_dt();
-                d.comm.set_task(None);
-                TaskStatus::Complete
-            },
-        );
-        list
+        self.comm_log.append(&mut self.comm.take_events());
     }
 
     fn exec(&self) -> ExecCtx {
         ExecCtx::new(self.params.host_threads)
-    }
-
-    fn exchange_config(&self) -> ExchangeConfig {
-        ExchangeConfig {
-            cache_config: self.params.cache_config,
-            restrict_on_send: self.params.restrict_on_send,
-        }
     }
 
     /// Rank owning block `gid` in the current mesh generation.
@@ -626,7 +451,7 @@ impl<P: Package> RankShard<P> {
     /// [`ExchangePlan::build_from_mesh`] with a sample container).
     fn ensure_plan(&mut self) {
         if self.plan.is_none() {
-            let cfg = self.exchange_config();
+            let cfg = self.params.exchange_config();
             let mut sample = self.fresh_data();
             self.plan = Some(ExchangePlan::build_from_mesh(
                 &self.mesh,
@@ -659,7 +484,9 @@ impl<P: Package> RankShard<P> {
             }
         }
     }
+}
 
+impl<P: Package> CycleTasks for RankShard<P> {
     fn task_save_stage0(&mut self) {
         let wall = self.rec.wall().clone();
         let _g = wall.region_hot(RegionKey::Named("SaveStage0"));
@@ -676,188 +503,54 @@ impl<P: Package> RankShard<P> {
         });
     }
 
-    /// PackSend: posts receives for boundaries this shard consumes, packs
-    /// and ships the boundaries its blocks feed (cross-rank ones over the
-    /// transport, same-rank ones as local copies).
+    /// PackSend: posts receives for the boundaries this shard consumes,
+    /// packs and ships the ones its blocks feed to other ranks; same-rank
+    /// boundaries wait for the direct fill in WaitUnpack.
     fn task_ghost_pack_send(&mut self, task: &'static str) {
-        let cfg = self.exchange_config();
+        let cfg = self.params.exchange_config();
         let exec = self.exec();
-        let me = self.rank;
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
         self.comm.set_task(Some(task));
-        let plan = self.plan.take().expect("plan built");
-
-        // Receives: every boundary whose receiver block is mine.
-        let mut recv_keys = Vec::new();
-        {
-            let _srv = wall.region_hot(RegionKey::Step(StepFunction::StartReceiveBoundBufs));
-            for &(key, r, _s) in plan.boundaries() {
-                if self.rank_of(r) == me {
-                    self.comm.start_receive(key);
-                    recv_keys.push(key);
-                }
-            }
-            self.rec.record_serial(
-                StepFunction::StartReceiveBoundBufs,
-                SerialWork::BoundaryLoop(recv_keys.len() as u64),
-            );
-        }
-
-        let _send_guard = wall.region(RegionKey::Step(StepFunction::SendBoundBufs));
-        self.cache
-            .initialize(recv_keys.clone(), &cfg.cache_config, &mut self.rec);
-
-        // Sends: every boundary whose sender block is mine, packed in
-        // parallel and shipped serially in ascending boundary order.
-        let send_idx: Vec<usize> = plan
-            .boundaries()
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, _, s))| self.rank_of(s) == me)
-            .map(|(b, _)| b)
-            .collect();
-        self.rec.record_serial(
-            StepFunction::SendBoundBufs,
-            SerialWork::BoundaryLoop(send_idx.len() as u64),
+        self.ghost_state = ghost_pack_and_send(
+            self.plan.as_ref().expect("plan built"),
+            &ShardBlocks::of(&mut self.owned, &self.mesh),
+            &mut self.comm,
+            &mut self.cache,
+            &cfg,
+            exec,
+            &mut self.rec,
         );
-        let mut packed: Vec<(Vec<f64>, u64)> = vec![(Vec::new(), 0); send_idx.len()];
-        {
-            let owned_ro = &self.owned;
-            let send_ro = &send_idx;
-            exec.for_each_block(&mut packed, |i, out| {
-                let b = send_ro[i];
-                let (_key, _r, s) = plan.boundaries()[b];
-                let spec = &plan.specs()[b];
-                let slot = owned_ro[s].as_ref().expect("sender block owned");
-                for &id in &plan.ghost_ids {
-                    let var = slot.data.var(id);
-                    pack(spec, var.data(), &mut out.0);
-                    out.1 += spec.buffer_len(var.ncomp()) as u64;
-                }
-            });
-        }
-        let mut total_cells = 0u64;
-        let mut remote_bytes_live = 0i64;
-        for (&b, (buf, cells)) in send_idx.iter().zip(packed) {
-            let (key, r, _s) = plan.boundaries()[b];
-            let dst = self.rank_of(r);
-            if dst != me {
-                remote_bytes_live += (buf.len() * 8) as i64;
-            }
-            total_cells += cells;
-            self.comm.send(
-                key,
-                buf,
-                SendMeta {
-                    src: me,
-                    dst,
-                    cells,
-                },
-                StepFunction::SendBoundBufs,
-                &mut self.rec,
-            );
-        }
-        self.rec
-            .record_alloc(MemSpace::MpiBuffers, remote_bytes_live);
-        if total_cells > 0 {
-            Launcher::new(&mut self.rec).record_only(&catalog::SEND_BOUND_BUFS, total_cells, 1.0);
-        }
-        self.ghost_state = ShardGhostState {
-            pending: recv_keys,
-            received: HashMap::new(),
-            remote_bytes_live,
-        };
-        self.plan = Some(plan);
         self.comm.set_task(None);
     }
 
-    /// WaitUnpack: polls pending boundaries; once every one of this
-    /// shard's messages has landed, unpacks into ghost zones and applies
-    /// physical boundary conditions. Yields the OS thread while peers are
-    /// still packing.
+    /// WaitUnpack: fills the same-rank boundaries directly, then polls the
+    /// pending ones; once every one of this shard's messages has landed,
+    /// unpacks into ghost zones and applies physical boundary conditions.
+    /// Yields the OS thread while peers are still packing.
     fn task_ghost_wait_unpack(&mut self, task: &'static str) -> TaskStatus {
+        let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
         self.comm.set_task(Some(task));
-        {
-            let _recv = wall.region(RegionKey::Step(StepFunction::ReceiveBoundBufs));
-            let comm = &mut self.comm;
-            let rec = &mut self.rec;
-            let received = &mut self.ghost_state.received;
-            self.ghost_state
-                .pending
-                .retain(|key| match comm.try_receive(*key, rec) {
-                    Some(buf) => {
-                        received.insert(*key, buf);
-                        false
-                    }
-                    None => true,
-                });
-        }
-        if !self.ghost_state.pending.is_empty() {
-            self.comm.set_task(None);
-            std::thread::yield_now();
-            return TaskStatus::Incomplete;
-        }
-        let plan = self.plan.take().expect("plan built");
-        let state = std::mem::take(&mut self.ghost_state);
-        let exec = self.exec();
-        let me = self.rank;
-        {
-            let _set = wall.region(RegionKey::Step(StepFunction::SetBounds));
-            let mut my_boundaries = 0u64;
-            let mut unpacked_cells = 0u64;
-            for (gid, slot) in self.owned.iter().enumerate() {
-                let Some(slot) = slot else { continue };
-                for &b in plan.recv_boundaries(gid) {
-                    my_boundaries += 1;
-                    let spec = &plan.specs()[b];
-                    unpacked_cells += plan
-                        .ghost_ids
-                        .iter()
-                        .map(|&id| spec.buffer_len(slot.data.var(id).ncomp()) as u64)
-                        .sum::<u64>();
-                }
-            }
-            {
-                let owned_gids: Vec<usize> = (0..self.owned.len())
-                    .filter(|&g| self.rank_of(g) == me)
-                    .collect();
-                let mut pack: Vec<&mut BlockSlot> = self.owned.iter_mut().flatten().collect();
-                let received_ro = &state.received;
-                let gids_ro = &owned_gids;
-                exec.for_each_block(&mut pack, |i, slot| {
-                    let r = gids_ro[i];
-                    for &b in plan.recv_boundaries(r) {
-                        let (key, ..) = plan.boundaries()[b];
-                        let spec = &plan.specs()[b];
-                        let buf = &received_ro[&key];
-                        let mut offset = 0usize;
-                        for &id in &plan.ghost_ids {
-                            let var = slot.data.var_mut(id);
-                            let len = spec.buffer_len(var.data().ncomp());
-                            unpack(spec, &buf[offset..offset + len], var.data_mut());
-                            offset += len;
-                        }
-                    }
-                });
-            }
-            if unpacked_cells > 0 {
-                Launcher::new(&mut self.rec).record_only(&catalog::SET_BOUNDS, unpacked_cells, 1.0);
-            }
-            self.rec.record_serial(
-                StepFunction::SetBounds,
-                SerialWork::BoundaryLoop(my_boundaries),
-            );
-            self.comm.mark_all_stale();
-            self.rec
-                .record_alloc(MemSpace::MpiBuffers, -state.remote_bytes_live);
-        }
-        self.plan = Some(plan);
+        let plan = self.plan.as_ref().expect("plan built");
+        let mut blocks = ShardBlocks::of(&mut self.owned, &self.mesh);
+        let status = ghost_wait_unpack(
+            plan,
+            &mut self.ghost_state,
+            &mut blocks,
+            &mut self.comm,
+            exec,
+            &mut self.rec,
+        );
         self.comm.set_task(None);
-        self.apply_physical_bcs();
-        TaskStatus::Complete
+        if status == TaskStatus::Complete {
+            let kind = self.params.boundary_condition;
+            apply_physical_bcs(plan, &self.mesh, kind, &mut blocks, exec, &mut self.rec);
+        } else {
+            std::thread::yield_now();
+        }
+        status
     }
 
     /// One phase of the split flux sweep; under
@@ -885,121 +578,33 @@ impl<P: Package> RankShard<P> {
 
     fn task_fcorr_send(&mut self, task: &'static str) {
         let exec = self.exec();
-        let me = self.rank;
         self.comm.set_task(Some(task));
-        let plan = self.plan.take().expect("plan built");
-        let wall = self.rec.wall().clone();
-        let _g = wall.region(RegionKey::Step(StepFunction::FluxCorrection));
-        // Receives for corrections my coarse blocks consume.
-        let mut recv_idx = Vec::new();
-        for (b, (key, r, _s, _spec)) in plan.flux_transfers().iter().enumerate() {
-            if self.rank_of(*r) == me {
-                self.comm.start_receive(*key);
-                recv_idx.push(b);
-            }
-        }
-        // Sends from my fine blocks, packed in parallel.
-        let send_idx: Vec<usize> = plan
-            .flux_transfers()
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, _, s, _))| self.rank_of(*s) == me)
-            .map(|(b, _)| b)
-            .collect();
-        let mut packed: Vec<(Vec<f64>, u64)> = vec![(Vec::new(), 0); send_idx.len()];
-        {
-            let owned_ro = &self.owned;
-            let send_ro = &send_idx;
-            exec.for_each_block(&mut packed, |i, out| {
-                let (_key, _r, s, spec) = &plan.flux_transfers()[send_ro[i]];
-                let slot = owned_ro[*s].as_ref().expect("sender block owned");
-                for &id in &plan.flux_ids {
-                    let var = slot.data.var(id);
-                    pack_flux(spec, var, &mut out.0);
-                    out.1 += spec.buffer_len(var.ncomp()) as u64;
-                }
-            });
-        }
-        for (&b, (buf, cells)) in send_idx.iter().zip(packed) {
-            let (key, r, _s, _spec) = &plan.flux_transfers()[b];
-            let dst = self.rank_of(*r);
-            self.comm.send(
-                *key,
-                buf,
-                SendMeta {
-                    src: me,
-                    dst,
-                    cells,
-                },
-                StepFunction::FluxCorrection,
-                &mut self.rec,
-            );
-        }
-        self.rec.record_serial(
-            StepFunction::FluxCorrection,
-            SerialWork::BoundaryLoop(send_idx.len() as u64),
+        self.fcorr_state = flux_corr_send(
+            self.plan.as_ref().expect("plan built"),
+            &mut ShardBlocks::of(&mut self.owned, &self.mesh),
+            &mut self.comm,
+            exec,
+            &mut self.rec,
         );
-        self.fcorr_state = ShardFcorrState {
-            pending: recv_idx,
-            bufs: HashMap::new(),
-        };
-        self.plan = Some(plan);
         self.comm.set_task(None);
     }
 
     fn task_fcorr_apply(&mut self, task: &'static str) -> TaskStatus {
-        self.comm.set_task(Some(task));
-        let plan = self.plan.take().expect("plan built");
-        let wall = self.rec.wall().clone();
-        let _g = wall.region(RegionKey::Step(StepFunction::FluxCorrection));
-        {
-            let comm = &mut self.comm;
-            let rec = &mut self.rec;
-            let bufs = &mut self.fcorr_state.bufs;
-            self.fcorr_state.pending.retain(|&b| {
-                match comm.try_receive(plan.flux_transfers()[b].0, rec) {
-                    Some(buf) => {
-                        bufs.insert(b, buf);
-                        false
-                    }
-                    None => true,
-                }
-            });
-        }
-        if !self.fcorr_state.pending.is_empty() {
-            self.plan = Some(plan);
-            self.comm.set_task(None);
-            std::thread::yield_now();
-            return TaskStatus::Incomplete;
-        }
-        let state = std::mem::take(&mut self.fcorr_state);
         let exec = self.exec();
-        let me = self.rank;
-        {
-            let owned_gids: Vec<usize> = (0..self.owned.len())
-                .filter(|&g| self.rank_of(g) == me)
-                .collect();
-            let mut pack: Vec<&mut BlockSlot> = self.owned.iter_mut().flatten().collect();
-            let bufs_ro = &state.bufs;
-            let gids_ro = &owned_gids;
-            exec.for_each_block(&mut pack, |i, slot| {
-                let r = gids_ro[i];
-                for &b in plan.fcorr_recv_transfers(r) {
-                    let (_key, _r, _s, spec) = &plan.flux_transfers()[b];
-                    let buf = bufs_ro.get(&b).expect("correction delivered");
-                    let mut offset = 0usize;
-                    for &id in &plan.flux_ids {
-                        let var = slot.data.var_mut(id);
-                        let len = spec.buffer_len(var.ncomp());
-                        apply_flux(spec, &buf[offset..offset + len], var);
-                        offset += len;
-                    }
-                }
-            });
-        }
-        self.plan = Some(plan);
+        self.comm.set_task(Some(task));
+        let status = flux_corr_apply(
+            self.plan.as_ref().expect("plan built"),
+            &mut self.fcorr_state,
+            &mut ShardBlocks::of(&mut self.owned, &self.mesh),
+            &mut self.comm,
+            exec,
+            &mut self.rec,
+        );
         self.comm.set_task(None);
-        TaskStatus::Complete
+        if status != TaskStatus::Complete {
+            std::thread::yield_now();
+        }
+        status
     }
 
     fn task_update(&mut self, stage: usize) {
@@ -1088,39 +693,6 @@ impl<P: Package> RankShard<P> {
             }
         }
         self.history.push((self.cycle, values));
-    }
-
-    /// Tags this shard's blocks; the cross-rank merge happens in
-    /// [`Self::task_tree_update`].
-    fn collect_tags(&mut self) -> BTreeMap<LogicalLocation, AmrFlag> {
-        let wall = self.rec.wall().clone();
-        let _g = wall.region(RegionKey::Step(StepFunction::RefinementTag));
-        let exec = self.exec();
-        let mut flags = BTreeMap::new();
-        let package = &self.package;
-        let rec = &mut self.rec;
-        let mut pack: Vec<&mut BlockSlot> = self.owned.iter_mut().flatten().collect();
-        if pack.is_empty() {
-            return flags;
-        }
-        rec.record_serial(
-            StepFunction::RefinementTag,
-            SerialWork::BlockLoop(pack.len() as u64),
-        );
-        let pack_flags = package.tag_refinement(&mut pack, exec, rec);
-        for (slot, f) in pack.iter().zip(pack_flags) {
-            flags.insert(slot.info.loc, f);
-        }
-        for slot in pack.iter_mut() {
-            let lookups = slot.data.take_string_lookups();
-            if lookups > 0 {
-                rec.record_serial(
-                    StepFunction::RefinementTag,
-                    SerialWork::StringLookups(lookups),
-                );
-            }
-        }
-        flags
     }
 
     /// TreeUpdate: a real AllGather of every rank's refinement flags,
@@ -1420,11 +992,56 @@ impl<P: Package> RankShard<P> {
         self.comm.set_task(None);
     }
 
+    fn task_refinement_tag(&mut self) {
+        self.step_flags = self.collect_tags();
+    }
+
+    fn task_estimate_dt(&mut self) {
+        self.comm.set_task(Some("EstimateTimeStep"));
+        self.estimate_dt();
+        self.comm.set_task(None);
+    }
+}
+
+impl<P: Package> RankShard<P> {
+    /// Tags this shard's blocks; the cross-rank merge happens in
+    /// [`Self::task_tree_update`].
+    fn collect_tags(&mut self) -> BTreeMap<LogicalLocation, AmrFlag> {
+        let wall = self.rec.wall().clone();
+        let _g = wall.region(RegionKey::Step(StepFunction::RefinementTag));
+        let exec = self.exec();
+        let mut flags = BTreeMap::new();
+        let package = &self.package;
+        let rec = &mut self.rec;
+        let mut pack: Vec<&mut BlockSlot> = self.owned.iter_mut().flatten().collect();
+        if pack.is_empty() {
+            return flags;
+        }
+        rec.record_serial(
+            StepFunction::RefinementTag,
+            SerialWork::BlockLoop(pack.len() as u64),
+        );
+        let pack_flags = package.tag_refinement(&mut pack, exec, rec);
+        for (slot, f) in pack.iter().zip(pack_flags) {
+            flags.insert(slot.info.loc, f);
+        }
+        for slot in pack.iter_mut() {
+            let lookups = slot.data.take_string_lookups();
+            if lookups > 0 {
+                rec.record_serial(
+                    StepFunction::RefinementTag,
+                    SerialWork::StringLookups(lookups),
+                );
+            }
+        }
+        flags
+    }
+
     /// EstimateTimeStep: local minimum over owned blocks, then a data
     /// AllReduce folded as `f64::min` in rank index order with an infinity
     /// identity (empty ranks deposit infinity) — the same fold order as the
     /// driver's sweep over its rank packs.
-    fn task_estimate_dt(&mut self) {
+    fn estimate_dt(&mut self) {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::EstimateTimeStep));
         let cfl = self.params.cfl;
@@ -1445,51 +1062,6 @@ impl<P: Package> RankShard<P> {
             global = global.min(v);
         }
         self.dt = cfl * global;
-    }
-
-    /// Fills ghost zones at physical (non-periodic) domain faces of owned
-    /// blocks — same per-block logic as the driver.
-    fn apply_physical_bcs(&mut self) {
-        let periodic = self.mesh.params().region().periodic();
-        let dim = self.mesh.params().dim();
-        if periodic.iter().take(dim).all(|&p| p) {
-            return;
-        }
-        let _g = self
-            .rec
-            .wall()
-            .clone()
-            .region_hot(RegionKey::Named("PhysicalBCs"));
-        let shape = self.mesh.index_shape();
-        let kind = self.params.boundary_condition;
-        let base_blocks = self.mesh.params().base_blocks();
-        let ids = self.plan.as_ref().expect("plan built").ghost_ids.clone();
-        let exec = self.exec();
-        let mut pack: Vec<&mut BlockSlot> = self.owned.iter_mut().flatten().collect();
-        exec.for_each_block(&mut pack, |_, slot| {
-            let loc = slot.info.loc;
-            let level = loc.level();
-            for d in 0..dim {
-                if periodic[d] {
-                    continue;
-                }
-                let extent = base_blocks[d] << level;
-                let sides = [
-                    (loc.lx_d(d) == 0, Side::Lower),
-                    (loc.lx_d(d) == extent - 1, Side::Upper),
-                ];
-                for (at_edge, side) in sides {
-                    if !at_edge {
-                        continue;
-                    }
-                    for &id in &ids {
-                        let var = slot.data.var_mut(id);
-                        let is_vector = var.ncomp() == 3;
-                        apply_face_bc(var.data_mut(), &shape, d, side, kind, is_vector);
-                    }
-                }
-            }
-        });
     }
 
     /// Builds a registered container holding a migrated block payload.

@@ -20,6 +20,85 @@ impl<T> SharedMut<T> {
     }
 }
 
+/// One block's cell storage shared with pool workers at row granularity —
+/// the ghost fill's view of a block that is a *sender* to some workers
+/// (they read its interior) while one other worker, the block's own, fills
+/// its ghost band.
+///
+/// Soundness contract, established by the ghost exchange when it compiles
+/// its plan (`vibe_field::RowProgram::compile` checks it per transfer in
+/// debug builds): within one dispatch every read lies in a sender's
+/// interior, every write lies in a receiver's ghost band, and a receiver's
+/// ghost cells are written by the one worker that claimed that receiver.
+/// Interior and ghost band are disjoint, so no cell is written while
+/// another worker reads or writes it. The lifetime keeps the storage
+/// mutably borrowed for as long as any view of it exists.
+#[derive(Debug, Clone, Copy)]
+pub struct SharedCells<'a> {
+    ptr: *mut f64,
+    len: usize,
+    _storage: std::marker::PhantomData<&'a mut [f64]>,
+}
+
+// SAFETY: a view is a pointer and a length into `f64` storage that outlives
+// it; what may be touched through it from which thread is the contract of
+// `read` and `write`, which are `unsafe` to call.
+unsafe impl Send for SharedCells<'_> {}
+// SAFETY: as above.
+unsafe impl Sync for SharedCells<'_> {}
+
+impl<'a> SharedCells<'a> {
+    /// A view of `cells`.
+    pub fn new(cells: &'a mut [f64]) -> Self {
+        Self {
+            ptr: cells.as_mut_ptr(),
+            len: cells.len(),
+            _storage: std::marker::PhantomData,
+        }
+    }
+
+    /// A view of no cells (a block that is not resident).
+    pub fn empty() -> Self {
+        Self::new(&mut [])
+    }
+
+    /// Number of cells in view.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` for [`SharedCells::empty`].
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The cells `start .. start + len`.
+    ///
+    /// # Safety
+    ///
+    /// `start + len <= self.len()`, and no thread writes any of these cells
+    /// while the returned slice is alive.
+    #[inline(always)]
+    pub unsafe fn read(&self, start: usize, len: usize) -> &[f64] {
+        debug_assert!(start + len <= self.len);
+        std::slice::from_raw_parts(self.ptr.add(start), len)
+    }
+
+    /// The cells `start .. start + len`, writable.
+    ///
+    /// # Safety
+    ///
+    /// `start + len <= self.len()`, and no other thread reads or writes any
+    /// of these cells — and this thread holds no other slice of them —
+    /// while the returned slice is alive.
+    #[inline(always)]
+    #[allow(clippy::mut_from_ref)] // aliasing excluded by the contract above
+    pub unsafe fn write(&self, start: usize, len: usize) -> &mut [f64] {
+        debug_assert!(start + len <= self.len);
+        std::slice::from_raw_parts_mut(self.ptr.add(start), len)
+    }
+}
+
 /// Applies `f` to every element of `items` using up to `nthreads` OS
 /// threads (the persistent [`pool`], caller included), preserving no
 /// particular order. Each item is visited exactly once; with
@@ -160,6 +239,36 @@ impl ExecCtx {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Miri-sized model of the ghost fill: two blocks of 2 ghost + 4
+    /// interior + 2 ghost cells, each worker filling its own block's ghosts
+    /// from the other block's interior, concurrently.
+    #[test]
+    fn shared_cells_fill_ghosts_from_the_other_blocks_interior() {
+        let mut blocks = [[0.0f64; 8], [0.0f64; 8]];
+        for (b, block) in blocks.iter_mut().enumerate() {
+            for (i, cell) in block[2..6].iter_mut().enumerate() {
+                *cell = (10 * (b + 1) + i) as f64;
+            }
+        }
+        {
+            let [a, b] = &mut blocks;
+            let views = [SharedCells::new(a), SharedCells::new(b)];
+            pool::for_each_index(2, 2, |r| {
+                let (recv, send) = (views[r], views[1 - r]);
+                // SAFETY: reads are interior cells 2..6 of the other block,
+                // writes are ghost cells 0..2 and 6..8 of this worker's own
+                // block; each block's ghosts belong to exactly one worker.
+                unsafe {
+                    recv.write(0, 2).copy_from_slice(send.read(4, 2));
+                    recv.write(6, 2).copy_from_slice(send.read(2, 2));
+                }
+            });
+        }
+        assert_eq!(blocks[0], [22.0, 23.0, 10.0, 11.0, 12.0, 13.0, 20.0, 21.0]);
+        assert_eq!(blocks[1], [12.0, 13.0, 20.0, 21.0, 22.0, 23.0, 10.0, 11.0]);
+        assert!(SharedCells::empty().is_empty());
+    }
 
     #[test]
     fn visits_every_item_once_inline() {

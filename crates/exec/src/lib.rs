@@ -21,7 +21,7 @@ pub mod pool;
 pub mod registry;
 
 pub use descriptor::{catalog, InnerLoop, KernelDescriptor};
-pub use host::{for_each_block_parallel, map_block_parallel, ExecCtx};
+pub use host::{for_each_block_parallel, map_block_parallel, ExecCtx, SharedCells};
 pub use launcher::{ghost_byte_multiplier, Launcher};
 pub use pool::{
     dispatch_label, for_each_index, set_dispatch_label, stats_begin, stats_end, WorkerPool,

@@ -17,11 +17,14 @@
 //! All index arithmetic is done in "unwrapped" global cell coordinates so
 //! periodic wraparound needs no special cases.
 
+use vibe_mesh::index::IndexDomain;
 use vibe_mesh::{IndexRange, IndexShape, LogicalLocation, NeighborOffset};
 
 use crate::array::Array4;
+use crate::lanes::F64Lanes;
 use crate::ops::{minmod, restrict_average};
 use crate::region::Region;
+use crate::variable::CellVariable;
 
 /// Resampling relationship between sender and receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -217,110 +220,561 @@ pub fn compute_buffer_spec_with(
     }
 }
 
-/// Packs the sender-side data for `spec` into `out` (appending), covering
-/// all components of `sender`.
+/// Row-granular access to one block's cell storage (`(component, k, j, i)`
+/// layout, `i` fastest): what a [`RowProgram`] reads from a sender and
+/// writes into a receiver. Plain slices implement it by slicing; the ghost
+/// exchange implements it over storage that several workers share, where
+/// sender and receiver cannot both be ordinary references.
+pub trait CellRows {
+    /// The cells `start .. start + len`.
+    fn row(&self, start: usize, len: usize) -> &[f64];
+    /// The cells `start .. start + len`, writable.
+    fn row_mut(&mut self, start: usize, len: usize) -> &mut [f64];
+}
+
+impl CellRows for [f64] {
+    #[inline(always)]
+    fn row(&self, start: usize, len: usize) -> &[f64] {
+        &self[start..start + len]
+    }
+
+    #[inline(always)]
+    fn row_mut(&mut self, start: usize, len: usize) -> &mut [f64] {
+        &mut self[start..start + len]
+    }
+}
+
+/// A compiled transfer between two blocks, as the exchange engine runs it:
+/// a [`RowProgram`] moves ghost cells of a variable's data array, a
+/// [`FluxProgram`](crate::FluxProgram) corrects one of its three face-flux
+/// arrays. `pack` then `unpack` is the wire path; `fill` moves the same
+/// values straight from the sender's storage into the receiver's and yields
+/// the same bits.
+pub trait TransferProgram: Sync {
+    /// How many arrays of a variable programs of this kind can address.
+    const ARRAYS: usize;
+    /// Those arrays.
+    fn arrays(var: &CellVariable) -> &[Array4];
+    /// The same arrays, mutably.
+    fn arrays_mut(var: &mut CellVariable) -> &mut [Array4];
+    /// Which of those arrays this program addresses.
+    fn array(&self) -> usize;
+    /// Wire buffer length in `f64` for `ncomp` components.
+    fn wire_len(&self, ncomp: usize) -> usize;
+    /// One past the last storage index the program touches in an array of
+    /// `ncomp` components (the bound a storage must satisfy).
+    fn storage_span(&self, ncomp: usize) -> usize;
+    /// Packs the sender's cells into `wire` (exactly `wire_len` long).
+    fn pack<S: CellRows + ?Sized>(&self, ncomp: usize, src: &S, wire: &mut [f64]);
+    /// Unpacks `wire` into the receiver's cells.
+    fn unpack<D: CellRows + ?Sized>(&self, ncomp: usize, wire: &[f64], dst: &mut D);
+    /// Moves the transfer's values from the sender's storage into the
+    /// receiver's without a wire buffer where the mode allows; the other
+    /// modes go through `scratch` (grown on demand, never shrunk).
+    fn fill<S, D>(&self, ncomp: usize, src: &S, dst: &mut D, scratch: &mut Vec<f64>)
+    where
+        S: CellRows + ?Sized,
+        D: CellRows + ?Sized;
+}
+
+/// A box of equal-length x-rows inside a cell storage: the first row's
+/// start and the steps to the next row in j, in k and in the component.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RowBox {
+    first: usize,
+    step: [usize; 3],
+}
+
+impl RowBox {
+    /// Rows of `len` cells stored back to back, `counts = [j, k]` of them
+    /// per component — the layout of a wire buffer.
+    fn dense(len: usize, counts: [usize; 2]) -> Self {
+        Self {
+            first: 0,
+            step: [len, len * counts[0], len * counts[0] * counts[1]],
+        }
+    }
+
+    #[inline(always)]
+    fn at(&self, j: usize, k: usize, v: usize) -> usize {
+        self.first + j * self.step[0] + k * self.step[1] + v * self.step[2]
+    }
+}
+
+/// A [`BufferSpec`] compiled down to storage offsets: which sender rows are
+/// read, which receiver rows are written, and how long they are. All the
+/// global-index arithmetic of the spec is done once, here; running the
+/// program is row moves and (for the resampling modes) row kernels.
 ///
-/// # Panics
-///
-/// Panics (in debug builds) if computed sender indices fall outside the
-/// sender's storage — which indicates an inconsistent spec.
-pub fn pack(spec: &BufferSpec, sender: &Array4, out: &mut Vec<f64>) {
-    let shape = &spec.shape;
-    let dim = shape.dim();
-    let ncomp = sender.ncomp();
-    out.reserve(spec.buffer_len(ncomp));
-    match spec.mode {
-        BufferMode::Copy => {
-            // Receiver and sender indices differ by a constant shift per
-            // dimension, so whole x-rows copy contiguously.
-            let shift: [i64; 3] =
-                std::array::from_fn(|d| spec.recv_origin[d] - spec.sender_origin[d]);
-            let (ex, ey) = (shape.entire_d(0), shape.entire_d(1));
-            let per_comp = shape.entire_count();
-            let r = spec.recv_region.ranges();
-            let row_len = r[0].len();
-            let data = sender.as_slice();
-            for v in 0..ncomp {
-                for k in r[2].iter() {
-                    for j in r[1].iter() {
-                        let si = (r[0].s + shift[0]) as usize;
-                        let sj = (j + shift[1]) as usize;
-                        let sk = (k + shift[2]) as usize;
-                        let start = v * per_comp + (sk * ey + sj) * ex + si;
-                        out.extend_from_slice(&data[start..start + row_len]);
+/// [`RowProgram::pack`] followed by [`RowProgram::unpack`] is the wire path
+/// ([`pack`] and [`unpack`] are exactly that); [`RowProgram::fill`] moves
+/// the same values from sender to receiver storage without the wire buffer
+/// and yields the same bits.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowProgram {
+    mode: BufferMode,
+    dim: usize,
+    /// Receiver rows written: length and `[j, k]` counts.
+    dst_len: usize,
+    dst_counts: [usize; 2],
+    dst: RowBox,
+    /// Sender rows read (per fine sub-row for the restricting modes).
+    src_len: usize,
+    src_counts: [usize; 2],
+    src: RowBox,
+    /// Restricting modes: offsets of the `(ty, tz)` fine sub-rows covering
+    /// one receiver row, from the first one, `tz` outer — the value order
+    /// [`restrict_average`] folds.
+    sub: [usize; 4],
+    nsub: usize,
+    /// [`BufferMode::CoarseToFine`]: global fine index of the first
+    /// receiver cell and global coarse range of the packed region.
+    fine0: [i64; 3],
+    coarse: [IndexRange; 3],
+}
+
+impl RowProgram {
+    /// Compiles `spec`.
+    ///
+    /// In debug builds, checks the invariant the direct fill of the ghost
+    /// exchange rests on: every cell read lies in the sender's interior and
+    /// every cell written lies in the receiver's ghost band.
+    pub fn compile(spec: &BufferSpec) -> Self {
+        let shape = &spec.shape;
+        let dim = shape.dim();
+        let (ex, ey) = (shape.entire_d(0), shape.entire_d(1));
+        let storage = [ex, ex * ey, shape.entire_count()];
+        let ng: [i64; 3] = std::array::from_fn(|d| shape.nghost_d(d) as i64);
+        let r = spec.recv_region.ranges();
+        let flat = |c: [i64; 3]| (c[2] as usize * ey + c[1] as usize) * ex + c[0] as usize;
+        let fine0: [i64; 3] = std::array::from_fn(|d| spec.recv_origin[d] + r[d].s - ng[d]);
+        let dst = RowBox {
+            first: flat([r[0].s, r[1].s, r[2].s]),
+            step: storage,
+        };
+        let mut prog = Self {
+            mode: spec.mode,
+            dim,
+            dst_len: r[0].len(),
+            dst_counts: [r[1].len(), r[2].len()],
+            dst,
+            src_len: r[0].len(),
+            src_counts: [r[1].len(), r[2].len()],
+            src: dst,
+            sub: [0; 4],
+            nsub: 1,
+            fine0,
+            coarse: [IndexRange::new(0, 0); 3],
+        };
+        // First sender cell read (storage indices) and cells read per axis.
+        let (src_lo, src_n): ([i64; 3], [usize; 3]) = match spec.mode {
+            BufferMode::Copy => (
+                // Receiver and sender indices differ by a constant shift.
+                std::array::from_fn(|d| r[d].s + spec.recv_origin[d] - spec.sender_origin[d]),
+                std::array::from_fn(|d| r[d].len()),
+            ),
+            BufferMode::RestrictFromFine | BufferMode::FineUnrestricted => {
+                // The 2^dim fine cells covering one receiver cell sit as
+                // x-pairs in `nsub` sender rows.
+                let t: [i64; 3] = std::array::from_fn(|d| if d < dim { 2 } else { 1 });
+                prog.src.step = [t[1] as usize * ex, t[2] as usize * ex * ey, storage[2]];
+                prog.src_len = 2 * prog.dst_len;
+                prog.nsub = (t[1] * t[2]) as usize;
+                for tz in 0..t[2] {
+                    for ty in 0..t[1] {
+                        prog.sub[(tz * t[1] + ty) as usize] = flat([0, ty, tz]);
                     }
+                }
+                (
+                    std::array::from_fn(|d| fine0[d] * t[d] - spec.sender_origin[d] + ng[d]),
+                    std::array::from_fn(|d| t[d] as usize * r[d].len()),
+                )
+            }
+            BufferMode::CoarseToFine => {
+                let packed = spec.packed_region.as_ref().expect("packed region present");
+                let p = packed.ranges();
+                prog.src_len = p[0].len();
+                prog.src_counts = [p[1].len(), p[2].len()];
+                prog.coarse = p;
+                (
+                    std::array::from_fn(|d| p[d].s - spec.sender_origin[d] + ng[d]),
+                    std::array::from_fn(|d| p[d].len()),
+                )
+            }
+        };
+        prog.src.first = flat(src_lo);
+        // What lets the ghost exchange run the programs of different
+        // receivers concurrently on shared storage: no program writes a
+        // cell another one reads.
+        debug_assert!(
+            (0..3).all(|d| {
+                let interior = shape.range(d, IndexDomain::Interior);
+                interior.contains(src_lo[d]) && interior.contains(src_lo[d] + src_n[d] as i64 - 1)
+            }),
+            "{spec:?} reads outside the sender's interior"
+        );
+        debug_assert!(
+            (0..dim).any(|d| {
+                let interior = shape.range(d, IndexDomain::Interior);
+                r[d].e < interior.s || r[d].s > interior.e
+            }),
+            "{spec:?} writes outside the receiver's ghost band"
+        );
+        prog
+    }
+
+    fn dst_cells(&self) -> usize {
+        self.dst_len * self.dst_counts[0] * self.dst_counts[1]
+    }
+
+    /// Visits the receiver rows as `(j, k, component)`, in wire order.
+    #[inline(always)]
+    fn for_each_row(&self, ncomp: usize, mut f: impl FnMut(usize, usize, usize)) {
+        for v in 0..ncomp {
+            for k in 0..self.dst_counts[1] {
+                for j in 0..self.dst_counts[0] {
+                    f(j, k, v);
                 }
             }
         }
-        BufferMode::RestrictFromFine => {
-            // The 2^dim fine cells covering one receiver cell sit as x-pairs
-            // in up to four sender x-rows whose starts are fixed per
-            // receiver (j, k) — walk receiver rows once and read the pairs
-            // directly rather than converting every fine index separately.
-            // The stack gather preserves the (tx, ty, tz) value order, so
-            // `restrict_average` folds the same sequence as before.
-            let rp = row_pairs(spec, shape, dim);
-            let r = spec.recv_region.ranges();
-            let data = sender.as_slice();
-            let group = 2 * rp.nrows;
-            let mut vals = [0.0f64; 8];
-            for v in 0..ncomp {
-                for k in r[2].iter() {
-                    for j in r[1].iter() {
-                        let rows = rp.rows(v, j, k);
-                        for i in r[0].iter() {
-                            let si = rp.si(i);
-                            for (g, &row) in rows[..rp.nrows].iter().enumerate() {
-                                vals[2 * g] = data[row + si];
-                                vals[2 * g + 1] = data[row + si + 1];
+    }
+
+    /// Averages the sender's fine cells into the rows of `out`.
+    fn restrict_rows<S, D>(&self, ncomp: usize, src: &S, out: &mut D, out_box: &RowBox)
+    where
+        S: CellRows + ?Sized,
+        D: CellRows + ?Sized,
+    {
+        let (n, fine) = (self.dst_len, self.src_len);
+        self.for_each_row(ncomp, |j, k, v| {
+            let base = self.src.at(j, k, v);
+            let row = out.row_mut(out_box.at(j, k, v), n);
+            match self.nsub {
+                1 => restrict_row([src.row(base, fine)], row),
+                2 => restrict_row([0, 1].map(|g| src.row(base + self.sub[g], fine)), row),
+                _ => restrict_row([0, 1, 2, 3].map(|g| src.row(base + self.sub[g], fine)), row),
+            }
+        });
+    }
+
+    /// Slope-limited linear prolongation of the packed coarse cells in
+    /// `wire` into the receiver's fine ghost cells.
+    ///
+    /// A fine cell `g` prolongates from coarse cell `c = g.div_euclid(2)`:
+    /// the coarse value plus, per dimension, a quarter of the coarse slope
+    /// toward the fine cell's side. The eight (in 3-D) children of a coarse
+    /// cell share its center and slopes, so the walk is over coarse cells:
+    /// slopes once, then the children the receiver's range covers. Slopes
+    /// are minmod-limited where both coarse neighbors are packed and
+    /// one-sided at the packed region's edge (exact for linear fields,
+    /// which always occurs on the face shared with the receiver).
+    fn prolongate<D: CellRows + ?Sized>(&self, ncomp: usize, wire: &[f64], dst: &mut D) {
+        let dim = self.dim;
+        let [xr, yr, zr] = self.coarse;
+        let ex = self.src_len;
+        let exy = ex * self.src_counts[0];
+        let per_comp = exy * self.src_counts[1];
+        let fine_lo = self.fine0;
+        let extent = [self.dst_len, self.dst_counts[0], self.dst_counts[1]];
+        let fine_hi: [i64; 3] = std::array::from_fn(|d| fine_lo[d] + extent[d] as i64 - 1);
+        let slope_of = |center: f64, left: Option<f64>, right: Option<f64>| -> f64 {
+            match (left, right) {
+                (Some(l), Some(r)) => minmod(r - center, center - l),
+                (Some(l), None) => center - l,
+                (None, Some(r)) => r - center,
+                (None, None) => 0.0,
+            }
+        };
+        // Quarter-slope offset of fine cell `g` from its coarse center: the
+        // even child sits on the low side.
+        let toward = |g: i64, slope: f64| {
+            let sign = if g.rem_euclid(2) == 0 { -1.0 } else { 1.0 };
+            0.25 * sign * slope
+        };
+        // The children of coarse index `c` inside the receiver's range.
+        let children = |d: usize, c: i64| (2 * c).max(fine_lo[d])..=(2 * c + 1).min(fine_hi[d]);
+        let coarse_of = |d: usize| fine_lo[d].div_euclid(2)..=fine_hi[d].div_euclid(2);
+        for v in 0..ncomp {
+            for ck in coarse_of(2) {
+                let (zl, zh) = (dim > 2 && ck > zr.s, dim > 2 && ck < zr.e);
+                for cj in coarse_of(1) {
+                    let (yl, yh) = (dim > 1 && cj > yr.s, dim > 1 && cj < yr.e);
+                    let crow =
+                        v * per_comp + (ck - zr.s) as usize * exy + (cj - yr.s) as usize * ex;
+                    for ci in coarse_of(0) {
+                        let b = crow + (ci - xr.s) as usize;
+                        let center = wire[b];
+                        let left = (ci > xr.s).then(|| wire[b - 1]);
+                        let right = (ci < xr.e).then(|| wire[b + 1]);
+                        let slope_x = slope_of(center, left, right);
+                        let slope_y = if dim > 1 {
+                            slope_of(center, yl.then(|| wire[b - ex]), yh.then(|| wire[b + ex]))
+                        } else {
+                            0.0
+                        };
+                        let slope_z = if dim > 2 {
+                            slope_of(center, zl.then(|| wire[b - exy]), zh.then(|| wire[b + exy]))
+                        } else {
+                            0.0
+                        };
+                        let xs = children(0, ci);
+                        let (first, len) = (*xs.start(), (xs.end() - xs.start() + 1) as usize);
+                        let mut along_x = [center + toward(first, slope_x); 2];
+                        along_x[len - 1] = center + toward(*xs.end(), slope_x);
+                        for gz in children(2, ck) {
+                            let dz = toward(gz, slope_z);
+                            for gy in children(1, cj) {
+                                let dy = toward(gy, slope_y);
+                                let (j, k) =
+                                    ((gy - fine_lo[1]) as usize, (gz - fine_lo[2]) as usize);
+                                let start = self.dst.at(j, k, v) + (first - fine_lo[0]) as usize;
+                                for (x, out) in along_x.iter().zip(dst.row_mut(start, len)) {
+                                    let mut value = *x;
+                                    if dim > 1 {
+                                        value += dy;
+                                    }
+                                    if dim > 2 {
+                                        value += dz;
+                                    }
+                                    *out = value;
+                                }
                             }
-                            out.push(restrict_average(&vals[..group]));
                         }
-                    }
-                }
-            }
-        }
-        BufferMode::FineUnrestricted => {
-            // Ship every fine cell covering the receiver's ghost band, in
-            // (receiver cell, fine sub-cell) order — same row-pair walk as
-            // `RestrictFromFine`, shipping the pairs instead of averaging.
-            let rp = row_pairs(spec, shape, dim);
-            let r = spec.recv_region.ranges();
-            let data = sender.as_slice();
-            for v in 0..ncomp {
-                for k in r[2].iter() {
-                    for j in r[1].iter() {
-                        let rows = rp.rows(v, j, k);
-                        for i in r[0].iter() {
-                            let si = rp.si(i);
-                            for &row in &rows[..rp.nrows] {
-                                out.push(data[row + si]);
-                                out.push(data[row + si + 1]);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        BufferMode::CoarseToFine => {
-            // Packed coarse rows are contiguous in the sender's storage.
-            let packed = spec.packed_region.as_ref().expect("packed region present");
-            let (ex, ey) = (shape.entire_d(0), shape.entire_d(1));
-            let per_comp = shape.entire_count();
-            let r = packed.ranges();
-            let row_len = r[0].len();
-            let data = sender.as_slice();
-            for v in 0..ncomp {
-                for ck in r[2].iter() {
-                    for cj in r[1].iter() {
-                        let s = storage_from_global(shape, &spec.sender_origin, [r[0].s, cj, ck]);
-                        let start = v * per_comp + (s[2] * ey + s[1]) * ex + s[0];
-                        out.extend_from_slice(&data[start..start + row_len]);
                     }
                 }
             }
         }
     }
+}
+
+impl TransferProgram for RowProgram {
+    const ARRAYS: usize = 1;
+
+    fn arrays(var: &CellVariable) -> &[Array4] {
+        std::slice::from_ref(var.data())
+    }
+
+    fn arrays_mut(var: &mut CellVariable) -> &mut [Array4] {
+        std::slice::from_mut(var.data_mut())
+    }
+
+    fn array(&self) -> usize {
+        0
+    }
+
+    /// Wire buffer length in `f64` for `ncomp` components — equal to
+    /// [`BufferSpec::buffer_len`] of the compiled spec.
+    fn wire_len(&self, ncomp: usize) -> usize {
+        let cells = match self.mode {
+            BufferMode::Copy | BufferMode::RestrictFromFine => self.dst_cells(),
+            BufferMode::FineUnrestricted => self.dst_cells() << self.dim,
+            BufferMode::CoarseToFine => self.src_len * self.src_counts[0] * self.src_counts[1],
+        };
+        ncomp * cells
+    }
+
+    fn storage_span(&self, ncomp: usize) -> usize {
+        ncomp * self.dst.step[2]
+    }
+
+    /// Packs the sender's cells into `wire` (exactly
+    /// [`RowProgram::wire_len`] long).
+    fn pack<S: CellRows + ?Sized>(&self, ncomp: usize, src: &S, wire: &mut [f64]) {
+        debug_assert_eq!(wire.len(), self.wire_len(ncomp));
+        match self.mode {
+            BufferMode::Copy | BufferMode::CoarseToFine => {
+                let dense = RowBox::dense(self.src_len, self.src_counts);
+                copy_rows(
+                    self.src_len,
+                    self.src_counts,
+                    ncomp,
+                    src,
+                    &self.src,
+                    wire,
+                    &dense,
+                );
+            }
+            BufferMode::RestrictFromFine => {
+                let dense = RowBox::dense(self.dst_len, self.dst_counts);
+                self.restrict_rows(ncomp, src, wire, &dense);
+            }
+            BufferMode::FineUnrestricted => {
+                // Ship every fine cell covering the receiver's ghost band,
+                // in (receiver cell, fine sub-cell) order.
+                let mut idx = 0usize;
+                self.for_each_row(ncomp, |j, k, v| {
+                    let base = self.src.at(j, k, v);
+                    for i in 0..self.dst_len {
+                        for &sub in &self.sub[..self.nsub] {
+                            wire[idx..idx + 2].copy_from_slice(src.row(base + sub + 2 * i, 2));
+                            idx += 2;
+                        }
+                    }
+                });
+            }
+        }
+    }
+
+    /// Unpacks `wire` into the receiver's ghost cells.
+    ///
+    /// For [`BufferMode::CoarseToFine`] this performs per-dimension
+    /// slope-limited linear prolongation from the packed coarse region;
+    /// slopes are one-sided where the stencil leaves the packed region.
+    fn unpack<D: CellRows + ?Sized>(&self, ncomp: usize, wire: &[f64], dst: &mut D) {
+        debug_assert!(wire.len() >= self.wire_len(ncomp));
+        match self.mode {
+            BufferMode::Copy | BufferMode::RestrictFromFine => {
+                let dense = RowBox::dense(self.dst_len, self.dst_counts);
+                copy_rows(
+                    self.dst_len,
+                    self.dst_counts,
+                    ncomp,
+                    wire,
+                    &dense,
+                    dst,
+                    &self.dst,
+                );
+            }
+            BufferMode::FineUnrestricted => {
+                // Average each group of 2^dim shipped fine cells.
+                let group = 1usize << self.dim;
+                let mut idx = 0usize;
+                self.for_each_row(ncomp, |j, k, v| {
+                    for out in dst.row_mut(self.dst.at(j, k, v), self.dst_len) {
+                        *out = restrict_average(&wire[idx..idx + group]);
+                        idx += group;
+                    }
+                });
+            }
+            BufferMode::CoarseToFine => self.prolongate(ncomp, wire, dst),
+        }
+    }
+
+    /// Moves the boundary's values straight from the sender's storage into
+    /// the receiver's ghost cells: the same bits [`RowProgram::pack`] then
+    /// [`RowProgram::unpack`] produce, without the wire buffer for the two
+    /// modes that carry almost all the volume. The other modes go through
+    /// `scratch` (grown on demand, never shrunk).
+    fn fill<S, D>(&self, ncomp: usize, src: &S, dst: &mut D, scratch: &mut Vec<f64>)
+    where
+        S: CellRows + ?Sized,
+        D: CellRows + ?Sized,
+    {
+        match self.mode {
+            BufferMode::Copy => {
+                copy_rows(
+                    self.dst_len,
+                    self.dst_counts,
+                    ncomp,
+                    src,
+                    &self.src,
+                    dst,
+                    &self.dst,
+                );
+            }
+            BufferMode::RestrictFromFine => self.restrict_rows(ncomp, src, dst, &self.dst),
+            BufferMode::FineUnrestricted | BufferMode::CoarseToFine => {
+                let len = self.wire_len(ncomp);
+                if scratch.len() < len {
+                    scratch.resize(len, 0.0);
+                }
+                self.pack(ncomp, src, &mut scratch[..len]);
+                self.unpack(ncomp, &scratch[..len], dst);
+            }
+        }
+    }
+}
+
+/// Copies a box of x-rows of `len` cells, `counts = [j, k]` rows per
+/// component, from `src` to `dst`. The row lengths that occur (`nghost` and
+/// the block edge) get a move of compile-time length.
+fn copy_rows<S, D>(
+    len: usize,
+    counts: [usize; 2],
+    ncomp: usize,
+    src: &S,
+    src_box: &RowBox,
+    dst: &mut D,
+    dst_box: &RowBox,
+) where
+    S: CellRows + ?Sized,
+    D: CellRows + ?Sized,
+{
+    #[inline(always)]
+    fn go<const N: usize, S: CellRows + ?Sized, D: CellRows + ?Sized>(
+        len: usize,
+        counts: [usize; 2],
+        ncomp: usize,
+        src: &S,
+        src_box: &RowBox,
+        dst: &mut D,
+        dst_box: &RowBox,
+    ) {
+        let len = if N > 0 { N } else { len };
+        for v in 0..ncomp {
+            for k in 0..counts[1] {
+                for j in 0..counts[0] {
+                    dst.row_mut(dst_box.at(j, k, v), len)
+                        .copy_from_slice(src.row(src_box.at(j, k, v), len));
+                }
+            }
+        }
+    }
+    match len {
+        2 => go::<2, S, D>(len, counts, ncomp, src, src_box, dst, dst_box),
+        3 => go::<3, S, D>(len, counts, ncomp, src, src_box, dst, dst_box),
+        4 => go::<4, S, D>(len, counts, ncomp, src, src_box, dst, dst_box),
+        8 => go::<8, S, D>(len, counts, ncomp, src, src_box, dst, dst_box),
+        16 => go::<16, S, D>(len, counts, ncomp, src, src_box, dst, dst_box),
+        32 => go::<32, S, D>(len, counts, ncomp, src, src_box, dst, dst_box),
+        _ => go::<0, S, D>(len, counts, ncomp, src, src_box, dst, dst_box),
+    }
+}
+
+/// Restricts one receiver row: `out[i]` is the average of the x-pair
+/// `2i, 2i + 1` of every fine row in `rows`, summed in row order, pair
+/// order within a row — the add sequence of [`restrict_average`] over the
+/// gathered `(tx, ty, tz)` values, so the bits are the same. Four output
+/// cells advance together, one per lane.
+#[inline(always)]
+fn restrict_row<const R: usize>(rows: [&[f64]; R], out: &mut [f64]) {
+    const W: usize = 4;
+    let count = F64Lanes::<W>::splat((2 * R) as f64);
+    let n = out.len();
+    let mut i = 0usize;
+    while i + W <= n {
+        let pairs: [&[f64]; R] = rows.map(|row| &row[2 * i..2 * (i + W)]);
+        let mut sum = F64Lanes::<W>::from_fn(|l| pairs[0][2 * l]);
+        sum = sum + F64Lanes::from_fn(|l| pairs[0][2 * l + 1]);
+        for pair in &pairs[1..] {
+            sum = sum + F64Lanes::from_fn(|l| pair[2 * l]);
+            sum = sum + F64Lanes::from_fn(|l| pair[2 * l + 1]);
+        }
+        (sum / count).store(&mut out[i..i + W]);
+        i += W;
+    }
+    for (i, out) in out.iter_mut().enumerate().skip(i) {
+        let mut vals = [0.0f64; 8];
+        for (g, row) in rows.iter().enumerate() {
+            vals[2 * g] = row[2 * i];
+            vals[2 * g + 1] = row[2 * i + 1];
+        }
+        *out = restrict_average(&vals[..2 * R]);
+    }
+}
+
+/// Packs the sender-side data for `spec` into `out` (appending), covering
+/// all components of `sender`.
+///
+/// # Panics
+///
+/// Panics if computed sender indices fall outside the sender's storage —
+/// which indicates an inconsistent spec.
+pub fn pack(spec: &BufferSpec, sender: &Array4, out: &mut Vec<f64>) {
+    let ncomp = sender.ncomp();
+    let start = out.len();
+    out.resize(start + spec.buffer_len(ncomp), 0.0);
+    RowProgram::compile(spec).pack(ncomp, sender.as_slice(), &mut out[start..]);
 }
 
 /// Unpacks `buf` into the receiver's ghost cells per `spec`.
@@ -334,8 +788,6 @@ pub fn pack(spec: &BufferSpec, sender: &Array4, out: &mut Vec<f64>) {
 /// Panics if `buf` is shorter than the spec requires for `recv.ncomp()`
 /// components.
 pub fn unpack(spec: &BufferSpec, buf: &[f64], recv: &mut Array4) {
-    let shape = &spec.shape;
-    let dim = shape.dim();
     let ncomp = recv.ncomp();
     assert!(
         buf.len() >= spec.buffer_len(ncomp),
@@ -343,206 +795,7 @@ pub fn unpack(spec: &BufferSpec, buf: &[f64], recv: &mut Array4) {
         buf.len(),
         spec.buffer_len(ncomp)
     );
-    match spec.mode {
-        BufferMode::FineUnrestricted => {
-            // Average each group of 2^dim shipped fine cells on the receiver.
-            let group = 1usize << dim;
-            let mut idx = 0usize;
-            for v in 0..ncomp {
-                for (i, j, k) in spec.recv_region.iter() {
-                    let avg = restrict_average(&buf[idx..idx + group]);
-                    recv.set(v, k as usize, j as usize, i as usize, avg);
-                    idx += group;
-                }
-            }
-        }
-        BufferMode::Copy | BufferMode::RestrictFromFine => {
-            // Receiver x-rows are contiguous: copy row-wise.
-            let (ex, ey) = (shape.entire_d(0), shape.entire_d(1));
-            let per_comp = shape.entire_count();
-            let r = spec.recv_region.ranges();
-            let row_len = r[0].len();
-            let data = recv.as_mut_slice();
-            let mut idx = 0usize;
-            for v in 0..ncomp {
-                for k in r[2].iter() {
-                    for j in r[1].iter() {
-                        let start =
-                            v * per_comp + (k as usize * ey + j as usize) * ex + r[0].s as usize;
-                        data[start..start + row_len].copy_from_slice(&buf[idx..idx + row_len]);
-                        idx += row_len;
-                    }
-                }
-            }
-        }
-        BufferMode::CoarseToFine => {
-            // Each fine ghost cell prolongates from coarse cell
-            // `c = g.div_euclid(2)` with per-dimension slopes. Walking fine
-            // x-rows, everything except the x-parity sign is fixed per
-            // coarse cell — and each coarse cell covers two consecutive
-            // fine cells — so the center and slope lookups (with their
-            // region-edge checks, which reduce to per-axis range tests
-            // because the center always lies in the packed region) are
-            // hoisted out of the per-cell loop. The slope expressions are
-            // verbatim those of the per-cell formulation, so results are
-            // bitwise unchanged.
-            let packed = spec.packed_region.as_ref().expect("packed region present");
-            let per_comp = packed.count();
-            let ex = packed.extent(0);
-            let ey = packed.extent(1);
-            let (xr, yr, zr) = (packed.range(0), packed.range(1), packed.range(2));
-            let r = spec.recv_region.ranges();
-            let (rex, rey) = (shape.entire_d(0), shape.entire_d(1));
-            let recv_per = shape.entire_count();
-            let rdata = recv.as_mut_slice();
-            // Limited where both neighbors exist; one-sided at the packed-
-            // region edge (exact for linear fields, which always occurs on
-            // the face shared with the receiver).
-            let slope_of = |center: f64, left: Option<f64>, right: Option<f64>| -> f64 {
-                match (left, right) {
-                    (Some(l), Some(r)) => minmod(r - center, center - l),
-                    (Some(l), None) => center - l,
-                    (None, Some(r)) => r - center,
-                    (None, None) => 0.0,
-                }
-            };
-            let sign_of = |g: i64| if g.rem_euclid(2) == 0 { -1.0 } else { 1.0 };
-            for v in 0..ncomp {
-                let vbase = v * per_comp;
-                for k in r[2].iter() {
-                    let gz = spec.recv_origin[2] + k - shape.nghost_d(2) as i64;
-                    let ck = gz.div_euclid(2);
-                    let sign_z = sign_of(gz);
-                    let (zl, zh) = (dim > 2 && ck > zr.s, dim > 2 && ck < zr.e);
-                    for j in r[1].iter() {
-                        let gy = spec.recv_origin[1] + j - shape.nghost_d(1) as i64;
-                        let cj = gy.div_euclid(2);
-                        let sign_y = sign_of(gy);
-                        let (yl, yh) = (dim > 1 && cj > yr.s, dim > 1 && cj < yr.e);
-                        let crow =
-                            vbase + (((ck - zr.s) as usize) * ey + (cj - yr.s) as usize) * ex;
-                        let rrow = v * recv_per + (k as usize * rey + j as usize) * rex;
-                        let mut cur_ci = i64::MIN;
-                        let (mut center, mut slope_x, mut dy, mut dz) = (0.0, 0.0, 0.0, 0.0);
-                        for i in r[0].iter() {
-                            let gx = spec.recv_origin[0] + i - shape.nghost_d(0) as i64;
-                            let ci = gx.div_euclid(2);
-                            if ci != cur_ci {
-                                cur_ci = ci;
-                                let b = crow + (ci - xr.s) as usize;
-                                center = buf[b];
-                                let left = (ci > xr.s).then(|| buf[b - 1]);
-                                let right = (ci < xr.e).then(|| buf[b + 1]);
-                                slope_x = slope_of(center, left, right);
-                                dy = if dim > 1 {
-                                    let left = yl.then(|| buf[b - ex]);
-                                    let right = yh.then(|| buf[b + ex]);
-                                    0.25 * sign_y * slope_of(center, left, right)
-                                } else {
-                                    0.0
-                                };
-                                dz = if dim > 2 {
-                                    let left = zl.then(|| buf[b - ey * ex]);
-                                    let right = zh.then(|| buf[b + ey * ex]);
-                                    0.25 * sign_z * slope_of(center, left, right)
-                                } else {
-                                    0.0
-                                };
-                            }
-                            let mut value = center + 0.25 * sign_of(gx) * slope_x;
-                            if dim > 1 {
-                                value += dy;
-                            }
-                            if dim > 2 {
-                                value += dz;
-                            }
-                            rdata[rrow + i as usize] = value;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Precomputed addressing for the fine cells covering a receiver region:
-/// each receiver cell maps to `nrows` sender x-rows (its (ty, tz) fine
-/// offsets) holding one contiguous fine x-pair each.
-struct RowPairs {
-    recv_origin: [i64; 3],
-    sender_origin: [i64; 3],
-    ng: [i64; 3],
-    t1: i64,
-    t2: i64,
-    ex: usize,
-    ey: usize,
-    per_comp: usize,
-    /// Sender rows per receiver cell: `t1 * t2`.
-    nrows: usize,
-}
-
-impl RowPairs {
-    /// Sender x-row starts covering receiver cell (·, j, k) of component
-    /// `v`, ordered (tz outer, ty inner) to match the fine-value order the
-    /// per-cell `storage_from_global` walk produced.
-    #[inline]
-    fn rows(&self, v: usize, j: i64, k: i64) -> [usize; 4] {
-        let gj = self.recv_origin[1] + j - self.ng[1];
-        let gk = self.recv_origin[2] + k - self.ng[2];
-        let mut rows = [0usize; 4];
-        for tz in 0..self.t2 {
-            for ty in 0..self.t1 {
-                let sj = (gj * self.t1 + ty - self.sender_origin[1] + self.ng[1]) as usize;
-                let sk = (gk * self.t2 + tz - self.sender_origin[2] + self.ng[2]) as usize;
-                rows[(tz * self.t1 + ty) as usize] =
-                    v * self.per_comp + (sk * self.ey + sj) * self.ex;
-            }
-        }
-        rows
-    }
-
-    /// Offset of receiver cell i's fine x-pair within any of its rows (the
-    /// x-direction is always refined: `dim >= 1`).
-    #[inline]
-    fn si(&self, i: i64) -> usize {
-        let gi = self.recv_origin[0] + i - self.ng[0];
-        (gi * 2 - self.sender_origin[0] + self.ng[0]) as usize
-    }
-}
-
-fn row_pairs(spec: &BufferSpec, shape: &IndexShape, dim: usize) -> RowPairs {
-    let twos = |d: usize| if d < dim { 2i64 } else { 1 };
-    let (t1, t2) = (twos(1), twos(2));
-    RowPairs {
-        recv_origin: spec.recv_origin,
-        sender_origin: spec.sender_origin,
-        ng: std::array::from_fn(|d| shape.nghost_d(d) as i64),
-        t1,
-        t2,
-        ex: shape.entire_d(0),
-        ey: shape.entire_d(1),
-        per_comp: shape.entire_count(),
-        nrows: (t1 * t2) as usize,
-    }
-}
-
-/// Converts a sender-level global cell index to sender storage indices.
-#[inline]
-fn storage_from_global(
-    shape: &IndexShape,
-    sender_origin: &[i64; 3],
-    global: [i64; 3],
-) -> [usize; 3] {
-    let mut s = [0usize; 3];
-    for d in 0..3 {
-        let idx = global[d] - sender_origin[d] + shape.nghost_d(d) as i64;
-        debug_assert!(
-            idx >= 0 && (idx as usize) < shape.entire_d(d),
-            "sender storage index {idx} out of bounds in dim {d} (global {global:?}, origin {sender_origin:?})"
-        );
-        s[d] = idx as usize;
-    }
-    s
+    RowProgram::compile(spec).unpack(ncomp, buf, recv.as_mut_slice());
 }
 
 #[cfg(test)]

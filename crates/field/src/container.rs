@@ -159,6 +159,12 @@ impl BlockData {
         &self.vars
     }
 
+    /// All variables in registration order, mutably (disjoint borrows of
+    /// several variables at once).
+    pub fn vars_mut(&mut self) -> &mut [CellVariable] {
+        &mut self.vars
+    }
+
     /// Variable by integer id — the fast path.
     ///
     /// # Panics

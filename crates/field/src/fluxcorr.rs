@@ -10,6 +10,8 @@
 
 use vibe_mesh::{IndexRange, IndexShape, LogicalLocation, NeighborOffset};
 
+use crate::array::Array4;
+use crate::buffer::{CellRows, TransferProgram};
 use crate::region::Region;
 use crate::variable::CellVariable;
 
@@ -18,8 +20,6 @@ use crate::variable::CellVariable;
 pub struct FluxCorrSpec {
     /// Normal dimension of the shared face (0 = x).
     normal: usize,
-    /// Face index in the coarse receiver's flux array along `normal`.
-    recv_face: i64,
     /// Face index in the fine sender's flux array along `normal`.
     send_face: i64,
     /// Coarse receiver *cell* region in the tangential dimensions (the
@@ -103,7 +103,6 @@ pub fn flux_correction_spec(
             hi[d] = 0;
         }
     }
-    let recv_face = lo[normal];
     let send_face = if off[normal] > 0 {
         shape.nghost_d(normal) as i64
     } else {
@@ -111,7 +110,6 @@ pub fn flux_correction_spec(
     };
     FluxCorrSpec {
         normal,
-        recv_face,
         send_face,
         recv_region: Region::new([
             IndexRange::new(lo[0], hi[0]),
@@ -124,6 +122,156 @@ pub fn flux_correction_spec(
     }
 }
 
+/// A [`FluxCorrSpec`] compiled down to offsets into the sender's and the
+/// receiver's flux arrays along the face normal, so running it re-derives
+/// nothing. As a [`TransferProgram`], `pack` then `unpack` is the wire path
+/// and `fill` restricts straight from the fine block's fluxes into the
+/// coarse block's, with the same bits.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FluxProgram {
+    normal: usize,
+    /// Coarse faces corrected along `(i, j, k)` (1 along the normal).
+    n: [usize; 3],
+    /// First corrected coarse face and the `(i, j, k, component)` steps of
+    /// the flux array (which is one longer along the normal).
+    dst0: usize,
+    step: [usize; 4],
+    /// First fine face read; a coarse step is two fine steps.
+    src0: usize,
+    /// Offsets of the `2^(dim-1)` fine faces under one coarse face, lowest
+    /// tangential dimension fastest — the order their sum is folded in.
+    sub: [usize; 4],
+    nsub: usize,
+}
+
+impl FluxProgram {
+    /// Compiles `spec`.
+    pub fn compile(spec: &FluxCorrSpec) -> Self {
+        let shape = &spec.shape;
+        let dim = shape.dim();
+        let normal = spec.normal;
+        let e: [usize; 3] = std::array::from_fn(|d| shape.entire_d(d) + usize::from(d == normal));
+        let step = [1, e[0], e[0] * e[1], e[0] * e[1] * e[2]];
+        let r = spec.recv_region.ranges();
+        let flat = |c: [i64; 3]| (0..3).map(|d| c[d] as usize * step[d]).sum::<usize>();
+        // First fine face under the first coarse face.
+        let fine: [i64; 3] = std::array::from_fn(|d| {
+            let g = shape.nghost_d(d) as i64;
+            if d == normal {
+                spec.send_face
+            } else if d < dim {
+                2 * (spec.recv_origin[d] + r[d].s - g) - spec.sender_origin[d] + g
+            } else {
+                0
+            }
+        });
+        let mut sub = [0usize; 4];
+        let tangential: Vec<usize> = (0..dim).filter(|&d| d != normal).collect();
+        let nsub = 1usize << tangential.len();
+        for (c, offset) in sub[..nsub].iter_mut().enumerate() {
+            *offset = tangential
+                .iter()
+                .enumerate()
+                .map(|(b, &d)| ((c >> b) & 1) * step[d])
+                .sum();
+        }
+        Self {
+            normal,
+            n: std::array::from_fn(|d| r[d].len()),
+            dst0: flat([r[0].s, r[1].s, r[2].s]),
+            step,
+            src0: flat(fine),
+            sub,
+            nsub,
+        }
+    }
+
+    /// Visits every corrected coarse face as (receiver offset, offset of
+    /// its first fine face in the sender), in wire order.
+    #[inline(always)]
+    fn for_each_face(&self, ncomp: usize, mut f: impl FnMut(usize, usize)) {
+        let [si, sj, sk, sv] = self.step;
+        for v in 0..ncomp {
+            for k in 0..self.n[2] {
+                for j in 0..self.n[1] {
+                    for i in 0..self.n[0] {
+                        let coarse = i * si + j * sj + k * sk;
+                        f(self.dst0 + v * sv + coarse, self.src0 + v * sv + 2 * coarse);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Area average of the fine faces under the coarse face whose first
+    /// fine face sits at `first`.
+    #[inline(always)]
+    fn restricted<S: CellRows + ?Sized>(&self, fine: &S, first: usize) -> f64 {
+        let mut sum = 0.0;
+        for &sub in &self.sub[..self.nsub] {
+            sum += fine.row(first + sub, 1)[0];
+        }
+        sum / self.nsub as f64
+    }
+}
+
+impl TransferProgram for FluxProgram {
+    const ARRAYS: usize = 3;
+
+    fn arrays(var: &CellVariable) -> &[Array4] {
+        var.fluxes().expect("corrected variable has flux arrays")
+    }
+
+    fn arrays_mut(var: &mut CellVariable) -> &mut [Array4] {
+        var.fluxes_mut()
+            .expect("corrected variable has flux arrays")
+    }
+
+    /// The face-normal dimension.
+    fn array(&self) -> usize {
+        self.normal
+    }
+
+    fn wire_len(&self, ncomp: usize) -> usize {
+        ncomp * self.n.iter().product::<usize>()
+    }
+
+    fn storage_span(&self, ncomp: usize) -> usize {
+        ncomp * self.step[3]
+    }
+
+    /// Packs the restricted fine face fluxes into `wire`.
+    fn pack<S: CellRows + ?Sized>(&self, ncomp: usize, fine: &S, wire: &mut [f64]) {
+        debug_assert_eq!(wire.len(), self.wire_len(ncomp));
+        let mut idx = 0usize;
+        self.for_each_face(ncomp, |_, first| {
+            wire[idx] = self.restricted(fine, first);
+            idx += 1;
+        });
+    }
+
+    /// Overwrites the coarse face fluxes with the restricted values in
+    /// `wire`.
+    fn unpack<D: CellRows + ?Sized>(&self, ncomp: usize, wire: &[f64], coarse: &mut D) {
+        let mut idx = 0usize;
+        self.for_each_face(ncomp, |face, _| {
+            coarse.row_mut(face, 1)[0] = wire[idx];
+            idx += 1;
+        });
+    }
+
+    /// Restricts the fine face fluxes straight into the coarse block's.
+    fn fill<S, D>(&self, ncomp: usize, fine: &S, coarse: &mut D, _scratch: &mut Vec<f64>)
+    where
+        S: CellRows + ?Sized,
+        D: CellRows + ?Sized,
+    {
+        self.for_each_face(ncomp, |face, first| {
+            coarse.row_mut(face, 1)[0] = self.restricted(fine, first);
+        });
+    }
+}
+
 /// Packs the restricted (averaged) fine face fluxes for `spec` from the
 /// sender's flux arrays into `out`.
 ///
@@ -131,41 +279,13 @@ pub fn flux_correction_spec(
 ///
 /// Panics if the sender variable has no flux arrays.
 pub fn pack_flux(spec: &FluxCorrSpec, sender: &CellVariable, out: &mut Vec<f64>) {
-    let shape = &spec.shape;
-    let dim = shape.dim();
-    let normal = spec.normal;
     let flux = sender
-        .flux(normal)
+        .flux(spec.normal)
         .expect("sender variable has flux arrays");
     let ncomp = sender.ncomp();
-    out.reserve(spec.buffer_len(ncomp));
-    for v in 0..ncomp {
-        for (i, j, k) in spec.recv_region.iter() {
-            let recv_idx = [i, j, k];
-            // Fine face indices: the normal face is fixed; tangential cells
-            // map 1 coarse -> 2 fine.
-            let mut sum = 0.0;
-            let mut count = 0usize;
-            let tan_dims: Vec<usize> = (0..dim).filter(|&d| d != normal).collect();
-            let combos = 1usize << tan_dims.len();
-            for c in 0..combos {
-                let mut fidx = [0usize; 3];
-                fidx[normal] = spec.send_face as usize;
-                for (b, &d) in tan_dims.iter().enumerate() {
-                    let g = shape.nghost_d(d) as i64;
-                    let gr = spec.recv_origin[d] + recv_idx[d] - g;
-                    let fine_g = 2 * gr + ((c >> b) & 1) as i64;
-                    fidx[d] = (fine_g - spec.sender_origin[d] + g) as usize;
-                }
-                for f in fidx.iter_mut().skip(dim) {
-                    *f = 0;
-                }
-                sum += flux.get(v, fidx[2], fidx[1], fidx[0]);
-                count += 1;
-            }
-            out.push(sum / count as f64);
-        }
-    }
+    let start = out.len();
+    out.resize(start + spec.buffer_len(ncomp), 0.0);
+    FluxProgram::compile(spec).pack(ncomp, flux.as_slice(), &mut out[start..]);
 }
 
 /// Overwrites the coarse receiver's face fluxes with the restricted fine
@@ -177,16 +297,10 @@ pub fn pack_flux(spec: &FluxCorrSpec, sender: &CellVariable, out: &mut Vec<f64>)
 pub fn apply_flux(spec: &FluxCorrSpec, buf: &[f64], recv: &mut CellVariable) {
     let ncomp = recv.ncomp();
     assert!(buf.len() >= spec.buffer_len(ncomp), "flux buffer too short");
-    let normal = spec.normal;
-    let flux = recv.flux_mut(normal).expect("receiver has flux arrays");
-    let mut idx = 0usize;
-    for v in 0..ncomp {
-        for (i, j, k) in spec.recv_region.iter() {
-            flux.set(v, k as usize, j as usize, i as usize, buf[idx]);
-            idx += 1;
-        }
-    }
-    let _ = spec.recv_face; // recv_face is encoded in the region's normal range
+    let flux = recv
+        .flux_mut(spec.normal)
+        .expect("receiver has flux arrays");
+    FluxProgram::compile(spec).unpack(ncomp, buf, flux.as_mut_slice());
 }
 
 #[cfg(test)]

@@ -26,9 +26,12 @@ pub mod variable;
 
 pub use array::Array4;
 pub use bc::{apply_face_bc, BcKind, Side};
-pub use buffer::{compute_buffer_spec, pack, unpack, BufferMode, BufferSpec};
+pub use buffer::{
+    compute_buffer_spec, pack, unpack, BufferMode, BufferSpec, CellRows, RowProgram,
+    TransferProgram,
+};
 pub use container::{BlockData, PackStrategy, VarId, VariablePack};
-pub use fluxcorr::{apply_flux, flux_correction_spec, pack_flux, FluxCorrSpec};
+pub use fluxcorr::{apply_flux, flux_correction_spec, pack_flux, FluxCorrSpec, FluxProgram};
 pub use lanes::{minmod_lanes, F64Lanes, F64x4, F64x8, LaneMask};
 pub use ops::{minmod, prolongate_linear_1d, restrict_average};
 pub use region::Region;

@@ -178,6 +178,17 @@ impl CellVariable {
         self.fluxes.as_mut().map(|f| &mut f[d])
     }
 
+    /// All three face flux arrays, if allocated.
+    pub fn fluxes(&self) -> Option<&[Array4; 3]> {
+        self.fluxes.as_ref()
+    }
+
+    /// All three face flux arrays, mutably (disjoint borrows of several at
+    /// once), if allocated.
+    pub fn fluxes_mut(&mut self) -> Option<&mut [Array4; 3]> {
+        self.fluxes.as_mut()
+    }
+
     /// Simultaneous immutable cell data and mutable flux array along `d` —
     /// the borrow split flux kernels need (read the state, write the flux).
     ///

@@ -285,12 +285,25 @@ impl Recorder {
     /// Records one point-to-point transfer of `bytes`/`cells`, local when
     /// sender and receiver share a rank.
     pub fn record_p2p(&mut self, func: StepFunction, bytes: u64, cells: u64, local: bool) {
+        self.record_p2p_bulk(func, 1, bytes, cells, local);
+    }
+
+    /// Records `messages` point-to-point transfers totalling `bytes` and
+    /// `cells` in one add — what a plan-driven exchange knows up front.
+    pub fn record_p2p_bulk(
+        &mut self,
+        func: StepFunction,
+        messages: u64,
+        bytes: u64,
+        cells: u64,
+        local: bool,
+    ) {
         let c = self.current.comm.entry(func).or_default();
         if local {
-            c.p2p_local_messages += 1;
+            c.p2p_local_messages += messages;
             c.p2p_local_bytes += bytes;
         } else {
-            c.p2p_remote_messages += 1;
+            c.p2p_remote_messages += messages;
             c.p2p_remote_bytes += bytes;
         }
         c.cells_communicated += cells;

@@ -30,6 +30,14 @@ cargo build --workspace --release --offline
 echo "==> tier-1: tests"
 cargo test -q --workspace --offline
 
+echo "==> repository benchmark self-check"
+# The benchmark (src/bin/benchmark) is a package of its own, pinned to
+# public items of the workspace: building it and running its self-check
+# (names equal to BENCHMARK.json, a miniature of every workload passes its
+# fingerprint and cache-hit checks) makes a change to one of those items
+# fail here instead of in the perf pipeline.
+cargo run --release --offline --quiet --manifest-path src/bin/benchmark/Cargo.toml -- --check
+
 echo "==> instrumented smoke (trace_probe)"
 # Full-profiling run: exits nonzero if profiling perturbs the state or the
 # exporters emit malformed JSON (the probe self-validates both).

@@ -7,7 +7,9 @@ mod util;
 use util::Rng;
 
 use vibe_amr::field::buffer::compute_buffer_spec_with;
-use vibe_amr::field::{pack, unpack, Array4, BufferMode};
+use vibe_amr::field::{
+    pack, restrict_average, unpack, Array4, BufferMode, BufferSpec, RowProgram, TransferProgram,
+};
 use vibe_amr::mesh::{IndexShape, LogicalLocation, NeighborOffset};
 
 /// Fills a block array with a linear function of unwrapped global cell
@@ -219,6 +221,210 @@ fn prolongation_exact_for_linear_fields() {
                 .sum();
             let got = recv.get(0, k as usize, j as usize, i as usize);
             assert!((got - want).abs() < 1e-9, "({i},{j},{k}): {got} vs {want}");
+        }
+    }
+}
+
+/// Values whose sums expose any change in the order of additions: signed
+/// zeros, subnormals, and magnitudes that cancel or overflow.
+const AWKWARD: [f64; 12] = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    3.0e-320,
+    2.2250738585072014e-308,
+    1e-300,
+    1e308,
+    -1e308,
+    1.7976931348623157e308,
+    1.0,
+    -1.0,
+];
+
+/// A block array of `ncomp` components filled with a mix of ordinary and
+/// [`AWKWARD`] values.
+fn rand_array(rng: &mut Rng, shape: &IndexShape, ncomp: usize) -> Array4 {
+    let mut a = Array4::zeros([
+        ncomp,
+        shape.entire_d(2),
+        shape.entire_d(1),
+        shape.entire_d(0),
+    ]);
+    for v in a.as_mut_slice() {
+        *v = if rng.usize_in(0, 4) == 0 {
+            AWKWARD[rng.usize_in(0, AWKWARD.len())]
+        } else {
+            rng.f64_in(-3.0, 3.0)
+        };
+    }
+    a
+}
+
+fn bits(a: &Array4) -> Vec<u64> {
+    a.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// One random boundary: dimension 1–3, 2–4 ghost cells, block edge 4–16,
+/// any offset, any level relation (with either restriction setting), the
+/// receiver anywhere on a periodic level — including at its edge, where
+/// the sender is the wrapped neighbor.
+fn rand_boundary(rng: &mut Rng) -> (IndexShape, BufferSpec) {
+    let dim = rng.usize_in(1, 4);
+    let nghost = rng.usize_in(2, 5);
+    // Even (a block refines into halves) and at least 2*nghost (a fine
+    // sender restricts 2*nghost of its cells into the ghost band).
+    let edge = 2 * rng.usize_in(nghost.max(2), 9);
+    let ncells: [usize; 3] = std::array::from_fn(|d| if d < dim { edge } else { 1 });
+    let shape = IndexShape::new(ncells, nghost, dim);
+    let off: [i64; 3] = loop {
+        let o = std::array::from_fn(|d| if d < dim { rng.i64_in(-1, 2) } else { 0 });
+        if o != [0, 0, 0] {
+            break o;
+        }
+    };
+    // Blocks per dimension on the receiver's level (periodic).
+    let extent = 4i64;
+    let relation = rng.i64_in(-1, 2);
+    let mut r_lx = [0i64; 3];
+    let mut s_lx = [0i64; 3];
+    for d in 0..dim {
+        r_lx[d] = rng.i64_in(0, extent);
+        if relation == -1 {
+            // A coarser neighbor lies outside the receiver's parent.
+            match off[d] {
+                1 => r_lx[d] |= 1,
+                -1 => r_lx[d] &= !1,
+                _ => {}
+            }
+        }
+        let candidate = r_lx[d] + off[d];
+        s_lx[d] = match relation {
+            0 => candidate.rem_euclid(extent),
+            1 => {
+                // The child of the candidate that touches the receiver.
+                let bit = match off[d] {
+                    1 => 0,
+                    -1 => 1,
+                    _ => rng.i64_in(0, 2),
+                };
+                (2 * candidate + bit).rem_euclid(2 * extent)
+            }
+            _ => candidate.div_euclid(2).rem_euclid(extent / 2),
+        };
+    }
+    let r = LogicalLocation::new(2, r_lx[0], r_lx[1], r_lx[2]);
+    let s = LogicalLocation::new(2 + relation as i32, s_lx[0], s_lx[1], s_lx[2]);
+    let offset = NeighborOffset::new(off[0], off[1], off[2]);
+    let spec = compute_buffer_spec_with(&shape, &r, &s, &offset, rng.bool());
+    (shape, spec)
+}
+
+/// The direct fill of the ghost exchange leaves the receiver bit for bit
+/// as `unpack(pack(..))` does — the cells it fills and the cells it must
+/// not touch — for every mode, geometry and component count.
+#[test]
+fn direct_fill_equals_pack_then_unpack_bitwise() {
+    let mut rng = Rng::new(0xBF00_0005);
+    let mut seen = std::collections::HashSet::new();
+    let mut scratch = Vec::new();
+    for _case in 0..40 * CASES {
+        let (shape, spec) = rand_boundary(&mut rng);
+        seen.insert(spec.mode());
+        let ncomp = rng.usize_in(1, 8);
+        let sender = rand_array(&mut rng, &shape, ncomp);
+        let mut wired = rand_array(&mut rng, &shape, ncomp);
+        let mut filled = wired.clone();
+
+        let mut buf = Vec::new();
+        pack(&spec, &sender, &mut buf);
+        assert_eq!(buf.len(), spec.buffer_len(ncomp));
+        unpack(&spec, &buf, &mut wired);
+
+        let prog = RowProgram::compile(&spec);
+        assert_eq!(prog.wire_len(ncomp), spec.buffer_len(ncomp));
+        prog.fill(
+            ncomp,
+            sender.as_slice(),
+            filled.as_mut_slice(),
+            &mut scratch,
+        );
+        assert!(
+            bits(&wired) == bits(&filled),
+            "direct fill differs from pack/unpack for {spec:?}, ncomp {ncomp}"
+        );
+    }
+    assert_eq!(seen.len(), 4, "every transfer mode was drawn");
+}
+
+/// Restriction on the sender — four receiver cells per step, one per lane
+/// — equals `restrict_average` over the gathered fine cells bit for bit,
+/// on signed zeros, subnormals and cancelling magnitudes too.
+#[test]
+fn lane_restriction_equals_restrict_average_bitwise() {
+    let mut rng = Rng::new(0xBF00_0006);
+    for _case in 0..8 * CASES {
+        let dim = rng.usize_in(1, 4);
+        let nghost = rng.usize_in(2, 5);
+        let edge = 2 * rng.usize_in(nghost.max(2), 9);
+        let n = edge as i64;
+        let g = nghost as i64;
+        let ncells: [usize; 3] = std::array::from_fn(|d| if d < dim { edge } else { 1 });
+        let shape = IndexShape::new(ncells, nghost, dim);
+        let off: [i64; 3] = loop {
+            let o = std::array::from_fn(|d| if d < dim { rng.i64_in(-1, 2) } else { 0 });
+            if o != [0, 0, 0] {
+                break o;
+            }
+        };
+        // Receiver in the middle of its level, so nothing wraps and the
+        // sender's origin is its location times the block edge.
+        let r_lx: [i64; 3] = std::array::from_fn(|d| if d < dim { 3 } else { 0 });
+        let s_lx: [i64; 3] = std::array::from_fn(|d| {
+            if d >= dim {
+                return 0;
+            }
+            let bit = match off[d] {
+                1 => 0,
+                -1 => 1,
+                _ => rng.i64_in(0, 2),
+            };
+            2 * (r_lx[d] + off[d]) + bit
+        });
+        let r = LogicalLocation::new(1, r_lx[0], r_lx[1], r_lx[2]);
+        let s = LogicalLocation::new(2, s_lx[0], s_lx[1], s_lx[2]);
+        let offset = NeighborOffset::new(off[0], off[1], off[2]);
+        let spec = compute_buffer_spec_with(&shape, &r, &s, &offset, true);
+        assert_eq!(spec.mode(), BufferMode::RestrictFromFine);
+
+        let sender = rand_array(&mut rng, &shape, 1);
+        let mut buf = Vec::new();
+        pack(&spec, &sender, &mut buf);
+        let two = |d: usize| if d < dim { 2i64 } else { 1 };
+        for (cell, (i, j, k)) in spec.recv_region().iter().enumerate() {
+            // Fine cells under receiver cell (i, j, k), x fastest.
+            let coarse = [i, j, k];
+            let mut fine = Vec::new();
+            for tz in 0..two(2) {
+                for ty in 0..two(1) {
+                    for tx in 0..two(0) {
+                        let t = [tx, ty, tz];
+                        let at: [usize; 3] = std::array::from_fn(|d| {
+                            let gd = if d < dim { g } else { 0 };
+                            let global = (r_lx[d] * n + coarse[d] - gd) * two(d) + t[d];
+                            (global - s_lx[d] * n + gd) as usize
+                        });
+                        fine.push(sender.get(0, at[2], at[1], at[0]));
+                    }
+                }
+            }
+            let want = restrict_average(&fine);
+            assert_eq!(
+                buf[cell].to_bits(),
+                want.to_bits(),
+                "cell ({i},{j},{k}) of {spec:?}: {} vs {want} from {fine:?}",
+                buf[cell]
+            );
         }
     }
 }
