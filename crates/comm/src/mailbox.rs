@@ -211,6 +211,12 @@ impl Communicator {
         self.transport.rank()
     }
 
+    /// Endpoints of the transport: 1 on the shared path, where this
+    /// communicator plays every virtual rank; `nranks` on a fabric.
+    pub fn endpoints(&self) -> usize {
+        self.transport.nranks()
+    }
+
     /// Posts an asynchronous receive for `key` (idempotent until satisfied).
     pub fn start_receive(&mut self, key: BoundaryKey) {
         let mut fresh = false;
@@ -417,44 +423,16 @@ impl Communicator {
         self.probe_calls
     }
 
-    /// Executes an AllGather of `bytes_per_rank` payload from every rank
-    /// (used to aggregate refinement flags in `UpdateMeshBlockTree`).
-    ///
-    /// Accounting-only: no data moves (the shared path has every rank's
-    /// data in one address space). Rank shards use
-    /// [`Communicator::all_gather_data`] instead.
-    pub fn all_gather(&mut self, func: StepFunction, bytes_per_rank: u64, rec: &mut Recorder) {
-        let bytes = bytes_per_rank * self.nranks as u64;
-        rec.record_collective(func, CollectiveOp::AllGather, bytes);
-        self.record_event(
-            BoundaryKey::new(0, 0, 0),
-            func,
-            CommEventKind::Collective {
-                op: CollectiveOp::AllGather,
-                bytes,
-            },
-        );
-    }
-
-    /// Executes an AllReduce of `bytes` (the timestep minimum in
-    /// `EstimateTimeStep`). Accounting-only; rank shards use
-    /// [`Communicator::all_reduce_data`].
-    pub fn all_reduce(&mut self, func: StepFunction, bytes: u64, rec: &mut Recorder) {
-        rec.record_collective(func, CollectiveOp::AllReduce, bytes);
-        self.record_event(
-            BoundaryKey::new(0, 0, 0),
-            func,
-            CommEventKind::Collective {
-                op: CollectiveOp::AllReduce,
-                bytes,
-            },
-        );
-    }
-
     /// Blocking AllGather that really moves data: deposits `payload` and
-    /// returns every rank's deposit indexed by rank. Recorded bytes are the
-    /// total gathered size, identical on every rank (so merged logs
-    /// validate). Blocks until all ranks on the transport arrive.
+    /// returns every endpoint's deposit indexed by rank. Blocks until all
+    /// endpoints of the transport arrive.
+    ///
+    /// Recorded bytes are the gathered size times the virtual ranks each
+    /// endpoint stands for (`nranks / endpoints`): the full size on a
+    /// fabric, where every rank deposited, and on the shared transport —
+    /// one endpoint playing every rank — what `nranks` deposits of this
+    /// payload would have gathered. Identical on every rank, so merged
+    /// logs validate.
     pub fn all_gather_data(
         &mut self,
         func: StepFunction,
@@ -464,7 +442,8 @@ impl Communicator {
         let entered = std::time::Instant::now();
         let parts = self.transport.all_gather_bytes(func.name(), payload);
         self.collective_block_ns += entered.elapsed().as_nanos() as u64;
-        let bytes: u64 = parts.iter().map(|p| p.len() as u64).sum();
+        let gathered: u64 = parts.iter().map(|p| p.len() as u64).sum();
+        let bytes = gathered * (self.nranks / self.endpoints()) as u64;
         rec.record_collective(func, CollectiveOp::AllGather, bytes);
         self.record_event(
             BoundaryKey::new(0, 0, 0),
@@ -481,7 +460,7 @@ impl Communicator {
     /// rank's `payload` indexed by rank so the caller folds them in a fixed
     /// rank order (deterministic reduction regardless of arrival order).
     /// `bytes` is the reduced result size to record (e.g. 8 for a scalar
-    /// minimum), matching the accounting-only path.
+    /// minimum).
     pub fn all_reduce_data(
         &mut self,
         func: StepFunction,
@@ -620,8 +599,14 @@ mod tests {
     fn collectives_record_sizes() {
         let mut rec = recorder();
         let mut comm = Communicator::new(8);
-        comm.all_gather(StepFunction::UpdateMeshBlockTree, 64, &mut rec);
-        comm.all_reduce(StepFunction::EstimateTimeStep, 8, &mut rec);
+        // One endpoint standing for 8 ranks: 64 bytes each gather 512.
+        let parts = comm.all_gather_data(StepFunction::UpdateMeshBlockTree, vec![0; 64], &mut rec);
+        assert_eq!(
+            parts,
+            vec![vec![0; 64]],
+            "the only endpoint gets its own payload"
+        );
+        comm.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec);
         rec.end_cycle(1, 0, 0, 0);
         let tree = &rec.totals().comm[&StepFunction::UpdateMeshBlockTree];
         assert_eq!(tree.collectives[&CollectiveOp::AllGather], (1, 512));
@@ -870,7 +855,7 @@ mod tests {
         comm.set_task(Some("Stage0::WaitUnpack"));
         assert!(comm.try_receive(key, &mut rec).is_some());
         comm.set_task(None);
-        comm.all_reduce(StepFunction::EstimateTimeStep, 8, &mut rec);
+        comm.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec);
         rec.end_cycle(1, 0, 0, 0);
         let tasks: Vec<Option<&'static str>> = comm.events().iter().map(|e| e.task).collect();
         assert_eq!(
@@ -898,7 +883,7 @@ mod tests {
         comm.start_receive(key);
         comm.send(key, vec![1.0], meta, StepFunction::SendBoundBufs, &mut rec);
         assert!(comm.try_receive(key, &mut rec).is_some());
-        comm.all_reduce(StepFunction::EstimateTimeStep, 8, &mut rec);
+        comm.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec);
         comm.record_event(key, StepFunction::SendBoundBufs, CommEventKind::PostReceive);
         assert_eq!(comm.resident_events(), 0);
         // Back on, numbering starts where it would have without the gap.
@@ -1030,8 +1015,16 @@ mod tests {
         );
         assert!(c0.try_receive(k10, &mut rec).is_some());
         assert!(c1.try_receive(k01, &mut rec).is_some());
-        c0.all_reduce(StepFunction::EstimateTimeStep, 8, &mut rec);
-        c1.all_reduce(StepFunction::EstimateTimeStep, 8, &mut rec);
+        let reduce = |c: &mut Communicator| {
+            let mut rec = recorder();
+            c.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec);
+        };
+        let peer = std::thread::spawn(move || {
+            reduce(&mut c1);
+            c1
+        });
+        reduce(&mut c0);
+        let mut c1 = peer.join().unwrap();
         rec.end_cycle(1, 0, 0, 0);
         let mut merged = c0.take_events();
         merged.extend(c1.take_events());

@@ -1,7 +1,8 @@
 //! AMR data movement: prolongation into refined children, restriction into
-//! derefined parents (used by `RedistributeAndRefineMeshBlocks`).
+//! derefined parents, and the wire form of a block that migrates between
+//! processes (used by `RedistributeAndRefineMeshBlocks`).
 
-use vibe_field::{minmod, BlockData};
+use vibe_field::{minmod, BlockData, VarId};
 
 /// Prolongates all variables of `parent` into `child` (which occupies
 /// octant `child_index` of the parent's volume), using per-dimension
@@ -128,6 +129,34 @@ pub fn restrict_to_parent(children: &[&BlockData], parent: &mut BlockData) {
             }
         }
     }
+}
+
+/// Serializes every variable's full data array (ghosts included — the
+/// prolongation stencil reads parent neighbor cells that reach into the
+/// ghost layers) in registration order. Fluxes and stage-0 copies are dead
+/// across the regrid point (SaveStage0 overwrites them next cycle) and are
+/// not shipped.
+pub fn serialize_block(data: &BlockData) -> Vec<f64> {
+    let mut out = Vec::new();
+    for var in data.vars() {
+        out.extend_from_slice(var.data().as_slice());
+    }
+    out
+}
+
+/// Inverse of [`serialize_block`] into an identically registered container.
+///
+/// # Panics
+///
+/// Panics if `payload` does not match the container's registration.
+pub fn deserialize_into(data: &mut BlockData, payload: &[f64]) {
+    let mut offset = 0usize;
+    for i in 0..data.num_vars() {
+        let dst = data.var_mut(VarId(i)).data_mut().as_mut_slice();
+        dst.copy_from_slice(&payload[offset..offset + dst.len()]);
+        offset += dst.len();
+    }
+    assert_eq!(offset, payload.len(), "payload matches registration");
 }
 
 #[cfg(test)]
@@ -286,5 +315,25 @@ mod tests {
         let c = container(&shape);
         let mut parent = container(&shape);
         restrict_to_parent(&[&c, &c], &mut parent);
+    }
+
+    #[test]
+    fn block_payload_roundtrip() {
+        let shape = IndexShape::new([4, 4, 1], 2, 2);
+        let mut src = container(&shape);
+        src.add_variable("u", 3, Metadata::INDEPENDENT);
+        let mut next = 0.0;
+        for var in src.vars_mut() {
+            var.data_mut().as_mut_slice().fill_with(|| {
+                next += 0.25;
+                next
+            });
+        }
+        let mut dst = container(&shape);
+        dst.add_variable("u", 3, Metadata::INDEPENDENT);
+        deserialize_into(&mut dst, &serialize_block(&src));
+        for (a, b) in src.vars().iter().zip(dst.vars()) {
+            assert_eq!(a.data().as_slice(), b.data().as_slice());
+        }
     }
 }

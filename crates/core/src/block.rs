@@ -87,6 +87,29 @@ impl BlockSlot {
     }
 }
 
+/// FNV-1a fingerprint over the bit patterns of every variable of every
+/// slot, in slot then registration order — the canonical solution
+/// fingerprint shared by the bench gates and the rank-parallel runtime's
+/// headline invariant (the blocks of all ranks, merged in gid order, must
+/// hash identically to the single-process driver's).
+pub fn fingerprint_slots(slots: &[BlockSlot]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bits: u64| {
+        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
+            h ^= (bits >> shift) & 0xff;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for slot in slots {
+        for var in slot.data.vars() {
+            for &v in var.data().as_slice() {
+                eat(v.to_bits());
+            }
+        }
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

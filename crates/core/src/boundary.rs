@@ -1,9 +1,10 @@
 //! Ghost-cell communication: the StartReceiveBoundBufs → SendBoundBufs →
 //! ReceiveBoundBufs → SetBounds cycle, plus fine-coarse flux correction.
 //!
-//! One plan-compiled engine serves the single-process [`Driver`] and every
-//! [`RankShard`]: at plan time each boundary becomes a dense transfer
-//! record (sender, receiver, key, wire length) with a compiled
+//! One plan-compiled engine serves the [`Driver`] wherever it runs — every
+//! block resident under `nranks` virtual rank labels, or one rank's blocks
+//! on a transport fabric: at plan time each boundary becomes a dense
+//! transfer record (sender, receiver, key, wire length) with a compiled
 //! [`RowProgram`]; at exchange time each transfer takes one of two routes,
 //! chosen from what the engine observes:
 //!
@@ -31,7 +32,6 @@
 //! record per message used to.
 //!
 //! [`Driver`]: crate::driver::Driver
-//! [`RankShard`]: crate::shard::RankShard
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -70,68 +70,55 @@ impl Default for ExchangeConfig {
     }
 }
 
-/// The blocks an exchange runs over, indexed by gid: the driver's full slot
-/// list, or a rank shard's owned subset of it.
-pub trait BlockTable: Sync {
-    /// Number of blocks in the mesh (resident or not).
-    fn num_blocks(&self) -> usize;
-    /// Block `gid`, if its data lives in this process.
-    fn resident(&self, gid: usize) -> Option<&BlockSlot>;
-    /// Every resident block, ascending gid.
-    fn residents_mut(&mut self) -> impl Iterator<Item = &mut BlockSlot>;
-    /// The rank label block `gid` carries right now, resident or not.
-    /// Read at every exchange, so plain load balancing keeps a plan valid.
-    fn rank_of(&self, gid: usize) -> usize;
+/// `index` entry of a block whose data lives in another process.
+pub const NOT_RESIDENT: usize = usize::MAX;
+
+/// The gid → position table of `slots` (resident blocks in ascending gid)
+/// within a mesh of `num_blocks` blocks.
+pub fn resident_index(slots: &[BlockSlot], num_blocks: usize) -> Vec<usize> {
+    let mut index = vec![NOT_RESIDENT; num_blocks];
+    for (at, slot) in slots.iter().enumerate() {
+        index[slot.info.gid] = at;
+    }
+    index
 }
 
-impl BlockTable for Vec<BlockSlot> {
-    fn num_blocks(&self) -> usize {
-        self.len()
-    }
-
-    fn resident(&self, gid: usize) -> Option<&BlockSlot> {
-        self.get(gid)
-    }
-
-    fn residents_mut(&mut self) -> impl Iterator<Item = &mut BlockSlot> {
-        self.iter_mut()
-    }
-
-    fn rank_of(&self, gid: usize) -> usize {
-        self[gid].info.rank
-    }
-}
-
-/// A rank shard's view: a slot per gid, `Some` for the blocks it owns, and
-/// the replicated mesh, which knows every block's rank.
+/// The blocks an exchange runs over: the resident slots in ascending gid,
+/// where each gid of the mesh sits among them, and the replicated mesh,
+/// which knows the rank of the blocks held elsewhere.
 #[derive(Debug)]
-pub struct ShardBlocks<'a> {
-    owned: &'a mut Vec<Option<BlockSlot>>,
+pub struct BlockTable<'a> {
+    slots: &'a mut [BlockSlot],
+    index: &'a [usize],
     mesh: &'a Mesh,
 }
 
-impl<'a> ShardBlocks<'a> {
-    /// The view over a shard's `owned` slots and its replicated `mesh`.
-    pub fn of(owned: &'a mut Vec<Option<BlockSlot>>, mesh: &'a Mesh) -> Self {
-        Self { owned, mesh }
+impl<'a> BlockTable<'a> {
+    /// The view over `slots`, their [`resident_index`] and the mesh.
+    pub fn of(slots: &'a mut [BlockSlot], index: &'a [usize], mesh: &'a Mesh) -> Self {
+        Self { slots, index, mesh }
     }
-}
 
-impl BlockTable for ShardBlocks<'_> {
+    /// Number of blocks in the mesh (resident or not).
     fn num_blocks(&self) -> usize {
-        self.owned.len()
+        self.index.len()
     }
 
+    /// Block `gid`, if its data lives in this process.
     fn resident(&self, gid: usize) -> Option<&BlockSlot> {
-        self.owned[gid].as_ref()
+        self.slots.get(self.index[gid])
     }
 
-    fn residents_mut(&mut self) -> impl Iterator<Item = &mut BlockSlot> {
-        self.owned.iter_mut().flatten()
+    /// Every resident block, ascending gid.
+    fn residents_mut(&mut self) -> &mut [BlockSlot] {
+        self.slots
     }
 
+    /// The rank label block `gid` carries right now, resident or not.
+    /// Read at every exchange, so plain load balancing keeps a plan valid.
     fn rank_of(&self, gid: usize) -> usize {
-        self.mesh.block(gid).rank()
+        self.resident(gid)
+            .map_or_else(|| self.mesh.block(gid).rank(), |slot| slot.info.rank)
     }
 }
 
@@ -278,10 +265,10 @@ impl Flight {
     /// posts the mailbox receives, and queues what the poll pass waits on.
     /// The ghost exchange posts a receive for every boundary it consumes
     /// (`post_all`); flux correction only where the sender is elsewhere.
-    fn open<B: BlockTable>(
+    fn open(
         &mut self,
         transfers: &[Transfer],
-        blocks: &B,
+        blocks: &BlockTable<'_>,
         comm: &mut Communicator,
         post_all: bool,
     ) {
@@ -489,7 +476,7 @@ impl<P: TransferProgram> Lane<P> {
 
     /// Packs transfer `b` from its (resident) sender into `buf`, one
     /// variable after the other.
-    fn pack<B: BlockTable>(&self, b: usize, blocks: &B, buf: &mut Vec<f64>) {
+    fn pack(&self, b: usize, blocks: &BlockTable<'_>, buf: &mut Vec<f64>) {
         let (t, prog) = (&self.transfers[b], &self.progs[b]);
         let sender = blocks.resident(t.send).expect("sender block resident");
         buf.resize(t.wire_len, 0.0);
@@ -504,7 +491,7 @@ impl<P: TransferProgram> Lane<P> {
 
     /// Runs every direct transfer straight from the sender's storage into
     /// the receiver's, in parallel over receiver blocks.
-    fn fill_direct<B: BlockTable>(&self, flight: &Flight, blocks: &mut B, exec: ExecCtx) {
+    fn fill_direct(&self, flight: &Flight, blocks: &mut BlockTable<'_>, exec: ExecCtx) {
         // One view per (block, exchanged variable, addressable array).
         let at = |gid: usize, v: usize, a: usize| (gid * self.vars.len() + v) * P::ARRAYS + a;
         let mut cells = vec![SharedCells::empty(); at(self.start.len() - 1, 0, 0)];
@@ -544,12 +531,11 @@ impl<P: TransferProgram> Lane<P> {
 
     /// Unpacks every payload the mailbox delivered into its receiver, in
     /// parallel over receiver blocks.
-    fn unpack_delivered<B: BlockTable>(&self, flight: &Flight, blocks: &mut B, exec: ExecCtx) {
+    fn unpack_delivered(&self, flight: &Flight, blocks: &mut BlockTable<'_>, exec: ExecCtx) {
         if flight.mailed.is_empty() {
             return;
         }
-        let mut residents: Vec<&mut BlockSlot> = blocks.residents_mut().collect();
-        exec.for_each_block(&mut residents, |_, slot| {
+        exec.for_each_block(blocks.residents_mut(), |_, slot| {
             for b in self.received_by(slot.info.gid) {
                 if !matches!(flight.routes[b], Route::Mailbox | Route::Receive) {
                     continue;
@@ -590,57 +576,36 @@ pub struct ExchangePlan {
 }
 
 impl ExchangePlan {
-    /// Builds the plan for the current mesh generation, performing (and
+    /// Builds the plan for the current mesh generation from the replicated
+    /// mesh and the resident blocks' `containers`, performing (and
     /// recording) the per-block variable lookups that previously ran on
-    /// every exchange.
+    /// every exchange. Boundary enumeration only reads the mesh — like
+    /// every MPI rank, a driver that holds a few blocks knows the whole
+    /// block tree; variable ids come from the first container, which every
+    /// block registers identically.
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is not indexed by gid consistently with `mesh`.
-    pub fn build(
+    /// Panics if `containers` is empty: a process without blocks passes a
+    /// freshly registered container, since blocks may migrate to it while
+    /// the plan lives.
+    pub fn build<'a>(
         mesh: &Mesh,
-        slots: &mut [BlockSlot],
+        mut containers: impl Iterator<Item = &'a mut BlockData>,
         cfg: &ExchangeConfig,
         rec: &mut Recorder,
     ) -> Self {
-        assert_eq!(
-            slots.len(),
-            mesh.num_blocks(),
-            "slots out of sync with mesh"
-        );
-        // Variable selection per block (string-keyed or cached, per
-        // container strategy), once per generation.
-        for slot in slots.iter_mut().skip(1) {
-            slot.data.pack_by_flag(Metadata::FILL_GHOST);
-        }
-        match slots.split_first_mut() {
-            Some((first, rest)) => {
-                let plan = Self::build_from_mesh(mesh, &mut first.data, cfg, rec);
-                for slot in rest {
-                    record_lookups(&mut slot.data, rec);
-                }
-                plan
-            }
-            None => Self::build_from_mesh(mesh, &mut BlockData::new(mesh.index_shape()), cfg, rec),
-        }
-    }
-
-    /// Builds the plan from the mesh and one sample block container, without
-    /// needing every block's slot — the rank-shard path, where a shard owns
-    /// only its own blocks but (like every MPI rank) knows the full
-    /// replicated block tree. Boundary enumeration only reads the mesh;
-    /// variable ids come from `sample`, which every block registers
-    /// identically.
-    pub fn build_from_mesh(
-        mesh: &Mesh,
-        sample: &mut BlockData,
-        cfg: &ExchangeConfig,
-        rec: &mut Recorder,
-    ) -> Self {
+        let sample = containers.next().expect("a registered container");
         let ghost_ids = sample.pack_by_flag(Metadata::FILL_GHOST).ids().to_vec();
         let flux_ids = sample.pack_by_flag(Metadata::WITH_FLUXES).ids().to_vec();
         let two_stage_ids = sample.pack_by_flag(Metadata::TWO_STAGE).ids().to_vec();
         record_lookups(sample, rec);
+        // Variable selection per block (string-keyed or cached, per
+        // container strategy), once per generation.
+        for data in containers {
+            data.pack_by_flag(Metadata::FILL_GHOST);
+            record_lookups(data, rec);
+        }
         let mut plan = Self {
             ghosts: Lane::new(&ghost_ids, sample),
             fluxes: Lane::new(&flux_ids, sample),
@@ -717,9 +682,9 @@ pub struct GhostExchangeState {
 /// (`SendBoundBufs`). Direct boundaries move nothing yet:
 /// [`ghost_fill_direct`] fills them. Returns the in-flight state that
 /// [`ghost_poll`] and [`ghost_set_bounds`] retire.
-pub fn ghost_pack_and_send<B: BlockTable>(
+pub fn ghost_pack_and_send(
     plan: &ExchangePlan,
-    blocks: &B,
+    blocks: &BlockTable<'_>,
     comm: &mut Communicator,
     cache: &mut BufferCache,
     cfg: &ExchangeConfig,
@@ -772,10 +737,10 @@ pub fn ghost_pack_and_send<B: BlockTable>(
 /// nothing. Runs once per exchange: returns `true` if this call did the
 /// filling, `false` (at once) if it was done already or there is nothing
 /// to fill.
-pub fn ghost_fill_direct<B: BlockTable>(
+pub fn ghost_fill_direct(
     plan: &ExchangePlan,
     state: &mut GhostExchangeState,
-    blocks: &mut B,
+    blocks: &mut BlockTable<'_>,
     exec: ExecCtx,
     rec: &mut Recorder,
 ) -> bool {
@@ -816,10 +781,10 @@ pub fn ghost_poll(
 /// # Panics
 ///
 /// Panics unless [`ghost_poll`] reported completion for `state`.
-pub fn ghost_set_bounds<B: BlockTable>(
+pub fn ghost_set_bounds(
     plan: &ExchangePlan,
     mut state: GhostExchangeState,
-    blocks: &mut B,
+    blocks: &mut BlockTable<'_>,
     comm: &mut Communicator,
     exec: ExecCtx,
     rec: &mut Recorder,
@@ -855,10 +820,10 @@ pub fn ghost_set_bounds<B: BlockTable>(
 /// invocation of an exchange, sweeps for deliveries, and once everything
 /// arrived unpacks it and retires `state`. Until then the status says
 /// whether the invocation worked ([`TaskStatus::Progress`]) or only polled.
-pub fn ghost_wait_unpack<B: BlockTable>(
+pub fn ghost_wait_unpack(
     plan: &ExchangePlan,
     state: &mut GhostExchangeState,
-    blocks: &mut B,
+    blocks: &mut BlockTable<'_>,
     comm: &mut Communicator,
     exec: ExecCtx,
     rec: &mut Recorder,
@@ -879,9 +844,9 @@ pub fn ghost_wait_unpack<B: BlockTable>(
 /// prebuilt plan. This is the non-overlapping path (initialization and
 /// direct callers); the cycle path schedules the same phases as separate
 /// tasks so interior compute proceeds while messages are in flight.
-pub fn exchange_ghosts_with_plan<B: BlockTable>(
+pub fn exchange_ghosts_with_plan(
     plan: &ExchangePlan,
-    blocks: &mut B,
+    blocks: &mut BlockTable<'_>,
     comm: &mut Communicator,
     cache: &mut BufferCache,
     cfg: &ExchangeConfig,
@@ -898,11 +863,11 @@ pub fn exchange_ghosts_with_plan<B: BlockTable>(
 
 /// Fills the ghost zones at physical (non-periodic) domain faces of every
 /// resident block — what follows a completed ghost exchange.
-pub fn apply_physical_bcs<B: BlockTable>(
+pub fn apply_physical_bcs(
     plan: &ExchangePlan,
     mesh: &Mesh,
     kind: BcKind,
-    blocks: &mut B,
+    blocks: &mut BlockTable<'_>,
     exec: ExecCtx,
     rec: &mut Recorder,
 ) {
@@ -917,8 +882,7 @@ pub fn apply_physical_bcs<B: BlockTable>(
         .region_hot(RegionKey::Named("PhysicalBCs"));
     let shape = mesh.index_shape();
     let base_blocks = mesh.params().base_blocks();
-    let mut residents: Vec<&mut BlockSlot> = blocks.residents_mut().collect();
-    exec.for_each_block(&mut residents, |_, slot| {
+    exec.for_each_block(blocks.residents_mut(), |_, slot| {
         let loc = slot.info.loc;
         for d in (0..dim).filter(|&d| !periodic[d]) {
             let extent = base_blocks[d] << loc.level();
@@ -947,18 +911,20 @@ pub fn apply_physical_bcs<B: BlockTable>(
 ///
 /// # Panics
 ///
-/// Panics if `slots` is not indexed by gid consistently with `mesh`.
+/// Panics if `slots` is not every block of `mesh` in gid order.
 pub fn exchange_ghosts(
     mesh: &Mesh,
-    slots: &mut Vec<BlockSlot>,
+    slots: &mut [BlockSlot],
     comm: &mut Communicator,
     cache: &mut BufferCache,
     cfg: &ExchangeConfig,
     exec: ExecCtx,
     rec: &mut Recorder,
 ) {
-    let plan = ExchangePlan::build(mesh, slots, cfg, rec);
-    exchange_ghosts_with_plan(&plan, slots, comm, cache, cfg, exec, rec);
+    let plan = ExchangePlan::build(mesh, slots.iter_mut().map(|s| &mut s.data), cfg, rec);
+    let index = resident_index(slots, mesh.num_blocks());
+    let mut blocks = BlockTable::of(slots, &index, mesh);
+    exchange_ghosts_with_plan(&plan, &mut blocks, comm, cache, cfg, exec, rec);
 }
 
 /// In-flight state of one flux-correction round between its send and
@@ -973,9 +939,9 @@ pub struct FluxCorrState {
 /// order; then the direct ones restrict the fine block's face fluxes
 /// straight into the coarse block's, in parallel over receivers — the
 /// fluxes are final by now, and no corrected face is anyone's source.
-pub fn flux_corr_send<B: BlockTable>(
+pub fn flux_corr_send(
     plan: &ExchangePlan,
-    blocks: &mut B,
+    blocks: &mut BlockTable<'_>,
     comm: &mut Communicator,
     exec: ExecCtx,
     rec: &mut Recorder,
@@ -1005,10 +971,10 @@ pub fn flux_corr_send<B: BlockTable>(
 /// with the delivered restricted fine fluxes, in parallel over receiver
 /// blocks (the direct corrections were applied by [`flux_corr_send`]), and
 /// retires `state`.
-pub fn flux_corr_apply<B: BlockTable>(
+pub fn flux_corr_apply(
     plan: &ExchangePlan,
     state: &mut FluxCorrState,
-    blocks: &mut B,
+    blocks: &mut BlockTable<'_>,
     comm: &mut Communicator,
     exec: ExecCtx,
     rec: &mut Recorder,
@@ -1033,15 +999,18 @@ pub fn flux_corr_apply<B: BlockTable>(
 /// [`ExchangePlan`] and runs the send/poll/apply phases back-to-back.
 pub fn flux_correction(
     mesh: &Mesh,
-    slots: &mut Vec<BlockSlot>,
+    slots: &mut [BlockSlot],
     comm: &mut Communicator,
     exec: ExecCtx,
     rec: &mut Recorder,
 ) {
-    let plan = ExchangePlan::build(mesh, slots, &ExchangeConfig::default(), rec);
-    let mut state = flux_corr_send(&plan, slots, comm, exec, rec);
+    let cfg = ExchangeConfig::default();
+    let plan = ExchangePlan::build(mesh, slots.iter_mut().map(|s| &mut s.data), &cfg, rec);
+    let index = resident_index(slots, mesh.num_blocks());
+    let blocks = &mut BlockTable::of(slots, &index, mesh);
+    let mut state = flux_corr_send(&plan, blocks, comm, exec, rec);
     let mut sweeps = 0u32;
-    while flux_corr_apply(&plan, &mut state, slots, comm, exec, rec) != TaskStatus::Complete {
+    while flux_corr_apply(&plan, &mut state, blocks, comm, exec, rec) != TaskStatus::Complete {
         sweeps += 1;
         assert!(sweeps < 10_000, "flux corrections never arrived");
     }
@@ -1343,11 +1312,14 @@ mod tests {
             let mut rec = Recorder::new();
             rec.begin_cycle(0);
             let cfg = ExchangeConfig::default();
-            let plan = ExchangePlan::build(&mesh, &mut slots, &cfg, &mut rec);
+            let containers = slots.iter_mut().map(|s| &mut s.data);
+            let plan = ExchangePlan::build(&mesh, containers, &cfg, &mut rec);
+            let index = resident_index(&slots, mesh.num_blocks());
+            let mut blocks = BlockTable::of(&mut slots, &index, &mesh);
             if phased {
                 let mut state = ghost_pack_and_send(
                     &plan,
-                    &slots,
+                    &blocks,
                     &mut comm,
                     &mut cache,
                     &cfg,
@@ -1358,7 +1330,7 @@ mod tests {
                 ghost_set_bounds(
                     &plan,
                     state,
-                    &mut slots,
+                    &mut blocks,
                     &mut comm,
                     ExecCtx::serial(),
                     &mut rec,
@@ -1366,7 +1338,7 @@ mod tests {
             } else {
                 exchange_ghosts_with_plan(
                     &plan,
-                    &mut slots,
+                    &mut blocks,
                     &mut comm,
                     &mut cache,
                     &cfg,
@@ -1633,12 +1605,15 @@ mod tests {
         let cfg = ExchangeConfig::default();
         let mut rec = Recorder::new();
         rec.begin_cycle(0);
-        let plan = ExchangePlan::build(&mesh, &mut slots, &cfg, &mut rec);
+        let containers = slots.iter_mut().map(|s| &mut s.data);
+        let plan = ExchangePlan::build(&mesh, containers, &cfg, &mut rec);
+        let index = resident_index(&slots, mesh.num_blocks());
+        let mut blocks = BlockTable::of(&mut slots, &index, &mesh);
         let mut pools = Vec::new();
         for _ in 0..3 {
             exchange_ghosts_with_plan(
                 &plan,
-                &mut slots,
+                &mut blocks,
                 &mut comm,
                 &mut cache,
                 &cfg,

@@ -13,10 +13,10 @@ use vibe_field::{Metadata, VarId};
 use vibe_mesh::index::IndexDomain;
 use vibe_prof::Recorder;
 
+use crate::block::fingerprint_slots;
 use crate::block::BlockSlot;
 use crate::driver::Driver;
 use crate::package::{FluxPhase, Package};
-use crate::shard::fingerprint_slots;
 
 /// What [`check_package`] measured while the checks ran.
 #[derive(Debug, Clone, PartialEq)]

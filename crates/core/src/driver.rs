@@ -1,24 +1,47 @@
 //! The evolution driver: Parthenon's timestep loop, executed as a
 //! dependency-driven task graph per cycle (see [`cycle_task_graph`]).
+//!
+//! There is one implementation of the cycle, and what a [`Driver`] *hosts*
+//! follows from the transport it was given. On the only endpoint of a
+//! transport (the shared transport [`Driver::new`] builds) it holds every
+//! block and plays all `params.nranks` virtual rank labels itself; moved
+//! onto one endpoint of a fabric ([`Driver::with_transport`]) it holds the
+//! blocks labelled with its own rank and its peers hold the rest, while
+//! the mesh — the block *tree* — stays replicated, as in Parthenon. Every
+//! task body is written for the second case and degenerates to the first:
+//! a gather over one endpoint returns the caller's own payload, and a
+//! migration with every block resident has nothing to send or fetch.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use vibe_comm::{BufferCache, CacheConfig, Communicator};
+use vibe_comm::{
+    BoundaryKey, BufferCache, CacheConfig, Communicator, SendMeta, SharedTransport, Transport,
+};
 use vibe_exec::{catalog, ExecCtx, Launcher};
 use vibe_field::{BcKind, BlockData, PackStrategy};
-use vibe_mesh::{enforce_proper_nesting, AmrFlag, CostModel, DerefGate, Mesh, RegridSource};
+use vibe_mesh::{
+    enforce_proper_nesting, AmrFlag, CostModel, DerefGate, LogicalLocation, Mesh, RegridSource,
+};
 use vibe_prof::{MemSpace, ProfLevel, Recorder, RegionKey, SerialWork, StepFunction};
 
-use crate::amr::{prolongate_to_child, restrict_to_parent};
+use crate::amr::{deserialize_into, prolongate_to_child, restrict_to_parent, serialize_block};
 use crate::block::{BlockInfo, BlockSlot};
 use crate::boundary::{
     apply_physical_bcs, exchange_ghosts_with_plan, flux_corr_apply, flux_corr_send,
-    ghost_pack_and_send, ghost_wait_unpack, ExchangeConfig, ExchangePlan, FluxCorrState,
-    GhostExchangeState,
+    ghost_pack_and_send, ghost_wait_unpack, resident_index, BlockTable, ExchangeConfig,
+    ExchangePlan, FluxCorrState, GhostExchangeState, NOT_RESIDENT,
 };
 use crate::package::{FluxPhase, Package};
 use crate::tasks::{TaskKind, TaskList, TaskNode, TaskStatus};
 use crate::update::{flux_divergence_update_costed, flux_divergence_update_with_ids};
+
+/// Message-tag namespace for block-migration payloads (ghost boundaries
+/// use the neighbor index, flux corrections 1000+; migration keys are
+/// `BoundaryKey::new(old_gid, old_gid, MIGRATE_TAG)`).
+const MIGRATE_TAG: u32 = 5000;
+
+/// Refinement-flag wire byte of a block tagged on another endpoint.
+const FLAG_ELSEWHERE: u8 = 0xFF;
 
 /// Driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -286,22 +309,6 @@ pub fn cycle_task_graph() -> Vec<TaskNode> {
     g
 }
 
-/// The pieces of a decomposed [`Driver`], handed to a rank shard. Carries
-/// the full continuation state (clock, derefinement gate, history) so that
-/// shards built from a checkpoint-restored replica resume mid-run with
-/// bitwise-identical behavior.
-pub(crate) struct DriverParts<P: Package> {
-    pub mesh: Mesh,
-    pub slots: Vec<BlockSlot>,
-    pub package: P,
-    pub params: DriverParams,
-    pub time: f64,
-    pub dt: f64,
-    pub cycle: u64,
-    pub gate: DerefGate,
-    pub history: Vec<(u64, Vec<f64>)>,
-}
-
 /// Where [`Driver::initialize_impl`] gets its initial condition: the
 /// package's own problem generator, or a caller-supplied fill.
 enum IcSource<'a> {
@@ -309,32 +316,12 @@ enum IcSource<'a> {
     Custom(&'a dyn Fn(&BlockInfo, &mut BlockData)),
 }
 
-/// The task bodies of one cycle, as the single-process [`Driver`] and a
-/// [`RankShard`](crate::shard::RankShard) each provide them;
-/// [`build_cycle_list`] wires them into the graph [`cycle_task_graph`]
-/// exports.
-pub(crate) trait CycleTasks: Sized {
-    fn task_save_stage0(&mut self);
-    fn task_ghost_pack_send(&mut self, task: &'static str);
-    fn task_ghost_wait_unpack(&mut self, task: &'static str) -> TaskStatus;
-    fn task_flux(&mut self, phase: FluxPhase);
-    fn task_fcorr_send(&mut self, task: &'static str);
-    fn task_fcorr_apply(&mut self, task: &'static str) -> TaskStatus;
-    fn task_update(&mut self, stage: usize);
-    fn task_fill_derived(&mut self);
-    fn task_history(&mut self);
-    fn task_refinement_tag(&mut self);
-    fn task_tree_update(&mut self);
-    fn task_regrid(&mut self);
-    fn task_estimate_dt(&mut self);
-}
-
 /// Builds the executable task list for one cycle. Its exported graph is
 /// identical to [`cycle_task_graph`] (checked in debug builds every
 /// cycle and by a unit test).
-pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
-    let mut list: TaskList<T> = TaskList::new();
-    let save = list.add_task_meta("SaveStage0", TaskKind::Compute, [], [], |d: &mut T| {
+fn build_cycle_list<P: Package>() -> TaskList<Driver<P>> {
+    let mut list: TaskList<Driver<P>> = TaskList::new();
+    let save = list.add_task_meta("SaveStage0", TaskKind::Compute, [], [], |d| {
         d.task_save_stage0();
         TaskStatus::Complete
     });
@@ -349,7 +336,7 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
                 StepFunction::InitializeBufferCache,
             ],
             [prev],
-            move |d: &mut T| {
+            move |d| {
                 d.task_ghost_pack_send(names[0]);
                 TaskStatus::Complete
             },
@@ -359,7 +346,7 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
             TaskKind::Compute,
             [StepFunction::CalculateFluxes],
             [pack_send],
-            |d: &mut T| {
+            |d| {
                 d.task_flux(FluxPhase::Interior);
                 TaskStatus::Complete
             },
@@ -369,14 +356,14 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
             TaskKind::CommWait,
             [StepFunction::ReceiveBoundBufs, StepFunction::SetBounds],
             [pack_send],
-            move |d: &mut T| d.task_ghost_wait_unpack(names[2]),
+            move |d| d.task_ghost_wait_unpack(names[2]),
         );
         let exterior = list.add_task_meta(
             names[3],
             TaskKind::Compute,
             [StepFunction::CalculateFluxes],
             [interior, wait],
-            |d: &mut T| {
+            |d| {
                 d.task_flux(FluxPhase::Exterior);
                 TaskStatus::Complete
             },
@@ -386,7 +373,7 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
             TaskKind::CommSend,
             [StepFunction::FluxCorrection],
             [exterior],
-            move |d: &mut T| {
+            move |d| {
                 d.task_fcorr_send(names[4]);
                 TaskStatus::Complete
             },
@@ -396,14 +383,14 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
             TaskKind::CommWait,
             [StepFunction::FluxCorrection],
             [fc_send],
-            move |d: &mut T| d.task_fcorr_apply(names[5]),
+            move |d| d.task_fcorr_apply(names[5]),
         );
         let update = list.add_task_meta(
             names[6],
             TaskKind::Compute,
             [StepFunction::WeightedSumData, StepFunction::FluxDivergence],
             [fc_apply],
-            move |d: &mut T| {
+            move |d| {
                 d.task_update(stage);
                 TaskStatus::Complete
             },
@@ -413,7 +400,7 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
             TaskKind::Compute,
             [StepFunction::FillDerived],
             [update],
-            |d: &mut T| {
+            |d| {
                 d.task_fill_derived();
                 TaskStatus::Complete
             },
@@ -424,7 +411,7 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
         TaskKind::Compute,
         [StepFunction::MassHistory],
         [prev],
-        |d: &mut T| {
+        |d| {
             d.task_history();
             TaskStatus::Complete
         },
@@ -434,7 +421,7 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
         TaskKind::Compute,
         [StepFunction::RefinementTag],
         [prev],
-        |d: &mut T| {
+        |d| {
             d.task_refinement_tag();
             TaskStatus::Complete
         },
@@ -444,7 +431,7 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
         TaskKind::Serial,
         [StepFunction::UpdateMeshBlockTree],
         [tag],
-        |d: &mut T| {
+        |d| {
             d.task_tree_update();
             TaskStatus::Complete
         },
@@ -457,7 +444,7 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
             StepFunction::RebuildBufferCache,
         ],
         [tree, history],
-        |d: &mut T| {
+        |d| {
             d.task_regrid();
             TaskStatus::Complete
         },
@@ -467,7 +454,7 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
         TaskKind::Compute,
         [StepFunction::EstimateTimeStep],
         [regrid],
-        |d: &mut T| {
+        |d| {
             d.task_estimate_dt();
             TaskStatus::Complete
         },
@@ -475,14 +462,48 @@ pub(crate) fn build_cycle_list<T: CycleTasks>() -> TaskList<T> {
     list
 }
 
+/// Everything a finished driver hands back to a conductor that merges the
+/// endpoints of a fabric.
+#[derive(Debug)]
+pub struct ShardOutput {
+    /// The driver's rank on its transport.
+    pub rank: usize,
+    /// The blocks it held, ascending gid.
+    pub owned: Vec<BlockSlot>,
+    /// Its workload recorder.
+    pub recorder: Recorder,
+    /// Its archived communication events (rank-stamped, globally
+    /// sequenced on the fabric's shared counter).
+    pub events: Vec<vibe_comm::CommEvent>,
+    /// History reductions as (cycle, values) — identical on every rank.
+    pub history: Vec<(u64, Vec<f64>)>,
+    /// Final simulation time.
+    pub time: f64,
+    /// Final timestep.
+    pub dt: f64,
+    /// Completed cycles.
+    pub cycles: u64,
+    /// Causal task spans (rank/cycle-stamped), empty unless
+    /// [`DriverParams::capture_spans`] was on.
+    pub spans: Vec<vibe_prof::TaskSpan>,
+    /// Directly measured wait probes (collective blocking, migration
+    /// stalls) accumulated over the run.
+    pub probes: vibe_prof::WaitProbes,
+}
+
 /// The evolution driver: owns the mesh, block data, communication state,
 /// and profiler, and advances the simulation with the paper's timestep
 /// loop (`Step` → `LoadBalancingAndAMR` → `EstimateTimeStep`), each cycle
 /// executed as the dependency-driven task graph of [`cycle_task_graph`].
+/// See the module docs for which blocks it holds.
 #[derive(Debug)]
 pub struct Driver<P: Package> {
+    /// The replicated mesh: every block's location, neighbors and rank.
     mesh: Mesh,
+    /// The resident blocks in ascending gid.
     slots: Vec<BlockSlot>,
+    /// gid → position in `slots` ([`NOT_RESIDENT`] for blocks a peer holds).
+    index: Vec<usize>,
     package: P,
     params: DriverParams,
     comm: Communicator,
@@ -503,8 +524,9 @@ pub struct Driver<P: Package> {
     fcorr_state: FluxCorrState,
     /// Timestep frozen at the start of the current cycle's task list.
     step_dt: f64,
-    /// Refinement flags handed from the RefinementTag task to TreeUpdate.
-    step_flags: BTreeMap<vibe_mesh::LogicalLocation, AmrFlag>,
+    /// Refinement flags of the resident blocks, one byte per block of the
+    /// mesh, handed from the RefinementTag task to TreeUpdate.
+    step_flags: Vec<u8>,
     /// Regrid decision handed from TreeUpdate to Regrid.
     step_decision: Option<vibe_mesh::refinement::RegridDecision>,
     /// (refined, derefined) counts recorded by the Regrid task.
@@ -518,22 +540,20 @@ pub struct Driver<P: Package> {
     span_log: Vec<vibe_prof::TaskSpan>,
     /// Accumulated wait probes (collective blocking, migration stalls).
     wait_probes: vibe_prof::WaitProbes,
-    /// This cycle's measured per-gid cost ledger (ns), reset every cycle
-    /// and consumed by the Regrid task when
+    /// This cycle's measured per-gid cost ledger (ns) of the resident
+    /// blocks, reset every cycle and consumed by the Regrid task when
     /// [`DriverParams::measured_costs`] is on.
     block_cost_ns: Vec<u64>,
 }
 
 impl<P: Package> Driver<P> {
-    /// Creates a driver over `mesh` with `package` physics.
+    /// Creates a driver over `mesh` with `package` physics, holding every
+    /// block on a shared transport of its own.
     pub fn new(mesh: Mesh, package: P, params: DriverParams) -> Self {
         let mut mesh = mesh;
         mesh.load_balance(params.nranks);
-        let mut comm = Communicator::new(params.nranks);
-        comm.set_remote_delivery_delay(params.remote_delivery_polls);
-        comm.set_event_capture(params.capture_comm_events);
         let mut driver = Self {
-            comm,
+            comm: Self::communicator(&params, Box::new(SharedTransport::new())),
             cache: BufferCache::new(),
             rec: Recorder::with_prof_level(params.prof_level),
             gate: DerefGate::new(mesh.params().deref_gap()),
@@ -542,11 +562,12 @@ impl<P: Package> Driver<P> {
             cycle: 0,
             history: Vec::new(),
             slots: Vec::new(),
+            index: Vec::new(),
             plan: None,
             ghost_state: GhostExchangeState::default(),
             fcorr_state: FluxCorrState::default(),
             step_dt: 0.0,
-            step_flags: BTreeMap::new(),
+            step_flags: Vec::new(),
             step_decision: None,
             step_counts: (0, 0),
             comm_log: Vec::new(),
@@ -560,16 +581,83 @@ impl<P: Package> Driver<P> {
         driver.slots = (0..driver.mesh.num_blocks())
             .map(|gid| driver.new_slot(gid))
             .collect();
-        let bytes: usize = driver.slots.iter().map(BlockSlot::nbytes).sum();
+        driver.index = resident_index(&driver.slots, driver.mesh.num_blocks());
+        let bytes = driver.total_field_bytes();
         driver.rec.record_alloc(MemSpace::Kokkos, bytes as i64);
         driver
     }
 
-    fn new_slot(&self, gid: usize) -> BlockSlot {
+    /// Moves an initialized driver onto `transport`, keeping the blocks it
+    /// hosts there. This is how an endpoint of a fabric is born: every
+    /// rank constructs the same driver, applies the same initial condition
+    /// and lets the deterministic init sequence adapt the mesh — a
+    /// bitwise-identical replica everywhere without any startup
+    /// communication — then keeps the blocks labelled with its own rank
+    /// and drops the rest. The clock, derefinement gate and history carry
+    /// over (a replica restored from a checkpoint resumes mid-run, and the
+    /// gate keys decisions on absolute cycle numbers); the recorder, event
+    /// and span logs, buffer cache and exchange plan start afresh, since
+    /// initialization is not attributed to any cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transport is a fabric of other than `params.nranks`
+    /// endpoints, or if the driver was never initialized.
+    pub fn with_transport(self, transport: Box<dyn Transport>) -> Self {
+        assert!(
+            transport.nranks() == 1 || transport.nranks() == self.params.nranks,
+            "a fabric needs one endpoint per rank of the decomposition"
+        );
+        assert!(
+            self.dt > 0.0,
+            "initialize() must run before with_transport()"
+        );
+        let comm = Self::communicator(&self.params, transport);
+        let mut moved = Self {
+            comm,
+            cache: BufferCache::new(),
+            rec: Recorder::with_prof_level(self.params.prof_level),
+            plan: None,
+            ghost_state: GhostExchangeState::default(),
+            fcorr_state: FluxCorrState::default(),
+            comm_log: Vec::new(),
+            span_log: Vec::new(),
+            wait_probes: vibe_prof::WaitProbes::default(),
+            block_cost_ns: Vec::new(),
+            ..self
+        };
+        let hosted = moved.hosting();
+        moved.slots.retain(|slot| hosted(slot.info.rank));
+        moved.index = resident_index(&moved.slots, moved.mesh.num_blocks());
+        let bytes = moved.total_field_bytes();
+        moved.rec.record_alloc(MemSpace::Kokkos, bytes as i64);
+        moved
+    }
+
+    fn communicator(params: &DriverParams, transport: Box<dyn Transport>) -> Communicator {
+        let mut comm = Communicator::with_transport(params.nranks, transport);
+        comm.set_remote_delivery_delay(params.remote_delivery_polls);
+        comm.set_event_capture(params.capture_comm_events);
+        comm
+    }
+
+    /// Which rank labels' blocks this driver holds: every label on the
+    /// only endpoint of a transport, its own rank's on a fabric.
+    fn hosting(&self) -> impl Fn(usize) -> bool + Copy {
+        let (endpoints, me) = (self.comm.endpoints(), self.comm.rank());
+        move |label| endpoints == 1 || label == me
+    }
+
+    /// Builds a fresh registered container for this problem.
+    fn fresh_data(&self) -> BlockData {
         let mut data = BlockData::new(self.mesh.index_shape());
         data.set_pack_strategy(self.params.pack_strategy);
         self.package.register(&mut data);
-        BlockSlot::new(BlockInfo::from_mesh(&self.mesh, gid), data)
+        data
+    }
+
+    fn new_slot(&self, gid: usize) -> BlockSlot {
+        BlockSlot::new(BlockInfo::from_mesh(&self.mesh, gid), self.fresh_data())
     }
 
     /// The mesh.
@@ -582,7 +670,8 @@ impl<P: Package> Driver<P> {
         &self.package
     }
 
-    /// All block slots in gid order.
+    /// The resident block slots in gid order: every block of the mesh
+    /// unless the driver was moved onto a fabric.
     pub fn slots(&self) -> &[BlockSlot] {
         &self.slots
     }
@@ -590,6 +679,11 @@ impl<P: Package> Driver<P> {
     /// Mutable block slots (initial conditions).
     pub fn slots_mut(&mut self) -> &mut [BlockSlot] {
         &mut self.slots
+    }
+
+    /// This driver's rank on its transport (0 on the shared transport).
+    pub fn rank(&self) -> usize {
+        self.comm.rank()
     }
 
     /// The workload recorder.
@@ -624,7 +718,7 @@ impl<P: Package> Driver<P> {
         self.rec
     }
 
-    /// Archived causal task spans (rank 0, cycle-stamped); empty unless
+    /// Archived causal task spans (rank- and cycle-stamped); empty unless
     /// [`DriverParams::capture_spans`] is on.
     pub fn task_spans(&self) -> &[vibe_prof::TaskSpan] {
         &self.span_log
@@ -661,9 +755,32 @@ impl<P: Package> Driver<P> {
         &self.history
     }
 
-    /// Total live field bytes across all blocks.
+    /// Total live field bytes across the resident blocks.
     pub fn total_field_bytes(&self) -> usize {
         self.slots.iter().map(BlockSlot::nbytes).sum()
+    }
+
+    /// Blocks until every endpoint of the transport reaches this barrier
+    /// (used by a conductor to bracket timed regions).
+    pub fn barrier(&mut self, label: &'static str) {
+        self.comm.barrier(label);
+    }
+
+    /// Finishes the driver, returning everything a conductor merges.
+    pub fn finish(mut self) -> ShardOutput {
+        self.drain_comm_events();
+        ShardOutput {
+            rank: self.comm.rank(),
+            owned: self.slots,
+            recorder: self.rec,
+            events: self.comm_log,
+            history: self.history,
+            time: self.time,
+            dt: self.dt,
+            cycles: self.cycle,
+            spans: self.span_log,
+            probes: self.wait_probes,
+        }
     }
 
     /// Host execution context for per-block parallel stages.
@@ -708,6 +825,8 @@ impl<P: Package> Driver<P> {
         }
     }
 
+    /// Runs on the shared transport a driver is born with, every block
+    /// resident: the tag/regrid rounds need no gather and move no block.
     fn initialize_impl(&mut self, ic: IcSource<'_>) {
         // Comm events during initialization carry a sentinel cycle so
         // consumers replaying per-cycle streams (vibe-sim) can drop them,
@@ -722,16 +841,20 @@ impl<P: Package> Driver<P> {
         self.apply_ic(&ic);
         for _ in 0..rounds {
             self.exchange();
-            let flags = self.collect_tags();
+            let tags = self.collect_tags();
+            let flags = self.flags_by_location(&[tags]);
             let decision = enforce_proper_nesting(self.mesh.tree(), &flags);
             if decision.is_empty() {
                 break;
             }
-            self.apply_regrid(&decision);
+            let outcome = self.mesh.regrid(&decision).expect("valid regrid decision");
+            self.move_blocks(&outcome.sources, true);
             self.apply_ic(&ic);
         }
         self.mesh.load_balance(self.params.nranks);
-        self.sync_ranks();
+        for slot in &mut self.slots {
+            slot.info.rank = self.mesh.block(slot.info.gid).rank();
+        }
         self.exchange();
         self.task_fill_derived();
         self.estimate_dt();
@@ -760,9 +883,18 @@ impl<P: Package> Driver<P> {
     /// Advances one full cycle by executing the [`cycle_task_graph`]: RK2
     /// predictor + corrector with split ghost exchanges (interior flux work
     /// overlapping in-flight boundary traffic), then the AMR tail and the
-    /// timestep estimate. The ready sweep is deterministic, so results are
+    /// timestep estimate.
+    ///
+    /// The executor's ready sweep is deterministic — tasks complete in
+    /// insertion order once their dependencies resolve — so results are
     /// bitwise identical to a fully barriered stage sequence at any
-    /// `host_threads`.
+    /// `host_threads`, and every endpoint of a fabric issues its
+    /// collectives in the same program order (the
+    /// [`CollectiveHub`](vibe_comm::CollectiveHub) panics if ranks ever
+    /// rendezvous under different labels). This is the first of the three
+    /// properties that make the solution independent of the decomposition;
+    /// the rank-ordered reduction (`estimate_dt`) and the order-free flag
+    /// merge (`flags_by_location`) are the others.
     pub fn step(&mut self) -> CycleSummary {
         assert!(self.dt > 0.0, "initialize() must run before step()");
         self.rec.begin_cycle(self.cycle);
@@ -779,12 +911,17 @@ impl<P: Package> Driver<P> {
         }
         let dt = self.dt;
         self.step_dt = dt;
-        let mut list = build_cycle_list::<Self>();
+        let mut list = build_cycle_list::<P>();
         debug_assert_eq!(
             list.graph(),
             cycle_task_graph(),
             "driver task list drifted from the exported cycle graph"
         );
+        if self.comm.endpoints() > 1 {
+            // Waits on a peer thread can take arbitrarily many polls; the
+            // default budget exists to catch single-process deadlocks.
+            list.set_max_polls(usize::MAX / 2);
+        }
         let capture = self.params.capture_spans;
         let mut cycle_spans: Vec<vibe_prof::TaskSpan> = Vec::new();
         let stats = list
@@ -796,9 +933,8 @@ impl<P: Package> Driver<P> {
         }
         let blocked = self.comm.take_collective_block_ns();
         if capture {
-            // The driver executes every virtual rank in one thread: its
-            // spans all carry rank 0 (the executor's default).
             for s in &mut cycle_spans {
+                s.rank = self.comm.rank();
                 s.cycle = self.cycle;
             }
             self.span_log.append(&mut cycle_spans);
@@ -816,7 +952,7 @@ impl<P: Package> Driver<P> {
         self.time += dt;
         self.cycle += 1;
         self.drain_comm_events();
-        let mut timing = self.last_cycle_timing();
+        let mut timing = last_cycle_timing(&self.rec);
         if wall.enabled() {
             timing.compute_task_ns = stats.compute_ns;
             timing.overlapped_compute_ns = stats.overlapped_compute_ns;
@@ -831,9 +967,7 @@ impl<P: Package> Driver<P> {
             timing,
         }
     }
-}
 
-impl<P: Package> CycleTasks for Driver<P> {
     /// Copies cycle-start state of all two-stage variables (ids cached in
     /// the exchange plan).
     fn task_save_stage0(&mut self) {
@@ -851,8 +985,10 @@ impl<P: Package> CycleTasks for Driver<P> {
         });
     }
 
-    /// PackSend task: posts receives, packs and ships the ghost buffers
-    /// that go through the mailbox.
+    /// PackSend task: posts receives for the boundaries the resident
+    /// blocks consume, packs and ships the ones that go through the
+    /// mailbox; same-rank boundaries wait for the direct fill in
+    /// WaitUnpack.
     fn task_ghost_pack_send(&mut self, task: &'static str) {
         let cfg = self.params.exchange_config();
         let exec = self.exec();
@@ -861,7 +997,7 @@ impl<P: Package> CycleTasks for Driver<P> {
         self.comm.set_task(Some(task));
         self.ghost_state = ghost_pack_and_send(
             self.plan.as_ref().expect("plan built"),
-            &self.slots,
+            &BlockTable::of(&mut self.slots, &self.index, &self.mesh),
             &mut self.comm,
             &mut self.cache,
             &cfg,
@@ -880,10 +1016,11 @@ impl<P: Package> CycleTasks for Driver<P> {
         let _g = wall.region(RegionKey::Named("GhostExchange"));
         self.comm.set_task(Some(task));
         let plan = self.plan.as_ref().expect("plan built");
+        let mut blocks = BlockTable::of(&mut self.slots, &self.index, &self.mesh);
         let status = ghost_wait_unpack(
             plan,
             &mut self.ghost_state,
-            &mut self.slots,
+            &mut blocks,
             &mut self.comm,
             exec,
             &mut self.rec,
@@ -891,7 +1028,16 @@ impl<P: Package> CycleTasks for Driver<P> {
         self.comm.set_task(None);
         if status == TaskStatus::Complete {
             let kind = self.params.boundary_condition;
-            apply_physical_bcs(plan, &self.mesh, kind, &mut self.slots, exec, &mut self.rec);
+            apply_physical_bcs(plan, &self.mesh, kind, &mut blocks, exec, &mut self.rec);
+        }
+        self.yield_to_peers(status)
+    }
+
+    /// Hands the OS thread on when a wait is still incomplete and what it
+    /// waits for is packed by a peer endpoint's thread.
+    fn yield_to_peers(&self, status: TaskStatus) -> TaskStatus {
+        if status != TaskStatus::Complete && self.comm.endpoints() > 1 {
+            std::thread::yield_now();
         }
         status
     }
@@ -928,7 +1074,7 @@ impl<P: Package> CycleTasks for Driver<P> {
         self.comm.set_task(Some(task));
         self.fcorr_state = flux_corr_send(
             self.plan.as_ref().expect("plan built"),
-            &mut self.slots,
+            &mut BlockTable::of(&mut self.slots, &self.index, &self.mesh),
             &mut self.comm,
             exec,
             &mut self.rec,
@@ -944,13 +1090,13 @@ impl<P: Package> CycleTasks for Driver<P> {
         let status = flux_corr_apply(
             self.plan.as_ref().expect("plan built"),
             &mut self.fcorr_state,
-            &mut self.slots,
+            &mut BlockTable::of(&mut self.slots, &self.index, &self.mesh),
             &mut self.comm,
             exec,
             &mut self.rec,
         );
         self.comm.set_task(None);
-        status
+        self.yield_to_peers(status)
     }
 
     /// RK2 stage update (flux ids cached in the exchange plan).
@@ -968,7 +1114,7 @@ impl<P: Package> CycleTasks for Driver<P> {
         let measured = self.params.measured_costs;
         let ledger = &mut self.block_cost_ns;
         let rec = &mut self.rec;
-        Self::for_rank_packs_static(&self.mesh, &mut self.slots, |pack| {
+        for_each_rank_pack(&mut self.slots, |pack| {
             if measured {
                 let mut cost = vec![0u64; pack.len()];
                 flux_divergence_update_costed(pack, exec, a0, b, c, dt, &ids, rec, &mut cost);
@@ -992,7 +1138,12 @@ impl<P: Package> CycleTasks for Driver<P> {
     }
 
     /// MassHistory task; a no-op on cycles the `history_every` gate skips
-    /// (the graph stays static, the work doesn't run).
+    /// (the graph stays static, the work doesn't run). Per-block
+    /// contributions are tagged with their gid, gathered from every
+    /// endpoint, and folded in *global gid order*: the reduction order is
+    /// the same whatever the rank partition, so the history of any
+    /// decomposition is bitwise identical to the single-rank fold. Every
+    /// endpoint joins the gather, including ones without blocks.
     fn task_history(&mut self) {
         if self.params.history_every == 0 || !self.cycle.is_multiple_of(self.params.history_every) {
             return;
@@ -1001,17 +1152,29 @@ impl<P: Package> CycleTasks for Driver<P> {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::MassHistory));
         let ncols = self.package.history_labels().len();
-        // Collect per-block rows tagged with gid, then fold in global gid
-        // order: the reduction order is the same whatever the rank
-        // partition, so multi-rank history is bitwise identical to the
-        // single-rank fold (and to the shard path's gathered fold).
-        let mut rows: Vec<(usize, Vec<f64>)> = Vec::new();
+        // One (gid: u64 le, row: ncols × f64 le) entry per resident block.
+        let mut payload: Vec<u8> = Vec::new();
         self.with_rank_packs(StepFunction::MassHistory, |pkg, pack, rec| {
             let contrib = pkg.history_contributions(pack, exec, rec);
             for (slot, row) in pack.iter().zip(contrib) {
-                rows.push((slot.info.gid, row));
+                payload.extend_from_slice(&(slot.info.gid as u64).to_le_bytes());
+                for v in row {
+                    payload.extend_from_slice(&v.to_le_bytes());
+                }
             }
         });
+        self.comm.set_task(Some("MassHistory"));
+        let parts = self.gather_across_endpoints(StepFunction::MassHistory, payload);
+        self.comm.set_task(None);
+        let mut rows: Vec<(u64, Vec<f64>)> = Vec::new();
+        for entry in parts.iter().flat_map(|p| p.chunks_exact(8 + 8 * ncols)) {
+            let gid = u64::from_le_bytes(entry[..8].try_into().expect("8-byte gid"));
+            let row = entry[8..]
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte value")))
+                .collect();
+            rows.push((gid, row));
+        }
         rows.sort_by_key(|&(gid, _)| gid);
         let mut values = vec![0.0; ncols];
         for (_, row) in rows {
@@ -1022,19 +1185,40 @@ impl<P: Package> CycleTasks for Driver<P> {
         self.history.push((self.cycle, values));
     }
 
-    /// UpdateMeshBlockTree task: gather flags across ranks, reconcile into
-    /// a regrid decision for the Regrid task.
+    /// Every endpoint's `payload`, indexed by rank — for data only a
+    /// fabric splits up: a recorded AllGather between its endpoints, and
+    /// on the only endpoint of a transport, where every block is resident
+    /// and nothing needs gathering, the payload itself.
+    pub(crate) fn gather_across_endpoints(
+        &mut self,
+        func: StepFunction,
+        payload: Vec<u8>,
+    ) -> Vec<Vec<u8>> {
+        if self.comm.endpoints() == 1 {
+            return vec![payload];
+        }
+        self.comm.all_gather_data(func, payload, &mut self.rec)
+    }
+
+    fn task_refinement_tag(&mut self) {
+        self.step_flags = self.collect_tags();
+    }
+
+    /// UpdateMeshBlockTree task: an AllGather of every rank's refinement
+    /// flags — one byte per block of the replicated mesh from each rank —
+    /// reconciled into a regrid decision for the Regrid task by
+    /// proper-nesting enforcement and the derefinement-gate filter:
+    /// replicated tree surgery, identical on every endpoint.
     fn task_tree_update(&mut self) {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::UpdateMeshBlockTree));
         self.comm.set_task(Some("TreeUpdate"));
-        self.comm.all_gather(
-            StepFunction::UpdateMeshBlockTree,
-            self.mesh.num_blocks() as u64,
-            &mut self.rec,
-        );
+        let tags = std::mem::take(&mut self.step_flags);
+        let parts =
+            self.comm
+                .all_gather_data(StepFunction::UpdateMeshBlockTree, tags, &mut self.rec);
         self.comm.set_task(None);
-        let flags = std::mem::take(&mut self.step_flags);
+        let flags = self.flags_by_location(&parts);
         let mut decision = enforce_proper_nesting(self.mesh.tree(), &flags);
         decision.derefine_parents = self.gate.filter(decision.derefine_parents, self.cycle);
         self.rec.record_serial(
@@ -1050,83 +1234,99 @@ impl<P: Package> CycleTasks for Driver<P> {
         self.step_decision = Some(decision);
     }
 
-    /// Regrid task: apply the decision, load-balance, account block moves
-    /// and list rebuilds, rebuild the buffer cache when invalidated.
+    /// Regrid task: replicated tree surgery and load balance, then the
+    /// blocks follow the new ownership map ([`Self::move_blocks`]); block
+    /// moves and list rebuilds are accounted, the buffer cache rebuilt
+    /// when invalidated.
     fn task_regrid(&mut self) {
+        let func = StepFunction::RedistributeAndRefineMeshBlocks;
         let wall = self.rec.wall().clone();
-        let _g = wall.region(RegionKey::Step(
-            StepFunction::RedistributeAndRefineMeshBlocks,
-        ));
+        let _g = wall.region(RegionKey::Step(func));
+        self.comm.set_task(Some("Regrid"));
         let decision = self.step_decision.take().expect("tree update ran");
         self.step_counts = (decision.refine.len(), decision.derefine_parents.len());
-        let sources = if !decision.is_empty() {
+        let structural = !decision.is_empty();
+        let sources: Vec<RegridSource> = if structural {
             for parent in &decision.derefine_parents {
                 self.gate.record_derefine(parent, self.cycle);
             }
             for loc in &decision.refine {
                 self.gate.record_refine(loc, self.cycle);
             }
-            Some(self.apply_regrid(&decision))
+            let outcome = self.mesh.regrid(&decision).expect("valid regrid decision");
+            outcome.sources
         } else {
-            None
+            (0..self.mesh.num_blocks())
+                .map(|old_gid| RegridSource::Unchanged { old_gid })
+                .collect()
         };
         // Load balancing every cycle (paper configuration), with per-block
         // workload costs: either the modeled estimate or this cycle's
         // measured flux+update ledger mapped through the regrid provenance.
-        let old_ranks: Vec<usize> = self.slots.iter().map(|s| s.info.rank).collect();
+        let nblocks = self.mesh.num_blocks();
+        let labels_before: Vec<usize> = (0..nblocks).map(|g| self.mesh.block(g).rank()).collect();
         if self.params.measured_costs && !self.block_cost_ns.is_empty() {
-            let mapped = match &sources {
-                Some(s) => map_block_costs(&self.block_cost_ns, s),
-                None => self.block_cost_ns.clone(),
-            };
-            for (gid, &ns) in mapped.iter().enumerate() {
+            // An endpoint measured only the blocks it holds (the ledger is
+            // zero elsewhere): gather every endpoint's ledger and merge by
+            // maximum, so every replica applies identical weights (the
+            // deterministic partition depends on it).
+            let payload = self
+                .block_cost_ns
+                .iter()
+                .flat_map(|ns| ns.to_le_bytes())
+                .collect();
+            let mut ledger = vec![0u64; self.block_cost_ns.len()];
+            for part in self.gather_across_endpoints(func, payload) {
+                for (merged, ns) in ledger.iter_mut().zip(part.chunks_exact(8)) {
+                    let ns = u64::from_le_bytes(ns.try_into().expect("8-byte cost"));
+                    *merged = (*merged).max(ns);
+                }
+            }
+            for (gid, &ns) in map_block_costs(&ledger, &sources).iter().enumerate() {
                 self.mesh.set_block_cost(gid, (ns as f64).max(1.0));
             }
         } else {
             self.params.cost_model.apply(&mut self.mesh);
         }
         self.mesh.load_balance(self.params.nranks);
-        self.sync_ranks();
-        // Blocks that moved ranks ship their full state.
-        for (slot, &old_rank) in self.slots.iter().zip(&old_ranks) {
-            if slot.info.rank != old_rank {
+        self.move_blocks(&sources, structural);
+        // A block that changed label between two ranks this driver plays
+        // would have shipped its full state: modeled here. (Between
+        // endpoints of a fabric the shipment is real and the mailbox
+        // recorded it.)
+        let hosted = self.hosting();
+        for slot in &self.slots {
+            let before = labels_before[slot.info.gid];
+            if slot.info.rank != before && hosted(before) {
                 let bytes = slot.nbytes() as u64;
                 let cells = slot.data.shape().interior_count() as u64;
-                self.rec.record_p2p(
-                    StepFunction::RedistributeAndRefineMeshBlocks,
-                    bytes,
-                    cells,
-                    false,
-                );
+                self.rec.record_p2p(func, bytes, cells, false);
             }
         }
         // Per-cycle list rebuild, cost computation, ownership update, and
         // SetMeshBlockNeighbors — load balancing runs every cycle in the
         // paper's configuration, and this scalar block management is the
-        // dominant serial cost of low-rank GPU runs (Fig. 11).
-        self.rec.record_serial(
-            StepFunction::RedistributeAndRefineMeshBlocks,
-            SerialWork::BlockLoop(8 * self.mesh.num_blocks() as u64),
-        );
-        let boundary_count: usize = (0..self.mesh.num_blocks())
-            .map(|g| self.mesh.neighbors(g).len())
-            .sum();
-        self.rec.record_serial(
-            StepFunction::RedistributeAndRefineMeshBlocks,
-            SerialWork::BoundaryLoop(boundary_count as u64),
-        );
+        // dominant serial cost of low-rank GPU runs (Fig. 11). Every
+        // endpoint of a fabric does it over the whole replicated list.
+        self.rec
+            .record_serial(func, SerialWork::BlockLoop(8 * nblocks as u64));
+        let boundaries = self.boundary_count();
+        self.rec
+            .record_serial(func, SerialWork::BoundaryLoop(boundaries));
         // BuildTagMapAndBoundaryBuffers + SetMeshBlockNeighbors.
         if !self.cache.is_valid() {
-            let nbuffers: usize = (0..self.mesh.num_blocks())
-                .map(|g| self.mesh.neighbors(g).len())
-                .sum();
             self.cache
-                .rebuild(nbuffers as u64, nbuffers as u64 * 96, &mut self.rec);
+                .rebuild(boundaries, boundaries * 96, &mut self.rec);
         }
+        self.comm.mark_all_stale();
+        self.comm.set_task(None);
     }
 
-    fn task_refinement_tag(&mut self) {
-        self.step_flags = self.collect_tags();
+    /// Boundaries of the whole mesh (every block's neighbor count).
+    fn boundary_count(&self) -> u64 {
+        (0..self.mesh.num_blocks())
+            .map(|g| self.mesh.neighbors(g).len() as u64)
+            .sum()
     }
 
     fn task_estimate_dt(&mut self) {
@@ -1134,21 +1334,382 @@ impl<P: Package> CycleTasks for Driver<P> {
         self.estimate_dt();
         self.comm.set_task(None);
     }
+
+    /// Rebuilds the communication plan if the mesh generation changed
+    /// (plan invalidation happens in [`Self::move_blocks`]). A driver
+    /// without blocks compiles it from a spare container: blocks may
+    /// migrate to it while the plan lives.
+    fn ensure_plan(&mut self) {
+        if self.plan.is_none() {
+            let cfg = self.params.exchange_config();
+            let mut spare = self.slots.is_empty().then(|| self.fresh_data());
+            let containers = self.slots.iter_mut().map(|s| &mut s.data);
+            self.plan = Some(ExchangePlan::build(
+                &self.mesh,
+                containers.chain(spare.as_mut()),
+                &cfg,
+                &mut self.rec,
+            ));
+        }
+    }
+
+    /// One blocking ghost exchange over all FILL_GHOST variables, followed
+    /// by physical boundary conditions at non-periodic domain faces (the
+    /// initializer's path; cycles run the same phases as separate tasks).
+    fn exchange(&mut self) {
+        let cfg = self.params.exchange_config();
+        let exec = self.exec();
+        self.ensure_plan();
+        let wall = self.rec.wall().clone();
+        let _g = wall.region(RegionKey::Named("GhostExchange"));
+        let plan = self.plan.as_ref().expect("plan built");
+        let mut blocks = BlockTable::of(&mut self.slots, &self.index, &self.mesh);
+        exchange_ghosts_with_plan(
+            plan,
+            &mut blocks,
+            &mut self.comm,
+            &mut self.cache,
+            &cfg,
+            exec,
+            &mut self.rec,
+        );
+        let kind = self.params.boundary_condition;
+        apply_physical_bcs(plan, &self.mesh, kind, &mut blocks, exec, &mut self.rec);
+    }
+
+    /// Tags the resident blocks, pack by pack. Returns one wire byte per
+    /// block of the mesh, [`FLAG_ELSEWHERE`] for the ones tagged by a
+    /// peer; the cross-rank merge is [`Self::flags_by_location`].
+    fn collect_tags(&mut self) -> Vec<u8> {
+        let wall = self.rec.wall().clone();
+        let _g = wall.region(RegionKey::Step(StepFunction::RefinementTag));
+        let exec = self.exec();
+        let mut tags = vec![FLAG_ELSEWHERE; self.mesh.num_blocks()];
+        self.with_rank_packs(StepFunction::RefinementTag, |pkg, pack, rec| {
+            rec.record_serial(
+                StepFunction::RefinementTag,
+                SerialWork::BlockLoop(pack.len() as u64),
+            );
+            let pack_flags = pkg.tag_refinement(pack, exec, rec);
+            for (slot, flag) in pack.iter().zip(pack_flags) {
+                tags[slot.info.gid] = match flag {
+                    AmrFlag::Derefine => 0,
+                    AmrFlag::Same => 1,
+                    AmrFlag::Refine => 2,
+                };
+            }
+        });
+        tags
+    }
+
+    /// Merges every endpoint's tag bytes ([`Self::collect_tags`]) into the
+    /// flag of every block, `Same` included. The merge is order-free: each
+    /// block was tagged by exactly one endpoint, and the result is an
+    /// ordered map keyed by logical location, so the regrid decision never
+    /// depends on gather or hash iteration order, and the tree surgery and
+    /// the derefinement gate replay identically on every endpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block was tagged nowhere or a byte is not a flag — both
+    /// indicate rank divergence.
+    fn flags_by_location(&self, parts: &[Vec<u8>]) -> BTreeMap<LogicalLocation, AmrFlag> {
+        let nblocks = self.mesh.num_blocks();
+        assert!(
+            parts.iter().all(|p| p.len() == nblocks),
+            "flag payload framing"
+        );
+        (0..nblocks)
+            .map(|gid| {
+                let tagged = parts.iter().map(|p| p[gid]).find(|&b| b != FLAG_ELSEWHERE);
+                let flag = match tagged {
+                    Some(0) => AmrFlag::Derefine,
+                    Some(1) => AmrFlag::Same,
+                    Some(2) => AmrFlag::Refine,
+                    other => panic!("block {gid} carries flag byte {other:?}"),
+                };
+                (self.mesh.block(gid).loc(), flag)
+            })
+            .collect()
+    }
+
+    /// Ships the old-generation blocks held here to every peer endpoint
+    /// that builds a new block from them (`sources[g]` is new block `g`'s
+    /// provenance), and fetches the ones peers hold that blocks hosted
+    /// here are built from. All sends go out strictly before any blocking
+    /// receive, in (old gid, destination) order; see the deadlock-freedom
+    /// argument in DESIGN.md. With every block resident both sets are
+    /// empty.
+    fn migrate(&mut self, sources: &[RegridSource]) -> HashMap<usize, BlockData> {
+        let hosted = self.hosting();
+        let (mut outgoing, mut wanted) = (Vec::new(), Vec::new());
+        for (gid, source) in sources.iter().enumerate() {
+            let label = self.mesh.block(gid).rank();
+            for &old_gid in old_gids(source) {
+                let here = self.index[old_gid] != NOT_RESIDENT;
+                if here && !hosted(label) {
+                    outgoing.push((old_gid, label));
+                } else if !here && hosted(label) {
+                    wanted.push(old_gid);
+                }
+            }
+        }
+        outgoing.sort_unstable();
+        outgoing.dedup();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let func = StepFunction::RedistributeAndRefineMeshBlocks;
+        let key = |old_gid: usize| BoundaryKey::new(old_gid, old_gid, MIGRATE_TAG);
+        for &(old_gid, dst) in &outgoing {
+            let data = &self.slots[self.index[old_gid]].data;
+            let meta = SendMeta {
+                src: self.comm.rank(),
+                dst,
+                cells: data.shape().interior_count() as u64,
+            };
+            self.comm.send(
+                key(old_gid),
+                serialize_block(data),
+                meta,
+                func,
+                &mut self.rec,
+            );
+        }
+        if wanted.is_empty() {
+            return HashMap::new();
+        }
+        // The fetch loop blocks until every remote source block lands —
+        // the migration-stall wait state (probed, like collective
+        // blocking, because it hides inside a task action the span layer
+        // counts as busy).
+        let stall_t0 = self.params.capture_spans.then(std::time::Instant::now);
+        for &old_gid in &wanted {
+            self.comm.start_receive(key(old_gid));
+        }
+        let mut payloads = Vec::with_capacity(wanted.len());
+        while !wanted.is_empty() {
+            wanted.retain(
+                |&old_gid| match self.comm.try_receive(key(old_gid), &mut self.rec) {
+                    Some(payload) => {
+                        payloads.push((old_gid, payload));
+                        false
+                    }
+                    None => true,
+                },
+            );
+            if !wanted.is_empty() {
+                std::thread::yield_now();
+            }
+        }
+        if let Some(t0) = stall_t0 {
+            self.wait_probes.migration_stall_ns += t0.elapsed().as_nanos() as u64;
+        }
+        payloads
+            .into_iter()
+            .map(|(old_gid, payload)| {
+                let mut data = self.fresh_data();
+                deserialize_into(&mut data, &payload);
+                (old_gid, data)
+            })
+            .collect()
+    }
+
+    /// Brings the resident slots to the mesh's current generation and
+    /// rank labels: `sources[g]` says which blocks of the previous
+    /// generation new block `g` is built from (all `Unchanged` for a plain
+    /// load balance). After the wire exchange ([`Self::migrate`]) the new
+    /// resident list is built in two passes: a serial one that reuses,
+    /// adopts or allocates each slot, and a pool-parallel one that fills
+    /// the newcomers of a `structural` regrid by prolongation/restriction.
+    fn move_blocks(&mut self, sources: &[RegridSource], structural: bool) {
+        let hosted = self.hosting();
+        let old_bytes = self.total_field_bytes();
+        let mut fetched = self.migrate(sources);
+        let old_index = std::mem::take(&mut self.index);
+        let mut old: Vec<Option<BlockSlot>> = std::mem::take(&mut self.slots)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut created = 0u64;
+        let mut moved_cells = 0u64;
+        // Pass 1 (serial): the new resident list — reusing the slots of
+        // unchanged blocks held here, adopting fetched ones, allocating
+        // fresh ones for refined/derefined blocks.
+        let mut new_slots = Vec::new();
+        for (gid, source) in sources.iter().enumerate() {
+            if !hosted(self.mesh.block(gid).rank()) {
+                continue;
+            }
+            let slot = match source {
+                RegridSource::Unchanged { old_gid } => {
+                    let info = BlockInfo::from_mesh(&self.mesh, gid);
+                    match old.get_mut(old_index[*old_gid]).and_then(Option::take) {
+                        Some(slot) => BlockSlot { info, ..slot },
+                        None => {
+                            let data = fetched.remove(old_gid).expect("migrated block fetched");
+                            BlockSlot::new(info, data)
+                        }
+                    }
+                }
+                RegridSource::Refined { .. } | RegridSource::Derefined { .. } => {
+                    created += 1;
+                    let slot = self.new_slot(gid);
+                    moved_cells += slot.data.shape().interior_count() as u64;
+                    slot
+                }
+            };
+            new_slots.push(slot);
+        }
+        // Pass 2 (parallel): fill new blocks by prolongation/restriction.
+        // Refined parents and derefined children are never `Unchanged`, so
+        // what pass 1 left of them is read-shared here.
+        let source_data = |old_gid: usize| -> &BlockData {
+            match old.get(old_index[old_gid]) {
+                Some(slot) => &slot.as_ref().expect("source block kept").data,
+                None => &fetched[&old_gid],
+            }
+        };
+        self.exec()
+            .for_each_block(&mut new_slots, |_, slot| match &sources[slot.info.gid] {
+                RegridSource::Unchanged { .. } => {}
+                RegridSource::Refined {
+                    parent_old_gid,
+                    child_index,
+                } => {
+                    let parent = source_data(*parent_old_gid);
+                    prolongate_to_child(parent, *child_index, &mut slot.data);
+                }
+                RegridSource::Derefined { child_old_gids } => {
+                    let children: Vec<&BlockData> =
+                        child_old_gids.iter().map(|&g| source_data(g)).collect();
+                    restrict_to_parent(&children, &mut slot.data);
+                }
+            });
+        self.slots = new_slots;
+        self.index = resident_index(&self.slots, self.mesh.num_blocks());
+        let new_bytes = self.total_field_bytes();
+        self.rec
+            .record_alloc(MemSpace::Kokkos, new_bytes as i64 - old_bytes as i64);
+        if !structural {
+            return;
+        }
+        let func = StepFunction::RedistributeAndRefineMeshBlocks;
+        self.rec
+            .record_serial(func, SerialWork::Allocations(created));
+        // Data movement for new blocks plus neighbor/boundary rebuild
+        // (BuildTagMapAndBoundaryBuffers + SetMeshBlockNeighbors) are part
+        // of RedistributeAndRefineMeshBlocks.
+        if created > 0 {
+            let per_block = self.slots.first().map_or(0, |s| s.nbytes() as u64);
+            self.rec
+                .record_serial(func, SerialWork::HostCopyBytes(created * per_block));
+        }
+        let boundaries = self.boundary_count();
+        self.rec
+            .record_serial(func, SerialWork::BoundaryLoop(boundaries));
+        if moved_cells > 0 {
+            Launcher::new(&mut self.rec).record_only(
+                &catalog::PROLONG_RESTRICT_LOOP,
+                moved_cells,
+                1.0,
+            );
+        }
+        self.cache.invalidate();
+        // New gids and neighbor lists: the communication plan (and its
+        // cached variable-id lookups) must be rebuilt.
+        self.plan = None;
+    }
+
+    /// Restores the simulation clock from a checkpoint (used by
+    /// `snapshot::restore_driver`).
+    pub(crate) fn restore_clock(&mut self, time: f64, dt: f64, cycle: u64) {
+        self.time = time;
+        self.dt = dt;
+        self.cycle = cycle;
+    }
+
+    /// Restores checkpointed AMR continuation state: the derefinement gate
+    /// (absolute-cycle keyed, so it must survive a checkpoint for resumed
+    /// runs to make identical regrid decisions) and the history series
+    /// accumulated before the checkpoint.
+    pub(crate) fn restore_amr_state(&mut self, gate: DerefGate, history: Vec<(u64, Vec<f64>)>) {
+        self.gate = gate;
+        self.history = history;
+    }
+
+    /// The derefinement gate state (for checkpointing).
+    pub(crate) fn gate(&self) -> &DerefGate {
+        &self.gate
+    }
+
+    /// Estimates the next timestep: the minimum over the resident packs,
+    /// then an AllReduce implemented as gather-then-fold — every endpoint
+    /// receives all deposits indexed by rank and folds them `0..n` as
+    /// `f64::min` from an infinity identity (an endpoint without blocks
+    /// deposits infinity). The result is independent of arrival order and
+    /// of how the ranks are spread over endpoints.
+    fn estimate_dt(&mut self) {
+        let wall = self.rec.wall().clone();
+        let _g = wall.region(RegionKey::Step(StepFunction::EstimateTimeStep));
+        let cfl = self.params.cfl;
+        let exec = self.exec();
+        let mut min_dt = f64::INFINITY;
+        self.with_rank_packs(StepFunction::EstimateTimeStep, |pkg, pack, rec| {
+            min_dt = min_dt.min(pkg.estimate_dt(pack, exec, rec));
+        });
+        let parts = self.comm.all_reduce_data(
+            StepFunction::EstimateTimeStep,
+            min_dt.to_le_bytes().to_vec(),
+            8,
+            &mut self.rec,
+        );
+        let global = parts.iter().fold(f64::INFINITY, |acc, part| {
+            acc.min(f64::from_le_bytes(
+                part.as_slice().try_into().expect("8-byte dt deposit"),
+            ))
+        });
+        self.dt = cfl * global;
+    }
+
+    /// Runs `f` once per rank label over that label's contiguous pack of
+    /// resident blocks — `nranks` packs when this driver plays every rank,
+    /// one (or none) on a fabric — then drains string-lookup counters into
+    /// `func`'s serial profile.
+    fn with_rank_packs(
+        &mut self,
+        func: StepFunction,
+        mut f: impl FnMut(&P, &mut Vec<&mut BlockSlot>, &mut Recorder),
+    ) {
+        let package = &self.package;
+        let rec = &mut self.rec;
+        for_each_rank_pack(&mut self.slots, |pack| {
+            f(package, pack, rec);
+            for slot in pack.iter_mut() {
+                let lookups = slot.data.take_string_lookups();
+                if lookups > 0 {
+                    rec.record_serial(func, SerialWork::StringLookups(lookups));
+                }
+            }
+        });
+    }
 }
 
-impl<P: Package> Driver<P> {
-    /// Extracts the measured per-stage breakdown of the most recently
-    /// archived cycle (all zeros when profiling is off).
-    fn last_cycle_timing(&self) -> CycleTiming {
-        last_cycle_timing_from(&self.rec)
+/// Runs `f` over each run of equal rank label in `slots` (ascending gid,
+/// so a rank's blocks are contiguous).
+fn for_each_rank_pack(slots: &mut [BlockSlot], mut f: impl FnMut(&mut Vec<&mut BlockSlot>)) {
+    let mut rest = slots;
+    while let Some(first) = rest.first() {
+        let rank = first.info.rank;
+        let len = rest.iter().take_while(|s| s.info.rank == rank).count();
+        let (head, tail) = rest.split_at_mut(len);
+        f(&mut head.iter_mut().collect());
+        rest = tail;
     }
 }
 
 /// Extracts the measured per-stage breakdown of the most recently archived
-/// cycle of `rec` (all zeros when profiling is off). Shared between the
-/// single-process [`Driver`] and the rank-parallel
-/// [`RankShard`](crate::shard::RankShard).
-pub(crate) fn last_cycle_timing_from(rec: &Recorder) -> CycleTiming {
+/// cycle of `rec` (all zeros when profiling is off).
+fn last_cycle_timing(rec: &Recorder) -> CycleTiming {
     rec.wall()
         .with_cycles(|cycles| {
             let Some(last) = cycles.last() else {
@@ -1183,317 +1744,28 @@ pub(crate) fn last_cycle_timing_from(rec: &Recorder) -> CycleTiming {
         .unwrap_or_default()
 }
 
+/// The blocks of the previous generation a post-regrid block's data comes
+/// from.
+fn old_gids(source: &RegridSource) -> &[usize] {
+    match source {
+        RegridSource::Unchanged { old_gid } => std::slice::from_ref(old_gid),
+        RegridSource::Refined { parent_old_gid, .. } => std::slice::from_ref(parent_old_gid),
+        RegridSource::Derefined { child_old_gids } => child_old_gids,
+    }
+}
+
 /// Maps a per-old-gid measured cost ledger through a regrid's provenance
 /// records onto the new gid space: unchanged blocks keep their cost,
 /// refined children inherit the parent's (every block has the same cell
-/// count), derefined parents take the mean of their children. Shared by the
-/// single-process [`Driver`] and [`RankShard`](crate::shard::RankShard).
-pub(crate) fn map_block_costs(old_costs: &[u64], sources: &[RegridSource]) -> Vec<u64> {
+/// count), derefined parents take the mean of their children.
+fn map_block_costs(old_costs: &[u64], sources: &[RegridSource]) -> Vec<u64> {
     sources
         .iter()
-        .map(|s| match s {
-            RegridSource::Unchanged { old_gid } => old_costs[*old_gid],
-            RegridSource::Refined { parent_old_gid, .. } => old_costs[*parent_old_gid],
-            RegridSource::Derefined { child_old_gids } => {
-                let sum: u64 = child_old_gids.iter().map(|&g| old_costs[g]).sum();
-                sum / child_old_gids.len().max(1) as u64
-            }
+        .map(|source| {
+            let from = old_gids(source);
+            from.iter().map(|&g| old_costs[g]).sum::<u64>() / from.len().max(1) as u64
         })
         .collect()
-}
-
-impl<P: Package> Driver<P> {
-    /// Rebuilds the communication plan if the mesh generation changed
-    /// (plan invalidation happens in [`Self::apply_regrid`]).
-    fn ensure_plan(&mut self) {
-        if self.plan.is_none() {
-            let cfg = self.params.exchange_config();
-            self.plan = Some(ExchangePlan::build(
-                &self.mesh,
-                &mut self.slots,
-                &cfg,
-                &mut self.rec,
-            ));
-        }
-    }
-
-    /// One blocking ghost exchange over all FILL_GHOST variables, followed
-    /// by physical boundary conditions at non-periodic domain faces (the
-    /// initializer's path; cycles run the same phases as separate tasks).
-    fn exchange(&mut self) {
-        let cfg = self.params.exchange_config();
-        let exec = self.exec();
-        self.ensure_plan();
-        let wall = self.rec.wall().clone();
-        let _g = wall.region(RegionKey::Named("GhostExchange"));
-        let plan = self.plan.as_ref().expect("plan built");
-        exchange_ghosts_with_plan(
-            plan,
-            &mut self.slots,
-            &mut self.comm,
-            &mut self.cache,
-            &cfg,
-            exec,
-            &mut self.rec,
-        );
-        let kind = self.params.boundary_condition;
-        apply_physical_bcs(plan, &self.mesh, kind, &mut self.slots, exec, &mut self.rec);
-    }
-
-    /// Collects refinement tags from every rank's pack. Returns an ordered
-    /// map so downstream regrid decisions never depend on hash iteration
-    /// order.
-    fn collect_tags(&mut self) -> BTreeMap<vibe_mesh::LogicalLocation, AmrFlag> {
-        let _g = self
-            .rec
-            .wall()
-            .clone()
-            .region(RegionKey::Step(StepFunction::RefinementTag));
-        let mut flags = BTreeMap::new();
-        let mesh = &self.mesh;
-        let rec = &mut self.rec;
-        let package = &self.package;
-        let exec = ExecCtx::new(self.params.host_threads);
-        let mut start = 0usize;
-        let mut rest: &mut [BlockSlot] = &mut self.slots;
-        while !rest.is_empty() {
-            let rank = rest[0].info.rank;
-            let len = rest.iter().take_while(|s| s.info.rank == rank).count();
-            let (head, tail) = rest.split_at_mut(len);
-            let mut pack: Vec<&mut BlockSlot> = head.iter_mut().collect();
-            rec.record_serial(
-                StepFunction::RefinementTag,
-                SerialWork::BlockLoop(len as u64),
-            );
-            let pack_flags = package.tag_refinement(&mut pack, exec, rec);
-            for (slot, f) in pack.iter().zip(pack_flags) {
-                flags.insert(slot.info.loc, f);
-            }
-            for slot in pack.iter_mut() {
-                let lookups = slot.data.take_string_lookups();
-                if lookups > 0 {
-                    rec.record_serial(
-                        StepFunction::RefinementTag,
-                        SerialWork::StringLookups(lookups),
-                    );
-                }
-            }
-            rest = tail;
-            start += len;
-        }
-        let _ = start;
-        let _ = mesh;
-        flags
-    }
-
-    /// Applies a regrid decision: tree surgery, new block list, data
-    /// movement via prolongation/restriction. Returns the per-new-gid
-    /// provenance records (which old blocks each new block was built from)
-    /// so the caller can remap per-block ledgers.
-    fn apply_regrid(
-        &mut self,
-        decision: &vibe_mesh::refinement::RegridDecision,
-    ) -> Vec<RegridSource> {
-        let old_bytes: usize = self.slots.iter().map(BlockSlot::nbytes).sum();
-        let outcome = self.mesh.regrid(decision).expect("valid regrid decision");
-        let mut old: Vec<Option<BlockSlot>> = std::mem::take(&mut self.slots)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut created = 0u64;
-        let mut moved_cells = 0u64;
-        // Pass 1 (serial): build the new slot list — reusing unchanged
-        // slots, allocating fresh ones for refined/derefined blocks.
-        let mut new_slots = Vec::with_capacity(outcome.sources.len());
-        for (gid, source) in outcome.sources.iter().enumerate() {
-            let slot = match source {
-                RegridSource::Unchanged { old_gid } => {
-                    let mut s = old[*old_gid].take().expect("unchanged block available");
-                    s.info = BlockInfo::from_mesh(&self.mesh, gid);
-                    s
-                }
-                RegridSource::Refined { .. } | RegridSource::Derefined { .. } => {
-                    created += 1;
-                    let s = self.new_slot(gid);
-                    moved_cells += s.data.shape().interior_count() as u64;
-                    s
-                }
-            };
-            new_slots.push(slot);
-        }
-        // Pass 2 (parallel): fill new blocks by prolongation/restriction.
-        // Refined parents and derefined children are never `Unchanged`, so
-        // their old slots survive pass 1 and are read-shared here.
-        let sources = &outcome.sources;
-        let old_ref = &old;
-        let exec = ExecCtx::new(self.params.host_threads);
-        exec.for_each_block(&mut new_slots, |gid, slot| match &sources[gid] {
-            RegridSource::Unchanged { .. } => {}
-            RegridSource::Refined {
-                parent_old_gid,
-                child_index,
-            } => {
-                let parent = old_ref[*parent_old_gid].as_ref().expect("parent available");
-                prolongate_to_child(&parent.data, *child_index, &mut slot.data);
-            }
-            RegridSource::Derefined { child_old_gids } => {
-                let children: Vec<&BlockData> = child_old_gids
-                    .iter()
-                    .map(|&g| &old_ref[g].as_ref().expect("child available").data)
-                    .collect();
-                restrict_to_parent(&children, &mut slot.data);
-            }
-        });
-        self.slots = new_slots;
-        let new_bytes: usize = self.slots.iter().map(BlockSlot::nbytes).sum();
-        self.rec
-            .record_alloc(MemSpace::Kokkos, new_bytes as i64 - old_bytes as i64);
-        self.rec.record_serial(
-            StepFunction::RedistributeAndRefineMeshBlocks,
-            SerialWork::Allocations(created),
-        );
-        // Data movement for new blocks plus neighbor/boundary rebuild
-        // (BuildTagMapAndBoundaryBuffers + SetMeshBlockNeighbors) are part
-        // of RedistributeAndRefineMeshBlocks.
-        if created > 0 {
-            let per_block = self.slots.first().map(|s| s.nbytes() as u64).unwrap_or(0);
-            self.rec.record_serial(
-                StepFunction::RedistributeAndRefineMeshBlocks,
-                SerialWork::HostCopyBytes(created * per_block),
-            );
-        }
-        let boundaries: usize = (0..self.mesh.num_blocks())
-            .map(|g| self.mesh.neighbors(g).len())
-            .sum();
-        self.rec.record_serial(
-            StepFunction::RedistributeAndRefineMeshBlocks,
-            SerialWork::BoundaryLoop(boundaries as u64),
-        );
-        if moved_cells > 0 {
-            Launcher::new(&mut self.rec).record_only(
-                &catalog::PROLONG_RESTRICT_LOOP,
-                moved_cells,
-                1.0,
-            );
-        }
-        self.cache.invalidate();
-        // New gids and neighbor lists: the communication plan (and its
-        // cached variable-id lookups) must be rebuilt.
-        self.plan = None;
-        outcome.sources
-    }
-
-    /// Decomposes an initialized driver into the pieces a rank shard keeps:
-    /// the (replicated) mesh, all block slots in gid order, the physics
-    /// package, the driver parameters, and the full clock/AMR continuation
-    /// state. Used by
-    /// [`RankShard::from_replica`](crate::shard::RankShard::from_replica),
-    /// which must inherit the clock and derefinement gate so a replica built
-    /// from a checkpoint resumes with bitwise-identical regrid decisions.
-    pub(crate) fn into_parts(self) -> DriverParts<P> {
-        DriverParts {
-            mesh: self.mesh,
-            slots: self.slots,
-            package: self.package,
-            params: self.params,
-            time: self.time,
-            dt: self.dt,
-            cycle: self.cycle,
-            gate: self.gate,
-            history: self.history,
-        }
-    }
-
-    /// Restores the simulation clock from a checkpoint (used by
-    /// `snapshot::restore_driver`).
-    pub(crate) fn restore_clock(&mut self, time: f64, dt: f64, cycle: u64) {
-        self.time = time;
-        self.dt = dt;
-        self.cycle = cycle;
-    }
-
-    /// Restores checkpointed AMR continuation state: the derefinement gate
-    /// (absolute-cycle keyed, so it must survive a checkpoint for resumed
-    /// runs to make identical regrid decisions) and the history series
-    /// accumulated before the checkpoint.
-    pub(crate) fn restore_amr_state(&mut self, gate: DerefGate, history: Vec<(u64, Vec<f64>)>) {
-        self.gate = gate;
-        self.history = history;
-    }
-
-    /// The derefinement gate state (for checkpointing).
-    pub(crate) fn gate(&self) -> &DerefGate {
-        &self.gate
-    }
-
-    /// Refreshes slot rank fields from the mesh after load balancing.
-    fn sync_ranks(&mut self) {
-        for (gid, slot) in self.slots.iter_mut().enumerate() {
-            slot.info.rank = self.mesh.block(gid).rank();
-        }
-    }
-
-    /// Estimates the next timestep: per-rank kernel + AllReduce.
-    fn estimate_dt(&mut self) {
-        let _g = self
-            .rec
-            .wall()
-            .clone()
-            .region(RegionKey::Step(StepFunction::EstimateTimeStep));
-        let cfl = self.params.cfl;
-        let exec = self.exec();
-        let mut min_dt = f64::INFINITY;
-        self.with_rank_packs(StepFunction::EstimateTimeStep, |pkg, pack, rec| {
-            min_dt = min_dt.min(pkg.estimate_dt(pack, exec, rec));
-        });
-        self.comm
-            .all_reduce(StepFunction::EstimateTimeStep, 8, &mut self.rec);
-        self.dt = cfl * min_dt;
-    }
-
-    /// Runs `f` once per rank over that rank's contiguous pack of blocks,
-    /// then drains string-lookup counters into `func`'s serial profile.
-    fn with_rank_packs(
-        &mut self,
-        func: StepFunction,
-        mut f: impl FnMut(&P, &mut Vec<&mut BlockSlot>, &mut Recorder),
-    ) {
-        let package = &self.package;
-        let rec = &mut self.rec;
-        let mut rest: &mut [BlockSlot] = &mut self.slots;
-        while !rest.is_empty() {
-            let rank = rest[0].info.rank;
-            let len = rest.iter().take_while(|s| s.info.rank == rank).count();
-            let (head, tail) = rest.split_at_mut(len);
-            let mut pack: Vec<&mut BlockSlot> = head.iter_mut().collect();
-            f(package, &mut pack, rec);
-            for slot in pack.iter_mut() {
-                let lookups = slot.data.take_string_lookups();
-                if lookups > 0 {
-                    rec.record_serial(func, SerialWork::StringLookups(lookups));
-                }
-            }
-            rest = tail;
-        }
-    }
-
-    /// Like [`Self::with_rank_packs`] but for framework closures that need
-    /// `self.rec` captured separately.
-    fn for_rank_packs_static(
-        _mesh: &Mesh,
-        slots: &mut [BlockSlot],
-        mut f: impl FnMut(&mut Vec<&mut BlockSlot>),
-    ) {
-        let mut rest: &mut [BlockSlot] = slots;
-        while !rest.is_empty() {
-            let rank = rest[0].info.rank;
-            let len = rest.iter().take_while(|s| s.info.rank == rank).count();
-            let (head, tail) = rest.split_at_mut(len);
-            let mut pack: Vec<&mut BlockSlot> = head.iter_mut().collect();
-            f(&mut pack);
-            rest = tail;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1757,7 +2029,7 @@ mod tests {
 
     #[test]
     fn executed_graph_matches_exported_graph() {
-        let list = build_cycle_list::<Driver<Advect>>();
+        let list = build_cycle_list::<Advect>();
         let graph = list.graph();
         assert_eq!(graph, cycle_task_graph());
         let order = crate::tasks::topo_order(&graph).expect("cycle graph is a DAG");
@@ -1870,8 +2142,8 @@ mod tests {
             assert_eq!(a.nblocks, b.nblocks);
         }
         assert_eq!(
-            crate::shard::fingerprint_slots(plain.slots()),
-            crate::shard::fingerprint_slots(instrumented.slots()),
+            crate::block::fingerprint_slots(plain.slots()),
+            crate::block::fingerprint_slots(instrumented.slots()),
             "attribution instrumentation must not touch the numerics"
         );
         assert!(plain.task_spans().is_empty());
@@ -1912,5 +2184,43 @@ mod tests {
             },
         ];
         assert_eq!(map_block_costs(&old, &sources), [30, 50, 50, 25]);
+    }
+
+    /// The transport-swap constructor on a shared transport of its own
+    /// must reproduce the driver it was made from bitwise, cycle for
+    /// cycle, and hand every block back.
+    #[test]
+    fn single_shard_matches_driver_bitwise() {
+        let mut driver = driver(1);
+        let mut shard = self::driver(1).with_transport(Box::new(SharedTransport::default()));
+        for _ in 0..4 {
+            let ds = driver.step();
+            let ss = shard.step();
+            assert_eq!(ds.nblocks, ss.nblocks);
+            assert_eq!(ds.refined, ss.refined);
+            assert_eq!(ds.dt.to_bits(), ss.dt.to_bits());
+        }
+        let out = shard.finish();
+        assert_eq!(
+            crate::block::fingerprint_slots(driver.slots()),
+            crate::block::fingerprint_slots(&out.owned),
+            "single-shard fingerprint must equal the driver's"
+        );
+        assert_eq!(driver.history(), out.history.as_slice());
+        assert_eq!(driver.dt().to_bits(), out.dt.to_bits());
+    }
+
+    /// Two replicas of the same problem produce bitwise-identical init
+    /// state — the property the replica-then-keep-hosted-blocks birth of a
+    /// fabric endpoint depends on.
+    #[test]
+    fn replica_initialization_is_bitwise_reproducible() {
+        let (a, b) = (driver(4), driver(4));
+        assert_eq!(
+            crate::block::fingerprint_slots(a.slots()),
+            crate::block::fingerprint_slots(b.slots())
+        );
+        assert_eq!(a.dt().to_bits(), b.dt().to_bits());
+        assert_eq!(a.mesh().num_blocks(), b.mesh().num_blocks());
     }
 }

@@ -30,19 +30,17 @@ pub mod conformance;
 pub mod driver;
 pub mod package;
 pub mod registry;
-pub mod shard;
 pub mod snapshot;
 pub mod tasks;
 #[cfg(test)]
 pub(crate) mod test_package;
 pub mod update;
 
-pub use block::{BlockInfo, BlockSlot};
+pub use block::{fingerprint_slots, BlockInfo, BlockSlot};
 pub use conformance::{check_package, ConformanceReport};
-pub use driver::{cycle_task_graph, CycleSummary, Driver, DriverParams};
+pub use driver::{cycle_task_graph, CycleSummary, Driver, DriverParams, ShardOutput};
 pub use package::{FluxPhase, Package, RefinementPolicy};
 pub use registry::{DynPackage, PackageRegistry, PackageSpec, RegistryError};
-pub use shard::{fingerprint_slots, RankShard, ShardOutput};
 pub use snapshot::{read_snapshot, restore_driver, Snapshot};
 pub use tasks::{
     topo_order, ExecStats, GraphError, TaskError, TaskId, TaskKind, TaskList, TaskNode, TaskStatus,

@@ -20,7 +20,7 @@ use crate::block::{BlockInfo, BlockSlot};
 use crate::package::{FluxPhase, Package, RefinementPolicy};
 
 /// A type-erased package, usable anywhere a concrete `P: Package` is —
-/// `Driver<DynPackage>`, `RankShard<DynPackage>`, `RtSession<DynPackage>`.
+/// `Driver<DynPackage>` on any transport, `RtSession<DynPackage>`.
 pub type DynPackage = Box<dyn Package + Send + Sync>;
 
 /// Boxed packages forward every trait method (including the defaulted

@@ -24,8 +24,9 @@
 use std::io::{self, Read, Write};
 
 use vibe_mesh::{DerefGate, LogicalLocation, Mesh, MeshParams};
-use vibe_prof::Recorder;
+use vibe_prof::{Recorder, StepFunction};
 
+use crate::block::BlockSlot;
 use crate::driver::{Driver, DriverParams};
 use crate::package::Package;
 
@@ -150,6 +151,103 @@ impl Snapshot {
         }
         Ok(())
     }
+
+    /// Parses a snapshot from `r`. Accepts format versions 1 and 2; version 1
+    /// restores with an empty derefinement gate, no history, and the default
+    /// derefinement gap.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors, a bad magic/version, or malformed structure. Never panics
+    /// and never allocates proportionally to unbacked length fields.
+    pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
+        let mut magic = [0u8; 4];
+        r.read_exact(&mut magic)?;
+        if &magic != MAGIC {
+            return Err(bad("not a vibe-amr snapshot (bad magic)"));
+        }
+        let version = r_u32(r)?;
+        if !(MIN_VERSION..=VERSION).contains(&version) {
+            return Err(bad(format!("unsupported snapshot version {version}")));
+        }
+        let dim = r_u32(r)? as usize;
+        if !(1..=3).contains(&dim) {
+            return Err(bad("invalid dimension"));
+        }
+        let mut mesh_size = [0usize; 3];
+        for m in &mut mesh_size {
+            let v = r_u64(r)?;
+            if v > MAX_DATA_LEN {
+                return Err(bad("implausible mesh size"));
+            }
+            *m = v as usize;
+        }
+        let mut block_size = [0usize; 3];
+        for b in &mut block_size {
+            let v = r_u64(r)?;
+            if v > MAX_DATA_LEN {
+                return Err(bad("implausible block size"));
+            }
+            *b = v as usize;
+        }
+        let max_levels = r_u32(r)?;
+        let nghost = r_u32(r)? as usize;
+        if nghost > 4096 {
+            return Err(bad("implausible ghost layer count"));
+        }
+        let deref_gap = if version >= 2 {
+            r_u64(r)?
+        } else {
+            MeshParams::builder().build().map_or(10, |p| p.deref_gap())
+        };
+        let time = r_f64(r)?;
+        let dt = r_f64(r)?;
+        let cycle = r_u64(r)?;
+        let nblocks = r_count(r, MAX_COUNT, "block")?;
+        let mut leaves = Vec::with_capacity(nblocks.min(MAX_PREALLOC));
+        let mut block_vars = Vec::with_capacity(nblocks.min(MAX_PREALLOC));
+        for _ in 0..nblocks {
+            leaves.push(r_loc(r)?);
+            let (vars, _) = r_block_vars(r)?;
+            block_vars.push(vars);
+        }
+        let mut gate = Vec::new();
+        let mut history = Vec::new();
+        if version >= 2 {
+            let ngate = r_count(r, MAX_COUNT, "gate entry")?;
+            gate.reserve(ngate.min(MAX_PREALLOC));
+            for _ in 0..ngate {
+                let loc = r_loc(r)?;
+                let last = r_u64(r)?;
+                gate.push((loc, last));
+            }
+            let nhist = r_count(r, MAX_COUNT, "history row")?;
+            history.reserve(nhist.min(MAX_PREALLOC));
+            for _ in 0..nhist {
+                let hcycle = r_u64(r)?;
+                let len = r_u32(r)? as usize;
+                if len > MAX_PREALLOC {
+                    return Err(bad("implausible history row length"));
+                }
+                history.push((hcycle, r_f64_vec(r, len)?));
+            }
+        }
+        Ok(Self {
+            dim,
+            mesh_size,
+            block_size,
+            max_levels,
+            nghost,
+            deref_gap,
+            time,
+            dt,
+            cycle,
+            leaves,
+            block_vars,
+            gate,
+            history,
+        })
+    }
 }
 
 fn w_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
@@ -226,10 +324,77 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// The `(name, ncomp, cell data)` list of one block's variables.
+fn block_vars_of(slot: &BlockSlot) -> BlockVars {
+    let var = |v: &vibe_field::CellVariable| {
+        (
+            v.name().to_string(),
+            v.ncomp(),
+            v.data().as_slice().to_vec(),
+        )
+    };
+    slot.data.vars().iter().map(var).collect()
+}
+
 impl<P: Package> Driver<P> {
     /// Captures the full restartable state as an in-memory [`Snapshot`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a driver that was moved onto a fabric and holds only its
+    /// own rank's blocks; those checkpoint collectively
+    /// ([`Self::checkpoint`]).
     pub fn to_snapshot(&self) -> Snapshot {
-        let mp = self.mesh().params();
+        assert_eq!(
+            self.slots().len(),
+            self.mesh().num_blocks(),
+            "to_snapshot needs every block resident"
+        );
+        self.snapshot_with(self.slots().iter().map(block_vars_of).collect())
+    }
+
+    /// Collectively assembles a full-run checkpoint at a cycle boundary:
+    /// every endpoint of the transport contributes its resident blocks'
+    /// variable data over an AllGather, and every one returns the
+    /// identical complete [`Snapshot`] — the replicated mesh tree and
+    /// clock, the derefinement-gate and history continuation state, and
+    /// the gathered per-block cell data. No ghost traffic is in flight
+    /// between cycles, so the boundary state is exactly the restartable
+    /// state. On the only endpoint of a transport this is
+    /// [`Self::to_snapshot`].
+    ///
+    /// Collective: every endpoint must call this at the same point of its
+    /// cycle loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a peer's payload is malformed or leaves a block
+    /// uncovered (both indicate rank divergence, which the deterministic
+    /// runtime rules out).
+    pub fn checkpoint(&mut self) -> Snapshot {
+        let payload = encode_rank_blocks(self.slots());
+        let parts = self.gather_across_endpoints(StepFunction::Other, payload);
+        let nblocks = self.mesh().num_blocks();
+        let mut block_vars: Vec<BlockVars> = vec![Vec::new(); nblocks];
+        for part in &parts {
+            let blocks = decode_rank_blocks(part).expect("malformed peer checkpoint payload");
+            for (gid, vars) in blocks {
+                assert!(gid < nblocks, "peer checkpoint refers to unknown gid {gid}");
+                block_vars[gid] = vars;
+            }
+        }
+        assert!(
+            block_vars.iter().all(|v| !v.is_empty()),
+            "checkpoint gather left a block uncovered"
+        );
+        self.snapshot_with(block_vars)
+    }
+
+    /// The snapshot of this driver's replicated state around `block_vars`
+    /// (one entry per block of the mesh, gid order).
+    fn snapshot_with(&self, block_vars: Vec<BlockVars>) -> Snapshot {
+        let mesh = self.mesh();
+        let mp = mesh.params();
         Snapshot {
             dim: mp.dim(),
             mesh_size: mp.mesh_size(),
@@ -240,24 +405,8 @@ impl<P: Package> Driver<P> {
             time: self.time(),
             dt: self.dt(),
             cycle: self.cycle(),
-            leaves: self.slots().iter().map(|s| s.info.loc).collect(),
-            block_vars: self
-                .slots()
-                .iter()
-                .map(|slot| {
-                    slot.data
-                        .vars()
-                        .iter()
-                        .map(|var| {
-                            (
-                                var.name().to_string(),
-                                var.ncomp(),
-                                var.data().as_slice().to_vec(),
-                            )
-                        })
-                        .collect()
-                })
-                .collect(),
+            leaves: mesh.blocks().iter().map(|b| b.loc()).collect(),
+            block_vars,
             gate: self.gate().entries(),
             history: self.history().to_vec(),
         }
@@ -273,101 +422,13 @@ impl<P: Package> Driver<P> {
     }
 }
 
-/// Parses a snapshot from `r`. Accepts format versions 1 and 2; version 1
-/// restores with an empty derefinement gate, no history, and the default
-/// derefinement gap.
+/// Parses a snapshot from `r` ([`Snapshot::read_from`]).
 ///
 /// # Errors
 ///
-/// I/O errors, a bad magic/version, or malformed structure. Never panics
-/// and never allocates proportionally to unbacked length fields.
+/// I/O errors, a bad magic/version, or malformed structure.
 pub fn read_snapshot<R: Read>(r: &mut R) -> io::Result<Snapshot> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not a vibe-amr snapshot (bad magic)"));
-    }
-    let version = r_u32(r)?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(bad(format!("unsupported snapshot version {version}")));
-    }
-    let dim = r_u32(r)? as usize;
-    if !(1..=3).contains(&dim) {
-        return Err(bad("invalid dimension"));
-    }
-    let mut mesh_size = [0usize; 3];
-    for m in &mut mesh_size {
-        let v = r_u64(r)?;
-        if v > MAX_DATA_LEN {
-            return Err(bad("implausible mesh size"));
-        }
-        *m = v as usize;
-    }
-    let mut block_size = [0usize; 3];
-    for b in &mut block_size {
-        let v = r_u64(r)?;
-        if v > MAX_DATA_LEN {
-            return Err(bad("implausible block size"));
-        }
-        *b = v as usize;
-    }
-    let max_levels = r_u32(r)?;
-    let nghost = r_u32(r)? as usize;
-    if nghost > 4096 {
-        return Err(bad("implausible ghost layer count"));
-    }
-    let deref_gap = if version >= 2 {
-        r_u64(r)?
-    } else {
-        MeshParams::builder().build().map_or(10, |p| p.deref_gap())
-    };
-    let time = r_f64(r)?;
-    let dt = r_f64(r)?;
-    let cycle = r_u64(r)?;
-    let nblocks = r_count(r, MAX_COUNT, "block")?;
-    let mut leaves = Vec::with_capacity(nblocks.min(MAX_PREALLOC));
-    let mut block_vars = Vec::with_capacity(nblocks.min(MAX_PREALLOC));
-    for _ in 0..nblocks {
-        leaves.push(r_loc(r)?);
-        let (vars, _) = r_block_vars(r)?;
-        block_vars.push(vars);
-    }
-    let mut gate = Vec::new();
-    let mut history = Vec::new();
-    if version >= 2 {
-        let ngate = r_count(r, MAX_COUNT, "gate entry")?;
-        gate.reserve(ngate.min(MAX_PREALLOC));
-        for _ in 0..ngate {
-            let loc = r_loc(r)?;
-            let last = r_u64(r)?;
-            gate.push((loc, last));
-        }
-        let nhist = r_count(r, MAX_COUNT, "history row")?;
-        history.reserve(nhist.min(MAX_PREALLOC));
-        for _ in 0..nhist {
-            let hcycle = r_u64(r)?;
-            let len = r_u32(r)? as usize;
-            if len > MAX_PREALLOC {
-                return Err(bad("implausible history row length"));
-            }
-            history.push((hcycle, r_f64_vec(r, len)?));
-        }
-    }
-    Ok(Snapshot {
-        dim,
-        mesh_size,
-        block_size,
-        max_levels,
-        nghost,
-        deref_gap,
-        time,
-        dt,
-        cycle,
-        leaves,
-        block_vars,
-        gate,
-        history,
-    })
+    Snapshot::read_from(r)
 }
 
 /// Reads one block's variable list (shared between the full snapshot
@@ -417,35 +478,21 @@ fn w_block_vars<W: Write>(w: &mut W, vars: &[(String, usize, Vec<f64>)]) -> io::
     Ok(())
 }
 
-/// Encodes one rank's owned blocks as a checkpoint-collective payload:
-/// `count, then per block (gid, variable list)` in gid order. Used by
-/// [`RankShard::checkpoint`](crate::shard::RankShard::checkpoint).
-pub(crate) fn encode_rank_blocks(owned: &[Option<crate::block::BlockSlot>]) -> Vec<u8> {
+/// Encodes the blocks one endpoint holds as a checkpoint-collective
+/// payload: `count, then per block (gid, variable list)` in gid order (see
+/// [`Driver::checkpoint`]).
+fn encode_rank_blocks(slots: &[BlockSlot]) -> Vec<u8> {
     let mut buf = Vec::new();
-    let count = owned.iter().flatten().count() as u64;
-    w_u64(&mut buf, count).expect("vec write");
-    for (gid, slot) in owned.iter().enumerate() {
-        let Some(slot) = slot else { continue };
-        w_u64(&mut buf, gid as u64).expect("vec write");
-        let vars: Vec<(String, usize, Vec<f64>)> = slot
-            .data
-            .vars()
-            .iter()
-            .map(|var| {
-                (
-                    var.name().to_string(),
-                    var.ncomp(),
-                    var.data().as_slice().to_vec(),
-                )
-            })
-            .collect();
-        w_block_vars(&mut buf, &vars).expect("vec write");
+    w_u64(&mut buf, slots.len() as u64).expect("vec write");
+    for slot in slots {
+        w_u64(&mut buf, slot.info.gid as u64).expect("vec write");
+        w_block_vars(&mut buf, &block_vars_of(slot)).expect("vec write");
     }
     buf
 }
 
-/// Decodes a peer rank's checkpoint payload (see [`encode_rank_blocks`]).
-pub(crate) fn decode_rank_blocks(bytes: &[u8]) -> io::Result<Vec<(usize, BlockVars)>> {
+/// Decodes a peer's checkpoint payload (see [`encode_rank_blocks`]).
+fn decode_rank_blocks(bytes: &[u8]) -> io::Result<Vec<(usize, BlockVars)>> {
     let mut r = bytes;
     let count = r_count(&mut r, MAX_COUNT, "owned block")?;
     let mut out = Vec::with_capacity(count.min(MAX_PREALLOC));
@@ -539,7 +586,7 @@ pub fn fresh_recorder() -> Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::fingerprint_slots;
+    use crate::block::fingerprint_slots;
     use crate::test_package::Advect;
     use vibe_field::BlockData;
     use vibe_mesh::MeshParams;
@@ -773,18 +820,10 @@ mod tests {
         let mut d = driver_with(16, 1);
         d.run_cycles(1);
         let snap = d.to_snapshot();
-        let owned: Vec<Option<crate::block::BlockSlot>> = {
-            let parts = d.into_parts();
-            parts
-                .slots
-                .into_iter()
-                .enumerate()
-                .map(|(gid, s)| (gid % 2 == 0).then_some(s))
-                .collect()
-        };
+        let owned: Vec<BlockSlot> = d.slots().iter().step_by(2).cloned().collect();
         let payload = encode_rank_blocks(&owned);
         let decoded = decode_rank_blocks(&payload).unwrap();
-        assert_eq!(decoded.len(), owned.iter().flatten().count());
+        assert_eq!(decoded.len(), owned.len());
         for (gid, vars) in &decoded {
             assert_eq!(*gid % 2, 0);
             assert_eq!(vars, &snap.block_vars[*gid]);

@@ -29,8 +29,7 @@ use vibe_comm::{
     CommEvent, Transport,
 };
 use vibe_core::driver::CycleSummary;
-use vibe_core::shard::{fingerprint_slots, RankShard, ShardOutput};
-use vibe_core::{Driver, Package, Snapshot};
+use vibe_core::{fingerprint_slots, Driver, Package, ShardOutput, Snapshot};
 use vibe_ft::{ChaosTransport, FaultPlan, InjectedKill};
 use vibe_prof::{
     attribute_run, build_span_graph, perfetto_multirank_trace_json,
@@ -164,15 +163,17 @@ where
         let handles: Vec<_> = fabric
             .into_iter()
             .map(|transport| {
-                s.spawn(move || {
-                    let mut shard = RankShard::from_replica(make_replica(), Box::new(transport));
-                    shard.barrier("rt-cycles-begin");
-                    let start = Instant::now();
-                    let summaries = shard.run_cycles(cycles);
-                    shard.barrier("rt-cycles-end");
-                    let wall_ns = start.elapsed().as_nanos() as u64;
-                    (summaries, wall_ns, shard.finish())
-                })
+                rank_thread(transport.rank())
+                    .spawn_scoped(s, move || {
+                        let mut shard = make_replica().with_transport(Box::new(transport));
+                        shard.barrier("rt-cycles-begin");
+                        let start = Instant::now();
+                        let summaries = shard.run_cycles(cycles);
+                        shard.barrier("rt-cycles-end");
+                        let wall_ns = start.elapsed().as_nanos() as u64;
+                        (summaries, wall_ns, shard.finish())
+                    })
+                    .expect("spawn rank thread")
             })
             .collect();
         let mut results: Vec<(Vec<CycleSummary>, u64, ShardOutput)> = Vec::new();
@@ -189,6 +190,13 @@ where
         return Err(err);
     }
     Ok(merge_shard_results(nranks, cycles, epoch, results))
+}
+
+/// A builder for rank `rank`'s OS thread, named `vibe-rt-rank-<rank>` so
+/// debuggers, `/proc/self/task/*/comm` and the per-rank Perfetto tracks
+/// tell rank threads from pool workers and test-harness threads.
+fn rank_thread(rank: usize) -> std::thread::Builder {
+    std::thread::Builder::new().name(format!("vibe-rt-rank-{rank}"))
 }
 
 /// One rank thread's classified death: who, why, and whether the fault
@@ -270,7 +278,7 @@ fn merge_shard_results(
     results.sort_by_key(|(_, _, out)| out.rank);
 
     // Merge owned blocks back into the global gid order and fingerprint.
-    let mut slots: Vec<(usize, vibe_core::BlockSlot)> = Vec::new();
+    let mut slots: Vec<vibe_core::BlockSlot> = Vec::new();
     let mut rank_blocks = vec![0usize; nranks];
     let mut events: Vec<CommEvent> = Vec::new();
     let mut rank_wall_ns = Vec::with_capacity(nranks);
@@ -301,12 +309,14 @@ fn merge_shard_results(
             None => recorder = Some(out.recorder.clone()),
         }
     }
-    slots.sort_by_key(|(gid, _)| *gid);
-    for (expect, (gid, _)) in slots.iter().enumerate() {
-        assert_eq!(*gid, expect, "merged shard ownership must tile the mesh");
+    slots.sort_by_key(|slot| slot.info.gid);
+    for (expect, slot) in slots.iter().enumerate() {
+        assert_eq!(
+            slot.info.gid, expect,
+            "merged shard ownership must tile the mesh"
+        );
     }
-    let merged: Vec<vibe_core::BlockSlot> = slots.into_iter().map(|(_, s)| s).collect();
-    let fingerprint = fingerprint_slots(&merged);
+    let fingerprint = fingerprint_slots(&slots);
 
     events.sort_by_key(|e| e.seq);
     let dependency_edges = validate_multirank_event_order(&events, nranks)
@@ -576,8 +586,8 @@ impl<P: Package> RtSession<P> {
                 let (rtx, rrx) = std::sync::mpsc::channel::<Reply>();
                 cmd_tx.push(ctx);
                 reply_rx.push(rrx);
-                std::thread::spawn(move || {
-                    let rank = transport.rank();
+                let rank = transport.rank();
+                let spawned = rank_thread(rank).spawn(move || {
                     // The chaos layer wraps the wire, not the mailbox: the
                     // CommEvent log above it is identical to a fault-free
                     // run, and a zero-rate plan is byte-for-byte neutral.
@@ -587,7 +597,7 @@ impl<P: Package> RtSession<P> {
                         }
                         None => Box::new(transport),
                     };
-                    let mut shard = RankShard::from_replica(make(), wire);
+                    let mut shard = make().with_transport(wire);
                     shard.barrier("rt-session-begin");
                     let mut all: Vec<CycleSummary> = Vec::new();
                     let mut wall_ns = 0u64;
@@ -631,9 +641,9 @@ impl<P: Package> RtSession<P> {
                     }
                     shard.barrier("rt-session-end");
                     (all, wall_ns, shard.finish())
-                })
+                });
+                Some(spawned.expect("spawn rank thread"))
             })
-            .map(Some)
             .collect();
         Self {
             nranks,
@@ -802,7 +812,7 @@ impl<P: Package> RtSession<P> {
 
     /// Assembles a full checkpoint at the current cycle boundary: every
     /// rank contributes its owned blocks over the checkpoint collective
-    /// (see [`RankShard::checkpoint`]) and the conductor returns rank 0's
+    /// (see [`Driver::checkpoint`]) and the conductor returns rank 0's
     /// copy of the identical snapshot. The session remains runnable —
     /// checkpointing is non-destructive.
     ///
@@ -1057,29 +1067,32 @@ mod tests {
         assert_eq!(attr.dominant_loss().0, again.dominant_loss().0);
     }
 
-    /// Regression: ranks left empty by `partition_by_cost` (more ranks
-    /// than blocks) must merge cleanly — recorder absorb, span/attribution
-    /// paths, and the solution fingerprint all intact.
-    #[test]
-    fn ranks_with_zero_blocks_merge_cleanly() {
-        let small = || {
-            Mesh::new(
+    /// A replica factory over a 2 x 1 base grid with spans captured.
+    /// Adaptive: a blob in the left block is refined at start, drifts
+    /// right (refining its new surroundings around cycle 13) and diffuses
+    /// until everything derefines back to the two base blocks (cycles 34
+    /// and 42), so block ownership keeps moving between ranks.
+    fn drifting_blob(
+        nranks: usize,
+        threads: usize,
+        adaptive: bool,
+    ) -> impl Fn() -> vibe_core::Driver<Advect> + Sync {
+        move || {
+            let mesh = Mesh::new(
                 MeshParams::builder()
                     .dim(2)
-                    .mesh_cells(16)
-                    .block_cells(8)
-                    .max_levels(1)
+                    .mesh_size([16, 8, 1])
+                    .block_size([8, 8, 1])
+                    .max_levels(2)
                     .nghost(2)
-                    .deref_gap(4)
+                    .deref_gap(2)
                     .build()
                     .unwrap(),
             )
-            .unwrap()
-        };
-        let nranks = 6; // only 4 level-0 blocks: at least two ranks are empty
-        let make = || {
+            .unwrap();
             let params = DriverParams {
                 nranks,
+                host_threads: threads,
                 cfl: 0.3,
                 capture_spans: true,
                 prof_level: vibe_prof::ProfLevel::Coarse,
@@ -1087,21 +1100,48 @@ mod tests {
             };
             let pkg = Advect {
                 recon: AdvectRecon::Upwind1,
-                refine_above: 2.0, // never refines: block count stays below nranks
-                deref_below: 0.0,
+                // 2.0 never refines: the block count stays below nranks.
+                refine_above: if adaptive { 0.1 } else { 2.0 },
+                deref_below: if adaptive { 0.05 } else { 0.0 },
                 ..Advect::default()
             };
-            let mut d = vibe_core::Driver::new(small(), pkg, params);
-            d.initialize(gaussian_ic);
+            let mut d = vibe_core::Driver::new(mesh, pkg, params);
+            d.initialize(|info: &BlockInfo, data: &mut BlockData| {
+                let shape = *data.shape();
+                let qid = data.id_of("q").unwrap();
+                let var = data.var_mut(qid);
+                for j in 0..shape.entire_d(1) {
+                    for i in 0..shape.entire_d(0) {
+                        let c = info.geom.cell_center(
+                            i as i64 - shape.nghost_d(0) as i64,
+                            j as i64 - shape.nghost_d(1) as i64,
+                            0,
+                        );
+                        let r2 = (c[0] - 0.25).powi(2) + (c[1] - 0.5).powi(2);
+                        var.data_mut().set(0, 0, j, i, (-r2 / 0.004).exp());
+                    }
+                }
+            });
             d
-        };
-        let run = run_distributed(nranks, 3, make);
-        assert!(run.rank_blocks.contains(&0), "expected an empty rank");
-        assert_eq!(run.rank_blocks.iter().sum::<usize>(), 4);
-        let mut reference = make();
-        for _ in 0..3 {
-            reference.step();
         }
+    }
+
+    /// Regression: ranks left empty by `partition_by_cost` (more ranks
+    /// than blocks) must merge cleanly — recorder absorb, span/attribution
+    /// paths, and the solution fingerprint all intact — whether they are
+    /// empty from the start or become so when the mesh derefines under
+    /// them. The adaptive run refines, derefines and migrates blocks
+    /// between ranks, and must match the serial driver's fingerprint,
+    /// history and every cycle's `dt` bitwise at any rank and host-thread
+    /// count (regrid fills new blocks on the pool).
+    #[test]
+    fn ranks_with_zero_blocks_merge_cleanly() {
+        let nranks = 6; // only 2 level-0 blocks: four ranks are empty
+        let run = run_distributed(nranks, 3, drifting_blob(nranks, 1, false));
+        assert_eq!(run.rank_blocks.iter().filter(|&&n| n == 0).count(), 4);
+        assert_eq!(run.rank_blocks.iter().sum::<usize>(), 2);
+        let mut reference = drifting_blob(nranks, 1, false)();
+        reference.run_cycles(3);
         assert_eq!(
             run.fingerprint,
             vibe_core::fingerprint_slots(reference.slots())
@@ -1109,6 +1149,152 @@ mod tests {
         let attr = run.attribution.expect("spans captured on every rank");
         assert_eq!(attr.per_rank.len(), nranks);
         assert!(attr.max_sum_error_frac() <= 0.05);
+
+        let cycles = 45;
+        let mut serial = drifting_blob(1, 1, true)();
+        let summaries = serial.run_cycles(cycles);
+        assert!(summaries.iter().any(|s| s.refined > 0));
+        assert!(summaries.iter().any(|s| s.derefined > 0));
+        assert_eq!(serial.mesh().num_blocks(), 2, "derefined to the base grid");
+        for (nranks, threads) in [(2usize, 1usize), (2, 8), (4, 1), (4, 8)] {
+            let run = run_distributed(nranks, cycles, drifting_blob(nranks, threads, true));
+            let at = format!("at nranks={nranks} threads={threads}");
+            assert_eq!(
+                run.fingerprint,
+                vibe_core::fingerprint_slots(serial.slots()),
+                "fingerprint {at}"
+            );
+            assert_eq!(run.history, serial.history(), "history {at}");
+            for (got, want) in run.summaries.iter().zip(&summaries) {
+                assert_eq!(got.dt.to_bits(), want.dt.to_bits(), "dt {at}");
+                assert_eq!(got.nblocks, want.nblocks, "block census {at}");
+            }
+            let moved = &run.recorder.totals().comm
+                [&vibe_prof::StepFunction::RedistributeAndRefineMeshBlocks];
+            assert!(moved.p2p_remote_messages > 0, "blocks migrated {at}");
+            assert_eq!(
+                run.rank_blocks.contains(&0),
+                nranks == 4,
+                "two blocks leave two of four ranks empty {at}"
+            );
+        }
+    }
+
+    /// The accounting rule, as a test: a fabric's endpoints together record
+    /// what one driver playing all `nranks` labels on the shared transport
+    /// records — each endpoint the share of the labels it hosts — plus
+    /// what physically exists only between endpoints. The residual
+    /// differences are the three rows of DESIGN.md's "Model inputs on a
+    /// fabric" table, and nothing else.
+    #[test]
+    fn merged_workload_matches_virtual_rank_driver() {
+        use vibe_prof::{CollectiveOp, StepFunction};
+        let cycles = 45;
+        let regrid = StepFunction::RedistributeAndRefineMeshBlocks;
+        for nranks in [2usize, 4] {
+            let mut virt = drifting_blob(nranks, 1, true)()
+                .with_transport(Box::new(vibe_comm::SharedTransport::new()));
+            let summaries = virt.run_cycles(cycles);
+            assert!(summaries.iter().any(|s| s.refined > 0));
+            assert!(summaries.iter().any(|s| s.derefined > 0));
+            let want = virt.recorder().totals();
+            let run = run_distributed(nranks, cycles, drifting_blob(nranks, 1, true));
+            let got = run.recorder.totals();
+            let n = nranks as u64;
+
+            // Kernels: same launches and cells. (Row 3: each endpoint that
+            // builds new blocks launches its own prolongation/restriction
+            // loop, so under Regrid only the cells are comparable.)
+            assert_eq!(
+                got.kernels.keys().collect::<Vec<_>>(),
+                want.kernels.keys().collect::<Vec<_>>()
+            );
+            for (key, w) in &want.kernels {
+                let g = &got.kernels[key];
+                assert_eq!(g.cells, w.cells, "cells of {key:?} at nranks={nranks}");
+                if key.0 != regrid {
+                    assert_eq!(g.launches, w.launches, "launches of {key:?}");
+                }
+            }
+            // Ghost and flux-correction traffic: message for message.
+            for func in [StepFunction::SendBoundBufs, StepFunction::FluxCorrection] {
+                let (g, w) = (&got.comm[&func], &want.comm[&func]);
+                assert_eq!(
+                    (g.p2p_local_messages, g.p2p_local_bytes),
+                    (w.p2p_local_messages, w.p2p_local_bytes),
+                    "{func:?} local at nranks={nranks}"
+                );
+                assert_eq!(
+                    (g.p2p_remote_messages, g.p2p_remote_bytes),
+                    (w.p2p_remote_messages, w.p2p_remote_bytes),
+                    "{func:?} remote at nranks={nranks}"
+                );
+                assert_eq!(g.cells_communicated, w.cells_communicated);
+            }
+            // Variable lookups per function, and block allocations. (Row 3:
+            // every endpoint compiles the exchange plan, so each pays the
+            // flux and two-stage id lookups the virtual-rank driver does
+            // once, under SendBoundBufs.)
+            for (func, w) in &want.serial {
+                let g = &got.serial[func];
+                if *func == StepFunction::SendBoundBufs {
+                    assert!(g.string_lookups > w.string_lookups);
+                } else {
+                    assert_eq!(g.string_lookups, w.string_lookups, "lookups of {func:?}");
+                }
+            }
+            assert_eq!(
+                got.serial[&regrid].allocations,
+                want.serial[&regrid].allocations
+            );
+            // The replicated collectives: every endpoint joins each one and
+            // records the same size the virtual-rank driver models.
+            for (func, op) in [
+                (StepFunction::UpdateMeshBlockTree, CollectiveOp::AllGather),
+                (StepFunction::EstimateTimeStep, CollectiveOp::AllReduce),
+            ] {
+                let (count, bytes) = want.comm[&func].collectives[&op];
+                assert_eq!(
+                    got.comm[&func].collectives[&op],
+                    (n * count, n * bytes),
+                    "{func:?} at nranks={nranks}"
+                );
+            }
+
+            // Row 1: history rows are gathered only between endpoints.
+            let history = |t: &vibe_prof::CycleStats| {
+                t.comm
+                    .get(&StepFunction::MassHistory)
+                    .map_or(0, |c| c.collectives.len())
+            };
+            assert_eq!((history(want), history(got)), (0, 1));
+            // Row 2: between endpoints migration is the real payloads
+            // (cell data of every block whose holder changes); between
+            // virtual ranks it is a modeled full-state shipment of the
+            // blocks the load balance relabels.
+            let (g, w) = (got.comm.get(&regrid), want.comm.get(&regrid));
+            assert!(g.is_some_and(|c| c.p2p_remote_messages > 0));
+            assert_ne!(g, w);
+            // Row 3: tree and regrid list work runs on every endpoint.
+            let (g, w) = (
+                &got.serial[&StepFunction::UpdateMeshBlockTree],
+                &want.serial[&StepFunction::UpdateMeshBlockTree],
+            );
+            assert_eq!(
+                (g.tree_ops, g.block_loop),
+                (n * w.tree_ops, n * w.block_loop)
+            );
+            let (g, w) = (&got.serial[&regrid], &want.serial[&regrid]);
+            assert_eq!(
+                (g.block_loop, g.boundary_loop),
+                (n * w.block_loop, n * w.boundary_loop)
+            );
+            let (g, w) = (
+                &got.serial[&StepFunction::RebuildBufferCache],
+                &want.serial[&StepFunction::RebuildBufferCache],
+            );
+            assert_eq!(g.allocations, n * w.allocations);
+        }
     }
 
     /// A session advanced in slices (with a non-destructive mid-run
@@ -1204,29 +1390,51 @@ mod tests {
     /// Regression for the preempt teardown path: dropping a session
     /// mid-run (no `finish`) must join every rank thread and leave the
     /// gather hub drained — a fresh session right after must work.
+    ///
+    /// A rank thread owns a handle on the replica factory until it exits,
+    /// so a token captured by the factory counts exactly this test's live
+    /// rank threads. (Counting `/proc/self/task` entries, even only the
+    /// ones named `vibe-rt-rank-*`, also counts the rank threads sibling
+    /// tests spawn in this process.)
     #[test]
     fn dropping_session_mid_run_joins_cleanly() {
-        let threads_before = count_own_threads();
-        let mut session = RtSession::new(4, || replica(4, 1));
+        let token = Arc::new(());
+        let factory = |nranks: usize| {
+            let held = Arc::clone(&token);
+            move || {
+                let _held = &held;
+                replica(nranks, 1)
+            }
+        };
+        let mut session = RtSession::new(4, factory(4));
         session.run(2).unwrap();
+        assert!(
+            Arc::strong_count(&token) > 1,
+            "rank threads hold the factory"
+        );
+        if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
+            let named = tasks
+                .flatten()
+                .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+                .filter(|comm| comm.starts_with("vibe-rt-rank-"))
+                .count();
+            assert!(named >= 4, "rank threads carry their name, found {named}");
+        }
         drop(session);
-        let mut again = RtSession::new(2, || replica(2, 1));
+        assert_eq!(
+            Arc::strong_count(&token),
+            1,
+            "dropped session leaked a rank thread"
+        );
+        let mut again = RtSession::new(2, factory(2));
         again.run(1).unwrap();
         let run = again.finish().unwrap();
         assert_eq!(run.cycles, 1);
-        // All rank threads (4 from the dropped session, 2 from the
-        // finished one) must be joined by now. Worker-pool threads are
-        // persistent and already existed before.
-        assert!(
-            count_own_threads() <= threads_before,
-            "rank threads leaked: {} before, {} after",
-            threads_before,
-            count_own_threads()
+        assert_eq!(
+            Arc::strong_count(&token),
+            1,
+            "finished session leaked a rank thread"
         );
-    }
-
-    fn count_own_threads() -> usize {
-        std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
     }
 
     /// Real cross-shard traffic exists and the merged log is causal: the

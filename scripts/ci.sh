@@ -18,6 +18,21 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+echo "==> one implementation of the cycle"
+# The cycle's task bodies and helpers (all `&mut self` methods, which tells
+# `estimate_dt` from the Package hook of that name) each exist once under
+# crates/core/src: a second definition is a fork of the cycle coming back.
+for name in task_save_stage0 task_ghost_pack_send task_ghost_wait_unpack \
+    task_flux task_fcorr_send task_fcorr_apply task_update task_fill_derived \
+    task_history task_refinement_tag task_tree_update task_regrid \
+    task_estimate_dt step ensure_plan collect_tags estimate_dt; do
+    count=$(grep -rhF "fn $name(&mut self" crates/core/src | wc -l)
+    if [ "$count" -ne 1 ]; then
+        echo "fn $name is defined $count times under crates/core/src" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -118,5 +133,8 @@ grep -q '"attribution"' target/ci-scaling/BENCH.json
 grep -q '"dominant_loss_4rank"' target/ci-scaling/BENCH.json
 grep -q '"ph":"s"' target/ci-scaling/trace_flows.json
 grep -q '"ph":"f"' target/ci-scaling/trace_flows.json
+
+echo "==> code lines per crate (scripts/loc.sh)"
+scripts/loc.sh
 
 echo "CI green."

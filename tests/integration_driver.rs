@@ -288,3 +288,140 @@ fn outflow_boundaries_let_the_pulse_leave() {
         }
     }
 }
+
+/// FNV-1a over a canonical text rendering.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Hashes of what `d` recorded: the `Recorder` totals per `StepFunction`
+/// (kernel launches and cells, serial work by kind, p2p and collective
+/// traffic, memory) and the sequenced `CommEvent` stream.
+fn recorded_hashes(d: &Driver<BurgersPackage>) -> (u64, u64) {
+    use std::fmt::Write;
+    use vibe_amr::prof::MemSpace;
+    let t = d.recorder().totals();
+    let mut text = String::new();
+    for ((func, name), k) in &t.kernels {
+        writeln!(text, "kernel {func:?} {name} {} {}", k.launches, k.cells).unwrap();
+    }
+    for (func, s) in &t.serial {
+        writeln!(
+            text,
+            "serial {func:?} {} {} {} {} {} {} {}",
+            s.block_loop,
+            s.boundary_loop,
+            s.sorted_keys,
+            s.string_lookups,
+            s.allocations,
+            s.host_copy_bytes,
+            s.tree_ops
+        )
+        .unwrap();
+    }
+    for (func, c) in &t.comm {
+        writeln!(
+            text,
+            "comm {func:?} {} {} {} {} {} {:?}",
+            c.p2p_local_messages,
+            c.p2p_remote_messages,
+            c.p2p_local_bytes,
+            c.p2p_remote_bytes,
+            c.cells_communicated,
+            c.collectives
+        )
+        .unwrap();
+    }
+    for space in [MemSpace::Kokkos, MemSpace::MpiBuffers] {
+        let (now, peak) = (
+            d.recorder().mem_current(space),
+            d.recorder().mem_peak(space),
+        );
+        writeln!(text, "mem {space:?} {now} {peak}").unwrap();
+    }
+    let mut events = String::new();
+    for e in d.comm_events() {
+        writeln!(
+            events,
+            "{} {} {} {:?} {:?} {:?} {:?}",
+            e.seq, e.rank, e.cycle, e.key, e.func, e.task, e.kind
+        )
+        .unwrap();
+    }
+    assert!(!d.comm_events().is_empty());
+    (fnv(&text), fnv(&events))
+}
+
+/// The reference the platform model, the timeline simulator and every
+/// figure binary hang off: what a `Driver` on the shared transport
+/// *records* for a fixed Burgers Mesh 32/B8/L2 run, pinned by hash at
+/// `nranks` {1, 4} x `host_threads` {1, 2}. The 2D run is ten cycles long
+/// because it refines in cycle 0 and derefines in cycle 8 (three cycles of
+/// the 3D problem cross no regrid, so it rides along once for its 26-way
+/// neighbor lists). A refactor of the cycle must leave every constant
+/// alone; a deliberate accounting change re-captures them.
+#[test]
+fn recorded_workload_is_pinned() {
+    // (dim, cycles, nranks, host_threads, totals hash, event-stream hash)
+    let pinned = [
+        (
+            2usize,
+            10u64,
+            1usize,
+            1usize,
+            0x7a2364cad524faec_u64,
+            0xd0430ac5fa05c383_u64,
+        ),
+        (2, 10, 1, 2, 0x7a2364cad524faec, 0xd0430ac5fa05c383),
+        (2, 10, 4, 1, 0xd555702319a4e356, 0x20c2d51f08bb0d0a),
+        (2, 10, 4, 2, 0xd555702319a4e356, 0x20c2d51f08bb0d0a),
+        (3, 3, 4, 2, 0x191ab146d4aeb33b, 0x5c76535070a3bd0c),
+    ];
+    for (dim, cycles, nranks, host_threads, want_totals, want_events) in pinned {
+        let mesh = Mesh::new(
+            MeshParams::builder()
+                .dim(dim)
+                .mesh_cells(32)
+                .block_cells(8)
+                .max_levels(2)
+                .deref_gap(1)
+                .build()
+                .expect("valid mesh"),
+        )
+        .expect("mesh");
+        let pkg = BurgersPackage::new(BurgersParams {
+            num_scalars: 2,
+            refine_tol: 0.5,
+            deref_tol: 0.3,
+            ..Default::default()
+        });
+        let params = DriverParams {
+            nranks,
+            host_threads,
+            cfl: 0.4,
+            capture_comm_events: true,
+            ..Default::default()
+        };
+        let mut d = Driver::new(mesh, pkg, params);
+        d.initialize(ic::gaussian_blob(3.0, 0.001));
+        let summaries = d.run_cycles(cycles);
+        if dim == 2 {
+            assert!(
+                summaries.iter().any(|s| s.refined > 0)
+                    && summaries.iter().any(|s| s.derefined > 0),
+                "the pinned run must refine and derefine"
+            );
+        }
+        let got = recorded_hashes(&d);
+        assert_eq!(
+            got,
+            (want_totals, want_events),
+            "recorded workload moved at dim={dim} nranks={nranks} host_threads={host_threads}: \
+             got ({:#018x}, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
+}
