@@ -13,7 +13,8 @@
 //! contributes the measured per-stage breakdown to the JSON output. Its
 //! fingerprint must match the uninstrumented run at the same thread count.
 //!
-//! Usage: `bench_fom [output-path]` (default `BENCH_fom.json`); the thread
+//! Usage: `bench_fom [output-path]` (default `BENCH_fom.json`; the keys
+//! this binary owns are set, any others in the file are kept); the thread
 //! counts probed default to `[1, 8]` and can be overridden with
 //! `VIBE_BENCH_THREADS=1,4,8`.
 
@@ -25,6 +26,7 @@ use vibe_core::{Driver, DriverParams};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::{measured_vector_share, vector_efficiency, PlatformConfig};
 use vibe_mesh::{Mesh, MeshParams};
+use vibe_prof::json::{obj, Json};
 use vibe_prof::{summary_table, ProfLevel, Recorder, StepFunction};
 
 const MESH_CELLS: usize = 64;
@@ -377,14 +379,16 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_fom.json".to_string());
-    let threads: Vec<usize> = std::env::var("VIBE_BENCH_THREADS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("thread count"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1, 8]);
+    let counts = |name: &str, default: &str| -> Vec<usize> {
+        let list = vibe_bench::env_or(name, default.to_string());
+        let entry = |t: &str| {
+            t.trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("bad {name}={list:?}"))
+        };
+        list.split(',').map(entry).collect()
+    };
+    let threads = counts("VIBE_BENCH_THREADS", "1,8");
 
     let mut results = Vec::new();
     for &t in &threads {
@@ -454,14 +458,7 @@ fn main() {
     // concurrent rank shards over the channel transport (`vibe-rt`), one
     // OS thread per rank. The fingerprint of every merged run must equal
     // the single-process runs'.
-    let ranks: Vec<usize> = std::env::var("VIBE_BENCH_RANKS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("rank count"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let ranks = counts("VIBE_BENCH_RANKS", "1,2,4,8");
     let mut rank_runs = Vec::new();
     for &n in &ranks {
         eprintln!("probe: rank-parallel run, ranks={n} (1 thread per shard) ...");
@@ -640,127 +637,131 @@ fn main() {
         .map(|r| r.fom)
         .unwrap_or(best);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"mesh_cells\": {MESH_CELLS}, \"block_cells\": {BLOCK_CELLS}, \"levels\": {LEVELS}, \"cycles\": {CYCLES}, \"num_scalars\": {NUM_SCALARS}}},\n"
-    ));
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"threads\": {}, \"wall_s\": {:.6}, \"zone_cycles\": {}, \"fom_zone_cycles_per_s\": {:.1}, \"final_blocks\": {}, \"state_fingerprint\": \"{:016x}\"}}{}\n",
-            r.threads,
-            r.wall_s,
-            r.zone_cycles,
-            r.fom,
-            r.final_blocks,
-            r.fingerprint,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
+    let num = Json::Num;
+    let int = |n: u64| Json::Num(n as f64);
+    let size = |n: usize| Json::Num(n as f64);
+    let hex = |fp: u64| Json::Str(format!("{fp:016x}"));
+    let list = Json::Arr;
+    let config = obj(vec![
+        ("mesh_cells", size(MESH_CELLS)),
+        ("block_cells", size(BLOCK_CELLS)),
+        ("levels", int(LEVELS.into())),
+        ("cycles", int(CYCLES)),
+        ("num_scalars", size(NUM_SCALARS)),
+    ]);
+    let runs = results.iter().map(|r| {
+        obj(vec![
+            ("threads", size(r.threads)),
+            ("wall_s", num(r.wall_s)),
+            ("zone_cycles", int(r.zone_cycles)),
+            ("fom_zone_cycles_per_s", num(r.fom)),
+            ("final_blocks", size(r.final_blocks)),
+            ("state_fingerprint", hex(r.fingerprint)),
+        ])
+    });
     let measured = prof_rec
         .wall()
         .with_totals(vibe_prof::measured_by_function)
         .unwrap_or_default();
-    json.push_str(&format!(
-        "  \"measured_breakdown\": {{\"threads\": {prof_threads}, \"prof_level\": \"full\", \"profiling_result_neutral\": {prof_neutral}, \"pool_utilization\": {:.4}, \"pool_load_imbalance\": {:.4}, \"stages\": {{",
-        pool.utilization(),
-        pool.load_imbalance()
-    ));
-    for (i, (func, (ns, calls))) in measured.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!(
-            "\"{}\": {{\"wall_ns\": {ns}, \"calls\": {calls}}}",
-            func.name()
-        ));
-    }
-    json.push_str("}},\n");
-    json.push_str(&format!(
-        "  \"overlap\": {{\"threads\": {prof_threads}, \"measured_fraction\": {measured_overlap:.4}, \"modeled_fraction\": {modeled_overlap:.4}, \"overlapped_compute_ns\": {}, \"compute_task_ns\": {}}},\n",
-        prof_run.overlapped_compute_ns, prof_run.compute_task_ns
-    ));
-    json.push_str("  \"rank_scaling\": [\n");
-    for (i, r) in rank_runs.iter().enumerate() {
-        let mut per_rank = String::new();
-        for (rank, &(wall, busy, wait)) in r.per_rank.iter().enumerate() {
-            if rank > 0 {
-                per_rank.push_str(", ");
-            }
-            let _ = write!(
-                per_rank,
-                "{{\"rank\": {rank}, \"wall_s\": {wall:.6}, \"busy_s\": {busy:.6}, \"wait_s\": {wait:.6}}}"
-            );
-        }
-        json.push_str(&format!(
-            "    {{\"ranks\": {}, \"wall_s\": {:.6}, \"fom_zone_cycles_per_s\": {:.1}, \"speedup_vs_1rank\": {:.4}, \"state_fingerprint\": \"{:016x}\", \"per_rank\": [{per_rank}]}}{}\n",
-            r.ranks,
-            r.wall_s,
-            r.fom,
-            rank_base_wall / r.wall_s,
-            r.fingerprint,
-            if i + 1 < rank_runs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"block_size_sweep\": [\n");
-    for (i, e) in sweep.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"block_cells\": {}, \"wall_s\": {:.6}, \"fom_zone_cycles_per_s\": {:.1}, \"lane_faces\": {}, \"tail_faces\": {}, \"measured_vector_share\": {:.4}, \"modeled_vector_efficiency\": {:.4}, \"state_fingerprint\": \"{:016x}\"}}{}\n",
-            e.block_cells,
-            e.wall_s,
-            e.fom,
-            e.lane_faces,
-            e.tail_faces,
-            measured_vector_share(e.lane_faces, e.tail_faces),
-            vector_efficiency(e.block_cells),
-            e.fingerprint,
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"scenario_matrix\": [\n");
-    for (i, s) in scenarios.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"physics\": \"{}\", \"mesh_cells\": 16, \"block_cells\": 8, \"levels\": 2, \"cycles\": {CYCLES}, \"wall_s\": {:.6}, \"zone_cycles\": {}, \"fom_zone_cycles_per_s\": {:.1}, \"fom_threads_zone_cycles_per_s\": {:.1}, \"final_blocks\": {}, \"state_fingerprint\": \"{:016x}\", \"thread_identical\": {}}}{}\n",
-            s.physics,
-            s.wall_s,
-            s.zone_cycles,
-            s.fom,
-            s.threads_fom,
-            s.final_blocks,
-            s.fingerprint,
-            s.thread_identical,
-            if i + 1 < scenarios.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"service\": {{\"concurrent_jobs\": {}, \"tenants\": 3, \"wall_s\": {:.6}, \"jobs_per_min\": {:.1}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"all_resubmissions_cached\": {}}},\n",
-        service.jobs,
-        service.wall_s,
-        service.jobs_per_min,
-        service.cache_hits,
-        service.cache_misses,
-        service.hit_rate,
-        service.all_resubmissions_cached
-    ));
-    json.push_str(&format!(
-        "  \"bit_identical_across_ranks\": {rank_identical},\n"
-    ));
-    json.push_str(&format!(
-        "  \"bit_identical_across_threads\": {identical},\n"
-    ));
-    json.push_str(&format!(
-        "  \"serial_fom_zone_cycles_per_s\": {serial_fom:.1},\n"
-    ));
-    json.push_str(&format!("  \"best_fom_zone_cycles_per_s\": {best:.1}\n"));
-    json.push_str("}\n");
-    vibe_prof::validate_json(&json).expect("BENCH_fom.json is well-formed");
-    std::fs::write(&out_path, &json).expect("write BENCH_fom.json");
-    println!("{json}");
+    let stages = measured.iter().map(|(func, &(ns, calls))| {
+        let stage = obj(vec![("wall_ns", int(ns)), ("calls", int(calls))]);
+        (func.name().to_string(), stage)
+    });
+    let measured_breakdown = obj(vec![
+        ("threads", size(prof_threads)),
+        ("prof_level", Json::Str("full".to_string())),
+        ("profiling_result_neutral", Json::Bool(prof_neutral)),
+        ("pool_utilization", num(pool.utilization())),
+        ("pool_load_imbalance", num(pool.load_imbalance())),
+        ("stages", Json::Obj(stages.collect())),
+    ]);
+    let overlap = obj(vec![
+        ("threads", size(prof_threads)),
+        ("measured_fraction", num(measured_overlap)),
+        ("modeled_fraction", num(modeled_overlap)),
+        ("overlapped_compute_ns", int(prof_run.overlapped_compute_ns)),
+        ("compute_task_ns", int(prof_run.compute_task_ns)),
+    ]);
+    let rank_scaling = rank_runs.iter().map(|r| {
+        let per_rank = r.per_rank.iter().enumerate();
+        let per_rank = per_rank.map(|(rank, &(wall, busy, wait))| {
+            obj(vec![
+                ("rank", size(rank)),
+                ("wall_s", num(wall)),
+                ("busy_s", num(busy)),
+                ("wait_s", num(wait)),
+            ])
+        });
+        obj(vec![
+            ("ranks", size(r.ranks)),
+            ("wall_s", num(r.wall_s)),
+            ("fom_zone_cycles_per_s", num(r.fom)),
+            ("speedup_vs_1rank", num(rank_base_wall / r.wall_s)),
+            ("state_fingerprint", hex(r.fingerprint)),
+            ("per_rank", list(per_rank.collect())),
+        ])
+    });
+    let block_size_sweep = sweep.iter().map(|e| {
+        let share = measured_vector_share(e.lane_faces, e.tail_faces);
+        obj(vec![
+            ("block_cells", size(e.block_cells)),
+            ("wall_s", num(e.wall_s)),
+            ("fom_zone_cycles_per_s", num(e.fom)),
+            ("lane_faces", int(e.lane_faces)),
+            ("tail_faces", int(e.tail_faces)),
+            ("measured_vector_share", num(share)),
+            (
+                "modeled_vector_efficiency",
+                num(vector_efficiency(e.block_cells)),
+            ),
+            ("state_fingerprint", hex(e.fingerprint)),
+        ])
+    });
+    let scenario_matrix = scenarios.iter().map(|s| {
+        obj(vec![
+            ("physics", Json::Str(s.physics.to_string())),
+            ("mesh_cells", size(16)),
+            ("block_cells", size(8)),
+            ("levels", size(2)),
+            ("cycles", int(CYCLES)),
+            ("wall_s", num(s.wall_s)),
+            ("zone_cycles", int(s.zone_cycles)),
+            ("fom_zone_cycles_per_s", num(s.fom)),
+            ("fom_threads_zone_cycles_per_s", num(s.threads_fom)),
+            ("final_blocks", size(s.final_blocks)),
+            ("state_fingerprint", hex(s.fingerprint)),
+            ("thread_identical", Json::Bool(s.thread_identical)),
+        ])
+    });
+    let service_section = obj(vec![
+        ("concurrent_jobs", size(service.jobs)),
+        ("tenants", size(3)),
+        ("wall_s", num(service.wall_s)),
+        ("jobs_per_min", num(service.jobs_per_min)),
+        ("cache_hits", int(service.cache_hits)),
+        ("cache_misses", int(service.cache_misses)),
+        ("cache_hit_rate", num(service.hit_rate)),
+        (
+            "all_resubmissions_cached",
+            Json::Bool(service.all_resubmissions_cached),
+        ),
+    ]);
+    let sections = vec![
+        ("config", config),
+        ("runs", list(runs.collect())),
+        ("measured_breakdown", measured_breakdown),
+        ("overlap", overlap),
+        ("rank_scaling", list(rank_scaling.collect())),
+        ("block_size_sweep", list(block_size_sweep.collect())),
+        ("scenario_matrix", list(scenario_matrix.collect())),
+        ("service", service_section),
+        ("bit_identical_across_ranks", Json::Bool(rank_identical)),
+        ("bit_identical_across_threads", Json::Bool(identical)),
+        ("serial_fom_zone_cycles_per_s", num(serial_fom)),
+        ("best_fom_zone_cycles_per_s", num(best)),
+    ];
+    println!("{}", obj(sections.clone()).render());
+    vibe_bench::update_bench_json(&out_path, sections).expect("write BENCH_fom.json");
     if !identical {
         eprintln!("ERROR: state fingerprints differ across thread counts");
         std::process::exit(1);

@@ -10,30 +10,21 @@
 //!    re-partition onto the surviving ranks, replay — to the *exact*
 //!    fault-free fingerprint within a bounded retry count.
 //!
-//! Usage: `ft_gate [BENCH.json]` — a `"resilience"` section (faults
-//! injected, recoveries, recovery overhead) is spliced into the JSON
-//! document when a path is given. Override the matrix with
-//! `VIBE_FT_RANKS=2,4,8` and `VIBE_FT_THREADS=1,8` (the defaults).
+//! Usage: `ft_gate [BENCH.json]` — when a path is given, the document's
+//! `"resilience"` key (faults injected, recoveries, recovery overhead) is
+//! set and its other keys are kept.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use vibe_bench::{format_table, run_workload_distributed, WorkloadSpec};
 use vibe_core::driver::DriverParams;
 use vibe_core::{restore_driver, Driver, DynPackage, PackageSpec, Snapshot};
 use vibe_ft::{FaultPlan, FaultPlanSpec, FaultStats, KillSpec};
+use vibe_prof::json::{obj, Json};
 use vibe_rt::{run_resilient, ResilienceOptions, RtSession, SessionOptions};
 
-fn axis(var: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(var)
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("axis entry"))
-                .collect()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
+const RANKS: [usize; 3] = [2, 4, 8];
+const THREADS: [usize; 2] = [1, 8];
 
 /// One rank's replica for the resilient factory: fresh from the initial
 /// condition, or restored from a recovery checkpoint — in both cases
@@ -68,39 +59,8 @@ fn replica(spec: &WorkloadSpec, snapshot: Option<&Snapshot>, nranks: usize) -> D
     }
 }
 
-/// Splices a single-line `"resilience": {...}` entry into the bench JSON
-/// (replacing any previous one), or creates a minimal document when the
-/// file does not exist yet.
-fn splice_resilience(path: &str, section: &str) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let kept: Vec<&str> = existing
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("\"resilience\":"))
-        .collect();
-    let comma = if kept.iter().any(|l| l.trim_start().starts_with('"')) {
-        ","
-    } else {
-        ""
-    };
-    let mut out = String::with_capacity(existing.len() + section.len() + 32);
-    let mut inserted = false;
-    for line in kept {
-        out.push_str(line);
-        out.push('\n');
-        if !inserted && line.trim() == "{" {
-            let _ = writeln!(out, "  \"resilience\": {section}{comma}");
-            inserted = true;
-        }
-    }
-    assert!(inserted, "bench JSON must open with a '{{' line");
-    vibe_prof::validate_json(&out).expect("spliced bench JSON stays well-formed");
-    std::fs::write(path, out)
-}
-
 fn main() {
     let bench_path = std::env::args().nth(1);
-    let ranks = axis("VIBE_FT_RANKS", &[2, 4, 8]);
-    let threads = axis("VIBE_FT_THREADS", &[1, 8]);
     let cycles = 6u64;
     let base = WorkloadSpec {
         mesh_cells: 16,
@@ -118,8 +78,8 @@ fn main() {
     let mut total_checkpoints = 0u32;
     let mut total_stall_ns = 0u64;
     let mut reference_fp = 0u64;
-    for &nranks in &ranks {
-        for &host_threads in &threads {
+    for nranks in RANKS {
+        for host_threads in THREADS {
             let spec = WorkloadSpec {
                 nranks,
                 host_threads,
@@ -224,29 +184,34 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "fault-tolerance gate passed for ranks {ranks:?} x threads {threads:?}: \
+        "fault-tolerance gate passed for ranks {RANKS:?} x threads {THREADS:?}: \
          {} message faults, {} kills, {} recoveries, all bitwise",
         totals.dropped + totals.delayed + totals.duplicated,
         totals.killed,
         total_recoveries,
     );
     if let Some(path) = bench_path {
-        let section = format!(
-            "{{\"ranks\": {ranks:?}, \"threads\": {threads:?}, \"cycles\": {cycles}, \
-             \"faults_dropped\": {}, \"faults_delayed\": {}, \"faults_duplicated\": {}, \
-             \"kills\": {}, \"recoveries\": {}, \"checkpoints\": {}, \
-             \"recovery_stall_ms_total\": {:.3}, \"fingerprint\": \"{:016x}\", \
-             \"gate\": \"pass\"}}",
-            totals.dropped,
-            totals.delayed,
-            totals.duplicated,
-            totals.killed,
-            total_recoveries,
-            total_checkpoints,
-            total_stall_ns as f64 / 1e6,
-            reference_fp,
-        );
-        splice_resilience(&path, &section).expect("write bench JSON");
+        let count = |n: u64| Json::Num(n as f64);
+        let list = |a: &[usize]| Json::Arr(a.iter().map(|&n| Json::Num(n as f64)).collect());
+        let section = obj(vec![
+            ("ranks", list(&RANKS)),
+            ("threads", list(&THREADS)),
+            ("cycles", count(cycles)),
+            ("faults_dropped", count(totals.dropped)),
+            ("faults_delayed", count(totals.delayed)),
+            ("faults_duplicated", count(totals.duplicated)),
+            ("kills", count(totals.killed)),
+            ("recoveries", count(total_recoveries.into())),
+            ("checkpoints", count(total_checkpoints.into())),
+            (
+                "recovery_stall_ms_total",
+                Json::Num(total_stall_ns as f64 / 1e6),
+            ),
+            ("fingerprint", Json::Str(format!("{reference_fp:016x}"))),
+            ("gate", Json::Str("pass".to_string())),
+        ]);
+        vibe_bench::update_bench_json(&path, vec![("resilience", section)])
+            .expect("write bench JSON");
         println!("resilience section written to {path}");
     }
 }

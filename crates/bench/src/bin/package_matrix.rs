@@ -9,8 +9,8 @@
 //! 3. the probed roster exactly matches `standard_registry()` — a newly
 //!    registered package cannot dodge the gate.
 //!
-//! Usage: `package_matrix` — override the axes with
-//! `VIBE_PKG_RANKS=1,2,4,8` and `VIBE_PKG_THREADS=1,8` (the defaults).
+//! Usage: `package_matrix`. Its burgers rows are the rank-parallel
+//! fingerprint gate of the distributed runtime.
 
 use std::collections::BTreeMap;
 
@@ -18,21 +18,10 @@ use vibe_bench::{format_table, run_workload, run_workload_distributed, WorkloadS
 
 /// The packages this gate probes; checked against the registry roster.
 const PACKAGES: &[&str] = &["advect", "burgers", "diffusion", "euler"];
-
-fn axis(var: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(var)
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("axis entry"))
-                .collect()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
+const RANKS: [usize; 4] = [1, 2, 4, 8];
+const THREADS: [usize; 2] = [1, 8];
 
 fn main() {
-    let ranks = axis("VIBE_PKG_RANKS", &[1, 2, 4, 8]);
-    let threads = axis("VIBE_PKG_THREADS", &[1, 8]);
     let registered = vibe_physics::standard_registry().names();
     assert_eq!(
         registered, PACKAGES,
@@ -58,8 +47,8 @@ fn main() {
             reference.state_fingerprint, reference.final_blocks
         );
         references.insert(physics, reference.state_fingerprint);
-        for &nranks in &ranks {
-            for &host_threads in &threads {
+        for nranks in RANKS {
+            for host_threads in THREADS {
                 let spec = WorkloadSpec {
                     nranks,
                     host_threads,
@@ -107,7 +96,7 @@ fn main() {
         }
     }
     println!(
-        "package matrix gate passed for {} packages x ranks {ranks:?} x threads {threads:?}",
+        "package matrix gate passed for {} packages x ranks {RANKS:?} x threads {THREADS:?}",
         PACKAGES.len()
     );
 }

@@ -15,34 +15,19 @@
 //!   and multi-rank runs must match at least one cross-rank edge.
 //!
 //! Usage: `scaling_report [bench-json-path]` (default `BENCH_fom.json`;
-//! the attribution section is spliced into the existing file). Overrides:
-//! `VIBE_SCALE_MESH`, `VIBE_SCALE_BLOCK`, `VIBE_SCALE_LEVELS`,
-//! `VIBE_SCALE_CYCLES`, `VIBE_SCALE_RANKS=1,2,4,8`,
-//! `VIBE_SCALE_THREADS=1,8`, `VIBE_SCALE_TRACE_DIR`.
+//! the document's `attribution` key is set, its other keys are kept).
+//! Overrides: `VIBE_SCALE_MESH`, `VIBE_SCALE_BLOCK`, `VIBE_SCALE_LEVELS`,
+//! `VIBE_SCALE_CYCLES`, `VIBE_SCALE_TRACE_DIR`.
 
 use std::fmt::Write as _;
 
-use vibe_bench::{run_workload, run_workload_distributed, WorkloadSpec};
+use vibe_bench::{env_or, run_workload, run_workload_distributed, WorkloadSpec};
+use vibe_prof::json::{obj, Json};
 use vibe_prof::{validate_flow_events, Attribution, ProfLevel};
 use vibe_rt::RtRun;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .map(|s| s.trim().parse().expect("numeric env override"))
-        .unwrap_or(default)
-}
-
-fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(name)
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("numeric list env override"))
-                .collect()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
+const RANKS: [usize; 4] = [1, 2, 4, 8];
+const THREADS: [usize; 2] = [1, 8];
 
 struct RankReport {
     ranks: usize,
@@ -113,49 +98,15 @@ fn critical_path_line(attr: &Attribution) -> String {
     out
 }
 
-/// Splices a single-line `"attribution": {...}` entry into the bench JSON
-/// (replacing any previous one), or creates a minimal document when the
-/// file does not exist yet.
-fn splice_attribution(path: &str, section: &str) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let kept: Vec<&str> = existing
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("\"attribution\":"))
-        .collect();
-    // Comma only if the document keeps other keys (a scratch file from a
-    // previous run may hold nothing but the stale attribution line).
-    let comma = if kept.iter().any(|l| l.trim_start().starts_with('"')) {
-        ","
-    } else {
-        ""
-    };
-    let mut out = String::with_capacity(existing.len() + section.len() + 32);
-    let mut inserted = false;
-    for line in kept {
-        out.push_str(line);
-        out.push('\n');
-        if !inserted && line.trim() == "{" {
-            let _ = writeln!(out, "  \"attribution\": {section}{comma}");
-            inserted = true;
-        }
-    }
-    assert!(inserted, "bench JSON must open with a '{{' line");
-    vibe_prof::validate_json(&out).expect("spliced bench JSON stays well-formed");
-    std::fs::write(path, out)
-}
-
 fn main() {
     let bench_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_fom.json".to_string());
-    let mesh_cells = env_usize("VIBE_SCALE_MESH", 64);
-    let block_cells = env_usize("VIBE_SCALE_BLOCK", 16);
-    let levels = env_usize("VIBE_SCALE_LEVELS", 2) as u32;
-    let cycles = env_usize("VIBE_SCALE_CYCLES", 3) as u64;
-    let ranks = env_list("VIBE_SCALE_RANKS", &[1, 2, 4, 8]);
-    let threads = env_list("VIBE_SCALE_THREADS", &[1, 8]);
-    let trace_dir =
-        std::env::var("VIBE_SCALE_TRACE_DIR").unwrap_or_else(|_| "target/scaling".to_string());
+    let mesh_cells: usize = env_or("VIBE_SCALE_MESH", 64);
+    let block_cells: usize = env_or("VIBE_SCALE_BLOCK", 16);
+    let levels: u32 = env_or("VIBE_SCALE_LEVELS", 2);
+    let cycles: u64 = env_or("VIBE_SCALE_CYCLES", 3);
+    let trace_dir = env_or("VIBE_SCALE_TRACE_DIR", "target/scaling".to_string());
 
     let base = WorkloadSpec {
         mesh_cells,
@@ -175,7 +126,7 @@ fn main() {
     let mut failures = Vec::new();
     let mut reports: Vec<RankReport> = Vec::new();
 
-    for &n in &ranks {
+    for n in RANKS {
         // Attribution OFF: the plain distributed run this PR's trajectory
         // already records.
         eprintln!("probe: ranks={n}, attribution off ...");
@@ -188,7 +139,7 @@ fn main() {
         }
         // Attribution ON at every probed host-thread count; the threads=1
         // run (serial inside each shard) provides the reported buckets.
-        for &t in &threads {
+        for t in THREADS {
             eprintln!("probe: ranks={n}, threads={t}, attribution on ...");
             let run = run_workload_distributed(&WorkloadSpec {
                 nranks: n,
@@ -287,56 +238,53 @@ fn main() {
         );
     }
 
-    // Persist the attribution section (single line, spliced into the
-    // existing bench JSON so bench_fom's own sections survive).
-    let mut section = String::from("{");
-    let _ = write!(
-        section,
-        "\"mesh_cells\": {mesh_cells}, \"block_cells\": {block_cells}, \"levels\": {levels}, \"cycles\": {cycles}, \"runs\": ["
-    );
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            section.push_str(", ");
-        }
-        let (loss, _) = r.attr.dominant_loss();
-        let _ = write!(
-            section,
-            "{{\"ranks\": {}, \"wall_s\": {:.6}, \"speedup_vs_1rank\": {:.4}, \"matched_cross_edges\": {}, \"flow_arrows\": {}, \"critical_path_switches\": {}, \"max_sum_error_frac\": {:.4}, \"min_coverage_frac\": {:.4}, \"dominant_loss\": \"{loss}\", \"per_rank\": [",
-            r.ranks,
-            r.wall_s,
-            base_wall / r.wall_s,
-            r.attr.matched_cross_edges,
-            r.flows,
-            r.attr.critical_path.switches,
-            r.attr.max_sum_error_frac(),
-            r.attr.min_coverage_frac(),
-        );
-        for (rank, b) in r.attr.per_rank.iter().enumerate() {
-            if rank > 0 {
-                section.push_str(", ");
-            }
-            let _ = write!(
-                section,
-                "{{\"rank\": {rank}, \"wall_s\": {:.6}",
-                b.wall_ns as f64 / 1e9
-            );
-            for (name, ns) in b.as_array() {
-                let _ = write!(section, ", \"{name}_s\": {:.6}", ns as f64 / 1e9);
-            }
-            section.push('}');
-        }
-        section.push_str("]}");
-    }
-    section.push(']');
+    // Persist the attribution section; bench_fom's own sections survive.
+    let seconds = |ns: u64| Json::Num(ns as f64 / 1e9);
+    let runs = reports.iter().map(|r| {
+        let per_rank = r.attr.per_rank.iter().enumerate().map(|(rank, b)| {
+            let mut row = vec![
+                ("rank".to_string(), Json::Num(rank as f64)),
+                ("wall_s".to_string(), seconds(b.wall_ns)),
+            ];
+            let buckets = b.as_array().into_iter();
+            row.extend(buckets.map(|(name, ns)| (format!("{name}_s"), seconds(ns))));
+            Json::Obj(row.into_iter().collect())
+        });
+        obj(vec![
+            ("ranks", Json::Num(r.ranks as f64)),
+            ("wall_s", Json::Num(r.wall_s)),
+            ("speedup_vs_1rank", Json::Num(base_wall / r.wall_s)),
+            (
+                "matched_cross_edges",
+                Json::Num(r.attr.matched_cross_edges as f64),
+            ),
+            ("flow_arrows", Json::Num(r.flows as f64)),
+            (
+                "critical_path_switches",
+                Json::Num(r.attr.critical_path.switches as f64),
+            ),
+            ("max_sum_error_frac", Json::Num(r.attr.max_sum_error_frac())),
+            ("min_coverage_frac", Json::Num(r.attr.min_coverage_frac())),
+            (
+                "dominant_loss",
+                Json::Str(r.attr.dominant_loss().0.to_string()),
+            ),
+            ("per_rank", Json::Arr(per_rank.collect())),
+        ])
+    });
+    let mut section = vec![
+        ("mesh_cells", Json::Num(mesh_cells as f64)),
+        ("block_cells", Json::Num(block_cells as f64)),
+        ("levels", Json::Num(f64::from(levels))),
+        ("cycles", Json::Num(cycles as f64)),
+        ("runs", Json::Arr(runs.collect())),
+    ];
     if let Some(r) = reports.iter().find(|r| r.ranks == 4) {
-        let _ = write!(
-            section,
-            ", \"dominant_loss_4rank\": \"{}\"",
-            r.attr.dominant_loss().0
-        );
+        let loss = r.attr.dominant_loss().0.to_string();
+        section.push(("dominant_loss_4rank", Json::Str(loss)));
     }
-    section.push('}');
-    splice_attribution(&bench_path, &section).expect("write bench JSON");
+    vibe_bench::update_bench_json(&bench_path, vec![("attribution", obj(section))])
+        .expect("write bench JSON");
     eprintln!("attribution section written to {bench_path}");
 
     if !failures.is_empty() {

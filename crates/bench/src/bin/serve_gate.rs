@@ -24,15 +24,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vibe_serve::http::Server;
-use vibe_serve::json::{parse, Json};
+use vibe_serve::json::{parse, parse_lines, Json};
 use vibe_serve::{JobState, Service, ServiceConfig};
-
-fn env_u64(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .map(|s| s.trim().parse().expect("integer env var"))
-        .unwrap_or(default)
-}
 
 /// One-request HTTP/1.1 client (Connection: close), chunked-aware.
 fn http(port: u16, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -111,8 +104,8 @@ fn thread_names() -> Vec<String> {
 }
 
 fn main() {
-    let cycles = env_u64("VIBE_SERVE_CYCLES", 10);
-    let budget = env_u64("VIBE_SERVE_BUDGET", 2);
+    let cycles: u64 = vibe_bench::env_or("VIBE_SERVE_CYCLES", 10);
+    let budget: u64 = vibe_bench::env_or("VIBE_SERVE_BUDGET", 2);
     let wait = Duration::from_secs(600);
     // The kernel-launch worker pool is a process-lifetime singleton (its
     // workers deliberately persist, like rayon's). Pre-warm it at the
@@ -237,14 +230,15 @@ fn main() {
     // The HTTP artifacts must validate offline.
     let (code, jsonl) = http(port, "GET", &format!("/jobs/{id6}/metrics"), "");
     assert_eq!(code, 200);
-    let rows = vibe_prof::validate_jsonl(&jsonl)
-        .unwrap_or_else(|e| fail(&format!("metrics JSONL invalid: {e}")));
+    let rows = parse_lines(&jsonl)
+        .unwrap_or_else(|e| fail(&format!("metrics JSONL invalid: {e}")))
+        .len();
     if rows as u64 != cycles {
         fail(&format!("expected {cycles} metric rows, got {rows}"));
     }
     let (code, trace) = http(port, "GET", &format!("/jobs/{id6}/trace"), "");
     assert_eq!(code, 200);
-    vibe_prof::validate_json(&trace).unwrap_or_else(|e| fail(&format!("trace JSON invalid: {e}")));
+    parse(&trace).unwrap_or_else(|e| fail(&format!("trace JSON invalid: {e}")));
 
     // Gate 3: fairness. The six uniform jobs (0..5) carry equal work per
     // tenant; mean turnaround per tenant must stay within 3x.

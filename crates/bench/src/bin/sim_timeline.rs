@@ -24,18 +24,11 @@
 
 use std::process::ExitCode;
 
-use vibe_bench::{format_table, run_workload, sci, WorkloadSpec};
+use vibe_bench::{env_or, format_table, run_workload, sci, WorkloadSpec};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
 use vibe_prof::{perfetto_async_trace_json, validate_async_trace};
 use vibe_sim::{simulate, SimConfig, SimReport, SimTimeline, SimWorkload};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn run_sim(spec: &WorkloadSpec, cfg: &SimConfig) -> (SimReport, SimTimeline) {
     let run = run_workload(spec);
@@ -45,10 +38,10 @@ fn run_sim(spec: &WorkloadSpec, cfg: &SimConfig) -> (SimReport, SimTimeline) {
 }
 
 fn main() -> ExitCode {
-    let mesh = env_usize("VIBE_SIM_MESH", 64);
-    let block = env_usize("VIBE_SIM_BLOCK", 16);
-    let levels = env_usize("VIBE_SIM_LEVELS", 2) as u32;
-    let cycles = env_usize("VIBE_SIM_CYCLES", 2) as u64;
+    let mesh: usize = env_or("VIBE_SIM_MESH", 64);
+    let block: usize = env_or("VIBE_SIM_BLOCK", 16);
+    let levels: u32 = env_or("VIBE_SIM_LEVELS", 2);
+    let cycles: u64 = env_or("VIBE_SIM_CYCLES", 2);
     // Workload physics: any registered package (leaked to &'static to fit
     // the Copy spec; a one-shot binary, so the leak is bounded).
     let physics: &'static str = match std::env::var("VIBE_SIM_PHYSICS") {
@@ -239,8 +232,7 @@ fn main() -> ExitCode {
     );
 
     // --- 5. Perfetto async trace ---------------------------------------
-    let trace_dir =
-        std::env::var("VIBE_SIM_TRACE_DIR").unwrap_or_else(|_| "target/sim-timeline".to_string());
+    let trace_dir = env_or("VIBE_SIM_TRACE_DIR", "target/sim-timeline".to_string());
     let cfg2 = SimConfig::streamed(2, block, 2);
     let run2 = run_workload(&spec(2, block));
     let w2 = SimWorkload::from_recorded(&run2.recorder, &run2.comm_events, &cfg2);

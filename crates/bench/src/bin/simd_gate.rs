@@ -4,22 +4,13 @@
 //! unless every state fingerprint is bitwise identical to the scalar
 //! serial reference.
 //!
-//! Usage: `simd_gate` — override the matrices with `VIBE_SIMD_THREADS=1,8`
-//! and `VIBE_SIMD_RANKS=1,2,8` (those are the defaults).
+//! Usage: `simd_gate`.
 
 use vibe_bench::{format_table, run_workload, run_workload_distributed, WorkloadSpec};
 use vibe_burgers::FluxBackend;
 
-fn axis(var: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(var)
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("axis entry"))
-                .collect()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
+const THREADS: [usize; 2] = [1, 8];
+const RANKS: [usize; 3] = [1, 2, 8];
 
 fn backend_name(b: FluxBackend) -> &'static str {
     match b {
@@ -31,8 +22,6 @@ fn backend_name(b: FluxBackend) -> &'static str {
 }
 
 fn main() {
-    let threads = axis("VIBE_SIMD_THREADS", &[1, 8]);
-    let ranks = axis("VIBE_SIMD_RANKS", &[1, 2, 8]);
     // Block 16 exercises both the full-bundle path and the short exterior
     // bands that fall back to the scalar tail.
     let base = WorkloadSpec {
@@ -59,7 +48,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut failures = 0usize;
     for &backend in &backends {
-        for &host_threads in &threads {
+        for host_threads in THREADS {
             let spec = WorkloadSpec {
                 flux_backend: backend,
                 host_threads,
@@ -78,7 +67,7 @@ fn main() {
         }
     }
     // Rank shards run the Auto backend — the default production path.
-    for &nranks in &ranks {
+    for nranks in RANKS {
         let spec = WorkloadSpec {
             flux_backend: FluxBackend::Auto,
             nranks,
@@ -107,7 +96,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "simd fingerprint gate passed: backends {:?} x threads {threads:?}, ranks {ranks:?}",
+        "simd fingerprint gate passed: backends {:?} x threads {THREADS:?}, ranks {RANKS:?}",
         backends.map(backend_name)
     );
 }

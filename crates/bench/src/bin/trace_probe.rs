@@ -14,24 +14,16 @@
 
 use std::path::Path;
 
-use vibe_bench::{run_workload, WorkloadSpec};
-use vibe_prof::{
-    metrics_jsonl, perfetto_trace_json, summary_table, validate_json, validate_jsonl, ProfLevel,
-};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .map(|s| s.trim().parse().unwrap_or_else(|_| panic!("bad {name}")))
-        .unwrap_or(default)
-}
+use vibe_bench::{env_or, run_workload, WorkloadSpec};
+use vibe_prof::json::{parse, parse_lines};
+use vibe_prof::{metrics_jsonl, perfetto_trace_json, summary_table, ProfLevel};
 
 fn main() {
     let out_dir = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/trace-probe".to_string());
-    let threads = env_usize("VIBE_TRACE_THREADS", 8);
-    let cycles = env_usize("VIBE_TRACE_CYCLES", 3) as u64;
+    let threads: usize = env_or("VIBE_TRACE_THREADS", 8);
+    let cycles: u64 = env_or("VIBE_TRACE_CYCLES", 3);
     let spec = WorkloadSpec {
         mesh_cells: 64,
         block_cells: 16,
@@ -70,8 +62,10 @@ fn main() {
         .expect("profiling was enabled");
     // Self-validate before writing, so a malformed export fails loudly
     // here rather than in a viewer.
-    validate_json(&trace).expect("trace.json is well-formed JSON");
-    let lines = validate_jsonl(&jsonl).expect("metrics.jsonl lines are well-formed");
+    parse(&trace).expect("trace.json is well-formed JSON");
+    let lines = parse_lines(&jsonl)
+        .expect("metrics.jsonl lines are well-formed")
+        .len();
     assert_eq!(lines as u64, cycles, "one metrics line per cycle");
 
     std::fs::create_dir_all(&out_dir).expect("create output dir");

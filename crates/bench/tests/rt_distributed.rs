@@ -4,6 +4,7 @@
 //! rank-tagged Perfetto trace.
 
 use vibe_bench::{run_workload, run_workload_distributed, WorkloadSpec};
+use vibe_prof::json::{parse, Json};
 use vibe_prof::ProfLevel;
 
 fn spec(nranks: usize) -> WorkloadSpec {
@@ -56,11 +57,21 @@ fn multirank_trace_export_is_rank_tagged() {
         );
     }
     let json = run.perfetto_trace_json();
-    vibe_prof::validate_json(&json).expect("well-formed multi-rank trace");
+    let doc = parse(&json).expect("well-formed multi-rank trace");
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        panic!("no traceEvents array");
+    };
     for rank in 0..nranks {
-        assert!(
-            json.contains(&format!("\"name\":\"rank {rank}\"")),
-            "missing process track for rank {rank}"
+        let label = format!("rank {rank}");
+        let names_track = |ev: &&Json| {
+            ev.get("name").and_then(Json::as_str) == Some("process_name")
+                && ev.get("args").and_then(|a| a.get("name")?.as_str()) == Some(&label)
+        };
+        let track = events.iter().find(names_track);
+        let track = track.unwrap_or_else(|| panic!("missing process track for rank {rank}"));
+        assert_eq!(
+            track.get("pid").and_then(Json::as_u64),
+            Some(rank as u64 + 1)
         );
     }
     // Profiling must stay result-neutral in the distributed runtime too.

@@ -18,7 +18,7 @@
 //! worker-pool utilization metrics, and Chrome/Perfetto + JSONL + text
 //! exporters. The [`WallClock`] handle rides inside the [`Recorder`], so
 //! framework code opens nested regions through the recorder it already
-//! holds.
+//! holds. [`json`] is the workspace's one JSON value, writer and parser.
 
 //!
 //! The [`spans`] / [`attribution`] modules grow the measured-time layer
@@ -29,6 +29,7 @@
 
 pub mod attribution;
 pub mod functions;
+pub mod json;
 pub mod pool_stats;
 pub mod recorder;
 pub mod regions;
@@ -54,7 +55,7 @@ pub use timeline::{cycle_table, evolution_line, sparkline};
 pub use trace_export::{
     job_metrics_jsonl, measured_by_function, metrics_jsonl, perfetto_async_trace_json,
     perfetto_multirank_trace_json, perfetto_multirank_trace_with_flows_json, perfetto_trace_json,
-    summary_table, validate_async_trace, validate_flow_events, validate_json, validate_jsonl,
-    AsyncSpan, AsyncTraceStats, FlowStats, JobCycleMetric,
+    summary_table, validate_async_trace, validate_flow_events, AsyncSpan, AsyncTraceStats,
+    FlowStats, JobCycleMetric,
 };
 pub use wallclock::{ProfLevel, RegionGuard, TraceEvent, WallClock, WallCycleStats};

@@ -10,6 +10,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use vibe_prof::JobCycleMetric;
+
 /// The cached outcome of one completed job.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CachedResult {
@@ -21,8 +23,9 @@ pub struct CachedResult {
     pub dt: f64,
     /// Cycles the producing run advanced.
     pub cycles: u64,
-    /// Job-scoped per-cycle metrics (JSON Lines), re-served verbatim.
-    pub metrics_jsonl: String,
+    /// The producing job's per-cycle metrics; a hit re-serves them under
+    /// its own job id.
+    pub metrics: Vec<JobCycleMetric>,
     /// Perfetto trace of the producing run, re-served verbatim.
     pub trace_json: String,
 }
@@ -78,7 +81,7 @@ mod tests {
             time: 1.0,
             dt: 0.1,
             cycles: 4,
-            metrics_jsonl: String::new(),
+            metrics: Vec::new(),
             trace_json: String::new(),
         }
     }

@@ -1,403 +1,3 @@
-//! Minimal std-only JSON value: recursive-descent parser plus renderer.
-//!
-//! The service's request bodies are small, flat objects (a job
-//! configuration, a resume directive), so this keeps the dependency-free
-//! constraint of the workspace: parse into a [`Json`] tree, pull typed
-//! fields out with the accessor helpers, and render responses back with
-//! [`Json::render`]. The output satisfies `vibe_prof::validate_json`,
-//! which the tests use as an independent syntax oracle.
-
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-/// A parsed JSON value. Object keys live in a `BTreeMap`, so rendering is
-/// canonical: two structurally equal documents render identically — the
-/// property the result cache's fingerprint keying depends on.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as f64; integers survive to 2^53).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with sorted keys.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Member lookup on an object; `None` for other variants.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The numeric value as a non-negative integer (rejects fractional
-    /// and negative numbers rather than truncating them silently).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Some(*x as u64),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Renders the value as compact JSON (sorted object keys).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => write_f64(*x, out),
-            Json::Str(s) => write_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(m) => {
-                out.push('{');
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Builds an object from key/value pairs (keys sort on render).
-pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn write_f64(x: f64, out: &mut String) {
-    if !x.is_finite() {
-        out.push_str("null");
-    } else if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) {
-        let _ = write!(out, "{}", x as i64);
-    } else {
-        let _ = write!(out, "{x:?}");
-    }
-}
-
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parses one JSON document (rejecting trailing content).
-pub fn parse(s: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn err<T>(&self, msg: &str) -> Result<T, String> {
-        Err(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bump() == Some(b) {
-            Ok(())
-        } else {
-            self.pos = self.pos.saturating_sub(1);
-            self.err(&format!("expected '{}'", b as char))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            self.err("bad literal")
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return self.err("nesting too deep");
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => self.err("expected a JSON value"),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut m = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(m));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let v = self.value(depth + 1)?;
-            m.insert(key, v);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(m)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return self.err("expected ',' or '}'");
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(items)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return self.err("expected ',' or ']'");
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            match self.bump() {
-                                Some(c) if c.is_ascii_hexdigit() => {
-                                    code = code * 16 + (c as char).to_digit(16).unwrap();
-                                }
-                                _ => return self.err("bad \\u escape"),
-                            }
-                        }
-                        // Surrogates degrade to the replacement character;
-                        // the service's field names are ASCII anyway.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return self.err("bad escape"),
-                },
-                Some(c) if c < 0x20 => return self.err("raw control char in string"),
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(_) => {
-                    // Re-assemble the UTF-8 sequence: the input &str is
-                    // valid UTF-8, so walk back and take the whole char.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| "bad utf-8".to_string())?;
-                    let ch = s.chars().next().ok_or("bad utf-8")?;
-                    self.pos = start + ch.len_utf8();
-                    out.push(ch);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_and_accessors() {
-        let doc =
-            r#"{"tenant":"acme","cycles":12,"tol":0.1,"nested":{"a":[1,2,null,true],"b":"x\ny"}}"#;
-        let v = parse(doc).unwrap();
-        assert_eq!(v.get("tenant").unwrap().as_str(), Some("acme"));
-        assert_eq!(v.get("cycles").unwrap().as_u64(), Some(12));
-        assert_eq!(v.get("tol").unwrap().as_f64(), Some(0.1));
-        let rendered = v.render();
-        vibe_prof::validate_json(&rendered).unwrap();
-        // Parse-render is a fixed point once keys are sorted.
-        assert_eq!(parse(&rendered).unwrap().render(), rendered);
-    }
-
-    #[test]
-    fn canonical_render_is_key_order_independent() {
-        let a = parse(r#"{"b":1,"a":2}"#).unwrap();
-        let b = parse(r#"{"a":2,"b":1}"#).unwrap();
-        assert_eq!(a.render(), b.render());
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\":}",
-            "tru",
-            "01x",
-            "\"\\q\"",
-            "{\"a\":1}x",
-            "1.2.3",
-        ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
-        }
-        // Deep nesting is bounded, not a stack overflow.
-        let deep = "[".repeat(100_000);
-        assert!(parse(&deep).is_err());
-    }
-
-    #[test]
-    fn as_u64_rejects_fractional_and_negative() {
-        assert_eq!(parse("3.5").unwrap().as_u64(), None);
-        assert_eq!(parse("-2").unwrap().as_u64(), None);
-        assert_eq!(parse("7").unwrap().as_u64(), Some(7));
-    }
-
-    #[test]
-    fn unicode_strings_roundtrip() {
-        let v = parse(r#""caf\u00e9 ✓""#).unwrap();
-        assert_eq!(v.as_str(), Some("café ✓"));
-        assert_eq!(parse(&v.render()).unwrap(), v);
-    }
-}
+//! The workspace's JSON module lives in `vibe-prof`; this path stays for
+//! the service's callers.
+pub use vibe_prof::json::*;

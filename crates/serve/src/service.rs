@@ -272,9 +272,10 @@ impl Service {
                 dt: c.dt,
             });
             job.trace_json = Some(c.trace_json);
-            // Re-serve the producer's metrics rows rebadged with this
-            // job's id so the JSONL stream stays job-scoped.
-            job.metrics = rebadge_metrics(&c.metrics_jsonl, id);
+            // Re-serve the producer's rows under this job's id so the
+            // JSONL stream stays job-scoped.
+            job.metrics = c.metrics;
+            job.metrics.iter_mut().for_each(|m| m.job = id);
             job.finished = Some(now);
             true
         } else {
@@ -492,31 +493,6 @@ fn view(id: u64, j: &Job) -> JobView {
     }
 }
 
-/// Re-parses a cached metrics stream and stamps a new job id on each row
-/// (only the `job` field differs; the physics columns are served
-/// verbatim from the producing run).
-fn rebadge_metrics(jsonl: &str, id: u64) -> Vec<JobCycleMetric> {
-    let mut out = Vec::new();
-    for line in jsonl.lines() {
-        let Ok(v) = crate::json::parse(line) else {
-            continue;
-        };
-        let num = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0);
-        let int = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or(0);
-        out.push(JobCycleMetric {
-            job: id,
-            cycle: int("cycle"),
-            time: num("time"),
-            dt: num("dt"),
-            nblocks: int("nblocks") as usize,
-            refined: int("refined") as usize,
-            derefined: int("derefined") as usize,
-            wall_ns: int("wall_ns"),
-        });
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Runner pool
 // ---------------------------------------------------------------------------
@@ -617,7 +593,7 @@ fn run_slice(shared: &Arc<Shared>, id: u64) {
                         time: run.time,
                         dt: run.dt,
                         cycles: job.cycles_done,
-                        metrics_jsonl: job_metrics_jsonl(&job.metrics),
+                        metrics: job.metrics.clone(),
                         trace_json: trace,
                     };
                     let key = job.config.cache_key();
@@ -784,6 +760,7 @@ fn replica(config: &JobConfig, snapshot: Option<&Snapshot>) -> Driver<DynPackage
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse, parse_lines, Json};
 
     fn small_cfg(cycles: u64, nranks: usize, threads: usize) -> JobConfig {
         JobConfig {
@@ -822,8 +799,8 @@ mod tests {
         assert_eq!(r.dt.to_bits(), dt.to_bits());
         assert_eq!(v.cycles_executed, 7);
         let jsonl = svc.metrics_jsonl(id).unwrap();
-        assert_eq!(vibe_prof::validate_jsonl(&jsonl).unwrap(), 7);
-        vibe_prof::validate_json(&svc.trace_json(id).unwrap()).unwrap();
+        assert_eq!(parse_lines(&jsonl).unwrap().len(), 7);
+        parse(&svc.trace_json(id).unwrap()).unwrap();
         svc.shutdown();
     }
 
@@ -850,10 +827,23 @@ mod tests {
             vb.result.unwrap().fingerprint,
             va.result.unwrap().fingerprint
         );
-        // The hit's metrics are the producer's rows rebadged to job b.
-        let jsonl = svc.metrics_jsonl(b).unwrap();
-        assert_eq!(vibe_prof::validate_jsonl(&jsonl).unwrap(), 5);
-        assert!(jsonl.lines().all(|l| l.starts_with("{\"job\":1,")));
+        // The hit's metrics are the producer's stream row for row, except
+        // that every row carries job b's id.
+        let rows = |id| parse_lines(&svc.metrics_jsonl(id).unwrap()).unwrap();
+        let rebadged: Vec<Json> = rows(a)
+            .into_iter()
+            .map(|row| {
+                let Json::Obj(mut row) = row else {
+                    panic!("metrics rows are objects");
+                };
+                assert_eq!(row.len(), 8, "job + the seven solver columns");
+                let was = row.insert("job".to_string(), Json::Num(b as f64));
+                assert_eq!(was, Some(Json::Num(a as f64)));
+                Json::Obj(row)
+            })
+            .collect();
+        assert_eq!(rebadged.len(), 5);
+        assert_eq!(rows(b), rebadged);
         let (hits, _, entries) = svc.shared.cache.stats();
         assert_eq!((hits, entries), (1, 1));
         svc.shutdown();

@@ -33,6 +33,37 @@ for name in task_save_stage0 task_ghost_pack_send task_ghost_wait_unpack \
     fi
 done
 
+echo "==> one JSON implementation"
+# crates/prof/src/json.rs is the only code under crates/ that escapes a
+# string, formats a number or parses JSON; everything else builds `Json`
+# values. A second parser, an escaped-key literal in a `format!`, or one of
+# the deleted text-level helpers coming back fails here.
+json=crates/prof/src/json.rs
+for def in 'struct Parser' 'fn write_str' 'fn write_f64'; do
+    where=$(grep -rlF "$def" crates --include='*.rs' | tr '\n' ' ')
+    if [ "$where" != "$json " ] || [ "$(grep -cF "$def" "$json")" -ne 1 ]; then
+        echo "'$def' must be defined exactly once, in $json (found in: $where)" >&2
+        exit 1
+    fi
+done
+for file in $(find crates/*/src -name '*.rs' ! -path "$json"); do
+    # Non-test code: up to the file's first top-level #[cfg(test)].
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -nE '\\"[a-z_]+\\":'; then
+        echo "$file writes JSON text by hand; build a Json value instead" >&2
+        exit 1
+    fi
+done
+gone='splice_attribution|splice_resilience|fn field\(|validate_json|validate_jsonl|rebadge_metrics|rt_gate|timing_probe'
+if grep -rnE "$gone" crates scripts --include='*.rs' --include='*.sh' --include='*.toml' |
+    grep -v '^scripts/ci.sh:'; then
+    echo "a deleted JSON helper or binary is back (see above)" >&2
+    exit 1
+fi
+if [ "$(grep -vE '^(//|$)' crates/serve/src/json.rs)" != 'pub use vibe_prof::json::*;' ]; then
+    echo "crates/serve/src/json.rs must be only the re-export of vibe_prof::json" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -63,25 +94,21 @@ grep -q '"displayTimeUnit"' target/ci-trace/trace.json
 test "$(wc -l <target/ci-trace/metrics.jsonl)" -eq 2
 grep -q '"pool"' target/ci-trace/metrics.jsonl
 
-echo "==> rank-parallel fingerprint gate (rt_gate)"
-# Real concurrent rank shards over the channel transport: every merged
-# (ranks x host_threads) solution must be bitwise identical to the
-# single-process driver. The binary exits nonzero on any mismatch.
-VIBE_RT_RANKS=1,2,8 VIBE_RT_THREADS=1,8 target/release/rt_gate >/dev/null
-
 echo "==> physics-package registry gate (package_matrix)"
 # Every registered package (advect, burgers, diffusion, euler) runs the
-# gate scenario through real rank shards: each merged (ranks x threads)
-# fingerprint must equal that package's single-process reference, no two
-# packages may share a fingerprint, and the probed roster must match
+# gate scenario through real rank shards over the channel transport: each
+# merged (ranks {1,2,4,8} x threads {1,8}) fingerprint must equal that
+# package's single-process reference (the burgers rows are the
+# rank-parallel fingerprint gate of the runtime itself), no two packages
+# may share a fingerprint, and the probed roster must match
 # standard_registry(). The binary exits nonzero on any violation.
-VIBE_PKG_RANKS=1,2,4,8 VIBE_PKG_THREADS=1,8 target/release/package_matrix >/dev/null
+target/release/package_matrix >/dev/null
 
 echo "==> simd flux-backend fingerprint gate (simd_gate)"
 # Scalar oracle vs W=4/W=8 lane sweeps vs Auto dispatch, across host
 # threads and real rank shards: every run must be bitwise identical to the
 # scalar serial reference. The binary exits nonzero on any mismatch.
-VIBE_SIMD_THREADS=1,8 VIBE_SIMD_RANKS=1,2,8 target/release/simd_gate >/dev/null
+target/release/simd_gate >/dev/null
 
 echo "==> fault-tolerance gate (ft_gate)"
 # Deterministic chaos + rank kill against real rank shards: a zero-rate
@@ -92,11 +119,10 @@ echo "==> fault-tolerance gate (ft_gate)"
 # The binary exits nonzero on any divergence. (Expected-panic backtraces
 # from the killed rank's cascade are routine on stderr.)
 mkdir -p target/ci-ft
-VIBE_FT_RANKS=2,4,8 VIBE_FT_THREADS=1,8 \
-    target/release/ft_gate target/ci-ft/BENCH.json >/dev/null 2>&1
-grep -q '"resilience"' target/ci-ft/BENCH.json
-grep -q '"recoveries": 6' target/ci-ft/BENCH.json
-grep -q '"gate": "pass"' target/ci-ft/BENCH.json
+target/release/ft_gate target/ci-ft/BENCH.json >/dev/null 2>&1
+grep -q '"resilience":{' target/ci-ft/BENCH.json
+grep -q '"recoveries":6,' target/ci-ft/BENCH.json
+grep -q '"gate":"pass"' target/ci-ft/BENCH.json
 
 echo "==> multi-tenant service gate (serve_gate)"
 # Boots the HTTP front end on an ephemeral port and drives 8 jobs from 3
@@ -126,11 +152,10 @@ echo "==> wait-state attribution gate (scaling_report)"
 # fail the offline Perfetto validator.
 mkdir -p target/ci-scaling
 VIBE_SCALE_MESH=32 VIBE_SCALE_BLOCK=8 VIBE_SCALE_LEVELS=2 VIBE_SCALE_CYCLES=2 \
-    VIBE_SCALE_RANKS=1,2,4,8 VIBE_SCALE_THREADS=1,8 \
     VIBE_SCALE_TRACE_DIR=target/ci-scaling \
     target/release/scaling_report target/ci-scaling/BENCH.json >/dev/null
-grep -q '"attribution"' target/ci-scaling/BENCH.json
-grep -q '"dominant_loss_4rank"' target/ci-scaling/BENCH.json
+grep -q '"attribution":{' target/ci-scaling/BENCH.json
+grep -q '"dominant_loss_4rank":"' target/ci-scaling/BENCH.json
 grep -q '"ph":"s"' target/ci-scaling/trace_flows.json
 grep -q '"ph":"f"' target/ci-scaling/trace_flows.json
 

@@ -11,6 +11,7 @@ use vibe_amr::mesh::{
     enforce_proper_nesting, partition_by_cost, AmrFlag, BlockTree, IndexShape, LogicalLocation,
     MortonKey, NeighborOffset,
 };
+use vibe_amr::prof::json::{parse, Json};
 
 /// Random refine sequences keep the tree tiling the domain.
 #[test]
@@ -257,5 +258,55 @@ fn restrict_buffer_preserves_mean() {
         for &v in &buf {
             assert!((0.0..=10.0).contains(&v), "restriction is a mean: {v}");
         }
+    }
+}
+
+/// A random JSON value: finite numbers across the whole exponent range
+/// (integers included), strings with control characters, escapes and
+/// non-BMP scalars, arrays and objects nested at most `depth` deep.
+fn random_json(rng: &mut Rng, depth: usize) -> Json {
+    let string = |rng: &mut Rng| -> String {
+        const ALPHABET: [char; 12] = [
+            'a', '"', '\\', '/', '\n', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '\u{ffff}', '😀',
+        ];
+        (0..rng.usize_in(0, 6))
+            .map(|_| ALPHABET[rng.usize_in(0, ALPHABET.len())])
+            .collect()
+    };
+    match rng.usize_in(0, if depth == 0 { 5 } else { 7 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.bool()),
+        2 => Json::Num(rng.i64_in(-(1 << 53), (1 << 53) + 1) as f64),
+        3 => loop {
+            // Any finite bit pattern: subnormals, 1e308, -0.0, ...
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                break Json::Num(x);
+            }
+        },
+        4 => Json::Str(string(rng)),
+        5 => Json::Arr(
+            (0..rng.usize_in(0, 4))
+                .map(|_| random_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.usize_in(0, 4))
+                .map(|_| (string(rng), random_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// The one JSON writer and the one JSON parser are inverses on every
+/// value the writer can be handed (non-finite numbers aside, which it
+/// degrades to `null`).
+#[test]
+fn json_parse_inverts_render() {
+    let mut rng = Rng::new(0x150_8259);
+    for _case in 0..2000 {
+        let v = random_json(&mut rng, 8);
+        let text = v.render();
+        assert_eq!(parse(&text).as_ref(), Ok(&v), "{text}");
     }
 }
