@@ -3,65 +3,22 @@
 //! serial/communication impact on a single-rank GPU configuration (where
 //! serial costs matter most).
 
-use vibe_bench::{format_table, WorkloadSpec};
-use vibe_burgers::{ic, BurgersPackage, BurgersParams};
+use vibe_bench::{format_table, paper_workload, run_workload};
 use vibe_comm::CacheConfig;
-use vibe_core::{Driver, DriverParams};
+use vibe_core::DriverParams;
 use vibe_field::PackStrategy;
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
-use vibe_mesh::{Mesh, MeshParams};
-use vibe_prof::{Recorder, StepFunction};
-
-fn run(spec: &WorkloadSpec, pack: PackStrategy, sort: bool, restrict: bool) -> (Recorder, u64) {
-    let mesh = Mesh::new(
-        MeshParams::builder()
-            .dim(3)
-            .mesh_cells(spec.mesh_cells)
-            .block_cells(spec.block_cells)
-            .max_levels(spec.levels)
-            .build()
-            .expect("valid mesh"),
-    )
-    .expect("mesh");
-    let pkg = BurgersPackage::new(BurgersParams {
-        num_scalars: spec.num_scalars,
-        refine_tol: spec.refine_tol,
-        deref_tol: spec.refine_tol * 0.25,
-        ..BurgersParams::default()
-    });
-    let mut driver = Driver::new(
-        mesh,
-        pkg,
-        DriverParams {
-            nranks: spec.nranks,
-            pack_strategy: pack,
-            cache_config: CacheConfig {
-                sort_and_randomize: sort,
-                ..CacheConfig::default()
-            },
-            restrict_on_send: restrict,
-            ..DriverParams::default()
-        },
-    );
-    driver.initialize(ic::multi_blob(0.9, 0.002, 3));
-    driver.run_cycles(spec.cycles);
-    let comm_cells: u64 = driver
-        .recorder()
-        .cycles()
-        .iter()
-        .map(|c| c.cells_communicated())
-        .sum();
-    (driver.into_recorder(), comm_cells)
-}
+use vibe_prof::StepFunction;
+use vibe_serve::JobConfig;
 
 fn main() {
     println!("== Design-choice ablations (Mesh=32, B=8, L=3, GPU 1 rank) ==\n");
-    let spec = WorkloadSpec {
-        mesh_cells: 32,
-        block_cells: 8,
+    // CFL 0.4, the driver default this table was first recorded at.
+    let job = JobConfig {
         cycles: 2,
-        ..WorkloadSpec::default()
+        cfl: 0.4,
+        ..paper_workload()
     };
     let cfg = PlatformConfig::gpu(1, 1, 8);
 
@@ -93,8 +50,20 @@ fn main() {
         ),
     ];
     for (label, pack, sort, restrict) in cases {
-        let (rec, comm_cells) = run(&spec, pack, sort, restrict);
-        let rep = evaluate(&rec, &cfg);
+        let run = run_workload(
+            &job,
+            DriverParams {
+                pack_strategy: pack,
+                cache_config: CacheConfig {
+                    sort_and_randomize: sort,
+                    ..CacheConfig::default()
+                },
+                restrict_on_send: restrict,
+                ..job.driver_params()
+            },
+        );
+        let (rec, comm_cells) = (&run.recorder, run.cells_communicated());
+        let rep = evaluate(rec, &cfg);
         let lookups: u64 = rec.totals().serial.values().map(|s| s.string_lookups).sum();
         let init_cache = rep
             .per_function

@@ -21,19 +21,34 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vibe_burgers::{ic, take_face_counts, BurgersPackage, BurgersParams};
-use vibe_core::{Driver, DriverParams};
+use vibe_bench::paper_workload;
+use vibe_burgers::take_face_counts;
+use vibe_core::DriverParams;
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::{measured_vector_share, vector_efficiency, PlatformConfig};
-use vibe_mesh::{Mesh, MeshParams};
 use vibe_prof::json::{obj, Json};
 use vibe_prof::{summary_table, ProfLevel, Recorder, StepFunction};
+use vibe_serve::JobConfig;
 
 const MESH_CELLS: usize = 64;
 const BLOCK_CELLS: usize = 16;
-const LEVELS: u32 = 2;
+const LEVELS: usize = 2;
 const CYCLES: u64 = 3;
 const NUM_SCALARS: usize = 4;
+
+/// The probe problem at `block_cells` on the given execution geometry.
+fn probe(block_cells: usize, nranks: usize, threads: usize) -> JobConfig {
+    JobConfig {
+        mesh_cells: MESH_CELLS,
+        block_cells,
+        levels: LEVELS,
+        cycles: CYCLES,
+        num_scalars: NUM_SCALARS,
+        nranks,
+        threads,
+        ..paper_workload()
+    }
+}
 
 struct RunResult {
     threads: usize,
@@ -67,44 +82,6 @@ impl RunResult {
     }
 }
 
-fn build_driver_for(
-    nranks: usize,
-    threads: usize,
-    prof_level: ProfLevel,
-    block_cells: usize,
-    capture_spans: bool,
-) -> Driver<BurgersPackage> {
-    let mesh = Mesh::new(
-        MeshParams::builder()
-            .dim(3)
-            .mesh_cells(MESH_CELLS)
-            .block_cells(block_cells)
-            .max_levels(LEVELS)
-            .nghost(4)
-            .build()
-            .expect("valid probe mesh"),
-    )
-    .expect("constructible mesh");
-    let pkg = BurgersPackage::new(BurgersParams {
-        num_scalars: NUM_SCALARS,
-        refine_tol: 0.1,
-        deref_tol: 0.025,
-        ..BurgersParams::default()
-    });
-    Driver::new(
-        mesh,
-        pkg,
-        DriverParams {
-            nranks,
-            cfl: 0.3,
-            host_threads: threads,
-            prof_level,
-            capture_spans,
-            ..DriverParams::default()
-        },
-    )
-}
-
 struct RankRun {
     ranks: usize,
     wall_s: f64,
@@ -122,11 +99,15 @@ struct RankRun {
 /// Runs the probe configuration with `nranks` real concurrent rank shards
 /// (one OS thread each, serial inside the shard) through `vibe-rt`.
 fn run_ranks(nranks: usize) -> RankRun {
-    let run = vibe_rt::run_distributed(nranks, CYCLES, || {
-        let mut d = build_driver_for(nranks, 1, ProfLevel::Off, BLOCK_CELLS, true);
-        d.initialize(ic::multi_blob(0.9, 0.002, 3));
-        d
-    });
+    let cfg = probe(BLOCK_CELLS, nranks, 1);
+    // Spans for the per-rank busy/wait split; message events for the
+    // cross-rank edges the attribution matches them over.
+    let params = DriverParams {
+        capture_spans: true,
+        capture_comm_events: true,
+        ..cfg.driver_params()
+    };
+    let run = vibe_bench::run_workload_distributed(&cfg, params);
     let wall_s = run.elapsed_ns() as f64 / 1e9;
     let zone_cycles = run.recorder.totals().cell_updates;
     let per_rank = run
@@ -153,13 +134,15 @@ fn run_ranks(nranks: usize) -> RankRun {
     }
 }
 
-fn run(threads: usize, prof_level: ProfLevel) -> (RunResult, Recorder) {
-    run_with(threads, prof_level, BLOCK_CELLS)
-}
-
 fn run_with(threads: usize, prof_level: ProfLevel, block_cells: usize) -> (RunResult, Recorder) {
-    let mut driver = build_driver_for(1, threads, prof_level, block_cells, false);
-    driver.initialize(ic::multi_blob(0.9, 0.002, 3));
+    let cfg = probe(block_cells, 1, threads);
+    let mut driver = cfg.replica(
+        DriverParams {
+            prof_level,
+            ..cfg.driver_params()
+        },
+        None,
+    );
     take_face_counts(); // discard initialization's face evaluations
     let t0 = Instant::now();
     let summaries = driver.run_cycles(CYCLES);
@@ -266,19 +249,19 @@ fn scenario_matrix(threads: usize) -> Vec<ScenarioRun> {
     SCENARIO_PACKAGES
         .iter()
         .map(|&physics| {
-            let spec = vibe_bench::WorkloadSpec {
-                physics,
-                mesh_cells: 16,
-                block_cells: 8,
-                levels: 2,
-                cycles: CYCLES,
-                num_scalars: 1,
-                ..vibe_bench::WorkloadSpec::default()
-            };
-            let time_run = |spec: &vibe_bench::WorkloadSpec| {
-                let mut d = vibe_bench::build_workload_replica(spec);
+            let time_run = |threads: usize| {
+                let cfg = JobConfig {
+                    physics: physics.to_string(),
+                    mesh_cells: 16,
+                    levels: 2,
+                    cycles: CYCLES,
+                    num_scalars: 1,
+                    threads,
+                    ..paper_workload()
+                };
+                let mut d = cfg.replica(cfg.driver_params(), None);
                 let t0 = Instant::now();
-                d.run_cycles(spec.cycles);
+                d.run_cycles(cfg.cycles);
                 let wall_s = t0.elapsed().as_secs_f64();
                 let zc = d.recorder().totals().cell_updates;
                 (
@@ -289,11 +272,8 @@ fn scenario_matrix(threads: usize) -> Vec<ScenarioRun> {
                 )
             };
             eprintln!("probe: scenario matrix, physics={physics} (serial + {threads}t) ...");
-            let (wall_s, zone_cycles, fingerprint, final_blocks) = time_run(&spec);
-            let (wall_t, _, fp_t, _) = time_run(&vibe_bench::WorkloadSpec {
-                host_threads: threads,
-                ..spec
-            });
+            let (wall_s, zone_cycles, fingerprint, final_blocks) = time_run(1);
+            let (wall_t, _, fp_t, _) = time_run(threads);
             ScenarioRun {
                 physics,
                 wall_s,
@@ -323,7 +303,7 @@ struct ServiceProbe {
 /// slicing, then resubmits every problem on a different geometry — all
 /// of which must be served from the fingerprint-keyed result cache.
 fn service_probe() -> ServiceProbe {
-    use vibe_serve::{JobConfig, Service, ServiceConfig};
+    use vibe_serve::{Service, ServiceConfig};
     const JOBS: usize = 8;
     let svc = Service::start(ServiceConfig {
         runners: 2,
@@ -395,7 +375,7 @@ fn main() {
         eprintln!(
             "probe: Mesh {MESH_CELLS}/B{BLOCK_CELLS}/L{LEVELS}, {CYCLES} cycles, threads={t} ..."
         );
-        let (r, _) = run(t, ProfLevel::Off);
+        let (r, _) = run_with(t, ProfLevel::Off, BLOCK_CELLS);
         eprintln!(
             "  wall {:.3}s, {} zone-cycles, FOM {:.3e} zc/s, blocks {}, fp {:016x}",
             r.wall_s, r.zone_cycles, r.fom, r.final_blocks, r.fingerprint
@@ -407,7 +387,7 @@ fn main() {
     // per-stage breakdown, and proof that profiling is result-neutral.
     let prof_threads = threads.iter().copied().max().unwrap_or(1);
     eprintln!("probe: instrumented rerun (prof=full), threads={prof_threads} ...");
-    let (prof_run, prof_rec) = run(prof_threads, ProfLevel::Full);
+    let (prof_run, prof_rec) = run_with(prof_threads, ProfLevel::Full, BLOCK_CELLS);
     let prof_neutral = results
         .iter()
         .find(|r| r.threads == prof_threads)
@@ -645,7 +625,7 @@ fn main() {
     let config = obj(vec![
         ("mesh_cells", size(MESH_CELLS)),
         ("block_cells", size(BLOCK_CELLS)),
-        ("levels", int(LEVELS.into())),
+        ("levels", size(LEVELS)),
         ("cycles", int(CYCLES)),
         ("num_scalars", size(NUM_SCALARS)),
     ]);

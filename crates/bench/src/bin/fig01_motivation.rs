@@ -8,31 +8,35 @@
 //! Scaled-down workload (see DESIGN.md): mesh 64³ instead of the paper's
 //! 128³; block sizes 8/16/32 as in the paper.
 
-use vibe_bench::{format_table, run_workload, sci, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload, sci};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
+use vibe_serve::JobConfig;
 
 fn main() {
     println!("== Fig. 1: mesh block size motivation (scaled: Mesh=64, L=3) ==\n");
     let gpu_ranks = [1usize, 4, 12];
     let mut rows = Vec::new();
     for block in [32usize, 16, 8] {
-        let base = WorkloadSpec {
-            mesh_cells: 64,
-            block_cells: block,
-            cycles: 2,
-            ..WorkloadSpec::default()
+        let run = |nranks: usize| {
+            let cfg = JobConfig {
+                mesh_cells: 64,
+                block_cells: block,
+                cycles: 2,
+                nranks,
+                ..paper_workload()
+            };
+            run_workload(&cfg, cfg.driver_params())
         };
 
         // CPU 96 ranks.
-        let cpu_run = run_workload(&WorkloadSpec { nranks: 96, ..base });
+        let cpu_run = run(96);
         let cpu = evaluate(&cpu_run.recorder, &PlatformConfig::cpu_only(96, block));
 
         // GPU: best rank count among a small sweep.
         let mut best = None::<(usize, vibe_hwmodel::PlatformReport)>;
         for &r in &gpu_ranks {
-            let run = run_workload(&WorkloadSpec { nranks: r, ..base });
-            let rep = evaluate(&run.recorder, &PlatformConfig::gpu(1, r, block));
+            let rep = evaluate(&run(r).recorder, &PlatformConfig::gpu(1, r, block));
             if best.as_ref().is_none_or(|(_, b)| rep.fom > b.fom) {
                 best = Some((r, rep));
             }

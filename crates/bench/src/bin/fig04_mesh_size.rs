@@ -5,9 +5,10 @@
 //! Scaled: mesh ∈ {16, 24, 32, 48, 64} (¼ linear scale), B = 8 so the
 //! blocks-per-dimension ratio of the paper is preserved.
 
-use vibe_bench::{format_table, run_workload, sci, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload, sci};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
+use vibe_serve::JobConfig;
 
 fn main() {
     println!("== Fig. 4: FOM vs mesh size (B=8 scaled, L=3) ==\n");
@@ -18,16 +19,16 @@ fn main() {
         meshes.push(96);
     }
     for mesh in meshes {
-        let base = WorkloadSpec {
-            mesh_cells: mesh,
-            block_cells: 8,
-            cycles: 2,
-            ..WorkloadSpec::default()
+        let run = |nranks: usize| {
+            let cfg = JobConfig {
+                mesh_cells: mesh,
+                cycles: 2,
+                nranks,
+                ..paper_workload()
+            };
+            run_workload(&cfg, cfg.driver_params())
         };
-        let run1 = run_workload(&WorkloadSpec { nranks: 1, ..base });
-        let run12 = run_workload(&WorkloadSpec { nranks: 12, ..base });
-        let run96 = run_workload(&WorkloadSpec { nranks: 96, ..base });
-        let run8 = run_workload(&WorkloadSpec { nranks: 8, ..base });
+        let (run1, run12, run96, run8) = (run(1), run(12), run(96), run(8));
 
         let cpu = evaluate(&run96.recorder, &PlatformConfig::cpu_only(96, 8));
         let g1r1 = evaluate(&run1.recorder, &PlatformConfig::gpu(1, 1, 8));

@@ -4,25 +4,27 @@
 //! Also reports the §IV-B quantities: communicated-cell growth, cell-update
 //! shrinkage, and GPU-1R total time growth as blocks shrink.
 
-use vibe_bench::{format_table, run_workload, sci, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload, sci};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
+use vibe_serve::JobConfig;
 
 fn main() {
     println!("== Fig. 5: FOM vs MeshBlockSize (Mesh=64 scaled, L=3) ==\n");
     let mut rows = Vec::new();
     let mut stats = Vec::new();
     for block in [32usize, 16, 8] {
-        let base = WorkloadSpec {
-            mesh_cells: 64,
-            block_cells: block,
-            cycles: 2,
-            ..WorkloadSpec::default()
+        let run = |nranks: usize| {
+            let cfg = JobConfig {
+                mesh_cells: 64,
+                block_cells: block,
+                cycles: 2,
+                nranks,
+                ..paper_workload()
+            };
+            run_workload(&cfg, cfg.driver_params())
         };
-        let run1 = run_workload(&WorkloadSpec { nranks: 1, ..base });
-        let run12 = run_workload(&WorkloadSpec { nranks: 12, ..base });
-        let run96 = run_workload(&WorkloadSpec { nranks: 96, ..base });
-        let run4 = run_workload(&WorkloadSpec { nranks: 4, ..base });
+        let (run1, run12, run96, run4) = (run(1), run(12), run(96), run(4));
 
         let cpu = evaluate(&run96.recorder, &PlatformConfig::cpu_only(96, block));
         let g1r1 = evaluate(&run1.recorder, &PlatformConfig::gpu(1, 1, block));

@@ -5,25 +5,28 @@
 //! Also reports the §IV-C quantities: GPU-1R total-time growth and the
 //! falling kernel-time fraction with deeper hierarchies.
 
-use vibe_bench::{format_table, run_workload, sci, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload, sci};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
+use vibe_serve::JobConfig;
 
 fn main() {
     println!("== Fig. 6: FOM vs #AMR levels (Mesh=64 scaled, B=16) ==\n");
     let mut rows = Vec::new();
     let mut gpu1 = Vec::new();
-    for levels in [1u32, 2, 3] {
-        let base = WorkloadSpec {
-            mesh_cells: 64,
-            block_cells: 16,
-            levels,
-            cycles: 2,
-            ..WorkloadSpec::default()
+    for levels in [1usize, 2, 3] {
+        let run = |nranks: usize| {
+            let cfg = JobConfig {
+                mesh_cells: 64,
+                block_cells: 16,
+                levels,
+                cycles: 2,
+                nranks,
+                ..paper_workload()
+            };
+            run_workload(&cfg, cfg.driver_params())
         };
-        let run1 = run_workload(&WorkloadSpec { nranks: 1, ..base });
-        let run12 = run_workload(&WorkloadSpec { nranks: 12, ..base });
-        let run96 = run_workload(&WorkloadSpec { nranks: 96, ..base });
+        let (run1, run12, run96) = (run(1), run(12), run(96));
 
         let cpu = evaluate(&run96.recorder, &PlatformConfig::cpu_only(96, 16));
         let g1r1 = evaluate(&run1.recorder, &PlatformConfig::gpu(1, 1, 16));

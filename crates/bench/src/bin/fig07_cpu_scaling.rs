@@ -3,22 +3,24 @@
 //!
 //! Paper: mesh 128, B = 8, L = 3, cores ∈ {4 … 96}; scaled mesh 32.
 
-use vibe_bench::{format_table, run_workload, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
+use vibe_serve::JobConfig;
 
 fn main() {
     println!("== Fig. 7: CPU strong scaling (Mesh=32 scaled, B=8, L=3) ==\n");
     let mut rows = Vec::new();
     let mut series = Vec::new();
     for ranks in [4usize, 8, 16, 32, 48, 64, 72, 96] {
-        let run = run_workload(&WorkloadSpec {
+        let cfg = JobConfig {
             mesh_cells: 32,
             block_cells: 8,
             nranks: ranks,
             cycles: 2,
-            ..WorkloadSpec::default()
-        });
+            ..paper_workload()
+        };
+        let run = run_workload(&cfg, cfg.driver_params());
         let rep = evaluate(&run.recorder, &PlatformConfig::cpu_only(ranks, 8));
         series.push((ranks, rep.total_s, rep.kernel_s, rep.serial_s + rep.comm_s));
         rows.push(vec![

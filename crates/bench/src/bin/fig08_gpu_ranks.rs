@@ -7,14 +7,16 @@
 //! (`vibe-sim`) replaying the same recorded workload and per-message event
 //! log.
 
-use vibe_bench::{format_table, run_workload, sci, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload, sci};
+use vibe_core::DriverParams;
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
+use vibe_serve::JobConfig;
 use vibe_sim::{simulate, SimConfig, SimWorkload};
 
 fn main() {
     println!("== Fig. 8: FOM vs ranks per GPU (analytic vs simulated) ==\n");
-    let configs = [(32usize, 8usize, 3u32), (32, 16, 3), (32, 8, 2)];
+    let configs = [(32usize, 8usize, 3usize), (32, 16, 3), (32, 8, 2)];
     let ranks = [1usize, 2, 4, 8, 12, 16, 24];
     let mut rows = Vec::new();
     for (mesh, block, levels) in configs {
@@ -23,14 +25,19 @@ fn main() {
         let mut best_a = (0usize, f64::MIN);
         let mut best_s = (0usize, f64::MIN);
         for &r in &ranks {
-            let run = run_workload(&WorkloadSpec {
+            let cfg = JobConfig {
                 mesh_cells: mesh,
                 block_cells: block,
                 levels,
                 nranks: r,
                 cycles: 2,
-                ..WorkloadSpec::default()
-            });
+                ..paper_workload()
+            };
+            let params = DriverParams {
+                capture_comm_events: true,
+                ..cfg.driver_params()
+            };
+            let run = run_workload(&cfg, params);
             let rep = evaluate(&run.recorder, &PlatformConfig::gpu(1, r, block));
             if rep.fom > best_a.1 {
                 best_a = (r, rep.fom);

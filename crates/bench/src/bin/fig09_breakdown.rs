@@ -9,22 +9,16 @@
 
 use std::collections::BTreeMap;
 
-use vibe_bench::{format_table, run_workload, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload};
+use vibe_core::DriverParams;
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
 use vibe_prof::{measured_by_function, ProfLevel, StepFunction};
+use vibe_serve::JobConfig;
 use vibe_sim::{simulate, SimConfig, SimWorkload};
 
 fn main() {
     println!("== Fig. 9: kernel vs serial breakdown (Mesh=32 scaled, B=8, L=3) ==\n");
-    let spec = |r: usize| WorkloadSpec {
-        mesh_cells: 32,
-        block_cells: 8,
-        nranks: r,
-        cycles: 2,
-        prof_level: ProfLevel::Coarse,
-        ..WorkloadSpec::default()
-    };
     let mut rows = Vec::new();
     for (label, ranks, gpu) in [
         ("GPU-1R", 1usize, true),
@@ -35,7 +29,17 @@ fn main() {
         ("CPU-48R", 48, false),
         ("CPU-96R", 96, false),
     ] {
-        let run = run_workload(&spec(ranks));
+        let job = JobConfig {
+            nranks: ranks,
+            cycles: 2,
+            ..paper_workload()
+        };
+        let params = DriverParams {
+            prof_level: ProfLevel::Coarse,
+            capture_comm_events: true,
+            ..job.driver_params()
+        };
+        let run = run_workload(&job, params);
         let cfg = if gpu {
             PlatformConfig::gpu(1, ranks, 8)
         } else {

@@ -6,21 +6,23 @@
 //! extrapolates the measured per-block footprint to the paper's ~4096-block
 //! Mesh 128 / B8 / L3 census.
 
-use vibe_bench::{format_table, run_workload, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload};
 use vibe_hwmodel::{GpuSpec, MemoryModel};
 use vibe_prof::MemSpace;
+use vibe_serve::JobConfig;
 
 const GB: f64 = 1e9;
 
 fn main() {
     println!("== Fig. 10: device memory vs ranks (Mesh=32 scaled, B=8, L=3) ==\n");
-    let run = run_workload(&WorkloadSpec {
+    let cfg = JobConfig {
         mesh_cells: 32,
         block_cells: 8,
         nranks: 1,
         cycles: 2,
-        ..WorkloadSpec::default()
-    });
+        ..paper_workload()
+    };
+    let run = run_workload(&cfg, cfg.driver_params());
     let blocks = run.final_blocks as u64;
     let field_bytes = run.recorder.mem_current(MemSpace::Kokkos).max(0) as u64;
     let buffer_peak = run.recorder.mem_peak(MemSpace::MpiBuffers).max(0) as u64;

@@ -3,10 +3,11 @@
 //!
 //! Paper: mesh 128, B = 8, L = 3; GPU-1/6/8R, CPU-16/48/96R. Scaled mesh 32.
 
-use vibe_bench::{format_table, run_workload, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
 use vibe_prof::StepFunction;
+use vibe_serve::JobConfig;
 
 fn main() {
     println!("== Fig. 11: per-function time share (Mesh=32 scaled, B=8, L=3) ==\n");
@@ -20,13 +21,14 @@ fn main() {
     ];
     let mut reports = Vec::new();
     for (label, ranks, gpu) in &configs {
-        let run = run_workload(&WorkloadSpec {
+        let cfg = JobConfig {
             mesh_cells: 32,
             block_cells: 8,
             nranks: *ranks,
             cycles: 2,
-            ..WorkloadSpec::default()
-        });
+            ..paper_workload()
+        };
+        let run = run_workload(&cfg, cfg.driver_params());
         let cfg = if *gpu {
             PlatformConfig::gpu(1, *ranks, 8)
         } else {

@@ -4,10 +4,11 @@
 //! Paper: mesh 128, B = 8, L = 3; scaled mesh 32. Seconds per function for
 //! GPU-1R vs GPU-8R vs CPU-96R, serial vs kernel.
 
-use vibe_bench::{format_table, run_workload, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
 use vibe_prof::StepFunction;
+use vibe_serve::JobConfig;
 
 fn main() {
     println!("== Fig. 12: per-function serial vs kernel seconds (Mesh=32, B=8, L=3) ==\n");
@@ -18,13 +19,14 @@ fn main() {
     ];
     let mut reports = Vec::new();
     for (label, ranks, gpu) in &configs {
-        let run = run_workload(&WorkloadSpec {
+        let cfg = JobConfig {
             mesh_cells: 32,
             block_cells: 8,
             nranks: *ranks,
             cycles: 2,
-            ..WorkloadSpec::default()
-        });
+            ..paper_workload()
+        };
+        let run = run_workload(&cfg, cfg.driver_params());
         let cfg = if *gpu {
             PlatformConfig::gpu(1, *ranks, 8)
         } else {

@@ -4,8 +4,9 @@
 //! Paper: mesh 128, L = 3, 16 ranks, MICA/PIN traces; here synthesized by
 //! the opcode model from the recorded workload. Scaled mesh 64.
 
-use vibe_bench::{format_table, run_workload, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload};
 use vibe_hwmodel::{opcode_mix, OpcodeMix};
+use vibe_serve::JobConfig;
 
 fn row(label: &str, m: &OpcodeMix) -> Vec<String> {
     vec![
@@ -26,13 +27,14 @@ fn main() {
         "Mix", "Vector", "Load", "Store", "Branch", "ScalarAr", "Other", "Instr",
     ];
     for block in [32usize, 16] {
-        let run = run_workload(&WorkloadSpec {
+        let cfg = JobConfig {
             mesh_cells: 64,
             block_cells: block,
             nranks: 16,
             cycles: 2,
-            ..WorkloadSpec::default()
-        });
+            ..paper_workload()
+        };
+        let run = run_workload(&cfg, cfg.driver_params());
         let (total, serial, kernel) = opcode_mix(run.recorder.totals(), block);
         println!("-- MeshBlockSize = {block} --");
         println!(

@@ -1,5 +1,5 @@
 //! CI gate for the fault-tolerant elastic runtime: for every `(ranks,
-//! host_threads)` combination in the probe matrix it
+//! threads)` combination in the probe matrix it
 //!
 //! 1. runs the gate workload fault-free for the reference fingerprint,
 //! 2. re-runs it under a *zero-rate* fault plan and requires byte-for-byte
@@ -16,59 +16,25 @@
 
 use std::sync::Arc;
 
-use vibe_bench::{format_table, run_workload_distributed, WorkloadSpec};
-use vibe_core::driver::DriverParams;
-use vibe_core::{restore_driver, Driver, DynPackage, PackageSpec, Snapshot};
+use vibe_bench::{format_table, paper_workload, run_workload_distributed};
+use vibe_core::DriverParams;
 use vibe_ft::{FaultPlan, FaultPlanSpec, FaultStats, KillSpec};
 use vibe_prof::json::{obj, Json};
 use vibe_rt::{run_resilient, ResilienceOptions, RtSession, SessionOptions};
+use vibe_serve::JobConfig;
 
 const RANKS: [usize; 3] = [2, 4, 8];
 const THREADS: [usize; 2] = [1, 8];
 
-/// One rank's replica for the resilient factory: fresh from the initial
-/// condition, or restored from a recovery checkpoint — in both cases
-/// partitioned for `nranks` ranks, which is how a dead rank's blocks are
-/// re-homed onto the survivors.
-fn replica(spec: &WorkloadSpec, snapshot: Option<&Snapshot>, nranks: usize) -> Driver<DynPackage> {
-    match snapshot {
-        None => vibe_bench::build_workload_replica(&WorkloadSpec { nranks, ..*spec }),
-        Some(snap) => {
-            // Registry-resolved burgers is bitwise the bench-constructed
-            // one (see `build_workload_replica`), so restore through the
-            // registry path.
-            let pkg = vibe_physics::resolve(
-                &PackageSpec::named(spec.physics)
-                    .with_num_scalars(spec.num_scalars)
-                    .with_tols(spec.refine_tol, spec.refine_tol * 0.25),
-            )
-            .expect("registered workload physics");
-            restore_driver(
-                snap,
-                pkg,
-                DriverParams {
-                    nranks,
-                    cfl: 0.3,
-                    pack_strategy: spec.pack_strategy,
-                    host_threads: spec.host_threads,
-                    ..DriverParams::default()
-                },
-            )
-            .expect("restore recovery checkpoint")
-        }
-    }
-}
-
 fn main() {
     let bench_path = std::env::args().nth(1);
     let cycles = 6u64;
-    let base = WorkloadSpec {
+    let base = JobConfig {
         mesh_cells: 16,
-        block_cells: 8,
         levels: 2,
         cycles,
         num_scalars: 1,
-        ..WorkloadSpec::default()
+        ..paper_workload()
     };
 
     let mut rows = Vec::new();
@@ -79,14 +45,14 @@ fn main() {
     let mut total_stall_ns = 0u64;
     let mut reference_fp = 0u64;
     for nranks in RANKS {
-        for host_threads in THREADS {
-            let spec = WorkloadSpec {
+        for threads in THREADS {
+            let cfg = JobConfig {
                 nranks,
-                host_threads,
-                ..base
+                threads,
+                ..base.clone()
             };
             // 1. The fault-free reference.
-            let reference = run_workload_distributed(&spec);
+            let reference = run_workload_distributed(&cfg, cfg.driver_params());
             reference_fp = reference.fingerprint;
 
             // 2. Chaos off must be byte-for-byte neutral.
@@ -97,7 +63,10 @@ fn main() {
                     fault_plan: Some(Arc::clone(&zero)),
                     ..SessionOptions::default()
                 },
-                move || replica(&spec, None, nranks),
+                {
+                    let cfg = cfg.clone();
+                    move || cfg.replica(cfg.driver_params(), None)
+                },
             );
             session.run(cycles).expect("zero-rate session");
             let neutral = session.finish().expect("zero-rate finish");
@@ -108,7 +77,7 @@ fn main() {
             //    to the exact reference.
             let victim = nranks - 1;
             let plan = Arc::new(FaultPlan::new(FaultPlanSpec {
-                seed: 0x9E37 ^ ((nranks as u64) << 16) ^ host_threads as u64,
+                seed: 0x9E37 ^ ((nranks as u64) << 16) ^ threads as u64,
                 drop_per_mille: 40,
                 delay_per_mille: 80,
                 duplicate_per_mille: 40,
@@ -124,8 +93,16 @@ fn main() {
                 fault_plan: Some(Arc::clone(&plan)),
                 ..ResilienceOptions::default()
             };
-            let outcome =
-                run_resilient(nranks, cycles, opts, move |snap, n| replica(&spec, snap, n));
+            // Fresh or restored from a recovery checkpoint, each replica is
+            // partitioned for the `n` ranks still alive: how a dead rank's
+            // blocks are re-homed onto the survivors.
+            let outcome = run_resilient(nranks, cycles, opts, move |snap, n| {
+                let params = DriverParams {
+                    nranks: n,
+                    ..cfg.driver_params()
+                };
+                cfg.replica(params, snap)
+            });
             let (fp, stats, recov) = match &outcome {
                 Ok((run, report)) => (
                     run.fingerprint,
@@ -152,7 +129,7 @@ fn main() {
             failures += usize::from(!ok);
             rows.push(vec![
                 nranks.to_string(),
-                host_threads.to_string(),
+                threads.to_string(),
                 format!("kill r{victim}@c3"),
                 format!(
                     "{}d/{}l/{}u",

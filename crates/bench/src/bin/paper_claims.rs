@@ -7,26 +7,29 @@
 //! * §IV-C: kernel-time fraction falls 31.2% → 23.4% → 17.9% with levels;
 //! * §IV-E: GPU-1R time is dominated by host serial time.
 
-use vibe_bench::{run_workload, WorkloadSpec};
+use vibe_bench::{paper_workload, run_workload, WorkloadResult};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
+use vibe_serve::JobConfig;
+
+/// Two serial cycles of the paper's workload on the given mesh.
+fn run(mesh_cells: usize, block_cells: usize, levels: usize) -> WorkloadResult {
+    let cfg = JobConfig {
+        mesh_cells,
+        block_cells,
+        levels,
+        cycles: 2,
+        ..paper_workload()
+    };
+    run_workload(&cfg, cfg.driver_params())
+}
 
 fn main() {
     println!("== §IV quantitative claims (scaled workloads) ==\n");
 
     // §IV-A: static scaling 16 -> 32 (paper 64 -> 128), B=8 scaled (paper 16).
-    let small = run_workload(&WorkloadSpec {
-        mesh_cells: 16,
-        block_cells: 8,
-        cycles: 2,
-        ..WorkloadSpec::default()
-    });
-    let large = run_workload(&WorkloadSpec {
-        mesh_cells: 32,
-        block_cells: 8,
-        cycles: 2,
-        ..WorkloadSpec::default()
-    });
+    let small = run(16, 8, 3);
+    let large = run(32, 8, 3);
     println!("§IV-A mesh-size doubling (16→32 here, 64→128 in the paper):");
     println!(
         "  communicated cells x{:.2} [5.9], cell updates x{:.2} [4.5]",
@@ -42,18 +45,8 @@ fn main() {
     );
 
     // §IV-B: block size 32 -> 16 at mesh 64 (paper mesh 128).
-    let b32 = run_workload(&WorkloadSpec {
-        mesh_cells: 64,
-        block_cells: 32,
-        cycles: 2,
-        ..WorkloadSpec::default()
-    });
-    let b16 = run_workload(&WorkloadSpec {
-        mesh_cells: 64,
-        block_cells: 16,
-        cycles: 2,
-        ..WorkloadSpec::default()
-    });
+    let b32 = run(64, 32, 3);
+    let b16 = run(64, 16, 3);
     println!("§IV-B block shrink B32→B16 (Mesh=64 here, 128 in the paper):");
     println!(
         "  communicated cells x{:.2} [2.1], cell updates /{:.2} [5.0]",
@@ -69,14 +62,8 @@ fn main() {
     // §IV-C: kernel fraction vs AMR levels on GPU-1R.
     print!("§IV-C GPU-1R kernel-time fraction by levels:");
     let mut fracs = Vec::new();
-    for levels in [1u32, 2, 3] {
-        let run = run_workload(&WorkloadSpec {
-            mesh_cells: 64,
-            block_cells: 16,
-            levels,
-            cycles: 2,
-            ..WorkloadSpec::default()
-        });
+    for levels in [1usize, 2, 3] {
+        let run = run(64, 16, levels);
         let rep = evaluate(&run.recorder, &PlatformConfig::gpu(1, 1, 16));
         fracs.push(rep.kernel_fraction() * 100.0);
         print!(" L{levels}={:.1}%", rep.kernel_fraction() * 100.0);
@@ -88,12 +75,7 @@ fn main() {
     let _ = &fracs;
 
     // §IV-E: serial dominance at 1 rank.
-    let run = run_workload(&WorkloadSpec {
-        mesh_cells: 32,
-        block_cells: 8,
-        cycles: 2,
-        ..WorkloadSpec::default()
-    });
+    let run = run(32, 8, 3);
     let rep = evaluate(&run.recorder, &PlatformConfig::gpu(1, 1, 8));
     println!(
         "\n§IV-E GPU-1R split: total {:.2}s = serial {:.2}s + kernel {:.2}s",

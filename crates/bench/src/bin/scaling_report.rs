@@ -14,17 +14,21 @@
 //! * the exported flow events must pass the offline Perfetto validator,
 //!   and multi-rank runs must match at least one cross-rank edge.
 //!
-//! Usage: `scaling_report [bench-json-path]` (default `BENCH_fom.json`;
-//! the document's `attribution` key is set, its other keys are kept).
-//! Overrides: `VIBE_SCALE_MESH`, `VIBE_SCALE_BLOCK`, `VIBE_SCALE_LEVELS`,
-//! `VIBE_SCALE_CYCLES`, `VIBE_SCALE_TRACE_DIR`.
+//! Usage: `scaling_report [job-config-json] [bench-json-path]`: the
+//! problem (default Burgers Mesh 64 / B16 / L2, 3 cycles) is one
+//! `JobConfig` JSON object, whose geometry fields the probe matrix
+//! overrides; the document (default `BENCH_fom.json`) gets its
+//! `attribution` key set and keeps its other keys. The flow trace goes to
+//! `VIBE_SCALE_TRACE_DIR` (default `target/scaling`).
 
 use std::fmt::Write as _;
 
-use vibe_bench::{env_or, run_workload, run_workload_distributed, WorkloadSpec};
+use vibe_bench::{env_or, paper_workload, run_workload, run_workload_distributed, scenario_args};
+use vibe_core::DriverParams;
 use vibe_prof::json::{obj, Json};
 use vibe_prof::{validate_flow_events, Attribution, ProfLevel};
 use vibe_rt::RtRun;
+use vibe_serve::JobConfig;
 
 const RANKS: [usize; 4] = [1, 2, 4, 8];
 const THREADS: [usize; 2] = [1, 8];
@@ -99,30 +103,26 @@ fn critical_path_line(attr: &Attribution) -> String {
 }
 
 fn main() {
-    let bench_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_fom.json".to_string());
-    let mesh_cells: usize = env_or("VIBE_SCALE_MESH", 64);
-    let block_cells: usize = env_or("VIBE_SCALE_BLOCK", 16);
-    let levels: u32 = env_or("VIBE_SCALE_LEVELS", 2);
-    let cycles: u64 = env_or("VIBE_SCALE_CYCLES", 3);
+    let (scenario, args) = scenario_args(JobConfig {
+        mesh_cells: 64,
+        block_cells: 16,
+        levels: 2,
+        ..paper_workload()
+    });
+    let bench_path = args.first().map_or("BENCH_fom.json", String::as_str);
     let trace_dir = env_or("VIBE_SCALE_TRACE_DIR", "target/scaling".to_string());
-
-    let base = WorkloadSpec {
-        mesh_cells,
-        block_cells,
-        levels,
-        cycles,
-        num_scalars: 4,
-        dim: 3,
-        refine_tol: 0.1,
-        ..WorkloadSpec::default()
+    // The probe matrix below sets the geometry.
+    let base = JobConfig {
+        nranks: 1,
+        threads: 1,
+        ..scenario
     };
 
     eprintln!(
-        "reference: single-process serial run, Mesh {mesh_cells}/B{block_cells}/L{levels}, {cycles} cycles ..."
+        "reference: single-process serial run, Mesh {}/B{}/L{}, {} cycles ...",
+        base.mesh_cells, base.block_cells, base.levels, base.cycles
     );
-    let reference = run_workload(&base).state_fingerprint;
+    let reference = run_workload(&base, base.driver_params()).state_fingerprint;
     let mut failures = Vec::new();
     let mut reports: Vec<RankReport> = Vec::new();
 
@@ -130,7 +130,11 @@ fn main() {
         // Attribution OFF: the plain distributed run this PR's trajectory
         // already records.
         eprintln!("probe: ranks={n}, attribution off ...");
-        let off = run_workload_distributed(&WorkloadSpec { nranks: n, ..base });
+        let cfg = JobConfig {
+            nranks: n,
+            ..base.clone()
+        };
+        let off = run_workload_distributed(&cfg, cfg.driver_params());
         if off.fingerprint != reference {
             failures.push(format!(
                 "fingerprint diverged with attribution OFF at ranks={n}: {:016x} != {reference:016x}",
@@ -141,18 +145,24 @@ fn main() {
         // run (serial inside each shard) provides the reported buckets.
         for t in THREADS {
             eprintln!("probe: ranks={n}, threads={t}, attribution on ...");
-            let run = run_workload_distributed(&WorkloadSpec {
-                nranks: n,
-                host_threads: t,
+            let cfg = JobConfig {
+                threads: t,
+                ..cfg.clone()
+            };
+            // Spans and the message events whose send→complete pairs are
+            // the cross-rank edges between them.
+            let params = DriverParams {
                 capture_spans: true,
+                capture_comm_events: true,
                 measured_costs: true,
                 prof_level: if t == 1 {
                     ProfLevel::Coarse
                 } else {
                     ProfLevel::Off
                 },
-                ..base
-            });
+                ..cfg.driver_params()
+            };
+            let run = run_workload_distributed(&cfg, params);
             if run.fingerprint != reference {
                 failures.push(format!(
                     "fingerprint diverged with attribution ON at ranks={n} threads={t}: {:016x} != {reference:016x}",
@@ -273,17 +283,17 @@ fn main() {
         ])
     });
     let mut section = vec![
-        ("mesh_cells", Json::Num(mesh_cells as f64)),
-        ("block_cells", Json::Num(block_cells as f64)),
-        ("levels", Json::Num(f64::from(levels))),
-        ("cycles", Json::Num(cycles as f64)),
+        ("mesh_cells", Json::Num(base.mesh_cells as f64)),
+        ("block_cells", Json::Num(base.block_cells as f64)),
+        ("levels", Json::Num(base.levels as f64)),
+        ("cycles", Json::Num(base.cycles as f64)),
         ("runs", Json::Arr(runs.collect())),
     ];
     if let Some(r) = reports.iter().find(|r| r.ranks == 4) {
         let loss = r.attr.dominant_loss().0.to_string();
         section.push(("dominant_loss_4rank", Json::Str(loss)));
     }
-    vibe_bench::update_bench_json(&bench_path, vec![("attribution", obj(section))])
+    vibe_bench::update_bench_json(bench_path, vec![("attribution", obj(section))])
         .expect("write bench JSON");
     eprintln!("attribution section written to {bench_path}");
 

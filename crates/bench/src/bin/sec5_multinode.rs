@@ -10,13 +10,28 @@
 //! runtime, with the merged fingerprint checked against the single-process
 //! run.
 
-use vibe_bench::{format_table, run_workload, run_workload_distributed, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload, run_workload_distributed};
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
+use vibe_serve::JobConfig;
 
 fn fom(run: &vibe_bench::WorkloadResult, mut cfg: PlatformConfig, nodes: usize) -> f64 {
     cfg.nodes = nodes;
     evaluate(&run.recorder, &cfg).fom
+}
+
+/// Two cycles of the paper's workload on the given mesh at `nranks`
+/// virtual ranks.
+fn run(mesh: usize, block: usize, levels: usize, nranks: usize) -> vibe_bench::WorkloadResult {
+    let cfg = JobConfig {
+        mesh_cells: mesh,
+        block_cells: block,
+        levels,
+        nranks,
+        cycles: 2,
+        ..paper_workload()
+    };
+    run_workload(&cfg, cfg.driver_params())
 }
 
 fn main() {
@@ -27,20 +42,8 @@ fn main() {
     let mut drops = Vec::new();
     for block in [8usize, 16, 32] {
         let mesh = if block == 32 { 64 } else { 32 };
-        let cpu_run = run_workload(&WorkloadSpec {
-            mesh_cells: mesh,
-            block_cells: block,
-            nranks: 96,
-            cycles: 2,
-            ..WorkloadSpec::default()
-        });
-        let gpu_run = run_workload(&WorkloadSpec {
-            mesh_cells: mesh,
-            block_cells: block,
-            nranks: 8,
-            cycles: 2,
-            ..WorkloadSpec::default()
-        });
+        let cpu_run = run(mesh, block, 3, 96);
+        let gpu_run = run(mesh, block, 3, 8);
         let cpu1 = fom(&cpu_run, PlatformConfig::cpu_only(96, block), 1);
         let cpu2 = fom(&cpu_run, PlatformConfig::cpu_only(96, block), 2);
         let gpu1 = fom(&gpu_run, PlatformConfig::gpu(8, 1, block), 1);
@@ -70,23 +73,9 @@ fn main() {
 
     // AMR-depth drop across two nodes: L1 vs L3 at B16.
     let mut depth = Vec::new();
-    for levels in [1u32, 3] {
-        let cpu_run = run_workload(&WorkloadSpec {
-            mesh_cells: 64,
-            block_cells: 16,
-            levels,
-            nranks: 96,
-            cycles: 2,
-            ..WorkloadSpec::default()
-        });
-        let gpu_run = run_workload(&WorkloadSpec {
-            mesh_cells: 64,
-            block_cells: 16,
-            levels,
-            nranks: 8,
-            cycles: 2,
-            ..WorkloadSpec::default()
-        });
+    for levels in [1usize, 3] {
+        let cpu_run = run(64, 16, levels, 96);
+        let gpu_run = run(64, 16, levels, 8);
         depth.push((
             fom(&cpu_run, PlatformConfig::cpu_only(96, 16), 2),
             fom(&gpu_run, PlatformConfig::gpu(8, 1, 16), 2),
@@ -103,20 +92,19 @@ fn main() {
 
     // Measured rank-parallel strong scaling: real concurrent shards over
     // the channel transport, one OS thread per rank, serial inside each
-    // shard. Wall time is the slowest rank's barrier-bracketed cycle loop.
+    // shard. Wall time is the slowest rank's time advancing its cycles.
     println!("\n== measured rank-parallel strong scaling (vibe-rt) ==");
-    let spec = WorkloadSpec {
-        mesh_cells: 32,
-        block_cells: 8,
-        cycles: 2,
-        ..WorkloadSpec::default()
-    };
-    let reference = run_workload(&spec);
+    let reference = run(32, 8, 3, 1);
     let mut rows = Vec::new();
     let mut base_wall = 0.0f64;
     let mut all_identical = true;
     for nranks in [1usize, 2, 4, 8] {
-        let run = run_workload_distributed(&WorkloadSpec { nranks, ..spec });
+        let cfg = JobConfig {
+            nranks,
+            cycles: 2,
+            ..paper_workload()
+        };
+        let run = run_workload_distributed(&cfg, cfg.driver_params());
         let wall_s = run.elapsed_ns() as f64 / 1e9;
         if nranks == 1 {
             base_wall = wall_s;

@@ -5,8 +5,9 @@
 //! Reproduces the paper's worked example (num_scalar = 8, nx1 = 8, ng = 4,
 //! B = 8 bytes, 1024 thread blocks): 8.858 GB → 0.138 GB.
 
-use vibe_bench::{format_table, run_workload, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload};
 use vibe_hwmodel::{aux_buffer_bytes, AuxBufferLayout};
+use vibe_serve::JobConfig;
 
 fn main() {
     println!("== §VIII-B: auxiliary-buffer footprint optimization ==\n");
@@ -39,12 +40,13 @@ fn main() {
     // The same formula over our measured block censuses.
     let mut rows = Vec::new();
     for block in [8usize, 16] {
-        let run = run_workload(&WorkloadSpec {
+        let cfg = JobConfig {
             mesh_cells: 32,
             block_cells: block,
             cycles: 1,
-            ..WorkloadSpec::default()
-        });
+            ..paper_workload()
+        };
+        let run = run_workload(&cfg, cfg.driver_params());
         let blocks = run.final_blocks as u64;
         let pre = aux_buffer_bytes(blocks, block, 4, 8, 3, AuxBufferLayout::PerMeshBlock3D);
         let post = aux_buffer_bytes(

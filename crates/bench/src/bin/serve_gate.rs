@@ -14,8 +14,9 @@
 //! * **leaked thread** — after server + service shutdown, the process
 //!   thread count must return to its pre-boot value.
 //!
-//! Usage: `serve_gate` — override the per-job cycle count with
-//! `VIBE_SERVE_CYCLES` (default 10) and the slice budget with
+//! Usage: `serve_gate [job-config-json]`: every job is the given
+//! `JobConfig` JSON object (default: `JobConfig::default()` at 10 cycles)
+//! with its own `refine_tol` and `nranks`; the slice budget is
 //! `VIBE_SERVE_BUDGET` (default 2).
 
 use std::io::{Read, Write};
@@ -24,8 +25,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vibe_serve::http::Server;
-use vibe_serve::json::{parse, parse_lines, Json};
-use vibe_serve::{JobState, Service, ServiceConfig};
+use vibe_serve::json::{obj, parse, parse_lines, Json};
+use vibe_serve::{JobConfig, JobState, Service, ServiceConfig};
 
 /// One-request HTTP/1.1 client (Connection: close), chunked-aware.
 fn http(port: u16, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -67,10 +68,18 @@ fn http(port: u16, method: &str, path: &str, body: &str) -> (u16, String) {
     (code, body)
 }
 
-fn job_config_body(tenant: &str, cycles: u64, refine_tol: f64, nranks: usize) -> String {
-    format!(
-        r#"{{"tenant":"{tenant}","config":{{"cycles":{cycles},"refine_tol":{refine_tol},"nranks":{nranks}}}}}"#
-    )
+/// The submission body of `base` at this job's tolerance and rank count.
+fn job_config_body(tenant: &str, base: &JobConfig, refine_tol: f64, nranks: usize) -> String {
+    let config = JobConfig {
+        refine_tol,
+        nranks,
+        ..base.clone()
+    };
+    obj(vec![
+        ("tenant", Json::Str(tenant.to_string())),
+        ("config", config.to_json()),
+    ])
+    .render()
 }
 
 fn submit(port: u16, body: &str) -> (u64, bool) {
@@ -104,7 +113,11 @@ fn thread_names() -> Vec<String> {
 }
 
 fn main() {
-    let cycles: u64 = vibe_bench::env_or("VIBE_SERVE_CYCLES", 10);
+    let (scenario, _) = vibe_bench::scenario_args(JobConfig {
+        cycles: 10,
+        ..JobConfig::default()
+    });
+    let (base, cycles) = (&scenario, scenario.cycles);
     let budget: u64 = vibe_bench::env_or("VIBE_SERVE_BUDGET", 2);
     let wait = Duration::from_secs(600);
     // The kernel-launch worker pool is a process-lifetime singleton (its
@@ -136,13 +149,13 @@ fn main() {
     // geometry and is preempted mid-flight — job 0's uninterrupted
     // fingerprint is the reference the resumed run must reproduce.
     let tol = |i: u64| 0.2 + i as f64 * 0.005;
-    let (id0, _) = submit(port, &job_config_body("alpha", cycles, tol(0), 1));
-    let (id1, _) = submit(port, &job_config_body("beta", cycles, tol(1), 1));
-    let (id2, _) = submit(port, &job_config_body("gamma", cycles, tol(2), 1));
-    let (id3, _) = submit(port, &job_config_body("alpha", cycles, tol(3), 1));
-    let (id4, _) = submit(port, &job_config_body("beta", cycles, tol(4), 1));
-    let (id5, _) = submit(port, &job_config_body("gamma", cycles, tol(5), 1));
-    let (id6, cached6) = submit(port, &job_config_body("alpha", cycles, tol(0), 2));
+    let (id0, _) = submit(port, &job_config_body("alpha", base, tol(0), 1));
+    let (id1, _) = submit(port, &job_config_body("beta", base, tol(1), 1));
+    let (id2, _) = submit(port, &job_config_body("gamma", base, tol(2), 1));
+    let (id3, _) = submit(port, &job_config_body("alpha", base, tol(3), 1));
+    let (id4, _) = submit(port, &job_config_body("beta", base, tol(4), 1));
+    let (id5, _) = submit(port, &job_config_body("gamma", base, tol(5), 1));
+    let (id6, cached6) = submit(port, &job_config_body("alpha", base, tol(0), 2));
     if cached6 {
         fail("preempt target was served from cache before its twin completed");
     }
@@ -205,7 +218,7 @@ fn main() {
 
     // Gate 2: identical problem resubmission (job 7, different tenant
     // and geometry) is served from cache with zero recompute.
-    let (id7, cached7) = submit(port, &job_config_body("gamma", cycles, tol(1), 4));
+    let (id7, cached7) = submit(port, &job_config_body("gamma", base, tol(1), 4));
     if !cached7 {
         fail("identical resubmission missed the result cache");
     }

@@ -13,10 +13,11 @@
 //! 5. a Perfetto async trace (`target/sim-timeline/trace.json`) with one
 //!    lane per rank host thread, NIC channel, and GPU stream.
 //!
-//! Environment overrides: `VIBE_SIM_MESH`, `VIBE_SIM_BLOCK`,
-//! `VIBE_SIM_LEVELS`, `VIBE_SIM_CYCLES`, `VIBE_SIM_TRACE_DIR`, and
-//! `VIBE_SIM_PHYSICS` (any registered package name; default `burgers`) —
-//! the replayed workload's roofline regime follows the chosen physics.
+//! Usage: `sim_timeline [job-config-json]`: the replayed problem (default
+//! Burgers Mesh 64 / B16 / L2, 2 cycles) is one `JobConfig` JSON object —
+//! any registered physics, whose roofline regime the replay then follows;
+//! the sections below override its rank count and, in section 2, its block
+//! size. The trace goes to `VIBE_SIM_TRACE_DIR`.
 //!
 //! Exits nonzero if any report has NaN/negative times or idle fractions
 //! outside [0, 1], if the trace fails offline validation, or if the
@@ -24,57 +25,55 @@
 
 use std::process::ExitCode;
 
-use vibe_bench::{env_or, format_table, run_workload, sci, WorkloadSpec};
+use vibe_bench::{
+    env_or, format_table, paper_workload, run_workload, scenario_args, sci, WorkloadResult,
+};
+use vibe_core::DriverParams;
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
 use vibe_prof::{perfetto_async_trace_json, validate_async_trace};
+use vibe_serve::JobConfig;
 use vibe_sim::{simulate, SimConfig, SimReport, SimTimeline, SimWorkload};
 
-fn run_sim(spec: &WorkloadSpec, cfg: &SimConfig) -> (SimReport, SimTimeline) {
-    let run = run_workload(spec);
+/// Records `job` with its message events archived: the simulator's input.
+fn record(job: &JobConfig) -> WorkloadResult {
+    let params = DriverParams {
+        capture_comm_events: true,
+        ..job.driver_params()
+    };
+    run_workload(job, params)
+}
+
+fn run_sim(job: &JobConfig, cfg: &SimConfig) -> (SimReport, SimTimeline) {
+    let run = record(job);
     let w = SimWorkload::from_recorded(&run.recorder, &run.comm_events, cfg);
     let (report, tl) = simulate(&w, cfg).expect("consistent workload");
     (report, tl)
 }
 
 fn main() -> ExitCode {
-    let mesh: usize = env_or("VIBE_SIM_MESH", 64);
-    let block: usize = env_or("VIBE_SIM_BLOCK", 16);
-    let levels: u32 = env_or("VIBE_SIM_LEVELS", 2);
-    let cycles: u64 = env_or("VIBE_SIM_CYCLES", 2);
-    // Workload physics: any registered package (leaked to &'static to fit
-    // the Copy spec; a one-shot binary, so the leak is bounded).
-    let physics: &'static str = match std::env::var("VIBE_SIM_PHYSICS") {
-        Ok(name) => {
-            let reg = vibe_physics::standard_registry();
-            if !reg.contains(&name) {
-                eprintln!(
-                    "sim_timeline FAILURE: unknown VIBE_SIM_PHYSICS {name:?} (registered: {})",
-                    reg.names().join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-            Box::leak(name.into_boxed_str())
-        }
-        Err(_) => "burgers",
-    };
+    let (scenario, _) = scenario_args(JobConfig {
+        mesh_cells: 64,
+        block_cells: 16,
+        levels: 2,
+        cycles: 2,
+        ..paper_workload()
+    });
+    let (mesh, block, levels) = (scenario.mesh_cells, scenario.block_cells, scenario.levels);
     let mut failures: Vec<String> = Vec::new();
     println!(
-        "== vibe-sim: heterogeneous timeline simulation (Mesh {mesh}/B{block}/L{levels}, physics {physics}) ==\n"
+        "== vibe-sim: heterogeneous timeline simulation (Mesh {mesh}/B{block}/L{levels}, physics {}) ==\n",
+        scenario.physics
     );
 
-    let spec = |ranks: usize, block_cells: usize| WorkloadSpec {
-        physics,
-        mesh_cells: mesh,
+    let spec = |ranks: usize, block_cells: usize| JobConfig {
         block_cells,
-        levels,
         nranks: ranks,
-        cycles,
-        ..WorkloadSpec::default()
+        ..scenario.clone()
     };
 
     // --- 1. Calibration: zero-overlap sim vs analytic model ------------
-    let run1 = run_workload(&spec(1, block));
+    let run1 = record(&spec(1, block));
     let analytic = evaluate(&run1.recorder, &PlatformConfig::gpu(1, 1, block));
     let cal_cfg = SimConfig::zero_overlap(1, block);
     let w1 = SimWorkload::from_recorded(&run1.recorder, &run1.comm_events, &cal_cfg);
@@ -193,7 +192,7 @@ fn main() -> ExitCode {
 
     // --- 4. What-if knobs ----------------------------------------------
     println!("-- what-if: overlap, streams, launch batching (4 ranks) --");
-    let run4 = run_workload(&spec(4, block));
+    let run4 = record(&spec(4, block));
     let mut what_rows = Vec::new();
     for (label, cfg) in [
         ("sync, 1 stream", SimConfig::zero_overlap(4, block)),
@@ -234,7 +233,7 @@ fn main() -> ExitCode {
     // --- 5. Perfetto async trace ---------------------------------------
     let trace_dir = env_or("VIBE_SIM_TRACE_DIR", "target/sim-timeline".to_string());
     let cfg2 = SimConfig::streamed(2, block, 2);
-    let run2 = run_workload(&spec(2, block));
+    let run2 = record(&spec(2, block));
     let w2 = SimWorkload::from_recorded(&run2.recorder, &run2.comm_events, &cfg2);
     let (rep2, tl2) = simulate(&w2, &cfg2).expect("consistent workload");
     if let Err(e) = rep2.validate() {

@@ -9,10 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use vibe_bench::{format_table, run_workload, WorkloadSpec};
+use vibe_bench::{format_table, paper_workload, run_workload};
 use vibe_hwmodel::gpu::descriptor_for;
 use vibe_hwmodel::{kernel_metrics, GpuSpec};
 use vibe_prof::KernelTotals;
+use vibe_serve::JobConfig;
 
 /// Paper Table III reference values: (name, [dur32, dur16], occ32, warp32,
 /// warp16, bw32, ai32).
@@ -46,13 +47,14 @@ fn main() {
     println!("== Table III: GPU microarchitecture analysis (Mesh=64 scaled, L=3) ==\n");
     let gpu = GpuSpec::h100();
     for block in [32usize, 16] {
-        let run = run_workload(&WorkloadSpec {
+        let cfg = JobConfig {
             mesh_cells: 64,
             block_cells: block,
             nranks: 1,
             cycles: 2,
-            ..WorkloadSpec::default()
-        });
+            ..paper_workload()
+        };
+        let run = run_workload(&cfg, cfg.driver_params());
         let kernels = per_cycle_kernels(&run);
         let mut rows = Vec::new();
         let mut weighted = (0.0f64, 0.0, 0.0, 0.0, 0.0, 0.0); // dur-weighted sums

@@ -5,47 +5,47 @@
 //! profiling does not perturb the simulation (bitwise-identical state
 //! fingerprint against an uninstrumented run).
 //!
-//! Usage: `trace_probe [output-dir]` (default `target/trace-probe`).
-//! Overrides: `VIBE_TRACE_THREADS` (default 8), `VIBE_TRACE_CYCLES`
-//! (default 3).
+//! Usage: `trace_probe [job-config-json] [output-dir]`: the run (default
+//! Burgers Mesh 64 / B16 / L2, 3 cycles on 8 threads) is one `JobConfig`
+//! JSON object; the directory defaults to `target/trace-probe`.
 //!
 //! Open the trace at `ui.perfetto.dev` (or `chrome://tracing`): tid 0 is
 //! the driver thread's region hierarchy, tids 1.. are pool load-rank slots.
 
 use std::path::Path;
 
-use vibe_bench::{env_or, run_workload, WorkloadSpec};
+use vibe_bench::{paper_workload, run_workload, scenario_args};
+use vibe_core::DriverParams;
 use vibe_prof::json::{parse, parse_lines};
 use vibe_prof::{metrics_jsonl, perfetto_trace_json, summary_table, ProfLevel};
+use vibe_serve::JobConfig;
 
 fn main() {
-    let out_dir = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "target/trace-probe".to_string());
-    let threads: usize = env_or("VIBE_TRACE_THREADS", 8);
-    let cycles: u64 = env_or("VIBE_TRACE_CYCLES", 3);
-    let spec = WorkloadSpec {
+    let (job, args) = scenario_args(JobConfig {
         mesh_cells: 64,
         block_cells: 16,
         levels: 2,
-        cycles,
-        num_scalars: 4,
-        host_threads: threads,
-        ..WorkloadSpec::default()
-    };
+        threads: 8,
+        ..paper_workload()
+    });
+    let out_dir = args.first().map_or("target/trace-probe", String::as_str);
+    let cycles = job.cycles;
 
     eprintln!(
         "trace_probe: Mesh {}/B{}/L{}, {} cycles, threads={} ...",
-        spec.mesh_cells, spec.block_cells, spec.levels, spec.cycles, threads
+        job.mesh_cells, job.block_cells, job.levels, cycles, job.threads
     );
 
     // Reference run without instrumentation, then the instrumented run:
     // profiling must never change the simulation state.
-    let baseline = run_workload(&spec);
-    let profiled = run_workload(&WorkloadSpec {
-        prof_level: ProfLevel::Full,
-        ..spec
-    });
+    let baseline = run_workload(&job, job.driver_params());
+    let profiled = run_workload(
+        &job,
+        DriverParams {
+            prof_level: ProfLevel::Full,
+            ..job.driver_params()
+        },
+    );
     if baseline.state_fingerprint != profiled.state_fingerprint {
         eprintln!(
             "ERROR: profiling changed the state: {:016x} (off) vs {:016x} (full)",
@@ -68,9 +68,9 @@ fn main() {
         .len();
     assert_eq!(lines as u64, cycles, "one metrics line per cycle");
 
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
-    let trace_path = Path::new(&out_dir).join("trace.json");
-    let metrics_path = Path::new(&out_dir).join("metrics.jsonl");
+    std::fs::create_dir_all(out_dir).expect("create output dir");
+    let trace_path = Path::new(out_dir).join("trace.json");
+    let metrics_path = Path::new(out_dir).join("metrics.jsonl");
     std::fs::write(&trace_path, &trace).expect("write trace.json");
     std::fs::write(&metrics_path, &jsonl).expect("write metrics.jsonl");
 

@@ -10,13 +10,11 @@
 //! DESIGN.md), then evaluates the recorded workload against the H100/SPR
 //! platform models.
 
-use vibe_burgers::{BurgersPackage, BurgersParams, FluxBackend};
 use vibe_comm::CommEvent;
-use vibe_core::{CycleSummary, Driver, DriverParams, DynPackage, Package, PackageSpec};
-use vibe_field::PackStrategy;
-use vibe_mesh::{Mesh, MeshParams};
+use vibe_core::{CycleSummary, Driver, DriverParams, Package};
 use vibe_prof::json::{self, Json};
-use vibe_prof::{ProfLevel, Recorder};
+use vibe_prof::Recorder;
+use vibe_serve::{ConfigError, JobConfig};
 
 /// Environment knob `name` parsed as `T`, or `default` when it is unset:
 /// how `scripts/ci.sh` shrinks a gate binary's problem to CI scale. A set
@@ -50,69 +48,48 @@ pub fn update_bench_json(path: &str, entries: Vec<(&str, Json)>) -> std::io::Res
     std::fs::write(path, doc.render() + "\n")
 }
 
-/// One functional-simulation configuration (the paper's workload axes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkloadSpec {
-    /// Physics package name, resolved against
-    /// [`vibe_physics::standard_registry`] (`&'static` so the spec stays
-    /// `Copy`; every registry name is a literal anyway).
-    pub physics: &'static str,
-    /// Cells per dimension of the base mesh (the paper's "Mesh Size").
-    pub mesh_cells: usize,
-    /// Cells per dimension of one block ("MeshBlockSize").
-    pub block_cells: usize,
-    /// AMR levels including the base grid ("#AMR Levels").
-    pub levels: u32,
-    /// Virtual MPI ranks for the decomposition.
-    pub nranks: usize,
-    /// Measured cycles (after AMR-adapted initialization).
-    pub cycles: u64,
-    /// Passive scalars (paper: 8).
-    pub num_scalars: usize,
-    /// Spatial dimensions (paper: 3).
-    pub dim: usize,
-    /// Refinement threshold on the first-derivative criterion.
-    pub refine_tol: f64,
-    /// Variable-lookup strategy.
-    pub pack_strategy: PackStrategy,
-    /// Host OS threads for per-block parallel stages (1 = exact serial
-    /// path; results are bitwise identical at any value).
-    pub host_threads: usize,
-    /// Wall-clock instrumentation level (never affects results).
-    pub prof_level: ProfLevel,
-    /// Flux-sweep execution backend (never affects results; see
-    /// `simd_gate`).
-    pub flux_backend: FluxBackend,
-    /// Emit causal task spans + wait probes for cross-rank attribution
-    /// (observational only — never affects results; see `scaling_report`).
-    pub capture_spans: bool,
-    /// Load-balance on measured per-block costs instead of the modeled
-    /// estimate (changes ownership only, never the solution).
-    pub measured_costs: bool,
+/// The paper's workload at laptop scale, the base every figure binary
+/// varies: 3-D Burgers on Mesh 32 / B8 / L3 for 3 cycles on one rank and
+/// one thread. 4 scalars keep the functional runs laptop-fast; workload
+/// *ratios* (comm vs compute) are independent of the component count, and
+/// the memory model uses the paper's num_scalar = 8 analytically.
+pub fn paper_workload() -> JobConfig {
+    JobConfig {
+        physics: "burgers".to_string(),
+        dim: 3,
+        mesh_cells: 32,
+        block_cells: 8,
+        levels: 3,
+        cycles: 3,
+        num_scalars: 4,
+        refine_tol: 0.1,
+        deref_gap: 10,
+        ..JobConfig::default()
+    }
 }
 
-impl Default for WorkloadSpec {
-    fn default() -> Self {
-        Self {
-            physics: "burgers",
-            mesh_cells: 32,
-            block_cells: 8,
-            levels: 3,
-            nranks: 1,
-            cycles: 3,
-            // 4 scalars keep the functional runs laptop-fast; workload
-            // *ratios* (comm vs compute) are independent of the component
-            // count, and the memory model uses the paper's num_scalar = 8
-            // analytically.
-            num_scalars: 4,
-            dim: 3,
-            refine_tol: 0.1,
-            pack_strategy: PackStrategy::StringKeyed,
-            host_threads: 1,
-            prof_level: ProfLevel::Off,
-            flux_backend: FluxBackend::default(),
-            capture_spans: false,
-            measured_costs: false,
+/// Splits the command line of a gate binary into its run description and
+/// its other arguments. The description is the argument that is a JSON
+/// object, read by [`JobConfig::from_json`] — the whole scenario, not an
+/// overlay: absent fields take `JobConfig`'s defaults, an unknown field or
+/// an out-of-range value exits nonzero. Without one the binary runs
+/// `default`.
+pub fn scenario_args(default: JobConfig) -> (JobConfig, Vec<String>) {
+    let (specs, rest): (Vec<String>, Vec<String>) = std::env::args()
+        .skip(1)
+        .partition(|a| a.trim_start().starts_with('{'));
+    let parsed = match specs.as_slice() {
+        [] => return (default, rest),
+        [text] => json::parse(text)
+            .map_err(ConfigError::from)
+            .and_then(|v| JobConfig::from_json(&v)),
+        _ => Err("more than one run description".into()),
+    };
+    match parsed {
+        Ok(cfg) => (cfg, rest),
+        Err(e) => {
+            eprintln!("bad run description: {e}");
+            std::process::exit(2);
         }
     }
 }
@@ -132,7 +109,8 @@ pub struct WorkloadResult {
     /// [`state_fingerprint`]).
     pub state_fingerprint: u64,
     /// The communicator's ordered event log (per-message post/send/
-    /// completion order) — the per-rank streams `vibe-sim` replays.
+    /// completion order) — the per-rank streams `vibe-sim` replays. Empty
+    /// unless the run's `DriverParams` set `capture_comm_events`.
     pub comm_events: Vec<CommEvent>,
 }
 
@@ -146,66 +124,13 @@ pub fn state_fingerprint<P: Package>(driver: &Driver<P>) -> u64 {
     vibe_core::fingerprint_slots(driver.slots())
 }
 
-/// Builds the workload's replica driver for `spec` — the deterministic
-/// construct-and-initialize sequence shared by [`run_workload`] (which
-/// steps it single-process) and [`run_workload_distributed`] (where every
-/// rank shard replays it independently).
-pub fn build_workload_replica(spec: &WorkloadSpec) -> Driver<DynPackage> {
-    let pkg: DynPackage = if spec.physics == "burgers" {
-        // Constructed directly rather than through the registry factory so
-        // the bench-only `flux_backend` knob survives; identical to the
-        // registry's "burgers" package otherwise (and bitwise so, since
-        // the backend never changes results).
-        Box::new(BurgersPackage::new(BurgersParams {
-            num_scalars: spec.num_scalars,
-            refine_tol: spec.refine_tol,
-            deref_tol: spec.refine_tol * 0.25,
-            flux_backend: spec.flux_backend,
-            ..BurgersParams::default()
-        }))
-    } else {
-        vibe_physics::resolve(
-            &PackageSpec::named(spec.physics)
-                .with_num_scalars(spec.num_scalars)
-                .with_tols(spec.refine_tol, spec.refine_tol * 0.25),
-        )
-        .expect("registered workload physics")
-    };
-    let mesh = Mesh::new(
-        MeshParams::builder()
-            .dim(spec.dim)
-            .mesh_cells(spec.mesh_cells)
-            .block_cells(spec.block_cells)
-            .max_levels(spec.levels)
-            .nghost(pkg.nghost())
-            .build()
-            .expect("valid workload mesh"),
-    )
-    .expect("constructible mesh");
-    let mut driver = Driver::new(
-        mesh,
-        pkg,
-        DriverParams {
-            nranks: spec.nranks,
-            cfl: 0.3,
-            pack_strategy: spec.pack_strategy,
-            host_threads: spec.host_threads,
-            prof_level: spec.prof_level,
-            capture_spans: spec.capture_spans,
-            measured_costs: spec.measured_costs,
-            ..DriverParams::default()
-        },
-    );
-    driver.initialize_package();
-    driver
-}
-
-/// Runs the Burgers benchmark for `spec` with `spec.nranks` *real*
-/// concurrent rank shards over the channel transport (the `vibe-rt`
-/// runtime), returning the merged run. The fingerprint in the result is
+/// Runs `cfg` with `cfg.nranks` *real* concurrent rank shards over the
+/// channel transport (the `vibe-rt` runtime), each replica built under
+/// `params`, and returns the merged run. The fingerprint in the result is
 /// bitwise comparable with [`run_workload`]'s.
-pub fn run_workload_distributed(spec: &WorkloadSpec) -> vibe_rt::RtRun {
-    vibe_rt::run_distributed(spec.nranks, spec.cycles, || build_workload_replica(spec))
+pub fn run_workload_distributed(cfg: &JobConfig, params: DriverParams) -> vibe_rt::RtRun {
+    let job = cfg.clone();
+    vibe_rt::run_distributed(cfg.nranks, cfg.cycles, move || job.replica(params, None))
 }
 
 impl WorkloadResult {
@@ -224,19 +149,17 @@ impl WorkloadResult {
     }
 }
 
-/// Runs the Burgers benchmark functionally for `spec`, returning the
-/// recorded workload.
-///
-/// The initial condition is a deterministic set of Gaussian blobs whose
-/// steepening fronts drive sustained refinement — the "ripples on water"
-/// workload the paper describes.
+/// Runs `cfg` functionally in one process (all `params.nranks` rank labels
+/// played virtually) under `params` — `cfg.driver_params()`, or that with
+/// observation or an ablation switched on — and returns the recorded
+/// workload.
 ///
 /// # Panics
 ///
-/// Panics if the spec's mesh is invalid (indivisible by the block size).
-pub fn run_workload(spec: &WorkloadSpec) -> WorkloadResult {
-    let mut driver = build_workload_replica(spec);
-    let summaries = driver.run_cycles(spec.cycles);
+/// Panics if the configuration is invalid (see [`JobConfig::replica`]).
+pub fn run_workload(cfg: &JobConfig, params: DriverParams) -> WorkloadResult {
+    let mut driver = cfg.replica(params, None);
+    let summaries = driver.run_cycles(cfg.cycles);
     WorkloadResult {
         final_blocks: driver.mesh().num_blocks(),
         field_bytes: driver.total_field_bytes() as u64,
@@ -290,15 +213,14 @@ mod tests {
 
     #[test]
     fn tiny_workload_runs_and_records() {
-        let spec = WorkloadSpec {
+        let cfg = JobConfig {
             mesh_cells: 16,
-            block_cells: 8,
             levels: 2,
             cycles: 2,
             num_scalars: 1,
-            ..WorkloadSpec::default()
+            ..paper_workload()
         };
-        let result = run_workload(&spec);
+        let result = run_workload(&cfg, cfg.driver_params());
         assert_eq!(result.summaries.len(), 2);
         assert!(result.zone_cycles() > 0);
         assert!(result.cells_communicated() > 0);
@@ -308,17 +230,20 @@ mod tests {
 
     #[test]
     fn distributed_workload_matches_single_process_bitwise() {
-        let spec = WorkloadSpec {
+        let cfg = JobConfig {
             mesh_cells: 16,
-            block_cells: 8,
             levels: 2,
             cycles: 2,
             num_scalars: 1,
             nranks: 2,
-            ..WorkloadSpec::default()
+            ..paper_workload()
         };
-        let single = run_workload(&spec);
-        let distributed = run_workload_distributed(&spec);
+        let single = run_workload(&cfg, cfg.driver_params());
+        let params = DriverParams {
+            capture_comm_events: true,
+            ..cfg.driver_params()
+        };
+        let distributed = run_workload_distributed(&cfg, params);
         assert_eq!(single.state_fingerprint, distributed.fingerprint);
         assert_eq!(distributed.nranks, 2);
         assert!(distributed.dependency_edges > 0);

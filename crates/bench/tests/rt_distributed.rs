@@ -3,19 +3,20 @@
 //! timeline simulator, and the per-rank wall-clock streams export as one
 //! rank-tagged Perfetto trace.
 
-use vibe_bench::{run_workload, run_workload_distributed, WorkloadSpec};
+use vibe_bench::{paper_workload, run_workload, run_workload_distributed};
+use vibe_core::DriverParams;
 use vibe_prof::json::{parse, Json};
 use vibe_prof::ProfLevel;
+use vibe_serve::JobConfig;
 
-fn spec(nranks: usize) -> WorkloadSpec {
-    WorkloadSpec {
+fn spec(nranks: usize) -> JobConfig {
+    JobConfig {
         mesh_cells: 16,
-        block_cells: 8,
         levels: 2,
         cycles: 2,
         num_scalars: 1,
         nranks,
-        ..WorkloadSpec::default()
+        ..paper_workload()
     }
 }
 
@@ -25,7 +26,14 @@ fn spec(nranks: usize) -> WorkloadSpec {
 #[test]
 fn sim_replays_merged_multirank_log() {
     let nranks = 4;
-    let run = run_workload_distributed(&spec(nranks));
+    let job = spec(nranks);
+    let run = run_workload_distributed(
+        &job,
+        DriverParams {
+            capture_comm_events: true,
+            ..job.driver_params()
+        },
+    );
     assert!(run.events.iter().any(|e| e.rank != 0));
     let cfg = vibe_sim::SimConfig::zero_overlap(nranks, 8);
     let w = vibe_sim::SimWorkload::from_recorded(&run.recorder, &run.events, &cfg);
@@ -45,10 +53,14 @@ fn sim_replays_merged_multirank_log() {
 #[test]
 fn multirank_trace_export_is_rank_tagged() {
     let nranks = 2;
-    let run = run_workload_distributed(&WorkloadSpec {
-        prof_level: ProfLevel::Full,
-        ..spec(nranks)
-    });
+    let job = spec(nranks);
+    let run = run_workload_distributed(
+        &job,
+        DriverParams {
+            prof_level: ProfLevel::Full,
+            ..job.driver_params()
+        },
+    );
     assert_eq!(run.rank_traces.len(), nranks);
     for (rank, trace) in &run.rank_traces {
         assert!(
@@ -75,6 +87,6 @@ fn multirank_trace_export_is_rank_tagged() {
         );
     }
     // Profiling must stay result-neutral in the distributed runtime too.
-    let unprofiled = run_workload(&spec(nranks));
+    let unprofiled = run_workload(&job, job.driver_params());
     assert_eq!(run.fingerprint, unprofiled.state_fingerprint);
 }

@@ -7,21 +7,32 @@
 //! analytic terms: serial seconds + launches × (exec + launch latency) +
 //! local bytes / local bandwidth.
 
-use vibe_bench::{run_workload, WorkloadSpec};
+use vibe_bench::{paper_workload, run_workload, WorkloadResult};
+use vibe_core::DriverParams;
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
+use vibe_serve::JobConfig;
 use vibe_sim::{simulate, SimConfig, SimWorkload};
 
-fn golden_check(mesh: usize, block: usize, levels: u32) {
-    let spec = WorkloadSpec {
+/// Two recorded cycles with the message events the simulator replays.
+fn record(mesh: usize, block: usize, levels: usize, nranks: usize) -> WorkloadResult {
+    let job = JobConfig {
         mesh_cells: mesh,
         block_cells: block,
         levels,
-        nranks: 1,
+        nranks,
         cycles: 2,
-        ..WorkloadSpec::default()
+        ..paper_workload()
     };
-    let run = run_workload(&spec);
+    let params = DriverParams {
+        capture_comm_events: true,
+        ..job.driver_params()
+    };
+    run_workload(&job, params)
+}
+
+fn golden_check(mesh: usize, block: usize, levels: usize) {
+    let run = record(mesh, block, levels, 1);
     let analytic = evaluate(&run.recorder, &PlatformConfig::gpu(1, 1, block));
     let cfg = SimConfig::zero_overlap(1, block);
     let w = SimWorkload::from_recorded(&run.recorder, &run.comm_events, &cfg);
@@ -50,14 +61,7 @@ fn zero_overlap_single_stream_matches_analytic_anchor_b16() {
 
 #[test]
 fn event_log_round_trips_through_validator() {
-    let run = run_workload(&WorkloadSpec {
-        mesh_cells: 32,
-        block_cells: 8,
-        levels: 2,
-        nranks: 4,
-        cycles: 2,
-        ..WorkloadSpec::default()
-    });
+    let run = record(32, 8, 2, 4);
     let edges = vibe_comm::validate_event_order(&run.comm_events)
         .expect("driver event log satisfies ordering invariants");
     assert!(edges > 0, "ghost exchanges produce send→complete edges");

@@ -43,7 +43,7 @@ pub mod riemann;
 pub mod simd;
 pub mod verify;
 
-pub use package::{BurgersPackage, BurgersParams, FluxBackend, Reconstruction};
+pub use package::{BurgersPackage, BurgersParams, Reconstruction};
 pub use recon::{
     reconstruct_linear, reconstruct_linear_lanes, reconstruct_weno5, reconstruct_weno5_lanes,
     weno5_left, weno5_left_lanes,

@@ -23,68 +23,17 @@ pub enum Reconstruction {
     Linear,
 }
 
-/// Which implementation executes the flux pipeline (and the wavespeed
-/// reduction in `estimate_dt`). All backends are bitwise identical — the
-/// scalar path is the oracle the lane paths are gated against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FluxBackend {
-    /// Lane-batched SIMD sweep at the width the kernel microbenchmarks
-    /// favor: four lanes (one 256-bit register per bundle — WENO5 holds
-    /// ~15 values live, which fits the 16-register ymm file without
-    /// spills), scalar on degenerate blocks under 4 interior cells.
-    Auto,
-    /// Force eight-wide lanes. One AVX-512 register per bundle when the
-    /// build allows 512-bit vectors (`-C target-feature=-prefer-256-bit`);
-    /// under default 256-bit codegen each bundle is two ymm registers and
-    /// WENO5 spills, making this *slower* than `Lanes4`.
-    Lanes8,
-    /// Force four-wide lanes (one AVX2/ymm register per bundle).
-    Lanes4,
-    /// Scalar reference path.
-    Scalar,
-}
+/// Lane width of the flux sweep and the wavespeed reduction: one 256-bit
+/// register per bundle (WENO5 holds ~15 values live, which fits the
+/// 16-register ymm file without spills; W=8 spills and measured slower).
+const LANES: usize = 4;
 
-impl FluxBackend {
-    /// Reads the runtime switch `VIBE_FLUX_BACKEND` (`scalar`, `lanes8`/
-    /// `w8`, `lanes4`/`w4`, `auto`). Unset or unrecognized values mean
-    /// [`FluxBackend::Auto`].
-    pub fn from_env() -> Self {
-        match std::env::var("VIBE_FLUX_BACKEND").as_deref() {
-            Ok("scalar") => Self::Scalar,
-            Ok("lanes8") | Ok("w8") => Self::Lanes8,
-            Ok("lanes4") | Ok("w4") => Self::Lanes4,
-            _ => Self::Auto,
-        }
-    }
-
-    /// Lane width this backend uses on a block whose unit-stride interior
-    /// is `n_i` cells; 0 selects the scalar path.
-    fn width(self, n_i: usize) -> usize {
-        match self {
-            Self::Scalar => 0,
-            Self::Lanes8 => 8,
-            Self::Lanes4 => 4,
-            Self::Auto => {
-                if n_i >= 4 {
-                    4
-                } else {
-                    0
-                }
-            }
-        }
-    }
-}
-
-impl Default for FluxBackend {
-    /// The `scalar-flux` cargo feature pins the scalar path; otherwise the
-    /// `VIBE_FLUX_BACKEND` environment variable decides (default `Auto`).
-    fn default() -> Self {
-        if cfg!(feature = "scalar-flux") {
-            Self::Scalar
-        } else {
-            Self::from_env()
-        }
-    }
+/// Whether a block whose unit-stride interior is `n_i` cells runs through
+/// lane bundles; degenerate blocks narrower than one bundle take the
+/// scalar path. Either way the result is bitwise the scalar oracle's
+/// ([`BurgersPackage::block_fluxes_oracle`]).
+fn lane_batched(n_i: usize) -> bool {
+    n_i >= LANES
 }
 
 /// Burgers benchmark parameters.
@@ -98,8 +47,6 @@ pub struct BurgersParams {
     pub refine_tol: f64,
     /// First-derivative magnitude below which a block derefines.
     pub deref_tol: f64,
-    /// Flux-pipeline implementation (scalar oracle or lane-batched SIMD).
-    pub flux_backend: FluxBackend,
 }
 
 impl Default for BurgersParams {
@@ -109,7 +56,6 @@ impl Default for BurgersParams {
             recon: Reconstruction::Weno5,
             refine_tol: 0.08,
             deref_tol: 0.02,
-            flux_backend: FluxBackend::default(),
         }
     }
 }
@@ -252,37 +198,30 @@ impl BurgersPackage {
     }
 
     /// Computes the face fluxes of one block, restricted to one
-    /// [`FluxPhase`] band (`None` sweeps every face), dispatching to the
-    /// backend [`BurgersParams::flux_backend`] selects. Every backend is
-    /// bitwise identical, so the choice never changes results — only how
-    /// many faces run through lane bundles vs the scalar kernels.
+    /// [`FluxPhase`] band (`None` sweeps every face), through bundles of
+    /// [`LANES`] faces where [`lane_batched`].
     fn block_fluxes_banded(&self, slot: &mut BlockSlot, phase: Option<FluxPhase>) {
         let n_i = slot.data.shape().range(0, IndexDomain::Interior).len();
         let ns = self.params.num_scalars;
-        match (self.params.flux_backend.width(n_i), self.params.recon) {
-            (8, Reconstruction::Weno5) => {
-                simd::block_fluxes_lanes::<simd::Weno5Kernel, 8>(slot, ns, phase);
+        if !lane_batched(n_i) {
+            return self.block_fluxes_oracle(slot, phase);
+        }
+        match self.params.recon {
+            Reconstruction::Weno5 => {
+                simd::block_fluxes_lanes::<simd::Weno5Kernel, LANES>(slot, ns, phase);
             }
-            (8, Reconstruction::Linear) => {
-                simd::block_fluxes_lanes::<simd::LinearKernel, 8>(slot, ns, phase);
+            Reconstruction::Linear => {
+                simd::block_fluxes_lanes::<simd::LinearKernel, LANES>(slot, ns, phase);
             }
-            (4, Reconstruction::Weno5) => {
-                simd::block_fluxes_lanes::<simd::Weno5Kernel, 4>(slot, ns, phase);
-            }
-            (4, Reconstruction::Linear) => {
-                simd::block_fluxes_lanes::<simd::LinearKernel, 4>(slot, ns, phase);
-            }
-            _ => self.block_fluxes_scalar(slot, phase),
         }
     }
 
-    /// Scalar reference sweep — the oracle the lane backends are gated
-    /// against. Computes the same face band(s) as
-    /// [`Self::block_fluxes_banded`], one face at a time.
-    ///
-    /// Hot path: all access goes through precomputed strides over the raw
-    /// slices, sweeping contiguous lines along the face-normal dimension.
-    fn block_fluxes_scalar(&self, slot: &mut BlockSlot, phase: Option<FluxPhase>) {
+    /// Scalar reference sweep — the oracle the lane sweep is tested
+    /// against (`tests/lane_kernels.rs`), and the path degenerate blocks
+    /// take. Computes the same face band(s) as the production sweep, one
+    /// face at a time, over precomputed strides on the raw slices.
+    #[doc(hidden)]
+    pub fn block_fluxes_oracle(&self, slot: &mut BlockSlot, phase: Option<FluxPhase>) {
         let shape = *slot.data.shape();
         let dim = shape.dim();
         let ns = self.params.num_scalars;
@@ -550,7 +489,6 @@ impl Package for BurgersPackage {
         let iy = shape.range(1, IndexDomain::Interior);
         let iz = shape.range(2, IndexDomain::Interior);
         let (i0, n) = (ix.s as usize, ix.len());
-        let width = self.params.flux_backend.width(n);
         // Per-block minima folded in pack order (min is exact, so this is
         // bitwise identical to the serial sweep at any thread count — and,
         // by the argument on `block_dt_min_lanes`, at any lane width).
@@ -561,10 +499,10 @@ impl Package for BurgersPackage {
             let [_, ez, ey, ex] = u.shape();
             let comp = ez * ey * ex;
             let us = u.as_slice();
-            match width {
-                8 => block_dt_min_lanes::<8>(us, comp, ey, ex, iy, iz, i0, n, &dx, dim),
-                4 => block_dt_min_lanes::<4>(us, comp, ey, ex, iy, iz, i0, n, &dx, dim),
-                _ => block_dt_min_scalar(us, comp, ey, ex, iy, iz, i0, n, &dx, dim),
+            if lane_batched(n) {
+                block_dt_min_lanes::<LANES>(us, comp, ey, ex, iy, iz, i0, n, &dx, dim)
+            } else {
+                block_dt_min_scalar(us, comp, ey, ex, iy, iz, i0, n, &dx, dim)
             }
         })
         .into_iter()
@@ -724,7 +662,6 @@ mod tests {
             recon,
             refine_tol: 1e9, // uniform for 1D accuracy tests
             deref_tol: 0.0,
-            ..BurgersParams::default()
         };
         let mut d = Driver::new(
             mesh_1d(64, 16),

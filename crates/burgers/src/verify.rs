@@ -44,7 +44,6 @@ pub fn advection_l1_error(cells: usize, recon: Reconstruction, t_end: f64) -> f6
         recon,
         refine_tol: f64::INFINITY,
         deref_tol: 0.0,
-        ..BurgersParams::default()
     });
     let mut driver = Driver::new(
         mesh,

@@ -1,7 +1,7 @@
 //! Property tests for the SIMD lane kernels: over randomized states, every
 //! lane of the W-wide WENO5 / linear-reconstruction / HLL kernels must be
 //! *bitwise* equal to the scalar kernel applied to that lane's inputs, and
-//! whole-run results must be backend-independent.
+//! the production block sweep must equal the scalar oracle sweep.
 //!
 //! Randomness comes from a hand-rolled xorshift64* generator (the offline
 //! build has no property-testing crate); failures print the seed so a case
@@ -10,11 +10,13 @@
 use vibe_burgers::{
     hll_flux, hll_flux_lanes, ic, reconstruct_linear, reconstruct_linear_lanes, reconstruct_weno5,
     reconstruct_weno5_lanes, weno5_left, weno5_left_lanes, BurgersPackage, BurgersParams,
-    FluxBackend,
+    Reconstruction,
 };
-use vibe_core::{fingerprint_slots, Driver, DriverParams};
-use vibe_field::F64Lanes;
+use vibe_core::{BlockInfo, BlockSlot, FluxPhase, Package};
+use vibe_exec::ExecCtx;
+use vibe_field::{BlockData, F64Lanes, VarId};
 use vibe_mesh::{Mesh, MeshParams};
+use vibe_prof::Recorder;
 
 /// xorshift64* — deterministic, seedable, dependency-free.
 struct Rng(u64);
@@ -142,45 +144,78 @@ fn hll_lane_scalar_parity_w8() {
     hll_parity::<8>(0xda3e39cb94b95bdb);
 }
 
-/// Whole-run backend equivalence: the same AMR workload produces the same
-/// state fingerprint under the scalar oracle and both lane widths. The
-/// B16 blocks exercise full bundles, the overlapped remainder (interior
-/// x-bands of 11 faces), and the sub-bundle scalar fallback (exterior
-/// bands of 3).
+/// Block-level differential test of the production flux sweep against the
+/// scalar oracle: on IC-filled blocks (ghosts included) every entry of
+/// every flux array must agree bit for bit, for the full sweep and for
+/// each phase band. Interior size 3 takes the scalar rule, 4 is one exact
+/// bundle, 5 the overlapped final bundle plus sub-bundle exterior bands, 8
+/// and 16 whole bundles with short exterior tails.
 #[test]
-fn flux_backends_bitwise_identical_end_to_end() {
-    let fingerprint = |backend: FluxBackend| -> u64 {
+fn production_sweep_matches_scalar_oracle_blockwise() {
+    let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
+    for n in [3usize, 4, 5, 8, 16] {
         let mesh = Mesh::new(
             MeshParams::builder()
                 .dim(3)
-                .mesh_cells(32)
-                .block_cells(16)
-                .max_levels(2)
+                .mesh_cells(n)
+                .block_cells(n)
+                .max_levels(1)
                 .nghost(4)
                 .build()
-                .expect("valid mesh"),
+                .expect("valid one-block mesh"),
         )
         .expect("constructible mesh");
-        let pkg = BurgersPackage::new(BurgersParams {
-            num_scalars: 4,
-            refine_tol: 0.1,
-            deref_tol: 0.025,
-            flux_backend: backend,
-            ..BurgersParams::default()
-        });
-        let mut driver = Driver::new(
-            mesh,
-            pkg,
-            DriverParams {
-                cfl: 0.3,
-                ..DriverParams::default()
-            },
-        );
-        driver.initialize(ic::multi_blob(0.9, 0.002, 3));
-        driver.run_cycles(2);
-        fingerprint_slots(driver.slots())
-    };
-    let scalar = fingerprint(FluxBackend::Scalar);
-    assert_eq!(scalar, fingerprint(FluxBackend::Lanes4), "W=4 diverged");
-    assert_eq!(scalar, fingerprint(FluxBackend::Lanes8), "W=8 diverged");
+        for recon in [Reconstruction::Weno5, Reconstruction::Linear] {
+            let pkg = BurgersPackage::new(BurgersParams {
+                num_scalars: 2,
+                recon,
+                ..BurgersParams::default()
+            });
+            let mut data = BlockData::new(mesh.index_shape());
+            pkg.register(&mut data);
+            let info = BlockInfo::from_mesh(&mesh, 0);
+            ic::multi_blob(0.9, 0.05, 3)(&info, &mut data);
+            for idx in 0..data.num_vars() {
+                for dir in 0..3 {
+                    if let Some(fl) = data.var_mut(VarId(idx)).flux_mut(dir) {
+                        fl.fill(sentinel);
+                    }
+                }
+            }
+            let blank = BlockSlot::new(info, data);
+            for phase in [None, Some(FluxPhase::Interior), Some(FluxPhase::Exterior)] {
+                let mut oracle = blank.clone();
+                pkg.block_fluxes_oracle(&mut oracle, phase);
+                let mut swept = blank.clone();
+                let (exec, mut rec) = (ExecCtx::new(1), Recorder::new());
+                match phase {
+                    None => pkg.calculate_fluxes(&mut [&mut swept], exec, &mut rec),
+                    Some(p) => pkg.calculate_fluxes_phase(&mut [&mut swept], p, exec, &mut rec),
+                }
+                let mut written = 0usize;
+                for (a, b) in oracle.data.vars().iter().zip(swept.data.vars()) {
+                    for dir in 0..3 {
+                        let (Some(fa), Some(fb)) = (a.flux(dir), b.flux(dir)) else {
+                            continue;
+                        };
+                        for (i, (x, y)) in fa.as_slice().iter().zip(fb.as_slice()).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "n={n} {recon:?} {phase:?}: {} flux dir {dir} entry {i}: \
+                                 oracle {x:e} vs sweep {y:e}",
+                                a.name()
+                            );
+                            written += usize::from(x.to_bits() != sentinel.to_bits());
+                        }
+                    }
+                }
+                // Both sweeps wrote something, unless the block is too
+                // narrow to have a ghost-independent face.
+                let radius = if recon == Reconstruction::Weno5 { 3 } else { 2 };
+                let no_faces = phase == Some(FluxPhase::Interior) && n < 2 * radius;
+                assert_eq!(written == 0, no_faces, "n={n} {recon:?} {phase:?}");
+            }
+        }
+    }
 }

@@ -73,6 +73,9 @@ impl Default for ExchangeConfig {
 /// `index` entry of a block whose data lives in another process.
 pub const NOT_RESIDENT: usize = usize::MAX;
 
+/// Boundary condition at non-periodic physical domain faces.
+const PHYSICAL_BC: BcKind = BcKind::Outflow;
+
 /// The gid → position table of `slots` (resident blocks in ascending gid)
 /// within a mesh of `num_blocks` blocks.
 pub fn resident_index(slots: &[BlockSlot], num_blocks: usize) -> Vec<usize> {
@@ -862,11 +865,11 @@ pub fn exchange_ghosts_with_plan(
 }
 
 /// Fills the ghost zones at physical (non-periodic) domain faces of every
-/// resident block — what follows a completed ghost exchange.
+/// resident block with [`PHYSICAL_BC`] — what follows a completed ghost
+/// exchange.
 pub fn apply_physical_bcs(
     plan: &ExchangePlan,
     mesh: &Mesh,
-    kind: BcKind,
     blocks: &mut BlockTable<'_>,
     exec: ExecCtx,
     rec: &mut Recorder,
@@ -894,7 +897,7 @@ pub fn apply_physical_bcs(
                 for &id in &plan.ghost_ids {
                     let var = slot.data.var_mut(id);
                     let is_vector = var.ncomp() == 3;
-                    apply_face_bc(var.data_mut(), &shape, d, side, kind, is_vector);
+                    apply_face_bc(var.data_mut(), &shape, d, side, PHYSICAL_BC, is_vector);
                 }
             }
         }

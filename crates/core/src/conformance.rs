@@ -4,9 +4,9 @@
 //! face exactly once and the interior phase reads no ghost cells),
 //! tagging arity, history/label agreement, and thread-count determinism.
 //!
-//! The harness is a library function (not a `#[test]`) so both the
-//! integration tests and the `package_matrix` CI gate can run every
-//! registered package through it.
+//! The harness is a library function (not a `#[test]`) so the physics
+//! crate's tests and the root integration tests can run every registered
+//! package through it.
 
 use vibe_exec::ExecCtx;
 use vibe_field::{Metadata, VarId};
@@ -32,9 +32,9 @@ pub struct ConformanceReport {
 }
 
 /// Runs the package built by `make(host_threads)` through every
-/// conformance invariant. `make` must return an *uninitialized* driver
-/// (the harness calls [`Driver::initialize_package`] itself) built over
-/// the same problem for any thread count.
+/// conformance invariant. `make` must return a driver initialized by
+/// [`Driver::initialize_package`] — what every replica factory hands out —
+/// over the same problem for any thread count.
 ///
 /// Returns a report on success and a description of the first violated
 /// invariant otherwise.
@@ -44,7 +44,6 @@ where
     F: Fn(usize) -> Driver<P>,
 {
     let mut d = make(1);
-    d.initialize_package();
 
     // --- Registration: at least one independent, flux-bearing variable.
     let slots = d.slots();
@@ -238,7 +237,6 @@ where
     d.run_cycles(2);
     let fp1 = fingerprint_slots(d.slots());
     let mut d8 = make(8);
-    d8.initialize_package();
     d8.run_cycles(2);
     let fp8 = fingerprint_slots(d8.slots());
     if fp1 != fp8 {

@@ -18,10 +18,8 @@ use vibe_comm::{
     BoundaryKey, BufferCache, CacheConfig, Communicator, SendMeta, SharedTransport, Transport,
 };
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{BcKind, BlockData, PackStrategy};
-use vibe_mesh::{
-    enforce_proper_nesting, AmrFlag, CostModel, DerefGate, LogicalLocation, Mesh, RegridSource,
-};
+use vibe_field::{BlockData, PackStrategy};
+use vibe_mesh::{enforce_proper_nesting, AmrFlag, DerefGate, LogicalLocation, Mesh, RegridSource};
 use vibe_prof::{MemSpace, ProfLevel, Recorder, RegionKey, SerialWork, StepFunction};
 
 use crate::amr::{deserialize_into, prolongate_to_child, restrict_to_parent, serialize_block};
@@ -43,6 +41,10 @@ const MIGRATE_TAG: u32 = 5000;
 /// Refinement-flag wire byte of a block tagged on another endpoint.
 const FLAG_ELSEWHERE: u8 = 0xFF;
 
+/// Probe attempts a remote message needs before it is delivered (MPI
+/// progress-engine realism; 0 would be instant).
+const REMOTE_DELIVERY_DELAY: u32 = 1;
+
 /// Driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverParams {
@@ -55,17 +57,8 @@ pub struct DriverParams {
     pub pack_strategy: PackStrategy,
     /// Buffer-cache bookkeeping configuration.
     pub cache_config: CacheConfig,
-    /// Cycles between history (e.g. total mass) reductions.
-    pub history_every: u64,
     /// Restrict fine data before sending in ghost exchanges.
     pub restrict_on_send: bool,
-    /// Per-block workload cost estimator for load balancing.
-    pub cost_model: CostModel,
-    /// Probe attempts a remote message needs before it is delivered
-    /// (MPI progress-engine realism; 0 = instant).
-    pub remote_delivery_polls: u32,
-    /// Boundary condition at non-periodic physical domain faces.
-    pub boundary_condition: BcKind,
     /// Host OS threads for per-block parallel stages (the CPU analogue of
     /// packed device launches, served by the persistent `vibe-exec` worker
     /// pool); 1 = the exact inline serial path.
@@ -86,7 +79,7 @@ pub struct DriverParams {
     pub capture_spans: bool,
     /// Feed *measured* per-block wall times (flux + RK update) into
     /// `Mesh::set_block_cost` before each cycle's load balance, instead of
-    /// the modeled [`CostModel`] estimate. Changes only block *ownership*
+    /// the uniform estimate. Changes only block *ownership*
     /// (never the numerics), so the solution fingerprint is unchanged.
     pub measured_costs: bool,
 }
@@ -108,11 +101,7 @@ impl Default for DriverParams {
             cfl: 0.4,
             pack_strategy: PackStrategy::StringKeyed,
             cache_config: CacheConfig::default(),
-            history_every: 1,
             restrict_on_send: true,
-            cost_model: CostModel::Uniform,
-            remote_delivery_polls: 1,
-            boundary_condition: BcKind::Outflow,
             host_threads: 1,
             prof_level: ProfLevel::Off,
             capture_comm_events: true,
@@ -636,7 +625,7 @@ impl<P: Package> Driver<P> {
 
     fn communicator(params: &DriverParams, transport: Box<dyn Transport>) -> Communicator {
         let mut comm = Communicator::with_transport(params.nranks, transport);
-        comm.set_remote_delivery_delay(params.remote_delivery_polls);
+        comm.set_remote_delivery_delay(REMOTE_DELIVERY_DELAY);
         comm.set_event_capture(params.capture_comm_events);
         comm
     }
@@ -1027,8 +1016,7 @@ impl<P: Package> Driver<P> {
         );
         self.comm.set_task(None);
         if status == TaskStatus::Complete {
-            let kind = self.params.boundary_condition;
-            apply_physical_bcs(plan, &self.mesh, kind, &mut blocks, exec, &mut self.rec);
+            apply_physical_bcs(plan, &self.mesh, &mut blocks, exec, &mut self.rec);
         }
         self.yield_to_peers(status)
     }
@@ -1137,17 +1125,13 @@ impl<P: Package> Driver<P> {
         });
     }
 
-    /// MassHistory task; a no-op on cycles the `history_every` gate skips
-    /// (the graph stays static, the work doesn't run). Per-block
-    /// contributions are tagged with their gid, gathered from every
-    /// endpoint, and folded in *global gid order*: the reduction order is
+    /// MassHistory task, every cycle. Per-block contributions are tagged
+    /// with their gid, gathered from every endpoint, and folded in
+    /// *global gid order*: the reduction order is
     /// the same whatever the rank partition, so the history of any
     /// decomposition is bitwise identical to the single-rank fold. Every
     /// endpoint joins the gather, including ones without blocks.
     fn task_history(&mut self) {
-        if self.params.history_every == 0 || !self.cycle.is_multiple_of(self.params.history_every) {
-            return;
-        }
         let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::MassHistory));
@@ -1286,7 +1270,10 @@ impl<P: Package> Driver<P> {
                 self.mesh.set_block_cost(gid, (ns as f64).max(1.0));
             }
         } else {
-            self.params.cost_model.apply(&mut self.mesh);
+            // Modeled estimate: equal cell counts, equal cost.
+            for gid in 0..self.mesh.num_blocks() {
+                self.mesh.set_block_cost(gid, 1.0);
+            }
         }
         self.mesh.load_balance(self.params.nranks);
         self.move_blocks(&sources, structural);
@@ -1373,8 +1360,7 @@ impl<P: Package> Driver<P> {
             exec,
             &mut self.rec,
         );
-        let kind = self.params.boundary_condition;
-        apply_physical_bcs(plan, &self.mesh, kind, &mut blocks, exec, &mut self.rec);
+        apply_physical_bcs(plan, &self.mesh, &mut blocks, exec, &mut self.rec);
     }
 
     /// Tags the resident blocks, pack by pack. Returns one wire byte per

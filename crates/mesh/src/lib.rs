@@ -29,7 +29,6 @@
 //! assert_eq!(mesh.num_blocks(), 16); // 4 x 4 base grid of blocks
 //! ```
 
-pub mod cost;
 pub mod domain;
 pub mod error;
 pub mod index;
@@ -42,7 +41,6 @@ pub mod refinement;
 pub mod render;
 pub mod tree;
 
-pub use cost::CostModel;
 pub use domain::{BlockGeometry, RegionSize};
 pub use error::MeshError;
 pub use index::{IndexRange, IndexShape};

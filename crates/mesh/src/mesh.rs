@@ -613,6 +613,24 @@ mod tests {
     }
 
     #[test]
+    fn block_costs_change_the_partition() {
+        let mut m = mesh_2d();
+        let loc = m.block(0).loc();
+        let flags = [(loc, AmrFlag::Refine)].into_iter().collect();
+        let d = enforce_proper_nesting(m.tree(), &flags);
+        m.regrid(&d).unwrap();
+        let uniform = m.load_balance(4).blocks_per_rank();
+        for gid in 0..m.num_blocks() {
+            let cost = 4.0f64.powi(m.block(gid).level());
+            m.set_block_cost(gid, cost);
+        }
+        let weighted = m.load_balance(4).blocks_per_rank();
+        assert_ne!(uniform, weighted, "costs must influence the split");
+        // The rank holding the (expensive) refined blocks gets fewer blocks.
+        assert!(weighted.iter().min() < uniform.iter().min());
+    }
+
+    #[test]
     fn builder_rejects_indivisible() {
         let err = MeshParams::builder()
             .dim(2)

@@ -3,9 +3,8 @@
 //! The physics-package library: concrete [`Package`] implementations
 //! beyond the Burgers benchmark, plus the [`standard_registry`] that
 //! resolves every shipped package by name. Layers that select physics at
-//! runtime — the service's `JobConfig.physics`, the benchmark scenario
-//! matrix, the `package_matrix` CI gate — resolve from here instead of
-//! naming concrete types.
+//! runtime — through the one run description, `JobConfig.physics` —
+//! resolve from here instead of naming concrete types.
 //!
 //! Shipped packages, spanning distinct roofline/AMR regimes:
 //!
@@ -112,7 +111,7 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        Driver::new(
+        let mut d = Driver::new(
             mesh,
             pkg,
             DriverParams {
@@ -120,7 +119,9 @@ mod tests {
                 cfl: 0.3,
                 ..DriverParams::default()
             },
-        )
+        );
+        d.initialize_package();
+        d
     }
 
     #[test]
@@ -171,7 +172,6 @@ mod tests {
     #[test]
     fn diffusion_preserves_mass_and_decays_gradients() {
         let mut d = driver_for("diffusion", 1);
-        d.initialize_package();
         let peak_before = d
             .slots()
             .iter()
@@ -199,7 +199,6 @@ mod tests {
     #[test]
     fn euler_blast_conserves_mass_and_energy_and_refines() {
         let mut d = driver_for("euler", 1);
-        d.initialize_package();
         let blocks_before = d.mesh().num_blocks();
         d.run_cycles(6);
         let hist = d.history();
@@ -236,7 +235,7 @@ mod tests {
                     .unwrap(),
             )
             .unwrap();
-            Driver::new(
+            let mut d = Driver::new(
                 mesh,
                 pkg,
                 DriverParams {
@@ -244,7 +243,9 @@ mod tests {
                     cfl: 0.3,
                     ..DriverParams::default()
                 },
-            )
+            );
+            d.initialize_package();
+            d
         };
         vibe_core::check_package(make).unwrap();
     }

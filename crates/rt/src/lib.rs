@@ -25,8 +25,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vibe_comm::{
-    channel_fabric, channel_fabric_with_timeout, match_cross_edges, validate_multirank_event_order,
-    CommEvent, Transport,
+    channel_fabric_with_timeout, match_cross_edges, validate_multirank_event_order, CommEvent,
+    Transport,
 };
 use vibe_core::driver::CycleSummary;
 use vibe_core::{fingerprint_slots, Driver, Package, ShardOutput, Snapshot};
@@ -68,7 +68,8 @@ pub struct RtRun {
     /// All ranks' workload recorders merged
     /// (see [`Recorder::absorb`]).
     pub recorder: Recorder,
-    /// Per-rank wall time of the barrier-bracketed cycle loop, in ns.
+    /// Per-rank wall time spent advancing cycles (between the session's
+    /// begin and end barriers, inside its `run` commands), in ns.
     pub rank_wall_ns: Vec<u64>,
     /// Final owned-block count per rank.
     pub rank_blocks: Vec<usize>,
@@ -114,7 +115,8 @@ impl RtRun {
 }
 
 /// Runs `cycles` timesteps with `nranks` concurrent rank shards over a
-/// channel transport fabric and merges the results.
+/// channel transport fabric and merges the results: one [`RtSession`]
+/// started, run once and finished.
 ///
 /// `make_replica` must build (and initialize) a deterministic replica of
 /// the problem: it is invoked once on every rank thread, and the shards
@@ -125,71 +127,21 @@ impl RtRun {
 ///
 /// # Panics
 ///
-/// Panics if a shard thread panics (e.g. on a collective rendezvous
-/// mismatch), if the merged event log violates the multi-rank ordering
-/// invariants, or if the ranks disagree on time, dt, or history — all of
-/// which indicate a broken determinism invariant rather than a recoverable
-/// condition.
+/// Panics with the root-cause [`SessionError`] if a shard thread panics
+/// (e.g. on a collective rendezvous mismatch), if the merged event log
+/// violates the multi-rank ordering invariants, or if the ranks disagree
+/// on time, dt, or history — all of which indicate a broken determinism
+/// invariant rather than a recoverable condition.
 pub fn run_distributed<P, F>(nranks: usize, cycles: u64, make_replica: F) -> RtRun
 where
     P: Package,
-    F: Fn() -> Driver<P> + Sync,
+    F: Fn() -> Driver<P> + Send + Sync + 'static,
 {
-    try_run_distributed(nranks, cycles, make_replica).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_distributed`] with a structured error path: a panicking rank
-/// thread surfaces as [`SessionError::RankFailed`] naming the rank and
-/// carrying its panic payload — with cascade panics (peers abandoned
-/// mid-collective by the first death) filtered out in favor of the root
-/// cause — instead of an anonymous `join` panic on the conductor.
-pub fn try_run_distributed<P, F>(
-    nranks: usize,
-    cycles: u64,
-    make_replica: F,
-) -> Result<RtRun, SessionError>
-where
-    P: Package,
-    F: Fn() -> Driver<P> + Sync,
-{
-    assert!(nranks > 0, "at least one rank");
-    // Pin the process-global span epoch before any shard thread starts, so
-    // every per-rank wall clock (created afterwards) sits at a non-negative
-    // offset from it and trace streams can be rebased without underflow.
-    let epoch = span_epoch();
-    let fabric = channel_fabric(nranks);
-    let make_replica = &make_replica;
-    let (results, failures) = std::thread::scope(|s| {
-        let handles: Vec<_> = fabric
-            .into_iter()
-            .map(|transport| {
-                rank_thread(transport.rank())
-                    .spawn_scoped(s, move || {
-                        let mut shard = make_replica().with_transport(Box::new(transport));
-                        shard.barrier("rt-cycles-begin");
-                        let start = Instant::now();
-                        let summaries = shard.run_cycles(cycles);
-                        shard.barrier("rt-cycles-end");
-                        let wall_ns = start.elapsed().as_nanos() as u64;
-                        (summaries, wall_ns, shard.finish())
-                    })
-                    .expect("spawn rank thread")
-            })
-            .collect();
-        let mut results: Vec<(Vec<CycleSummary>, u64, ShardOutput)> = Vec::new();
-        let mut failures: Vec<RankFailure> = Vec::new();
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(out) => results.push(out),
-                Err(p) => failures.push(RankFailure::from_payload(rank, &p)),
-            }
-        }
-        (results, failures)
-    });
-    if let Some(err) = pick_root_cause(failures) {
-        return Err(err);
-    }
-    Ok(merge_shard_results(nranks, cycles, epoch, results))
+    let mut session = RtSession::new(nranks, make_replica);
+    session
+        .run(cycles)
+        .and_then(|_| session.finish())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A builder for rank `rank`'s OS thread, named `vibe-rt-rank-<rank>` so
@@ -257,9 +209,8 @@ fn pick_root_cause(failures: Vec<RankFailure>) -> Option<SessionError> {
     })
 }
 
-/// Merges per-rank shard outputs — collected by [`run_distributed`]'s
-/// scoped threads or an [`RtSession`]'s persistent ones — into one
-/// [`RtRun`]: global gid-ordered slots and their fingerprint, the
+/// Merges the per-rank shard outputs an [`RtSession`]'s threads hand back
+/// into one [`RtRun`]: global gid-ordered slots and their fingerprint, the
 /// seq-sorted validated event log, absorbed recorders, span-epoch-rebased
 /// traces, matched cross edges / flow arrows, and (when spans were
 /// captured) the wait-state attribution.
@@ -273,7 +224,7 @@ fn merge_shard_results(
     nranks: usize,
     cycles: u64,
     epoch: Instant,
-    mut results: Vec<(Vec<CycleSummary>, u64, ShardOutput)>,
+    mut results: Vec<RankExit>,
 ) -> RtRun {
     results.sort_by_key(|(_, _, out)| out.rank);
 
@@ -509,11 +460,10 @@ pub struct SessionOptions {
 /// cycle count it completed, and the shard's merged output.
 type RankExit = (Vec<CycleSummary>, u64, ShardOutput);
 
-/// A preemptible, resumable distributed run: the persistent-thread variant
-/// of [`run_distributed`].
+/// A preemptible, resumable distributed run, and the only code that turns
+/// a replica into a rank ([`run_distributed`] is one session run once).
 ///
-/// Where `run_distributed` spawns rank threads for one fixed cycle count,
-/// a session keeps its rank shards alive between commands so a scheduler
+/// A session keeps its rank shards alive between commands so a scheduler
 /// can advance a job in budget-sized slices, [`checkpoint`] it at a cycle
 /// boundary, and tear it down — then later resume the checkpoint in a
 /// *new* session under a different `(nranks, host_threads)` configuration
@@ -566,6 +516,10 @@ impl<P: Package> RtSession<P> {
         F: Fn() -> Driver<P> + Send + Sync + 'static,
     {
         assert!(nranks > 0, "at least one rank");
+        // Pin the process-global span epoch before any rank thread starts,
+        // so every per-rank wall clock (created afterwards) sits at a
+        // non-negative offset from it and trace streams can be rebased
+        // without underflow.
         let epoch = span_epoch();
         let make_replica: Arc<F> = Arc::new(make_replica);
         let progress: Arc<Vec<AtomicU64>> = Arc::new(
@@ -987,7 +941,7 @@ mod tests {
         let cycles = 6;
         let reference = driver_fingerprint(1, cycles);
         for nranks in [1usize, 2, 4] {
-            let run = run_distributed(nranks, cycles, || replica(nranks, 1));
+            let run = run_distributed(nranks, cycles, move || replica(nranks, 1));
             let gated = driver_fingerprint(nranks, cycles);
             assert_eq!(
                 gated.0, reference.0,
@@ -1020,7 +974,7 @@ mod tests {
         let cycles = 5;
         let reference = driver_fingerprint(1, cycles);
         for (nranks, threads) in [(1usize, 1usize), (2, 1), (4, 1), (2, 4)] {
-            let run = run_distributed(nranks, cycles, || replica_with(nranks, threads, true));
+            let run = run_distributed(nranks, cycles, move || replica_with(nranks, threads, true));
             assert_eq!(
                 run.fingerprint, reference.0,
                 "instrumented fingerprint diverged at nranks={nranks} threads={threads}"
@@ -1035,7 +989,7 @@ mod tests {
     #[test]
     fn attribution_classifies_wall_and_flows_validate() {
         let nranks = 4;
-        let run = run_distributed(nranks, 4, || replica_with(nranks, 1, true));
+        let run = run_distributed(nranks, 4, move || replica_with(nranks, 1, true));
         let attr = run.attribution.as_ref().expect("spans were captured");
         assert_eq!(attr.per_rank.len(), nranks);
         assert!(
@@ -1076,7 +1030,7 @@ mod tests {
         nranks: usize,
         threads: usize,
         adaptive: bool,
-    ) -> impl Fn() -> vibe_core::Driver<Advect> + Sync {
+    ) -> impl Fn() -> vibe_core::Driver<Advect> + Send + Sync + 'static {
         move || {
             let mesh = Mesh::new(
                 MeshParams::builder()
@@ -1451,7 +1405,7 @@ mod tests {
             "expected events from non-zero ranks"
         );
         // Per-rank histories were checked identical inside run_distributed;
-        // the merged history must exist when history_every fires.
+        // the merged history has one row per cycle.
         assert!(!run.history.is_empty());
     }
 

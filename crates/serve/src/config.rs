@@ -1,5 +1,7 @@
-//! Job configuration: the tenant-facing description of one simulation
-//! run, its canonical form, and the FNV-1a cache key derived from it.
+//! Job configuration: the one description of a simulation run — what a
+//! tenant submits and what every bench binary and test builds — with its
+//! canonical form, the FNV-1a cache key derived from it, and the only
+//! replica factory ([`JobConfig::replica`]).
 //!
 //! The `physics` field is a package *name* resolved against
 //! [`vibe_physics::standard_registry`] — the service accepts any
@@ -13,6 +15,11 @@
 //! canonical problem string, so two packages can never share an entry.
 
 use std::fmt;
+use std::sync::Arc;
+
+use vibe_core::mesh::{Mesh, MeshParams};
+use vibe_core::{restore_driver, Driver, DriverParams, DynPackage, Package, PackageSpec, Snapshot};
+use vibe_ft::{FaultPlan, FaultPlanSpec, KillSpec};
 
 use crate::json::{obj, Json};
 
@@ -327,6 +334,94 @@ impl JobConfig {
             }
         }
         Ok(())
+    }
+
+    /// Resolves the physics name against the standard registry, threading
+    /// the problem-level fields through to the package factory. Every
+    /// registered package is built through this one type-erased path.
+    pub fn package(&self) -> Result<DynPackage, String> {
+        vibe_physics::resolve(
+            &PackageSpec::named(&self.physics)
+                .with_num_scalars(self.num_scalars)
+                .with_tols(self.refine_tol, self.refine_tol * 0.25),
+        )
+        .map_err(|e| e.to_string())
+    }
+
+    /// Builds the root mesh for a package needing `nghost` ghost layers.
+    pub(crate) fn mesh(&self, nghost: usize) -> Result<Mesh, String> {
+        let params = MeshParams::builder()
+            .dim(self.dim)
+            .mesh_cells(self.mesh_cells)
+            .block_cells(self.block_cells)
+            .max_levels(self.levels as u32)
+            .nghost(nghost)
+            .deref_gap(self.deref_gap)
+            .build()
+            .map_err(|e| e.to_string())?;
+        Mesh::new(params).map_err(|e| e.to_string())
+    }
+
+    /// The driver parameters this configuration selects: its geometry and
+    /// CFL, no observation. A caller that wants profiling, spans, the
+    /// comm-event archive (`vibe-sim`'s input) or an ablation overrides
+    /// fields: `DriverParams { prof_level: Full, ..cfg.driver_params() }`.
+    pub fn driver_params(&self) -> DriverParams {
+        DriverParams {
+            nranks: self.nranks,
+            host_threads: self.threads,
+            cfl: self.cfl,
+            // Nothing reads a slice's message events; archiving them grows
+            // every rank's memory each cycle.
+            capture_comm_events: false,
+            ..DriverParams::default()
+        }
+    }
+
+    /// Builds one replica of the run under `params`: the package's own
+    /// initial condition on a fresh mesh, or `snapshot` restored — under
+    /// any `(nranks, host_threads)`, which is how a checkpoint resumes on a
+    /// new geometry and a dead rank's blocks are re-homed. Deterministic,
+    /// so every rank thread may call it independently.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the physics name is unregistered, the mesh cannot be
+    /// built, or `snapshot` does not belong to this problem; a service
+    /// rules the first two out at submission.
+    pub fn replica(&self, params: DriverParams, snapshot: Option<&Snapshot>) -> Driver<DynPackage> {
+        let pkg = self.package().expect("registered physics");
+        match snapshot {
+            Some(snap) => restore_driver(snap, pkg, params).expect("restore own checkpoint"),
+            None => {
+                let mesh = self.mesh(pkg.nghost()).expect("constructible mesh");
+                let mut d = Driver::new(mesh, pkg, params);
+                d.initialize_package();
+                d
+            }
+        }
+    }
+
+    /// The deterministic fault plan of the run, or `None` when chaos is
+    /// off. A nonzero `fault_seed` turns on message faults at fixed modest
+    /// rates (the seed schedules *which* messages); `kill_rank` arms a
+    /// one-shot rank kill at the `kill_cycle` boundary.
+    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+        if self.fault_seed == 0 && self.kill_rank.is_none() {
+            return None;
+        }
+        let chaos = self.fault_seed != 0;
+        Some(Arc::new(FaultPlan::new(FaultPlanSpec {
+            seed: self.fault_seed,
+            drop_per_mille: if chaos { 30 } else { 0 },
+            delay_per_mille: if chaos { 60 } else { 0 },
+            duplicate_per_mille: if chaos { 30 } else { 0 },
+            delay_ticks: 2,
+            kill: self.kill_rank.map(|rank| KillSpec {
+                rank,
+                cycle: self.kill_cycle,
+            }),
+        })))
     }
 
     /// Renders the full configuration (geometry included) as JSON for

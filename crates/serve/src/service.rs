@@ -16,10 +16,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use vibe_core::driver::DriverParams;
-use vibe_core::mesh::{Mesh, MeshParams};
-use vibe_core::{restore_driver, Driver, DynPackage, Package, PackageSpec, Snapshot};
-use vibe_ft::{FaultPlan, FaultPlanSpec, KillSpec};
+use vibe_core::{Package, Snapshot};
+use vibe_ft::FaultPlan;
 use vibe_prof::{job_metrics_jsonl, JobCycleMetric};
 use vibe_rt::{RtRun, RtSession, SessionOptions};
 
@@ -236,14 +234,16 @@ impl Service {
         config.validate().map_err(|e| e.to_string())?;
         // Fail fast on an unresolvable package or unconstructible mesh so
         // the error surfaces at submission instead of panicking a runner.
-        let pkg = resolve_package(&config)?;
-        build_mesh(&config, pkg.nghost()).map_err(|e| format!("invalid mesh: {e}"))?;
+        let pkg = config.package()?;
+        config
+            .mesh(pkg.nghost())
+            .map_err(|e| format!("invalid mesh: {e}"))?;
         let key = config.cache_key();
         let hit = self.shared.cache.lookup(key);
         let mut st = self.shared.state.lock().unwrap();
         let id = st.jobs.len() as u64;
         let now = Instant::now();
-        let plan = fault_plan_for(&config);
+        let plan = config.fault_plan();
         let mut job = Job {
             tenant: tenant.to_string(),
             config,
@@ -644,7 +644,7 @@ fn execute_slice(
         ..SessionOptions::default()
     };
     let mut session = RtSession::with_options(config.nranks, opts, move || {
-        replica(&cfg, snapshot.as_deref())
+        cfg.replica(cfg.driver_params(), snapshot.as_deref())
     });
     let t0 = Instant::now();
     let summaries = session.run(slice).map_err(|e| e.to_string())?;
@@ -678,89 +678,11 @@ fn execute_slice(
     })
 }
 
-/// Builds the job's deterministic fault plan from its config, or `None`
-/// when chaos is off. A nonzero `fault_seed` turns on message faults at
-/// fixed modest rates (the seed schedules *which* messages); `kill_rank`
-/// arms a one-shot rank kill at the `kill_cycle` boundary.
-fn fault_plan_for(config: &JobConfig) -> Option<Arc<FaultPlan>> {
-    if config.fault_seed == 0 && config.kill_rank.is_none() {
-        return None;
-    }
-    let chaos = config.fault_seed != 0;
-    Some(Arc::new(FaultPlan::new(FaultPlanSpec {
-        seed: config.fault_seed,
-        drop_per_mille: if chaos { 30 } else { 0 },
-        delay_per_mille: if chaos { 60 } else { 0 },
-        duplicate_per_mille: if chaos { 30 } else { 0 },
-        delay_ticks: 2,
-        kill: config.kill_rank.map(|rank| KillSpec {
-            rank,
-            cycle: config.kill_cycle,
-        }),
-    })))
-}
-
-// ---------------------------------------------------------------------------
-// Physics dispatch
-// ---------------------------------------------------------------------------
-
-/// Resolves the job's physics name against the standard registry,
-/// threading the problem-level spec fields through to the factory.
-fn resolve_package(config: &JobConfig) -> Result<DynPackage, String> {
-    vibe_physics::resolve(
-        &PackageSpec::named(&config.physics)
-            .with_num_scalars(config.num_scalars)
-            .with_tols(config.refine_tol, config.refine_tol * 0.25),
-    )
-    .map_err(|e| e.to_string())
-}
-
-fn build_mesh(config: &JobConfig, nghost: usize) -> Result<Mesh, String> {
-    let params = MeshParams::builder()
-        .dim(config.dim)
-        .mesh_cells(config.mesh_cells)
-        .block_cells(config.block_cells)
-        .max_levels(config.levels as u32)
-        .nghost(nghost)
-        .deref_gap(config.deref_gap)
-        .build()
-        .map_err(|e| e.to_string())?;
-    Mesh::new(params).map_err(|e| e.to_string())
-}
-
-fn driver_params(config: &JobConfig) -> DriverParams {
-    DriverParams {
-        nranks: config.nranks,
-        host_threads: config.threads,
-        cfl: config.cfl,
-        ..DriverParams::default()
-    }
-}
-
-/// Builds one rank's driver replica: the registry-resolved package, its
-/// own initial condition (or the job's checkpoint). Every package the
-/// registry knows is servable through this single type-erased path — no
-/// per-physics enum to extend.
-fn replica(config: &JobConfig, snapshot: Option<&Snapshot>) -> Driver<DynPackage> {
-    let pkg = resolve_package(config).expect("config validated at submit");
-    match snapshot {
-        Some(snap) => {
-            restore_driver(snap, pkg, driver_params(config)).expect("restore own checkpoint")
-        }
-        None => {
-            let nghost = pkg.nghost();
-            let mesh = build_mesh(config, nghost).expect("config validated at submit");
-            let mut d = Driver::new(mesh, pkg, driver_params(config));
-            d.initialize_package();
-            d
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::{parse, parse_lines, Json};
+    use vibe_core::DriverParams;
 
     fn small_cfg(cycles: u64, nranks: usize, threads: usize) -> JobConfig {
         JobConfig {
@@ -774,7 +696,13 @@ mod tests {
     /// Reference fingerprint from an uninterrupted direct run.
     fn direct_fingerprint(cfg: &JobConfig) -> (u64, f64, f64) {
         let c = cfg.clone();
-        let run = vibe_rt::run_distributed(cfg.nranks, cfg.cycles, move || replica(&c, None));
+        // With the event archive on, which served slices leave off: the
+        // fingerprints below pin that the archive never touches the answer.
+        let params = DriverParams {
+            capture_comm_events: true,
+            ..c.driver_params()
+        };
+        let run = vibe_rt::run_distributed(cfg.nranks, cfg.cycles, move || c.replica(params, None));
         (run.fingerprint, run.time, run.dt)
     }
 
@@ -802,6 +730,22 @@ mod tests {
         assert_eq!(parse_lines(&jsonl).unwrap().len(), 7);
         parse(&svc.trace_json(id).unwrap()).unwrap();
         svc.shutdown();
+    }
+
+    #[test]
+    fn served_slices_archive_no_comm_events() {
+        let cfg = small_cfg(4, 2, 1);
+        let (fp, _, _) = direct_fingerprint(&cfg);
+        let slice = execute_slice(&cfg, None, cfg.cycles, true, 0, None, 0).unwrap();
+        let Completion::Finished(run) = slice.completion else {
+            panic!("the last slice finishes the session");
+        };
+        // No rank archived a message event, so there was no merged log to
+        // sort and order-validate — and the answer is the one computed
+        // with the archive on.
+        assert!(run.events.is_empty());
+        assert_eq!(run.dependency_edges, 0);
+        assert_eq!(run.fingerprint, fp);
     }
 
     #[test]

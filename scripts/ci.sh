@@ -64,6 +64,36 @@ if [ "$(grep -vE '^(//|$)' crates/serve/src/json.rs)" != 'pub use vibe_prof::jso
     exit 1
 fi
 
+echo "==> one run description"
+# vibe_serve::JobConfig (crates/serve/src/config.rs) is the only description
+# of a run and JobConfig::replica the only replica factory: in non-test code
+# of the crates that launch runs, a package is resolved with its tolerances,
+# a mesh is built and a driver is constructed there and nowhere else, and
+# one closure in crates/rt/src/lib.rs turns a replica into a rank.
+config=crates/serve/src/config.rs
+for file in $(find crates/serve/src crates/bench/src crates/rt/src -name '*.rs' ! -path "$config"); do
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" |
+        grep -nE 'with_tols\(|MeshParams::builder\(\)|Driver::new\('; then
+        echo "$file builds a replica by hand; use JobConfig::replica" >&2
+        exit 1
+    fi
+done
+# (`rank_thread(` occurs twice: its definition and its one call site.)
+if [ "$(grep -c 'rank_thread(' crates/rt/src/lib.rs)" -ne 2 ]; then
+    echo "crates/rt/src/lib.rs must spawn rank threads in exactly one place" >&2
+    exit 1
+fi
+# The second spec type, the flux-backend knob, the two duplicate gates, the
+# second launcher, the never-set driver options and the per-binary axis
+# variables stay deleted.
+gone='WorkloadSpec|build_workload_replica|FluxBackend|VIBE_FLUX_BACKEND|scalar-flux|package_matrix|simd_gate|try_run_distributed|remote_delivery_polls|history_every'
+gone="$gone|VIBE_SCALE_(MESH|BLOCK|LEVELS|CYCLES)|VIBE_SIM_(MESH|BLOCK|LEVELS|CYCLES|PHYSICS)|VIBE_TRACE_(THREADS|CYCLES)|VIBE_SERVE_CYCLES"
+if grep -rnE "$gone" crates tests examples scripts Cargo.toml --include='*.rs' --include='*.sh' --include='*.toml' |
+    grep -v '^scripts/ci.sh:'; then
+    echo "a deleted run description, knob, gate or launcher is back (see above)" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -84,31 +114,22 @@ echo "==> repository benchmark self-check"
 # fail here instead of in the perf pipeline.
 cargo run --release --offline --quiet --manifest-path src/bin/benchmark/Cargo.toml -- --check
 
+# Each gate below takes its scenario as one JobConfig JSON object (strict:
+# an unknown field or an out-of-range value exits nonzero). The simulator
+# and attribution gates share this CI-sized Burgers problem.
+ci_scale='{"physics":"burgers","mesh_cells":32,"block_cells":8,"levels":2,"cycles":2,"num_scalars":4}'
+
 echo "==> instrumented smoke (trace_probe)"
 # Full-profiling run: exits nonzero if profiling perturbs the state or the
 # exporters emit malformed JSON (the probe self-validates both).
-VIBE_TRACE_CYCLES=2 VIBE_TRACE_THREADS=8 target/release/trace_probe target/ci-trace >/dev/null
+target/release/trace_probe \
+    '{"physics":"burgers","mesh_cells":64,"block_cells":16,"levels":2,"cycles":2,"num_scalars":4,"threads":8}' \
+    target/ci-trace >/dev/null
 # Independent offline sanity of the emitted artifacts.
 grep -q '"traceEvents"' target/ci-trace/trace.json
 grep -q '"displayTimeUnit"' target/ci-trace/trace.json
 test "$(wc -l <target/ci-trace/metrics.jsonl)" -eq 2
 grep -q '"pool"' target/ci-trace/metrics.jsonl
-
-echo "==> physics-package registry gate (package_matrix)"
-# Every registered package (advect, burgers, diffusion, euler) runs the
-# gate scenario through real rank shards over the channel transport: each
-# merged (ranks {1,2,4,8} x threads {1,8}) fingerprint must equal that
-# package's single-process reference (the burgers rows are the
-# rank-parallel fingerprint gate of the runtime itself), no two packages
-# may share a fingerprint, and the probed roster must match
-# standard_registry(). The binary exits nonzero on any violation.
-target/release/package_matrix >/dev/null
-
-echo "==> simd flux-backend fingerprint gate (simd_gate)"
-# Scalar oracle vs W=4/W=8 lane sweeps vs Auto dispatch, across host
-# threads and real rank shards: every run must be bitwise identical to the
-# scalar serial reference. The binary exits nonzero on any mismatch.
-target/release/simd_gate >/dev/null
 
 echo "==> fault-tolerance gate (ft_gate)"
 # Deterministic chaos + rank kill against real rank shards: a zero-rate
@@ -131,15 +152,14 @@ echo "==> multi-tenant service gate (serve_gate)"
 # miss on an identical resubmission (or any recompute on a hit), tenant
 # starvation (max/min mean turnaround > 3x), or a leaked thread after
 # shutdown.
-VIBE_SERVE_CYCLES=10 VIBE_SERVE_BUDGET=2 target/release/serve_gate >/dev/null
+VIBE_SERVE_BUDGET=2 target/release/serve_gate '{"cycles":10}' >/dev/null
 
 echo "==> simulated timeline smoke (sim_timeline)"
 # The binary gates itself: nonzero exit on NaN/negative times, idle
 # fractions outside [0,1], calibration drift > 1%, a missing launch-bound
 # regime at the smallest block size, or a trace that fails the offline
 # async validator.
-VIBE_SIM_MESH=32 VIBE_SIM_BLOCK=8 VIBE_SIM_LEVELS=2 VIBE_SIM_CYCLES=2 \
-    VIBE_SIM_TRACE_DIR=target/ci-sim target/release/sim_timeline >/dev/null
+VIBE_SIM_TRACE_DIR=target/ci-sim target/release/sim_timeline "$ci_scale" >/dev/null
 grep -q '"traceEvents"' target/ci-sim/trace.json
 grep -q '"ph":"b"' target/ci-sim/trace.json
 grep -q '"ph":"e"' target/ci-sim/trace.json
@@ -151,9 +171,8 @@ echo "==> wait-state attribution gate (scaling_report)"
 # multi-rank runs match no cross-rank edges, or the exported flow events
 # fail the offline Perfetto validator.
 mkdir -p target/ci-scaling
-VIBE_SCALE_MESH=32 VIBE_SCALE_BLOCK=8 VIBE_SCALE_LEVELS=2 VIBE_SCALE_CYCLES=2 \
-    VIBE_SCALE_TRACE_DIR=target/ci-scaling \
-    target/release/scaling_report target/ci-scaling/BENCH.json >/dev/null
+VIBE_SCALE_TRACE_DIR=target/ci-scaling \
+    target/release/scaling_report "$ci_scale" target/ci-scaling/BENCH.json >/dev/null
 grep -q '"attribution":{' target/ci-scaling/BENCH.json
 grep -q '"dominant_loss_4rank":"' target/ci-scaling/BENCH.json
 grep -q '"ph":"s"' target/ci-scaling/trace_flows.json

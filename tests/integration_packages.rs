@@ -1,67 +1,49 @@
 //! Per-package reproducibility gates over the standard registry: every
 //! registered physics package must produce its pinned golden fingerprint
 //! serially, reproduce it bitwise through the distributed runtime's shard
-//! merge at every `(ranks, threads)` combination, and pass the framework's
-//! trait-conformance harness. The roster itself is asserted against
+//! merge at every `(ranks, threads)` combination — fresh and restored from
+//! a mid-run checkpoint — and pass the framework's trait-conformance
+//! harness. Every driver here comes from the one replica factory,
+//! `JobConfig::replica`. The roster itself is asserted against
 //! `standard_registry()`, so registering a new package without extending
 //! the goldens fails here.
 
+use std::sync::Arc;
+
 use vibe_amr::prelude::*;
 
-/// The gate scenario: Mesh 16 / Block 8 / 2 levels / 1 scalar, matching
-/// the `package_matrix` CI gate and the `scenario_matrix` section of
-/// BENCH_fom.json so all three pin the same trajectories.
-const CYCLES: u64 = 3;
+/// The gate scenario: Mesh 16 / Block 8 / 2 levels / 1 scalar for 3
+/// cycles, matching the `scenario_matrix` section of BENCH_fom.json so
+/// both pin the same trajectories.
+fn scenario(physics: &str, nranks: usize, threads: usize) -> JobConfig {
+    JobConfig {
+        physics: physics.to_string(),
+        dim: 3,
+        mesh_cells: 16,
+        block_cells: 8,
+        levels: 2,
+        cycles: 3,
+        num_scalars: 1,
+        refine_tol: 0.1,
+        cfl: 0.3,
+        deref_gap: 10,
+        nranks,
+        threads,
+        ..JobConfig::default()
+    }
+}
 
 /// Golden state fingerprints of the gate scenario, one per registered
 /// package (FNV-1a over every variable of every block in gid order, the
-/// same fold `vibe-rt` uses to merge shards). Re-record deliberately with
-/// `cargo run --release -p vibe-bench --bin package_matrix` if physics
-/// changes; an unintended change here is a reproducibility regression.
+/// same fold `vibe-rt` uses to merge shards). Re-record deliberately from
+/// the failure message of the serial test below if physics changes; an
+/// unintended change here is a reproducibility regression.
 const GOLDEN: &[(&str, u64)] = &[
     ("advect", 0x1482_1ceb_743d_6110),
     ("burgers", 0x35e1_c88c_df08_823b),
     ("diffusion", 0x093f_4790_4f92_558a),
     ("euler", 0xb2fa_c775_6763_9cb5),
 ];
-
-/// Builds the gate-scenario driver for `physics`, uninitialized (the
-/// conformance harness fills the initial condition itself).
-fn build(physics: &str, nranks: usize, host_threads: usize) -> Driver<DynPackage> {
-    let pkg = resolve(
-        &PackageSpec::named(physics)
-            .with_num_scalars(1)
-            .with_tols(0.1, 0.025),
-    )
-    .expect("registered package");
-    let mesh = Mesh::new(
-        MeshParams::builder()
-            .dim(3)
-            .mesh_cells(16)
-            .block_cells(8)
-            .max_levels(2)
-            .nghost(pkg.nghost())
-            .build()
-            .expect("valid gate mesh"),
-    )
-    .expect("mesh");
-    Driver::new(
-        mesh,
-        pkg,
-        DriverParams {
-            nranks,
-            cfl: 0.3,
-            host_threads,
-            ..DriverParams::default()
-        },
-    )
-}
-
-fn replica(physics: &str, nranks: usize, host_threads: usize) -> Driver<DynPackage> {
-    let mut d = build(physics, nranks, host_threads);
-    d.initialize_package();
-    d
-}
 
 #[test]
 fn goldens_cover_exactly_the_registered_roster() {
@@ -71,13 +53,19 @@ fn goldens_cover_exactly_the_registered_roster() {
         pinned,
         "registry roster changed: re-record the golden fingerprints"
     );
+    // Each physics actually computes something different.
+    let mut distinct: Vec<u64> = GOLDEN.iter().map(|&(_, fp)| fp).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), GOLDEN.len(), "two packages share a golden");
 }
 
 #[test]
 fn every_package_reproduces_its_golden_fingerprint_serially() {
     for &(name, golden) in GOLDEN {
-        let mut d = replica(name, 1, 1);
-        d.run_cycles(CYCLES);
+        let cfg = scenario(name, 1, 1);
+        let mut d = cfg.replica(cfg.driver_params(), None);
+        d.run_cycles(cfg.cycles);
         assert_eq!(
             fingerprint_slots(d.slots()),
             golden,
@@ -91,7 +79,10 @@ fn every_package_is_bitwise_identical_across_ranks_and_threads() {
     for &(name, golden) in GOLDEN {
         for nranks in [1usize, 2, 4, 8] {
             for threads in [1usize, 8] {
-                let run = run_distributed(nranks, CYCLES, || replica(name, nranks, threads));
+                let cfg = scenario(name, nranks, threads);
+                let run = run_distributed(nranks, cfg.cycles, move || {
+                    cfg.replica(cfg.driver_params(), None)
+                });
                 assert_eq!(
                     run.fingerprint, golden,
                     "{name}: merged fingerprint diverged at {nranks} ranks x {threads} threads"
@@ -102,11 +93,38 @@ fn every_package_is_bitwise_identical_across_ranks_and_threads() {
     }
 }
 
+/// The fresh and the restored arm of the one factory land on the same
+/// golden: a serial replica checkpointed after one cycle resumes as rank
+/// shards on another `(nranks, threads)` geometry.
+#[test]
+fn every_package_resumes_a_checkpoint_on_a_new_geometry_to_its_golden() {
+    for &(name, golden) in GOLDEN {
+        let fresh = scenario(name, 1, 1);
+        let mut d = fresh.replica(fresh.driver_params(), None);
+        d.run_cycles(1);
+        let snapshot = Arc::new(d.to_snapshot());
+        for (nranks, threads) in [(2usize, 8usize), (4, 1)] {
+            let cfg = scenario(name, nranks, threads);
+            let snap = Arc::clone(&snapshot);
+            let run = run_distributed(nranks, cfg.cycles - 1, move || {
+                cfg.replica(cfg.driver_params(), Some(&snap))
+            });
+            assert_eq!(
+                run.fingerprint, golden,
+                "{name}: restored run diverged at {nranks} ranks x {threads} threads"
+            );
+        }
+    }
+}
+
 #[test]
 fn every_package_passes_the_conformance_harness() {
     for name in standard_registry().names() {
-        let report = check_package(|threads| build(&name, 1, threads))
-            .unwrap_or_else(|e| panic!("{name} violates a framework invariant: {e}"));
+        let report = check_package(|threads| {
+            let cfg = scenario(&name, 1, threads);
+            cfg.replica(cfg.driver_params(), None)
+        })
+        .unwrap_or_else(|e| panic!("{name} violates a framework invariant: {e}"));
         assert_eq!(report.package, name);
         assert!(report.num_vars >= 1);
         assert!(report.flux_vars >= 1);
