@@ -13,12 +13,7 @@ use vibe_serve::JobConfig;
 fn main() {
     println!("== Fig. 4: FOM vs mesh size (B=8 scaled, L=3) ==\n");
     let mut rows = Vec::new();
-    let mut meshes = vec![16usize, 24, 32, 48, 64];
-    if std::env::var_os("VIBE_BIG").is_some() {
-        // Extends toward the paper's declining tail (slow: ~10 min extra).
-        meshes.push(96);
-    }
-    for mesh in meshes {
+    for mesh in [16usize, 24, 32, 48, 64] {
         let run = |nranks: usize| {
             let cfg = JobConfig {
                 mesh_cells: mesh,

@@ -5,10 +5,11 @@
 //! Paper setup: 2 nodes × (96 SPR cores | 8 H100s), 1 rank/GPU and 1
 //! rank/core. Scaled meshes (see DESIGN.md).
 //!
-//! The final section is *measured*, not modeled: the same workload executed
-//! by 1→8 real concurrent rank shards through the `vibe-rt` distributed
+//! The final section is *executed*, not modeled: the same workload run by
+//! 1→8 real concurrent rank shards through the `vibe-rt` distributed
 //! runtime, with the merged fingerprint checked against the single-process
-//! run.
+//! run. Its wall time and speedup go to stderr, so stdout is byte-stable
+//! (`scripts/results.sh --check`).
 
 use vibe_bench::{format_table, paper_workload, run_workload, run_workload_distributed};
 use vibe_hwmodel::platform::evaluate;
@@ -90,10 +91,10 @@ fn main() {
     println!("\nPaper shape: GPUs scale worse across nodes than CPUs, and the");
     println!("fine-block and deep-AMR penalties are far harsher for GPUs.");
 
-    // Measured rank-parallel strong scaling: real concurrent shards over
-    // the channel transport, one OS thread per rank, serial inside each
-    // shard. Wall time is the slowest rank's time advancing its cycles.
-    println!("\n== measured rank-parallel strong scaling (vibe-rt) ==");
+    // Rank-parallel strong scaling: real concurrent shards over the
+    // channel transport, one OS thread per rank, serial inside each shard.
+    // Wall time is the slowest rank's time advancing its cycles.
+    println!("\n== rank-parallel execution (vibe-rt) ==");
     let reference = run(32, 8, 3, 1);
     let mut rows = Vec::new();
     let mut base_wall = 0.0f64;
@@ -110,10 +111,12 @@ fn main() {
             base_wall = wall_s;
         }
         all_identical &= run.fingerprint == reference.state_fingerprint;
+        eprintln!(
+            "ranks={nranks}: wall {wall_s:.3} s, speedup {:.2}x",
+            base_wall / wall_s
+        );
         rows.push(vec![
             nranks.to_string(),
-            format!("{:.3}", wall_s),
-            format!("{:.2}x", base_wall / wall_s),
             format!("{:?}", run.rank_blocks),
             if run.fingerprint == reference.state_fingerprint {
                 "match".to_string()
@@ -124,10 +127,7 @@ fn main() {
     }
     println!(
         "{}",
-        format_table(
-            &["ranks", "wall(s)", "speedup", "blocks/rank", "fingerprint"],
-            &rows
-        )
+        format_table(&["ranks", "blocks/rank", "fingerprint"], &rows)
     );
     if !all_identical {
         eprintln!("ERROR: a rank-parallel run diverged from the single-process solution");

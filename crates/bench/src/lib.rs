@@ -1,9 +1,11 @@
 //! # vibe-bench
 //!
 //! The benchmark harness reproducing every figure and table of the paper's
-//! evaluation. Each `src/bin/*` binary regenerates one artifact (see
-//! DESIGN.md's experiment index); this library provides the shared workload
-//! runner and table formatting.
+//! evaluation. Each `src/bin/*` figure binary regenerates one artifact (see
+//! DESIGN.md's experiment index) and `src/bin/gate` is the one pass/fail
+//! harness; this library provides the shared workload runner and table
+//! formatting. Nothing here reports a wall-clock number or reads the
+//! environment: timing is the repository benchmark's job.
 //!
 //! The harness runs the *functional* AMR simulation at a laptop-feasible
 //! scale (the paper's 96-core/8×H100 node is modeled, not executed — see
@@ -12,41 +14,8 @@
 
 use vibe_comm::CommEvent;
 use vibe_core::{CycleSummary, Driver, DriverParams, Package};
-use vibe_prof::json::{self, Json};
 use vibe_prof::Recorder;
-use vibe_serve::{ConfigError, JobConfig};
-
-/// Environment knob `name` parsed as `T`, or `default` when it is unset:
-/// how `scripts/ci.sh` shrinks a gate binary's problem to CI scale. A set
-/// but malformed value is a typo to report, not to ignore.
-pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    match std::env::var(name) {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("bad {name}={v:?}")),
-        Err(_) => default,
-    }
-}
-
-/// Sets `entries` as top-level keys of the JSON object stored at `path`
-/// and keeps every other key, so each binary owns its sections of a shared
-/// BENCH document. A missing file starts from `{}`; a file that is not one
-/// JSON object is an error, not something to overwrite.
-pub fn update_bench_json(path: &str, entries: Vec<(&str, Json)>) -> std::io::Result<()> {
-    use std::io::{Error, ErrorKind};
-    let invalid = |why: String| Error::new(ErrorKind::InvalidData, format!("{path}: {why}"));
-    let mut doc = match std::fs::read_to_string(path) {
-        Ok(text) => json::parse(&text).map_err(invalid)?,
-        Err(e) if e.kind() == ErrorKind::NotFound => json::obj(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let Json::Obj(map) = &mut doc else {
-        return Err(invalid("not a JSON object".to_string()));
-    };
-    map.extend(entries.into_iter().map(|(k, v)| (k.to_string(), v)));
-    std::fs::write(path, doc.render() + "\n")
-}
+use vibe_serve::JobConfig;
 
 /// The paper's workload at laptop scale, the base every figure binary
 /// varies: 3-D Burgers on Mesh 32 / B8 / L3 for 3 cycles on one rank and
@@ -65,32 +34,6 @@ pub fn paper_workload() -> JobConfig {
         refine_tol: 0.1,
         deref_gap: 10,
         ..JobConfig::default()
-    }
-}
-
-/// Splits the command line of a gate binary into its run description and
-/// its other arguments. The description is the argument that is a JSON
-/// object, read by [`JobConfig::from_json`] — the whole scenario, not an
-/// overlay: absent fields take `JobConfig`'s defaults, an unknown field or
-/// an out-of-range value exits nonzero. Without one the binary runs
-/// `default`.
-pub fn scenario_args(default: JobConfig) -> (JobConfig, Vec<String>) {
-    let (specs, rest): (Vec<String>, Vec<String>) = std::env::args()
-        .skip(1)
-        .partition(|a| a.trim_start().starts_with('{'));
-    let parsed = match specs.as_slice() {
-        [] => return (default, rest),
-        [text] => json::parse(text)
-            .map_err(ConfigError::from)
-            .and_then(|v| JobConfig::from_json(&v)),
-        _ => Err("more than one run description".into()),
-    };
-    match parsed {
-        Ok(cfg) => (cfg, rest),
-        Err(e) => {
-            eprintln!("bad run description: {e}");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -247,50 +190,6 @@ mod tests {
         assert_eq!(single.state_fingerprint, distributed.fingerprint);
         assert_eq!(distributed.nranks, 2);
         assert!(distributed.dependency_edges > 0);
-    }
-
-    /// The cases the deleted text splicers special-cased by hand.
-    #[test]
-    fn bench_json_is_updated_by_key() {
-        let dir = std::env::temp_dir().join(format!("vibe-bench-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH.json");
-        let path = path.to_str().unwrap();
-        let read = || json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-        let section = |gate: &str| json::obj(vec![("gate", Json::Str(gate.into()))]);
-
-        // A missing file starts a fresh document.
-        update_bench_json(path, vec![("resilience", section("pass"))]).unwrap();
-        assert_eq!(read(), json::obj(vec![("resilience", section("pass"))]));
-        // A document holding only the stale key: replaced, not doubled.
-        update_bench_json(path, vec![("resilience", section("again"))]).unwrap();
-        assert_eq!(read(), json::obj(vec![("resilience", section("again"))]));
-
-        // Other keys survive in any layout, including a stale value that
-        // spans several lines and a key that merely starts like ours.
-        let layout = "{\n  \"config\": {\"mesh_cells\": 64},\n  \"resilience\":\n  {\n    \"gate\":\n    \"old\"\n  },\n  \"resilience_notes\": [1,\n 2]\n}\n";
-        std::fs::write(path, layout).unwrap();
-        let runs = Json::Arr(vec![Json::Num(1.0)]);
-        let entries = vec![("resilience", section("pass")), ("runs", runs.clone())];
-        update_bench_json(path, entries).unwrap();
-        let want = json::obj(vec![
-            ("config", json::obj(vec![("mesh_cells", Json::Num(64.0))])),
-            ("resilience", section("pass")),
-            (
-                "resilience_notes",
-                Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)]),
-            ),
-            ("runs", runs),
-        ]);
-        assert_eq!(read(), want);
-
-        // Anything but one JSON object is refused and left untouched.
-        for bad in ["[1]", "{\"a\":1,}", ""] {
-            std::fs::write(path, bad).unwrap();
-            assert!(update_bench_json(path, vec![("resilience", section("pass"))]).is_err());
-            assert_eq!(std::fs::read_to_string(path).unwrap(), bad);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub fn face_counts() -> (u64, u64) {
 }
 
 /// Reads and resets the `(lane, scalar-tail)` face-evaluation counters.
-/// `bench_fom` brackets a run with this to report the measured vector
-/// share of the flux pipeline.
+/// The repository benchmark brackets a run with this to report the
+/// measured vector share of the flux pipeline (`burgers.vector_share`).
 pub fn take_face_counts() -> (u64, u64) {
     (
         LANE_FACES.swap(0, Ordering::Relaxed),

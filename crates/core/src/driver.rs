@@ -104,7 +104,7 @@ impl Default for DriverParams {
             restrict_on_send: true,
             host_threads: 1,
             prof_level: ProfLevel::Off,
-            capture_comm_events: true,
+            capture_comm_events: false,
             capture_spans: false,
             measured_costs: false,
         }
@@ -2062,7 +2062,12 @@ mod tests {
     /// between steps) no matter how many cycles run.
     #[test]
     fn resident_comm_events_stay_bounded_per_cycle() {
-        let mut d = driver(2);
+        let mut d = driver_with(DriverParams {
+            nranks: 2,
+            cfl: 0.3,
+            capture_comm_events: true,
+            ..DriverParams::default()
+        });
         assert_eq!(
             d.resident_comm_events(),
             0,
@@ -2106,6 +2111,28 @@ mod tests {
         assert!(d.comm_events().is_empty());
         d.exchange();
         assert_eq!(d.resident_comm_events(), 0, "nothing is logged at all");
+    }
+
+    /// A driver built from `DriverParams::default()` archives no message
+    /// events however long it runs, and the archive never touches the
+    /// answer.
+    #[test]
+    fn default_params_archive_no_comm_events() {
+        let mut quiet = driver(2);
+        let mut capturing = driver_with(DriverParams {
+            nranks: 2,
+            cfl: 0.3,
+            capture_comm_events: true,
+            ..DriverParams::default()
+        });
+        quiet.run_cycles(3);
+        capturing.run_cycles(3);
+        assert!(quiet.comm_events().is_empty());
+        assert!(!capturing.comm_events().is_empty());
+        assert_eq!(
+            crate::block::fingerprint_slots(quiet.slots()),
+            crate::block::fingerprint_slots(capturing.slots())
+        );
     }
 
     /// Span capture and the measured-cost load-balance feed are

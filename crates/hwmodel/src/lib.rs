@@ -37,9 +37,7 @@ pub use comm_cost::CommCosts;
 pub use gpu::{grid_fill, kernel_duration, kernel_metrics, launch_exec_seconds, KernelMetrics};
 pub use memory::{aux_buffer_bytes, AuxBufferLayout, MemoryModel, MemoryReport};
 pub use occupancy::{occupancy, Occupancy};
-pub use opcode::{
-    measured_vector_share, opcode_mix, opcode_mix_with_efficiency, vector_efficiency, OpcodeMix,
-};
+pub use opcode::{opcode_mix, opcode_mix_with_efficiency, vector_efficiency, OpcodeMix};
 pub use platform::{Backend, FunctionTime, PlatformConfig, PlatformReport};
 pub use report::{function_table, stacked_bar, summary_line};
 pub use serial::SerialCosts;

@@ -56,21 +56,6 @@ pub fn vector_efficiency(block_cells: usize) -> f64 {
     block_cells as f64 / (block_cells as f64 + 8.6)
 }
 
-/// Measured counterpart of [`vector_efficiency`]: the share of flux-face
-/// evaluations the lane-batched SIMD sweep executed in full lane bundles,
-/// from the runtime's `(lane, scalar-tail)` face counters
-/// (`vibe_burgers::take_face_counts`). Comparing this against the modeled
-/// efficiency at the same block size calibrates the Fig. 13 remainder
-/// penalty against the real sweep instead of a fitted curve.
-pub fn measured_vector_share(lane_faces: u64, tail_faces: u64) -> f64 {
-    let total = lane_faces + tail_faces;
-    if total == 0 {
-        0.0
-    } else {
-        lane_faces as f64 / total as f64
-    }
-}
-
 /// Instruction counts implied by kernel work. The vector share of kernel
 /// instructions is the descriptor's vectorizable fraction scaled by the
 /// vectorization efficiency `veff`; the remainder is split into the
@@ -120,9 +105,10 @@ pub fn opcode_mix(stats: &CycleStats, block_cells: usize) -> (OpcodeMix, OpcodeM
     opcode_mix_with_efficiency(stats, vector_efficiency(block_cells))
 }
 
-/// [`opcode_mix`] with an explicit vectorization efficiency — pass a
-/// [`measured_vector_share`] to synthesize the opcode mix from the lane
-/// sweep's observed coverage instead of the block-size model.
+/// [`opcode_mix`] with an explicit vectorization efficiency — pass the
+/// lane sweep's observed coverage (lane faces over all faces, from
+/// `vibe_burgers::take_face_counts`) to synthesize the opcode mix from a
+/// measurement instead of the block-size model.
 pub fn opcode_mix_with_efficiency(
     stats: &CycleStats,
     veff: f64,
@@ -236,14 +222,6 @@ mod tests {
             let sum = m.vector + m.load + m.store + m.branch + m.scalar_arith + m.other;
             assert!((sum - 1.0).abs() < 1e-9, "sum {sum}");
         }
-    }
-
-    #[test]
-    fn measured_share_is_lane_fraction() {
-        assert_eq!(measured_vector_share(0, 0), 0.0);
-        assert_eq!(measured_vector_share(12, 0), 1.0);
-        assert_eq!(measured_vector_share(0, 7), 0.0);
-        assert!((measured_vector_share(75, 25) - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod json;
 pub mod pool_stats;
 pub mod recorder;
 pub mod regions;
-pub mod report;
 pub mod spans;
 pub mod timeline;
 pub mod trace_export;
@@ -49,9 +48,8 @@ pub use recorder::{
     CollectiveOp, CommTotals, CycleStats, KernelTotals, MemSpace, Recorder, SerialWork,
 };
 pub use regions::{FlatRegion, RegionKey, RegionStats, RegionTree};
-pub use report::{format_function_table, format_kernel_table};
 pub use spans::{span_epoch, span_now_ns, CrossEdge, FlowEvent, SpanKind, TaskSpan, WaitProbes};
-pub use timeline::{cycle_table, evolution_line, sparkline};
+pub use timeline::{evolution_line, sparkline};
 pub use trace_export::{
     job_metrics_jsonl, measured_by_function, metrics_jsonl, perfetto_async_trace_json,
     perfetto_multirank_trace_json, perfetto_multirank_trace_with_flows_json, perfetto_trace_json,

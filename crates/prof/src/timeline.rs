@@ -22,28 +22,6 @@ pub fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// Renders a per-cycle activity table from a recorder: block census,
-/// refinement/derefinement activity, cell updates, and communicated cells.
-pub fn cycle_table(rec: &Recorder) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>6} {:>8} {:>6} {:>6} {:>12} {:>12}\n",
-        "cycle", "blocks", "+ref", "-mrg", "updates", "comm cells"
-    ));
-    for c in rec.cycles() {
-        out.push_str(&format!(
-            "{:>6} {:>8} {:>6} {:>6} {:>12} {:>12}\n",
-            c.cycle,
-            c.nblocks,
-            c.blocks_refined,
-            c.blocks_derefined,
-            c.cell_updates,
-            c.cells_communicated(),
-        ));
-    }
-    out
-}
-
 /// One-line summary of hierarchy evolution: block-count sparkline plus
 /// totals.
 pub fn evolution_line(rec: &Recorder) -> String {
@@ -86,16 +64,6 @@ mod tests {
         assert_eq!(sparkline(&[]), "");
         let flat = sparkline(&[5.0, 5.0, 5.0]);
         assert_eq!(flat.chars().count(), 3);
-    }
-
-    #[test]
-    fn cycle_table_has_one_row_per_cycle() {
-        let rec = recorder();
-        let t = cycle_table(&rec);
-        assert_eq!(t.lines().count(), 5, "header + 4 cycles:\n{t}");
-        assert!(t.contains("comm cells"));
-        let last = t.lines().last().unwrap();
-        assert!(last.contains("4000"), "updates column: {last}");
     }
 
     #[test]

@@ -901,6 +901,9 @@ mod tests {
             nranks,
             host_threads,
             cfl: 0.3,
+            // The merged event log and the cross-rank edges of the
+            // attribution are what these tests look at.
+            capture_comm_events: true,
             capture_spans: instrumented,
             measured_costs: instrumented,
             prof_level: if instrumented {
@@ -1048,6 +1051,7 @@ mod tests {
                 nranks,
                 host_threads: threads,
                 cfl: 0.3,
+                capture_comm_events: true,
                 capture_spans: true,
                 prof_level: vibe_prof::ProfLevel::Coarse,
                 ..DriverParams::default()

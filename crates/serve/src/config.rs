@@ -371,9 +371,6 @@ impl JobConfig {
             nranks: self.nranks,
             host_threads: self.threads,
             cfl: self.cfl,
-            // Nothing reads a slice's message events; archiving them grows
-            // every rank's memory each cycle.
-            capture_comm_events: false,
             ..DriverParams::default()
         }
     }

@@ -94,6 +94,28 @@ if grep -rnE "$gone" crates tests examples scripts Cargo.toml --include='*.rs' -
     exit 1
 fi
 
+echo "==> one instrument, one gate"
+# Wall-clock numbers come only from the repository benchmark
+# (src/bin/benchmark) and pass/fail from the one `gate` binary: crates/bench
+# is the 16 figure binaries plus `gate`, has no second timing loop
+# (benches/), writes no BENCH document and reads no environment variable.
+figures='ablations fig01_motivation fig04_mesh_size fig05_block_size fig06_amr_levels fig07_cpu_scaling fig08_gpu_ranks fig09_breakdown fig10_memory fig11_function_breakdown fig12_function_split fig13_opcodes paper_claims sec5_multinode sec8b_memopt tab3_microarch'
+want=$(printf '%s.rs\n' $figures | cat - <(echo gate) | sort | tr '\n' ' ')
+if [ "$(ls crates/bench/src/bin | sort | tr '\n' ' ')" != "$want" ]; then
+    echo "crates/bench/src/bin must hold the 16 figure binaries and gate/, found:" >&2
+    ls crates/bench/src/bin >&2
+    exit 1
+fi
+if [ -e crates/bench/benches ] || [ -e BENCH_fom.json ]; then
+    echo "crates/bench/benches or BENCH_fom.json is back" >&2
+    exit 1
+fi
+if grep -rnE 'bench_fom|BENCH_fom|update_bench_json|env_or|std::env::var|VIBE_' crates/bench scripts |
+    grep -v '^scripts/ci.sh:'; then
+    echo "a deleted instrument, BENCH writer or environment knob is back (see above)" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -114,71 +136,73 @@ echo "==> repository benchmark self-check"
 # fail here instead of in the perf pipeline.
 cargo run --release --offline --quiet --manifest-path src/bin/benchmark/Cargo.toml -- --check
 
-# Each gate below takes its scenario as one JobConfig JSON object (strict:
-# an unknown field or an out-of-range value exits nonzero). The simulator
-# and attribution gates share this CI-sized Burgers problem.
+# `gate <name> [job-config-json] [out-dir]` runs one self-checking scenario
+# (strict JSON: an unknown field or an out-of-range value exits 2), prints
+# its human tables and ends stdout with one verdict object; a failed check
+# exits 1 with its message on stderr and in "failures". The simulator and
+# attribution gates share this CI-sized Burgers problem.
 ci_scale='{"physics":"burgers","mesh_cells":32,"block_cells":8,"levels":2,"cycles":2,"num_scalars":4}'
+# Runs a gate, keeps its tables out of the log, and leaves the verdict line
+# in $verdict for the caller's own assertions.
+gate() {
+    echo "==> gate $1"
+    verdict=$(target/release/gate "$@" | tail -n 1) || true
+    echo "$verdict"
+    grep -q '"pass":true' <<<"$verdict"
+}
 
-echo "==> instrumented smoke (trace_probe)"
-# Full-profiling run: exits nonzero if profiling perturbs the state or the
-# exporters emit malformed JSON (the probe self-validates both).
-target/release/trace_probe \
+# Full-profiling run: profiling must not perturb the state and the
+# exporters must emit well-formed JSON.
+gate trace \
     '{"physics":"burgers","mesh_cells":64,"block_cells":16,"levels":2,"cycles":2,"num_scalars":4,"threads":8}' \
-    target/ci-trace >/dev/null
+    target/ci-trace
+grep -q '"fingerprint":"9b9f0eb46a64f118"' <<<"$verdict"
 # Independent offline sanity of the emitted artifacts.
 grep -q '"traceEvents"' target/ci-trace/trace.json
 grep -q '"displayTimeUnit"' target/ci-trace/trace.json
 test "$(wc -l <target/ci-trace/metrics.jsonl)" -eq 2
 grep -q '"pool"' target/ci-trace/metrics.jsonl
 
-echo "==> fault-tolerance gate (ft_gate)"
 # Deterministic chaos + rank kill against real rank shards: a zero-rate
 # fault plan must be byte-for-byte neutral, and killing a rank mid-run
 # under seeded message faults must recover automatically — restore from
 # the last periodic checkpoint, re-partition onto the survivors, replay —
 # to the exact fault-free fingerprint within the bounded retry budget.
-# The binary exits nonzero on any divergence. (Expected-panic backtraces
-# from the killed rank's cascade are routine on stderr.)
-mkdir -p target/ci-ft
-target/release/ft_gate target/ci-ft/BENCH.json >/dev/null 2>&1
-grep -q '"resilience":{' target/ci-ft/BENCH.json
-grep -q '"recoveries":6,' target/ci-ft/BENCH.json
-grep -q '"gate":"pass"' target/ci-ft/BENCH.json
+# (Expected-panic backtraces from the killed rank's cascade are routine on
+# stderr.)
+gate ft
+grep -q '"kills":6[,}]' <<<"$verdict"
+grep -q '"recoveries":6[,}]' <<<"$verdict"
+grep -q '"fingerprint":"e0786d63ab143f55"' <<<"$verdict"
 
-echo "==> multi-tenant service gate (serve_gate)"
 # Boots the HTTP front end on an ephemeral port and drives 8 jobs from 3
-# tenants over real sockets: exits nonzero on a preempt/resume fingerprint
-# mismatch (resumed under a different rank/thread geometry), a cache
-# miss on an identical resubmission (or any recompute on a hit), tenant
-# starvation (max/min mean turnaround > 3x), or a leaked thread after
-# shutdown.
-VIBE_SERVE_BUDGET=2 target/release/serve_gate '{"cycles":10}' >/dev/null
+# tenants over real sockets: fails on a preempt/resume fingerprint mismatch
+# (resumed under a different rank/thread geometry), a cache miss on an
+# identical resubmission (or any recompute on a hit), tenant starvation
+# (max/min mean turnaround > 3x), or a leaked thread after shutdown.
+gate serve '{"cycles":10}'
 
-echo "==> simulated timeline smoke (sim_timeline)"
-# The binary gates itself: nonzero exit on NaN/negative times, idle
-# fractions outside [0,1], calibration drift > 1%, a missing launch-bound
-# regime at the smallest block size, or a trace that fails the offline
-# async validator.
-VIBE_SIM_TRACE_DIR=target/ci-sim target/release/sim_timeline "$ci_scale" >/dev/null
+# Fails on NaN/negative times, idle fractions outside [0,1], calibration
+# drift > 1%, a missing launch-bound regime at the smallest block size, or
+# a trace that fails the offline async validator.
+gate sim "$ci_scale" target/ci-sim
 grep -q '"traceEvents"' target/ci-sim/trace.json
 grep -q '"ph":"b"' target/ci-sim/trace.json
 grep -q '"ph":"e"' target/ci-sim/trace.json
 
-echo "==> wait-state attribution gate (scaling_report)"
-# Causal cross-rank attribution at a CI-sized config: the binary exits
-# nonzero if any fingerprint diverges with attribution on/off, any rank's
-# buckets miss its wall by > 5%, < 90% of wall lands in named buckets,
-# multi-rank runs match no cross-rank edges, or the exported flow events
-# fail the offline Perfetto validator.
-mkdir -p target/ci-scaling
-VIBE_SCALE_TRACE_DIR=target/ci-scaling \
-    target/release/scaling_report "$ci_scale" target/ci-scaling/BENCH.json >/dev/null
-grep -q '"attribution":{' target/ci-scaling/BENCH.json
-grep -q '"dominant_loss_4rank":"' target/ci-scaling/BENCH.json
+# Causal cross-rank attribution: fails if any fingerprint diverges with
+# attribution on/off, any rank's buckets miss its wall by > 5%, < 90% of
+# wall lands in named buckets, multi-rank runs match no cross-rank edges,
+# or the exported flow events fail the offline Perfetto validator.
+gate attribution "$ci_scale" target/ci-scaling
+grep -q '"dominant_loss_4rank":"' <<<"$verdict"
 grep -q '"ph":"s"' target/ci-scaling/trace_flows.json
 grep -q '"ph":"f"' target/ci-scaling/trace_flows.json
 
 echo "==> code lines per crate (scripts/loc.sh)"
 scripts/loc.sh
+
+echo "==> results/ equals what the code prints (scripts/results.sh --check)"
+scripts/results.sh --check
 
 echo "CI green."

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use vibe_amr::prelude::*;
 
 /// The gate scenario: Mesh 16 / Block 8 / 2 levels / 1 scalar for 3
-/// cycles, matching the `scenario_matrix` section of BENCH_fom.json so
-/// both pin the same trajectories.
+/// cycles, the scenario matrix of README.md whose fingerprints the
+/// goldens below pin.
 fn scenario(physics: &str, nranks: usize, threads: usize) -> JobConfig {
     JobConfig {
         physics: physics.to_string(),
