@@ -1,16 +1,16 @@
 //! The VIBE physics package: variables, fluxes, tagging, timestep, history.
 
-use vibe_core::{BlockInfo, BlockSlot, FluxPhase, Package, RefinementPolicy};
+use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
 use vibe_exec::{catalog, ghost_byte_multiplier, ExecCtx, Launcher};
 use vibe_field::{BlockData, Metadata, VarId};
 use vibe_mesh::index::IndexDomain;
-use vibe_mesh::AmrFlag;
+use vibe_mesh::{AmrFlag, IndexShape};
 use vibe_prof::Recorder;
 
 use vibe_field::F64Lanes;
 
 use crate::recon::{reconstruct_linear, reconstruct_weno5};
-use crate::riemann::hll_flux;
+use crate::riemann::{hll_flux, MAX_COMPONENTS};
 use crate::simd;
 
 /// Interface reconstruction scheme.
@@ -28,13 +28,17 @@ pub enum Reconstruction {
 /// 16-register ymm file without spills; W=8 spills and measured slower).
 const LANES: usize = 4;
 
-/// Whether a block whose unit-stride interior is `n_i` cells runs through
-/// lane bundles; degenerate blocks narrower than one bundle take the
-/// scalar path. Either way the result is bitwise the scalar oracle's
-/// ([`BurgersPackage::block_fluxes_oracle`]).
+/// Whether a block whose unit-stride interior is `n_i` cells runs its
+/// wavespeed reduction through lane bundles; degenerate blocks narrower
+/// than one bundle take the scalar path, with the same bits.
 fn lane_batched(n_i: usize) -> bool {
     n_i >= LANES
 }
+
+/// Registration order of the swept variables ([`Package::register`]): the
+/// flux primitive reads the state by id alone.
+pub(crate) const U: VarId = VarId(0);
+pub(crate) const Q: VarId = VarId(1);
 
 /// Burgers benchmark parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,20 +62,6 @@ impl Default for BurgersParams {
             deref_tol: 0.02,
         }
     }
-}
-
-/// Splits the `n + 1` faces along one dimension into the ghost-independent
-/// interior band `lo_end..hi_start` and its exterior complement, for a
-/// reconstruction stencil reaching `m` cells to either side of a face. A
-/// face `f` reconstructs from cells `f - m ..= f + m - 1` (relative to the
-/// first interior cell), so exactly the faces in `m..=n - m` read no ghost
-/// data. Degenerate blocks (`n < 2m`) get an empty interior band; every
-/// face is then exterior.
-pub(crate) fn face_bands_for(m: usize, n: usize) -> (usize, usize) {
-    let faces = n + 1;
-    let lo_end = m.min(faces);
-    let hi_start = faces.saturating_sub(m).max(lo_end);
-    (lo_end, hi_start)
 }
 
 /// Minimum CFL candidate `inv / |u_d|` over one block's interior, scalar
@@ -178,174 +168,45 @@ impl BurgersPackage {
         )
     }
 
-    /// Number of cells the reconstruction stencil reaches to either side
-    /// of a face.
-    fn stencil_radius(&self) -> usize {
-        match self.params.recon {
-            Reconstruction::Weno5 => 3,
-            Reconstruction::Linear => 2,
-        }
-    }
-
-    /// See [`face_bands_for`], with this package's stencil radius.
-    fn face_bands(&self, n: usize) -> (usize, usize) {
-        face_bands_for(self.stencil_radius(), n)
-    }
-
-    /// Computes all face fluxes of one block via reconstruction + HLL.
-    fn block_fluxes(&self, slot: &mut BlockSlot) {
-        self.block_fluxes_banded(slot, None);
-    }
-
-    /// Computes the face fluxes of one block, restricted to one
-    /// [`FluxPhase`] band (`None` sweeps every face), through bundles of
-    /// [`LANES`] faces where [`lane_batched`].
-    fn block_fluxes_banded(&self, slot: &mut BlockSlot, phase: Option<FluxPhase>) {
-        let n_i = slot.data.shape().range(0, IndexDomain::Interior).len();
-        let ns = self.params.num_scalars;
-        if !lane_batched(n_i) {
-            return self.block_fluxes_oracle(slot, phase);
-        }
-        match self.params.recon {
-            Reconstruction::Weno5 => {
-                simd::block_fluxes_lanes::<simd::Weno5Kernel, LANES>(slot, ns, phase);
-            }
-            Reconstruction::Linear => {
-                simd::block_fluxes_lanes::<simd::LinearKernel, LANES>(slot, ns, phase);
-            }
-        }
-    }
-
-    /// Scalar reference sweep — the oracle the lane sweep is tested
-    /// against (`tests/lane_kernels.rs`), and the path degenerate blocks
-    /// take. Computes the same face band(s) as the production sweep, one
-    /// face at a time, over precomputed strides on the raw slices.
+    /// Scalar reference of the flux primitive — the oracle the lane sweep
+    /// is tested against (`tests/lane_kernels.rs`): the same faces of the
+    /// same tile, one face at a time through the scalar kernels.
     #[doc(hidden)]
-    pub fn block_fluxes_oracle(&self, slot: &mut BlockSlot, phase: Option<FluxPhase>) {
-        let shape = *slot.data.shape();
-        let dim = shape.dim();
+    pub fn block_fluxes_oracle(&self, data: &BlockData, tile: &mut FluxTile<'_>) {
+        let shape = *data.shape();
+        let g: [usize; 3] = std::array::from_fn(|d| shape.nghost_d(d));
         let ns = self.params.num_scalars;
-        let ncomp = 3 + ns;
-        let (uid, qid, _) = Self::ids(&mut slot.data);
-        let recon = self.params.recon;
-
-        // Per-face reconstructed states and flux, reused across faces.
-        let mut state_l = vec![0.0f64; ncomp];
-        let mut state_r = vec![0.0f64; ncomp];
-        let mut flux = vec![0.0f64; ncomp];
-
-        let (ex, ey, ez) = (shape.entire_d(0), shape.entire_d(1), shape.entire_d(2));
-        let data_strides = [1usize, ex, ex * ey];
-        let data_comp = ex * ey * ez;
-
-        let ix = shape.range(0, IndexDomain::Interior);
-        let iy = shape.range(1, IndexDomain::Interior);
-        let iz = shape.range(2, IndexDomain::Interior);
-        let ranges = [ix, iy, iz];
-
-        for d in 0..dim {
-            let (uvar, qvar) = slot.data.pair_mut(uid, qid);
-            let (udata, uflux) = uvar.data_and_flux_mut(d);
-            let (qdata, mut qflux) = if ns > 0 {
-                let (qd, qf) = qvar.data_and_flux_mut(d);
-                (Some(qd), Some(qf))
-            } else {
-                (None, None)
-            };
-
-            // Flux array extents: +1 along d.
-            let (fx, fy, fz) = (
-                ex + usize::from(d == 0),
-                ey + usize::from(d == 1),
-                ez + usize::from(d == 2),
-            );
-            let flux_strides = [1usize, fx, fx * fy];
-            let flux_comp = fx * fy * fz;
-
-            let u_slice = udata.as_slice();
-            let q_slice = qdata.map(|q| q.as_slice());
-            let stride = data_strides[d];
-            let fstride = flux_strides[d];
-
-            // Outer dims: the two that aren't d.
-            let (oa, ob) = match d {
-                0 => (1usize, 2usize),
-                1 => (0, 2),
-                _ => (0, 1),
-            };
-            let faces = ranges[d].len() + 1; // interior faces incl. both ends
-            let (lo_end, hi_start) = self.face_bands(ranges[d].len());
-            // Up to two contiguous face bands; the second is empty except
-            // in the exterior phase.
-            let (band_a, band_b) = match phase {
-                None => (0..faces, faces..faces),
-                Some(FluxPhase::Interior) => (lo_end..hi_start, hi_start..hi_start),
-                Some(FluxPhase::Exterior) => (0..lo_end, hi_start..faces),
-            };
-            let f0 = ranges[d].s as usize;
-
-            for o2 in ranges[ob].s as usize..=ranges[ob].e as usize {
-                for o1 in ranges[oa].s as usize..=ranges[oa].e as usize {
-                    // Base linear offsets of the first face of this line.
-                    let mut pos = [0usize; 3];
-                    pos[d] = f0;
-                    pos[oa] = o1;
-                    pos[ob] = o2;
-                    let dbase = pos[0] * data_strides[0]
-                        + pos[1] * data_strides[1]
-                        + pos[2] * data_strides[2];
-                    let fbase = pos[0] * flux_strides[0]
-                        + pos[1] * flux_strides[1]
-                        + pos[2] * flux_strides[2];
-
-                    for f in band_a.clone().chain(band_b.clone()) {
-                        let cidx = dbase + f * stride;
-                        let fidx = fbase + f * fstride;
-                        for comp in 0..ncomp {
-                            let (slice, c) = if comp < 3 {
-                                (u_slice, comp)
-                            } else {
-                                (q_slice.expect("scalars present"), comp - 3)
-                            };
-                            let base = c * data_comp + cidx;
-                            // SAFETY: faces lie in the interior range, so
-                            // `base ± 3·stride` stays inside the
-                            // ghost-inclusive extent because nghost ≥ 3 for
-                            // WENO5 (≥ 2 for linear), which `register`/mesh
-                            // construction guarantee. Bounds are checked in
-                            // debug builds.
-                            let at = |off: i64| -> f64 {
-                                let idx = (base as i64 + off * stride as i64) as usize;
-                                debug_assert!(idx < slice.len());
-                                unsafe { *slice.get_unchecked(idx) }
-                            };
-                            let (l, r) = match recon {
-                                Reconstruction::Weno5 => {
-                                    let stencil = [at(-3), at(-2), at(-1), at(0), at(1), at(2)];
-                                    reconstruct_weno5(&stencil)
-                                }
-                                Reconstruction::Linear => {
-                                    let stencil = [at(-2), at(-1), at(0), at(1)];
-                                    reconstruct_linear(&stencil)
-                                }
-                            };
-                            state_l[comp] = l;
-                            state_r[comp] = r;
+        let (u, q) = (data.var(U).data(), data.var(Q).data());
+        for d in 0..tile.dim() {
+            for (face, cell) in tile.faces_to_fill(d) {
+                let mut state_l = [0.0f64; MAX_COMPONENTS];
+                let mut state_r = [0.0f64; MAX_COMPONENTS];
+                for comp in 0..3 + ns {
+                    let at = |off: i64| -> f64 {
+                        let mut p: [usize; 3] = std::array::from_fn(|a| cell[a] + g[a]);
+                        p[d] = (p[d] as i64 + off) as usize;
+                        match comp < 3 {
+                            true => u.get(comp, p[2], p[1], p[0]),
+                            false => q.get(comp - 3, p[2], p[1], p[0]),
                         }
-                        let u_l = [state_l[0], state_l[1], state_l[2]];
-                        let u_r = [state_r[0], state_r[1], state_r[2]];
-                        hll_flux(&u_l, &state_l[3..], &u_r, &state_r[3..], d, &mut flux);
-                        let uf = uflux.as_mut_slice();
-                        for comp in 0..3 {
-                            uf[comp * flux_comp + fidx] = flux[comp];
+                    };
+                    (state_l[comp], state_r[comp]) = match self.params.recon {
+                        Reconstruction::Weno5 => {
+                            reconstruct_weno5(&[at(-3), at(-2), at(-1), at(0), at(1), at(2)])
                         }
-                        if let Some(qf) = qflux.as_deref_mut() {
-                            let qf = qf.as_mut_slice();
-                            for s in 0..ns {
-                                qf[s * flux_comp + fidx] = flux[3 + s];
-                            }
+                        Reconstruction::Linear => {
+                            reconstruct_linear(&[at(-2), at(-1), at(0), at(1)])
                         }
-                    }
+                    };
+                }
+                let u_l = [state_l[0], state_l[1], state_l[2]];
+                let u_r = [state_r[0], state_r[1], state_r[2]];
+                let (q_l, q_r) = (&state_l[3..3 + ns], &state_r[3..3 + ns]);
+                // A scalar-free problem still registers one (inert) scalar.
+                let mut flux = [0.0f64; MAX_COMPONENTS];
+                hll_flux(&u_l, q_l, &u_r, q_r, d, &mut flux);
+                for (comp, &value) in flux.iter().enumerate().take(tile.ncomp()) {
+                    tile.set(d, comp, face, value);
                 }
             }
         }
@@ -395,52 +256,33 @@ impl Package for BurgersPackage {
         }
     }
 
-    fn calculate_fluxes(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
-        let Some(first) = pack.first() else { return };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
+    fn stencil_radius(&self) -> usize {
+        match self.params.recon {
+            Reconstruction::Weno5 => 3,
+            Reconstruction::Linear => 2,
+        }
+    }
+
+    fn flux_byte_multiplier(&self, shape: &IndexShape) -> f64 {
         // Extra memory traffic from ghost-inclusive stencil reads, relative
         // to the 32-cell blocks the descriptor's per-cell bytes are
         // calibrated at (caching recovers part of the overlap, hence the
         // square root). Reproduces Table III's AI drop 4.3 → 3.4 from B32
         // to B16.
-        let b = shape.ncells()[0];
-        let g = shape.nghost();
-        let d = shape.dim();
-        let mult = (ghost_byte_multiplier(b, g, d) / ghost_byte_multiplier(32, g, d)).sqrt();
-        Launcher::new(rec).record_only(&catalog::CALCULATE_FLUXES, cells, mult);
-        exec.for_each_block(pack, |_, slot| {
-            self.block_fluxes(slot);
-        });
+        let (b, g, d) = (shape.ncells()[0], shape.nghost(), shape.dim());
+        (ghost_byte_multiplier(b, g, d) / ghost_byte_multiplier(32, g, d)).sqrt()
     }
 
-    fn calculate_fluxes_phase(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        phase: FluxPhase,
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) {
-        let Some(first) = pack.first() else { return };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        let b = shape.ncells()[0];
-        let g = shape.nghost();
-        let d = shape.dim();
-        let mult = (ghost_byte_multiplier(b, g, d) / ghost_byte_multiplier(32, g, d)).sqrt();
-        // Split the launch's cell accounting by the x-face band widths so
-        // the two phases sum exactly to the full sweep's count.
-        let n = shape.range(0, IndexDomain::Interior).len();
-        let (lo_end, hi_start) = self.face_bands(n);
-        let cells_interior = cells * (hi_start - lo_end) as u64 / (n as u64 + 1);
-        let cells_phase = match phase {
-            FluxPhase::Interior => cells_interior,
-            FluxPhase::Exterior => cells - cells_interior,
-        };
-        Launcher::new(rec).record_only(&catalog::CALCULATE_FLUXES, cells_phase, mult);
-        exec.for_each_block(pack, |_, slot| {
-            self.block_fluxes_banded(slot, Some(phase));
-        });
+    /// Reconstruction + HLL through bundles of [`LANES`] faces; rows
+    /// narrower than a bundle fall back to the scalar kernels. Either way
+    /// the bits are the scalar oracle's
+    /// ([`BurgersPackage::block_fluxes_oracle`]).
+    fn fill_fluxes(&self, _info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        let ns = self.params.num_scalars;
+        match self.params.recon {
+            Reconstruction::Weno5 => simd::fill_tile::<simd::Weno5Kernel, LANES>(data, ns, tile),
+            Reconstruction::Linear => simd::fill_tile::<simd::LinearKernel, LANES>(data, ns, tile),
+        }
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
@@ -799,32 +641,6 @@ mod tests {
         let serial = run(1);
         let parallel = run(4);
         assert_eq!(serial, parallel, "bitwise identical across thread counts");
-    }
-
-    #[test]
-    fn face_bands_partition_every_face_exactly_once() {
-        for recon in [Reconstruction::Weno5, Reconstruction::Linear] {
-            let pkg = BurgersPackage::new(BurgersParams {
-                recon,
-                ..BurgersParams::default()
-            });
-            let m = pkg.stencil_radius();
-            for n in [1usize, 2, 4, 5, 6, 8, 16, 33] {
-                let faces = n + 1;
-                let (lo_end, hi_start) = pkg.face_bands(n);
-                assert!(lo_end <= hi_start && hi_start <= faces);
-                // Exterior + interior bands tile 0..faces with no overlap.
-                assert_eq!(lo_end + (hi_start - lo_end) + (faces - hi_start), faces);
-                // Every interior-band face keeps its stencil out of the ghosts.
-                for f in lo_end..hi_start {
-                    assert!(f >= m && f + m < faces, "face {f} of {faces} reads ghosts");
-                }
-                // Degenerate blocks fall back to an all-exterior sweep.
-                if n < 2 * m {
-                    assert_eq!(lo_end, hi_start);
-                }
-            }
-        }
     }
 
     #[test]

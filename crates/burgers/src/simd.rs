@@ -21,21 +21,23 @@
 //! Row remainders are handled with one *overlapped* final bundle: the lane
 //! kernels are elementwise, so re-evaluating the last few already-computed
 //! faces of a line produces (and re-stores) the exact same bits, and the
-//! remainder never drops to per-face scalar cost. Only lines shorter than a
-//! whole bundle (the short exterior bands of the phased sweep at small
-//! blocks) fall back to the scalar kernels — identical results, counted
-//! separately so the measured lane coverage (and the B16-vs-B32 remainder
-//! penalty the paper's Fig. 13 shows as a vector-share cliff) is
-//! observable. Counters accumulate globally across blocks and threads; see
+//! remainder never drops to per-face scalar cost. The framework's tiles
+//! keep rows at full block length; where a box is narrower than a bundle
+//! in `i` (the one-cell x-layers re-swept under a corrected face), bundles
+//! run *across* rows instead — `W` faces at consecutive `j`, gathered and
+//! scattered lane by lane. Only lines shorter than a whole bundle either
+//! way (degenerate blocks) fall back to the scalar kernels — identical
+//! results, counted separately so the measured lane coverage is
+//! observable.
+//! Counters accumulate globally across blocks and threads; see
 //! [`take_face_counts`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vibe_core::{BlockSlot, FluxPhase};
-use vibe_field::F64Lanes;
-use vibe_mesh::index::IndexDomain;
+use vibe_core::FluxTile;
+use vibe_field::{BlockData, F64Lanes};
 
-use crate::package::face_bands_for;
+use crate::package::{Q, U};
 use crate::recon::{
     reconstruct_linear, reconstruct_linear_lanes, reconstruct_weno5, reconstruct_weno5_lanes,
 };
@@ -119,9 +121,9 @@ impl ReconKernel for LinearKernel {
 /// Widest stencil any [`ReconKernel`] uses.
 const MAX_STENCIL: usize = 6;
 
-/// SoA lane scratch reused across every bundle of a block sweep: one
+/// SoA lane scratch reused across every bundle of a tile: one
 /// left/right state bundle and one flux bundle per component, plus the
-/// stencil gather buffer. Allocated (and zeroed) once per block, not per
+/// stencil gather buffer. Allocated (and zeroed) once per tile, not per
 /// bundle — only the first `3 + ns` components (resp. `2·RADIUS` stencil
 /// slots) are ever written and read.
 struct LaneScratch<const W: usize> {
@@ -142,78 +144,87 @@ impl<const W: usize> LaneScratch<W> {
     }
 }
 
-/// Evaluates one `W`-wide bundle of faces starting at line offset `k`:
-/// stencil gather, reconstruction, HLL solve, flux store.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn flux_bundle<R: ReconKernel, const W: usize>(
-    u_slice: &[f64],
-    q_slice: Option<&[f64]>,
-    uf: &mut [f64],
-    qf: Option<&mut [f64]>,
-    scratch: &mut LaneScratch<W>,
-    dbase: usize,
-    fbase: usize,
+/// What the lines of one direction of a tile share: the state, how far
+/// apart its stencil cells and components lie, and the tile array's
+/// component stride.
+struct Lines<'a> {
+    u: &'a [f64],
+    q: &'a [f64],
     soff: usize,
-    k: usize,
     data_comp: usize,
     flux_comp: usize,
     ns: usize,
+    ncomp: usize,
     d: usize,
+}
+
+impl Lines<'_> {
+    /// The state slice and first-cell offset of flux component `comp`.
+    #[inline(always)]
+    fn component(&self, comp: usize) -> (&[f64], usize) {
+        match comp < 3 {
+            true => (self.u, comp * self.data_comp),
+            false => (self.q, (comp - 3) * self.data_comp),
+        }
+    }
+}
+
+/// Evaluates one `W`-wide bundle of faces starting at line offset `k`:
+/// stencil gather, reconstruction, HLL solve, flux store of the tile's
+/// `ncomp` components.
+///
+/// # Safety
+///
+/// [`flux_line`]'s contract for the faces `k..k + W`.
+#[inline(always)]
+unsafe fn flux_bundle<R: ReconKernel, const W: usize, const ACROSS: bool>(
+    lines: &Lines<'_>,
+    out: &mut [f64],
+    scratch: &mut LaneScratch<W>,
+    (dbase, fbase): (usize, usize),
+    (step, fstep): (usize, usize),
+    k: usize,
 ) {
-    let m = R::RADIUS;
-    let sten = 2 * m;
-    let ncomp = 3 + ns;
-    let back = m * soff;
-    for c in 0..3 {
-        let base = c * data_comp + dbase + k - back;
+    let (sten, soff, ns) = (2 * R::RADIUS, lines.soff, lines.ns);
+    for comp in 0..3 + ns {
+        let (slice, first) = lines.component(comp);
+        let base = first + dbase + k * step - R::RADIUS * soff;
         for (j, s) in scratch.stencil[..sten].iter_mut().enumerate() {
-            // SAFETY: see the invariant block in `flux_line`.
-            *s = unsafe { F64Lanes::load_at(u_slice, base + j * soff) };
+            *s = match ACROSS {
+                // In bounds by the caller's contract.
+                false => F64Lanes::load_at(slice, base + j * soff),
+                true => F64Lanes::from_fn(|l| slice[base + j * soff + l * step]),
+            };
         }
         let (l, r) = R::lanes(&scratch.stencil[..sten]);
-        scratch.state_l[c] = l;
-        scratch.state_r[c] = r;
-    }
-    if let Some(qs) = q_slice {
-        for s in 0..ns {
-            let base = s * data_comp + dbase + k - back;
-            for (j, st) in scratch.stencil[..sten].iter_mut().enumerate() {
-                // SAFETY: see the invariant block in `flux_line`.
-                *st = unsafe { F64Lanes::load_at(qs, base + j * soff) };
-            }
-            let (l, r) = R::lanes(&scratch.stencil[..sten]);
-            scratch.state_l[3 + s] = l;
-            scratch.state_r[3 + s] = r;
-        }
+        scratch.state_l[comp] = l;
+        scratch.state_r[comp] = r;
     }
     let u_l = [scratch.state_l[0], scratch.state_l[1], scratch.state_l[2]];
     let u_r = [scratch.state_r[0], scratch.state_r[1], scratch.state_r[2]];
     hll_flux_lanes(
         &u_l,
-        &scratch.state_l[3..ncomp],
+        &scratch.state_l[3..3 + ns],
         &u_r,
-        &scratch.state_r[3..ncomp],
-        d,
+        &scratch.state_r[3..3 + ns],
+        lines.d,
         &mut scratch.flux,
     );
-    for (comp, fl) in scratch.flux.iter().enumerate().take(3) {
-        // SAFETY: see the invariant block in `flux_line`.
-        unsafe { fl.store_at(uf, comp * flux_comp + fbase + k) };
-    }
-    if let Some(qs) = qf {
-        for s in 0..ns {
-            // SAFETY: see the invariant block in `flux_line`.
-            unsafe { scratch.flux[3 + s].store_at(qs, s * flux_comp + fbase + k) };
+    for (comp, fl) in scratch.flux.iter().enumerate().take(lines.ncomp) {
+        let at = comp * lines.flux_comp + fbase + k * fstep;
+        match ACROSS {
+            // In bounds by the caller's contract.
+            false => fl.store_at(out, at),
+            true => (0..W).for_each(|l| out[at + l * fstep] = fl.lane(l)),
         }
     }
 }
 
 /// Computes reconstruction + HLL flux for one line of `len` faces whose
-/// data indices advance by 1 per face (unit stride), with the stencil
-/// stepping by `soff` per cell. `dbase`/`fbase` index the face-0 cell in
-/// the data/flux slices (component 0); components are `data_comp` /
-/// `flux_comp` apart.
+/// data/flux indices advance by `steps` per face — both 1 along a row,
+/// where lanes load and store contiguously; `ACROSS` rows they gather and
+/// scatter. `bases` index the face-0 cell in the data/flux slices
+/// (component 0).
 ///
 /// Lines of at least `W` faces run entirely through the lane kernels: full
 /// bundles first, then — if faces remain — one final bundle shifted back to
@@ -221,259 +232,166 @@ fn flux_bundle<R: ReconKernel, const W: usize>(
 /// few already-stored faces, but the lane kernels are elementwise (a face's
 /// value does not depend on its lane position), so the overlap re-stores
 /// identical bits. Shorter lines run the scalar kernels per face — also
-/// bitwise identical. The counters tally each face once: overlap faces are
-/// not double-counted, so `lane + tail` equals the number of distinct faces
-/// evaluated.
-#[allow(clippy::too_many_arguments)]
+/// bitwise identical. `faces` tallies each face once as `(lane, scalar)`:
+/// overlap faces are not double-counted.
+///
+/// # Safety
+///
+/// For every face `k < len`, component `c < 3 + ns` and stencil slot
+/// `j < 2·RADIUS`, `c·data_comp + dbase + k·step − RADIUS·soff + j·soff`
+/// must index the state slices, and for every `c < ncomp`,
+/// `c·flux_comp + fbase + k·fstep` must index `out`: the lane path along
+/// a row reads and writes unchecked.
 #[inline(always)]
-fn flux_line<R: ReconKernel, const W: usize>(
-    u_slice: &[f64],
-    q_slice: Option<&[f64]>,
-    uf: &mut [f64],
-    mut qf: Option<&mut [f64]>,
+unsafe fn flux_line<R: ReconKernel, const W: usize, const ACROSS: bool>(
+    lines: &Lines<'_>,
+    out: &mut [f64],
     scratch: &mut LaneScratch<W>,
-    dbase: usize,
-    fbase: usize,
-    soff: usize,
+    bases: (usize, usize),
+    steps: (usize, usize),
     len: usize,
-    data_comp: usize,
-    flux_comp: usize,
-    ns: usize,
-    d: usize,
-    lane_faces: &mut u64,
-    tail_faces: &mut u64,
+    faces: &mut (u64, u64),
 ) {
-    let m = R::RADIUS;
-    let sten = 2 * m;
-    let ncomp = 3 + ns;
-    let back = m * soff;
-    debug_assert!(dbase >= back, "stencil would underflow the data slice");
-
-    // SAFETY invariants for the unchecked lane loads/stores in
-    // `flux_bundle`, shared with the scalar sweep's `get_unchecked` stencil
-    // reads: every face in the line lies in the interior face range, so its
-    // stencil base `c·data_comp + dbase + k - m·soff + j·soff` (j < 2m)
-    // stays inside the ghost-inclusive extent because nghost ≥ m
-    // (guaranteed by mesh construction: ≥ 3 for WENO5, ≥ 2 for linear), and
-    // its flux index `c·flux_comp + fbase + k` lies inside the flux extent
-    // by the band bounds. All are checked by `debug_assert` in debug
-    // builds.
-    let mut k = 0usize;
+    // Along a row the steps are compile-time ones in the hot loops.
+    let steps = if ACROSS { steps } else { (1, 1) };
     if len >= W {
-        while k + W <= len {
-            flux_bundle::<R, W>(
-                u_slice,
-                q_slice,
-                uf,
-                qf.as_deref_mut(),
-                scratch,
-                dbase,
-                fbase,
-                soff,
-                k,
-                data_comp,
-                flux_comp,
-                ns,
-                d,
-            );
-            *lane_faces += W as u64;
-            k += W;
-        }
-        if k < len {
+        // The bundles cover faces of this line only, so the caller's
+        // contract is `flux_bundle`'s.
+        let mut bundle = |k| flux_bundle::<R, W, ACROSS>(lines, out, scratch, bases, steps, k);
+        (0..=len - W).step_by(W).for_each(&mut bundle);
+        if !len.is_multiple_of(W) {
             // Overlapped final bundle covering faces [len - W, len).
-            flux_bundle::<R, W>(
-                u_slice,
-                q_slice,
-                uf,
-                qf.as_deref_mut(),
-                scratch,
-                dbase,
-                fbase,
-                soff,
-                len - W,
-                data_comp,
-                flux_comp,
-                ns,
-                d,
-            );
-            *lane_faces += (len - k) as u64;
+            bundle(len - W);
         }
+        faces.0 += len as u64;
         return;
     }
 
     // Whole line is narrower than a bundle: scalar kernels, one face at a
     // time.
-    while k < len {
+    let (sten, ns) = (2 * R::RADIUS, lines.ns);
+    for k in 0..len {
         let mut state_l = [0.0f64; MAX_COMPONENTS];
         let mut state_r = [0.0f64; MAX_COMPONENTS];
-        for comp in 0..ncomp {
-            let (slice, c) = if comp < 3 {
-                (u_slice, comp)
-            } else {
-                (q_slice.expect("scalars present"), comp - 3)
-            };
-            let base = c * data_comp + dbase + k - back;
+        for comp in 0..3 + ns {
+            let (slice, first) = lines.component(comp);
+            let base = first + bases.0 + k * steps.0 - R::RADIUS * lines.soff;
             let mut stencil = [0.0f64; MAX_STENCIL];
             for (j, s) in stencil[..sten].iter_mut().enumerate() {
-                *s = slice[base + j * soff];
+                *s = slice[base + j * lines.soff];
             }
-            let (l, r) = R::scalar(&stencil[..sten]);
-            state_l[comp] = l;
-            state_r[comp] = r;
+            (state_l[comp], state_r[comp]) = R::scalar(&stencil[..sten]);
         }
         let u_l = [state_l[0], state_l[1], state_l[2]];
         let u_r = [state_r[0], state_r[1], state_r[2]];
         let mut flux = [0.0f64; MAX_COMPONENTS];
-        hll_flux(
-            &u_l,
-            &state_l[3..ncomp],
-            &u_r,
-            &state_r[3..ncomp],
-            d,
-            &mut flux,
-        );
-        for (comp, &fv) in flux.iter().enumerate().take(3) {
-            uf[comp * flux_comp + fbase + k] = fv;
+        let (q_l, q_r) = (&state_l[3..3 + ns], &state_r[3..3 + ns]);
+        hll_flux(&u_l, q_l, &u_r, q_r, lines.d, &mut flux);
+        for (comp, &fv) in flux.iter().enumerate().take(lines.ncomp) {
+            out[comp * lines.flux_comp + bases.1 + k * steps.1] = fv;
         }
-        if let Some(qs) = qf.as_deref_mut() {
-            for s in 0..ns {
-                qs[s * flux_comp + fbase + k] = flux[3 + s];
-            }
-        }
-        *tail_faces += 1;
-        k += 1;
     }
+    faces.1 += len as u64;
 }
 
-/// Lane-batched equivalent of the scalar `block_fluxes_banded` sweep:
-/// computes the face fluxes of one block, restricted to one [`FluxPhase`]
-/// band (`None` sweeps every face), processing `W` faces per lane bundle.
-pub(crate) fn block_fluxes_lanes<R: ReconKernel, const W: usize>(
-    slot: &mut BlockSlot,
-    num_scalars: usize,
-    phase: Option<FluxPhase>,
+/// The Burgers flux primitive: fills every face of `tile` the framework
+/// asks for from the state in `data`, `W` faces per lane bundle along the
+/// unit-stride direction — x-faces along their row, y- and z-faces across
+/// `W` consecutive `i` of one face plane — or, for boxes narrower than a
+/// bundle in `i`, along `j`.
+pub(crate) fn fill_tile<R: ReconKernel, const W: usize>(
+    data: &BlockData,
+    ns: usize,
+    tile: &mut FluxTile<'_>,
 ) {
-    let shape = *slot.data.shape();
-    let dim = shape.dim();
-    let ns = num_scalars;
-    let uid = slot.data.id_of("u").expect("u registered");
-    let qid = slot.data.id_of("q").expect("q registered");
-
+    let shape = *data.shape();
+    let (cells, ncomp) = (tile.cells(), tile.ncomp());
+    let g: [usize; 3] = std::array::from_fn(|d| shape.nghost_d(d));
     let (ex, ey, ez) = (shape.entire_d(0), shape.entire_d(1), shape.entire_d(2));
     let data_strides = [1usize, ex, ex * ey];
     let data_comp = ex * ey * ez;
+    let (u, q) = (data.var(U).data().as_slice(), data.var(Q).data().as_slice());
+    // What the unchecked lane accesses rest on (see `flux_line`).
+    assert!(
+        (0..3).all(|d| cells.lo[d] + cells.n[d] <= shape.ncells()[d])
+            && (0..tile.dim()).all(|d| g[d] >= R::RADIUS)
+            && ncomp == 3 + ns.max(1)
+            && u.len() == 3 * data_comp
+            && q.len() == ns.max(1) * data_comp,
+        "tile {cells:?} of {ncomp} components does not fit the block's interior and ghost shell"
+    );
+    // First interior cell of the box in the state arrays.
+    let origin: usize = (0..3).map(|d| (g[d] + cells.lo[d]) * data_strides[d]).sum();
 
-    let ix = shape.range(0, IndexDomain::Interior);
-    let iy = shape.range(1, IndexDomain::Interior);
-    let iz = shape.range(2, IndexDomain::Interior);
-    let ranges = [ix, iy, iz];
-
-    let mut lane_faces = 0u64;
-    let mut tail_faces = 0u64;
+    let mut faces = (0u64, 0u64);
     let mut scratch = LaneScratch::<W>::new();
-
-    for d in 0..dim {
-        let (uvar, qvar) = slot.data.pair_mut(uid, qid);
-        let (udata, uflux) = uvar.data_and_flux_mut(d);
-        let (qdata, qflux) = if ns > 0 {
-            let (qd, qfl) = qvar.data_and_flux_mut(d);
-            (Some(qd), Some(qfl))
+    for (d, &soff) in data_strides.iter().enumerate().take(tile.dim()) {
+        let [ni, nj, nk] = tile.extent(d);
+        let [_, sj, sk, flux_comp] = tile.steps(d);
+        let first: [usize; 3] = std::array::from_fn(|a| usize::from(a == d) * tile.first_face(d));
+        let lines = Lines {
+            u,
+            q,
+            soff,
+            data_comp,
+            flux_comp,
+            ns,
+            ncomp,
+            d,
+        };
+        let out = tile.faces_mut(d);
+        // Lines run along i; across rows (along j) where only those reach
+        // a bundle.
+        let across = ni - first[0] < W && nj - first[1] >= W;
+        let (a, len) = if across {
+            (0, nj - first[1])
         } else {
-            (None, None)
+            (1, ni - first[0])
         };
-
-        let (fx, fy, fz) = (
-            ex + usize::from(d == 0),
-            ey + usize::from(d == 1),
-            ez + usize::from(d == 2),
-        );
-        let flux_strides = [1usize, fx, fx * fy];
-        let flux_comp = fx * fy * fz;
-
-        let u_slice = udata.as_slice();
-        let q_slice = qdata.map(|q| q.as_slice());
-        let uf = uflux.as_mut_slice();
-        let mut qf = qflux.map(|q| q.as_mut_slice());
-        let stride = data_strides[d];
-        let fstride = flux_strides[d];
-
-        let n_d = ranges[d].len();
-        let faces = n_d + 1;
-        let (lo_end, hi_start) = face_bands_for(R::RADIUS, n_d);
-        let (band_a, band_b) = match phase {
-            None => (0..faces, faces..faces),
-            Some(FluxPhase::Interior) => (lo_end..hi_start, hi_start..hi_start),
-            Some(FluxPhase::Exterior) => (0..lo_end, hi_start..faces),
-        };
-        let f0 = ranges[d].s as usize;
-
-        if d == 0 {
-            // Faces advance along the unit-stride dimension: lane-batch the
-            // face bands of each (j, k) row directly.
-            let (iy_r, iz_r) = (ranges[1], ranges[2]);
-            for o2 in iz_r.s as usize..=iz_r.e as usize {
-                for o1 in iy_r.s as usize..=iy_r.e as usize {
-                    let dbase0 = f0 + o1 * data_strides[1] + o2 * data_strides[2];
-                    let fbase0 = f0 + o1 * flux_strides[1] + o2 * flux_strides[2];
-                    for band in [band_a.clone(), band_b.clone()] {
-                        if band.is_empty() {
-                            continue;
-                        }
-                        flux_line::<R, W>(
-                            u_slice,
-                            q_slice,
-                            uf,
-                            qf.as_deref_mut(),
+        for k in first[2]..nk {
+            for line in first[a]..[ni, nj][a] {
+                let (i, j) = if across {
+                    (line, first[1])
+                } else {
+                    (first[0], line)
+                };
+                let bases = (origin + i + j * ex + k * ex * ey, i + j * sj + k * sk);
+                // SAFETY: the box lies in the interior and the ghost shell
+                // is at least RADIUS wide along `d` (asserted above), so the
+                // stencils of the line's faces stay inside the state arrays;
+                // `out` is direction `d`'s array of the tile, which holds
+                // `ncomp` components `flux_comp` apart over `ni` faces per
+                // row.
+                unsafe {
+                    if across {
+                        let steps = (ex, sj);
+                        flux_line::<R, W, true>(
+                            &lines,
+                            out,
                             &mut scratch,
-                            dbase0 + band.start,
-                            fbase0 + band.start,
-                            1,
-                            band.len(),
-                            data_comp,
-                            flux_comp,
-                            ns,
-                            d,
-                            &mut lane_faces,
-                            &mut tail_faces,
+                            bases,
+                            steps,
+                            len,
+                            &mut faces,
+                        );
+                    } else {
+                        let steps = (1, 1);
+                        flux_line::<R, W, false>(
+                            &lines,
+                            out,
+                            &mut scratch,
+                            bases,
+                            steps,
+                            len,
+                            &mut faces,
                         );
                     }
                 }
             }
-        } else {
-            // Faces advance along a strided dimension; lane-batch along the
-            // unit-stride i-direction instead: one line per (face plane,
-            // outer index), `W` consecutive i-positions per bundle.
-            let ob = if d == 1 { 2 } else { 1 };
-            let (i_r, ob_r) = (ranges[0], ranges[ob]);
-            let (i0, n_i) = (i_r.s as usize, i_r.len());
-            for o2 in ob_r.s as usize..=ob_r.e as usize {
-                for f in band_a.clone().chain(band_b.clone()) {
-                    let dbase = i0 + (f0 + f) * stride + o2 * data_strides[ob];
-                    let fbase = i0 + (f0 + f) * fstride + o2 * flux_strides[ob];
-                    flux_line::<R, W>(
-                        u_slice,
-                        q_slice,
-                        uf,
-                        qf.as_deref_mut(),
-                        &mut scratch,
-                        dbase,
-                        fbase,
-                        stride,
-                        n_i,
-                        data_comp,
-                        flux_comp,
-                        ns,
-                        d,
-                        &mut lane_faces,
-                        &mut tail_faces,
-                    );
-                }
-            }
         }
     }
-
-    LANE_FACES.fetch_add(lane_faces, Ordering::Relaxed);
-    TAIL_FACES.fetch_add(tail_faces, Ordering::Relaxed);
+    LANE_FACES.fetch_add(faces.0, Ordering::Relaxed);
+    TAIL_FACES.fetch_add(faces.1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -507,27 +425,34 @@ mod tests {
         let mut rng = Rng(0x0123_4567_89ab_cdef ^ ((len * 31 + soff * 7 + d) as u64));
         let u: Vec<f64> = (0..3 * data_comp).map(|_| rng.next()).collect();
         let q: Vec<f64> = (0..ns * data_comp).map(|_| 1.0 + rng.next()).collect();
-        let mut uf = vec![0.0f64; 3 * flux_comp];
-        let mut qf = vec![0.0f64; ns * flux_comp];
+        let mut out = vec![0.0f64; ncomp * flux_comp];
         let mut scratch = LaneScratch::<W>::new();
-        let (mut lane, mut tail) = (0u64, 0u64);
-        flux_line::<R, W>(
-            &u,
-            Some(&q),
-            &mut uf,
-            Some(&mut qf),
-            &mut scratch,
-            dbase,
-            0,
+        let mut faces = (0u64, 0u64);
+        let lines = Lines {
+            u: &u,
+            q: &q,
             soff,
-            len,
             data_comp,
             flux_comp,
             ns,
+            ncomp,
             d,
-            &mut lane,
-            &mut tail,
-        );
+        };
+        // SAFETY: `data_comp` leaves RADIUS cells of stencil either side of
+        // the line plus a bundle of slack, `out` holds `ncomp` lines.
+        unsafe {
+            let bases = (dbase, 0);
+            flux_line::<R, W, false>(
+                &lines,
+                &mut out,
+                &mut scratch,
+                bases,
+                (1, 1),
+                len,
+                &mut faces,
+            );
+        }
+        let (lane, tail) = faces;
         assert_eq!(lane + tail, len as u64, "face accounting (len {len})");
         if len >= W {
             assert_eq!(tail, 0, "full lines never take the scalar fallback");
@@ -559,18 +484,11 @@ mod tests {
                 d,
                 &mut flux,
             );
-            for comp in 0..3 {
+            for comp in 0..ncomp {
                 assert_eq!(
-                    uf[comp * flux_comp + k].to_bits(),
+                    out[comp * flux_comp + k].to_bits(),
                     flux[comp].to_bits(),
-                    "u flux comp {comp} face {k} (len {len}, soff {soff}, d {d}, W {W})"
-                );
-            }
-            for s in 0..ns {
-                assert_eq!(
-                    qf[s * flux_comp + k].to_bits(),
-                    flux[3 + s].to_bits(),
-                    "q flux scalar {s} face {k} (len {len}, soff {soff}, d {d}, W {W})"
+                    "flux comp {comp} face {k} (len {len}, soff {soff}, d {d}, W {W})"
                 );
             }
         }

@@ -1,7 +1,8 @@
 //! Property tests for the SIMD lane kernels: over randomized states, every
 //! lane of the W-wide WENO5 / linear-reconstruction / HLL kernels must be
 //! *bitwise* equal to the scalar kernel applied to that lane's inputs, and
-//! the production block sweep must equal the scalar oracle sweep.
+//! the production flux primitive must equal the scalar oracle, tile by tile
+//! and in the divergence the framework takes of it.
 //!
 //! Randomness comes from a hand-rolled xorshift64* generator (the offline
 //! build has no property-testing crate); failures print the seed so a case
@@ -12,11 +13,10 @@ use vibe_burgers::{
     reconstruct_weno5_lanes, weno5_left, weno5_left_lanes, BurgersPackage, BurgersParams,
     Reconstruction,
 };
-use vibe_core::{BlockInfo, BlockSlot, FluxPhase, Package};
-use vibe_exec::ExecCtx;
+use vibe_core::sweep::{sweep_block, Planes};
+use vibe_core::{check_partition_invariance, BlockInfo, BlockSlot, CellBox, FluxTile, Package};
 use vibe_field::{BlockData, F64Lanes, VarId};
 use vibe_mesh::{Mesh, MeshParams};
-use vibe_prof::Recorder;
 
 /// xorshift64* — deterministic, seedable, dependency-free.
 struct Rng(u64);
@@ -144,12 +144,14 @@ fn hll_lane_scalar_parity_w8() {
     hll_parity::<8>(0xda3e39cb94b95bdb);
 }
 
-/// Block-level differential test of the production flux sweep against the
-/// scalar oracle: on IC-filled blocks (ghosts included) every entry of
-/// every flux array must agree bit for bit, for the full sweep and for
-/// each phase band. Interior size 3 takes the scalar rule, 4 is one exact
-/// bundle, 5 the overlapped final bundle plus sub-bundle exterior bands, 8
-/// and 16 whole bundles with short exterior tails.
+/// Block-level differential test of the production flux primitive against
+/// the scalar oracle: on IC-filled blocks (ghosts included) every face of a
+/// sentinel-filled tile must come back written with the oracle's bits — for
+/// the whole block, a slab stacked mid-block and the one-cell layers a
+/// correction re-sweeps — and the divergence the framework takes of any
+/// tiling must be the divergence of the oracle's fluxes. Interior size 3
+/// takes the scalar rule, 4 is one exact bundle, 5 the overlapped final
+/// bundle, 8 and 16 whole bundles plus the overlapped x-face bundle.
 #[test]
 fn production_sweep_matches_scalar_oracle_blockwise() {
     let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
@@ -175,46 +177,58 @@ fn production_sweep_matches_scalar_oracle_blockwise() {
             pkg.register(&mut data);
             let info = BlockInfo::from_mesh(&mesh, 0);
             ic::multi_blob(0.9, 0.05, 3)(&info, &mut data);
-            for idx in 0..data.num_vars() {
+            let slot = BlockSlot::new(info, data);
+            let whole = CellBox::interior(slot.data.shape());
+            let len = whole.tile_len(3, 5);
+            let (mut lanes, mut scalar) = (vec![0.0; len], vec![0.0; len]);
+            let slab = CellBox {
+                lo: [0, 0, 1],
+                n: [n, n, 2],
+            };
+            for cells in (0..6).map(|face| whole.layer(face)).chain([slab, whole]) {
+                lanes.fill(sentinel);
+                scalar.fill(sentinel);
+                let mut swept = FluxTile::new(cells, 3, 5, &mut lanes);
+                pkg.fill_fluxes(&slot.info, &slot.data, &mut swept);
+                let mut oracle = FluxTile::new(cells, 3, 5, &mut scalar);
+                pkg.block_fluxes_oracle(&slot.data, &mut oracle);
                 for dir in 0..3 {
-                    if let Some(fl) = data.var_mut(VarId(idx)).flux_mut(dir) {
-                        fl.fill(sentinel);
+                    let pairs = oracle.faces(dir).iter().zip(swept.faces(dir));
+                    for (i, (x, y)) in pairs.enumerate() {
+                        assert!(
+                            x.to_bits() == y.to_bits() && x.to_bits() != sentinel.to_bits(),
+                            "n={n} {recon:?} {cells:?}: flux dir {dir} entry {i}: \
+                             oracle {x:e} vs sweep {y:e}"
+                        );
                     }
                 }
             }
-            let blank = BlockSlot::new(info, data);
-            for phase in [None, Some(FluxPhase::Interior), Some(FluxPhase::Exterior)] {
-                let mut oracle = blank.clone();
-                pkg.block_fluxes_oracle(&mut oracle, phase);
-                let mut swept = blank.clone();
-                let (exec, mut rec) = (ExecCtx::new(1), Recorder::new());
-                match phase {
-                    None => pkg.calculate_fluxes(&mut [&mut swept], exec, &mut rec),
-                    Some(p) => pkg.calculate_fluxes_phase(&mut [&mut swept], p, exec, &mut rec),
+
+            // The whole-block oracle tile is still in `scalar`: its
+            // divergence, in the framework's add order.
+            check_partition_invariance(&pkg, &slot, n as u64)
+                .unwrap_or_else(|e| panic!("n={n} {recon:?}: {e}"));
+            let ids = [VarId(0), VarId(1)];
+            let mut swept = slot.clone();
+            sweep_block(&pkg, &mut swept, &ids, &[whole], Planes::Save, &mut lanes);
+            let oracle = FluxTile::new(whole, 3, 5, &mut scalar);
+            let inv = slot.info.geom.dx().map(|dx| 1.0 / dx);
+            for comp in 0..5 {
+                let (var, c) = if comp < 3 { (0, comp) } else { (1, comp - 3) };
+                let div = swept.data.var(ids[var]).div().expect("swept");
+                for (k, j, i) in (0..n * n * n).map(|at| (at / (n * n), at / n % n, at % n)) {
+                    let faces = |d: usize| {
+                        let mut upper = [i, j, k];
+                        upper[d] += 1;
+                        oracle.get(d, comp, upper) - oracle.get(d, comp, [i, j, k])
+                    };
+                    let want = (faces(0) * inv[0] + faces(1) * inv[1]) + faces(2) * inv[2];
+                    assert_eq!(
+                        div.get(c, k, j, i).to_bits(),
+                        want.to_bits(),
+                        "n={n} {recon:?}: div of component {comp} at ({i}, {j}, {k})"
+                    );
                 }
-                let mut written = 0usize;
-                for (a, b) in oracle.data.vars().iter().zip(swept.data.vars()) {
-                    for dir in 0..3 {
-                        let (Some(fa), Some(fb)) = (a.flux(dir), b.flux(dir)) else {
-                            continue;
-                        };
-                        for (i, (x, y)) in fa.as_slice().iter().zip(fb.as_slice()).enumerate() {
-                            assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
-                                "n={n} {recon:?} {phase:?}: {} flux dir {dir} entry {i}: \
-                                 oracle {x:e} vs sweep {y:e}",
-                                a.name()
-                            );
-                            written += usize::from(x.to_bits() != sentinel.to_bits());
-                        }
-                    }
-                }
-                // Both sweeps wrote something, unless the block is too
-                // narrow to have a ghost-independent face.
-                let radius = if recon == Reconstruction::Weno5 { 3 } else { 2 };
-                let no_faces = phase == Some(FluxPhase::Interior) && n < 2 * radius;
-                assert_eq!(written == 0, no_faces, "n={n} {recon:?} {phase:?}");
             }
         }
     }

@@ -1,8 +1,6 @@
 //! Per-block state: mesh metadata plus field containers.
 
-use std::collections::HashMap;
-
-use vibe_field::{Array4, BlockData, VarId};
+use vibe_field::{BlockData, VarId};
 use vibe_mesh::{BlockGeometry, LogicalLocation, Mesh};
 
 /// Immutable per-block metadata snapshot (stable for one regrid epoch).
@@ -42,9 +40,10 @@ pub struct BlockSlot {
     pub info: BlockInfo,
     /// Field container with all registered variables.
     pub data: BlockData,
-    /// Cycle-start copies of two-stage variables (`u0` in RK2), keyed by
-    /// variable id.
-    pub stage0: HashMap<VarId, Array4>,
+    /// Cycle-start copies of two-stage variables (`u0` in RK2), indexed by
+    /// variable id: the interior cells only, `(comp, k, j, i)` dense — the
+    /// stage update reads nothing else. Empty for a variable never saved.
+    pub stage0: Vec<Vec<f64>>,
 }
 
 impl BlockSlot {
@@ -53,37 +52,59 @@ impl BlockSlot {
         Self {
             info,
             data,
-            stage0: HashMap::new(),
+            stage0: Vec::new(),
         }
     }
 
-    /// Saves stage-0 copies of the listed variables, reusing the copies'
-    /// allocations across cycles.
+    /// Saves stage-0 copies of the listed variables' interiors, reusing
+    /// the copies' allocations across cycles.
     pub fn save_stage0(&mut self, vars: &[VarId]) {
+        let shape = *self.data.shape();
+        let [nx, ny, nz] = shape.ncells();
+        let g: [usize; 3] = std::array::from_fn(|d| shape.nghost_d(d));
+        self.stage0.resize(self.data.num_vars(), Vec::new());
         for &id in vars {
             let src = self.data.var(id).data();
-            match self.stage0.entry(id) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().copy_from(src),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(src.clone());
+            let [ncomp, ez, ey, ex] = src.shape();
+            let copy = &mut self.stage0[id.0];
+            copy.clear();
+            for c in 0..ncomp {
+                for k in 0..nz {
+                    for j in 0..ny {
+                        let row = ((c * ez + k + g[2]) * ey + j + g[1]) * ex + g[0];
+                        copy.extend_from_slice(&src.as_slice()[row..row + nx]);
+                    }
                 }
             }
         }
     }
 
-    /// The stage-0 copy of `id`.
+    /// The stage-0 copy of `id`'s interior.
     ///
     /// # Panics
     ///
     /// Panics if `save_stage0` was not called for `id` this cycle.
-    pub fn stage0(&self, id: VarId) -> &Array4 {
-        self.stage0.get(&id).expect("stage-0 copy saved before use")
+    pub fn stage0(&self, id: VarId) -> &[f64] {
+        let copy = self.stage0.get(id.0).map_or(&[][..], Vec::as_slice);
+        assert!(!copy.is_empty(), "stage-0 copy saved before use");
+        copy
     }
 
-    /// Total live field bytes (data + fluxes + stage copies) — the
-    /// Kokkos-attributed device allocation for this block.
+    /// Field bytes in Parthenon's layout (data + fluxes + ghost-inclusive
+    /// stage copies) — the Kokkos-attributed device allocation for this
+    /// block, a model input like [`vibe_field::CellVariable::nbytes`].
     pub fn nbytes(&self) -> usize {
-        self.data.nbytes() + self.stage0.values().map(Array4::nbytes).sum::<usize>()
+        let saved = self.stage0.iter().zip(self.data.vars());
+        self.data.nbytes()
+            + saved
+                .filter(|(copy, _)| !copy.is_empty())
+                .map(|(_, var)| var.data().nbytes())
+                .sum::<usize>()
+    }
+
+    /// Field bytes this process actually holds for the block.
+    pub fn resident_bytes(&self) -> usize {
+        self.data.resident_bytes() + self.stage0.iter().map(|c| 8 * c.len()).sum::<usize>()
     }
 }
 
@@ -147,7 +168,7 @@ mod tests {
         let mut slot = BlockSlot::new(BlockInfo::from_mesh(&m, 0), data);
         slot.save_stage0(&[id]);
         slot.data.var_mut(id).data_mut().fill(9.0);
-        assert_eq!(slot.stage0(id).get(0, 0, 0, 0), 3.0);
+        assert_eq!(slot.stage0(id), vec![3.0; 2 * 8 * 8]);
         assert_eq!(slot.data.var(id).data().get(0, 0, 0, 0), 9.0);
     }
 
@@ -159,7 +180,34 @@ mod tests {
         let mut slot = BlockSlot::new(BlockInfo::from_mesh(&m, 0), data);
         let before = slot.nbytes();
         slot.save_stage0(&[id]);
-        assert!(slot.nbytes() > before);
+        // The model counts a ghost-inclusive copy; the process holds the
+        // interior.
+        assert_eq!(slot.nbytes(), 2 * before);
+        assert_eq!(slot.resident_bytes(), before + 8 * 8 * 8);
+    }
+
+    /// The memory floor: a block registered like Burgers' (`u`, four
+    /// scalars, one derived field; WENO5's four ghosts) holds at most half
+    /// of what the Parthenon layout the model counts would, stage copy
+    /// included.
+    #[test]
+    fn burgers_blocks_hold_at_most_half_their_modeled_bytes() {
+        for n in [16, 8] {
+            let mut data = BlockData::new(vibe_mesh::IndexShape::new([n, n, n], 4, 3));
+            let evolved = Metadata::INDEPENDENT
+                | Metadata::FILL_GHOST
+                | Metadata::WITH_FLUXES
+                | Metadata::TWO_STAGE;
+            let ids = [
+                data.add_variable("u", 3, evolved),
+                data.add_variable("q", 4, evolved),
+            ];
+            data.add_variable("d", 1, Metadata::DERIVED);
+            let mut slot = BlockSlot::new(BlockInfo::from_mesh(&mesh(), 0), data);
+            assert!(2 * slot.resident_bytes() <= slot.nbytes());
+            slot.save_stage0(&ids);
+            assert!(2 * slot.resident_bytes() <= slot.nbytes(), "B{n}");
+        }
     }
 
     #[test]

@@ -186,7 +186,7 @@ thread_local! {
 /// The disjointness that makes the accesses below sound is a property of
 /// the plan: every program reads only its sender's interior and writes only
 /// its receiver's ghost band ([`RowProgram::compile`] asserts it per
-/// transfer in debug builds; for flux arrays [`ExchangePlan`] asserts that
+/// transfer in debug builds; for face planes [`ExchangePlan`] asserts that
 /// no block face is both corrected and a source), and a fill dispatch hands
 /// each receiver to exactly one worker. Bounds are checked per storage
 /// before a program runs ([`check_span`]).
@@ -195,14 +195,14 @@ struct Rows<'a>(SharedCells<'a>);
 impl CellRows for Rows<'_> {
     #[inline(always)]
     fn row(&self, start: usize, len: usize) -> &[f64] {
-        // SAFETY: reads lie in a sender's interior (or on a face no
+        // SAFETY: reads lie in a sender's interior (or in a face plane no
         // correction writes), which no worker writes during the dispatch.
         unsafe { self.0.read(start, len) }
     }
 
     #[inline(always)]
     fn row_mut(&mut self, start: usize, len: usize) -> &mut [f64] {
-        // SAFETY: writes lie in the ghost band (or on the corrected faces)
+        // SAFETY: writes lie in the ghost band (or in the corrected planes)
         // of the receiver this worker claimed; no other worker touches
         // those cells, and `&mut self` keeps this worker to one row at a
         // time.
@@ -486,7 +486,7 @@ impl<P: TransferProgram> Lane<P> {
         let mut at = 0usize;
         for &(id, ncomp) in &self.vars {
             let len = prog.wire_len(ncomp);
-            let cells = P::arrays(sender.data.var(id))[prog.array()].as_slice();
+            let cells = P::arrays(sender.data.var(id))[prog.src_array()].as_slice();
             prog.pack(ncomp, cells, &mut buf[at..at + len]);
             at += len;
         }
@@ -522,8 +522,8 @@ impl<P: TransferProgram> Lane<P> {
                     }
                     let (prog, s) = (&self.progs[b], self.transfers[b].send);
                     for (v, &(_, ncomp)) in self.vars.iter().enumerate() {
-                        let (src, dst) =
-                            (cells[at(s, v, prog.array())], cells[at(r, v, prog.array())]);
+                        let src = cells[at(s, v, prog.src_array())];
+                        let dst = cells[at(r, v, prog.dst_array())];
                         check_span(prog.storage_span(ncomp), &src, &dst);
                         prog.fill(ncomp, &Rows(src), &mut Rows(dst), scratch);
                     }
@@ -548,7 +548,7 @@ impl<P: TransferProgram> Lane<P> {
                 let mut at = 0usize;
                 for &(id, ncomp) in &self.vars {
                     let len = prog.wire_len(ncomp);
-                    let array = &mut P::arrays_mut(slot.data.var_mut(id))[prog.array()];
+                    let array = &mut P::arrays_mut(slot.data.var_mut(id))[prog.dst_array()];
                     prog.unpack(ncomp, &wire[at..at + len], array.as_mut_slice());
                     at += len;
                 }
@@ -576,6 +576,10 @@ pub struct ExchangePlan {
     pub flux_ids: Vec<VarId>,
     /// [`Metadata::TWO_STAGE`] variable ids.
     pub two_stage_ids: Vec<VarId>,
+    /// Per block, the outer faces flux correction overwrites: bit
+    /// `2 * normal + upper side`. The stage update re-sweeps the layers
+    /// under them.
+    pub corrected: Vec<u8>,
 }
 
 impl ExchangePlan {
@@ -615,10 +619,11 @@ impl ExchangePlan {
             ghost_ids,
             flux_ids,
             two_stage_ids,
+            corrected: vec![0; mesh.num_blocks()],
         };
         let shape = mesh.index_shape();
-        // Per block: faces whose fluxes corrections write, and read.
-        let mut faces = vec![(0u8, 0u8); mesh.num_blocks()];
+        // Per block: faces whose fluxes corrections read.
+        let mut sources = vec![0u8; mesh.num_blocks()];
         for recv in 0..mesh.num_blocks() {
             let r_loc = mesh.block(recv).loc();
             for (t, nb) in mesh.neighbors(recv).iter().enumerate() {
@@ -636,12 +641,8 @@ impl ExchangePlan {
                 if nb.is_finer() && nb.offset.order() == 1 {
                     let spec = flux_correction_spec(&shape, &r_loc, &nb.loc, &nb.offset);
                     let prog = FluxProgram::compile(&spec);
-                    // Bit `2 * normal + upper side`; the sender's face is
-                    // the opposite side of the same normal.
-                    let normal = prog.array();
-                    let face = 2 * normal + usize::from(nb.offset.components()[normal] > 0);
-                    faces[recv].0 |= 1 << face;
-                    faces[send].1 |= 1 << (face ^ 1);
+                    plan.corrected[recv] |= 1 << prog.dst_array();
+                    sources[send] |= 1 << prog.src_array();
                     let key = BoundaryKey::new(send, recv, 1000 + t as u32);
                     plan.fluxes.push(key, recv, send, prog);
                 }
@@ -653,7 +654,7 @@ impl ExchangePlan {
         // any block is both corrected (written) and a source of corrections
         // (read), so one worker may correct a block while another reads it.
         debug_assert!(
-            faces.iter().all(|(written, read)| written & read == 0),
+            plan.corrected.iter().zip(&sources).all(|(w, r)| w & r == 0),
             "a block face is both corrected and a source of corrections"
         );
         plan
@@ -939,9 +940,9 @@ pub struct FluxCorrState {
 
 /// Routes every fine→coarse transfer (`FluxCorrection`): the mailbox-bound
 /// ones are packed in parallel (pure reads) and sent serially in face
-/// order; then the direct ones restrict the fine block's face fluxes
+/// order; then the direct ones restrict the fine block's face plane
 /// straight into the coarse block's, in parallel over receivers — the
-/// fluxes are final by now, and no corrected face is anyone's source.
+/// planes are final by now, and no corrected face is anyone's source.
 pub fn flux_corr_send(
     plan: &ExchangePlan,
     blocks: &mut BlockTable<'_>,
@@ -970,7 +971,7 @@ pub fn flux_corr_send(
 }
 
 /// The body of a FluxCorrApply task: one delivery sweep over the pending
-/// corrections; once every one has arrived, overwrites the coarse fluxes
+/// corrections; once every one has arrived, overwrites the coarse planes
 /// with the delivered restricted fine fluxes, in parallel over receiver
 /// blocks (the direct corrections were applied by [`flux_corr_send`]), and
 /// retires `state`.
@@ -997,8 +998,9 @@ pub fn flux_corr_apply(
 }
 
 /// Fine→coarse flux correction across all level-boundary faces: restricted
-/// fine face fluxes replace the coarse neighbor's fluxes before the flux
-/// divergence (prevents conservation errors). Builds a one-shot
+/// fine face fluxes replace the coarse neighbor's on its face planes before
+/// the stage update re-sweeps the cells under them (prevents conservation
+/// errors). Builds a one-shot
 /// [`ExchangePlan`] and runs the send/poll/apply phases back-to-back.
 pub fn flux_correction(
     mesh: &Mesh,
@@ -1211,8 +1213,9 @@ mod tests {
         for slot in &mut slots {
             let level = slot.info.level;
             let qid = slot.data.id_of("q").unwrap();
-            let fx = slot.data.var_mut(qid).flux_mut(0).unwrap();
-            fx.fill(if level > 0 { 2.0 } else { 1.0 });
+            for fx in &mut slot.data.var_mut(qid).planes_mut()[..2] {
+                fx.fill(if level > 0 { 2.0 } else { 1.0 });
+            }
         }
         let mut comm = Communicator::new(1);
         let mut rec = Recorder::new();
@@ -1225,16 +1228,14 @@ mod tests {
         let coarse_gid = mesh
             .gid_at(&vibe_mesh::LogicalLocation::new(0, 1, 0, 0))
             .unwrap();
-        let slot = &slots[coarse_gid];
-        let shape = *slot.data.shape();
-        let fx = slot.data.vars()[0].flux(0).unwrap();
-        let g = shape.nghost();
-        // Tangential cells j = g..g+8 on face i = g.
-        let got = fx.get(0, 0, g + 1, g);
-        assert!((got - 2.0).abs() < 1e-13, "corrected flux, got {got}");
-        // An interior face is untouched.
-        let interior = fx.get(0, 0, g + 1, g + 3);
-        assert!((interior - 1.0).abs() < 1e-13);
+        let planes = slots[coarse_gid].data.vars()[0].planes();
+        // Every tangential cell of the low-x face.
+        for j in 0..8 {
+            let got = planes[0].get(0, 0, j, 0);
+            assert!((got - 2.0).abs() < 1e-13, "corrected flux, got {got}");
+        }
+        // The opposite face is untouched.
+        assert!(planes[1].as_slice().iter().all(|&v| v == 1.0));
         // Workload recorded under FluxCorrection.
         let c = &rec.totals().comm[&StepFunction::FluxCorrection];
         assert!(c.cells_communicated > 0);
@@ -1387,7 +1388,7 @@ mod tests {
     }
 
     /// Two exchanged variables (3 and `ncomp` components), every cell of
-    /// data and fluxes a distinct value.
+    /// data and face planes a distinct value.
     fn build_varied(mesh: &Mesh, ncomp: usize) -> Vec<BlockSlot> {
         let flags = Metadata::INDEPENDENT | Metadata::FILL_GHOST | Metadata::WITH_FLUXES;
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
@@ -1404,8 +1405,8 @@ mod tests {
                 data.add_variable("q", ncomp, flags);
                 for var in data.vars_mut() {
                     var.data_mut().as_mut_slice().fill_with(&mut next);
-                    for flux in var.fluxes_mut().unwrap() {
-                        flux.as_mut_slice().fill_with(&mut next);
+                    for plane in var.planes_mut() {
+                        plane.as_mut_slice().fill_with(&mut next);
                     }
                 }
                 BlockSlot::new(BlockInfo::from_mesh(mesh, gid), data)
@@ -1413,14 +1414,14 @@ mod tests {
             .collect()
     }
 
-    /// Bit patterns of every cell (data, or fluxes) of every block.
+    /// Bit patterns of every cell (data, or face planes) of every block.
     fn bits(slots: &[BlockSlot], fluxes: bool) -> Vec<u64> {
         let mut out = Vec::new();
         for var in slots.iter().flat_map(|s| s.data.vars()) {
-            let arrays: Vec<&vibe_field::Array4> = if fluxes {
-                (0..3).map(|d| var.flux(d).unwrap()).collect()
+            let arrays = if fluxes {
+                var.planes()
             } else {
-                vec![var.data()]
+                std::slice::from_ref(var.data())
             };
             for a in arrays {
                 out.extend(a.as_slice().iter().map(|v| v.to_bits()));
@@ -1484,7 +1485,7 @@ mod tests {
     }
 
     /// Same for flux correction: restricting straight into the coarse
-    /// block's fluxes equals pack/apply through the mailbox.
+    /// block's face planes equals pack/apply through the mailbox.
     #[test]
     fn direct_flux_correction_matches_the_mailbox_route_bitwise() {
         let mesh = refined_mesh_3d();

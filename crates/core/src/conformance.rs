@@ -1,22 +1,25 @@
 //! Trait-conformance harness: runs any [`Package`] through the framework
 //! invariants every package must uphold — registration shape, positive
-//! stable timestep, phase-split exactness (interior+exterior cover each
-//! face exactly once and the interior phase reads no ghost cells),
-//! tagging arity, history/label agreement, and thread-count determinism.
+//! stable timestep, partition invariance of the flux primitive (any tiling
+//! of a block yields the same divergence and face planes, every face of a
+//! tile is written, a correction re-sweep fed uncorrected planes changes
+//! nothing), tagging arity, history/label agreement, and thread-count
+//! determinism.
 //!
 //! The harness is a library function (not a `#[test]`) so the physics
 //! crate's tests and the root integration tests can run every registered
 //! package through it.
 
 use vibe_exec::ExecCtx;
-use vibe_field::{Metadata, VarId};
-use vibe_mesh::index::IndexDomain;
+use vibe_field::{BlockData, Metadata, VarId};
+use vibe_mesh::{Mesh, MeshParams};
 use vibe_prof::Recorder;
 
 use crate::block::fingerprint_slots;
-use crate::block::BlockSlot;
+use crate::block::{BlockInfo, BlockSlot};
 use crate::driver::Driver;
-use crate::package::{FluxPhase, Package};
+use crate::package::Package;
+use crate::sweep::{sweep_block, CellBox, FluxTile, Planes, TILE_BUDGET_BYTES};
 
 /// What [`check_package`] measured while the checks ran.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,121 +89,20 @@ where
         return Err(format!("estimate_dt produced dt = {}", d.dt()));
     }
 
-    // --- Phase-split exactness on the freshly initialized state (ghosts
-    // are synced at the end of initialize). Sentinel-fill the flux arrays,
-    // run a full sweep on one copy and Interior+Exterior on another, and
-    // require bitwise-identical flux arrays: every face covered by
-    // exactly one phase, none diverging from the full sweep.
-    let sentinel = f64::from_bits(0x7ff8_dead_beef_0001); // quiet NaN payload
+    // --- Stencil reach and partition invariance of the flux primitive, on
+    // the freshly initialized state (ghosts are synced at the end of
+    // initialize).
+    if d.package().stencil_radius() > nghost {
+        return Err(format!(
+            "stencil_radius() = {} exceeds nghost() = {nghost}",
+            d.package().stencil_radius()
+        ));
+    }
     let exec = ExecCtx::new(1);
     let mut rec = Recorder::new();
-
-    let mut full: Vec<BlockSlot> = slots.to_vec();
-    let mut split: Vec<BlockSlot> = slots.to_vec();
-    for slot in full.iter_mut().chain(split.iter_mut()) {
-        let dim = slot.data.shape().dim();
-        for idx in 0..slot.data.num_vars() {
-            let var = slot.data.var_mut(VarId(idx));
-            for dir in 0..dim {
-                if let Some(fl) = var.flux_mut(dir) {
-                    fl.fill(sentinel);
-                }
-            }
-        }
-    }
-    {
-        let mut pack: Vec<&mut BlockSlot> = full.iter_mut().collect();
-        d.package().calculate_fluxes(&mut pack, exec, &mut rec);
-    }
-    {
-        let mut pack: Vec<&mut BlockSlot> = split.iter_mut().collect();
-        d.package()
-            .calculate_fluxes_phase(&mut pack, FluxPhase::Interior, exec, &mut rec);
-        d.package()
-            .calculate_fluxes_phase(&mut pack, FluxPhase::Exterior, exec, &mut rec);
-    }
-    for (gid, (a, b)) in full.iter().zip(split.iter()).enumerate() {
-        let dim = a.data.shape().dim();
-        for (va, vb) in a.data.vars().iter().zip(b.data.vars()) {
-            for dir in 0..dim {
-                let (Some(fa), Some(fb)) = (va.flux(dir), vb.flux(dir)) else {
-                    continue;
-                };
-                for (idx, (x, y)) in fa.as_slice().iter().zip(fb.as_slice()).enumerate() {
-                    if x.to_bits() != y.to_bits() {
-                        return Err(format!(
-                            "phase-split flux mismatch: block {gid} var {} dir {dir} \
-                             entry {idx}: full={x:e} vs interior+exterior={y:e} \
-                             (a face covered zero or two times, or phases diverge)",
-                            va.name()
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // --- Interior phase must read no ghost cells: poison every ghost
-    // cell of ghost-filled variables with NaN, run Interior alone, and
-    // require the fluxes it wrote to be NaN-free (NaN propagates through
-    // any stencil arithmetic that touches a poisoned cell).
-    let mut poisoned: Vec<BlockSlot> = slots.to_vec();
-    for slot in poisoned.iter_mut() {
-        let shape = *slot.data.shape();
-        let dim = shape.dim();
-        let interior: Vec<_> = (0..3)
-            .map(|dd| shape.range(dd, IndexDomain::Interior))
-            .collect();
-        let entire: Vec<_> = (0..3)
-            .map(|dd| shape.range(dd, IndexDomain::Entire))
-            .collect();
-        for idx in 0..slot.data.num_vars() {
-            let var = slot.data.var_mut(VarId(idx));
-            if !var.metadata().contains(Metadata::FILL_GHOST) {
-                continue;
-            }
-            let ncomp = var.ncomp();
-            let data = var.data_mut();
-            for c in 0..ncomp {
-                for k in entire[2].iter() {
-                    for j in entire[1].iter() {
-                        for i in entire[0].iter() {
-                            let inside = interior[0].contains(i)
-                                && interior[1].contains(j)
-                                && interior[2].contains(k);
-                            if !inside {
-                                data.set(c, k as usize, j as usize, i as usize, f64::NAN);
-                            }
-                        }
-                    }
-                }
-            }
-            for dir in 0..dim {
-                if let Some(fl) = var.flux_mut(dir) {
-                    fl.fill(0.0);
-                }
-            }
-        }
-    }
-    {
-        let mut pack: Vec<&mut BlockSlot> = poisoned.iter_mut().collect();
-        d.package()
-            .calculate_fluxes_phase(&mut pack, FluxPhase::Interior, exec, &mut rec);
-    }
-    for (gid, slot) in poisoned.iter().enumerate() {
-        let dim = slot.data.shape().dim();
-        for var in slot.data.vars() {
-            for dir in 0..dim {
-                let Some(fl) = var.flux(dir) else { continue };
-                if fl.as_slice().iter().any(|v| v.is_nan()) {
-                    return Err(format!(
-                        "interior flux phase read ghost cells: block {gid} var {} dir {dir} \
-                         produced NaN from poisoned ghosts",
-                        var.name()
-                    ));
-                }
-            }
-        }
+    for (seed, slot) in [first, &slots[slots.len() / 2]].into_iter().enumerate() {
+        check_partition_invariance(d.package(), slot, seed as u64)
+            .map_err(|e| format!("block {}: {e}", slot.info.gid))?;
     }
 
     // --- Tagging arity: one flag per block, in pack order.
@@ -252,4 +154,195 @@ where
         flux_vars,
         fingerprint: fp1,
     })
+}
+
+/// xorshift64: the harness's seeded source of cuts and perturbations.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// Uniform in `[-0.5, 0.5)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    }
+}
+
+/// A single block of `n` cells per active dimension carrying `pkg`'s
+/// initial condition, every cell (ghosts included) perturbed by a seeded
+/// few percent — a state with no symmetry for the flux primitive to hide
+/// behind.
+pub fn synthetic_block<P: Package>(pkg: &P, dim: usize, n: usize, seed: u64) -> BlockSlot {
+    let params = MeshParams::builder()
+        .dim(dim)
+        .mesh_cells(n)
+        .block_cells(n)
+        .max_levels(1)
+        .nghost(pkg.nghost())
+        .build()
+        .expect("one-block mesh");
+    let mesh = Mesh::new(params).expect("one-block mesh");
+    let info = BlockInfo::from_mesh(&mesh, 0);
+    let mut data = BlockData::new(mesh.index_shape());
+    pkg.register(&mut data);
+    pkg.initial_condition(&info, &mut data);
+    let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    for var in data.vars_mut() {
+        for v in var.data_mut().as_mut_slice() {
+            *v = *v * (1.0 + 0.1 * rng.unit()) + 0.01 * rng.unit();
+        }
+    }
+    BlockSlot::new(info, data)
+}
+
+/// Cuts `cells` into a seeded random partition of boxes, along every
+/// active axis.
+fn random_partition(cells: CellBox, dim: usize, rng: &mut Rng, out: &mut Vec<CellBox>) {
+    let axis = (rng.next() % dim as u64) as usize;
+    if cells.n[axis] < 2 || rng.next().is_multiple_of(4) {
+        return out.push(cells);
+    }
+    let cut = 1 + (rng.next() % (cells.n[axis] as u64 - 1)) as usize;
+    let (mut low, mut high) = (cells, cells);
+    low.n[axis] = cut;
+    high.lo[axis] += cut;
+    high.n[axis] -= cut;
+    random_partition(low, dim, rng, out);
+    random_partition(high, dim, rng, out);
+}
+
+/// Bit patterns of what a sweep leaves on `slot`: every flux-bearing
+/// variable's divergence, then its face planes.
+fn swept_bits(slot: &BlockSlot, ids: &[VarId]) -> (Vec<u64>, Vec<u64>) {
+    let bits = |a: &vibe_field::Array4| a.as_slice().iter().map(|v| v.to_bits()).collect();
+    let vars = ids.iter().map(|&id| slot.data.var(id));
+    let div: Vec<Vec<u64>> = vars.clone().map(|v| bits(v.div().expect("div"))).collect();
+    let planes: Vec<Vec<u64>> = vars.flat_map(|v| v.planes().iter().map(bits)).collect();
+    (div.concat(), planes.concat())
+}
+
+/// Checks that `pkg`'s flux primitive is a pure function of the block's
+/// state that the framework may tile at will, on the state `slot` carries:
+///
+/// * one whole-block tile, the production tiling, a thin tiling (slabs
+///   that carry their shared plane, or y-strips) and a seeded random box
+///   partition leave bitwise the same divergence and face planes;
+/// * a tile pre-filled with a NaN sentinel comes back with every face
+///   written;
+/// * re-sweeping the layers under all outer faces with the (uncorrected)
+///   planes overriding reproduces the divergence bit for bit.
+pub fn check_partition_invariance<P: Package>(
+    pkg: &P,
+    slot: &BlockSlot,
+    seed: u64,
+) -> Result<(), String> {
+    let shape = *slot.data.shape();
+    let dim = shape.dim();
+    let flux_vars = slot.data.vars().iter().enumerate();
+    let ids: Vec<VarId> = flux_vars
+        .filter(|(_, v)| v.metadata().contains(Metadata::WITH_FLUXES))
+        .map(|(i, _)| VarId(i))
+        .collect();
+    let ncomp: usize = ids.iter().map(|&id| slot.data.var(id).ncomp()).sum();
+    let whole = CellBox::interior(&shape);
+    let mut scratch = vec![0.0; whole.tile_len(dim, ncomp)];
+    let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
+
+    // --- Every face of a tile is written.
+    let sentinel = f64::from_bits(0x7ff8_dead_beef_0001); // quiet NaN payload
+    let mut random = Vec::new();
+    random_partition(whole, dim, &mut rng, &mut random);
+    for &cells in random.iter().chain([&whole]) {
+        scratch.fill(sentinel);
+        let mut tile = FluxTile::new(cells, dim, ncomp, &mut scratch);
+        pkg.fill_fluxes(&slot.info, &slot.data, &mut tile);
+        for dir in 0..dim {
+            if let Some(at) = tile
+                .faces(dir)
+                .iter()
+                .position(|v| v.to_bits() == sentinel.to_bits())
+            {
+                return Err(format!(
+                    "fill_fluxes left entry {at} of direction {dir} unwritten over {cells:?}"
+                ));
+            }
+        }
+    }
+
+    // --- Any tiling, same bits.
+    let one_row = CellBox {
+        lo: [0; 3],
+        n: [whole.n[0], 1, 1],
+    };
+    let thin = (scratch.len() / 3).max(one_row.tile_len(dim, ncomp));
+    let tilings = [
+        (
+            "the production tiling",
+            whole.tiles(dim, ncomp, TILE_BUDGET_BYTES / 8),
+        ),
+        ("a thin tiling", whole.tiles(dim, ncomp, thin)),
+        ("a random partition", random),
+    ];
+    let mut reference = slot.clone();
+    sweep_block(
+        pkg,
+        &mut reference,
+        &ids,
+        &[whole],
+        Planes::Save,
+        &mut scratch,
+    );
+    let want = swept_bits(&reference, &ids);
+    for (what, boxes) in &tilings {
+        let mut tiled = slot.clone();
+        sweep_block(pkg, &mut tiled, &ids, boxes, Planes::Save, &mut scratch);
+        let got = swept_bits(&tiled, &ids);
+        if got.0 != want.0 {
+            return Err(format!(
+                "div differs between one whole-block tile and {what}"
+            ));
+        }
+        if got.1 != want.1 {
+            return Err(format!(
+                "face planes differ between one whole-block tile and {what}"
+            ));
+        }
+    }
+
+    // --- A correction re-sweep fed the uncorrected planes is a no-op.
+    let layers: Vec<CellBox> = (0..2 * dim).map(|face| whole.layer(face)).collect();
+    sweep_block(
+        pkg,
+        &mut reference,
+        &ids,
+        &layers,
+        Planes::Override,
+        &mut scratch,
+    );
+    if swept_bits(&reference, &ids) != want {
+        return Err("re-sweeping the surface layers with uncorrected planes moved div".to_string());
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_package::Advect;
+
+    #[test]
+    fn test_package_flux_primitive_is_partition_invariant() {
+        for dim in 1..=3 {
+            for n in [4, 5, 8, 16] {
+                let slot = synthetic_block(&Advect::default(), dim, n, 7);
+                check_partition_invariance(&Advect::default(), &slot, n as u64)
+                    .unwrap_or_else(|e| panic!("dim {dim}, {n} cells: {e}"));
+            }
+        }
+    }
 }

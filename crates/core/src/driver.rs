@@ -30,8 +30,9 @@ use crate::boundary::{
     ExchangePlan, FluxCorrState, GhostExchangeState, NOT_RESIDENT,
 };
 use crate::package::{FluxPhase, Package};
+use crate::sweep::{record_flux_launch, sweep_pack};
 use crate::tasks::{TaskKind, TaskList, TaskNode, TaskStatus};
-use crate::update::{flux_divergence_update_costed, flux_divergence_update_with_ids};
+use crate::update::flux_divergence_update;
 
 /// Message-tag namespace for block-migration payloads (ghost boundaries
 /// use the neighbor index, flux corrections 1000+; migration keys are
@@ -193,8 +194,11 @@ const STAGE_TASK_NAMES: [[&str; 8]; 2] = [
 /// builds), exported action-free so consumers like the timeline simulator
 /// replay the same schedule the driver ran.
 ///
-/// Per RK stage, the ghost exchange is split so ghost-independent interior
-/// flux work overlaps in-flight boundary traffic:
+/// Per RK stage, the ghost exchange is split around the interior share of
+/// the flux launch — work a device could overlap with in-flight boundary
+/// traffic, which is what the platform model and the simulator replay. On
+/// the host `InteriorFlux` only records that share; the whole sweep runs
+/// once per block in `ExteriorFlux` (see [`crate::sweep`]):
 ///
 /// ```text
 /// PackSend ──┬─> InteriorFlux ──┬─> ExteriorFlux ─> FluxCorrSend
@@ -744,9 +748,18 @@ impl<P: Package> Driver<P> {
         &self.history
     }
 
-    /// Total live field bytes across the resident blocks.
+    /// Field bytes across the resident blocks in Parthenon's layout (see
+    /// [`BlockSlot::nbytes`]) — what the recorder's Kokkos totals and the
+    /// memory model are fed.
     pub fn total_field_bytes(&self) -> usize {
         self.slots.iter().map(BlockSlot::nbytes).sum()
+    }
+
+    /// Field bytes this process actually holds for the resident blocks
+    /// (flux scratch is per worker thread, not per block: see
+    /// [`crate::sweep::TILE_BUDGET_BYTES`]).
+    pub fn resident_field_bytes(&self) -> usize {
+        self.slots.iter().map(BlockSlot::resident_bytes).sum()
     }
 
     /// Blocks until every endpoint of the transport reaches this barrier
@@ -870,9 +883,8 @@ impl<P: Package> Driver<P> {
     }
 
     /// Advances one full cycle by executing the [`cycle_task_graph`]: RK2
-    /// predictor + corrector with split ghost exchanges (interior flux work
-    /// overlapping in-flight boundary traffic), then the AMR tail and the
-    /// timestep estimate.
+    /// predictor + corrector with split ghost exchanges, then the AMR tail
+    /// and the timestep estimate.
     ///
     /// The executor's ready sweep is deterministic — tasks complete in
     /// insertion order once their dependencies resolve — so results are
@@ -1030,29 +1042,24 @@ impl<P: Package> Driver<P> {
         status
     }
 
-    /// Interior/exterior flux task: one phase of the split sweep. Under
-    /// [`DriverParams::measured_costs`] the per-pack wall time is measured
-    /// and amortized evenly over the pack's blocks into the cost ledger
-    /// (the flux kernel runs whole packs, so per-block flux time is an
-    /// amortized approximation; the RK update contributes exact per-block
-    /// times).
+    /// Interior/exterior flux task: both record their share of the flux
+    /// launch, the exterior one sweeps every resident block. Under
+    /// [`DriverParams::measured_costs`] each block's own sweep time goes
+    /// into the cost ledger.
     fn task_flux(&mut self, phase: FluxPhase) {
         let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::CalculateFluxes));
+        let ids = self.plan.as_ref().expect("plan built").flux_ids.clone();
         let measured = self.params.measured_costs;
-        let mut costed: Vec<(usize, u64)> = Vec::new();
+        let mut ledger = std::mem::take(&mut self.block_cost_ns);
         self.with_rank_packs(StepFunction::CalculateFluxes, |pkg, pack, rec| {
-            let t0 = measured.then(std::time::Instant::now);
-            pkg.calculate_fluxes_phase(pack, phase, exec, rec);
-            if let Some(t0) = t0 {
-                let ns = t0.elapsed().as_nanos() as u64 / pack.len().max(1) as u64;
-                costed.extend(pack.iter().map(|s| (s.info.gid, ns)));
+            record_flux_launch(pkg, pack, phase, &ids, rec);
+            if phase == FluxPhase::Exterior {
+                sweep_pack(pkg, pack, &ids, exec, measured.then_some(&mut ledger));
             }
         });
-        for (gid, ns) in costed {
-            self.block_cost_ns[gid] += ns;
-        }
+        self.block_cost_ns = ledger;
     }
 
     /// FluxCorrSend task: ships the restricted fine face fluxes that go
@@ -1087,9 +1094,10 @@ impl<P: Package> Driver<P> {
         self.yield_to_peers(status)
     }
 
-    /// RK2 stage update (flux ids cached in the exchange plan).
+    /// RK2 stage update (flux ids and corrected faces cached in the
+    /// exchange plan).
     fn task_update(&mut self, stage: usize) {
-        let (a0, b, c) = if stage == 0 {
+        let coef = if stage == 0 {
             (0.0, 1.0, 1.0)
         } else {
             (0.5, 0.5, 0.5)
@@ -1098,20 +1106,14 @@ impl<P: Package> Driver<P> {
         let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("RK2Update"));
-        let ids = self.plan.as_ref().expect("plan built").flux_ids.clone();
+        let plan = self.plan.as_ref().expect("plan built");
+        let (ids, corrected) = (&plan.flux_ids, &plan.corrected);
         let measured = self.params.measured_costs;
         let ledger = &mut self.block_cost_ns;
-        let rec = &mut self.rec;
+        let (pkg, rec) = (&self.package, &mut self.rec);
         for_each_rank_pack(&mut self.slots, |pack| {
-            if measured {
-                let mut cost = vec![0u64; pack.len()];
-                flux_divergence_update_costed(pack, exec, a0, b, c, dt, &ids, rec, &mut cost);
-                for (slot, ns) in pack.iter().zip(cost) {
-                    ledger[slot.info.gid] += ns;
-                }
-            } else {
-                flux_divergence_update_with_ids(pack, exec, a0, b, c, dt, &ids, rec);
-            }
+            let cost = measured.then_some(&mut ledger[..]);
+            flux_divergence_update(pkg, pack, exec, coef, dt, ids, corrected, rec, cost);
         });
     }
 
@@ -1964,11 +1966,9 @@ mod tests {
         assert!(t.comm_ns > 0 && t.comm_ns < t.wall_ns);
         assert!(t.update_ns > 0 && t.dt_ns > 0);
         assert!(t.compute_task_ns > 0, "compute task time measured");
-        assert!(
-            t.overlapped_compute_ns > 0,
-            "interior flux overlapped in-flight ghost traffic"
-        );
-        assert!(t.overlapped_compute_ns <= t.compute_task_ns);
+        // Only the model-only interior flux node runs while ghost traffic
+        // is outstanding: the host overlaps next to nothing.
+        assert!(t.overlapped_compute_ns < t.compute_task_ns / 4);
         assert!(t.pool_busy_ns > 0 && t.pool_thread_time_ns >= t.pool_busy_ns);
         assert!(t.load_imbalance >= 1.0);
         d.recorder()

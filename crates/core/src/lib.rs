@@ -8,9 +8,10 @@
 //! allocation for the platform performance model.
 //!
 //! Physics lives in a [`Package`] (e.g. the Burgers benchmark in
-//! `vibe-burgers`): packages register variables and provide the
-//! reconstruction/flux, timestep-estimate, derived-fill, and
-//! refinement-tagging kernels. The driver provides everything else,
+//! `vibe-burgers`): packages register variables and provide the flux
+//! primitive the framework's sweep calls ([`sweep`]) and the
+//! timestep-estimate, derived-fill, and refinement-tagging kernels. The
+//! driver provides everything else,
 //! mirroring the paper's timestep loop (Fig. 3):
 //!
 //! ```text
@@ -31,17 +32,21 @@ pub mod driver;
 pub mod package;
 pub mod registry;
 pub mod snapshot;
+pub mod sweep;
 pub mod tasks;
 #[cfg(test)]
 pub(crate) mod test_package;
 pub mod update;
 
 pub use block::{fingerprint_slots, BlockInfo, BlockSlot};
-pub use conformance::{check_package, ConformanceReport};
+pub use conformance::{
+    check_package, check_partition_invariance, synthetic_block, ConformanceReport,
+};
 pub use driver::{cycle_task_graph, CycleSummary, Driver, DriverParams, ShardOutput};
 pub use package::{FluxPhase, Package, RefinementPolicy};
 pub use registry::{DynPackage, PackageRegistry, PackageSpec, RegistryError};
 pub use snapshot::{read_snapshot, restore_driver, Snapshot};
+pub use sweep::{CellBox, FluxTile};
 pub use tasks::{
     topo_order, ExecStats, GraphError, TaskError, TaskId, TaskKind, TaskList, TaskNode, TaskStatus,
 };

@@ -1,23 +1,24 @@
 //! The package interface: physics plugged into the framework driver.
 
-use vibe_exec::ExecCtx;
+use vibe_exec::{ghost_byte_multiplier, ExecCtx};
 use vibe_field::BlockData;
-use vibe_mesh::AmrFlag;
+use vibe_mesh::{AmrFlag, IndexShape};
 use vibe_prof::Recorder;
 
 use crate::block::{BlockInfo, BlockSlot};
+use crate::sweep::FluxTile;
 
-/// Which part of the flux sweep a [`Package::calculate_fluxes_phase`] call
-/// covers. The task-graph driver computes `Interior` faces while ghost
-/// messages are still in flight (they read no ghost cells) and the
-/// ghost-dependent `Exterior` faces only after `SetBounds`; together the
-/// two phases compute every face exactly once, bitwise identical to a
-/// single full sweep.
+/// Label of the two flux nodes of a stage in the cycle graph. Both record
+/// their share of the `CalculateFluxes` launch — `Interior` the faces whose
+/// stencils stay inside the interior, which a device could compute while
+/// ghost messages are in flight, `Exterior` the rest — as inputs of the
+/// platform model and the timeline simulator. On the host the whole sweep
+/// runs in the `Exterior` node, once per block (see [`crate::sweep`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FluxPhase {
-    /// Faces whose reconstruction stencils stay inside the interior.
+    /// Model-only: records its launch share, does no host work.
     Interior,
-    /// Faces whose stencils reach into the ghost layers.
+    /// Records its launch share and runs the sweep.
     Exterior,
 }
 
@@ -46,7 +47,9 @@ impl Default for RefinementPolicy {
 /// A physics package (Parthenon's `StateDescriptor`): registers variables
 /// and provides the physics kernels. All kernel-style methods receive the
 /// *pack* of blocks owned by one rank and must issue one recorded launch
-/// per pack (mirroring Parthenon's packed launches).
+/// per pack (mirroring Parthenon's packed launches) — except the fluxes:
+/// the framework owns the sweep over blocks, tiles and stages and asks the
+/// package for one primitive, [`Package::fill_fluxes`].
 ///
 /// Each kernel also receives the host execution context `exec`; blocks in
 /// a pack are independent, so implementations should iterate the pack with
@@ -63,7 +66,7 @@ impl Default for RefinementPolicy {
 /// rank shards, the service, the benchmarks — construct a problem from
 /// nothing but a package resolved by name from a
 /// [`crate::registry::PackageRegistry`].
-pub trait Package {
+pub trait Package: Sync {
     /// Package name: the key a [`crate::registry::PackageRegistry`]
     /// resolves and the `physics=` field of canonical job configs.
     fn name(&self) -> &str;
@@ -104,33 +107,26 @@ pub trait Package {
         RefinementPolicy::default()
     }
 
-    /// Computes face fluxes for all blocks in `pack` (reconstruction +
-    /// Riemann solve), filling the flux arrays of flux-bearing variables.
-    fn calculate_fluxes(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder);
+    /// Cells the flux stencil reaches to either side of a face: a face
+    /// between cells `p - 1` and `p` reads cells `p - r ..= p + r - 1`
+    /// along its normal. At most [`Package::nghost`].
+    fn stencil_radius(&self) -> usize;
 
-    /// Computes one phase of the flux sweep, splitting the face range into
-    /// ghost-independent interior faces and ghost-dependent exterior faces
-    /// so the driver can overlap the interior work with in-flight boundary
-    /// messages.
-    ///
-    /// The default keeps every package correct without opting in to
-    /// overlap: the `Interior` phase does nothing and the `Exterior` phase
-    /// (which runs only after ghosts are filled) performs the full sweep.
-    /// Packages that override this must guarantee the `Interior` phase
-    /// reads no ghost cells and that both phases together write each face
-    /// exactly once.
-    fn calculate_fluxes_phase(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        phase: FluxPhase,
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) {
-        match phase {
-            FluxPhase::Interior => {}
-            FluxPhase::Exterior => self.calculate_fluxes(pack, exec, rec),
-        }
+    /// Byte multiplier of the recorded `CalculateFluxes` launch: the extra
+    /// memory traffic of ghost-inclusive stencil reads over blocks of
+    /// `shape` (a model input).
+    fn flux_byte_multiplier(&self, shape: &IndexShape) -> f64 {
+        ghost_byte_multiplier(shape.ncells()[0], shape.nghost(), shape.dim())
     }
+
+    /// Fills the fluxes of every face bounding the cells of `tile` — for
+    /// each direction from [`FluxTile::first_face`] on — into the tile, one
+    /// value per component of every flux-bearing variable in registration
+    /// order. Must be a pure function of the block's state: the framework
+    /// calls it for whatever boxes tile the block, in any order, and again
+    /// for the layers under corrected faces, and relies on a face getting
+    /// the same bits every time.
+    fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>);
 
     /// Recomputes derived quantities from the evolved state.
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder);

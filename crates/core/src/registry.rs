@@ -13,11 +13,12 @@ use std::fmt;
 
 use vibe_exec::ExecCtx;
 use vibe_field::BlockData;
-use vibe_mesh::AmrFlag;
+use vibe_mesh::{AmrFlag, IndexShape};
 use vibe_prof::Recorder;
 
 use crate::block::{BlockInfo, BlockSlot};
-use crate::package::{FluxPhase, Package, RefinementPolicy};
+use crate::package::{Package, RefinementPolicy};
+use crate::sweep::FluxTile;
 
 /// A type-erased package, usable anywhere a concrete `P: Package` is —
 /// `Driver<DynPackage>` on any transport, `RtSession<DynPackage>`.
@@ -54,18 +55,16 @@ impl Package for DynPackage {
         (**self).refinement_policy()
     }
 
-    fn calculate_fluxes(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
-        (**self).calculate_fluxes(pack, exec, rec)
+    fn stencil_radius(&self) -> usize {
+        (**self).stencil_radius()
     }
 
-    fn calculate_fluxes_phase(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        phase: FluxPhase,
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) {
-        (**self).calculate_fluxes_phase(pack, phase, exec, rec)
+    fn flux_byte_multiplier(&self, shape: &IndexShape) -> f64 {
+        (**self).flux_byte_multiplier(shape)
+    }
+
+    fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        (**self).fill_fluxes(info, data, tile)
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {

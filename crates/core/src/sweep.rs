@@ -1,0 +1,554 @@
+//! The flux sweep: every resident block is walked once per RK stage, tile
+//! by tile, and what survives a tile is the flux divergence of its cells
+//! and the fluxes on the block's outer faces — never a per-block flux
+//! array.
+//!
+//! A tile is a box of interior cells (a z-slab of full rows, thinner or
+//! cut into y-strips for blocks too large) whose face fluxes fit the
+//! calling worker's scratch, [`TILE_BUDGET_BYTES`] of `thread_local`
+//! memory whatever the block count. Per tile the package fills the fluxes
+//! ([`Package::fill_fluxes`], its one flux primitive), the framework
+//! reduces them to
+//!
+//! ```text
+//! div = ((fxr − fxl)·inv₀ + (fyr − fyl)·inv₁) + (fzr − fzl)·inv₂
+//! ```
+//!
+//! in exactly that order into the variable's compact `div` array, and the
+//! faces lying on the block's surface are saved as dense planes — what
+//! flux correction exchanges ([`vibe_field::FluxProgram`]). The z-plane two
+//! consecutive slabs share is carried over in the scratch, not recomputed.
+//!
+//! After flux correction the stage update re-sweeps the one-cell layers
+//! under corrected faces with the planes' values *overriding* the tile's
+//! surface faces ([`Planes::Override`]): uncorrected plane entries hold the
+//! bits the tile would compute anyway, corrected ones the restricted fine
+//! fluxes, so the layer's `div` comes out as if the block had kept all its
+//! fluxes and had them corrected in place.
+
+use std::cell::RefCell;
+use std::time::Instant;
+
+use vibe_exec::{catalog, ExecCtx, Launcher};
+use vibe_field::{Array4, VarId};
+use vibe_mesh::IndexShape;
+use vibe_prof::Recorder;
+
+use crate::block::BlockSlot;
+use crate::package::{FluxPhase, Package};
+
+/// Flux scratch each worker thread owns, in bytes: large enough that a
+/// 16³ block of the paper's Burgers problem sweeps in four slabs, small
+/// enough to stay in a core's L2 beside the state it reads.
+pub const TILE_BUDGET_BYTES: usize = 256 * 1024;
+
+thread_local! {
+    /// Per-worker tile scratch; pool workers are persistent, so it is
+    /// allocated on a worker's first sweep and reused.
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on the calling worker's tile scratch.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut [f64]) -> R) -> R {
+    SCRATCH.with_borrow_mut(|scratch| {
+        scratch.resize(TILE_BUDGET_BYTES / 8, 0.0);
+        f(scratch)
+    })
+}
+
+/// A box of interior cells: first cell and extent along `(i, j, k)`,
+/// relative to the block's first interior cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellBox {
+    /// First cell.
+    pub lo: [usize; 3],
+    /// Cells along each axis (1 along inactive ones).
+    pub n: [usize; 3],
+}
+
+impl CellBox {
+    /// The whole interior of a block of `shape`.
+    pub fn interior(shape: &IndexShape) -> Self {
+        Self {
+            lo: [0; 3],
+            n: shape.ncells(),
+        }
+    }
+
+    /// The one-cell layer of `self` under its outer face `2 * d + side`.
+    pub fn layer(&self, face: usize) -> Self {
+        let (d, mut layer) = (face / 2, *self);
+        layer.lo[d] += (face % 2) * (self.n[d] - 1);
+        layer.n[d] = 1;
+        layer
+    }
+
+    /// `f64`s a tile of this box holds for `ncomp` components in `dim`
+    /// dimensions.
+    pub fn tile_len(&self, dim: usize, ncomp: usize) -> usize {
+        let faces =
+            |d: usize| -> usize { (0..3).map(|a| self.n[a] + usize::from(a == d)).product() };
+        ncomp * (0..dim).map(faces).sum::<usize>()
+    }
+
+    /// Cuts the box into tiles of at most `budget` `f64`s: equal z-slabs
+    /// of full rows as thick as fit, or — when not even one layer fits —
+    /// single layers cut into y-strips. In (k, j) order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one row of cells does not fit the budget.
+    pub fn tiles(&self, dim: usize, ncomp: usize, budget: usize) -> Vec<CellBox> {
+        let [nx, ny, nz] = self.n;
+        let fits = |nj: usize, nk: usize| {
+            let tile = CellBox {
+                lo: self.lo,
+                n: [nx, nj, nk],
+            };
+            tile.tile_len(dim, ncomp) <= budget
+        };
+        let (nj, nk) = match (1..=nz).rev().find(|&nk| fits(ny, nk)) {
+            Some(nk) => (ny, nz.div_ceil(nz.div_ceil(nk))),
+            None => {
+                let nj = (1..=ny).rev().find(|&nj| fits(nj, 1));
+                (nj.expect("one row of cells fits the tile budget"), 1)
+            }
+        };
+        let mut tiles = Vec::new();
+        for k in (0..nz).step_by(nk) {
+            for j in (0..ny).step_by(nj) {
+                tiles.push(CellBox {
+                    lo: [self.lo[0], self.lo[1] + j, self.lo[2] + k],
+                    n: [nx, nj.min(ny - j), nk.min(nz - k)],
+                });
+            }
+        }
+        tiles
+    }
+}
+
+/// The face fluxes of one [`CellBox`]: per active direction `d` a dense
+/// array over the faces bounding the box's cells (one more along `d` than
+/// cells), every component of every flux-bearing variable in registration
+/// order. Face `f` along `d` lies below cell `f`.
+#[derive(Debug)]
+pub struct FluxTile<'a> {
+    cells: CellBox,
+    dim: usize,
+    ncomp: usize,
+    /// Whether the lowest z-plane already holds its fluxes (carried over
+    /// from the slab below).
+    carried: bool,
+    /// Where each direction's array starts in `buf` (and the last one ends).
+    start: [usize; 4],
+    buf: &'a mut [f64],
+}
+
+impl<'a> FluxTile<'a> {
+    /// A tile over `cells` in the front of `buf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than [`CellBox::tile_len`].
+    pub fn new(cells: CellBox, dim: usize, ncomp: usize, buf: &'a mut [f64]) -> Self {
+        let start: [usize; 4] = std::array::from_fn(|d| cells.tile_len(d.min(dim), ncomp));
+        let len = start[3];
+        assert!(len <= buf.len(), "tile of {len} f64 exceeds its scratch");
+        Self {
+            cells,
+            dim,
+            ncomp,
+            carried: false,
+            start,
+            buf: &mut buf[..len],
+        }
+    }
+
+    /// The cells whose faces the tile holds.
+    pub fn cells(&self) -> CellBox {
+        self.cells
+    }
+
+    /// Active dimensions (directions the tile has faces for).
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Flux components per face.
+    pub fn ncomp(&self) -> usize {
+        self.ncomp
+    }
+
+    /// Faces of direction `d` along `(i, j, k)`.
+    pub fn extent(&self, d: usize) -> [usize; 3] {
+        let mut extent = self.cells.n;
+        extent[d] += 1;
+        extent
+    }
+
+    /// Steps of direction `d`'s array along `(i, j, k, component)`. Rows
+    /// are contiguous in `i`; the z-array is plane-major, so that the
+    /// plane two slabs share moves as one piece.
+    pub fn steps(&self, d: usize) -> [usize; 4] {
+        let [ni, nj, nk] = self.extent(d);
+        if d == 2 {
+            [1, ni, ni * nj * self.ncomp, ni * nj]
+        } else {
+            [1, ni, ni * nj, ni * nj * nk]
+        }
+    }
+
+    /// The first face along `d` the package has to fill: 1 where the
+    /// lowest plane was carried over, else 0.
+    pub fn first_face(&self, d: usize) -> usize {
+        usize::from(d == 2 && self.carried)
+    }
+
+    fn span(&self, d: usize) -> std::ops::Range<usize> {
+        self.start[d]..self.start[d + 1]
+    }
+
+    /// Direction `d`'s fluxes, indexed by [`FluxTile::steps`].
+    pub fn faces(&self, d: usize) -> &[f64] {
+        &self.buf[self.span(d)]
+    }
+
+    /// Direction `d`'s fluxes, mutably.
+    pub fn faces_mut(&mut self, d: usize) -> &mut [f64] {
+        let span = self.span(d);
+        &mut self.buf[span]
+    }
+
+    fn at(&self, d: usize, c: usize, [i, j, k]: [usize; 3]) -> usize {
+        let [_, sj, sk, sc] = self.steps(d);
+        i + j * sj + k * sk + c * sc
+    }
+
+    /// The flux of component `c` on face `(i, j, k)` of direction `d`.
+    pub fn get(&self, d: usize, c: usize, face: [usize; 3]) -> f64 {
+        self.faces(d)[self.at(d, c, face)]
+    }
+
+    /// Sets the flux of component `c` on face `(i, j, k)` of direction `d`.
+    pub fn set(&mut self, d: usize, c: usize, face: [usize; 3], value: f64) {
+        let at = self.at(d, c, face);
+        self.faces_mut(d)[at] = value;
+    }
+
+    /// Every face of direction `d` the package has to fill, as
+    /// `(face, cell)`: the face's tile index and the interior-relative
+    /// index of the cell above it (the face lies between `cell - 1` and
+    /// `cell` along `d`).
+    pub fn faces_to_fill(&self, d: usize) -> impl Iterator<Item = ([usize; 3], [usize; 3])> {
+        let ([ni, nj, nk], lo) = (self.extent(d), self.cells.lo);
+        let mut first = [0; 3];
+        first[d] = self.first_face(d);
+        (first[2]..nk).flat_map(move |k| {
+            (first[1]..nj).flat_map(move |j| {
+                (first[0]..ni).map(move |i| ([i, j, k], [lo[0] + i, lo[1] + j, lo[2] + k]))
+            })
+        })
+    }
+}
+
+/// What a sweep does where a tile touches the block's surface.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Planes {
+    /// The stage's sweep: the tile's surface fluxes are saved to the
+    /// variable's face planes.
+    Save,
+    /// A re-sweep after flux correction: the face planes' values replace
+    /// the tile's surface fluxes before the divergence is taken.
+    Override,
+}
+
+/// Pairs the rows of a tile's face plane `f` of direction `d` (the tile
+/// over `cells`, its array stepped by `steps`) with the rows they cover of
+/// a variable's outer face plane (`shape`d `[ncomp, e2, e1, e0]`, one thick
+/// along `d`): `mv(tile offset, plane offset, row length)` per row, for the
+/// variable whose first component is the tile's `c0`.
+fn plane_rows(
+    CellBox { lo, n }: CellBox,
+    [_, sj, sk, sc]: [usize; 4],
+    (d, f): (usize, usize),
+    c0: usize,
+    shape: [usize; 4],
+    mut mv: impl FnMut(usize, usize, usize),
+) {
+    let mut rows = n;
+    rows[d] = 1;
+    for c in 0..shape[0] {
+        for k in 0..rows[2] {
+            for j in 0..rows[1] {
+                let (mut face, mut cell) = ([0, j, k], [lo[0], lo[1] + j, lo[2] + k]);
+                (face[d], cell[d]) = (f, 0);
+                let tile = face[0] + face[1] * sj + face[2] * sk + (c0 + c) * sc;
+                let plane = ((c * shape[1] + cell[2]) * shape[2] + cell[1]) * shape[3] + cell[0];
+                mv(tile, plane, rows[0]);
+            }
+        }
+    }
+}
+
+/// Takes the divergence of the tile's fluxes for the variable whose first
+/// component is the tile's `c0`, into the rows of `div` its cells cover.
+fn reduce(tile: &FluxTile<'_>, c0: usize, inv: [f64; 3], div: &mut Array4) {
+    let CellBox { lo, n } = tile.cells();
+    let [ncomp, nz, ny, nx] = div.shape();
+    let div = div.as_mut_slice();
+    let faces: [(&[f64], [usize; 4]); 3] = std::array::from_fn(|d| match d < tile.dim() {
+        true => (tile.faces(d), tile.steps(d)),
+        false => (&[][..], [0; 4]),
+    });
+    for c in 0..ncomp {
+        for k in 0..n[2] {
+            for j in 0..n[1] {
+                let row = ((c * nz + lo[2] + k) * ny + lo[1] + j) * nx + lo[0];
+                let out = &mut div[row..row + n[0]];
+                // The lower and the upper face of every cell of the row.
+                let pair = |d: usize| {
+                    let (f, [_, sj, sk, sc]) = faces[d];
+                    let at = j * sj + k * sk + (c0 + c) * sc;
+                    let up = [1, sj, sk][d];
+                    (&f[at..at + n[0]], &f[at + up..at + up + n[0]])
+                };
+                let (xl, xr) = pair(0);
+                match tile.dim() {
+                    1 => {
+                        for q in 0..n[0] {
+                            out[q] = (xr[q] - xl[q]) * inv[0];
+                        }
+                    }
+                    2 => {
+                        let (yl, yr) = pair(1);
+                        for q in 0..n[0] {
+                            out[q] = (xr[q] - xl[q]) * inv[0] + (yr[q] - yl[q]) * inv[1];
+                        }
+                    }
+                    _ => {
+                        let ((yl, yr), (zl, zr)) = (pair(1), pair(2));
+                        for q in 0..n[0] {
+                            out[q] = ((xr[q] - xl[q]) * inv[0] + (yr[q] - yl[q]) * inv[1])
+                                + (zr[q] - zl[q]) * inv[2];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Sweeps the tiles `boxes` of one block: fills each tile's fluxes in
+/// `scratch`, saves or overrides the surface planes, and takes the
+/// divergence of every flux-bearing variable `ids` over the tile's cells.
+/// A tile stacked on the previous one in z inherits the plane they share.
+///
+/// # Panics
+///
+/// Panics if a tile does not fit `scratch`.
+pub fn sweep_block<P: Package>(
+    pkg: &P,
+    slot: &mut BlockSlot,
+    ids: &[VarId],
+    boxes: &[CellBox],
+    planes: Planes,
+    scratch: &mut [f64],
+) {
+    let shape = *slot.data.shape();
+    let dim = shape.dim();
+    let ncomp: usize = ids.iter().map(|&id| slot.data.var(id).ncomp()).sum();
+    let inv = slot.info.geom.dx().map(|dx| 1.0 / dx);
+    let mut below: Option<CellBox> = None;
+    for &cells in boxes {
+        let stacked = |b: CellBox| {
+            (b.lo[0], b.lo[1], b.lo[2] + b.n[2]) == (cells.lo[0], cells.lo[1], cells.lo[2])
+                && b.n[..2] == cells.n[..2]
+        };
+        let carried = dim == 3 && below.is_some_and(stacked);
+        if let (true, Some(below)) = (carried, below) {
+            // The z-array is the tile's last and plane-major: its top plane
+            // is the tile's tail, its bottom plane follows the x and y
+            // arrays.
+            let plane = ncomp * cells.n[0] * cells.n[1];
+            let top = below.tile_len(dim, ncomp) - plane;
+            scratch.copy_within(top..top + plane, cells.tile_len(2, ncomp));
+        }
+        let mut tile = FluxTile::new(cells, dim, ncomp, scratch);
+        tile.carried = carried;
+        pkg.fill_fluxes(&slot.info, &slot.data, &mut tile);
+        let mut c0 = 0;
+        for &id in ids {
+            let (div, saved) = slot.data.var_mut(id).div_and_planes_mut();
+            for (face, plane) in saved.iter_mut().enumerate() {
+                let (d, side) = (face / 2, face % 2);
+                if cells.lo[d] + side * cells.n[d] != side * shape.ncells()[d] {
+                    continue;
+                }
+                let (shape, plane) = (plane.shape(), plane.as_mut_slice());
+                let (steps, on_tile) = (tile.steps(d), (d, side * cells.n[d]));
+                let fluxes = tile.faces_mut(d);
+                plane_rows(cells, steps, on_tile, c0, shape, |t, p, len| match planes {
+                    Planes::Save => plane[p..p + len].copy_from_slice(&fluxes[t..t + len]),
+                    Planes::Override => fluxes[t..t + len].copy_from_slice(&plane[p..p + len]),
+                });
+            }
+            reduce(&tile, c0, inv, div);
+            c0 += div.shape()[0];
+        }
+        below = Some(cells);
+    }
+}
+
+/// Runs `work` on every block of `pack` (ascending gid) under `exec`; with
+/// a `cost` ledger indexed by gid, each block's own wall time is added to
+/// its entry. The timing is observational only — the work is the same code
+/// either way.
+pub(crate) fn for_each_block_costed(
+    pack: &mut [&mut BlockSlot],
+    exec: ExecCtx,
+    cost: Option<&mut [u64]>,
+    work: impl Fn(&mut BlockSlot) + Sync,
+) {
+    let Some(mut rest) = cost else {
+        return exec.for_each_block(pack, |_, slot| work(slot));
+    };
+    // Each block's own entry, split off the ledger in gid order.
+    let mut next = 0;
+    let mut items: Vec<(&mut &mut BlockSlot, &mut u64)> = Vec::with_capacity(pack.len());
+    for slot in pack.iter_mut() {
+        let (entry, tail) = rest[slot.info.gid - next..]
+            .split_first_mut()
+            .expect("a ledger entry per gid");
+        (next, rest) = (slot.info.gid + 1, tail);
+        items.push((slot, entry));
+    }
+    exec.for_each_block(&mut items, |_, (slot, ns)| {
+        let t0 = Instant::now();
+        work(slot);
+        **ns += t0.elapsed().as_nanos() as u64;
+    });
+}
+
+/// The host work of a stage's flux sweep over one rank's `pack`: every
+/// block swept once in the production tiling, in parallel under `exec`,
+/// each worker in its own scratch. `cost`, if given (indexed by gid), is
+/// charged each block's own sweep time.
+pub fn sweep_pack<P: Package>(
+    pkg: &P,
+    pack: &mut [&mut BlockSlot],
+    ids: &[VarId],
+    exec: ExecCtx,
+    cost: Option<&mut [u64]>,
+) {
+    let Some(first) = pack.first() else { return };
+    let shape = *first.data.shape();
+    let ncomp: usize = ids.iter().map(|&id| first.data.var(id).ncomp()).sum();
+    let tiles = CellBox::interior(&shape).tiles(shape.dim(), ncomp, TILE_BUDGET_BYTES / 8);
+    for_each_block_costed(pack, exec, cost, |slot| {
+        with_scratch(|scratch| sweep_block(pkg, slot, ids, &tiles, Planes::Save, scratch));
+    });
+}
+
+/// Records what one flux node of a stage launches over one rank's `pack`
+/// in the platform model: its share of the `CalculateFluxes` launch — the
+/// cells split by the x-faces whose stencils stay inside the interior —
+/// and the per-launch resolution of the swept variables' names on every
+/// block.
+pub fn record_flux_launch<P: Package>(
+    pkg: &P,
+    pack: &mut [&mut BlockSlot],
+    phase: FluxPhase,
+    ids: &[VarId],
+    rec: &mut Recorder,
+) {
+    let Some(first) = pack.first() else { return };
+    let shape = *first.data.shape();
+    let cells = pack.len() as u64 * shape.interior_count() as u64;
+    let faces = shape.ncells()[0] as u64 + 1;
+    let interior = cells * faces.saturating_sub(2 * pkg.stencil_radius() as u64) / faces;
+    let share = match phase {
+        FluxPhase::Interior => interior,
+        FluxPhase::Exterior => cells - interior,
+    };
+    let mult = pkg.flux_byte_multiplier(&shape);
+    Launcher::new(rec).record_only(&catalog::CALCULATE_FLUXES, share, mult);
+    for slot in pack {
+        slot.data.count_resolutions(ids);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::{Driver, DriverParams};
+    use crate::test_package::Advect;
+    use vibe_mesh::{Mesh, MeshParams};
+
+    /// Bytes of tile scratch the calling thread holds.
+    fn scratch_bytes() -> usize {
+        SCRATCH.with_borrow(|scratch| 8 * scratch.capacity())
+    }
+
+    /// The floor is a floor: however many blocks a worker sweeps, its flux
+    /// scratch is one tile budget — so a run's flux scratch totals
+    /// workers × budget at any block count. (Core ships no Burgers; the
+    /// upwind test package sweeps through the same entry points.)
+    #[test]
+    fn flux_scratch_is_one_budget_per_worker_whatever_the_block_count() {
+        let worker = || {
+            assert_eq!(
+                scratch_bytes(),
+                0,
+                "no scratch before a thread's first sweep"
+            );
+            [16, 64].map(|mesh_cells| {
+                let params = MeshParams::builder()
+                    .dim(2)
+                    .mesh_cells(mesh_cells)
+                    .block_cells(8)
+                    .max_levels(1)
+                    .nghost(2)
+                    .build()
+                    .unwrap();
+                let mesh = Mesh::new(params).unwrap();
+                let mut d = Driver::new(mesh, Advect::default(), DriverParams::default());
+                d.initialize(|_, data| data.vars_mut()[0].data_mut().fill(1.0));
+                d.run_cycles(2);
+                (d.mesh().num_blocks(), scratch_bytes())
+            })
+        };
+        let workers: Vec<_> = std::thread::scope(|s| {
+            let spawned = [s.spawn(worker), s.spawn(worker)];
+            spawned.map(|w| w.join().expect("worker ran")).to_vec()
+        });
+        for seen in workers {
+            assert_eq!(seen, [(4, TILE_BUDGET_BYTES), (64, TILE_BUDGET_BYTES)]);
+        }
+    }
+
+    #[test]
+    fn tiles_partition_the_box_within_the_budget() {
+        let whole = CellBox {
+            lo: [0; 3],
+            n: [16, 16, 16],
+        };
+        // Slabs, equalised: 7 components fit five layers, so four of four.
+        let slabs = whole.tiles(3, 7, TILE_BUDGET_BYTES / 8);
+        assert_eq!(slabs.len(), 4);
+        assert!(slabs.iter().all(|t| t.n == [16, 16, 4]));
+        // Not even one layer fits: y-strips of single layers.
+        let one_layer = whole.tiles(3, 7, 7 * (17 * 16 + 16 * 17 + 2 * 256)).len();
+        assert_eq!(one_layer, 16);
+        let strips = whole.tiles(3, 7, 7 * (17 * 16 + 16 * 17 + 2 * 256) - 1);
+        assert!(strips.len() > 16 && strips.iter().all(|t| t.n[2] == 1 && t.n[0] == 16));
+        for tiles in [slabs, strips] {
+            assert_eq!(
+                tiles
+                    .iter()
+                    .map(|t| t.n.iter().product::<usize>())
+                    .sum::<usize>(),
+                4096
+            );
+        }
+    }
+}

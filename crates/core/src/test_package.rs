@@ -8,13 +8,14 @@
 //! `vibe-physics` and `vibe-burgers`). The module is compiled only under
 //! `cfg(test)` and never exported.
 
-use vibe_exec::{catalog, ghost_byte_multiplier, ExecCtx, Launcher};
+use vibe_exec::{catalog, ExecCtx, Launcher};
 use vibe_field::{BlockData, Metadata, VarId};
-use vibe_mesh::{AmrFlag, IndexRange};
+use vibe_mesh::AmrFlag;
 use vibe_prof::Recorder;
 
-use crate::block::BlockSlot;
+use crate::block::{BlockInfo, BlockSlot};
 use crate::package::{Package, RefinementPolicy};
+use crate::sweep::FluxTile;
 
 /// Upwind advection of one scalar `q` at unit velocity along +x.
 #[derive(Debug, Clone)]
@@ -71,42 +72,23 @@ impl Package for Advect {
         }
     }
 
-    fn calculate_fluxes(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
-        let Some(first) = pack.first() else { return };
-        let shape = *first.data.shape();
-        let cells: u64 = pack.len() as u64 * shape.interior_count() as u64;
-        let mult = ghost_byte_multiplier(shape.ncells()[0], shape.nghost(), shape.dim());
-        let mut launcher = Launcher::new(rec);
-        launcher.launch(&catalog::CALCULATE_FLUXES, cells, mult, || {});
-        exec.for_each_block(pack, |_, slot| {
-            let qid = Advect::qid(&mut slot.data);
-            let var = slot.data.var_mut(qid);
-            let (ix, iy) = (
-                shape.range(0, vibe_mesh::index::IndexDomain::Interior),
-                shape.range(1, vibe_mesh::index::IndexDomain::Interior),
-            );
-            let iz = shape.range(2, vibe_mesh::index::IndexDomain::Interior);
-            // Upwind in +x: F_{i} = q_{i-1} on face i.
-            let data = var.data().clone();
-            let fx = var.flux_mut(0).expect("flux allocated");
-            for k in iz.iter() {
-                for j in iy.iter() {
-                    let face_range = IndexRange::new(ix.s, ix.e + 1);
-                    for i in face_range.iter() {
-                        let up = data.get(0, k as usize, j as usize, (i - 1) as usize);
-                        fx.set(0, k as usize, j as usize, i as usize, up);
-                    }
-                }
+    fn stencil_radius(&self) -> usize {
+        1
+    }
+
+    fn fill_fluxes(&self, _info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        let g: [usize; 3] = std::array::from_fn(|d| data.shape().nghost_d(d));
+        let q = data.vars()[0].data();
+        for d in 0..tile.dim() {
+            for (face, [i, j, k]) in tile.faces_to_fill(d) {
+                // Upwind in +x: F_{i} = q_{i-1} on face i; no transverse flow.
+                let flux = match d {
+                    0 => q.get(0, k + g[2], j + g[1], i + g[0] - 1),
+                    _ => 0.0,
+                };
+                tile.set(d, 0, face, flux);
             }
-            // No transverse flow: zero y/z fluxes.
-            for d in 1..shape.dim() {
-                slot.data
-                    .var_mut(qid)
-                    .flux_mut(d)
-                    .expect("flux allocated")
-                    .fill(0.0);
-            }
-        });
+        }
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], _exec: ExecCtx, rec: &mut Recorder) {

@@ -1,58 +1,46 @@
-//! Conserved-state updates: flux divergence and Runge-Kutta stage
-//! averaging (`WeightedSumData` + `FluxDivergence`).
+//! Conserved-state updates: Runge-Kutta stage averaging over the flux
+//! divergence the sweep left behind (`WeightedSumData` + `FluxDivergence`),
+//! after re-sweeping the layers under flux-corrected faces.
 
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{F64Lanes, Metadata, VarId};
-use vibe_mesh::index::IndexDomain;
+use vibe_field::VarId;
 use vibe_prof::{Recorder, RegionKey, StepFunction};
 
 use crate::block::BlockSlot;
+use crate::package::Package;
+use crate::sweep::{
+    for_each_block_costed, sweep_block, with_scratch, CellBox, Planes, TILE_BUDGET_BYTES,
+};
 
 /// Applies one Runge-Kutta stage update to every flux-bearing independent
-/// variable in `pack`:
+/// variable `ids` in `pack`:
 ///
 /// ```text
 /// u ← a0·u⁰ + b·u − c·dt·∇·F
 /// ```
 ///
-/// where `u⁰` is the cycle-start copy saved by the driver. RK2 uses
+/// where `u⁰` is the cycle-start copy saved by the driver and `∇·F` the
+/// divergence the stage's sweep wrote ([`crate::sweep`]). RK2 uses
 /// `(a0, b, c) = (0, 1, 1)` for the predictor and `(0.5, 0.5, 0.5)` for the
-/// corrector. Records the `WeightedSumData` and `FluxDivergence` kernels
-/// (one launch each per pack); blocks are updated independently, in
-/// parallel under `exec`.
-pub fn flux_divergence_update(
-    pack: &mut [&mut BlockSlot],
-    exec: ExecCtx,
-    a0: f64,
-    b: f64,
-    c: f64,
-    dt: f64,
-    rec: &mut Recorder,
-) {
-    let ids = match pack.first_mut() {
-        Some(first) => first
-            .data
-            .pack_by_flag(Metadata::WITH_FLUXES)
-            .ids()
-            .to_vec(),
-        None => return,
-    };
-    flux_divergence_update_with_ids(pack, exec, a0, b, c, dt, &ids, rec);
-}
-
-/// [`flux_divergence_update`] with the flux-bearing variable ids supplied
-/// by the caller. The driver caches them per mesh generation (registration
-/// is identical on every block), skipping the per-cycle pack lookup.
+/// corrector. A block with flux-corrected faces — bit `2 * d + side` of
+/// `corrected[gid]` — first has the one-cell layers under them re-swept
+/// with the corrected planes overriding its own surface fluxes. Records
+/// the `WeightedSumData` and `FluxDivergence` kernels (one launch each per
+/// pack); blocks are updated independently, in parallel under `exec`.
+/// `cost`, if given (indexed by gid), is charged each block's own
+/// update time — the measured-cost feed of the load balancer
+/// (`DriverParams::measured_costs`), which never perturbs the solution.
 #[allow(clippy::too_many_arguments)]
-pub fn flux_divergence_update_with_ids(
+pub fn flux_divergence_update<P: Package>(
+    pkg: &P,
     pack: &mut [&mut BlockSlot],
     exec: ExecCtx,
-    a0: f64,
-    b: f64,
-    c: f64,
+    (a0, b, c): (f64, f64, f64),
     dt: f64,
     ids: &[VarId],
+    corrected: &[u8],
     rec: &mut Recorder,
+    cost: Option<&mut [u64]>,
 ) {
     // The weighted sum and flux divergence run fused per block, so one
     // region covers both kernels (their split shows up in the modeled
@@ -61,176 +49,56 @@ pub fn flux_divergence_update_with_ids(
         .wall()
         .clone()
         .region(RegionKey::Step(StepFunction::FluxDivergence));
-    let Some(first) = pack.first_mut() else {
-        return;
-    };
+    let Some(first) = pack.first() else { return };
     let shape = *first.data.shape();
-    let ncomp_total: usize = ids.iter().map(|&id| first.data.var(id).ncomp()).sum();
-    let comp_cells = (pack.len() * shape.interior_count() * ncomp_total) as u64;
+    let ncomp: usize = ids.iter().map(|&id| first.data.var(id).ncomp()).sum();
+    let comp_cells = (pack.len() * shape.interior_count() * ncomp) as u64;
     {
         let mut launcher = Launcher::new(rec);
         launcher.record_only(&catalog::WEIGHTED_SUM_DATA, comp_cells, 1.0);
         launcher.record_only(&catalog::FLUX_DIVERGENCE, comp_cells, 1.0);
     }
-
-    let bounds = interior_bounds(&shape);
-    exec.for_each_block(pack, |_, slot| {
-        apply_stage_update(slot, ids, shape.dim(), bounds, a0, b, c, dt);
+    let interior = CellBox::interior(&shape);
+    for_each_block_costed(pack, exec, cost, |slot| {
+        let faces = corrected.get(slot.info.gid).copied().unwrap_or(0);
+        let layers: Vec<CellBox> = (0..2 * shape.dim())
+            .filter(|face| faces >> face & 1 == 1)
+            .flat_map(|face| {
+                let layer = interior.layer(face);
+                layer.tiles(shape.dim(), ncomp, TILE_BUDGET_BYTES / 8)
+            })
+            .collect();
+        if !layers.is_empty() {
+            with_scratch(|scratch| {
+                sweep_block(pkg, slot, ids, &layers, Planes::Override, scratch);
+            });
+        }
+        stage_update(slot, ids, a0, b, c * dt);
     });
 }
 
-/// [`flux_divergence_update_with_ids`] that additionally measures the
-/// wall time spent updating each block, accumulating it into `cost_ns`
-/// (aligned with `pack` order). This is the measured-cost feed of the
-/// load balancer (`DriverParams::measured_costs`): the timing is
-/// observational only — the update arithmetic is byte-for-byte the same
-/// code path, so enabling cost measurement never perturbs the solution.
-#[allow(clippy::too_many_arguments)]
-pub fn flux_divergence_update_costed(
-    pack: &mut [&mut BlockSlot],
-    exec: ExecCtx,
-    a0: f64,
-    b: f64,
-    c: f64,
-    dt: f64,
-    ids: &[VarId],
-    rec: &mut Recorder,
-    cost_ns: &mut [u64],
-) {
-    let _g = rec
-        .wall()
-        .clone()
-        .region(RegionKey::Step(StepFunction::FluxDivergence));
-    assert_eq!(pack.len(), cost_ns.len(), "one cost slot per block");
-    let Some(first) = pack.first_mut() else {
-        return;
-    };
-    let shape = *first.data.shape();
-    let ncomp_total: usize = ids.iter().map(|&id| first.data.var(id).ncomp()).sum();
-    let comp_cells = (pack.len() * shape.interior_count() * ncomp_total) as u64;
-    {
-        let mut launcher = Launcher::new(rec);
-        launcher.record_only(&catalog::WEIGHTED_SUM_DATA, comp_cells, 1.0);
-        launcher.record_only(&catalog::FLUX_DIVERGENCE, comp_cells, 1.0);
-    }
-    let bounds = interior_bounds(&shape);
-    let mut items: Vec<(&mut &mut BlockSlot, &mut u64)> =
-        pack.iter_mut().zip(cost_ns.iter_mut()).collect();
-    exec.for_each_block(&mut items, |_, (slot, ns)| {
-        let t0 = std::time::Instant::now();
-        apply_stage_update(slot, ids, shape.dim(), bounds, a0, b, c, dt);
-        **ns += t0.elapsed().as_nanos() as u64;
-    });
-}
-
-/// Interior index bounds `[i0, i1, j0, j1, k0, k1]` of `shape`.
-fn interior_bounds(shape: &vibe_mesh::index::IndexShape) -> [usize; 6] {
-    let ix = shape.range(0, IndexDomain::Interior);
-    let iy = shape.range(1, IndexDomain::Interior);
-    let iz = shape.range(2, IndexDomain::Interior);
-    [
-        ix.s as usize,
-        ix.e as usize,
-        iy.s as usize,
-        iy.e as usize,
-        iz.s as usize,
-        iz.e as usize,
-    ]
-}
-
-/// The per-block RK-stage kernel shared by the plain and costed update
-/// entry points.
-#[allow(clippy::too_many_arguments)]
-fn apply_stage_update(
-    slot: &mut BlockSlot,
-    ids: &[VarId],
-    dim: usize,
-    bounds: [usize; 6],
-    a0: f64,
-    b: f64,
-    c: f64,
-    dt: f64,
-) {
-    let [i0, i1, j0, j1, k0, k1] = bounds;
-    let n = i1 - i0 + 1;
-    {
-        let dx = slot.info.geom.dx();
-        let inv = [1.0 / dx[0], 1.0 / dx[1], 1.0 / dx[2]];
-        let BlockSlot { data, stage0, .. } = &mut *slot;
-        for &id in ids {
-            let u0 = stage0
-                .get(&id)
-                .expect("stage-0 copy saved before use")
-                .as_slice();
-            let var = data.var_mut(id);
-            let ncomp = var.ncomp();
-            let (udata, fluxes) = var.data_mut_and_fluxes();
-            let [_, ez, ey, ex] = udata.shape();
-            let u = udata.as_mut_slice();
-            let fx = fluxes[0].expect("x flux").as_slice();
-            let fy = (dim >= 2).then(|| fluxes[1].expect("y flux").as_slice());
-            let fz = (dim >= 3).then(|| fluxes[2].expect("z flux").as_slice());
-
-            // Scalar reference per cell:
-            //   div = (fxr−fxl)·inv₀ [+ (fyr−fyl)·inv₁ [+ (fzr−fzl)·inv₂]]
-            //   u   = a0·u⁰ + b·u − (c·dt)·div
-            // The lane loop below mirrors that expression exactly — the
-            // divergence terms accumulate left-to-right and every
-            // multiplication is merely commuted — so lane results are
-            // bitwise identical to the scalar tail at any width.
-            let cdt = c * dt;
-            const W: usize = 4;
-            for comp in 0..ncomp {
-                for k in k0..=k1 {
-                    for j in j0..=j1 {
-                        let row = (((comp * ez + k) * ey + j) * ex) + i0;
-                        let fx_row = (((comp * ez + k) * ey + j) * (ex + 1)) + i0;
-                        let urow = &mut u[row..row + n];
-                        let u0row = &u0[row..row + n];
-                        let fxl = &fx[fx_row..fx_row + n];
-                        let fxr = &fx[fx_row + 1..fx_row + 1 + n];
-                        let fy_rows = fy.map(|fy| {
-                            let fy_row = (((comp * ez + k) * (ey + 1) + j) * ex) + i0;
-                            (&fy[fy_row..fy_row + n], &fy[fy_row + ex..fy_row + ex + n])
-                        });
-                        let fz_rows = fz.map(|fz| {
-                            let fz_row = (((comp * (ez + 1) + k) * ey + j) * ex) + i0;
-                            (
-                                &fz[fz_row..fz_row + n],
-                                &fz[fz_row + ey * ex..fz_row + ey * ex + n],
-                            )
-                        });
-                        let mut q = 0;
-                        while q + W <= n {
-                            let mut div = (F64Lanes::<W>::load(&fxr[q..])
-                                - F64Lanes::load(&fxl[q..]))
-                                * inv[0];
-                            if let Some((fyl, fyr)) = fy_rows {
-                                div = div
-                                    + (F64Lanes::<W>::load(&fyr[q..]) - F64Lanes::load(&fyl[q..]))
-                                        * inv[1];
-                            }
-                            if let Some((fzl, fzr)) = fz_rows {
-                                div = div
-                                    + (F64Lanes::<W>::load(&fzr[q..]) - F64Lanes::load(&fzl[q..]))
-                                        * inv[2];
-                            }
-                            let u0l = F64Lanes::<W>::load(&u0row[q..]);
-                            let ul = F64Lanes::<W>::load(&urow[q..]);
-                            (u0l * a0 + ul * b - div * cdt).store(&mut urow[q..]);
-                            q += W;
-                        }
-                        while q < n {
-                            let mut div = (fxr[q] - fxl[q]) * inv[0];
-                            if let Some((fyl, fyr)) = fy_rows {
-                                div += (fyr[q] - fyl[q]) * inv[1];
-                            }
-                            if let Some((fzl, fzr)) = fz_rows {
-                                div += (fzr[q] - fzl[q]) * inv[2];
-                            }
-                            urow[q] = a0 * u0row[q] + b * urow[q] - c * dt * div;
-                            q += 1;
-                        }
+/// `u = a0·u⁰ + b·u − cdt·div` over the interior of every variable `ids`.
+fn stage_update(slot: &mut BlockSlot, ids: &[VarId], a0: f64, b: f64, cdt: f64) {
+    let shape = *slot.data.shape();
+    let [nx, ny, nz] = shape.ncells();
+    let g: [usize; 3] = std::array::from_fn(|d| shape.nghost_d(d));
+    let BlockSlot { data, stage0, .. } = slot;
+    for &id in ids {
+        let u0 = stage0.get(id.0).map_or(&[][..], Vec::as_slice);
+        let (u, div) = data.var_mut(id).data_mut_and_div();
+        let [ncomp, ez, ey, ex] = u.shape();
+        assert_eq!(u0.len(), div.len(), "stage-0 copy saved before use");
+        let (u, div) = (u.as_mut_slice(), div.as_slice());
+        for c in 0..ncomp {
+            for k in 0..nz {
+                for j in 0..ny {
+                    let row = ((c * ez + k + g[2]) * ey + j + g[1]) * ex + g[0];
+                    let compact = ((c * nz + k) * ny + j) * nx;
+                    let urow = &mut u[row..row + nx];
+                    let u0row = &u0[compact..compact + nx];
+                    let divrow = &div[compact..compact + nx];
+                    for q in 0..nx {
+                        urow[q] = a0 * u0row[q] + b * urow[q] - cdt * divrow[q];
                     }
                 }
             }
@@ -242,10 +110,14 @@ fn apply_stage_update(
 mod tests {
     use super::*;
     use crate::block::{BlockInfo, BlockSlot};
+    use crate::sweep::sweep_pack;
+    use crate::test_package::Advect;
     use vibe_field::BlockData;
     use vibe_mesh::{Mesh, MeshParams};
 
-    fn setup() -> (Mesh, BlockSlot) {
+    /// One 8-cell 1-D block of the upwind test package (`F_i = q_{i-1}`),
+    /// `q` filled by storage index.
+    fn setup(q: impl Fn(usize) -> f64) -> (BlockSlot, VarId) {
         let mesh = Mesh::new(
             MeshParams::builder()
                 .dim(1)
@@ -258,158 +130,150 @@ mod tests {
         )
         .unwrap();
         let mut data = BlockData::new(mesh.index_shape());
-        data.add_variable(
-            "q",
-            1,
-            Metadata::INDEPENDENT | Metadata::WITH_FLUXES | Metadata::TWO_STAGE,
-        );
-        let slot = BlockSlot::new(BlockInfo::from_mesh(&mesh, 0), data);
-        (mesh, slot)
+        Advect::default().register(&mut data);
+        let qid = data.id_of("q").unwrap();
+        let dat = data.var_mut(qid).data_mut();
+        for i in 0..dat.shape()[3] {
+            dat.set(0, 0, 0, i, q(i));
+        }
+        let mut slot = BlockSlot::new(BlockInfo::from_mesh(&mesh, 0), data);
+        slot.save_stage0(&[qid]);
+        (slot, qid)
+    }
+
+    /// Sweeps and updates `slot` with stage coefficients `coef`.
+    fn stage(slot: &mut BlockSlot, qid: VarId, exec: ExecCtx, coef: (f64, f64, f64), dt: f64) {
+        let mut rec = Recorder::new();
+        rec.begin_cycle(0);
+        let (pkg, mut pack) = (Advect::default(), vec![slot]);
+        sweep_pack(&pkg, &mut pack, &[qid], exec, None);
+        flux_divergence_update(&pkg, &mut pack, exec, coef, dt, &[qid], &[], &mut rec, None);
+        rec.end_cycle(1, 0, 0, 0);
     }
 
     #[test]
-    fn zero_flux_means_no_change() {
-        let (_, mut slot) = setup();
-        let qid = slot.data.id_of("q").unwrap();
-        slot.data.var_mut(qid).data_mut().fill(2.0);
-        slot.save_stage0(&[qid]);
-        let mut rec = Recorder::new();
-        rec.begin_cycle(0);
-        let mut pack = vec![&mut slot];
-        flux_divergence_update(&mut pack, ExecCtx::serial(), 0.0, 1.0, 1.0, 0.1, &mut rec);
-        rec.end_cycle(1, 0, 0, 0);
+    fn zero_flux_gradient_means_no_change() {
+        let (mut slot, qid) = setup(|_| 2.0);
+        stage(&mut slot, qid, ExecCtx::serial(), (0.0, 1.0, 1.0), 0.1);
         assert_eq!(slot.data.var(qid).data().get(0, 0, 0, 4), 2.0);
     }
 
     #[test]
     fn constant_flux_gradient_advances_state() {
-        let (_, mut slot) = setup();
-        let qid = slot.data.id_of("q").unwrap();
-        slot.data.var_mut(qid).data_mut().fill(1.0);
-        slot.save_stage0(&[qid]);
-        // Fx = i  =>  dF/dx = 1/dx * 1 per cell; dx = 1/8.
-        {
-            let fx = slot.data.var_mut(qid).flux_mut(0).unwrap();
-            for i in 0..fx.shape()[3] {
-                fx.set(0, 0, 0, i, i as f64);
-            }
-        }
-        let mut rec = Recorder::new();
-        rec.begin_cycle(0);
-        let mut pack = vec![&mut slot];
-        flux_divergence_update(&mut pack, ExecCtx::serial(), 0.0, 1.0, 1.0, 0.01, &mut rec);
-        rec.end_cycle(1, 0, 0, 0);
+        // Fx = i − 1  =>  dF/dx = 1/dx * 1 per cell; dx = 1/8.
+        let (mut slot, qid) = setup(|i| i as f64);
+        stage(&mut slot, qid, ExecCtx::serial(), (0.0, 1.0, 1.0), 0.01);
         let dx = 1.0 / 8.0;
-        let want = 1.0 - 0.01 * (1.0 / dx);
+        let want = 4.0 - 0.01 * (1.0 / dx);
         let got = slot.data.var(qid).data().get(0, 0, 0, 4);
         assert!((got - want).abs() < 1e-14, "{got} vs {want}");
     }
 
     #[test]
     fn rk2_corrector_averages_states() {
-        let (_, mut slot) = setup();
-        let qid = slot.data.id_of("q").unwrap();
-        slot.data.var_mut(qid).data_mut().fill(4.0);
-        slot.save_stage0(&[qid]); // u0 = 4
+        let (mut slot, qid) = setup(|_| 4.0); // u0 = 4
         slot.data.var_mut(qid).data_mut().fill(8.0); // u = 8 (predictor out)
-        let mut rec = Recorder::new();
-        rec.begin_cycle(0);
-        let mut pack = vec![&mut slot];
-        // Zero fluxes: u <- 0.5*4 + 0.5*8 = 6.
-        flux_divergence_update(&mut pack, ExecCtx::serial(), 0.5, 0.5, 0.5, 0.1, &mut rec);
-        rec.end_cycle(1, 0, 0, 0);
+                                                     // Zero flux gradient: u <- 0.5*4 + 0.5*8 = 6.
+        stage(&mut slot, qid, ExecCtx::serial(), (0.5, 0.5, 0.5), 0.1);
         assert_eq!(slot.data.var(qid).data().get(0, 0, 0, 5), 6.0);
     }
 
     #[test]
     fn parallel_update_matches_serial_bitwise() {
         let build = |exec: ExecCtx| {
-            let (_, mut slot) = setup();
-            let qid = slot.data.id_of("q").unwrap();
-            let dat = slot.data.var_mut(qid).data_mut();
-            for i in 0..dat.shape()[3] {
-                dat.set(0, 0, 0, i, (i as f64 * 0.37).sin());
-            }
-            slot.save_stage0(&[qid]);
-            {
-                let fx = slot.data.var_mut(qid).flux_mut(0).unwrap();
-                for i in 0..fx.shape()[3] {
-                    fx.set(0, 0, 0, i, (i as f64 * 0.11).cos());
-                }
-            }
-            let mut rec = Recorder::new();
-            rec.begin_cycle(0);
-            let mut pack = vec![&mut slot];
-            flux_divergence_update(&mut pack, exec, 0.5, 0.5, 0.5, 0.013, &mut rec);
-            rec.end_cycle(1, 0, 0, 0);
+            let (mut slot, qid) = setup(|i| (i as f64 * 0.37).sin());
+            stage(&mut slot, qid, exec, (0.5, 0.5, 0.5), 0.013);
             slot.data.var(qid).data().clone()
         };
-        let serial = build(ExecCtx::serial());
-        let parallel = build(ExecCtx::new(4));
-        assert!(serial == parallel);
+        assert!(build(ExecCtx::serial()) == build(ExecCtx::new(4)));
     }
 
     #[test]
     fn costed_update_matches_plain_bitwise_and_measures() {
         let build = |costed: bool| {
-            let (_, mut slot) = setup();
-            let qid = slot.data.id_of("q").unwrap();
-            let dat = slot.data.var_mut(qid).data_mut();
-            for i in 0..dat.shape()[3] {
-                dat.set(0, 0, 0, i, (i as f64 * 0.29).sin());
-            }
-            slot.save_stage0(&[qid]);
-            {
-                let fx = slot.data.var_mut(qid).flux_mut(0).unwrap();
-                for i in 0..fx.shape()[3] {
-                    fx.set(0, 0, 0, i, (i as f64 * 0.17).cos());
-                }
-            }
+            let (mut slot, qid) = setup(|i| (i as f64 * 0.29).sin());
             let mut rec = Recorder::new();
             rec.begin_cycle(0);
-            let ids = [qid];
-            let mut pack = vec![&mut slot];
-            let mut cost = vec![0u64; 1];
-            if costed {
-                flux_divergence_update_costed(
-                    &mut pack,
-                    ExecCtx::serial(),
-                    0.5,
-                    0.5,
-                    0.5,
-                    0.013,
-                    &ids,
-                    &mut rec,
-                    &mut cost,
-                );
-                assert!(cost[0] > 0, "per-block cost measured");
-            } else {
-                flux_divergence_update_with_ids(
-                    &mut pack,
-                    ExecCtx::serial(),
-                    0.5,
-                    0.5,
-                    0.5,
-                    0.013,
-                    &ids,
-                    &mut rec,
-                );
-            }
+            let (pkg, exec, mut pack) = (Advect::default(), ExecCtx::serial(), vec![&mut slot]);
+            let mut cost = [0u64; 2];
+            let (swept, updated) = cost.split_at_mut(1);
+            sweep_pack(&pkg, &mut pack, &[qid], exec, costed.then_some(swept));
+            flux_divergence_update(
+                &pkg,
+                &mut pack,
+                exec,
+                (0.5, 0.5, 0.5),
+                0.013,
+                &[qid],
+                &[],
+                &mut rec,
+                costed.then_some(updated),
+            );
             rec.end_cycle(1, 0, 0, 0);
+            assert_eq!(
+                cost.iter().all(|&ns| ns > 0),
+                costed,
+                "per-block cost measured"
+            );
             slot.data.var(qid).data().clone()
         };
         assert!(build(false) == build(true));
     }
 
+    /// A corrected face makes the update re-sweep the layer under it with
+    /// the plane's value in place of the block's own flux.
+    #[test]
+    fn corrected_plane_reaches_the_layer_under_it() {
+        let run = |corrected: &[u8]| {
+            let (mut slot, qid) = setup(|i| i as f64);
+            let mut rec = Recorder::new();
+            rec.begin_cycle(0);
+            let (pkg, exec, mut pack) = (Advect::default(), ExecCtx::serial(), vec![&mut slot]);
+            sweep_pack(&pkg, &mut pack, &[qid], exec, None);
+            // The low-x face flux (own value: q_1 = 1) as flux correction
+            // would overwrite it.
+            pack[0].data.var_mut(qid).planes_mut()[0].fill(3.0);
+            let coef = (0.0, 1.0, 1.0);
+            flux_divergence_update(
+                &pkg,
+                &mut pack,
+                exec,
+                coef,
+                0.01,
+                &[qid],
+                corrected,
+                &mut rec,
+                None,
+            );
+            rec.end_cycle(1, 0, 0, 0);
+            slot.data.var(qid).data().clone()
+        };
+        let (plain, fixed) = (run(&[0]), run(&[1]));
+        // First interior cell (storage 2): F_right = q_2 = 2, F_left 1 -> 3.
+        assert!((plain.get(0, 0, 0, 2) - (2.0 - 0.01 * 8.0 * (2.0 - 1.0))).abs() < 1e-14);
+        assert!((fixed.get(0, 0, 0, 2) - (2.0 - 0.01 * 8.0 * (2.0 - 3.0))).abs() < 1e-14);
+        for i in 3..10 {
+            assert_eq!(plain.get(0, 0, 0, i), fixed.get(0, 0, 0, i));
+        }
+    }
+
     #[test]
     fn kernels_recorded_once_per_pack() {
-        let (_, mut slot) = setup();
-        let qid = slot.data.id_of("q").unwrap();
-        slot.save_stage0(&[qid]);
+        let (mut slot, qid) = setup(|_| 0.0);
         let mut rec = Recorder::new();
         rec.begin_cycle(0);
         let mut pack = vec![&mut slot];
-        flux_divergence_update(&mut pack, ExecCtx::serial(), 0.0, 1.0, 1.0, 0.1, &mut rec);
+        flux_divergence_update(
+            &Advect::default(),
+            &mut pack,
+            ExecCtx::serial(),
+            (0.0, 1.0, 1.0),
+            0.1,
+            &[qid],
+            &[],
+            &mut rec,
+            None,
+        );
         rec.end_cycle(1, 0, 0, 0);
         let t = rec.totals();
         assert_eq!(

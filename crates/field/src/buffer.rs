@@ -246,8 +246,8 @@ impl CellRows for [f64] {
 
 /// A compiled transfer between two blocks, as the exchange engine runs it:
 /// a [`RowProgram`] moves ghost cells of a variable's data array, a
-/// [`FluxProgram`](crate::FluxProgram) corrects one of its three face-flux
-/// arrays. `pack` then `unpack` is the wire path; `fill` moves the same
+/// [`FluxProgram`](crate::FluxProgram) corrects one of its outer face
+/// planes from a finer block's. `pack` then `unpack` is the wire path; `fill` moves the same
 /// values straight from the sender's storage into the receiver's and yields
 /// the same bits.
 pub trait TransferProgram: Sync {
@@ -257,8 +257,10 @@ pub trait TransferProgram: Sync {
     fn arrays(var: &CellVariable) -> &[Array4];
     /// The same arrays, mutably.
     fn arrays_mut(var: &mut CellVariable) -> &mut [Array4];
-    /// Which of those arrays this program addresses.
-    fn array(&self) -> usize;
+    /// Which of the sender's arrays this program reads.
+    fn src_array(&self) -> usize;
+    /// Which of the receiver's arrays this program writes.
+    fn dst_array(&self) -> usize;
     /// Wire buffer length in `f64` for `ncomp` components.
     fn wire_len(&self, ncomp: usize) -> usize;
     /// One past the last storage index the program touches in an array of
@@ -558,7 +560,11 @@ impl TransferProgram for RowProgram {
         std::slice::from_mut(var.data_mut())
     }
 
-    fn array(&self) -> usize {
+    fn src_array(&self) -> usize {
+        0
+    }
+
+    fn dst_array(&self) -> usize {
         0
     }
 

@@ -244,6 +244,16 @@ impl BlockData {
         self.by_name.get(name).copied()
     }
 
+    /// Counts the name resolutions of a kernel launch that fetches the
+    /// variables `ids` by name (Parthenon's per-launch `Get`), for kernels
+    /// whose body runs on ids alone.
+    pub fn count_resolutions(&mut self, ids: &[VarId]) {
+        for id in ids {
+            let name = self.vars[id.0].name().to_string();
+            self.count_name_resolution(&name);
+        }
+    }
+
     /// Number of string-keyed lookups performed so far (consumed by the
     /// serial cost model).
     pub fn string_lookup_count(&self) -> u64 {
@@ -301,10 +311,16 @@ impl BlockData {
         }
     }
 
-    /// Total bytes allocated for all variables on this block (data +
-    /// fluxes) — the Kokkos-attributed memory of the footprint model.
+    /// Bytes of all variables on this block in Parthenon's layout (data +
+    /// three face arrays per flux-bearing variable) — the Kokkos-attributed
+    /// memory of the footprint model, see [`CellVariable::nbytes`].
     pub fn nbytes(&self) -> usize {
         self.vars.iter().map(CellVariable::nbytes).sum()
+    }
+
+    /// Bytes actually allocated for all variables on this block.
+    pub fn resident_bytes(&self) -> usize {
+        self.vars.iter().map(CellVariable::resident_bytes).sum()
     }
 }
 

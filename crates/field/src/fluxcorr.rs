@@ -6,7 +6,9 @@
 //! quantities. Parthenon's `FluxCorrection` step ships the *restricted*
 //! (area-averaged) fine face fluxes to the coarse neighbor, which overwrites
 //! its own face fluxes before taking the flux divergence. The exchange uses
-//! the same buffer machinery as ghost zones but applies only to flux fields.
+//! the same buffer machinery as ghost zones but runs between the blocks'
+//! outer face planes ([`CellVariable::planes`]), the only fluxes a block
+//! keeps.
 
 use vibe_mesh::{IndexRange, IndexShape, LogicalLocation, NeighborOffset};
 
@@ -20,8 +22,9 @@ use crate::variable::CellVariable;
 pub struct FluxCorrSpec {
     /// Normal dimension of the shared face (0 = x).
     normal: usize,
-    /// Face index in the fine sender's flux array along `normal`.
-    send_face: i64,
+    /// Whether the shared face is the coarse receiver's upper one (and so
+    /// the fine sender's lower one).
+    upper: bool,
     /// Coarse receiver *cell* region in the tangential dimensions (the
     /// `normal` range is a single face).
     recv_region: Region,
@@ -103,14 +106,9 @@ pub fn flux_correction_spec(
             hi[d] = 0;
         }
     }
-    let send_face = if off[normal] > 0 {
-        shape.nghost_d(normal) as i64
-    } else {
-        (shape.nghost_d(normal) + shape.ncells()[normal]) as i64
-    };
     FluxCorrSpec {
         normal,
-        send_face,
+        upper: off[normal] > 0,
         recv_region: Region::new([
             IndexRange::new(lo[0], hi[0]),
             IndexRange::new(lo[1], hi[1]),
@@ -123,17 +121,19 @@ pub fn flux_correction_spec(
 }
 
 /// A [`FluxCorrSpec`] compiled down to offsets into the sender's and the
-/// receiver's flux arrays along the face normal, so running it re-derives
+/// receiver's face planes of the shared face, so running it re-derives
 /// nothing. As a [`TransferProgram`], `pack` then `unpack` is the wire path
-/// and `fill` restricts straight from the fine block's fluxes into the
+/// and `fill` restricts straight from the fine block's plane into the
 /// coarse block's, with the same bits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FluxProgram {
     normal: usize,
+    /// Whether the receiver's plane is its upper one.
+    upper: bool,
     /// Coarse faces corrected along `(i, j, k)` (1 along the normal).
     n: [usize; 3],
     /// First corrected coarse face and the `(i, j, k, component)` steps of
-    /// the flux array (which is one longer along the normal).
+    /// a face plane (one thick along the normal; both blocks' alike).
     dst0: usize,
     step: [usize; 4],
     /// First fine face read; a coarse step is two fine steps.
@@ -150,23 +150,21 @@ impl FluxProgram {
         let shape = &spec.shape;
         let dim = shape.dim();
         let normal = spec.normal;
-        let e: [usize; 3] = std::array::from_fn(|d| shape.entire_d(d) + usize::from(d == normal));
+        let tangential: Vec<usize> = (0..dim).filter(|&d| d != normal).collect();
+        let e: [usize; 3] =
+            std::array::from_fn(|d| if d == normal { 1 } else { shape.ncells()[d] });
         let step = [1, e[0], e[0] * e[1], e[0] * e[1] * e[2]];
         let r = spec.recv_region.ranges();
-        let flat = |c: [i64; 3]| (0..3).map(|d| c[d] as usize * step[d]).sum::<usize>();
-        // First fine face under the first coarse face.
-        let fine: [i64; 3] = std::array::from_fn(|d| {
-            let g = shape.nghost_d(d) as i64;
-            if d == normal {
-                spec.send_face
-            } else if d < dim {
-                2 * (spec.recv_origin[d] + r[d].s - g) - spec.sender_origin[d] + g
-            } else {
-                0
-            }
-        });
+        // Interior-relative first coarse face, and the first fine face
+        // under it.
+        let (mut dst0, mut src0) = (0usize, 0usize);
+        for &d in &tangential {
+            let coarse = r[d].s - shape.nghost_d(d) as i64;
+            let fine = 2 * (spec.recv_origin[d] + coarse) - spec.sender_origin[d];
+            dst0 += coarse as usize * step[d];
+            src0 += fine as usize * step[d];
+        }
         let mut sub = [0usize; 4];
-        let tangential: Vec<usize> = (0..dim).filter(|&d| d != normal).collect();
         let nsub = 1usize << tangential.len();
         for (c, offset) in sub[..nsub].iter_mut().enumerate() {
             *offset = tangential
@@ -177,10 +175,11 @@ impl FluxProgram {
         }
         Self {
             normal,
+            upper: spec.upper,
             n: std::array::from_fn(|d| r[d].len()),
-            dst0: flat([r[0].s, r[1].s, r[2].s]),
+            dst0,
             step,
-            src0: flat(fine),
+            src0,
             sub,
             nsub,
         }
@@ -216,20 +215,23 @@ impl FluxProgram {
 }
 
 impl TransferProgram for FluxProgram {
-    const ARRAYS: usize = 3;
+    const ARRAYS: usize = 6;
 
     fn arrays(var: &CellVariable) -> &[Array4] {
-        var.fluxes().expect("corrected variable has flux arrays")
+        var.planes()
     }
 
     fn arrays_mut(var: &mut CellVariable) -> &mut [Array4] {
-        var.fluxes_mut()
-            .expect("corrected variable has flux arrays")
+        var.planes_mut()
     }
 
-    /// The face-normal dimension.
-    fn array(&self) -> usize {
-        self.normal
+    /// The fine sender's plane: the opposite side of the shared normal.
+    fn src_array(&self) -> usize {
+        2 * self.normal + usize::from(!self.upper)
+    }
+
+    fn dst_array(&self) -> usize {
+        2 * self.normal + usize::from(self.upper)
     }
 
     fn wire_len(&self, ncomp: usize) -> usize {
@@ -273,19 +275,18 @@ impl TransferProgram for FluxProgram {
 }
 
 /// Packs the restricted (averaged) fine face fluxes for `spec` from the
-/// sender's flux arrays into `out`.
+/// sender's face plane into `out`.
 ///
 /// # Panics
 ///
-/// Panics if the sender variable has no flux arrays.
+/// Panics if the sender variable has no fluxes.
 pub fn pack_flux(spec: &FluxCorrSpec, sender: &CellVariable, out: &mut Vec<f64>) {
-    let flux = sender
-        .flux(spec.normal)
-        .expect("sender variable has flux arrays");
+    let prog = FluxProgram::compile(spec);
+    let plane = &sender.planes()[prog.src_array()];
     let ncomp = sender.ncomp();
     let start = out.len();
     out.resize(start + spec.buffer_len(ncomp), 0.0);
-    FluxProgram::compile(spec).pack(ncomp, flux.as_slice(), &mut out[start..]);
+    prog.pack(ncomp, plane.as_slice(), &mut out[start..]);
 }
 
 /// Overwrites the coarse receiver's face fluxes with the restricted fine
@@ -293,14 +294,13 @@ pub fn pack_flux(spec: &FluxCorrSpec, sender: &CellVariable, out: &mut Vec<f64>)
 ///
 /// # Panics
 ///
-/// Panics if the receiver variable has no flux arrays or `buf` is too short.
+/// Panics if the receiver variable has no fluxes or `buf` is too short.
 pub fn apply_flux(spec: &FluxCorrSpec, buf: &[f64], recv: &mut CellVariable) {
     let ncomp = recv.ncomp();
     assert!(buf.len() >= spec.buffer_len(ncomp), "flux buffer too short");
-    let flux = recv
-        .flux_mut(spec.normal)
-        .expect("receiver has flux arrays");
-    FluxProgram::compile(spec).unpack(ncomp, buf, flux.as_mut_slice());
+    let prog = FluxProgram::compile(spec);
+    let plane = &mut recv.planes_mut()[prog.dst_array()];
+    prog.unpack(ncomp, buf, plane.as_mut_slice());
 }
 
 #[cfg(test)]
@@ -333,14 +333,10 @@ mod tests {
         let spec = flux_correction_spec(&shape, &r, &s, &off);
 
         let mut fine = CellVariable::new("u", 1, Metadata::WITH_FLUXES, &shape);
-        // Fine x-flux on its low face (storage i = 2): value = fine global j.
-        {
-            let fx = fine.flux_mut(0).unwrap();
-            for j in 0..12usize {
-                // storage j -> fine global j: origin_y = 0 (child bit 0).
-                let fine_gj = j as i64 - 2;
-                fx.set(0, 0, j, 2, fine_gj as f64);
-            }
+        // Fine x-flux on its low face: value = fine global j (origin_y = 0,
+        // child bit 0).
+        for j in 0..8usize {
+            fine.planes_mut()[0].set(0, 0, j, 0, j as f64);
         }
         let mut buf = Vec::new();
         pack_flux(&spec, &fine, &mut buf);
@@ -353,10 +349,11 @@ mod tests {
 
         let mut coarse = CellVariable::new("u", 1, Metadata::WITH_FLUXES, &shape);
         apply_flux(&spec, &buf, &mut coarse);
-        let fx = coarse.flux(0).unwrap();
-        // Receiver face index: o=+1 => g+n = 10; tangential j = 2..5.
-        assert!((fx.get(0, 0, 2, 10) - 0.5).abs() < 1e-14);
-        assert!((fx.get(0, 0, 5, 10) - 6.5).abs() < 1e-14);
+        // Receiver face: o=+1 => its upper x plane; tangential j = 0..3.
+        let fx = &coarse.planes()[1];
+        assert!((fx.get(0, 0, 0, 0) - 0.5).abs() < 1e-14);
+        assert!((fx.get(0, 0, 3, 0) - 6.5).abs() < 1e-14);
+        assert!(coarse.planes()[0].as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -370,18 +367,14 @@ mod tests {
         let off = NeighborOffset::new(1, 0, 0);
         let spec = flux_correction_spec(&shape, &r, &s, &off);
         let mut fine = CellVariable::new("u", 1, Metadata::WITH_FLUXES, &shape);
-        {
-            let fx = fine.flux_mut(0).unwrap();
-            for j in 2..10usize {
-                fx.set(0, 0, j, 2, (j * j) as f64 * 0.125);
-            }
+        for j in 0..8usize {
+            fine.planes_mut()[0].set(0, 0, j, 0, (j * j) as f64 * 0.125);
         }
         let mut buf = Vec::new();
         pack_flux(&spec, &fine, &mut buf);
         // Sum over coarse faces * 2 fine-faces-per-coarse == sum over fine.
         let coarse_total: f64 = buf.iter().sum::<f64>() * 2.0;
-        let fx = fine.flux(0).unwrap();
-        let fine_total: f64 = (2..10).map(|j| fx.get(0, 0, j, 2)).sum();
+        let fine_total: f64 = fine.planes()[0].as_slice().iter().sum();
         assert!((coarse_total - fine_total).abs() < 1e-12);
     }
 
@@ -418,7 +411,7 @@ mod tests {
         let spec = flux_correction_spec(&shape, &r, &s, &off);
         assert_eq!(spec.faces_per_component(), 4 * 4);
         let mut fine = CellVariable::new("u", 1, Metadata::WITH_FLUXES, &shape);
-        fine.flux_mut(0).unwrap().fill(2.0);
+        fine.planes_mut()[0].fill(2.0);
         let mut buf = Vec::new();
         pack_flux(&spec, &fine, &mut buf);
         assert!(buf.iter().all(|&v| (v - 2.0).abs() < 1e-15));

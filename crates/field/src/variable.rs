@@ -32,8 +32,8 @@ impl Metadata {
     pub const DERIVED: Metadata = Metadata(1 << 1);
     /// Ghost zones must be exchanged every timestep.
     pub const FILL_GHOST: Metadata = Metadata(1 << 2);
-    /// Carries face flux arrays (participates in flux divergence and
-    /// fine-coarse flux correction).
+    /// Has face fluxes (participates in the flux sweep, flux divergence
+    /// and fine-coarse flux correction).
     pub const WITH_FLUXES: Metadata = Metadata(1 << 3);
     /// Requires a second copy for multi-stage time integration.
     pub const TWO_STAGE: Metadata = Metadata(1 << 4);
@@ -96,22 +96,33 @@ impl fmt::Display for Metadata {
     }
 }
 
-/// One named, multi-component, cell-centered variable on one block, with
-/// optional face flux arrays.
+/// One named, multi-component, cell-centered variable on one block. A
+/// [`Metadata::WITH_FLUXES`] variable also keeps what the flux sweep leaves
+/// behind for the stage update and for flux correction: the divergence of
+/// its face fluxes over the interior cells and the fluxes on the block's
+/// outer faces. The fluxes themselves live in the sweep's per-worker tile
+/// scratch only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellVariable {
     name: String,
     ncomp: usize,
     metadata: Metadata,
     data: Array4,
-    fluxes: Option<[Array4; 3]>,
+    /// Flux divergence `(comp, k, j, i)` over the interior cells (no ghost
+    /// shell); `None` without [`Metadata::WITH_FLUXES`].
+    div: Option<Array4>,
+    /// Fluxes on the block's outer faces, `planes[2 * d + side]` (side 1 =
+    /// upper) for every active dimension `d`: dense `(comp, k, j, i)` slabs
+    /// over the interior, one thick along `d`. Empty without
+    /// [`Metadata::WITH_FLUXES`].
+    planes: Vec<Array4>,
 }
 
 impl CellVariable {
     /// Creates a zero-initialized variable over `shape`'s ghost-inclusive
-    /// extent with `ncomp` components. Face flux arrays (one per active
-    /// dimension, extent +1 along the face normal) are allocated when
-    /// `metadata` contains [`Metadata::WITH_FLUXES`].
+    /// extent with `ncomp` components. The divergence array and the two
+    /// face planes per active dimension are allocated when `metadata`
+    /// contains [`Metadata::WITH_FLUXES`].
     ///
     /// # Panics
     ///
@@ -125,21 +136,28 @@ impl CellVariable {
         let name = name.into();
         assert!(!name.is_empty(), "variable name must be non-empty");
         assert!(ncomp > 0, "variable must have at least one component");
-        let e = [shape.entire_d(2), shape.entire_d(1), shape.entire_d(0)];
-        let data = Array4::zeros([ncomp, e[0], e[1], e[2]]);
-        let fluxes = metadata.contains(Metadata::WITH_FLUXES).then(|| {
-            [
-                Array4::zeros([ncomp, e[0], e[1], e[2] + 1]),
-                Array4::zeros([ncomp, e[0], e[1] + 1, e[2]]),
-                Array4::zeros([ncomp, e[0] + 1, e[1], e[2]]),
-            ]
-        });
+        let data = Array4::zeros([
+            ncomp,
+            shape.entire_d(2),
+            shape.entire_d(1),
+            shape.entire_d(0),
+        ]);
+        let [nx, ny, nz] = shape.ncells();
+        let with_fluxes = metadata.contains(Metadata::WITH_FLUXES);
+        let planes = (0..2 * shape.dim() * usize::from(with_fluxes))
+            .map(|face| match face / 2 {
+                0 => Array4::zeros([ncomp, nz, ny, 1]),
+                1 => Array4::zeros([ncomp, nz, 1, nx]),
+                _ => Array4::zeros([ncomp, 1, ny, nx]),
+            })
+            .collect();
         Self {
             name,
             ncomp,
             metadata,
             data,
-            fluxes,
+            div: with_fluxes.then(|| Array4::zeros([ncomp, nz, ny, nx])),
+            planes,
         }
     }
 
@@ -168,57 +186,60 @@ impl CellVariable {
         &mut self.data
     }
 
-    /// Face flux array along dimension `d` (0 = x), if allocated.
-    pub fn flux(&self, d: usize) -> Option<&Array4> {
-        self.fluxes.as_ref().map(|f| &f[d])
+    /// Flux divergence over the interior cells, if the variable has fluxes.
+    pub fn div(&self) -> Option<&Array4> {
+        self.div.as_ref()
     }
 
-    /// Mutable face flux array along dimension `d`.
-    pub fn flux_mut(&mut self, d: usize) -> Option<&mut Array4> {
-        self.fluxes.as_mut().map(|f| &mut f[d])
+    /// Fluxes on the block's outer faces, `[2 * d + side]`; empty if the
+    /// variable has no fluxes.
+    pub fn planes(&self) -> &[Array4] {
+        &self.planes
     }
 
-    /// All three face flux arrays, if allocated.
-    pub fn fluxes(&self) -> Option<&[Array4; 3]> {
-        self.fluxes.as_ref()
+    /// The outer face planes, mutably.
+    pub fn planes_mut(&mut self) -> &mut [Array4] {
+        &mut self.planes
     }
 
-    /// All three face flux arrays, mutably (disjoint borrows of several at
-    /// once), if allocated.
-    pub fn fluxes_mut(&mut self) -> Option<&mut [Array4; 3]> {
-        self.fluxes.as_mut()
-    }
-
-    /// Simultaneous immutable cell data and mutable flux array along `d` —
-    /// the borrow split flux kernels need (read the state, write the flux).
+    /// The divergence array and the outer face planes, both mutably — what
+    /// the flux sweep writes.
     ///
     /// # Panics
     ///
-    /// Panics if the variable has no flux arrays.
-    pub fn data_and_flux_mut(&mut self, d: usize) -> (&Array4, &mut Array4) {
-        let flux = self.fluxes.as_mut().expect("variable carries flux arrays");
-        (&self.data, &mut flux[d])
+    /// Panics if the variable has no fluxes.
+    pub fn div_and_planes_mut(&mut self) -> (&mut Array4, &mut [Array4]) {
+        let div = self.div.as_mut().expect("variable carries fluxes");
+        (div, &mut self.planes)
     }
 
-    /// Simultaneous mutable cell data and immutable views of all allocated
-    /// flux arrays — the borrow split the flux-divergence update needs
-    /// (read all face fluxes, write the state).
-    pub fn data_mut_and_fluxes(&mut self) -> (&mut Array4, [Option<&Array4>; 3]) {
-        let fluxes = match self.fluxes.as_ref() {
-            Some(f) => [Some(&f[0]), Some(&f[1]), Some(&f[2])],
-            None => [None, None, None],
-        };
-        (&mut self.data, fluxes)
+    /// Mutable cell data beside the flux divergence — the borrow split the
+    /// stage update needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the variable has no fluxes.
+    pub fn data_mut_and_div(&mut self) -> (&mut Array4, &Array4) {
+        let div = self.div.as_ref().expect("variable carries fluxes");
+        (&mut self.data, div)
     }
 
-    /// Total allocated bytes for data plus fluxes — the quantity the
-    /// memory-footprint model attributes to Kokkos allocations.
+    /// Bytes of data plus flux storage in Parthenon's layout — three
+    /// ghost-inclusive face arrays per flux-bearing variable, one longer
+    /// along the face normal. This is the quantity the memory-footprint
+    /// model attributes to Kokkos allocations, a model input; what this
+    /// process holds is [`CellVariable::resident_bytes`].
     pub fn nbytes(&self) -> usize {
+        let [ncomp, ez, ey, ex] = self.data.shape();
+        let faces = (ez * ey * (ex + 1)) + (ez * (ey + 1) * ex) + ((ez + 1) * ey * ex);
+        self.data.nbytes() + usize::from(self.div.is_some()) * ncomp * faces * 8
+    }
+
+    /// Bytes actually allocated: data, divergence and face planes.
+    pub fn resident_bytes(&self) -> usize {
         self.data.nbytes()
-            + self
-                .fluxes
-                .as_ref()
-                .map_or(0, |f| f.iter().map(Array4::nbytes).sum())
+            + self.div.as_ref().map_or(0, Array4::nbytes)
+            + self.planes.iter().map(Array4::nbytes).sum::<usize>()
     }
 }
 
@@ -250,36 +271,45 @@ mod tests {
     fn variable_allocates_ghost_inclusive() {
         let v = CellVariable::new("u", 3, Metadata::INDEPENDENT, &shape());
         assert_eq!(v.data().shape(), [3, 16, 16, 16]);
-        assert!(v.flux(0).is_none());
+        assert!(v.div().is_none() && v.planes().is_empty());
     }
 
     #[test]
-    fn with_fluxes_allocates_face_arrays() {
+    fn with_fluxes_allocates_div_and_face_planes() {
         let v = CellVariable::new(
             "u",
             2,
             Metadata::INDEPENDENT | Metadata::WITH_FLUXES,
             &shape(),
         );
-        assert_eq!(v.flux(0).unwrap().shape(), [2, 16, 16, 17]);
-        assert_eq!(v.flux(1).unwrap().shape(), [2, 16, 17, 16]);
-        assert_eq!(v.flux(2).unwrap().shape(), [2, 17, 16, 16]);
+        assert_eq!(v.div().unwrap().shape(), [2, 8, 8, 8]);
+        let planes: Vec<_> = v.planes().iter().map(Array4::shape).collect();
+        let (x, y, z) = ([2, 8, 8, 1], [2, 8, 1, 8], [2, 1, 8, 8]);
+        assert_eq!(planes, [x, x, y, y, z, z]);
     }
 
     #[test]
-    fn nbytes_includes_fluxes() {
+    fn nbytes_models_three_face_arrays() {
         let plain = CellVariable::new("a", 1, Metadata::NONE, &shape());
         let fluxed = CellVariable::new("b", 1, Metadata::WITH_FLUXES, &shape());
-        assert!(fluxed.nbytes() > plain.nbytes());
         assert_eq!(plain.nbytes(), 16 * 16 * 16 * 8);
+        assert_eq!(plain.resident_bytes(), plain.nbytes());
+        assert_eq!(fluxed.nbytes(), plain.nbytes() + 3 * 16 * 16 * 17 * 8);
+        assert_eq!(
+            fluxed.resident_bytes(),
+            plain.nbytes() + (8 * 8 * 8 + 6 * 8 * 8) * 8
+        );
     }
 
     #[test]
-    fn two_d_shape_flux_extents() {
+    fn two_d_shape_has_four_planes() {
         let s = IndexShape::new([8, 8, 1], 2, 2);
         let v = CellVariable::new("q", 1, Metadata::WITH_FLUXES, &s);
         assert_eq!(v.data().shape(), [1, 1, 12, 12]);
-        assert_eq!(v.flux(2).unwrap().shape(), [1, 2, 12, 12]);
+        assert_eq!(v.planes().len(), 4);
+        assert_eq!(v.planes()[3].shape(), [1, 1, 1, 8]);
+        // The modeled layout still counts a z-face array, as Parthenon's.
+        assert_eq!(v.nbytes(), (144 + 13 * 12 + 12 * 13 + 2 * 144) * 8);
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub mod specs;
 
 pub use comm_cost::CommCosts;
 pub use gpu::{grid_fill, kernel_duration, kernel_metrics, launch_exec_seconds, KernelMetrics};
-pub use memory::{aux_buffer_bytes, AuxBufferLayout, MemoryModel, MemoryReport};
+pub use memory::{
+    aux_buffer_bytes, flux_storage_bytes, AuxBufferLayout, FluxStorage, MemoryModel, MemoryReport,
+};
 pub use occupancy::{occupancy, Occupancy};
 pub use opcode::{opcode_mix, opcode_mix_with_efficiency, vector_efficiency, OpcodeMix};
 pub use platform::{Backend, FunctionTime, PlatformConfig, PlatformReport};

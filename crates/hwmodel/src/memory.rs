@@ -1,5 +1,6 @@
-//! GPU device memory footprint model (Fig. 10) and the §VIII-B
-//! auxiliary-buffer restructuring formula.
+//! GPU device memory footprint model (Fig. 10), the §VIII-B
+//! auxiliary-buffer restructuring formula, and the same formula for this
+//! repository's own host flux storage.
 
 use crate::specs::GpuSpec;
 
@@ -46,6 +47,53 @@ pub fn aux_buffer_bytes(
             thread_blocks * b * 6 * width.pow(d) * comps
         }
     }
+}
+
+/// How the host path stores the face fluxes of the evolved variables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FluxStorage {
+    /// Three ghost-inclusive face arrays per variable per block, one longer
+    /// along the face normal (Parthenon's layout, and what
+    /// `CellVariable::nbytes` still models).
+    PerBlockArrays,
+    /// §VIII-B applied to the host: the fluxes live in per-worker tile
+    /// scratch; a block keeps their divergence over its interior and the
+    /// planes on its outer faces.
+    TileScratch {
+        /// Worker threads sweeping.
+        workers: u64,
+        /// Scratch bytes per worker (`vibe_core::sweep::TILE_BUDGET_BYTES`).
+        tile_budget_bytes: u64,
+    },
+}
+
+/// Bytes of flux storage for `mesh_blocks` blocks of `nx1` cells per active
+/// dimension with `nghost` ghosts and `ncomp` flux components:
+///
+/// ```text
+/// per-block arrays: #MeshBlocks × B × ncomp × dim·(nx1 + 2·ng)^(dim−1)·(nx1 + 2·ng + 1)
+/// tile scratch:     #Workers × budget + #MeshBlocks × B × ncomp × (nx1^dim + 2·dim·nx1^(dim−1))
+/// ```
+pub fn flux_storage_bytes(
+    mesh_blocks: u64,
+    nx1: usize,
+    nghost: usize,
+    ncomp: usize,
+    dim: u32,
+    layout: FluxStorage,
+) -> u64 {
+    let (n, e, d) = (nx1 as u64, (nx1 + 2 * nghost) as u64, dim as u64);
+    let (scratch, per_component) = match layout {
+        FluxStorage::PerBlockArrays => (0, d * e.pow(dim - 1) * (e + 1)),
+        FluxStorage::TileScratch {
+            workers,
+            tile_budget_bytes,
+        } => (
+            workers * tile_budget_bytes,
+            n.pow(dim) + 2 * d * n.pow(dim - 1),
+        ),
+    };
+    scratch + mesh_blocks * 8 * ncomp as u64 * per_component
 }
 
 /// Parameters of the device memory model.
@@ -215,6 +263,24 @@ mod tests {
             (factor - 64.0).abs() < 1.0,
             "8.858/0.138 ≈ 64: got {factor}"
         );
+    }
+
+    #[test]
+    fn host_flux_storage_matches_the_field_containers() {
+        // A B16 Burgers block (7 flux components, 4 ghosts): three
+        // 24·24·25 arrays before; 16³ of divergence and six 16² planes
+        // after — what `CellVariable::{nbytes, resident_bytes}` count.
+        let pre = flux_storage_bytes(1, 16, 4, 7, 3, FluxStorage::PerBlockArrays);
+        assert_eq!(pre, 7 * 3 * 24 * 24 * 25 * 8);
+        let tiles = FluxStorage::TileScratch {
+            workers: 2,
+            tile_budget_bytes: 1 << 18,
+        };
+        let post = flux_storage_bytes(1, 16, 4, 7, 3, tiles);
+        assert_eq!(post, 2 * (1 << 18) + 7 * (4096 + 6 * 256) * 8);
+        // The scratch does not grow with the mesh.
+        let many = flux_storage_bytes(1000, 16, 4, 7, 3, tiles);
+        assert_eq!(many - post, 999 * 7 * (4096 + 6 * 256) * 8);
     }
 
     #[test]

@@ -11,16 +11,14 @@
 //! same as any stencil code's — the comm-bound probe of the scenario
 //! matrix.
 
-use vibe_core::{BlockInfo, BlockSlot, FluxPhase, Package, RefinementPolicy};
-use vibe_exec::{catalog, ghost_byte_multiplier, ExecCtx, Launcher};
+use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
+use vibe_exec::{catalog, ExecCtx, Launcher};
 use vibe_field::{BlockData, Metadata, VarId};
 use vibe_mesh::index::IndexDomain;
 use vibe_mesh::AmrFlag;
 use vibe_prof::Recorder;
 
 use vibe_burgers::reconstruct_weno5;
-
-use crate::face_bands;
 
 /// Reconstruction scheme for the upwind states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,16 +27,6 @@ pub enum AdvectRecon {
     Upwind1,
     /// Fifth-order WENO, as in the Burgers package.
     Weno5,
-}
-
-impl AdvectRecon {
-    /// Cells the stencil reaches to either side of a face.
-    fn radius(self) -> usize {
-        match self {
-            Self::Upwind1 => 1,
-            Self::Weno5 => 3,
-        }
-    }
 }
 
 /// Constant-velocity linear advection of a scalar bundle `q`.
@@ -75,73 +63,6 @@ impl Default for Advect {
 impl Advect {
     pub fn qid(data: &mut BlockData) -> VarId {
         data.id_of("q").expect("q registered")
-    }
-
-    /// Computes the face fluxes of one block, restricted to one
-    /// [`FluxPhase`] band (`None` sweeps every face). Upwind in each
-    /// direction: `F_d = v_d · q_upwind`, with the upwind state picked
-    /// from the reconstructed left/right pair by the sign of `v_d`.
-    fn block_fluxes(&self, slot: &mut BlockSlot, phase: Option<FluxPhase>) {
-        let shape = *slot.data.shape();
-        let dim = shape.dim();
-        let m = self.recon.radius();
-        let ranges = [
-            shape.range(0, IndexDomain::Interior),
-            shape.range(1, IndexDomain::Interior),
-            shape.range(2, IndexDomain::Interior),
-        ];
-        let qid = Advect::qid(&mut slot.data);
-        for d in 0..dim {
-            let v = self.velocity[d];
-            let (qdata, qflux) = slot.data.var_mut(qid).data_and_flux_mut(d);
-            let ncomp = qdata.ncomp();
-            let faces = ranges[d].len() + 1;
-            let (lo_end, hi_start) = face_bands(m, ranges[d].len());
-            let (band_a, band_b) = match phase {
-                None => (0..faces, faces..faces),
-                Some(FluxPhase::Interior) => (lo_end..hi_start, hi_start..hi_start),
-                Some(FluxPhase::Exterior) => (0..lo_end, hi_start..faces),
-            };
-            let (oa, ob) = match d {
-                0 => (1usize, 2usize),
-                1 => (0, 2),
-                _ => (0, 1),
-            };
-            let f0 = ranges[d].s;
-            for c in 0..ncomp {
-                for o2 in ranges[ob].iter() {
-                    for o1 in ranges[oa].iter() {
-                        for f in band_a.clone().chain(band_b.clone()) {
-                            // Cell/face coordinates of face `f` on this line.
-                            let mut pos = [0i64; 3];
-                            pos[d] = f0 + f as i64;
-                            pos[oa] = o1;
-                            pos[ob] = o2;
-                            let at = |off: i64| -> f64 {
-                                let mut p = pos;
-                                p[d] += off;
-                                qdata.get(c, p[2] as usize, p[1] as usize, p[0] as usize)
-                            };
-                            let (l, r) = match self.recon {
-                                AdvectRecon::Upwind1 => (at(-1), at(0)),
-                                AdvectRecon::Weno5 => {
-                                    let stencil = [at(-3), at(-2), at(-1), at(0), at(1), at(2)];
-                                    reconstruct_weno5(&stencil)
-                                }
-                            };
-                            let upwind = if v >= 0.0 { l } else { r };
-                            qflux.set(
-                                c,
-                                pos[2] as usize,
-                                pos[1] as usize,
-                                pos[0] as usize,
-                                v * upwind,
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -219,48 +140,39 @@ impl Package for Advect {
         }
     }
 
-    fn calculate_fluxes(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
-        let Some(first) = pack.first() else { return };
-        let shape = *first.data.shape();
-        let cells: u64 = pack.len() as u64 * shape.interior_count() as u64;
-        let mult = ghost_byte_multiplier(shape.ncells()[0], shape.nghost(), shape.dim());
-        Launcher::new(rec).record_only(&catalog::CALCULATE_FLUXES, cells, mult);
-        exec.for_each_block(pack, |_, slot| {
-            self.block_fluxes(slot, None);
-        });
+    fn stencil_radius(&self) -> usize {
+        match self.recon {
+            AdvectRecon::Upwind1 => 1,
+            AdvectRecon::Weno5 => 3,
+        }
     }
 
-    fn calculate_fluxes_phase(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        phase: FluxPhase,
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) {
-        let Some(first) = pack.first() else { return };
-        let shape = *first.data.shape();
-        let cells: u64 = pack.len() as u64 * shape.interior_count() as u64;
-        let mult = ghost_byte_multiplier(shape.ncells()[0], shape.nghost(), shape.dim());
-        let frac = match phase {
-            FluxPhase::Interior => {
-                let n = shape.ncells()[0];
-                let (lo, hi) = face_bands(self.recon.radius(), n);
-                hi.saturating_sub(lo) as f64 / (n + 1) as f64
+    /// Upwind in each direction: `F_d = v_d · q_upwind`, with the upwind
+    /// state picked from the reconstructed left/right pair by the sign of
+    /// `v_d`.
+    fn fill_fluxes(&self, _info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        let g: [usize; 3] = std::array::from_fn(|d| data.shape().nghost_d(d));
+        // `q` is the only registered variable.
+        let q = data.vars()[0].data();
+        for d in 0..tile.dim() {
+            let v = self.velocity[d];
+            for (face, cell) in tile.faces_to_fill(d) {
+                for c in 0..tile.ncomp() {
+                    let at = |off: i64| -> f64 {
+                        let mut p: [usize; 3] = std::array::from_fn(|a| cell[a] + g[a]);
+                        p[d] = (p[d] as i64 + off) as usize;
+                        q.get(c, p[2], p[1], p[0])
+                    };
+                    let (l, r) = match self.recon {
+                        AdvectRecon::Upwind1 => (at(-1), at(0)),
+                        AdvectRecon::Weno5 => {
+                            reconstruct_weno5(&[at(-3), at(-2), at(-1), at(0), at(1), at(2)])
+                        }
+                    };
+                    tile.set(d, c, face, v * if v >= 0.0 { l } else { r });
+                }
             }
-            FluxPhase::Exterior => {
-                let n = shape.ncells()[0];
-                let (lo, hi) = face_bands(self.recon.radius(), n);
-                1.0 - hi.saturating_sub(lo) as f64 / (n + 1) as f64
-            }
-        };
-        Launcher::new(rec).record_only(
-            &catalog::CALCULATE_FLUXES,
-            (cells as f64 * frac) as u64,
-            mult,
-        );
-        exec.for_each_block(pack, |_, slot| {
-            self.block_fluxes(slot, Some(phase));
-        });
+        }
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], _exec: ExecCtx, rec: &mut Recorder) {

@@ -9,8 +9,8 @@
 //! diffusion *smooths*, so the tagger mostly derefines as the initial
 //! features spread out.
 
-use vibe_core::{BlockInfo, BlockSlot, Package, RefinementPolicy};
-use vibe_exec::{catalog, ghost_byte_multiplier, ExecCtx, Launcher};
+use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
+use vibe_exec::{catalog, ExecCtx, Launcher};
 use vibe_field::{BlockData, Metadata, VarId};
 use vibe_mesh::index::IndexDomain;
 use vibe_mesh::AmrFlag;
@@ -134,62 +134,28 @@ impl Package for DiffusionPackage {
         }
     }
 
-    fn calculate_fluxes(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
-        let Some(first) = pack.first() else { return };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        let mult = ghost_byte_multiplier(shape.ncells()[0], shape.nghost(), shape.dim());
-        Launcher::new(rec).record_only(&catalog::CALCULATE_FLUXES, cells, mult);
-        let dim = shape.dim();
-        let ranges = [
-            shape.range(0, IndexDomain::Interior),
-            shape.range(1, IndexDomain::Interior),
-            shape.range(2, IndexDomain::Interior),
-        ];
-        exec.for_each_block(pack, |_, slot| {
-            let inv_dx = {
-                let dx = slot.info.geom.dx();
-                [1.0 / dx[0], 1.0 / dx[1], 1.0 / dx[2]]
-            };
-            let qid = Self::qid(&mut slot.data);
-            for d in 0..dim {
-                let (qdata, qflux) = slot.data.var_mut(qid).data_and_flux_mut(d);
-                let ncomp = qdata.ncomp();
-                let faces = ranges[d].len() + 1;
-                let (oa, ob) = match d {
-                    0 => (1usize, 2usize),
-                    1 => (0, 2),
-                    _ => (0, 1),
-                };
-                let f0 = ranges[d].s;
-                for c in 0..ncomp {
-                    for o2 in ranges[ob].iter() {
-                        for o1 in ranges[oa].iter() {
-                            for f in 0..faces {
-                                let mut pos = [0i64; 3];
-                                pos[d] = f0 + f as i64;
-                                pos[oa] = o1;
-                                pos[ob] = o2;
-                                let mut prev = pos;
-                                prev[d] -= 1;
-                                let hi =
-                                    qdata.get(c, pos[2] as usize, pos[1] as usize, pos[0] as usize);
-                                let lo = qdata.get(
-                                    c,
-                                    prev[2] as usize,
-                                    prev[1] as usize,
-                                    prev[0] as usize,
-                                );
-                                // F = −D ∂q/∂x: flux divergence then yields
-                                // +D ∇²q.
-                                let fv = -self.diffusivity * (hi - lo) * inv_dx[d];
-                                qflux.set(c, pos[2] as usize, pos[1] as usize, pos[0] as usize, fv);
-                            }
-                        }
-                    }
+    fn stencil_radius(&self) -> usize {
+        1
+    }
+
+    /// `F = −D ∂q/∂x` across each face: flux divergence then yields
+    /// `+D ∇²q`.
+    fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        let g: [usize; 3] = std::array::from_fn(|d| data.shape().nghost_d(d));
+        let inv_dx = info.geom.dx().map(|dx| 1.0 / dx);
+        // `q` is the only registered variable.
+        let q = data.vars()[0].data();
+        for d in 0..tile.dim() {
+            for (face, cell) in tile.faces_to_fill(d) {
+                let hi: [usize; 3] = std::array::from_fn(|a| cell[a] + g[a]);
+                let mut lo = hi;
+                lo[d] -= 1;
+                for c in 0..tile.ncomp() {
+                    let jump = q.get(c, hi[2], hi[1], hi[0]) - q.get(c, lo[2], lo[1], lo[0]);
+                    tile.set(d, c, face, -self.diffusivity * jump * inv_dx[d]);
                 }
             }
-        });
+        }
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], _exec: ExecCtx, rec: &mut Recorder) {

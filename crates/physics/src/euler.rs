@@ -8,8 +8,8 @@
 //! fronts across the domain and triggers markedly more AMR churn — the
 //! regrid-heavy corner of the scenario matrix.
 
-use vibe_core::{BlockInfo, BlockSlot, Package, RefinementPolicy};
-use vibe_exec::{catalog, ghost_byte_multiplier, ExecCtx, Launcher};
+use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
+use vibe_exec::{catalog, ExecCtx, Launcher};
 use vibe_field::{BlockData, Metadata, VarId};
 use vibe_mesh::index::IndexDomain;
 use vibe_mesh::AmrFlag;
@@ -91,56 +91,6 @@ impl EulerPackage {
                 f[c] = (sr * fl[c] - sl * fr[c] + sl * sr * (ur[c] - ul[c])) * inv;
             }
             f
-        }
-    }
-
-    /// Computes all face fluxes of one block: per-component minmod-limited
-    /// linear reconstruction, then HLL.
-    fn block_fluxes(&self, slot: &mut BlockSlot) {
-        let shape = *slot.data.shape();
-        let dim = shape.dim();
-        let ranges = [
-            shape.range(0, IndexDomain::Interior),
-            shape.range(1, IndexDomain::Interior),
-            shape.range(2, IndexDomain::Interior),
-        ];
-        let (cid, _) = Self::ids(&mut slot.data);
-        for d in 0..dim {
-            let (cons, flux) = slot.data.var_mut(cid).data_and_flux_mut(d);
-            let faces = ranges[d].len() + 1;
-            let (oa, ob) = match d {
-                0 => (1usize, 2usize),
-                1 => (0, 2),
-                _ => (0, 1),
-            };
-            let f0 = ranges[d].s;
-            for o2 in ranges[ob].iter() {
-                for o1 in ranges[oa].iter() {
-                    for f in 0..faces {
-                        let mut pos = [0i64; 3];
-                        pos[d] = f0 + f as i64;
-                        pos[oa] = o1;
-                        pos[ob] = o2;
-                        let at = |c: usize, off: i64| -> f64 {
-                            let mut p = pos;
-                            p[d] += off;
-                            cons.get(c, p[2] as usize, p[1] as usize, p[0] as usize)
-                        };
-                        let mut ul = [0.0; NCONS];
-                        let mut ur = [0.0; NCONS];
-                        for c in 0..NCONS {
-                            let stencil = [at(c, -2), at(c, -1), at(c, 0), at(c, 1)];
-                            let (l, r) = reconstruct_linear(&stencil);
-                            ul[c] = l;
-                            ur[c] = r;
-                        }
-                        let f_hll = self.hll(&ul, &ur, d);
-                        for (c, &fc) in f_hll.iter().enumerate() {
-                            flux.set(c, pos[2] as usize, pos[1] as usize, pos[0] as usize, fc);
-                        }
-                    }
-                }
-            }
         }
     }
 }
@@ -233,15 +183,33 @@ impl Package for EulerPackage {
         }
     }
 
-    fn calculate_fluxes(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
-        let Some(first) = pack.first() else { return };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        let mult = ghost_byte_multiplier(shape.ncells()[0], shape.nghost(), shape.dim());
-        Launcher::new(rec).record_only(&catalog::CALCULATE_FLUXES, cells, mult);
-        exec.for_each_block(pack, |_, slot| {
-            self.block_fluxes(slot);
-        });
+    fn stencil_radius(&self) -> usize {
+        2
+    }
+
+    /// Per-component minmod-limited linear reconstruction, then HLL.
+    fn fill_fluxes(&self, _info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        let g: [usize; 3] = std::array::from_fn(|d| data.shape().nghost_d(d));
+        // `cons` is registered first.
+        let cons = data.vars()[0].data();
+        for d in 0..tile.dim() {
+            for (face, cell) in tile.faces_to_fill(d) {
+                let at = |c: usize, off: i64| -> f64 {
+                    let mut p: [usize; 3] = std::array::from_fn(|a| cell[a] + g[a]);
+                    p[d] = (p[d] as i64 + off) as usize;
+                    cons.get(c, p[2], p[1], p[0])
+                };
+                let mut ul = [0.0; NCONS];
+                let mut ur = [0.0; NCONS];
+                for c in 0..NCONS {
+                    let stencil = [at(c, -2), at(c, -1), at(c, 0), at(c, 1)];
+                    (ul[c], ur[c]) = reconstruct_linear(&stencil);
+                }
+                for (c, &fc) in self.hll(&ul, &ur, d).iter().enumerate() {
+                    tile.set(d, c, face, fc);
+                }
+            }
+        }
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {

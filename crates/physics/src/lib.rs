@@ -28,17 +28,6 @@ pub use advect::{Advect, AdvectRecon};
 pub use diffusion::DiffusionPackage;
 pub use euler::EulerPackage;
 
-/// Splits the `n + 1` faces along one dimension into the ghost-independent
-/// interior band `lo_end..hi_start` and its exterior complement, for a
-/// reconstruction stencil reaching `m` cells to either side of a face
-/// (mirrors the Burgers package's banding).
-pub(crate) fn face_bands(m: usize, n: usize) -> (usize, usize) {
-    let faces = n + 1;
-    let lo_end = m.min(faces);
-    let hi_start = faces.saturating_sub(m).max(lo_end);
-    (lo_end, hi_start)
-}
-
 /// The registry of every package this crate ships, keyed by name. Built
 /// once; factories honor the [`PackageSpec`] fields each package uses
 /// (scalar counts, refinement thresholds) and default the rest.
@@ -137,6 +126,36 @@ mod tests {
                 .unwrap_or_else(|e| panic!("package {name} failed conformance: {e}"));
             assert_eq!(report.package, name);
             assert!(report.flux_vars >= 1);
+        }
+    }
+
+    /// Every shipped flux primitive — both Burgers reconstructions and
+    /// both advection ones included — may be tiled at will.
+    #[test]
+    fn every_flux_primitive_is_partition_invariant() {
+        let mut packages: Vec<DynPackage> = standard_registry()
+            .names()
+            .iter()
+            .map(|name| resolve_name(name).unwrap())
+            .collect();
+        packages.push(Box::new(BurgersPackage::new(BurgersParams {
+            recon: vibe_burgers::Reconstruction::Linear,
+            num_scalars: 2,
+            ..BurgersParams::default()
+        })));
+        packages.push(Box::new(Advect {
+            recon: AdvectRecon::Upwind1,
+            num_scalars: 3,
+            ..Advect::default()
+        }));
+        for pkg in &packages {
+            for dim in 1..=3 {
+                for n in [4, 5, 8, 16] {
+                    let slot = vibe_core::synthetic_block(pkg, dim, n, 11);
+                    vibe_core::check_partition_invariance(pkg, &slot, (dim * n) as u64)
+                        .unwrap_or_else(|e| panic!("{} dim {dim}, {n} cells: {e}", pkg.name()));
+                }
+            }
         }
     }
 

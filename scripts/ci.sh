@@ -116,6 +116,26 @@ if grep -rnE 'bench_fom|BENCH_fom|update_bench_json|env_or|std::env::var|VIBE_' 
     exit 1
 fi
 
+echo "==> one flux storage, one sweep"
+# Fluxes live in the sweep's per-worker tile scratch (crates/core/src/sweep.rs)
+# and nowhere else: no per-block 3-D flux arrays or accessors to them, no
+# face-band phase split, and one per-block sweep entry point that the stage
+# sweep, the correction re-sweep and the conformance harness all go through.
+gone='calculate_fluxes_phase|data_and_flux_mut|data_mut_and_fluxes|fluxes_mut|flux_mut|face_bands'
+if grep -rnE "$gone" crates tests examples --include='*.rs'; then
+    echo "a per-block flux array accessor or the face-band split is back (see above)" >&2
+    exit 1
+fi
+if grep -rnF 'Option<[Array4; 3]>' crates/field; then
+    echo "crates/field holds per-block 3-D flux arrays again (see above)" >&2
+    exit 1
+fi
+count=$(grep -rhE 'fn sweep_block[<(]' crates/core/src | wc -l)
+if [ "$count" -ne 1 ]; then
+    echo "fn sweep_block is defined $count times under crates/core/src" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
