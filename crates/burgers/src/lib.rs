@@ -49,5 +49,5 @@ pub use recon::{
     weno5_left, weno5_left_lanes,
 };
 pub use riemann::{hll_flux, hll_flux_lanes};
-pub use simd::{face_counts, take_face_counts};
+pub use simd::{face_counts, take_face_counts, LinearKernel, Weno5Kernel};
 pub use verify::{advection_l1_error, convergence_order};

@@ -1,17 +1,14 @@
 //! The VIBE physics package: variables, fluxes, tagging, timestep, history.
 
+use vibe_core::sweep::{self, LANES};
 use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
 use vibe_exec::{catalog, ghost_byte_multiplier, ExecCtx, Launcher};
-use vibe_field::{BlockData, Metadata, VarId};
+use vibe_field::{BlockData, F64Lanes, Metadata, VarId};
 use vibe_mesh::index::IndexDomain;
 use vibe_mesh::{AmrFlag, IndexShape};
 use vibe_prof::Recorder;
 
-use vibe_field::F64Lanes;
-
-use crate::recon::{reconstruct_linear, reconstruct_weno5};
-use crate::riemann::{hll_flux, MAX_COMPONENTS};
-use crate::simd;
+use crate::simd::{self, LinearKernel, Weno5Kernel};
 
 /// Interface reconstruction scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -22,23 +19,6 @@ pub enum Reconstruction {
     /// Slope-limited linear (needs ≥2 ghosts).
     Linear,
 }
-
-/// Lane width of the flux sweep and the wavespeed reduction: one 256-bit
-/// register per bundle (WENO5 holds ~15 values live, which fits the
-/// 16-register ymm file without spills; W=8 spills and measured slower).
-const LANES: usize = 4;
-
-/// Whether a block whose unit-stride interior is `n_i` cells runs its
-/// wavespeed reduction through lane bundles; degenerate blocks narrower
-/// than one bundle take the scalar path, with the same bits.
-fn lane_batched(n_i: usize) -> bool {
-    n_i >= LANES
-}
-
-/// Registration order of the swept variables ([`Package::register`]): the
-/// flux primitive reads the state by id alone.
-pub(crate) const U: VarId = VarId(0);
-pub(crate) const Q: VarId = VarId(1);
 
 /// Burgers benchmark parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,44 +44,14 @@ impl Default for BurgersParams {
     }
 }
 
-/// Minimum CFL candidate `inv / |u_d|` over one block's interior, scalar
-/// sweep — the oracle for [`block_dt_min_lanes`].
-#[allow(clippy::too_many_arguments)]
-fn block_dt_min_scalar(
-    us: &[f64],
-    comp: usize,
-    ey: usize,
-    ex: usize,
-    iy: vibe_mesh::index::IndexRange,
-    iz: vibe_mesh::index::IndexRange,
-    i0: usize,
-    n: usize,
-    dx: &[f64],
-    dim: usize,
-) -> f64 {
-    let mut block_min = f64::INFINITY;
-    for (d, &inv) in dx.iter().enumerate().take(dim) {
-        for k in iz.iter() {
-            for j in iy.iter() {
-                let row = d * comp + ((k as usize * ey) + j as usize) * ex + i0;
-                for &v in &us[row..row + n] {
-                    let speed = v.abs();
-                    if speed > 1e-12 {
-                        block_min = block_min.min(inv / speed);
-                    }
-                }
-            }
-        }
-    }
-    block_min
-}
-
-/// Lane-batched [`block_dt_min_scalar`]: `W` wavespeed candidates per
-/// iteration, accumulated into a lane-wise running minimum and tree-reduced
-/// at the end. The quotient is evaluated unconditionally and sub-threshold
-/// lanes are masked to `+inf`, so the surviving candidate set is exactly
-/// the scalar path's; `min` over a non-NaN set is order-independent, which
-/// makes the result bitwise identical to the sequential fold.
+/// Minimum CFL candidate `inv / |u_d|` over one block's interior: `W`
+/// wavespeed candidates per iteration, accumulated into a lane-wise running
+/// minimum and tree-reduced at the end, row remainders (whole rows, where a
+/// block is narrower than a bundle) one cell at a time. The quotient is
+/// evaluated unconditionally and sub-threshold lanes are masked to `+inf`,
+/// so the surviving candidate set is exactly the cell-at-a-time one; `min`
+/// over a non-NaN set is order-independent, which makes the result bitwise
+/// identical to the sequential fold.
 #[allow(clippy::too_many_arguments)]
 fn block_dt_min_lanes<const W: usize>(
     us: &[f64],
@@ -167,50 +117,6 @@ impl BurgersPackage {
             data.id_of("d").expect("d registered"),
         )
     }
-
-    /// Scalar reference of the flux primitive — the oracle the lane sweep
-    /// is tested against (`tests/lane_kernels.rs`): the same faces of the
-    /// same tile, one face at a time through the scalar kernels.
-    #[doc(hidden)]
-    pub fn block_fluxes_oracle(&self, data: &BlockData, tile: &mut FluxTile<'_>) {
-        let shape = *data.shape();
-        let g: [usize; 3] = std::array::from_fn(|d| shape.nghost_d(d));
-        let ns = self.params.num_scalars;
-        let (u, q) = (data.var(U).data(), data.var(Q).data());
-        for d in 0..tile.dim() {
-            for (face, cell) in tile.faces_to_fill(d) {
-                let mut state_l = [0.0f64; MAX_COMPONENTS];
-                let mut state_r = [0.0f64; MAX_COMPONENTS];
-                for comp in 0..3 + ns {
-                    let at = |off: i64| -> f64 {
-                        let mut p: [usize; 3] = std::array::from_fn(|a| cell[a] + g[a]);
-                        p[d] = (p[d] as i64 + off) as usize;
-                        match comp < 3 {
-                            true => u.get(comp, p[2], p[1], p[0]),
-                            false => q.get(comp - 3, p[2], p[1], p[0]),
-                        }
-                    };
-                    (state_l[comp], state_r[comp]) = match self.params.recon {
-                        Reconstruction::Weno5 => {
-                            reconstruct_weno5(&[at(-3), at(-2), at(-1), at(0), at(1), at(2)])
-                        }
-                        Reconstruction::Linear => {
-                            reconstruct_linear(&[at(-2), at(-1), at(0), at(1)])
-                        }
-                    };
-                }
-                let u_l = [state_l[0], state_l[1], state_l[2]];
-                let u_r = [state_r[0], state_r[1], state_r[2]];
-                let (q_l, q_r) = (&state_l[3..3 + ns], &state_r[3..3 + ns]);
-                // A scalar-free problem still registers one (inert) scalar.
-                let mut flux = [0.0f64; MAX_COMPONENTS];
-                hll_flux(&u_l, q_l, &u_r, q_r, d, &mut flux);
-                for (comp, &value) in flux.iter().enumerate().take(tile.ncomp()) {
-                    tile.set(d, comp, face, value);
-                }
-            }
-        }
-    }
 }
 
 impl Package for BurgersPackage {
@@ -273,16 +179,13 @@ impl Package for BurgersPackage {
         (ghost_byte_multiplier(b, g, d) / ghost_byte_multiplier(32, g, d)).sqrt()
     }
 
-    /// Reconstruction + HLL through bundles of [`LANES`] faces; rows
-    /// narrower than a bundle fall back to the scalar kernels. Either way
-    /// the bits are the scalar oracle's
-    /// ([`BurgersPackage::block_fluxes_oracle`]).
-    fn fill_fluxes(&self, _info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
-        let ns = self.params.num_scalars;
-        match self.params.recon {
-            Reconstruction::Weno5 => simd::fill_tile::<simd::Weno5Kernel, LANES>(data, ns, tile),
-            Reconstruction::Linear => simd::fill_tile::<simd::LinearKernel, LANES>(data, ns, tile),
-        }
+    /// Reconstruction + HLL through the framework's line walker; the bits
+    /// are the scalar kernels' (`tests/lane_kernels.rs`).
+    fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        simd::count_faces(match self.params.recon {
+            Reconstruction::Weno5 => sweep::fill_lines::<Weno5Kernel, _>(self, info, data, tile),
+            Reconstruction::Linear => sweep::fill_lines::<LinearKernel, _>(self, info, data, tile),
+        });
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
@@ -341,11 +244,7 @@ impl Package for BurgersPackage {
             let [_, ez, ey, ex] = u.shape();
             let comp = ez * ey * ex;
             let us = u.as_slice();
-            if lane_batched(n) {
-                block_dt_min_lanes::<LANES>(us, comp, ey, ex, iy, iz, i0, n, &dx, dim)
-            } else {
-                block_dt_min_scalar(us, comp, ey, ex, iy, iz, i0, n, &dx, dim)
-            }
+            block_dt_min_lanes::<LANES>(us, comp, ey, ex, iy, iz, i0, n, &dx, dim)
         })
         .into_iter()
         .fold(f64::INFINITY, f64::min)

@@ -1,8 +1,9 @@
 //! Property tests for the SIMD lane kernels: over randomized states, every
 //! lane of the W-wide WENO5 / linear-reconstruction / HLL kernels must be
 //! *bitwise* equal to the scalar kernel applied to that lane's inputs, and
-//! the production flux primitive must equal the scalar oracle, tile by tile
-//! and in the divergence the framework takes of it.
+//! the production flux primitive — Burgers' kernels under the framework's
+//! line walker — must equal the scalar oracle, tile by tile and in the
+//! divergence the framework takes of it.
 //!
 //! Randomness comes from a hand-rolled xorshift64* generator (the offline
 //! build has no property-testing crate); failures print the seed so a case
@@ -11,9 +12,9 @@
 use vibe_burgers::{
     hll_flux, hll_flux_lanes, ic, reconstruct_linear, reconstruct_linear_lanes, reconstruct_weno5,
     reconstruct_weno5_lanes, weno5_left, weno5_left_lanes, BurgersPackage, BurgersParams,
-    Reconstruction,
+    LinearKernel, Reconstruction, Weno5Kernel,
 };
-use vibe_core::sweep::{sweep_block, Planes};
+use vibe_core::sweep::{fill_lines, sweep_block, Planes, LANES};
 use vibe_core::{check_partition_invariance, BlockInfo, BlockSlot, CellBox, FluxTile, Package};
 use vibe_field::{BlockData, F64Lanes, VarId};
 use vibe_mesh::{Mesh, MeshParams};
@@ -144,14 +145,56 @@ fn hll_lane_scalar_parity_w8() {
     hll_parity::<8>(0xda3e39cb94b95bdb);
 }
 
+/// Scalar reference of the Burgers flux primitive: the same faces of the
+/// same tile, one face at a time through the scalar kernels `hll_flux` and
+/// `reconstruct_*` — code the line walker shares nothing with.
+fn block_fluxes_oracle(pkg: &BurgersPackage, data: &BlockData, tile: &mut FluxTile<'_>) {
+    let shape = *data.shape();
+    let g: [usize; 3] = std::array::from_fn(|d| shape.nghost_d(d));
+    let ns = pkg.params().num_scalars;
+    let (u, q) = (data.var(VarId(0)).data(), data.var(VarId(1)).data());
+    for d in 0..tile.dim() {
+        for (face, cell) in tile.faces_to_fill(d) {
+            let mut state_l = [0.0f64; 32];
+            let mut state_r = [0.0f64; 32];
+            for comp in 0..3 + ns {
+                let at = |off: i64| -> f64 {
+                    let mut p: [usize; 3] = std::array::from_fn(|a| cell[a] + g[a]);
+                    p[d] = (p[d] as i64 + off) as usize;
+                    match comp < 3 {
+                        true => u.get(comp, p[2], p[1], p[0]),
+                        false => q.get(comp - 3, p[2], p[1], p[0]),
+                    }
+                };
+                (state_l[comp], state_r[comp]) = match pkg.params().recon {
+                    Reconstruction::Weno5 => {
+                        reconstruct_weno5(&[at(-3), at(-2), at(-1), at(0), at(1), at(2)])
+                    }
+                    Reconstruction::Linear => reconstruct_linear(&[at(-2), at(-1), at(0), at(1)]),
+                };
+            }
+            let u_l = [state_l[0], state_l[1], state_l[2]];
+            let u_r = [state_r[0], state_r[1], state_r[2]];
+            let (q_l, q_r) = (&state_l[3..3 + ns], &state_r[3..3 + ns]);
+            // A scalar-free problem still registers one (inert) scalar.
+            let mut flux = [0.0f64; 32];
+            hll_flux(&u_l, q_l, &u_r, q_r, d, &mut flux);
+            for (comp, &value) in flux.iter().enumerate().take(tile.ncomp()) {
+                tile.set(d, comp, face, value);
+            }
+        }
+    }
+}
+
 /// Block-level differential test of the production flux primitive against
 /// the scalar oracle: on IC-filled blocks (ghosts included) every face of a
 /// sentinel-filled tile must come back written with the oracle's bits — for
 /// the whole block, a slab stacked mid-block and the one-cell layers a
 /// correction re-sweeps — and the divergence the framework takes of any
 /// tiling must be the divergence of the oracle's fluxes. Interior size 3
-/// takes the scalar rule, 4 is one exact bundle, 5 the overlapped final
-/// bundle, 8 and 16 whole bundles plus the overlapped x-face bundle.
+/// has lines at `W = 1` in every box, 4 is one exact bundle, 5 the overlapped final
+/// bundle, 8 and 16 whole bundles plus the overlapped x-face bundle; the
+/// walker's face counts say so.
 #[test]
 fn production_sweep_matches_scalar_oracle_blockwise() {
     let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
@@ -189,9 +232,21 @@ fn production_sweep_matches_scalar_oracle_blockwise() {
                 lanes.fill(sentinel);
                 scalar.fill(sentinel);
                 let mut swept = FluxTile::new(cells, 3, 5, &mut lanes);
-                pkg.fill_fluxes(&slot.info, &slot.data, &mut swept);
+                let (lane, tail) = match recon {
+                    Reconstruction::Weno5 => {
+                        fill_lines::<Weno5Kernel, _>(&pkg, &slot.info, &slot.data, &mut swept)
+                    }
+                    Reconstruction::Linear => {
+                        fill_lines::<LinearKernel, _>(&pkg, &slot.info, &slot.data, &mut swept)
+                    }
+                };
+                let faces: usize = (0..3)
+                    .map(|d| swept.extent(d).iter().product::<usize>())
+                    .sum();
+                assert_eq!((lane + tail) as usize, faces, "n={n} {cells:?}: face count");
+                assert_eq!(tail > 0, n < LANES, "n={n} {cells:?}: W = 1 faces {tail}");
                 let mut oracle = FluxTile::new(cells, 3, 5, &mut scalar);
-                pkg.block_fluxes_oracle(&slot.data, &mut oracle);
+                block_fluxes_oracle(&pkg, &slot.data, &mut oracle);
                 for dir in 0..3 {
                     let pairs = oracle.faces(dir).iter().zip(swept.faces(dir));
                     for (i, (x, y)) in pairs.enumerate() {

@@ -1,9 +1,9 @@
 //! Trait-conformance harness: runs any [`Package`] through the framework
 //! invariants every package must uphold — registration shape, positive
-//! stable timestep, partition invariance of the flux primitive (any tiling
-//! of a block yields the same divergence and face planes, every face of a
-//! tile is written, a correction re-sweep fed uncorrected planes changes
-//! nothing), tagging arity, history/label agreement, and thread-count
+//! stable timestep, partition and width invariance of the flux primitive
+//! (any tiling of a block yields the same divergence and face planes, every
+//! face of a tile is written and with the same bits at any lane width, a
+//! correction re-sweep fed uncorrected planes changes nothing), tagging arity, history/label agreement, and thread-count
 //! determinism.
 //!
 //! The harness is a library function (not a `#[test]`) so the physics
@@ -19,7 +19,7 @@ use crate::block::fingerprint_slots;
 use crate::block::{BlockInfo, BlockSlot};
 use crate::driver::Driver;
 use crate::package::Package;
-use crate::sweep::{sweep_block, CellBox, FluxTile, Planes, TILE_BUDGET_BYTES};
+use crate::sweep::{sweep_block, CellBox, FluxTile, Planes, Walk, TILE_BUDGET_BYTES};
 
 /// What [`check_package`] measured while the checks ran.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,7 +233,10 @@ fn swept_bits(slot: &BlockSlot, ids: &[VarId]) -> (Vec<u64>, Vec<u64>) {
 ///   that carry their shared plane, or y-strips) and a seeded random box
 ///   partition leave bitwise the same divergence and face planes;
 /// * a tile pre-filled with a NaN sentinel comes back with every face
-///   written;
+///   written — and with the same bits by the line walker
+///   ([`crate::sweep::fill_lines`]), by the walker held to `W = 1` and by
+///   its per-face reference through the same kernels (trivially so for a
+///   package that fills its tile by other means);
 /// * re-sweeping the layers under all outer faces with the (uncorrected)
 ///   planes overriding reproduces the divergence bit for bit.
 pub fn check_partition_invariance<P: Package>(
@@ -253,22 +256,30 @@ pub fn check_partition_invariance<P: Package>(
     let mut scratch = vec![0.0; whole.tile_len(dim, ncomp)];
     let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
 
-    // --- Every face of a tile is written.
+    // --- Every face of a tile is written, and with the same bits whatever
+    // the lane width.
     let sentinel = f64::from_bits(0x7ff8_dead_beef_0001); // quiet NaN payload
     let mut random = Vec::new();
     random_partition(whole, dim, &mut rng, &mut random);
     for &cells in random.iter().chain([&whole]) {
-        scratch.fill(sentinel);
-        let mut tile = FluxTile::new(cells, dim, ncomp, &mut scratch);
-        pkg.fill_fluxes(&slot.info, &slot.data, &mut tile);
-        for dir in 0..dim {
-            if let Some(at) = tile
-                .faces(dir)
-                .iter()
-                .position(|v| v.to_bits() == sentinel.to_bits())
-            {
+        let [lanes, single, per_face] = [Walk::Lanes, Walk::Single, Walk::PerFace].map(|walk| {
+            scratch.fill(sentinel);
+            let mut tile = FluxTile::new(cells, dim, ncomp, &mut scratch);
+            tile.walk = walk;
+            pkg.fill_fluxes(&slot.info, &slot.data, &mut tile);
+            let filled = (0..dim).flat_map(|dir| tile.faces(dir));
+            filled.map(|v| v.to_bits()).collect::<Vec<u64>>()
+        });
+        if let Some(at) = lanes.iter().position(|&v| v == sentinel.to_bits()) {
+            return Err(format!(
+                "fill_fluxes left entry {at} unwritten over {cells:?}"
+            ));
+        }
+        for (what, other) in [("at W = 1", single), ("face by face", per_face)] {
+            if let Some(at) = (0..lanes.len()).find(|&at| lanes[at] != other[at]) {
                 return Err(format!(
-                    "fill_fluxes left entry {at} of direction {dir} unwritten over {cells:?}"
+                    "entry {at} over {cells:?} differs between the lane walker and the same \
+                     kernel {what}"
                 ));
             }
         }

@@ -25,16 +25,44 @@
 //! bits the tile would compute anyway, corrected ones the restricted fine
 //! fluxes, so the layer's `div` comes out as if the block had kept all its
 //! fluxes and had them corrected in place.
+//!
+//! # The line walker
+//!
+//! A package does not loop over faces. It picks a [`ReconKernel`], writes
+//! one pointwise [`FaceFlux`] generic over the lane width, and its
+//! `fill_fluxes` is one call of [`fill_lines`], which owns the loop nest:
+//!
+//! - **x-faces**: consecutive faces along a row are unit-stride, so each
+//!   stencil position is one contiguous [`LANES`]-wide load at a shifted
+//!   offset.
+//! - **y/z-faces**: consecutive faces along the sweep direction are
+//!   strided, but the *i*-direction is still unit-stride, so bundles batch
+//!   faces at consecutive `i` of one face plane — again one contiguous
+//!   load per stencil position, no gather or transpose.
+//! - A row remainder is one *overlapped* final bundle: the kernels are
+//!   elementwise, so re-evaluating the last few already-computed faces of
+//!   a line re-stores the exact same bits.
+//! - Where a box is narrower than a bundle in `i` (the one-cell x-layers
+//!   re-swept under a corrected face), bundles run *across* rows — faces
+//!   at consecutive `j`, gathered and scattered lane by lane.
+//! - Lines shorter than a bundle either way (degenerate blocks) run the
+//!   same kernels at `W = 1`: [`F64Lanes<1>`] executes the scalar
+//!   operation sequence, so there is no second, hand-written scalar copy
+//!   of any kernel.
+//!
+//! A kernel must give a face the same bits in any lane of any width: the
+//! same per-lane operation sequence, branches as [`vibe_field::LaneMask`]
+//! selects, no reduction across lanes.
 
 use std::cell::RefCell;
 use std::time::Instant;
 
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{Array4, VarId};
+use vibe_field::{Array4, BlockData, F64Lanes, Metadata, VarId};
 use vibe_mesh::IndexShape;
 use vibe_prof::Recorder;
 
-use crate::block::BlockSlot;
+use crate::block::{BlockInfo, BlockSlot};
 use crate::package::{FluxPhase, Package};
 
 /// Flux scratch each worker thread owns, in bytes: large enough that a
@@ -127,6 +155,18 @@ impl CellBox {
     }
 }
 
+/// How [`fill_lines`] walks a tile: the production rule, or one of the two
+/// references the conformance harness holds it against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Walk {
+    /// Bundles of [`LANES`] faces; `W = 1` for lines shorter than that.
+    Lanes,
+    /// Every line at `W = 1`.
+    Single,
+    /// [`fill_faces_reference`].
+    PerFace,
+}
+
 /// The face fluxes of one [`CellBox`]: per active direction `d` a dense
 /// array over the faces bounding the box's cells (one more along `d` than
 /// cells), every component of every flux-bearing variable in registration
@@ -139,6 +179,7 @@ pub struct FluxTile<'a> {
     /// Whether the lowest z-plane already holds its fluxes (carried over
     /// from the slab below).
     carried: bool,
+    pub(crate) walk: Walk,
     /// Where each direction's array starts in `buf` (and the last one ends).
     start: [usize; 4],
     buf: &'a mut [f64],
@@ -159,6 +200,7 @@ impl<'a> FluxTile<'a> {
             dim,
             ncomp,
             carried: false,
+            walk: Walk::Lanes,
             start,
             buf: &mut buf[..len],
         }
@@ -249,6 +291,335 @@ impl<'a> FluxTile<'a> {
             })
         })
     }
+}
+
+/// Lane width of the line walker — and of every other lane-batched loop
+/// of the workspace: one 256-bit register per bundle (WENO5 holds ~15
+/// values live, which fits the 16-register ymm file without spills; W = 8
+/// spills and measured slower).
+pub const LANES: usize = 4;
+
+/// Most flux components a tile may carry: the walker keeps a face's
+/// left/right states and fluxes in stack scratch.
+pub const MAX_COMPONENTS: usize = 32;
+
+/// Widest stencil a [`ReconKernel`] may read.
+const MAX_STENCIL: usize = 6;
+
+/// One reconstruction scheme, written once for any lane width.
+pub trait ReconKernel {
+    /// Cells the stencil reaches to either side of the face.
+    const RADIUS: usize;
+
+    /// The left and right states at `W` faces; `stencil` holds
+    /// `2 * RADIUS` bundles of cell averages ordered along the face normal,
+    /// the face between the middle two.
+    fn lanes<const W: usize>(stencil: &[F64Lanes<W>]) -> (F64Lanes<W>, F64Lanes<W>);
+}
+
+/// First order: the face states are the two adjacent cell averages.
+#[derive(Debug, Clone, Copy)]
+pub struct DonorCell;
+
+impl ReconKernel for DonorCell {
+    const RADIUS: usize = 1;
+
+    #[inline(always)]
+    fn lanes<const W: usize>(stencil: &[F64Lanes<W>]) -> (F64Lanes<W>, F64Lanes<W>) {
+        (stencil[0], stencil[1])
+    }
+}
+
+/// A package's pointwise flux function, written once for any lane width.
+pub trait FaceFlux {
+    /// The fluxes through `W` faces of direction `d` (cell spacing
+    /// `1 / inv_dx` along it) from their reconstructed `left` and `right`
+    /// states, one bundle per component of the tile in `left`, `right` and
+    /// `out` alike.
+    fn flux<const W: usize>(
+        &self,
+        d: usize,
+        inv_dx: f64,
+        left: &[F64Lanes<W>],
+        right: &[F64Lanes<W>],
+        out: &mut [F64Lanes<W>],
+    );
+}
+
+/// SoA lane scratch reused across every bundle of a tile: one left/right
+/// state bundle and one flux bundle per component, plus the stencil gather
+/// buffer. Only the first `ncomp` components (resp. `2·RADIUS` stencil
+/// slots) are ever written and read.
+struct LaneScratch<const W: usize> {
+    left: [F64Lanes<W>; MAX_COMPONENTS],
+    right: [F64Lanes<W>; MAX_COMPONENTS],
+    flux: [F64Lanes<W>; MAX_COMPONENTS],
+    stencil: [F64Lanes<W>; MAX_STENCIL],
+}
+
+impl<const W: usize> LaneScratch<W> {
+    fn new() -> Self {
+        Self {
+            left: [F64Lanes::splat(0.0); MAX_COMPONENTS],
+            right: [F64Lanes::splat(0.0); MAX_COMPONENTS],
+            flux: [F64Lanes::splat(0.0); MAX_COMPONENTS],
+            stencil: [F64Lanes::splat(0.0); MAX_STENCIL],
+        }
+    }
+}
+
+/// What the lines of one direction of a tile share: the flux function, the
+/// state as one slice per component of the tile, how far apart its stencil
+/// cells lie, and the tile array's component stride.
+struct Lines<'a, F> {
+    flux: &'a F,
+    comps: &'a [&'a [f64]],
+    soff: usize,
+    flux_comp: usize,
+    d: usize,
+    inv_dx: f64,
+}
+
+/// Evaluates one `W`-wide bundle of faces starting at line offset `k`:
+/// stencil gather, reconstruction, flux, store — every component.
+///
+/// # Safety
+///
+/// [`flux_line`]'s contract for the faces `k..k + W`.
+#[inline(always)]
+unsafe fn flux_bundle<R: ReconKernel, F: FaceFlux, const W: usize, const ACROSS: bool>(
+    lines: &Lines<'_, F>,
+    out: &mut [f64],
+    scratch: &mut LaneScratch<W>,
+    (dbase, fbase): (usize, usize),
+    (step, fstep): (usize, usize),
+    k: usize,
+) {
+    let (sten, soff, ncomp) = (2 * R::RADIUS, lines.soff, lines.comps.len());
+    let base = dbase + k * step - R::RADIUS * soff;
+    for (comp, slice) in lines.comps.iter().enumerate() {
+        for (j, s) in scratch.stencil[..sten].iter_mut().enumerate() {
+            *s = match ACROSS {
+                // In bounds by the caller's contract.
+                false => F64Lanes::load_at(slice, base + j * soff),
+                true => F64Lanes::from_fn(|l| slice[base + j * soff + l * step]),
+            };
+        }
+        (scratch.left[comp], scratch.right[comp]) = R::lanes(&scratch.stencil[..sten]);
+    }
+    lines.flux.flux(
+        lines.d,
+        lines.inv_dx,
+        &scratch.left[..ncomp],
+        &scratch.right[..ncomp],
+        &mut scratch.flux[..ncomp],
+    );
+    for (comp, fl) in scratch.flux[..ncomp].iter().enumerate() {
+        let at = comp * lines.flux_comp + fbase + k * fstep;
+        match ACROSS {
+            // In bounds by the caller's contract.
+            false => fl.store_at(out, at),
+            true => (0..W).for_each(|l| out[at + l * fstep] = fl.lane(l)),
+        }
+    }
+}
+
+/// Fills one line of `len >= W` faces whose data/flux indices advance by
+/// `steps` per face — both 1 along a row, where lanes load and store
+/// contiguously; `ACROSS` rows they gather and scatter. `bases` index the
+/// face-0 cell in a component's state slice and in component 0 of `out`.
+///
+/// Full bundles first, then — if faces remain — one final bundle shifted
+/// back to end exactly at the line's last face. The shifted bundle
+/// re-evaluates a few already-stored faces, but the kernels are elementwise
+/// (a face's value does not depend on its lane position), so the overlap
+/// re-stores identical bits.
+///
+/// # Safety
+///
+/// For every face `k < len`, component slice and stencil slot
+/// `j < 2·RADIUS`, `dbase + k·step − RADIUS·soff + j·soff` must index the
+/// slice, and for every `c < ncomp`, `c·flux_comp + fbase + k·fstep` must
+/// index `out`: the lane path along a row reads and writes unchecked.
+#[inline(always)]
+unsafe fn flux_line<R: ReconKernel, F: FaceFlux, const W: usize, const ACROSS: bool>(
+    lines: &Lines<'_, F>,
+    out: &mut [f64],
+    scratch: &mut LaneScratch<W>,
+    bases: (usize, usize),
+    steps: (usize, usize),
+    len: usize,
+) {
+    // Along a row the steps are compile-time ones in the hot loops.
+    let steps = if ACROSS { steps } else { (1, 1) };
+    // The bundles cover faces of this line only, so the caller's contract
+    // is `flux_bundle`'s.
+    let mut bundle = |k| flux_bundle::<R, F, W, ACROSS>(lines, out, scratch, bases, steps, k);
+    (0..=len - W).step_by(W).for_each(&mut bundle);
+    if !len.is_multiple_of(W) {
+        // Overlapped final bundle covering faces [len - W, len).
+        bundle(len - W);
+    }
+}
+
+/// The flux-bearing variables' arrays, in registration order: the
+/// component order of a tile.
+fn flux_state(data: &BlockData) -> impl Iterator<Item = &Array4> {
+    let with_fluxes = |v: &&vibe_field::CellVariable| v.metadata().contains(Metadata::WITH_FLUXES);
+    data.vars().iter().filter(with_fluxes).map(|v| v.data())
+}
+
+/// The per-face reference of [`fill_lines`]: the same faces of the same
+/// tile through the same kernels, one face at a time at `W = 1` over
+/// checked accessors. The oracle the conformance harness and the kernel
+/// tests hold the walker against; no package calls it.
+pub fn fill_faces_reference<R: ReconKernel, F: FaceFlux>(
+    flux: &F,
+    info: &BlockInfo,
+    data: &BlockData,
+    tile: &mut FluxTile<'_>,
+) {
+    let g: [usize; 3] = std::array::from_fn(|d| data.shape().nghost_d(d));
+    let (inv_dx, ncomp) = (info.geom.dx().map(|dx| 1.0 / dx), tile.ncomp());
+    let zero = [F64Lanes::<1>::splat(0.0); MAX_COMPONENTS];
+    for d in 0..tile.dim() {
+        for (face, cell) in tile.faces_to_fill(d) {
+            let (mut left, mut right, mut out) = (zero, zero, zero);
+            let comps = flux_state(data).flat_map(|a| (0..a.ncomp()).map(move |c| (a, c)));
+            for (comp, (array, c)) in comps.enumerate() {
+                let mut stencil = [F64Lanes::<1>::splat(0.0); MAX_STENCIL];
+                for (j, s) in stencil[..2 * R::RADIUS].iter_mut().enumerate() {
+                    let mut p: [usize; 3] = std::array::from_fn(|a| cell[a] + g[a]);
+                    p[d] = p[d] + j - R::RADIUS;
+                    *s = F64Lanes([array.get(c, p[2], p[1], p[0])]);
+                }
+                (left[comp], right[comp]) = R::lanes(&stencil[..2 * R::RADIUS]);
+            }
+            flux.flux(
+                d,
+                inv_dx[d],
+                &left[..ncomp],
+                &right[..ncomp],
+                &mut out[..ncomp],
+            );
+            for (c, value) in out[..ncomp].iter().enumerate() {
+                tile.set(d, c, face, value.lane(0));
+            }
+        }
+    }
+}
+
+/// The line walker — the one way a package fills a tile: every face of
+/// `tile` the framework asks for, from the state in `data`, through `R`
+/// and `flux`, [`LANES`] faces per bundle along the unit-stride direction —
+/// x-faces along their row, y- and z-faces across consecutive `i` of one
+/// face plane — or, for boxes narrower than a bundle in `i`, along `j`;
+/// lines shorter than a bundle either way at `W = 1`. Returns the faces
+/// filled as `(in lane bundles, at W = 1)`, each counted once.
+///
+/// # Panics
+///
+/// Panics if the tile is empty, does not lie in the block's interior, carries other
+/// components than the block's flux-bearing variables, or the ghost shell
+/// is narrower than the stencil.
+pub fn fill_lines<R: ReconKernel, F: FaceFlux>(
+    flux: &F,
+    info: &BlockInfo,
+    data: &BlockData,
+    tile: &mut FluxTile<'_>,
+) -> (u64, u64) {
+    // Lines at least this long run in lane bundles.
+    let bundled = match tile.walk {
+        Walk::Lanes => LANES,
+        Walk::Single => usize::MAX,
+        Walk::PerFace => {
+            fill_faces_reference::<R, F>(flux, info, data, tile);
+            return (0, 0);
+        }
+    };
+    let shape = *data.shape();
+    let (cells, ncomp) = (tile.cells(), tile.ncomp());
+    let g: [usize; 3] = std::array::from_fn(|d| shape.nghost_d(d));
+    let (ex, ey, ez) = (shape.entire_d(0), shape.entire_d(1), shape.entire_d(2));
+    let data_strides = [1usize, ex, ex * ey];
+    // What the unchecked lane accesses rest on (see `flux_line`).
+    assert!(
+        (0..3).all(|d| cells.n[d] >= 1 && cells.lo[d] + cells.n[d] <= shape.ncells()[d])
+            && (0..tile.dim()).all(|d| g[d] >= R::RADIUS)
+            && 2 * R::RADIUS <= MAX_STENCIL
+            && ncomp <= MAX_COMPONENTS
+            && ncomp == flux_state(data).map(|a| a.ncomp()).sum::<usize>(),
+        "tile {cells:?} of {ncomp} components is empty or does not fit the block's interior, \
+         ghost shell and flux-bearing variables"
+    );
+    // One slice per component, each over the whole block, ghosts included.
+    let mut comps: [&[f64]; MAX_COMPONENTS] = [&[]; MAX_COMPONENTS];
+    let state = flux_state(data).flat_map(|a| a.as_slice().chunks_exact(ex * ey * ez));
+    comps
+        .iter_mut()
+        .zip(state)
+        .for_each(|(c, slice)| *c = slice);
+    // First interior cell of the box in a component's slice.
+    let origin: usize = (0..3).map(|d| (g[d] + cells.lo[d]) * data_strides[d]).sum();
+    let inv_dx = info.geom.dx().map(|dx| 1.0 / dx);
+
+    let mut faces = (0u64, 0u64);
+    let mut wide = LaneScratch::<LANES>::new();
+    let mut one = LaneScratch::<1>::new();
+    for (d, &soff) in data_strides.iter().enumerate().take(tile.dim()) {
+        let [ni, nj, nk] = tile.extent(d);
+        let [_, sj, sk, flux_comp] = tile.steps(d);
+        let first: [usize; 3] = std::array::from_fn(|a| usize::from(a == d) * tile.first_face(d));
+        let lines = Lines {
+            flux,
+            comps: &comps[..ncomp],
+            soff,
+            flux_comp,
+            d,
+            inv_dx: inv_dx[d],
+        };
+        let out = tile.faces_mut(d);
+        // Lines run along i; across rows (along j) where only those reach
+        // a bundle.
+        let across = ni - first[0] < bundled && nj - first[1] >= bundled;
+        let (a, len, steps) = match across {
+            true => (0, nj - first[1], (ex, sj)),
+            false => (1, ni - first[0], (1, 1)),
+        };
+        for k in first[2]..nk {
+            for line in first[a]..[ni, nj][a] {
+                let (i, j) = match across {
+                    true => (line, first[1]),
+                    false => (first[0], line),
+                };
+                let bases = (origin + i + j * ex + k * ex * ey, i + j * sj + k * sk);
+                // SAFETY: the box lies in the interior and the ghost shell
+                // is at least RADIUS wide along `d` (asserted above), so the
+                // stencils of the line's faces stay inside each component's
+                // slice; `out` is direction `d`'s array of the tile, which
+                // holds `ncomp` components `flux_comp` apart over `ni` faces
+                // per row.
+                unsafe {
+                    match (len >= bundled, across) {
+                        (true, true) => flux_line::<R, F, LANES, true>(
+                            &lines, out, &mut wide, bases, steps, len,
+                        ),
+                        (true, false) => flux_line::<R, F, LANES, false>(
+                            &lines, out, &mut wide, bases, steps, len,
+                        ),
+                        (false, _) => {
+                            flux_line::<R, F, 1, false>(&lines, out, &mut one, bases, steps, len)
+                        }
+                    }
+                }
+                match len >= bundled {
+                    true => faces.0 += len as u64,
+                    false => faces.1 += len as u64,
+                }
+            }
+        }
+    }
+    faces
 }
 
 /// What a sweep does where a tile touches the block's surface.

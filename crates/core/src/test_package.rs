@@ -9,13 +9,13 @@
 //! `cfg(test)` and never exported.
 
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{BlockData, Metadata, VarId};
+use vibe_field::{BlockData, F64Lanes, Metadata, VarId};
 use vibe_mesh::AmrFlag;
 use vibe_prof::Recorder;
 
 use crate::block::{BlockInfo, BlockSlot};
 use crate::package::{Package, RefinementPolicy};
-use crate::sweep::FluxTile;
+use crate::sweep::{fill_lines, DonorCell, FaceFlux, FluxTile};
 
 /// Upwind advection of one scalar `q` at unit velocity along +x.
 #[derive(Debug, Clone)]
@@ -38,6 +38,25 @@ impl Default for Advect {
 impl Advect {
     pub fn qid(data: &mut BlockData) -> VarId {
         data.id_of("q").expect("q registered")
+    }
+}
+
+/// Upwind in +x: a face takes the cell below it; no transverse flow.
+impl FaceFlux for Advect {
+    #[inline(always)]
+    fn flux<const W: usize>(
+        &self,
+        d: usize,
+        _inv_dx: f64,
+        left: &[F64Lanes<W>],
+        _right: &[F64Lanes<W>],
+        out: &mut [F64Lanes<W>],
+    ) {
+        out[0] = if d == 0 {
+            left[0]
+        } else {
+            F64Lanes::splat(0.0)
+        };
     }
 }
 
@@ -76,19 +95,8 @@ impl Package for Advect {
         1
     }
 
-    fn fill_fluxes(&self, _info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
-        let g: [usize; 3] = std::array::from_fn(|d| data.shape().nghost_d(d));
-        let q = data.vars()[0].data();
-        for d in 0..tile.dim() {
-            for (face, [i, j, k]) in tile.faces_to_fill(d) {
-                // Upwind in +x: F_{i} = q_{i-1} on face i; no transverse flow.
-                let flux = match d {
-                    0 => q.get(0, k + g[2], j + g[1], i + g[0] - 1),
-                    _ => 0.0,
-                };
-                tile.set(d, 0, face, flux);
-            }
-        }
+    fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        fill_lines::<DonorCell, _>(self, info, data, tile);
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], _exec: ExecCtx, rec: &mut Recorder) {

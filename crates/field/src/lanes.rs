@@ -131,6 +131,12 @@ impl<const W: usize> F64Lanes<W> {
         Self(std::array::from_fn(|i| self.0[i].abs()))
     }
 
+    /// Lane-wise square root (correctly rounded, like the scalar one).
+    #[inline(always)]
+    pub fn sqrt(self) -> Self {
+        Self(std::array::from_fn(|i| self.0[i].sqrt()))
+    }
+
     /// Lane-wise `self >= rhs`.
     #[inline(always)]
     pub fn ge(self, rhs: Self) -> LaneMask<W> {

@@ -11,14 +11,15 @@
 //! same as any stencil code's — the comm-bound probe of the scenario
 //! matrix.
 
+use vibe_core::sweep::{self, DonorCell, FaceFlux};
 use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{BlockData, Metadata, VarId};
+use vibe_field::{BlockData, F64Lanes, Metadata, VarId};
 use vibe_mesh::index::IndexDomain;
 use vibe_mesh::AmrFlag;
 use vibe_prof::Recorder;
 
-use vibe_burgers::reconstruct_weno5;
+use vibe_burgers::Weno5Kernel;
 
 /// Reconstruction scheme for the upwind states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +64,26 @@ impl Default for Advect {
 impl Advect {
     pub fn qid(data: &mut BlockData) -> VarId {
         data.id_of("q").expect("q registered")
+    }
+}
+
+/// Upwind: `F_d = v_d · q_upwind`, the upwind state picked from the
+/// reconstructed left/right pair by the sign of `v_d`.
+impl FaceFlux for Advect {
+    #[inline(always)]
+    fn flux<const W: usize>(
+        &self,
+        d: usize,
+        _inv_dx: f64,
+        left: &[F64Lanes<W>],
+        right: &[F64Lanes<W>],
+        out: &mut [F64Lanes<W>],
+    ) {
+        let v = self.velocity[d];
+        let upwind = if v >= 0.0 { left } else { right };
+        for (f, &q) in out.iter_mut().zip(upwind) {
+            *f = q * v;
+        }
     }
 }
 
@@ -147,32 +168,11 @@ impl Package for Advect {
         }
     }
 
-    /// Upwind in each direction: `F_d = v_d · q_upwind`, with the upwind
-    /// state picked from the reconstructed left/right pair by the sign of
-    /// `v_d`.
-    fn fill_fluxes(&self, _info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
-        let g: [usize; 3] = std::array::from_fn(|d| data.shape().nghost_d(d));
-        // `q` is the only registered variable.
-        let q = data.vars()[0].data();
-        for d in 0..tile.dim() {
-            let v = self.velocity[d];
-            for (face, cell) in tile.faces_to_fill(d) {
-                for c in 0..tile.ncomp() {
-                    let at = |off: i64| -> f64 {
-                        let mut p: [usize; 3] = std::array::from_fn(|a| cell[a] + g[a]);
-                        p[d] = (p[d] as i64 + off) as usize;
-                        q.get(c, p[2], p[1], p[0])
-                    };
-                    let (l, r) = match self.recon {
-                        AdvectRecon::Upwind1 => (at(-1), at(0)),
-                        AdvectRecon::Weno5 => {
-                            reconstruct_weno5(&[at(-3), at(-2), at(-1), at(0), at(1), at(2)])
-                        }
-                    };
-                    tile.set(d, c, face, v * if v >= 0.0 { l } else { r });
-                }
-            }
-        }
+    fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        match self.recon {
+            AdvectRecon::Upwind1 => sweep::fill_lines::<DonorCell, _>(self, info, data, tile),
+            AdvectRecon::Weno5 => sweep::fill_lines::<Weno5Kernel, _>(self, info, data, tile),
+        };
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], _exec: ExecCtx, rec: &mut Recorder) {

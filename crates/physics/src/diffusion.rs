@@ -9,9 +9,10 @@
 //! diffusion *smooths*, so the tagger mostly derefines as the initial
 //! features spread out.
 
+use vibe_core::sweep::{self, DonorCell, FaceFlux};
 use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{BlockData, Metadata, VarId};
+use vibe_field::{BlockData, F64Lanes, Metadata, VarId};
 use vibe_mesh::index::IndexDomain;
 use vibe_mesh::AmrFlag;
 use vibe_prof::Recorder;
@@ -43,6 +44,23 @@ impl Default for DiffusionPackage {
 impl DiffusionPackage {
     pub fn qid(data: &mut BlockData) -> VarId {
         data.id_of("q").expect("q registered")
+    }
+}
+
+/// `F = −D ∂q/∂x` across each face: flux divergence then yields `+D ∇²q`.
+impl FaceFlux for DiffusionPackage {
+    #[inline(always)]
+    fn flux<const W: usize>(
+        &self,
+        _d: usize,
+        inv_dx: f64,
+        left: &[F64Lanes<W>],
+        right: &[F64Lanes<W>],
+        out: &mut [F64Lanes<W>],
+    ) {
+        for (f, (&l, &r)) in out.iter_mut().zip(left.iter().zip(right)) {
+            *f = (r - l) * -self.diffusivity * inv_dx;
+        }
     }
 }
 
@@ -138,24 +156,8 @@ impl Package for DiffusionPackage {
         1
     }
 
-    /// `F = −D ∂q/∂x` across each face: flux divergence then yields
-    /// `+D ∇²q`.
     fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
-        let g: [usize; 3] = std::array::from_fn(|d| data.shape().nghost_d(d));
-        let inv_dx = info.geom.dx().map(|dx| 1.0 / dx);
-        // `q` is the only registered variable.
-        let q = data.vars()[0].data();
-        for d in 0..tile.dim() {
-            for (face, cell) in tile.faces_to_fill(d) {
-                let hi: [usize; 3] = std::array::from_fn(|a| cell[a] + g[a]);
-                let mut lo = hi;
-                lo[d] -= 1;
-                for c in 0..tile.ncomp() {
-                    let jump = q.get(c, hi[2], hi[1], hi[0]) - q.get(c, lo[2], lo[1], lo[0]);
-                    tile.set(d, c, face, -self.diffusivity * jump * inv_dx[d]);
-                }
-            }
-        }
+        sweep::fill_lines::<DonorCell, _>(self, info, data, tile);
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], _exec: ExecCtx, rec: &mut Recorder) {

@@ -8,14 +8,15 @@
 //! fronts across the domain and triggers markedly more AMR churn — the
 //! regrid-heavy corner of the scenario matrix.
 
+use vibe_core::sweep::{self, FaceFlux};
 use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{BlockData, Metadata, VarId};
+use vibe_field::{BlockData, F64Lanes, Metadata, VarId};
 use vibe_mesh::index::IndexDomain;
-use vibe_mesh::AmrFlag;
+use vibe_mesh::{AmrFlag, IndexShape};
 use vibe_prof::Recorder;
 
-use vibe_burgers::reconstruct_linear;
+use vibe_burgers::LinearKernel;
 
 /// Number of conserved components.
 const NCONS: usize = 5;
@@ -52,45 +53,61 @@ impl EulerPackage {
     /// Primitive state `(ρ, [u, v, w], p)` from a conserved vector, with
     /// positivity floors so reconstruction overshoots cannot produce
     /// negative signal speeds.
-    fn prim(&self, u: &[f64; NCONS]) -> (f64, [f64; 3], f64) {
-        let rho = u[0].max(1e-12);
+    #[inline(always)]
+    fn prim<const W: usize>(
+        &self,
+        u: &[F64Lanes<W>],
+    ) -> (F64Lanes<W>, [F64Lanes<W>; 3], F64Lanes<W>) {
+        let rho = u[0].max(F64Lanes::splat(1e-12));
         let vel = [u[1] / rho, u[2] / rho, u[3] / rho];
-        let ke = 0.5 * rho * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
-        let p = ((self.gamma - 1.0) * (u[4] - ke)).max(1e-12);
+        let ke = rho * 0.5 * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
+        let p = ((u[4] - ke) * (self.gamma - 1.0)).max(F64Lanes::splat(1e-12));
         (rho, vel, p)
     }
 
-    /// Physical flux of the conserved vector along dimension `d`.
-    fn phys_flux(&self, u: &[f64; NCONS], d: usize) -> [f64; NCONS] {
-        let (_, vel, p) = self.prim(u);
-        let un = vel[d];
-        let mut f = [u[0] * un, u[1] * un, u[2] * un, u[3] * un, (u[4] + p) * un];
-        f[1 + d] += p;
-        f
+    /// [`EulerPackage::prim`] of one cell.
+    fn prim_cell(&self, u: [f64; NCONS]) -> (f64, [f64; 3], f64) {
+        let (rho, vel, p) = self.prim(&u.map(|v| F64Lanes([v])));
+        (rho.lane(0), vel.map(|v| v.lane(0)), p.lane(0))
     }
+}
 
-    /// HLL flux from reconstructed left/right conserved states.
-    fn hll(&self, ul: &[f64; NCONS], ur: &[f64; NCONS], d: usize) -> [f64; NCONS] {
+/// HLL with Davis wavespeed estimates; the solver's three-way branch on
+/// the signal speeds is a per-lane select over the same three candidates.
+impl FaceFlux for EulerPackage {
+    #[inline(always)]
+    fn flux<const W: usize>(
+        &self,
+        d: usize,
+        _inv_dx: f64,
+        ul: &[F64Lanes<W>],
+        ur: &[F64Lanes<W>],
+        out: &mut [F64Lanes<W>],
+    ) {
         let (rho_l, vel_l, p_l) = self.prim(ul);
         let (rho_r, vel_r, p_r) = self.prim(ur);
-        let c_l = (self.gamma * p_l / rho_l).sqrt();
-        let c_r = (self.gamma * p_r / rho_r).sqrt();
+        let c_l = (p_l * self.gamma / rho_l).sqrt();
+        let c_r = (p_r * self.gamma / rho_r).sqrt();
         // Davis estimates: the widest of the left/right acoustic fans.
         let sl = (vel_l[d] - c_l).min(vel_r[d] - c_r);
         let sr = (vel_l[d] + c_l).max(vel_r[d] + c_r);
-        let fl = self.phys_flux(ul, d);
-        let fr = self.phys_flux(ur, d);
-        if sl >= 0.0 {
-            fl
-        } else if sr <= 0.0 {
-            fr
-        } else {
-            let mut f = [0.0; NCONS];
-            let inv = 1.0 / (sr - sl);
-            for c in 0..NCONS {
-                f[c] = (sr * fl[c] - sl * fr[c] + sl * sr * (ur[c] - ul[c])) * inv;
-            }
-            f
+        let zero = F64Lanes::splat(0.0);
+        let (take_l, take_r) = (sl.ge(zero), sr.le(zero));
+        let inv = F64Lanes::splat(1.0) / (sr - sl);
+        let slsr = sl * sr;
+        for c in 0..NCONS {
+            // Physical flux of the conserved vector along `d`.
+            let phys = |u: &[F64Lanes<W>], un: F64Lanes<W>, p: F64Lanes<W>| {
+                let f = if c == 4 { (u[4] + p) * un } else { u[c] * un };
+                if c == 1 + d {
+                    f + p
+                } else {
+                    f
+                }
+            };
+            let (fl, fr) = (phys(ul, vel_l[d], p_l), phys(ur, vel_r[d], p_r));
+            let blend = (sr * fl - sl * fr + slsr * (ur[c] - ul[c])) * inv;
+            out[c] = take_l.select(fl, take_r.select(fr, blend));
         }
     }
 }
@@ -188,28 +205,8 @@ impl Package for EulerPackage {
     }
 
     /// Per-component minmod-limited linear reconstruction, then HLL.
-    fn fill_fluxes(&self, _info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
-        let g: [usize; 3] = std::array::from_fn(|d| data.shape().nghost_d(d));
-        // `cons` is registered first.
-        let cons = data.vars()[0].data();
-        for d in 0..tile.dim() {
-            for (face, cell) in tile.faces_to_fill(d) {
-                let at = |c: usize, off: i64| -> f64 {
-                    let mut p: [usize; 3] = std::array::from_fn(|a| cell[a] + g[a]);
-                    p[d] = (p[d] as i64 + off) as usize;
-                    cons.get(c, p[2], p[1], p[0])
-                };
-                let mut ul = [0.0; NCONS];
-                let mut ur = [0.0; NCONS];
-                for c in 0..NCONS {
-                    let stencil = [at(c, -2), at(c, -1), at(c, 0), at(c, 1)];
-                    (ul[c], ur[c]) = reconstruct_linear(&stencil);
-                }
-                for (c, &fc) in self.hll(&ul, &ur, d).iter().enumerate() {
-                    tile.set(d, c, face, fc);
-                }
-            }
-        }
+    fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        sweep::fill_lines::<LinearKernel, _>(self, info, data, tile);
     }
 
     fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
@@ -220,22 +217,11 @@ impl Package for EulerPackage {
         exec.for_each_block(pack, |_, slot| {
             let (cid, pid) = Self::ids(&mut slot.data);
             let (cons_var, pres_var) = slot.data.pair_mut(cid, pid);
-            let cons = cons_var.data();
-            let pres = pres_var.data_mut();
-            for k in 0..shape.entire_d(2) {
-                for j in 0..shape.entire_d(1) {
-                    for i in 0..shape.entire_d(0) {
-                        let u = [
-                            cons.get(0, k, j, i),
-                            cons.get(1, k, j, i),
-                            cons.get(2, k, j, i),
-                            cons.get(3, k, j, i),
-                            cons.get(4, k, j, i),
-                        ];
-                        let (_, _, p) = self.prim(&u);
-                        pres.set(0, k, j, i, p);
-                    }
-                }
+            // Every cell, ghosts included: the arrays end to end.
+            let pres = pres_var.data_mut().as_mut_slice();
+            let u = components(cons_var.data().as_slice(), 0, pres.len());
+            for (t, p) in pres.iter_mut().enumerate() {
+                *p = self.prim_cell(u.map(|c| c[t])).2;
             }
         });
     }
@@ -248,32 +234,20 @@ impl Package for EulerPackage {
         let dim = shape.dim();
         let cells = pack.len() as u64 * shape.interior_count() as u64;
         Launcher::new(rec).record_only(&catalog::ESTIMATE_TIMESTEP_MESH, cells, 1.0);
-        let ranges = [
-            shape.range(0, IndexDomain::Interior),
-            shape.range(1, IndexDomain::Interior),
-            shape.range(2, IndexDomain::Interior),
-        ];
+        let (rows, n) = interior_rows(&shape);
         // Per-block partials folded in pack order.
         exec.map_blocks(pack, |_, slot| {
             let (cid, _) = Self::ids(&mut slot.data);
-            let cons = slot.data.var(cid).data();
+            let cons = slot.data.var(cid).data().as_slice();
             let dx = slot.info.geom.dx();
             let mut block_min = f64::INFINITY;
-            for k in ranges[2].iter() {
-                for j in ranges[1].iter() {
-                    for i in ranges[0].iter() {
-                        let u = [
-                            cons.get(0, k as usize, j as usize, i as usize),
-                            cons.get(1, k as usize, j as usize, i as usize),
-                            cons.get(2, k as usize, j as usize, i as usize),
-                            cons.get(3, k as usize, j as usize, i as usize),
-                            cons.get(4, k as usize, j as usize, i as usize),
-                        ];
-                        let (rho, vel, p) = self.prim(&u);
-                        let c = (self.gamma * p / rho).sqrt();
-                        for d in 0..dim {
-                            block_min = block_min.min(dx[d] / (vel[d].abs() + c));
-                        }
+            for &row in &rows {
+                let u = components(cons, row, n);
+                for t in 0..n {
+                    let (rho, vel, p) = self.prim_cell(u.map(|c| c[t]));
+                    let c = (self.gamma * p / rho).sqrt();
+                    for d in 0..dim {
+                        block_min = block_min.min(dx[d] / (vel[d].abs() + c));
                     }
                 }
             }
@@ -296,43 +270,47 @@ impl Package for EulerPackage {
         let dim = shape.dim();
         let cells = pack.len() as u64 * shape.interior_count() as u64;
         Launcher::new(rec).record_only(&catalog::FIRST_DERIVATIVE, cells, 1.0);
-        let ranges = [
-            shape.range(0, IndexDomain::Interior),
-            shape.range(1, IndexDomain::Interior),
-            shape.range(2, IndexDomain::Interior),
-        ];
+        let (rows, n) = interior_rows(&shape);
+        let (ex, plane) = (shape.entire_d(0), shape.entire_d(0) * shape.entire_d(1));
+        let ny = shape.ncells()[1];
         // Shock sensor: relative pressure jump between adjacent cells,
         // computed from the conserved state directly (no dependence on the
         // derived fill, so initial regridding sees it too).
         exec.map_blocks(pack, |_, slot| {
             let (cid, _) = Self::ids(&mut slot.data);
-            let cons = slot.data.var(cid).data();
-            let p_at = |k: i64, j: i64, i: i64| -> f64 {
-                let u = [
-                    cons.get(0, k as usize, j as usize, i as usize),
-                    cons.get(1, k as usize, j as usize, i as usize),
-                    cons.get(2, k as usize, j as usize, i as usize),
-                    cons.get(3, k as usize, j as usize, i as usize),
-                    cons.get(4, k as usize, j as usize, i as usize),
-                ];
-                self.prim(&u).2
+            let cons = slot.data.var(cid).data().as_slice();
+            let pressures = |out: &mut Vec<f64>, start: usize, len: usize| {
+                let u = components(cons, start, len);
+                out.clear();
+                out.extend((0..len).map(|t| self.prim_cell(u.map(|c| c[t])).2));
             };
+            // This row and the one below it in j from the cell below in i
+            // on; the row below in k.
+            let (mut here, mut south, mut down) = (Vec::new(), Vec::new(), Vec::new());
             let mut max_jump: f64 = 0.0;
-            for k in ranges[2].iter() {
-                for j in ranges[1].iter() {
-                    for i in ranges[0].iter() {
-                        let here = p_at(k, j, i);
-                        let mut consider = |other: f64| {
-                            let jump = (here - other).abs() / (here + other);
-                            max_jump = max_jump.max(jump);
-                        };
-                        consider(p_at(k, j, i - 1));
-                        if dim >= 2 {
-                            consider(p_at(k, j - 1, i));
-                        }
-                        if dim >= 3 {
-                            consider(p_at(k - 1, j, i));
-                        }
+            for (at, &row) in rows.iter().enumerate() {
+                // The row below in j was `here` a moment ago, unless it is a
+                // ghost row.
+                if dim >= 2 && at % ny == 0 {
+                    pressures(&mut south, row - ex - 1, n + 1);
+                } else if dim >= 2 {
+                    std::mem::swap(&mut here, &mut south);
+                }
+                pressures(&mut here, row - 1, n + 1);
+                if dim >= 3 {
+                    pressures(&mut down, row - plane, n);
+                }
+                for t in 0..n {
+                    let mut consider = |other: f64| {
+                        let jump = (here[t + 1] - other).abs() / (here[t + 1] + other);
+                        max_jump = max_jump.max(jump);
+                    };
+                    consider(here[t]);
+                    if dim >= 2 {
+                        consider(south[t + 1]);
+                    }
+                    if dim >= 3 {
+                        consider(down[t]);
                     }
                 }
             }
@@ -358,28 +336,39 @@ impl Package for EulerPackage {
         let shape = *first.data.shape();
         let cells = pack.len() as u64 * shape.interior_count() as u64;
         Launcher::new(rec).record_only(&catalog::MASS_HISTORY, cells, 1.0);
-        let ranges = [
-            shape.range(0, IndexDomain::Interior),
-            shape.range(1, IndexDomain::Interior),
-            shape.range(2, IndexDomain::Interior),
-        ];
+        let (rows, n) = interior_rows(&shape);
         // One (mass, energy) row per block; folded by the caller in
         // global gid order.
         let partials = exec.map_blocks(pack, |_, slot| {
             let (cid, _) = Self::ids(&mut slot.data);
-            let cons = slot.data.var(cid).data();
+            let cons = slot.data.var(cid).data().as_slice();
             let vol = slot.info.geom.cell_volume();
             let (mut mass, mut energy) = (0.0, 0.0);
-            for k in ranges[2].iter() {
-                for j in ranges[1].iter() {
-                    for i in ranges[0].iter() {
-                        mass += cons.get(0, k as usize, j as usize, i as usize) * vol;
-                        energy += cons.get(4, k as usize, j as usize, i as usize) * vol;
-                    }
+            for &row in &rows {
+                let u = components(cons, row, n);
+                for (rho, e) in u[0].iter().zip(u[4]) {
+                    mass += rho * vol;
+                    energy += e * vol;
                 }
             }
             (mass, energy)
         });
         partials.into_iter().map(|(m, e)| vec![m, e]).collect()
     }
+}
+
+/// Where the interior rows of a block of `shape` start in one component of
+/// a cell array, in `(k, j)` order, and how long they are.
+fn interior_rows(shape: &IndexShape) -> (Vec<usize>, usize) {
+    let [ix, iy, iz] = [0, 1, 2].map(|d| shape.range(d, IndexDomain::Interior));
+    let (ex, ey) = (shape.entire_d(0), shape.entire_d(1));
+    let row = move |k: i64, j: i64| (k as usize * ey + j as usize) * ex + ix.s as usize;
+    let rows = iz.iter().flat_map(|k| iy.iter().map(move |j| row(k, j)));
+    (rows.collect(), ix.len())
+}
+
+/// The `len` cells from `start` on of each conserved component of `cons`.
+fn components(cons: &[f64], start: usize, len: usize) -> [&[f64]; NCONS] {
+    let comp = cons.len() / NCONS;
+    std::array::from_fn(|c| &cons[c * comp + start..c * comp + start + len])
 }

@@ -136,6 +136,26 @@ if [ "$count" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> one line walker"
+# The framework owns the line loop (crates/core/src/sweep.rs: fill_lines ->
+# flux_line -> flux_bundle) and packages supply pointwise kernels: no second
+# walker, no per-face production path in a package, one lane width.
+walker=crates/core/src/sweep.rs
+for def in 'fn flux_line' 'fn flux_bundle' 'const LANES'; do
+    where=$(grep -rlE "$def\b" crates --include='*.rs' | tr '\n' ' ')
+    if [ "$where" != "$walker " ] || [ "$(grep -cE "$def\b" "$walker")" -ne 1 ]; then
+        echo "'$def' must be defined exactly once, in $walker (found in: $where)" >&2
+        exit 1
+    fi
+done
+for file in $(find crates/burgers/src crates/physics/src -name '*.rs') crates/core/src/test_package.rs; do
+    # Non-test code: up to the file's first top-level #[cfg(test)].
+    if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -nE 'faces_to_fill\(|tile\.set\('; then
+        echo "$file fills a tile face by face; call sweep::fill_lines" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -1,13 +1,21 @@
-//! Randomized tests of the numerical kernels: reconstruction and the
-//! Riemann solver (seeded, deterministic — see `tests/util/mod.rs`).
+//! Randomized tests of the numerical kernels: reconstruction, the Riemann
+//! solver, every package's face flux at both lane widths and the line
+//! walker over every line length (seeded, deterministic — see
+//! `tests/util/mod.rs`).
 
 mod util;
 
 use util::Rng;
 
 use vibe_amr::burgers::riemann::physical_flux;
-use vibe_amr::burgers::{hll_flux, reconstruct_linear, reconstruct_weno5};
-use vibe_amr::field::minmod;
+use vibe_amr::burgers::{
+    hll_flux, reconstruct_linear, reconstruct_weno5, BurgersPackage, BurgersParams, LinearKernel,
+    Weno5Kernel,
+};
+use vibe_amr::core::sweep::{fill_faces_reference, fill_lines, FaceFlux, ReconKernel, LANES};
+use vibe_amr::core::{synthetic_block, CellBox, FluxTile, Package};
+use vibe_amr::field::{minmod, F64Lanes};
+use vibe_amr::physics::{Advect, DiffusionPackage, EulerPackage};
 
 const CASES: usize = 256;
 
@@ -183,4 +191,192 @@ fn minmod_properties() {
             assert!(m * a > 0.0);
         }
     }
+}
+
+/// Holds one `W = LANES` call of `flux` to `LANES` calls at `W = 1`, bit for
+/// bit: `states[side][component][lane]`.
+fn assert_width_invariant<F: FaceFlux>(flux: &F, d: usize, states: [&[[f64; LANES]]; 2]) {
+    let n = states[0].len();
+    let [left, right] = states.map(|s| s.iter().map(|&c| F64Lanes(c)).collect::<Vec<_>>());
+    let mut wide = vec![F64Lanes::<LANES>::splat(f64::NAN); n];
+    flux.flux(d, 16.0, &left, &right, &mut wide);
+    for lane in 0..LANES {
+        let one_lane = |side: &[F64Lanes<LANES>]| -> Vec<F64Lanes<1>> {
+            side.iter().map(|c| F64Lanes([c.lane(lane)])).collect()
+        };
+        let (l, r) = (one_lane(&left), one_lane(&right));
+        let mut one = vec![F64Lanes::<1>::splat(f64::NAN); n];
+        flux.flux(d, 16.0, &l, &r, &mut one);
+        for c in 0..n {
+            assert_eq!(
+                wide[c].lane(lane).to_bits(),
+                one[c].lane(0).to_bits(),
+                "direction {d}, component {c}, lane {lane}: {:e} at W = {LANES}, {:e} at W = 1",
+                wide[c].lane(lane),
+                one[c].lane(0),
+            );
+        }
+    }
+}
+
+/// `ncomp` components of `LANES` lanes, each `cell(component, lane)`.
+fn lanes_of(ncomp: usize, mut cell: impl FnMut(usize, usize) -> f64) -> Vec<[f64; LANES]> {
+    (0..ncomp)
+        .map(|c| std::array::from_fn(|lane| cell(c, lane)))
+        .collect()
+}
+
+/// Euler's HLL in every regime of its three-way branch, with density and
+/// pressure driven onto their floors: lanes and scalar agree bit for bit,
+/// and the states do reach each regime.
+#[test]
+fn euler_face_flux_is_width_invariant_in_every_regime() {
+    let pkg = EulerPackage::default();
+    let mut rng = Rng::new(0x57E0_0009);
+    // Ranges of (ρ, speed, p) per regime: supersonic to the right and to the
+    // left, subsonic, so dense that the sound speed drops below an ulp of
+    // the flow speed (sl == sr), density below its floor, pressure below its.
+    const REGIMES: [[(f64, f64); 3]; 6] = [
+        [(0.5, 2.0), (4.0, 8.0), (0.5, 2.0)],
+        [(0.5, 2.0), (-8.0, -4.0), (0.5, 2.0)],
+        [(0.5, 2.0), (-0.3, 0.3), (0.5, 2.0)],
+        [(1e300, 1e300), (1.0, 1.0), (0.0, 0.0)],
+        [(-1.0, 1e-12), (-1.0, 1.0), (0.5, 2.0)],
+        [(0.5, 2.0), (-1.0, 1.0), (-2.0, 1e-13)],
+    ];
+    // One conserved state of `regime`.
+    let state = |rng: &mut Rng, regime: usize| -> [f64; 5] {
+        let [rho, speed, p] = REGIMES[regime].map(|(lo, hi)| rng.f64_in(lo, hi));
+        let vel = match regime {
+            3 => [speed * [1.0, -1.0][rng.usize_in(0, 2)]; 3],
+            _ => [speed, rng.f64_in(-0.5, 0.5), rng.f64_in(-0.5, 0.5)],
+        };
+        let ke = 0.5 * rho * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
+        [rho, rho * vel[0], rho * vel[1], rho * vel[2], p / 0.4 + ke]
+    };
+    // The solver's signal speeds, recomputed here only to classify.
+    let speeds = |ul: &[f64; 5], ur: &[f64; 5]| {
+        let fan = |u: &[f64; 5]| {
+            let rho = u[0].max(1e-12);
+            let vel = [u[1] / rho, u[2] / rho, u[3] / rho];
+            let p =
+                0.4 * (u[4] - 0.5 * rho * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]));
+            let c = (1.4 * p.max(1e-12) / rho).sqrt();
+            (vel[0] - c, vel[0] + c, u[0] < 1e-12, p < 1e-12)
+        };
+        let ((ll, lr, rho_floor, p_floor), (rl, rr, ..)) = (fan(ul), fan(ur));
+        (ll.min(rl), lr.max(rr), rho_floor, p_floor)
+    };
+    // Reached: take-left, take-right, blend, sl == sr, ρ floor, p floor.
+    let mut reached = [0usize; 6];
+    for case in 0..500 {
+        let sides: [[[f64; 5]; LANES]; 2] =
+            std::array::from_fn(|_| std::array::from_fn(|_| state(&mut rng, case % 6)));
+        for (ul, ur) in sides[0].iter().zip(&sides[1]) {
+            let (sl, sr, rho_floor, p_floor) = speeds(ul, ur);
+            let upwind = [sl >= 0.0, sl < 0.0 && sr <= 0.0, sl < 0.0 && sr > 0.0];
+            let hit = [
+                upwind[0],
+                upwind[1],
+                upwind[2],
+                sl == sr,
+                rho_floor,
+                p_floor,
+            ];
+            (0..6).for_each(|r| reached[r] += usize::from(hit[r]));
+        }
+        let [left, right] = sides.map(|side| lanes_of(5, |c, lane| side[lane][c]));
+        assert_width_invariant(&pkg, 0, [&left, &right]);
+        assert_width_invariant(&pkg, 1 + case % 2, [&left, &right]);
+    }
+    assert!(
+        reached.iter().all(|&n| n >= 20),
+        "regimes reached: {reached:?}"
+    );
+}
+
+/// Advect (both signs of every velocity component, ±0.0 states),
+/// diffusion and Burgers: lanes and scalar agree bit for bit.
+#[test]
+fn linear_and_burgers_face_fluxes_are_width_invariant() {
+    let mut rng = Rng::new(0x57E0_000A);
+    let burgers = BurgersPackage::new(BurgersParams {
+        num_scalars: 2,
+        ..BurgersParams::default()
+    });
+    for case in 0..500 {
+        let mut cell = |_: usize, _: usize| match rng.usize_in(0, 6) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1e-14 * rng.f64_in(-1.0, 1.0),
+            _ => rng.f64_in(-3.0, 3.0),
+        };
+        let states = [lanes_of(5, &mut cell), lanes_of(5, &mut cell)];
+        let states = [&states[0][..], &states[1][..]];
+        let sign = [1.0, -1.0][case % 2];
+        let advect = Advect {
+            velocity: [sign, -0.5 * sign, 0.0 * sign],
+            ..Advect::default()
+        };
+        for d in 0..3 {
+            assert_width_invariant(&advect, d, states);
+            assert_width_invariant(&DiffusionPackage::default(), d, states);
+            assert_width_invariant(&burgers, d, states);
+        }
+    }
+}
+
+/// Every line length from one face to two bundles and a remainder — full
+/// bundles, the overlapped final bundle, the sub-bundle `W = 1` tail —
+/// along a row and across rows: the walker fills what its per-face
+/// reference fills, and counts each face once.
+#[test]
+fn walker_matches_its_reference_at_every_line_length() {
+    fn check<R: ReconKernel, P: Package + FaceFlux>(pkg: &P, ncomp: usize) {
+        let slot = synthetic_block(pkg, 2, 2 * LANES + 2, 0x57E0_000B);
+        for len in 1..=2 * LANES + 1 {
+            // Rows of `len` y-faces and `len + 1` x-faces; then a one-cell
+            // column, whose lines run across rows where they reach a bundle.
+            for n in [[len, 2, 1], [1, len, 1]] {
+                let cells = CellBox { lo: [0, 1, 0], n };
+                let mut bufs = [(); 2].map(|_| vec![f64::NAN; cells.tile_len(2, ncomp)]);
+                let [walked, reference] = &mut bufs;
+                let mut tile = FluxTile::new(cells, 2, ncomp, walked);
+                let (lane, tail) = fill_lines::<R, P>(pkg, &slot.info, &slot.data, &mut tile);
+                let faces: usize = (0..2)
+                    .map(|d| tile.extent(d).iter().product::<usize>())
+                    .sum();
+                assert_eq!((lane + tail) as usize, faces, "{cells:?}: faces counted");
+                // Which directions reach a bundle, along i or along j.
+                let bundled = |d: usize| {
+                    let [ni, nj, _] = tile.extent(d);
+                    if ni >= LANES || nj >= LANES {
+                        ni * nj
+                    } else {
+                        0
+                    }
+                };
+                assert_eq!(
+                    lane as usize,
+                    bundled(0) + bundled(1),
+                    "{cells:?}: lane faces"
+                );
+                let mut tile = FluxTile::new(cells, 2, ncomp, reference);
+                fill_faces_reference::<R, P>(pkg, &slot.info, &slot.data, &mut tile);
+                for (at, (w, r)) in walked.iter().zip(reference.iter()).enumerate() {
+                    assert_eq!(
+                        w.to_bits(),
+                        r.to_bits(),
+                        "{cells:?}: entry {at}: {w:e} vs {r:e}"
+                    );
+                }
+            }
+        }
+    }
+    check::<LinearKernel, _>(&EulerPackage::default(), 5);
+    let burgers = BurgersPackage::new(BurgersParams {
+        num_scalars: 2,
+        ..BurgersParams::default()
+    });
+    check::<Weno5Kernel, _>(&burgers, 5);
 }
