@@ -14,7 +14,7 @@ use vibe_burgers::{
     reconstruct_weno5_lanes, weno5_left, weno5_left_lanes, BurgersPackage, BurgersParams,
     LinearKernel, Reconstruction, Weno5Kernel,
 };
-use vibe_core::sweep::{fill_lines, sweep_block, Planes, LANES};
+use vibe_core::sweep::{fill_lines, sweep_slot, Planes, LANES};
 use vibe_core::{check_partition_invariance, BlockInfo, BlockSlot, CellBox, FluxTile, Package};
 use vibe_field::{BlockData, F64Lanes, VarId};
 use vibe_mesh::{Mesh, MeshParams};
@@ -265,7 +265,7 @@ fn production_sweep_matches_scalar_oracle_blockwise() {
                 .unwrap_or_else(|e| panic!("n={n} {recon:?}: {e}"));
             let ids = [VarId(0), VarId(1)];
             let mut swept = slot.clone();
-            sweep_block(&pkg, &mut swept, &ids, &[whole], Planes::Save, &mut lanes);
+            sweep_slot(&pkg, &mut swept, &ids, &[whole], Planes::Save, &mut lanes);
             let oracle = FluxTile::new(whole, 3, 5, &mut scalar);
             let inv = slot.info.geom.dx().map(|dx| 1.0 / dx);
             for comp in 0..5 {

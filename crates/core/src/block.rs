@@ -56,27 +56,10 @@ impl BlockSlot {
         }
     }
 
-    /// Saves stage-0 copies of the listed variables' interiors, reusing
-    /// the copies' allocations across cycles.
+    /// Saves stage-0 copies of the listed variables' interiors
+    /// ([`save_stage0`]).
     pub fn save_stage0(&mut self, vars: &[VarId]) {
-        let shape = *self.data.shape();
-        let [nx, ny, nz] = shape.ncells();
-        let g: [usize; 3] = std::array::from_fn(|d| shape.nghost_d(d));
-        self.stage0.resize(self.data.num_vars(), Vec::new());
-        for &id in vars {
-            let src = self.data.var(id).data();
-            let [ncomp, ez, ey, ex] = src.shape();
-            let copy = &mut self.stage0[id.0];
-            copy.clear();
-            for c in 0..ncomp {
-                for k in 0..nz {
-                    for j in 0..ny {
-                        let row = ((c * ez + k + g[2]) * ey + j + g[1]) * ex + g[0];
-                        copy.extend_from_slice(&src.as_slice()[row..row + nx]);
-                    }
-                }
-            }
-        }
+        save_stage0(&self.data, vars, &mut self.stage0);
     }
 
     /// The stage-0 copy of `id`'s interior.
@@ -105,6 +88,29 @@ impl BlockSlot {
     /// Field bytes this process actually holds for the block.
     pub fn resident_bytes(&self) -> usize {
         self.data.resident_bytes() + self.stage0.iter().map(|c| 8 * c.len()).sum::<usize>()
+    }
+}
+
+/// Saves copies of the interiors of `vars` of `data` into `stage0` (a
+/// [`BlockSlot::stage0`]), reusing the copies' allocations across cycles.
+pub fn save_stage0(data: &BlockData, vars: &[VarId], stage0: &mut Vec<Vec<f64>>) {
+    let shape = *data.shape();
+    let [nx, ny, nz] = shape.ncells();
+    let g: [usize; 3] = std::array::from_fn(|d| shape.nghost_d(d));
+    stage0.resize(data.num_vars(), Vec::new());
+    for &id in vars {
+        let src = data.var(id).data();
+        let [ncomp, ez, ey, ex] = src.shape();
+        let copy = &mut stage0[id.0];
+        copy.clear();
+        for c in 0..ncomp {
+            for k in 0..nz {
+                for j in 0..ny {
+                    let row = ((c * ez + k + g[2]) * ey + j + g[1]) * ex + g[0];
+                    copy.extend_from_slice(&src.as_slice()[row..row + nx]);
+                }
+            }
+        }
     }
 }
 

@@ -16,15 +16,19 @@
 //!   packed into a recycled wire buffer, sent, banked on arrival in a
 //!   table indexed by transfer, unpacked, and the buffer recycled.
 //!
-//! The exchange is split into phases so the task graph can keep interior
-//! compute running while messages are in flight:
+//! The exchange is split into phases so the task graph can keep compute
+//! running while messages are in flight:
 //!
 //! * [`ExchangePlan::build`] — per-mesh-generation compilation;
 //! * [`ghost_pack_and_send`] — route, post receives, pack and ship;
-//! * [`ghost_fill_direct`] — fill the direct boundaries (head of the
-//!   WaitUnpack task, while remote messages are in flight);
-//! * [`ghost_poll`] — one non-blocking delivery sweep;
-//! * [`ghost_set_bounds`] — unpack the delivered buffers;
+//! * [`ghost_visit`] — the stage visit: one worker per receiver block runs
+//!   its direct fills, unpacks its delivered payloads, applies its physical
+//!   boundary conditions and, while the block is resident in cache, sweeps
+//!   it. The blocks whose every boundary is direct are visited while remote
+//!   messages are in flight (InteriorFlux), the others once theirs arrived
+//!   (ExteriorFlux);
+//! * [`ghost_poll`] — one non-blocking delivery sweep (WaitUnpack);
+//! * [`ghost_retire`] — recycle the buffers, account the exchange;
 //! * [`flux_corr_send`] / [`flux_corr_apply`] — the same for fine→coarse
 //!   flux correction.
 //!
@@ -36,18 +40,20 @@
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Mutex;
+use std::time::Instant;
 
 use vibe_comm::{BoundaryKey, BufferCache, CacheConfig, CommEventKind, Communicator, SendMeta};
 use vibe_exec::{catalog, ExecCtx, Launcher, SharedCells};
 use vibe_field::buffer::compute_buffer_spec_with;
 use vibe_field::{
-    apply_face_bc, flux_correction_spec, BcKind, BlockData, CellRows, FluxProgram, Metadata,
-    RowProgram, Side, TransferProgram, VarId,
+    apply_face_bc, flux_correction_spec, BcKind, BlockData, CellRows, FluxOut, FluxProgram,
+    Metadata, RowProgram, Side, TransferProgram, VarId,
 };
 use vibe_mesh::Mesh;
-use vibe_prof::{MemSpace, Recorder, RegionKey, SerialWork, StepFunction};
+use vibe_prof::{MemSpace, Recorder, RegionKey, SerialWork, StepFunction, WallClock};
 
-use crate::block::BlockSlot;
+use crate::block::{save_stage0, BlockInfo, BlockSlot};
+use crate::package::FluxPhase;
 use crate::tasks::TaskStatus;
 
 /// Configuration of the ghost exchange.
@@ -110,11 +116,6 @@ impl<'a> BlockTable<'a> {
     /// Block `gid`, if its data lives in this process.
     fn resident(&self, gid: usize) -> Option<&BlockSlot> {
         self.slots.get(self.index[gid])
-    }
-
-    /// Every resident block, ascending gid.
-    fn residents_mut(&mut self) -> &mut [BlockSlot] {
-        self.slots
     }
 
     /// The rank label block `gid` carries right now, resident or not.
@@ -181,22 +182,34 @@ thread_local! {
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// [`SharedCells`] as the rows of a direct fill.
+/// [`SharedCells`] as the rows of a block's storage during a dispatch over
+/// receiver blocks.
 ///
-/// The disjointness that makes the accesses below sound is a property of
-/// the plan: every program reads only its sender's interior and writes only
-/// its receiver's ghost band ([`RowProgram::compile`] asserts it per
-/// transfer in debug builds; for face planes [`ExchangePlan`] asserts that
-/// no block face is both corrected and a source), and a fill dispatch hands
-/// each receiver to exactly one worker. Bounds are checked per storage
-/// before a program runs ([`check_span`]).
+/// The aliasing contract that makes the accesses below sound: during a
+/// dispatch every block's *interior* (and every face plane no correction
+/// writes) is read-only for every worker, and a block's ghost band (or its
+/// corrected planes) belongs to the one worker that claimed the block. That
+/// is a property of the plan — every program reads only its sender's
+/// interior and writes only its receiver's ghost band
+/// ([`RowProgram::compile`] asserts it per transfer in debug builds; for
+/// face planes [`ExchangePlan`] asserts that no block face is both corrected
+/// and a source) — and of the dispatch, which hands each receiver to
+/// exactly one worker. The stage visit ([`ghost_visit`]) extends it to the
+/// rest of what it writes: a visited block's divergence arrays, face planes
+/// and stage copy are moved out of the block before the dispatch and owned
+/// by the claiming worker, which borrows the block's container shared for
+/// the sweep only after its own ghost writes — neither fill nor sweep
+/// writes an interior cell, and no `&mut` to a block is formed while other
+/// workers read it. Bounds are checked per storage before a program runs
+/// ([`check_span`]).
 struct Rows<'a>(SharedCells<'a>);
 
 impl CellRows for Rows<'_> {
     #[inline(always)]
     fn row(&self, start: usize, len: usize) -> &[f64] {
-        // SAFETY: reads lie in a sender's interior (or in a face plane no
-        // correction writes), which no worker writes during the dispatch.
+        // SAFETY: reads lie in a block's interior (or in a face plane no
+        // correction writes), which no worker writes during the dispatch,
+        // or in ghost cells of the block this worker claimed and filled.
         unsafe { self.0.read(start, len) }
     }
 
@@ -243,8 +256,10 @@ struct Flight {
     /// transfers too, which complete on the first sweep so the event
     /// stream reads as if they had gone through the mailbox.
     pending: Vec<Waiting>,
-    /// Transfers received through the mailbox this round.
+    /// Transfers received through the mailbox this round, and per block
+    /// whether it receives any of them.
     mailed: Vec<usize>,
+    awaits: Vec<bool>,
     /// Delivered payloads, indexed by transfer.
     bank: Vec<Vec<f64>>,
     /// (transfer, buffer) pairs being packed for the mailbox.
@@ -259,8 +274,6 @@ struct Flight {
     receives: u64,
     direct: u64,
     direct_probes: u64,
-    /// Whether the direct transfers have been filled this round.
-    filled: bool,
 }
 
 impl Flight {
@@ -284,12 +297,14 @@ impl Flight {
         self.routes.clear();
         self.pending.clear();
         self.mailed.clear();
+        self.awaits.clear();
+        self.awaits.resize(blocks.num_blocks(), false);
         self.bank.resize_with(transfers.len(), Vec::new);
         for cells in [&mut self.sent_cells, &mut self.received_cells] {
             cells.clear();
             cells.resize(comm.nranks(), 0);
         }
-        (self.receives, self.direct, self.filled) = (0, 0, false);
+        (self.receives, self.direct) = (0, 0);
         for (b, t) in transfers.iter().enumerate() {
             let route = Route::of(&self.labels, t);
             self.routes.push(route);
@@ -318,6 +333,7 @@ impl Flight {
                 }
                 self.pending.push(waiting);
                 self.mailed.push(b);
+                self.awaits[t.recv] = true;
             }
         }
         self.direct_probes = self.direct;
@@ -492,68 +508,98 @@ impl<P: TransferProgram> Lane<P> {
         }
     }
 
-    /// Runs every direct transfer straight from the sender's storage into
-    /// the receiver's, in parallel over receiver blocks.
-    fn fill_direct(&self, flight: &Flight, blocks: &mut BlockTable<'_>, exec: ExecCtx) {
-        // One view per (block, exchanged variable, addressable array).
-        let at = |gid: usize, v: usize, a: usize| (gid * self.vars.len() + v) * P::ARRAYS + a;
-        let mut cells = vec![SharedCells::empty(); at(self.start.len() - 1, 0, 0)];
-        let mut receivers = Vec::new();
-        for slot in blocks.residents_mut() {
-            let gid = slot.info.gid;
-            if !self.received_by(gid).is_empty() {
-                receivers.push(gid);
-            }
-            for (i, var) in slot.data.vars_mut().iter_mut().enumerate() {
+    /// A view of every addressable array of every exchanged variable of
+    /// the resident blocks `(gid, container)`.
+    fn views<'a>(&self, residents: impl Iterator<Item = (usize, &'a mut BlockData)>) -> Views<'a> {
+        let (nvars, arrays) = (self.vars.len(), P::ARRAYS);
+        let blocks = self.start.len() - 1;
+        let mut cells = vec![SharedCells::empty(); blocks * nvars * arrays];
+        for (gid, data) in residents {
+            for (i, var) in data.vars_mut().iter_mut().enumerate() {
                 let Some(v) = self.vars.iter().position(|(id, _)| id.0 == i) else {
                     continue;
                 };
                 for (a, array) in P::arrays_mut(var).iter_mut().enumerate() {
-                    cells[at(gid, v, a)] = SharedCells::new(array.as_mut_slice());
+                    cells[(gid * nvars + v) * arrays + a] = SharedCells::new(array.as_mut_slice());
                 }
             }
         }
-        exec.for_each_index(receivers.len(), |i| {
-            let r = receivers[i];
-            SCRATCH.with_borrow_mut(|scratch| {
-                for b in self.received_by(r) {
-                    if flight.routes[b] != Route::Direct {
-                        continue;
-                    }
-                    let (prog, s) = (&self.progs[b], self.transfers[b].send);
-                    for (v, &(_, ncomp)) in self.vars.iter().enumerate() {
-                        let src = cells[at(s, v, prog.src_array())];
-                        let dst = cells[at(r, v, prog.dst_array())];
-                        check_span(prog.storage_span(ncomp), &src, &dst);
-                        prog.fill(ncomp, &Rows(src), &mut Rows(dst), scratch);
-                    }
-                }
-            });
-        });
+        Views {
+            cells,
+            nvars,
+            arrays,
+        }
     }
 
-    /// Unpacks every payload the mailbox delivered into its receiver, in
-    /// parallel over receiver blocks.
-    fn unpack_delivered(&self, flight: &Flight, blocks: &mut BlockTable<'_>, exec: ExecCtx) {
-        if flight.mailed.is_empty() {
-            return;
-        }
-        exec.for_each_block(blocks.residents_mut(), |_, slot| {
-            for b in self.received_by(slot.info.gid) {
-                if !matches!(flight.routes[b], Route::Mailbox | Route::Receive) {
-                    continue;
-                }
-                let (wire, prog) = (flight.bank[b].as_slice(), &self.progs[b]);
-                assert_eq!(wire.len(), self.transfers[b].wire_len, "payload length");
-                let mut at = 0usize;
-                for &(id, ncomp) in &self.vars {
+    /// Runs the transfers block `r` receives over the routes `wanted`: a
+    /// direct one straight from the sender's storage, a delivered one out
+    /// of the bank.
+    fn receive(
+        &self,
+        r: usize,
+        flight: &Flight,
+        views: &Views<'_>,
+        wanted: impl Fn(Route) -> bool,
+        scratch: &mut Vec<f64>,
+    ) {
+        for b in self.received_by(r) {
+            let route = flight.routes[b];
+            if !route.receiver_here() || !wanted(route) {
+                continue;
+            }
+            let (t, prog, wire) = (&self.transfers[b], &self.progs[b], &flight.bank[b]);
+            let direct = route == Route::Direct;
+            assert!(direct || wire.len() == t.wire_len, "payload length");
+            let mut at = 0usize;
+            for (v, &(_, ncomp)) in self.vars.iter().enumerate() {
+                let dst = views.at(r, v, prog.dst_array());
+                if direct {
+                    let src = views.at(t.send, v, prog.src_array());
+                    check_span(prog.storage_span(ncomp), &src, &dst);
+                    prog.fill(ncomp, &Rows(src), &mut Rows(dst), scratch);
+                } else {
                     let len = prog.wire_len(ncomp);
-                    let array = &mut P::arrays_mut(slot.data.var_mut(id))[prog.dst_array()];
-                    prog.unpack(ncomp, &wire[at..at + len], array.as_mut_slice());
+                    check_span(prog.storage_span(ncomp), &dst, &dst);
+                    prog.unpack(ncomp, &wire[at..at + len], &mut Rows(dst));
                     at += len;
                 }
             }
+        }
+    }
+
+    /// [`Lane::receive`] for every resident receiver, in parallel over
+    /// receiver blocks.
+    fn receive_all(
+        &self,
+        flight: &Flight,
+        blocks: &mut BlockTable<'_>,
+        exec: ExecCtx,
+        wanted: fn(Route) -> bool,
+    ) {
+        let residents = blocks.slots.iter_mut();
+        let views = self.views(residents.map(|slot| (slot.info.gid, &mut slot.data)));
+        let receivers: Vec<usize> = (0..self.start.len() - 1)
+            .filter(|&r| flight.labels[r].0 && !self.received_by(r).is_empty())
+            .collect();
+        exec.for_each_index(receivers.len(), |i| {
+            SCRATCH.with_borrow_mut(|scratch| {
+                self.receive(receivers[i], flight, &views, wanted, scratch);
+            });
         });
+    }
+}
+
+/// One [`SharedCells`] view per (block of the mesh, exchanged variable,
+/// addressable array), empty where the block is not resident.
+struct Views<'a> {
+    cells: Vec<SharedCells<'a>>,
+    nvars: usize,
+    arrays: usize,
+}
+
+impl<'a> Views<'a> {
+    fn at(&self, gid: usize, v: usize, a: usize) -> SharedCells<'a> {
+        self.cells[(gid * self.nvars + v) * self.arrays + a]
     }
 }
 
@@ -583,6 +629,12 @@ pub struct ExchangePlan {
 }
 
 impl ExchangePlan {
+    /// Components of all [`Metadata::WITH_FLUXES`] variables together —
+    /// what one face of a flux tile carries.
+    pub fn flux_ncomp(&self) -> usize {
+        self.fluxes.vars.iter().map(|&(_, ncomp)| ncomp).sum()
+    }
+
     /// Builds the plan for the current mesh generation from the replicated
     /// mesh and the resident blocks' `containers`, performing (and
     /// recording) the per-block variable lookups that previously ran on
@@ -626,8 +678,9 @@ impl ExchangePlan {
         let mut sources = vec![0u8; mesh.num_blocks()];
         for recv in 0..mesh.num_blocks() {
             let r_loc = mesh.block(recv).loc();
-            for (t, nb) in mesh.neighbors(recv).iter().enumerate() {
-                let send = mesh.gid_at(&nb.loc).expect("neighbor is a leaf");
+            let neighbors = mesh.neighbors(recv).iter().zip(mesh.neighbor_gids(recv));
+            for (t, (nb, &send)) in neighbors.enumerate() {
+                let send = send as usize;
                 let spec = compute_buffer_spec_with(
                     &shape,
                     &r_loc,
@@ -683,9 +736,9 @@ pub struct GhostExchangeState {
 /// Routes every boundary, posts the receives (`StartReceiveBoundBufs`),
 /// packs the mailbox-bound buffers in parallel (pure reads of the sender
 /// blocks) and streams those sends serially in key order
-/// (`SendBoundBufs`). Direct boundaries move nothing yet:
-/// [`ghost_fill_direct`] fills them. Returns the in-flight state that
-/// [`ghost_poll`] and [`ghost_set_bounds`] retire.
+/// (`SendBoundBufs`). Direct boundaries move nothing yet: the receiver's
+/// [`ghost_visit`] fills them. Returns the in-flight state that
+/// [`ghost_poll`] completes and [`ghost_retire`] retires.
 pub fn ghost_pack_and_send(
     plan: &ExchangePlan,
     blocks: &BlockTable<'_>,
@@ -732,34 +785,6 @@ pub fn ghost_pack_and_send(
     }
 }
 
-/// Fills every direct boundary of the exchange straight from the sender's
-/// interior into the receiver's ghost band (`SetBounds`), in parallel over
-/// receiver blocks. Nothing writes the exchanged variables between the
-/// pack/send phase and this one, so reading the sender now yields the bits
-/// packing it then would have; and one block's boundaries fill disjoint
-/// cells, so filling the direct ones before the delivered ones changes
-/// nothing. Runs once per exchange: returns `true` if this call did the
-/// filling, `false` (at once) if it was done already or there is nothing
-/// to fill.
-pub fn ghost_fill_direct(
-    plan: &ExchangePlan,
-    state: &mut GhostExchangeState,
-    blocks: &mut BlockTable<'_>,
-    exec: ExecCtx,
-    rec: &mut Recorder,
-) -> bool {
-    let flight = &mut state.flight;
-    if std::mem::replace(&mut flight.filled, true) || flight.direct == 0 {
-        return false;
-    }
-    let _g = rec
-        .wall()
-        .clone()
-        .region(RegionKey::Step(StepFunction::SetBounds));
-    plan.ghosts.fill_direct(flight, blocks, exec);
-    true
-}
-
 /// One delivery sweep (`ReceiveBoundBufs`): probes every still-pending
 /// boundary once, banking arrivals. Returns `true` once every message has
 /// landed; remote messages may need several sweeps before the progress
@@ -776,34 +801,182 @@ pub fn ghost_poll(
     state.flight.poll(comm, rec)
 }
 
-/// Unpacks every delivered buffer into its receiver's ghost zones
-/// (`SetBounds`), after filling the direct boundaries if
-/// [`ghost_fill_direct`] has not run, and releases the exchange's MPI
-/// buffer memory. Blocks unpack in parallel over *receivers*; results are
-/// identical to the serial sweep at any thread count.
+/// Fills the ghost zones of block `info` at the physical (non-periodic)
+/// domain faces it touches with [`PHYSICAL_BC`], through the rows of its
+/// exchanged variables `vars` — what follows the block's ghost fill.
+fn physical_bcs(mesh: &Mesh, info: &BlockInfo, vars: &[(VarId, usize)], views: &Views<'_>) {
+    let (params, shape, loc) = (mesh.params(), mesh.index_shape(), info.loc);
+    let periodic = params.region().periodic();
+    for d in (0..params.dim()).filter(|&d| !periodic[d]) {
+        let extent = params.base_blocks()[d] << loc.level();
+        let sides = [
+            (loc.lx_d(d) == 0, Side::Lower),
+            (loc.lx_d(d) == extent - 1, Side::Upper),
+        ];
+        for (_, side) in sides.into_iter().filter(|(at_edge, _)| *at_edge) {
+            for (v, &(_, ncomp)) in vars.iter().enumerate() {
+                let cells = views.at(info.gid, v, 0);
+                check_span(ncomp * shape.entire_count(), &cells, &cells);
+                let rows = &mut Rows(cells);
+                apply_face_bc(rows, ncomp, &shape, d, side, PHYSICAL_BC, ncomp == 3);
+            }
+        }
+    }
+}
+
+/// What a stage visit does with a block once its ghosts are filled: the
+/// block's metadata, its container — borrowed shared — and the flux outputs
+/// of its flux-bearing variables in registration order.
+pub type VisitSweep<'a> = &'a (dyn Fn(&BlockInfo, &BlockData, &mut [FluxOut]) + Sync);
+
+/// One block of a stage visit: what its worker borrows of it and what it
+/// owns outright for the dispatch.
+struct Visited<'a> {
+    info: &'a BlockInfo,
+    data: SharedCells<'a, BlockData>,
+    out: &'a mut [FluxOut],
+    stage0: &'a mut Vec<Vec<f64>>,
+    /// Nanoseconds the fill side and the sweep took.
+    ns: (u64, u64),
+}
+
+/// The stage visit (`SetBounds`, and `CalculateFluxes` with a `sweep`): in
+/// parallel over the resident blocks of one `phase` — `Interior`, the ones
+/// whose every inbound boundary is direct, which need nothing the mailbox
+/// delivers; `Exterior`, the rest, once [`ghost_poll`] reported completion
+/// — one worker per block fills its direct boundaries straight from the
+/// senders' interiors, unpacks its delivered buffers, applies
+/// [`PHYSICAL_BC`] at its physical domain faces, takes its stage copy if
+/// `save`, and while the block is still in cache runs `sweep` on it. Nothing
+/// writes an interior cell between the pack/send phase and the end of the
+/// stage's visits, so reading a sender now yields the bits packing it then
+/// would have; one block's boundaries fill disjoint cells; and a block's
+/// fill, boundary conditions and sweep touch nothing another block's do
+/// (see [`Rows`]): the result is the same bits in any visiting order at
+/// any thread count.
+///
+/// The dispatch's wall time is credited to `SetBounds` and
+/// `CalculateFluxes` in proportion to the summed per-block times of the two
+/// sides, and `cost`, if given (indexed by gid), is charged each block's
+/// own sweep time.
+#[allow(clippy::too_many_arguments)]
+pub fn ghost_visit(
+    plan: &ExchangePlan,
+    state: &GhostExchangeState,
+    blocks: &mut BlockTable<'_>,
+    phase: FluxPhase,
+    save: bool,
+    sweep: Option<VisitSweep<'_>>,
+    cost: Option<&mut [u64]>,
+    exec: ExecCtx,
+    wall: &WallClock,
+) {
+    let (lane, flight, mesh) = (&plan.ghosts, &state.flight, blocks.mesh);
+    assert!(
+        phase == FluxPhase::Interior || flight.pending.is_empty(),
+        "every boundary message delivered"
+    );
+    let visited = |gid: usize| flight.awaits[gid] == (phase == FluxPhase::Exterior);
+    if !blocks.slots.iter().any(|slot| visited(slot.info.gid)) {
+        return;
+    }
+    let start = Instant::now();
+    let swept: &[VarId] = if sweep.is_some() { &plan.flux_ids } else { &[] };
+    // What the sweep writes leaves the visited blocks for the dispatch.
+    let mut outs: Vec<FluxOut> = Vec::with_capacity(blocks.slots.len() * swept.len());
+    for slot in blocks.slots.iter_mut().filter(|s| visited(s.info.gid)) {
+        let take = |&id| slot.data.var_mut(id).take_flux_out();
+        outs.extend(swept.iter().map(take));
+    }
+    let (mut rest, mut containers, mut items) = (&mut outs[..], Vec::new(), Vec::new());
+    for BlockSlot { info, data, stage0 } in blocks.slots.iter_mut() {
+        let data = SharedCells::new(std::slice::from_mut(data));
+        containers.push((info.gid, data));
+        if visited(info.gid) {
+            let (out, tail) = rest.split_at_mut(swept.len());
+            rest = tail;
+            let ns = (0, 0);
+            items.push(Visited {
+                info,
+                data,
+                out,
+                stage0,
+                ns,
+            });
+        }
+    }
+    let residents = containers.iter().map(|(gid, data)| {
+        // SAFETY: no worker runs yet, and `containers` holds the only
+        // handle to each resident container.
+        (*gid, unsafe { &mut data.write(0, 1)[0] })
+    });
+    let views = lane.views(residents);
+
+    exec.for_each_block(&mut items, |_, block| {
+        let t0 = Instant::now();
+        let gid = block.info.gid;
+        SCRATCH.with_borrow_mut(|scratch| lane.receive(gid, flight, &views, |_| true, scratch));
+        physical_bcs(mesh, block.info, &lane.vars, &views);
+        // SAFETY: the claiming worker's shared borrow of its block's
+        // container: other workers only read the interior cells of its
+        // arrays, through `views`, and this worker's ghost writes are done.
+        let data = unsafe { &block.data.read(0, 1)[0] };
+        if save {
+            save_stage0(data, &plan.two_stage_ids, block.stage0);
+        }
+        let t1 = Instant::now();
+        if let Some(sweep) = sweep {
+            sweep(block.info, data, block.out);
+        }
+        let filled = t1.duration_since(t0).as_nanos() as u64;
+        block.ns = (filled, t1.elapsed().as_nanos() as u64);
+    });
+
+    let (mut fill_ns, mut sweep_ns) = (0u64, 0u64);
+    let mut cost = cost;
+    for block in &items {
+        fill_ns += block.ns.0;
+        sweep_ns += block.ns.1;
+        if let Some(cost) = cost.as_deref_mut() {
+            cost[block.info.gid] += block.ns.1;
+        }
+    }
+    drop((items, views));
+    let mut outs = outs.into_iter();
+    for slot in blocks.slots.iter_mut().filter(|s| visited(s.info.gid)) {
+        for (&id, out) in swept.iter().zip(&mut outs) {
+            slot.data.var_mut(id).put_flux_out(out);
+        }
+    }
+    let wall_ns = start.elapsed().as_nanos() as u64;
+    let busy = (fill_ns + sweep_ns).max(1) as u128;
+    let fill_share = (wall_ns as u128 * fill_ns as u128 / busy) as u64;
+    wall.credit(RegionKey::Step(StepFunction::SetBounds), start, fill_share);
+    if sweep.is_some() {
+        let sweep_start = start + std::time::Duration::from_nanos(fill_share);
+        let key = RegionKey::Step(StepFunction::CalculateFluxes);
+        wall.credit(key, sweep_start, wall_ns - fill_share);
+    }
+}
+
+/// Retires a completed exchange (the tail of the ExteriorFlux node):
+/// recycles the consumed payloads, accounts the `SetBounds` launches and
+/// boundary loop, and releases the exchange's MPI buffer memory.
 ///
 /// # Panics
 ///
 /// Panics unless [`ghost_poll`] reported completion for `state`.
-pub fn ghost_set_bounds(
+pub fn ghost_retire(
     plan: &ExchangePlan,
-    mut state: GhostExchangeState,
-    blocks: &mut BlockTable<'_>,
+    state: GhostExchangeState,
     comm: &mut Communicator,
-    exec: ExecCtx,
     rec: &mut Recorder,
 ) {
+    let mut flight = state.flight;
     assert!(
-        state.flight.pending.is_empty(),
+        flight.pending.is_empty(),
         "every boundary message delivered"
     );
-    ghost_fill_direct(plan, &mut state, blocks, exec, rec);
-    let _set_guard = rec
-        .wall()
-        .clone()
-        .region(RegionKey::Step(StepFunction::SetBounds));
-    let mut flight = state.flight;
-    plan.ghosts.unpack_delivered(&flight, blocks, exec);
     flight.recycle();
     {
         let mut launcher = Launcher::new(rec);
@@ -820,34 +993,11 @@ pub fn ghost_set_bounds(
     plan.ghosts.park(flight);
 }
 
-/// The body of a WaitUnpack task: fills the direct boundaries on its first
-/// invocation of an exchange, sweeps for deliveries, and once everything
-/// arrived unpacks it and retires `state`. Until then the status says
-/// whether the invocation worked ([`TaskStatus::Progress`]) or only polled.
-pub fn ghost_wait_unpack(
-    plan: &ExchangePlan,
-    state: &mut GhostExchangeState,
-    blocks: &mut BlockTable<'_>,
-    comm: &mut Communicator,
-    exec: ExecCtx,
-    rec: &mut Recorder,
-) -> TaskStatus {
-    let filled = ghost_fill_direct(plan, state, blocks, exec, rec);
-    if !ghost_poll(state, comm, rec) {
-        return if filled {
-            TaskStatus::Progress
-        } else {
-            TaskStatus::Incomplete
-        };
-    }
-    ghost_set_bounds(plan, std::mem::take(state), blocks, comm, exec, rec);
-    TaskStatus::Complete
-}
-
-/// Runs the pack/send → fill → poll → set-bounds phases back-to-back with a
-/// prebuilt plan. This is the non-overlapping path (initialization and
-/// direct callers); the cycle path schedules the same phases as separate
-/// tasks so interior compute proceeds while messages are in flight.
+/// Runs the pack/send → visit → poll → visit → retire phases back-to-back
+/// with a prebuilt plan and no sweep. This is the non-overlapping path
+/// (initialization and direct callers); the cycle path schedules the same
+/// phases as separate tasks so compute proceeds while messages are in
+/// flight.
 pub fn exchange_ghosts_with_plan(
     plan: &ExchangePlan,
     blocks: &mut BlockTable<'_>,
@@ -857,52 +1007,17 @@ pub fn exchange_ghosts_with_plan(
     exec: ExecCtx,
     rec: &mut Recorder,
 ) {
+    let wall = rec.wall().clone();
     let mut state = ghost_pack_and_send(plan, &*blocks, comm, cache, cfg, exec, rec);
-    let mut sweeps = 0u32;
-    while ghost_wait_unpack(plan, &mut state, blocks, comm, exec, rec) != TaskStatus::Complete {
-        sweeps += 1;
-        assert!(sweeps < 10_000, "ghost messages never arrived");
-    }
-}
-
-/// Fills the ghost zones at physical (non-periodic) domain faces of every
-/// resident block with [`PHYSICAL_BC`] — what follows a completed ghost
-/// exchange.
-pub fn apply_physical_bcs(
-    plan: &ExchangePlan,
-    mesh: &Mesh,
-    blocks: &mut BlockTable<'_>,
-    exec: ExecCtx,
-    rec: &mut Recorder,
-) {
-    let periodic = mesh.params().region().periodic();
-    let dim = mesh.params().dim();
-    if periodic.iter().take(dim).all(|&p| p) {
-        return;
-    }
-    let _g = rec
-        .wall()
-        .clone()
-        .region_hot(RegionKey::Named("PhysicalBCs"));
-    let shape = mesh.index_shape();
-    let base_blocks = mesh.params().base_blocks();
-    exec.for_each_block(blocks.residents_mut(), |_, slot| {
-        let loc = slot.info.loc;
-        for d in (0..dim).filter(|&d| !periodic[d]) {
-            let extent = base_blocks[d] << loc.level();
-            let sides = [
-                (loc.lx_d(d) == 0, Side::Lower),
-                (loc.lx_d(d) == extent - 1, Side::Upper),
-            ];
-            for (_, side) in sides.into_iter().filter(|(at_edge, _)| *at_edge) {
-                for &id in &plan.ghost_ids {
-                    let var = slot.data.var_mut(id);
-                    let is_vector = var.ncomp() == 3;
-                    apply_face_bc(var.data_mut(), &shape, d, side, PHYSICAL_BC, is_vector);
-                }
-            }
+    for phase in [FluxPhase::Interior, FluxPhase::Exterior] {
+        let mut sweeps = 0u32;
+        while phase == FluxPhase::Exterior && !ghost_poll(&mut state, comm, rec) {
+            sweeps += 1;
+            assert!(sweeps < 10_000, "ghost messages never arrived");
         }
-    });
+        ghost_visit(plan, &state, blocks, phase, false, None, None, exec, &wall);
+    }
+    ghost_retire(plan, state, comm, rec);
 }
 
 /// Performs one full ghost-zone exchange of all [`Metadata::FILL_GHOST`]
@@ -965,7 +1080,7 @@ pub fn flux_corr_send(
         });
     }
     if flight.direct > 0 {
-        lane.fill_direct(&flight, blocks, exec);
+        lane.receive_all(&flight, blocks, exec, |route| route == Route::Direct);
     }
     FluxCorrState { flight }
 }
@@ -991,7 +1106,10 @@ pub fn flux_corr_apply(
         return TaskStatus::Incomplete;
     }
     let mut flight = std::mem::take(state).flight;
-    plan.fluxes.unpack_delivered(&flight, blocks, exec);
+    if !flight.mailed.is_empty() {
+        let delivered = |route| route != Route::Direct;
+        plan.fluxes.receive_all(&flight, blocks, exec, delivered);
+    }
     flight.recycle();
     plan.fluxes.park(flight);
     TaskStatus::Complete
@@ -1289,8 +1407,9 @@ mod tests {
         );
     }
 
-    /// The split phases driven separately must be indistinguishable from
-    /// the one-shot exchange: same ghost values, same message totals.
+    /// The split phases driven separately, in another order than the
+    /// one-shot exchange runs them, must be indistinguishable from it: same
+    /// ghost values, same message totals.
     #[test]
     fn phased_exchange_matches_one_shot() {
         let mesh = uniform_mesh();
@@ -1330,15 +1449,24 @@ mod tests {
                     ExecCtx::serial(),
                     &mut rec,
                 );
+                // Every delivery first, then both visits, the delivered
+                // blocks before the direct ones.
                 while !ghost_poll(&mut state, &mut comm, &mut rec) {}
-                ghost_set_bounds(
-                    &plan,
-                    state,
-                    &mut blocks,
-                    &mut comm,
-                    ExecCtx::serial(),
-                    &mut rec,
-                );
+                let (exec, wall) = (ExecCtx::serial(), WallClock::disabled());
+                for phase in [FluxPhase::Exterior, FluxPhase::Interior] {
+                    ghost_visit(
+                        &plan,
+                        &state,
+                        &mut blocks,
+                        phase,
+                        false,
+                        None,
+                        None,
+                        exec,
+                        &wall,
+                    );
+                }
+                ghost_retire(&plan, state, &mut comm, &mut rec);
             } else {
                 exchange_ghosts_with_plan(
                     &plan,
@@ -1390,7 +1518,10 @@ mod tests {
     /// Two exchanged variables (3 and `ncomp` components), every cell of
     /// data and face planes a distinct value.
     fn build_varied(mesh: &Mesh, ncomp: usize) -> Vec<BlockSlot> {
-        let flags = Metadata::INDEPENDENT | Metadata::FILL_GHOST | Metadata::WITH_FLUXES;
+        let flags = Metadata::INDEPENDENT
+            | Metadata::FILL_GHOST
+            | Metadata::WITH_FLUXES
+            | Metadata::TWO_STAGE;
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -1554,6 +1685,144 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What a stage visit leaves in a block: state, divergence, face planes
+    /// and stage copy, bit for bit.
+    fn visit_bits(slots: &[BlockSlot]) -> Vec<u64> {
+        let mut out = bits(slots, false);
+        out.extend(bits(slots, true));
+        for slot in slots {
+            let divs = slot.data.vars().iter().filter_map(|v| v.div());
+            let cells = divs
+                .flat_map(|div| div.as_slice())
+                .chain(slot.stage0.iter().flatten());
+            out.extend(cells.map(|v| v.to_bits()));
+        }
+        out
+    }
+
+    /// The stage visit — fill, physical boundaries, stage copy, sweep, one
+    /// block at a time — leaves the bits of a global fill followed by a
+    /// global sweep, in any block order at any thread count: on a walled
+    /// 3-D refined mesh under three virtual rank labels, so that direct,
+    /// delivered and physical-boundary ghosts all occur and both phases
+    /// have blocks to visit.
+    #[test]
+    fn stage_visit_is_invariant_under_block_order_and_threads() {
+        use crate::sweep::{sweep_block, sweep_slot, with_scratch, CellBox, Planes};
+        use crate::test_package::Advect;
+        let walls = vibe_mesh::RegionSize::new([0.0; 3], [1.0; 3], [32; 3], [false, true, false]);
+        let params = MeshParams::builder()
+            .dim(3)
+            .mesh_cells(32)
+            .block_cells(8)
+            .max_levels(2)
+            .nghost(2)
+            .region(walls)
+            .build()
+            .unwrap();
+        let mut mesh = Mesh::new(params).unwrap();
+        let mut flags = vec![AmrFlag::Same; mesh.num_blocks()];
+        flags[21] = AmrFlag::Refine;
+        mesh.regrid(&mesh.proper_nesting(&flags)).unwrap();
+        let (cfg, pkg, ids) = (
+            ExchangeConfig::default(),
+            Advect::default(),
+            [VarId(0), VarId(1)],
+        );
+        let budget = crate::sweep::TILE_BUDGET_BYTES / 8;
+        let tiles = CellBox::interior(&mesh.index_shape()).tiles(3, 5, budget);
+        let fresh = || {
+            let mut slots = build_varied(&mesh, 2);
+            relabel(&mut slots, 3);
+            slots
+        };
+
+        // The reference: every ghost of every block, then every block swept.
+        let mut reference = fresh();
+        let mut comm = Communicator::new(3);
+        let mut rec = Recorder::new();
+        rec.begin_cycle(0);
+        let mut cache = BufferCache::new();
+        let exec = ExecCtx::serial();
+        exchange_ghosts(
+            &mesh,
+            &mut reference,
+            &mut comm,
+            &mut cache,
+            &cfg,
+            exec,
+            &mut rec,
+        );
+        for slot in &mut reference {
+            slot.save_stage0(&ids);
+            with_scratch(|s| sweep_slot(&pkg, slot, &ids, &tiles, Planes::Save, s));
+        }
+        let want = visit_bits(&reference);
+        assert!(want != visit_bits(&fresh()), "the reference moved bits");
+
+        let sweep = |info: &BlockInfo, data: &BlockData, out: &mut [FluxOut]| {
+            with_scratch(|s| sweep_block(&pkg, info, data, out, &tiles, Planes::Save, s));
+        };
+        let wall = WallClock::disabled();
+        let mut seed = 0x0dd_ba11_5eed_0022u64;
+        for order in ["ascending", "descending", "shuffled"] {
+            for threads in [1, 2, 8] {
+                let mut slots = fresh();
+                match order {
+                    "ascending" => {}
+                    "descending" => slots.reverse(),
+                    _ => {
+                        for i in (1..slots.len()).rev() {
+                            seed ^= seed << 13;
+                            seed ^= seed >> 7;
+                            seed ^= seed << 17;
+                            slots.swap(i, (seed >> 11) as usize % (i + 1));
+                        }
+                    }
+                }
+                let mut comm = Communicator::new(3);
+                comm.set_remote_delivery_delay(1);
+                let containers = slots.iter_mut().map(|s| &mut s.data);
+                let plan = ExchangePlan::build(&mesh, containers, &cfg, &mut rec);
+                let index = resident_index(&slots, mesh.num_blocks());
+                let mut blocks = BlockTable::of(&mut slots, &index, &mesh);
+                let exec = ExecCtx::new(threads);
+                let mut state = ghost_pack_and_send(
+                    &plan, &blocks, &mut comm, &mut cache, &cfg, exec, &mut rec,
+                );
+                let waiting = state.flight.awaits.iter().filter(|w| **w).count();
+                assert!(
+                    0 < waiting && waiting < mesh.num_blocks(),
+                    "both phases visit"
+                );
+                for phase in [FluxPhase::Interior, FluxPhase::Exterior] {
+                    while phase == FluxPhase::Exterior
+                        && !ghost_poll(&mut state, &mut comm, &mut rec)
+                    {}
+                    let sweep = Some(&sweep as VisitSweep<'_>);
+                    ghost_visit(
+                        &plan,
+                        &state,
+                        &mut blocks,
+                        phase,
+                        true,
+                        sweep,
+                        None,
+                        exec,
+                        &wall,
+                    );
+                }
+                ghost_retire(&plan, state, &mut comm, &mut rec);
+                slots.sort_by_key(|slot| slot.info.gid);
+                assert!(
+                    visit_bits(&slots) == want,
+                    "{order} order, {threads} threads"
+                );
+            }
+        }
+        rec.end_cycle(mesh.num_blocks() as u64, 0, 0, 0);
     }
 
     /// Event logging is gated at the source: with capture off an exchange

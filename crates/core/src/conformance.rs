@@ -19,7 +19,7 @@ use crate::block::fingerprint_slots;
 use crate::block::{BlockInfo, BlockSlot};
 use crate::driver::Driver;
 use crate::package::Package;
-use crate::sweep::{sweep_block, CellBox, FluxTile, Planes, Walk, TILE_BUDGET_BYTES};
+use crate::sweep::{sweep_slot, CellBox, FluxTile, Planes, Walk, TILE_BUDGET_BYTES};
 
 /// What [`check_package`] measured while the checks ran.
 #[derive(Debug, Clone, PartialEq)]
@@ -300,7 +300,7 @@ pub fn check_partition_invariance<P: Package>(
         ("a random partition", random),
     ];
     let mut reference = slot.clone();
-    sweep_block(
+    sweep_slot(
         pkg,
         &mut reference,
         &ids,
@@ -311,7 +311,7 @@ pub fn check_partition_invariance<P: Package>(
     let want = swept_bits(&reference, &ids);
     for (what, boxes) in &tilings {
         let mut tiled = slot.clone();
-        sweep_block(pkg, &mut tiled, &ids, boxes, Planes::Save, &mut scratch);
+        sweep_slot(pkg, &mut tiled, &ids, boxes, Planes::Save, &mut scratch);
         let got = swept_bits(&tiled, &ids);
         if got.0 != want.0 {
             return Err(format!(
@@ -327,7 +327,7 @@ pub fn check_partition_invariance<P: Package>(
 
     // --- A correction re-sweep fed the uncorrected planes is a no-op.
     let layers: Vec<CellBox> = (0..2 * dim).map(|face| whole.layer(face)).collect();
-    sweep_block(
+    sweep_slot(
         pkg,
         &mut reference,
         &ids,

@@ -12,25 +12,27 @@
 //! a gather over one endpoint returns the caller's own payload, and a
 //! migration with every block resident has nothing to send or fetch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use vibe_comm::{
     BoundaryKey, BufferCache, CacheConfig, Communicator, SendMeta, SharedTransport, Transport,
 };
 use vibe_exec::{catalog, ExecCtx, Launcher};
 use vibe_field::{BlockData, PackStrategy};
-use vibe_mesh::{enforce_proper_nesting, AmrFlag, DerefGate, LogicalLocation, Mesh, RegridSource};
+use vibe_mesh::{AmrFlag, DerefGate, Mesh, RegridSource};
 use vibe_prof::{MemSpace, ProfLevel, Recorder, RegionKey, SerialWork, StepFunction};
 
 use crate::amr::{deserialize_into, prolongate_to_child, restrict_to_parent, serialize_block};
 use crate::block::{BlockInfo, BlockSlot};
 use crate::boundary::{
-    apply_physical_bcs, exchange_ghosts_with_plan, flux_corr_apply, flux_corr_send,
-    ghost_pack_and_send, ghost_wait_unpack, resident_index, BlockTable, ExchangeConfig,
-    ExchangePlan, FluxCorrState, GhostExchangeState, NOT_RESIDENT,
+    exchange_ghosts_with_plan, flux_corr_apply, flux_corr_send, ghost_pack_and_send, ghost_poll,
+    ghost_retire, ghost_visit, resident_index, BlockTable, ExchangeConfig, ExchangePlan,
+    FluxCorrState, GhostExchangeState, NOT_RESIDENT,
 };
 use crate::package::{FluxPhase, Package};
-use crate::sweep::{record_flux_launch, sweep_pack};
+use crate::sweep::{
+    record_flux_launch, sweep_block, with_scratch, CellBox, Planes, TILE_BUDGET_BYTES,
+};
 use crate::tasks::{TaskKind, TaskList, TaskNode, TaskStatus};
 use crate::update::flux_divergence_update;
 
@@ -197,8 +199,13 @@ const STAGE_TASK_NAMES: [[&str; 8]; 2] = [
 /// Per RK stage, the ghost exchange is split around the interior share of
 /// the flux launch — work a device could overlap with in-flight boundary
 /// traffic, which is what the platform model and the simulator replay. On
-/// the host `InteriorFlux` only records that share; the whole sweep runs
-/// once per block in `ExteriorFlux` (see [`crate::sweep`]):
+/// the host a block is visited once per stage — ghosts filled, then swept
+/// while it is in cache ([`crate::boundary::ghost_visit`]): `InteriorFlux`
+/// visits the blocks whose every boundary is filled directly (all of them
+/// when one rank label holds every block), while messages are in flight;
+/// `WaitUnpack` only polls and banks deliveries; `ExteriorFlux` visits the
+/// blocks that needed one and retires the exchange. Both flux nodes record
+/// their share of the launch:
 ///
 /// ```text
 /// PackSend ──┬─> InteriorFlux ──┬─> ExteriorFlux ─> FluxCorrSend
@@ -339,8 +346,8 @@ fn build_cycle_list<P: Package>() -> TaskList<Driver<P>> {
             TaskKind::Compute,
             [StepFunction::CalculateFluxes],
             [pack_send],
-            |d| {
-                d.task_flux(FluxPhase::Interior);
+            move |d| {
+                d.task_flux(stage, FluxPhase::Interior);
                 TaskStatus::Complete
             },
         );
@@ -356,8 +363,8 @@ fn build_cycle_list<P: Package>() -> TaskList<Driver<P>> {
             TaskKind::Compute,
             [StepFunction::CalculateFluxes],
             [interior, wait],
-            |d| {
-                d.task_flux(FluxPhase::Exterior);
+            move |d| {
+                d.task_flux(stage, FluxPhase::Exterior);
                 TaskStatus::Complete
             },
         );
@@ -844,8 +851,7 @@ impl<P: Package> Driver<P> {
         for _ in 0..rounds {
             self.exchange();
             let tags = self.collect_tags();
-            let flags = self.flags_by_location(&[tags]);
-            let decision = enforce_proper_nesting(self.mesh.tree(), &flags);
+            let decision = self.mesh.proper_nesting(&self.merged_flags(&[tags]));
             if decision.is_empty() {
                 break;
             }
@@ -895,7 +901,7 @@ impl<P: Package> Driver<P> {
     /// rendezvous under different labels). This is the first of the three
     /// properties that make the solution independent of the decomposition;
     /// the rank-ordered reduction (`estimate_dt`) and the order-free flag
-    /// merge (`flags_by_location`) are the others.
+    /// merge (`merged_flags`) are the others.
     pub fn step(&mut self) -> CycleSummary {
         assert!(self.dt > 0.0, "initialize() must run before step()");
         self.rec.begin_cycle(self.cycle);
@@ -969,27 +975,19 @@ impl<P: Package> Driver<P> {
         }
     }
 
-    /// Copies cycle-start state of all two-stage variables (ids cached in
-    /// the exchange plan).
+    /// SaveStage0 node: the cycle-start copies of the two-stage variables
+    /// are taken by the stage-0 visit of [`Self::task_flux`], while each
+    /// block is in cache — neither fill nor sweep writes an interior cell,
+    /// so the copy holds the same bits. The node keeps its place in the
+    /// graph (and its region, as a count).
     fn task_save_stage0(&mut self) {
         let wall = self.rec.wall().clone();
         let _g = wall.region_hot(RegionKey::Named("SaveStage0"));
-        let ids = self
-            .plan
-            .as_ref()
-            .expect("plan built")
-            .two_stage_ids
-            .clone();
-        let exec = self.exec();
-        exec.for_each_block(&mut self.slots, |_, slot| {
-            slot.save_stage0(&ids);
-        });
     }
 
     /// PackSend task: posts receives for the boundaries the resident
     /// blocks consume, packs and ships the ones that go through the
-    /// mailbox; same-rank boundaries wait for the direct fill in
-    /// WaitUnpack.
+    /// mailbox; same-rank boundaries wait for the receiver's visit.
     fn task_ghost_pack_send(&mut self, task: &'static str) {
         let cfg = self.params.exchange_config();
         let exec = self.exec();
@@ -1008,29 +1006,17 @@ impl<P: Package> Driver<P> {
         self.comm.set_task(None);
     }
 
-    /// WaitUnpack task: fills the same-rank boundaries directly, then polls
-    /// for delivery; once everything arrived, unpacks into ghost zones and
-    /// applies physical boundary conditions.
+    /// WaitUnpack task: one delivery sweep, banking what arrived.
     fn task_ghost_wait_unpack(&mut self, task: &'static str) -> TaskStatus {
-        let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
         self.comm.set_task(Some(task));
-        let plan = self.plan.as_ref().expect("plan built");
-        let mut blocks = BlockTable::of(&mut self.slots, &self.index, &self.mesh);
-        let status = ghost_wait_unpack(
-            plan,
-            &mut self.ghost_state,
-            &mut blocks,
-            &mut self.comm,
-            exec,
-            &mut self.rec,
-        );
+        let done = ghost_poll(&mut self.ghost_state, &mut self.comm, &mut self.rec);
         self.comm.set_task(None);
-        if status == TaskStatus::Complete {
-            apply_physical_bcs(plan, &self.mesh, &mut blocks, exec, &mut self.rec);
-        }
-        self.yield_to_peers(status)
+        self.yield_to_peers(match done {
+            true => TaskStatus::Complete,
+            false => TaskStatus::Incomplete,
+        })
     }
 
     /// Hands the OS thread on when a wait is still incomplete and what it
@@ -1043,23 +1029,44 @@ impl<P: Package> Driver<P> {
     }
 
     /// Interior/exterior flux task: both record their share of the flux
-    /// launch, the exterior one sweeps every resident block. Under
-    /// [`DriverParams::measured_costs`] each block's own sweep time goes
-    /// into the cost ledger.
-    fn task_flux(&mut self, phase: FluxPhase) {
+    /// launch and visit their blocks — ghost fill, physical boundaries, in
+    /// stage 0 the stage copy, then the sweep in the production tiling,
+    /// each worker in its own scratch; the exterior one then retires the
+    /// exchange. Under [`DriverParams::measured_costs`] each block's own
+    /// sweep time goes into the cost ledger.
+    fn task_flux(&mut self, stage: usize, phase: FluxPhase) {
         let exec = self.exec();
-        let wall = self.rec.wall().clone();
-        let _g = wall.region(RegionKey::Step(StepFunction::CalculateFluxes));
         let ids = self.plan.as_ref().expect("plan built").flux_ids.clone();
-        let measured = self.params.measured_costs;
-        let mut ledger = std::mem::take(&mut self.block_cost_ns);
         self.with_rank_packs(StepFunction::CalculateFluxes, |pkg, pack, rec| {
             record_flux_launch(pkg, pack, phase, &ids, rec);
-            if phase == FluxPhase::Exterior {
-                sweep_pack(pkg, pack, &ids, exec, measured.then_some(&mut ledger));
-            }
         });
-        self.block_cost_ns = ledger;
+        let wall = self.rec.wall().clone();
+        let plan = self.plan.as_ref().expect("plan built");
+        let shape = self.mesh.index_shape();
+        let budget = TILE_BUDGET_BYTES / 8;
+        let tiles = CellBox::interior(&shape).tiles(shape.dim(), plan.flux_ncomp(), budget);
+        let pkg = &self.package;
+        let sweep = |info: &BlockInfo, data: &BlockData, out: &mut [vibe_field::FluxOut]| {
+            with_scratch(|scratch| {
+                sweep_block(pkg, info, data, out, &tiles, Planes::Save, scratch);
+            });
+        };
+        let measured = self.params.measured_costs;
+        ghost_visit(
+            plan,
+            &self.ghost_state,
+            &mut BlockTable::of(&mut self.slots, &self.index, &self.mesh),
+            phase,
+            stage == 0,
+            Some(&sweep),
+            measured.then_some(&mut self.block_cost_ns[..]),
+            exec,
+            &wall,
+        );
+        if phase == FluxPhase::Exterior {
+            let state = std::mem::take(&mut self.ghost_state);
+            ghost_retire(plan, state, &mut self.comm, &mut self.rec);
+        }
     }
 
     /// FluxCorrSend task: ships the restricted fine face fluxes that go
@@ -1204,8 +1211,7 @@ impl<P: Package> Driver<P> {
             self.comm
                 .all_gather_data(StepFunction::UpdateMeshBlockTree, tags, &mut self.rec);
         self.comm.set_task(None);
-        let flags = self.flags_by_location(&parts);
-        let mut decision = enforce_proper_nesting(self.mesh.tree(), &flags);
+        let mut decision = self.mesh.proper_nesting(&self.merged_flags(&parts));
         decision.derefine_parents = self.gate.filter(decision.derefine_parents, self.cycle);
         self.rec.record_serial(
             StepFunction::UpdateMeshBlockTree,
@@ -1299,7 +1305,7 @@ impl<P: Package> Driver<P> {
         // endpoint of a fabric does it over the whole replicated list.
         self.rec
             .record_serial(func, SerialWork::BlockLoop(8 * nblocks as u64));
-        let boundaries = self.boundary_count();
+        let boundaries = self.mesh.num_boundaries() as u64;
         self.rec
             .record_serial(func, SerialWork::BoundaryLoop(boundaries));
         // BuildTagMapAndBoundaryBuffers + SetMeshBlockNeighbors.
@@ -1309,13 +1315,6 @@ impl<P: Package> Driver<P> {
         }
         self.comm.mark_all_stale();
         self.comm.set_task(None);
-    }
-
-    /// Boundaries of the whole mesh (every block's neighbor count).
-    fn boundary_count(&self) -> u64 {
-        (0..self.mesh.num_blocks())
-            .map(|g| self.mesh.neighbors(g).len() as u64)
-            .sum()
     }
 
     fn task_estimate_dt(&mut self) {
@@ -1342,32 +1341,30 @@ impl<P: Package> Driver<P> {
         }
     }
 
-    /// One blocking ghost exchange over all FILL_GHOST variables, followed
-    /// by physical boundary conditions at non-periodic domain faces (the
-    /// initializer's path; cycles run the same phases as separate tasks).
+    /// One blocking ghost exchange over all FILL_GHOST variables, physical
+    /// boundary conditions at non-periodic domain faces included (the
+    /// initializer's path; cycles run the same phases as separate tasks,
+    /// with the sweep riding the visit).
     fn exchange(&mut self) {
         let cfg = self.params.exchange_config();
         let exec = self.exec();
         self.ensure_plan();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
-        let plan = self.plan.as_ref().expect("plan built");
-        let mut blocks = BlockTable::of(&mut self.slots, &self.index, &self.mesh);
         exchange_ghosts_with_plan(
-            plan,
-            &mut blocks,
+            self.plan.as_ref().expect("plan built"),
+            &mut BlockTable::of(&mut self.slots, &self.index, &self.mesh),
             &mut self.comm,
             &mut self.cache,
             &cfg,
             exec,
             &mut self.rec,
         );
-        apply_physical_bcs(plan, &self.mesh, &mut blocks, exec, &mut self.rec);
     }
 
     /// Tags the resident blocks, pack by pack. Returns one wire byte per
     /// block of the mesh, [`FLAG_ELSEWHERE`] for the ones tagged by a
-    /// peer; the cross-rank merge is [`Self::flags_by_location`].
+    /// peer; the cross-rank merge is [`Self::merged_flags`].
     fn collect_tags(&mut self) -> Vec<u8> {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::RefinementTag));
@@ -1391,17 +1388,16 @@ impl<P: Package> Driver<P> {
     }
 
     /// Merges every endpoint's tag bytes ([`Self::collect_tags`]) into the
-    /// flag of every block, `Same` included. The merge is order-free: each
-    /// block was tagged by exactly one endpoint, and the result is an
-    /// ordered map keyed by logical location, so the regrid decision never
-    /// depends on gather or hash iteration order, and the tree surgery and
-    /// the derefinement gate replay identically on every endpoint.
+    /// flag of every block, indexed by gid. The merge is order-free: each
+    /// block was tagged by exactly one endpoint, so the regrid decision never
+    /// depends on gather order, and the tree surgery and the derefinement
+    /// gate replay identically on every endpoint.
     ///
     /// # Panics
     ///
     /// Panics if a block was tagged nowhere or a byte is not a flag — both
     /// indicate rank divergence.
-    fn flags_by_location(&self, parts: &[Vec<u8>]) -> BTreeMap<LogicalLocation, AmrFlag> {
+    fn merged_flags(&self, parts: &[Vec<u8>]) -> Vec<AmrFlag> {
         let nblocks = self.mesh.num_blocks();
         assert!(
             parts.iter().all(|p| p.len() == nblocks),
@@ -1410,13 +1406,12 @@ impl<P: Package> Driver<P> {
         (0..nblocks)
             .map(|gid| {
                 let tagged = parts.iter().map(|p| p[gid]).find(|&b| b != FLAG_ELSEWHERE);
-                let flag = match tagged {
+                match tagged {
                     Some(0) => AmrFlag::Derefine,
                     Some(1) => AmrFlag::Same,
                     Some(2) => AmrFlag::Refine,
                     other => panic!("block {gid} carries flag byte {other:?}"),
-                };
-                (self.mesh.block(gid).loc(), flag)
+                }
             })
             .collect()
     }
@@ -1592,7 +1587,7 @@ impl<P: Package> Driver<P> {
             self.rec
                 .record_serial(func, SerialWork::HostCopyBytes(created * per_block));
         }
-        let boundaries = self.boundary_count();
+        let boundaries = self.mesh.num_boundaries() as u64;
         self.rec
             .record_serial(func, SerialWork::BoundaryLoop(boundaries));
         if moved_cells > 0 {
@@ -1715,7 +1710,7 @@ fn last_cycle_timing(rec: &Recorder) -> CycleTiming {
             CycleTiming {
                 wall_ns: named_ns("Cycle"),
                 flux_ns: func_ns(StepFunction::CalculateFluxes),
-                comm_ns: named_ns("GhostExchange"),
+                comm_ns: named_ns("GhostExchange") + func_ns(StepFunction::SetBounds),
                 update_ns: named_ns("RK2Update"),
                 amr_ns: func_ns(StepFunction::RefinementTag)
                     + func_ns(StepFunction::UpdateMeshBlockTree)
@@ -1966,9 +1961,10 @@ mod tests {
         assert!(t.comm_ns > 0 && t.comm_ns < t.wall_ns);
         assert!(t.update_ns > 0 && t.dt_ns > 0);
         assert!(t.compute_task_ns > 0, "compute task time measured");
-        // Only the model-only interior flux node runs while ghost traffic
-        // is outstanding: the host overlaps next to nothing.
-        assert!(t.overlapped_compute_ns < t.compute_task_ns / 4);
+        // The interior flux node visits the blocks whose every boundary is
+        // direct while ghost traffic is outstanding; the rest of the
+        // cycle's compute runs with nothing in flight.
+        assert!(t.overlapped_compute_ns > 0 && t.overlapped_compute_ns < t.compute_task_ns);
         assert!(t.pool_busy_ns > 0 && t.pool_thread_time_ns >= t.pool_busy_ns);
         assert!(t.load_imbalance >= 1.0);
         d.recorder()
@@ -1980,8 +1976,10 @@ mod tests {
                     "Cycle",
                     "Cycle/GhostExchange",
                     "Cycle/GhostExchange/SendBoundBufs",
-                    "Cycle/GhostExchange/SetBounds",
+                    "Cycle/SetBounds",
                     "Cycle/CalculateFluxes",
+                    "Cycle/SaveStage0",
+                    "Initialize/GhostExchange/SetBounds",
                     "Cycle/FluxCorrection",
                     "Cycle/RK2Update/FluxDivergence",
                     "Cycle/Refinement::Tag",

@@ -8,17 +8,19 @@ use vibe_prof::Recorder;
 use crate::block::{BlockInfo, BlockSlot};
 use crate::sweep::FluxTile;
 
-/// Label of the two flux nodes of a stage in the cycle graph. Both record
-/// their share of the `CalculateFluxes` launch — `Interior` the faces whose
+/// The two flux nodes of a stage in the cycle graph. Both record their
+/// share of the `CalculateFluxes` launch — `Interior` the faces whose
 /// stencils stay inside the interior, which a device could compute while
 /// ghost messages are in flight, `Exterior` the rest — as inputs of the
-/// platform model and the timeline simulator. On the host the whole sweep
-/// runs in the `Exterior` node, once per block (see [`crate::sweep`]).
+/// platform model and the timeline simulator. On the host a block is not
+/// split by face: each node visits whole blocks, once
+/// ([`crate::boundary::ghost_visit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FluxPhase {
-    /// Model-only: records its launch share, does no host work.
+    /// Visits the blocks whose every inbound boundary is filled directly
+    /// from a resident neighbor, while messages are in flight.
     Interior,
-    /// Records its launch share and runs the sweep.
+    /// Visits the blocks that needed a delivery, once everything arrived.
     Exterior,
 }
 

@@ -58,7 +58,7 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{Array4, BlockData, F64Lanes, Metadata, VarId};
+use vibe_field::{Array4, BlockData, F64Lanes, FluxOut, Metadata, VarId};
 use vibe_mesh::IndexShape;
 use vibe_prof::Recorder;
 
@@ -710,25 +710,29 @@ fn reduce(tile: &FluxTile<'_>, c0: usize, inv: [f64; 3], div: &mut Array4) {
 }
 
 /// Sweeps the tiles `boxes` of one block: fills each tile's fluxes in
-/// `scratch`, saves or overrides the surface planes, and takes the
-/// divergence of every flux-bearing variable `ids` over the tile's cells.
-/// A tile stacked on the previous one in z inherits the plane they share.
+/// `scratch` from the block's state, which it only borrows shared, saves
+/// or overrides the surface planes, and takes the divergence over the
+/// tile's cells — into `out`, the flux-bearing variables' divergence arrays
+/// and planes in registration order, moved out of `data`
+/// ([`vibe_field::CellVariable::take_flux_out`]). A tile stacked on the
+/// previous one in z inherits the plane they share.
 ///
 /// # Panics
 ///
 /// Panics if a tile does not fit `scratch`.
 pub fn sweep_block<P: Package>(
     pkg: &P,
-    slot: &mut BlockSlot,
-    ids: &[VarId],
+    info: &BlockInfo,
+    data: &BlockData,
+    out: &mut [FluxOut],
     boxes: &[CellBox],
     planes: Planes,
     scratch: &mut [f64],
 ) {
-    let shape = *slot.data.shape();
+    let shape = *data.shape();
     let dim = shape.dim();
-    let ncomp: usize = ids.iter().map(|&id| slot.data.var(id).ncomp()).sum();
-    let inv = slot.info.geom.dx().map(|dx| 1.0 / dx);
+    let ncomp: usize = out.iter().map(|(div, _)| div.shape()[0]).sum();
+    let inv = info.geom.dx().map(|dx| 1.0 / dx);
     let mut below: Option<CellBox> = None;
     for &cells in boxes {
         let stacked = |b: CellBox| {
@@ -746,10 +750,9 @@ pub fn sweep_block<P: Package>(
         }
         let mut tile = FluxTile::new(cells, dim, ncomp, scratch);
         tile.carried = carried;
-        pkg.fill_fluxes(&slot.info, &slot.data, &mut tile);
+        pkg.fill_fluxes(info, data, &mut tile);
         let mut c0 = 0;
-        for &id in ids {
-            let (div, saved) = slot.data.var_mut(id).div_and_planes_mut();
+        for (div, saved) in out.iter_mut() {
             for (face, plane) in saved.iter_mut().enumerate() {
                 let (d, side) = (face / 2, face % 2);
                 if cells.lo[d] + side * cells.n[d] != side * shape.ncells()[d] {
@@ -767,6 +770,26 @@ pub fn sweep_block<P: Package>(
             c0 += div.shape()[0];
         }
         below = Some(cells);
+    }
+}
+
+/// [`sweep_block`] for a caller that holds the block exclusively: moves the
+/// flux outputs of `ids` out of `slot` for the sweep and back.
+pub fn sweep_slot<P: Package>(
+    pkg: &P,
+    slot: &mut BlockSlot,
+    ids: &[VarId],
+    boxes: &[CellBox],
+    planes: Planes,
+    scratch: &mut [f64],
+) {
+    let take = |&id| slot.data.var_mut(id).take_flux_out();
+    let mut out: Vec<FluxOut> = ids.iter().map(take).collect();
+    sweep_block(
+        pkg, &slot.info, &slot.data, &mut out, boxes, planes, scratch,
+    );
+    for (&id, out) in ids.iter().zip(out) {
+        slot.data.var_mut(id).put_flux_out(out);
     }
 }
 
@@ -797,26 +820,6 @@ pub(crate) fn for_each_block_costed(
         let t0 = Instant::now();
         work(slot);
         **ns += t0.elapsed().as_nanos() as u64;
-    });
-}
-
-/// The host work of a stage's flux sweep over one rank's `pack`: every
-/// block swept once in the production tiling, in parallel under `exec`,
-/// each worker in its own scratch. `cost`, if given (indexed by gid), is
-/// charged each block's own sweep time.
-pub fn sweep_pack<P: Package>(
-    pkg: &P,
-    pack: &mut [&mut BlockSlot],
-    ids: &[VarId],
-    exec: ExecCtx,
-    cost: Option<&mut [u64]>,
-) {
-    let Some(first) = pack.first() else { return };
-    let shape = *first.data.shape();
-    let ncomp: usize = ids.iter().map(|&id| first.data.var(id).ncomp()).sum();
-    let tiles = CellBox::interior(&shape).tiles(shape.dim(), ncomp, TILE_BUDGET_BYTES / 8);
-    for_each_block_costed(pack, exec, cost, |slot| {
-        with_scratch(|scratch| sweep_block(pkg, slot, ids, &tiles, Planes::Save, scratch));
     });
 }
 

@@ -47,10 +47,6 @@ pub enum TaskStatus {
     /// The task made no final progress (e.g. a message has not arrived) and
     /// must be polled again.
     Incomplete,
-    /// The task did productive work but is not finished (it filled its
-    /// local ghost zones and still waits on remote ones) and must be run
-    /// again. The invocation counts as busy time, not as a polling spin.
-    Progress,
 }
 
 /// What a task does, for overlap accounting and simulator replay.
@@ -513,7 +509,7 @@ impl<Ctx> TaskList<Ctx> {
                         }
                         let dur = e.saturating_sub(s);
                         match status {
-                            TaskStatus::Complete | TaskStatus::Progress => busy[i] += dur,
+                            TaskStatus::Complete => busy[i] += dur,
                             TaskStatus::Incomplete => {
                                 spin[i] += dur;
                                 task_polls[i] += 1;
@@ -553,7 +549,6 @@ impl<Ctx> TaskList<Ctx> {
                         polls += 1;
                         stats.polls += 1;
                     }
-                    TaskStatus::Progress => progressed = true,
                 }
             }
             if !progressed && (polls >= self.max_polls || !self.any_pollable()) {
@@ -855,13 +850,11 @@ mod tests {
         let send = list.add_task_meta("send", TaskKind::CommSend, [], [], |_: &mut u32| {
             TaskStatus::Complete
         });
-        // A first invocation that works (busy, not a poll), two empty
-        // polls, then completion.
+        // Two empty polls, then completion.
         let wait = list.add_task_meta("wait", TaskKind::CommWait, [], [send], |calls: &mut u32| {
             *calls += 1;
             match *calls {
-                1 => TaskStatus::Progress,
-                2 | 3 => TaskStatus::Incomplete,
+                1 | 2 => TaskStatus::Incomplete,
                 _ => TaskStatus::Complete,
             }
         });
@@ -892,7 +885,7 @@ mod tests {
         // Same list without a sink: no timing requirement, same behavior.
         let mut polls = 0;
         list.execute(&mut polls).unwrap();
-        assert_eq!(polls, 4);
+        assert_eq!(polls, 3);
     }
 
     #[test]

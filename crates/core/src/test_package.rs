@@ -41,7 +41,8 @@ impl Advect {
     }
 }
 
-/// Upwind in +x: a face takes the cell below it; no transverse flow.
+/// Upwind in +x: a face takes the cell below it, component by component;
+/// no transverse flow.
 impl FaceFlux for Advect {
     #[inline(always)]
     fn flux<const W: usize>(
@@ -52,11 +53,9 @@ impl FaceFlux for Advect {
         _right: &[F64Lanes<W>],
         out: &mut [F64Lanes<W>],
     ) {
-        out[0] = if d == 0 {
-            left[0]
-        } else {
-            F64Lanes::splat(0.0)
-        };
+        for (out, left) in out.iter_mut().zip(left) {
+            *out = if d == 0 { *left } else { F64Lanes::splat(0.0) };
+        }
     }
 }
 

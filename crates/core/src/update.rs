@@ -9,7 +9,7 @@ use vibe_prof::{Recorder, RegionKey, StepFunction};
 use crate::block::BlockSlot;
 use crate::package::Package;
 use crate::sweep::{
-    for_each_block_costed, sweep_block, with_scratch, CellBox, Planes, TILE_BUDGET_BYTES,
+    for_each_block_costed, sweep_slot, with_scratch, CellBox, Planes, TILE_BUDGET_BYTES,
 };
 
 /// Applies one Runge-Kutta stage update to every flux-bearing independent
@@ -70,7 +70,7 @@ pub fn flux_divergence_update<P: Package>(
             .collect();
         if !layers.is_empty() {
             with_scratch(|scratch| {
-                sweep_block(pkg, slot, ids, &layers, Planes::Override, scratch);
+                sweep_slot(pkg, slot, ids, &layers, Planes::Override, scratch);
             });
         }
         stage_update(slot, ids, a0, b, c * dt);
@@ -110,7 +110,6 @@ fn stage_update(slot: &mut BlockSlot, ids: &[VarId], a0: f64, b: f64, cdt: f64) 
 mod tests {
     use super::*;
     use crate::block::{BlockInfo, BlockSlot};
-    use crate::sweep::sweep_pack;
     use crate::test_package::Advect;
     use vibe_field::BlockData;
     use vibe_mesh::{Mesh, MeshParams};
@@ -139,6 +138,21 @@ mod tests {
         let mut slot = BlockSlot::new(BlockInfo::from_mesh(&mesh, 0), data);
         slot.save_stage0(&[qid]);
         (slot, qid)
+    }
+
+    /// Sweeps every block of `pack` once in the production tiling.
+    fn sweep_pack(
+        pkg: &Advect,
+        pack: &mut [&mut BlockSlot],
+        ids: &[VarId],
+        exec: ExecCtx,
+        cost: Option<&mut [u64]>,
+    ) {
+        let shape = *pack[0].data.shape();
+        let tiles = CellBox::interior(&shape).tiles(shape.dim(), 1, TILE_BUDGET_BYTES / 8);
+        for_each_block_costed(pack, exec, cost, |slot| {
+            with_scratch(|scratch| sweep_slot(pkg, slot, ids, &tiles, Planes::Save, scratch));
+        });
     }
 
     /// Sweeps and updates `slot` with stage coefficients `coef`.

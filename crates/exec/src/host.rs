@@ -20,36 +20,48 @@ impl<T> SharedMut<T> {
     }
 }
 
-/// One block's cell storage shared with pool workers at row granularity —
-/// the ghost fill's view of a block that is a *sender* to some workers
-/// (they read its interior) while one other worker, the block's own, fills
-/// its ghost band.
+/// One block's storage shared with pool workers at row granularity — the
+/// stage visit's view of a block that is a *sender* to some workers (they
+/// read its interior) while one other worker, the block's own, fills its
+/// ghost band and then sweeps it. `T` is `f64` for cell storage; the visit
+/// also shares each block's container this way, to hand the claiming
+/// worker a shared borrow of it.
 ///
 /// Soundness contract, established by the ghost exchange when it compiles
 /// its plan (`vibe_field::RowProgram::compile` checks it per transfer in
-/// debug builds): within one dispatch every read lies in a sender's
-/// interior, every write lies in a receiver's ghost band, and a receiver's
-/// ghost cells are written by the one worker that claimed that receiver.
-/// Interior and ghost band are disjoint, so no cell is written while
-/// another worker reads or writes it. The lifetime keeps the storage
-/// mutably borrowed for as long as any view of it exists.
-#[derive(Debug, Clone, Copy)]
-pub struct SharedCells<'a> {
-    ptr: *mut f64,
+/// debug builds): within one dispatch every block's *interior* is read-only
+/// for every worker; a block's ghost band, and whatever else of the block
+/// is written, belongs to the one worker that claimed the block, which
+/// writes a cell before it reads it back. Interior and ghost band are
+/// disjoint, so no cell is written while another worker reads or writes
+/// it. The lifetime keeps the storage mutably borrowed for as long as any
+/// view of it exists.
+#[derive(Debug)]
+pub struct SharedCells<'a, T = f64> {
+    ptr: *mut T,
     len: usize,
-    _storage: std::marker::PhantomData<&'a mut [f64]>,
+    _storage: std::marker::PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: a view is a pointer and a length into `f64` storage that outlives
-// it; what may be touched through it from which thread is the contract of
-// `read` and `write`, which are `unsafe` to call.
-unsafe impl Send for SharedCells<'_> {}
-// SAFETY: as above.
-unsafe impl Sync for SharedCells<'_> {}
+impl<T> Clone for SharedCells<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
 
-impl<'a> SharedCells<'a> {
+impl<T> Copy for SharedCells<'_, T> {}
+
+// SAFETY: a view is a pointer and a length into storage of `T` that
+// outlives it and that other threads read (`T: Sync`) or, for the claimed
+// part, write (`T: Send`); what may be touched through it from which thread
+// is the contract of `read` and `write`, which are `unsafe` to call.
+unsafe impl<T: Send + Sync> Send for SharedCells<'_, T> {}
+// SAFETY: as above.
+unsafe impl<T: Send + Sync> Sync for SharedCells<'_, T> {}
+
+impl<'a, T> SharedCells<'a, T> {
     /// A view of `cells`.
-    pub fn new(cells: &'a mut [f64]) -> Self {
+    pub fn new(cells: &'a mut [T]) -> Self {
         Self {
             ptr: cells.as_mut_ptr(),
             len: cells.len(),
@@ -79,7 +91,7 @@ impl<'a> SharedCells<'a> {
     /// `start + len <= self.len()`, and no thread writes any of these cells
     /// while the returned slice is alive.
     #[inline(always)]
-    pub unsafe fn read(&self, start: usize, len: usize) -> &[f64] {
+    pub unsafe fn read(&self, start: usize, len: usize) -> &[T] {
         debug_assert!(start + len <= self.len);
         std::slice::from_raw_parts(self.ptr.add(start), len)
     }
@@ -93,7 +105,7 @@ impl<'a> SharedCells<'a> {
     /// while the returned slice is alive.
     #[inline(always)]
     #[allow(clippy::mut_from_ref)] // aliasing excluded by the contract above
-    pub unsafe fn write(&self, start: usize, len: usize) -> &mut [f64] {
+    pub unsafe fn write(&self, start: usize, len: usize) -> &mut [T] {
         debug_assert!(start + len <= self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(start), len)
     }
@@ -147,26 +159,10 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Send + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = nthreads.clamp(1, n);
-    if threads == 1 {
-        let start = pool::stats_sampling().then(std::time::Instant::now);
-        let out = items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-        if let Some(start) = start {
-            pool::stats_record_inline(n, start);
-        }
-        return out;
-    }
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let ibase = SharedMut(items.as_mut_ptr());
-    let obase = SharedMut(out.as_mut_ptr());
-    pool::global().run(n, threads, &|i| {
-        let item = unsafe { ibase.at(i) };
-        let slot = unsafe { obase.at(i) };
-        *slot = Some(f(i, item));
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    let mut pairs: Vec<(&mut T, &mut Option<R>)> = items.iter_mut().zip(&mut out).collect();
+    for_each_block_parallel(&mut pairs, nthreads, |i, (item, slot)| {
+        **slot = Some(f(i, item))
     });
     out.into_iter()
         .map(|r| r.expect("every index executed"))
@@ -240,34 +236,42 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Miri-sized model of the ghost fill: two blocks of 2 ghost + 4
+    /// Miri-sized model of the stage visit: two blocks of 2 ghost + 4
     /// interior + 2 ghost cells, each worker filling its own block's ghosts
-    /// from the other block's interior, concurrently.
+    /// from the other block's interior, then reading its own cells — ghosts
+    /// included — into an array only it owns, concurrently.
     #[test]
-    fn shared_cells_fill_ghosts_from_the_other_blocks_interior() {
+    fn shared_cells_fill_ghosts_from_the_other_blocks_interior_then_sweep() {
         let mut blocks = [[0.0f64; 8], [0.0f64; 8]];
         for (b, block) in blocks.iter_mut().enumerate() {
             for (i, cell) in block[2..6].iter_mut().enumerate() {
                 *cell = (10 * (b + 1) + i) as f64;
             }
         }
+        let mut sums = [[0.0f64; 4]; 2];
         {
             let [a, b] = &mut blocks;
             let views = [SharedCells::new(a), SharedCells::new(b)];
-            pool::for_each_index(2, 2, |r| {
+            for_each_block_parallel(&mut sums, 2, |r, sum| {
                 let (recv, send) = (views[r], views[1 - r]);
-                // SAFETY: reads are interior cells 2..6 of the other block,
-                // writes are ghost cells 0..2 and 6..8 of this worker's own
-                // block; each block's ghosts belong to exactly one worker.
+                // SAFETY: reads are interior cells 2..6 of either block,
+                // which nobody writes, and this worker's own ghost cells
+                // after it wrote them; writes are ghost cells 0..2 and 6..8
+                // of this worker's own block, which nobody else touches.
                 unsafe {
                     recv.write(0, 2).copy_from_slice(send.read(4, 2));
                     recv.write(6, 2).copy_from_slice(send.read(2, 2));
+                    let (lower, upper) = (recv.read(0, 4), recv.read(4, 4));
+                    for (s, (l, u)) in sum.iter_mut().zip(lower.iter().zip(upper)) {
+                        *s = l + u;
+                    }
                 }
             });
         }
         assert_eq!(blocks[0], [22.0, 23.0, 10.0, 11.0, 12.0, 13.0, 20.0, 21.0]);
         assert_eq!(blocks[1], [12.0, 13.0, 20.0, 21.0, 22.0, 23.0, 10.0, 11.0]);
-        assert!(SharedCells::empty().is_empty());
+        assert_eq!(sums, [[34.0, 36.0, 30.0, 32.0], [34.0, 36.0, 30.0, 32.0]]);
+        assert!(SharedCells::<f64>::empty().is_empty());
     }
 
     #[test]

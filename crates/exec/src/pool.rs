@@ -2,10 +2,14 @@
 //!
 //! Mirrors the Kokkos `OpenMP` host backend used by Parthenon: a fixed set
 //! of OS threads is spawned once, parked on a condvar, and woken per
-//! parallel region. Work items are claimed one at a time through an atomic
-//! counter, so imbalanced per-block costs (deep AMR hierarchies mix cheap
-//! coarse blocks with expensive fine ones) are load-balanced dynamically
-//! instead of statically chunked.
+//! parallel region. Work items are claimed through an atomic counter in
+//! runs of consecutive indices that shrink as the region drains (guided
+//! self-scheduling): imbalanced per-block costs (deep AMR hierarchies mix
+//! cheap coarse blocks with expensive fine ones) are still load-balanced
+//! dynamically, one item at a time at the end, while a participant mostly
+//! walks neighbouring items — consecutive mesh blocks are neighbours in
+//! Morton order, so the block a worker just swept is in its cache when
+//! the next one's ghost fill reads it.
 //!
 //! The dispatching thread always participates in the region and blocks
 //! until every item has completed, which is what makes the scoped-borrow
@@ -41,8 +45,8 @@ unsafe impl Sync for WorkPtr {}
 /// late (after the region completed and a new one started) can only
 /// operate on its own region's counters, never the new region's.
 struct Counters {
-    /// Next unclaimed item index; `fetch_add` hands out each index exactly
-    /// once.
+    /// Next unclaimed item index; a successful compare-exchange hands out
+    /// each run of indices exactly once.
     next: AtomicUsize,
     /// Items not yet finished executing. The dispatcher returns only once
     /// this reaches zero.
@@ -136,6 +140,7 @@ pub(crate) fn stats_sampling() -> bool {
 #[derive(Clone)]
 struct Job {
     n: usize,
+    threads: usize,
     work: WorkPtr,
     counters: Arc<Counters>,
 }
@@ -250,6 +255,7 @@ impl WorkerPool {
         });
         let job = Job {
             n: n_items,
+            threads,
             work,
             counters: Arc::clone(&counters),
         };
@@ -301,16 +307,40 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Items a participant claims at once when `left` remain for `threads`
+/// participants: a quarter of an even share, at least one.
+fn claim_len(left: usize, threads: usize) -> usize {
+    (left / (4 * threads)).max(1)
+}
+
+/// Claims the next run of `job`'s items for the calling participant, if
+/// any are left.
+fn claim(job: &Job) -> Option<std::ops::Range<usize>> {
+    let next = &job.counters.next;
+    let mut lo = next.load(Ordering::Relaxed);
+    while lo < job.n {
+        let hi = lo + claim_len(job.n - lo, job.threads);
+        match next.compare_exchange_weak(lo, hi, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return Some(lo..hi),
+            Err(now) => lo = now,
+        }
+    }
+    None
+}
+
 /// Claims and executes items of `job` until none remain.
 fn execute(shared: &Shared, job: &Job) {
     let body = unsafe { &*job.work.0 };
     let start = Instant::now();
     let mut slot: Option<usize> = None;
+    let mut claimed = 0..0;
     loop {
-        let i = job.counters.next.fetch_add(1, Ordering::Relaxed);
-        if i >= job.n {
+        let Some(i) = claimed.next().or_else(|| {
+            claimed = claim(job)?;
+            claimed.next()
+        }) else {
             return;
-        }
+        };
         let result = catch_unwind(AssertUnwindSafe(|| body(i)));
         if let Err(payload) = result {
             job.counters.panicked.store(true, Ordering::Release);
@@ -395,6 +425,20 @@ mod tests {
             hits[i].fetch_add(1, Ordering::SeqCst);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+    }
+
+    /// Guided claims: long runs at the start of a region, single items at
+    /// its end, every index in exactly one of them.
+    #[test]
+    fn claims_shrink_from_an_eighth_of_the_rest_to_one() {
+        let (mut lo, mut claims) = (0, Vec::new());
+        while lo < 512 {
+            claims.push(claim_len(512 - lo, 2));
+            lo += claims.last().unwrap();
+        }
+        assert_eq!((lo, claims[0], claims[1]), (512, 64, 56));
+        assert!(claims.windows(2).all(|w| w[1] <= w[0]));
+        assert_eq!(claims[claims.len() - 8..], [1; 8]);
     }
 
     #[test]

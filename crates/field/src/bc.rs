@@ -9,7 +9,7 @@
 
 use vibe_mesh::IndexShape;
 
-use crate::array::Array4;
+use crate::buffer::CellRows;
 
 /// Boundary condition applied at a physical domain face.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,16 +31,20 @@ pub enum Side {
     Upper,
 }
 
-/// Fills the ghost band of `data` at the (`d`, `side`) face per `kind`.
+/// Fills the ghost band of `data` — the `ncomp`-component storage of one
+/// variable over `shape`'s ghost-inclusive extent, dense or as shared rows
+/// — at the (`d`, `side`) face per `kind`.
 ///
 /// `is_vector` marks variables whose component `d` is a face-normal vector
 /// component (negated under [`BcKind::Reflect`]).
 ///
 /// The fill covers the *entire* extent in the other dimensions, so calling
 /// this for every physical face in dimension order also fills edge/corner
-/// ghosts consistently.
-pub fn apply_face_bc(
-    data: &mut Array4,
+/// ghosts consistently. It reads cells of the block's own interior and of
+/// ghost layers it or an earlier call filled, and writes ghost cells only.
+pub fn apply_face_bc<D: CellRows + ?Sized>(
+    data: &mut D,
+    ncomp: usize,
     shape: &IndexShape,
     d: usize,
     side: Side,
@@ -52,8 +56,10 @@ pub fn apply_face_bc(
         return;
     }
     let n = shape.ncells()[d];
-    let ncomp = data.ncomp();
     let e = [shape.entire_d(0), shape.entire_d(1), shape.entire_d(2)];
+    let strides = [1, e[0], e[0] * e[1]];
+    // Sweep the full extent of the other two dimensions.
+    let (oa, ob) = [(1, 2), (0, 2), (0, 1)][d];
 
     for comp in 0..ncomp {
         let negate = kind == BcKind::Reflect && is_vector && comp == d;
@@ -65,27 +71,11 @@ pub fn apply_face_bc(
                 (Side::Lower, BcKind::Reflect) => (g - 1 - layer, g + layer),
                 (Side::Upper, BcKind::Reflect) => (g + n + layer, g + n - 1 - layer),
             };
-            // Sweep the full extent of the other two dimensions.
-            let (oa, ob) = match d {
-                0 => (1usize, 2usize),
-                1 => (0, 2),
-                _ => (0, 1),
-            };
             for b in 0..e[ob] {
                 for a in 0..e[oa] {
-                    let mut gidx = [0usize; 3];
-                    let mut sidx = [0usize; 3];
-                    gidx[d] = ghost;
-                    sidx[d] = src;
-                    gidx[oa] = a;
-                    sidx[oa] = a;
-                    gidx[ob] = b;
-                    sidx[ob] = b;
-                    let mut v = data.get(comp, sidx[2], sidx[1], sidx[0]);
-                    if negate {
-                        v = -v;
-                    }
-                    data.set(comp, gidx[2], gidx[1], gidx[0], v);
+                    let at = comp * e[0] * e[1] * e[2] + a * strides[oa] + b * strides[ob];
+                    let v = data.row(at + src * strides[d], 1)[0];
+                    data.row_mut(at + ghost * strides[d], 1)[0] = if negate { -v } else { v };
                 }
             }
         }
@@ -95,6 +85,7 @@ pub fn apply_face_bc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::Array4;
 
     fn shape() -> IndexShape {
         IndexShape::new([4, 4, 1], 2, 2)
@@ -114,7 +105,15 @@ mod tests {
     #[test]
     fn outflow_copies_edge_cells() {
         let mut a = filled();
-        apply_face_bc(&mut a, &shape(), 0, Side::Lower, BcKind::Outflow, false);
+        apply_face_bc(
+            a.as_mut_slice(),
+            1,
+            &shape(),
+            0,
+            Side::Lower,
+            BcKind::Outflow,
+            false,
+        );
         // Ghosts i=0,1 copy interior i=2 (first interior).
         for j in 2..6 {
             let edge = a.get(0, 0, j, 2);
@@ -126,7 +125,15 @@ mod tests {
     #[test]
     fn reflect_mirrors_layers() {
         let mut a = filled();
-        apply_face_bc(&mut a, &shape(), 0, Side::Upper, BcKind::Reflect, false);
+        apply_face_bc(
+            a.as_mut_slice(),
+            1,
+            &shape(),
+            0,
+            Side::Upper,
+            BcKind::Reflect,
+            false,
+        );
         for j in 2..6 {
             // layer 0: ghost i=6 mirrors interior i=5; layer 1: i=7 <- i=4.
             assert_eq!(a.get(0, 0, j, 6), a.get(0, 0, j, 5));
@@ -137,7 +144,15 @@ mod tests {
     #[test]
     fn reflect_negates_normal_vector_component() {
         let mut a = Array4::filled([3, 1, 8, 8], 2.0);
-        apply_face_bc(&mut a, &shape(), 0, Side::Lower, BcKind::Reflect, true);
+        apply_face_bc(
+            a.as_mut_slice(),
+            3,
+            &shape(),
+            0,
+            Side::Lower,
+            BcKind::Reflect,
+            true,
+        );
         // Component 0 (x of a vector) negated at the x face; others copied.
         assert_eq!(a.get(0, 0, 3, 1), -2.0);
         assert_eq!(a.get(1, 0, 3, 1), 2.0);
@@ -147,8 +162,24 @@ mod tests {
     #[test]
     fn corner_ghosts_filled_after_both_dims() {
         let mut a = filled();
-        apply_face_bc(&mut a, &shape(), 0, Side::Lower, BcKind::Outflow, false);
-        apply_face_bc(&mut a, &shape(), 1, Side::Lower, BcKind::Outflow, false);
+        apply_face_bc(
+            a.as_mut_slice(),
+            1,
+            &shape(),
+            0,
+            Side::Lower,
+            BcKind::Outflow,
+            false,
+        );
+        apply_face_bc(
+            a.as_mut_slice(),
+            1,
+            &shape(),
+            1,
+            Side::Lower,
+            BcKind::Outflow,
+            false,
+        );
         // Corner ghost (0,0) = interior corner value (0,0) -> 0.0 via
         // two-step outflow.
         assert_eq!(a.get(0, 0, 0, 0), a.get(0, 0, 2, 2));
@@ -158,7 +189,15 @@ mod tests {
     fn inactive_dimension_is_noop() {
         let mut a = filled();
         let before = a.clone();
-        apply_face_bc(&mut a, &shape(), 2, Side::Lower, BcKind::Outflow, false);
+        apply_face_bc(
+            a.as_mut_slice(),
+            1,
+            &shape(),
+            2,
+            Side::Lower,
+            BcKind::Outflow,
+            false,
+        );
         assert_eq!(a, before, "no z ghosts in 2D");
     }
 }

@@ -201,17 +201,9 @@ impl BlockData {
     ///
     /// Panics if any two ids are equal or any id is out of range.
     pub fn disjoint_mut<const N: usize>(&mut self, ids: [VarId; N]) -> [&mut CellVariable; N] {
-        for (i, a) in ids.iter().enumerate() {
-            assert!(a.0 < self.vars.len(), "variable id out of range");
-            for b in &ids[i + 1..] {
-                assert_ne!(a, b, "disjoint_mut needs distinct variables");
-            }
-        }
-        let base = self.vars.as_mut_ptr();
-        // SAFETY: ids are pairwise distinct and in range, so each returned
-        // `&mut` aliases a different element; lifetimes are tied to the
-        // `&mut self` borrow by the signature.
-        ids.map(|id| unsafe { &mut *base.add(id.0) })
+        self.vars
+            .get_disjoint_mut(ids.map(|id| id.0))
+            .expect("disjoint_mut needs distinct, in-range variables")
     }
 
     /// Counts one name resolution under the configured strategy:

@@ -35,7 +35,7 @@ pub use fluxcorr::{apply_flux, flux_correction_spec, pack_flux, FluxCorrSpec, Fl
 pub use lanes::{minmod_lanes, F64Lanes, F64x4, F64x8, LaneMask};
 pub use ops::{minmod, prolongate_linear_1d, restrict_average};
 pub use region::Region;
-pub use variable::{CellVariable, Metadata};
+pub use variable::{CellVariable, FluxOut, Metadata};
 
 // The buffer machinery needs mesh types (index shapes, logical locations).
 pub use vibe_mesh as mesh;

@@ -96,6 +96,10 @@ impl fmt::Display for Metadata {
     }
 }
 
+/// What a flux sweep writes for one variable: its divergence array and its
+/// outer face planes.
+pub type FluxOut = (Array4, Vec<Array4>);
+
 /// One named, multi-component, cell-centered variable on one block. A
 /// [`Metadata::WITH_FLUXES`] variable also keeps what the flux sweep leaves
 /// behind for the stage update and for flux correction: the divergence of
@@ -211,6 +215,23 @@ impl CellVariable {
     pub fn div_and_planes_mut(&mut self) -> (&mut Array4, &mut [Array4]) {
         let div = self.div.as_mut().expect("variable carries fluxes");
         (div, &mut self.planes)
+    }
+
+    /// Moves the divergence array and the face planes out of the variable
+    /// — the borrow split of a sweep that reads the block's state shared
+    /// while it writes these; [`CellVariable::put_flux_out`] moves them back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the variable has no fluxes (or they are already out).
+    pub fn take_flux_out(&mut self) -> FluxOut {
+        let div = self.div.take().expect("variable carries fluxes");
+        (div, std::mem::take(&mut self.planes))
+    }
+
+    /// Moves what [`CellVariable::take_flux_out`] took back in.
+    pub fn put_flux_out(&mut self, (div, planes): FluxOut) {
+        (self.div, self.planes) = (Some(div), planes);
     }
 
     /// Mutable cell data beside the flux divergence — the borrow split the

@@ -49,5 +49,5 @@ pub use logical::LogicalLocation;
 pub use mesh::{Mesh, MeshBlock, MeshParams, MeshParamsBuilder, RegridOutcome, RegridSource};
 pub use morton::MortonKey;
 pub use neighbor::{NeighborBlock, NeighborKind, NeighborOffset};
-pub use refinement::{enforce_proper_nesting, AmrFlag, DerefGate};
+pub use refinement::{enforce_proper_nesting, AmrFlag, DerefGate, NestingTable};
 pub use tree::{BlockTree, LeafId};

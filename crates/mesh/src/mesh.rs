@@ -8,7 +8,7 @@ use crate::index::IndexShape;
 use crate::loadbalance::{partition_by_cost, RankAssignment};
 use crate::logical::LogicalLocation;
 use crate::neighbor::{find_neighbors, NeighborBlock};
-use crate::refinement::RegridDecision;
+use crate::refinement::{AmrFlag, NestingTable, RegridDecision};
 use crate::tree::BlockTree;
 
 /// Configuration of a [`Mesh`].
@@ -327,6 +327,9 @@ pub struct Mesh {
     blocks: Vec<MeshBlock>,
     by_loc: HashMap<LogicalLocation, usize>,
     neighbors: Vec<Vec<NeighborBlock>>,
+    /// `neighbors` by gid instead of location, with what else the nesting
+    /// rule reads — rebuilt with it, once per generation.
+    nesting: NestingTable,
     nranks: usize,
 }
 
@@ -349,6 +352,7 @@ impl Mesh {
             blocks: Vec::new(),
             by_loc: HashMap::new(),
             neighbors: Vec::new(),
+            nesting: NestingTable::default(),
             nranks: 1,
         };
         mesh.rebuild_block_list();
@@ -436,6 +440,29 @@ impl Mesh {
     /// Cached neighbor list of block `gid`.
     pub fn neighbors(&self, gid: usize) -> &[NeighborBlock] {
         &self.neighbors[gid]
+    }
+
+    /// Global ids of block `gid`'s neighbors, parallel to
+    /// [`Mesh::neighbors`].
+    pub fn neighbor_gids(&self, gid: usize) -> &[u32] {
+        self.nesting.neighbors(gid)
+    }
+
+    /// Boundaries of the whole mesh (every block's neighbor count).
+    pub fn num_boundaries(&self) -> usize {
+        self.nesting.num_neighbors()
+    }
+
+    /// Reconciles one refinement flag per block (indexed by gid) into a
+    /// regrid decision that keeps the mesh properly nested — the cached-table
+    /// form of [`crate::refinement::enforce_proper_nesting`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `flags` holds one flag per block.
+    pub fn proper_nesting(&self, flags: &[AmrFlag]) -> RegridDecision {
+        self.nesting
+            .enforce(self.params.dim(), self.tree.max_level(), flags)
     }
 
     /// Number of ranks in the current decomposition.
@@ -579,6 +606,8 @@ impl Mesh {
             .iter()
             .map(|b| find_neighbors(&self.tree, &b.loc))
             .collect();
+        let locs: Vec<LogicalLocation> = self.blocks.iter().map(|b| b.loc).collect();
+        self.nesting = NestingTable::build(&locs, self.neighbors.iter(), |loc| self.by_loc[loc]);
         // Preserve the previous decomposition width until re-balanced.
         let nranks = self.nranks;
         let costs: Vec<f64> = self.blocks.iter().map(|b| b.cost).collect();

@@ -235,6 +235,19 @@ impl WallClock {
         self.region(key)
     }
 
+    /// Credits `ns` of wall time, measured by the caller from `start` on,
+    /// to `key` as a child of the innermost open region — for a dispatch
+    /// that serves two regions at once and knows its split only afterwards.
+    pub fn credit(&self, key: RegionKey, start: Instant, ns: u64) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let mut st = inner.lock();
+        let parent = st.stack.last().copied();
+        let node = st.current.child_of(parent, key);
+        record_span(inner, &mut st, node, start, ns);
+    }
+
     /// Folds pool run samples into the current cycle's utilization stats,
     /// emitting per-worker trace spans at [`ProfLevel::Full`].
     pub fn record_pool_samples(&self, samples: &[PoolRunSample]) {
@@ -360,27 +373,25 @@ impl Drop for RegionGuard {
         debug_assert_eq!(popped, Some(node), "region guards dropped out of order");
         if let Some(start) = start {
             let dur_ns = now.duration_since(start).as_nanos() as u64;
-            st.current.record(node, dur_ns);
-            if inner.level == ProfLevel::Full {
-                let ts_ns = start.saturating_duration_since(inner.epoch).as_nanos() as u64;
-                let name = name_of(&st.current, node);
-                push_event(
-                    &mut st,
-                    TraceEvent {
-                        name,
-                        cat: "region",
-                        ts_ns,
-                        dur_ns,
-                        tid: 0,
-                    },
-                );
-            }
+            record_span(&inner, &mut st, node, start, dur_ns);
         }
     }
 }
 
-fn name_of(tree: &RegionTree, node: usize) -> &'static str {
-    tree.key_of(node).name()
+/// Adds `dur_ns` from `start` on to region `node`, as a trace event too at
+/// [`ProfLevel::Full`].
+fn record_span(inner: &WallInner, st: &mut WallState, node: usize, start: Instant, dur_ns: u64) {
+    st.current.record(node, dur_ns);
+    if inner.level == ProfLevel::Full {
+        let event = TraceEvent {
+            name: st.current.key_of(node).name(),
+            cat: "region",
+            ts_ns: start.saturating_duration_since(inner.epoch).as_nanos() as u64,
+            dur_ns,
+            tid: 0,
+        };
+        push_event(st, event);
+    }
 }
 
 #[cfg(test)]
@@ -388,6 +399,27 @@ mod tests {
     use super::*;
     use crate::functions::StepFunction;
     use std::time::Duration;
+
+    /// A credit lands where a region guard of the same key would have: a
+    /// child of the innermost open region, with a trace event at `Full`.
+    #[test]
+    fn credit_records_a_child_of_the_open_region() {
+        let wall = WallClock::new(ProfLevel::Full);
+        let key = RegionKey::Step(StepFunction::SetBounds);
+        {
+            let _g = wall.region(RegionKey::Named("Cycle"));
+            wall.credit(key, Instant::now(), 1_500);
+            wall.credit(key, Instant::now(), 500);
+        }
+        wall.end_cycle(0);
+        let flat = wall.with_totals(|t| t.flatten()).unwrap();
+        let credited = flat.iter().find(|r| r.path == "Cycle/SetBounds").unwrap();
+        assert_eq!((credited.stats.total_ns, credited.stats.count), (2_000, 2));
+        let (events, _) = wall.trace_events();
+        let spans = events.iter().filter(|e| e.name == key.name());
+        assert_eq!(spans.map(|e| e.dur_ns).collect::<Vec<_>>(), [1_500, 500]);
+        WallClock::disabled().credit(key, Instant::now(), 1);
+    }
 
     #[test]
     fn off_level_is_inert() {

@@ -156,6 +156,36 @@ for file in $(find crates/burgers/src crates/physics/src -name '*.rs') crates/co
     fi
 done
 
+echo "==> one visit per block, one nesting rule"
+# A stage fills and sweeps a block in one visit (boundary::ghost_visit): the
+# global fill, unpack and physical-boundary passes stay deleted. The nesting
+# rule is NestingTable::enforce, fed by the mesh's cached table on the cycle
+# path and by one derivation of the neighbour lists in the tree adapter.
+for def in 'fn ghost_fill_direct' 'fn ghost_set_bounds' 'fn apply_physical_bcs'; do
+    if grep -rnF "$def" crates --include='*.rs'; then
+        echo "'$def' is back: the stage visit is the one fill path" >&2
+        exit 1
+    fi
+done
+# Non-test code: up to the file's first top-level #[cfg(test)].
+non_test() { awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+for file in crates/core/src/*.rs; do
+    if non_test "$file" | grep -nE 'enforce_proper_nesting\(|find_neighbors\('; then
+        echo "$file searches the tree on the cycle path; use Mesh::proper_nesting / neighbor_gids" >&2
+        exit 1
+    fi
+done
+if [ "$(non_test crates/mesh/src/refinement.rs | grep -c 'find_neighbors(')" -gt 1 ]; then
+    echo "crates/mesh/src/refinement.rs derives neighbour lists in more than one place" >&2
+    exit 1
+fi
+# Lines that use the keyword, comment lines aside.
+unsafe_sites=$(grep -rn 'unsafe' crates/*/src --include='*.rs' | grep -vcE '^[^:]+:[0-9]+:[[:space:]]*//')
+if [ "$unsafe_sites" -gt 22 ]; then
+    echo "$unsafe_sites unsafe sites under crates/*/src, at most 22 allowed" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
