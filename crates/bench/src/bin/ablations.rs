@@ -56,7 +56,6 @@ fn main() {
                 pack_strategy: pack,
                 cache_config: CacheConfig {
                     sort_and_randomize: sort,
-                    ..CacheConfig::default()
                 },
                 restrict_on_send: restrict,
                 ..job.driver_params()

@@ -5,8 +5,10 @@
 //! `RebuildBufferCache` re-allocates views-of-views and fills buffer
 //! metadata after every mesh change. The paper (§VIII-A) identifies both as
 //! serial hotspots — `RebuildBufferCache` alone is ~13.3% of runtime in a
-//! 1-GPU/1-rank configuration. This module executes the real bookkeeping
-//! (sort + deterministic shuffle) and records its cost inputs.
+//! 1-GPU/1-rank configuration. This module records the cost inputs of that
+//! bookkeeping (keys walked, keys sorted and shuffled, buffers reallocated)
+//! for the platform model; the host does not sort, shuffle or keep the keys,
+//! because nothing on the host path reads their order.
 
 use vibe_prof::{Recorder, SerialWork, StepFunction};
 
@@ -37,18 +39,15 @@ impl BoundaryKey {
 /// Configuration of the buffer-cache bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Perform the sort+shuffle of boundary keys (Parthenon's default; can
+    /// Account the sort+shuffle of boundary keys (Parthenon's default; can
     /// be disabled to ablate the §VIII-A recommendation).
     pub sort_and_randomize: bool,
-    /// Shuffle seed (deterministic across runs).
-    pub seed: u64,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {
             sort_and_randomize: true,
-            seed: 0x5eed_cafe,
         }
     }
 }
@@ -56,10 +55,8 @@ impl Default for CacheConfig {
 /// The per-rank boundary buffer cache.
 #[derive(Debug, Clone, Default)]
 pub struct BufferCache {
-    keys: Vec<BoundaryKey>,
     valid: bool,
     rebuilds: u64,
-    initializations: u64,
 }
 
 impl BufferCache {
@@ -78,56 +75,26 @@ impl BufferCache {
         self.valid = false;
     }
 
-    /// The cached keys in communication order.
-    pub fn keys(&self) -> &[BoundaryKey] {
-        &self.keys
-    }
-
     /// Number of full rebuilds performed.
     pub fn rebuild_count(&self) -> u64 {
         self.rebuilds
     }
 
-    /// Number of initializations (one per communication phase).
-    pub fn initialization_count(&self) -> u64 {
-        self.initializations
-    }
-
-    /// `InitializeBufferCache`: ingest the boundary keys for this phase,
-    /// sorting and (optionally) randomizing their order, and recording the
-    /// serial cost inputs. Invoked by the send path on every phase.
+    /// `InitializeBufferCache`: records the serial cost inputs of walking
+    /// this phase's boundary keys and (optionally) sorting and randomizing
+    /// their order. Invoked by the send path on every phase.
     pub fn initialize(
         &mut self,
-        mut keys: Vec<BoundaryKey>,
+        keys: impl IntoIterator<Item = BoundaryKey>,
         config: &CacheConfig,
         rec: &mut Recorder,
     ) {
-        let n = keys.len() as u64;
-        rec.record_serial(
-            StepFunction::InitializeBufferCache,
-            SerialWork::BoundaryLoop(n),
-        );
+        let func = StepFunction::InitializeBufferCache;
+        let n = keys.into_iter().count() as u64;
+        rec.record_serial(func, SerialWork::BoundaryLoop(n));
         if config.sort_and_randomize {
-            // Keys are distinct, so the unstable sort yields the same order.
-            keys.sort_unstable();
-            // Deterministic Fisher-Yates with an xorshift generator — the
-            // "randomization" Parthenon applies for load-balancing message
-            // order.
-            let mut state = config.seed | 1;
-            for i in (1..keys.len()).rev() {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let j = (state % (i as u64 + 1)) as usize;
-                keys.swap(i, j);
-            }
-            rec.record_serial(
-                StepFunction::InitializeBufferCache,
-                SerialWork::SortedKeys(n),
-            );
+            rec.record_serial(func, SerialWork::SortedKeys(n));
         }
-        self.keys = keys;
-        self.initializations += 1;
     }
 
     /// `RebuildBufferCache`: re-allocate buffer metadata after a mesh
@@ -168,42 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn initialize_preserves_key_multiset() {
-        let mut rec = recorder();
-        let mut cache = BufferCache::new();
-        let input = keys(50);
-        cache.initialize(input.clone(), &CacheConfig::default(), &mut rec);
-        let mut got = cache.keys().to_vec();
-        let mut want = input;
-        got.sort();
-        want.sort();
-        assert_eq!(got, want);
-        rec.end_cycle(1, 0, 0, 0);
-    }
-
-    #[test]
-    fn shuffle_is_deterministic() {
-        let mut rec = recorder();
-        let cfg = CacheConfig::default();
-        let mut a = BufferCache::new();
-        let mut b = BufferCache::new();
-        a.initialize(keys(40), &cfg, &mut rec);
-        b.initialize(keys(40), &cfg, &mut rec);
-        assert_eq!(a.keys(), b.keys());
-        rec.end_cycle(1, 0, 0, 0);
-    }
-
-    #[test]
-    fn disabling_randomization_yields_sorted_input_order() {
+    fn no_sort_count_when_sort_and_randomize_is_off() {
         let mut rec = recorder();
         let cfg = CacheConfig {
             sort_and_randomize: false,
-            seed: 0,
         };
-        let mut cache = BufferCache::new();
-        let input = keys(10);
-        cache.initialize(input.clone(), &cfg, &mut rec);
-        assert_eq!(cache.keys(), input.as_slice(), "order untouched");
+        BufferCache::new().initialize(keys(10), &cfg, &mut rec);
         rec.end_cycle(1, 0, 0, 0);
         let s = &rec.totals().serial[&StepFunction::InitializeBufferCache];
         assert_eq!(s.sorted_keys, 0, "no sort work recorded");

@@ -15,9 +15,10 @@
 //!   (non-blocking send for remote ranks, direct copy within a rank);
 //! * [`Communicator::try_receive`] — `ReceiveBoundBufs` probes
 //!   (`MPI_Iprobe`) and completes (`MPI_Test`) incoming messages;
-//! * [`BufferCache`] — the boundary-key sort/shuffle of
-//!   `InitializeBufferCache` and the allocation-heavy `RebuildBufferCache`,
-//!   both identified as serial hotspots in §VIII-A of the paper.
+//! * [`BufferCache`] — the recorded cost inputs of the boundary-key
+//!   sort/shuffle of `InitializeBufferCache` and of the allocation-heavy
+//!   `RebuildBufferCache`, both identified as serial hotspots in §VIII-A of
+//!   the paper.
 
 pub mod cache;
 pub mod events;

@@ -765,8 +765,7 @@ pub fn ghost_pack_and_send(
     cache.initialize(
         consumed
             .filter(|(_, route)| route.receiver_here())
-            .map(|(t, _)| t.key)
-            .collect(),
+            .map(|(t, _)| t.key),
         &cfg.cache_config,
         rec,
     );

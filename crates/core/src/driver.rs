@@ -114,30 +114,11 @@ impl Default for DriverParams {
     }
 }
 
-/// Measured wall-clock breakdown of one cycle, all zeros when profiling is
-/// off (so summaries stay comparable across runs that only differ in
-/// instrumentation level being off).
+/// What the task executor measured in one cycle, all zeros when profiling
+/// is off. Region wall times are in `recorder().wall()`, per cycle through
+/// `with_cycles`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CycleTiming {
-    /// Inclusive wall time of the whole cycle (ns).
-    pub wall_ns: u64,
-    /// CalculateFluxes wall time (ns, both RK stages).
-    pub flux_ns: u64,
-    /// Ghost-exchange wall time (ns, all exchanges in the cycle).
-    pub comm_ns: u64,
-    /// RK2 weighted-sum + flux-divergence update wall time (ns).
-    pub update_ns: u64,
-    /// Tagging, tree update, regridding, and load balancing wall time (ns).
-    pub amr_ns: u64,
-    /// EstimateTimeStep wall time (ns).
-    pub dt_ns: u64,
-    /// Summed busy time of all pool participants (ns).
-    pub pool_busy_ns: u64,
-    /// Available pool thread-time (wall × participants, summed; ns).
-    pub pool_thread_time_ns: u64,
-    /// Pool load-imbalance factor (max/mean worker busy time; 0 when
-    /// profiling is off, 1.0 is perfect balance).
-    pub load_imbalance: f64,
     /// Wall time inside [`TaskKind::Compute`] task actions (ns).
     pub compute_task_ns: u64,
     /// Subset of `compute_task_ns` spent while comm traffic was
@@ -160,41 +141,98 @@ pub struct CycleSummary {
     pub refined: usize,
     /// Parent regions derefined this cycle.
     pub derefined: usize,
-    /// Measured per-stage wall times and pool utilization (all zeros when
+    /// The task executor's compute and overlap times (all zeros when
     /// `DriverParams::prof_level` is `Off`).
     pub timing: CycleTiming,
 }
 
-/// Task names of one RK stage, indexed `[stage][slot]` in graph order:
-/// PackSend, InteriorFlux, WaitUnpack, ExteriorFlux, FluxCorrSend,
-/// FluxCorrApply, Update, FillDerived.
-const STAGE_TASK_NAMES: [[&str; 8]; 2] = [
-    [
-        "Stage0::PackSend",
-        "Stage0::InteriorFlux",
-        "Stage0::WaitUnpack",
-        "Stage0::ExteriorFlux",
-        "Stage0::FluxCorrSend",
-        "Stage0::FluxCorrApply",
-        "Stage0::Update",
-        "Stage0::FillDerived",
-    ],
-    [
-        "Stage1::PackSend",
-        "Stage1::InteriorFlux",
-        "Stage1::WaitUnpack",
-        "Stage1::ExteriorFlux",
-        "Stage1::FluxCorrSend",
-        "Stage1::FluxCorrApply",
-        "Stage1::Update",
-        "Stage1::FillDerived",
-    ],
-];
+/// The body a cycle node runs: [`Driver::run_node`] maps each to its
+/// `task_*` method.
+#[derive(Debug, Clone, Copy)]
+enum CycleOp {
+    SaveStage0,
+    PackSend,
+    Flux(usize, FluxPhase),
+    WaitUnpack,
+    FluxCorrSend,
+    FluxCorrApply,
+    Update(usize),
+    FillDerived,
+    MassHistory,
+    RefinementTag,
+    TreeUpdate,
+    Regrid,
+    EstimateTimeStep,
+}
 
-/// The dependency graph of one driver cycle — the exact task structure
-/// [`Driver::step`] executes (asserted against the live list in debug
-/// builds), exported action-free so consumers like the timeline simulator
-/// replay the same schedule the driver ran.
+/// One row of [`CYCLE_NODES`]: what [`cycle_task_graph`] exports of a task
+/// (`deps` index earlier rows) plus the body the driver runs for it.
+#[derive(Debug)]
+struct CycleNode {
+    name: &'static str,
+    kind: TaskKind,
+    funcs: &'static [StepFunction],
+    deps: &'static [usize],
+    op: CycleOp,
+}
+
+const fn node(
+    name: &'static str,
+    kind: TaskKind,
+    funcs: &'static [StepFunction],
+    deps: &'static [usize],
+    op: CycleOp,
+) -> CycleNode {
+    CycleNode {
+        name,
+        kind,
+        funcs,
+        deps,
+        op,
+    }
+}
+
+/// The cycle, written once: [`cycle_task_graph`] exports this table without
+/// the ops and [`cycle_task_list`] wires it to [`Driver::run_node`], so the
+/// graph consumers replay is the graph the driver ran.
+#[rustfmt::skip] // one row per node, in columns
+static CYCLE_NODES: [CycleNode; 22] = {
+    use CycleOp as Op;
+    use FluxPhase::{Exterior, Interior};
+    use StepFunction::*;
+    use TaskKind::{CommSend, CommWait, Compute, Serial};
+    const SEND: &[StepFunction] = &[StartReceiveBoundBufs, SendBoundBufs, InitializeBufferCache];
+    const REGRID: &[StepFunction] = &[RedistributeAndRefineMeshBlocks, RebuildBufferCache];
+    [
+        node("SaveStage0",            Compute,  &[],                                &[],       Op::SaveStage0),
+        node("Stage0::PackSend",      CommSend, SEND,                               &[0],      Op::PackSend),
+        node("Stage0::InteriorFlux",  Compute,  &[CalculateFluxes],                 &[1],      Op::Flux(0, Interior)),
+        node("Stage0::WaitUnpack",    CommWait, &[ReceiveBoundBufs, SetBounds],     &[1],      Op::WaitUnpack),
+        node("Stage0::ExteriorFlux",  Compute,  &[CalculateFluxes],                 &[2, 3],   Op::Flux(0, Exterior)),
+        node("Stage0::FluxCorrSend",  CommSend, &[FluxCorrection],                  &[4],      Op::FluxCorrSend),
+        node("Stage0::FluxCorrApply", CommWait, &[FluxCorrection],                  &[5],      Op::FluxCorrApply),
+        node("Stage0::Update",        Compute,  &[WeightedSumData, FluxDivergence], &[6],      Op::Update(0)),
+        node("Stage0::FillDerived",   Compute,  &[FillDerived],                     &[7],      Op::FillDerived),
+        node("Stage1::PackSend",      CommSend, SEND,                               &[8],      Op::PackSend),
+        node("Stage1::InteriorFlux",  Compute,  &[CalculateFluxes],                 &[9],      Op::Flux(1, Interior)),
+        node("Stage1::WaitUnpack",    CommWait, &[ReceiveBoundBufs, SetBounds],     &[9],      Op::WaitUnpack),
+        node("Stage1::ExteriorFlux",  Compute,  &[CalculateFluxes],                 &[10, 11], Op::Flux(1, Exterior)),
+        node("Stage1::FluxCorrSend",  CommSend, &[FluxCorrection],                  &[12],     Op::FluxCorrSend),
+        node("Stage1::FluxCorrApply", CommWait, &[FluxCorrection],                  &[13],     Op::FluxCorrApply),
+        node("Stage1::Update",        Compute,  &[WeightedSumData, FluxDivergence], &[14],     Op::Update(1)),
+        node("Stage1::FillDerived",   Compute,  &[FillDerived],                     &[15],     Op::FillDerived),
+        node("MassHistory",           Compute,  &[MassHistory],                     &[16],     Op::MassHistory),
+        node("RefinementTag",         Compute,  &[RefinementTag],                   &[16],     Op::RefinementTag),
+        node("TreeUpdate",            Serial,   &[UpdateMeshBlockTree],             &[18],     Op::TreeUpdate),
+        node("Regrid",                Serial,   REGRID,                             &[19, 17], Op::Regrid),
+        node("EstimateTimeStep",      Compute,  &[EstimateTimeStep],                &[20],     Op::EstimateTimeStep),
+    ]
+};
+
+/// The dependency graph of one driver cycle — the node table
+/// [`Driver::step`] builds its task list from, exported action-free so
+/// consumers like the timeline simulator replay the same schedule the
+/// driver ran (diagram: DESIGN.md, "The cycle task graph").
 ///
 /// Per RK stage, the ghost exchange is split around the interior share of
 /// the flux launch — work a device could overlap with in-flight boundary
@@ -204,109 +242,20 @@ const STAGE_TASK_NAMES: [[&str; 8]; 2] = [
 /// visits the blocks whose every boundary is filled directly (all of them
 /// when one rank label holds every block), while messages are in flight;
 /// `WaitUnpack` only polls and banks deliveries; `ExteriorFlux` visits the
-/// blocks that needed one and retires the exchange. Both flux nodes record
-/// their share of the launch:
-///
-/// ```text
-/// PackSend ──┬─> InteriorFlux ──┬─> ExteriorFlux ─> FluxCorrSend
-///            └─> WaitUnpack ────┘       ─> FluxCorrApply ─> Update ─> FillDerived
-/// ```
-///
-/// and the AMR tail (`MassHistory` ∥ `RefinementTag` → `TreeUpdate` →
-/// `Regrid` → `EstimateTimeStep`) follows the second stage.
+/// blocks that needed one and retires the exchange; both flux nodes record
+/// their share of the launch. The AMR tail (`MassHistory` ∥ `RefinementTag`
+/// → `TreeUpdate` → `Regrid` → `EstimateTimeStep`) follows the second
+/// stage.
 pub fn cycle_task_graph() -> Vec<TaskNode> {
-    use StepFunction::*;
-    let node = |name: &str, kind: TaskKind, funcs: Vec<StepFunction>, deps: Vec<usize>| TaskNode {
-        name: name.to_string(),
-        kind,
-        funcs,
-        deps,
-    };
-    let mut g = Vec::with_capacity(22);
-    g.push(node("SaveStage0", TaskKind::Compute, vec![], vec![]));
-    for (stage, names) in STAGE_TASK_NAMES.iter().enumerate() {
-        let base = 1 + 8 * stage;
-        let prev = if stage == 0 { 0 } else { base - 1 };
-        g.push(node(
-            names[0],
-            TaskKind::CommSend,
-            vec![StartReceiveBoundBufs, SendBoundBufs, InitializeBufferCache],
-            vec![prev],
-        ));
-        g.push(node(
-            names[1],
-            TaskKind::Compute,
-            vec![CalculateFluxes],
-            vec![base],
-        ));
-        g.push(node(
-            names[2],
-            TaskKind::CommWait,
-            vec![ReceiveBoundBufs, SetBounds],
-            vec![base],
-        ));
-        g.push(node(
-            names[3],
-            TaskKind::Compute,
-            vec![CalculateFluxes],
-            vec![base + 1, base + 2],
-        ));
-        g.push(node(
-            names[4],
-            TaskKind::CommSend,
-            vec![FluxCorrection],
-            vec![base + 3],
-        ));
-        g.push(node(
-            names[5],
-            TaskKind::CommWait,
-            vec![FluxCorrection],
-            vec![base + 4],
-        ));
-        g.push(node(
-            names[6],
-            TaskKind::Compute,
-            vec![WeightedSumData, FluxDivergence],
-            vec![base + 5],
-        ));
-        g.push(node(
-            names[7],
-            TaskKind::Compute,
-            vec![FillDerived],
-            vec![base + 6],
-        ));
-    }
-    g.push(node(
-        "MassHistory",
-        TaskKind::Compute,
-        vec![MassHistory],
-        vec![16],
-    ));
-    g.push(node(
-        "RefinementTag",
-        TaskKind::Compute,
-        vec![RefinementTag],
-        vec![16],
-    ));
-    g.push(node(
-        "TreeUpdate",
-        TaskKind::Serial,
-        vec![UpdateMeshBlockTree],
-        vec![18],
-    ));
-    g.push(node(
-        "Regrid",
-        TaskKind::Serial,
-        vec![RedistributeAndRefineMeshBlocks, RebuildBufferCache],
-        vec![19, 17],
-    ));
-    g.push(node(
-        "EstimateTimeStep",
-        TaskKind::Compute,
-        vec![EstimateTimeStep],
-        vec![20],
-    ));
-    g
+    CYCLE_NODES
+        .iter()
+        .map(|n| TaskNode {
+            name: n.name.to_string(),
+            kind: n.kind,
+            funcs: n.funcs.to_vec(),
+            deps: n.deps.to_vec(),
+        })
+        .collect()
 }
 
 /// Where [`Driver::initialize_impl`] gets its initial condition: the
@@ -316,149 +265,16 @@ enum IcSource<'a> {
     Custom(&'a dyn Fn(&BlockInfo, &mut BlockData)),
 }
 
-/// Builds the executable task list for one cycle. Its exported graph is
-/// identical to [`cycle_task_graph`] (checked in debug builds every
-/// cycle and by a unit test).
-fn build_cycle_list<P: Package>() -> TaskList<Driver<P>> {
+/// Builds the executable task list for one cycle from [`CYCLE_NODES`].
+fn cycle_task_list<P: Package>() -> TaskList<Driver<P>> {
     let mut list: TaskList<Driver<P>> = TaskList::new();
-    let save = list.add_task_meta("SaveStage0", TaskKind::Compute, [], [], |d| {
-        d.task_save_stage0();
-        TaskStatus::Complete
-    });
-    let mut prev = save;
-    for (stage, names) in STAGE_TASK_NAMES.iter().enumerate() {
-        let pack_send = list.add_task_meta(
-            names[0],
-            TaskKind::CommSend,
-            [
-                StepFunction::StartReceiveBoundBufs,
-                StepFunction::SendBoundBufs,
-                StepFunction::InitializeBufferCache,
-            ],
-            [prev],
-            move |d| {
-                d.task_ghost_pack_send(names[0]);
-                TaskStatus::Complete
-            },
-        );
-        let interior = list.add_task_meta(
-            names[1],
-            TaskKind::Compute,
-            [StepFunction::CalculateFluxes],
-            [pack_send],
-            move |d| {
-                d.task_flux(stage, FluxPhase::Interior);
-                TaskStatus::Complete
-            },
-        );
-        let wait = list.add_task_meta(
-            names[2],
-            TaskKind::CommWait,
-            [StepFunction::ReceiveBoundBufs, StepFunction::SetBounds],
-            [pack_send],
-            move |d| d.task_ghost_wait_unpack(names[2]),
-        );
-        let exterior = list.add_task_meta(
-            names[3],
-            TaskKind::Compute,
-            [StepFunction::CalculateFluxes],
-            [interior, wait],
-            move |d| {
-                d.task_flux(stage, FluxPhase::Exterior);
-                TaskStatus::Complete
-            },
-        );
-        let fc_send = list.add_task_meta(
-            names[4],
-            TaskKind::CommSend,
-            [StepFunction::FluxCorrection],
-            [exterior],
-            move |d| {
-                d.task_fcorr_send(names[4]);
-                TaskStatus::Complete
-            },
-        );
-        let fc_apply = list.add_task_meta(
-            names[5],
-            TaskKind::CommWait,
-            [StepFunction::FluxCorrection],
-            [fc_send],
-            move |d| d.task_fcorr_apply(names[5]),
-        );
-        let update = list.add_task_meta(
-            names[6],
-            TaskKind::Compute,
-            [StepFunction::WeightedSumData, StepFunction::FluxDivergence],
-            [fc_apply],
-            move |d| {
-                d.task_update(stage);
-                TaskStatus::Complete
-            },
-        );
-        prev = list.add_task_meta(
-            names[7],
-            TaskKind::Compute,
-            [StepFunction::FillDerived],
-            [update],
-            |d| {
-                d.task_fill_derived();
-                TaskStatus::Complete
-            },
-        );
+    let mut ids = Vec::with_capacity(CYCLE_NODES.len());
+    for node in &CYCLE_NODES {
+        let funcs = node.funcs.iter().copied();
+        let deps = node.deps.iter().map(|&d| ids[d]);
+        let id = list.add_task_meta(node.name, node.kind, funcs, deps, move |d| d.run_node(node));
+        ids.push(id);
     }
-    let history = list.add_task_meta(
-        "MassHistory",
-        TaskKind::Compute,
-        [StepFunction::MassHistory],
-        [prev],
-        |d| {
-            d.task_history();
-            TaskStatus::Complete
-        },
-    );
-    let tag = list.add_task_meta(
-        "RefinementTag",
-        TaskKind::Compute,
-        [StepFunction::RefinementTag],
-        [prev],
-        |d| {
-            d.task_refinement_tag();
-            TaskStatus::Complete
-        },
-    );
-    let tree = list.add_task_meta(
-        "TreeUpdate",
-        TaskKind::Serial,
-        [StepFunction::UpdateMeshBlockTree],
-        [tag],
-        |d| {
-            d.task_tree_update();
-            TaskStatus::Complete
-        },
-    );
-    let regrid = list.add_task_meta(
-        "Regrid",
-        TaskKind::Serial,
-        [
-            StepFunction::RedistributeAndRefineMeshBlocks,
-            StepFunction::RebuildBufferCache,
-        ],
-        [tree, history],
-        |d| {
-            d.task_regrid();
-            TaskStatus::Complete
-        },
-    );
-    list.add_task_meta(
-        "EstimateTimeStep",
-        TaskKind::Compute,
-        [StepFunction::EstimateTimeStep],
-        [regrid],
-        |d| {
-            d.task_estimate_dt();
-            TaskStatus::Complete
-        },
-    );
     list
 }
 
@@ -918,12 +734,7 @@ impl<P: Package> Driver<P> {
         }
         let dt = self.dt;
         self.step_dt = dt;
-        let mut list = build_cycle_list::<P>();
-        debug_assert_eq!(
-            list.graph(),
-            cycle_task_graph(),
-            "driver task list drifted from the exported cycle graph"
-        );
+        let mut list = cycle_task_list::<P>();
         if self.comm.endpoints() > 1 {
             // Waits on a peer thread can take arbitrarily many polls; the
             // default budget exists to catch single-process deadlocks.
@@ -959,11 +770,6 @@ impl<P: Package> Driver<P> {
         self.time += dt;
         self.cycle += 1;
         self.drain_comm_events();
-        let mut timing = last_cycle_timing(&self.rec);
-        if wall.enabled() {
-            timing.compute_task_ns = stats.compute_ns;
-            timing.overlapped_compute_ns = stats.overlapped_compute_ns;
-        }
         CycleSummary {
             cycle: self.cycle - 1,
             time: self.time,
@@ -971,8 +777,31 @@ impl<P: Package> Driver<P> {
             nblocks,
             refined,
             derefined,
-            timing,
+            timing: CycleTiming {
+                compute_task_ns: stats.compute_ns,
+                overlapped_compute_ns: stats.overlapped_compute_ns,
+            },
         }
+    }
+
+    /// Runs one node of the cycle: the one place an op meets its task body.
+    fn run_node(&mut self, node: &CycleNode) -> TaskStatus {
+        match node.op {
+            CycleOp::SaveStage0 => self.task_save_stage0(node.name),
+            CycleOp::PackSend => self.task_ghost_pack_send(node.name),
+            CycleOp::Flux(stage, phase) => self.task_flux(stage, phase),
+            CycleOp::WaitUnpack => return self.task_ghost_wait_unpack(node.name),
+            CycleOp::FluxCorrSend => self.task_fcorr_send(node.name),
+            CycleOp::FluxCorrApply => return self.task_fcorr_apply(node.name),
+            CycleOp::Update(stage) => self.task_update(stage),
+            CycleOp::FillDerived => self.task_fill_derived(),
+            CycleOp::MassHistory => self.task_history(node.name),
+            CycleOp::RefinementTag => self.task_refinement_tag(),
+            CycleOp::TreeUpdate => self.task_tree_update(node.name),
+            CycleOp::Regrid => self.task_regrid(node.name),
+            CycleOp::EstimateTimeStep => self.task_estimate_dt(node.name),
+        }
+        TaskStatus::Complete
     }
 
     /// SaveStage0 node: the cycle-start copies of the two-stage variables
@@ -980,9 +809,9 @@ impl<P: Package> Driver<P> {
     /// block is in cache — neither fill nor sweep writes an interior cell,
     /// so the copy holds the same bits. The node keeps its place in the
     /// graph (and its region, as a count).
-    fn task_save_stage0(&mut self) {
+    fn task_save_stage0(&mut self, task: &'static str) {
         let wall = self.rec.wall().clone();
-        let _g = wall.region_hot(RegionKey::Named("SaveStage0"));
+        let _g = wall.region_hot(RegionKey::Named(task));
     }
 
     /// PackSend task: posts receives for the boundaries the resident
@@ -1140,7 +969,7 @@ impl<P: Package> Driver<P> {
     /// the same whatever the rank partition, so the history of any
     /// decomposition is bitwise identical to the single-rank fold. Every
     /// endpoint joins the gather, including ones without blocks.
-    fn task_history(&mut self) {
+    fn task_history(&mut self, task: &'static str) {
         let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::MassHistory));
@@ -1156,7 +985,7 @@ impl<P: Package> Driver<P> {
                 }
             }
         });
-        self.comm.set_task(Some("MassHistory"));
+        self.comm.set_task(Some(task));
         let parts = self.gather_across_endpoints(StepFunction::MassHistory, payload);
         self.comm.set_task(None);
         let mut rows: Vec<(u64, Vec<f64>)> = Vec::new();
@@ -1202,10 +1031,10 @@ impl<P: Package> Driver<P> {
     /// reconciled into a regrid decision for the Regrid task by
     /// proper-nesting enforcement and the derefinement-gate filter:
     /// replicated tree surgery, identical on every endpoint.
-    fn task_tree_update(&mut self) {
+    fn task_tree_update(&mut self, task: &'static str) {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::UpdateMeshBlockTree));
-        self.comm.set_task(Some("TreeUpdate"));
+        self.comm.set_task(Some(task));
         let tags = std::mem::take(&mut self.step_flags);
         let parts =
             self.comm
@@ -1230,11 +1059,11 @@ impl<P: Package> Driver<P> {
     /// blocks follow the new ownership map ([`Self::move_blocks`]); block
     /// moves and list rebuilds are accounted, the buffer cache rebuilt
     /// when invalidated.
-    fn task_regrid(&mut self) {
+    fn task_regrid(&mut self, task: &'static str) {
         let func = StepFunction::RedistributeAndRefineMeshBlocks;
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(func));
-        self.comm.set_task(Some("Regrid"));
+        self.comm.set_task(Some(task));
         let decision = self.step_decision.take().expect("tree update ran");
         self.step_counts = (decision.refine.len(), decision.derefine_parents.len());
         let structural = !decision.is_empty();
@@ -1317,8 +1146,8 @@ impl<P: Package> Driver<P> {
         self.comm.set_task(None);
     }
 
-    fn task_estimate_dt(&mut self) {
-        self.comm.set_task(Some("EstimateTimeStep"));
+    fn task_estimate_dt(&mut self, task: &'static str) {
+        self.comm.set_task(Some(task));
         self.estimate_dt();
         self.comm.set_task(None);
     }
@@ -1690,43 +1519,6 @@ fn for_each_rank_pack(slots: &mut [BlockSlot], mut f: impl FnMut(&mut Vec<&mut B
     }
 }
 
-/// Extracts the measured per-stage breakdown of the most recently archived
-/// cycle of `rec` (all zeros when profiling is off).
-fn last_cycle_timing(rec: &Recorder) -> CycleTiming {
-    rec.wall()
-        .with_cycles(|cycles| {
-            let Some(last) = cycles.last() else {
-                return CycleTiming::default();
-            };
-            let by_func = last.tree.by_step_function();
-            let func_ns = |f: StepFunction| by_func.get(&f).map_or(0, |(ns, _)| *ns);
-            let flat = last.tree.flatten();
-            let named_ns = |name: &str| -> u64 {
-                flat.iter()
-                    .filter(|r| matches!(r.key, RegionKey::Named(n) if n == name))
-                    .map(|r| r.stats.total_ns)
-                    .sum()
-            };
-            CycleTiming {
-                wall_ns: named_ns("Cycle"),
-                flux_ns: func_ns(StepFunction::CalculateFluxes),
-                comm_ns: named_ns("GhostExchange") + func_ns(StepFunction::SetBounds),
-                update_ns: named_ns("RK2Update"),
-                amr_ns: func_ns(StepFunction::RefinementTag)
-                    + func_ns(StepFunction::UpdateMeshBlockTree)
-                    + func_ns(StepFunction::RedistributeAndRefineMeshBlocks),
-                dt_ns: func_ns(StepFunction::EstimateTimeStep),
-                pool_busy_ns: last.pool.busy_ns,
-                pool_thread_time_ns: last.pool.thread_time_ns,
-                load_imbalance: last.pool.load_imbalance(),
-                // Filled from the task executor's stats by step().
-                compute_task_ns: 0,
-                overlapped_compute_ns: 0,
-            }
-        })
-        .unwrap_or_default()
-}
-
 /// The blocks of the previous generation a post-regrid block's data comes
 /// from.
 fn old_gids(source: &RegridSource) -> &[usize] {
@@ -1956,17 +1748,33 @@ mod tests {
         d.initialize(gaussian_ic);
         let summaries = d.run_cycles(2);
         let t = summaries[0].timing;
-        assert!(t.wall_ns > 0, "cycle wall time measured");
-        assert!(t.flux_ns > 0 && t.flux_ns < t.wall_ns);
-        assert!(t.comm_ns > 0 && t.comm_ns < t.wall_ns);
-        assert!(t.update_ns > 0 && t.dt_ns > 0);
         assert!(t.compute_task_ns > 0, "compute task time measured");
         // The interior flux node visits the blocks whose every boundary is
         // direct while ghost traffic is outstanding; the rest of the
         // cycle's compute runs with nothing in flight.
         assert!(t.overlapped_compute_ns > 0 && t.overlapped_compute_ns < t.compute_task_ns);
-        assert!(t.pool_busy_ns > 0 && t.pool_thread_time_ns >= t.pool_busy_ns);
-        assert!(t.load_imbalance >= 1.0);
+        // Per-cycle archives line up with the summaries and hold the
+        // stage breakdown and the pool's utilization.
+        d.recorder()
+            .wall()
+            .with_cycles(|cycles| {
+                assert_eq!(cycles.len(), 2);
+                let first = &cycles[0];
+                let by_key = first.tree.by_key();
+                let ns = |key: RegionKey| by_key.get(&key).map_or(0, |s| s.total_ns);
+                let step = |f: StepFunction| ns(RegionKey::Step(f));
+                let wall_ns = ns(RegionKey::Named("Cycle"));
+                assert!(wall_ns > 0, "cycle wall time measured");
+                let flux_ns = step(StepFunction::CalculateFluxes);
+                assert!(flux_ns > 0 && flux_ns < wall_ns);
+                let comm_ns = ns(RegionKey::Named("GhostExchange")) + step(StepFunction::SetBounds);
+                assert!(comm_ns > 0 && comm_ns < wall_ns);
+                assert!(ns(RegionKey::Named("RK2Update")) > 0);
+                assert!(step(StepFunction::EstimateTimeStep) > 0);
+                assert!(first.pool.busy_ns > 0 && first.pool.thread_time_ns >= first.pool.busy_ns);
+                assert!(first.pool.load_imbalance() >= 1.0);
+            })
+            .unwrap();
         d.recorder()
             .wall()
             .with_totals(|tree| {
@@ -1996,11 +1804,6 @@ mod tests {
         let (events, dropped) = d.recorder().wall().trace_events();
         assert!(!events.is_empty());
         assert_eq!(dropped, 0);
-        // Per-cycle archives line up with the summaries.
-        d.recorder()
-            .wall()
-            .with_cycles(|c| assert_eq!(c.len(), 2))
-            .unwrap();
     }
 
     #[test]
@@ -2012,12 +1815,34 @@ mod tests {
     }
 
     #[test]
-    fn executed_graph_matches_exported_graph() {
-        let list = build_cycle_list::<Advect>();
-        let graph = list.graph();
-        assert_eq!(graph, cycle_task_graph());
+    fn cycle_node_table_is_the_graph() {
+        let graph = cycle_task_graph();
+        assert_eq!(graph.len(), 22);
+        let names: std::collections::HashSet<&str> =
+            graph.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(names.len(), graph.len(), "node names are unique");
+        // Every dependency points backwards, so table order is an
+        // execution order.
+        for (i, n) in graph.iter().enumerate() {
+            assert!(n.deps.iter().all(|&d| d < i), "{} depends forwards", n.name);
+        }
         let order = crate::tasks::topo_order(&graph).expect("cycle graph is a DAG");
-        assert_eq!(order.len(), graph.len());
+        assert_eq!(order, (0..graph.len()).collect::<Vec<_>>());
+        let deps_of = |name: &str| -> Vec<&str> {
+            let n = graph.iter().find(|n| n.name == name).expect(name);
+            n.deps.iter().map(|&d| graph[d].name.as_str()).collect()
+        };
+        for stage in ["Stage0", "Stage1"] {
+            assert_eq!(
+                deps_of(&format!("{stage}::ExteriorFlux")),
+                [
+                    format!("{stage}::InteriorFlux"),
+                    format!("{stage}::WaitUnpack")
+                ]
+            );
+        }
+        assert_eq!(deps_of("Regrid"), ["TreeUpdate", "MassHistory"]);
+        assert_eq!(cycle_task_list::<Advect>().graph(), graph);
     }
 
     #[test]

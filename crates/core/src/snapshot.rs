@@ -12,9 +12,7 @@
 //!
 //! The format is a small self-describing little-endian binary layout with
 //! a magic number and version, independent of any serialization crate.
-//! Version 1 snapshots (no gate/history sections) still read; they restore
-//! with an empty gate and the builder-default derefinement gap, which is
-//! only exact for runs checkpointed before any regrid activity.
+//! Only the current version reads; any other is `InvalidData`.
 //!
 //! Parsing is hardened for untrusted input: truncated, oversized-length,
 //! and corrupt-magic streams return [`io::Error`] — never a panic, and
@@ -24,7 +22,7 @@
 use std::io::{self, Read, Write};
 
 use vibe_mesh::{DerefGate, LogicalLocation, Mesh, MeshParams};
-use vibe_prof::{Recorder, StepFunction};
+use vibe_prof::StepFunction;
 
 use crate::block::BlockSlot;
 use crate::driver::{Driver, DriverParams};
@@ -32,8 +30,6 @@ use crate::package::Package;
 
 const MAGIC: &[u8; 4] = b"VAMR";
 const VERSION: u32 = 2;
-/// Oldest snapshot version [`read_snapshot`] still accepts.
-const MIN_VERSION: u32 = 1;
 
 /// Upper bound on any per-item count read from the wire (blocks, gate
 /// entries, history rows). Far above anything this workspace produces, but
@@ -152,9 +148,7 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Parses a snapshot from `r`. Accepts format versions 1 and 2; version 1
-    /// restores with an empty derefinement gate, no history, and the default
-    /// derefinement gap.
+    /// Parses a snapshot from `r` (format version 2 only).
     ///
     /// # Errors
     ///
@@ -167,7 +161,7 @@ impl Snapshot {
             return Err(bad("not a vibe-amr snapshot (bad magic)"));
         }
         let version = r_u32(r)?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(bad(format!("unsupported snapshot version {version}")));
         }
         let dim = r_u32(r)? as usize;
@@ -195,11 +189,7 @@ impl Snapshot {
         if nghost > 4096 {
             return Err(bad("implausible ghost layer count"));
         }
-        let deref_gap = if version >= 2 {
-            r_u64(r)?
-        } else {
-            MeshParams::builder().build().map_or(10, |p| p.deref_gap())
-        };
+        let deref_gap = r_u64(r)?;
         let time = r_f64(r)?;
         let dt = r_f64(r)?;
         let cycle = r_u64(r)?;
@@ -211,26 +201,22 @@ impl Snapshot {
             let (vars, _) = r_block_vars(r)?;
             block_vars.push(vars);
         }
-        let mut gate = Vec::new();
-        let mut history = Vec::new();
-        if version >= 2 {
-            let ngate = r_count(r, MAX_COUNT, "gate entry")?;
-            gate.reserve(ngate.min(MAX_PREALLOC));
-            for _ in 0..ngate {
-                let loc = r_loc(r)?;
-                let last = r_u64(r)?;
-                gate.push((loc, last));
+        let ngate = r_count(r, MAX_COUNT, "gate entry")?;
+        let mut gate = Vec::with_capacity(ngate.min(MAX_PREALLOC));
+        for _ in 0..ngate {
+            let loc = r_loc(r)?;
+            let last = r_u64(r)?;
+            gate.push((loc, last));
+        }
+        let nhist = r_count(r, MAX_COUNT, "history row")?;
+        let mut history = Vec::with_capacity(nhist.min(MAX_PREALLOC));
+        for _ in 0..nhist {
+            let hcycle = r_u64(r)?;
+            let len = r_u32(r)? as usize;
+            if len > MAX_PREALLOC {
+                return Err(bad("implausible history row length"));
             }
-            let nhist = r_count(r, MAX_COUNT, "history row")?;
-            history.reserve(nhist.min(MAX_PREALLOC));
-            for _ in 0..nhist {
-                let hcycle = r_u64(r)?;
-                let len = r_u32(r)? as usize;
-                if len > MAX_PREALLOC {
-                    return Err(bad("implausible history row length"));
-                }
-                history.push((hcycle, r_f64_vec(r, len)?));
-            }
+            history.push((hcycle, r_f64_vec(r, len)?));
         }
         Ok(Self {
             dim,
@@ -577,12 +563,6 @@ pub fn describe(snapshot: &Snapshot) -> String {
     )
 }
 
-/// Returns a recorder suitable for continuing measurement after restore
-/// (fresh, empty — snapshot restore does not resurrect profiling state).
-pub fn fresh_recorder() -> Recorder {
-    Recorder::new()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,10 +683,15 @@ mod tests {
 
     #[test]
     fn unsupported_version_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        assert!(read_snapshot(&mut buf.as_slice()).is_err());
+        // Version 1 (no gate/history sections) is refused like any other.
+        for version in [0u32, 1, 3, 99] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            buf.extend_from_slice(&version.to_le_bytes());
+            buf.extend_from_slice(&[0u8; 64]);
+            let err = read_snapshot(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
+        }
     }
 
     #[test]
@@ -779,40 +764,6 @@ mod tests {
         huge_data[len_off..len_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = read_snapshot(&mut huge_data.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn v1_snapshot_without_gate_sections_still_reads() {
-        let mut d = driver_with(16, 1);
-        d.run_cycles(1);
-        let snap = d.to_snapshot();
-        // Hand-write the V1 layout: no deref_gap, no gate/history tails.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&(snap.dim as u32).to_le_bytes());
-        for d in 0..3 {
-            buf.extend_from_slice(&(snap.mesh_size[d] as u64).to_le_bytes());
-        }
-        for d in 0..3 {
-            buf.extend_from_slice(&(snap.block_size[d] as u64).to_le_bytes());
-        }
-        buf.extend_from_slice(&snap.max_levels.to_le_bytes());
-        buf.extend_from_slice(&(snap.nghost as u32).to_le_bytes());
-        buf.extend_from_slice(&snap.time.to_le_bytes());
-        buf.extend_from_slice(&snap.dt.to_le_bytes());
-        buf.extend_from_slice(&snap.cycle.to_le_bytes());
-        buf.extend_from_slice(&(snap.leaves.len() as u64).to_le_bytes());
-        for (loc, vars) in snap.leaves.iter().zip(&snap.block_vars) {
-            w_loc(&mut buf, loc).unwrap();
-            w_block_vars(&mut buf, vars).unwrap();
-        }
-        let parsed = read_snapshot(&mut buf.as_slice()).unwrap();
-        assert_eq!(parsed.leaves, snap.leaves);
-        assert_eq!(parsed.block_vars, snap.block_vars);
-        assert!(parsed.gate.is_empty());
-        assert!(parsed.history.is_empty());
-        assert_eq!(parsed.deref_gap, 10);
     }
 
     #[test]

@@ -34,8 +34,6 @@
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
-#[cfg(test)]
-use std::time::Instant;
 
 use vibe_prof::StepFunction;
 
@@ -583,6 +581,7 @@ impl<Ctx> TaskList<Ctx> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn linear_chain_runs_in_order() {

@@ -1,14 +1,14 @@
-//! Kernel launching: functional execution + work recording.
+//! Kernel launching: work recording.
 
 use vibe_prof::Recorder;
 
 use crate::descriptor::KernelDescriptor;
 
-/// Launches kernels, executing their functional body on the host and
-/// recording work descriptors into a [`Recorder`].
+/// Records kernel launches as work descriptors in a [`Recorder`]; the
+/// functional work runs in the caller's own host loops.
 ///
-/// The launcher mirrors Parthenon's packed launches: one `launch` call with
-/// `cells` covering many mesh blocks corresponds to one device kernel
+/// The launcher mirrors Parthenon's packed launches: one `record_only` call
+/// with `cells` covering many mesh blocks corresponds to one device kernel
 /// launch over a mesh-block pack.
 ///
 /// ```
@@ -19,11 +19,7 @@ use crate::descriptor::KernelDescriptor;
 /// rec.begin_cycle(0);
 /// {
 ///     let mut launcher = Launcher::new(&mut rec);
-///     let mut sum = 0.0;
-///     launcher.launch(&catalog::WEIGHTED_SUM_DATA, 4096, 1.0, || {
-///         sum += 1.0; // functional body runs on the host
-///     });
-///     assert_eq!(sum, 1.0);
+///     launcher.record_only(&catalog::WEIGHTED_SUM_DATA, 4096, 1.0);
 /// }
 /// rec.end_cycle(1, 0, 0, 4096);
 /// assert_eq!(rec.totals().kernel_launches(), 1);
@@ -39,31 +35,17 @@ impl<'a> Launcher<'a> {
         Self { recorder }
     }
 
-    /// Launches `desc` over `cells` cells, running `body` functionally.
+    /// Records one launch of `desc` over `cells` cells.
     ///
     /// `byte_multiplier` scales the descriptor's per-cell bytes to account
     /// for launch-specific overheads — chiefly ghost-inclusive stencil reads,
     /// which grow relative to interior work as blocks shrink
     /// (`((B + 2·ng)/B)^dim`).
-    pub fn launch<R>(
-        &mut self,
-        desc: &KernelDescriptor,
-        cells: u64,
-        byte_multiplier: f64,
-        body: impl FnOnce() -> R,
-    ) -> R {
+    pub fn record_only(&mut self, desc: &KernelDescriptor, cells: u64, byte_multiplier: f64) {
         let flops = (cells as f64 * desc.flops_per_cell).round() as u64;
         let bytes = (cells as f64 * desc.bytes_per_cell * byte_multiplier).round() as u64;
         self.recorder
             .record_kernel(desc.func, desc.name, 1, cells, flops, bytes);
-        body()
-    }
-
-    /// Records a launch without a functional body (for kernels whose effect
-    /// is performed elsewhere, e.g. device-side pack loops that the comm
-    /// layer executes).
-    pub fn record_only(&mut self, desc: &KernelDescriptor, cells: u64, byte_multiplier: f64) {
-        self.launch(desc, cells, byte_multiplier, || {});
     }
 
     /// The underlying recorder.
@@ -91,8 +73,8 @@ mod tests {
         rec.begin_cycle(0);
         {
             let mut l = Launcher::new(&mut rec);
-            l.launch(&catalog::CALCULATE_FLUXES, 1000, 1.0, || {});
-            l.launch(&catalog::CALCULATE_FLUXES, 500, 2.0, || {});
+            l.record_only(&catalog::CALCULATE_FLUXES, 1000, 1.0);
+            l.record_only(&catalog::CALCULATE_FLUXES, 500, 2.0);
         }
         rec.end_cycle(1, 0, 0, 1500);
         let k = &rec.totals().kernels[&(StepFunction::CalculateFluxes, "CalculateFluxes")];
@@ -101,18 +83,6 @@ mod tests {
         assert_eq!(k.flops, 1548 * 1500);
         // 1000 * 360 + 500 * 720
         assert_eq!(k.bytes, 720_000);
-    }
-
-    #[test]
-    fn launch_returns_body_value() {
-        let mut rec = Recorder::new();
-        rec.begin_cycle(0);
-        let out = {
-            let mut l = Launcher::new(&mut rec);
-            l.launch(&catalog::MASS_HISTORY, 10, 1.0, || 42)
-        };
-        rec.end_cycle(1, 0, 0, 0);
-        assert_eq!(out, 42);
     }
 
     #[test]

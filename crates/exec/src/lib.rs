@@ -1,9 +1,9 @@
 //! # vibe-exec
 //!
-//! A Kokkos-like execution abstraction: kernels are launched through a
-//! [`Launcher`] that executes the functional work on the host while
-//! recording a precise work descriptor (cells, FLOPs, bytes, launch count)
-//! into the profiler. Each kernel carries a static [`KernelDescriptor`]
+//! A Kokkos-like execution abstraction: every kernel launch is recorded
+//! through a [`Launcher`] as a precise work descriptor (cells, FLOPs, bytes,
+//! launch count) in the profiler, while the functional work itself runs in
+//! the caller's own host loops. Each kernel carries a static [`KernelDescriptor`]
 //! with the microarchitecturally relevant properties — registers per
 //! thread, CUDA block configuration, useful-warp fraction, inner-loop
 //! shape — that the hardware model uses to derive SM occupancy, warp
@@ -18,7 +18,6 @@ pub mod descriptor;
 pub mod host;
 pub mod launcher;
 pub mod pool;
-pub mod registry;
 
 pub use descriptor::{catalog, InnerLoop, KernelDescriptor};
 pub use host::{for_each_block_parallel, map_block_parallel, ExecCtx, SharedCells};
@@ -26,4 +25,3 @@ pub use launcher::{ghost_byte_multiplier, Launcher};
 pub use pool::{
     dispatch_label, for_each_index, set_dispatch_label, stats_begin, stats_end, WorkerPool,
 };
-pub use registry::WallRegistry;

@@ -155,12 +155,6 @@ impl<const W: usize> F64Lanes<W> {
         LaneMask(std::array::from_fn(|i| self.0[i] > rhs.0[i]))
     }
 
-    /// Lane-wise `self < rhs`.
-    #[inline(always)]
-    pub fn lt(self, rhs: Self) -> LaneMask<W> {
-        LaneMask(std::array::from_fn(|i| self.0[i] < rhs.0[i]))
-    }
-
     /// Horizontal minimum over the lanes, reduced as a balanced tree.
     ///
     /// `min` over a set of non-NaN values is order-independent (the result

@@ -206,17 +206,6 @@ impl CellVariable {
         &mut self.planes
     }
 
-    /// The divergence array and the outer face planes, both mutably — what
-    /// the flux sweep writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable has no fluxes.
-    pub fn div_and_planes_mut(&mut self) -> (&mut Array4, &mut [Array4]) {
-        let div = self.div.as_mut().expect("variable carries fluxes");
-        (div, &mut self.planes)
-    }
-
     /// Moves the divergence array and the face planes out of the variable
     /// — the borrow split of a sweep that reads the block's state shared
     /// while it writes these; [`CellVariable::put_flux_out`] moves them back.

@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The non-test lines of a source file, by the rule scripts/loc.sh counts with.
+non_test() { awk -f scripts/non_test.awk "$1"; }
+
 echo "==> dependency allowlist"
 # Everything in the lockfile must be a workspace crate or on the allowlist
 # (dev/bench-only: proptest + criterion and their transitive closure).
@@ -25,13 +28,45 @@ echo "==> one implementation of the cycle"
 for name in task_save_stage0 task_ghost_pack_send task_ghost_wait_unpack \
     task_flux task_fcorr_send task_fcorr_apply task_update task_fill_derived \
     task_history task_refinement_tag task_tree_update task_regrid \
-    task_estimate_dt step ensure_plan collect_tags estimate_dt; do
+    task_estimate_dt run_node step ensure_plan collect_tags estimate_dt; do
     count=$(grep -rhF "fn $name(&mut self" crates/core/src | wc -l)
     if [ "$count" -ne 1 ]; then
         echo "fn $name is defined $count times under crates/core/src" >&2
         exit 1
     fi
 done
+# The cycle is written once: one node table in driver.rs (CYCLE_NODES) is
+# both the exported graph and the executed list, so every node name appears
+# there and nowhere else in the driver, one loop adds the tasks, and the
+# second description, the second view of the wall clock and the host-side
+# key sort that nothing read stay deleted.
+driver=crates/core/src/driver.rs
+gone='build_cycle_list|STAGE_TASK_NAMES|last_cycle_timing|WallRegistry|fresh_recorder|div_and_planes_mut'
+if grep -rnE "$gone" crates; then
+    echo "a second cycle description, a second timing view or dead code is back (see above)" >&2
+    exit 1
+fi
+if [ "$(grep -c 'add_task_meta(' "$driver")" -ne 1 ]; then
+    echo "$driver must add the cycle's tasks in exactly one place" >&2
+    exit 1
+fi
+nodes='SaveStage0 MassHistory RefinementTag TreeUpdate Regrid EstimateTimeStep'
+for stage in Stage0 Stage1; do
+    for slot in PackSend InteriorFlux WaitUnpack ExteriorFlux FluxCorrSend FluxCorrApply Update FillDerived; do
+        nodes="$nodes $stage::$slot"
+    done
+done
+for name in $nodes; do
+    count=$(non_test "$driver" | grep -cF "\"$name\"" || true)
+    if [ "$count" -ne 1 ]; then
+        echo "node name \"$name\" is written $count times in non-test $driver" >&2
+        exit 1
+    fi
+done
+if grep -n 'sort_unstable' crates/comm/src/cache.rs; then
+    echo "crates/comm/src/cache.rs sorts boundary keys on the host again" >&2
+    exit 1
+fi
 
 echo "==> one JSON implementation"
 # crates/prof/src/json.rs is the only code under crates/ that escapes a
@@ -47,8 +82,7 @@ for def in 'struct Parser' 'fn write_str' 'fn write_f64'; do
     fi
 done
 for file in $(find crates/*/src -name '*.rs' ! -path "$json"); do
-    # Non-test code: up to the file's first top-level #[cfg(test)].
-    if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -nE '\\"[a-z_]+\\":'; then
+    if non_test "$file" | grep -nE '\\"[a-z_]+\\":'; then
         echo "$file writes JSON text by hand; build a Json value instead" >&2
         exit 1
     fi
@@ -72,8 +106,7 @@ echo "==> one run description"
 # one closure in crates/rt/src/lib.rs turns a replica into a rank.
 config=crates/serve/src/config.rs
 for file in $(find crates/serve/src crates/bench/src crates/rt/src -name '*.rs' ! -path "$config"); do
-    if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" |
-        grep -nE 'with_tols\(|MeshParams::builder\(\)|Driver::new\('; then
+    if non_test "$file" | grep -nE 'with_tols\(|MeshParams::builder\(\)|Driver::new\('; then
         echo "$file builds a replica by hand; use JobConfig::replica" >&2
         exit 1
     fi
@@ -149,8 +182,7 @@ for def in 'fn flux_line' 'fn flux_bundle' 'const LANES'; do
     fi
 done
 for file in $(find crates/burgers/src crates/physics/src -name '*.rs') crates/core/src/test_package.rs; do
-    # Non-test code: up to the file's first top-level #[cfg(test)].
-    if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -nE 'faces_to_fill\(|tile\.set\('; then
+    if non_test "$file" | grep -nE 'faces_to_fill\(|tile\.set\('; then
         echo "$file fills a tile face by face; call sweep::fill_lines" >&2
         exit 1
     fi
@@ -167,8 +199,6 @@ for def in 'fn ghost_fill_direct' 'fn ghost_set_bounds' 'fn apply_physical_bcs';
         exit 1
     fi
 done
-# Non-test code: up to the file's first top-level #[cfg(test)].
-non_test() { awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
 for file in crates/core/src/*.rs; do
     if non_test "$file" | grep -nE 'enforce_proper_nesting\(|find_neighbors\('; then
         echo "$file searches the tree on the cycle path; use Mesh::proper_nesting / neighbor_gids" >&2
