@@ -12,6 +12,7 @@
 //! a gather over one endpoint returns the caller's own payload, and a
 //! migration with every block resident has nothing to send or fetch.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use vibe_comm::{
@@ -33,7 +34,7 @@ use crate::package::{FluxPhase, Package};
 use crate::sweep::{
     record_flux_launch, sweep_block, with_scratch, CellBox, Planes, TILE_BUDGET_BYTES,
 };
-use crate::tasks::{TaskKind, TaskList, TaskNode, TaskStatus};
+use crate::tasks::{self, TaskKind, TaskNode, TaskStatus};
 use crate::update::flux_divergence_update;
 
 /// Message-tag namespace for block-migration payloads (ghost boundaries
@@ -47,6 +48,11 @@ const FLAG_ELSEWHERE: u8 = 0xFF;
 /// Probe attempts a remote message needs before it is delivered (MPI
 /// progress-engine realism; 0 would be instant).
 const REMOTE_DELIVERY_DELAY: u32 = 1;
+
+/// Incomplete polls a cycle may spend without progress on the only
+/// endpoint of a transport before it reports a stall (a single-process
+/// deadlock); a wait on a peer endpoint's thread may take any number.
+const MAX_POLLS: usize = 10_000;
 
 /// Driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,15 +171,18 @@ enum CycleOp {
     EstimateTimeStep,
 }
 
-/// One row of [`CYCLE_NODES`]: what [`cycle_task_graph`] exports of a task
-/// (`deps` index earlier rows) plus the body the driver runs for it.
+/// One row of [`CYCLE_NODES`]: the [`TaskNode`] [`cycle_task_graph`]
+/// exports (`deps` index earlier rows) plus the body the driver runs for it.
 #[derive(Debug)]
 struct CycleNode {
-    name: &'static str,
-    kind: TaskKind,
-    funcs: &'static [StepFunction],
-    deps: &'static [usize],
+    node: TaskNode,
     op: CycleOp,
+}
+
+impl Borrow<TaskNode> for CycleNode {
+    fn borrow(&self) -> &TaskNode {
+        &self.node
+    }
 }
 
 const fn node(
@@ -183,18 +192,19 @@ const fn node(
     deps: &'static [usize],
     op: CycleOp,
 ) -> CycleNode {
-    CycleNode {
+    let node = TaskNode {
         name,
         kind,
         funcs,
         deps,
-        op,
-    }
+    };
+    CycleNode { node, op }
 }
 
-/// The cycle, written once: [`cycle_task_graph`] exports this table without
-/// the ops and [`cycle_task_list`] wires it to [`Driver::run_node`], so the
-/// graph consumers replay is the graph the driver ran.
+/// The cycle, written once: [`Driver::step`] sweeps this table, running
+/// each row through [`Driver::run_node`], and [`cycle_task_graph`] exports
+/// it without the ops, so the graph consumers replay is the graph the
+/// driver ran.
 #[rustfmt::skip] // one row per node, in columns
 static CYCLE_NODES: [CycleNode; 22] = {
     use CycleOp as Op;
@@ -229,8 +239,23 @@ static CYCLE_NODES: [CycleNode; 22] = {
     ]
 };
 
-/// The dependency graph of one driver cycle — the node table
-/// [`Driver::step`] builds its task list from, exported action-free so
+// Every dependency points at an earlier row, so table order is an
+// execution order and a sweep always has a node it can poll.
+const _: () = {
+    let mut i = 0;
+    while i < CYCLE_NODES.len() {
+        let deps = CYCLE_NODES[i].node.deps;
+        let mut j = 0;
+        while j < deps.len() {
+            assert!(deps[j] < i, "a cycle node depends on a later row");
+            j += 1;
+        }
+        i += 1;
+    }
+};
+
+/// The dependency graph of one driver cycle — the rows of the node table
+/// [`Driver::step`] sweeps, exported without their ops so
 /// consumers like the timeline simulator replay the same schedule the
 /// driver ran (diagram: DESIGN.md, "The cycle task graph").
 ///
@@ -247,15 +272,7 @@ static CYCLE_NODES: [CycleNode; 22] = {
 /// → `TreeUpdate` → `Regrid` → `EstimateTimeStep`) follows the second
 /// stage.
 pub fn cycle_task_graph() -> Vec<TaskNode> {
-    CYCLE_NODES
-        .iter()
-        .map(|n| TaskNode {
-            name: n.name.to_string(),
-            kind: n.kind,
-            funcs: n.funcs.to_vec(),
-            deps: n.deps.to_vec(),
-        })
-        .collect()
+    CYCLE_NODES.iter().map(|n| n.node).collect()
 }
 
 /// Where [`Driver::initialize_impl`] gets its initial condition: the
@@ -263,19 +280,6 @@ pub fn cycle_task_graph() -> Vec<TaskNode> {
 enum IcSource<'a> {
     Package,
     Custom(&'a dyn Fn(&BlockInfo, &mut BlockData)),
-}
-
-/// Builds the executable task list for one cycle from [`CYCLE_NODES`].
-fn cycle_task_list<P: Package>() -> TaskList<Driver<P>> {
-    let mut list: TaskList<Driver<P>> = TaskList::new();
-    let mut ids = Vec::with_capacity(CYCLE_NODES.len());
-    for node in &CYCLE_NODES {
-        let funcs = node.funcs.iter().copied();
-        let deps = node.deps.iter().map(|&d| ids[d]);
-        let id = list.add_task_meta(node.name, node.kind, funcs, deps, move |d| d.run_node(node));
-        ids.push(id);
-    }
-    list
 }
 
 /// Everything a finished driver hands back to a conductor that merges the
@@ -734,17 +738,14 @@ impl<P: Package> Driver<P> {
         }
         let dt = self.dt;
         self.step_dt = dt;
-        let mut list = cycle_task_list::<P>();
-        if self.comm.endpoints() > 1 {
-            // Waits on a peer thread can take arbitrarily many polls; the
-            // default budget exists to catch single-process deadlocks.
-            list.set_max_polls(usize::MAX / 2);
-        }
+        let max_polls = (self.comm.endpoints() == 1).then_some(MAX_POLLS);
         let capture = self.params.capture_spans;
         let mut cycle_spans: Vec<vibe_prof::TaskSpan> = Vec::new();
-        let stats = list
-            .execute_spanned(self, wall.enabled(), capture.then_some(&mut cycle_spans))
-            .expect("cycle task graph completes");
+        let spans = capture.then_some(&mut cycle_spans);
+        let timing = tasks::execute(&CYCLE_NODES, max_polls, wall.enabled(), spans, |i| {
+            self.run_node(i)
+        })
+        .expect("cycle task graph completes");
         drop(cycle_guard);
         if wall.enabled() {
             wall.record_pool_samples(&vibe_exec::stats_end());
@@ -777,31 +778,33 @@ impl<P: Package> Driver<P> {
             nblocks,
             refined,
             derefined,
-            timing: CycleTiming {
-                compute_task_ns: stats.compute_ns,
-                overlapped_compute_ns: stats.overlapped_compute_ns,
-            },
+            timing,
         }
     }
 
-    /// Runs one node of the cycle: the one place an op meets its task body.
-    fn run_node(&mut self, node: &CycleNode) -> TaskStatus {
-        match node.op {
+    /// Runs row `i` of [`CYCLE_NODES`]: the one place an op meets its task
+    /// body, and the one place comm events are stamped with a node name.
+    fn run_node(&mut self, i: usize) -> TaskStatus {
+        let CycleNode { node, op } = &CYCLE_NODES[i];
+        self.comm.set_task(Some(node.name));
+        let mut status = TaskStatus::Complete;
+        match *op {
             CycleOp::SaveStage0 => self.task_save_stage0(node.name),
-            CycleOp::PackSend => self.task_ghost_pack_send(node.name),
+            CycleOp::PackSend => self.task_ghost_pack_send(),
             CycleOp::Flux(stage, phase) => self.task_flux(stage, phase),
-            CycleOp::WaitUnpack => return self.task_ghost_wait_unpack(node.name),
-            CycleOp::FluxCorrSend => self.task_fcorr_send(node.name),
-            CycleOp::FluxCorrApply => return self.task_fcorr_apply(node.name),
+            CycleOp::WaitUnpack => status = self.task_ghost_wait_unpack(),
+            CycleOp::FluxCorrSend => self.task_fcorr_send(),
+            CycleOp::FluxCorrApply => status = self.task_fcorr_apply(),
             CycleOp::Update(stage) => self.task_update(stage),
             CycleOp::FillDerived => self.task_fill_derived(),
-            CycleOp::MassHistory => self.task_history(node.name),
+            CycleOp::MassHistory => self.task_history(),
             CycleOp::RefinementTag => self.task_refinement_tag(),
-            CycleOp::TreeUpdate => self.task_tree_update(node.name),
-            CycleOp::Regrid => self.task_regrid(node.name),
-            CycleOp::EstimateTimeStep => self.task_estimate_dt(node.name),
+            CycleOp::TreeUpdate => self.task_tree_update(),
+            CycleOp::Regrid => self.task_regrid(),
+            CycleOp::EstimateTimeStep => self.estimate_dt(),
         }
-        TaskStatus::Complete
+        self.comm.set_task(None);
+        status
     }
 
     /// SaveStage0 node: the cycle-start copies of the two-stage variables
@@ -817,12 +820,11 @@ impl<P: Package> Driver<P> {
     /// PackSend task: posts receives for the boundaries the resident
     /// blocks consume, packs and ships the ones that go through the
     /// mailbox; same-rank boundaries wait for the receiver's visit.
-    fn task_ghost_pack_send(&mut self, task: &'static str) {
+    fn task_ghost_pack_send(&mut self) {
         let cfg = self.params.exchange_config();
         let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
-        self.comm.set_task(Some(task));
         self.ghost_state = ghost_pack_and_send(
             self.plan.as_ref().expect("plan built"),
             &BlockTable::of(&mut self.slots, &self.index, &self.mesh),
@@ -832,16 +834,13 @@ impl<P: Package> Driver<P> {
             exec,
             &mut self.rec,
         );
-        self.comm.set_task(None);
     }
 
     /// WaitUnpack task: one delivery sweep, banking what arrived.
-    fn task_ghost_wait_unpack(&mut self, task: &'static str) -> TaskStatus {
+    fn task_ghost_wait_unpack(&mut self) -> TaskStatus {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
-        self.comm.set_task(Some(task));
         let done = ghost_poll(&mut self.ghost_state, &mut self.comm, &mut self.rec);
-        self.comm.set_task(None);
         self.yield_to_peers(match done {
             true => TaskStatus::Complete,
             false => TaskStatus::Incomplete,
@@ -900,9 +899,8 @@ impl<P: Package> Driver<P> {
 
     /// FluxCorrSend task: ships the restricted fine face fluxes that go
     /// through the mailbox and applies the same-rank ones directly.
-    fn task_fcorr_send(&mut self, task: &'static str) {
+    fn task_fcorr_send(&mut self) {
         let exec = self.exec();
-        self.comm.set_task(Some(task));
         self.fcorr_state = flux_corr_send(
             self.plan.as_ref().expect("plan built"),
             &mut BlockTable::of(&mut self.slots, &self.index, &self.mesh),
@@ -910,14 +908,12 @@ impl<P: Package> Driver<P> {
             exec,
             &mut self.rec,
         );
-        self.comm.set_task(None);
     }
 
     /// FluxCorrApply task: polls for corrections, then overwrites coarse
     /// fluxes once everything arrived.
-    fn task_fcorr_apply(&mut self, task: &'static str) -> TaskStatus {
+    fn task_fcorr_apply(&mut self) -> TaskStatus {
         let exec = self.exec();
-        self.comm.set_task(Some(task));
         let status = flux_corr_apply(
             self.plan.as_ref().expect("plan built"),
             &mut self.fcorr_state,
@@ -926,7 +922,6 @@ impl<P: Package> Driver<P> {
             exec,
             &mut self.rec,
         );
-        self.comm.set_task(None);
         self.yield_to_peers(status)
     }
 
@@ -969,7 +964,7 @@ impl<P: Package> Driver<P> {
     /// the same whatever the rank partition, so the history of any
     /// decomposition is bitwise identical to the single-rank fold. Every
     /// endpoint joins the gather, including ones without blocks.
-    fn task_history(&mut self, task: &'static str) {
+    fn task_history(&mut self) {
         let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::MassHistory));
@@ -985,9 +980,7 @@ impl<P: Package> Driver<P> {
                 }
             }
         });
-        self.comm.set_task(Some(task));
         let parts = self.gather_across_endpoints(StepFunction::MassHistory, payload);
-        self.comm.set_task(None);
         let mut rows: Vec<(u64, Vec<f64>)> = Vec::new();
         for entry in parts.iter().flat_map(|p| p.chunks_exact(8 + 8 * ncols)) {
             let gid = u64::from_le_bytes(entry[..8].try_into().expect("8-byte gid"));
@@ -1031,15 +1024,13 @@ impl<P: Package> Driver<P> {
     /// reconciled into a regrid decision for the Regrid task by
     /// proper-nesting enforcement and the derefinement-gate filter:
     /// replicated tree surgery, identical on every endpoint.
-    fn task_tree_update(&mut self, task: &'static str) {
+    fn task_tree_update(&mut self) {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::UpdateMeshBlockTree));
-        self.comm.set_task(Some(task));
         let tags = std::mem::take(&mut self.step_flags);
         let parts =
             self.comm
                 .all_gather_data(StepFunction::UpdateMeshBlockTree, tags, &mut self.rec);
-        self.comm.set_task(None);
         let mut decision = self.mesh.proper_nesting(&self.merged_flags(&parts));
         decision.derefine_parents = self.gate.filter(decision.derefine_parents, self.cycle);
         self.rec.record_serial(
@@ -1059,11 +1050,10 @@ impl<P: Package> Driver<P> {
     /// blocks follow the new ownership map ([`Self::move_blocks`]); block
     /// moves and list rebuilds are accounted, the buffer cache rebuilt
     /// when invalidated.
-    fn task_regrid(&mut self, task: &'static str) {
+    fn task_regrid(&mut self) {
         let func = StepFunction::RedistributeAndRefineMeshBlocks;
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(func));
-        self.comm.set_task(Some(task));
         let decision = self.step_decision.take().expect("tree update ran");
         self.step_counts = (decision.refine.len(), decision.derefine_parents.len());
         let structural = !decision.is_empty();
@@ -1143,13 +1133,6 @@ impl<P: Package> Driver<P> {
                 .rebuild(boundaries, boundaries * 96, &mut self.rec);
         }
         self.comm.mark_all_stale();
-        self.comm.set_task(None);
-    }
-
-    fn task_estimate_dt(&mut self, task: &'static str) {
-        self.comm.set_task(Some(task));
-        self.estimate_dt();
-        self.comm.set_task(None);
     }
 
     /// Rebuilds the communication plan if the mesh generation changed
@@ -1818,19 +1801,12 @@ mod tests {
     fn cycle_node_table_is_the_graph() {
         let graph = cycle_task_graph();
         assert_eq!(graph.len(), 22);
-        let names: std::collections::HashSet<&str> =
-            graph.iter().map(|n| n.name.as_str()).collect();
+        let names: std::collections::HashSet<&str> = graph.iter().map(|n| n.name).collect();
         assert_eq!(names.len(), graph.len(), "node names are unique");
-        // Every dependency points backwards, so table order is an
-        // execution order.
-        for (i, n) in graph.iter().enumerate() {
-            assert!(n.deps.iter().all(|&d| d < i), "{} depends forwards", n.name);
-        }
-        let order = crate::tasks::topo_order(&graph).expect("cycle graph is a DAG");
-        assert_eq!(order, (0..graph.len()).collect::<Vec<_>>());
+        // (That every dependency points backwards is a const assertion.)
         let deps_of = |name: &str| -> Vec<&str> {
             let n = graph.iter().find(|n| n.name == name).expect(name);
-            n.deps.iter().map(|&d| graph[d].name.as_str()).collect()
+            n.deps.iter().map(|&d| graph[d].name).collect()
         };
         for stage in ["Stage0", "Stage1"] {
             assert_eq!(
@@ -1842,7 +1818,6 @@ mod tests {
             );
         }
         assert_eq!(deps_of("Regrid"), ["TreeUpdate", "MassHistory"]);
-        assert_eq!(cycle_task_list::<Advect>().graph(), graph);
     }
 
     #[test]

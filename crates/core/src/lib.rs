@@ -47,9 +47,7 @@ pub use package::{FluxPhase, Package, RefinementPolicy};
 pub use registry::{DynPackage, PackageRegistry, PackageSpec, RegistryError};
 pub use snapshot::{read_snapshot, restore_driver, Snapshot};
 pub use sweep::{CellBox, FluxTile};
-pub use tasks::{
-    topo_order, ExecStats, GraphError, TaskError, TaskId, TaskKind, TaskList, TaskNode, TaskStatus,
-};
+pub use tasks::{TaskError, TaskKind, TaskNode, TaskStatus};
 
 pub use vibe_comm as comm;
 pub use vibe_exec as exec;

@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::spans::{CrossEdge, SpanKind, TaskSpan, WaitProbes};
+use crate::spans::{CrossEdge, TaskKind, TaskSpan, WaitProbes};
 
 /// The merged multi-rank activity DAG: spans in deterministic order plus,
 /// per span, the indices of its predecessor spans (dependency edges within
@@ -289,15 +289,15 @@ pub fn attribute_rank<'a>(
     let mut stray_spin = 0u64;
     for s in spans {
         match s.kind {
-            SpanKind::Compute | SpanKind::Serial => {
+            TaskKind::Compute | TaskKind::Serial => {
                 busy_compute += s.busy_ns;
                 stray_spin += s.spin_ns;
             }
-            SpanKind::CommSend => {
+            TaskKind::CommSend => {
                 pack += s.busy_ns;
                 stray_spin += s.spin_ns;
             }
-            SpanKind::CommWait => {
+            TaskKind::CommWait => {
                 // Productive part = unpack/copy; spins = waiting on the
                 // message, i.e. the sender.
                 pack += s.busy_ns;
@@ -408,7 +408,7 @@ mod tests {
         cycle: u64,
         node: usize,
         name: &'static str,
-        kind: SpanKind,
+        kind: TaskKind,
         start: u64,
         end: u64,
         deps: Vec<usize>,
@@ -435,12 +435,12 @@ mod tests {
     fn critical_path_follows_late_sender_across_ranks() {
         let spans = vec![
             // Rank 0: quick send, long wait (receiver side), update.
-            span(0, 0, 0, "Pack", SpanKind::CommSend, 0, 10, vec![]),
-            span(0, 0, 1, "Wait", SpanKind::CommWait, 10, 100, vec![0]),
-            span(0, 0, 2, "Update", SpanKind::Compute, 100, 130, vec![1]),
+            span(0, 0, 0, "Pack", TaskKind::CommSend, 0, 10, vec![]),
+            span(0, 0, 1, "Wait", TaskKind::CommWait, 10, 100, vec![0]),
+            span(0, 0, 2, "Update", TaskKind::Compute, 100, 130, vec![1]),
             // Rank 1: slow compute before its send — the true gate.
-            span(1, 0, 0, "Flux", SpanKind::Compute, 0, 80, vec![]),
-            span(1, 0, 1, "Pack", SpanKind::CommSend, 80, 95, vec![0]),
+            span(1, 0, 0, "Flux", TaskKind::Compute, 0, 80, vec![]),
+            span(1, 0, 1, "Pack", TaskKind::CommSend, 80, 95, vec![0]),
         ];
         let edges = [CrossEdge {
             seq: 7,
@@ -471,12 +471,12 @@ mod tests {
     /// both ranks' buckets sum exactly to their walls.
     #[test]
     fn late_sender_vs_early_receiver_classification() {
-        let mut wait = span(0, 0, 1, "Wait", SpanKind::CommWait, 10, 100, vec![]);
+        let mut wait = span(0, 0, 1, "Wait", TaskKind::CommWait, 10, 100, vec![]);
         wait.busy_ns = 5; // unpack portion
         wait.spin_ns = 85; // polled while the sender computed
         wait.polls = 40;
         let receiver = [
-            span(0, 0, 0, "Pack", SpanKind::CommSend, 0, 10, vec![]),
+            span(0, 0, 0, "Pack", TaskKind::CommSend, 0, 10, vec![]),
             wait,
         ];
         let b = attribute_rank(receiver.iter(), WaitProbes::default(), 120);
@@ -487,8 +487,8 @@ mod tests {
         assert_eq!(b.dominant_loss().0, "late_sender");
 
         let sender = [
-            span(1, 0, 0, "Flux", SpanKind::Compute, 0, 80, vec![]),
-            span(1, 0, 1, "Pack", SpanKind::CommSend, 80, 95, vec![0]),
+            span(1, 0, 0, "Flux", TaskKind::Compute, 0, 80, vec![]),
+            span(1, 0, 1, "Pack", TaskKind::CommSend, 80, 95, vec![0]),
         ];
         let b = attribute_rank(sender.iter(), WaitProbes::default(), 100);
         assert_eq!(b.compute_ns, 80);
@@ -500,7 +500,7 @@ mod tests {
     /// Probes are carved out of compute, not double-counted.
     #[test]
     fn probes_subtract_from_compute() {
-        let spans = [span(0, 0, 0, "Dt", SpanKind::Compute, 0, 100, vec![])];
+        let spans = [span(0, 0, 0, "Dt", TaskKind::Compute, 0, 100, vec![])];
         let probes = WaitProbes {
             collective_block_ns: 30,
             migration_stall_ns: 10,
@@ -536,10 +536,10 @@ mod tests {
                 let spin = next() % 500;
                 let gap = next() % 200;
                 let kind = match next() % 4 {
-                    0 => SpanKind::Compute,
-                    1 => SpanKind::CommSend,
-                    2 => SpanKind::CommWait,
-                    _ => SpanKind::Serial,
+                    0 => TaskKind::Compute,
+                    1 => TaskKind::CommSend,
+                    2 => TaskKind::CommWait,
+                    _ => TaskKind::Serial,
                 };
                 let start = t + gap;
                 let end = start + busy + spin;
@@ -553,7 +553,7 @@ mod tests {
             let wall = t + next() % 1000;
             let max_probe: u64 = spans
                 .iter()
-                .filter(|s| matches!(s.kind, SpanKind::Compute | SpanKind::Serial))
+                .filter(|s| matches!(s.kind, TaskKind::Compute | TaskKind::Serial))
                 .map(|s| s.busy_ns)
                 .sum();
             let probes = WaitProbes {
@@ -577,12 +577,12 @@ mod tests {
     #[test]
     fn attribution_is_deterministic_under_input_order() {
         let spans = vec![
-            span(0, 0, 0, "Pack", SpanKind::CommSend, 0, 10, vec![]),
-            span(0, 0, 1, "Wait", SpanKind::CommWait, 10, 100, vec![0]),
-            span(0, 1, 0, "Pack", SpanKind::CommSend, 100, 110, vec![]),
-            span(1, 0, 0, "Flux", SpanKind::Compute, 0, 80, vec![]),
-            span(1, 0, 1, "Pack", SpanKind::CommSend, 80, 95, vec![0]),
-            span(1, 1, 0, "Flux", SpanKind::Compute, 95, 160, vec![]),
+            span(0, 0, 0, "Pack", TaskKind::CommSend, 0, 10, vec![]),
+            span(0, 0, 1, "Wait", TaskKind::CommWait, 10, 100, vec![0]),
+            span(0, 1, 0, "Pack", TaskKind::CommSend, 100, 110, vec![]),
+            span(1, 0, 0, "Flux", TaskKind::Compute, 0, 80, vec![]),
+            span(1, 0, 1, "Pack", TaskKind::CommSend, 80, 95, vec![0]),
+            span(1, 1, 0, "Flux", TaskKind::Compute, 95, 160, vec![]),
         ];
         let edges = [CrossEdge {
             seq: 3,

@@ -48,7 +48,7 @@ pub use recorder::{
     CollectiveOp, CommTotals, CycleStats, KernelTotals, MemSpace, Recorder, SerialWork,
 };
 pub use regions::{FlatRegion, RegionKey, RegionStats, RegionTree};
-pub use spans::{span_epoch, span_now_ns, CrossEdge, FlowEvent, SpanKind, TaskSpan, WaitProbes};
+pub use spans::{span_epoch, span_now_ns, CrossEdge, FlowEvent, TaskKind, TaskSpan, WaitProbes};
 pub use timeline::{evolution_line, sparkline};
 pub use trace_export::{
     job_metrics_jsonl, measured_by_function, metrics_jsonl, perfetto_async_trace_json,

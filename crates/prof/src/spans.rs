@@ -34,16 +34,14 @@ pub fn span_now_ns() -> u64 {
         .as_nanos() as u64
 }
 
-/// What a task's time should count as in the wait-state taxonomy.
-///
-/// Mirrors the executor's `TaskKind` (which lives in `vibe-core`, above
-/// this crate in the dependency order, so the executor maps its kind onto
-/// this one when emitting spans).
+/// What a task does: the cycle executor's overlap accounting, the
+/// simulator's replay and the wait-state taxonomy all read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanKind {
-    /// Block-parallel compute work.
+pub enum TaskKind {
+    /// Block-parallel compute work (flux sweeps, updates).
     Compute,
-    /// Packs buffers and posts sends (serialization side of comm).
+    /// Packs buffers and posts sends (serialization side of comm);
+    /// completion puts traffic in flight that a later `CommWait` retires.
     CommSend,
     /// Polls for message arrival and unpacks (deserialization side; its
     /// `Incomplete` spins are the late-sender signal).
@@ -67,12 +65,12 @@ pub struct TaskSpan {
     /// Simulation cycle the task belongs to.
     pub cycle: u64,
     /// Task index within the per-cycle graph (stable across ranks and
-    /// cycles — the graph is rebuilt identically every cycle).
+    /// cycles — every cycle sweeps the same static node table).
     pub node: usize,
     /// Task label (e.g. `"Stage0::PackSend"`).
     pub name: &'static str,
     /// Taxonomy kind.
-    pub kind: SpanKind,
+    pub kind: TaskKind,
     /// First invocation start, ns since [`span_epoch`].
     pub start_ns: u64,
     /// Completing invocation end, ns since [`span_epoch`].
@@ -180,7 +178,7 @@ mod tests {
             cycle: 0,
             node: 0,
             name: "t",
-            kind: SpanKind::Compute,
+            kind: TaskKind::Compute,
             start_ns: 10,
             end_ns: 4,
             busy_ns: 0,

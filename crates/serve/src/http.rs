@@ -2,7 +2,10 @@
 //!
 //! One serial accept loop, one request per connection (`Connection:
 //! close`) — leak-proof by construction: no per-connection threads to
-//! orphan, and shutdown unblocks the accept loop with a self-connect.
+//! orphan, and shutdown unblocks the accept loop with a self-connect. Every
+//! accepted stream reads and writes under [`IO_TIMEOUT`] and its request
+//! head is read through a [`MAX_HEAD`] window, so a client that stalls or
+//! never ends a line holds the loop for a bounded time and memory.
 //!
 //! Routes:
 //!
@@ -20,13 +23,17 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::config::JobConfig;
 use crate::json::{obj, parse, Json};
 use crate::service::{JobView, Service};
 
+/// Longest request head (request line and headers) the server reads.
 const MAX_HEAD: usize = 8 * 1024;
 const MAX_BODY: usize = 64 * 1024;
+/// Longest a read or write on an accepted stream may block.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A running HTTP front end bound to a local port.
 pub struct Server {
@@ -97,6 +104,8 @@ struct Request {
 }
 
 fn handle_connection(stream: TcpStream, service: &Service) -> io::Result<()> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let req = match read_request(&mut reader) {
         Ok(req) => req,
@@ -106,27 +115,26 @@ fn handle_connection(stream: TcpStream, service: &Service) -> io::Result<()> {
 }
 
 fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, String> {
+    // The request line and headers share one window one byte past the
+    // limit: a line that never ends stops there instead of buffering on.
+    let mut head = reader.by_ref().take(MAX_HEAD as u64 + 1);
+    let mut read_line = |line: &mut String| -> Result<(), String> {
+        head.read_line(line)
+            .map_err(|e| format!("read error: {e}"))?;
+        match head.limit() {
+            0 => Err("request head too long".into()),
+            _ => Ok(()),
+        }
+    };
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read error: {e}"))?;
-    if line.len() > MAX_HEAD {
-        return Err("request line too long".into());
-    }
+    read_line(&mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let path = parts.next().ok_or("missing path")?.to_string();
     let mut content_length = 0usize;
-    let mut head_bytes = line.len();
     loop {
         let mut h = String::new();
-        reader
-            .read_line(&mut h)
-            .map_err(|e| format!("read error: {e}"))?;
-        head_bytes += h.len();
-        if head_bytes > MAX_HEAD {
-            return Err("headers too long".into());
-        }
+        read_line(&mut h)?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -611,6 +619,49 @@ mod tests {
         assert_eq!(code, 404);
         let (code, _) = http(port, "DELETE", "/jobs/0", "");
         assert_eq!(code, 405);
+        server.shutdown();
+    }
+
+    /// Runs `f` on its own thread and waits at most 30 s for its result, so
+    /// a hang fails the test instead of stalling the suite.
+    fn within_30s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || tx.send(f()));
+        let out = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("finished in time");
+        worker
+            .join()
+            .expect("worker thread")
+            .expect("receiver alive");
+        out
+    }
+
+    #[test]
+    fn idle_client_blocks_neither_other_clients_nor_shutdown() {
+        let (server, port) = boot();
+        // Connects and never sends a byte.
+        let idle = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let (code, _) = within_30s(move || http(port, "GET", "/stats", ""));
+        assert_eq!(code, 200);
+        within_30s(move || server.shutdown());
+        drop(idle);
+    }
+
+    #[test]
+    fn unterminated_header_line_gets_a_400() {
+        let (server, port) = boot();
+        let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        // Gives up (and hangs up, freeing the server) rather than waiting
+        // forever for a server that waits for the newline.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let line = "a".repeat(16 * 1024);
+        write!(stream, "GET /stats HTTP/1.1\r\nX-Long: {line}").unwrap();
+        let mut status = [0u8; 12];
+        stream.read_exact(&mut status).expect("a response");
+        assert_eq!(&status, b"HTTP/1.1 400");
         server.shutdown();
     }
 

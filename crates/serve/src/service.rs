@@ -13,7 +13,7 @@
 //! unchanged — which also makes the config-keyed result cache exact.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use vibe_core::{Package, Snapshot};
@@ -457,19 +457,27 @@ impl Service {
     }
 
     /// Stops the runner pool: in-flight slices finish (checkpointing and
-    /// re-enqueueing their jobs), then every runner thread is joined.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work.notify_all();
-        for h in self.runners.drain(..) {
-            let _ = h.join();
-        }
+    /// re-enqueueing their jobs), then every runner thread is joined — what
+    /// dropping the service does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Service {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Raised under the state lock: a runner checks the flag and starts
+        // waiting under that lock, so it either sees the flag or is already
+        // waiting when the notification comes (raised outside it, the
+        // notification could fall between the check and the wait).
+        {
+            let _st = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.work.notify_all();
         for h in self.runners.drain(..) {
             let _ = h.join();

@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 
 use vibe_comm::{CommEvent, CommEventKind};
-use vibe_core::{topo_order, TaskNode};
 use vibe_hwmodel::gpu::descriptor_for;
 use vibe_hwmodel::launch_exec_seconds;
 use vibe_prof::{CollectiveOp, Recorder, StepFunction};
@@ -101,22 +100,17 @@ pub struct SimWorkload {
     pub zone_cycles: u64,
 }
 
-/// Derives the per-cycle function replay order from a task graph: walk
-/// the graph in topological order, collecting each node's attributed
-/// [`StepFunction`]s first-occurrence-deduped, then append any functions
-/// the graph does not mention in [`StepFunction::all`] order (so recorded
-/// work with no task attribution — e.g. `Other` — is still replayed).
-fn func_order(stages: &[TaskNode]) -> Vec<StepFunction> {
-    let order = topo_order(stages).expect("stage graph must be acyclic");
+/// The per-cycle function replay order: the [`StepFunction`]s the nodes of
+/// the driver's cycle graph ([`vibe_core::cycle_task_graph`]) attribute,
+/// walked in table order (every dependency points at an earlier row) and
+/// first-occurrence-deduped, then any functions the graph does not mention
+/// in [`StepFunction::all`] order (so recorded work with no task
+/// attribution — e.g. `Other` — is still replayed).
+fn func_order() -> Vec<StepFunction> {
+    let graph = vibe_core::cycle_task_graph();
+    let attributed = graph.iter().flat_map(|n| n.funcs);
     let mut seen = Vec::new();
-    for &i in &order {
-        for &f in &stages[i].funcs {
-            if !seen.contains(&f) {
-                seen.push(f);
-            }
-        }
-    }
-    for &f in StepFunction::all() {
+    for &f in attributed.chain(StepFunction::all()) {
         if !seen.contains(&f) {
             seen.push(f);
         }
@@ -126,33 +120,14 @@ fn func_order(stages: &[TaskNode]) -> Vec<StepFunction> {
 
 impl SimWorkload {
     /// Builds the workload from a recorder and (optionally) the ordered
-    /// comm event log of the same run. When `events` is empty, per-message
+    /// comm event log of the same run, each cycle's functions in the order
+    /// of the driver's own cycle graph. When `events` is empty, per-message
     /// placement is synthesized from the per-cycle communication totals
-    /// (round-robin neighbors). Events carrying the initialization
-    /// sentinel cycle (`u64::MAX`) or ranks outside `cfg.ranks` are
-    /// dropped.
+    /// (round-robin neighbors). Events carrying the initialization sentinel
+    /// cycle (`u64::MAX`) or ranks outside `cfg.ranks` are dropped.
     pub fn from_recorded(rec: &Recorder, events: &[CommEvent], cfg: &SimConfig) -> Self {
-        Self::from_recorded_with_stages(rec, events, cfg, &vibe_core::cycle_task_graph())
-    }
-
-    /// Like [`SimWorkload::from_recorded`] but ordering each cycle's
-    /// functions by a topological order of `stages` — normally the graph
-    /// the driver itself executes ([`vibe_core::cycle_task_graph`], also
-    /// exported live by [`vibe_core::TaskList::graph`]). Functions the
-    /// graph does not attribute to any task replay last, in
-    /// [`StepFunction::all`] order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` has a dependency cycle.
-    pub fn from_recorded_with_stages(
-        rec: &Recorder,
-        events: &[CommEvent],
-        cfg: &SimConfig,
-        stages: &[TaskNode],
-    ) -> Self {
         let ranks = cfg.ranks.max(1);
-        let order = func_order(stages);
+        let order = func_order();
 
         // Group comm events by cycle, dropping initialization work.
         let mut by_cycle: BTreeMap<u64, Vec<&CommEvent>> = BTreeMap::new();

@@ -28,7 +28,7 @@ echo "==> one implementation of the cycle"
 for name in task_save_stage0 task_ghost_pack_send task_ghost_wait_unpack \
     task_flux task_fcorr_send task_fcorr_apply task_update task_fill_derived \
     task_history task_refinement_tag task_tree_update task_regrid \
-    task_estimate_dt run_node step ensure_plan collect_tags estimate_dt; do
+    run_node step ensure_plan collect_tags estimate_dt; do
     count=$(grep -rhF "fn $name(&mut self" crates/core/src | wc -l)
     if [ "$count" -ne 1 ]; then
         echo "fn $name is defined $count times under crates/core/src" >&2
@@ -36,18 +36,34 @@ for name in task_save_stage0 task_ghost_pack_send task_ghost_wait_unpack \
     fi
 done
 # The cycle is written once: one node table in driver.rs (CYCLE_NODES) is
-# both the exported graph and the executed list, so every node name appears
-# there and nowhere else in the driver, one loop adds the tasks, and the
-# second description, the second view of the wall clock and the host-side
-# key sort that nothing read stay deleted.
+# both the exported graph and what the driver sweeps, so every node name
+# appears there and nowhere else in the driver; the second description, the
+# general-purpose task list, the second task-kind enum, the graph sorter,
+# the second view of the wall clock and the host-side key sort that nothing
+# read stay deleted.
 driver=crates/core/src/driver.rs
 gone='build_cycle_list|STAGE_TASK_NAMES|last_cycle_timing|WallRegistry|fresh_recorder|div_and_planes_mut'
+gone="$gone|TaskList|TaskId|add_task|execute_timed|execute_spanned|set_max_polls|SpanKind|span_kind|topo_order|GraphError|ExecStats|from_recorded_with_stages|cycle_task_list"
 if grep -rnE "$gone" crates; then
-    echo "a second cycle description, a second timing view or dead code is back (see above)" >&2
+    echo "a second cycle description or executor, a second timing view or dead code is back (see above)" >&2
     exit 1
 fi
-if [ "$(grep -c 'add_task_meta(' "$driver")" -ne 1 ]; then
-    echo "$driver must add the cycle's tasks in exactly one place" >&2
+# One sweep with one call site: `fn execute` in tasks.rs, called (in
+# non-test code) by Driver::step alone.
+for file in crates/core/src/*.rs; do
+    defs=$(grep -cE 'fn execute[<(]' "$file" || true)
+    calls=$(non_test "$file" | grep -vF 'fn execute' | grep -cE '\bexecute\(' || true)
+    want_defs=0 want_calls=0
+    [ "$file" = crates/core/src/tasks.rs ] && want_defs=1
+    [ "$file" = "$driver" ] && want_calls=1
+    if [ "$defs" -ne "$want_defs" ] || [ "$calls" -ne "$want_calls" ]; then
+        echo "$file: $defs definitions and $calls calls of the cycle sweep (want $want_defs and $want_calls)" >&2
+        exit 1
+    fi
+done
+# Comm events are stamped with a node's name in one place: Driver::run_node.
+if non_test "$driver" | awk '/fn run_node\(/, /^    }$/ { next } /set_task\(/' | grep .; then
+    echo "set_task( outside Driver::run_node in non-test $driver (see above)" >&2
     exit 1
 fi
 nodes='SaveStage0 MassHistory RefinementTag TreeUpdate Regrid EstimateTimeStep'
