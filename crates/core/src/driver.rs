@@ -506,6 +506,11 @@ impl<P: Package> Driver<P> {
         self.comm.rank()
     }
 
+    /// Endpoints of this driver's transport (1 on the shared transport).
+    pub(crate) fn endpoints(&self) -> usize {
+        self.comm.endpoints()
+    }
+
     /// The workload recorder.
     pub fn recorder(&self) -> &Recorder {
         &self.rec

@@ -347,7 +347,7 @@ impl<P: Package> Driver<P> {
     /// the gathered per-block cell data. No ghost traffic is in flight
     /// between cycles, so the boundary state is exactly the restartable
     /// state. On the only endpoint of a transport this is
-    /// [`Self::to_snapshot`].
+    /// [`Self::to_snapshot`]: a plain copy, nothing encoded or gathered.
     ///
     /// Collective: every endpoint must call this at the same point of its
     /// cycle loop.
@@ -358,6 +358,9 @@ impl<P: Package> Driver<P> {
     /// uncovered (both indicate rank divergence, which the deterministic
     /// runtime rules out).
     pub fn checkpoint(&mut self) -> Snapshot {
+        if self.endpoints() == 1 {
+            return self.to_snapshot();
+        }
         let payload = encode_rank_blocks(self.slots());
         let parts = self.gather_across_endpoints(StepFunction::Other, payload);
         let nblocks = self.mesh().num_blocks();

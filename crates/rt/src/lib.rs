@@ -463,12 +463,13 @@ type RankExit = (Vec<CycleSummary>, u64, ShardOutput);
 /// A preemptible, resumable distributed run, and the only code that turns
 /// a replica into a rank ([`run_distributed`] is one session run once).
 ///
-/// A session keeps its rank shards alive between commands so a scheduler
-/// can advance a job in budget-sized slices, [`checkpoint`] it at a cycle
-/// boundary, and tear it down — then later resume the checkpoint in a
-/// *new* session under a different `(nranks, host_threads)` configuration
+/// A session keeps its rank shards alive between commands, so a scheduler
+/// advances a job in budget-sized slices on one session and
+/// [`checkpoint`]s it at a slice boundary as a recovery point, without
+/// stopping it. A checkpoint also resumes in a *new* session — after a
+/// failure, or under a different `(nranks, host_threads)` configuration
 /// (build the replicas with
-/// [`restore_driver`](vibe_core::restore_driver)). The bitwise-
+/// [`restore_driver`](vibe_core::restore_driver)) — and the bitwise-
 /// reproducibility invariant guarantees the resumed run's final
 /// fingerprint equals the uninterrupted run's.
 ///
@@ -1258,31 +1259,38 @@ mod tests {
     /// A session advanced in slices (with a non-destructive mid-run
     /// checkpoint) finishes bitwise identical to the one-shot run, and the
     /// checkpoint it takes equals the single-process driver's snapshot at
-    /// the same boundary.
+    /// the same boundary — gathered over two endpoints, copied on one.
     #[test]
     fn session_slices_match_one_shot_run() {
-        let one_shot = run_distributed(2, 5, || replica(2, 1));
-        let mut session = RtSession::new(2, || replica(2, 1));
-        let s1 = session.run(2).unwrap();
-        let snap = session.checkpoint().unwrap();
-        let s2 = session.run(3).unwrap();
-        assert_eq!(s1.len(), 2);
-        assert_eq!(s2.len(), 3);
-        assert_eq!(session.cycles_run(), 5);
-        let run = session.finish().unwrap();
-        assert_eq!(run.fingerprint, one_shot.fingerprint);
-        assert_eq!(run.dt.to_bits(), one_shot.dt.to_bits());
-        assert_eq!(run.cycles, 5);
-
-        // The gathered distributed checkpoint is exactly the state a
-        // single-process driver snapshots at the same cycle boundary —
-        // including history rows: contributions are folded in global gid
-        // order on every path, so the reduction is partition-independent
-        // and the snapshots compare bitwise equal as a whole.
         let mut d = replica(1, 1);
         d.run_cycles(2);
         let local = d.to_snapshot();
-        assert_eq!(snap, local);
+        let mut local_bytes = Vec::new();
+        local.write_to(&mut local_bytes).unwrap();
+        for nranks in [1, 2] {
+            let one_shot = run_distributed(nranks, 5, move || replica(nranks, 1));
+            let mut session = RtSession::new(nranks, move || replica(nranks, 1));
+            let s1 = session.run(2).unwrap();
+            let snap = session.checkpoint().unwrap();
+            let s2 = session.run(3).unwrap();
+            assert_eq!(s1.len(), 2);
+            assert_eq!(s2.len(), 3);
+            assert_eq!(session.cycles_run(), 5);
+            let run = session.finish().unwrap();
+            assert_eq!(run.fingerprint, one_shot.fingerprint);
+            assert_eq!(run.dt.to_bits(), one_shot.dt.to_bits());
+            assert_eq!(run.cycles, 5);
+
+            // The session's checkpoint is exactly the state a
+            // single-process driver snapshots at the same cycle boundary —
+            // including history rows: contributions are folded in global
+            // gid order on every path, so the reduction is
+            // partition-independent and the snapshots are the same bytes.
+            assert_eq!(snap, local, "{nranks} ranks");
+            let mut bytes = Vec::new();
+            snap.write_to(&mut bytes).unwrap();
+            assert!(bytes == local_bytes, "{nranks} ranks: encodings differ");
+        }
     }
 
     /// The preempt/resume acceptance invariant: checkpoint a Mesh 32/B8/L2

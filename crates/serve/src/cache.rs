@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use vibe_prof::JobCycleMetric;
 
@@ -44,9 +44,15 @@ impl ResultCache {
         Self::default()
     }
 
+    /// The entries, recovered from a poisoned lock: every update is one
+    /// map operation, so a panic while it was held left the map whole.
+    fn entries(&self) -> MutexGuard<'_, HashMap<u64, CachedResult>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks up `key`, counting the outcome.
     pub fn lookup(&self, key: u64) -> Option<CachedResult> {
-        let hit = self.entries.lock().unwrap().get(&key).cloned();
+        let hit = self.entries().get(&key).cloned();
         match &hit {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -58,7 +64,7 @@ impl ResultCache {
     /// of the same key computed bitwise-identical results, so keeping the
     /// incumbent is equivalent and keeps re-served bytes stable.
     pub fn insert(&self, key: u64, result: CachedResult) {
-        self.entries.lock().unwrap().entry(key).or_insert(result);
+        self.entries().entry(key).or_insert(result);
     }
 
     /// (hits, misses, entries) since construction.
@@ -66,7 +72,7 @@ impl ResultCache {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
-            self.entries.lock().unwrap().len(),
+            self.entries().len(),
         )
     }
 }

@@ -4,7 +4,8 @@
 //! tenants submit [`JobConfig`]s, a weighted round-robin [`Scheduler`]
 //! time-slices them across a bounded pool of runner threads, and every
 //! slice boundary is a full [`Snapshot`](vibe_core::Snapshot) checkpoint
-//! — so jobs can be preempted, parked, and resumed on a *different*
+//! while the job's session stays resident — so jobs recover from a rank
+//! failure, and can be preempted, parked, and resumed on a *different*
 //! `(nranks, threads)` execution geometry with a bitwise-identical final
 //! solution.
 //!

@@ -3,20 +3,30 @@
 //! result cache.
 //!
 //! Execution model: a bounded pool of runner threads pulls jobs off the
-//! weighted round-robin [`Scheduler`] one *budget slice* at a time. A
-//! slice spins up a fresh [`RtSession`] (from the initial condition, or
-//! from the job's checkpoint), advances at most `budget_cycles`, then
-//! either finishes the job, or checkpoints and re-enqueues it (time
-//! slicing), or checkpoints and parks it (explicit preempt). Because the
-//! runtime is bitwise reproducible, a resumed slice may use a *different*
-//! `(nranks, threads)` geometry and the final solution fingerprint is
-//! unchanged — which also makes the config-keyed result cache exact.
+//! weighted round-robin [`Scheduler`] one *budget slice* at a time. A job
+//! keeps its live [`RtSession`] between slices: a slice advances the
+//! job's session at most `budget_cycles`, then either finishes the job, or
+//! checkpoints it and re-enqueues it (time slicing), or checkpoints it and
+//! parks it (explicit preempt). The slice-boundary checkpoint is only the
+//! job's recovery point; a session is built from it (or from the initial
+//! condition) for a job's first slice, after a rank failure, after a
+//! preempt, and after a slice that ended with more than `runners` other
+//! jobs queued — the session is released then, so a burst of submissions
+//! never holds a session per job. Because the runtime is bitwise
+//! reproducible, a resumed slice may use a *different* `(nranks, threads)`
+//! geometry and the final solution fingerprint is unchanged — which also
+//! makes the config-keyed result cache exact.
+//!
+//! What a job holds: a queued job its recovery point (from its first slice
+//! boundary on) and, while the queue is short, its parked session; a
+//! preempted job its recovery point only; a finished, failed or degraded
+//! job neither.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use vibe_core::{Package, Snapshot};
+use vibe_core::{DynPackage, Package, Snapshot};
 use vibe_ft::FaultPlan;
 use vibe_prof::{job_metrics_jsonl, JobCycleMetric};
 use vibe_rt::{RtRun, RtSession, SessionOptions};
@@ -28,18 +38,21 @@ use crate::scheduler::Scheduler;
 /// Lifecycle state of a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobState {
-    /// Waiting in the scheduler.
+    /// Waiting in the scheduler, with its recovery point once it has run a
+    /// slice, and its live session parked while the queue is short.
     Queued,
     /// A runner is advancing a slice right now.
     Running,
-    /// Checkpointed and parked by an explicit preempt; waits for resume.
+    /// Parked by an explicit preempt: holds its last slice-boundary
+    /// checkpoint and no session, and waits for resume (which builds a
+    /// session from that checkpoint, on any geometry).
     Preempted,
     /// Finished (from execution or a cache hit).
     Done,
     /// Aborted with an error.
     Failed,
-    /// Rank failures exhausted the retry budget; the job stopped at its
-    /// last checkpoint instead of completing.
+    /// Rank failures exhausted the retry budget; the job stopped after its
+    /// last completed slice instead of completing.
     Degraded,
 }
 
@@ -85,7 +98,11 @@ struct Job {
     plan: Option<Arc<FaultPlan>>,
     /// Rank failures recovered by replaying from the last checkpoint.
     recoveries: u32,
+    /// The recovery point: the checkpoint of the last slice boundary.
+    /// Each one replaces the previous; a terminal job holds none.
     snapshot: Option<Arc<Snapshot>>,
+    /// The job's live session, parked between two slices.
+    session: Option<Session>,
     metrics: Vec<JobCycleMetric>,
     result: Option<JobResult>,
     trace_json: Option<String>,
@@ -121,9 +138,37 @@ pub struct JobView {
     pub turnaround: Option<Duration>,
 }
 
+/// A served job's distributed run.
+type Session = RtSession<DynPackage>;
+
 struct State {
     jobs: Vec<Job>,
     sched: Scheduler,
+}
+
+impl State {
+    /// Preempts job `id` (see [`Service::preempt`]). Returns the session a
+    /// queued job had parked, for the caller to drop once the lock is
+    /// released: dropping a session joins its rank threads.
+    fn preempt(&mut self, id: u64) -> Result<Option<Session>, String> {
+        let job = self
+            .jobs
+            .get_mut(id as usize)
+            .ok_or_else(|| format!("no job {id}"))?;
+        match job.state {
+            JobState::Queued => {
+                job.state = JobState::Preempted;
+                let parked = job.session.take();
+                self.sched.remove(id);
+                Ok(parked)
+            }
+            JobState::Running => {
+                job.preempt_requested = true;
+                Ok(None)
+            }
+            s => Err(format!("cannot preempt a {} job", s.name())),
+        }
+    }
 }
 
 struct Shared {
@@ -131,9 +176,21 @@ struct Shared {
     work: Condvar,
     cache: ResultCache,
     shutdown: AtomicBool,
+    runners: usize,
     budget_cycles: u64,
     max_retries: u32,
     retry_backoff: Duration,
+}
+
+impl Shared {
+    /// The job table and scheduler. A panic while the lock was held
+    /// poisons it; the guard is recovered instead of passing that panic on
+    /// to every later call and to the runner pool, which is sound because
+    /// every update under the lock is a sequence of field stores and
+    /// queue operations, each leaving the table valid.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Service construction parameters.
@@ -141,9 +198,11 @@ struct Shared {
 pub struct ServiceConfig {
     /// Runner threads in the pool (min 1).
     pub runners: usize,
-    /// Cycles per scheduling slice (min 1): the preemption granularity —
-    /// and the recovery checkpoint cadence, since every slice boundary
-    /// checkpoints.
+    /// Cycles per scheduling slice (min 1): the preemption granularity and
+    /// the recovery checkpoint cadence, since every slice boundary
+    /// checkpoints. The job's session outlives the boundary unless the
+    /// queue is longer than `runners`, so a boundary costs a checkpoint
+    /// copy, not a rebuild.
     pub budget_cycles: u64,
     /// Initial tenant weights; unknown tenants default to weight 1.
     pub tenant_weights: Vec<(String, u64)>,
@@ -214,11 +273,12 @@ impl Service {
             work: Condvar::new(),
             cache: ResultCache::new(),
             shutdown: AtomicBool::new(false),
+            runners: cfg.runners.max(1),
             budget_cycles: cfg.budget_cycles.max(1),
             max_retries: cfg.max_retries,
             retry_backoff: cfg.retry_backoff,
         });
-        let runners = (0..cfg.runners.max(1))
+        let runners = (0..shared.runners)
             .map(|_| {
                 let sh = Arc::clone(&shared);
                 std::thread::spawn(move || runner_loop(&sh))
@@ -240,7 +300,7 @@ impl Service {
             .map_err(|e| format!("invalid mesh: {e}"))?;
         let key = config.cache_key();
         let hit = self.shared.cache.lookup(key);
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.lock();
         let id = st.jobs.len() as u64;
         let now = Instant::now();
         let plan = config.fault_plan();
@@ -255,6 +315,7 @@ impl Service {
             plan,
             recoveries: 0,
             snapshot: None,
+            session: None,
             metrics: Vec::new(),
             result: None,
             trace_json: None,
@@ -292,41 +353,24 @@ impl Service {
 
     /// Sets a tenant's scheduling weight.
     pub fn set_tenant_weight(&self, tenant: &str, weight: u64) {
-        self.shared
-            .state
-            .lock()
-            .unwrap()
-            .sched
-            .set_weight(tenant, weight);
+        self.shared.lock().sched.set_weight(tenant, weight);
     }
 
-    /// Requests preemption: a queued job parks immediately; a running job
-    /// checkpoints and parks at the end of its current budget slice.
+    /// Requests preemption: a queued job parks immediately, releasing its
+    /// parked session (whose rank threads are joined before this returns);
+    /// a running job checkpoints and parks at the end of its current
+    /// budget slice.
     pub fn preempt(&self, id: u64) -> Result<(), String> {
-        let mut st = self.shared.state.lock().unwrap();
-        let job = st
-            .jobs
-            .get(id as usize)
-            .ok_or_else(|| format!("no job {id}"))?;
-        match job.state {
-            JobState::Queued => {
-                st.sched.remove(id);
-                st.jobs[id as usize].state = JobState::Preempted;
-                Ok(())
-            }
-            JobState::Running => {
-                st.jobs[id as usize].preempt_requested = true;
-                Ok(())
-            }
-            s => Err(format!("cannot preempt a {} job", s.name())),
-        }
+        let parked = self.shared.lock().preempt(id)?;
+        drop(parked);
+        Ok(())
     }
 
     /// Resumes a parked job, optionally on a different `(nranks,
     /// threads)` execution geometry — the solution is bitwise independent
     /// of that choice.
     pub fn resume(&self, id: u64, geometry: Option<(usize, usize)>) -> Result<(), String> {
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.lock();
         let job = st
             .jobs
             .get_mut(id as usize)
@@ -349,13 +393,13 @@ impl Service {
 
     /// A read-only copy of the job's public state.
     pub fn job(&self, id: u64) -> Option<JobView> {
-        let st = self.shared.state.lock().unwrap();
+        let st = self.shared.lock();
         st.jobs.get(id as usize).map(|j| view(id, j))
     }
 
     /// The job's per-cycle metrics as JSON Lines.
     pub fn metrics_jsonl(&self, id: u64) -> Option<String> {
-        let st = self.shared.state.lock().unwrap();
+        let st = self.shared.lock();
         st.jobs
             .get(id as usize)
             .map(|j| job_metrics_jsonl(&j.metrics))
@@ -363,14 +407,14 @@ impl Service {
 
     /// The job's Perfetto trace (available once `Done`).
     pub fn trace_json(&self, id: u64) -> Option<String> {
-        let st = self.shared.state.lock().unwrap();
+        let st = self.shared.lock();
         st.jobs.get(id as usize).and_then(|j| j.trace_json.clone())
     }
 
     /// Aggregate counters.
     pub fn stats(&self) -> ServiceStats {
         let (cache_hits, cache_misses, cache_entries) = self.shared.cache.stats();
-        let st = self.shared.state.lock().unwrap();
+        let st = self.shared.lock();
         let mut stats = ServiceStats {
             submitted: st.jobs.len() as u64,
             cache_hits,
@@ -417,7 +461,7 @@ impl Service {
         pred: F,
     ) -> Result<JobView, String> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.lock();
         loop {
             match st.jobs.get(id as usize) {
                 None => return Err(format!("no job {id}")),
@@ -436,7 +480,7 @@ impl Service {
                 .shared
                 .work
                 .wait_timeout(st, deadline - now)
-                .map_err(|_| "service state poisoned".to_string())?;
+                .unwrap_or_else(PoisonError::into_inner);
             st = guard;
         }
     }
@@ -457,7 +501,8 @@ impl Service {
     }
 
     /// Stops the runner pool: in-flight slices finish (checkpointing and
-    /// re-enqueueing their jobs), then every runner thread is joined — what
+    /// re-enqueueing their jobs), then every runner thread is joined, and
+    /// with the job table every parked session's rank threads — what
     /// dropping the service does.
     pub fn shutdown(self) {
         drop(self);
@@ -471,17 +516,16 @@ impl Drop for Service {
         // waiting when the notification comes (raised outside it, the
         // notification could fall between the check and the wait).
         {
-            let _st = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let _st = self.shared.lock();
             self.shared.shutdown.store(true, Ordering::SeqCst);
         }
         self.shared.work.notify_all();
         for h in self.runners.drain(..) {
             let _ = h.join();
         }
+        // The runners held the only other handles on the shared state, so
+        // dropping `self.shared` next drops the job table, and each parked
+        // session in it joins its rank threads.
     }
 }
 
@@ -508,7 +552,7 @@ fn view(id: u64, j: &Job) -> JobView {
 fn runner_loop(shared: &Arc<Shared>) {
     loop {
         let id = {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -516,7 +560,7 @@ fn runner_loop(shared: &Arc<Shared>) {
                 if let Some(id) = st.sched.dispatch() {
                     break id;
                 }
-                st = shared.work.wait(st).unwrap();
+                st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
         run_slice(shared, id);
@@ -524,35 +568,39 @@ fn runner_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Advances one budget slice of `id`: spin a session up from the job's
-/// checkpoint (or the initial condition), run at most `budget_cycles`,
-/// then finish / park / re-enqueue.
+/// Advances one budget slice of `id` on the job's parked session, or on
+/// one built from its recovery point (or the initial condition), then
+/// finishes, parks or re-enqueues the job.
+///
+/// A re-enqueued job keeps its session only while at most `runners` other
+/// jobs are queued; otherwise the session is dropped and the job's next
+/// slice resumes from the checkpoint just taken. Parked sessions belong to
+/// queued jobs and every park happens with at most `runners + 1` jobs
+/// queued, so no more than `runners + 1` are ever parked.
 fn run_slice(shared: &Arc<Shared>, id: u64) {
-    let (config, snapshot, cycles_done, plan) = {
-        let mut st = shared.state.lock().unwrap();
+    let (config, cycles_done, parked, snapshot, plan) = {
+        let mut st = shared.lock();
         let job = &mut st.jobs[id as usize];
         job.state = JobState::Running;
         (
             job.config.clone(),
-            job.snapshot.clone(),
             job.cycles_done,
+            job.session.take(),
+            job.snapshot.clone(),
             job.plan.clone(),
         )
     };
+    let session = parked.unwrap_or_else(|| start_session(&config, snapshot, plan, cycles_done));
     let remaining = config.cycles.saturating_sub(cycles_done);
     let slice = remaining.min(shared.budget_cycles);
-    let outcome = execute_slice(
-        &config,
-        snapshot,
-        slice,
-        remaining == slice,
-        id,
-        plan,
-        cycles_done,
-    );
+    let outcome = execute_slice(session, slice, remaining == slice, id);
 
-    let mut st = shared.state.lock().unwrap();
+    let mut st = shared.lock();
+    let park = st.sched.queued() <= shared.runners;
     let job = &mut st.jobs[id as usize];
+    // Dropped once the lock is released: dropping a session joins its
+    // rank threads.
+    let mut released = None;
     match outcome {
         Err(e) => {
             if job.recoveries < shared.max_retries {
@@ -567,13 +615,13 @@ fn run_slice(shared: &Arc<Shared>, id: u64) {
                 let pause = shared.retry_backoff * job.recoveries;
                 drop(st);
                 std::thread::sleep(pause);
-                let mut st = shared.state.lock().unwrap();
-                st.sched.enqueue(&tenant, id);
+                shared.lock().sched.enqueue(&tenant, id);
                 return;
             }
             job.state = JobState::Degraded;
             job.error = Some(e);
             job.finished = Some(Instant::now());
+            job.snapshot = None;
         }
         Ok(SliceOutcome {
             metrics,
@@ -589,6 +637,7 @@ fn run_slice(shared: &Arc<Shared>, id: u64) {
                 Completion::Finished(run) => {
                     job.state = JobState::Done;
                     job.finished = Some(Instant::now());
+                    job.snapshot = None;
                     job.result = Some(JobResult {
                         fingerprint: run.fingerprint,
                         time: run.time,
@@ -607,13 +656,19 @@ fn run_slice(shared: &Arc<Shared>, id: u64) {
                     let key = job.config.cache_key();
                     shared.cache.insert(key, cached);
                 }
-                Completion::Checkpointed(snap) => {
-                    job.snapshot = Some(Arc::new(snap));
+                Completion::Checkpointed { session, snapshot } => {
+                    job.snapshot = Some(snapshot);
                     if job.preempt_requested {
                         job.preempt_requested = false;
                         job.state = JobState::Preempted;
+                        released = Some(session);
                     } else {
                         job.state = JobState::Queued;
+                        if park {
+                            job.session = Some(session);
+                        } else {
+                            released = Some(session);
+                        }
                         let tenant = job.tenant.clone();
                         st.sched.enqueue(&tenant, id);
                     }
@@ -621,11 +676,18 @@ fn run_slice(shared: &Arc<Shared>, id: u64) {
             }
         }
     }
+    drop(st);
+    drop(released);
 }
 
 enum Completion {
     Finished(Box<RtRun>),
-    Checkpointed(Snapshot),
+    /// The slice ended at a boundary: the still-live session and the
+    /// recovery point it just took.
+    Checkpointed {
+        session: Session,
+        snapshot: Arc<Snapshot>,
+    },
 }
 
 struct SliceOutcome {
@@ -633,27 +695,38 @@ struct SliceOutcome {
     completion: Completion,
 }
 
-fn execute_slice(
+/// Builds a job's session, from its recovery point or, before its first
+/// slice boundary, from the initial condition: the only place the service
+/// builds one.
+fn start_session(
     config: &JobConfig,
     snapshot: Option<Arc<Snapshot>>,
-    slice: u64,
-    is_last: bool,
-    id: u64,
     plan: Option<Arc<FaultPlan>>,
     start_cycle: u64,
-) -> Result<SliceOutcome, String> {
+) -> Session {
     let cfg = config.clone();
     let opts = SessionOptions {
         fault_plan: plan,
         // The plan's kill cycle is absolute; the session must know where
-        // this slice starts so the boundary check lines up across
-        // checkpoints and retries.
+        // it starts so the boundary check lines up across checkpoints and
+        // retries.
         start_cycle,
         ..SessionOptions::default()
     };
-    let mut session = RtSession::with_options(config.nranks, opts, move || {
+    RtSession::with_options(config.nranks, opts, move || {
         cfg.replica(cfg.driver_params(), snapshot.as_deref())
-    });
+    })
+}
+
+/// Runs `slice` cycles on `session`, then finishes it (`is_last`) or takes
+/// the boundary checkpoint and hands the session back. A failed slice
+/// drops the session, which joins its rank threads.
+fn execute_slice(
+    mut session: Session,
+    slice: u64,
+    is_last: bool,
+    id: u64,
+) -> Result<SliceOutcome, String> {
     let t0 = Instant::now();
     let summaries = session.run(slice).map_err(|e| e.to_string())?;
     let wall_ns = t0.elapsed().as_nanos() as u64;
@@ -674,11 +747,8 @@ fn execute_slice(
     let completion = if is_last {
         Completion::Finished(Box::new(session.finish().map_err(|e| e.to_string())?))
     } else {
-        let snap = session.checkpoint().map_err(|e| e.to_string())?;
-        // Dropping the session joins every rank thread (the preempt
-        // teardown path) before the slice result is published.
-        drop(session);
-        Completion::Checkpointed(snap)
+        let snapshot = Arc::new(session.checkpoint().map_err(|e| e.to_string())?);
+        Completion::Checkpointed { session, snapshot }
     };
     Ok(SliceOutcome {
         metrics,
@@ -737,14 +807,66 @@ mod tests {
         let jsonl = svc.metrics_jsonl(id).unwrap();
         assert_eq!(parse_lines(&jsonl).unwrap().len(), 7);
         parse(&svc.trace_json(id).unwrap()).unwrap();
+        // A finished job keeps its answer and nothing it ran on.
+        {
+            let st = svc.shared.lock();
+            let job = &st.jobs[id as usize];
+            assert!(job.snapshot.is_none(), "a done job holds no snapshot");
+            assert!(job.session.is_none(), "a done job holds no session");
+        }
         svc.shutdown();
+    }
+
+    /// Two slices on one session — the `serve-mix` Burgers job, 4 + 4
+    /// cycles — end on the uninterrupted run's answer, and the boundary
+    /// checkpoint is a plain driver's snapshot at cycle 4.
+    #[test]
+    fn one_session_serves_both_slices_of_a_job() {
+        let cfg = JobConfig {
+            physics: "burgers".into(),
+            dim: 3,
+            mesh_cells: 16,
+            block_cells: 8,
+            levels: 2,
+            cycles: 8,
+            num_scalars: 2,
+            refine_tol: 0.1,
+            ..JobConfig::default()
+        };
+        let (fp, time, dt) = direct_fingerprint(&cfg);
+        // The benchmark's golden for this job shape.
+        assert_eq!(fp, 0xd6a4_0b12_c361_25bc);
+
+        let first = execute_slice(start_session(&cfg, None, None, 0), 4, false, 0).unwrap();
+        let Completion::Checkpointed { session, snapshot } = first.completion else {
+            panic!("a slice short of the end checkpoints");
+        };
+        let mut plain = cfg.replica(cfg.driver_params(), None);
+        plain.run_cycles(4);
+        assert!(*snapshot == plain.to_snapshot());
+
+        let last = execute_slice(session, 4, true, 0).unwrap();
+        let Completion::Finished(run) = last.completion else {
+            panic!("the last slice finishes the session");
+        };
+        assert_eq!(run.fingerprint, fp);
+        assert_eq!(run.time.to_bits(), time.to_bits());
+        assert_eq!(run.dt.to_bits(), dt.to_bits());
+        let cycles: Vec<u64> = first
+            .metrics
+            .iter()
+            .chain(&last.metrics)
+            .map(|m| m.cycle)
+            .collect();
+        assert_eq!(cycles, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
     fn served_slices_archive_no_comm_events() {
         let cfg = small_cfg(4, 2, 1);
         let (fp, _, _) = direct_fingerprint(&cfg);
-        let slice = execute_slice(&cfg, None, cfg.cycles, true, 0, None, 0).unwrap();
+        let session = start_session(&cfg, None, None, 0);
+        let slice = execute_slice(session, cfg.cycles, true, 0).unwrap();
         let Completion::Finished(run) = slice.completion else {
             panic!("the last slice finishes the session");
         };
@@ -826,6 +948,55 @@ mod tests {
         assert_eq!(v.result.unwrap().fingerprint, fp);
         assert_eq!(v.config.nranks, 3);
         assert_eq!(v.cycles_done, 6);
+
+        // A queued job that holds a parked session: the one runner
+        // alternates between it and another tenant's job, so between its
+        // slices it waits in the queue with its session parked. Its fault
+        // plan (message chaos only, which never changes the answer) is
+        // held by each of that session's rank threads until it exits.
+        let clean = small_cfg(8, 2, 1);
+        let (fp, _, _) = direct_fingerprint(&clean);
+        let chaotic = JobConfig {
+            fault_seed: 0xC0DE,
+            ..clean
+        };
+        let (id, _, _) = svc.submit("acme", chaotic).unwrap();
+        svc.submit("globex", small_cfg(24, 1, 1)).unwrap();
+        let (parked, plan) = loop {
+            let mut st = svc.shared.lock();
+            let job = &st.jobs[id as usize];
+            if job.state == JobState::Queued && job.session.is_some() {
+                let plan = job.plan.clone().expect("a chaos job has a plan");
+                break (st.preempt(id).unwrap(), plan);
+            }
+            assert_ne!(job.state, JobState::Done, "never saw the session parked");
+            drop(st);
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let v = svc.job(id).unwrap();
+        assert_eq!(v.state, JobState::Preempted);
+        assert!(v.cycles_done > 0 && v.cycles_done < 8);
+        {
+            let st = svc.shared.lock();
+            let job = &st.jobs[id as usize];
+            assert!(job.session.is_none(), "a preempted job holds no session");
+            assert!(
+                job.snapshot.is_some(),
+                "a preempted job holds its checkpoint"
+            );
+        }
+        // Held by this test, the job and the session and its two ranks.
+        assert!(Arc::strong_count(&plan) > 2);
+        drop(parked.expect("the queued job had parked its session"));
+        assert_eq!(
+            Arc::strong_count(&plan),
+            2,
+            "a rank thread of the preempted job's session is still alive"
+        );
+        svc.resume(id, Some((3, 2))).unwrap();
+        let v = svc.wait_done(id, Duration::from_secs(120)).unwrap();
+        assert_eq!(v.result.unwrap().fingerprint, fp);
+        assert_eq!(v.cycles_done, 8);
         svc.shutdown();
     }
 
@@ -917,7 +1088,11 @@ mod tests {
         assert!(!cached, "the chaos job must execute, not hit the cache");
         let v = svc.wait_done(id, Duration::from_secs(120)).unwrap();
         assert_eq!(v.state, JobState::Done);
+        // With one runner and one job the queue is empty at every slice
+        // boundary, so the killed second slice ran on the session the
+        // first one parked; the recovery rebuilt it from the checkpoint.
         assert_eq!(v.recoveries, 1, "exactly one kill, one recovery");
+        assert_eq!(v.cycles_executed, 6, "the failed slice counts nothing");
         let r = v.result.unwrap();
         assert_eq!(r.fingerprint, fp, "recovered result must be bitwise");
         assert_eq!(r.time.to_bits(), time.to_bits());
@@ -936,9 +1111,10 @@ mod tests {
             max_retries: 0,
             ..ServiceConfig::default()
         });
+        // Killed in the second slice, after the first one checkpointed.
         let cfg = JobConfig {
             kill_rank: Some(0),
-            kill_cycle: 1,
+            kill_cycle: 3,
             ..small_cfg(4, 2, 1)
         };
         let (id, _, _) = svc.submit("acme", cfg).unwrap();
@@ -947,6 +1123,13 @@ mod tests {
         let v = svc.job(id).unwrap();
         assert_eq!(v.state, JobState::Degraded);
         assert_eq!(v.recoveries, 0);
+        assert_eq!(v.cycles_done, 2);
+        {
+            let st = svc.shared.lock();
+            let job = &st.jobs[id as usize];
+            assert!(job.snapshot.is_none(), "a degraded job holds no snapshot");
+            assert!(job.session.is_none(), "a degraded job holds no session");
+        }
         let s = svc.stats();
         assert_eq!((s.degraded, s.failures_detected), (1, 1));
         svc.shutdown();
@@ -968,6 +1151,106 @@ mod tests {
         let (id, _, _) = svc.submit("acme", small_cfg(4, 1, 1)).unwrap();
         svc.wait_done(id, Duration::from_secs(120)).unwrap();
         svc.shutdown();
+        assert_threads_return_to(before);
+    }
+
+    /// Twelve three-slice jobs at once on two runners: while the queue is
+    /// long every slice releases its session, so no more than `runners +
+    /// 1` jobs ever hold one; every answer is the direct run's; and a
+    /// shutdown with jobs still queued joins every thread it started.
+    #[test]
+    fn a_burst_parks_a_bounded_number_of_sessions() {
+        vibe_core::exec::pool::global().run(4, 2, &|_| {});
+        let before = count_own_threads();
+        let runners = 2;
+        let svc = Service::start(ServiceConfig {
+            runners,
+            budget_cycles: 2,
+            ..ServiceConfig::default()
+        });
+        // Distinct tolerances, so no job is a cache hit of another.
+        let burst = |base: f64| -> Vec<JobConfig> {
+            (0..12)
+                .map(|i| JobConfig {
+                    refine_tol: base + 0.005 * i as f64,
+                    ..small_cfg(6, 1, 1)
+                })
+                .collect()
+        };
+        let configs = burst(0.2);
+        let ids: Vec<u64> = configs
+            .iter()
+            .map(|c| svc.submit("acme", c.clone()).unwrap().0)
+            .collect();
+        let mut most_parked = 0;
+        loop {
+            let st = svc.shared.lock();
+            let parked = st.jobs.iter().filter(|j| j.session.is_some()).count();
+            let finished = st.jobs.iter().all(|j| {
+                matches!(
+                    j.state,
+                    JobState::Done | JobState::Failed | JobState::Degraded
+                )
+            });
+            drop(st);
+            most_parked = most_parked.max(parked);
+            if finished {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            most_parked <= runners + 1,
+            "{most_parked} jobs held a session at once"
+        );
+        for (id, cfg) in ids.into_iter().zip(&configs) {
+            let v = svc.job(id).unwrap();
+            assert_eq!(v.result.unwrap().fingerprint, direct_fingerprint(cfg).0);
+        }
+
+        // Shut down while a second burst is still queued.
+        let second: Vec<u64> = burst(0.3)
+            .into_iter()
+            .map(|c| svc.submit("acme", c).unwrap().0)
+            .collect();
+        svc.wait_for(second[0], Duration::from_secs(120), |v| v.cycles_done > 0)
+            .unwrap();
+        assert!(svc.shared.lock().sched.queued() > 0, "the burst is queued");
+        svc.shutdown();
+        assert_threads_return_to(before);
+    }
+
+    /// A panic while the state lock is held poisons it; the service keeps
+    /// serving instead of panicking in every later call.
+    #[test]
+    fn a_poisoned_state_lock_does_not_cascade() {
+        let svc = Service::start(ServiceConfig {
+            runners: 1,
+            budget_cycles: 2,
+            ..ServiceConfig::default()
+        });
+        let shared = Arc::clone(&svc.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _held = shared.state.lock().unwrap();
+            panic!("poisoning the service state on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(svc.shared.state.is_poisoned());
+
+        let (id, _, cached) = svc.submit("acme", small_cfg(3, 1, 1)).unwrap();
+        assert!(!cached);
+        let v = svc.wait_done(id, Duration::from_secs(120)).unwrap();
+        assert_eq!(svc.job(id).unwrap().cycles_executed, v.cycles_executed);
+        assert_eq!(svc.stats().done, 1);
+        svc.shutdown();
+    }
+
+    fn count_own_threads() -> usize {
+        std::fs::read_dir("/proc/self/task").map_or(1, |d| d.count())
+    }
+
+    /// Waits for the process thread count to fall back to `before`.
+    fn assert_threads_return_to(before: usize) {
         // Generous deadline: sibling tests in this binary spawn their own
         // transient rank/runner threads concurrently.
         for _ in 0..3000 {
@@ -976,10 +1259,6 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        panic!("runner threads leaked: {} > {before}", count_own_threads());
-    }
-
-    fn count_own_threads() -> usize {
-        std::fs::read_dir("/proc/self/task").map_or(1, |d| d.count())
+        panic!("threads leaked: {} > {before}", count_own_threads());
     }
 }

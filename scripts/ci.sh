@@ -143,6 +143,25 @@ if grep -rnE "$gone" crates tests examples scripts Cargo.toml --include='*.rs' -
     exit 1
 fi
 
+echo "==> one session per served job, no unwrapped service locks"
+# A served job keeps its RtSession across slices, and the service builds one
+# in one place (service::start_session). A poisoned lock under
+# crates/serve/src is recovered (PoisonError::into_inner), never unwrapped,
+# so one panic cannot take every later call down with it. (Whitespace and
+# line breaks are dropped first, so a call split over lines still counts.)
+service=crates/serve/src/service.rs
+if [ "$(non_test "$service" | grep -cF 'RtSession::with_options')" -ne 1 ]; then
+    echo "$service must build a job's session in exactly one place" >&2
+    exit 1
+fi
+for file in crates/serve/src/*.rs; do
+    joined=$(non_test "$file" | tr -d ' \n')
+    if grep -qF '.lock().unwrap()' <<<"$joined" || grep -qF '.wait(st).unwrap()' <<<"$joined"; then
+        echo "$file unwraps a lock or a condvar wait in non-test code" >&2
+        exit 1
+    fi
+done
+
 echo "==> one instrument, one gate"
 # Wall-clock numbers come only from the repository benchmark
 # (src/bin/benchmark) and pass/fail from the one `gate` binary: crates/bench
