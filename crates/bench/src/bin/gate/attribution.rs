@@ -69,7 +69,6 @@ fn bucket_table(attr: &Attribution) -> String {
             "late_sender",
             "collective",
             "migration",
-            "recovery",
             "idle",
             "err",
         ],

@@ -92,10 +92,7 @@ pub fn run(job: &JobConfig, gate: &mut Gate) {
                 }),
             }));
             let opts = ResilienceOptions {
-                checkpoint_every: 2,
-                max_retries: 3,
                 fault_plan: Some(Arc::clone(&plan)),
-                ..ResilienceOptions::default()
             };
             // Fresh or restored from a recovery checkpoint, each replica is
             // partitioned for the `n` ranks still alive: how a dead rank's

@@ -19,6 +19,11 @@
 //!   sort/shuffle of `InitializeBufferCache` and of the allocation-heavy
 //!   `RebuildBufferCache`, both identified as serial hotspots in §VIII-A of
 //!   the paper.
+//!
+//! On a [`channel_fabric`] a dead rank is noticed one way: its endpoint
+//! leaves the fabric, and every wait on a peer — the collective
+//! rendezvous, the boundary-message poll and the migration fetch built on
+//! it — raises the typed panic payload [`PeerLost`] instead of blocking.
 
 pub mod cache;
 pub mod events;
@@ -32,6 +37,6 @@ pub use events::{
 };
 pub use mailbox::{Communicator, MessageStatus};
 pub use transport::{
-    channel_fabric, channel_fabric_with_timeout, ChannelTransport, CollectiveHub, GatherTimeout,
-    SendMeta, SharedTransport, Transport, WireMessage,
+    channel_fabric, ChannelTransport, CollectiveHub, PeerLost, SendMeta, SharedTransport,
+    Transport, WireMessage,
 };

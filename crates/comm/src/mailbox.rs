@@ -6,7 +6,7 @@ use vibe_prof::{CollectiveOp, Recorder, SerialWork, StepFunction};
 
 use crate::cache::BoundaryKey;
 use crate::events::{CommEvent, CommEventKind};
-use crate::transport::{SendMeta, SharedTransport, Transport, WireMessage};
+use crate::transport::{PeerLost, SendMeta, SharedTransport, Transport, WireMessage};
 
 /// Delivery state of one boundary message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +54,7 @@ struct Slot {
 /// comm.start_receive(key);
 /// let meta = SendMeta { src: 0, dst: 2, cells: 2 };
 /// comm.send(key, vec![1.0, 2.0], meta, StepFunction::SendBoundBufs, &mut rec);
-/// let buf = comm.try_receive(key, &mut rec).expect("message arrived");
-/// assert_eq!(buf, vec![1.0, 2.0]);
+/// assert_eq!(comm.try_receive(key, &mut rec), Some(vec![1.0, 2.0]));
 /// rec.end_cycle(1, 0, 0, 0);
 /// ```
 #[derive(Debug)]
@@ -353,6 +352,11 @@ impl Communicator {
     /// One non-blocking probe of the progress engine for `key`: records the
     /// `MPI_Iprobe` cost, nudges any pending arrival delay, and reports
     /// whether the message is now consumable — without consuming it.
+    ///
+    /// # Panics
+    ///
+    /// With a [`PeerLost`] payload when the message has not arrived and a
+    /// peer endpoint has left the fabric: it never will.
     pub fn poll_ready(&mut self, key: BoundaryKey, rec: &mut Recorder) -> bool {
         self.probe_calls += 1;
         rec.record_serial(StepFunction::ReceiveBoundBufs, SerialWork::BoundaryLoop(1));
@@ -371,14 +375,13 @@ impl Communicator {
         };
         // A message that will never come must not spin forever: when a peer
         // endpoint has died (shard panic, injected kill) the fabric reports
-        // unhealthy and this rank panics promptly — the conductor's failure
-        // detector surfaces it as a failed (recoverable) run.
+        // unhealthy and this rank raises PeerLost — a cascade, which the
+        // conductor tells from the death that caused it.
         if !ready && !self.transport.healthy() {
-            panic!(
-                "boundary wait abandoned on rank {}: a peer endpoint disconnected \
-                 from the fabric while {key:?} was pending",
-                self.transport.rank()
-            );
+            std::panic::panic_any(PeerLost {
+                rank: self.transport.rank(),
+                wait: "boundary message",
+            });
         }
         ready
     }
@@ -386,11 +389,16 @@ impl Communicator {
     /// Probes for and completes the message for `key`, consuming it.
     /// Returns `None` when nothing has arrived yet (the receiver must poll
     /// again — this is `MPI_Iprobe` nudging the progress engine).
+    ///
+    /// # Panics
+    ///
+    /// With a [`PeerLost`] payload when nothing has arrived and a peer
+    /// endpoint has left the fabric (see [`Communicator::poll_ready`]).
     pub fn try_receive(&mut self, key: BoundaryKey, rec: &mut Recorder) -> Option<Vec<f64>> {
         if !self.poll_ready(key, rec) {
             return None;
         }
-        let slot = self.slots.get_mut(&key).expect("polled slot exists");
+        let slot = self.slots.get_mut(&key)?;
         slot.status = MessageStatus::Received;
         let payload = std::mem::take(&mut slot.payload);
         let local = slot.local;
@@ -949,6 +957,30 @@ mod tests {
         assert_eq!(c1.try_receive(key, &mut rec), Some(vec![3.5, 4.5]));
         // The sender's slot map never saw the message.
         assert_eq!(c0.status(key), None);
+    }
+
+    #[test]
+    fn a_pending_receive_raises_peer_lost_once_the_sender_is_gone() {
+        let mut rec = recorder();
+        let (c0, mut c1) = channel_pair();
+        let key = BoundaryKey::new(0, 1, 7);
+        c1.start_receive(key);
+        assert!(
+            c1.try_receive(key, &mut rec).is_none(),
+            "sender still attached"
+        );
+        drop(c0);
+        let lost = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c1.try_receive(key, &mut rec)
+        }))
+        .expect_err("the message can never come");
+        assert_eq!(
+            lost.downcast_ref::<PeerLost>(),
+            Some(&PeerLost {
+                rank: 1,
+                wait: "boundary message"
+            })
+        );
     }
 
     #[test]

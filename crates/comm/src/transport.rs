@@ -19,8 +19,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::cache::BoundaryKey;
 
@@ -75,7 +74,8 @@ pub trait Transport: Send + std::fmt::Debug {
     /// drain, in arrival order.
     fn drain(&mut self) -> Vec<WireMessage>;
     /// Deposit `payload` and return every rank's deposit, indexed by rank.
-    /// Blocks until all ranks arrive. `label` names the rendezvous point;
+    /// Blocks until all ranks arrive, or raises [`PeerLost`] when one of
+    /// them has left the fabric. `label` names the rendezvous point;
     /// mismatched labels across ranks are a program error and panic.
     fn all_gather_bytes(&mut self, label: &'static str, payload: Vec<u8>) -> Vec<Vec<u8>>;
     /// Block until every rank reaches the same barrier.
@@ -83,9 +83,10 @@ pub trait Transport: Send + std::fmt::Debug {
         self.all_gather_bytes(label, Vec::new());
     }
     /// Whether the fabric still has every endpoint attached. A mailbox
-    /// blocked waiting for a boundary message consults this to panic
-    /// promptly — instead of spinning forever — when the peer it is
-    /// waiting on has died. Single-endpoint transports are always healthy.
+    /// blocked waiting for a boundary message consults this to raise
+    /// [`PeerLost`] promptly — instead of spinning forever — when the peer
+    /// it is waiting on has died. Single-endpoint transports are always
+    /// healthy.
     fn healthy(&self) -> bool {
         true
     }
@@ -149,9 +150,35 @@ struct HubState {
     taken: usize,
     /// Endpoints still attached to the fabric. A [`ChannelTransport`] that
     /// drops (shard panicked, or a runner tore the session down mid-run)
-    /// leaves the hub; ranks blocked waiting for its deposit panic instead
-    /// of deadlocking.
+    /// leaves the hub; ranks blocked waiting for its deposit raise
+    /// [`PeerLost`] instead of deadlocking.
     alive: usize,
+}
+
+/// Panic payload of a wait that can never complete because a peer
+/// endpoint left the fabric: the one way a rank learns that another died.
+///
+/// Raised with [`std::panic::panic_any`] by the collective rendezvous and
+/// by the mailbox's boundary-message poll (which the regrid migration fetch
+/// goes through too), so a conductor tells a *consequence* of a death from
+/// its cause by the payload's type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerLost {
+    /// The waiting rank.
+    pub rank: usize,
+    /// What it was waiting for: a collective's label, or
+    /// `"boundary message"`.
+    pub wait: &'static str,
+}
+
+impl std::fmt::Display for PeerLost {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "rank {} lost a peer endpoint while waiting for {}",
+            self.rank, self.wait
+        )
+    }
 }
 
 /// Blocking all-gather rendezvous shared by every [`ChannelTransport`] on a
@@ -163,51 +190,20 @@ struct HubState {
 /// depositing. The executor guarantees all ranks issue collectives in the
 /// same program order, and the `label` check turns any violation of that
 /// guarantee into a panic instead of silently mixing payloads.
+///
+/// A rank that panics inside the hub poisons its mutex; the hub recovers the
+/// guard (no code path leaves the state half-updated), so the panicking
+/// rank's endpoint still leaves and its peers still raise [`PeerLost`].
 #[derive(Debug)]
 pub struct CollectiveHub {
     nranks: usize,
     state: Mutex<HubState>,
     cond: Condvar,
-    /// Maximum time a rank may wait inside one gather before giving up
-    /// with [`GatherTimeout`]. `None` (the default) waits forever — the
-    /// status-quo behavior every fault-free path keeps.
-    timeout: Option<Duration>,
 }
-
-/// A collective rendezvous expired: some participant never arrived within
-/// the hub's timeout. Names the ranks whose deposits were still missing,
-/// so a failure detector can point at the wedged rank instead of hanging.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GatherTimeout {
-    /// Rendezvous label the waiter was parked on.
-    pub label: &'static str,
-    /// The rank that gave up waiting.
-    pub rank: usize,
-    /// Ranks that had not deposited when the timeout expired.
-    pub missing: Vec<usize>,
-}
-
-impl std::fmt::Display for GatherTimeout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "collective '{}' timed out on rank {}: no deposit from ranks {:?}",
-            self.label, self.rank, self.missing
-        )
-    }
-}
-
-impl std::error::Error for GatherTimeout {}
 
 impl CollectiveHub {
     /// Creates a hub for `nranks` participants.
     pub fn new(nranks: usize) -> Self {
-        Self::with_timeout(nranks, None)
-    }
-
-    /// Creates a hub whose gathers give up with [`GatherTimeout`] after
-    /// `timeout` (when `Some`) instead of waiting forever.
-    pub fn with_timeout(nranks: usize, timeout: Option<Duration>) -> Self {
         Self {
             nranks,
             state: Mutex::new(HubState {
@@ -218,15 +214,21 @@ impl CollectiveHub {
                 alive: nranks,
             }),
             cond: Condvar::new(),
-            timeout,
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, HubState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, st: MutexGuard<'a, HubState>) -> MutexGuard<'a, HubState> {
+        self.cond.wait(st).unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Endpoints currently attached to the fabric (each
-    /// [`ChannelTransport`] detaches on drop). A poisoned hub — some rank
-    /// panicked mid-gather — reports zero: the fabric is unusable.
+    /// [`ChannelTransport`] detaches on drop).
     pub fn attached(&self) -> usize {
-        self.state.lock().map(|st| st.alive).unwrap_or(0)
+        self.lock().alive
     }
 
     /// Deposits `payload` for `rank` and blocks until every rank has
@@ -234,38 +236,22 @@ impl CollectiveHub {
     ///
     /// # Panics
     ///
-    /// Panics — instead of blocking forever — when a peer endpoint drops
-    /// off the fabric while this generation's deposits are still
-    /// incomplete (a shard panicked mid-cycle, or its thread was torn
-    /// down). Ranks that already deposited are themselves blocked in this
-    /// gather, so an endpoint can only disappear *before* depositing; its
-    /// generation can then never complete and every waiter unblocks by
-    /// panicking, which the conductor surfaces as a failed run.
+    /// With a [`PeerLost`] payload — instead of blocking forever — when a
+    /// peer endpoint drops off the fabric while this generation's deposits
+    /// are still incomplete (a shard panicked mid-cycle, or its thread was
+    /// torn down). Ranks that already deposited are themselves blocked in
+    /// this gather, so an endpoint can only disappear *before* depositing;
+    /// its generation can then never complete and every waiter raises
+    /// [`PeerLost`], which the conductor classifies as a cascade. Panics
+    /// with a message on a label mismatch (a program error).
     fn gather(&self, rank: usize, label: &'static str, payload: Vec<u8>) -> Vec<Vec<u8>> {
-        self.try_gather(rank, label, payload)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::gather`] with an error path: when the hub was built with a
-    /// timeout and some participant never arrives within it, returns
-    /// [`GatherTimeout`] naming the missing ranks instead of blocking
-    /// forever. (The panic-on-abandon liveness check still fires first
-    /// when a peer *disconnects* — that is a detected death, not a
-    /// timeout.)
-    pub fn try_gather(
-        &self,
-        rank: usize,
-        label: &'static str,
-        payload: Vec<u8>,
-    ) -> Result<Vec<Vec<u8>>, GatherTimeout> {
-        let deadline = self.timeout.map(|t| Instant::now() + t);
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         // Wait out the previous generation: our deposit slot must be free
         // and no published result may linger (we would steal it). This
         // wait needs no liveness check: a published result is always taken
         // (every rank that deposited is blocked here until it takes).
         while st.result.is_some() || st.deposits[rank].is_some() {
-            st = self.wait(st, deadline, rank, label)?;
+            st = self.wait(st);
         }
         match st.label {
             None => st.label = Some(label),
@@ -277,77 +263,38 @@ impl CollectiveHub {
         }
         st.deposits[rank] = Some(payload);
         if st.deposits.iter().all(Option::is_some) {
-            let all: Vec<Vec<u8>> = st.deposits.iter_mut().map(|d| d.take().unwrap()).collect();
+            let all = st.deposits.iter_mut().filter_map(Option::take).collect();
             st.result = Some(Arc::new(all));
             st.taken = 0;
             st.label = None;
             self.cond.notify_all();
-        } else {
-            loop {
-                if st.result.is_some() {
-                    break;
-                }
-                assert!(
-                    st.alive >= self.nranks,
-                    "collective '{label}' abandoned on rank {rank}: a peer endpoint \
-                     disconnected before depositing"
-                );
-                st = self.wait(st, deadline, rank, label)?;
-            }
         }
-        let out = st.result.as_ref().unwrap().as_ref().clone();
+        let result = loop {
+            if let Some(result) = &st.result {
+                break Arc::clone(result);
+            }
+            if st.alive < self.nranks {
+                drop(st);
+                std::panic::panic_any(PeerLost { rank, wait: label });
+            }
+            st = self.wait(st);
+        };
         st.taken += 1;
         if st.taken == self.nranks {
             st.result = None;
             self.cond.notify_all();
         }
-        Ok(out)
-    }
-
-    /// One condvar wait, bounded by `deadline` when the hub has a timeout.
-    /// On expiry returns [`GatherTimeout`] listing the ranks that never
-    /// deposited into the current generation.
-    fn wait<'a>(
-        &'a self,
-        st: std::sync::MutexGuard<'a, HubState>,
-        deadline: Option<Instant>,
-        rank: usize,
-        label: &'static str,
-    ) -> Result<std::sync::MutexGuard<'a, HubState>, GatherTimeout> {
-        match deadline {
-            None => Ok(self.cond.wait(st).unwrap()),
-            Some(deadline) => {
-                let left = deadline.saturating_duration_since(Instant::now());
-                let (st, timed_out) = self.cond.wait_timeout(st, left).unwrap();
-                if timed_out.timed_out() && Instant::now() >= deadline {
-                    let missing: Vec<usize> = st
-                        .deposits
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, d)| d.is_none())
-                        .map(|(r, _)| r)
-                        .collect();
-                    return Err(GatherTimeout {
-                        label,
-                        rank,
-                        missing,
-                    });
-                }
-                Ok(st)
-            }
-        }
+        result.as_ref().clone()
     }
 
     /// Detaches one endpoint (called when a [`ChannelTransport`] drops) and
     /// wakes every waiter so ranks parked on the departed peer's deposit
-    /// re-check liveness. Tolerates a poisoned hub: if a rank panicked
-    /// inside [`Self::gather`] the remaining ranks already unblock through
-    /// the poisoned mutex, and this drop path must not double-panic.
+    /// re-check liveness — also when the departing rank poisoned the hub
+    /// by panicking inside [`Self::gather`].
     fn leave(&self) {
-        if let Ok(mut st) = self.state.lock() {
-            st.alive = st.alive.saturating_sub(1);
-            self.cond.notify_all();
-        }
+        let mut st = self.lock();
+        st.alive = st.alive.saturating_sub(1);
+        self.cond.notify_all();
     }
 }
 
@@ -401,7 +348,7 @@ impl Transport for ChannelTransport {
         }
         // A peer hanging up (panicked shard) surfaces as a send error; the
         // message is simply dropped — the run is already doomed and the
-        // conductor will propagate the panic.
+        // next wait on this rank raises PeerLost.
         if let Some(tx) = &self.peers[dst] {
             let _ = tx.send(msg);
         }
@@ -429,21 +376,9 @@ impl Transport for ChannelTransport {
 /// is for rank `r`'s shard. All endpoints share one sequence counter and
 /// one collective hub.
 pub fn channel_fabric(nranks: usize) -> Vec<ChannelTransport> {
-    channel_fabric_with_timeout(nranks, None)
-}
-
-/// [`channel_fabric`] with a collective-rendezvous timeout: a gather whose
-/// peers never arrive within `timeout` panics with a [`GatherTimeout`]
-/// message naming the missing ranks, instead of blocking forever. The
-/// failure-detecting conductor uses this so a wedged (not dead) rank is
-/// classified instead of hanging the run.
-pub fn channel_fabric_with_timeout(
-    nranks: usize,
-    timeout: Option<Duration>,
-) -> Vec<ChannelTransport> {
     assert!(nranks > 0, "fabric needs at least one rank");
     let seq = Arc::new(AtomicU64::new(0));
-    let hub = Arc::new(CollectiveHub::with_timeout(nranks, timeout));
+    let hub = Arc::new(CollectiveHub::new(nranks));
     let (senders, receivers): (Vec<_>, Vec<_>) =
         (0..nranks).map(|_| std::sync::mpsc::channel()).unzip();
     receivers
@@ -467,6 +402,8 @@ pub fn channel_fabric_with_timeout(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::time::Duration;
 
     fn msg(src: usize, dst: usize, tag: u32, payload: Vec<f64>) -> WireMessage {
         WireMessage {
@@ -540,24 +477,74 @@ mod tests {
         }
     }
 
+    /// Blocks until `rank` has deposited into the hub's open generation.
+    fn wait_for_deposit(hub: &CollectiveHub, rank: usize) {
+        while hub.lock().deposits[rank].is_none() {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "collective rendezvous mismatch")]
     fn hub_panics_on_label_mismatch() {
+        // Rank 1 deposits under "b"; rank 0 then joins "a", which panics
+        // and poisons the hub. Once rank 0's endpoint leaves, rank 1 raises
+        // PeerLost instead of waiting on the poisoned hub forever.
         let hub = Arc::new(CollectiveHub::new(2));
-        let h2 = Arc::clone(&hub);
-        // The worker deposits under label "b" and blocks awaiting rank 0;
-        // it is intentionally leaked (the panic below poisons the hub).
-        std::thread::spawn(move || h2.gather(1, "b", vec![]));
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        hub.gather(0, "a", vec![]);
+        let h1 = Arc::clone(&hub);
+        let peer = std::thread::spawn(move || h1.gather(1, "b", vec![]));
+        wait_for_deposit(&hub, 1);
+        let mismatch = std::panic::catch_unwind(AssertUnwindSafe(|| hub.gather(0, "a", vec![])))
+            .expect_err("mismatched labels panic");
+        let text = mismatch
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            text.contains("collective rendezvous mismatch"),
+            "unexpected panic: {text}"
+        );
+        // What rank 0's endpoint does as its thread unwinds.
+        hub.leave();
+        let lost = peer.join().expect_err("the peer must not return");
+        assert_eq!(
+            lost.downcast_ref::<PeerLost>(),
+            Some(&PeerLost { rank: 1, wait: "b" })
+        );
+    }
+
+    #[test]
+    fn a_rank_panicking_in_the_hub_does_not_strand_its_peer() {
+        // The same mismatch between two real endpoints: the panicking
+        // rank's endpoint leaves as its thread unwinds, and the peer must
+        // end with PeerLost within a bounded wait, not block forever.
+        let mut fabric = channel_fabric(2);
+        let hub = Arc::clone(&fabric[0].hub);
+        let mut t1 = fabric.pop().unwrap();
+        let mut t0 = fabric.pop().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let peer = std::thread::spawn(move || {
+            let out =
+                std::panic::catch_unwind(AssertUnwindSafe(|| t1.all_gather_bytes("b", vec![])));
+            let _ = tx.send(out.map_err(|p| p.downcast_ref::<PeerLost>().copied()));
+        });
+        wait_for_deposit(&hub, 1);
+        std::thread::spawn(move || t0.all_gather_bytes("a", vec![]))
+            .join()
+            .expect_err("mismatched labels panic");
+        let got = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the peer ends within 5 s instead of hanging");
+        assert_eq!(got, Err(Some(PeerLost { rank: 1, wait: "b" })));
+        peer.join().unwrap();
     }
 
     #[test]
     fn dropped_endpoint_unblocks_gather_waiters() {
         // Two ranks rendezvous while the third endpoint is torn down
-        // without ever depositing (the preempt path): the waiters must
-        // panic promptly instead of deadlocking.
+        // without ever depositing (the preempt path): both waiters must
+        // raise PeerLost promptly instead of deadlocking.
         let mut fabric = channel_fabric(3);
+        let hub = Arc::clone(&fabric[0].hub);
         let dropped = fabric.pop().unwrap();
         let waiters: Vec<_> = fabric
             .into_iter()
@@ -567,21 +554,17 @@ mod tests {
                 })
             })
             .collect();
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        wait_for_deposit(&hub, 0);
+        wait_for_deposit(&hub, 1);
         drop(dropped);
-        for h in waiters {
-            // One waiter panics on the liveness check; the other may
-            // instead unblock through the then-poisoned hub mutex. Either
-            // way: a prompt panic, never a hang.
+        for (rank, h) in waiters.into_iter().enumerate() {
             let err = h.join().expect_err("waiter must panic, not hang");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            assert!(
-                msg.contains("abandoned") || msg.contains("Poison"),
-                "unexpected panic: {msg}"
+            assert_eq!(
+                err.downcast_ref::<PeerLost>(),
+                Some(&PeerLost {
+                    rank,
+                    wait: "doomed"
+                })
             );
         }
     }
@@ -605,33 +588,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn gather_timeout_returns_error_naming_missing_ranks() {
-        // Rank 0 gathers alone on a 3-rank hub with a short timeout; ranks
-        // 1 and 2 never arrive. The wait must end in an error naming them —
-        // not a hang, not a panic.
-        let hub = CollectiveHub::with_timeout(3, Some(Duration::from_millis(50)));
-        let err = hub
-            .try_gather(0, "lonely", vec![7])
-            .expect_err("no peers ever deposit");
-        assert_eq!(err.label, "lonely");
-        assert_eq!(err.rank, 0);
-        assert_eq!(err.missing, vec![1, 2]);
-        assert!(err.to_string().contains("timed out"));
-    }
-
-    #[test]
-    fn gather_without_timeout_is_unaffected_by_the_timeout_plumbing() {
-        // The default fabric keeps the wait-forever semantics: a full
-        // rendezvous completes exactly as before.
-        let hub = Arc::new(CollectiveHub::new(2));
-        let h2 = Arc::clone(&hub);
-        let t = std::thread::spawn(move || h2.try_gather(1, "ok", vec![1]).unwrap());
-        let got = hub.try_gather(0, "ok", vec![0]).unwrap();
-        assert_eq!(got, vec![vec![0], vec![1]]);
-        assert_eq!(t.join().unwrap(), got);
     }
 
     #[test]

@@ -189,13 +189,12 @@ pub fn critical_path(g: &SpanGraph) -> CriticalPath {
 }
 
 /// Names of the attribution buckets, in reporting order.
-pub const BUCKET_NAMES: [&str; 7] = [
+pub const BUCKET_NAMES: [&str; 6] = [
     "compute",
     "pack_serialization",
     "late_sender",
     "collective_imbalance",
     "migration_stall",
-    "recovery_stall",
     "idle",
 ];
 
@@ -217,25 +216,19 @@ pub struct WaitBuckets {
     pub collective_imbalance_ns: u64,
     /// Regrid migration fetch blocking, ns.
     pub migration_stall_ns: u64,
-    /// Fault-recovery overhead: detecting a dead rank, tearing down the
-    /// session, and rebuilding from the last checkpoint, ns. Zero on
-    /// fault-free runs; filled in by the resilient conductor, not by
-    /// per-rank span attribution.
-    pub recovery_stall_ns: u64,
     /// Everything else: sweep overhead, barriers, bookkeeping, ns.
     pub idle_ns: u64,
 }
 
 impl WaitBuckets {
     /// Bucket values in [`BUCKET_NAMES`] order.
-    pub fn as_array(&self) -> [(&'static str, u64); 7] {
+    pub fn as_array(&self) -> [(&'static str, u64); 6] {
         [
             ("compute", self.compute_ns),
             ("pack_serialization", self.pack_serialization_ns),
             ("late_sender", self.late_sender_ns),
             ("collective_imbalance", self.collective_imbalance_ns),
             ("migration_stall", self.migration_stall_ns),
-            ("recovery_stall", self.recovery_stall_ns),
             ("idle", self.idle_ns),
         ]
     }
@@ -272,7 +265,6 @@ impl WaitBuckets {
         self.late_sender_ns += other.late_sender_ns;
         self.collective_imbalance_ns += other.collective_imbalance_ns;
         self.migration_stall_ns += other.migration_stall_ns;
-        self.recovery_stall_ns += other.recovery_stall_ns;
         self.idle_ns += other.idle_ns;
     }
 }
@@ -316,9 +308,6 @@ pub fn attribute_rank<'a>(
         late_sender_ns: late,
         collective_imbalance_ns: probes.collective_block_ns,
         migration_stall_ns: probes.migration_stall_ns,
-        // Per-rank spans never see recovery: the conductor charges
-        // checkpoint-restore overhead into this bucket after the fact.
-        recovery_stall_ns: 0,
         // Stray spins (non-CommWait Incomplete polls — rare) count as
         // idle along with the unaccounted remainder.
         idle_ns: wall_ns.saturating_sub(accounted) + stray_spin,

@@ -17,15 +17,20 @@
 //!
 //! See [`run_distributed`] for the entry point; this crate's tests show a
 //! complete wiring example against the driver as the bitwise reference.
+//!
+//! A rank that dies is noticed one way: its endpoint leaves the fabric,
+//! every peer waiting on it raises [`PeerLost`], and the conductor reports
+//! the root cause — classified by panic payload type — as a
+//! [`SessionError`]. [`run_resilient`] recovers from it by replaying from
+//! the last checkpoint on the surviving ranks.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vibe_comm::{
-    channel_fabric_with_timeout, match_cross_edges, validate_multirank_event_order, CommEvent,
+    channel_fabric, match_cross_edges, validate_multirank_event_order, CommEvent, PeerLost,
     Transport,
 };
 use vibe_core::driver::CycleSummary;
@@ -152,56 +157,54 @@ fn rank_thread(rank: usize) -> std::thread::Builder {
 }
 
 /// One rank thread's classified death: who, why, and whether the fault
-/// plan did it.
+/// plan did it or it is the consequence of another rank's death.
 #[derive(Debug, Clone)]
 struct RankFailure {
     rank: usize,
     payload: String,
     injected: bool,
+    /// The rank raised [`PeerLost`]: it died because a peer did.
+    cascade: bool,
 }
 
 impl RankFailure {
-    /// Extracts a readable payload from a joined thread's panic value and
-    /// recognizes the fault layer's [`InjectedKill`] marker.
+    /// Classifies a joined thread's panic value by its type: the fault
+    /// layer's [`InjectedKill`] is injected, the fabric's [`PeerLost`] is a
+    /// cascade, anything else is an origin.
     fn from_payload(rank: usize, p: &(dyn std::any::Any + Send)) -> Self {
-        let (payload, injected) = if let Some(k) = p.downcast_ref::<InjectedKill>() {
-            (k.to_string(), true)
+        let (payload, injected, cascade) = if let Some(k) = p.downcast_ref::<InjectedKill>() {
+            (k.to_string(), true, false)
+        } else if let Some(lost) = p.downcast_ref::<PeerLost>() {
+            (lost.to_string(), false, true)
         } else if let Some(s) = p.downcast_ref::<String>() {
-            (s.clone(), false)
+            (s.clone(), false, false)
         } else if let Some(s) = p.downcast_ref::<&str>() {
-            (s.to_string(), false)
+            (s.to_string(), false, false)
         } else {
-            ("opaque panic payload".to_string(), false)
+            ("opaque panic payload".to_string(), false, false)
         };
         Self {
             rank,
             payload,
             injected,
+            cascade,
         }
-    }
-
-    /// Whether this payload looks like a *consequence* of another rank's
-    /// death (abandoned collective, poisoned hub, disconnected fabric)
-    /// rather than the original failure.
-    fn is_cascade(&self) -> bool {
-        let p = &self.payload;
-        p.contains("abandoned") || p.contains("Poison") || p.contains("disconnected")
     }
 }
 
 /// Picks the root cause out of a set of concurrent rank failures: an
-/// injected kill wins, then the first non-cascade payload, then whatever
-/// came first. Returns `None` when nothing failed.
-fn pick_root_cause(failures: Vec<RankFailure>) -> Option<SessionError> {
+/// injected kill wins, then the first origin, then whatever came first.
+/// Returns `None` when nothing failed.
+fn pick_root_cause(mut failures: Vec<RankFailure>) -> Option<SessionError> {
     if failures.is_empty() {
         return None;
     }
     let best = failures
         .iter()
         .position(|f| f.injected)
-        .or_else(|| failures.iter().position(|f| !f.is_cascade()))
+        .or_else(|| failures.iter().position(|f| !f.cascade))
         .unwrap_or(0);
-    let f = failures.into_iter().nth(best).expect("index in range");
+    let f = failures.swap_remove(best);
     Some(SessionError::RankFailed {
         rank: f.rank,
         payload: f.payload,
@@ -381,31 +384,24 @@ enum Reply {
 
 /// A distributed run failed — classified, not hung.
 ///
-/// A single shard panic cascades: its dropped transport abandons the
-/// collective hub, unblocking peers by panicking, and the mailbox's
-/// fabric-health check panics spinning point-to-point waiters, so the
-/// whole session reports failure instead of deadlocking. The conductor
-/// then classifies the concurrent panics down to the root cause.
+/// A single shard panic cascades: its dropped transport leaves the fabric,
+/// and every peer waiting on it — in a collective, a boundary message or a
+/// migration fetch — raises [`PeerLost`], so the whole session reports
+/// failure instead of deadlocking. The conductor joins every rank and
+/// classifies the concurrent panics by payload type down to the root cause.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
     /// A specific rank thread died. `payload` carries its panic message;
     /// `injected` is true when the fault plan's kill trigger caused it
     /// (an expected, recoverable death rather than a bug).
     RankFailed {
-        /// The rank whose thread died first (root cause, not cascade).
+        /// The rank whose death caused the others' (root cause, not
+        /// cascade).
         rank: usize,
         /// The panic payload, rendered.
         payload: String,
         /// True when the death was injected by a [`FaultPlan`] kill.
         injected: bool,
-    },
-    /// A rank made no progress within the failure detector's window (it
-    /// is wedged, not dead — its thread cannot be joined safely).
-    Stalled {
-        /// The unresponsive rank.
-        rank: usize,
-        /// The detector window that expired.
-        window: Duration,
     },
     /// The failure could not be attributed to one rank.
     Failed(String),
@@ -423,10 +419,6 @@ impl std::fmt::Display for SessionError {
                 "rt session failed: rank {rank} died{}: {payload}",
                 if *injected { " (injected)" } else { "" }
             ),
-            SessionError::Stalled { rank, window } => write!(
-                f,
-                "rt session failed: rank {rank} made no progress within {window:?}"
-            ),
             SessionError::Failed(msg) => write!(f, "rt session failed: {msg}"),
         }
     }
@@ -442,14 +434,6 @@ pub struct SessionOptions {
     /// honor the plan's kill trigger at cycle boundaries. A plan whose
     /// rates are zero and whose kill is `None` is byte-for-byte neutral.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Collective rendezvous timeout (see
-    /// [`channel_fabric_with_timeout`]): converts a wedged-rank hang
-    /// into a prompt classified failure.
-    pub collective_timeout: Option<Duration>,
-    /// Failure-detector window for the conductor's reply waits: when no
-    /// rank makes progress for this long, the wait is classified as
-    /// [`SessionError::Stalled`] instead of blocking forever.
-    pub detector_timeout: Option<Duration>,
     /// Absolute cycle number the replicas start at (non-zero when the
     /// session resumes a checkpoint); the kill trigger compares against
     /// absolute cycles so recovery replays line up with the plan.
@@ -476,8 +460,8 @@ type RankExit = (Vec<CycleSummary>, u64, ShardOutput);
 /// Dropping a session without calling [`finish`] is the preempt path: the
 /// conductor hangs up the command channels, every rank thread exits its
 /// loop, finishes its shard, and is joined — no thread leaks and no
-/// gather-hub deadlock (an interrupted collective is abandoned by the
-/// departing endpoints).
+/// gather-hub deadlock (a rank still waiting on a departed endpoint raises
+/// [`PeerLost`]).
 ///
 /// [`checkpoint`]: RtSession::checkpoint
 /// [`finish`]: RtSession::finish
@@ -486,11 +470,7 @@ pub struct RtSession<P: Package> {
     cycles: u64,
     cmd_tx: Vec<Sender<Cmd>>,
     reply_rx: Vec<Receiver<Reply>>,
-    handles: Vec<Option<std::thread::JoinHandle<RankExit>>>,
-    /// Per-rank absolute cycle counters, bumped by the rank threads after
-    /// every completed cycle — the failure detector's progress epochs.
-    progress: Arc<Vec<AtomicU64>>,
-    opts: SessionOptions,
+    handles: Vec<std::thread::JoinHandle<RankExit>>,
     epoch: Instant,
     _marker: std::marker::PhantomData<fn() -> P>,
 }
@@ -509,9 +489,8 @@ impl<P: Package> RtSession<P> {
         Self::with_options(nranks, SessionOptions::default(), make_replica)
     }
 
-    /// [`RtSession::new`] with conductor options: fault injection,
-    /// collective timeout, failure-detector window, and the absolute
-    /// start cycle for resumed checkpoints.
+    /// [`RtSession::new`] with conductor options: fault injection and the
+    /// absolute start cycle for resumed checkpoints.
     pub fn with_options<F>(nranks: usize, opts: SessionOptions, make_replica: F) -> Self
     where
         F: Fn() -> Driver<P> + Send + Sync + 'static,
@@ -523,19 +502,13 @@ impl<P: Package> RtSession<P> {
         // without underflow.
         let epoch = span_epoch();
         let make_replica: Arc<F> = Arc::new(make_replica);
-        let progress: Arc<Vec<AtomicU64>> = Arc::new(
-            (0..nranks)
-                .map(|_| AtomicU64::new(opts.start_cycle))
-                .collect(),
-        );
         let mut cmd_tx = Vec::with_capacity(nranks);
         let mut reply_rx = Vec::with_capacity(nranks);
-        let handles: Vec<_> = channel_fabric_with_timeout(nranks, opts.collective_timeout)
+        let handles: Vec<_> = channel_fabric(nranks)
             .into_iter()
             .map(|transport| {
                 let make = Arc::clone(&make_replica);
                 let plan = opts.fault_plan.clone();
-                let beats = Arc::clone(&progress);
                 let start_cycle = opts.start_cycle;
                 let (ctx, crx) = std::sync::mpsc::channel::<Cmd>();
                 let (rtx, rrx) = std::sync::mpsc::channel::<Reply>();
@@ -579,7 +552,6 @@ impl<P: Package> RtSession<P> {
                                     }
                                     summaries.push(shard.step());
                                     cur += 1;
-                                    beats[rank].store(cur, Ordering::SeqCst);
                                 }
                                 wall_ns += start.elapsed().as_nanos() as u64;
                                 all.extend(summaries.iter().cloned());
@@ -597,7 +569,7 @@ impl<P: Package> RtSession<P> {
                     shard.barrier("rt-session-end");
                     (all, wall_ns, shard.finish())
                 });
-                Some(spawned.expect("spawn rank thread"))
+                spawned.expect("spawn rank thread")
             })
             .collect();
         Self {
@@ -606,124 +578,50 @@ impl<P: Package> RtSession<P> {
             cmd_tx,
             reply_rx,
             handles,
-            progress,
-            opts,
             epoch,
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Classifies dead ranks into the root-cause [`SessionError`]:
-    /// disconnected ranks are joined (their threads have exited) and
-    /// their panic payloads inspected; wedged ranks are reported as
-    /// stalled without joining (their threads may still be blocked).
-    fn classify(&mut self, dead: Vec<(usize, bool)>) -> SessionError {
-        let mut failures = Vec::new();
-        let mut stalled: Option<usize> = None;
-        for (rank, disconnected) in dead {
-            if !disconnected {
-                // Wedged, not dead: its thread may still be blocked, so
-                // joining could hang. Only report it if nothing joinable
-                // explains the failure.
-                stalled.get_or_insert(rank);
-                continue;
-            }
-            match self.handles[rank].take() {
-                Some(h) => match h.join() {
-                    Err(p) => failures.push(RankFailure::from_payload(rank, &*p)),
-                    Ok(_) => failures.push(RankFailure {
-                        rank,
-                        payload: "rank thread exited before the session finished".into(),
-                        injected: false,
-                    }),
-                },
-                None => failures.push(RankFailure {
-                    rank,
-                    payload: "rank thread already joined".into(),
-                    injected: false,
-                }),
-            }
-        }
-        if let Some(err) = pick_root_cause(failures) {
-            return err;
-        }
-        match stalled {
-            Some(rank) => SessionError::Stalled {
-                rank,
-                window: self.opts.detector_timeout.unwrap_or_default(),
-            },
-            None => SessionError::Failed("unattributable rank failure".into()),
-        }
+    /// The session has lost a rank: hangs up every command channel and
+    /// joins every rank thread, then classifies their panics into the
+    /// root-cause [`SessionError`]. No join can hang: a rank blocked on a
+    /// peer raises [`PeerLost`] once that peer's endpoint has left, and an
+    /// idle rank leaves its command loop and does the same in its final
+    /// barrier.
+    fn fail(&mut self) -> SessionError {
+        self.cmd_tx.clear();
+        let failures = self
+            .handles
+            .drain(..)
+            .enumerate()
+            .filter_map(|(rank, h)| h.join().err().map(|p| RankFailure::from_payload(rank, &*p)))
+            .collect();
+        pick_root_cause(failures)
+            .unwrap_or_else(|| SessionError::Failed("unattributable rank failure".into()))
     }
 
-    /// Broadcasts one command; a hung-up rank is classified immediately.
+    /// Broadcasts one command; a hung-up rank fails the session.
     fn broadcast(&mut self, cmd: Cmd) -> Result<(), SessionError> {
-        let dead: Vec<(usize, bool)> = self
-            .cmd_tx
-            .iter()
-            .enumerate()
-            .filter(|(_, tx)| tx.send(cmd).is_err())
-            .map(|(rank, _)| (rank, true))
-            .collect();
-        if dead.is_empty() {
+        if self.cmd_tx.iter().all(|tx| tx.send(cmd).is_ok()) {
             Ok(())
         } else {
-            Err(self.classify(dead))
+            Err(self.fail())
         }
     }
 
-    /// Receives one reply per rank, running the failure detector: a
-    /// disconnected reply channel means the rank thread died (join and
-    /// classify); a detector-window expiry with *no* progress anywhere on
-    /// the fabric means a wedge (classify as stalled). Progress on any
-    /// rank resets the window — slow is not dead.
-    fn recv_all(&mut self) -> Result<Vec<Reply>, SessionError> {
-        let mut replies = Vec::with_capacity(self.nranks);
-        let mut dead: Vec<(usize, bool)> = Vec::new();
-        for (rank, rx) in self.reply_rx.iter().enumerate() {
-            let got = match self.opts.detector_timeout {
-                None => rx.recv().map_err(|_| true),
-                Some(window) => {
-                    let sum =
-                        || -> u64 { self.progress.iter().map(|p| p.load(Ordering::SeqCst)).sum() };
-                    let mut last = sum();
-                    loop {
-                        match rx.recv_timeout(window) {
-                            Ok(r) => break Ok(r),
-                            Err(RecvTimeoutError::Disconnected) => break Err(true),
-                            Err(RecvTimeoutError::Timeout) => {
-                                let now = sum();
-                                if now == last {
-                                    break Err(false);
-                                }
-                                last = now;
-                            }
-                        }
-                    }
-                }
-            };
-            match got {
-                Ok(reply) => replies.push(reply),
-                Err(disconnected) => {
-                    dead.push((rank, disconnected));
-                    // The first death cascades; drain the remaining ranks
-                    // without waiting on the detector again (their channels
-                    // disconnect as their threads unwind, or they reply).
-                    for (r, rx) in self.reply_rx.iter().enumerate().skip(rank + 1) {
-                        match rx.recv_timeout(Duration::from_millis(500)) {
-                            Ok(reply) => replies.push(reply),
-                            Err(RecvTimeoutError::Disconnected) => dead.push((r, true)),
-                            Err(RecvTimeoutError::Timeout) => dead.push((r, false)),
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        if dead.is_empty() {
-            Ok(replies)
-        } else {
-            Err(self.classify(dead))
+    /// Waits for every rank's reply to one broadcast and returns rank 0's
+    /// (all ranks reply in kind). A disconnected reply channel means its
+    /// rank thread died, and fails the session.
+    fn recv_all(&mut self) -> Result<Reply, SessionError> {
+        match self
+            .reply_rx
+            .iter()
+            .map(Receiver::recv)
+            .collect::<Result<Vec<_>, _>>()
+        {
+            Ok(mut replies) => Ok(replies.swap_remove(0)),
+            Err(_) => Err(self.fail()),
         }
     }
 
@@ -745,24 +643,15 @@ impl<P: Package> RtSession<P> {
     /// [`SessionError`] when a rank thread has failed.
     pub fn run(&mut self, n: u64) -> Result<Vec<CycleSummary>, SessionError> {
         self.broadcast(Cmd::Run(n))?;
-        let replies = self.recv_all()?;
-        let mut first: Option<Vec<CycleSummary>> = None;
-        for (rank, reply) in replies.into_iter().enumerate() {
-            match reply {
-                Reply::Ran(summaries) => {
-                    if rank == 0 {
-                        first = Some(summaries);
-                    }
-                }
-                Reply::Snapshot(_) => {
-                    return Err(SessionError::Failed(
-                        "protocol mismatch: unexpected snapshot".into(),
-                    ))
-                }
+        match self.recv_all()? {
+            Reply::Ran(summaries) => {
+                self.cycles += n;
+                Ok(summaries)
             }
+            Reply::Snapshot(_) => Err(SessionError::Failed(
+                "protocol mismatch: unexpected snapshot".into(),
+            )),
         }
-        self.cycles += n;
-        Ok(first.expect("rank 0 replied"))
     }
 
     /// Assembles a full checkpoint at the current cycle boundary: every
@@ -776,23 +665,12 @@ impl<P: Package> RtSession<P> {
     /// [`SessionError`] when a rank thread has failed.
     pub fn checkpoint(&mut self) -> Result<Snapshot, SessionError> {
         self.broadcast(Cmd::Checkpoint)?;
-        let replies = self.recv_all()?;
-        let mut snap: Option<Box<Snapshot>> = None;
-        for (rank, reply) in replies.into_iter().enumerate() {
-            match reply {
-                Reply::Snapshot(s) => {
-                    if rank == 0 {
-                        snap = Some(s);
-                    }
-                }
-                Reply::Ran(_) => {
-                    return Err(SessionError::Failed(
-                        "protocol mismatch: unexpected summaries".into(),
-                    ))
-                }
-            }
+        match self.recv_all()? {
+            Reply::Snapshot(snap) => Ok(*snap),
+            Reply::Ran(_) => Err(SessionError::Failed(
+                "protocol mismatch: unexpected summaries".into(),
+            )),
         }
-        Ok(*snap.expect("rank 0 replied"))
     }
 
     /// Finishes the session: joins every rank thread and merges their
@@ -813,7 +691,6 @@ impl<P: Package> RtSession<P> {
         let mut results = Vec::with_capacity(self.handles.len());
         let mut failures = Vec::new();
         for (rank, h) in self.handles.drain(..).enumerate() {
-            let Some(h) = h else { continue };
             match h.join() {
                 Ok(out) => results.push(out),
                 Err(p) => failures.push(RankFailure::from_payload(rank, &*p)),
@@ -821,6 +698,11 @@ impl<P: Package> RtSession<P> {
         }
         if let Some(err) = pick_root_cause(failures) {
             return Err(err);
+        }
+        if results.len() < self.nranks {
+            return Err(SessionError::Failed(
+                "the session already lost a rank".into(),
+            ));
         }
         Ok(merge_shard_results(
             self.nranks,
@@ -837,9 +719,9 @@ impl<P: Package> Drop for RtSession<P> {
     /// [`finish`](RtSession::finish) (everything is already drained).
     fn drop(&mut self) {
         self.cmd_tx.clear();
-        for h in self.handles.drain(..).flatten() {
-            // A panicked thread already unblocked its peers through the
-            // collective hub's liveness check; nothing to propagate here.
+        for h in self.handles.drain(..) {
+            // A panicked thread's endpoint already left the fabric, so its
+            // peers raised PeerLost; nothing to propagate here.
             let _ = h.join();
         }
     }
@@ -1461,6 +1343,33 @@ mod tests {
         }
     }
 
+    /// The root cause is picked by payload type, not text: rank 1 dies of a
+    /// genuine panic whose message happens to say "disconnected", rank 0
+    /// dies of the cascade (`PeerLost`) — and rank 1 is the one reported.
+    #[test]
+    fn root_cause_is_classified_by_payload_type() {
+        let mut session = RtSession::new(2, || {
+            if std::thread::current().name() == Some("vibe-rt-rank-1") {
+                panic!("replica build failed: input stream disconnected");
+            }
+            replica(2, 1)
+        });
+        let err = session.run(2).expect_err("rank 1 never built its shard");
+        match err {
+            SessionError::RankFailed {
+                rank,
+                payload,
+                injected,
+            } => {
+                assert_eq!((rank, injected), (1, false), "payload: {payload}");
+                assert!(payload.contains("disconnected"), "payload: {payload}");
+            }
+            other => panic!("expected RankFailed, got: {other}"),
+        }
+        // The failure joined every rank; finishing now reports, not panics.
+        assert!(matches!(session.finish(), Err(SessionError::Failed(_))));
+    }
+
     /// The tentpole invariant: killing any rank at any cycle boundary
     /// recovers automatically — restore from the last checkpoint,
     /// re-partition onto the shrunken geometry, replay — to the exact
@@ -1473,9 +1382,7 @@ mod tests {
             for victim in [0usize, 1] {
                 let plan = kill_plan(victim, kill_cycle);
                 let opts = ResilienceOptions {
-                    checkpoint_every: 2,
                     fault_plan: Some(Arc::clone(&plan)),
-                    ..ResilienceOptions::default()
                 };
                 let (run, report) = run_resilient(2, cycles, opts, |snap, nranks| match snap {
                     None => replica(nranks, 1),

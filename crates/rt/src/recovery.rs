@@ -1,57 +1,38 @@
 //! Checkpoint-based automatic rank recovery: the elastic, fault-tolerant
 //! conductor loop on top of [`RtSession`].
 //!
-//! [`run_resilient`] advances a distributed run in checkpoint-cadenced
-//! slices. When a rank dies — injected by a [`FaultPlan`] kill or a real
-//! panic — the failure is classified (root cause, not cascade), the dead
-//! session is torn down, the surviving geometry shrinks by one rank
-//! (down to a floor), and a fresh session is rebuilt from the last
-//! checkpoint via the caller's factory, which re-partitions the dead
-//! rank's blocks onto the remaining ranks. The bitwise-reproducibility
+//! [`run_resilient`] advances a distributed run in two-cycle slices,
+//! checkpointing between them. When a rank
+//! dies — injected by a [`FaultPlan`] kill or a real panic — the failure is
+//! classified (root cause, not cascade), the dead session is torn down,
+//! the surviving geometry shrinks by one rank (never below one), and a
+//! fresh session is rebuilt from the last checkpoint via the caller's
+//! factory, which re-partitions the dead rank's blocks onto the remaining
+//! ranks. The bitwise-reproducibility
 //! invariant does the heavy lifting: a replayed slice recomputes exactly
 //! the lost state, so the recovered end state is bitwise identical to
 //! the fault-free run's.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use vibe_core::{Driver, Package, Snapshot};
 use vibe_ft::{FaultPlan, FaultStats};
 
 use crate::{RtRun, RtSession, SessionError, SessionOptions};
 
+/// Checkpoint cadence of [`run_resilient`], in cycles.
+const CHECKPOINT_EVERY: u64 = 2;
+
+/// Failures [`run_resilient`] recovers from before it returns the last one.
+const MAX_RETRIES: u32 = 3;
+
 /// Configuration for [`run_resilient`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ResilienceOptions {
-    /// Checkpoint cadence in cycles (`0` = never checkpoint; recovery
-    /// then replays from the initial condition).
-    pub checkpoint_every: u64,
-    /// Total failures tolerated before giving up and returning the last
-    /// classified error.
-    pub max_retries: u32,
-    /// Floor for the shrink-by-one elastic recovery (never below 1).
-    pub min_ranks: usize,
     /// Deterministic fault schedule shared with every session attempt —
     /// the kill latch in the plan is what stops recovery replays from
     /// dying again.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Collective rendezvous timeout for each session's fabric.
-    pub collective_timeout: Option<std::time::Duration>,
-    /// Conductor failure-detector window.
-    pub detector_timeout: Option<std::time::Duration>,
-}
-
-impl Default for ResilienceOptions {
-    fn default() -> Self {
-        Self {
-            checkpoint_every: 2,
-            max_retries: 3,
-            min_ranks: 1,
-            fault_plan: None,
-            collective_timeout: None,
-            detector_timeout: None,
-        }
-    }
 }
 
 /// What the resilient conductor did to finish the run.
@@ -62,13 +43,8 @@ pub struct RecoveryReport {
     /// Successful restore-and-replay recoveries (equals `failures` when
     /// the run finished inside the retry budget).
     pub recoveries: u32,
-    /// Periodic checkpoints taken at cycle boundaries.
-    pub checkpoints: u32,
     /// Ranks the final (successful) session ran with.
     pub final_nranks: usize,
-    /// Wall time spent detecting failures, tearing down dead sessions,
-    /// and rebuilding from checkpoints, in ns — the recovery overhead.
-    pub recovery_stall_ns: u64,
     /// Message-fault and kill counters from the fault plan (zeros when
     /// no plan was supplied).
     pub fault_stats: FaultStats,
@@ -93,7 +69,8 @@ pub struct RecoveryReport {
 ///
 /// # Errors
 ///
-/// The last classified [`SessionError`] when the retry budget runs out.
+/// The last classified [`SessionError`] when the retry budget (three
+/// recoveries) runs out.
 pub fn run_resilient<P, F>(
     nranks: usize,
     cycles: u64,
@@ -105,7 +82,6 @@ where
     F: Fn(Option<&Snapshot>, usize) -> Driver<P> + Send + Sync + 'static,
 {
     assert!(nranks > 0, "at least one rank");
-    assert!(opts.min_ranks > 0, "the shrink floor is at least one rank");
     let factory = Arc::new(factory);
     let mut report = RecoveryReport {
         final_nranks: nranks,
@@ -114,7 +90,6 @@ where
     let mut cur_nranks = nranks;
     let mut snapshot: Option<Arc<Snapshot>> = None;
     let mut done: u64 = 0;
-    let mut stall_started: Option<Instant> = None;
     'attempt: loop {
         // Bookkeeping shared by every failure site in the slice loop:
         // count the failure, spend one retry, roll back to the last
@@ -126,14 +101,11 @@ where
                 let e = $e;
                 report.failures += 1;
                 report.detected.push(e.clone());
-                if report.failures > opts.max_retries {
+                if report.failures > MAX_RETRIES {
                     return Err(e);
                 }
-                stall_started = Some(Instant::now());
                 done = snapshot.as_ref().map(|s| s.cycle).unwrap_or(0);
-                if cur_nranks > opts.min_ranks {
-                    cur_nranks -= 1;
-                }
+                cur_nranks = (cur_nranks - 1).max(1);
                 report.recoveries += 1;
                 continue 'attempt;
             }};
@@ -141,8 +113,6 @@ where
 
         let session_opts = SessionOptions {
             fault_plan: opts.fault_plan.clone(),
-            collective_timeout: opts.collective_timeout,
-            detector_timeout: opts.detector_timeout,
             start_cycle: done,
         };
         let make = {
@@ -152,10 +122,6 @@ where
             move || factory(snap.as_deref(), n)
         };
         let mut session = RtSession::with_options(cur_nranks, session_opts, make);
-        if let Some(t0) = stall_started.take() {
-            // Detection-to-rebuilt: the recovery overhead for this repair.
-            report.recovery_stall_ns += t0.elapsed().as_nanos() as u64;
-        }
         loop {
             if done >= cycles {
                 match session.finish() {
@@ -169,25 +135,16 @@ where
                     Err(e) => recover!(e),
                 }
             }
-            let slice = if opts.checkpoint_every == 0 {
-                cycles - done
-            } else {
-                opts.checkpoint_every.min(cycles - done)
-            };
-            match session.run(slice) {
-                Ok(_) => {
-                    done += slice;
-                    if done < cycles && opts.checkpoint_every != 0 {
-                        match session.checkpoint() {
-                            Ok(s) => {
-                                report.checkpoints += 1;
-                                snapshot = Some(Arc::new(s));
-                            }
-                            Err(e) => recover!(e),
-                        }
-                    }
+            let slice = CHECKPOINT_EVERY.min(cycles - done);
+            if let Err(e) = session.run(slice) {
+                recover!(e);
+            }
+            done += slice;
+            if done < cycles {
+                match session.checkpoint() {
+                    Ok(s) => snapshot = Some(Arc::new(s)),
+                    Err(e) => recover!(e),
                 }
-                Err(e) => recover!(e),
             }
         }
     }

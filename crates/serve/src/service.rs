@@ -711,7 +711,6 @@ fn start_session(
         // it starts so the boundary check lines up across checkpoints and
         // retries.
         start_cycle,
-        ..SessionOptions::default()
     };
     RtSession::with_options(config.nranks, opts, move || {
         cfg.replica(cfg.driver_params(), snapshot.as_deref())

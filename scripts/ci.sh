@@ -162,6 +162,35 @@ for file in crates/serve/src/*.rs; do
     fi
 done
 
+echo "==> one death signal"
+# A dead rank is noticed one way: its endpoint leaves the fabric and every
+# wait on a peer raises the typed payload vibe_comm::PeerLost, which only
+# crates/comm/src raises; the conductor classifies failures by payload type,
+# never by panic text. The gather timeout, the conductor's stall detector,
+# the recovery options nobody set and the always-zero recovery bucket stay
+# deleted (core's TaskError::Stalled is a different thing and stays).
+gone='GatherTimeout|try_gather|channel_fabric_with_timeout|collective_timeout|detector_timeout|min_ranks|recovery_stall|is_cascade'
+for file in $(find crates src/lib.rs tests examples -name '*.rs') README.md DESIGN.md; do
+    case "$file" in
+        *.rs) text=$(non_test "$file") ;;
+        *) text=$(cat "$file") ;;
+    esac
+    if grep -nE "$gone" <<<"$text"; then
+        echo "$file names a deleted failure-detection mechanism or option (see above)" >&2
+        exit 1
+    fi
+done
+for file in crates/rt/src/*.rs; do
+    if non_test "$file" | grep -nE '\bStalled\b|contains\("(abandoned|Poison|disconnected)'; then
+        echo "$file has a stall variant or classifies a failure by its panic text" >&2
+        exit 1
+    fi
+done
+if grep -rlF 'panic_any(PeerLost' crates src tests examples | grep -v '^crates/comm/src/'; then
+    echo "PeerLost is raised outside crates/comm/src (see above)" >&2
+    exit 1
+fi
+
 echo "==> one instrument, one gate"
 # Wall-clock numbers come only from the repository benchmark
 # (src/bin/benchmark) and pass/fail from the one `gate` binary: crates/bench
