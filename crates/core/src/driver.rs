@@ -4,9 +4,10 @@
 //! There is one implementation of the cycle, and what a [`Driver`] *hosts*
 //! follows from the transport it was given. On the only endpoint of a
 //! transport (the shared transport [`Driver::new`] builds) it holds every
-//! block and plays all `params.nranks` virtual rank labels itself; moved
-//! onto one endpoint of a fabric ([`Driver::with_transport`]) it holds the
-//! blocks labelled with its own rank and its peers hold the rest, while
+//! block and plays all `params.nranks` virtual rank labels itself; cut
+//! into one part per label ([`Driver::into_ranks`]) and moved onto one
+//! endpoint of a fabric ([`Driver::with_transport`]) it holds the blocks
+//! labelled with its own rank and its peers hold the rest, while
 //! the mesh — the block *tree* — stays replicated, as in Parthenon. Every
 //! task body is written for the second case and degenerates to the first:
 //! a gather over one endpoint returns the caller's own payload, and a
@@ -14,6 +15,7 @@
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use vibe_comm::{
     BoundaryKey, BufferCache, CacheConfig, Communicator, SendMeta, SharedTransport, Transport,
@@ -324,7 +326,8 @@ pub struct Driver<P: Package> {
     slots: Vec<BlockSlot>,
     /// gid → position in `slots` ([`NOT_RESIDENT`] for blocks a peer holds).
     index: Vec<usize>,
-    package: P,
+    /// Shared by the parts of a cut ([`Driver::into_ranks`]).
+    package: Arc<P>,
     params: DriverParams,
     comm: Communicator,
     cache: BufferCache,
@@ -372,8 +375,28 @@ impl<P: Package> Driver<P> {
     pub fn new(mesh: Mesh, package: P, params: DriverParams) -> Self {
         let mut mesh = mesh;
         mesh.load_balance(params.nranks);
-        let mut driver = Self {
-            comm: Self::communicator(&params, Box::new(SharedTransport::new())),
+        let transport = Box::new(SharedTransport::new());
+        let mut driver = Self::assemble(mesh, Vec::new(), Arc::new(package), params, transport);
+        driver.slots = (0..driver.mesh.num_blocks())
+            .map(|gid| driver.new_slot(gid))
+            .collect();
+        driver.index = resident_index(&driver.slots, driver.mesh.num_blocks());
+        let bytes = driver.total_field_bytes();
+        driver.rec.record_alloc(MemSpace::Kokkos, bytes as i64);
+        driver
+    }
+
+    /// A driver holding `slots` of `mesh` on `transport`, at time zero,
+    /// with a fresh recorder, logs, buffer cache and exchange plan.
+    fn assemble(
+        mesh: Mesh,
+        slots: Vec<BlockSlot>,
+        package: Arc<P>,
+        params: DriverParams,
+        transport: Box<dyn Transport>,
+    ) -> Self {
+        Self {
+            comm: Self::communicator(&params, transport),
             cache: BufferCache::new(),
             rec: Recorder::with_prof_level(params.prof_level),
             gate: DerefGate::new(mesh.params().deref_gap()),
@@ -381,8 +404,8 @@ impl<P: Package> Driver<P> {
             dt: 0.0,
             cycle: 0,
             history: Vec::new(),
-            slots: Vec::new(),
-            index: Vec::new(),
+            index: resident_index(&slots, mesh.num_blocks()),
+            slots,
             plan: None,
             ghost_state: GhostExchangeState::default(),
             fcorr_state: FluxCorrState::default(),
@@ -397,32 +420,78 @@ impl<P: Package> Driver<P> {
             mesh,
             package,
             params,
-        };
-        driver.slots = (0..driver.mesh.num_blocks())
-            .map(|gid| driver.new_slot(gid))
-            .collect();
-        driver.index = resident_index(&driver.slots, driver.mesh.num_blocks());
-        let bytes = driver.total_field_bytes();
-        driver.rec.record_alloc(MemSpace::Kokkos, bytes as i64);
-        driver
+        }
     }
 
-    /// Moves an initialized driver onto `transport`, keeping the blocks it
-    /// hosts there. This is how an endpoint of a fabric is born: every
-    /// rank constructs the same driver, applies the same initial condition
-    /// and lets the deterministic init sequence adapt the mesh — a
-    /// bitwise-identical replica everywhere without any startup
-    /// communication — then keeps the blocks labelled with its own rank
-    /// and drops the rest. The clock, derefinement gate and history carry
-    /// over (a replica restored from a checkpoint resumes mid-run, and the
-    /// gate keys decisions on absolute cycle numbers); the recorder, event
-    /// and span logs, buffer cache and exchange plan start afresh, since
-    /// initialization is not attributed to any cycle.
+    /// Cuts a driver that holds every block into one driver per rank
+    /// label, for the endpoints of a fabric: part `r` holds the blocks
+    /// labelled `r` — moved, never copied — and a copy of the replicated
+    /// mesh, and shares the package. The clock, derefinement gate and
+    /// history carry over to every part. A part is meant for one thing:
+    /// [`Self::with_transport`] onto endpoint `r`. With one rank label the
+    /// driver comes back whole and untouched.
+    ///
+    /// This is how the endpoints of a fabric are born: one thread builds
+    /// and initializes the whole problem once, cuts it, and hands each rank
+    /// its part — no rank ever holds blocks it does not host.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the driver does not hold every block of its mesh.
+    pub fn into_ranks(self) -> Vec<Self> {
+        let nranks = self.params.nranks;
+        if nranks == 1 {
+            return vec![self];
+        }
+        assert_eq!(
+            self.slots.len(),
+            self.mesh.num_blocks(),
+            "only a driver holding every block can be cut"
+        );
+        let Self {
+            mesh,
+            slots,
+            package,
+            params,
+            gate,
+            time,
+            dt,
+            cycle,
+            history,
+            ..
+        } = self;
+        let mut held: Vec<Vec<BlockSlot>> = (0..nranks).map(|_| Vec::new()).collect();
+        for slot in slots {
+            held[slot.info.rank].push(slot);
+        }
+        let mut meshes: Vec<Mesh> = (1..nranks).map(|_| mesh.clone()).collect();
+        meshes.push(mesh);
+        held.into_iter()
+            .zip(meshes)
+            .map(|(slots, mesh)| {
+                let transport = Box::new(SharedTransport::new());
+                let mut part = Self::assemble(mesh, slots, Arc::clone(&package), params, transport);
+                part.restore_clock(time, dt, cycle);
+                part.restore_amr_state(gate.clone(), history.clone());
+                part
+            })
+            .collect()
+    }
+
+    /// Moves an initialized driver onto `transport`: the whole driver onto
+    /// a transport of its own, or a part of a cut ([`Self::into_ranks`])
+    /// onto the fabric endpoint of its rank. The clock, derefinement gate
+    /// and history carry over (a replica restored from a checkpoint
+    /// resumes mid-run, and the gate keys decisions on absolute cycle
+    /// numbers); the recorder, event and span logs, buffer cache and
+    /// exchange plan start afresh, since initialization is not attributed
+    /// to any cycle.
     ///
     /// # Panics
     ///
     /// Panics if the transport is a fabric of other than `params.nranks`
-    /// endpoints, or if the driver was never initialized.
+    /// endpoints, if the driver was never initialized, or if it does not
+    /// hold exactly the blocks the endpoint hosts.
     pub fn with_transport(self, transport: Box<dyn Transport>) -> Self {
         assert!(
             transport.nranks() == 1 || transport.nranks() == self.params.nranks,
@@ -432,23 +501,29 @@ impl<P: Package> Driver<P> {
             self.dt > 0.0,
             "initialize() must run before with_transport()"
         );
-        let comm = Self::communicator(&self.params, transport);
-        let mut moved = Self {
-            comm,
-            cache: BufferCache::new(),
-            rec: Recorder::with_prof_level(self.params.prof_level),
-            plan: None,
-            ghost_state: GhostExchangeState::default(),
-            fcorr_state: FluxCorrState::default(),
-            comm_log: Vec::new(),
-            span_log: Vec::new(),
-            wait_probes: vibe_prof::WaitProbes::default(),
-            block_cost_ns: Vec::new(),
-            ..self
-        };
+        let Self {
+            mesh,
+            slots,
+            package,
+            params,
+            gate,
+            time,
+            dt,
+            cycle,
+            history,
+            ..
+        } = self;
+        let mut moved = Self::assemble(mesh, slots, package, params, transport);
+        moved.restore_clock(time, dt, cycle);
+        moved.restore_amr_state(gate, history);
         let hosted = moved.hosting();
-        moved.slots.retain(|slot| hosted(slot.info.rank));
-        moved.index = resident_index(&moved.slots, moved.mesh.num_blocks());
+        let mesh = &moved.mesh;
+        let hosts = (0..mesh.num_blocks()).filter(|&gid| hosted(mesh.block(gid).rank()));
+        assert!(
+            moved.slots.iter().all(|slot| hosted(slot.info.rank))
+                && moved.slots.len() == hosts.count(),
+            "an endpoint must hold exactly the blocks it hosts (cut with into_ranks)"
+        );
         let bytes = moved.total_field_bytes();
         moved.rec.record_alloc(MemSpace::Kokkos, bytes as i64);
         moved
@@ -644,7 +719,7 @@ impl<P: Package> Driver<P> {
     /// Applies the selected initial-condition source to every block.
     fn apply_ic(&mut self, ic: &IcSource<'_>) {
         // Disjoint field borrows: the package reads while the slots fill.
-        let package = &self.package;
+        let package: &P = &self.package;
         match ic {
             IcSource::Package => {
                 for slot in &mut self.slots {
@@ -878,7 +953,7 @@ impl<P: Package> Driver<P> {
         let shape = self.mesh.index_shape();
         let budget = TILE_BUDGET_BYTES / 8;
         let tiles = CellBox::interior(&shape).tiles(shape.dim(), plan.flux_ncomp(), budget);
-        let pkg = &self.package;
+        let pkg: &P = &self.package;
         let sweep = |info: &BlockInfo, data: &BlockData, out: &mut [vibe_field::FluxOut]| {
             with_scratch(|scratch| {
                 sweep_block(pkg, info, data, out, &tiles, Planes::Save, scratch);
@@ -946,7 +1021,7 @@ impl<P: Package> Driver<P> {
         let (ids, corrected) = (&plan.flux_ids, &plan.corrected);
         let measured = self.params.measured_costs;
         let ledger = &mut self.block_cost_ns;
-        let (pkg, rec) = (&self.package, &mut self.rec);
+        let (pkg, rec): (&P, _) = (&self.package, &mut self.rec);
         for_each_rank_pack(&mut self.slots, |pack| {
             let cost = measured.then_some(&mut ledger[..]);
             flux_divergence_update(pkg, pack, exec, coef, dt, ids, corrected, rec, cost);
@@ -1480,7 +1555,7 @@ impl<P: Package> Driver<P> {
         func: StepFunction,
         mut f: impl FnMut(&P, &mut Vec<&mut BlockSlot>, &mut Recorder),
     ) {
-        let package = &self.package;
+        let package: &P = &self.package;
         let rec = &mut self.rec;
         for_each_rank_pack(&mut self.slots, |pack| {
             f(package, pack, rec);
@@ -2026,9 +2101,78 @@ mod tests {
         assert_eq!(driver.dt().to_bits(), out.dt.to_bits());
     }
 
+    /// Where a block's cell data lives: moving a slot keeps it, copying
+    /// one does not.
+    fn data_address(slot: &BlockSlot) -> *const f64 {
+        slot.data.vars()[0].data().as_slice().as_ptr()
+    }
+
+    /// The cut moves every block into the part of its rank label: the
+    /// parts' gid sets tile the mesh, their bytes sum to the whole's, every
+    /// cell array stays where it was, and every part carries the whole's
+    /// clock, derefinement gate and history.
+    #[test]
+    fn into_ranks_moves_each_block_to_the_part_of_its_rank() {
+        let mut whole = driver(4);
+        // Until the gate holds a refinement, so there is one to carry over.
+        while whole.gate().entries().is_empty() {
+            assert!(whole.cycle() < 100, "the feature never refined");
+            whole.step();
+        }
+        let gids: Vec<usize> = whole.slots().iter().map(|s| s.info.gid).collect();
+        let addresses: Vec<_> = whole.slots().iter().map(data_address).collect();
+        let bytes = whole.resident_field_bytes();
+        let clock = (whole.time().to_bits(), whole.dt().to_bits(), whole.cycle());
+        let gate = whole.gate().entries();
+        let history = whole.history().to_vec();
+        let parts = whole.into_ranks();
+        assert_eq!(parts.len(), 4);
+        let mut held = Vec::new();
+        for (rank, part) in parts.iter().enumerate() {
+            assert!(!part.slots().is_empty());
+            assert!(part.slots().iter().all(|s| s.info.rank == rank));
+            held.extend(part.slots().iter().map(|s| (s.info.gid, data_address(s))));
+            assert_eq!(part.mesh().num_blocks(), gids.len());
+            assert_eq!(
+                (part.time().to_bits(), part.dt().to_bits(), part.cycle()),
+                clock
+            );
+            assert_eq!(part.gate().entries(), gate);
+            assert_eq!(part.history(), history);
+        }
+        held.sort_unstable();
+        assert_eq!(held.iter().map(|h| h.0).collect::<Vec<_>>(), gids);
+        assert_eq!(held.iter().map(|h| h.1).collect::<Vec<_>>(), addresses);
+        let part_bytes: usize = parts.iter().map(Driver::resident_field_bytes).sum();
+        assert_eq!(part_bytes, bytes);
+    }
+
+    /// One rank label: the cut hands the driver back whole.
+    #[test]
+    fn into_ranks_of_one_rank_is_the_driver() {
+        let whole = driver(1);
+        let addresses: Vec<_> = whole.slots().iter().map(data_address).collect();
+        let mut parts = whole.into_ranks();
+        assert_eq!(parts.len(), 1);
+        let part = parts.pop().unwrap();
+        assert_eq!(
+            part.slots().iter().map(data_address).collect::<Vec<_>>(),
+            addresses
+        );
+    }
+
+    /// A part of a cut holds one label's blocks: it cannot pose as the
+    /// whole driver on a transport of its own.
+    #[test]
+    #[should_panic(expected = "exactly the blocks it hosts")]
+    fn a_part_cannot_pose_as_the_whole() {
+        let part = driver(2).into_ranks().swap_remove(0);
+        let _ = part.with_transport(Box::new(SharedTransport::new()));
+    }
+
     /// Two replicas of the same problem produce bitwise-identical init
-    /// state — the property the replica-then-keep-hosted-blocks birth of a
-    /// fabric endpoint depends on.
+    /// state — the property every replay of a problem (a resumed
+    /// checkpoint, a recovery, a package golden) depends on.
     #[test]
     fn replica_initialization_is_bitwise_reproducible() {
         let (a, b) = (driver(4), driver(4));

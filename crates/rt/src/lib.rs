@@ -123,12 +123,11 @@ impl RtRun {
 /// channel transport fabric and merges the results: one [`RtSession`]
 /// started, run once and finished.
 ///
-/// `make_replica` must build (and initialize) a deterministic replica of
-/// the problem: it is invoked once on every rank thread, and the shards
-/// rely on replica initialization being bitwise reproducible — the same
-/// property that makes the driver's own runs reproducible. The driver's
-/// `nranks` parameter must equal `nranks` here (the shard constructor
-/// asserts this).
+/// `make_replica` builds (and initializes) the whole replica of the
+/// problem once, on rank 0's thread, which cuts it and moves every other
+/// rank its blocks ([`Driver::into_ranks`]). The driver's `nranks`
+/// parameter must equal `nranks` here (the shard constructor asserts
+/// this).
 ///
 /// # Panics
 ///
@@ -139,8 +138,8 @@ impl RtRun {
 /// invariant rather than a recoverable condition.
 pub fn run_distributed<P, F>(nranks: usize, cycles: u64, make_replica: F) -> RtRun
 where
-    P: Package,
-    F: Fn() -> Driver<P> + Send + Sync + 'static,
+    P: Package + Send + 'static,
+    F: FnOnce() -> Driver<P> + Send + 'static,
 {
     let mut session = RtSession::new(nranks, make_replica);
     session
@@ -475,16 +474,41 @@ pub struct RtSession<P: Package> {
     _marker: std::marker::PhantomData<fn() -> P>,
 }
 
-impl<P: Package> RtSession<P> {
-    /// Spawns `nranks` persistent rank threads, each building its shard
-    /// from `make_replica()` — a freshly initialized problem, or a
-    /// checkpoint restored via
+/// How a rank thread gets its shard: rank 0 builds the whole replica once,
+/// cuts it ([`Driver::into_ranks`]) and sends every other rank its part.
+enum Start<F, P: Package> {
+    Build(F, Vec<Sender<Driver<P>>>),
+    Receive(Receiver<Driver<P>>),
+}
+
+/// The barrier every rank passes once it holds its shard.
+const SESSION_BEGIN: &str = "rt-session-begin";
+
+/// Rank `r > 0`'s part of the replica, as rank 0 sent it. A hand-off
+/// channel that disconnects empty means rank 0 died before the cut; the
+/// session-begin barrier it never reaches then raises [`PeerLost`] here
+/// once its endpoint has left the fabric — the wait is tied to the fabric,
+/// so it can neither hang nor fail in a way of its own.
+fn receive_part<P: Package>(parts: Receiver<Driver<P>>, wire: &mut dyn Transport) -> Driver<P> {
+    match parts.recv() {
+        Ok(part) => part,
+        Err(_) => loop {
+            wire.barrier(SESSION_BEGIN);
+        },
+    }
+}
+
+impl<P: Package + Send + 'static> RtSession<P> {
+    /// Spawns `nranks` persistent rank threads. Rank 0's thread calls
+    /// `make_replica` once and builds the whole replica — a freshly
+    /// initialized problem, or a checkpoint restored via
     /// [`restore_driver`](vibe_core::restore_driver) to resume a preempted
     /// run (possibly under a different rank/thread configuration than the
-    /// checkpointing one).
+    /// checkpointing one) — then moves every other rank its blocks. The
+    /// factory, and whatever it captured, is dropped right after the build.
     pub fn new<F>(nranks: usize, make_replica: F) -> Self
     where
-        F: Fn() -> Driver<P> + Send + Sync + 'static,
+        F: FnOnce() -> Driver<P> + Send + 'static,
     {
         Self::with_options(nranks, SessionOptions::default(), make_replica)
     }
@@ -493,7 +517,7 @@ impl<P: Package> RtSession<P> {
     /// absolute start cycle for resumed checkpoints.
     pub fn with_options<F>(nranks: usize, opts: SessionOptions, make_replica: F) -> Self
     where
-        F: Fn() -> Driver<P> + Send + Sync + 'static,
+        F: FnOnce() -> Driver<P> + Send + 'static,
     {
         assert!(nranks > 0, "at least one rank");
         // Pin the process-global span epoch before any rank thread starts,
@@ -501,13 +525,16 @@ impl<P: Package> RtSession<P> {
         // non-negative offset from it and trace streams can be rebased
         // without underflow.
         let epoch = span_epoch();
-        let make_replica: Arc<F> = Arc::new(make_replica);
+        let (part_tx, part_rx): (Vec<_>, Vec<_>) =
+            (1..nranks).map(|_| std::sync::mpsc::channel()).unzip();
+        let starts = std::iter::once(Start::Build(make_replica, part_tx))
+            .chain(part_rx.into_iter().map(Start::Receive));
         let mut cmd_tx = Vec::with_capacity(nranks);
         let mut reply_rx = Vec::with_capacity(nranks);
         let handles: Vec<_> = channel_fabric(nranks)
             .into_iter()
-            .map(|transport| {
-                let make = Arc::clone(&make_replica);
+            .zip(starts)
+            .map(|(transport, start)| {
                 let plan = opts.fault_plan.clone();
                 let start_cycle = opts.start_cycle;
                 let (ctx, crx) = std::sync::mpsc::channel::<Cmd>();
@@ -519,14 +546,25 @@ impl<P: Package> RtSession<P> {
                     // The chaos layer wraps the wire, not the mailbox: the
                     // CommEvent log above it is identical to a fault-free
                     // run, and a zero-rate plan is byte-for-byte neutral.
-                    let wire: Box<dyn Transport> = match &plan {
+                    let mut wire: Box<dyn Transport> = match &plan {
                         Some(p) => {
                             Box::new(ChaosTransport::new(Box::new(transport), Arc::clone(p)))
                         }
                         None => Box::new(transport),
                     };
-                    let mut shard = make().with_transport(wire);
-                    shard.barrier("rt-session-begin");
+                    let part = match start {
+                        Start::Build(make, peers) => {
+                            let mut parts = make().into_ranks();
+                            for (tx, part) in peers.into_iter().zip(parts.drain(1..)) {
+                                // A peer that is gone is reported by its join.
+                                let _ = tx.send(part);
+                            }
+                            parts.swap_remove(0)
+                        }
+                        Start::Receive(rx) => receive_part(rx, &mut *wire),
+                    };
+                    let mut shard = part.with_transport(wire);
+                    shard.barrier(SESSION_BEGIN);
                     let mut all: Vec<CycleSummary> = Vec::new();
                     let mut wall_ns = 0u64;
                     let mut cur = start_cycle;
@@ -730,10 +768,13 @@ impl<P: Package> Drop for RtSession<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use vibe_core::block::BlockInfo;
     use vibe_core::driver::DriverParams;
+    use vibe_core::exec::ExecCtx;
     use vibe_core::field::BlockData;
     use vibe_core::mesh::{Mesh, MeshParams};
+    use vibe_core::BlockSlot;
     use vibe_physics::{Advect, AdvectRecon};
 
     fn mesh() -> Mesh {
@@ -796,11 +837,113 @@ mod tests {
             },
             ..DriverParams::default()
         };
-        let pkg = Advect {
+        let mut d = vibe_core::Driver::new(mesh(), advect(), params);
+        d.initialize(gaussian_ic);
+        d
+    }
+
+    fn advect() -> Advect {
+        Advect {
             recon: AdvectRecon::Upwind1,
             refine_above: 0.2,
             deref_below: 0.02,
             ..Advect::default()
+        }
+    }
+
+    /// [`advect`], plus what a test needs to watch the shards from outside:
+    /// a token the package holds for as long as any shard does (the shards
+    /// share one package), and the name of a rank thread whose first
+    /// derived fill panics with a message that happens to say
+    /// "disconnected".
+    struct Probe {
+        inner: Advect,
+        _token: Arc<()>,
+        panic_on: Option<&'static str>,
+    }
+
+    impl Package for Probe {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn register(&self, data: &mut BlockData) {
+            self.inner.register(data)
+        }
+        fn nghost(&self) -> usize {
+            self.inner.nghost()
+        }
+        fn default_cfl(&self) -> f64 {
+            self.inner.default_cfl()
+        }
+        fn initial_condition(&self, info: &BlockInfo, data: &mut BlockData) {
+            self.inner.initial_condition(info, data)
+        }
+        fn history_labels(&self) -> Vec<&'static str> {
+            self.inner.history_labels()
+        }
+        fn refinement_policy(&self) -> vibe_core::RefinementPolicy {
+            self.inner.refinement_policy()
+        }
+        fn stencil_radius(&self) -> usize {
+            self.inner.stencil_radius()
+        }
+        fn flux_byte_multiplier(&self, shape: &vibe_core::mesh::IndexShape) -> f64 {
+            self.inner.flux_byte_multiplier(shape)
+        }
+        fn fill_fluxes(
+            &self,
+            info: &BlockInfo,
+            data: &BlockData,
+            tile: &mut vibe_core::FluxTile<'_>,
+        ) {
+            self.inner.fill_fluxes(info, data, tile)
+        }
+        fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
+            if self.panic_on.is_some() && std::thread::current().name() == self.panic_on {
+                panic!("rank input stream disconnected");
+            }
+            self.inner.fill_derived(pack, exec, rec)
+        }
+        fn estimate_dt(
+            &self,
+            pack: &mut [&mut BlockSlot],
+            exec: ExecCtx,
+            rec: &mut Recorder,
+        ) -> f64 {
+            self.inner.estimate_dt(pack, exec, rec)
+        }
+        fn tag_refinement(
+            &self,
+            pack: &mut [&mut BlockSlot],
+            exec: ExecCtx,
+            rec: &mut Recorder,
+        ) -> Vec<vibe_core::mesh::AmrFlag> {
+            self.inner.tag_refinement(pack, exec, rec)
+        }
+        fn history_contributions(
+            &self,
+            pack: &mut [&mut BlockSlot],
+            exec: ExecCtx,
+            rec: &mut Recorder,
+        ) -> Vec<Vec<f64>> {
+            self.inner.history_contributions(pack, exec, rec)
+        }
+    }
+
+    fn probe_replica(
+        nranks: usize,
+        token: Arc<()>,
+        panic_on: Option<&'static str>,
+    ) -> vibe_core::Driver<Probe> {
+        let params = DriverParams {
+            nranks,
+            cfl: 0.3,
+            ..DriverParams::default()
+        };
+        let pkg = Probe {
+            inner: advect(),
+            _token: token,
+            panic_on,
         };
         let mut d = vibe_core::Driver::new(mesh(), pkg, params);
         d.initialize(gaussian_ic);
@@ -1202,13 +1345,7 @@ mod tests {
                         cfl: 0.3,
                         ..DriverParams::default()
                     };
-                    let pkg = Advect {
-                        recon: AdvectRecon::Upwind1,
-                        refine_above: 0.2,
-                        deref_below: 0.02,
-                        ..Advect::default()
-                    };
-                    vibe_core::restore_driver(&snap, pkg, params).unwrap()
+                    vibe_core::restore_driver(&snap, advect(), params).unwrap()
                 }
             };
             let mut resumed = RtSession::new(nranks, make);
@@ -1239,26 +1376,35 @@ mod tests {
     /// mid-run (no `finish`) must join every rank thread and leave the
     /// gather hub drained — a fresh session right after must work.
     ///
-    /// A rank thread owns a handle on the replica factory until it exits,
-    /// so a token captured by the factory counts exactly this test's live
-    /// rank threads. (Counting `/proc/self/task` entries, even only the
-    /// ones named `vibe-rt-rank-*`, also counts the rank threads sibling
-    /// tests spawn in this process.)
+    /// The shards share one package, so a token the package holds counts
+    /// whether any of this test's rank threads still holds a shard.
+    /// (Counting `/proc/self/task` entries, even only the ones named
+    /// `vibe-rt-rank-*`, also counts the rank threads sibling tests spawn
+    /// in this process.) A second token, captured by the factory alone,
+    /// shows that a started session has released its factory.
     #[test]
     fn dropping_session_mid_run_joins_cleanly() {
-        let token = Arc::new(());
-        let factory = |nranks: usize| {
-            let held = Arc::clone(&token);
+        let shards = Arc::new(());
+        let factory = Arc::new(());
+        let make = |nranks: usize| {
+            let (held, captured) = (Arc::clone(&shards), Arc::clone(&factory));
             move || {
-                let _held = &held;
-                replica(nranks, 1)
+                let _captured = captured;
+                probe_replica(nranks, held, None)
             }
         };
-        let mut session = RtSession::new(4, factory(4));
+        let mut session = RtSession::new(4, make(4));
+        session.run(0).unwrap();
+        assert_eq!(
+            Arc::strong_count(&factory),
+            1,
+            "a started session holds neither its factory nor what it captured"
+        );
         session.run(2).unwrap();
-        assert!(
-            Arc::strong_count(&token) > 1,
-            "rank threads hold the factory"
+        assert_eq!(
+            Arc::strong_count(&shards),
+            2,
+            "the rank shards share one package"
         );
         if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
             let named = tasks
@@ -1270,19 +1416,38 @@ mod tests {
         }
         drop(session);
         assert_eq!(
-            Arc::strong_count(&token),
+            Arc::strong_count(&shards),
             1,
             "dropped session leaked a rank thread"
         );
-        let mut again = RtSession::new(2, factory(2));
+        let mut again = RtSession::new(2, make(2));
         again.run(1).unwrap();
         let run = again.finish().unwrap();
         assert_eq!(run.cycles, 1);
         assert_eq!(
-            Arc::strong_count(&token),
+            Arc::strong_count(&shards),
             1,
             "finished session leaked a rank thread"
         );
+    }
+
+    /// A session builds the whole replica once, on rank 0, whatever its
+    /// rank count, and the cut runs to the one-rank answer.
+    #[test]
+    fn a_session_builds_its_replica_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cycles = 3;
+        let reference = driver_fingerprint(1, cycles).0;
+        for nranks in 1..=4 {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let counted = Arc::clone(&calls);
+            let run = run_distributed(nranks, cycles, move || {
+                counted.fetch_add(1, Ordering::SeqCst);
+                replica(nranks, 1)
+            });
+            assert_eq!(calls.load(Ordering::SeqCst), 1, "builds at nranks={nranks}");
+            assert_eq!(run.fingerprint, reference, "fingerprint at nranks={nranks}");
+        }
     }
 
     /// Real cross-shard traffic exists and the merged log is causal: the
@@ -1343,18 +1508,15 @@ mod tests {
         }
     }
 
-    /// The root cause is picked by payload type, not text: rank 1 dies of a
-    /// genuine panic whose message happens to say "disconnected", rank 0
-    /// dies of the cascade (`PeerLost`) — and rank 1 is the one reported.
+    /// The root cause is picked by payload type, not text: rank 1 dies in
+    /// its first step of a genuine panic whose message happens to say
+    /// "disconnected", rank 0 dies of the cascade (`PeerLost`) — and rank 1
+    /// is the one reported.
     #[test]
     fn root_cause_is_classified_by_payload_type() {
-        let mut session = RtSession::new(2, || {
-            if std::thread::current().name() == Some("vibe-rt-rank-1") {
-                panic!("replica build failed: input stream disconnected");
-            }
-            replica(2, 1)
-        });
-        let err = session.run(2).expect_err("rank 1 never built its shard");
+        let mut session =
+            RtSession::new(2, || probe_replica(2, Arc::new(()), Some("vibe-rt-rank-1")));
+        let err = session.run(2).expect_err("rank 1 died in its first step");
         match err {
             SessionError::RankFailed {
                 rank,
@@ -1368,6 +1530,66 @@ mod tests {
         }
         // The failure joined every rank; finishing now reports, not panics.
         assert!(matches!(session.finish(), Err(SessionError::Failed(_))));
+    }
+
+    /// A replica build that panics fails the session with rank 0 as the
+    /// root cause, and the ranks waiting for their parts end through the
+    /// fabric. The conductor's wait is bounded here: were the hand-off
+    /// wait not tied to the fabric, `run` would never return.
+    #[test]
+    fn a_failed_build_is_classified_to_rank_0() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let conductor = std::thread::spawn(move || {
+            let mut session = RtSession::<Advect>::new(3, || panic!("replica build failed"));
+            let _ = tx.send(session.run(1).map(|_| ()));
+        });
+        let got = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the session fails instead of hanging");
+        conductor.join().unwrap();
+        match got {
+            Err(SessionError::RankFailed {
+                rank,
+                payload,
+                injected,
+            }) => {
+                assert_eq!((rank, injected), (0, false), "payload: {payload}");
+                assert!(payload.contains("build failed"), "payload: {payload}");
+            }
+            other => panic!("expected RankFailed, got: {other:?}"),
+        }
+    }
+
+    /// The hand-off wait alone: a rank whose part never comes (rank 0 hung
+    /// up empty) raises the fabric's typed `PeerLost` once rank 0's
+    /// endpoint has left — within a bounded wait, and not with a panic of
+    /// its own.
+    #[test]
+    fn a_rank_whose_part_never_comes_raises_peer_lost() {
+        let mut fabric = channel_fabric(2);
+        let mut wire = fabric.pop().unwrap();
+        let rank0 = fabric.pop().unwrap();
+        let (parts_tx, parts_rx) = std::sync::mpsc::channel::<vibe_core::Driver<Advect>>();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                receive_part(parts_rx, &mut wire);
+            }));
+            let _ = tx.send(out.map_err(|p| p.downcast_ref::<PeerLost>().copied()));
+        });
+        drop(parts_tx);
+        drop(rank0);
+        let got = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the wait ends instead of hanging");
+        assert_eq!(
+            got,
+            Err(Some(PeerLost {
+                rank: 1,
+                wait: SESSION_BEGIN
+            }))
+        );
+        waiter.join().unwrap();
     }
 
     /// The tentpole invariant: killing any rank at any cycle boundary
@@ -1392,13 +1614,7 @@ mod tests {
                             cfl: 0.3,
                             ..DriverParams::default()
                         };
-                        let pkg = Advect {
-                            recon: AdvectRecon::Upwind1,
-                            refine_above: 0.2,
-                            deref_below: 0.02,
-                            ..Advect::default()
-                        };
-                        vibe_core::restore_driver(s, pkg, params).unwrap()
+                        vibe_core::restore_driver(s, advect(), params).unwrap()
                     }
                 })
                 .unwrap_or_else(|e| {

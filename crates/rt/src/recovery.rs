@@ -54,11 +54,12 @@ pub struct RecoveryReport {
 
 /// Runs `cycles` timesteps with automatic checkpoint-based recovery.
 ///
-/// `factory(snapshot, nranks)` builds one rank's replica: from the
-/// initial condition when `snapshot` is `None`, else from the checkpoint
-/// (use [`restore_driver`](vibe_core::restore_driver)) — with the
-/// driver's own partitioner mapping the blocks onto `nranks` ranks, which
-/// is how a dead rank's blocks land on the survivors.
+/// `factory(snapshot, nranks)` builds the whole replica once per session
+/// attempt, on rank 0's thread: from the initial condition when `snapshot`
+/// is `None`, else from the checkpoint (use
+/// [`restore_driver`](vibe_core::restore_driver)) — with the driver's own
+/// partitioner mapping the blocks onto `nranks` ranks, which is how a dead
+/// rank's blocks land on the survivors.
 ///
 /// On success returns the merged [`RtRun`] (its `cycles`/`summaries`
 /// cover the final session's segment; `history` and the fingerprint span
@@ -78,7 +79,7 @@ pub fn run_resilient<P, F>(
     factory: F,
 ) -> Result<(RtRun, RecoveryReport), SessionError>
 where
-    P: Package,
+    P: Package + Send + 'static,
     F: Fn(Option<&Snapshot>, usize) -> Driver<P> + Send + Sync + 'static,
 {
     assert!(nranks > 0, "at least one rank");

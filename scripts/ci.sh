@@ -191,6 +191,27 @@ if grep -rlF 'panic_any(PeerLost' crates src tests examples | grep -v '^crates/c
     exit 1
 fi
 
+echo "==> one build per session"
+# Rank 0's thread builds a session's whole replica once and cuts it
+# (Driver::into_ranks); the other ranks receive their blocks. So in non-test
+# crates/rt/src the replica factory is called at one site, and that call is
+# the cut's input; Driver::with_transport moves a driver onto an endpoint
+# and sheds nothing; and the per-rank factory bound stays gone.
+rt_src=$(for file in crates/rt/src/*.rs; do non_test "$file"; done)
+if [ "$(grep -cE '\bmake\(\)' <<<"$rt_src")" -ne 1 ] ||
+    [ "$(grep -cF 'make().into_ranks()' <<<"$rt_src")" -ne 1 ]; then
+    echo "crates/rt/src must call the replica factory once, as make().into_ranks()" >&2
+    exit 1
+fi
+if non_test "$driver" | awk '/pub fn with_transport\(/, /^    }$/' | grep -n 'retain'; then
+    echo "Driver::with_transport sheds blocks again; cut with Driver::into_ranks" >&2
+    exit 1
+fi
+if grep -rnF 'Fn() -> Driver<P> + Send + Sync' crates/rt/src; then
+    echo "a per-rank replica factory bound is back in crates/rt/src (see above)" >&2
+    exit 1
+fi
+
 echo "==> one instrument, one gate"
 # Wall-clock numbers come only from the repository benchmark
 # (src/bin/benchmark) and pass/fail from the one `gate` binary: crates/bench
