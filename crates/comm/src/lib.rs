@@ -1,18 +1,19 @@
 //! # vibe-comm
 //!
-//! A simulated MPI layer for single-process AMR runs: mesh blocks are
-//! assigned to *virtual ranks*, and every point-to-point ghost-zone message,
-//! flux-correction transfer, and collective operation is executed through an
-//! in-memory mailbox while being recorded as a communication event
+//! An MPI layer for AMR runs whose ranks are threads of one process: mesh
+//! blocks are assigned to *ranks*, messages between rank shards travel
+//! through a mailbox over a [`Transport`], and every point-to-point
+//! transfer and collective is recorded as a communication event
 //! (local-copy vs. remote-message, byte and cell counts) for the platform
-//! cost model.
+//! cost model — also the transfers a process moves as plain memory copies
+//! between blocks it holds under different rank labels.
 //!
 //! The layer reproduces the structure of Parthenon's communication stack:
 //!
 //! * [`Communicator::start_receive`] — `StartReceiveBoundBufs` posts
 //!   asynchronous receives;
-//! * [`Communicator::send`] — `SendBoundBufs` packs and ships buffers
-//!   (non-blocking send for remote ranks, direct copy within a rank);
+//! * [`Communicator::send`] — `SendBoundBufs` ships packed buffers
+//!   (non-blocking);
 //! * [`Communicator::try_receive`] — `ReceiveBoundBufs` probes
 //!   (`MPI_Iprobe`) and completes (`MPI_Test`) incoming messages;
 //! * [`BufferCache`] — the recorded cost inputs of the boundary-key

@@ -1,4 +1,12 @@
-//! The in-memory message mailbox simulating non-blocking MPI.
+//! The message mailbox: non-blocking MPI point-to-point semantics over a
+//! [`Transport`].
+//!
+//! Every message reaches its receiver one way: the transport's `drain`
+//! (a peer endpoint's channel, or the loopback queue of a message an
+//! endpoint addressed to itself) feeds per-key FIFO queues, and a probe
+//! promotes the oldest queued message into the key's slot once the slot
+//! is free. A message that has arrived is ready on the next probe; a probe
+//! comes back empty only while a message is still on its way.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -23,25 +31,20 @@ pub enum MessageStatus {
 struct Slot {
     status: MessageStatus,
     payload: Vec<f64>,
-    /// Remaining probe attempts before the message becomes visible —
-    /// models the MPI progress engine needing to be "nudged" by
-    /// `MPI_Iprobe` before remote data lands (§II-D).
-    arrival_delay: u32,
     /// Whether the in-flight payload is a same-rank copy (event-log data).
     local: bool,
 }
 
-/// Simulated communicator over `nranks` virtual ranks.
+/// Communicator over `nranks` ranks.
 ///
 /// Message *movement* is delegated to a [`Transport`]: the default
-/// [`SharedTransport`] keeps all data in one address space (one driver
-/// executes every virtual rank, and the rank structure only determines
-/// whether a transfer is recorded as a *local copy* or a *remote message*),
-/// while the channel transport built by
+/// [`SharedTransport`] is one endpoint playing every rank, whose messages
+/// come back through its own loopback queue (the rank structure only
+/// determines whether a transfer is recorded as a *local copy* or a
+/// *remote message*), while the channel transport built by
 /// [`channel_fabric`](crate::transport::channel_fabric) carries messages
 /// between real concurrent rank shards. The mailbox owns message *matching*:
-/// posted receives, FIFO per-key delivery, probe semantics, and the
-/// progress-engine arrival delay.
+/// posted receives, FIFO per-key delivery and probe semantics.
 ///
 /// ```
 /// use vibe_comm::{BoundaryKey, Communicator, SendMeta};
@@ -77,8 +80,6 @@ pub struct Communicator {
     /// lossy-wire retransmission, or an injected chaos duplicate) and is
     /// discarded — delivery is exactly-once as far as slots are concerned.
     seen_uids: HashMap<(BoundaryKey, usize), u64>,
-    probe_calls: u64,
-    remote_delivery_delay: u32,
     /// Ordered event log with globally monotone sequence numbers.
     log: Vec<CommEvent>,
     capture_events: bool,
@@ -119,8 +120,6 @@ impl Communicator {
             inbox: HashMap::new(),
             next_uid: 0,
             seen_uids: HashMap::new(),
-            probe_calls: 0,
-            remote_delivery_delay: 0,
             log: Vec::new(),
             capture_events: true,
             cycle: 0,
@@ -132,8 +131,8 @@ impl Communicator {
     /// Appends an event to the log — a no-op while capture is off (see
     /// [`Communicator::set_event_capture`]), so callers never build events
     /// nobody reads. Every mailbox operation logs through here; a caller
-    /// that moves a same-rank boundary without the mailbox logs the events
-    /// the mailbox would have.
+    /// that moves a boundary without the mailbox logs the events a message
+    /// between the two rank labels would have.
     pub fn record_event(&mut self, key: BoundaryKey, func: StepFunction, kind: CommEventKind) {
         if !self.capture_events {
             return;
@@ -192,14 +191,6 @@ impl Communicator {
         self.log.len()
     }
 
-    /// Makes remote messages require `polls` probe attempts before they
-    /// are visible to `try_receive` — modeling the MPI progress engine
-    /// that `MPI_Iprobe` must nudge along (local copies always complete
-    /// immediately).
-    pub fn set_remote_delivery_delay(&mut self, polls: u32) {
-        self.remote_delivery_delay = polls;
-    }
-
     /// Number of virtual ranks.
     pub fn nranks(&self) -> usize {
         self.nranks
@@ -224,7 +215,6 @@ impl Communicator {
             Slot {
                 status: MessageStatus::Posted,
                 payload: Vec::new(),
-                arrival_delay: 0,
                 local: false,
             }
         });
@@ -275,26 +265,7 @@ impl Communicator {
             meta,
             uid: self.next_uid,
         };
-        if let Some(msg) = self.transport.post(msg) {
-            self.deliver(msg);
-        }
-    }
-
-    /// Places a message that stayed in (or arrived into) this address space
-    /// directly into its slot, overwriting any unconsumed payload — the
-    /// shared path's historical re-send semantics.
-    fn deliver(&mut self, msg: WireMessage) {
-        let local = msg.meta.src == msg.meta.dst;
-        let slot = self.slots.entry(msg.key).or_insert(Slot {
-            status: MessageStatus::Posted,
-            payload: Vec::new(),
-            arrival_delay: 0,
-            local,
-        });
-        slot.payload = msg.payload;
-        slot.status = MessageStatus::InFlight;
-        slot.arrival_delay = if local { 0 } else { self.remote_delivery_delay };
-        slot.local = local;
+        self.transport.post(msg);
     }
 
     /// Drains the transport into the per-key FIFO inbox, discarding
@@ -340,39 +311,26 @@ impl Communicator {
         let slot = self.slots.entry(key).or_insert(Slot {
             status: MessageStatus::Posted,
             payload: Vec::new(),
-            arrival_delay: 0,
             local,
         });
         slot.payload = payload;
         slot.status = MessageStatus::InFlight;
-        slot.arrival_delay = if local { 0 } else { self.remote_delivery_delay };
         slot.local = local;
     }
 
-    /// One non-blocking probe of the progress engine for `key`: records the
-    /// `MPI_Iprobe` cost, nudges any pending arrival delay, and reports
-    /// whether the message is now consumable — without consuming it.
+    /// One non-blocking probe for `key`: records the `MPI_Iprobe` cost,
+    /// drains the transport, and reports whether the message has arrived —
+    /// without consuming it.
     ///
     /// # Panics
     ///
     /// With a [`PeerLost`] payload when the message has not arrived and a
     /// peer endpoint has left the fabric: it never will.
     pub fn poll_ready(&mut self, key: BoundaryKey, rec: &mut Recorder) -> bool {
-        self.probe_calls += 1;
         rec.record_serial(StepFunction::ReceiveBoundBufs, SerialWork::BoundaryLoop(1));
         self.pump();
         self.promote(key);
-        let ready = match self.slots.get_mut(&key) {
-            None => false,
-            Some(slot) if slot.status != MessageStatus::InFlight => false,
-            Some(slot) if slot.arrival_delay > 0 => {
-                // The probe nudged the progress engine but the data has not
-                // landed yet.
-                slot.arrival_delay -= 1;
-                false
-            }
-            Some(_) => true,
-        };
+        let ready = self.status(key) == Some(MessageStatus::InFlight);
         // A message that will never come must not spin forever: when a peer
         // endpoint has died (shard panic, injected kill) the fabric reports
         // unhealthy and this rank raises PeerLost — a cascade, which the
@@ -388,7 +346,7 @@ impl Communicator {
 
     /// Probes for and completes the message for `key`, consuming it.
     /// Returns `None` when nothing has arrived yet (the receiver must poll
-    /// again — this is `MPI_Iprobe` nudging the progress engine).
+    /// again).
     ///
     /// # Panics
     ///
@@ -424,11 +382,6 @@ impl Communicator {
     pub fn mark_all_stale(&mut self) {
         self.slots
             .retain(|_, s| s.status == MessageStatus::InFlight);
-    }
-
-    /// Total `MPI_Iprobe`-equivalent calls made (a serial-overhead input).
-    pub fn probe_calls(&self) -> u64 {
-        self.probe_calls
     }
 
     /// Blocking AllGather that really moves data: deposits `payload` and
@@ -589,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_calls_counted() {
+    fn probes_are_recorded_as_receive_boundary_loops() {
         let mut rec = recorder();
         let mut comm = Communicator::new(2);
         let key = BoundaryKey::new(0, 1, 0);
@@ -597,7 +550,6 @@ mod tests {
         for _ in 0..5 {
             let _ = comm.try_receive(key, &mut rec);
         }
-        assert_eq!(comm.probe_calls(), 5);
         rec.end_cycle(1, 0, 0, 0);
         let s = &rec.totals().serial[&StepFunction::ReceiveBoundBufs];
         assert_eq!(s.boundary_loop, 5);
@@ -652,6 +604,7 @@ mod tests {
             StepFunction::SendBoundBufs,
             &mut rec,
         );
+        assert!(comm.poll_ready(early, &mut rec), "probed into its slot");
         assert_eq!(comm.in_flight(), 1);
         comm.mark_all_stale();
         assert_eq!(comm.status(consumed), None, "consumed slot is dropped");
@@ -680,38 +633,6 @@ mod tests {
             StepFunction::SendBoundBufs,
             &mut rec,
         );
-    }
-
-    #[test]
-    fn remote_delivery_delay_requires_polls() {
-        let mut rec = recorder();
-        let mut comm = Communicator::new(2);
-        comm.set_remote_delivery_delay(2);
-        let key = BoundaryKey::new(0, 1, 0);
-        comm.send(
-            key,
-            vec![4.0],
-            SendMeta {
-                src: 0,
-                dst: 1,
-                cells: 1,
-            },
-            StepFunction::SendBoundBufs,
-            &mut rec,
-        );
-        assert!(
-            comm.try_receive(key, &mut rec).is_none(),
-            "first probe nudges"
-        );
-        assert!(
-            comm.try_receive(key, &mut rec).is_none(),
-            "second probe nudges"
-        );
-        assert_eq!(comm.try_receive(key, &mut rec), Some(vec![4.0]));
-        rec.end_cycle(1, 0, 0, 0);
-        // Three probes recorded as ReceiveBoundBufs serial work.
-        let s = &rec.totals().serial[&StepFunction::ReceiveBoundBufs];
-        assert_eq!(s.boundary_loop, 3);
     }
 
     /// One ghost exchange over `keys`: post all receives, send all, then
@@ -811,7 +732,6 @@ mod tests {
     fn poll_ready_probes_without_consuming() {
         let mut rec = recorder();
         let mut comm = Communicator::new(2);
-        comm.set_remote_delivery_delay(1);
         let key = BoundaryKey::new(0, 1, 0);
         assert!(!comm.poll_ready(key, &mut rec), "nothing posted yet");
         comm.start_receive(key);
@@ -827,8 +747,7 @@ mod tests {
             StepFunction::SendBoundBufs,
             &mut rec,
         );
-        assert!(!comm.poll_ready(key, &mut rec), "first probe only nudges");
-        assert!(comm.poll_ready(key, &mut rec), "delivered after the nudge");
+        assert!(comm.poll_ready(key, &mut rec), "ready on the first probe");
         assert!(
             comm.poll_ready(key, &mut rec),
             "readiness is stable until consumed"
@@ -836,10 +755,9 @@ mod tests {
         assert_eq!(comm.try_receive(key, &mut rec), Some(vec![7.0]));
         assert!(!comm.poll_ready(key, &mut rec), "consumed");
         rec.end_cycle(1, 0, 0, 0);
-        // Every probe (poll_ready or try_receive) costs one progress nudge.
-        assert_eq!(comm.probe_calls(), 7);
+        // Every probe (poll_ready or try_receive) is one boundary loop.
         let s = &rec.totals().serial[&StepFunction::ReceiveBoundBufs];
-        assert_eq!(s.boundary_loop, 7);
+        assert_eq!(s.boundary_loop, 6);
     }
 
     #[test]
@@ -900,27 +818,6 @@ mod tests {
         comm.start_receive(key);
         assert_eq!(comm.events().len(), 1);
         assert_eq!(comm.events()[0].seq, 0);
-        rec.end_cycle(1, 0, 0, 0);
-    }
-
-    #[test]
-    fn local_messages_ignore_delivery_delay() {
-        let mut rec = recorder();
-        let mut comm = Communicator::new(2);
-        comm.set_remote_delivery_delay(5);
-        let key = BoundaryKey::new(0, 1, 0);
-        comm.send(
-            key,
-            vec![1.0],
-            SendMeta {
-                src: 1,
-                dst: 1,
-                cells: 1,
-            },
-            StepFunction::SendBoundBufs,
-            &mut rec,
-        );
-        assert_eq!(comm.try_receive(key, &mut rec), Some(vec![1.0]));
         rec.end_cycle(1, 0, 0, 0);
     }
 
@@ -1010,6 +907,30 @@ mod tests {
         c1.mark_all_stale();
         c1.start_receive(key);
         assert_eq!(c1.try_receive(key, &mut rec), Some(vec![2.0]));
+        rec.end_cycle(1, 0, 0, 0);
+    }
+
+    #[test]
+    fn one_endpoint_receives_same_key_sends_fifo() {
+        // Messages an endpoint addresses to itself come back through its
+        // transport's drain like any other: the second send of a key
+        // queues behind the first instead of overwriting it.
+        let mut rec = recorder();
+        let mut comm = Communicator::new(1);
+        let key = BoundaryKey::new(3, 3, 0);
+        let meta = SendMeta {
+            src: 0,
+            dst: 0,
+            cells: 1,
+        };
+        for v in [1.0, 2.0] {
+            comm.send(key, vec![v], meta, StepFunction::SendBoundBufs, &mut rec);
+        }
+        comm.start_receive(key);
+        assert_eq!(comm.try_receive(key, &mut rec), Some(vec![1.0]));
+        comm.mark_all_stale();
+        comm.start_receive(key);
+        assert_eq!(comm.try_receive(key, &mut rec), Some(vec![2.0]));
         rec.end_cycle(1, 0, 0, 0);
     }
 
@@ -1124,9 +1045,7 @@ mod tests {
             self.seq += 1;
             s
         }
-        fn post(&mut self, _msg: WireMessage) -> Option<WireMessage> {
-            None
-        }
+        fn post(&mut self, _msg: WireMessage) {}
         fn drain(&mut self) -> Vec<WireMessage> {
             self.arrivals.drain(..).collect()
         }

@@ -1,22 +1,26 @@
 //! Pluggable message transports behind the [`Communicator`] mailbox.
 //!
-//! Two implementations back the same mailbox contract:
+//! Two implementations back the same mailbox contract, and on both a
+//! posted message surfaces from a later `drain` of its destination
+//! endpoint — the one arrival path the mailbox knows:
 //!
-//! * [`SharedTransport`] — the original same-address-space path. One driver
-//!   executes every virtual rank in program order, so a "send" is complete
-//!   the moment it is posted and collectives involve nobody else. Sequence
-//!   numbers are a local counter starting at zero, preserving the dense
-//!   per-communicator numbering the event-log tests rely on.
+//! * [`SharedTransport`] — one endpoint with no peers. Every message is
+//!   addressed to itself and waits in a loopback queue for the next drain;
+//!   collectives involve nobody else. Sequence numbers are a local counter
+//!   starting at zero, preserving the dense per-communicator numbering the
+//!   event-log tests rely on. (A driver holding every block moves its
+//!   boundaries without messages; this path carries what is still sent.)
 //! * [`ChannelTransport`] — one endpoint per rank shard, wired together by
-//!   [`channel_fabric`]. Cross-rank sends travel over `mpsc` channels,
-//!   sequence numbers come from one shared atomic counter (so the merged
-//!   multi-rank log is causally ordered: a completion's seq is always
-//!   greater than its send's, because the send allocated its seq before the
-//!   message entered the channel), and collectives rendezvous through a
-//!   [`CollectiveHub`].
+//!   [`channel_fabric`]. Sends travel over `mpsc` channels (a message to
+//!   the endpoint itself over its own), sequence numbers come from one
+//!   shared atomic counter (so the merged multi-rank log is causally
+//!   ordered: a completion's seq is always greater than its send's,
+//!   because the send allocated its seq before the message entered the
+//!   channel), and collectives rendezvous through a [`CollectiveHub`].
 //!
 //! [`Communicator`]: crate::Communicator
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -54,11 +58,9 @@ pub struct WireMessage {
 /// The wire beneath the mailbox: moves payloads between ranks, allocates
 /// event sequence numbers, and runs collectives.
 ///
-/// The mailbox owns message *matching* (posted receives, probe semantics,
-/// delivery delay); the transport owns message *movement*. `post` returns
-/// `Some(msg)` when the destination is this same endpoint (self-delivery —
-/// the mailbox applies its local-copy semantics), `None` when the message
-/// left for another endpoint and will surface from a later `drain` there.
+/// The mailbox owns message *matching* (posted receives, probe semantics);
+/// the transport owns message *movement*. A posted message surfaces from a
+/// later `drain` of the endpoint it is addressed to — this one included.
 pub trait Transport: Send + std::fmt::Debug {
     /// This endpoint's rank.
     fn rank(&self) -> usize;
@@ -66,12 +68,10 @@ pub trait Transport: Send + std::fmt::Debug {
     fn nranks(&self) -> usize;
     /// Allocate the next event sequence number.
     fn next_seq(&mut self) -> u64;
-    /// Ship a message toward `msg.meta.dst`. Returns the message back when
-    /// the destination is this endpoint, `None` when it left the address
-    /// space.
-    fn post(&mut self, msg: WireMessage) -> Option<WireMessage>;
-    /// Pull every message other endpoints have shipped here since the last
-    /// drain, in arrival order.
+    /// Ship a message toward `msg.meta.dst`.
+    fn post(&mut self, msg: WireMessage);
+    /// Pull every message shipped here since the last drain, in arrival
+    /// order.
     fn drain(&mut self) -> Vec<WireMessage>;
     /// Deposit `payload` and return every rank's deposit, indexed by rank.
     /// Blocks until all ranks arrive, or raises [`PeerLost`] when one of
@@ -92,14 +92,15 @@ pub trait Transport: Send + std::fmt::Debug {
     }
 }
 
-/// Same-address-space transport: one driver executes every virtual rank.
+/// Same-address-space transport: one endpoint plays every virtual rank.
 ///
 /// Self-contained — no fabric, no peers. Every `post` is a self-delivery
-/// (the single driver is both sides of every exchange) and collectives
-/// return only this endpoint's payload.
+/// (the single endpoint is both sides of every message), handed back by
+/// the next `drain`, and collectives return only this endpoint's payload.
 #[derive(Debug, Default)]
 pub struct SharedTransport {
     next_seq: u64,
+    loopback: VecDeque<WireMessage>,
 }
 
 impl SharedTransport {
@@ -124,12 +125,12 @@ impl Transport for SharedTransport {
         s
     }
 
-    fn post(&mut self, msg: WireMessage) -> Option<WireMessage> {
-        Some(msg)
+    fn post(&mut self, msg: WireMessage) {
+        self.loopback.push_back(msg);
     }
 
     fn drain(&mut self) -> Vec<WireMessage> {
-        Vec::new()
+        self.loopback.drain(..).collect()
     }
 
     fn all_gather_bytes(&mut self, _label: &'static str, payload: Vec<u8>) -> Vec<Vec<u8>> {
@@ -300,15 +301,15 @@ impl CollectiveHub {
 
 /// Cross-thread channel transport: one endpoint per rank shard.
 ///
-/// Built by [`channel_fabric`]. Sends to peers go over their `mpsc` channel;
-/// sends to self are returned directly from `post` so the mailbox keeps its
-/// local-copy semantics. All endpoints share one atomic sequence counter and
-/// one [`CollectiveHub`].
+/// Built by [`channel_fabric`]. A send goes over its destination's `mpsc`
+/// channel, this endpoint's own for a send to self. All endpoints share one
+/// atomic sequence counter and one [`CollectiveHub`].
 pub struct ChannelTransport {
     rank: usize,
     nranks: usize,
     seq: Arc<AtomicU64>,
-    peers: Vec<Option<Sender<WireMessage>>>,
+    /// Indexed by destination rank, this endpoint's own channel included.
+    peers: Vec<Sender<WireMessage>>,
     inbox: Receiver<WireMessage>,
     hub: Arc<CollectiveHub>,
 }
@@ -341,18 +342,11 @@ impl Transport for ChannelTransport {
         self.seq.fetch_add(1, Ordering::SeqCst)
     }
 
-    fn post(&mut self, msg: WireMessage) -> Option<WireMessage> {
-        let dst = msg.meta.dst;
-        if dst == self.rank {
-            return Some(msg);
-        }
+    fn post(&mut self, msg: WireMessage) {
         // A peer hanging up (panicked shard) surfaces as a send error; the
         // message is simply dropped — the run is already doomed and the
         // next wait on this rank raises PeerLost.
-        if let Some(tx) = &self.peers[dst] {
-            let _ = tx.send(msg);
-        }
-        None
+        let _ = self.peers[msg.meta.dst].send(msg);
     }
 
     fn drain(&mut self) -> Vec<WireMessage> {
@@ -388,11 +382,7 @@ pub fn channel_fabric(nranks: usize) -> Vec<ChannelTransport> {
             rank,
             nranks,
             seq: Arc::clone(&seq),
-            peers: senders
-                .iter()
-                .enumerate()
-                .map(|(dst, tx)| if dst == rank { None } else { Some(tx.clone()) })
-                .collect(),
+            peers: senders.clone(),
             inbox,
             hub: Arc::clone(&hub),
         })
@@ -419,8 +409,11 @@ mod tests {
         let mut t = SharedTransport::new();
         assert_eq!(t.next_seq(), 0);
         assert_eq!(t.next_seq(), 1);
-        let m = t.post(msg(0, 0, 7, vec![1.0]));
-        assert!(m.is_some());
+        t.post(msg(0, 0, 7, vec![1.0]));
+        t.post(msg(2, 3, 8, vec![2.0]));
+        let got = t.drain();
+        assert_eq!(got.len(), 2, "every message comes back, in order");
+        assert_eq!((got[0].payload[0], got[1].payload[0]), (1.0, 2.0));
         assert!(t.drain().is_empty());
         assert_eq!(t.all_gather_bytes("x", vec![3]), vec![vec![3]]);
     }
@@ -430,13 +423,16 @@ mod tests {
         let mut fabric = channel_fabric(2);
         let mut t1 = fabric.pop().unwrap();
         let mut t0 = fabric.pop().unwrap();
-        assert!(t0.post(msg(0, 1, 3, vec![2.5])).is_none());
-        // Self-delivery comes straight back.
-        assert!(t0.post(msg(0, 0, 4, vec![1.0])).is_some());
+        t0.post(msg(0, 1, 3, vec![2.5]));
+        // A self-delivery arrives over the endpoint's own channel.
+        t0.post(msg(0, 0, 4, vec![1.0]));
         let got = t1.drain();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].key, BoundaryKey::new(0, 1, 3));
         assert_eq!(got[0].payload, vec![2.5]);
+        let own = t0.drain();
+        assert_eq!(own.len(), 1);
+        assert_eq!(own[0].key, BoundaryKey::new(0, 0, 4));
     }
 
     #[test]

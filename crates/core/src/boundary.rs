@@ -6,15 +6,19 @@
 //! on a transport fabric: at plan time each boundary becomes a dense
 //! transfer record (sender, receiver, key, wire length) with a compiled
 //! [`RowProgram`]; at exchange time each transfer takes one of two routes,
-//! chosen from what the engine observes:
+//! chosen from residency alone:
 //!
-//! * **direct** — both blocks are resident and carry the same rank label:
+//! * **direct** — both blocks are resident, whatever their rank labels:
 //!   the values move straight from the sender's interior into the
-//!   receiver's ghost band ([`RowProgram::fill`]), no buffer, no mailbox;
-//! * **mailbox** — anything else (a virtual-rank neighbor on the shared
-//!   transport, a real one on the channel fabric, chaos-wrapped or not):
-//!   packed into a recycled wire buffer, sent, banked on arrival in a
-//!   table indexed by transfer, unpacked, and the buffer recycled.
+//!   receiver's ghost band ([`RowProgram::fill`]), no buffer, no mailbox —
+//!   neighbours in one process are plain memory copies, as in Parthenon;
+//! * **mailbox** — one end lives in another process (a peer endpoint of a
+//!   channel fabric, chaos-wrapped or not): packed into a recycled wire
+//!   buffer, sent, banked on arrival in a table indexed by transfer,
+//!   unpacked, and the buffer recycled.
+//!
+//! The rank labels decide only the accounting: a direct transfer between
+//! two labels is recorded and logged as the remote message it models.
 //!
 //! The exchange is split into phases so the task graph can keep compute
 //! running while messages are in flight:
@@ -136,15 +140,11 @@ struct Transfer {
     wire_len: usize,
 }
 
-/// How one transfer travels this exchange, decided from residency and the
-/// live rank labels.
+/// How one transfer travels this exchange, decided from residency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Route {
-    /// Both blocks here under one rank label: filled directly.
+    /// Both blocks here: filled directly.
     Direct,
-    /// Both blocks here under different (virtual) rank labels: through the
-    /// mailbox, both ends in this process.
-    Mailbox,
     /// Only the sender is here.
     Send,
     /// Only the receiver is here.
@@ -156,10 +156,8 @@ enum Route {
 impl Route {
     /// The route of `t` given every block's (resident, rank label).
     fn of(labels: &[(bool, usize)], t: &Transfer) -> Self {
-        let ((send_here, src), (recv_here, dst)) = (labels[t.send], labels[t.recv]);
-        match (send_here, recv_here) {
-            (true, true) if src == dst => Route::Direct,
-            (true, true) => Route::Mailbox,
+        match (labels[t.send].0, labels[t.recv].0) {
+            (true, true) => Route::Direct,
             (true, false) => Route::Send,
             (false, true) => Route::Receive,
             (false, false) => Route::Elsewhere,
@@ -167,11 +165,11 @@ impl Route {
     }
 
     fn sender_here(self) -> bool {
-        matches!(self, Route::Direct | Route::Mailbox | Route::Send)
+        matches!(self, Route::Direct | Route::Send)
     }
 
     fn receiver_here(self) -> bool {
-        matches!(self, Route::Direct | Route::Mailbox | Route::Receive)
+        matches!(self, Route::Direct | Route::Receive)
     }
 }
 
@@ -240,6 +238,8 @@ struct Waiting {
     transfer: usize,
     key: BoundaryKey,
     bytes: u64,
+    /// Whether sender and receiver carry one rank label.
+    local: bool,
 }
 
 /// In-flight bookkeeping of one exchange round (ghost or flux correction).
@@ -254,7 +254,8 @@ struct Flight {
     /// What the poll pass still waits on, in plan order: the mailbox
     /// deliveries — and, while the communicator logs events, the direct
     /// transfers too, which complete on the first sweep so the event
-    /// stream reads as if they had gone through the mailbox.
+    /// stream reads as if every transfer had been a message between its
+    /// rank labels.
     pending: Vec<Waiting>,
     /// Transfers received through the mailbox this round, and per block
     /// whether it receives any of them.
@@ -277,10 +278,11 @@ struct Flight {
 }
 
 impl Flight {
-    /// Routes every transfer from residency and the live rank labels,
+    /// Routes every transfer from residency, reads the live rank labels,
     /// posts the mailbox receives, and queues what the poll pass waits on.
-    /// The ghost exchange posts a receive for every boundary it consumes
-    /// (`post_all`); flux correction only where the sender is elsewhere.
+    /// The ghost exchange logs a posted receive for every boundary it
+    /// consumes (`post_all`); flux correction only where the sender is
+    /// elsewhere.
     fn open(
         &mut self,
         transfers: &[Transfer],
@@ -312,11 +314,13 @@ impl Flight {
                 continue;
             }
             self.receives += 1;
-            self.received_cells[self.labels[t.recv].1] += t.wire_len as u64;
+            let (src, dst) = (self.labels[t.send].1, self.labels[t.recv].1);
+            self.received_cells[dst] += t.wire_len as u64;
             let waiting = Waiting {
                 transfer: b,
                 key: t.key,
                 bytes: 8 * t.wire_len as u64,
+                local: src == dst,
             };
             if route == Route::Direct {
                 self.direct += 1;
@@ -328,9 +332,7 @@ impl Flight {
                     self.pending.push(waiting);
                 }
             } else {
-                if post_all || route == Route::Receive {
-                    comm.start_receive(t.key);
-                }
+                comm.start_receive(t.key);
                 self.pending.push(waiting);
                 self.mailed.push(b);
                 self.awaits[t.recv] = true;
@@ -342,9 +344,11 @@ impl Flight {
     /// Packs every mailbox-bound transfer in parallel (pure reads of the
     /// sender blocks) into recycled buffers, then streams the sends
     /// serially in plan order and accounts the round's traffic under
-    /// `func`: one record per mailbox message (from the mailbox), one bulk
-    /// add for all direct transfers. Returns the payload bytes now held in
-    /// message buffers bound for another rank.
+    /// `func`: one record per mailbox message (from the mailbox), and for
+    /// the direct transfers one bulk add per kind — same label (local),
+    /// different labels (remote) — totalling what sending each would have.
+    /// Returns the payload bytes now held in message buffers bound for
+    /// another rank.
     fn ship(
         &mut self,
         transfers: &[Transfer],
@@ -355,7 +359,7 @@ impl Flight {
         pack: impl Fn(usize, &mut Vec<f64>) + Send + Sync,
     ) -> i64 {
         for (b, route) in self.routes.iter().enumerate() {
-            if matches!(route, Route::Mailbox | Route::Send) {
+            if *route == Route::Send {
                 self.outgoing
                     .push((b, self.spare.pop().unwrap_or_default()));
             }
@@ -363,26 +367,29 @@ impl Flight {
         exec.for_each_block(&mut self.outgoing, |_, (b, buf)| pack(*b, buf));
         let mut mail = self.outgoing.drain(..);
         let mut remote_bytes = 0i64;
-        let (mut sends, mut direct_cells) = (0u64, 0u64);
+        let mut sends = 0u64;
+        // (messages, cells) of the direct transfers, remote then local.
+        let mut direct = [(0u64, 0u64); 2];
         for (t, route) in transfers.iter().zip(&self.routes) {
             if !route.sender_here() {
                 continue;
             }
             sends += 1;
             let (src, dst) = (self.labels[t.send].1, self.labels[t.recv].1);
-            let cells = t.wire_len as u64;
+            let (cells, local) = (t.wire_len as u64, src == dst);
             self.sent_cells[src] += cells;
-            if src != dst {
+            if !local {
                 remote_bytes += 8 * cells as i64;
             }
             if *route == Route::Direct {
-                direct_cells += cells;
+                let tally = &mut direct[usize::from(local)];
+                *tally = (tally.0 + 1, tally.1 + cells);
                 let kind = CommEventKind::Send {
                     src,
                     dst,
                     bytes: 8 * cells,
                     cells,
-                    local: true,
+                    local,
                 };
                 comm.record_event(t.key, func, kind);
             } else {
@@ -390,8 +397,10 @@ impl Flight {
                 comm.send(t.key, buf, SendMeta { src, dst, cells }, func, rec);
             }
         }
-        if self.direct > 0 {
-            rec.record_p2p_bulk(func, self.direct, 8 * direct_cells, direct_cells, true);
+        for (local, (messages, cells)) in [false, true].into_iter().zip(direct) {
+            if messages > 0 {
+                rec.record_p2p_bulk(func, messages, 8 * cells, cells, local);
+            }
         }
         rec.record_serial(func, SerialWork::BoundaryLoop(sends));
         remote_bytes
@@ -413,7 +422,7 @@ impl Flight {
             if routes[w.transfer] == Route::Direct {
                 let kind = CommEventKind::Complete {
                     bytes: w.bytes,
-                    local: true,
+                    local: w.local,
                 };
                 comm.record_event(w.key, StepFunction::ReceiveBoundBufs, kind);
                 return false;
@@ -429,10 +438,8 @@ impl Flight {
         self.pending.is_empty()
     }
 
-    /// Turns the consumed payloads into the next round's send buffers —
-    /// in reverse, so that the send pass, which pops, hands the first
-    /// mailbox transfer the buffer that carried it last round (where both
-    /// ends are here: the right length already).
+    /// Turns the consumed payloads into the next round's send buffers, in
+    /// reverse, so that the send pass pops them in arrival order.
     fn recycle(&mut self) {
         self.spare.clear();
         for &b in self.mailed.iter().rev() {
@@ -786,8 +793,9 @@ pub fn ghost_pack_and_send(
 
 /// One delivery sweep (`ReceiveBoundBufs`): probes every still-pending
 /// boundary once, banking arrivals. Returns `true` once every message has
-/// landed; remote messages may need several sweeps before the progress
-/// engine delivers them.
+/// landed — on the first sweep wherever every sender is resident, since
+/// direct boundaries wait for nothing; only a message from a peer endpoint
+/// that has not arrived yet leaves the sweep incomplete.
 pub fn ghost_poll(
     state: &mut GhostExchangeState,
     comm: &mut Communicator,
@@ -992,11 +1000,16 @@ pub fn ghost_retire(
     plan.ghosts.park(flight);
 }
 
-/// Runs the pack/send → visit → poll → visit → retire phases back-to-back
-/// with a prebuilt plan and no sweep. This is the non-overlapping path
-/// (initialization and direct callers); the cycle path schedules the same
-/// phases as separate tasks so compute proceeds while messages are in
-/// flight.
+/// Runs the pack/send → poll → visit → retire phases back-to-back with a
+/// prebuilt plan and no sweep. This is the non-overlapping path
+/// (initialization and direct callers, every sender resident); the cycle
+/// path schedules the same phases as separate tasks so compute proceeds
+/// while messages are in flight.
+///
+/// # Panics
+///
+/// Panics if a boundary message has not arrived after one delivery sweep:
+/// this call blocks the thread a sender would have to run on.
 pub fn exchange_ghosts_with_plan(
     plan: &ExchangePlan,
     blocks: &mut BlockTable<'_>,
@@ -1008,12 +1021,11 @@ pub fn exchange_ghosts_with_plan(
 ) {
     let wall = rec.wall().clone();
     let mut state = ghost_pack_and_send(plan, &*blocks, comm, cache, cfg, exec, rec);
+    assert!(
+        ghost_poll(&mut state, comm, rec),
+        "a one-shot ghost exchange waits on a message not yet sent"
+    );
     for phase in [FluxPhase::Interior, FluxPhase::Exterior] {
-        let mut sweeps = 0u32;
-        while phase == FluxPhase::Exterior && !ghost_poll(&mut state, comm, rec) {
-            sweeps += 1;
-            assert!(sweeps < 10_000, "ghost messages never arrived");
-        }
         ghost_visit(plan, &state, blocks, phase, false, None, None, exec, &wall);
     }
     ghost_retire(plan, state, comm, rec);
@@ -1117,8 +1129,13 @@ pub fn flux_corr_apply(
 /// Fine→coarse flux correction across all level-boundary faces: restricted
 /// fine face fluxes replace the coarse neighbor's on its face planes before
 /// the stage update re-sweeps the cells under them (prevents conservation
-/// errors). Builds a one-shot
-/// [`ExchangePlan`] and runs the send/poll/apply phases back-to-back.
+/// errors). Builds a one-shot [`ExchangePlan`] over `slots`, every block
+/// of `mesh`, and runs the send and apply phases back-to-back.
+///
+/// # Panics
+///
+/// Panics if a correction has not arrived after one delivery sweep (see
+/// [`exchange_ghosts_with_plan`]).
 pub fn flux_correction(
     mesh: &Mesh,
     slots: &mut [BlockSlot],
@@ -1131,11 +1148,11 @@ pub fn flux_correction(
     let index = resident_index(slots, mesh.num_blocks());
     let blocks = &mut BlockTable::of(slots, &index, mesh);
     let mut state = flux_corr_send(&plan, blocks, comm, exec, rec);
-    let mut sweeps = 0u32;
-    while flux_corr_apply(&plan, &mut state, blocks, comm, exec, rec) != TaskStatus::Complete {
-        sweeps += 1;
-        assert!(sweeps < 10_000, "flux corrections never arrived");
-    }
+    assert_eq!(
+        flux_corr_apply(&plan, &mut state, blocks, comm, exec, rec),
+        TaskStatus::Complete,
+        "a one-shot flux correction waits on a message not yet sent"
+    );
 }
 
 #[cfg(test)]
@@ -1406,13 +1423,15 @@ mod tests {
         );
     }
 
-    /// The split phases driven separately, in another order than the
-    /// one-shot exchange runs them, must be indistinguishable from it: same
+    /// The split phases driven separately on a two-endpoint fabric, in
+    /// another order than the one-shot exchange runs them, must be
+    /// indistinguishable from the one-shot exchange on one endpoint: same
     /// ghost values, same message totals.
     #[test]
     fn phased_exchange_matches_one_shot() {
-        let mesh = uniform_mesh();
-        let init = |slots: &mut Vec<BlockSlot>| {
+        let mesh = balanced(&uniform_mesh(), 2);
+        let fresh = || {
+            let mut slots = build(&mesh, 1);
             for slot in slots.iter_mut() {
                 let qid = slot.data.id_of("q").unwrap();
                 let shape = *slot.data.shape();
@@ -1424,56 +1443,34 @@ mod tests {
                     }
                 }
             }
+            slots
         };
+        let (cfg, exec) = (ExchangeConfig::default(), ExecCtx::serial());
         let run = |phased: bool| {
-            let mut slots = build(&mesh, 1);
-            init(&mut slots);
-            let mut comm = Communicator::new(2);
-            comm.set_remote_delivery_delay(2);
-            let mut cache = BufferCache::new();
+            let mut slots = fresh();
             let mut rec = Recorder::new();
             rec.begin_cycle(0);
-            let cfg = ExchangeConfig::default();
-            let containers = slots.iter_mut().map(|s| &mut s.data);
-            let plan = ExchangePlan::build(&mesh, containers, &cfg, &mut rec);
-            let index = resident_index(&slots, mesh.num_blocks());
-            let mut blocks = BlockTable::of(&mut slots, &index, &mesh);
             if phased {
-                let mut state = ghost_pack_and_send(
-                    &plan,
-                    &blocks,
-                    &mut comm,
-                    &mut cache,
-                    &cfg,
-                    ExecCtx::serial(),
-                    &mut rec,
-                );
                 // Every delivery first, then both visits, the delivered
                 // blocks before the direct ones.
-                while !ghost_poll(&mut state, &mut comm, &mut rec) {}
-                let (exec, wall) = (ExecCtx::serial(), WallClock::disabled());
-                for phase in [FluxPhase::Exterior, FluxPhase::Interior] {
-                    ghost_visit(
-                        &plan,
-                        &state,
-                        &mut blocks,
-                        phase,
-                        false,
-                        None,
-                        None,
-                        exec,
-                        &wall,
-                    );
-                }
-                ghost_retire(&plan, state, &mut comm, &mut rec);
+                let mut fabric = Fabric::split(&mesh, slots, &cfg, &mut rec);
+                let phases = [FluxPhase::Exterior, FluxPhase::Interior];
+                fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, false, None);
+                slots = fabric.join();
             } else {
+                let mut comm = Communicator::new(2);
+                let containers = slots.iter_mut().map(|s| &mut s.data);
+                let plan = ExchangePlan::build(&mesh, containers, &cfg, &mut rec);
+                let index = resident_index(&slots, mesh.num_blocks());
+                let mut blocks = BlockTable::of(&mut slots, &index, &mesh);
+                let mut cache = BufferCache::new();
                 exchange_ghosts_with_plan(
                     &plan,
                     &mut blocks,
                     &mut comm,
                     &mut cache,
                     &cfg,
-                    ExecCtx::serial(),
+                    exec,
                     &mut rec,
                 );
             }
@@ -1483,10 +1480,11 @@ mod tests {
                 .flat_map(|s| s.data.vars()[0].data().as_slice().to_vec())
                 .collect();
             let t = rec.totals().comm[&StepFunction::SendBoundBufs].clone();
-            (ghosts, t.p2p_local_messages + t.p2p_remote_messages)
+            (ghosts, (t.p2p_local_messages, t.p2p_remote_messages))
         };
         let (a_ghosts, a_msgs) = run(true);
         let (b_ghosts, b_msgs) = run(false);
+        assert!(a_msgs.0 > 0 && a_msgs.1 > 0, "both kinds of boundary");
         assert_eq!(a_msgs, b_msgs);
         assert!(a_ghosts == b_ghosts, "bitwise identical ghost fill");
     }
@@ -1560,57 +1558,188 @@ mod tests {
         out
     }
 
-    /// Rank labels: everything on rank 0, a 4-rank balance, or one rank per
-    /// block — the last two push boundaries through the mailbox.
-    fn relabel(slots: &mut [BlockSlot], nranks: usize) {
-        let n = slots.len();
-        for (gid, slot) in slots.iter_mut().enumerate() {
-            slot.info.rank = gid * nranks / n;
+    /// `mesh` balanced over `nranks` ranks — everything on rank 0, a
+    /// 4-rank balance, or one rank per block — so that the blocks built
+    /// from it carry those labels.
+    fn balanced(mesh: &Mesh, nranks: usize) -> Mesh {
+        let mut mesh = mesh.clone();
+        mesh.load_balance(nranks);
+        mesh
+    }
+
+    /// Blocks split by rank label over the endpoints of a channel fabric,
+    /// each endpoint with its plan and communicator, driven in sequence on
+    /// one thread (the fabric's queues make that legal): every boundary
+    /// between two endpoints goes through the mailbox.
+    struct Fabric {
+        parts: Vec<Vec<BlockSlot>>,
+        index: Vec<Vec<usize>>,
+        plans: Vec<ExchangePlan>,
+        comms: Vec<Communicator>,
+    }
+
+    impl Fabric {
+        /// `slots` on one endpoint per rank label, in their given order.
+        fn split(
+            mesh: &Mesh,
+            slots: Vec<BlockSlot>,
+            cfg: &ExchangeConfig,
+            rec: &mut Recorder,
+        ) -> Self {
+            let nranks = 1 + slots.iter().map(|s| s.info.rank).max().unwrap();
+            let mut parts: Vec<Vec<BlockSlot>> = (0..nranks).map(|_| Vec::new()).collect();
+            for slot in slots {
+                parts[slot.info.rank].push(slot);
+            }
+            let index = parts
+                .iter()
+                .map(|part| resident_index(part, mesh.num_blocks()))
+                .collect();
+            let plans = parts
+                .iter_mut()
+                .map(|part| {
+                    ExchangePlan::build(mesh, part.iter_mut().map(|s| &mut s.data), cfg, rec)
+                })
+                .collect();
+            let comms = vibe_comm::channel_fabric(nranks)
+                .into_iter()
+                .map(|t| Communicator::with_transport(nranks, Box::new(t)))
+                .collect();
+            Self {
+                parts,
+                index,
+                plans,
+                comms,
+            }
+        }
+
+        /// Every block back in one list, in gid order.
+        fn join(self) -> Vec<BlockSlot> {
+            let mut slots: Vec<BlockSlot> = self.parts.into_iter().flatten().collect();
+            slots.sort_by_key(|slot| slot.info.gid);
+            slots
+        }
+
+        /// One ghost exchange: every endpoint packs and sends, then each in
+        /// turn polls once — every message has been sent by then — visits
+        /// its blocks phase by phase and retires. Returns how many blocks
+        /// waited for a delivery.
+        #[allow(clippy::too_many_arguments)]
+        fn exchange_ghosts(
+            &mut self,
+            mesh: &Mesh,
+            cfg: &ExchangeConfig,
+            exec: ExecCtx,
+            rec: &mut Recorder,
+            phases: [FluxPhase; 2],
+            save: bool,
+            sweep: Option<VisitSweep<'_>>,
+        ) -> usize {
+            let mut cache = BufferCache::new();
+            let mut states = Vec::new();
+            for (r, part) in self.parts.iter_mut().enumerate() {
+                let blocks = BlockTable::of(part, &self.index[r], mesh);
+                let comm = &mut self.comms[r];
+                let plan = &self.plans[r];
+                states.push(ghost_pack_and_send(
+                    plan, &blocks, comm, &mut cache, cfg, exec, rec,
+                ));
+            }
+            let (wall, mut waited) = (WallClock::disabled(), 0);
+            for (r, mut state) in states.into_iter().enumerate() {
+                let (plan, comm) = (&self.plans[r], &mut self.comms[r]);
+                waited += state.flight.awaits.iter().filter(|w| **w).count();
+                assert!(ghost_poll(&mut state, comm, rec), "every message was sent");
+                let mut blocks = BlockTable::of(&mut self.parts[r], &self.index[r], mesh);
+                for phase in phases {
+                    ghost_visit(
+                        plan,
+                        &state,
+                        &mut blocks,
+                        phase,
+                        save,
+                        sweep,
+                        None,
+                        exec,
+                        &wall,
+                    );
+                }
+                ghost_retire(plan, state, comm, rec);
+            }
+            waited
+        }
+
+        /// One flux-correction round: every endpoint sends, then each in
+        /// turn applies.
+        fn flux_correction(&mut self, mesh: &Mesh, exec: ExecCtx, rec: &mut Recorder) {
+            let mut states = Vec::new();
+            for (r, part) in self.parts.iter_mut().enumerate() {
+                let blocks = &mut BlockTable::of(part, &self.index[r], mesh);
+                states.push(flux_corr_send(
+                    &self.plans[r],
+                    blocks,
+                    &mut self.comms[r],
+                    exec,
+                    rec,
+                ));
+            }
+            for (r, mut state) in states.into_iter().enumerate() {
+                let blocks = &mut BlockTable::of(&mut self.parts[r], &self.index[r], mesh);
+                let (plan, comm) = (&self.plans[r], &mut self.comms[r]);
+                let status = flux_corr_apply(plan, &mut state, blocks, comm, exec, rec);
+                assert_eq!(status, TaskStatus::Complete, "every correction was sent");
+            }
         }
     }
 
     /// What licenses the direct route: for every mode and at any thread
     /// count it leaves exactly the bits the mailbox route leaves, in the
-    /// cells it must fill and in the ones it must not touch.
+    /// cells it must fill and in the ones it must not touch — whatever the
+    /// rank labels of the two blocks.
     #[test]
     fn direct_fill_matches_the_mailbox_route_bitwise() {
         let mesh = refined_mesh_3d();
+        let nblocks = mesh.num_blocks();
         for restrict_on_send in [true, false] {
             let cfg = ExchangeConfig {
                 restrict_on_send,
                 ..ExchangeConfig::default()
             };
-            let run = |nranks: usize, threads: usize| {
+            // Every block on one endpoint (all direct), or split over one
+            // endpoint per label (direct within a label, mailed across).
+            let run = |nranks: usize, fabric: bool, threads: usize| {
+                let mesh = balanced(&mesh, nranks);
                 let mut slots = build_varied(&mesh, 2);
-                relabel(&mut slots, nranks);
-                let mut comm = Communicator::new(nranks);
-                comm.set_remote_delivery_delay(1);
                 let mut rec = Recorder::new();
                 rec.begin_cycle(0);
-                exchange_ghosts(
-                    &mesh,
-                    &mut slots,
-                    &mut comm,
-                    &mut BufferCache::new(),
-                    &cfg,
-                    ExecCtx::new(threads),
-                    &mut rec,
-                );
-                rec.end_cycle(mesh.num_blocks() as u64, 0, 0, 0);
-                let local = rec.totals().comm[&StepFunction::SendBoundBufs].p2p_local_messages;
-                (bits(&slots, false), local)
+                let exec = ExecCtx::new(threads);
+                if fabric {
+                    let mut fabric = Fabric::split(&mesh, slots, &cfg, &mut rec);
+                    let phases = [FluxPhase::Interior, FluxPhase::Exterior];
+                    fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, false, None);
+                    slots = fabric.join();
+                } else {
+                    let mut comm = Communicator::new(nranks);
+                    let mut cache = BufferCache::new();
+                    exchange_ghosts(
+                        &mesh, &mut slots, &mut comm, &mut cache, &cfg, exec, &mut rec,
+                    );
+                }
+                rec.end_cycle(nblocks as u64, 0, 0, 0);
+                let t = &rec.totals().comm[&StepFunction::SendBoundBufs];
+                (bits(&slots, false), t.p2p_local_messages)
             };
-            let nblocks = mesh.num_blocks();
-            let (direct, all_local) = run(1, 1);
-            let (mailed, none_local) = run(nblocks, 1);
+            let (direct, all_local) = run(1, false, 1);
+            let (mailed, none_local) = run(nblocks, true, 1);
             assert!(
                 all_local > 0 && none_local == 0,
                 "the two routes were taken"
             );
             assert!(direct == mailed, "direct fill differs from pack/unpack");
-            assert!(direct == run(4, 1).0, "mixed routes differ");
-            assert!(direct == run(1, 4).0, "threaded direct fill differs");
-            assert!(direct == run(4, 3).0, "threaded mixed routes differ");
+            assert!(direct == run(4, true, 1).0, "mixed routes differ");
+            assert!(direct == run(4, false, 1).0, "direct across labels differs");
+            assert!(direct == run(1, false, 4).0, "threaded direct fill differs");
+            assert!(direct == run(4, true, 3).0, "threaded mixed routes differ");
         }
     }
 
@@ -1619,34 +1748,36 @@ mod tests {
     #[test]
     fn direct_flux_correction_matches_the_mailbox_route_bitwise() {
         let mesh = refined_mesh_3d();
-        let run = |nranks: usize, threads: usize| {
+        let run = |nranks: usize, fabric: bool, threads: usize| {
+            let mesh = balanced(&mesh, nranks);
             let mut slots = build_varied(&mesh, 2);
-            relabel(&mut slots, nranks);
-            let mut comm = Communicator::new(nranks);
-            comm.set_remote_delivery_delay(1);
             let mut rec = Recorder::new();
             rec.begin_cycle(0);
-            flux_correction(
-                &mesh,
-                &mut slots,
-                &mut comm,
-                ExecCtx::new(threads),
-                &mut rec,
-            );
+            let exec = ExecCtx::new(threads);
+            if fabric {
+                let cfg = ExchangeConfig::default();
+                let mut fabric = Fabric::split(&mesh, slots, &cfg, &mut rec);
+                fabric.flux_correction(&mesh, exec, &mut rec);
+                slots = fabric.join();
+            } else {
+                let mut comm = Communicator::new(nranks);
+                flux_correction(&mesh, &mut slots, &mut comm, exec, &mut rec);
+            }
             rec.end_cycle(mesh.num_blocks() as u64, 0, 0, 0);
             assert!(rec.totals().comm[&StepFunction::FluxCorrection].cells_communicated > 0);
             bits(&slots, true)
         };
-        let direct = run(1, 1);
+        let direct = run(1, false, 1);
         assert!(
             direct != bits(&build_varied(&mesh, 2), true),
             "faces corrected"
         );
         assert!(
-            direct == run(mesh.num_blocks(), 1),
+            direct == run(mesh.num_blocks(), true, 1),
             "direct differs from mailed"
         );
-        assert!(direct == run(4, 3), "threaded mixed routes differ");
+        assert!(direct == run(4, false, 1), "direct across labels differs");
+        assert!(direct == run(4, true, 3), "threaded mixed routes differ");
     }
 
     /// What licenses filling the direct boundaries *before* the delivered
@@ -1704,9 +1835,10 @@ mod tests {
     /// The stage visit — fill, physical boundaries, stage copy, sweep, one
     /// block at a time — leaves the bits of a global fill followed by a
     /// global sweep, in any block order at any thread count: on a walled
-    /// 3-D refined mesh under three virtual rank labels, so that direct,
-    /// delivered and physical-boundary ghosts all occur and both phases
-    /// have blocks to visit.
+    /// 3-D refined mesh under three rank labels, all on one endpoint and
+    /// split over a three-endpoint fabric, so that direct, delivered and
+    /// physical-boundary ghosts all occur and both phases have blocks to
+    /// visit.
     #[test]
     fn stage_visit_is_invariant_under_block_order_and_threads() {
         use crate::sweep::{sweep_block, sweep_slot, with_scratch, CellBox, Planes};
@@ -1725,6 +1857,7 @@ mod tests {
         let mut flags = vec![AmrFlag::Same; mesh.num_blocks()];
         flags[21] = AmrFlag::Refine;
         mesh.regrid(&mesh.proper_nesting(&flags)).unwrap();
+        let mesh = balanced(&mesh, 3);
         let (cfg, pkg, ids) = (
             ExchangeConfig::default(),
             Advect::default(),
@@ -1732,11 +1865,7 @@ mod tests {
         );
         let budget = crate::sweep::TILE_BUDGET_BYTES / 8;
         let tiles = CellBox::interior(&mesh.index_shape()).tiles(3, 5, budget);
-        let fresh = || {
-            let mut slots = build_varied(&mesh, 2);
-            relabel(&mut slots, 3);
-            slots
-        };
+        let fresh = || build_varied(&mesh, 2);
 
         // The reference: every ghost of every block, then every block swept.
         let mut reference = fresh();
@@ -1781,26 +1910,32 @@ mod tests {
                         }
                     }
                 }
+                let exec = ExecCtx::new(threads);
+                let sweep = Some(&sweep as VisitSweep<'_>);
+                let phases = [FluxPhase::Interior, FluxPhase::Exterior];
+                let mut fabric = Fabric::split(&mesh, slots.clone(), &cfg, &mut rec);
+                let waited =
+                    fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, true, sweep);
+                assert!(
+                    0 < waited && waited < mesh.num_blocks(),
+                    "both phases visit"
+                );
+                assert!(
+                    visit_bits(&fabric.join()) == want,
+                    "{order} order, {threads} threads, three endpoints"
+                );
+
                 let mut comm = Communicator::new(3);
-                comm.set_remote_delivery_delay(1);
                 let containers = slots.iter_mut().map(|s| &mut s.data);
                 let plan = ExchangePlan::build(&mesh, containers, &cfg, &mut rec);
                 let index = resident_index(&slots, mesh.num_blocks());
                 let mut blocks = BlockTable::of(&mut slots, &index, &mesh);
-                let exec = ExecCtx::new(threads);
                 let mut state = ghost_pack_and_send(
                     &plan, &blocks, &mut comm, &mut cache, &cfg, exec, &mut rec,
                 );
-                let waiting = state.flight.awaits.iter().filter(|w| **w).count();
-                assert!(
-                    0 < waiting && waiting < mesh.num_blocks(),
-                    "both phases visit"
-                );
-                for phase in [FluxPhase::Interior, FluxPhase::Exterior] {
-                    while phase == FluxPhase::Exterior
-                        && !ghost_poll(&mut state, &mut comm, &mut rec)
-                    {}
-                    let sweep = Some(&sweep as VisitSweep<'_>);
+                assert!(state.flight.awaits.iter().all(|w| !w), "all direct");
+                assert!(ghost_poll(&mut state, &mut comm, &mut rec));
+                for phase in phases {
                     ghost_visit(
                         &plan,
                         &state,
@@ -1817,7 +1952,7 @@ mod tests {
                 slots.sort_by_key(|slot| slot.info.gid);
                 assert!(
                     visit_bits(&slots) == want,
-                    "{order} order, {threads} threads"
+                    "{order} order, {threads} threads, one endpoint"
                 );
             }
         }
@@ -1831,8 +1966,8 @@ mod tests {
     fn event_capture_is_gated_at_the_source() {
         let mesh = uniform_mesh();
         let exchange = |capture: bool, nranks: usize| {
+            let mesh = balanced(&mesh, nranks);
             let mut slots = build(&mesh, 1);
-            relabel(&mut slots, nranks);
             let mut comm = Communicator::new(nranks);
             comm.set_event_capture(capture);
             let mut rec = Recorder::new();
@@ -1864,47 +1999,46 @@ mod tests {
         }
     }
 
-    /// After the first exchange of a mesh generation the wire buffers are
-    /// the previous exchange's consumed payloads: same allocations, no
-    /// growth.
+    /// Wire buffers circulate: an endpoint's consumed payloads become its
+    /// next sends, so a fabric holds one pool of them, one per mailed
+    /// transfer. On a uniform mesh every endpoint sends the lengths it
+    /// receives, so once each buffer has grown to the longest transfer the
+    /// exchanges allocate nothing more: same buffers, same capacities.
     #[test]
     fn wire_buffers_are_recycled_across_exchanges() {
-        let mesh = refined_mesh_3d();
-        let mut slots = build_varied(&mesh, 2);
-        relabel(&mut slots, 4);
-        let mut comm = Communicator::new(4);
-        let mut cache = BufferCache::new();
+        let mesh = balanced(&uniform_mesh(), 4);
+        let slots = build(&mesh, 2);
         let cfg = ExchangeConfig::default();
         let mut rec = Recorder::new();
         rec.begin_cycle(0);
-        let containers = slots.iter_mut().map(|s| &mut s.data);
-        let plan = ExchangePlan::build(&mesh, containers, &cfg, &mut rec);
-        let index = resident_index(&slots, mesh.num_blocks());
-        let mut blocks = BlockTable::of(&mut slots, &index, &mesh);
+        let mut fabric = Fabric::split(&mesh, slots, &cfg, &mut rec);
+        let phases = [FluxPhase::Interior, FluxPhase::Exterior];
         let mut pools = Vec::new();
-        for _ in 0..3 {
-            exchange_ghosts_with_plan(
-                &plan,
-                &mut blocks,
-                &mut comm,
-                &mut cache,
-                &cfg,
-                ExecCtx::new(2),
-                &mut rec,
-            );
-            let parked = plan.ghosts.parked.lock().unwrap();
-            let pool: Vec<(*const f64, usize)> = parked
-                .spare
-                .iter()
-                .map(|buf| (buf.as_ptr(), buf.capacity()))
-                .collect();
-            assert_eq!(pool.len(), parked.mailed.len());
-            assert!(parked.bank.iter().all(Vec::is_empty));
+        for _ in 0..12 {
+            fabric.exchange_ghosts(&mesh, &cfg, ExecCtx::new(2), &mut rec, phases, false, None);
+            let mut pool: Vec<(*const f64, usize)> = Vec::new();
+            for plan in &fabric.plans {
+                let parked = plan.ghosts.parked.lock().unwrap();
+                assert_eq!(parked.spare.len(), parked.mailed.len());
+                assert!(parked.bank.iter().all(Vec::is_empty));
+                pool.extend(
+                    parked
+                        .spare
+                        .iter()
+                        .map(|buf| (buf.as_ptr(), buf.capacity())),
+                );
+            }
+            pool.sort_unstable();
             pools.push(pool);
         }
         rec.end_cycle(mesh.num_blocks() as u64, 0, 0, 0);
         assert!(!pools[0].is_empty(), "4 ranks => mailbox traffic");
-        assert_eq!(pools[0], pools[1]);
-        assert_eq!(pools[1], pools[2]);
+        let settled = pools.windows(2).position(|w| w[0] == w[1]);
+        let settled = settled.expect("the pool settles");
+        assert!(pools.len() - settled >= 4, "settled late, at {settled}");
+        assert!(
+            pools[settled..].windows(2).all(|w| w[0] == w[1]),
+            "and stays settled"
+        );
     }
 }

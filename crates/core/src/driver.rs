@@ -47,15 +47,6 @@ const MIGRATE_TAG: u32 = 5000;
 /// Refinement-flag wire byte of a block tagged on another endpoint.
 const FLAG_ELSEWHERE: u8 = 0xFF;
 
-/// Probe attempts a remote message needs before it is delivered (MPI
-/// progress-engine realism; 0 would be instant).
-const REMOTE_DELIVERY_DELAY: u32 = 1;
-
-/// Incomplete polls a cycle may spend without progress on the only
-/// endpoint of a transport before it reports a stall (a single-process
-/// deadlock); a wait on a peer endpoint's thread may take any number.
-const MAX_POLLS: usize = 10_000;
-
 /// Driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverParams {
@@ -531,7 +522,6 @@ impl<P: Package> Driver<P> {
 
     fn communicator(params: &DriverParams, transport: Box<dyn Transport>) -> Communicator {
         let mut comm = Communicator::with_transport(params.nranks, transport);
-        comm.set_remote_delivery_delay(REMOTE_DELIVERY_DELAY);
         comm.set_event_capture(params.capture_comm_events);
         comm
     }
@@ -818,14 +808,10 @@ impl<P: Package> Driver<P> {
         }
         let dt = self.dt;
         self.step_dt = dt;
-        let max_polls = (self.comm.endpoints() == 1).then_some(MAX_POLLS);
         let capture = self.params.capture_spans;
         let mut cycle_spans: Vec<vibe_prof::TaskSpan> = Vec::new();
         let spans = capture.then_some(&mut cycle_spans);
-        let timing = tasks::execute(&CYCLE_NODES, max_polls, wall.enabled(), spans, |i| {
-            self.run_node(i)
-        })
-        .expect("cycle task graph completes");
+        let timing = tasks::execute(&CYCLE_NODES, wall.enabled(), spans, |i| self.run_node(i));
         drop(cycle_guard);
         if wall.enabled() {
             wall.record_pool_samples(&vibe_exec::stats_end());
@@ -863,7 +849,8 @@ impl<P: Package> Driver<P> {
     }
 
     /// Runs row `i` of [`CYCLE_NODES`]: the one place an op meets its task
-    /// body, and the one place comm events are stamped with a node name.
+    /// body, the one place comm events are stamped with a node name, and
+    /// the one place an incomplete wait is handled ([`Self::yield_to_peers`]).
     fn run_node(&mut self, i: usize) -> TaskStatus {
         let CycleNode { node, op } = &CYCLE_NODES[i];
         self.comm.set_task(Some(node.name));
@@ -884,6 +871,9 @@ impl<P: Package> Driver<P> {
             CycleOp::EstimateTimeStep => self.estimate_dt(),
         }
         self.comm.set_task(None);
+        if status == TaskStatus::Incomplete {
+            self.yield_to_peers(node.name);
+        }
         status
     }
 
@@ -899,7 +889,8 @@ impl<P: Package> Driver<P> {
 
     /// PackSend task: posts receives for the boundaries the resident
     /// blocks consume, packs and ships the ones that go through the
-    /// mailbox; same-rank boundaries wait for the receiver's visit.
+    /// mailbox to a peer endpoint; boundaries between resident blocks wait
+    /// for the receiver's visit.
     fn task_ghost_pack_send(&mut self) {
         let cfg = self.params.exchange_config();
         let exec = self.exec();
@@ -920,20 +911,23 @@ impl<P: Package> Driver<P> {
     fn task_ghost_wait_unpack(&mut self) -> TaskStatus {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
-        let done = ghost_poll(&mut self.ghost_state, &mut self.comm, &mut self.rec);
-        self.yield_to_peers(match done {
+        match ghost_poll(&mut self.ghost_state, &mut self.comm, &mut self.rec) {
             true => TaskStatus::Complete,
             false => TaskStatus::Incomplete,
-        })
+        }
     }
 
-    /// Hands the OS thread on when a wait is still incomplete and what it
-    /// waits for is packed by a peer endpoint's thread.
-    fn yield_to_peers(&self, status: TaskStatus) -> TaskStatus {
-        if status != TaskStatus::Complete && self.comm.endpoints() > 1 {
-            std::thread::yield_now();
-        }
-        status
+    /// Node `node` waits for a message that has not arrived: on a fabric a
+    /// peer endpoint's thread packs it, so this one hands the OS thread
+    /// on. On the only endpoint of a transport every boundary moves
+    /// directly and nothing is ever in flight, so a wait there is a
+    /// deadlock — it panics, naming the node, rather than hang.
+    fn yield_to_peers(&self, node: &str) {
+        assert!(
+            self.comm.endpoints() > 1,
+            "{node} waits for a message on the only endpoint of its transport"
+        );
+        std::thread::yield_now();
     }
 
     /// Interior/exterior flux task: both record their share of the flux
@@ -978,7 +972,8 @@ impl<P: Package> Driver<P> {
     }
 
     /// FluxCorrSend task: ships the restricted fine face fluxes that go
-    /// through the mailbox and applies the same-rank ones directly.
+    /// to a peer endpoint and applies the ones between resident blocks
+    /// directly.
     fn task_fcorr_send(&mut self) {
         let exec = self.exec();
         self.fcorr_state = flux_corr_send(
@@ -994,15 +989,14 @@ impl<P: Package> Driver<P> {
     /// fluxes once everything arrived.
     fn task_fcorr_apply(&mut self) -> TaskStatus {
         let exec = self.exec();
-        let status = flux_corr_apply(
+        flux_corr_apply(
             self.plan.as_ref().expect("plan built"),
             &mut self.fcorr_state,
             &mut BlockTable::of(&mut self.slots, &self.index, &self.mesh),
             &mut self.comm,
             exec,
             &mut self.rec,
-        );
-        self.yield_to_peers(status)
+        )
     }
 
     /// RK2 stage update (flux ids and corrected faces cached in the
@@ -2099,6 +2093,74 @@ mod tests {
         );
         assert_eq!(driver.history(), out.history.as_slice());
         assert_eq!(driver.dt().to_bits(), out.dt.to_bits());
+    }
+
+    /// One endpoint playing every rank that refuses to carry a message.
+    #[derive(Debug, Default)]
+    struct NoMessages {
+        seq: u64,
+    }
+
+    impl Transport for NoMessages {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn nranks(&self) -> usize {
+            1
+        }
+        fn next_seq(&mut self) -> u64 {
+            self.seq += 1;
+            self.seq - 1
+        }
+        fn post(&mut self, msg: vibe_comm::WireMessage) {
+            panic!("{:?} posted on the only endpoint", msg.key);
+        }
+        fn drain(&mut self) -> Vec<vibe_comm::WireMessage> {
+            Vec::new()
+        }
+        fn all_gather_bytes(&mut self, _label: &'static str, payload: Vec<u8>) -> Vec<Vec<u8>> {
+            vec![payload]
+        }
+    }
+
+    /// Virtual ranks are labels: a driver playing four of them on one
+    /// endpoint fills every boundary directly — it posts no message and no
+    /// wait ever polls twice — while recording the remote traffic the
+    /// labels stand for.
+    #[test]
+    fn virtual_ranks_move_boundaries_without_messages() {
+        let mut d = driver_with(DriverParams {
+            nranks: 4,
+            cfl: 0.3,
+            capture_spans: true,
+            ..DriverParams::default()
+        })
+        .with_transport(Box::new(NoMessages::default()));
+        // Until a cycle has regridded.
+        loop {
+            let s = d.step();
+            if s.refined + s.derefined > 0 {
+                break;
+            }
+            assert!(d.cycle() < 100, "the feature never regridded");
+        }
+        d.run_cycles(3);
+        let t = d.recorder().totals();
+        for func in [StepFunction::SendBoundBufs, StepFunction::FluxCorrection] {
+            assert!(t.comm[&func].p2p_remote_messages > 0, "{func:?}");
+        }
+        let cycles = d.cycle() as usize;
+        assert_eq!(d.task_spans().len(), cycles * CYCLE_NODES.len());
+        assert!(d.task_spans().iter().all(|s| s.polls == 0));
+    }
+
+    /// A wait that stays incomplete on the only endpoint of a transport is
+    /// a single-process deadlock: it panics, naming its node, instead of
+    /// spinning.
+    #[test]
+    #[should_panic(expected = "Stage0::WaitUnpack waits for a message on the only endpoint")]
+    fn an_incomplete_wait_on_one_endpoint_names_its_node() {
+        driver(4).yield_to_peers("Stage0::WaitUnpack");
     }
 
     /// Where a block's cell data lives: moving a slot keeps it, copying

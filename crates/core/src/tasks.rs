@@ -26,8 +26,6 @@
 //! ```
 
 use std::borrow::Borrow;
-use std::error::Error;
-use std::fmt;
 
 pub use vibe_prof::TaskKind;
 use vibe_prof::{span_now_ns, StepFunction, TaskSpan};
@@ -62,26 +60,6 @@ pub struct TaskNode {
     pub deps: &'static [usize],
 }
 
-/// Errors from executing a task table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaskError {
-    /// Incomplete tasks exhausted the poll budget without progress.
-    Stalled {
-        /// Names of the tasks that never completed.
-        remaining: Vec<&'static str>,
-    },
-}
-
-impl fmt::Display for TaskError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let TaskError::Stalled { remaining } = self;
-        write!(f, "task list stalled with {} tasks: ", remaining.len())?;
-        write!(f, "{}", remaining.join(", "))
-    }
-}
-
-impl Error for TaskError {}
-
 /// A node's span accumulators: first invocation start, then productive and
 /// polling time and the number of polls.
 #[derive(Clone, Copy, Default)]
@@ -110,24 +88,20 @@ struct SpanAcc {
 /// and `Incomplete` polling `spin_ns`, its dependencies; the caller stamps
 /// `rank`/`cycle`). Neither changes which nodes run or in what order.
 ///
-/// # Errors
-///
-/// [`TaskError::Stalled`] when a sweep makes no progress after `max_polls`
-/// incomplete invocations (`None`: no budget).
+/// A node that never completes is `run`'s to report: the sweep itself
+/// re-polls it for as long as it returns `Incomplete`.
 pub(crate) fn execute<R: Borrow<TaskNode>>(
     rows: &[R],
-    max_polls: Option<usize>,
     timed: bool,
     mut spans: Option<&mut Vec<TaskSpan>>,
     mut run: impl FnMut(usize) -> TaskStatus,
-) -> Result<CycleTiming, TaskError> {
+) -> CycleTiming {
     let clocked = timed || spans.is_some();
     let mut done = vec![false; rows.len()];
     let mut acc = vec![SpanAcc::default(); if spans.is_some() { rows.len() } else { 0 }];
     let mut timing = CycleTiming::default();
-    let (mut outstanding, mut completed, mut polls) = (0u64, 0, 0);
+    let (mut outstanding, mut completed) = (0u64, 0);
     while completed < rows.len() {
-        let mut progressed = false;
         for (i, row) in rows.iter().enumerate() {
             let node = row.borrow();
             if done[i] || !node.deps.iter().all(|&d| done[d]) {
@@ -156,12 +130,10 @@ pub(crate) fn execute<R: Borrow<TaskNode>>(
                 }
             }
             if status == TaskStatus::Incomplete {
-                polls += 1;
                 continue;
             }
             done[i] = true;
             completed += 1;
-            progressed = true;
             match node.kind {
                 TaskKind::CommSend => outstanding += 1,
                 TaskKind::CommWait => outstanding = outstanding.saturating_sub(1),
@@ -184,13 +156,8 @@ pub(crate) fn execute<R: Borrow<TaskNode>>(
                 });
             }
         }
-        if !progressed && max_polls.is_some_and(|max| polls >= max) {
-            let pending = rows.iter().zip(&done).filter(|(_, &d)| !d);
-            let remaining = pending.map(|(r, _)| r.borrow().name).collect();
-            return Err(TaskError::Stalled { remaining });
-        }
     }
-    Ok(timing)
+    timing
 }
 
 #[cfg(test)]
@@ -214,17 +181,16 @@ mod tests {
         }
     }
 
-    /// Runs `rows` untimed with no budget, logging each invocation's row.
+    /// Runs `rows` untimed, logging each invocation's row.
     fn invocation_log(
         rows: &[TaskNode],
         mut status: impl FnMut(usize) -> TaskStatus,
     ) -> Vec<usize> {
         let mut log = Vec::new();
-        execute(rows, None, false, None, |i| {
+        execute(rows, false, None, |i| {
             log.push(i);
             status(i)
-        })
-        .unwrap();
+        });
         log
     }
 
@@ -311,7 +277,7 @@ mod tests {
             _ => TaskStatus::Complete,
         };
         let mut polls = 0;
-        let t = execute(&ROWS, None, true, None, |i| run(&mut polls, i)).unwrap();
+        let t = execute(&ROWS, true, None, |i| run(&mut polls, i));
         assert!(
             t.overlapped_compute_ns > 0,
             "compute between send and wait counts as overlapped"
@@ -321,14 +287,11 @@ mod tests {
             "the tail compute ran with no traffic outstanding"
         );
         let mut polls = 0;
-        let t = execute(&ROWS, None, false, None, |i| run(&mut polls, i)).unwrap();
+        let t = execute(&ROWS, false, None, |i| run(&mut polls, i));
         assert_eq!(t, CycleTiming::default(), "an untimed sweep reads no clock");
         // Spans read the clock but do not time the cycle.
         let mut polls = 0;
-        let t = execute(&ROWS, None, false, Some(&mut Vec::new()), |i| {
-            run(&mut polls, i)
-        })
-        .unwrap();
+        let t = execute(&ROWS, false, Some(&mut Vec::new()), |i| run(&mut polls, i));
         assert_eq!(t, CycleTiming::default());
     }
 
@@ -342,7 +305,7 @@ mod tests {
         // Two empty polls, then completion.
         let mut calls = 0;
         let mut spans = Vec::new();
-        execute(&ROWS, None, false, Some(&mut spans), |i| {
+        execute(&ROWS, false, Some(&mut spans), |i| {
             if i != 1 {
                 return TaskStatus::Complete;
             }
@@ -352,8 +315,7 @@ mod tests {
                 1 | 2 => TaskStatus::Incomplete,
                 _ => TaskStatus::Complete,
             }
-        })
-        .unwrap();
+        });
         let names: Vec<_> = spans.iter().map(|s| (s.node, s.name, s.kind)).collect();
         assert_eq!(
             names,
@@ -374,35 +336,6 @@ mod tests {
         assert!(
             spans[2].start_ns >= wait.end_ns,
             "dependent task starts after its dependency completes"
-        );
-    }
-
-    #[test]
-    fn poll_budget_reports_the_stuck_node() {
-        static ROWS: [TaskNode; 3] = [
-            row("fill", TaskKind::Compute, &[]),
-            row("never", TaskKind::CommWait, &[0]),
-            row("flux", TaskKind::Compute, &[1]),
-        ];
-        let mut calls = 0;
-        let err = execute(&ROWS, Some(5), false, None, |i| {
-            calls += 1;
-            match i {
-                1 => TaskStatus::Incomplete,
-                _ => TaskStatus::Complete,
-            }
-        })
-        .unwrap_err();
-        assert_eq!(
-            err,
-            TaskError::Stalled {
-                remaining: vec!["never", "flux"]
-            }
-        );
-        assert_eq!(calls, 1 + 5, "the fill, then five polls");
-        assert_eq!(
-            err.to_string(),
-            "task list stalled with 2 tasks: never, flux"
         );
     }
 }

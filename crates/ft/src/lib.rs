@@ -356,8 +356,8 @@ impl Transport for ChaosTransport {
         self.inner.next_seq()
     }
 
-    fn post(&mut self, msg: WireMessage) -> Option<WireMessage> {
-        self.inner.post(msg)
+    fn post(&mut self, msg: WireMessage) {
+        self.inner.post(msg);
     }
 
     fn drain(&mut self) -> Vec<WireMessage> {
@@ -471,9 +471,7 @@ mod tests {
         fn next_seq(&mut self) -> u64 {
             0
         }
-        fn post(&mut self, _msg: WireMessage) -> Option<WireMessage> {
-            None
-        }
+        fn post(&mut self, _msg: WireMessage) {}
         fn drain(&mut self) -> Vec<WireMessage> {
             self.batches.pop_front().unwrap_or_default()
         }

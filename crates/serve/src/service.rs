@@ -960,7 +960,14 @@ mod tests {
             ..clean
         };
         let (id, _, _) = svc.submit("acme", chaotic).unwrap();
-        svc.submit("globex", small_cfg(24, 1, 1)).unwrap();
+        // The other job's slices are the windows in which this one sits
+        // parked in the queue: a larger mesh keeps each window well above
+        // the 1 ms polling interval below, even on a loaded machine.
+        let other = JobConfig {
+            mesh_cells: 64,
+            ..small_cfg(24, 1, 1)
+        };
+        svc.submit("globex", other).unwrap();
         let (parked, plan) = loop {
             let mut st = svc.shared.lock();
             let job = &st.jobs[id as usize];

@@ -167,8 +167,8 @@ echo "==> one death signal"
 # wait on a peer raises the typed payload vibe_comm::PeerLost, which only
 # crates/comm/src raises; the conductor classifies failures by payload type,
 # never by panic text. The gather timeout, the conductor's stall detector,
-# the recovery options nobody set and the always-zero recovery bucket stay
-# deleted (core's TaskError::Stalled is a different thing and stays).
+# the recovery options nobody set, the always-zero recovery bucket and every
+# stall variant (the conductor's and the task sweep's) stay deleted.
 gone='GatherTimeout|try_gather|channel_fabric_with_timeout|collective_timeout|detector_timeout|min_ranks|recovery_stall|is_cascade'
 for file in $(find crates src/lib.rs tests examples -name '*.rs') README.md DESIGN.md; do
     case "$file" in
@@ -180,14 +180,34 @@ for file in $(find crates src/lib.rs tests examples -name '*.rs') README.md DESI
         exit 1
     fi
 done
+for file in $(find crates/*/src -name '*.rs'); do
+    if non_test "$file" | grep -nE '\bStalled\b'; then
+        echo "$file has a stall variant" >&2
+        exit 1
+    fi
+done
 for file in crates/rt/src/*.rs; do
-    if non_test "$file" | grep -nE '\bStalled\b|contains\("(abandoned|Poison|disconnected)'; then
-        echo "$file has a stall variant or classifies a failure by its panic text" >&2
+    if non_test "$file" | grep -nE 'contains\("(abandoned|Poison|disconnected)'; then
+        echo "$file classifies a failure by its panic text" >&2
         exit 1
     fi
 done
 if grep -rlF 'panic_any(PeerLost' crates src tests examples | grep -v '^crates/comm/src/'; then
     echo "PeerLost is raised outside crates/comm/src (see above)" >&2
+    exit 1
+fi
+
+echo "==> only a fabric waits"
+# A driver fills every boundary between blocks it holds directly, whatever
+# their rank labels, so only a message from a peer endpoint is ever waited
+# for, and a wait on the only endpoint of a transport panics naming its node
+# (Driver::yield_to_peers). The modeled progress-engine delay, the
+# mailbox's overwriting second arrival path, the same-process mailbox
+# route, the task sweep's poll budget and its error type, and the test-only
+# probe counter stay deleted.
+gone='REMOTE_DELIVERY_DELAY|set_remote_delivery_delay|arrival_delay|fn deliver\(|Route::Mailbox|TaskError|MAX_POLLS|max_polls|probe_calls'
+if grep -rnE "$gone" crates; then
+    echo "a simulated delivery delay, the same-process mailbox route or the poll budget is back (see above)" >&2
     exit 1
 fi
 

@@ -375,9 +375,9 @@ fn recorded_workload_is_pinned() {
             0xd0430ac5fa05c383_u64,
         ),
         (2, 10, 1, 2, 0x7a2364cad524faec, 0xd0430ac5fa05c383),
-        (2, 10, 4, 1, 0xd555702319a4e356, 0x20c2d51f08bb0d0a),
-        (2, 10, 4, 2, 0xd555702319a4e356, 0x20c2d51f08bb0d0a),
-        (3, 3, 4, 2, 0x191ab146d4aeb33b, 0x5c76535070a3bd0c),
+        (2, 10, 4, 1, 0x9e86c0a56f178734, 0xaf31ec2c53ab01d2),
+        (2, 10, 4, 2, 0x9e86c0a56f178734, 0xaf31ec2c53ab01d2),
+        (3, 3, 4, 2, 0x71bd48768e954e58, 0xc36baf0644f29892),
     ];
     for (dim, cycles, nranks, host_threads, want_totals, want_events) in pinned {
         let mesh = Mesh::new(
