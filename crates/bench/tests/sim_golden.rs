@@ -62,7 +62,7 @@ fn zero_overlap_single_stream_matches_analytic_anchor_b16() {
 #[test]
 fn event_log_round_trips_through_validator() {
     let run = record(32, 8, 2, 4);
-    let edges = vibe_comm::validate_event_order(&run.comm_events)
+    let edges = vibe_comm::validate_event_order(&run.comm_events, 1)
         .expect("driver event log satisfies ordering invariants");
     assert!(edges > 0, "ghost exchanges produce send→complete edges");
 }

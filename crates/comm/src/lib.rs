@@ -2,11 +2,13 @@
 //!
 //! An MPI layer for AMR runs whose ranks are threads of one process: mesh
 //! blocks are assigned to *ranks*, messages between rank shards travel
-//! through a mailbox over a [`Transport`], and every point-to-point
-//! transfer and collective is recorded as a communication event
-//! (local-copy vs. remote-message, byte and cell counts) for the platform
-//! cost model — also the transfers a process moves as plain memory copies
-//! between blocks it holds under different rank labels.
+//! through a mailbox over the endpoints of a [`channel_fabric`], and every
+//! point-to-point transfer and collective is recorded (local-copy vs.
+//! remote-message, byte and cell counts) for the platform cost model —
+//! also the transfers a process moves as plain memory copies between
+//! blocks it holds under different rank labels. A driver holding every
+//! block runs on a *lone endpoint* ([`Communicator::new`]), which carries
+//! no message to another rank label.
 //!
 //! The layer reproduces the structure of Parthenon's communication stack:
 //!
@@ -32,12 +34,8 @@ pub mod mailbox;
 pub mod transport;
 
 pub use cache::{BoundaryKey, BufferCache, CacheConfig};
-pub use events::{
-    match_cross_edges, validate_event_order, validate_multirank_event_order, CommEvent,
-    CommEventKind,
-};
+pub use events::{match_cross_edges, validate_event_order, CommEvent, CommEventKind};
 pub use mailbox::{Communicator, MessageStatus};
 pub use transport::{
-    channel_fabric, ChannelTransport, CollectiveHub, PeerLost, SendMeta, SharedTransport,
-    Transport, WireMessage,
+    channel_fabric, ChannelTransport, CollectiveHub, PeerLost, SendMeta, Transport, WireMessage,
 };

@@ -2,8 +2,7 @@
 //! [`Transport`].
 //!
 //! Every message reaches its receiver one way: the transport's `drain`
-//! (a peer endpoint's channel, or the loopback queue of a message an
-//! endpoint addressed to itself) feeds per-key FIFO queues, and a probe
+//! (the receiving endpoint's channel) feeds per-key FIFO queues, and a probe
 //! promotes the oldest queued message into the key's slot once the slot
 //! is free. A message that has arrived is ready on the next probe; a probe
 //! comes back empty only while a message is still on its way.
@@ -14,7 +13,7 @@ use vibe_prof::{CollectiveOp, Recorder, SerialWork, StepFunction};
 
 use crate::cache::BoundaryKey;
 use crate::events::{CommEvent, CommEventKind};
-use crate::transport::{PeerLost, SendMeta, SharedTransport, Transport, WireMessage};
+use crate::transport::{channel_fabric, PeerLost, SendMeta, Transport, WireMessage};
 
 /// Delivery state of one boundary message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,33 +30,34 @@ pub enum MessageStatus {
 struct Slot {
     status: MessageStatus,
     payload: Vec<f64>,
-    /// Whether the in-flight payload is a same-rank copy (event-log data).
-    local: bool,
 }
 
 /// Communicator over `nranks` ranks.
 ///
-/// Message *movement* is delegated to a [`Transport`]: the default
-/// [`SharedTransport`] is one endpoint playing every rank, whose messages
-/// come back through its own loopback queue (the rank structure only
-/// determines whether a transfer is recorded as a *local copy* or a
-/// *remote message*), while the channel transport built by
-/// [`channel_fabric`](crate::transport::channel_fabric) carries messages
-/// between real concurrent rank shards. The mailbox owns message *matching*:
-/// posted receives, FIFO per-key delivery and probe semantics.
+/// Message *movement* is delegated to a [`Transport`]: an endpoint of a
+/// [`channel_fabric`] carries messages between concurrent rank shards.
+/// [`Communicator::new`] builds a *lone endpoint* — endpoint 0 of
+/// `channel_fabric(1)` — for a driver that plays every rank label in one
+/// process: its blocks exchange boundaries by direct copy, the labels only
+/// decide whether a transfer is recorded as a *local copy* or a *remote
+/// message*, and a message to a label without an endpoint is refused. The
+/// mailbox owns message *matching*: posted receives, FIFO per-key delivery
+/// and probe semantics.
 ///
 /// ```
-/// use vibe_comm::{BoundaryKey, Communicator, SendMeta};
+/// use vibe_comm::{channel_fabric, BoundaryKey, Communicator, SendMeta};
 /// use vibe_prof::{Recorder, StepFunction};
 ///
 /// let mut rec = Recorder::new();
 /// rec.begin_cycle(0);
-/// let mut comm = Communicator::new(4);
+/// let mut ends = channel_fabric(2).into_iter();
+/// let mut rank0 = Communicator::with_transport(2, Box::new(ends.next().unwrap()));
+/// let mut rank1 = Communicator::with_transport(2, Box::new(ends.next().unwrap()));
 /// let key = BoundaryKey::new(0, 1, 0);
-/// comm.start_receive(key);
-/// let meta = SendMeta { src: 0, dst: 2, cells: 2 };
-/// comm.send(key, vec![1.0, 2.0], meta, StepFunction::SendBoundBufs, &mut rec);
-/// assert_eq!(comm.try_receive(key, &mut rec), Some(vec![1.0, 2.0]));
+/// rank1.start_receive(key);
+/// let meta = SendMeta { src: 0, dst: 1, cells: 2 };
+/// rank0.send(key, vec![1.0, 2.0], meta, StepFunction::SendBoundBufs, &mut rec);
+/// assert_eq!(rank1.try_receive(key, &mut rec), Some(vec![1.0, 2.0]));
 /// rec.end_cycle(1, 0, 0, 0);
 /// ```
 #[derive(Debug)]
@@ -70,7 +70,7 @@ pub struct Communicator {
     /// A message is promoted only when the slot for its key is free (absent
     /// or merely Posted) — a fast sender's next-exchange message must not
     /// overwrite an unconsumed one.
-    inbox: HashMap<BoundaryKey, VecDeque<(Vec<f64>, bool)>>,
+    inbox: HashMap<BoundaryKey, VecDeque<Vec<f64>>>,
     /// Monotone id stamped onto outgoing messages (`uid`), starting at 1 so
     /// `0` means "unassigned".
     next_uid: u64,
@@ -95,14 +95,13 @@ pub struct Communicator {
 
 impl Communicator {
     /// Creates a communicator over `nranks` virtual ranks in one address
-    /// space (the [`SharedTransport`] path).
+    /// space: a lone endpoint, endpoint 0 of `channel_fabric(1)`.
     ///
     /// # Panics
     ///
     /// Panics if `nranks == 0`.
     pub fn new(nranks: usize) -> Self {
-        assert!(nranks > 0, "communicator needs at least one rank");
-        Self::with_transport(nranks, Box::new(SharedTransport::new()))
+        Self::with_transport(nranks, Box::new(channel_fabric(1).swap_remove(0)))
     }
 
     /// Creates a communicator whose messages travel over `transport`
@@ -196,12 +195,12 @@ impl Communicator {
         self.nranks
     }
 
-    /// This communicator's rank on its transport (0 on the shared path).
+    /// This communicator's rank on its transport (0 on a lone endpoint).
     pub fn rank(&self) -> usize {
         self.transport.rank()
     }
 
-    /// Endpoints of the transport: 1 on the shared path, where this
+    /// Endpoints of the transport: 1 on a lone endpoint, where this
     /// communicator plays every virtual rank; `nranks` on a fabric.
     pub fn endpoints(&self) -> usize {
         self.transport.nranks()
@@ -209,26 +208,20 @@ impl Communicator {
 
     /// Posts an asynchronous receive for `key` (idempotent until satisfied).
     pub fn start_receive(&mut self, key: BoundaryKey) {
-        let mut fresh = false;
-        self.slots.entry(key).or_insert_with(|| {
-            fresh = true;
-            Slot {
-                status: MessageStatus::Posted,
-                payload: Vec::new(),
-                local: false,
-            }
+        self.slots.entry(key).or_insert(Slot {
+            status: MessageStatus::Posted,
+            payload: Vec::new(),
         });
-        if fresh {
-            self.record_event(
-                key,
-                StepFunction::StartReceiveBoundBufs,
-                CommEventKind::PostReceive,
-            );
-        }
     }
 
     /// Sends `payload` for `key`. Records a local copy when
     /// `meta.src == meta.dst`, a remote message otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `meta.src` is not a rank, or if the transport has no
+    /// endpoint for `meta.dst`: on a lone endpoint rank labels are virtual,
+    /// and a virtual label never receives a message.
     pub fn send(
         &mut self,
         key: BoundaryKey,
@@ -237,9 +230,12 @@ impl Communicator {
         func: StepFunction,
         rec: &mut Recorder,
     ) {
+        assert!(meta.src < self.nranks, "rank out of range: {}", meta.src);
         assert!(
-            meta.src < self.nranks && meta.dst < self.nranks,
-            "rank out of range"
+            meta.dst < self.endpoints(),
+            "rank out of range: rank {} has no endpoint on this transport of {}",
+            meta.dst,
+            self.endpoints()
         );
         let bytes = (payload.len() * std::mem::size_of::<f64>()) as u64;
         let local = meta.src == meta.dst;
@@ -254,7 +250,6 @@ impl Communicator {
                 src: meta.src,
                 dst: meta.dst,
                 bytes,
-                cells: meta.cells,
                 local,
             },
         );
@@ -280,11 +275,10 @@ impl Communicator {
                 }
                 *seen = msg.uid;
             }
-            let local = msg.meta.src == msg.meta.dst;
             self.inbox
                 .entry(msg.key)
                 .or_default()
-                .push_back((msg.payload, local));
+                .push_back(msg.payload);
         }
     }
 
@@ -302,20 +296,19 @@ impl Communicator {
         let Some(queue) = self.inbox.get_mut(&key) else {
             return;
         };
-        let Some((payload, local)) = queue.pop_front() else {
+        let Some(payload) = queue.pop_front() else {
             return;
         };
         if queue.is_empty() {
             self.inbox.remove(&key);
         }
-        let slot = self.slots.entry(key).or_insert(Slot {
-            status: MessageStatus::Posted,
-            payload: Vec::new(),
-            local,
-        });
-        slot.payload = payload;
-        slot.status = MessageStatus::InFlight;
-        slot.local = local;
+        self.slots.insert(
+            key,
+            Slot {
+                status: MessageStatus::InFlight,
+                payload,
+            },
+        );
     }
 
     /// One non-blocking probe for `key`: records the `MPI_Iprobe` cost,
@@ -359,13 +352,7 @@ impl Communicator {
         let slot = self.slots.get_mut(&key)?;
         slot.status = MessageStatus::Received;
         let payload = std::mem::take(&mut slot.payload);
-        let local = slot.local;
-        let bytes = (payload.len() * std::mem::size_of::<f64>()) as u64;
-        self.record_event(
-            key,
-            StepFunction::ReceiveBoundBufs,
-            CommEventKind::Complete { bytes, local },
-        );
+        self.record_event(key, StepFunction::ReceiveBoundBufs, CommEventKind::Complete);
         Some(payload)
     }
 
@@ -390,8 +377,8 @@ impl Communicator {
     ///
     /// Recorded bytes are the gathered size times the virtual ranks each
     /// endpoint stands for (`nranks / endpoints`): the full size on a
-    /// fabric, where every rank deposited, and on the shared transport —
-    /// one endpoint playing every rank — what `nranks` deposits of this
+    /// fabric, where every rank deposited, and on a lone endpoint — one
+    /// endpoint playing every rank — what `nranks` deposits of this
     /// payload would have gathered. Identical on every rank, so merged
     /// logs validate.
     pub fn all_gather_data(
@@ -471,7 +458,6 @@ impl Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::channel_fabric;
     use vibe_prof::CollectiveOp;
 
     fn recorder() -> Recorder {
@@ -480,11 +466,26 @@ mod tests {
         r
     }
 
+    /// One communicator per endpoint of an `n`-endpoint channel fabric,
+    /// driven sequentially on one thread (mpsc queues make that legal).
+    fn fabric(n: usize) -> Vec<Communicator> {
+        channel_fabric(n)
+            .into_iter()
+            .map(|t| Communicator::with_transport(n, Box::new(t)))
+            .collect()
+    }
+
+    fn channel_pair() -> (Communicator, Communicator) {
+        let mut ends = fabric(2);
+        let c1 = ends.pop().unwrap();
+        (ends.pop().unwrap(), c1)
+    }
+
     #[test]
     fn local_vs_remote_accounting() {
         let mut rec = recorder();
-        let mut comm = Communicator::new(4);
-        comm.send(
+        let mut comms = fabric(4);
+        comms[2].send(
             BoundaryKey::new(0, 1, 0),
             vec![0.0; 10],
             SendMeta {
@@ -495,7 +496,7 @@ mod tests {
             StepFunction::SendBoundBufs,
             &mut rec,
         );
-        comm.send(
+        comms[1].send(
             BoundaryKey::new(1, 2, 0),
             vec![0.0; 20],
             SendMeta {
@@ -518,12 +519,12 @@ mod tests {
     #[test]
     fn receive_before_send_returns_none() {
         let mut rec = recorder();
-        let mut comm = Communicator::new(2);
+        let (mut c0, mut comm) = channel_pair();
         let key = BoundaryKey::new(0, 1, 3);
         comm.start_receive(key);
         assert_eq!(comm.status(key), Some(MessageStatus::Posted));
         assert!(comm.try_receive(key, &mut rec).is_none());
-        comm.send(
+        c0.send(
             key,
             vec![5.0],
             SendMeta {
@@ -544,7 +545,7 @@ mod tests {
     #[test]
     fn probes_are_recorded_as_receive_boundary_loops() {
         let mut rec = recorder();
-        let mut comm = Communicator::new(2);
+        let (_c0, mut comm) = channel_pair();
         let key = BoundaryKey::new(0, 1, 0);
         comm.start_receive(key);
         for _ in 0..5 {
@@ -577,10 +578,10 @@ mod tests {
     #[test]
     fn stale_reset_drops_consumed_keeps_inflight() {
         let mut rec = recorder();
-        let mut comm = Communicator::new(2);
+        let (mut c0, mut comm) = channel_pair();
         let consumed = BoundaryKey::new(0, 1, 0);
-        let early = BoundaryKey::new(1, 0, 0);
-        comm.send(
+        let early = BoundaryKey::new(2, 1, 0);
+        c0.send(
             consumed,
             vec![1.0],
             SendMeta {
@@ -593,12 +594,12 @@ mod tests {
         );
         assert!(comm.try_receive(consumed, &mut rec).is_some());
         // An early arrival for the *next* exchange must survive the reset.
-        comm.send(
+        c0.send(
             early,
             vec![2.0],
             SendMeta {
-                src: 1,
-                dst: 0,
+                src: 0,
+                dst: 1,
                 cells: 1,
             },
             StepFunction::SendBoundBufs,
@@ -635,25 +636,27 @@ mod tests {
         );
     }
 
-    /// One ghost exchange over `keys`: post all receives, send all, then
-    /// complete in the order given by `delivery`.
+    /// One ghost exchange over `keys` from rank 0 to rank 1 of a two-rank
+    /// fabric: post all receives, send all, then complete in the order
+    /// given by `delivery`. Returns the merged, seq-sorted log.
     fn run_exchange(delivery: &[usize]) -> Vec<CommEvent> {
         let mut rec = recorder();
-        let mut comm = Communicator::new(4);
-        comm.begin_cycle(1);
+        let (mut c0, mut c1) = channel_pair();
+        c0.begin_cycle(1);
+        c1.begin_cycle(1);
         let keys: Vec<BoundaryKey> = (0..delivery.len())
             .map(|i| BoundaryKey::new(i, i + 1, 0))
             .collect();
         for &k in &keys {
-            comm.start_receive(k);
+            c1.start_receive(k);
         }
         for (i, &k) in keys.iter().enumerate() {
-            comm.send(
+            c0.send(
                 k,
                 vec![i as f64; i + 1],
                 SendMeta {
-                    src: i % 4,
-                    dst: (i + 1) % 4,
+                    src: 0,
+                    dst: 1,
                     cells: (i + 1) as u64,
                 },
                 StepFunction::SendBoundBufs,
@@ -661,10 +664,13 @@ mod tests {
             );
         }
         for &i in delivery {
-            assert!(comm.try_receive(keys[i], &mut rec).is_some());
+            assert!(c1.try_receive(keys[i], &mut rec).is_some());
         }
         rec.end_cycle(1, 0, 0, 0);
-        comm.take_events()
+        let mut merged = c0.take_events();
+        merged.extend(c1.take_events());
+        merged.sort_by_key(|e| e.seq);
+        merged
     }
 
     #[test]
@@ -672,13 +678,15 @@ mod tests {
         let a = run_exchange(&[0, 1, 2, 3]);
         let b = run_exchange(&[0, 1, 2, 3]);
         assert_eq!(a, b, "identical exchanges must produce identical logs");
-        let edges = crate::events::validate_event_order(&a).unwrap();
+        let edges = crate::events::validate_event_order(&a, 2).unwrap();
         assert_eq!(edges, 4, "each key contributes one send→complete edge");
-        // Sequence numbers are dense from zero in program order.
+        // Sequence numbers are dense from zero in program order; each side
+        // stamps its own rank.
         for (i, ev) in a.iter().enumerate() {
             assert_eq!(ev.seq, i as u64);
             assert_eq!(ev.cycle, 1);
-            assert_eq!(ev.rank, 0, "the shared path stamps rank 0");
+            let sender = matches!(ev.kind, CommEventKind::Send { .. });
+            assert_eq!(ev.rank, usize::from(!sender));
         }
     }
 
@@ -689,12 +697,12 @@ mod tests {
         // still validate: every completion follows its own send.
         for delivery in [[3, 1, 0, 2], [2, 3, 1, 0], [1, 0, 3, 2]] {
             let events = run_exchange(&delivery);
-            let edges = crate::events::validate_event_order(&events).unwrap();
+            let edges = crate::events::validate_event_order(&events, 2).unwrap();
             assert_eq!(edges, 4);
             // Completions appear in the shuffled order, not send order.
             let completes: Vec<BoundaryKey> = events
                 .iter()
-                .filter(|e| matches!(e.kind, CommEventKind::Complete { .. }))
+                .filter(|e| e.kind == CommEventKind::Complete)
                 .map(|e| e.key)
                 .collect();
             let expect: Vec<BoundaryKey> = delivery
@@ -711,19 +719,19 @@ mod tests {
         // Duplicate completion: second Complete for a consumed key.
         let dup = *events
             .iter()
-            .find(|e| matches!(e.kind, CommEventKind::Complete { .. }))
+            .find(|e| e.kind == CommEventKind::Complete)
             .unwrap();
         let mut with_dup = events.clone();
         with_dup.push(CommEvent {
             seq: events.last().unwrap().seq + 1,
             ..dup
         });
-        assert!(crate::events::validate_event_order(&with_dup)
+        assert!(crate::events::validate_event_order(&with_dup, 2)
             .unwrap_err()
             .contains("no pending send"));
         // Non-monotone sequence numbers.
         events[3].seq = 0;
-        assert!(crate::events::validate_event_order(&events)
+        assert!(crate::events::validate_event_order(&events, 2)
             .unwrap_err()
             .contains("not strictly increasing"));
     }
@@ -731,12 +739,12 @@ mod tests {
     #[test]
     fn poll_ready_probes_without_consuming() {
         let mut rec = recorder();
-        let mut comm = Communicator::new(2);
+        let (mut c0, mut comm) = channel_pair();
         let key = BoundaryKey::new(0, 1, 0);
         assert!(!comm.poll_ready(key, &mut rec), "nothing posted yet");
         comm.start_receive(key);
         assert!(!comm.poll_ready(key, &mut rec), "nothing sent yet");
-        comm.send(
+        c0.send(
             key,
             vec![7.0],
             SendMeta {
@@ -763,8 +771,8 @@ mod tests {
     #[test]
     fn events_carry_the_issuing_task() {
         let mut rec = recorder();
-        let mut comm = Communicator::new(2);
-        let key = BoundaryKey::new(0, 1, 0);
+        let mut comm = Communicator::new(1);
+        let key = BoundaryKey::new(0, 0, 0);
         comm.set_task(Some("Stage0::PackSend"));
         comm.start_receive(key);
         comm.send(
@@ -772,7 +780,7 @@ mod tests {
             vec![1.0],
             SendMeta {
                 src: 0,
-                dst: 1,
+                dst: 0,
                 cells: 1,
             },
             StepFunction::SendBoundBufs,
@@ -786,23 +794,18 @@ mod tests {
         let tasks: Vec<Option<&'static str>> = comm.events().iter().map(|e| e.task).collect();
         assert_eq!(
             tasks,
-            vec![
-                Some("Stage0::PackSend"),
-                Some("Stage0::PackSend"),
-                Some("Stage0::WaitUnpack"),
-                None,
-            ]
+            vec![Some("Stage0::PackSend"), Some("Stage0::WaitUnpack"), None]
         );
     }
 
     #[test]
     fn capture_off_logs_nothing_and_draws_no_sequence_numbers() {
         let mut rec = recorder();
-        let mut comm = Communicator::new(2);
-        let key = BoundaryKey::new(0, 1, 0);
+        let mut comm = Communicator::new(1);
+        let key = BoundaryKey::new(0, 0, 0);
         let meta = SendMeta {
             src: 0,
-            dst: 1,
+            dst: 0,
             cells: 1,
         };
         comm.set_event_capture(false);
@@ -810,27 +813,15 @@ mod tests {
         comm.send(key, vec![1.0], meta, StepFunction::SendBoundBufs, &mut rec);
         assert!(comm.try_receive(key, &mut rec).is_some());
         comm.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec);
-        comm.record_event(key, StepFunction::SendBoundBufs, CommEventKind::PostReceive);
+        comm.record_event(key, StepFunction::ReceiveBoundBufs, CommEventKind::Complete);
         assert_eq!(comm.resident_events(), 0);
         // Back on, numbering starts where it would have without the gap.
         comm.set_event_capture(true);
         comm.mark_all_stale();
-        comm.start_receive(key);
+        comm.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec);
         assert_eq!(comm.events().len(), 1);
         assert_eq!(comm.events()[0].seq, 0);
         rec.end_cycle(1, 0, 0, 0);
-    }
-
-    /// Two communicators on a two-rank channel fabric, driven sequentially
-    /// on one thread (mpsc queues make that legal).
-    fn channel_pair() -> (Communicator, Communicator) {
-        let mut fabric = channel_fabric(2);
-        let t1 = fabric.pop().unwrap();
-        let t0 = fabric.pop().unwrap();
-        (
-            Communicator::with_transport(2, Box::new(t0)),
-            Communicator::with_transport(2, Box::new(t1)),
-        )
     }
 
     #[test]
@@ -910,6 +901,23 @@ mod tests {
         rec.end_cycle(1, 0, 0, 0);
     }
 
+    /// Rank labels on a lone endpoint are virtual: a message to any label
+    /// but the endpoint's own has nowhere to go and is refused, naming the
+    /// rank.
+    #[test]
+    #[should_panic(expected = "rank 2 has no endpoint")]
+    fn a_lone_endpoint_refuses_a_message_to_another_rank() {
+        let mut rec = recorder();
+        let mut comm = Communicator::new(4);
+        let meta = SendMeta {
+            src: 0,
+            dst: 2,
+            cells: 1,
+        };
+        let key = BoundaryKey::new(0, 5, 0);
+        comm.send(key, vec![1.0], meta, StepFunction::SendBoundBufs, &mut rec);
+    }
+
     #[test]
     fn one_endpoint_receives_same_key_sends_fifo() {
         // Messages an endpoint addresses to itself come back through its
@@ -982,7 +990,7 @@ mod tests {
         let mut merged = c0.take_events();
         merged.extend(c1.take_events());
         merged.sort_by_key(|e| e.seq);
-        let edges = crate::events::validate_multirank_event_order(&merged, 2).unwrap();
+        let edges = crate::events::validate_event_order(&merged, 2).unwrap();
         assert_eq!(edges, 2, "one send→complete edge per direction");
         assert!(merged.iter().any(|e| e.rank == 1), "rank 1 stamped events");
     }

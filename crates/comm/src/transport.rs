@@ -1,26 +1,20 @@
-//! Pluggable message transports behind the [`Communicator`] mailbox.
+//! The message transport behind the [`Communicator`] mailbox.
 //!
-//! Two implementations back the same mailbox contract, and on both a
-//! posted message surfaces from a later `drain` of its destination
-//! endpoint — the one arrival path the mailbox knows:
-//!
-//! * [`SharedTransport`] — one endpoint with no peers. Every message is
-//!   addressed to itself and waits in a loopback queue for the next drain;
-//!   collectives involve nobody else. Sequence numbers are a local counter
-//!   starting at zero, preserving the dense per-communicator numbering the
-//!   event-log tests rely on. (A driver holding every block moves its
-//!   boundaries without messages; this path carries what is still sent.)
-//! * [`ChannelTransport`] — one endpoint per rank shard, wired together by
-//!   [`channel_fabric`]. Sends travel over `mpsc` channels (a message to
-//!   the endpoint itself over its own), sequence numbers come from one
-//!   shared atomic counter (so the merged multi-rank log is causally
-//!   ordered: a completion's seq is always greater than its send's,
-//!   because the send allocated its seq before the message entered the
-//!   channel), and collectives rendezvous through a [`CollectiveHub`].
+//! [`ChannelTransport`] is the one implementation here (fault injection
+//! wraps one): one endpoint per rank shard, wired together by
+//! [`channel_fabric`]. Sends travel over `mpsc`
+//! channels, sequence numbers come from one shared atomic counter (so the
+//! merged multi-rank log is causally ordered: a completion's seq is always
+//! greater than its send's, because the send allocated its seq before the
+//! message entered the channel), and collectives rendezvous through a
+//! [`CollectiveHub`]. A driver that holds every block runs on a *lone
+//! endpoint* — endpoint 0 of `channel_fabric(1)` — which carries no
+//! message of the cycle (its blocks exchange boundaries by direct copy),
+//! counts sequence numbers densely from zero and answers collectives with
+//! its own payload.
 //!
 //! [`Communicator`]: crate::Communicator
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -89,52 +83,6 @@ pub trait Transport: Send + std::fmt::Debug {
     /// healthy.
     fn healthy(&self) -> bool {
         true
-    }
-}
-
-/// Same-address-space transport: one endpoint plays every virtual rank.
-///
-/// Self-contained — no fabric, no peers. Every `post` is a self-delivery
-/// (the single endpoint is both sides of every message), handed back by
-/// the next `drain`, and collectives return only this endpoint's payload.
-#[derive(Debug, Default)]
-pub struct SharedTransport {
-    next_seq: u64,
-    loopback: VecDeque<WireMessage>,
-}
-
-impl SharedTransport {
-    /// Creates the transport with a fresh local sequence counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Transport for SharedTransport {
-    fn rank(&self) -> usize {
-        0
-    }
-
-    fn nranks(&self) -> usize {
-        1
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
-    }
-
-    fn post(&mut self, msg: WireMessage) {
-        self.loopback.push_back(msg);
-    }
-
-    fn drain(&mut self) -> Vec<WireMessage> {
-        self.loopback.drain(..).collect()
-    }
-
-    fn all_gather_bytes(&mut self, _label: &'static str, payload: Vec<u8>) -> Vec<Vec<u8>> {
-        vec![payload]
     }
 }
 
@@ -402,20 +350,6 @@ mod tests {
             meta: SendMeta { src, dst, cells: 1 },
             uid: 0,
         }
-    }
-
-    #[test]
-    fn shared_transport_self_delivers_and_counts_locally() {
-        let mut t = SharedTransport::new();
-        assert_eq!(t.next_seq(), 0);
-        assert_eq!(t.next_seq(), 1);
-        t.post(msg(0, 0, 7, vec![1.0]));
-        t.post(msg(2, 3, 8, vec![2.0]));
-        let got = t.drain();
-        assert_eq!(got.len(), 2, "every message comes back, in order");
-        assert_eq!((got[0].payload[0], got[1].payload[0]), (1.0, 2.0));
-        assert!(t.drain().is_empty());
-        assert_eq!(t.all_gather_bytes("x", vec![3]), vec![vec![3]]);
     }
 
     #[test]

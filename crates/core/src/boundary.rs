@@ -237,9 +237,6 @@ fn check_span(span: usize, src: &SharedCells<'_>, dst: &SharedCells<'_>) {
 struct Waiting {
     transfer: usize,
     key: BoundaryKey,
-    bytes: u64,
-    /// Whether sender and receiver carry one rank label.
-    local: bool,
 }
 
 /// In-flight bookkeeping of one exchange round (ghost or flux correction).
@@ -280,16 +277,7 @@ struct Flight {
 impl Flight {
     /// Routes every transfer from residency, reads the live rank labels,
     /// posts the mailbox receives, and queues what the poll pass waits on.
-    /// The ghost exchange logs a posted receive for every boundary it
-    /// consumes (`post_all`); flux correction only where the sender is
-    /// elsewhere.
-    fn open(
-        &mut self,
-        transfers: &[Transfer],
-        blocks: &BlockTable<'_>,
-        comm: &mut Communicator,
-        post_all: bool,
-    ) {
+    fn open(&mut self, transfers: &[Transfer], blocks: &BlockTable<'_>, comm: &mut Communicator) {
         let logging = comm.captures_events();
         self.labels.clear();
         self.labels.extend(
@@ -314,20 +302,13 @@ impl Flight {
                 continue;
             }
             self.receives += 1;
-            let (src, dst) = (self.labels[t.send].1, self.labels[t.recv].1);
-            self.received_cells[dst] += t.wire_len as u64;
+            self.received_cells[self.labels[t.recv].1] += t.wire_len as u64;
             let waiting = Waiting {
                 transfer: b,
                 key: t.key,
-                bytes: 8 * t.wire_len as u64,
-                local: src == dst,
             };
             if route == Route::Direct {
                 self.direct += 1;
-                if post_all {
-                    let func = StepFunction::StartReceiveBoundBufs;
-                    comm.record_event(t.key, func, CommEventKind::PostReceive);
-                }
                 if logging {
                     self.pending.push(waiting);
                 }
@@ -388,7 +369,6 @@ impl Flight {
                     src,
                     dst,
                     bytes: 8 * cells,
-                    cells,
                     local,
                 };
                 comm.record_event(t.key, func, kind);
@@ -420,11 +400,8 @@ impl Flight {
         let (routes, bank) = (&self.routes, &mut self.bank);
         self.pending.retain(|w| {
             if routes[w.transfer] == Route::Direct {
-                let kind = CommEventKind::Complete {
-                    bytes: w.bytes,
-                    local: w.local,
-                };
-                comm.record_event(w.key, StepFunction::ReceiveBoundBufs, kind);
+                let func = StepFunction::ReceiveBoundBufs;
+                comm.record_event(w.key, func, CommEventKind::Complete);
                 return false;
             }
             match comm.try_receive(w.key, rec) {
@@ -760,7 +737,7 @@ pub fn ghost_pack_and_send(
     let mut flight = lane.unpark();
     {
         let _g = wall.region_hot(RegionKey::Step(StepFunction::StartReceiveBoundBufs));
-        flight.open(&lane.transfers, blocks, comm, true);
+        flight.open(&lane.transfers, blocks, comm);
         rec.record_serial(
             StepFunction::StartReceiveBoundBufs,
             SerialWork::BoundaryLoop(flight.receives),
@@ -1082,7 +1059,7 @@ pub fn flux_corr_send(
         .region(RegionKey::Step(StepFunction::FluxCorrection));
     let lane = &plan.fluxes;
     let mut flight = lane.unpark();
-    flight.open(&lane.transfers, &*blocks, comm, false);
+    flight.open(&lane.transfers, &*blocks, comm);
     let func = StepFunction::FluxCorrection;
     {
         let blocks = &*blocks;
@@ -1988,14 +1965,14 @@ mod tests {
         assert!(exchange(false, 4).is_empty());
         for nranks in [1, 4] {
             let events = exchange(true, nranks);
-            // 16 blocks x 8 neighbors, each posted, sent and completed.
-            assert_eq!(events.len(), 3 * 128);
-            assert_eq!(vibe_comm::validate_event_order(&events), Ok(128));
-            let posted = events
+            // 16 blocks x 8 neighbors, each sent and completed.
+            assert_eq!(events.len(), 2 * 128);
+            assert_eq!(vibe_comm::validate_event_order(&events, 1), Ok(128));
+            let sent = events
                 .iter()
-                .take_while(|e| e.kind == CommEventKind::PostReceive)
+                .take_while(|e| matches!(e.kind, CommEventKind::Send { .. }))
                 .count();
-            assert_eq!(posted, 128, "receives are posted before anything is sent");
+            assert_eq!(sent, 128, "everything is sent before anything completes");
         }
     }
 

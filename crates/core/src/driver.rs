@@ -3,7 +3,7 @@
 //!
 //! There is one implementation of the cycle, and what a [`Driver`] *hosts*
 //! follows from the transport it was given. On the only endpoint of a
-//! transport (the shared transport [`Driver::new`] builds) it holds every
+//! transport (the lone endpoint [`Driver::new`] builds) it holds every
 //! block and plays all `params.nranks` virtual rank labels itself; cut
 //! into one part per label ([`Driver::into_ranks`]) and moved onto one
 //! endpoint of a fabric ([`Driver::with_transport`]) it holds the blocks
@@ -17,9 +17,7 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use vibe_comm::{
-    BoundaryKey, BufferCache, CacheConfig, Communicator, SendMeta, SharedTransport, Transport,
-};
+use vibe_comm::{BoundaryKey, BufferCache, CacheConfig, Communicator, SendMeta, Transport};
 use vibe_exec::{catalog, ExecCtx, Launcher};
 use vibe_field::{BlockData, PackStrategy};
 use vibe_mesh::{AmrFlag, DerefGate, Mesh, RegridSource};
@@ -362,12 +360,12 @@ pub struct Driver<P: Package> {
 
 impl<P: Package> Driver<P> {
     /// Creates a driver over `mesh` with `package` physics, holding every
-    /// block on a shared transport of its own.
+    /// block on a lone endpoint of its own.
     pub fn new(mesh: Mesh, package: P, params: DriverParams) -> Self {
         let mut mesh = mesh;
         mesh.load_balance(params.nranks);
-        let transport = Box::new(SharedTransport::new());
-        let mut driver = Self::assemble(mesh, Vec::new(), Arc::new(package), params, transport);
+        let comm = Communicator::new(params.nranks);
+        let mut driver = Self::assemble(mesh, Vec::new(), Arc::new(package), params, comm);
         driver.slots = (0..driver.mesh.num_blocks())
             .map(|gid| driver.new_slot(gid))
             .collect();
@@ -377,17 +375,18 @@ impl<P: Package> Driver<P> {
         driver
     }
 
-    /// A driver holding `slots` of `mesh` on `transport`, at time zero,
-    /// with a fresh recorder, logs, buffer cache and exchange plan.
+    /// A driver holding `slots` of `mesh` on `comm`, at time zero, with a
+    /// fresh recorder, logs, buffer cache and exchange plan.
     fn assemble(
         mesh: Mesh,
         slots: Vec<BlockSlot>,
         package: Arc<P>,
         params: DriverParams,
-        transport: Box<dyn Transport>,
+        mut comm: Communicator,
     ) -> Self {
+        comm.set_event_capture(params.capture_comm_events);
         Self {
-            comm: Self::communicator(&params, transport),
+            comm,
             cache: BufferCache::new(),
             rec: Recorder::with_prof_level(params.prof_level),
             gate: DerefGate::new(mesh.params().deref_gap()),
@@ -460,8 +459,8 @@ impl<P: Package> Driver<P> {
         held.into_iter()
             .zip(meshes)
             .map(|(slots, mesh)| {
-                let transport = Box::new(SharedTransport::new());
-                let mut part = Self::assemble(mesh, slots, Arc::clone(&package), params, transport);
+                let comm = Communicator::new(nranks);
+                let mut part = Self::assemble(mesh, slots, Arc::clone(&package), params, comm);
                 part.restore_clock(time, dt, cycle);
                 part.restore_amr_state(gate.clone(), history.clone());
                 part
@@ -504,7 +503,8 @@ impl<P: Package> Driver<P> {
             history,
             ..
         } = self;
-        let mut moved = Self::assemble(mesh, slots, package, params, transport);
+        let comm = Communicator::with_transport(params.nranks, transport);
+        let mut moved = Self::assemble(mesh, slots, package, params, comm);
         moved.restore_clock(time, dt, cycle);
         moved.restore_amr_state(gate, history);
         let hosted = moved.hosting();
@@ -518,12 +518,6 @@ impl<P: Package> Driver<P> {
         let bytes = moved.total_field_bytes();
         moved.rec.record_alloc(MemSpace::Kokkos, bytes as i64);
         moved
-    }
-
-    fn communicator(params: &DriverParams, transport: Box<dyn Transport>) -> Communicator {
-        let mut comm = Communicator::with_transport(params.nranks, transport);
-        comm.set_event_capture(params.capture_comm_events);
-        comm
     }
 
     /// Which rank labels' blocks this driver holds: every label on the
@@ -566,12 +560,12 @@ impl<P: Package> Driver<P> {
         &mut self.slots
     }
 
-    /// This driver's rank on its transport (0 on the shared transport).
+    /// This driver's rank on its transport (0 on a lone endpoint).
     pub fn rank(&self) -> usize {
         self.comm.rank()
     }
 
-    /// Endpoints of this driver's transport (1 on the shared transport).
+    /// Endpoints of this driver's transport (1 on a lone endpoint).
     pub(crate) fn endpoints(&self) -> usize {
         self.comm.endpoints()
     }
@@ -724,7 +718,7 @@ impl<P: Package> Driver<P> {
         }
     }
 
-    /// Runs on the shared transport a driver is born with, every block
+    /// Runs on the lone endpoint a driver is born with, every block
     /// resident: the tag/regrid rounds need no gather and move no block.
     fn initialize_impl(&mut self, ic: IcSource<'_>) {
         // Comm events during initialization carry a sentinel cycle so
@@ -1960,13 +1954,13 @@ mod tests {
         }
 
         // Mid-cycle — after an exchange, before the end-of-cycle drain —
-        // the log holds what it always held: three events per boundary
-        // (post, send, complete), whichever route the boundary took.
+        // the log holds what it always held: two events per boundary
+        // (send, complete), whichever route the boundary took.
         d.exchange();
         let boundaries: usize = (0..d.mesh.num_blocks())
             .map(|gid| d.mesh.neighbors(gid).len())
             .sum();
-        assert_eq!(d.resident_comm_events(), 3 * boundaries);
+        assert_eq!(d.resident_comm_events(), 2 * boundaries);
 
         // With capture off, nothing accumulates anywhere: logging is gated
         // at the source, so the log is empty mid-cycle too, not merely
@@ -2071,13 +2065,14 @@ mod tests {
         assert_eq!(map_block_costs(&old, &sources), [30, 50, 50, 25]);
     }
 
-    /// The transport-swap constructor on a shared transport of its own
+    /// The transport-swap constructor on a lone endpoint of its own
     /// must reproduce the driver it was made from bitwise, cycle for
     /// cycle, and hand every block back.
     #[test]
     fn single_shard_matches_driver_bitwise() {
         let mut driver = driver(1);
-        let mut shard = self::driver(1).with_transport(Box::new(SharedTransport::default()));
+        let lone = vibe_comm::channel_fabric(1).remove(0);
+        let mut shard = self::driver(1).with_transport(Box::new(lone));
         for _ in 0..4 {
             let ds = driver.step();
             let ss = shard.step();
@@ -2229,7 +2224,7 @@ mod tests {
     #[should_panic(expected = "exactly the blocks it hosts")]
     fn a_part_cannot_pose_as_the_whole() {
         let part = driver(2).into_ranks().swap_remove(0);
-        let _ = part.with_transport(Box::new(SharedTransport::new()));
+        let _ = part.with_transport(Box::new(vibe_comm::channel_fabric(1).remove(0)));
     }
 
     /// Two replicas of the same problem produce bitwise-identical init

@@ -30,8 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vibe_comm::{
-    channel_fabric, match_cross_edges, validate_multirank_event_order, CommEvent, PeerLost,
-    Transport,
+    channel_fabric, match_cross_edges, validate_event_order, CommEvent, PeerLost, Transport,
 };
 use vibe_core::driver::CycleSummary;
 use vibe_core::{fingerprint_slots, Driver, Package, ShardOutput, Snapshot};
@@ -66,7 +65,7 @@ pub struct RtRun {
     pub summaries: Vec<CycleSummary>,
     /// Every rank's communication events merged and sorted by the shared
     /// sequence counter, already validated by
-    /// [`validate_multirank_event_order`].
+    /// [`validate_event_order`].
     pub events: Vec<CommEvent>,
     /// Satisfied send→complete dependency edges in the merged log.
     pub dependency_edges: usize,
@@ -272,8 +271,8 @@ fn merge_shard_results(
     let fingerprint = fingerprint_slots(&slots);
 
     events.sort_by_key(|e| e.seq);
-    let dependency_edges = validate_multirank_event_order(&events, nranks)
-        .expect("merged multi-rank event log is well ordered");
+    let dependency_edges =
+        validate_event_order(&events, nranks).expect("merged multi-rank event log is well ordered");
 
     // Cross-rank causal attribution: matched send→complete pairs become
     // edges of the merged activity DAG; spans (when captured) yield the
@@ -1165,7 +1164,7 @@ mod tests {
     }
 
     /// The accounting rule, as a test: a fabric's endpoints together record
-    /// what one driver playing all `nranks` labels on the shared transport
+    /// what one driver playing all `nranks` labels on a lone endpoint
     /// records — each endpoint the share of the labels it hosts — plus
     /// what physically exists only between endpoints. The residual
     /// differences are the three rows of DESIGN.md's "Model inputs on a
@@ -1177,7 +1176,7 @@ mod tests {
         let regrid = StepFunction::RedistributeAndRefineMeshBlocks;
         for nranks in [2usize, 4] {
             let mut virt = drifting_blob(nranks, 1, true)()
-                .with_transport(Box::new(vibe_comm::SharedTransport::new()));
+                .with_transport(Box::new(vibe_comm::channel_fabric(1).remove(0)));
             let summaries = virt.run_cycles(cycles);
             assert!(summaries.iter().any(|s| s.refined > 0));
             assert!(summaries.iter().any(|s| s.derefined > 0));

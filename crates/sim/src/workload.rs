@@ -233,7 +233,7 @@ impl SimWorkload {
                                         ops.push(Op::Collective { func, op, bytes });
                                     }
                                 }
-                                CommEventKind::PostReceive | CommEventKind::Complete { .. } => {}
+                                CommEventKind::Complete => {}
                             }
                         }
                         for (r, &n) in expected.iter().enumerate() {

@@ -211,6 +211,26 @@ if grep -rnE "$gone" crates; then
     exit 1
 fi
 
+echo "==> the comm layer keeps what is read"
+# vibe-comm has one transport: a driver holding every block runs on a lone
+# endpoint (endpoint 0 of channel_fabric(1), which Communicator::new builds),
+# so the second transport and its loopback queue stay deleted. The event log
+# holds only what a consumer reads (no posted-receive events), and one
+# checker, validate_event_order(events, nranks), validates every log. In
+# non-test code the only transports are ChannelTransport and ChaosTransport.
+gone='SharedTransport|PostReceive|validate_multirank_event_order|loopback'
+if grep -rnE "$gone" crates tests examples; then
+    echo "a deleted transport, event kind or second event checker is back (see above)" >&2
+    exit 1
+fi
+impls=$(for file in $(find crates src tests examples -name '*.rs'); do
+    non_test "$file" | grep -oE 'impl ([a-z_]+::)*Transport for [A-Za-z]+' || true
+done | sed -E 's/.* for //' | sort | tr '\n' ' ')
+if [ "$impls" != "ChannelTransport ChaosTransport " ]; then
+    echo "non-test code must implement Transport exactly for ChannelTransport and ChaosTransport, found: $impls" >&2
+    exit 1
+fi
+
 echo "==> one build per session"
 # Rank 0's thread builds a session's whole replica once and cuts it
 # (Driver::into_ranks); the other ranks receive their blocks. So in non-test
