@@ -147,7 +147,7 @@ impl Package for BurgersPackage {
     fn initial_condition(&self, info: &BlockInfo, data: &mut BlockData) {
         // The canonical Burgers workload: three overlapping Gaussian blobs
         // (the bench probe's `multi_blob(0.9, 0.002, 3)`), preserving the
-        // headline fingerprint when setup goes through the registry.
+        // headline fingerprint when setup resolves the package by name.
         crate::ic::multi_blob(0.9, 0.002, 3)(info, data);
     }
 

@@ -75,27 +75,6 @@ pub fn hll_flux(
     }
 }
 
-/// Lane-batched [`physical_flux`]: `W` independent faces per lane. Lane `t`
-/// is bitwise identical to the scalar kernel on that face's state.
-#[inline(always)]
-pub fn physical_flux_lanes<const W: usize>(
-    u: &[F64Lanes<W>; 3],
-    q: &[F64Lanes<W>],
-    d: usize,
-    out: &mut [F64Lanes<W>],
-) {
-    let ud = u[d];
-    // Scalar computes `0.5 * ud * u[i]`, i.e. `(0.5 * ud) * u[i]`;
-    // multiplication is commutative bitwise, so `ud * 0.5` matches.
-    let half_ud = ud * 0.5;
-    for i in 0..3 {
-        out[i] = half_ud * u[i];
-    }
-    for (i, &qi) in q.iter().enumerate() {
-        out[3 + i] = qi * ud;
-    }
-}
-
 /// Lane-batched [`hll_flux`]: `W` independent faces solved at once,
 /// branch-free. The scalar solver's three-way branch on the signal speeds
 /// becomes a per-lane select over the same three candidate values, so lane
@@ -288,27 +267,6 @@ mod tests {
         let qr = [[2.0, 1.0], [1.5, 0.5], [0.0, 3.0], [2.5, 1.5]];
         for d in 0..3 {
             assert_lanes_match_scalar::<4>(ul, ur, ql, qr, d);
-        }
-    }
-
-    #[test]
-    fn lane_physical_flux_matches_scalar() {
-        let u = [[1.2, -0.4, 2.0], [0.0, 3.0, -1.0]];
-        let q = [[5.0, 0.25], [-2.0, 1.0]];
-        let lu: [F64Lanes<2>; 3] =
-            std::array::from_fn(|c| F64Lanes(std::array::from_fn(|t| u[t][c])));
-        let lq: [F64Lanes<2>; 2] =
-            std::array::from_fn(|c| F64Lanes(std::array::from_fn(|t| q[t][c])));
-        for d in 0..3 {
-            let mut lout = [F64Lanes::splat(0.0); 5];
-            physical_flux_lanes(&lu, &lq, d, &mut lout);
-            for t in 0..2 {
-                let mut sout = [0.0f64; 5];
-                physical_flux(&u[t], &q[t], d, &mut sout);
-                for c in 0..5 {
-                    assert_eq!(lout[c].0[t].to_bits(), sout[c].to_bits());
-                }
-            }
         }
     }
 }

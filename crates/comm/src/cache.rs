@@ -56,7 +56,6 @@ impl Default for CacheConfig {
 #[derive(Debug, Clone, Default)]
 pub struct BufferCache {
     valid: bool,
-    rebuilds: u64,
 }
 
 impl BufferCache {
@@ -73,11 +72,6 @@ impl BufferCache {
     /// Invalidates the cache (called after every regrid / redistribution).
     pub fn invalidate(&mut self) {
         self.valid = false;
-    }
-
-    /// Number of full rebuilds performed.
-    pub fn rebuild_count(&self) -> u64 {
-        self.rebuilds
     }
 
     /// `InitializeBufferCache`: records the serial cost inputs of walking
@@ -114,7 +108,6 @@ impl BufferCache {
             SerialWork::HostCopyBytes(metadata_bytes),
         );
         self.valid = true;
-        self.rebuilds += 1;
     }
 }
 
@@ -167,7 +160,6 @@ mod tests {
         cache.invalidate();
         assert!(!cache.is_valid());
         cache.rebuild(100, 2048, &mut rec);
-        assert_eq!(cache.rebuild_count(), 2);
         rec.end_cycle(1, 0, 0, 0);
         let s = &rec.totals().serial[&StepFunction::RebuildBufferCache];
         assert_eq!(s.allocations, 220);

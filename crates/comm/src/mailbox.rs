@@ -445,14 +445,6 @@ impl Communicator {
     pub fn take_collective_block_ns(&mut self) -> u64 {
         std::mem::take(&mut self.collective_block_ns)
     }
-
-    /// Number of currently in-flight (sent, unconsumed) messages.
-    pub fn in_flight(&self) -> usize {
-        self.slots
-            .values()
-            .filter(|s| s.status == MessageStatus::InFlight)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -606,7 +598,7 @@ mod tests {
             &mut rec,
         );
         assert!(comm.poll_ready(early, &mut rec), "probed into its slot");
-        assert_eq!(comm.in_flight(), 1);
+        assert_eq!(comm.status(early), Some(MessageStatus::InFlight));
         comm.mark_all_stale();
         assert_eq!(comm.status(consumed), None, "consumed slot is dropped");
         assert_eq!(

@@ -1622,7 +1622,7 @@ mod tests {
                     plan, &blocks, comm, &mut cache, cfg, exec, rec,
                 ));
             }
-            let (wall, mut waited) = (WallClock::disabled(), 0);
+            let (wall, mut waited) = (WallClock::default(), 0);
             for (r, mut state) in states.into_iter().enumerate() {
                 let (plan, comm) = (&self.plans[r], &mut self.comms[r]);
                 waited += state.flight.awaits.iter().filter(|w| **w).count();
@@ -1870,7 +1870,7 @@ mod tests {
         let sweep = |info: &BlockInfo, data: &BlockData, out: &mut [FluxOut]| {
             with_scratch(|s| sweep_block(&pkg, info, data, out, &tiles, Planes::Save, s));
         };
-        let wall = WallClock::disabled();
+        let wall = WallClock::default();
         let mut seed = 0x0dd_ba11_5eed_0022u64;
         for order in ["ascending", "descending", "shuffled"] {
             for threads in [1, 2, 8] {

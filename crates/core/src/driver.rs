@@ -694,7 +694,7 @@ impl<P: Package> Driver<P> {
     /// Like [`Self::initialize`], but fills the initial condition from the
     /// package's own problem generator
     /// ([`Package::initial_condition`](crate::Package::initial_condition))
-    /// — the setup path for registry-resolved packages, where no caller
+    /// — the setup path for packages resolved by name, where no caller
     /// knows the concrete physics.
     pub fn initialize_package(&mut self) {
         self.initialize_impl(IcSource::Package);
@@ -760,16 +760,6 @@ impl<P: Package> Driver<P> {
     /// Advances `n` cycles, returning their summaries.
     pub fn run_cycles(&mut self, n: u64) -> Vec<CycleSummary> {
         (0..n).map(|_| self.step()).collect()
-    }
-
-    /// Advances cycles until simulation time reaches `t_end` (bounded by
-    /// `max_cycles` as a safety stop), returning the summaries.
-    pub fn run_until(&mut self, t_end: f64, max_cycles: u64) -> Vec<CycleSummary> {
-        let mut out = Vec::new();
-        while self.time < t_end && (out.len() as u64) < max_cycles {
-            out.push(self.step());
-        }
-        out
     }
 
     /// Advances one full cycle by executing the [`cycle_task_graph`]: RK2
@@ -1762,16 +1752,6 @@ mod tests {
         let c8 = &d8.recorder().totals().comm[&StepFunction::SendBoundBufs];
         assert_eq!(c1.p2p_remote_messages, 0, "single rank is all-local");
         assert!(c8.p2p_remote_messages > 0);
-    }
-
-    #[test]
-    fn run_until_reaches_time_or_cap() {
-        let mut d = driver(1);
-        let s = d.run_until(1e9, 3);
-        assert_eq!(s.len(), 3, "cycle cap respected");
-        let t = d.time();
-        let s2 = d.run_until(t + 1e-9, 100);
-        assert_eq!(s2.len(), 1, "one step crosses the tiny horizon");
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod boundary;
 pub mod conformance;
 pub mod driver;
 pub mod package;
-pub mod registry;
 pub mod snapshot;
 pub mod sweep;
 pub mod tasks;
@@ -43,8 +42,7 @@ pub use conformance::{
     check_package, check_partition_invariance, synthetic_block, ConformanceReport,
 };
 pub use driver::{cycle_task_graph, CycleSummary, Driver, DriverParams, ShardOutput};
-pub use package::{FluxPhase, Package, RefinementPolicy};
-pub use registry::{DynPackage, PackageRegistry, PackageSpec, RegistryError};
+pub use package::{DynPackage, FluxPhase, Package, PackageSpec, RefinementPolicy};
 pub use snapshot::{read_snapshot, restore_driver, Snapshot};
 pub use sweep::{CellBox, FluxTile};
 pub use tasks::{TaskKind, TaskNode, TaskStatus};

@@ -66,11 +66,11 @@ impl Default for RefinementPolicy {
 /// ([`Package::refinement_policy`]), and labels for its history columns
 /// ([`Package::history_labels`]). These hooks let every layer — driver,
 /// rank shards, the service, the benchmarks — construct a problem from
-/// nothing but a package resolved by name from a
-/// [`crate::registry::PackageRegistry`].
+/// nothing but a package resolved by name from the closed roster
+/// `vibe_physics::PACKAGES`.
 pub trait Package: Sync {
-    /// Package name: the key a [`crate::registry::PackageRegistry`]
-    /// resolves and the `physics=` field of canonical job configs.
+    /// Package name: its entry in `vibe_physics::PACKAGES` and the
+    /// `physics` field of job configs.
     fn name(&self) -> &str;
 
     /// Registers this package's variables into a fresh block container.
@@ -172,5 +172,138 @@ pub trait Package: Sync {
             }
         }
         totals
+    }
+}
+
+/// A type-erased package, usable anywhere a concrete `P: Package` is —
+/// `Driver<DynPackage>` on any transport, `RtSession<DynPackage>`.
+pub type DynPackage = Box<dyn Package + Send + Sync>;
+
+/// Boxed packages forward every trait method (including the defaulted
+/// hooks, so concrete overrides are not lost behind the erasure).
+impl Package for DynPackage {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn register(&self, data: &mut BlockData) {
+        (**self).register(data)
+    }
+
+    fn nghost(&self) -> usize {
+        (**self).nghost()
+    }
+
+    fn default_cfl(&self) -> f64 {
+        (**self).default_cfl()
+    }
+
+    fn initial_condition(&self, info: &BlockInfo, data: &mut BlockData) {
+        (**self).initial_condition(info, data)
+    }
+
+    fn history_labels(&self) -> Vec<&'static str> {
+        (**self).history_labels()
+    }
+
+    fn refinement_policy(&self) -> RefinementPolicy {
+        (**self).refinement_policy()
+    }
+
+    fn stencil_radius(&self) -> usize {
+        (**self).stencil_radius()
+    }
+
+    fn flux_byte_multiplier(&self, shape: &IndexShape) -> f64 {
+        (**self).flux_byte_multiplier(shape)
+    }
+
+    fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+        (**self).fill_fluxes(info, data, tile)
+    }
+
+    fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
+        (**self).fill_derived(pack, exec, rec)
+    }
+
+    fn estimate_dt(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> f64 {
+        (**self).estimate_dt(pack, exec, rec)
+    }
+
+    fn tag_refinement(
+        &self,
+        pack: &mut [&mut BlockSlot],
+        exec: ExecCtx,
+        rec: &mut Recorder,
+    ) -> Vec<AmrFlag> {
+        (**self).tag_refinement(pack, exec, rec)
+    }
+
+    fn history_contributions(
+        &self,
+        pack: &mut [&mut BlockSlot],
+        exec: ExecCtx,
+        rec: &mut Recorder,
+    ) -> Vec<Vec<f64>> {
+        (**self).history_contributions(pack, exec, rec)
+    }
+
+    fn history(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> Vec<f64> {
+        (**self).history(pack, exec, rec)
+    }
+}
+
+/// Problem-level parameters a package is built with (`vibe_physics::resolve`).
+/// Fields a package has no use for are simply ignored, so one spec shape
+/// serves every package.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackageSpec {
+    /// Package name, one of `vibe_physics::PACKAGES`.
+    pub name: String,
+    /// Number of passively advected scalars (packages with a scalar bundle).
+    pub num_scalars: usize,
+    /// Refinement threshold override.
+    pub refine_tol: f64,
+    /// Derefinement threshold override.
+    pub deref_tol: f64,
+}
+
+impl PackageSpec {
+    /// A spec for `name` with the workload defaults the benchmarks use
+    /// (one scalar, refine at 0.1, derefine below 0.025).
+    pub fn named(name: &str) -> Self {
+        Self {
+            name: name.to_string(),
+            num_scalars: 1,
+            refine_tol: 0.1,
+            deref_tol: 0.025,
+        }
+    }
+
+    /// Same spec with a different scalar count.
+    pub fn with_num_scalars(mut self, num_scalars: usize) -> Self {
+        self.num_scalars = num_scalars;
+        self
+    }
+
+    /// Same spec with different refinement thresholds.
+    pub fn with_tols(mut self, refine_tol: f64, deref_tol: f64) -> Self {
+        self.refine_tol = refine_tol;
+        self.deref_tol = deref_tol;
+        self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_package::Advect;
+
+    #[test]
+    fn boxed_package_forwards_hooks() {
+        let pkg: DynPackage = Box::<Advect>::default();
+        assert_eq!(pkg.nghost(), 2);
+        assert!(pkg.default_cfl() > 0.0);
+        assert_eq!(pkg.history_labels(), vec!["q_mass"]);
     }
 }

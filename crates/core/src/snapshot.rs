@@ -120,17 +120,7 @@ impl Snapshot {
         w_u64(w, self.leaves.len() as u64)?;
         for (loc, vars) in self.leaves.iter().zip(&self.block_vars) {
             w_loc(w, loc)?;
-            w_u32(w, vars.len() as u32)?;
-            for (name, ncomp, data) in vars {
-                let name = name.as_bytes();
-                w_u32(w, name.len() as u32)?;
-                w.write_all(name)?;
-                w_u32(w, *ncomp as u32)?;
-                w_u64(w, data.len() as u64)?;
-                for &v in data {
-                    w_f64(w, v)?;
-                }
-            }
+            w_block_vars(w, vars)?;
         }
         w_u64(w, self.gate.len() as u64)?;
         for (loc, last) in &self.gate {
@@ -198,8 +188,7 @@ impl Snapshot {
         let mut block_vars = Vec::with_capacity(nblocks.min(MAX_PREALLOC));
         for _ in 0..nblocks {
             leaves.push(r_loc(r)?);
-            let (vars, _) = r_block_vars(r)?;
-            block_vars.push(vars);
+            block_vars.push(r_block_vars(r)?);
         }
         let ngate = r_count(r, MAX_COUNT, "gate entry")?;
         let mut gate = Vec::with_capacity(ngate.min(MAX_PREALLOC));
@@ -421,15 +410,13 @@ pub fn read_snapshot<R: Read>(r: &mut R) -> io::Result<Snapshot> {
 }
 
 /// Reads one block's variable list (shared between the full snapshot
-/// format and the per-rank checkpoint payloads). Returns the variables and
-/// the total f64 count read (for accounting).
-fn r_block_vars<R: Read>(r: &mut R) -> io::Result<(BlockVars, u64)> {
+/// format and the per-rank checkpoint payloads).
+fn r_block_vars<R: Read>(r: &mut R) -> io::Result<BlockVars> {
     let nvars = r_u32(r)? as usize;
     if nvars > 4096 {
         return Err(bad("implausible variable count"));
     }
     let mut vars = Vec::with_capacity(nvars);
-    let mut total = 0u64;
     for _ in 0..nvars {
         let name_len = r_u32(r)? as usize;
         if name_len > 4096 {
@@ -446,10 +433,9 @@ fn r_block_vars<R: Read>(r: &mut R) -> io::Result<(BlockVars, u64)> {
         if len > MAX_DATA_LEN {
             return Err(bad("implausible variable data length"));
         }
-        total += len;
         vars.push((name, ncomp, r_f64_vec(r, len as usize)?));
     }
-    Ok((vars, total))
+    Ok(vars)
 }
 
 fn w_block_vars<W: Write>(w: &mut W, vars: &[(String, usize, Vec<f64>)]) -> io::Result<()> {
@@ -487,8 +473,7 @@ fn decode_rank_blocks(bytes: &[u8]) -> io::Result<Vec<(usize, BlockVars)>> {
     let mut out = Vec::with_capacity(count.min(MAX_PREALLOC));
     for _ in 0..count {
         let gid = r_u64(&mut r)? as usize;
-        let (vars, _) = r_block_vars(&mut r)?;
-        out.push((gid, vars));
+        out.push((gid, r_block_vars(&mut r)?));
     }
     Ok(out)
 }
@@ -767,6 +752,20 @@ mod tests {
         huge_data[len_off..len_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = read_snapshot(&mut huge_data.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// The version-2 wire bytes of a fixed run, pinned by length and
+    /// FNV-1a hash: the encoder may be refactored, its output may not move.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let mut d = driver();
+        d.run_cycles(3);
+        let mut buf = Vec::new();
+        d.to_snapshot().write_to(&mut buf).unwrap();
+        let hash = buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!((buf.len(), hash), (33_812, 0xc0dd_5855_0da1_177d));
     }
 
     #[test]

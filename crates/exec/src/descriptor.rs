@@ -54,17 +54,6 @@ pub struct KernelDescriptor {
     pub ilp_efficiency: f64,
 }
 
-impl KernelDescriptor {
-    /// Arithmetic intensity implied by the static per-cell work.
-    pub fn base_arithmetic_intensity(&self) -> f64 {
-        if self.bytes_per_cell == 0.0 {
-            0.0
-        } else {
-            self.flops_per_cell / self.bytes_per_cell
-        }
-    }
-}
-
 /// The catalog of Parthenon-VIBE kernels characterized in Table III, plus
 /// auxiliary framework kernels. Registers/thread and block configurations
 /// are set to reproduce the occupancy limits Nsight Compute reports: e.g.
@@ -279,14 +268,15 @@ mod tests {
         assert_eq!(k.threads_per_block, 128);
         assert!((k.useful_warp_fraction - 0.25).abs() < 1e-12);
         // AI near the reported 4.3 FLOPs/B at B32.
-        assert!((k.base_arithmetic_intensity() - 4.3).abs() < 0.01);
+        assert!((k.flops_per_cell / k.bytes_per_cell - 4.3).abs() < 0.01);
     }
 
     #[test]
     fn copy_kernels_have_low_intensity() {
-        assert_eq!(catalog::SEND_BOUND_BUFS.base_arithmetic_intensity(), 0.0);
-        assert!(catalog::SET_BOUNDS.base_arithmetic_intensity() < 1.0);
-        assert!(catalog::WEIGHTED_SUM_DATA.base_arithmetic_intensity() < 1.0);
+        assert_eq!(catalog::SEND_BOUND_BUFS.flops_per_cell, 0.0);
+        for k in [catalog::SET_BOUNDS, catalog::WEIGHTED_SUM_DATA] {
+            assert!(k.flops_per_cell < k.bytes_per_cell, "{}", k.name);
+        }
     }
 
     #[test]
@@ -295,15 +285,8 @@ mod tests {
         // the H100 operational intensity of ~10.1 FLOPs/B, i.e. the workload
         // is memory-bound (paper §VII-A).
         for k in catalog::ALL {
-            if k.name == "FirstDerivative" {
-                assert!(k.base_arithmetic_intensity() > 10.1);
-                continue;
-            }
-            assert!(
-                k.base_arithmetic_intensity() < 10.1,
-                "{} unexpectedly compute-bound",
-                k.name
-            );
+            let compute_bound = k.flops_per_cell > 10.1 * k.bytes_per_cell;
+            assert_eq!(compute_bound, k.name == "FirstDerivative", "{}", k.name);
         }
     }
 }

@@ -13,7 +13,7 @@ use crate::descriptor::KernelDescriptor;
 ///
 /// ```
 /// use vibe_exec::{catalog, Launcher};
-/// use vibe_prof::Recorder;
+/// use vibe_prof::{Recorder, StepFunction};
 ///
 /// let mut rec = Recorder::new();
 /// rec.begin_cycle(0);
@@ -22,7 +22,8 @@ use crate::descriptor::KernelDescriptor;
 ///     launcher.record_only(&catalog::WEIGHTED_SUM_DATA, 4096, 1.0);
 /// }
 /// rec.end_cycle(1, 0, 0, 4096);
-/// assert_eq!(rec.totals().kernel_launches(), 1);
+/// let k = &rec.totals().kernels[&(StepFunction::WeightedSumData, "WeightedSumData")];
+/// assert_eq!((k.launches, k.cells), (1, 4096));
 /// ```
 #[derive(Debug)]
 pub struct Launcher<'a> {

@@ -221,14 +221,6 @@ impl BlockData {
         }
     }
 
-    /// Variable by name — the string-keyed path the paper flags as serial
-    /// overhead. Counts a string lookup per the configured strategy.
-    pub fn var_by_name(&mut self, name: &str) -> Option<&CellVariable> {
-        self.count_name_resolution(name);
-        let id = *self.by_name.get(name)?;
-        Some(&self.vars[id.0])
-    }
-
     /// Id of the variable named `name`, counting a string lookup per the
     /// configured strategy.
     pub fn id_of(&mut self, name: &str) -> Option<VarId> {
@@ -392,8 +384,8 @@ mod tests {
     #[test]
     fn take_string_lookups_resets() {
         let mut d = container();
-        d.var_by_name("u");
-        d.var_by_name("q");
+        d.id_of("u");
+        d.id_of("q");
         assert_eq!(d.take_string_lookups(), 2);
         assert_eq!(d.string_lookup_count(), 0);
     }

@@ -21,11 +21,6 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 #[repr(transparent)]
 pub struct F64Lanes<const W: usize>(pub [f64; W]);
 
-/// Four-wide lanes (one AVX2 register).
-pub type F64x4 = F64Lanes<4>;
-/// Eight-wide lanes (one AVX-512 register, two AVX2 registers).
-pub type F64x8 = F64Lanes<8>;
-
 /// Per-lane boolean mask produced by lane comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(transparent)]
@@ -173,22 +168,6 @@ impl<const W: usize> F64Lanes<W> {
         }
         vals[0]
     }
-
-    /// Horizontal maximum over the lanes (balanced tree, order-independent
-    /// for non-NaN inputs like [`Self::reduce_min`]).
-    #[inline(always)]
-    pub fn reduce_max(self) -> f64 {
-        let mut vals = self.0;
-        let mut width = W;
-        while width > 1 {
-            let half = width / 2;
-            for i in 0..half {
-                vals[i] = vals[i].max(vals[i + width - half]);
-            }
-            width -= half;
-        }
-        vals[0]
-    }
 }
 
 impl<const W: usize> Add for F64Lanes<W> {
@@ -302,14 +281,12 @@ mod tests {
         assert_eq!(v.reduce_min().to_bits(), seq.to_bits());
         let w = F64Lanes::<4>([4.0, 4.0, 4.0, 4.0]);
         assert_eq!(w.reduce_min(), 4.0);
-        assert_eq!(w.reduce_max(), 4.0);
     }
 
     #[test]
     fn reduce_handles_infinities() {
         let v = F64Lanes::<4>([f64::INFINITY, 3.0, f64::INFINITY, 2.0]);
         assert_eq!(v.reduce_min(), 2.0);
-        assert_eq!(v.reduce_max(), f64::INFINITY);
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl Metadata {
         self.0 & other.0 == other.0
     }
 
-    /// `true` if any flag in `other` is set in `self`.
-    pub fn intersects(&self, other: Metadata) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// Raw bit representation.
     pub fn bits(&self) -> u32 {
         self.0
@@ -266,8 +261,6 @@ mod tests {
         let m = Metadata::INDEPENDENT | Metadata::FILL_GHOST | Metadata::WITH_FLUXES;
         assert!(m.contains(Metadata::INDEPENDENT | Metadata::FILL_GHOST));
         assert!(!m.contains(Metadata::DERIVED));
-        assert!(m.intersects(Metadata::DERIVED | Metadata::FILL_GHOST));
-        assert!(!Metadata::NONE.intersects(m));
     }
 
     #[test]

@@ -204,15 +204,6 @@ impl FaultPlan {
         &self.spec
     }
 
-    /// True when the plan can never inject anything — wrapping a
-    /// transport with it is guaranteed byte-for-byte neutral.
-    pub fn is_noop(&self) -> bool {
-        self.spec.drop_per_mille == 0
-            && self.spec.delay_per_mille == 0
-            && self.spec.duplicate_per_mille == 0
-            && self.spec.kill.is_none()
-    }
-
     /// The deterministic fault decision for a message: purely a function
     /// of `(seed, src, uid)`. Messages with `uid == 0` (never left the
     /// sender's address space) are exempt.
@@ -533,7 +524,6 @@ mod tests {
     fn zero_rate_plan_is_a_passthrough() {
         let batch = vec![msg(1, 0, 1, 1.0), msg(2, 0, 2, 2.0)];
         let (mut t, plan) = chaos(FaultPlanSpec::default(), vec![batch.clone()]);
-        assert!(plan.is_noop());
         let got = t.drain();
         assert_eq!(got.len(), 2);
         assert_eq!(uids(&got), vec![1, 2]);
@@ -649,7 +639,6 @@ mod tests {
             kill: Some(KillSpec { rank: 1, cycle: 2 }),
             ..Default::default()
         });
-        assert!(!plan.is_noop());
         assert_eq!(plan.pending_kill(0), None);
         assert_eq!(plan.pending_kill(1), Some(2));
         assert!(plan.fire_kill());

@@ -29,7 +29,6 @@ pub mod memory;
 pub mod occupancy;
 pub mod opcode;
 pub mod platform;
-pub mod report;
 pub mod serial;
 pub mod specs;
 
@@ -41,6 +40,5 @@ pub use memory::{
 pub use occupancy::{occupancy, Occupancy};
 pub use opcode::{opcode_mix, opcode_mix_with_efficiency, vector_efficiency, OpcodeMix};
 pub use platform::{Backend, FunctionTime, PlatformConfig, PlatformReport};
-pub use report::{function_table, stacked_bar, summary_line};
 pub use serial::SerialCosts;
 pub use specs::{CpuSpec, GpuSpec};

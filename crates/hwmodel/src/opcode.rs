@@ -41,11 +41,6 @@ impl OpcodeMix {
             total_instructions: total,
         }
     }
-
-    /// Combined load + store share (the paper quotes 39–41% for serial).
-    pub fn load_store(&self) -> f64 {
-        self.load + self.store
-    }
 }
 
 /// Vectorization efficiency of data-parallel loops over rows of
@@ -202,7 +197,7 @@ mod tests {
     fn serial_load_store_share_matches_paper_band() {
         // Fig. 13: loads+stores are 39–41% of serial execution.
         let (_, serial, _) = opcode_mix(&stats(32), 32);
-        let ls = serial.load_store();
+        let ls = serial.load + serial.store;
         assert!((0.37..=0.43).contains(&ls), "got {ls}");
     }
 

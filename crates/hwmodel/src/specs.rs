@@ -82,11 +82,6 @@ impl GpuSpec {
             launch_latency: 6.0e-6,
         }
     }
-
-    /// Operational intensity (FLOPs/byte) at which the roofline ridge sits.
-    pub fn operational_intensity(&self) -> f64 {
-        self.peak_fp64 / self.mem_bw
-    }
 }
 
 #[cfg(test)]
@@ -108,13 +103,9 @@ mod tests {
         assert!((gpu.mem_bw - 3.35e12).abs() < 1.0);
         // 81,559 MiB ≈ 79.6 GiB ≈ 85.5 GB.
         assert!(gpu.mem_capacity > 79 * (1u64 << 30) && gpu.mem_capacity < 81 * (1u64 << 30));
-    }
-
-    #[test]
-    fn h100_operational_intensity_near_ten() {
         // Paper footnote 2: 34 TFLOPS / 3.35 TB/s ≈ 10.1 FLOPs/B.
-        let oi = GpuSpec::h100().operational_intensity();
-        assert!((oi - 10.1).abs() < 0.1, "got {oi}");
+        let ridge = gpu.peak_fp64 / gpu.mem_bw;
+        assert!((ridge - 10.1).abs() < 0.1, "got {ridge}");
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub use mesh::{Mesh, MeshBlock, MeshParams, MeshParamsBuilder, RegridOutcome, Re
 pub use morton::MortonKey;
 pub use neighbor::{NeighborBlock, NeighborKind, NeighborOffset};
 pub use refinement::{enforce_proper_nesting, AmrFlag, DerefGate, NestingTable};
-pub use tree::{BlockTree, LeafId};
+pub use tree::BlockTree;

@@ -119,29 +119,6 @@ impl LogicalLocation {
         (0..3).all(|d| (other.lx[d] >> shift) == self.lx[d])
     }
 
-    /// The ancestor of this location at `level` (which must not exceed
-    /// `self.level()`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level > self.level()` or `level < 0`.
-    pub fn ancestor_at(&self, level: i32) -> Self {
-        assert!(
-            (0..=self.level).contains(&level),
-            "ancestor level {level} out of range 0..={}",
-            self.level
-        );
-        let shift = self.level - level;
-        Self {
-            level,
-            lx: [
-                self.lx[0] >> shift,
-                self.lx[1] >> shift,
-                self.lx[2] >> shift,
-            ],
-        }
-    }
-
     /// The location offset by `off` blocks at the same level, or `None` if
     /// the result leaves the lattice `[0, extent_d)` per dimension.
     ///
@@ -232,14 +209,6 @@ mod tests {
         let a = LogicalLocation::new(1, 0, 0, 0);
         let b = LogicalLocation::new(2, 2, 0, 0); // descendant of (1,1,0,0)
         assert!(!a.contains(&b));
-    }
-
-    #[test]
-    fn ancestor_at_walks_up() {
-        let deep = LogicalLocation::new(3, 7, 5, 3);
-        assert_eq!(deep.ancestor_at(3), deep);
-        assert_eq!(deep.ancestor_at(2), LogicalLocation::new(2, 3, 2, 1));
-        assert_eq!(deep.ancestor_at(0), LogicalLocation::new(0, 0, 0, 0));
     }
 
     #[test]

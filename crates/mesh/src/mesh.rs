@@ -485,26 +485,6 @@ impl Mesh {
         self.tree.level_census()
     }
 
-    /// Blocks at refinement `level`, in Morton order.
-    pub fn blocks_at_level(&self, level: i32) -> impl Iterator<Item = &MeshBlock> {
-        self.blocks.iter().filter(move |b| b.level() == level)
-    }
-
-    /// Blocks owned by `rank`, in Morton order (a contiguous run).
-    pub fn blocks_of_rank(&self, rank: usize) -> impl Iterator<Item = &MeshBlock> {
-        self.blocks.iter().filter(move |b| b.rank() == rank)
-    }
-
-    /// Count of fine-coarse neighbor connections (level boundaries) — the
-    /// sites where flux correction and restriction/prolongation traffic
-    /// occur.
-    pub fn level_boundary_count(&self) -> usize {
-        self.neighbors
-            .iter()
-            .map(|nbs| nbs.iter().filter(|n| n.level_diff != 0).count())
-            .sum()
-    }
-
     /// Applies a nesting-enforced regrid decision, rebuilding the block list
     /// and neighbor cache, and reporting data provenance for every new block.
     ///
@@ -788,35 +768,26 @@ mod tests {
     }
 
     #[test]
-    fn level_and_rank_iterators() {
+    fn levels_ranks_and_level_boundaries_after_a_refine() {
         let mut m = mesh_2d();
+        let level_boundaries = |m: &Mesh| -> usize {
+            (0..m.num_blocks())
+                .map(|g| m.neighbors(g).iter().filter(|n| n.level_diff != 0).count())
+                .sum()
+        };
+        assert_eq!(level_boundaries(&m), 0, "a uniform mesh has none");
         let loc = m.block(5).loc();
         let flags: std::collections::BTreeMap<_, _> =
             [(loc, AmrFlag::Refine)].into_iter().collect();
         let d = enforce_proper_nesting(m.tree(), &flags);
         m.regrid(&d).unwrap();
         m.load_balance(4);
-        assert_eq!(m.blocks_at_level(0).count(), 15);
-        assert_eq!(m.blocks_at_level(1).count(), 4);
-        let by_rank: usize = (0..4).map(|r| m.blocks_of_rank(r).count()).sum();
-        assert_eq!(by_rank, m.num_blocks());
-        // Rank runs are contiguous in Morton order.
-        for r in 0..4 {
-            let gids: Vec<usize> = m.blocks_of_rank(r).map(|b| b.gid()).collect();
-            for w in gids.windows(2) {
-                assert_eq!(w[1], w[0] + 1);
-            }
-        }
-        assert!(
-            m.level_boundary_count() > 0,
-            "fine-coarse connections exist"
-        );
-    }
-
-    #[test]
-    fn uniform_mesh_has_no_level_boundaries() {
-        let m = mesh_2d();
-        assert_eq!(m.level_boundary_count(), 0);
+        assert_eq!(m.level_census(), vec![15, 4, 0]);
+        // Each rank owns one contiguous run of the Morton-ordered blocks.
+        let mut runs: Vec<usize> = m.blocks().iter().map(|b| b.rank()).collect();
+        runs.dedup();
+        assert_eq!(runs, [0, 1, 2, 3]);
+        assert!(level_boundaries(&m) > 0, "fine-coarse connections exist");
     }
 
     #[test]

@@ -55,13 +55,6 @@ impl NeighborOffset {
         }
     }
 
-    /// The opposite direction (as seen from the neighbor).
-    pub fn reversed(&self) -> Self {
-        Self {
-            off: [-self.off[0], -self.off[1], -self.off[2]],
-        }
-    }
-
     /// All valid offsets for a `dim`-dimensional mesh, faces first.
     pub fn all(dim: usize) -> Vec<Self> {
         let range = |active: bool| if active { -1..=1 } else { 0..=0 };
@@ -106,11 +99,6 @@ impl NeighborBlock {
     /// `true` if the neighbor is finer than the source block.
     pub fn is_finer(&self) -> bool {
         self.level_diff > 0
-    }
-
-    /// `true` if the neighbor is coarser than the source block.
-    pub fn is_coarser(&self) -> bool {
-        self.level_diff < 0
     }
 }
 
@@ -225,12 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn reversed_offset() {
-        let o = NeighborOffset::new(1, -1, 0);
-        assert_eq!(o.reversed().components(), [-1, 1, 0]);
-    }
-
-    #[test]
     #[should_panic(expected = "zero offset")]
     fn zero_offset_rejected() {
         NeighborOffset::new(0, 0, 0);
@@ -281,7 +263,7 @@ mod tests {
         // Fine block at level 1 bordering the coarse level-0 block at x=0.
         let fine = LogicalLocation::new(1, 2, 1, 0);
         let n = find_neighbors(&t, &fine);
-        let coarse: Vec<_> = n.iter().filter(|nb| nb.is_coarser()).collect();
+        let coarse: Vec<_> = n.iter().filter(|nb| nb.level_diff < 0).collect();
         assert!(!coarse.is_empty());
         assert!(coarse
             .iter()

@@ -281,13 +281,6 @@ impl DerefGate {
         self.last_event.insert(*parent, cycle);
     }
 
-    /// Drops bookkeeping for regions last touched more than `horizon` cycles
-    /// before `cycle` (they can no longer be gated).
-    pub fn prune(&mut self, cycle: u64) {
-        let gap = self.min_gap;
-        self.last_event.retain(|_, &mut last| cycle < last + gap);
-    }
-
     /// Gate state as `(parent, last_event_cycle)` pairs sorted by location —
     /// a deterministic serialization order for checkpoints.
     pub fn entries(&self) -> Vec<(LogicalLocation, u64)> {
@@ -713,15 +706,13 @@ mod tests {
     }
 
     #[test]
-    fn deref_gate_filter_and_prune() {
+    fn deref_gate_filter() {
         let mut gate = DerefGate::new(5);
         let a = LogicalLocation::new(0, 0, 0, 0);
         let b = LogicalLocation::new(0, 1, 0, 0);
         gate.record_refine(&a, 2);
         let kept = gate.filter(vec![a, b], 4);
         assert_eq!(kept, vec![b]);
-        gate.prune(100);
-        assert!(gate.allows(&a, 100));
     }
 
     #[test]

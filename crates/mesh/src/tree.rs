@@ -13,10 +13,6 @@ use crate::error::MeshError;
 use crate::logical::LogicalLocation;
 use crate::morton::MortonKey;
 
-/// Stable identifier of a leaf within one snapshot of the tree (its Morton
-/// rank). Regenerated after every regrid.
-pub type LeafId = usize;
-
 /// The leaf set of the refinement tree.
 ///
 /// Invariants (checked by [`BlockTree::validate`] and maintained by
@@ -141,12 +137,6 @@ impl BlockTree {
             }
             cur = cur.parent();
         }
-    }
-
-    /// Morton rank (LeafId) of leaf `loc` in the current snapshot.
-    pub fn leaf_rank(&self, loc: &LogicalLocation) -> Option<LeafId> {
-        let key = self.by_loc.get(loc)?;
-        Some(self.leaves.range(..key).count())
     }
 
     /// Counts leaves at each level, indexed by level.
@@ -346,16 +336,6 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn leaf_rank_matches_iteration_order() {
-        let mut t = tree2d();
-        t.refine(&LogicalLocation::new(0, 3, 3, 0)).unwrap();
-        for (rank, loc) in t.leaves().enumerate() {
-            assert_eq!(t.leaf_rank(&loc), Some(rank));
-        }
-        assert_eq!(t.leaf_rank(&LogicalLocation::new(2, 0, 0, 0)), None);
     }
 
     #[test]

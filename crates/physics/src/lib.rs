@@ -1,10 +1,12 @@
 //! # vibe-physics
 //!
 //! The physics-package library: concrete [`Package`] implementations
-//! beyond the Burgers benchmark, plus the [`standard_registry`] that
-//! resolves every shipped package by name. Layers that select physics at
+//! beyond the Burgers benchmark, and the closed roster of every shipped
+//! package — [`PACKAGES`] names them, [`resolve`] builds one by name (as
+//! Parthenon's `ProcessPackages` does). Layers that select physics at
 //! runtime — through the one run description, `JobConfig.physics` —
-//! resolve from here instead of naming concrete types.
+//! resolve from here instead of naming concrete types. Adding a package
+//! is a struct, one [`PACKAGES`] entry and one [`resolve`] arm.
 //!
 //! Shipped packages, spanning distinct roofline/AMR regimes:
 //!
@@ -14,11 +16,11 @@
 //! | `advect`    | 3-axis linear advection      | comm-bound scaling probe    |
 //! | `euler`     | compressible Euler, HLL      | shock-driven AMR churn      |
 //! | `diffusion` | explicit scalar diffusion    | memory-bound, low AI        |
-
-use std::sync::OnceLock;
+//!
+//! [`Package`]: vibe_core::Package
 
 use vibe_burgers::{BurgersPackage, BurgersParams};
-use vibe_core::{DynPackage, PackageRegistry, PackageSpec, RegistryError};
+use vibe_core::{DynPackage, PackageSpec};
 
 pub mod advect;
 pub mod diffusion;
@@ -28,56 +30,39 @@ pub use advect::{Advect, AdvectRecon};
 pub use diffusion::DiffusionPackage;
 pub use euler::EulerPackage;
 
-/// The registry of every package this crate ships, keyed by name. Built
-/// once; factories honor the [`PackageSpec`] fields each package uses
-/// (scalar counts, refinement thresholds) and default the rest.
-pub fn standard_registry() -> &'static PackageRegistry {
-    static REG: OnceLock<PackageRegistry> = OnceLock::new();
-    REG.get_or_init(|| {
-        let mut reg = PackageRegistry::new();
-        reg.register("burgers", |spec| {
-            Box::new(BurgersPackage::new(BurgersParams {
-                num_scalars: spec.num_scalars,
-                refine_tol: spec.refine_tol,
-                deref_tol: spec.deref_tol,
-                ..BurgersParams::default()
-            }))
-        });
-        reg.register("advect", |spec| {
-            Box::new(Advect {
-                num_scalars: spec.num_scalars,
-                refine_above: spec.refine_tol,
-                deref_below: spec.deref_tol,
-                ..Advect::default()
-            })
-        });
-        reg.register("euler", |spec| {
-            Box::new(EulerPackage {
-                refine_tol: spec.refine_tol,
-                deref_tol: spec.deref_tol,
-                ..EulerPackage::default()
-            })
-        });
-        reg.register("diffusion", |spec| {
-            Box::new(DiffusionPackage {
-                num_scalars: spec.num_scalars,
-                refine_tol: spec.refine_tol,
-                deref_tol: spec.deref_tol,
-                ..DiffusionPackage::default()
-            })
-        });
-        reg
+/// Every package [`resolve`] builds, sorted.
+pub const PACKAGES: [&str; 4] = ["advect", "burgers", "diffusion", "euler"];
+
+/// Builds the package `spec.name` with the [`PackageSpec`] fields it uses
+/// (scalar counts, refinement thresholds), defaulting the rest; `None` for
+/// a name not in [`PACKAGES`].
+pub fn resolve(spec: &PackageSpec) -> Option<DynPackage> {
+    Some(match spec.name.as_str() {
+        "advect" => Box::new(Advect {
+            num_scalars: spec.num_scalars,
+            refine_above: spec.refine_tol,
+            deref_below: spec.deref_tol,
+            ..Advect::default()
+        }),
+        "burgers" => Box::new(BurgersPackage::new(BurgersParams {
+            num_scalars: spec.num_scalars,
+            refine_tol: spec.refine_tol,
+            deref_tol: spec.deref_tol,
+            ..BurgersParams::default()
+        })),
+        "diffusion" => Box::new(DiffusionPackage {
+            num_scalars: spec.num_scalars,
+            refine_tol: spec.refine_tol,
+            deref_tol: spec.deref_tol,
+            ..DiffusionPackage::default()
+        }),
+        "euler" => Box::new(EulerPackage {
+            refine_tol: spec.refine_tol,
+            deref_tol: spec.deref_tol,
+            ..EulerPackage::default()
+        }),
+        _ => return None,
     })
-}
-
-/// Resolves `spec` against the [`standard_registry`].
-pub fn resolve(spec: &PackageSpec) -> Result<DynPackage, RegistryError> {
-    standard_registry().resolve(spec)
-}
-
-/// Resolves `name` with default spec parameters.
-pub fn resolve_name(name: &str) -> Result<DynPackage, RegistryError> {
-    standard_registry().resolve_name(name)
 }
 
 #[cfg(test)]
@@ -87,7 +72,7 @@ mod tests {
     use vibe_mesh::{Mesh, MeshParams};
 
     fn driver_for(name: &str, threads: usize) -> Driver<DynPackage> {
-        let pkg = resolve_name(name).unwrap();
+        let pkg = resolve(&PackageSpec::named(name)).unwrap();
         let mesh = Mesh::new(
             MeshParams::builder()
                 .dim(3)
@@ -114,15 +99,25 @@ mod tests {
     }
 
     #[test]
-    fn registry_lists_all_four_packages() {
-        let names = standard_registry().names();
-        assert_eq!(names, vec!["advect", "burgers", "diffusion", "euler"]);
+    fn every_package_resolves_with_its_spec_tolerances() {
+        assert!(
+            PACKAGES.windows(2).all(|w| w[0] < w[1]),
+            "sorted, no duplicates"
+        );
+        for name in PACKAGES {
+            let spec = PackageSpec::named(name).with_tols(0.7, 0.01);
+            let pkg = resolve(&spec).unwrap_or_else(|| panic!("{name} does not resolve"));
+            assert_eq!(pkg.name(), name);
+            let policy = pkg.refinement_policy();
+            assert_eq!((policy.refine_tol, policy.deref_tol), (0.7, 0.01), "{name}");
+        }
+        assert!(resolve(&PackageSpec::named("mhd")).is_none());
     }
 
     #[test]
-    fn every_registered_package_passes_conformance() {
-        for name in standard_registry().names() {
-            let report = vibe_core::check_package(|threads| driver_for(&name, threads))
+    fn every_package_passes_conformance() {
+        for name in PACKAGES {
+            let report = vibe_core::check_package(|threads| driver_for(name, threads))
                 .unwrap_or_else(|e| panic!("package {name} failed conformance: {e}"));
             assert_eq!(report.package, name);
             assert!(report.flux_vars >= 1);
@@ -133,10 +128,9 @@ mod tests {
     /// both advection ones included — may be tiled at will.
     #[test]
     fn every_flux_primitive_is_partition_invariant() {
-        let mut packages: Vec<DynPackage> = standard_registry()
-            .names()
+        let mut packages: Vec<DynPackage> = PACKAGES
             .iter()
-            .map(|name| resolve_name(name).unwrap())
+            .map(|name| resolve(&PackageSpec::named(name)).unwrap())
             .collect();
         packages.push(Box::new(BurgersPackage::new(BurgersParams {
             recon: vibe_burgers::Reconstruction::Linear,
@@ -163,7 +157,7 @@ mod tests {
     fn advect_preserves_scalar_mass() {
         // Static single-level mesh: with no regrid interpolation in play,
         // the conservative flux form must hold mass to round-off.
-        let pkg = resolve_name("advect").unwrap();
+        let pkg = resolve(&PackageSpec::named("advect")).unwrap();
         let mesh = Mesh::new(
             MeshParams::builder()
                 .dim(3)

@@ -188,16 +188,6 @@ pub fn critical_path(g: &SpanGraph) -> CriticalPath {
     }
 }
 
-/// Names of the attribution buckets, in reporting order.
-pub const BUCKET_NAMES: [&str; 6] = [
-    "compute",
-    "pack_serialization",
-    "late_sender",
-    "collective_imbalance",
-    "migration_stall",
-    "idle",
-];
-
 /// One rank's wall time classified into named buckets (module docs have
 /// the taxonomy). Invariant: the buckets sum to `wall_ns` exactly whenever
 /// measured activity fits inside the measured wall (always, up to clock
@@ -221,7 +211,7 @@ pub struct WaitBuckets {
 }
 
 impl WaitBuckets {
-    /// Bucket values in [`BUCKET_NAMES`] order.
+    /// Bucket values by name, in reporting order.
     pub fn as_array(&self) -> [(&'static str, u64); 6] {
         [
             ("compute", self.compute_ns),

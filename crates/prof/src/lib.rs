@@ -40,7 +40,7 @@ pub mod wallclock;
 
 pub use attribution::{
     attribute_rank, attribute_run, build_span_graph, critical_path, Attribution, CriticalPath,
-    PathSegment, SpanGraph, WaitBuckets, BUCKET_NAMES,
+    PathSegment, SpanGraph, WaitBuckets,
 };
 pub use functions::StepFunction;
 pub use pool_stats::{PoolRunSample, PoolStats, PoolWorkerSample};

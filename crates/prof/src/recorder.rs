@@ -178,11 +178,6 @@ impl CycleStats {
     pub fn cells_communicated(&self) -> u64 {
         self.comm.values().map(|c| c.cells_communicated).sum()
     }
-
-    /// Total kernel launches this cycle.
-    pub fn kernel_launches(&self) -> u64 {
-        self.kernels.values().map(|k| k.launches).sum()
-    }
 }
 
 /// The central workload recorder, threaded through the driver.

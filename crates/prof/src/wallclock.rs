@@ -48,18 +48,6 @@ pub enum ProfLevel {
     Full,
 }
 
-impl ProfLevel {
-    /// Parses `off` / `coarse` / `full` (case-insensitive).
-    pub fn parse(s: &str) -> Option<ProfLevel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" => Some(ProfLevel::Off),
-            "coarse" => Some(ProfLevel::Coarse),
-            "full" => Some(ProfLevel::Full),
-            _ => None,
-        }
-    }
-}
-
 /// One complete Chrome `trace_events` entry (phase `X`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -183,11 +171,6 @@ impl WallClock {
                 state: Mutex::new(WallState::default()),
             })),
         }
-    }
-
-    /// The disabled profiler.
-    pub fn disabled() -> Self {
-        Self { inner: None }
     }
 
     /// The active level.
@@ -418,7 +401,7 @@ mod tests {
         let (events, _) = wall.trace_events();
         let spans = events.iter().filter(|e| e.name == key.name());
         assert_eq!(spans.map(|e| e.dur_ns).collect::<Vec<_>>(), [1_500, 500]);
-        WallClock::disabled().credit(key, Instant::now(), 1);
+        WallClock::default().credit(key, Instant::now(), 1);
     }
 
     #[test]
@@ -603,13 +586,5 @@ mod tests {
         // And sequential accessors on the same profiler still work.
         a.with_totals(|_| ()).unwrap();
         a.with_cycles(|_| ()).unwrap();
-    }
-
-    #[test]
-    fn prof_level_parses() {
-        assert_eq!(ProfLevel::parse("full"), Some(ProfLevel::Full));
-        assert_eq!(ProfLevel::parse(" Coarse "), Some(ProfLevel::Coarse));
-        assert_eq!(ProfLevel::parse("OFF"), Some(ProfLevel::Off));
-        assert_eq!(ProfLevel::parse("verbose"), None);
     }
 }

@@ -667,11 +667,6 @@ impl<P: Package + Send + 'static> RtSession<P> {
         self.nranks
     }
 
-    /// Cycles advanced so far across all [`run`](RtSession::run) calls.
-    pub fn cycles_run(&self) -> u64 {
-        self.cycles
-    }
-
     /// Advances `n` cycles on every rank and returns rank 0's summaries
     /// (the mesh census columns are global).
     ///
@@ -1299,7 +1294,6 @@ mod tests {
             let s2 = session.run(3).unwrap();
             assert_eq!(s1.len(), 2);
             assert_eq!(s2.len(), 3);
-            assert_eq!(session.cycles_run(), 5);
             let run = session.finish().unwrap();
             assert_eq!(run.fingerprint, one_shot.fingerprint);
             assert_eq!(run.dt.to_bits(), one_shot.dt.to_bits());

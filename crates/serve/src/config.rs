@@ -3,15 +3,14 @@
 //! canonical form, the FNV-1a cache key derived from it, and the only
 //! replica factory ([`JobConfig::replica`]).
 //!
-//! The `physics` field is a package *name* resolved against
-//! [`vibe_physics::standard_registry`] — the service accepts any
-//! registered package and rejects unknown names with a structured error
-//! carrying the registered list. The cache key deliberately EXCLUDES the
-//! execution geometry (`nranks`, `threads`): the runtime's
-//! bitwise-reproducibility invariant means the final solution
-//! fingerprint is identical for any rank/thread decomposition of the
-//! same problem, so two jobs that differ only in geometry are the *same*
-//! result and must share a cache entry. The physics name is part of the
+//! The `physics` field is a package *name* from the closed roster
+//! [`vibe_physics::PACKAGES`] — the service accepts any name on it and
+//! rejects others with a structured error carrying the roster. The cache
+//! key deliberately EXCLUDES the execution geometry (`nranks`,
+//! `threads`): the runtime's bitwise-reproducibility invariant means the
+//! final solution fingerprint is identical for any rank/thread
+//! decomposition of the same problem, so two jobs that differ only in
+//! geometry are the *same* result and must share a cache entry. The physics name is part of the
 //! canonical problem string, so two packages can never share an entry.
 
 use std::fmt;
@@ -27,12 +26,10 @@ use crate::json::{obj, Json};
 /// machine-readable 4xx body instead of a bare message string.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `physics` names no registered package.
+    /// `physics` names no package of [`vibe_physics::PACKAGES`].
     UnknownPhysics {
         /// The name the tenant asked for.
         requested: String,
-        /// Every name the registry would have accepted.
-        registered: Vec<String>,
     },
     /// Any other malformed or out-of-bounds field.
     Invalid(String),
@@ -41,13 +38,10 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::UnknownPhysics {
-                requested,
-                registered,
-            } => write!(
+            Self::UnknownPhysics { requested } => write!(
                 f,
                 "unknown physics package {requested:?} (registered: {})",
-                registered.join(", ")
+                vibe_physics::PACKAGES.join(", ")
             ),
             Self::Invalid(msg) => f.write_str(msg),
         }
@@ -58,20 +52,17 @@ impl std::error::Error for ConfigError {}
 
 impl ConfigError {
     /// The error as a structured JSON body: always `error` + `code`;
-    /// unknown-physics rejections also carry `requested` and the full
-    /// `registered` list so a client can self-correct.
+    /// unknown-physics rejections also carry `requested` and the roster
+    /// as `registered` so a client can self-correct.
     pub fn to_json(&self) -> Json {
         match self {
-            Self::UnknownPhysics {
-                requested,
-                registered,
-            } => obj(vec![
+            Self::UnknownPhysics { requested } => obj(vec![
                 ("error", Json::Str(self.to_string())),
                 ("code", Json::Str("unknown_physics".into())),
                 ("requested", Json::Str(requested.clone())),
                 (
                     "registered",
-                    Json::Arr(registered.iter().map(|n| Json::Str(n.clone())).collect()),
+                    Json::Arr(vibe_physics::PACKAGES.map(|n| Json::Str(n.into())).into()),
                 ),
             ]),
             Self::Invalid(msg) => obj(vec![
@@ -101,7 +92,7 @@ impl From<&str> for ConfigError {
 /// the work is decomposed and may be changed at resume time.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobConfig {
-    /// Physics package name, resolved against the standard registry.
+    /// Physics package name, one of [`vibe_physics::PACKAGES`].
     pub physics: String,
     /// Spatial dimension (1–3).
     pub dim: usize,
@@ -288,11 +279,9 @@ impl JobConfig {
     /// request an absurd mesh, a degenerate decomposition, or a physics
     /// package that does not exist.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let registry = vibe_physics::standard_registry();
-        if !registry.contains(&self.physics) {
+        if !vibe_physics::PACKAGES.contains(&self.physics.as_str()) {
             return Err(ConfigError::UnknownPhysics {
                 requested: self.physics.clone(),
-                registered: registry.names(),
             });
         }
         if !(1..=3).contains(&self.dim) {
@@ -336,16 +325,16 @@ impl JobConfig {
         Ok(())
     }
 
-    /// Resolves the physics name against the standard registry, threading
-    /// the problem-level fields through to the package factory. Every
-    /// registered package is built through this one type-erased path.
+    /// Builds the package the physics name selects ([`vibe_physics::resolve`]),
+    /// threading the problem-level fields through. Every package is built
+    /// through this one type-erased path.
     pub fn package(&self) -> Result<DynPackage, String> {
         vibe_physics::resolve(
             &PackageSpec::named(&self.physics)
                 .with_num_scalars(self.num_scalars)
                 .with_tols(self.refine_tol, self.refine_tol * 0.25),
         )
-        .map_err(|e| e.to_string())
+        .ok_or_else(|| format!("unknown physics package {:?}", self.physics))
     }
 
     /// Builds the root mesh for a package needing `nghost` ghost layers.
@@ -378,16 +367,16 @@ impl JobConfig {
     /// Builds one replica of the run under `params`: the package's own
     /// initial condition on a fresh mesh, or `snapshot` restored — under
     /// any `(nranks, host_threads)`, which is how a checkpoint resumes on a
-    /// new geometry and a dead rank's blocks are re-homed. Deterministic,
-    /// so every rank thread may call it independently.
+    /// new geometry and a dead rank's blocks are re-homed. An `RtSession`
+    /// calls it once, on rank 0's thread, and hands each rank its blocks.
     ///
     /// # Panics
     ///
-    /// Panics if the physics name is unregistered, the mesh cannot be
+    /// Panics if the physics name is not on the roster, the mesh cannot be
     /// built, or `snapshot` does not belong to this problem; a service
     /// rules the first two out at submission.
     pub fn replica(&self, params: DriverParams, snapshot: Option<&Snapshot>) -> Driver<DynPackage> {
-        let pkg = self.package().expect("registered physics");
+        let pkg = self.package().expect("physics on the roster");
         match snapshot {
             Some(snap) => restore_driver(snap, pkg, params).expect("restore own checkpoint"),
             None => {
@@ -525,12 +514,11 @@ mod tests {
     fn cache_key_separates_every_registered_package() {
         // Same problem geometry, different physics name: distinct keys,
         // so no package can ever be served another package's result.
-        let keys: Vec<u64> = vibe_physics::standard_registry()
-            .names()
+        let keys: Vec<u64> = vibe_physics::PACKAGES
             .into_iter()
             .map(|physics| {
                 JobConfig {
-                    physics,
+                    physics: physics.into(),
                     ..JobConfig::default()
                 }
                 .cache_key()
@@ -580,15 +568,15 @@ mod tests {
     #[test]
     fn unknown_physics_is_structured() {
         let err = JobConfig::from_json(&parse(r#"{"physics":"mhd"}"#).unwrap()).unwrap_err();
-        let ConfigError::UnknownPhysics {
-            requested,
-            registered,
-        } = &err
-        else {
+        let ConfigError::UnknownPhysics { requested } = &err else {
             panic!("expected UnknownPhysics, got {err:?}");
         };
         assert_eq!(requested, "mhd");
-        assert_eq!(*registered, vec!["advect", "burgers", "diffusion", "euler"]);
+        let msg = err.to_string();
+        assert!(
+            msg.ends_with("(registered: advect, burgers, diffusion, euler)"),
+            "{msg}"
+        );
         let body = err.to_json();
         assert_eq!(body.get("code").unwrap().as_str(), Some("unknown_physics"));
         assert_eq!(body.get("requested").unwrap().as_str(), Some("mhd"));
@@ -596,7 +584,7 @@ mod tests {
 
     #[test]
     fn every_registered_package_is_accepted() {
-        for name in vibe_physics::standard_registry().names() {
+        for name in vibe_physics::PACKAGES {
             let cfg = JobConfig::from_json(&parse(&format!(r#"{{"physics":"{name}"}}"#)).unwrap())
                 .unwrap_or_else(|e| panic!("rejected {name}: {e}"));
             assert_eq!(cfg.physics, name);

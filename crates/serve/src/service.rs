@@ -1015,8 +1015,8 @@ mod tests {
         };
         let err = svc.submit("acme", bad).unwrap_err();
         assert!(err.contains("mhd"), "{err}");
-        for name in vibe_physics::standard_registry().names() {
-            assert!(err.contains(&name), "roster missing {name}: {err}");
+        for name in vibe_physics::PACKAGES {
+            assert!(err.contains(name), "roster missing {name}: {err}");
         }
         svc.shutdown();
     }
@@ -1030,9 +1030,9 @@ mod tests {
             ..ServiceConfig::default()
         });
         let mut ids = Vec::new();
-        for physics in vibe_physics::standard_registry().names() {
+        for physics in vibe_physics::PACKAGES {
             let cfg = JobConfig {
-                physics,
+                physics: physics.into(),
                 dim: 3,
                 mesh_cells: 16,
                 block_cells: 8,

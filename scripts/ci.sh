@@ -231,6 +231,22 @@ if [ "$impls" != "ChannelTransport ChaosTransport " ]; then
     exit 1
 fi
 
+echo "==> the workspace keeps what is read"
+# The physics roster is a closed list: vibe_physics::PACKAGES names every
+# package and vibe_physics::resolve builds one in a single match, so the
+# runtime registry stays deleted. Public items whose only reader was their
+# own unit test or doc-test stay deleted too.
+unread='blocks_at_level|blocks_of_rank|level_boundary_count|ancestor_at|reversed|is_coarser|prune|leaf_rank'
+unread+='|intersects|var_by_name|reduce_max|base_arithmetic_intensity|kernel_launches|disabled|is_noop'
+unread+='|physical_flux_lanes|rebuild_count|in_flight|cycles_run|run_until|load_store|operational_intensity'
+unread+='|stacked_bar|function_table|summary_line|resolve_name|standard_registry'
+if grep -rnE --include='*.rs' "fn ($unread)\b" crates src/lib.rs tests examples ||
+    grep -rnE --include='*.rs' 'PackageRegistry|RegistryError|BUCKET_NAMES|F64x4|F64x8|ProfLevel::parse' \
+        crates src/lib.rs tests examples; then
+    echo "a deleted registry or unread public item is back (see above)" >&2
+    exit 1
+fi
+
 echo "==> one build per session"
 # Rank 0's thread builds a session's whole replica once and cuts it
 # (Driver::into_ranks); the other ranks receive their blocks. So in non-test

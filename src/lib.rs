@@ -15,12 +15,13 @@
 //! * [`exec`] — Kokkos-like kernel launching and descriptors
 //! * [`comm`] — simulated MPI (mailbox, buffer caches, collectives)
 //! * [`prof`] — workload recording (kernels, serial, comm, memory)
-//! * [`core`] — the evolution driver (timestep loop) and the package
-//!   registry (`PackageRegistry`, `DynPackage`, conformance harness)
+//! * [`core`] — the evolution driver (timestep loop), the package
+//!   interface (`Package`, `DynPackage`, `PackageSpec`) and its
+//!   conformance harness
 //! * [`burgers`] — the VIBE benchmark package
-//! * [`physics`] — the standard package roster (advection, Euler,
-//!   diffusion) and [`physics::standard_registry`], which resolves any
-//!   registered package by name
+//! * [`physics`] — the other packages (advection, Euler, diffusion) and
+//!   the closed roster: [`physics::PACKAGES`] names every package,
+//!   [`physics::resolve`] builds one by name
 //! * [`hwmodel`] — H100/SPR performance and memory models
 //! * [`sim`] — discrete-event heterogeneous timeline simulator
 //! * [`ft`] — deterministic fault injection (seeded message chaos, rank
@@ -73,14 +74,14 @@ pub mod prelude {
     pub use vibe_burgers::{ic, BurgersPackage, BurgersParams, Reconstruction};
     pub use vibe_core::{
         check_package, fingerprint_slots, BlockInfo, BlockSlot, CycleSummary, Driver, DriverParams,
-        DynPackage, Package, PackageRegistry, PackageSpec,
+        DynPackage, Package, PackageSpec,
     };
     pub use vibe_field::{BlockData, Metadata, PackStrategy};
     pub use vibe_ft::{FaultPlan, FaultPlanSpec, KillSpec};
     pub use vibe_hwmodel::platform::evaluate;
     pub use vibe_hwmodel::{Backend, CpuSpec, GpuSpec, MemoryModel, PlatformConfig};
     pub use vibe_mesh::{Mesh, MeshParams, RegionSize};
-    pub use vibe_physics::{resolve, standard_registry, Advect, AdvectRecon};
+    pub use vibe_physics::{resolve, Advect, AdvectRecon, PACKAGES};
     pub use vibe_prof::{ProfLevel, Recorder, RegionKey, StepFunction};
     pub use vibe_rt::{
         run_distributed, run_resilient, ResilienceOptions, RtRun, RtSession, SessionOptions,

@@ -1,12 +1,11 @@
-//! Per-package reproducibility gates over the standard registry: every
-//! registered physics package must produce its pinned golden fingerprint
+//! Per-package reproducibility gates over the closed roster: every
+//! physics package must produce its pinned golden fingerprint
 //! serially, reproduce it bitwise through the distributed runtime's shard
 //! merge at every `(ranks, threads)` combination — fresh and restored from
 //! a mid-run checkpoint — and pass the framework's trait-conformance
 //! harness. Every driver here comes from the one replica factory,
-//! `JobConfig::replica`. The roster itself is asserted against
-//! `standard_registry()`, so registering a new package without extending
-//! the goldens fails here.
+//! `JobConfig::replica`. The goldens are asserted against `PACKAGES`, so
+//! adding a package without extending them fails here.
 
 use std::sync::Arc;
 
@@ -33,9 +32,9 @@ fn scenario(physics: &str, nranks: usize, threads: usize) -> JobConfig {
     }
 }
 
-/// Golden state fingerprints of the gate scenario, one per registered
-/// package (FNV-1a over every variable of every block in gid order, the
-/// same fold `vibe-rt` uses to merge shards). Re-record deliberately from
+/// Golden state fingerprints of the gate scenario, one per package
+/// (FNV-1a over every variable of every block in gid order, the same fold
+/// `vibe-rt` uses to merge shards). Re-record deliberately from
 /// the failure message of the serial test below if physics changes; an
 /// unintended change here is a reproducibility regression.
 const GOLDEN: &[(&str, u64)] = &[
@@ -49,9 +48,8 @@ const GOLDEN: &[(&str, u64)] = &[
 fn goldens_cover_exactly_the_registered_roster() {
     let pinned: Vec<&str> = GOLDEN.iter().map(|&(n, _)| n).collect();
     assert_eq!(
-        standard_registry().names(),
-        pinned,
-        "registry roster changed: re-record the golden fingerprints"
+        pinned, PACKAGES,
+        "package roster changed: re-record the golden fingerprints"
     );
     // Each physics actually computes something different.
     let mut distinct: Vec<u64> = GOLDEN.iter().map(|&(_, fp)| fp).collect();
@@ -119,9 +117,9 @@ fn every_package_resumes_a_checkpoint_on_a_new_geometry_to_its_golden() {
 
 #[test]
 fn every_package_passes_the_conformance_harness() {
-    for name in standard_registry().names() {
+    for name in PACKAGES {
         let report = check_package(|threads| {
-            let cfg = scenario(&name, 1, threads);
+            let cfg = scenario(name, 1, threads);
             cfg.replica(cfg.driver_params(), None)
         })
         .unwrap_or_else(|e| panic!("{name} violates a framework invariant: {e}"));
