@@ -1,12 +1,11 @@
 //! The VIBE physics package: variables, fluxes, tagging, timestep, history.
 
 use vibe_core::sweep::{self, LANES};
-use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
-use vibe_exec::{catalog, ghost_byte_multiplier, ExecCtx, Launcher};
+use vibe_core::{BlockInfo, FluxTile, Package, RefinementPolicy};
+use vibe_exec::ghost_byte_multiplier;
 use vibe_field::{BlockData, F64Lanes, Metadata, VarId};
-use vibe_mesh::index::IndexDomain;
-use vibe_mesh::{AmrFlag, IndexShape};
-use vibe_prof::Recorder;
+use vibe_mesh::index::{IndexDomain, IndexRange};
+use vibe_mesh::IndexShape;
 
 use crate::simd::{self, LinearKernel, Weno5Kernel};
 
@@ -58,8 +57,8 @@ fn block_dt_min_lanes<const W: usize>(
     comp: usize,
     ey: usize,
     ex: usize,
-    iy: vibe_mesh::index::IndexRange,
-    iz: vibe_mesh::index::IndexRange,
+    iy: IndexRange,
+    iz: IndexRange,
     i0: usize,
     n: usize,
     dx: &[f64],
@@ -188,173 +187,113 @@ impl Package for BurgersPackage {
         });
     }
 
-    fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
-        let Some(first) = pack.first() else { return };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::CALCULATE_DERIVED, cells, 1.0);
-        let ix = shape.range(0, IndexDomain::Interior);
-        let iy = shape.range(1, IndexDomain::Interior);
-        let iz = shape.range(2, IndexDomain::Interior);
-        let (i0, n) = (ix.s as usize, ix.len());
-        exec.for_each_block(pack, |_, slot| {
-            let (uid, qid, did) = Self::ids(&mut slot.data);
-            let [uvar, qvar, dvar] = slot.data.disjoint_mut([uid, qid, did]);
-            let [_, ez, ey, ex] = uvar.data().shape();
-            let comp = ez * ey * ex;
-            let us = uvar.data().as_slice();
-            let qs = qvar.data().as_slice();
-            let ds = dvar.data_mut().as_mut_slice();
+    /// `d = ½·q·|u|²` over the interior.
+    fn fill_derived(&self, _info: &BlockInfo, data: &mut BlockData) {
+        let (i0, n, iy, iz) = interior(data.shape());
+        let (uid, qid, did) = Self::ids(data);
+        let [uvar, qvar, dvar] = data.disjoint_mut([uid, qid, did]);
+        let [_, ez, ey, ex] = uvar.data().shape();
+        let comp = ez * ey * ex;
+        let us = uvar.data().as_slice();
+        let qs = qvar.data().as_slice();
+        let ds = dvar.data_mut().as_mut_slice();
+        for k in iz.iter() {
+            for j in iy.iter() {
+                let row = ((k as usize * ey) + j as usize) * ex + i0;
+                let u0 = &us[row..row + n];
+                let u1 = &us[comp + row..comp + row + n];
+                let u2 = &us[2 * comp + row..2 * comp + row + n];
+                let qr = &qs[row..row + n];
+                let dr = &mut ds[row..row + n];
+                for t in 0..n {
+                    let uu = u0[t] * u0[t] + u1[t] * u1[t] + u2[t] * u2[t];
+                    dr[t] = 0.5 * qr[t] * uu;
+                }
+            }
+        }
+    }
+
+    /// The block's CFL minimum: exact, so the driver's fold is bitwise
+    /// identical to a serial sweep at any thread count — and, by the
+    /// argument on `block_dt_min_lanes`, at any lane width.
+    fn estimate_dt(&self, info: &BlockInfo, data: &mut BlockData) -> f64 {
+        let dim = data.shape().dim();
+        let (i0, n, iy, iz) = interior(data.shape());
+        let (uid, ..) = Self::ids(data);
+        let dx = info.geom.dx();
+        let u = data.var(uid).data();
+        let [_, ez, ey, ex] = u.shape();
+        let comp = ez * ey * ex;
+        block_dt_min_lanes::<LANES>(u.as_slice(), comp, ey, ex, iy, iz, i0, n, &dx, dim)
+    }
+
+    /// Half the largest centred difference of any velocity component.
+    fn refinement_indicator(&self, _info: &BlockInfo, data: &mut BlockData) -> f64 {
+        let dim = data.shape().dim();
+        let (i0, n, iy, iz) = interior(data.shape());
+        let (uid, ..) = Self::ids(data);
+        let u = data.var(uid).data();
+        let [_, ez, ey, ex] = u.shape();
+        let comp = ez * ey * ex;
+        let us = u.as_slice();
+        let mut err: f64 = 0.0;
+        for c in 0..3 {
             for k in iz.iter() {
                 for j in iy.iter() {
-                    let row = ((k as usize * ey) + j as usize) * ex + i0;
-                    let u0 = &us[row..row + n];
-                    let u1 = &us[comp + row..comp + row + n];
-                    let u2 = &us[2 * comp + row..2 * comp + row + n];
-                    let qr = &qs[row..row + n];
-                    let dr = &mut ds[row..row + n];
+                    let row = c * comp + ((k as usize * ey) + j as usize) * ex + i0;
+                    let xm = &us[row - 1..row - 1 + n];
+                    let xp = &us[row + 1..row + 1 + n];
                     for t in 0..n {
-                        let uu = u0[t] * u0[t] + u1[t] * u1[t] + u2[t] * u2[t];
-                        dr[t] = 0.5 * qr[t] * uu;
+                        err = err.max((xp[t] - xm[t]).abs());
                     }
-                }
-            }
-        });
-    }
-
-    fn estimate_dt(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> f64 {
-        let Some(first) = pack.first() else {
-            return f64::INFINITY;
-        };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::ESTIMATE_TIMESTEP_MESH, cells, 1.0);
-        let dim = shape.dim();
-        let ix = shape.range(0, IndexDomain::Interior);
-        let iy = shape.range(1, IndexDomain::Interior);
-        let iz = shape.range(2, IndexDomain::Interior);
-        let (i0, n) = (ix.s as usize, ix.len());
-        // Per-block minima folded in pack order (min is exact, so this is
-        // bitwise identical to the serial sweep at any thread count — and,
-        // by the argument on `block_dt_min_lanes`, at any lane width).
-        exec.map_blocks(pack, |_, slot| {
-            let (uid, ..) = Self::ids(&mut slot.data);
-            let dx = slot.info.geom.dx();
-            let u = slot.data.var(uid).data();
-            let [_, ez, ey, ex] = u.shape();
-            let comp = ez * ey * ex;
-            let us = u.as_slice();
-            block_dt_min_lanes::<LANES>(us, comp, ey, ex, iy, iz, i0, n, &dx, dim)
-        })
-        .into_iter()
-        .fold(f64::INFINITY, f64::min)
-    }
-
-    fn tag_refinement(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<AmrFlag> {
-        let Some(first) = pack.first() else {
-            return Vec::new();
-        };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::FIRST_DERIVATIVE, cells, 1.0);
-        let dim = shape.dim();
-        let ix = shape.range(0, IndexDomain::Interior);
-        let iy = shape.range(1, IndexDomain::Interior);
-        let iz = shape.range(2, IndexDomain::Interior);
-        let (i0, n) = (ix.s as usize, ix.len());
-        exec.map_blocks(pack, |_, slot| {
-            let (uid, ..) = Self::ids(&mut slot.data);
-            let u = slot.data.var(uid).data();
-            let [_, ez, ey, ex] = u.shape();
-            let comp = ez * ey * ex;
-            let us = u.as_slice();
-            let mut err: f64 = 0.0;
-            for c in 0..3 {
-                for k in iz.iter() {
-                    for j in iy.iter() {
-                        let row = c * comp + ((k as usize * ey) + j as usize) * ex + i0;
-                        let xm = &us[row - 1..row - 1 + n];
-                        let xp = &us[row + 1..row + 1 + n];
+                    if dim >= 2 {
+                        let ym = &us[row - ex..row - ex + n];
+                        let yp = &us[row + ex..row + ex + n];
                         for t in 0..n {
-                            err = err.max((xp[t] - xm[t]).abs());
+                            err = err.max((yp[t] - ym[t]).abs());
                         }
-                        if dim >= 2 {
-                            let ym = &us[row - ex..row - ex + n];
-                            let yp = &us[row + ex..row + ex + n];
-                            for t in 0..n {
-                                err = err.max((yp[t] - ym[t]).abs());
-                            }
-                        }
-                        if dim >= 3 {
-                            let zm = &us[row - ey * ex..row - ey * ex + n];
-                            let zp = &us[row + ey * ex..row + ey * ex + n];
-                            for t in 0..n {
-                                err = err.max((zp[t] - zm[t]).abs());
-                            }
+                    }
+                    if dim >= 3 {
+                        let zm = &us[row - ey * ex..row - ey * ex + n];
+                        let zp = &us[row + ey * ex..row + ey * ex + n];
+                        for t in 0..n {
+                            err = err.max((zp[t] - zm[t]).abs());
                         }
                     }
                 }
             }
-            err *= 0.5;
-            if err > self.params.refine_tol {
-                AmrFlag::Refine
-            } else if err < self.params.deref_tol {
-                AmrFlag::Derefine
-            } else {
-                AmrFlag::Same
-            }
-        })
+        }
+        err * 0.5
     }
 
-    fn history_contributions(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<Vec<f64>> {
-        let Some(first) = pack.first() else {
-            return Vec::new();
-        };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::MASS_HISTORY, cells, 1.0);
-        let ix = shape.range(0, IndexDomain::Interior);
-        let iy = shape.range(1, IndexDomain::Interior);
-        let iz = shape.range(2, IndexDomain::Interior);
-        let (i0, n) = (ix.s as usize, ix.len());
-        // One (mass, energy) row per block. The caller folds rows in
-        // global gid order — the fixed-order reduction that keeps history
-        // bitwise reproducible at any thread count *and* any rank
-        // partition.
-        let partials = exec.map_blocks(pack, |_, slot| {
-            let (_, qid, did) = Self::ids(&mut slot.data);
-            let vol = slot.info.geom.cell_volume();
-            let q = slot.data.var(qid).data();
-            let dv = slot.data.var(did).data();
-            let [_, ez, ey, ex] = q.shape();
-            let qs = q.as_slice();
-            let ds = dv.as_slice();
-            let mut mass = 0.0;
-            let mut energy = 0.0;
-            for k in iz.iter() {
-                for j in iy.iter() {
-                    let row = ((k as usize * ey) + j as usize) * ex + i0;
-                    for t in row..row + n {
-                        mass += qs[t] * vol;
-                        energy += ds[t] * vol;
-                    }
+    /// The block's (scalar mass, energy).
+    fn history_contributions(&self, info: &BlockInfo, data: &mut BlockData, row: &mut [f64]) {
+        let (i0, n, iy, iz) = interior(data.shape());
+        let (_, qid, did) = Self::ids(data);
+        let vol = info.geom.cell_volume();
+        let q = data.var(qid).data();
+        let [_, _, ey, ex] = q.shape();
+        let qs = q.as_slice();
+        let ds = data.var(did).data().as_slice();
+        let (mut mass, mut energy) = (0.0, 0.0);
+        for k in iz.iter() {
+            for j in iy.iter() {
+                let at = ((k as usize * ey) + j as usize) * ex + i0;
+                for t in at..at + n {
+                    mass += qs[t] * vol;
+                    energy += ds[t] * vol;
                 }
             }
-            let _ = ez;
-            (mass, energy)
-        });
-        partials.into_iter().map(|(m, e)| vec![m, e]).collect()
+        }
+        row.copy_from_slice(&[mass, energy]);
     }
+}
+
+/// The interior of a block of `shape`: its first x index, its row length,
+/// and its y and z ranges.
+fn interior(shape: &IndexShape) -> (usize, usize, IndexRange, IndexRange) {
+    let [ix, iy, iz] = [0, 1, 2].map(|d| shape.range(d, IndexDomain::Interior));
+    (ix.s as usize, ix.len(), iy, iz)
 }
 
 #[cfg(test)]

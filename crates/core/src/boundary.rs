@@ -47,7 +47,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use vibe_comm::{BoundaryKey, BufferCache, CacheConfig, CommEventKind, Communicator, SendMeta};
-use vibe_exec::{catalog, ExecCtx, Launcher, SharedCells};
+use vibe_exec::{catalog, ExecCtx, SharedCells};
 use vibe_field::buffer::compute_buffer_spec_with;
 use vibe_field::{
     apply_face_bc, flux_correction_spec, BcKind, BlockData, CellRows, FluxOut, FluxProgram,
@@ -758,9 +758,8 @@ pub fn ghost_pack_and_send(
         lane.pack(b, blocks, buf)
     });
     rec.record_alloc(MemSpace::MpiBuffers, remote_bytes_live);
-    let mut launcher = Launcher::new(rec);
     for &cells in flight.sent_cells.iter().filter(|&&cells| cells > 0) {
-        launcher.record_only(&catalog::SEND_BOUND_BUFS, cells, 1.0);
+        catalog::SEND_BOUND_BUFS.record(rec, cells, 1.0);
     }
     GhostExchangeState {
         flight,
@@ -962,11 +961,8 @@ pub fn ghost_retire(
         "every boundary message delivered"
     );
     flight.recycle();
-    {
-        let mut launcher = Launcher::new(rec);
-        for &cells in flight.received_cells.iter().filter(|&&cells| cells > 0) {
-            launcher.record_only(&catalog::SET_BOUNDS, cells, 1.0);
-        }
+    for &cells in flight.received_cells.iter().filter(|&&cells| cells > 0) {
+        catalog::SET_BOUNDS.record(rec, cells, 1.0);
     }
     rec.record_serial(
         StepFunction::SetBounds,

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use vibe_comm::{BoundaryKey, BufferCache, CacheConfig, Communicator, SendMeta, Transport};
-use vibe_exec::{catalog, ExecCtx, Launcher};
+use vibe_exec::{catalog, ExecCtx, KernelDescriptor};
 use vibe_field::{BlockData, PackStrategy};
 use vibe_mesh::{AmrFlag, DerefGate, Mesh, RegridSource};
 use vibe_prof::{MemSpace, ProfLevel, Recorder, RegionKey, SerialWork, StepFunction};
@@ -1008,12 +1008,14 @@ impl<P: Package> Driver<P> {
 
     /// FillDerived task (also the initializer's derived fill).
     fn task_fill_derived(&mut self) {
-        let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::FillDerived));
-        self.with_rank_packs(StepFunction::FillDerived, |pkg, pack, rec| {
-            pkg.fill_derived(pack, exec, rec);
-        });
+        self.map_rank_packs(
+            StepFunction::FillDerived,
+            &catalog::CALCULATE_DERIVED,
+            |pkg, info, data| pkg.fill_derived(info, data),
+            |_, _| {},
+        );
     }
 
     /// MassHistory task, every cycle. Per-block contributions are tagged
@@ -1023,21 +1025,28 @@ impl<P: Package> Driver<P> {
     /// decomposition is bitwise identical to the single-rank fold. Every
     /// endpoint joins the gather, including ones without blocks.
     fn task_history(&mut self) {
-        let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::MassHistory));
         let ncols = self.package.history_labels().len();
         // One (gid: u64 le, row: ncols × f64 le) entry per resident block.
         let mut payload: Vec<u8> = Vec::new();
-        self.with_rank_packs(StepFunction::MassHistory, |pkg, pack, rec| {
-            let contrib = pkg.history_contributions(pack, exec, rec);
-            for (slot, row) in pack.iter().zip(contrib) {
-                payload.extend_from_slice(&(slot.info.gid as u64).to_le_bytes());
-                for v in row {
-                    payload.extend_from_slice(&v.to_le_bytes());
+        self.map_rank_packs(
+            StepFunction::MassHistory,
+            &catalog::MASS_HISTORY,
+            |pkg, info, data| {
+                let mut row = vec![0.0; ncols];
+                pkg.history_contributions(info, data, &mut row);
+                row
+            },
+            |pack, rows| {
+                for (slot, row) in pack.iter().zip(rows) {
+                    payload.extend_from_slice(&(slot.info.gid as u64).to_le_bytes());
+                    for v in row {
+                        payload.extend_from_slice(&v.to_le_bytes());
+                    }
                 }
-            }
-        });
+            },
+        );
         let parts = self.gather_across_endpoints(StepFunction::MassHistory, payload);
         let mut rows: Vec<(u64, Vec<f64>)> = Vec::new();
         for entry in parts.iter().flat_map(|p| p.chunks_exact(8 + 8 * ncols)) {
@@ -1232,28 +1241,35 @@ impl<P: Package> Driver<P> {
         );
     }
 
-    /// Tags the resident blocks, pack by pack. Returns one wire byte per
-    /// block of the mesh, [`FLAG_ELSEWHERE`] for the ones tagged by a
-    /// peer; the cross-rank merge is [`Self::merged_flags`].
+    /// Tags the resident blocks, pack by pack, with the package's policy
+    /// applied to its per-block indicator. Returns one wire byte per block
+    /// of the mesh, [`FLAG_ELSEWHERE`] for the ones tagged by a peer; the
+    /// cross-rank merge is [`Self::merged_flags`].
     fn collect_tags(&mut self) -> Vec<u8> {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::RefinementTag));
-        let exec = self.exec();
-        let mut tags = vec![FLAG_ELSEWHERE; self.mesh.num_blocks()];
-        self.with_rank_packs(StepFunction::RefinementTag, |pkg, pack, rec| {
-            rec.record_serial(
+        if !self.slots.is_empty() {
+            self.rec.record_serial(
                 StepFunction::RefinementTag,
-                SerialWork::BlockLoop(pack.len() as u64),
+                SerialWork::BlockLoop(self.slots.len() as u64),
             );
-            let pack_flags = pkg.tag_refinement(pack, exec, rec);
-            for (slot, flag) in pack.iter().zip(pack_flags) {
-                tags[slot.info.gid] = match flag {
-                    AmrFlag::Derefine => 0,
-                    AmrFlag::Same => 1,
-                    AmrFlag::Refine => 2,
-                };
-            }
-        });
+        }
+        let policy = self.package.refinement_policy();
+        let mut tags = vec![FLAG_ELSEWHERE; self.mesh.num_blocks()];
+        self.map_rank_packs(
+            StepFunction::RefinementTag,
+            &catalog::FIRST_DERIVATIVE,
+            |pkg, info, data| policy.flag(pkg.refinement_indicator(info, data)),
+            |pack, flags| {
+                for (slot, flag) in pack.iter().zip(flags) {
+                    tags[slot.info.gid] = match flag {
+                        AmrFlag::Derefine => 0,
+                        AmrFlag::Same => 1,
+                        AmrFlag::Refine => 2,
+                    };
+                }
+            },
+        );
         tags
     }
 
@@ -1461,11 +1477,7 @@ impl<P: Package> Driver<P> {
         self.rec
             .record_serial(func, SerialWork::BoundaryLoop(boundaries));
         if moved_cells > 0 {
-            Launcher::new(&mut self.rec).record_only(
-                &catalog::PROLONG_RESTRICT_LOOP,
-                moved_cells,
-                1.0,
-            );
+            catalog::PROLONG_RESTRICT_LOOP.record(&mut self.rec, moved_cells, 1.0);
         }
         self.cache.invalidate();
         // New gids and neighbor lists: the communication plan (and its
@@ -1495,8 +1507,9 @@ impl<P: Package> Driver<P> {
         &self.gate
     }
 
-    /// Estimates the next timestep: the minimum over the resident packs,
-    /// then an AllReduce implemented as gather-then-fold — every endpoint
+    /// Estimates the next timestep: the minimum over each resident pack's
+    /// per-block estimates, then over the packs, then an AllReduce
+    /// implemented as gather-then-fold — every endpoint
     /// receives all deposits indexed by rank and folds them `0..n` as
     /// `f64::min` from an infinity identity (an endpoint without blocks
     /// deposits infinity). The result is independent of arrival order and
@@ -1505,11 +1518,13 @@ impl<P: Package> Driver<P> {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::EstimateTimeStep));
         let cfl = self.params.cfl;
-        let exec = self.exec();
         let mut min_dt = f64::INFINITY;
-        self.with_rank_packs(StepFunction::EstimateTimeStep, |pkg, pack, rec| {
-            min_dt = min_dt.min(pkg.estimate_dt(pack, exec, rec));
-        });
+        self.map_rank_packs(
+            StepFunction::EstimateTimeStep,
+            &catalog::ESTIMATE_TIMESTEP_MESH,
+            |pkg, info, data| pkg.estimate_dt(info, data),
+            |_, dts| min_dt = min_dt.min(dts.into_iter().fold(f64::INFINITY, f64::min)),
+        );
         let parts = self.comm.all_reduce_data(
             StepFunction::EstimateTimeStep,
             min_dt.to_le_bytes().to_vec(),
@@ -1522,6 +1537,27 @@ impl<P: Package> Driver<P> {
             ))
         });
         self.dt = cfl * global;
+    }
+
+    /// Runs the per-block package hook `f` over every rank label's pack of
+    /// resident blocks ([`Self::with_rank_packs`]): records one launch of
+    /// `kernel` over the pack's interior cells, maps `f` over the pack on
+    /// the host pool and hands `fold` the pack with its results in pack
+    /// order, whatever the thread count.
+    fn map_rank_packs<R: Send>(
+        &mut self,
+        func: StepFunction,
+        kernel: &KernelDescriptor,
+        f: impl Fn(&P, &BlockInfo, &mut BlockData) -> R + Sync,
+        mut fold: impl FnMut(&[&mut BlockSlot], Vec<R>),
+    ) {
+        let exec = self.exec();
+        self.with_rank_packs(func, |pkg, pack, rec| {
+            let cells = pack.len() * pack[0].data.shape().interior_count();
+            kernel.record(rec, cells as u64, 1.0);
+            let out = exec.map_blocks(pack, |_, slot| f(pkg, &slot.info, &mut slot.data));
+            fold(pack, out);
+        });
     }
 
     /// Runs `f` once per rank label over that label's contiguous pack of

@@ -8,11 +8,12 @@
 //! allocation for the platform performance model.
 //!
 //! Physics lives in a [`Package`] (e.g. the Burgers benchmark in
-//! `vibe-burgers`): packages register variables and provide the flux
-//! primitive the framework's sweep calls ([`sweep`]) and the
-//! timestep-estimate, derived-fill, and refinement-tagging kernels. The
-//! driver provides everything else,
-//! mirroring the paper's timestep loop (Fig. 3):
+//! `vibe-burgers`): packages register variables and provide per-block
+//! kernels — the flux primitive the framework's sweep calls ([`sweep`]),
+//! the derived fill, the timestep estimate, the refinement indicator and
+//! the history contributions. The driver provides everything else — it
+//! iterates the packs, records every launch and folds every reduction in a
+//! fixed order — mirroring the paper's timestep loop (Fig. 3):
 //!
 //! ```text
 //! loop {

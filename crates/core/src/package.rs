@@ -1,11 +1,10 @@
 //! The package interface: physics plugged into the framework driver.
 
-use vibe_exec::{ghost_byte_multiplier, ExecCtx};
+use vibe_exec::ghost_byte_multiplier;
 use vibe_field::BlockData;
 use vibe_mesh::{AmrFlag, IndexShape};
-use vibe_prof::Recorder;
 
-use crate::block::{BlockInfo, BlockSlot};
+use crate::block::BlockInfo;
 use crate::sweep::FluxTile;
 
 /// The two flux nodes of a stage in the cycle graph. Both record their
@@ -24,15 +23,31 @@ pub enum FluxPhase {
     Exterior,
 }
 
-/// Refinement thresholds a package tags with, exposed through
-/// [`Package::refinement_policy`] so tooling (CI gates, scenario tables)
-/// can introspect the policy without running the tagging kernel.
+/// Refinement thresholds a package reports through
+/// [`Package::refinement_policy`]; the driver tags every block with
+/// [`RefinementPolicy::flag`] of its [`Package::refinement_indicator`], so
+/// the policy tooling reads is the one the mesh adapts by.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefinementPolicy {
     /// A block whose indicator exceeds this is tagged `Refine`.
     pub refine_tol: f64,
     /// A block whose indicator falls below this is tagged `Derefine`.
     pub deref_tol: f64,
+}
+
+impl RefinementPolicy {
+    /// The flag of a block with refinement indicator `indicator`: `Refine`
+    /// above `refine_tol`, else `Derefine` below `deref_tol`, else `Same`
+    /// (a NaN indicator compares false both ways, so it keeps the block).
+    pub fn flag(&self, indicator: f64) -> AmrFlag {
+        if indicator > self.refine_tol {
+            AmrFlag::Refine
+        } else if indicator < self.deref_tol {
+            AmrFlag::Derefine
+        } else {
+            AmrFlag::Same
+        }
+    }
 }
 
 impl Default for RefinementPolicy {
@@ -47,17 +62,16 @@ impl Default for RefinementPolicy {
 }
 
 /// A physics package (Parthenon's `StateDescriptor`): registers variables
-/// and provides the physics kernels. All kernel-style methods receive the
-/// *pack* of blocks owned by one rank and must issue one recorded launch
-/// per pack (mirroring Parthenon's packed launches) — except the fluxes:
-/// the framework owns the sweep over blocks, tiles and stages and asks the
-/// package for one primitive, [`Package::fill_fluxes`].
-///
-/// Each kernel also receives the host execution context `exec`; blocks in
-/// a pack are independent, so implementations should iterate the pack with
-/// [`ExecCtx::for_each_block`] / [`ExecCtx::map_blocks`]. Reductions
-/// (timestep minima, history sums) must fold per-block partials in pack
-/// order so results are bitwise identical at every thread count.
+/// and provides the physics kernels, each for *one block* — Parthenon's
+/// `FillDerivedBlock`, `EstimateTimestepBlock` and `CheckRefinementBlock`.
+/// The framework owns everything about the pack: it sweeps blocks, tiles
+/// and stages for the flux primitive [`Package::fill_fluxes`], and for the
+/// other kernels it records one launch per rank's pack (Parthenon's packed
+/// launches), maps the per-block hook over the pack on the host pool and
+/// folds the results in a fixed order, so they are bitwise identical at
+/// every thread count and rank partition. The per-block hooks take the
+/// block's data mutably only because [`BlockData::id_of`] counts string
+/// lookups (the §VIII-A `PackStrategy` ablation).
 ///
 /// Beyond the kernels, a package owns its *problem setup*: the ghost-layer
 /// width its stencils need ([`Package::nghost`]), its advisory CFL factor
@@ -98,13 +112,14 @@ pub trait Package: Sync {
     /// The default leaves registered variables at zero.
     fn initial_condition(&self, _info: &BlockInfo, _data: &mut BlockData) {}
 
-    /// Labels for the entries of [`Package::history`], in the same order;
-    /// must have exactly as many entries as `history` returns values.
+    /// Labels of the history columns, in the order of the row
+    /// [`Package::history_contributions`] fills.
     fn history_labels(&self) -> Vec<&'static str> {
         Vec::new()
     }
 
-    /// The refinement thresholds behind [`Package::tag_refinement`].
+    /// The thresholds the driver tags [`Package::refinement_indicator`]
+    /// with ([`RefinementPolicy::flag`]).
     fn refinement_policy(&self) -> RefinementPolicy {
         RefinementPolicy::default()
     }
@@ -130,49 +145,24 @@ pub trait Package: Sync {
     /// the same bits every time.
     fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>);
 
-    /// Recomputes derived quantities from the evolved state.
-    fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder);
+    /// Recomputes one block's derived quantities from its evolved state.
+    /// The default derives nothing.
+    fn fill_derived(&self, _info: &BlockInfo, _data: &mut BlockData) {}
 
-    /// Estimates the stable timestep over `pack`, returning the minimum.
-    fn estimate_dt(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> f64;
+    /// The stable timestep of one block; the driver takes the minimum.
+    fn estimate_dt(&self, info: &BlockInfo, data: &mut BlockData) -> f64;
 
-    /// Tags each block in `pack` for refinement/derefinement. Returns one
-    /// flag per block, in pack order.
-    fn tag_refinement(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<AmrFlag>;
+    /// One block's refinement indicator (e.g. its largest first-derivative
+    /// jump), which the driver compares with [`Package::refinement_policy`].
+    fn refinement_indicator(&self, info: &BlockInfo, data: &mut BlockData) -> f64;
 
-    /// Computes per-block history contributions: one row — one value per
-    /// registered history column — for each block in `pack`, in pack
-    /// order. The caller folds rows in *global gid order*, so the
-    /// reduction order (and therefore the bitwise result, floating-point
-    /// addition being non-associative) is independent of how blocks are
-    /// partitioned across ranks. Default: no rows (no histories).
-    fn history_contributions(
-        &self,
-        _pack: &mut [&mut BlockSlot],
-        _exec: ExecCtx,
-        _rec: &mut Recorder,
-    ) -> Vec<Vec<f64>> {
-        Vec::new()
-    }
-
-    /// Computes history reductions (e.g. total scalar mass) over `pack`
-    /// by folding the per-block contributions in pack order. Provided —
-    /// packages implement [`Package::history_contributions`] and inherit
-    /// a fixed-order fold.
-    fn history(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> Vec<f64> {
-        let mut totals = vec![0.0; self.history_labels().len()];
-        for row in self.history_contributions(pack, exec, rec) {
-            for (acc, x) in totals.iter_mut().zip(row) {
-                *acc += x;
-            }
-        }
-        totals
-    }
+    /// Writes one block's contribution to each history column into `row`,
+    /// which arrives zeroed with one entry per [`Package::history_labels`]
+    /// label. The driver sums rows in *global gid order*, so the reduction
+    /// order (and therefore the bitwise result, floating-point addition
+    /// being non-associative) is independent of how blocks are partitioned
+    /// across ranks. Default: no contribution.
+    fn history_contributions(&self, _info: &BlockInfo, _data: &mut BlockData, _row: &mut [f64]) {}
 }
 
 /// A type-erased package, usable anywhere a concrete `P: Package` is —
@@ -222,34 +212,20 @@ impl Package for DynPackage {
         (**self).fill_fluxes(info, data, tile)
     }
 
-    fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
-        (**self).fill_derived(pack, exec, rec)
+    fn fill_derived(&self, info: &BlockInfo, data: &mut BlockData) {
+        (**self).fill_derived(info, data)
     }
 
-    fn estimate_dt(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> f64 {
-        (**self).estimate_dt(pack, exec, rec)
+    fn estimate_dt(&self, info: &BlockInfo, data: &mut BlockData) -> f64 {
+        (**self).estimate_dt(info, data)
     }
 
-    fn tag_refinement(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<AmrFlag> {
-        (**self).tag_refinement(pack, exec, rec)
+    fn refinement_indicator(&self, info: &BlockInfo, data: &mut BlockData) -> f64 {
+        (**self).refinement_indicator(info, data)
     }
 
-    fn history_contributions(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<Vec<f64>> {
-        (**self).history_contributions(pack, exec, rec)
-    }
-
-    fn history(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> Vec<f64> {
-        (**self).history(pack, exec, rec)
+    fn history_contributions(&self, info: &BlockInfo, data: &mut BlockData, row: &mut [f64]) {
+        (**self).history_contributions(info, data, row)
     }
 }
 
@@ -305,5 +281,19 @@ mod tests {
         assert_eq!(pkg.nghost(), 2);
         assert!(pkg.default_cfl() > 0.0);
         assert_eq!(pkg.history_labels(), vec!["q_mass"]);
+    }
+
+    #[test]
+    fn policy_flags_above_below_and_between() {
+        let policy = RefinementPolicy {
+            refine_tol: 0.5,
+            deref_tol: 0.1,
+        };
+        let flags = [0.6, 0.5, 0.3, 0.1, 0.05, f64::NAN].map(|x| policy.flag(x));
+        use AmrFlag::*;
+        assert_eq!(flags, [Refine, Same, Same, Same, Derefine, Same]);
+        let never = RefinementPolicy::default();
+        assert_eq!(never.flag(f64::MAX), Same);
+        assert_eq!(never.flag(0.0), Same);
     }
 }

@@ -57,7 +57,7 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use vibe_exec::{catalog, ExecCtx, Launcher};
+use vibe_exec::{catalog, ExecCtx};
 use vibe_field::{Array4, BlockData, F64Lanes, FluxOut, Metadata, VarId};
 use vibe_mesh::IndexShape;
 use vibe_prof::Recorder;
@@ -845,7 +845,7 @@ pub fn record_flux_launch<P: Package>(
         FluxPhase::Exterior => cells - interior,
     };
     let mult = pkg.flux_byte_multiplier(&shape);
-    Launcher::new(rec).record_only(&catalog::CALCULATE_FLUXES, share, mult);
+    catalog::CALCULATE_FLUXES.record(rec, share, mult);
     for slot in pack {
         slot.data.count_resolutions(ids);
     }

@@ -8,12 +8,10 @@
 //! `vibe-physics` and `vibe-burgers`). The module is compiled only under
 //! `cfg(test)` and never exported.
 
-use vibe_exec::{catalog, ExecCtx, Launcher};
 use vibe_field::{BlockData, F64Lanes, Metadata, VarId};
-use vibe_mesh::AmrFlag;
-use vibe_prof::Recorder;
+use vibe_mesh::index::IndexDomain;
 
-use crate::block::{BlockInfo, BlockSlot};
+use crate::block::BlockInfo;
 use crate::package::{Package, RefinementPolicy};
 use crate::sweep::{fill_lines, DonorCell, FaceFlux, FluxTile};
 
@@ -98,93 +96,40 @@ impl Package for Advect {
         fill_lines::<DonorCell, _>(self, info, data, tile);
     }
 
-    fn fill_derived(&self, pack: &mut [&mut BlockSlot], _exec: ExecCtx, rec: &mut Recorder) {
-        let Some(first) = pack.first() else { return };
-        let cells = pack.len() as u64 * first.data.shape().interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::CALCULATE_DERIVED, cells, 1.0);
+    fn estimate_dt(&self, info: &BlockInfo, _data: &mut BlockData) -> f64 {
+        info.geom.dx()[0]
     }
 
-    fn estimate_dt(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> f64 {
-        let Some(first) = pack.first() else {
-            return f64::INFINITY;
-        };
-        let cells = pack.len() as u64 * first.data.shape().interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::ESTIMATE_TIMESTEP_MESH, cells, 1.0);
-        // Per-block partials folded in pack order: deterministic at any
-        // thread count.
-        exec.map_blocks(pack, |_, s| s.info.geom.dx()[0])
-            .into_iter()
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    fn tag_refinement(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<AmrFlag> {
-        let Some(first) = pack.first() else {
-            return Vec::new();
-        };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::FIRST_DERIVATIVE, cells, 1.0);
-        exec.map_blocks(pack, |_, slot| {
-            let qid = Advect::qid(&mut slot.data);
-            let var = slot.data.var(qid);
-            let mut max_jump: f64 = 0.0;
-            let ix = shape.range(0, vibe_mesh::index::IndexDomain::Interior);
-            let iy = shape.range(1, vibe_mesh::index::IndexDomain::Interior);
-            let iz = shape.range(2, vibe_mesh::index::IndexDomain::Interior);
-            for k in iz.iter() {
-                for j in iy.iter() {
-                    for i in ix.iter() {
-                        let a = var.data().get(0, k as usize, j as usize, i as usize);
-                        let b = var.data().get(0, k as usize, j as usize, (i - 1) as usize);
-                        max_jump = max_jump.max((a - b).abs());
-                    }
+    fn refinement_indicator(&self, _info: &BlockInfo, data: &mut BlockData) -> f64 {
+        let shape = *data.shape();
+        let qid = Advect::qid(data);
+        let q = data.var(qid).data();
+        let [ix, iy, iz] = [0, 1, 2].map(|d| shape.range(d, IndexDomain::Interior));
+        let mut max_jump: f64 = 0.0;
+        for k in iz.iter() {
+            for j in iy.iter() {
+                for i in ix.iter() {
+                    let a = q.get(0, k as usize, j as usize, i as usize);
+                    let b = q.get(0, k as usize, j as usize, (i - 1) as usize);
+                    max_jump = max_jump.max((a - b).abs());
                 }
             }
-            if max_jump > self.refine_above {
-                AmrFlag::Refine
-            } else if max_jump < self.deref_below {
-                AmrFlag::Derefine
-            } else {
-                AmrFlag::Same
-            }
-        })
+        }
+        max_jump
     }
 
-    fn history_contributions(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<Vec<f64>> {
-        let Some(first) = pack.first() else {
-            return Vec::new();
-        };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::MASS_HISTORY, cells, 1.0);
-        // One sum per block; the caller folds rows in global gid order.
-        let partials = exec.map_blocks(pack, |_, slot| {
-            let qid = Advect::qid(&mut slot.data);
-            let var = slot.data.var(qid);
-            let vol = slot.info.geom.cell_volume();
-            let ix = shape.range(0, vibe_mesh::index::IndexDomain::Interior);
-            let iy = shape.range(1, vibe_mesh::index::IndexDomain::Interior);
-            let iz = shape.range(2, vibe_mesh::index::IndexDomain::Interior);
-            let mut block_total = 0.0;
-            for k in iz.iter() {
-                for j in iy.iter() {
-                    for i in ix.iter() {
-                        block_total += var.data().get(0, k as usize, j as usize, i as usize) * vol;
-                    }
+    fn history_contributions(&self, info: &BlockInfo, data: &mut BlockData, row: &mut [f64]) {
+        let shape = *data.shape();
+        let qid = Advect::qid(data);
+        let q = data.var(qid).data();
+        let vol = info.geom.cell_volume();
+        let [ix, iy, iz] = [0, 1, 2].map(|d| shape.range(d, IndexDomain::Interior));
+        for k in iz.iter() {
+            for j in iy.iter() {
+                for i in ix.iter() {
+                    row[0] += q.get(0, k as usize, j as usize, i as usize) * vol;
                 }
             }
-            block_total
-        });
-        partials.into_iter().map(|p| vec![p]).collect()
+        }
     }
 }

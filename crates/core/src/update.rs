@@ -2,7 +2,7 @@
 //! divergence the sweep left behind (`WeightedSumData` + `FluxDivergence`),
 //! after re-sweeping the layers under flux-corrected faces.
 
-use vibe_exec::{catalog, ExecCtx, Launcher};
+use vibe_exec::{catalog, ExecCtx};
 use vibe_field::VarId;
 use vibe_prof::{Recorder, RegionKey, StepFunction};
 
@@ -53,11 +53,8 @@ pub fn flux_divergence_update<P: Package>(
     let shape = *first.data.shape();
     let ncomp: usize = ids.iter().map(|&id| first.data.var(id).ncomp()).sum();
     let comp_cells = (pack.len() * shape.interior_count() * ncomp) as u64;
-    {
-        let mut launcher = Launcher::new(rec);
-        launcher.record_only(&catalog::WEIGHTED_SUM_DATA, comp_cells, 1.0);
-        launcher.record_only(&catalog::FLUX_DIVERGENCE, comp_cells, 1.0);
-    }
+    catalog::WEIGHTED_SUM_DATA.record(rec, comp_cells, 1.0);
+    catalog::FLUX_DIVERGENCE.record(rec, comp_cells, 1.0);
     let interior = CellBox::interior(&shape);
     for_each_block_costed(pack, exec, cost, |slot| {
         let faces = corrected.get(slot.info.gid).copied().unwrap_or(0);

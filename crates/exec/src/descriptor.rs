@@ -1,7 +1,7 @@
 //! Static kernel descriptors: the microarchitectural identity of each
 //! Kokkos kernel.
 
-use vibe_prof::StepFunction;
+use vibe_prof::{Recorder, StepFunction};
 
 /// Shape of a kernel's device-side iteration space, which determines warp
 /// utilization and divergence behavior.
@@ -52,6 +52,42 @@ pub struct KernelDescriptor {
     /// Fraction of peak FP64 throughput achievable when compute-bound
     /// (instruction-level parallelism and issue limits).
     pub ilp_efficiency: f64,
+}
+
+impl KernelDescriptor {
+    /// Records one launch of this kernel over `cells` cells in `rec`; the
+    /// functional work runs in the caller's own host loops. One call with
+    /// `cells` covering many mesh blocks is one device launch over a
+    /// mesh-block pack, as Parthenon's packed launches are.
+    ///
+    /// `byte_multiplier` scales the per-cell bytes to account for
+    /// launch-specific overheads — chiefly ghost-inclusive stencil reads,
+    /// which grow relative to interior work as blocks shrink
+    /// ([`ghost_byte_multiplier`]).
+    ///
+    /// ```
+    /// use vibe_exec::catalog;
+    /// use vibe_prof::{Recorder, StepFunction};
+    ///
+    /// let mut rec = Recorder::new();
+    /// rec.begin_cycle(0);
+    /// catalog::WEIGHTED_SUM_DATA.record(&mut rec, 4096, 1.0);
+    /// rec.end_cycle(1, 0, 0, 4096);
+    /// let k = &rec.totals().kernels[&(StepFunction::WeightedSumData, "WeightedSumData")];
+    /// assert_eq!((k.launches, k.cells), (1, 4096));
+    /// ```
+    pub fn record(&self, rec: &mut Recorder, cells: u64, byte_multiplier: f64) {
+        let flops = (cells as f64 * self.flops_per_cell).round() as u64;
+        let bytes = (cells as f64 * self.bytes_per_cell * byte_multiplier).round() as u64;
+        rec.record_kernel(self.func, self.name, 1, cells, flops, bytes);
+    }
+}
+
+/// The ghost-inclusive byte multiplier for a stencil kernel over cubic
+/// blocks of `block_cells` per active dimension with `nghost` ghost layers:
+/// `((B + 2·ng)/B)^dim`.
+pub fn ghost_byte_multiplier(block_cells: usize, nghost: usize, dim: usize) -> f64 {
+    ((block_cells + 2 * nghost) as f64 / block_cells as f64).powi(dim as i32)
 }
 
 /// The catalog of Parthenon-VIBE kernels characterized in Table III, plus
@@ -288,5 +324,43 @@ mod tests {
             let compute_bound = k.flops_per_cell > 10.1 * k.bytes_per_cell;
             assert_eq!(compute_bound, k.name == "FirstDerivative", "{}", k.name);
         }
+    }
+
+    #[test]
+    fn launch_records_work() {
+        let mut rec = Recorder::new();
+        rec.begin_cycle(0);
+        catalog::CALCULATE_FLUXES.record(&mut rec, 1000, 1.0);
+        catalog::CALCULATE_FLUXES.record(&mut rec, 500, 2.0);
+        rec.end_cycle(1, 0, 0, 1500);
+        let k = &rec.totals().kernels[&(StepFunction::CalculateFluxes, "CalculateFluxes")];
+        assert_eq!(k.launches, 2);
+        assert_eq!(k.cells, 1500);
+        assert_eq!(k.flops, 1548 * 1500);
+        // 1000 * 360 + 500 * 720
+        assert_eq!(k.bytes, 720_000);
+    }
+
+    #[test]
+    fn ghost_multiplier_grows_for_small_blocks() {
+        let m32 = ghost_byte_multiplier(32, 4, 3);
+        let m16 = ghost_byte_multiplier(16, 4, 3);
+        let m8 = ghost_byte_multiplier(8, 4, 3);
+        assert!(m32 < m16 && m16 < m8);
+        assert!((m8 - 8.0).abs() < 1e-12, "(8+8)/8 cubed = 8");
+        assert!((m32 - (40.0f64 / 32.0).powi(3)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn smaller_blocks_lower_arithmetic_intensity() {
+        // The paper's Table III: CalculateFluxes AI drops 4.3 -> 3.4 from
+        // B32 to B16 as ghost traffic grows relative to interior work.
+        let k = catalog::CALCULATE_FLUXES;
+        let ai = |b: usize| {
+            k.flops_per_cell
+                / (k.bytes_per_cell * ghost_byte_multiplier(b, 4, 3)
+                    / ghost_byte_multiplier(32, 4, 3))
+        };
+        assert!(ai(16) < ai(32));
     }
 }

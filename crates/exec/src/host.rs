@@ -169,8 +169,8 @@ where
         .collect()
 }
 
-/// Per-driver host execution context handed to framework and package
-/// kernels: carries the thread budget for per-block parallel stages.
+/// Per-driver host execution context of the framework's per-block
+/// parallel stages: carries their thread budget.
 ///
 /// `threads == 1` (the default) guarantees the exact inline serial path —
 /// results at any thread count are bitwise identical to it because blocks

@@ -12,12 +12,8 @@
 //! matrix.
 
 use vibe_core::sweep::{self, DonorCell, FaceFlux};
-use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
-use vibe_exec::{catalog, ExecCtx, Launcher};
+use vibe_core::{BlockInfo, FluxTile, Package, RefinementPolicy};
 use vibe_field::{BlockData, F64Lanes, Metadata, VarId};
-use vibe_mesh::index::IndexDomain;
-use vibe_mesh::AmrFlag;
-use vibe_prof::Recorder;
 
 use vibe_burgers::Weno5Kernel;
 
@@ -175,118 +171,25 @@ impl Package for Advect {
         };
     }
 
-    fn fill_derived(&self, pack: &mut [&mut BlockSlot], _exec: ExecCtx, rec: &mut Recorder) {
-        let Some(first) = pack.first() else { return };
-        let cells = pack.len() as u64 * first.data.shape().interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::CALCULATE_DERIVED, cells, 1.0);
+    fn estimate_dt(&self, info: &BlockInfo, data: &mut BlockData) -> f64 {
+        let dx = info.geom.dx();
+        let mut block_min = f64::INFINITY;
+        for (&dx_d, vel) in dx.iter().zip(self.velocity).take(data.shape().dim()) {
+            let speed = vel.abs();
+            if speed > 1e-12 {
+                block_min = block_min.min(dx_d / speed);
+            }
+        }
+        block_min
     }
 
-    fn estimate_dt(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> f64 {
-        let Some(first) = pack.first() else {
-            return f64::INFINITY;
-        };
-        let dim = first.data.shape().dim();
-        let cells = pack.len() as u64 * first.data.shape().interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::ESTIMATE_TIMESTEP_MESH, cells, 1.0);
-        // Per-block partials folded in pack order: deterministic at any
-        // thread count.
-        exec.map_blocks(pack, |_, s| {
-            let dx = s.info.geom.dx();
-            let mut block_min = f64::INFINITY;
-            for (&dx_d, vel) in dx.iter().zip(self.velocity).take(dim) {
-                let speed = vel.abs();
-                if speed > 1e-12 {
-                    block_min = block_min.min(dx_d / speed);
-                }
-            }
-            block_min
-        })
-        .into_iter()
-        .fold(f64::INFINITY, f64::min)
+    fn refinement_indicator(&self, _info: &BlockInfo, data: &mut BlockData) -> f64 {
+        let qid = Advect::qid(data);
+        crate::max_lower_jump(data, qid)
     }
 
-    fn tag_refinement(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<AmrFlag> {
-        let Some(first) = pack.first() else {
-            return Vec::new();
-        };
-        let shape = *first.data.shape();
-        let dim = shape.dim();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::FIRST_DERIVATIVE, cells, 1.0);
-        let ranges = [
-            shape.range(0, IndexDomain::Interior),
-            shape.range(1, IndexDomain::Interior),
-            shape.range(2, IndexDomain::Interior),
-        ];
-        exec.map_blocks(pack, |_, slot| {
-            let qid = Advect::qid(&mut slot.data);
-            let q = slot.data.var(qid).data();
-            let mut max_jump: f64 = 0.0;
-            for k in ranges[2].iter() {
-                for j in ranges[1].iter() {
-                    for i in ranges[0].iter() {
-                        let here = q.get(0, k as usize, j as usize, i as usize);
-                        let mut nb = [here; 3];
-                        nb[0] = q.get(0, k as usize, j as usize, (i - 1) as usize);
-                        if dim >= 2 {
-                            nb[1] = q.get(0, k as usize, (j - 1) as usize, i as usize);
-                        }
-                        if dim >= 3 {
-                            nb[2] = q.get(0, (k - 1) as usize, j as usize, i as usize);
-                        }
-                        for b in nb.iter().take(dim) {
-                            max_jump = max_jump.max((here - b).abs());
-                        }
-                    }
-                }
-            }
-            if max_jump > self.refine_above {
-                AmrFlag::Refine
-            } else if max_jump < self.deref_below {
-                AmrFlag::Derefine
-            } else {
-                AmrFlag::Same
-            }
-        })
-    }
-
-    fn history_contributions(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<Vec<f64>> {
-        let Some(first) = pack.first() else {
-            return Vec::new();
-        };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::MASS_HISTORY, cells, 1.0);
-        let ranges = [
-            shape.range(0, IndexDomain::Interior),
-            shape.range(1, IndexDomain::Interior),
-            shape.range(2, IndexDomain::Interior),
-        ];
-        // One sum per block; the caller folds rows in global gid order.
-        let partials = exec.map_blocks(pack, |_, slot| {
-            let qid = Advect::qid(&mut slot.data);
-            let q = slot.data.var(qid).data();
-            let vol = slot.info.geom.cell_volume();
-            let mut block_total = 0.0;
-            for k in ranges[2].iter() {
-                for j in ranges[1].iter() {
-                    for i in ranges[0].iter() {
-                        block_total += q.get(0, k as usize, j as usize, i as usize) * vol;
-                    }
-                }
-            }
-            block_total
-        });
-        partials.into_iter().map(|p| vec![p]).collect()
+    fn history_contributions(&self, info: &BlockInfo, data: &mut BlockData, row: &mut [f64]) {
+        let qid = Advect::qid(data);
+        row[0] = crate::scalar_mass(info, data, qid);
     }
 }

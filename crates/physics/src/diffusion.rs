@@ -10,12 +10,8 @@
 //! features spread out.
 
 use vibe_core::sweep::{self, DonorCell, FaceFlux};
-use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
-use vibe_exec::{catalog, ExecCtx, Launcher};
+use vibe_core::{BlockInfo, FluxTile, Package, RefinementPolicy};
 use vibe_field::{BlockData, F64Lanes, Metadata, VarId};
-use vibe_mesh::index::IndexDomain;
-use vibe_mesh::AmrFlag;
-use vibe_prof::Recorder;
 
 /// Explicit scalar diffusion of a scalar bundle `q`.
 #[derive(Debug, Clone)]
@@ -160,113 +156,23 @@ impl Package for DiffusionPackage {
         sweep::fill_lines::<DonorCell, _>(self, info, data, tile);
     }
 
-    fn fill_derived(&self, pack: &mut [&mut BlockSlot], _exec: ExecCtx, rec: &mut Recorder) {
-        let Some(first) = pack.first() else { return };
-        let cells = pack.len() as u64 * first.data.shape().interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::CALCULATE_DERIVED, cells, 1.0);
+    /// Explicit diffusion stability: `dt ≤ dx² / (2·dim·D)` at the
+    /// block's finest local spacing.
+    fn estimate_dt(&self, info: &BlockInfo, data: &mut BlockData) -> f64 {
+        let dim = data.shape().dim();
+        let dx = info.geom.dx();
+        let min_dx = dx.iter().take(dim).copied().fold(f64::INFINITY, f64::min);
+        min_dx * min_dx / (2.0 * dim as f64 * self.diffusivity)
     }
 
-    fn estimate_dt(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> f64 {
-        let Some(first) = pack.first() else {
-            return f64::INFINITY;
-        };
-        let dim = first.data.shape().dim();
-        let cells = pack.len() as u64 * first.data.shape().interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::ESTIMATE_TIMESTEP_MESH, cells, 1.0);
-        // Explicit diffusion stability: dt ≤ dx² / (2·dim·D), evaluated at
-        // each block's finest local spacing, folded in pack order.
-        exec.map_blocks(pack, |_, s| {
-            let dx = s.info.geom.dx();
-            let min_dx = dx.iter().take(dim).copied().fold(f64::INFINITY, f64::min);
-            min_dx * min_dx / (2.0 * dim as f64 * self.diffusivity)
-        })
-        .into_iter()
-        .fold(f64::INFINITY, f64::min)
+    fn refinement_indicator(&self, _info: &BlockInfo, data: &mut BlockData) -> f64 {
+        let qid = Self::qid(data);
+        crate::max_lower_jump(data, qid)
     }
 
-    fn tag_refinement(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<AmrFlag> {
-        let Some(first) = pack.first() else {
-            return Vec::new();
-        };
-        let shape = *first.data.shape();
-        let dim = shape.dim();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::FIRST_DERIVATIVE, cells, 1.0);
-        let ranges = [
-            shape.range(0, IndexDomain::Interior),
-            shape.range(1, IndexDomain::Interior),
-            shape.range(2, IndexDomain::Interior),
-        ];
-        exec.map_blocks(pack, |_, slot| {
-            let qid = Self::qid(&mut slot.data);
-            let q = slot.data.var(qid).data();
-            let mut max_jump: f64 = 0.0;
-            for k in ranges[2].iter() {
-                for j in ranges[1].iter() {
-                    for i in ranges[0].iter() {
-                        let here = q.get(0, k as usize, j as usize, i as usize);
-                        let mut consider = |other: f64| {
-                            max_jump = max_jump.max((here - other).abs());
-                        };
-                        consider(q.get(0, k as usize, j as usize, (i - 1) as usize));
-                        if dim >= 2 {
-                            consider(q.get(0, k as usize, (j - 1) as usize, i as usize));
-                        }
-                        if dim >= 3 {
-                            consider(q.get(0, (k - 1) as usize, j as usize, i as usize));
-                        }
-                    }
-                }
-            }
-            if max_jump > self.refine_tol {
-                AmrFlag::Refine
-            } else if max_jump < self.deref_tol {
-                AmrFlag::Derefine
-            } else {
-                AmrFlag::Same
-            }
-        })
-    }
-
-    fn history_contributions(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<Vec<f64>> {
-        let Some(first) = pack.first() else {
-            return Vec::new();
-        };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::MASS_HISTORY, cells, 1.0);
-        let ranges = [
-            shape.range(0, IndexDomain::Interior),
-            shape.range(1, IndexDomain::Interior),
-            shape.range(2, IndexDomain::Interior),
-        ];
-        // One sum per block (folded by the caller in global gid order);
-        // the conservative flux form keeps the total constant to
-        // round-off.
-        let partials = exec.map_blocks(pack, |_, slot| {
-            let qid = Self::qid(&mut slot.data);
-            let q = slot.data.var(qid).data();
-            let vol = slot.info.geom.cell_volume();
-            let mut block_total = 0.0;
-            for k in ranges[2].iter() {
-                for j in ranges[1].iter() {
-                    for i in ranges[0].iter() {
-                        block_total += q.get(0, k as usize, j as usize, i as usize) * vol;
-                    }
-                }
-            }
-            block_total
-        });
-        partials.into_iter().map(|p| vec![p]).collect()
+    /// The conservative flux form keeps the total constant to round-off.
+    fn history_contributions(&self, info: &BlockInfo, data: &mut BlockData, row: &mut [f64]) {
+        let qid = Self::qid(data);
+        row[0] = crate::scalar_mass(info, data, qid);
     }
 }

@@ -9,12 +9,10 @@
 //! regrid-heavy corner of the scenario matrix.
 
 use vibe_core::sweep::{self, FaceFlux};
-use vibe_core::{BlockInfo, BlockSlot, FluxTile, Package, RefinementPolicy};
-use vibe_exec::{catalog, ExecCtx, Launcher};
+use vibe_core::{BlockInfo, FluxTile, Package, RefinementPolicy};
 use vibe_field::{BlockData, F64Lanes, Metadata, VarId};
 use vibe_mesh::index::IndexDomain;
-use vibe_mesh::{AmrFlag, IndexShape};
-use vibe_prof::Recorder;
+use vibe_mesh::IndexShape;
 
 use vibe_burgers::LinearKernel;
 
@@ -209,151 +207,101 @@ impl Package for EulerPackage {
         sweep::fill_lines::<LinearKernel, _>(self, info, data, tile);
     }
 
-    fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
-        let Some(first) = pack.first() else { return };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::CALCULATE_DERIVED, cells, 1.0);
-        exec.for_each_block(pack, |_, slot| {
-            let (cid, pid) = Self::ids(&mut slot.data);
-            let (cons_var, pres_var) = slot.data.pair_mut(cid, pid);
-            // Every cell, ghosts included: the arrays end to end.
-            let pres = pres_var.data_mut().as_mut_slice();
-            let u = components(cons_var.data().as_slice(), 0, pres.len());
-            for (t, p) in pres.iter_mut().enumerate() {
-                *p = self.prim_cell(u.map(|c| c[t])).2;
-            }
-        });
+    fn fill_derived(&self, _info: &BlockInfo, data: &mut BlockData) {
+        let (cid, pid) = Self::ids(data);
+        let (cons_var, pres_var) = data.pair_mut(cid, pid);
+        // Every cell, ghosts included: the arrays end to end.
+        let pres = pres_var.data_mut().as_mut_slice();
+        let u = components(cons_var.data().as_slice(), 0, pres.len());
+        for (t, p) in pres.iter_mut().enumerate() {
+            *p = self.prim_cell(u.map(|c| c[t])).2;
+        }
     }
 
-    fn estimate_dt(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) -> f64 {
-        let Some(first) = pack.first() else {
-            return f64::INFINITY;
-        };
-        let shape = *first.data.shape();
-        let dim = shape.dim();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::ESTIMATE_TIMESTEP_MESH, cells, 1.0);
-        let (rows, n) = interior_rows(&shape);
-        // Per-block partials folded in pack order.
-        exec.map_blocks(pack, |_, slot| {
-            let (cid, _) = Self::ids(&mut slot.data);
-            let cons = slot.data.var(cid).data().as_slice();
-            let dx = slot.info.geom.dx();
-            let mut block_min = f64::INFINITY;
-            for &row in &rows {
-                let u = components(cons, row, n);
-                for t in 0..n {
-                    let (rho, vel, p) = self.prim_cell(u.map(|c| c[t]));
-                    let c = (self.gamma * p / rho).sqrt();
-                    for d in 0..dim {
-                        block_min = block_min.min(dx[d] / (vel[d].abs() + c));
-                    }
+    fn estimate_dt(&self, info: &BlockInfo, data: &mut BlockData) -> f64 {
+        let dim = data.shape().dim();
+        let (rows, n) = interior_rows(data.shape());
+        let (cid, _) = Self::ids(data);
+        let cons = data.var(cid).data().as_slice();
+        let dx = info.geom.dx();
+        let mut block_min = f64::INFINITY;
+        for &row in &rows {
+            let u = components(cons, row, n);
+            for t in 0..n {
+                let (rho, vel, p) = self.prim_cell(u.map(|c| c[t]));
+                let c = (self.gamma * p / rho).sqrt();
+                for d in 0..dim {
+                    block_min = block_min.min(dx[d] / (vel[d].abs() + c));
                 }
             }
-            block_min
-        })
-        .into_iter()
-        .fold(f64::INFINITY, f64::min)
+        }
+        block_min
     }
 
-    fn tag_refinement(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<AmrFlag> {
-        let Some(first) = pack.first() else {
-            return Vec::new();
-        };
-        let shape = *first.data.shape();
+    /// Shock sensor: the largest relative pressure jump between adjacent
+    /// cells, computed from the conserved state directly (no dependence on
+    /// the derived fill, so initial regridding sees it too).
+    fn refinement_indicator(&self, _info: &BlockInfo, data: &mut BlockData) -> f64 {
+        let shape = *data.shape();
         let dim = shape.dim();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::FIRST_DERIVATIVE, cells, 1.0);
         let (rows, n) = interior_rows(&shape);
         let (ex, plane) = (shape.entire_d(0), shape.entire_d(0) * shape.entire_d(1));
         let ny = shape.ncells()[1];
-        // Shock sensor: relative pressure jump between adjacent cells,
-        // computed from the conserved state directly (no dependence on the
-        // derived fill, so initial regridding sees it too).
-        exec.map_blocks(pack, |_, slot| {
-            let (cid, _) = Self::ids(&mut slot.data);
-            let cons = slot.data.var(cid).data().as_slice();
-            let pressures = |out: &mut Vec<f64>, start: usize, len: usize| {
-                let u = components(cons, start, len);
-                out.clear();
-                out.extend((0..len).map(|t| self.prim_cell(u.map(|c| c[t])).2));
-            };
-            // This row and the one below it in j from the cell below in i
-            // on; the row below in k.
-            let (mut here, mut south, mut down) = (Vec::new(), Vec::new(), Vec::new());
-            let mut max_jump: f64 = 0.0;
-            for (at, &row) in rows.iter().enumerate() {
-                // The row below in j was `here` a moment ago, unless it is a
-                // ghost row.
-                if dim >= 2 && at % ny == 0 {
-                    pressures(&mut south, row - ex - 1, n + 1);
-                } else if dim >= 2 {
-                    std::mem::swap(&mut here, &mut south);
+        let (cid, _) = Self::ids(data);
+        let cons = data.var(cid).data().as_slice();
+        let pressures = |out: &mut Vec<f64>, start: usize, len: usize| {
+            let u = components(cons, start, len);
+            out.clear();
+            out.extend((0..len).map(|t| self.prim_cell(u.map(|c| c[t])).2));
+        };
+        // This row and the one below it in j from the cell below in i on;
+        // the row below in k.
+        let (mut here, mut south, mut down) = (Vec::new(), Vec::new(), Vec::new());
+        let mut max_jump: f64 = 0.0;
+        for (at, &row) in rows.iter().enumerate() {
+            // The row below in j was `here` a moment ago, unless it is a
+            // ghost row.
+            if dim >= 2 && at % ny == 0 {
+                pressures(&mut south, row - ex - 1, n + 1);
+            } else if dim >= 2 {
+                std::mem::swap(&mut here, &mut south);
+            }
+            pressures(&mut here, row - 1, n + 1);
+            if dim >= 3 {
+                pressures(&mut down, row - plane, n);
+            }
+            for t in 0..n {
+                let mut consider = |other: f64| {
+                    let jump = (here[t + 1] - other).abs() / (here[t + 1] + other);
+                    max_jump = max_jump.max(jump);
+                };
+                consider(here[t]);
+                if dim >= 2 {
+                    consider(south[t + 1]);
                 }
-                pressures(&mut here, row - 1, n + 1);
                 if dim >= 3 {
-                    pressures(&mut down, row - plane, n);
-                }
-                for t in 0..n {
-                    let mut consider = |other: f64| {
-                        let jump = (here[t + 1] - other).abs() / (here[t + 1] + other);
-                        max_jump = max_jump.max(jump);
-                    };
-                    consider(here[t]);
-                    if dim >= 2 {
-                        consider(south[t + 1]);
-                    }
-                    if dim >= 3 {
-                        consider(down[t]);
-                    }
+                    consider(down[t]);
                 }
             }
-            if max_jump > self.refine_tol {
-                AmrFlag::Refine
-            } else if max_jump < self.deref_tol {
-                AmrFlag::Derefine
-            } else {
-                AmrFlag::Same
-            }
-        })
+        }
+        max_jump
     }
 
-    fn history_contributions(
-        &self,
-        pack: &mut [&mut BlockSlot],
-        exec: ExecCtx,
-        rec: &mut Recorder,
-    ) -> Vec<Vec<f64>> {
-        let Some(first) = pack.first() else {
-            return Vec::new();
-        };
-        let shape = *first.data.shape();
-        let cells = pack.len() as u64 * shape.interior_count() as u64;
-        Launcher::new(rec).record_only(&catalog::MASS_HISTORY, cells, 1.0);
-        let (rows, n) = interior_rows(&shape);
-        // One (mass, energy) row per block; folded by the caller in
-        // global gid order.
-        let partials = exec.map_blocks(pack, |_, slot| {
-            let (cid, _) = Self::ids(&mut slot.data);
-            let cons = slot.data.var(cid).data().as_slice();
-            let vol = slot.info.geom.cell_volume();
-            let (mut mass, mut energy) = (0.0, 0.0);
-            for &row in &rows {
-                let u = components(cons, row, n);
-                for (rho, e) in u[0].iter().zip(u[4]) {
-                    mass += rho * vol;
-                    energy += e * vol;
-                }
+    /// The block's (mass, energy).
+    fn history_contributions(&self, info: &BlockInfo, data: &mut BlockData, row: &mut [f64]) {
+        let (rows, n) = interior_rows(data.shape());
+        let (cid, _) = Self::ids(data);
+        let cons = data.var(cid).data().as_slice();
+        let vol = info.geom.cell_volume();
+        let (mut mass, mut energy) = (0.0, 0.0);
+        for &at in &rows {
+            let u = components(cons, at, n);
+            for (rho, e) in u[0].iter().zip(u[4]) {
+                mass += rho * vol;
+                energy += e * vol;
             }
-            (mass, energy)
-        });
-        partials.into_iter().map(|(m, e)| vec![m, e]).collect()
+        }
+        row.copy_from_slice(&[mass, energy]);
     }
 }
 

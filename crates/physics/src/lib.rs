@@ -20,7 +20,9 @@
 //! [`Package`]: vibe_core::Package
 
 use vibe_burgers::{BurgersPackage, BurgersParams};
-use vibe_core::{DynPackage, PackageSpec};
+use vibe_core::{BlockInfo, DynPackage, PackageSpec};
+use vibe_field::{BlockData, VarId};
+use vibe_mesh::index::IndexDomain;
 
 pub mod advect;
 pub mod diffusion;
@@ -63,6 +65,52 @@ pub fn resolve(spec: &PackageSpec) -> Option<DynPackage> {
         }),
         _ => return None,
     })
+}
+
+/// The largest jump of the first component of the scalar bundle `qid`
+/// between an interior cell and its lower neighbour along each active
+/// axis: the refinement indicator of the scalar packages.
+fn max_lower_jump(data: &BlockData, qid: VarId) -> f64 {
+    let shape = *data.shape();
+    let dim = shape.dim();
+    let [ix, iy, iz] = [0, 1, 2].map(|d| shape.range(d, IndexDomain::Interior));
+    let q = data.var(qid).data();
+    let mut max_jump: f64 = 0.0;
+    for k in iz.iter() {
+        for j in iy.iter() {
+            for i in ix.iter() {
+                let here = q.get(0, k as usize, j as usize, i as usize);
+                let mut consider = |other: f64| {
+                    max_jump = max_jump.max((here - other).abs());
+                };
+                consider(q.get(0, k as usize, j as usize, (i - 1) as usize));
+                if dim >= 2 {
+                    consider(q.get(0, k as usize, (j - 1) as usize, i as usize));
+                }
+                if dim >= 3 {
+                    consider(q.get(0, (k - 1) as usize, j as usize, i as usize));
+                }
+            }
+        }
+    }
+    max_jump
+}
+
+/// The interior mass of the first component of the scalar bundle `qid`.
+fn scalar_mass(info: &BlockInfo, data: &BlockData, qid: VarId) -> f64 {
+    let shape = *data.shape();
+    let [ix, iy, iz] = [0, 1, 2].map(|d| shape.range(d, IndexDomain::Interior));
+    let q = data.var(qid).data();
+    let vol = info.geom.cell_volume();
+    let mut total = 0.0;
+    for k in iz.iter() {
+        for j in iy.iter() {
+            for i in ix.iter() {
+                total += q.get(0, k as usize, j as usize, i as usize) * vol;
+            }
+        }
+    }
+    total
 }
 
 #[cfg(test)]

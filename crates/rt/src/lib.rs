@@ -765,10 +765,8 @@ mod tests {
     use std::time::Duration;
     use vibe_core::block::BlockInfo;
     use vibe_core::driver::DriverParams;
-    use vibe_core::exec::ExecCtx;
     use vibe_core::field::BlockData;
     use vibe_core::mesh::{Mesh, MeshParams};
-    use vibe_core::BlockSlot;
     use vibe_physics::{Advect, AdvectRecon};
 
     fn mesh() -> Mesh {
@@ -892,35 +890,20 @@ mod tests {
         ) {
             self.inner.fill_fluxes(info, data, tile)
         }
-        fn fill_derived(&self, pack: &mut [&mut BlockSlot], exec: ExecCtx, rec: &mut Recorder) {
+        fn fill_derived(&self, info: &BlockInfo, data: &mut BlockData) {
             if self.panic_on.is_some() && std::thread::current().name() == self.panic_on {
                 panic!("rank input stream disconnected");
             }
-            self.inner.fill_derived(pack, exec, rec)
+            self.inner.fill_derived(info, data)
         }
-        fn estimate_dt(
-            &self,
-            pack: &mut [&mut BlockSlot],
-            exec: ExecCtx,
-            rec: &mut Recorder,
-        ) -> f64 {
-            self.inner.estimate_dt(pack, exec, rec)
+        fn estimate_dt(&self, info: &BlockInfo, data: &mut BlockData) -> f64 {
+            self.inner.estimate_dt(info, data)
         }
-        fn tag_refinement(
-            &self,
-            pack: &mut [&mut BlockSlot],
-            exec: ExecCtx,
-            rec: &mut Recorder,
-        ) -> Vec<vibe_core::mesh::AmrFlag> {
-            self.inner.tag_refinement(pack, exec, rec)
+        fn refinement_indicator(&self, info: &BlockInfo, data: &mut BlockData) -> f64 {
+            self.inner.refinement_indicator(info, data)
         }
-        fn history_contributions(
-            &self,
-            pack: &mut [&mut BlockSlot],
-            exec: ExecCtx,
-            rec: &mut Recorder,
-        ) -> Vec<Vec<f64>> {
-            self.inner.history_contributions(pack, exec, rec)
+        fn history_contributions(&self, info: &BlockInfo, data: &mut BlockData, row: &mut [f64]) {
+            self.inner.history_contributions(info, data, row)
         }
     }
 

@@ -268,6 +268,27 @@ if grep -rnF 'Fn() -> Driver<P> + Send + Sync' crates/rt/src; then
     exit 1
 fi
 
+echo "==> the framework owns the pack"
+# Packages supply per-block kernels (fill_derived, estimate_dt,
+# refinement_indicator, history_contributions, fill_fluxes); the driver
+# iterates the packs, records each launch (KernelDescriptor::record), folds
+# the results and applies the refinement thresholds (RefinementPolicy::flag).
+# So no package source names the pack machinery, and the Launcher wrapper
+# stays deleted.
+pkg_src=$(for file in crates/physics/src/*.rs crates/burgers/src/package.rs; do non_test "$file"; done)
+if grep -nE 'ExecCtx|Recorder|Launcher|record_only|map_blocks|for_each_block|AmrFlag::Refine' <<<"$pkg_src"; then
+    echo "a package iterates a pack, records a launch or tags by itself again (see above)" >&2
+    exit 1
+fi
+if grep -rn --include='*.rs' --exclude-dir=target 'Launcher' crates src tests examples; then
+    echo "the deleted Launcher wrapper is back (see above)" >&2
+    exit 1
+fi
+if grep -nE 'vibe-(exec|prof)' crates/physics/Cargo.toml; then
+    echo "vibe-physics depends on vibe-exec or vibe-prof again" >&2
+    exit 1
+fi
+
 echo "==> one instrument, one gate"
 # Wall-clock numbers come only from the repository benchmark
 # (src/bin/benchmark) and pass/fail from the one `gate` binary: crates/bench

@@ -128,3 +128,88 @@ fn every_package_passes_the_conformance_harness() {
         assert!(report.flux_vars >= 1);
     }
 }
+
+/// FNV-1a over a canonical text rendering.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Hash of everything a driver's `Recorder` totals hold: per kernel its
+/// launches, cells, FLOPs and bytes; serial work by kind, string lookups
+/// included; point-to-point and collective traffic.
+fn totals_hash(d: &Driver<DynPackage>) -> u64 {
+    use std::fmt::Write;
+    let t = d.recorder().totals();
+    let mut text = String::new();
+    for ((func, name), k) in &t.kernels {
+        let (l, c, f, b) = (k.launches, k.cells, k.flops, k.bytes);
+        writeln!(text, "kernel {func:?} {name} {l} {c} {f} {b}").unwrap();
+    }
+    for (func, s) in &t.serial {
+        writeln!(
+            text,
+            "serial {func:?} {} {} {} {} {} {} {}",
+            s.block_loop,
+            s.boundary_loop,
+            s.sorted_keys,
+            s.string_lookups,
+            s.allocations,
+            s.host_copy_bytes,
+            s.tree_ops
+        )
+        .unwrap();
+    }
+    for (func, c) in &t.comm {
+        writeln!(
+            text,
+            "comm {func:?} {} {} {} {} {} {:?}",
+            c.p2p_local_messages,
+            c.p2p_remote_messages,
+            c.p2p_local_bytes,
+            c.p2p_remote_bytes,
+            c.cells_communicated,
+            c.collectives
+        )
+        .unwrap();
+    }
+    fnv(&text)
+}
+
+/// What every package's driver records over the gate scenario — the
+/// platform model's and the timeline simulator's input — pinned by hash
+/// at `nranks` {1, 4} (one endpoint playing every rank label) for
+/// `host_threads` 1 and 2 alike.
+#[test]
+fn every_package_records_the_parent_workload() {
+    const PINNED: &[(&str, [u64; 2])] = &[
+        ("advect", [0xe355_2dd0_4bc5_3747, 0xbd73_dac3_afcf_65f2]),
+        ("burgers", [0x3afc_c3cf_b587_c3e4, 0x8705_5996_b1ac_b00e]),
+        ("diffusion", [0xc36c_b2b0_2e84_37fc, 0x6a0e_787f_1592_54e8]),
+        ("euler", [0xfcda_5124_3e20_796a, 0xf3e9_534d_7a7e_26b9]),
+    ];
+    let pinned: Vec<&str> = PINNED.iter().map(|&(n, _)| n).collect();
+    assert_eq!(pinned, PACKAGES, "pin every package of the roster");
+    let mut failures = Vec::new();
+    for &(name, want) in PINNED {
+        for (nranks, want) in [1usize, 4].into_iter().zip(want) {
+            for threads in [1usize, 2] {
+                let cfg = scenario(name, nranks, threads);
+                let mut d = cfg.replica(cfg.driver_params(), None);
+                d.run_cycles(cfg.cycles);
+                let got = totals_hash(&d);
+                if got != want {
+                    failures.push(format!(
+                        "{name} nranks {nranks} threads {threads}: {got:#018x}"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "recorded workload moved:\n{}",
+        failures.join("\n")
+    );
+}
