@@ -32,7 +32,7 @@ fn main() {
     let paper_field = (field_bytes as f64 * scale) as u64;
     let paper_buffers = (buffer_peak as f64 * scale) as u64;
 
-    let gpu = GpuSpec::h100();
+    let gpu = GpuSpec::H100;
     let model = MemoryModel::default();
     let mut rows = Vec::new();
     for ranks in [1usize, 2, 4, 6, 8, 12, 16] {

@@ -9,26 +9,23 @@
 
 use vibe_bench::{format_table, paper_workload, run_workload};
 use vibe_core::sweep::TILE_BUDGET_BYTES;
+use vibe_hwmodel::memory::THREAD_BLOCKS;
 use vibe_hwmodel::{aux_buffer_bytes, flux_storage_bytes, AuxBufferLayout, FluxStorage};
 use vibe_serve::JobConfig;
 
 fn main() {
     println!("== §VIII-B: auxiliary-buffer footprint optimization ==\n");
 
+    // The restructured layout: 2-D segments over the concurrent thread blocks.
+    let segments = AuxBufferLayout::PerThreadBlock {
+        d: 2,
+        thread_blocks: THREAD_BLOCKS,
+    };
+
     // The paper's worked example at its own scale (~4096 blocks).
     let paper_blocks = 4096u64;
     let pre = aux_buffer_bytes(paper_blocks, 8, 4, 8, 3, AuxBufferLayout::PerMeshBlock3D);
-    let post = aux_buffer_bytes(
-        paper_blocks,
-        8,
-        4,
-        8,
-        3,
-        AuxBufferLayout::PerThreadBlock {
-            d: 2,
-            thread_blocks: 1024,
-        },
-    );
+    let post = aux_buffer_bytes(paper_blocks, 8, 4, 8, 3, segments);
     println!("Paper example (4096 mesh blocks, nx1=8, ng=4, num_scalar=8):");
     println!(
         "  pre-optimization : {:.3} GB   [paper 8.858 GB]",
@@ -52,17 +49,7 @@ fn main() {
         let run = run_workload(&cfg, cfg.driver_params());
         let blocks = run.final_blocks as u64;
         let pre = aux_buffer_bytes(blocks, block, 4, 8, 3, AuxBufferLayout::PerMeshBlock3D);
-        let post = aux_buffer_bytes(
-            blocks,
-            block,
-            4,
-            8,
-            3,
-            AuxBufferLayout::PerThreadBlock {
-                d: 2,
-                thread_blocks: 1024,
-            },
-        );
+        let post = aux_buffer_bytes(blocks, block, 4, 8, 3, segments);
         rows.push(vec![
             format!("B{block}"),
             blocks.to_string(),

@@ -45,7 +45,7 @@ fn per_cycle_kernels(run: &vibe_bench::WorkloadResult) -> BTreeMap<&'static str,
 
 fn main() {
     println!("== Table III: GPU microarchitecture analysis (Mesh=64 scaled, L=3) ==\n");
-    let gpu = GpuSpec::h100();
+    let gpu = GpuSpec::H100;
     for block in [32usize, 16] {
         let cfg = JobConfig {
             mesh_cells: 64,

@@ -6,9 +6,9 @@
 //! re-compares variable names. The recommended fix is compile-time /
 //! integer-based indexing with a centralized name→id map. [`BlockData`]
 //! implements **both** paths — [`PackStrategy::StringKeyed`] and
-//! [`PackStrategy::IntegerCached`] — so the difference can be measured
-//! (see the `var_lookup` criterion bench) and counted by the serial cost
-//! model.
+//! [`PackStrategy::IntegerCached`] — so the difference is counted (the
+//! recorder's string lookups) and costed by the serial cost model; the
+//! `ablations` figure binary compares the two.
 
 use std::collections::HashMap;
 

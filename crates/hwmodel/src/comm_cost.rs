@@ -28,23 +28,21 @@ pub struct CommCosts {
     pub internode_bw: f64,
 }
 
-impl Default for CommCosts {
-    fn default() -> Self {
-        Self {
-            remote_latency: 9.0e-6,
-            remote_bw: 11.0e9,
-            local_bw: 42.0e9,
-            collective_base: 14.0e-6,
-            collective_log: 10.0e-6,
-            collective_linear: 2.8e-6,
-            collective_bw: 4.0e9,
-            internode_latency_factor: 3.0,
-            internode_bw: 6.0e9,
-        }
-    }
-}
-
 impl CommCosts {
+    /// The calibrated intra-node (and inter-node) costs: the one
+    /// communication cost table.
+    pub const CALIBRATED: Self = Self {
+        remote_latency: 9.0e-6,
+        remote_bw: 11.0e9,
+        local_bw: 42.0e9,
+        collective_base: 14.0e-6,
+        collective_log: 10.0e-6,
+        collective_linear: 2.8e-6,
+        collective_bw: 4.0e9,
+        internode_latency_factor: 3.0,
+        internode_bw: 6.0e9,
+    };
+
     /// Seconds of one point-to-point message of `bytes` — the per-message
     /// primitive the timeline simulator schedules individually. Local
     /// copies are pure bandwidth on the host; remote messages pay the
@@ -149,7 +147,7 @@ mod tests {
 
     #[test]
     fn local_copies_cheaper_than_remote_messages() {
-        let c = CommCosts::default();
+        let c = CommCosts::CALIBRATED;
         let local = comm_totals((100, 100 << 20), (0, 0), 0, &[]);
         let remote = comm_totals((0, 0), (100, 100 << 20), 0, &[]);
         assert!(c.seconds(&local, 1, 0.0) < c.seconds(&remote, 1, 0.0));
@@ -157,7 +155,7 @@ mod tests {
 
     #[test]
     fn collective_cost_grows_with_ranks() {
-        let c = CommCosts::default();
+        let c = CommCosts::CALIBRATED;
         let t2 = c.collective_seconds_one(2, 1024);
         let t12 = c.collective_seconds_one(12, 1024);
         let t96 = c.collective_seconds_one(96, 1024);
@@ -171,7 +169,7 @@ mod tests {
 
     #[test]
     fn p2p_parallelizes_across_ranks() {
-        let c = CommCosts::default();
+        let c = CommCosts::CALIBRATED;
         let t = comm_totals((0, 0), (1000, 1 << 30), 0, &[]);
         let w1 = c.p2p_seconds(&t, 1, 0.0);
         let w8 = c.p2p_seconds(&t, 8, 0.0);
@@ -180,7 +178,7 @@ mod tests {
 
     #[test]
     fn per_message_primitive_sums_to_p2p_seconds() {
-        let c = CommCosts::default();
+        let c = CommCosts::CALIBRATED;
         let t = comm_totals((5, 5 << 12), (100, 100 << 16), 0, &[]);
         let summed = (0..5)
             .map(|_| c.message_seconds(1 << 12, true, false))
@@ -196,7 +194,7 @@ mod tests {
 
     #[test]
     fn internode_messages_cost_more() {
-        let c = CommCosts::default();
+        let c = CommCosts::CALIBRATED;
         let t = comm_totals((0, 0), (1000, 1 << 30), 0, &[]);
         let intra = c.p2p_seconds(&t, 4, 0.0);
         let inter = c.p2p_seconds(&t, 4, 0.5);
@@ -205,7 +203,7 @@ mod tests {
 
     #[test]
     fn collective_totals_use_per_event_size() {
-        let c = CommCosts::default();
+        let c = CommCosts::CALIBRATED;
         let t = comm_totals(
             (0, 0),
             (0, 0),

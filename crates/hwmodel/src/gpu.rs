@@ -7,24 +7,17 @@ use vibe_prof::KernelTotals;
 use crate::occupancy::{occupancy, warp_utilization};
 use crate::specs::GpuSpec;
 
-/// A generic descriptor used for kernels not in the catalog.
-const GENERIC: KernelDescriptor = KernelDescriptor {
-    name: "generic",
-    func: vibe_prof::StepFunction::Other,
-    flops_per_cell: 10.0,
-    bytes_per_cell: 24.0,
-    registers_per_thread: 64,
-    threads_per_block: 128,
-    useful_warp_fraction: 1.0,
-    inner_loop: InnerLoop::Flat,
-    vector_fraction: 0.6,
-    mem_access_efficiency: 0.4,
-    ilp_efficiency: 0.4,
-};
-
-/// Resolves a kernel descriptor by name, falling back to a generic profile.
+/// The catalog descriptor of a recorded kernel. Kernels are recorded only
+/// through `KernelDescriptor::record`, so every recorded name is a catalog
+/// name.
+///
+/// # Panics
+///
+/// If `name` is not in `vibe_exec::catalog`.
 pub fn descriptor_for(name: &str) -> &'static KernelDescriptor {
-    catalog::by_name(name).unwrap_or(&GENERIC)
+    catalog::by_name(name).unwrap_or_else(|| {
+        panic!("kernel {name:?} is not in vibe_exec::catalog (record through KernelDescriptor::record)")
+    })
 }
 
 /// Effective fraction of peak HBM bandwidth kernel `desc` achieves on
@@ -164,9 +157,7 @@ pub fn kernel_metrics(
 mod tests {
     use super::*;
 
-    fn h100() -> GpuSpec {
-        GpuSpec::h100()
-    }
+    const GPU: &GpuSpec = &GpuSpec::H100;
 
     fn totals(launches: u64, cells: u64, flops: u64, bytes: u64) -> KernelTotals {
         KernelTotals {
@@ -179,15 +170,15 @@ mod tests {
 
     #[test]
     fn empty_totals_zero_duration() {
-        let d = kernel_duration(&catalog::CALCULATE_FLUXES, &totals(0, 0, 0, 0), &h100(), 32);
+        let d = kernel_duration(&catalog::CALCULATE_FLUXES, &totals(0, 0, 0, 0), GPU, 32);
         assert_eq!(d, 0.0);
     }
 
     #[test]
     fn memory_bound_kernel_duration_tracks_bytes() {
         let desc = &catalog::WEIGHTED_SUM_DATA;
-        let big = kernel_duration(desc, &totals(1, 1 << 22, 1 << 24, 1 << 32), &h100(), 32);
-        let small = kernel_duration(desc, &totals(1, 1 << 22, 1 << 24, 1 << 31), &h100(), 32);
+        let big = kernel_duration(desc, &totals(1, 1 << 22, 1 << 24, 1 << 32), GPU, 32);
+        let small = kernel_duration(desc, &totals(1, 1 << 22, 1 << 24, 1 << 31), GPU, 32);
         assert!(big > small);
         assert!((big / small - 2.0).abs() < 0.2, "near-linear in bytes");
     }
@@ -195,15 +186,10 @@ mod tests {
     #[test]
     fn launch_latency_dominates_many_tiny_launches() {
         let desc = &catalog::WEIGHTED_SUM_DATA;
-        let one = kernel_duration(desc, &totals(1, 512, 3584, 12288), &h100(), 8);
-        let many = kernel_duration(
-            desc,
-            &totals(1000, 512_000, 3_584_000, 12_288_000),
-            &h100(),
-            8,
-        );
+        let one = kernel_duration(desc, &totals(1, 512, 3584, 12288), GPU, 8);
+        let many = kernel_duration(desc, &totals(1000, 512_000, 3_584_000, 12_288_000), GPU, 8);
         // Same total work split over 1000 launches pays 1000 latencies.
-        assert!(many > 1000.0 * h100().launch_latency * 0.9);
+        assert!(many > 1000.0 * GPU.launch_latency * 0.9);
         assert!(many > one * 100.0);
     }
 
@@ -213,8 +199,8 @@ mod tests {
         // One launch over 1M cells vs 64 launches over the same total.
         let work = totals(1, 1 << 20, 1548 << 20, 360 << 20);
         let split = totals(64, 1 << 20, 1548 << 20, 360 << 20);
-        let d_one = kernel_duration(desc, &work, &h100(), 8);
-        let d_split = kernel_duration(desc, &split, &h100(), 8);
+        let d_one = kernel_duration(desc, &work, GPU, 8);
+        let d_split = kernel_duration(desc, &split, GPU, 8);
         assert!(
             d_split > d_one,
             "fragmented launches must be slower: {d_split} vs {d_one}"
@@ -225,7 +211,7 @@ mod tests {
     fn flux_kernel_bw_util_matches_paper_scale() {
         // Table III: CalculateFluxes BW util 18.5% (B32), 11.2% (B16).
         let desc = &catalog::CALCULATE_FLUXES;
-        let gpu = h100();
+        let gpu = GpuSpec::H100;
         let cells = 1u64 << 24; // plenty to fill the GPU
         let w = totals(1, cells, cells * 1548, cells * 360);
         let m32 = kernel_metrics(desc, &w, &gpu, 32);
@@ -242,12 +228,7 @@ mod tests {
     fn metrics_report_expected_occupancy_and_ai() {
         let desc = &catalog::CALCULATE_FLUXES;
         let cells = 1u64 << 20;
-        let m = kernel_metrics(
-            desc,
-            &totals(1, cells, cells * 1548, cells * 360),
-            &h100(),
-            32,
-        );
+        let m = kernel_metrics(desc, &totals(1, cells, cells * 1548, cells * 360), GPU, 32);
         assert!((m.sm_occ_pct - 25.0).abs() < 2.0);
         assert!((m.arith_intensity - 4.3).abs() < 0.01);
         assert!(m.sm_util_pct > 10.0 && m.sm_util_pct < 60.0);
@@ -257,18 +238,8 @@ mod tests {
     fn compute_bound_kernel_insensitive_to_bytes() {
         let desc = &catalog::FIRST_DERIVATIVE;
         let cells = 1u64 << 22;
-        let a = kernel_duration(
-            desc,
-            &totals(1, cells, cells * 725, cells * 50),
-            &h100(),
-            32,
-        );
-        let b = kernel_duration(
-            desc,
-            &totals(1, cells, cells * 725, cells * 25),
-            &h100(),
-            32,
-        );
+        let a = kernel_duration(desc, &totals(1, cells, cells * 725, cells * 50), GPU, 32);
+        let b = kernel_duration(desc, &totals(1, cells, cells * 725, cells * 25), GPU, 32);
         assert!((a - b).abs() / a < 0.05, "compute-bound: {a} vs {b}");
     }
 
@@ -278,7 +249,7 @@ mod tests {
         // for evenly split work — the contract the timeline simulator's
         // zero-overlap validation relies on.
         let desc = &catalog::CALCULATE_FLUXES;
-        let gpu = h100();
+        let gpu = GpuSpec::H100;
         let t = totals(24, 24 * 4096, 24 * 4096 * 1548, 24 * 4096 * 360);
         let agg = kernel_duration(desc, &t, &gpu, 16);
         let one = launch_exec_seconds(desc, &gpu, 16, 4096.0, 4096.0 * 1548.0, 4096.0 * 360.0);
@@ -290,7 +261,7 @@ mod tests {
     #[test]
     fn grid_fill_small_launches_penalized() {
         let desc = &catalog::WEIGHTED_SUM_DATA;
-        let gpu = h100();
+        let gpu = GpuSpec::H100;
         let small = grid_fill(desc, &gpu, 512.0, 8);
         let big = grid_fill(desc, &gpu, (1 << 22) as f64, 8);
         assert!(small < big);
@@ -299,10 +270,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_kernel_uses_generic_descriptor() {
-        let d = descriptor_for("SomethingNew");
-        assert_eq!(d.name, "generic");
-        let known = descriptor_for("SetBounds");
-        assert_eq!(known.name, "SetBounds");
+    fn every_catalog_kernel_resolves_to_itself() {
+        for desc in catalog::ALL {
+            assert_eq!(descriptor_for(desc.name), desc);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "\"SomethingNew\" is not in vibe_exec::catalog")]
+    fn a_kernel_outside_the_catalog_panics() {
+        descriptor_for("SomethingNew");
     }
 }

@@ -19,6 +19,12 @@
 //!   and the §VIII-B auxiliary-buffer restructuring formula;
 //! * CPU instruction opcode mixes (Fig. 13).
 //!
+//! Every calibrated constant is written once here — the specs
+//! (`CpuSpec::SAPPHIRE_RAPIDS_96`, `GpuSpec::H100`), the cost tables
+//! (`SerialCosts::CALIBRATED`, `CommCosts::CALIBRATED`), the `platform` and
+//! `memory` constants — and `vibe-sim` reads the same items, so
+//! [`PlatformConfig`] and [`MemoryModel`] carry only what a caller varies.
+//!
 //! Nothing here executes on real accelerator hardware: this crate is the
 //! documented substitution for the paper's CUDA/Nsight/PIN toolchain (see
 //! DESIGN.md).

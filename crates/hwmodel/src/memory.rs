@@ -15,7 +15,7 @@ pub enum AuxBufferLayout {
     PerThreadBlock {
         /// Reduced buffer dimensionality (e.g. 2 for 2D loop segments).
         d: u32,
-        /// Concurrent GPU thread blocks (≈1024 on an H100).
+        /// Concurrent GPU thread blocks ([`THREAD_BLOCKS`] on an H100).
         thread_blocks: u64,
     },
 }
@@ -96,33 +96,25 @@ pub fn flux_storage_bytes(
     scratch + mesh_blocks * 8 * ncomp as u64 * per_component
 }
 
-/// Parameters of the device memory model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Bytes of Open MPI driver overhead resident per rank (exacerbated by the
+/// IPC-cache leak the paper references). With [`MPI_BUFFER_BASE_PER_RANK`]
+/// calibrated to the paper's anchor: Mesh 128 / B8 / L3 with 12 ranks
+/// consumes 75.5 GB of the 80 GB HBM (Fig. 10).
+pub const MPI_DRIVER_PER_RANK: u64 = 3_400 << 20; // ~3.4 GiB/rank
+
+/// Bytes of MPI communication buffers per rank, plus a per-remote-buffer
+/// share added by [`MemoryModel::report`].
+pub const MPI_BUFFER_BASE_PER_RANK: u64 = 1_700 << 20;
+
+/// Concurrent GPU thread blocks on an H100: the scratch count of the
+/// §VIII-B optimized auxiliary-buffer layout.
+pub const THREAD_BLOCKS: u64 = 1024;
+
+/// The device memory model (Fig. 10).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryModel {
-    /// Bytes of Open MPI driver overhead resident per rank (exacerbated by
-    /// the IPC-cache leak the paper references).
-    pub mpi_driver_per_rank: u64,
-    /// Bytes of MPI communication buffers per rank, plus a per-remote-buffer
-    /// share added by `report`.
-    pub mpi_buffer_base_per_rank: u64,
     /// Whether the §VIII-B auxiliary-buffer optimization is applied.
     pub aux_layout_optimized: bool,
-    /// Concurrent GPU thread blocks for the optimized layout.
-    pub thread_blocks: u64,
-}
-
-impl Default for MemoryModel {
-    fn default() -> Self {
-        Self {
-            // Calibrated to the paper's anchor: Mesh 128 / B8 / L3 with 12
-            // ranks consumes 75.5 GB of the 80 GB HBM (Fig. 10), with the
-            // Open MPI IPC-cache leak inflating the driver share.
-            mpi_driver_per_rank: 3_400 << 20, // ~3.4 GiB/rank
-            mpi_buffer_base_per_rank: 1_700 << 20,
-            aux_layout_optimized: false,
-            thread_blocks: 1024,
-        }
-    }
 }
 
 /// Device memory breakdown for one GPU hosting `ranks` ranks (Fig. 10).
@@ -186,15 +178,14 @@ impl MemoryModel {
         let layout = if self.aux_layout_optimized {
             AuxBufferLayout::PerThreadBlock {
                 d: 2,
-                thread_blocks: self.thread_blocks * ranks as u64,
+                thread_blocks: THREAD_BLOCKS * ranks as u64,
             }
         } else {
             AuxBufferLayout::PerMeshBlock3D
         };
         let kokkos_aux_bytes = aux_buffer_bytes(mesh_blocks, nx1, nghost, num_scalar, dim, layout);
-        let mpi_driver_bytes = self.mpi_driver_per_rank * ranks as u64;
-        let mpi_buffer_bytes =
-            self.mpi_buffer_base_per_rank * ranks as u64 + 2 * remote_buffer_bytes;
+        let mpi_driver_bytes = MPI_DRIVER_PER_RANK * ranks as u64;
+        let mpi_buffer_bytes = MPI_BUFFER_BASE_PER_RANK * ranks as u64 + 2 * remote_buffer_bytes;
         let report = MemoryReport {
             kokkos_data_bytes: variable_bytes,
             kokkos_aux_bytes,
@@ -285,7 +276,7 @@ mod tests {
 
     #[test]
     fn memory_grows_with_ranks_mpi_dominated() {
-        let gpu = GpuSpec::h100();
+        let gpu = GpuSpec::H100;
         let model = MemoryModel::default();
         let mk = |ranks| model.report(&gpu, 12 << 30, 4096, 8, 4, 8, 3, ranks, 1 << 30);
         let r1 = mk(1);
@@ -300,7 +291,7 @@ mod tests {
     fn twelve_ranks_approach_hbm_capacity() {
         // Paper: Mesh 128, B8, L3 with 12 ranks consumes 75.5 GB of the
         // 80 GB HBM.
-        let gpu = GpuSpec::h100();
+        let gpu = GpuSpec::H100;
         let model = MemoryModel::default();
         // ~4 GB of field data (measured census extrapolated) + aux buffers.
         let r = model.report(&gpu, 4 << 30, 4096, 8, 4, 8, 3, 12, 1 << 30);
@@ -314,7 +305,7 @@ mod tests {
 
     #[test]
     fn oom_detected_beyond_capacity() {
-        let gpu = GpuSpec::h100();
+        let gpu = GpuSpec::H100;
         let model = MemoryModel::default();
         let r = model.report(&gpu, 40 << 30, 4096, 8, 4, 8, 3, 24, 4 << 30);
         assert!(
@@ -326,11 +317,10 @@ mod tests {
 
     #[test]
     fn optimized_layout_shrinks_kokkos_share() {
-        let gpu = GpuSpec::h100();
+        let gpu = GpuSpec::H100;
         let base = MemoryModel::default();
         let opt = MemoryModel {
             aux_layout_optimized: true,
-            ..base
         };
         let rb = base.report(&gpu, 12 << 30, 4096, 8, 4, 8, 3, 4, 1 << 30);
         let ro = opt.report(&gpu, 12 << 30, 4096, 8, 4, 8, 3, 4, 1 << 30);

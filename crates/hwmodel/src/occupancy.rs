@@ -70,7 +70,7 @@ mod tests {
     fn flux_kernel_occupancy_near_25_percent() {
         // Table III: CalculateFluxes SM occupancy 24.1/24.2%; >100 regs per
         // thread limit active warps to 4 per block x 4 blocks.
-        let occ = occupancy(&catalog::CALCULATE_FLUXES, &GpuSpec::h100());
+        let occ = occupancy(&catalog::CALCULATE_FLUXES, &GpuSpec::H100);
         assert_eq!(occ.blocks_per_sm, 4);
         assert_eq!(occ.warps_per_sm, 16);
         assert!((occ.occupancy - 0.25).abs() < 0.02);
@@ -79,13 +79,13 @@ mod tests {
     #[test]
     fn weighted_sum_near_full_occupancy() {
         // Table III: WeightedSumData occupancy 92.7/94.2%.
-        let occ = occupancy(&catalog::WEIGHTED_SUM_DATA, &GpuSpec::h100());
+        let occ = occupancy(&catalog::WEIGHTED_SUM_DATA, &GpuSpec::H100);
         assert!(occ.occupancy > 0.90, "got {}", occ.occupancy);
     }
 
     #[test]
     fn occupancy_matches_table_three_within_tolerance() {
-        let gpu = GpuSpec::h100();
+        let gpu = GpuSpec::H100;
         let expected = [
             ("CalculateFluxes", 0.241),
             ("FirstDerivative", 0.523),

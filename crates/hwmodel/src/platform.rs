@@ -28,38 +28,43 @@ pub enum Backend {
     },
 }
 
-/// A complete platform description to evaluate a workload against.
+/// Fraction of remote messages crossing node boundaries when `nodes > 1`.
+pub const INTERNODE_FRACTION: f64 = 0.12;
+
+/// Fraction of peak core FP64 the CPU kernels achieve before
+/// vectorization-length effects (issue limits, cache misses).
+pub const CPU_KERNEL_EFFICIENCY: f64 = 0.028;
+
+/// Per-rank-per-cycle host overhead of GPU sharing (MPS time slicing,
+/// driver contention, MPI progression) — the term that makes rank scaling
+/// roll over (Fig. 8).
+pub const GPU_RANK_OVERHEAD: f64 = 0.6e-3;
+
+/// Multiplier on communication time for GPU backends spanning nodes:
+/// device buffers stage through host memory and the NIC (no GPUDirect in
+/// the paper's Open MPI configuration), so GPU runs scale worse across
+/// nodes than CPU runs (§V).
+pub const GPU_INTERNODE_COMM_PENALTY: f64 = 2.5;
+
+/// Host seconds per cycle that `ranks_per_gpu` ranks sharing one GPU add
+/// to each rank ([`GPU_RANK_OVERHEAD`] per extra rank). The analytic model
+/// and the timeline simulator both charge it to `ReceiveBoundBufs`.
+pub fn gpu_sharing_seconds(ranks_per_gpu: usize) -> f64 {
+    GPU_RANK_OVERHEAD * (ranks_per_gpu.max(1) as f64 - 1.0)
+}
+
+/// A platform to evaluate a workload against: the paper's Sapphire Rapids
+/// node ([`CpuSpec::SAPPHIRE_RAPIDS_96`]) or H100s ([`GpuSpec::H100`]),
+/// costed by the calibrated tables ([`SerialCosts::CALIBRATED`],
+/// [`CommCosts::CALIBRATED`]) and this module's constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformConfig {
     /// Processor configuration per node.
     pub backend: Backend,
     /// Node count (§V multi-node analysis; 1 for the main study).
     pub nodes: usize,
-    /// CPU specification (Table I).
-    pub cpu: CpuSpec,
-    /// GPU specification (Table II).
-    pub gpu: GpuSpec,
-    /// Serial host cost constants.
-    pub serial_costs: SerialCosts,
-    /// Communication cost constants.
-    pub comm_costs: CommCosts,
     /// Mesh block edge length in cells (warp/vectorization models).
     pub block_cells: usize,
-    /// Fraction of remote messages crossing node boundaries when
-    /// `nodes > 1`.
-    pub internode_fraction: f64,
-    /// Fraction of peak core FP64 the CPU kernels achieve before
-    /// vectorization-length effects (issue limits, cache misses).
-    pub cpu_kernel_efficiency: f64,
-    /// Per-rank-per-cycle host overhead of GPU sharing (MPS time slicing,
-    /// driver contention, MPI progression) — the term that makes rank
-    /// scaling roll over (Fig. 8).
-    pub gpu_rank_overhead: f64,
-    /// Multiplier on communication time for GPU backends spanning nodes:
-    /// device buffers stage through host memory and the NIC (no GPUDirect
-    /// in the paper's Open MPI configuration), so GPU runs scale worse
-    /// across nodes than CPU runs (§V).
-    pub gpu_internode_comm_penalty: f64,
 }
 
 impl PlatformConfig {
@@ -68,15 +73,7 @@ impl PlatformConfig {
         Self {
             backend: Backend::Cpu { ranks },
             nodes: 1,
-            cpu: CpuSpec::sapphire_rapids_96(),
-            gpu: GpuSpec::h100(),
-            serial_costs: SerialCosts::default(),
-            comm_costs: CommCosts::default(),
             block_cells,
-            internode_fraction: 0.12,
-            cpu_kernel_efficiency: 0.028,
-            gpu_rank_overhead: 0.6e-3,
-            gpu_internode_comm_penalty: 2.5,
         }
     }
 
@@ -179,11 +176,7 @@ pub fn evaluate(rec: &Recorder, config: &PlatformConfig) -> PlatformReport {
     let cycles = rec.cycles().len() as u64;
     let ranks = config.total_ranks();
     let nodes = config.nodes.max(1);
-    let internode = if nodes > 1 {
-        config.internode_fraction
-    } else {
-        0.0
-    };
+    let internode = if nodes > 1 { INTERNODE_FRACTION } else { 0.0 };
 
     let mut per_function: Vec<FunctionTime> = StepFunction::all()
         .iter()
@@ -206,25 +199,20 @@ pub fn evaluate(rec: &Recorder, config: &PlatformConfig) -> PlatformReport {
         let desc = descriptor_for(name);
         let secs = match config.backend {
             Backend::Gpu { .. } => {
-                kernel_duration(desc, k, &config.gpu, config.block_cells)
+                kernel_duration(desc, k, &GpuSpec::H100, config.block_cells)
                     / config.total_gpus().max(1) as f64
             }
             Backend::Cpu { .. } => {
+                let cpu = CpuSpec::SAPPHIRE_RAPIDS_96;
                 let nblocks = totals.nblocks.max(1);
                 // Blocks are the parallelism granularity: ranks beyond the
                 // block count idle (the paper's small-mesh underutilization).
-                let useful_ranks = ranks
-                    .min(nblocks as usize)
-                    .min(config.cpu.cores * nodes)
-                    .max(1);
+                let useful_ranks = ranks.min(nblocks as usize).min(cpu.cores * nodes).max(1);
                 let veff = vector_efficiency(config.block_cells);
                 let t_cmp = k.flops as f64
-                    / (config.cpu.core_peak_fp64()
-                        * useful_ranks as f64
-                        * config.cpu_kernel_efficiency
-                        * veff);
-                let bw = config.cpu.mem_bw
-                    * config.cpu.stream_efficiency
+                    / (cpu.core_peak_fp64() * useful_ranks as f64 * CPU_KERNEL_EFFICIENCY * veff);
+                let bw = cpu.mem_bw
+                    * cpu.stream_efficiency
                     * nodes as f64
                     * (useful_ranks as f64 / ranks.max(1) as f64).min(1.0);
                 let t_mem = k.bytes as f64 / bw;
@@ -236,25 +224,23 @@ pub fn evaluate(rec: &Recorder, config: &PlatformConfig) -> PlatformReport {
 
     // --- Serial time ---
     for (func, s) in &totals.serial {
-        per_function[idx(*func)].serial_s += config.serial_costs.wall_seconds(s, ranks);
+        per_function[idx(*func)].serial_s += SerialCosts::CALIBRATED.wall_seconds(s, ranks);
     }
     // GPU-sharing host overhead: grows with ranks per GPU, charged to the
     // communication-heavy management functions.
     if let Backend::Gpu { ranks_per_gpu, .. } = config.backend {
-        if ranks_per_gpu > 1 {
-            let overhead = config.gpu_rank_overhead * (ranks_per_gpu as f64 - 1.0) * cycles as f64;
-            per_function[idx(StepFunction::ReceiveBoundBufs)].serial_s += overhead;
-        }
+        per_function[idx(StepFunction::ReceiveBoundBufs)].serial_s +=
+            gpu_sharing_seconds(ranks_per_gpu) * cycles as f64;
     }
 
     // --- Communication time ---
     let comm_scale = match config.backend {
-        Backend::Gpu { .. } if nodes > 1 => config.gpu_internode_comm_penalty,
+        Backend::Gpu { .. } if nodes > 1 => GPU_INTERNODE_COMM_PENALTY,
         _ => 1.0,
     };
     for (func, c) in &totals.comm {
         per_function[idx(*func)].comm_s +=
-            comm_scale * config.comm_costs.seconds(c, ranks, internode);
+            comm_scale * CommCosts::CALIBRATED.seconds(c, ranks, internode);
     }
 
     let kernel_s: f64 = per_function.iter().map(|f| f.kernel_s).sum();

@@ -32,25 +32,22 @@ pub struct SerialCosts {
     pub irreducible_fraction: f64,
 }
 
-impl Default for SerialCosts {
-    fn default() -> Self {
-        Self {
-            block_loop: 2.8e-6,
-            boundary_loop: 0.6e-6,
-            sorted_key: 0.14e-6,
-            string_lookup: 0.035e-6,
-            allocation: 1.8e-6,
-            host_copy_bw: 36.0e9,
-            tree_op: 0.5e-6,
-            // Plateau point: serial stops shrinking once S/R reaches the
-            // irreducible share, i.e. around R ≈ (1-f)/f ≈ 65 ranks —
-            // matching Fig. 7's flattening past 64 cores.
-            irreducible_fraction: 0.015,
-        }
-    }
-}
-
 impl SerialCosts {
+    /// The calibrated per-unit costs: the one serial cost table.
+    pub const CALIBRATED: Self = Self {
+        block_loop: 2.8e-6,
+        boundary_loop: 0.6e-6,
+        sorted_key: 0.14e-6,
+        string_lookup: 0.035e-6,
+        allocation: 1.8e-6,
+        host_copy_bw: 36.0e9,
+        tree_op: 0.5e-6,
+        // Plateau point: serial stops shrinking once S/R reaches the
+        // irreducible share, i.e. around R ≈ (1-f)/f ≈ 65 ranks —
+        // matching Fig. 7's flattening past 64 cores.
+        irreducible_fraction: 0.015,
+    };
+
     /// Seconds of single-core serial work implied by `totals`.
     pub fn seconds(&self, totals: &SerialTotals) -> f64 {
         totals.block_loop as f64 * self.block_loop
@@ -90,7 +87,7 @@ mod tests {
 
     #[test]
     fn seconds_positive_and_composed() {
-        let c = SerialCosts::default();
+        let c = SerialCosts::CALIBRATED;
         let s = c.seconds(&sample());
         assert!(s > 0.0);
         // Remove one component and the total drops by exactly its share.
@@ -101,7 +98,7 @@ mod tests {
 
     #[test]
     fn rank_scaling_amdahl() {
-        let c = SerialCosts::default();
+        let c = SerialCosts::CALIBRATED;
         let t = sample();
         let w1 = c.wall_seconds(&t, 1);
         let w12 = c.wall_seconds(&t, 12);
@@ -116,7 +113,7 @@ mod tests {
 
     #[test]
     fn zero_work_costs_nothing() {
-        let c = SerialCosts::default();
+        let c = SerialCosts::CALIBRATED;
         assert_eq!(c.seconds(&SerialTotals::default()), 0.0);
         assert_eq!(c.wall_seconds(&SerialTotals::default(), 4), 0.0);
     }

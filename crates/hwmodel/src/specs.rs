@@ -21,16 +21,14 @@ pub struct CpuSpec {
 
 impl CpuSpec {
     /// The 96-core Sapphire Rapids node from Table I.
-    pub fn sapphire_rapids_96() -> Self {
-        Self {
-            cores: 96,
-            base_hz: 3.1e9,
-            fp64_per_cycle_per_core: 32.0,
-            mem_bw: 614.4e9,
-            mem_capacity: 1 << 40, // 1.0 TiB
-            stream_efficiency: 0.65,
-        }
-    }
+    pub const SAPPHIRE_RAPIDS_96: Self = Self {
+        cores: 96,
+        base_hz: 3.1e9,
+        fp64_per_cycle_per_core: 32.0,
+        mem_bw: 614.4e9,
+        mem_capacity: 1 << 40, // 1.0 TiB
+        stream_efficiency: 0.65,
+    };
 
     /// Peak FP64 throughput of one core in FLOP/s.
     pub fn core_peak_fp64(&self) -> f64 {
@@ -69,19 +67,17 @@ pub struct GpuSpec {
 
 impl GpuSpec {
     /// The H100 from Table II.
-    pub fn h100() -> Self {
-        Self {
-            sms: 132,
-            base_hz: 1.98e9,
-            mem_capacity: 81_559 * 1024 * 1024, // 81,559 MiB HBM3
-            mem_bw: 3.35e12,
-            peak_fp64: 34.0e12,
-            registers_per_sm: 65_536,
-            max_warps_per_sm: 64,
-            max_blocks_per_sm: 32,
-            launch_latency: 6.0e-6,
-        }
-    }
+    pub const H100: Self = Self {
+        sms: 132,
+        base_hz: 1.98e9,
+        mem_capacity: 81_559 * 1024 * 1024, // 81,559 MiB HBM3
+        mem_bw: 3.35e12,
+        peak_fp64: 34.0e12,
+        registers_per_sm: 65_536,
+        max_warps_per_sm: 64,
+        max_blocks_per_sm: 32,
+        launch_latency: 6.0e-6,
+    };
 }
 
 #[cfg(test)]
@@ -90,7 +86,7 @@ mod tests {
 
     #[test]
     fn spr_matches_table_one() {
-        let cpu = CpuSpec::sapphire_rapids_96();
+        let cpu = CpuSpec::SAPPHIRE_RAPIDS_96;
         assert_eq!(cpu.cores, 96);
         assert!((cpu.mem_bw - 614.4e9).abs() < 1.0);
         assert_eq!(cpu.mem_capacity, 1 << 40);
@@ -98,7 +94,7 @@ mod tests {
 
     #[test]
     fn h100_matches_table_two() {
-        let gpu = GpuSpec::h100();
+        let gpu = GpuSpec::H100;
         assert_eq!(gpu.sms, 132);
         assert!((gpu.mem_bw - 3.35e12).abs() < 1.0);
         // 81,559 MiB ≈ 79.6 GiB ≈ 85.5 GB.
@@ -110,7 +106,7 @@ mod tests {
 
     #[test]
     fn cpu_peak_scales_with_cores_and_clamps() {
-        let cpu = CpuSpec::sapphire_rapids_96();
+        let cpu = CpuSpec::SAPPHIRE_RAPIDS_96;
         assert!((cpu.peak_fp64(96) / cpu.peak_fp64(48) - 2.0).abs() < 1e-12);
         assert_eq!(cpu.peak_fp64(200), cpu.peak_fp64(96));
     }

@@ -296,6 +296,17 @@ impl JobConfig {
         if self.levels == 0 || self.levels > 6 {
             return Err("levels must be 1..=6".into());
         }
+        // Ghosts copy from the sender's interior; restricting a block onto
+        // a coarser neighbour needs two ghost widths of it.
+        let nghost = self.package()?.nghost();
+        let need = if self.levels > 1 { 2 * nghost } else { nghost };
+        if self.block_cells < need {
+            return Err(format!(
+                "block_cells must be >= {need} ({} has {nghost} ghost cells, levels {})",
+                self.physics, self.levels
+            )
+            .into());
+        }
         if self.cycles == 0 || self.cycles > 100_000 {
             return Err("cycles must be 1..=100000".into());
         }
@@ -562,6 +573,39 @@ mod tests {
                 JobConfig::from_json(&parse(bad).unwrap()).is_err(),
                 "accepted {bad}"
             );
+        }
+    }
+
+    #[test]
+    fn blocks_must_hold_the_ghost_width() {
+        // advect and burgers keep 4 ghost layers, diffusion 2: one level
+        // needs nghost cells a block, more levels 2 * nghost.
+        let cfg = |json: &str| JobConfig::from_json(&parse(json).unwrap());
+        for bad in [
+            r#"{"block_cells":4,"cycles":2,"refine_tol":0.01}"#,
+            r#"{"mesh_cells":16,"block_cells":2,"levels":1}"#,
+            r#"{"physics":"burgers","block_cells":4,"levels":2}"#,
+            r#"{"physics":"diffusion","mesh_cells":16,"block_cells":2,"levels":2}"#,
+            r#"{"physics":"diffusion","mesh_cells":16,"block_cells":1,"levels":1}"#,
+        ] {
+            let err = cfg(bad).expect_err(bad);
+            assert!(
+                err.to_string().starts_with("block_cells must be >= "),
+                "{err}"
+            );
+            assert_eq!(
+                err.to_json().get("code").unwrap().as_str(),
+                Some("invalid_config")
+            );
+        }
+        for good in [
+            r#"{"mesh_cells":16,"block_cells":4,"levels":1}"#,
+            r#"{"mesh_cells":16,"block_cells":8,"levels":2}"#,
+            r#"{"physics":"burgers","block_cells":8,"levels":2}"#,
+            r#"{"physics":"diffusion","mesh_cells":16,"block_cells":4,"levels":2}"#,
+            r#"{"physics":"diffusion","mesh_cells":16,"block_cells":2,"levels":1}"#,
+        ] {
+            cfg(good).unwrap_or_else(|e| panic!("rejected {good}: {e}"));
         }
     }
 

@@ -613,6 +613,14 @@ mod tests {
             r#"{"tenant":"a","config":{"cycles":0}}"#,
         );
         assert_eq!(code, 400, "invalid config");
+        let (code, body) = http(
+            port,
+            "POST",
+            "/jobs",
+            r#"{"tenant":"a","config":{"block_cells":4,"cycles":2,"refine_tol":0.01}}"#,
+        );
+        assert_eq!(code, 400, "blocks thinner than the ghost width: {body}");
+        assert!(body.contains(r#""code":"invalid_config""#), "{body}");
         let (code, _) = http(port, "GET", "/jobs/999", "");
         assert_eq!(code, 404);
         let (code, _) = http(port, "GET", "/nope", "");

@@ -1,10 +1,12 @@
 //! What-if configuration knobs for the timeline simulator.
 
-use vibe_hwmodel::{CommCosts, GpuSpec, SerialCosts};
-
 /// A simulated platform configuration: the resources the discrete-event
 /// engine schedules work onto, plus the what-if knobs of §VIII (streams per
-/// rank, batched/graph-style launches, launch latency, block size).
+/// rank, batched/graph-style launches, block size). The hardware and its
+/// costs are not knobs: the engine reads the same `vibe-hwmodel`
+/// calibration `vibe_hwmodel::platform::evaluate` reads (`GpuSpec::H100`,
+/// `SerialCosts::CALIBRATED`, `CommCosts::CALIBRATED`,
+/// `platform::gpu_sharing_seconds`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Simulated MPI ranks sharing one GPU (the paper's rank-scaling axis).
@@ -23,27 +25,14 @@ pub struct SimConfig {
     /// Kernel launches fused per submission (CUDA-graph-style batching):
     /// one launch latency buys `launch_batch` kernel executions.
     pub launch_batch: usize,
-    /// Override of the GPU launch latency (None = the spec's value) — the
-    /// knob for "what if launch overhead were smaller".
-    pub launch_latency_override: Option<f64>,
     /// `true` = one kernel launch per mesh block (Parthenon without
     /// hierarchical block packing): each recorded pack-level launch is
     /// split into `nblocks` per-block launches, shrinking per-launch work
     /// until the launch-latency wall of §VIII-C appears at small block
     /// sizes. `false` = replay the driver's recorded (packed) launches.
     pub per_block_launches: bool,
-    /// GPU specification (Table II).
-    pub gpu: GpuSpec,
-    /// Serial host cost constants.
-    pub serial_costs: SerialCosts,
-    /// Communication cost constants.
-    pub comm_costs: CommCosts,
     /// Mesh block edge length in cells.
     pub block_cells: usize,
-    /// Per-rank-per-cycle host overhead of GPU sharing (MPS time slicing,
-    /// driver contention) applied when `ranks > 1` — mirrors the analytic
-    /// model's rollover term.
-    pub gpu_rank_overhead: f64,
 }
 
 impl SimConfig {
@@ -56,13 +45,8 @@ impl SimConfig {
             streams_per_rank: 1,
             overlap: false,
             launch_batch: 1,
-            launch_latency_override: None,
             per_block_launches: false,
-            gpu: GpuSpec::h100(),
-            serial_costs: SerialCosts::default(),
-            comm_costs: CommCosts::default(),
             block_cells,
-            gpu_rank_overhead: 0.6e-3,
         }
     }
 
@@ -74,12 +58,6 @@ impl SimConfig {
             overlap: true,
             ..Self::zero_overlap(ranks, block_cells)
         }
-    }
-
-    /// Effective kernel launch latency in seconds.
-    pub fn launch_latency(&self) -> f64 {
-        self.launch_latency_override
-            .unwrap_or(self.gpu.launch_latency)
     }
 
     /// Total device execution slots.

@@ -16,6 +16,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use vibe_hwmodel::{CommCosts, GpuSpec};
 use vibe_prof::StepFunction;
 
 use crate::config::SimConfig;
@@ -97,7 +98,7 @@ impl EngineState {
 pub fn simulate(w: &SimWorkload, cfg: &SimConfig) -> Result<(SimReport, SimTimeline), String> {
     let ranks = w.ranks.max(1);
     let slots = cfg.device_slots();
-    let lat = cfg.launch_latency();
+    let lat = GpuSpec::H100.launch_latency;
     let batch = cfg.launch_batch.max(1) as u64;
 
     let mut tracks = Vec::new();
@@ -206,14 +207,15 @@ pub fn simulate(w: &SimWorkload, cfg: &SimConfig) -> Result<(SimReport, SimTimel
                 }
                 Op::LocalCopy { func, bytes } => {
                     st.sync_device(r);
-                    let secs = cfg.comm_costs.message_seconds(bytes, true, false);
+                    let secs = CommCosts::CALIBRATED.message_seconds(bytes, true, false);
                     st.host_busy(r, secs, format!("copy:{}", func.name()), "copy");
                 }
                 Op::RemoteSend { func, dst, bytes } => {
                     st.sync_device(r);
-                    let post = cfg.comm_costs.message_host_seconds(false, false);
+                    let post = CommCosts::CALIBRATED.message_host_seconds(false, false);
                     st.host_busy(r, post, format!("post:{}", func.name()), "post");
-                    let transfer = cfg.comm_costs.message_seconds(bytes, false, false) - post;
+                    let transfer =
+                        CommCosts::CALIBRATED.message_seconds(bytes, false, false) - post;
                     let start = st.nic_free[r].max(st.host_t[r]);
                     st.span(
                         format!("msg→rank{dst}"),
@@ -257,7 +259,7 @@ pub fn simulate(w: &SimWorkload, cfg: &SimConfig) -> Result<(SimReport, SimTimel
                         st.sync_device(q);
                     }
                     let start = st.host_t.iter().cloned().fold(0.0, f64::max);
-                    let dur = cfg.comm_costs.collective_seconds_one(ranks, bytes);
+                    let dur = CommCosts::CALIBRATED.collective_seconds_one(ranks, bytes);
                     let label = format!("{op:?}:{}", func.name());
                     for (q, ix) in idx.iter_mut().enumerate() {
                         st.advance_to(q, start, "idle", "barrier");

@@ -20,10 +20,12 @@
 //! format (one lane per rank/stream/NIC).
 //!
 //! What-if knobs ([`SimConfig`]): streams per rank, batched (graph-style)
-//! launches, launch latency, block size. The zero-overlap single-stream
-//! configuration is the calibration anchor: it must reproduce the
-//! analytic `vibe_hwmodel::evaluate` totals within 1% (see DESIGN.md
-//! §Timeline simulation and the golden test in `vibe-bench`).
+//! launches, per-block launches, block size. The hardware and its costs
+//! are the one `vibe-hwmodel` calibration the analytic model reads, and
+//! every message is replayed from the run's event log. The zero-overlap
+//! single-stream configuration is the calibration anchor: it must
+//! reproduce the analytic `vibe_hwmodel::evaluate` totals within 1% (see
+//! DESIGN.md §Timeline simulation and the golden test in `vibe-bench`).
 
 pub mod config;
 pub mod engine;
@@ -38,7 +40,9 @@ pub use workload::{CycleOps, Op, SimWorkload};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vibe_prof::{Recorder, SerialWork, StepFunction};
+    use vibe_comm::{BoundaryKey, CommEvent, CommEventKind};
+    use vibe_hwmodel::{CommCosts, GpuSpec};
+    use vibe_prof::{CollectiveOp, Recorder, SerialWork, StepFunction};
 
     /// A small steady workload: one kernel, serial management, local and
     /// remote traffic, one collective per cycle.
@@ -58,27 +62,81 @@ mod tests {
             for _ in 0..8 {
                 rec.record_p2p(StepFunction::SendBoundBufs, 1 << 16, 512, ranks == 1);
             }
-            rec.record_collective(
-                StepFunction::EstimateTimeStep,
-                vibe_prof::CollectiveOp::AllReduce,
-                8,
-            );
+            rec.record_collective(StepFunction::EstimateTimeStep, CollectiveOp::AllReduce, 8);
             rec.end_cycle(64, 0, 0, 64 * 4096);
         }
         rec
     }
 
+    /// The message events of [`sample_recorder`]: per cycle, eight sends
+    /// round-robin from rank `i % ranks` to its successor (same-rank copies
+    /// on one rank) and the AllReduce.
+    fn sample_events(cycles: u64, ranks: usize) -> Vec<CommEvent> {
+        let mut events = Vec::new();
+        for cycle in 0..cycles {
+            let sends = (0..8).map(|i| {
+                let src = i % ranks;
+                let send = CommEventKind::Send {
+                    src,
+                    dst: (src + 1) % ranks,
+                    bytes: 1 << 16,
+                    local: ranks == 1,
+                };
+                (StepFunction::SendBoundBufs, send)
+            });
+            let allreduce = CommEventKind::Collective {
+                op: CollectiveOp::AllReduce,
+                bytes: 8,
+            };
+            for (func, kind) in sends.chain([(StepFunction::EstimateTimeStep, allreduce)]) {
+                events.push(CommEvent {
+                    seq: events.len() as u64,
+                    rank: 0,
+                    cycle,
+                    key: BoundaryKey::new(0, 0, 0),
+                    func,
+                    task: None,
+                    kind,
+                });
+            }
+        }
+        events
+    }
+
+    /// [`sample_recorder`] replayed with its events under `cfg`.
+    fn sample_workload(cycles: u64, cfg: &SimConfig) -> SimWorkload {
+        let rec = sample_recorder(cycles, cfg.ranks);
+        SimWorkload::from_recorded(&rec, &sample_events(cycles, cfg.ranks), cfg)
+    }
+
+    /// One cycle of one `CalculateFluxes` kernel over `cells` cells in four
+    /// launches, nothing else.
+    fn kernel_only(cells: u64) -> Recorder {
+        let mut rec = Recorder::new();
+        rec.begin_cycle(0);
+        rec.record_kernel(
+            StepFunction::CalculateFluxes,
+            "CalculateFluxes",
+            4,
+            cells,
+            cells * 1548,
+            cells * 360 * 8,
+        );
+        rec.end_cycle(64, 0, 0, cells);
+        rec
+    }
+
     #[test]
     fn zero_overlap_single_rank_matches_op_sum() {
-        let rec = sample_recorder(2, 1);
         let cfg = SimConfig::zero_overlap(1, 16);
-        let w = SimWorkload::from_recorded(&rec, &[], &cfg);
+        let w = sample_workload(2, &cfg);
         let (report, tl) = simulate(&w, &cfg).unwrap();
         report.validate().unwrap();
         tl.validate().unwrap();
         // Hand-sum the expected wall time: serial + launches×(exec+lat) +
         // local copies; collectives are free at one rank.
         let mut expect = 0.0;
+        let mut copies = 0;
         for cyc in &w.cycles {
             for op in &cyc.per_rank[0] {
                 expect += match *op {
@@ -87,14 +145,16 @@ mod tests {
                         launches,
                         exec_each,
                         ..
-                    } => launches as f64 * (exec_each + cfg.launch_latency()),
+                    } => launches as f64 * (exec_each + GpuSpec::H100.launch_latency),
                     Op::LocalCopy { bytes, .. } => {
-                        cfg.comm_costs.message_seconds(bytes, true, false)
+                        copies += 1;
+                        CommCosts::CALIBRATED.message_seconds(bytes, true, false)
                     }
                     _ => 0.0,
                 };
             }
         }
+        assert_eq!(copies, 16, "every recorded same-rank send is replayed");
         assert!(
             (report.wall_s - expect).abs() / expect < 1e-12,
             "sim {} vs op-sum {expect}",
@@ -106,9 +166,8 @@ mod tests {
 
     #[test]
     fn overlap_and_streams_never_slower() {
-        let rec = sample_recorder(2, 1);
         let sync_cfg = SimConfig::zero_overlap(1, 16);
-        let w = SimWorkload::from_recorded(&rec, &[], &sync_cfg);
+        let w = sample_workload(2, &sync_cfg);
         let (sync_rep, _) = simulate(&w, &sync_cfg).unwrap();
         let streamed = SimConfig::streamed(1, 16, 4);
         let (async_rep, _) = simulate(&w, &streamed).unwrap();
@@ -122,9 +181,8 @@ mod tests {
 
     #[test]
     fn launch_batching_amortizes_latency() {
-        let rec = sample_recorder(2, 1);
         let mut cfg = SimConfig::zero_overlap(1, 16);
-        let w = SimWorkload::from_recorded(&rec, &[], &cfg);
+        let w = sample_workload(2, &cfg);
         let (one, _) = simulate(&w, &cfg).unwrap();
         cfg.launch_batch = 4;
         let (batched, _) = simulate(&w, &cfg).unwrap();
@@ -137,10 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn multi_rank_synth_comm_runs_and_accounts_idle() {
-        let rec = sample_recorder(3, 4);
+    fn multi_rank_replay_runs_and_accounts_idle() {
         let cfg = SimConfig::zero_overlap(4, 16);
-        let w = SimWorkload::from_recorded(&rec, &[], &cfg);
+        let w = sample_workload(3, &cfg);
         let (report, tl) = simulate(&w, &cfg).unwrap();
         report.validate().unwrap();
         tl.validate().unwrap();
@@ -148,21 +205,29 @@ mod tests {
         // Remote traffic and barriers must produce some idle/poll time.
         let idle: f64 = report.per_rank.iter().map(|r| r.idle_s).sum();
         assert!(idle > 0.0, "expected barrier/poll idle at 4 ranks");
-        // NIC lanes carry the remote payloads.
-        assert!(tl.spans.iter().any(|s| s.cat == "nic"));
+        // NIC lanes carry the remote payloads: one transfer per send.
+        let nic = tl.spans.iter().filter(|s| s.cat == "nic").count();
+        assert_eq!(nic, 3 * 8);
     }
 
     #[test]
-    fn launch_bound_detection_flips_with_latency() {
-        let rec = sample_recorder(1, 1);
-        let mut cfg = SimConfig::zero_overlap(1, 16);
-        cfg.launch_latency_override = Some(1.0); // absurdly slow launches
-        let w = SimWorkload::from_recorded(&rec, &[], &cfg);
-        let (slow, _) = simulate(&w, &cfg).unwrap();
-        assert!(slow.per_kernel[0].launch_bound());
-        cfg.launch_latency_override = Some(0.0);
-        let (fast, _) = simulate(&w, &cfg).unwrap();
-        assert!(!fast.per_kernel[0].launch_bound());
+    #[should_panic(expected = "cycle 0 recorded communication but no message events")]
+    fn a_cycle_with_communication_but_no_events_panics() {
+        let cfg = SimConfig::zero_overlap(2, 16);
+        SimWorkload::from_recorded(&sample_recorder(1, 2), &[], &cfg);
+    }
+
+    #[test]
+    fn launch_bound_detection_flips_with_kernel_size() {
+        let cfg = SimConfig::zero_overlap(1, 16);
+        let run = |cells| {
+            let w = SimWorkload::from_recorded(&kernel_only(cells), &[], &cfg);
+            simulate(&w, &cfg).unwrap().0
+        };
+        // 16 cells a launch execute in far less than the launch latency;
+        // 2^20 cells a launch take far longer.
+        assert!(run(64).per_kernel[0].launch_bound());
+        assert!(!run(1 << 22).per_kernel[0].launch_bound());
     }
 
     #[test]
@@ -200,9 +265,8 @@ mod tests {
 
     #[test]
     fn async_trace_export_validates() {
-        let rec = sample_recorder(1, 2);
         let cfg = SimConfig::streamed(2, 16, 2);
-        let w = SimWorkload::from_recorded(&rec, &[], &cfg);
+        let w = sample_workload(1, &cfg);
         let (_, tl) = simulate(&w, &cfg).unwrap();
         let spans = tl.to_async_spans();
         let json = vibe_prof::perfetto_async_trace_json(&spans, "vibe-sim", &tl.tracks);

@@ -2,10 +2,11 @@
 //! per-rank operation streams for the discrete-event engine.
 //!
 //! Quantities come from the [`vibe_prof::Recorder`]'s per-cycle counters
-//! (kernel launches/cells/flops/bytes, typed serial work, communication
-//! totals); per-message placement comes from the [`vibe_comm`] ordered
-//! event log when available, so individual sends land on the rank that
-//! actually issued them. Operations are emitted in the function order
+//! (kernel launches/cells/flops/bytes, typed serial work); every message
+//! and collective comes from the [`vibe_comm`] ordered event log of the
+//! same run, so individual sends land on the rank that actually issued
+//! them. Costs come from the `vibe-hwmodel` calibration the analytic model
+//! reads. Operations are emitted in the function order
 //! derived from the driver's own cycle task graph
 //! ([`vibe_core::cycle_task_graph`]), so the simulator replays a cycle in
 //! the same stage order the driver executes it.
@@ -14,7 +15,8 @@ use std::collections::BTreeMap;
 
 use vibe_comm::{CommEvent, CommEventKind};
 use vibe_hwmodel::gpu::descriptor_for;
-use vibe_hwmodel::launch_exec_seconds;
+use vibe_hwmodel::platform::gpu_sharing_seconds;
+use vibe_hwmodel::{launch_exec_seconds, GpuSpec, SerialCosts};
 use vibe_prof::{CollectiveOp, Recorder, StepFunction};
 
 use crate::config::SimConfig;
@@ -119,12 +121,15 @@ fn func_order() -> Vec<StepFunction> {
 }
 
 impl SimWorkload {
-    /// Builds the workload from a recorder and (optionally) the ordered
-    /// comm event log of the same run, each cycle's functions in the order
-    /// of the driver's own cycle graph. When `events` is empty, per-message
-    /// placement is synthesized from the per-cycle communication totals
-    /// (round-robin neighbors). Events carrying the initialization sentinel
-    /// cycle (`u64::MAX`) or ranks outside `cfg.ranks` are dropped.
+    /// Builds the workload from a recorder and the ordered comm event log
+    /// of the same run, each cycle's functions in the order of the driver's
+    /// own cycle graph. Events carrying the initialization sentinel cycle
+    /// (`u64::MAX`) or ranks outside `cfg.ranks` are dropped.
+    ///
+    /// # Panics
+    ///
+    /// If a recorded cycle has communication but `events` has none for it:
+    /// the run was recorded without `DriverParams::capture_comm_events`.
     pub fn from_recorded(rec: &Recorder, events: &[CommEvent], cfg: &SimConfig) -> Self {
         let ranks = cfg.ranks.max(1);
         let order = func_order();
@@ -141,8 +146,8 @@ impl SimWorkload {
         for stats in rec.cycles() {
             let mut per_rank: Vec<Vec<Op>> = vec![Vec::new(); ranks];
             // GPU-sharing host overhead, charged once per rank per cycle.
-            if ranks > 1 && cfg.gpu_rank_overhead > 0.0 {
-                let secs = cfg.gpu_rank_overhead * (ranks as f64 - 1.0);
+            let secs = gpu_sharing_seconds(ranks);
+            if secs > 0.0 {
                 for ops in &mut per_rank {
                     ops.push(Op::Serial {
                         func: StepFunction::ReceiveBoundBufs,
@@ -151,11 +156,17 @@ impl SimWorkload {
                     });
                 }
             }
-            let cycle_events = by_cycle.get(&stats.cycle);
+            let cycle_events = by_cycle.get(&stats.cycle).map_or(&[][..], Vec::as_slice);
+            assert!(
+                !cycle_events.is_empty() || stats.comm.is_empty(),
+                "cycle {} recorded communication but no message events: \
+                 record the run with DriverParams::capture_comm_events",
+                stats.cycle
+            );
             for &func in &order {
                 // Serial host work: each rank executes its Amdahl share.
                 if let Some(s) = stats.serial.get(&func) {
-                    let secs = cfg.serial_costs.wall_seconds(s, ranks);
+                    let secs = SerialCosts::CALIBRATED.wall_seconds(s, ranks);
                     if secs > 0.0 {
                         for ops in &mut per_rank {
                             ops.push(Op::Serial {
@@ -182,7 +193,7 @@ impl SimWorkload {
                     let n = total as f64;
                     let exec_each = launch_exec_seconds(
                         descriptor_for(name),
-                        &cfg.gpu,
+                        &GpuSpec::H100,
                         cfg.block_cells,
                         k.cells as f64 / n,
                         k.flops as f64 / n,
@@ -202,47 +213,39 @@ impl SimWorkload {
                         }
                     }
                 }
-                // Communication: replay the event log when available.
-                match cycle_events {
-                    Some(evs) => {
-                        let mut expected = vec![0u32; ranks];
-                        for ev in evs {
-                            if ev.func != func {
+                // Communication: replay the event log.
+                let mut expected = vec![0u32; ranks];
+                for ev in cycle_events.iter().filter(|ev| ev.func == func) {
+                    match ev.kind {
+                        CommEventKind::Send {
+                            src,
+                            dst,
+                            bytes,
+                            local,
+                            ..
+                        } => {
+                            if src >= ranks || dst >= ranks {
                                 continue;
                             }
-                            match ev.kind {
-                                CommEventKind::Send {
-                                    src,
-                                    dst,
-                                    bytes,
-                                    local,
-                                    ..
-                                } => {
-                                    if src >= ranks || dst >= ranks {
-                                        continue;
-                                    }
-                                    if local {
-                                        per_rank[src].push(Op::LocalCopy { func, bytes });
-                                    } else {
-                                        per_rank[src].push(Op::RemoteSend { func, dst, bytes });
-                                        expected[dst] += 1;
-                                    }
-                                }
-                                CommEventKind::Collective { op, bytes } => {
-                                    for ops in &mut per_rank {
-                                        ops.push(Op::Collective { func, op, bytes });
-                                    }
-                                }
-                                CommEventKind::Complete => {}
+                            if local {
+                                per_rank[src].push(Op::LocalCopy { func, bytes });
+                            } else {
+                                per_rank[src].push(Op::RemoteSend { func, dst, bytes });
+                                expected[dst] += 1;
                             }
                         }
-                        for (r, &n) in expected.iter().enumerate() {
-                            if n > 0 {
-                                per_rank[r].push(Op::RecvWait { func, expected: n });
+                        CommEventKind::Collective { op, bytes } => {
+                            for ops in &mut per_rank {
+                                ops.push(Op::Collective { func, op, bytes });
                             }
                         }
+                        CommEventKind::Complete => {}
                     }
-                    None => synth_comm(&mut per_rank, stats, func, ranks),
+                }
+                for (r, &n) in expected.iter().enumerate() {
+                    if n > 0 {
+                        per_rank[r].push(Op::RecvWait { func, expected: n });
+                    }
                 }
             }
             cycles.push(CycleOps {
@@ -254,59 +257,6 @@ impl SimWorkload {
             ranks,
             cycles,
             zone_cycles: rec.totals().cell_updates,
-        }
-    }
-}
-
-/// Synthesizes per-rank comm ops from a cycle's aggregate totals when no
-/// event log is available: local bytes split evenly, remote messages sent
-/// round-robin to the next rank.
-fn synth_comm(
-    per_rank: &mut [Vec<Op>],
-    stats: &vibe_prof::CycleStats,
-    func: StepFunction,
-    ranks: usize,
-) {
-    let Some(c) = stats.comm.get(&func) else {
-        return;
-    };
-    if c.p2p_local_messages > 0 {
-        let bytes = c.p2p_local_bytes / ranks as u64;
-        for ops in per_rank.iter_mut() {
-            if bytes > 0 {
-                ops.push(Op::LocalCopy { func, bytes });
-            }
-        }
-    }
-    if c.p2p_remote_messages > 0 && ranks > 1 {
-        let per_rank_msgs = (c.p2p_remote_messages / ranks as u64).max(1);
-        let bytes_each = c.p2p_remote_bytes / c.p2p_remote_messages;
-        for (r, ops) in per_rank.iter_mut().enumerate() {
-            for _ in 0..per_rank_msgs {
-                ops.push(Op::RemoteSend {
-                    func,
-                    dst: (r + 1) % ranks,
-                    bytes: bytes_each,
-                });
-            }
-        }
-        for ops in per_rank.iter_mut() {
-            ops.push(Op::RecvWait {
-                func,
-                expected: per_rank_msgs as u32,
-            });
-        }
-    }
-    for (&op, &(count, bytes)) in &c.collectives {
-        let avg = bytes.checked_div(count).unwrap_or(0);
-        for _ in 0..count {
-            for ops in per_rank.iter_mut() {
-                ops.push(Op::Collective {
-                    func,
-                    op,
-                    bytes: avg,
-                });
-            }
         }
     }
 }

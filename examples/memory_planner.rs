@@ -33,7 +33,7 @@ fn max_ranks(
 }
 
 fn main() {
-    let gpu = GpuSpec::h100();
+    let gpu = GpuSpec::H100;
     println!(
         "H100 HBM capacity: {:.1} GB\n",
         gpu.mem_capacity as f64 / GB
@@ -50,7 +50,6 @@ fn main() {
         for optimized in [false, true] {
             let model = MemoryModel {
                 aux_layout_optimized: optimized,
-                ..MemoryModel::default()
             };
             let rep = model.report(
                 &gpu,

@@ -20,7 +20,7 @@ fn main() {
         "ranks", "FOM", "kernel(s)", "serial(s)", "mem (GB)", "fits?"
     );
     let model = MemoryModel::default();
-    let gpu = GpuSpec::h100();
+    let gpu = GpuSpec::H100;
     let mut best = (0usize, f64::MIN);
     for ranks in [1usize, 2, 4, 6, 8, 12, 16, 24] {
         let mesh = Mesh::new(

@@ -289,6 +289,30 @@ if grep -nE 'vibe-(exec|prof)' crates/physics/Cargo.toml; then
     exit 1
 fi
 
+echo "==> the model is calibrated once"
+# Every calibrated constant of the model is written once, in vibe-hwmodel,
+# and both the analytic model (platform::evaluate) and the timeline
+# simulator (vibe-sim) read it: the config types keep only what a caller
+# varies and name no spec or cost table as a field. The simulator replays
+# only recorded messages (no synthesized traffic, no launch-latency
+# override), and the kernel catalog is the only kernel description (no
+# generic fallback).
+model_src=$(find crates/*/src -name '*.rs' | sort | while read -r file; do non_test "$file"; done)
+if [ "$(grep -cF '0.6e-3' <<<"$model_src")" -ne 1 ] || grep -nF 'thread_blocks: 1024' <<<"$model_src"; then
+    echo "a model constant is written twice: 0.6e-3 once, thread_blocks: 1024 nowhere in non-test crates/*/src" >&2
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'synth_comm|launch_latency_override|const GENERIC' crates; then
+    echo "synthesized comm, the launch-latency override or the generic kernel is back (see above)" >&2
+    exit 1
+fi
+field_type='^\s*(pub )?[a-z_]+: (SerialCosts|CommCosts|GpuSpec|CpuSpec)\b'
+if non_test crates/sim/src/config.rs | grep -nE "$field_type" ||
+    non_test crates/hwmodel/src/platform.rs | awk '/pub struct PlatformConfig/, /^}/' | grep -nE "$field_type"; then
+    echo "SimConfig or PlatformConfig carries a spec or cost table again (see above)" >&2
+    exit 1
+fi
+
 echo "==> one instrument, one gate"
 # Wall-clock numbers come only from the repository benchmark
 # (src/bin/benchmark) and pass/fail from the one `gate` binary: crates/bench

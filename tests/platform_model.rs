@@ -110,7 +110,7 @@ fn gpu_utilization_falls_with_smaller_blocks() {
 #[test]
 fn memory_model_limits_ranks_at_paper_scale() {
     use vibe_amr::hwmodel::MemoryModel;
-    let gpu = GpuSpec::h100();
+    let gpu = GpuSpec::H100;
     let model = MemoryModel::default();
     // Paper-scale Mesh 128 / B8 / L3 census (~4 GB field data).
     let r12 = model.report(&gpu, 4 << 30, 4096, 8, 4, 8, 3, 12, 1 << 30);
