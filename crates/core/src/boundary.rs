@@ -26,11 +26,11 @@
 //! * [`ExchangePlan::build`] — per-mesh-generation compilation;
 //! * [`ghost_pack_and_send`] — route, post receives, pack and ship;
 //! * [`ghost_visit`] — the stage visit: one worker per receiver block runs
-//!   its direct fills, unpacks its delivered payloads, applies its physical
-//!   boundary conditions and, while the block is resident in cache, sweeps
-//!   it. The blocks whose every boundary is direct are visited while remote
-//!   messages are in flight (InteriorFlux), the others once theirs arrived
-//!   (ExteriorFlux);
+//!   its direct fills, unpacks its delivered payloads and, while the block
+//!   is resident in cache, sweeps it (the domain is periodic, so every
+//!   ghost cell is some block's interior). The blocks whose every boundary
+//!   is direct are visited while remote messages are in flight
+//!   (InteriorFlux), the others once theirs arrived (ExteriorFlux);
 //! * [`ghost_poll`] — one non-blocking delivery sweep (WaitUnpack);
 //! * [`ghost_retire`] — recycle the buffers, account the exchange;
 //! * [`flux_corr_send`] / [`flux_corr_apply`] — the same for fine→coarse
@@ -50,8 +50,8 @@ use vibe_comm::{BoundaryKey, BufferCache, CacheConfig, CommEventKind, Communicat
 use vibe_exec::{catalog, ExecCtx, SharedCells};
 use vibe_field::buffer::compute_buffer_spec_with;
 use vibe_field::{
-    apply_face_bc, flux_correction_spec, BcKind, BlockData, CellRows, FluxOut, FluxProgram,
-    Metadata, RowProgram, Side, TransferProgram, VarId,
+    flux_correction_spec, BlockData, CellRows, FluxOut, FluxProgram, Metadata, RowProgram,
+    TransferProgram, VarId,
 };
 use vibe_mesh::Mesh;
 use vibe_prof::{MemSpace, Recorder, RegionKey, SerialWork, StepFunction, WallClock};
@@ -82,9 +82,6 @@ impl Default for ExchangeConfig {
 
 /// `index` entry of a block whose data lives in another process.
 pub const NOT_RESIDENT: usize = usize::MAX;
-
-/// Boundary condition at non-periodic physical domain faces.
-const PHYSICAL_BC: BcKind = BcKind::Outflow;
 
 /// The gid → position table of `slots` (resident blocks in ascending gid)
 /// within a mesh of `num_blocks` blocks.
@@ -784,29 +781,6 @@ pub fn ghost_poll(
     state.flight.poll(comm, rec)
 }
 
-/// Fills the ghost zones of block `info` at the physical (non-periodic)
-/// domain faces it touches with [`PHYSICAL_BC`], through the rows of its
-/// exchanged variables `vars` — what follows the block's ghost fill.
-fn physical_bcs(mesh: &Mesh, info: &BlockInfo, vars: &[(VarId, usize)], views: &Views<'_>) {
-    let (params, shape, loc) = (mesh.params(), mesh.index_shape(), info.loc);
-    let periodic = params.region().periodic();
-    for d in (0..params.dim()).filter(|&d| !periodic[d]) {
-        let extent = params.base_blocks()[d] << loc.level();
-        let sides = [
-            (loc.lx_d(d) == 0, Side::Lower),
-            (loc.lx_d(d) == extent - 1, Side::Upper),
-        ];
-        for (_, side) in sides.into_iter().filter(|(at_edge, _)| *at_edge) {
-            for (v, &(_, ncomp)) in vars.iter().enumerate() {
-                let cells = views.at(info.gid, v, 0);
-                check_span(ncomp * shape.entire_count(), &cells, &cells);
-                let rows = &mut Rows(cells);
-                apply_face_bc(rows, ncomp, &shape, d, side, PHYSICAL_BC, ncomp == 3);
-            }
-        }
-    }
-}
-
 /// What a stage visit does with a block once its ghosts are filled: the
 /// block's metadata, its container — borrowed shared — and the flux outputs
 /// of its flux-bearing variables in registration order.
@@ -828,15 +802,14 @@ struct Visited<'a> {
 /// whose every inbound boundary is direct, which need nothing the mailbox
 /// delivers; `Exterior`, the rest, once [`ghost_poll`] reported completion
 /// — one worker per block fills its direct boundaries straight from the
-/// senders' interiors, unpacks its delivered buffers, applies
-/// [`PHYSICAL_BC`] at its physical domain faces, takes its stage copy if
-/// `save`, and while the block is still in cache runs `sweep` on it. Nothing
-/// writes an interior cell between the pack/send phase and the end of the
-/// stage's visits, so reading a sender now yields the bits packing it then
-/// would have; one block's boundaries fill disjoint cells; and a block's
-/// fill, boundary conditions and sweep touch nothing another block's do
-/// (see [`Rows`]): the result is the same bits in any visiting order at
-/// any thread count.
+/// senders' interiors, unpacks its delivered buffers, takes its stage copy
+/// if `save`, and while the block is still in cache runs `sweep` on it.
+/// Nothing writes an interior cell between the pack/send phase and the end
+/// of the stage's visits, so reading a sender now yields the bits packing
+/// it then would have; one block's boundaries fill disjoint cells; and a
+/// block's fill and sweep touch nothing another block's do (see
+/// [`Rows`]): the result is the same bits in any visiting order at any
+/// thread count.
 ///
 /// The dispatch's wall time is credited to `SetBounds` and
 /// `CalculateFluxes` in proportion to the summed per-block times of the two
@@ -854,7 +827,7 @@ pub fn ghost_visit(
     exec: ExecCtx,
     wall: &WallClock,
 ) {
-    let (lane, flight, mesh) = (&plan.ghosts, &state.flight, blocks.mesh);
+    let (lane, flight) = (&plan.ghosts, &state.flight);
     assert!(
         phase == FluxPhase::Interior || flight.pending.is_empty(),
         "every boundary message delivered"
@@ -899,7 +872,6 @@ pub fn ghost_visit(
         let t0 = Instant::now();
         let gid = block.info.gid;
         SCRATCH.with_borrow_mut(|scratch| lane.receive(gid, flight, &views, |_| true, scratch));
-        physical_bcs(mesh, block.info, &lane.vars, &views);
         // SAFETY: the claiming worker's shared borrow of its block's
         // container: other workers only read the interior cells of its
         // arrays, through `views`, and this worker's ghost writes are done.
@@ -1805,32 +1777,36 @@ mod tests {
         out
     }
 
-    /// The stage visit — fill, physical boundaries, stage copy, sweep, one
-    /// block at a time — leaves the bits of a global fill followed by a
-    /// global sweep, in any block order at any thread count: on a walled
-    /// 3-D refined mesh under three rank labels, all on one endpoint and
-    /// split over a three-endpoint fabric, so that direct, delivered and
-    /// physical-boundary ghosts all occur and both phases have blocks to
-    /// visit.
+    /// The stage visit — fill, stage copy, sweep, one block at a time —
+    /// leaves the bits of a global fill followed by a global sweep, in any
+    /// block order at any thread count: on a 3-D refined mesh under three
+    /// uneven rank labels, all on one endpoint and split over a three-endpoint
+    /// fabric, so that direct and delivered ghosts both occur and both
+    /// phases have blocks to visit.
     #[test]
     fn stage_visit_is_invariant_under_block_order_and_threads() {
         use crate::sweep::{sweep_block, sweep_slot, with_scratch, CellBox, Planes};
         use crate::test_package::Advect;
-        let walls = vibe_mesh::RegionSize::new([0.0; 3], [1.0; 3], [32; 3], [false, true, false]);
         let params = MeshParams::builder()
             .dim(3)
             .mesh_cells(32)
             .block_cells(8)
             .max_levels(2)
             .nghost(2)
-            .region(walls)
             .build()
             .unwrap();
         let mut mesh = Mesh::new(params).unwrap();
         let mut flags = vec![AmrFlag::Same; mesh.num_blocks()];
         flags[21] = AmrFlag::Refine;
         mesh.regrid(&mesh.proper_nesting(&flags)).unwrap();
-        let mesh = balanced(&mesh, 3);
+        // Ranks 1 and 2 get the last block each: every block of this
+        // periodic domain borders more than a third of it, so under an even
+        // split none would have only direct boundaries.
+        let n = mesh.num_blocks();
+        for gid in n - 2..n {
+            mesh.set_block_cost(gid, n as f64);
+        }
+        mesh.load_balance(3);
         let (cfg, pkg, ids) = (
             ExchangeConfig::default(),
             Advect::default(),
@@ -1891,7 +1867,7 @@ mod tests {
                     fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, true, sweep);
                 assert!(
                     0 < waited && waited < mesh.num_blocks(),
-                    "both phases visit"
+                    "both phases visit: some blocks take delivered ghosts, the rest direct ones"
                 );
                 assert!(
                     visit_bits(&fabric.join()) == want,

@@ -915,11 +915,11 @@ impl<P: Package> Driver<P> {
     }
 
     /// Interior/exterior flux task: both record their share of the flux
-    /// launch and visit their blocks — ghost fill, physical boundaries, in
-    /// stage 0 the stage copy, then the sweep in the production tiling,
-    /// each worker in its own scratch; the exterior one then retires the
-    /// exchange. Under [`DriverParams::measured_costs`] each block's own
-    /// sweep time goes into the cost ledger.
+    /// launch and visit their blocks — ghost fill, in stage 0 the stage
+    /// copy, then the sweep in the production tiling, each worker in its
+    /// own scratch; the exterior one then retires the exchange. Under
+    /// [`DriverParams::measured_costs`] each block's own sweep time goes
+    /// into the cost ledger.
     fn task_flux(&mut self, stage: usize, phase: FluxPhase) {
         let exec = self.exec();
         let ids = self.plan.as_ref().expect("plan built").flux_ids.clone();
@@ -1220,8 +1220,7 @@ impl<P: Package> Driver<P> {
         }
     }
 
-    /// One blocking ghost exchange over all FILL_GHOST variables, physical
-    /// boundary conditions at non-periodic domain faces included (the
+    /// One blocking ghost exchange over all FILL_GHOST variables (the
     /// initializer's path; cycles run the same phases as separate tasks,
     /// with the sweep riding the visit).
     fn exchange(&mut self) {

@@ -488,7 +488,9 @@ fn decode_rank_blocks(bytes: &[u8]) -> io::Result<Vec<(usize, BlockVars)>> {
 ///
 /// # Errors
 ///
-/// Mesh reconstruction failures or variable mismatches are reported as
+/// Mesh parameters that do not build, a base grid with more blocks than
+/// the snapshot has leaves (refused before any mesh is built), mesh
+/// reconstruction failures and variable mismatches are reported as
 /// `InvalidData` I/O errors.
 pub fn restore_driver<P: Package>(
     snapshot: &Snapshot,
@@ -498,6 +500,15 @@ pub fn restore_driver<P: Package>(
     let mesh_params = snapshot
         .mesh_params()
         .map_err(|e| bad(format!("bad mesh parameters: {e}")))?;
+    // Every base block holds at least one leaf: refuse a grid the leaves
+    // cannot cover before building it.
+    let base = mesh_params.base_blocks();
+    if base.iter().map(|&b| b as u128).product::<u128>() > snapshot.leaves.len() as u128 {
+        return Err(bad(format!(
+            "base grid of {base:?} blocks exceeds the snapshot's {} leaves",
+            snapshot.leaves.len()
+        )));
+    }
     let mesh = Mesh::from_leaf_set(mesh_params, &snapshot.leaves)
         .map_err(|e| bad(format!("cannot rebuild mesh: {e}")))?;
     let mut driver = Driver::new(mesh, package, params);
@@ -766,6 +777,50 @@ mod tests {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
         });
         assert_eq!((buf.len(), hash), (33_812, 0xc0dd_5855_0da1_177d));
+    }
+
+    /// A valid snapshot's bytes with `patch` applied, through
+    /// `read_snapshot` into `restore_driver`.
+    fn restore_patched(patch: impl Fn(&mut [u8])) -> io::Result<()> {
+        let mut d = driver_with(16, 1);
+        d.run_cycles(1);
+        let mut buf = Vec::new();
+        d.write_snapshot(&mut buf).unwrap();
+        patch(&mut buf);
+        let snap = read_snapshot(&mut buf.as_slice())?;
+        let pkg = Advect {
+            refine_above: 0.2,
+            deref_below: 0.02,
+        };
+        restore_driver(&snap, pkg, DriverParams::default()).map(drop)
+    }
+
+    /// A forged level count parses, then is refused by the mesh
+    /// parameters instead of panicking in the tree.
+    #[test]
+    fn forged_level_count_is_refused() {
+        // magic(4) version(4) dim(4) mesh(24) block(24) = 60.
+        let forge = |b: &mut [u8]| b[60..64].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = restore_patched(forge).expect_err("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Four leaves that claim a 2048 x 2048 base grid are refused before
+    /// the grid is built, naming it.
+    #[test]
+    fn base_grid_beyond_the_leaves_is_refused_before_building() {
+        let cells = (2048u64 * 8).to_le_bytes();
+        let forge = |b: &mut [u8]| {
+            b[12..20].copy_from_slice(&cells);
+            b[20..28].copy_from_slice(&cells);
+        };
+        let err = restore_patched(forge).expect_err("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("base grid of [2048, 2048, 1] blocks"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -861,7 +861,7 @@ mod tests {
     fn same_level_periodic_wrap_copy() {
         // Receiver at x=0, sender across the periodic -x boundary.
         let shape = IndexShape::new([4, 4, 1], 2, 2);
-        let tree = BlockTree::new(2, [4, 4, 1], 1, [true, true, true]);
+        let tree = BlockTree::new(2, [4, 4, 1], 1);
         let r = LogicalLocation::new(0, 0, 1, 0);
         let nbs = vibe_mesh::neighbor::find_neighbors(&tree, &r);
         let nb = nbs

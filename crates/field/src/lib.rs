@@ -15,7 +15,6 @@
 //! *prolongated on the receiver*.
 
 pub mod array;
-pub mod bc;
 pub mod buffer;
 pub mod container;
 pub mod fluxcorr;
@@ -25,7 +24,6 @@ pub mod region;
 pub mod variable;
 
 pub use array::Array4;
-pub use bc::{apply_face_bc, BcKind, Side};
 pub use buffer::{
     compute_buffer_spec, pack, unpack, BufferMode, BufferSpec, CellRows, RowProgram,
     TransferProgram,

@@ -1,89 +1,9 @@
-//! Physical domain description and block geometry.
+//! Block geometry. The domain is the periodic unit cube `[0, 1)^3`.
 
 use crate::logical::LogicalLocation;
 
-/// Physical extent and base resolution of the simulated domain.
-///
-/// `nx` is the number of *cells* per dimension at the base (level-0)
-/// resolution; unused dimensions should be set to 1.
-///
-/// ```
-/// use vibe_mesh::RegionSize;
-///
-/// let region = RegionSize::cube(0.0, 1.0, 128);
-/// assert_eq!(region.nx(), [128, 128, 128]);
-/// assert!((region.dx(0, 0) - 1.0 / 128.0).abs() < 1e-15);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegionSize {
-    xmin: [f64; 3],
-    xmax: [f64; 3],
-    nx: [usize; 3],
-    periodic: [bool; 3],
-}
-
-impl RegionSize {
-    /// Creates a region with explicit bounds and base cell counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `xmax <= xmin` or any `nx == 0`.
-    pub fn new(xmin: [f64; 3], xmax: [f64; 3], nx: [usize; 3], periodic: [bool; 3]) -> Self {
-        for d in 0..3 {
-            assert!(
-                xmax[d] > xmin[d],
-                "xmax must exceed xmin in dimension {d}: {} <= {}",
-                xmax[d],
-                xmin[d]
-            );
-            assert!(nx[d] > 0, "nx must be positive in dimension {d}");
-        }
-        Self {
-            xmin,
-            xmax,
-            nx,
-            periodic,
-        }
-    }
-
-    /// A periodic cube `[lo, hi]^3` with `n` cells per side — the shape used
-    /// by the Burgers benchmark.
-    pub fn cube(lo: f64, hi: f64, n: usize) -> Self {
-        Self::new([lo; 3], [hi; 3], [n; 3], [true; 3])
-    }
-
-    /// Lower physical bounds per dimension.
-    pub fn xmin(&self) -> [f64; 3] {
-        self.xmin
-    }
-
-    /// Upper physical bounds per dimension.
-    pub fn xmax(&self) -> [f64; 3] {
-        self.xmax
-    }
-
-    /// Base-resolution cell counts per dimension.
-    pub fn nx(&self) -> [usize; 3] {
-        self.nx
-    }
-
-    /// Per-dimension periodicity flags.
-    pub fn periodic(&self) -> [bool; 3] {
-        self.periodic
-    }
-
-    /// Physical domain length along dimension `d`.
-    pub fn length(&self, d: usize) -> f64 {
-        self.xmax[d] - self.xmin[d]
-    }
-
-    /// Cell width along dimension `d` at refinement `level`.
-    pub fn dx(&self, d: usize, level: i32) -> f64 {
-        self.length(d) / (self.nx[d] as f64) / f64::from(1u32 << level.max(0) as u32)
-    }
-}
-
-/// Physical geometry of one mesh block: bounds, cell widths, cell centers.
+/// Physical geometry of one mesh block of the periodic unit cube: bounds,
+/// cell widths, cell centers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockGeometry {
     xmin: [f64; 3],
@@ -95,9 +15,8 @@ pub struct BlockGeometry {
 impl BlockGeometry {
     /// Geometry of the block at `loc` for a mesh whose base grid has
     /// `base_blocks` blocks per dimension, each `block_cells` cells wide,
-    /// within `region`.
+    /// tiling the unit cube.
     pub fn from_location(
-        region: &RegionSize,
         loc: &LogicalLocation,
         base_blocks: [i64; 3],
         block_cells: [usize; 3],
@@ -107,8 +26,8 @@ impl BlockGeometry {
         let mut dx = [0.0; 3];
         for d in 0..3 {
             let nblocks = (base_blocks[d] << loc.level()) as f64;
-            let width = region.length(d) / nblocks;
-            xmin[d] = region.xmin()[d] + width * loc.lx_d(d) as f64;
+            let width = 1.0 / nblocks;
+            xmin[d] = width * loc.lx_d(d) as f64;
             xmax[d] = xmin[d] + width;
             dx[d] = width / block_cells[d] as f64;
         }
@@ -161,36 +80,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cube_constructor() {
-        let r = RegionSize::cube(-1.0, 1.0, 64);
-        assert_eq!(r.xmin(), [-1.0; 3]);
-        assert_eq!(r.xmax(), [1.0; 3]);
-        assert_eq!(r.periodic(), [true; 3]);
-        assert!((r.length(1) - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn dx_halves_per_level() {
-        let r = RegionSize::cube(0.0, 1.0, 128);
-        let d0 = r.dx(0, 0);
-        let d1 = r.dx(0, 1);
-        let d3 = r.dx(0, 3);
-        assert!((d0 / d1 - 2.0).abs() < 1e-14);
-        assert!((d0 / d3 - 8.0).abs() < 1e-14);
-    }
-
-    #[test]
     fn base_block_geometry_tiles_domain() {
-        let r = RegionSize::cube(0.0, 1.0, 64);
         // 4 blocks of 16 cells each
         let left = BlockGeometry::from_location(
-            &r,
             &LogicalLocation::new(0, 0, 0, 0),
             [4, 4, 4],
             [16, 16, 16],
         );
         let right = BlockGeometry::from_location(
-            &r,
             &LogicalLocation::new(0, 3, 0, 0),
             [4, 4, 4],
             [16, 16, 16],
@@ -202,15 +99,12 @@ mod tests {
 
     #[test]
     fn refined_block_is_half_width_same_cells() {
-        let r = RegionSize::cube(0.0, 1.0, 64);
         let coarse = BlockGeometry::from_location(
-            &r,
             &LogicalLocation::new(0, 0, 0, 0),
             [4, 4, 4],
             [16, 16, 16],
         );
         let fine = BlockGeometry::from_location(
-            &r,
             &LogicalLocation::new(1, 0, 0, 0),
             [4, 4, 4],
             [16, 16, 16],
@@ -225,9 +119,7 @@ mod tests {
 
     #[test]
     fn cell_centers_are_offset_half_dx() {
-        let r = RegionSize::cube(0.0, 1.0, 16);
         let g = BlockGeometry::from_location(
-            &r,
             &LogicalLocation::new(0, 0, 0, 0),
             [1, 1, 1],
             [16, 16, 16],
@@ -240,20 +132,12 @@ mod tests {
 
     #[test]
     fn cell_volume_matches_dx_product() {
-        let r = RegionSize::new([0.0; 3], [2.0, 1.0, 1.0], [32, 16, 16], [false; 3]);
         let g = BlockGeometry::from_location(
-            &r,
             &LogicalLocation::new(0, 0, 0, 0),
             [2, 1, 1],
             [16, 16, 16],
         );
         let dx = g.dx();
         assert!((g.cell_volume() - dx[0] * dx[1] * dx[2]).abs() < 1e-18);
-    }
-
-    #[test]
-    #[should_panic(expected = "xmax must exceed xmin")]
-    fn rejects_inverted_bounds() {
-        RegionSize::new([1.0; 3], [0.0; 3], [8; 3], [false; 3]);
     }
 }

@@ -4,7 +4,8 @@
 //! on the Parthenon framework's tree-based design (Grete et al. 2022) as
 //! characterized in the IISWC 2025 Parthenon-VIBE study.
 //!
-//! The mesh is a logical representation of a discretized physical domain,
+//! The mesh is a logical representation of a discretized physical domain —
+//! always the periodic unit cube `[0, 1)^dim` —
 //! partitioned into [`MeshBlock`]s — regular arrays of cells that are the
 //! fundamental granularity of refinement. Blocks are organized as the leaves
 //! of a binary tree (1D), quadtree (2D), or octree (3D): the
@@ -41,7 +42,7 @@ pub mod refinement;
 pub mod render;
 pub mod tree;
 
-pub use domain::{BlockGeometry, RegionSize};
+pub use domain::BlockGeometry;
 pub use error::MeshError;
 pub use index::{IndexRange, IndexShape};
 pub use loadbalance::{partition_by_cost, RankAssignment};

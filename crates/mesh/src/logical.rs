@@ -119,26 +119,15 @@ impl LogicalLocation {
         (0..3).all(|d| (other.lx[d] >> shift) == self.lx[d])
     }
 
-    /// The location offset by `off` blocks at the same level, or `None` if
-    /// the result leaves the lattice `[0, extent_d)` per dimension.
+    /// The location offset by `off` blocks at the same level, wrapped into
+    /// the periodic lattice `[0, extent_d)` per dimension.
     ///
     /// `extent` is the number of blocks per dimension at this level.
-    /// `periodic` selects per-dimension wraparound.
-    pub fn offset(&self, off: [i64; 3], extent: [i64; 3], periodic: [bool; 3]) -> Option<Self> {
-        let mut lx = [0i64; 3];
-        for d in 0..3 {
-            let mut v = self.lx[d] + off[d];
-            if periodic[d] {
-                v = v.rem_euclid(extent[d].max(1));
-            } else if v < 0 || v >= extent[d] {
-                return None;
-            }
-            lx[d] = v;
-        }
-        Some(Self {
+    pub fn offset(&self, off: [i64; 3], extent: [i64; 3]) -> Self {
+        Self {
             level: self.level,
-            lx,
-        })
+            lx: std::array::from_fn(|d| (self.lx[d] + off[d]).rem_euclid(extent[d])),
+        }
     }
 }
 
@@ -214,29 +203,14 @@ mod tests {
     #[test]
     fn offset_within_bounds() {
         let loc = LogicalLocation::new(1, 1, 1, 0);
-        let n = loc.offset([1, 0, 0], [4, 4, 1], [false, false, false]);
-        assert_eq!(n, Some(LogicalLocation::new(1, 2, 1, 0)));
-    }
-
-    #[test]
-    fn offset_out_of_bounds_is_none() {
-        let loc = LogicalLocation::new(0, 0, 0, 0);
-        assert_eq!(
-            loc.offset([-1, 0, 0], [4, 4, 1], [false, false, false]),
-            None
-        );
-        assert_eq!(
-            loc.offset([0, 4, 0], [4, 4, 1], [false, false, false]),
-            None
-        );
+        let n = loc.offset([1, 0, 0], [4, 4, 1]);
+        assert_eq!(n, LogicalLocation::new(1, 2, 1, 0));
     }
 
     #[test]
     fn offset_periodic_wraps() {
         let loc = LogicalLocation::new(0, 0, 3, 0);
-        let n = loc
-            .offset([-1, 1, 0], [4, 4, 1], [true, true, true])
-            .unwrap();
+        let n = loc.offset([-1, 1, 0], [4, 4, 1]);
         assert_eq!(n, LogicalLocation::new(0, 3, 0, 0));
     }
 

@@ -2,11 +2,12 @@
 
 use std::collections::HashMap;
 
-use crate::domain::{BlockGeometry, RegionSize};
+use crate::domain::BlockGeometry;
 use crate::error::MeshError;
 use crate::index::IndexShape;
 use crate::loadbalance::{partition_by_cost, RankAssignment};
 use crate::logical::LogicalLocation;
+use crate::morton::MAX_KEY_LEVEL;
 use crate::neighbor::{find_neighbors, NeighborBlock};
 use crate::refinement::{AmrFlag, NestingTable, RegridDecision};
 use crate::tree::BlockTree;
@@ -24,12 +25,13 @@ pub struct MeshParams {
     block_size: [usize; 3],
     max_levels: u32,
     nghost: usize,
-    region: RegionSize,
     deref_gap: u64,
 }
 
 impl MeshParams {
-    /// Starts building mesh parameters (3D periodic unit cube by default).
+    /// Starts building mesh parameters (3-D by default). The domain is
+    /// always the periodic unit cube; the parameters divide it into cells
+    /// and blocks.
     pub fn builder() -> MeshParamsBuilder {
         MeshParamsBuilder::default()
     }
@@ -57,11 +59,6 @@ impl MeshParams {
     /// Ghost layers per block side (4 for WENO5).
     pub fn nghost(&self) -> usize {
         self.nghost
-    }
-
-    /// Physical region covered by the mesh.
-    pub fn region(&self) -> &RegionSize {
-        &self.region
     }
 
     /// Minimum cycle gap between derefinements of the same region.
@@ -92,7 +89,6 @@ pub struct MeshParamsBuilder {
     block_size: [usize; 3],
     max_levels: u32,
     nghost: usize,
-    region: Option<RegionSize>,
     deref_gap: u64,
 }
 
@@ -104,7 +100,6 @@ impl Default for MeshParamsBuilder {
             block_size: [16, 16, 16],
             max_levels: 3,
             nghost: 4,
-            region: None,
             deref_gap: 10,
         }
     }
@@ -151,7 +146,8 @@ impl MeshParamsBuilder {
         self
     }
 
-    /// Sets the total number of AMR levels (≥ 1).
+    /// Sets the total number of AMR levels (≥ 1, and few enough that the
+    /// finest lattice fits [`crate::morton::MAX_KEY_LEVEL`]).
     pub fn max_levels(&mut self, levels: u32) -> &mut Self {
         self.max_levels = levels;
         self
@@ -160,12 +156,6 @@ impl MeshParamsBuilder {
     /// Sets ghost layers per side (WENO5 needs 4).
     pub fn nghost(&mut self, nghost: usize) -> &mut Self {
         self.nghost = nghost;
-        self
-    }
-
-    /// Sets the physical region (defaults to a periodic unit cube).
-    pub fn region(&mut self, region: RegionSize) -> &mut Self {
-        self.region = Some(region);
         self
     }
 
@@ -215,16 +205,17 @@ impl MeshParamsBuilder {
                 });
             }
         }
-        let region = self
-            .region
-            .unwrap_or_else(|| RegionSize::new([0.0; 3], [1.0; 3], mesh_size, [true; 3]));
-        if region.nx() != mesh_size {
+        // The Morton key orders lattices of at most 2^MAX_KEY_LEVEL blocks
+        // per dimension; the finest level's lattice has to fit.
+        let base: [usize; 3] = std::array::from_fn(|d| mesh_size[d] / block_size[d]);
+        let finest = self.max_levels - 1;
+        let fits = |&b: &usize| (b as u128) << finest <= 1 << MAX_KEY_LEVEL;
+        if finest > MAX_KEY_LEVEL as u32 || !base.iter().all(fits) {
             return Err(MeshError::InvalidParameter {
-                name: "region",
+                name: "max_levels",
                 reason: format!(
-                    "region cell counts {:?} disagree with mesh_size {:?}",
-                    region.nx(),
-                    mesh_size
+                    "{} levels over base grid {base:?} exceed 2^{MAX_KEY_LEVEL} blocks a side",
+                    self.max_levels
                 ),
             });
         }
@@ -234,7 +225,6 @@ impl MeshParamsBuilder {
             block_size,
             max_levels: self.max_levels,
             nghost: self.nghost,
-            region,
             deref_gap: self.deref_gap,
         })
     }
@@ -344,7 +334,6 @@ impl Mesh {
             params.dim(),
             params.base_blocks(),
             params.max_levels() as i32 - 1,
-            params.region().periodic(),
         );
         let mut mesh = Self {
             params,
@@ -575,7 +564,7 @@ impl Mesh {
             .map(|(gid, loc)| MeshBlock {
                 gid,
                 loc,
-                geom: BlockGeometry::from_location(params.region(), &loc, base, block_cells),
+                geom: BlockGeometry::from_location(&loc, base, block_cells),
                 cost: 1.0,
                 rank: 0,
             })
@@ -655,6 +644,28 @@ mod tests {
     fn builder_rejects_zero_levels() {
         let err = MeshParams::builder().max_levels(0).build().unwrap_err();
         assert!(matches!(err, MeshError::InvalidParameter { .. }));
+    }
+
+    /// The finest lattice must fit the Morton key: 2^40 blocks per
+    /// dimension, reached from one base block at 41 levels.
+    #[test]
+    fn builder_rejects_levels_beyond_the_morton_key() {
+        let levels = |n: u32, mesh_cells: usize| {
+            let mut b = MeshParams::builder();
+            b.dim(1).mesh_cells(mesh_cells).block_cells(8).max_levels(n);
+            b.build().map(|_| ())
+        };
+        assert_eq!(levels(41, 8), Ok(()));
+        for (n, mesh_cells) in [(42, 8), (41, 16), (u32::MAX, 8)] {
+            let err = levels(n, mesh_cells).unwrap_err();
+            assert!(matches!(
+                err,
+                MeshError::InvalidParameter {
+                    name: "max_levels",
+                    ..
+                }
+            ));
+        }
     }
 
     #[test]

@@ -106,8 +106,8 @@ impl NeighborBlock {
 ///
 /// For each face/edge/corner direction, the neighbor region is resolved to
 /// the unique same-level or coarser leaf covering it, or to the set of finer
-/// leaves adjacent to the shared boundary. Domain boundaries follow the
-/// tree's periodicity; non-periodic boundaries simply have no neighbor.
+/// leaves adjacent to the shared boundary. The domain is periodic: a
+/// direction across its edge wraps to the far side.
 ///
 /// The result is deterministic: directions are scanned faces-first and fine
 /// neighbors are emitted in child order.
@@ -122,13 +122,10 @@ pub fn find_neighbors(tree: &BlockTree, loc: &LogicalLocation) -> Vec<NeighborBl
     );
     let dim = tree.dim();
     let extent = tree.extent_at(loc.level());
-    let periodic = tree.periodic();
     let mut out = Vec::new();
 
     for offset in NeighborOffset::all(dim) {
-        let Some(candidate) = loc.offset(offset.components(), extent, periodic) else {
-            continue; // outside a non-periodic boundary
-        };
+        let candidate = loc.offset(offset.components(), extent);
         if tree.contains_leaf(&candidate) {
             out.push(NeighborBlock {
                 loc: candidate,
@@ -220,7 +217,7 @@ mod tests {
 
     #[test]
     fn uniform_periodic_2d_has_eight_neighbors() {
-        let t = BlockTree::new(2, [4, 4, 1], 2, [true, true, true]);
+        let t = BlockTree::new(2, [4, 4, 1], 2);
         let n = find_neighbors(&t, &LogicalLocation::new(0, 0, 0, 0));
         assert_eq!(n.len(), 8);
         assert!(n.iter().all(|nb| nb.level_diff == 0));
@@ -228,21 +225,14 @@ mod tests {
 
     #[test]
     fn uniform_periodic_3d_has_26_neighbors() {
-        let t = BlockTree::new(3, [4, 4, 4], 2, [true; 3]);
+        let t = BlockTree::new(3, [4, 4, 4], 2);
         let n = find_neighbors(&t, &LogicalLocation::new(0, 1, 1, 1));
         assert_eq!(n.len(), 26);
     }
 
     #[test]
-    fn non_periodic_corner_block_has_three_neighbors_2d() {
-        let t = BlockTree::new(2, [4, 4, 1], 2, [false, false, false]);
-        let n = find_neighbors(&t, &LogicalLocation::new(0, 0, 0, 0));
-        assert_eq!(n.len(), 3); // +x, +y, +x+y
-    }
-
-    #[test]
     fn fine_neighbors_across_face_2d() {
-        let mut t = BlockTree::new(2, [4, 4, 1], 2, [true; 3]);
+        let mut t = BlockTree::new(2, [4, 4, 1], 2);
         t.refine(&LogicalLocation::new(0, 1, 0, 0)).unwrap();
         let n = find_neighbors(&t, &LogicalLocation::new(0, 0, 0, 0));
         // Across the +x face there are now 2 fine neighbors.
@@ -258,7 +248,7 @@ mod tests {
 
     #[test]
     fn coarse_neighbor_seen_from_fine_block() {
-        let mut t = BlockTree::new(2, [4, 4, 1], 2, [true; 3]);
+        let mut t = BlockTree::new(2, [4, 4, 1], 2);
         t.refine(&LogicalLocation::new(0, 1, 0, 0)).unwrap();
         // Fine block at level 1 bordering the coarse level-0 block at x=0.
         let fine = LogicalLocation::new(1, 2, 1, 0);
@@ -272,7 +262,7 @@ mod tests {
 
     #[test]
     fn coarse_neighbor_not_duplicated() {
-        let mut t = BlockTree::new(2, [4, 4, 1], 2, [true; 3]);
+        let mut t = BlockTree::new(2, [4, 4, 1], 2);
         t.refine(&LogicalLocation::new(0, 1, 1, 0)).unwrap();
         let fine = LogicalLocation::new(1, 2, 2, 0);
         let n = find_neighbors(&t, &fine);
@@ -286,7 +276,7 @@ mod tests {
 
     #[test]
     fn symmetric_neighbor_relation_same_level() {
-        let t = BlockTree::new(2, [4, 4, 1], 2, [true; 3]);
+        let t = BlockTree::new(2, [4, 4, 1], 2);
         let a = LogicalLocation::new(0, 1, 1, 0);
         let b = LogicalLocation::new(0, 2, 1, 0);
         let a_sees_b = find_neighbors(&t, &a).iter().any(|nb| nb.loc == b);
@@ -296,7 +286,7 @@ mod tests {
 
     #[test]
     fn fine_coarse_relation_is_mutual() {
-        let mut t = BlockTree::new(3, [2, 2, 2], 2, [true; 3]);
+        let mut t = BlockTree::new(3, [2, 2, 2], 2);
         t.refine(&LogicalLocation::new(0, 0, 0, 0)).unwrap();
         let coarse = LogicalLocation::new(0, 1, 0, 0);
         let fine = LogicalLocation::new(1, 1, 0, 0); // high-x child touching coarse
@@ -308,11 +298,9 @@ mod tests {
 
     #[test]
     fn one_d_neighbors() {
-        let t = BlockTree::new(1, [4, 1, 1], 1, [false, false, false]);
+        let t = BlockTree::new(1, [4, 1, 1], 1);
         let n = find_neighbors(&t, &LogicalLocation::new(0, 1, 0, 0));
         assert_eq!(n.len(), 2);
-        let edge = find_neighbors(&t, &LogicalLocation::new(0, 0, 0, 0));
-        assert_eq!(edge.len(), 1);
     }
 
     /// Two periodic blocks along a dimension: the same block is the
@@ -321,7 +309,7 @@ mod tests {
     /// stale (it silently broke conservation for wide-stencil packages).
     #[test]
     fn periodic_two_block_wrap_keeps_both_sides() {
-        let t = BlockTree::new(1, [2, 1, 1], 1, [true; 3]);
+        let t = BlockTree::new(1, [2, 1, 1], 1);
         let n = find_neighbors(&t, &LogicalLocation::new(0, 0, 0, 0));
         assert_eq!(n.len(), 2, "both wrap boundaries present");
         let mut offs: Vec<i64> = n.iter().map(|nb| nb.offset.components()[0]).collect();
@@ -335,7 +323,7 @@ mod tests {
     /// A single periodic block neighbors itself through both ±d offsets.
     #[test]
     fn periodic_single_block_is_its_own_neighbor_both_sides() {
-        let t = BlockTree::new(1, [1, 1, 1], 1, [true; 3]);
+        let t = BlockTree::new(1, [1, 1, 1], 1);
         let loc = LogicalLocation::new(0, 0, 0, 0);
         let n = find_neighbors(&t, &loc);
         assert_eq!(n.len(), 2, "self-wrap on both sides");
@@ -346,7 +334,7 @@ mod tests {
     /// still emitted once (the pre-existing dedup contract).
     #[test]
     fn coarse_neighbor_still_deduplicated_across_offsets() {
-        let mut t = BlockTree::new(2, [2, 2, 1], 2, [true; 3]);
+        let mut t = BlockTree::new(2, [2, 2, 1], 2);
         t.refine(&LogicalLocation::new(0, 0, 0, 0)).unwrap();
         // From the top-right fine child, the coarse leaf to its right is
         // reached through both the +x face and the (+x,−y) edge.

@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn no_flags_no_changes() {
-        let tree = BlockTree::new(2, [4, 4, 1], 2, [true; 3]);
+        let tree = BlockTree::new(2, [4, 4, 1], 2);
         let d = enforce_proper_nesting(&tree, &BTreeMap::new());
         assert!(d.is_empty());
     }
@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn single_refine_passes_through() {
-        let tree = BlockTree::new(2, [4, 4, 1], 2, [true; 3]);
+        let tree = BlockTree::new(2, [4, 4, 1], 2);
         let loc = LogicalLocation::new(0, 1, 1, 0);
         let d = enforce_proper_nesting(&tree, &flags_of(&[(loc, AmrFlag::Refine)]));
         assert_eq!(d.refine, vec![loc]);
@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn refine_at_max_level_is_ignored() {
-        let mut tree = BlockTree::new(2, [2, 2, 1], 1, [true; 3]);
+        let mut tree = BlockTree::new(2, [2, 2, 1], 1);
         let children = tree.refine(&LogicalLocation::new(0, 0, 0, 0)).unwrap();
         let d = enforce_proper_nesting(&tree, &flags_of(&[(children[0], AmrFlag::Refine)]));
         assert!(d.refine.is_empty());
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn derefine_requires_all_siblings() {
-        let mut tree = BlockTree::new(2, [2, 2, 1], 1, [true; 3]);
+        let mut tree = BlockTree::new(2, [2, 2, 1], 1);
         let parent = LogicalLocation::new(0, 0, 0, 0);
         let children = tree.refine(&parent).unwrap();
         // Only 3 of 4 siblings want to derefine.
@@ -382,7 +382,7 @@ mod tests {
     #[test]
     fn refinement_cascades_to_maintain_two_to_one() {
         // Refine a level-1 block so its level-0 neighbor must also refine.
-        let mut tree = BlockTree::new(2, [4, 4, 1], 2, [true; 3]);
+        let mut tree = BlockTree::new(2, [4, 4, 1], 2);
         let coarse = LogicalLocation::new(0, 1, 1, 0);
         let children = tree.refine(&coarse).unwrap();
         // Child adjacent to the unrefined block at (0,0,1,0): the low-x children.
@@ -405,7 +405,7 @@ mod tests {
     fn derefine_vetoed_by_fine_neighbor_refinement() {
         // A fine group wants to merge while an adjacent block refines to a
         // level that would create a 2-level jump after the merge.
-        let mut tree = BlockTree::new(2, [2, 2, 1], 2, [true; 3]);
+        let mut tree = BlockTree::new(2, [2, 2, 1], 2);
         let parent = LogicalLocation::new(0, 0, 0, 0);
         let children = tree.refine(&parent).unwrap();
         let neighbor_fine = children[3]; // (1,1) child, interior corner
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn cascade_terminates_on_uniform_refine_everything() {
-        let tree = BlockTree::new(2, [4, 4, 1], 3, [true; 3]);
+        let tree = BlockTree::new(2, [4, 4, 1], 3);
         let flags: BTreeMap<_, _> = tree.leaves().map(|l| (l, AmrFlag::Refine)).collect();
         let d = enforce_proper_nesting(&tree, &flags);
         assert_eq!(d.refine.len(), 16);
@@ -430,7 +430,7 @@ mod tests {
 
     #[test]
     fn decision_is_deterministic() {
-        let mut tree = BlockTree::new(2, [4, 4, 1], 2, [true; 3]);
+        let mut tree = BlockTree::new(2, [4, 4, 1], 2);
         tree.refine(&LogicalLocation::new(0, 2, 2, 0)).unwrap();
         let flags: BTreeMap<_, _> = tree
             .leaves()
@@ -599,12 +599,7 @@ mod tests {
         (passes, !want.is_empty())
     }
 
-    fn walled_or_periodic_mesh(
-        dim: usize,
-        base_blocks: [usize; 3],
-        periodic: [bool; 3],
-        max_levels: u32,
-    ) -> crate::Mesh {
+    fn build_mesh(dim: usize, base_blocks: [usize; 3], max_levels: u32) -> crate::Mesh {
         let mesh_size: [usize; 3] =
             std::array::from_fn(|d| if d < dim { 4 * base_blocks[d] } else { 1 });
         let params = crate::MeshParams::builder()
@@ -613,9 +608,6 @@ mod tests {
             .block_cells(4)
             .nghost(2)
             .max_levels(max_levels)
-            .region(crate::RegionSize::new(
-                [0.0; 3], [1.0; 3], mesh_size, periodic,
-            ))
             .build()
             .unwrap();
         crate::Mesh::new(params).unwrap()
@@ -623,7 +615,7 @@ mod tests {
 
     /// The dense rule through the mesh's cached table ≡ the tree adapter ≡
     /// the map-based oracle, on random 2:1 trees grown by random regrid
-    /// sequences in 1/2/3-D, periodic and walled, under random flags —
+    /// sequences in 1/2/3-D under random flags —
     /// refine at the finest level, derefine at level 0, whole and broken
     /// sibling groups.
     #[test]
@@ -632,13 +624,12 @@ mod tests {
         let mut regrids = 0usize;
         for case in 0..320 {
             let dim = 1 + case % 3;
-            let (mut base, mut periodic) = ([1usize; 3], [true; 3]);
-            for d in 0..dim {
-                base[d] = 1 + rng.below(if dim == 3 { 2 } else { 4 }) as usize;
-                periodic[d] = rng.below(2) == 0;
+            let mut base = [1usize; 3];
+            for b in base.iter_mut().take(dim) {
+                *b = 1 + rng.below(if dim == 3 { 2 } else { 4 }) as usize;
             }
             let levels = 2 + rng.below(if dim == 3 { 2 } else { 4 }) as u32;
-            let mut mesh = walled_or_periodic_mesh(dim, base, periodic, levels);
+            let mut mesh = build_mesh(dim, base, levels);
             for round in 0..5 {
                 // One coin per sibling group, then per-leaf noise that
                 // breaks some groups and flags leaves at the range ends.
@@ -658,7 +649,7 @@ mod tests {
                         }
                     })
                     .collect();
-                let what = format!("case {case} round {round}: {dim}-D, periodic {periodic:?}");
+                let what = format!("case {case} round {round}: {dim}-D, base {base:?}");
                 regrids += usize::from(regrid_checked(&mut mesh, &flags, &what).1);
             }
         }
@@ -671,10 +662,10 @@ mod tests {
     /// derefine request.
     #[test]
     fn dense_nesting_matches_the_map_oracle_on_long_chains() {
-        for (dim, periodic) in [(1, true), (1, false), (2, false), (2, true), (3, false)] {
-            let levels = if dim == 3 { 5 } else { 6 };
-            let mut mesh = walled_or_periodic_mesh(dim, [2; 3], [periodic; 3], levels);
-            let what = format!("{dim}-D, periodic {periodic}");
+        for dim in [1, 2] {
+            let levels = 6;
+            let mut mesh = build_mesh(dim, [2; 3], levels);
+            let what = format!("{dim}-D");
             // Refine the finest leaf at `lx`, flag every other leaf `rest`.
             let one = |mesh: &crate::Mesh, lx: [i64; 3], rest: AmrFlag| -> Vec<AmrFlag> {
                 let finest = mesh.blocks().iter().map(|b| b.level()).max().unwrap();

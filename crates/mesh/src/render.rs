@@ -15,7 +15,7 @@ use crate::tree::BlockTree;
 /// use vibe_mesh::{BlockTree, LogicalLocation};
 /// use vibe_mesh::render::render_slice;
 ///
-/// let mut tree = BlockTree::new(2, [2, 2, 1], 2, [true; 3]);
+/// let mut tree = BlockTree::new(2, [2, 2, 1], 2);
 /// tree.refine(&LogicalLocation::new(0, 0, 0, 0)).unwrap();
 /// let art = render_slice(&tree, 0);
 /// assert!(art.contains('1'), "refined region drawn at level 1: \n{art}");
@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn uniform_tree_renders_dots() {
-        let tree = BlockTree::new(2, [4, 4, 1], 2, [true; 3]);
+        let tree = BlockTree::new(2, [4, 4, 1], 2);
         let art = render_slice(&tree, 0);
         // Finest level is 0: one row of 4 chars per block row.
         let lines: Vec<&str> = art.lines().collect();
@@ -75,7 +75,7 @@ mod tests {
 
     #[test]
     fn refined_corner_renders_level_glyphs() {
-        let mut tree = BlockTree::new(2, [2, 2, 1], 2, [true; 3]);
+        let mut tree = BlockTree::new(2, [2, 2, 1], 2);
         tree.refine(&LogicalLocation::new(0, 0, 0, 0)).unwrap();
         let art = render_slice(&tree, 0);
         let lines: Vec<&str> = art.lines().collect();
@@ -87,7 +87,7 @@ mod tests {
 
     #[test]
     fn deep_refinement_shows_higher_digits() {
-        let mut tree = BlockTree::new(2, [2, 2, 1], 3, [true; 3]);
+        let mut tree = BlockTree::new(2, [2, 2, 1], 3);
         let c = tree.refine(&LogicalLocation::new(0, 0, 0, 0)).unwrap();
         tree.refine(&c[0]).unwrap();
         let art = render_slice(&tree, 0);
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn three_d_slices_differ() {
-        let mut tree = BlockTree::new(3, [2, 2, 2], 2, [true; 3]);
+        let mut tree = BlockTree::new(3, [2, 2, 2], 2);
         // Refine a block in the z=0 layer only.
         tree.refine(&LogicalLocation::new(0, 0, 0, 0)).unwrap();
         let near = render_slice(&tree, 0);
@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn census_line_format() {
-        let tree = BlockTree::new(2, [4, 4, 1], 2, [true; 3]);
+        let tree = BlockTree::new(2, [4, 4, 1], 2);
         let line = census_line(&tree);
         assert!(line.starts_with("blocks=16"));
         assert!(line.contains("[16, 0, 0]"));

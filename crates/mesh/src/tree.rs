@@ -27,7 +27,7 @@ use crate::morton::MortonKey;
 /// ```
 /// use vibe_mesh::BlockTree;
 ///
-/// let mut tree = BlockTree::new(2, [2, 2, 1], 2, [true, true, true]);
+/// let mut tree = BlockTree::new(2, [2, 2, 1], 2);
 /// assert_eq!(tree.num_leaves(), 4);
 /// let first = tree.leaves().next().unwrap();
 /// tree.refine(&first).unwrap();
@@ -38,7 +38,6 @@ pub struct BlockTree {
     dim: usize,
     base_blocks: [i64; 3],
     max_level: i32,
-    periodic: [bool; 3],
     leaves: BTreeMap<MortonKey, LogicalLocation>,
     by_loc: HashMap<LogicalLocation, MortonKey>,
 }
@@ -51,7 +50,7 @@ impl BlockTree {
     ///
     /// Panics if `dim` is not 1–3, an active dimension has no blocks, an
     /// inactive dimension has more than one block, or `max_level < 0`.
-    pub fn new(dim: usize, base_blocks: [i64; 3], max_level: i32, periodic: [bool; 3]) -> Self {
+    pub fn new(dim: usize, base_blocks: [i64; 3], max_level: i32) -> Self {
         assert!((1..=3).contains(&dim), "dim must be 1, 2, or 3");
         assert!(max_level >= 0, "max_level must be non-negative");
         for (d, &bb) in base_blocks.iter().enumerate() {
@@ -65,7 +64,6 @@ impl BlockTree {
             dim,
             base_blocks,
             max_level,
-            periodic,
             leaves: BTreeMap::new(),
             by_loc: HashMap::new(),
         };
@@ -92,11 +90,6 @@ impl BlockTree {
     /// Maximum allowed refinement level.
     pub fn max_level(&self) -> i32 {
         self.max_level
-    }
-
-    /// Per-dimension periodicity of the domain.
-    pub fn periodic(&self) -> [bool; 3] {
-        self.periodic
     }
 
     /// Number of leaves (mesh blocks).
@@ -265,7 +258,7 @@ mod tests {
     use super::*;
 
     fn tree2d() -> BlockTree {
-        BlockTree::new(2, [4, 4, 1], 3, [true, true, true])
+        BlockTree::new(2, [4, 4, 1], 3)
     }
 
     #[test]
@@ -309,7 +302,7 @@ mod tests {
 
     #[test]
     fn refine_beyond_max_level_errors() {
-        let mut t = BlockTree::new(2, [2, 2, 1], 1, [false; 3]);
+        let mut t = BlockTree::new(2, [2, 2, 1], 1);
         let loc = LogicalLocation::new(0, 0, 0, 0);
         let children = t.refine(&loc).unwrap();
         let err = t.refine(&children[0]).unwrap_err();
@@ -372,7 +365,7 @@ mod tests {
 
     #[test]
     fn three_d_octree_refines_to_eight() {
-        let mut t = BlockTree::new(3, [2, 2, 2], 2, [true; 3]);
+        let mut t = BlockTree::new(3, [2, 2, 2], 2);
         assert_eq!(t.num_leaves(), 8);
         t.refine(&LogicalLocation::new(0, 0, 0, 0)).unwrap();
         assert_eq!(t.num_leaves(), 15);
@@ -381,7 +374,7 @@ mod tests {
 
     #[test]
     fn one_d_binary_tree() {
-        let mut t = BlockTree::new(1, [8, 1, 1], 2, [true, false, false]);
+        let mut t = BlockTree::new(1, [8, 1, 1], 2);
         assert_eq!(t.num_leaves(), 8);
         t.refine(&LogicalLocation::new(0, 3, 0, 0)).unwrap();
         assert_eq!(t.num_leaves(), 9);
@@ -391,7 +384,7 @@ mod tests {
     #[test]
     fn non_square_base_grid_validates() {
         // The paper's Fig. 2 shows a 5x4 base layout.
-        let t = BlockTree::new(2, [5, 4, 1], 2, [false; 3]);
+        let t = BlockTree::new(2, [5, 4, 1], 2);
         assert_eq!(t.num_leaves(), 20);
         assert!(t.validate().is_ok());
     }

@@ -313,6 +313,20 @@ if non_test crates/sim/src/config.rs | grep -nE "$field_type" ||
     exit 1
 fi
 
+echo "==> the domain is the periodic unit cube"
+# Every mesh is the periodic unit cube: no region type or setter, no
+# periodicity flags, no physical boundary conditions and no per-block call
+# for them in the stage visit. `fn region(` is matched only as the deleted
+# MeshParams getter and builder setter; WallClock::region and a test
+# helper of vibe-field keep the name.
+cube_gone='RegionSize|apply_face_bc|BcKind|PHYSICAL_BC|physical_bcs|\.periodic\(\)'
+cube_gone="$cube_gone|fn region\((&self\)|&mut self, region:)"
+if grep -rnE --include='*.rs' --exclude-dir=target "$cube_gone" crates src tests examples ||
+    [ -e crates/field/src/bc.rs ]; then
+    echo "the open-boundary domain is back (see above, or crates/field/src/bc.rs exists)" >&2
+    exit 1
+fi
+
 echo "==> one instrument, one gate"
 # Wall-clock numbers come only from the repository benchmark
 # (src/bin/benchmark) and pass/fail from the one `gate` binary: crates/bench

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use vibe_ft::{FaultPlan, FaultPlanSpec, KillSpec};
     pub use vibe_hwmodel::platform::evaluate;
     pub use vibe_hwmodel::{Backend, CpuSpec, GpuSpec, MemoryModel, PlatformConfig};
-    pub use vibe_mesh::{Mesh, MeshParams, RegionSize};
+    pub use vibe_mesh::{Mesh, MeshParams};
     pub use vibe_physics::{resolve, Advect, AdvectRecon, PACKAGES};
     pub use vibe_prof::{ProfLevel, Recorder, RegionKey, StepFunction};
     pub use vibe_rt::{

@@ -18,7 +18,7 @@ use vibe_amr::prof::json::{parse, Json};
 fn tree_tiles_after_random_refines() {
     let mut rng = Rng::new(0x1157_C001);
     for _case in 0..64 {
-        let mut tree = BlockTree::new(2, [4, 4, 1], 3, [true, true, true]);
+        let mut tree = BlockTree::new(2, [4, 4, 1], 3);
         let npicks = rng.usize_in(0, 20);
         for _ in 0..npicks {
             let leaves: Vec<LogicalLocation> = tree.leaves().collect();
@@ -40,7 +40,7 @@ fn tree_tiles_after_random_refines() {
 #[test]
 fn refine_derefine_roundtrip() {
     for p in 0..16 {
-        let mut tree = BlockTree::new(2, [4, 4, 1], 2, [true, true, true]);
+        let mut tree = BlockTree::new(2, [4, 4, 1], 2);
         let before: Vec<LogicalLocation> = tree.leaves().collect();
         let loc = before[p];
         tree.refine(&loc).expect("refinable");
@@ -56,7 +56,7 @@ fn refine_derefine_roundtrip() {
 fn nesting_enforcement_yields_legal_mesh() {
     let mut rng = Rng::new(0xAE5F_0002);
     for _case in 0..64 {
-        let mut tree = BlockTree::new(2, [4, 4, 1], 3, [true, true, true]);
+        let mut tree = BlockTree::new(2, [4, 4, 1], 3);
         // Pre-refine a couple of spots to create level structure.
         let l0: Vec<_> = tree.leaves().collect();
         tree.refine(&l0[5]).unwrap();
