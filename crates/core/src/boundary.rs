@@ -30,7 +30,14 @@
 //!   is resident in cache, sweeps it (the domain is periodic, so every
 //!   ghost cell is some block's interior). The blocks whose every boundary
 //!   is direct are visited while remote messages are in flight
-//!   (InteriorFlux), the others once theirs arrived (ExteriorFlux);
+//!   (InteriorFlux), the others once theirs arrived (ExteriorFlux). Every
+//!   stage but the last of a cycle fills directly only the *stencil halo*
+//!   — face ghosts within the package's stencil radius, all its sweep
+//!   reads — and the last the whole ghost shell ([`GhostFill`]); so
+//!   whatever observes a whole array at a cycle boundary sees a full
+//!   fill's bits, and a hook between the fills may read the outer shell
+//!   only to derive values the last stage recomputes (euler's
+//!   `fill_derived`);
 //! * [`ghost_poll`] — one non-blocking delivery sweep (WaitUnpack);
 //! * [`ghost_retire`] — recycle the buffers, account the exchange;
 //! * [`flux_corr_send`] / [`flux_corr_apply`] — the same for fine→coarse
@@ -513,14 +520,16 @@ impl<P: TransferProgram> Lane<P> {
     }
 
     /// Runs the transfers block `r` receives over the routes `wanted`: a
-    /// direct one straight from the sender's storage, a delivered one out
-    /// of the bank.
+    /// direct one straight from the sender's storage through `direct` (a
+    /// program's [`TransferProgram::fill`], or the part of it a stage
+    /// needs), a delivered one out of the bank, whole.
     fn receive(
         &self,
         r: usize,
         flight: &Flight,
         views: &Views<'_>,
         wanted: impl Fn(Route) -> bool,
+        direct: impl Fn(&P, usize, &Rows<'_>, &mut Rows<'_>, &mut Vec<f64>),
         scratch: &mut Vec<f64>,
     ) {
         for b in self.received_by(r) {
@@ -529,15 +538,15 @@ impl<P: TransferProgram> Lane<P> {
                 continue;
             }
             let (t, prog, wire) = (&self.transfers[b], &self.progs[b], &flight.bank[b]);
-            let direct = route == Route::Direct;
-            assert!(direct || wire.len() == t.wire_len, "payload length");
+            let here = route == Route::Direct;
+            assert!(here || wire.len() == t.wire_len, "payload length");
             let mut at = 0usize;
             for (v, &(_, ncomp)) in self.vars.iter().enumerate() {
                 let dst = views.at(r, v, prog.dst_array());
-                if direct {
+                if here {
                     let src = views.at(t.send, v, prog.src_array());
                     check_span(prog.storage_span(ncomp), &src, &dst);
-                    prog.fill(ncomp, &Rows(src), &mut Rows(dst), scratch);
+                    direct(prog, ncomp, &Rows(src), &mut Rows(dst), scratch);
                 } else {
                     let len = prog.wire_len(ncomp);
                     check_span(prog.storage_span(ncomp), &dst, &dst);
@@ -564,7 +573,11 @@ impl<P: TransferProgram> Lane<P> {
             .collect();
         exec.for_each_index(receivers.len(), |i| {
             SCRATCH.with_borrow_mut(|scratch| {
-                self.receive(receivers[i], flight, &views, wanted, scratch);
+                let fill =
+                    |prog: &P, ncomp, src: &Rows<'_>, dst: &mut Rows<'_>, scratch: &mut _| {
+                        prog.fill(ncomp, src, dst, scratch);
+                    };
+                self.receive(receivers[i], flight, &views, wanted, fill, scratch);
             });
         });
     }
@@ -607,6 +620,9 @@ pub struct ExchangePlan {
     /// `2 * normal + upper side`. The stage update re-sweeps the layers
     /// under them.
     pub corrected: Vec<u8>,
+    /// How deep a [`GhostFill::Halo`] fills the face ghosts: the package's
+    /// stencil radius.
+    radius: usize,
 }
 
 impl ExchangePlan {
@@ -617,7 +633,8 @@ impl ExchangePlan {
     }
 
     /// Builds the plan for the current mesh generation from the replicated
-    /// mesh and the resident blocks' `containers`, performing (and
+    /// mesh and the resident blocks' `containers`, for a flux stencil of
+    /// `radius` ([`crate::Package::stencil_radius`]), performing (and
     /// recording) the per-block variable lookups that previously ran on
     /// every exchange. Boundary enumeration only reads the mesh — like
     /// every MPI rank, a driver that holds a few blocks knows the whole
@@ -633,6 +650,7 @@ impl ExchangePlan {
         mesh: &Mesh,
         mut containers: impl Iterator<Item = &'a mut BlockData>,
         cfg: &ExchangeConfig,
+        radius: usize,
         rec: &mut Recorder,
     ) -> Self {
         let sample = containers.next().expect("a registered container");
@@ -653,6 +671,7 @@ impl ExchangePlan {
             flux_ids,
             two_stage_ids,
             corrected: vec![0; mesh.num_blocks()],
+            radius,
         };
         let shape = mesh.index_shape();
         // Per block: faces whose fluxes corrections read.
@@ -781,6 +800,27 @@ pub fn ghost_poll(
     state.flight.poll(comm, rec)
 }
 
+/// Which ghost cells a stage visit fills directly.
+///
+/// Until the next stage's fill only the dimension-by-dimension sweep (and
+/// the stage update's re-sweep under corrected faces) reads ghosts, and it
+/// reads only face ghosts within the stencil radius of the interior. So
+/// every stage but the last of a cycle fills that *stencil halo* alone, and
+/// the last stage fills the whole shell: everything that observes a whole
+/// array — fingerprints, snapshots, regrid, refinement tagging — runs at a
+/// cycle boundary, after that full fill, and sees the bits a full fill in
+/// every stage would leave. Delivered payloads are always unpacked whole.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GhostFill {
+    /// Face ghosts within the plan's stencil radius of the interior
+    /// ([`RowProgram::fill_halo`]); the edges, corners and deeper face
+    /// layers — the *outer shell* — keep their values (debug builds write
+    /// [`vibe_field::buffer::SKIPPED`] there).
+    Halo,
+    /// Every ghost cell.
+    Full,
+}
+
 /// What a stage visit does with a block once its ghosts are filled: the
 /// block's metadata, its container — borrowed shared — and the flux outputs
 /// of its flux-bearing variables in registration order.
@@ -802,8 +842,11 @@ struct Visited<'a> {
 /// whose every inbound boundary is direct, which need nothing the mailbox
 /// delivers; `Exterior`, the rest, once [`ghost_poll`] reported completion
 /// — one worker per block fills its direct boundaries straight from the
-/// senders' interiors, unpacks its delivered buffers, takes its stage copy
-/// if `save`, and while the block is still in cache runs `sweep` on it.
+/// senders' interiors (the cells `fill` names), unpacks its delivered
+/// buffers, takes its stage copy if `save`, and while the block is still
+/// in cache runs `sweep` on it. A [`GhostFill::Halo`] visit leaves the
+/// outer shell to the next full fill; only values that fill recomputes
+/// may be derived from it in between.
 /// Nothing writes an interior cell between the pack/send phase and the end
 /// of the stage's visits, so reading a sender now yields the bits packing
 /// it then would have; one block's boundaries fill disjoint cells; and a
@@ -821,13 +864,14 @@ pub fn ghost_visit(
     state: &GhostExchangeState,
     blocks: &mut BlockTable<'_>,
     phase: FluxPhase,
+    fill: GhostFill,
     save: bool,
     sweep: Option<VisitSweep<'_>>,
     cost: Option<&mut [u64]>,
     exec: ExecCtx,
     wall: &WallClock,
 ) {
-    let (lane, flight) = (&plan.ghosts, &state.flight);
+    let (lane, flight, radius) = (&plan.ghosts, &state.flight, plan.radius);
     assert!(
         phase == FluxPhase::Interior || flight.pending.is_empty(),
         "every boundary message delivered"
@@ -871,7 +915,16 @@ pub fn ghost_visit(
     exec.for_each_block(&mut items, |_, block| {
         let t0 = Instant::now();
         let gid = block.info.gid;
-        SCRATCH.with_borrow_mut(|scratch| lane.receive(gid, flight, &views, |_| true, scratch));
+        let direct =
+            |prog: &RowProgram, ncomp, src: &Rows<'_>, dst: &mut Rows<'_>, scratch: &mut _| {
+                match fill {
+                    GhostFill::Halo => prog.fill_halo(radius, ncomp, src, dst, scratch),
+                    GhostFill::Full => prog.fill(ncomp, src, dst, scratch),
+                }
+            };
+        SCRATCH.with_borrow_mut(|scratch| {
+            lane.receive(gid, flight, &views, |_| true, direct, scratch);
+        });
         // SAFETY: the claiming worker's shared borrow of its block's
         // container: other workers only read the interior cells of its
         // arrays, through `views`, and this worker's ghost writes are done.
@@ -971,7 +1024,10 @@ pub fn exchange_ghosts_with_plan(
         "a one-shot ghost exchange waits on a message not yet sent"
     );
     for phase in [FluxPhase::Interior, FluxPhase::Exterior] {
-        ghost_visit(plan, &state, blocks, phase, false, None, None, exec, &wall);
+        let full = GhostFill::Full;
+        ghost_visit(
+            plan, &state, blocks, phase, full, false, None, None, exec, &wall,
+        );
     }
     ghost_retire(plan, state, comm, rec);
 }
@@ -996,7 +1052,9 @@ pub fn exchange_ghosts(
     exec: ExecCtx,
     rec: &mut Recorder,
 ) {
-    let plan = ExchangePlan::build(mesh, slots.iter_mut().map(|s| &mut s.data), cfg, rec);
+    let containers = slots.iter_mut().map(|s| &mut s.data);
+    let radius = mesh.index_shape().nghost();
+    let plan = ExchangePlan::build(mesh, containers, cfg, radius, rec);
     let index = resident_index(slots, mesh.num_blocks());
     let mut blocks = BlockTable::of(slots, &index, mesh);
     exchange_ghosts_with_plan(&plan, &mut blocks, comm, cache, cfg, exec, rec);
@@ -1089,7 +1147,9 @@ pub fn flux_correction(
     rec: &mut Recorder,
 ) {
     let cfg = ExchangeConfig::default();
-    let plan = ExchangePlan::build(mesh, slots.iter_mut().map(|s| &mut s.data), &cfg, rec);
+    let containers = slots.iter_mut().map(|s| &mut s.data);
+    let radius = mesh.index_shape().nghost();
+    let plan = ExchangePlan::build(mesh, containers, &cfg, radius, rec);
     let index = resident_index(slots, mesh.num_blocks());
     let blocks = &mut BlockTable::of(slots, &index, mesh);
     let mut state = flux_corr_send(&plan, blocks, comm, exec, rec);
@@ -1398,14 +1458,15 @@ mod tests {
             if phased {
                 // Every delivery first, then both visits, the delivered
                 // blocks before the direct ones.
-                let mut fabric = Fabric::split(&mesh, slots, &cfg, &mut rec);
+                let mut fabric = Fabric::split(&mesh, slots, &cfg, 2, &mut rec);
                 let phases = [FluxPhase::Exterior, FluxPhase::Interior];
-                fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, false, None);
+                let fill = GhostFill::Full;
+                fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, fill, false, None);
                 slots = fabric.join();
             } else {
                 let mut comm = Communicator::new(2);
                 let containers = slots.iter_mut().map(|s| &mut s.data);
-                let plan = ExchangePlan::build(&mesh, containers, &cfg, &mut rec);
+                let plan = ExchangePlan::build(&mesh, containers, &cfg, 2, &mut rec);
                 let index = resident_index(&slots, mesh.num_blocks());
                 let mut blocks = BlockTable::of(&mut slots, &index, &mesh);
                 let mut cache = BufferCache::new();
@@ -1524,11 +1585,13 @@ mod tests {
     }
 
     impl Fabric {
-        /// `slots` on one endpoint per rank label, in their given order.
+        /// `slots` on one endpoint per rank label, in their given order,
+        /// with plans for a stencil of `radius`.
         fn split(
             mesh: &Mesh,
             slots: Vec<BlockSlot>,
             cfg: &ExchangeConfig,
+            radius: usize,
             rec: &mut Recorder,
         ) -> Self {
             let nranks = 1 + slots.iter().map(|s| s.info.rank).max().unwrap();
@@ -1543,7 +1606,13 @@ mod tests {
             let plans = parts
                 .iter_mut()
                 .map(|part| {
-                    ExchangePlan::build(mesh, part.iter_mut().map(|s| &mut s.data), cfg, rec)
+                    ExchangePlan::build(
+                        mesh,
+                        part.iter_mut().map(|s| &mut s.data),
+                        cfg,
+                        radius,
+                        rec,
+                    )
                 })
                 .collect();
             let comms = vibe_comm::channel_fabric(nranks)
@@ -1577,6 +1646,7 @@ mod tests {
             exec: ExecCtx,
             rec: &mut Recorder,
             phases: [FluxPhase; 2],
+            fill: GhostFill,
             save: bool,
             sweep: Option<VisitSweep<'_>>,
         ) -> usize {
@@ -1602,6 +1672,7 @@ mod tests {
                         &state,
                         &mut blocks,
                         phase,
+                        fill,
                         save,
                         sweep,
                         None,
@@ -1659,9 +1730,10 @@ mod tests {
                 rec.begin_cycle(0);
                 let exec = ExecCtx::new(threads);
                 if fabric {
-                    let mut fabric = Fabric::split(&mesh, slots, &cfg, &mut rec);
+                    let mut fabric = Fabric::split(&mesh, slots, &cfg, 2, &mut rec);
                     let phases = [FluxPhase::Interior, FluxPhase::Exterior];
-                    fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, false, None);
+                    let fill = GhostFill::Full;
+                    fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, fill, false, None);
                     slots = fabric.join();
                 } else {
                     let mut comm = Communicator::new(nranks);
@@ -1701,7 +1773,7 @@ mod tests {
             let exec = ExecCtx::new(threads);
             if fabric {
                 let cfg = ExchangeConfig::default();
-                let mut fabric = Fabric::split(&mesh, slots, &cfg, &mut rec);
+                let mut fabric = Fabric::split(&mesh, slots, &cfg, 2, &mut rec);
                 fabric.flux_correction(&mesh, exec, &mut rec);
                 slots = fabric.join();
             } else {
@@ -1766,7 +1838,14 @@ mod tests {
     /// and stage copy, bit for bit.
     fn visit_bits(slots: &[BlockSlot]) -> Vec<u64> {
         let mut out = bits(slots, false);
-        out.extend(bits(slots, true));
+        out.extend(swept_bits(slots));
+        out
+    }
+
+    /// What the sweep of a stage visit leaves: divergence, face planes and
+    /// stage copy.
+    fn swept_bits(slots: &[BlockSlot]) -> Vec<u64> {
+        let mut out = bits(slots, true);
         for slot in slots {
             let divs = slot.data.vars().iter().filter_map(|v| v.div());
             let cells = divs
@@ -1782,7 +1861,10 @@ mod tests {
     /// block order at any thread count: on a 3-D refined mesh under three
     /// uneven rank labels, all on one endpoint and split over a three-endpoint
     /// fabric, so that direct and delivered ghosts both occur and both
-    /// phases have blocks to visit.
+    /// phases have blocks to visit. A halo visit sweeps to the same bits,
+    /// and its ghost arrays — halo filled, outer shell skipped (poisoned in
+    /// debug builds) — are the same bits in every order at every thread
+    /// count.
     #[test]
     fn stage_visit_is_invariant_under_block_order_and_threads() {
         use crate::sweep::{sweep_block, sweep_slot, with_scratch, CellBox, Planes};
@@ -1814,6 +1896,9 @@ mod tests {
         );
         let budget = crate::sweep::TILE_BUDGET_BYTES / 8;
         let tiles = CellBox::interior(&mesh.index_shape()).tiles(3, 5, budget);
+        // One layer of the two-deep shell is halo.
+        let radius = crate::Package::stencil_radius(&pkg);
+        assert!(radius < mesh.index_shape().nghost());
         let fresh = || build_varied(&mesh, 2);
 
         // The reference: every ghost of every block, then every block swept.
@@ -1844,7 +1929,22 @@ mod tests {
         };
         let wall = WallClock::default();
         let mut seed = 0x0dd_ba11_5eed_0022u64;
-        for order in ["ascending", "descending", "shuffled"] {
+        // The ghost arrays of the first halo visit, per route set.
+        let mut halo_ghosts: [Option<Vec<u64>>; 2] = [None, None];
+        let mut check = |fill, route: usize, slots: &[BlockSlot], what: &str| match fill {
+            GhostFill::Full => assert!(visit_bits(slots) == want, "{what}"),
+            GhostFill::Halo => {
+                let want_swept = &want[bits(&reference, false).len()..];
+                assert!(swept_bits(slots) == want_swept, "halo sweep, {what}");
+                let ghosts = bits(slots, false);
+                let first = halo_ghosts[route].get_or_insert_with(|| ghosts.clone());
+                assert!(*first == ghosts, "halo ghost arrays, {what}");
+            }
+        };
+        for (order, fill) in ["ascending", "descending", "shuffled"]
+            .into_iter()
+            .flat_map(|order| [GhostFill::Full, GhostFill::Halo].map(|fill| (order, fill)))
+        {
             for threads in [1, 2, 8] {
                 let mut slots = fresh();
                 match order {
@@ -1862,21 +1962,19 @@ mod tests {
                 let exec = ExecCtx::new(threads);
                 let sweep = Some(&sweep as VisitSweep<'_>);
                 let phases = [FluxPhase::Interior, FluxPhase::Exterior];
-                let mut fabric = Fabric::split(&mesh, slots.clone(), &cfg, &mut rec);
+                let mut fabric = Fabric::split(&mesh, slots.clone(), &cfg, radius, &mut rec);
                 let waited =
-                    fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, true, sweep);
+                    fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, fill, true, sweep);
                 assert!(
                     0 < waited && waited < mesh.num_blocks(),
                     "both phases visit: some blocks take delivered ghosts, the rest direct ones"
                 );
-                assert!(
-                    visit_bits(&fabric.join()) == want,
-                    "{order} order, {threads} threads, three endpoints"
-                );
+                let what = format!("{order} order, {threads} threads, three endpoints");
+                check(fill, 0, &fabric.join(), &what);
 
                 let mut comm = Communicator::new(3);
                 let containers = slots.iter_mut().map(|s| &mut s.data);
-                let plan = ExchangePlan::build(&mesh, containers, &cfg, &mut rec);
+                let plan = ExchangePlan::build(&mesh, containers, &cfg, radius, &mut rec);
                 let index = resident_index(&slots, mesh.num_blocks());
                 let mut blocks = BlockTable::of(&mut slots, &index, &mesh);
                 let mut state = ghost_pack_and_send(
@@ -1890,6 +1988,7 @@ mod tests {
                         &state,
                         &mut blocks,
                         phase,
+                        fill,
                         true,
                         sweep,
                         None,
@@ -1899,9 +1998,11 @@ mod tests {
                 }
                 ghost_retire(&plan, state, &mut comm, &mut rec);
                 slots.sort_by_key(|slot| slot.info.gid);
-                assert!(
-                    visit_bits(&slots) == want,
-                    "{order} order, {threads} threads, one endpoint"
+                check(
+                    fill,
+                    1,
+                    &slots,
+                    &format!("{order} order, {threads} threads, one endpoint"),
                 );
             }
         }
@@ -1960,11 +2061,12 @@ mod tests {
         let cfg = ExchangeConfig::default();
         let mut rec = Recorder::new();
         rec.begin_cycle(0);
-        let mut fabric = Fabric::split(&mesh, slots, &cfg, &mut rec);
+        let mut fabric = Fabric::split(&mesh, slots, &cfg, 2, &mut rec);
         let phases = [FluxPhase::Interior, FluxPhase::Exterior];
         let mut pools = Vec::new();
         for _ in 0..12 {
-            fabric.exchange_ghosts(&mesh, &cfg, ExecCtx::new(2), &mut rec, phases, false, None);
+            let (exec, fill) = (ExecCtx::new(2), GhostFill::Full);
+            fabric.exchange_ghosts(&mesh, &cfg, exec, &mut rec, phases, fill, false, None);
             let mut pool: Vec<(*const f64, usize)> = Vec::new();
             for plan in &fabric.plans {
                 let parked = plan.ghosts.parked.lock().unwrap();

@@ -28,7 +28,7 @@ use crate::block::{BlockInfo, BlockSlot};
 use crate::boundary::{
     exchange_ghosts_with_plan, flux_corr_apply, flux_corr_send, ghost_pack_and_send, ghost_poll,
     ghost_retire, ghost_visit, resident_index, BlockTable, ExchangeConfig, ExchangePlan,
-    FluxCorrState, GhostExchangeState, NOT_RESIDENT,
+    FluxCorrState, GhostExchangeState, GhostFill, NOT_RESIDENT,
 };
 use crate::package::{FluxPhase, Package};
 use crate::sweep::{
@@ -917,7 +917,10 @@ impl<P: Package> Driver<P> {
     /// Interior/exterior flux task: both record their share of the flux
     /// launch and visit their blocks — ghost fill, in stage 0 the stage
     /// copy, then the sweep in the production tiling, each worker in its
-    /// own scratch; the exterior one then retires the exchange. Under
+    /// own scratch; the exterior one then retires the exchange. Stage 0
+    /// fills only the stencil halo, which is all its sweep reads; stage 1,
+    /// the last, fills the whole ghost shell, so every observer after the
+    /// cycle sees the bits of a full fill ([`GhostFill`]). Under
     /// [`DriverParams::measured_costs`] each block's own sweep time goes
     /// into the cost ledger.
     fn task_flux(&mut self, stage: usize, phase: FluxPhase) {
@@ -938,11 +941,16 @@ impl<P: Package> Driver<P> {
             });
         };
         let measured = self.params.measured_costs;
+        let fill = match stage {
+            0 => GhostFill::Halo,
+            _ => GhostFill::Full,
+        };
         ghost_visit(
             plan,
             &self.ghost_state,
             &mut BlockTable::of(&mut self.slots, &self.index, &self.mesh),
             phase,
+            fill,
             stage == 0,
             Some(&sweep),
             measured.then_some(&mut self.block_cost_ns[..]),
@@ -1215,6 +1223,7 @@ impl<P: Package> Driver<P> {
                 &self.mesh,
                 containers.chain(spare.as_mut()),
                 &cfg,
+                self.package.stencil_radius(),
                 &mut self.rec,
             ));
         }

@@ -303,6 +303,20 @@ impl RowBox {
     }
 }
 
+/// What a halo-only fill ([`RowProgram::fill_halo`]) writes, in debug
+/// builds, into the ghost cells it skips: a NaN of fixed bits, so that a
+/// read of the outer shell before the next full fill turns every result it
+/// reaches into NaN, and two runs still compare bit for bit.
+pub const SKIPPED: f64 = f64::from_bits(0x7ff8_0000_5ca1_ab1e);
+
+/// The side of the receiver a face transfer fills: the normal axis and
+/// whether it is the low side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Face {
+    axis: u8,
+    low: bool,
+}
+
 /// A [`BufferSpec`] compiled down to storage offsets: which sender rows are
 /// read, which receiver rows are written, and how long they are. All the
 /// global-index arithmetic of the spec is done once, here; running the
@@ -315,6 +329,9 @@ impl RowBox {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowProgram {
     mode: BufferMode,
+    /// Face transfers (one axis outside the receiver's interior): which
+    /// face. `None` for edges and corners.
+    face: Option<Face>,
     dim: usize,
     /// Receiver rows written: length and `[j, k]` counts.
     dst_len: usize,
@@ -354,8 +371,19 @@ impl RowProgram {
             first: flat([r[0].s, r[1].s, r[2].s]),
             step: storage,
         };
+        let outside: Vec<usize> = (0..dim)
+            .filter(|&d| r[d].e < ng[d] || r[d].s >= ng[d] + shape.ncells()[d] as i64)
+            .collect();
+        let face = match outside[..] {
+            [axis] => Some(Face {
+                axis: axis as u8,
+                low: r[axis].e < ng[axis],
+            }),
+            _ => None,
+        };
         let mut prog = Self {
             mode: spec.mode,
+            face,
             dim,
             dst_len: r[0].len(),
             dst_counts: [r[1].len(), r[2].len()],
@@ -427,6 +455,70 @@ impl RowProgram {
 
     fn dst_cells(&self) -> usize {
         self.dst_len * self.dst_counts[0] * self.dst_counts[1]
+    }
+
+    /// The part of this transfer that lies in the receiver's *stencil halo*
+    /// of `radius` — the ghost cells with one coordinate outside the
+    /// interior, at most `radius` deep — as a program of its own, or `None`
+    /// for an edge or corner transfer, which writes none of it. The same
+    /// row kernels run over a narrower box: an x-face's rows get shorter, a
+    /// y- or z-face loses rows. A coarse→fine program keeps its packed
+    /// region, so its slopes, and every value it writes, are unchanged.
+    pub fn halo(&self, radius: usize) -> Option<Self> {
+        let Face { axis, low } = self.face?;
+        let a = usize::from(axis);
+        let depth = [self.dst_len, self.dst_counts[0], self.dst_counts[1]][a];
+        let keep = radius.min(depth);
+        // Layers dropped in front of the kept ones: the outer ones of a
+        // low face.
+        let skip = if low { depth - keep } else { 0 };
+        let mut prog = self.clone();
+        let resampled = self.mode == BufferMode::CoarseToFine;
+        if a == 0 {
+            let ratio = self.src_len / self.dst_len;
+            prog.dst_len = keep;
+            prog.dst.first += skip;
+            if !resampled {
+                prog.src_len = keep * ratio;
+                prog.src.first += skip * ratio;
+            }
+        } else {
+            prog.dst_counts[a - 1] = keep;
+            prog.dst.first += skip * self.dst.step[a - 1];
+            if !resampled {
+                prog.src_counts[a - 1] = keep;
+                prog.src.first += skip * self.src.step[a - 1];
+            }
+        }
+        prog.fine0[a] += skip as i64;
+        Some(prog)
+    }
+
+    /// Fills the receiver's stencil halo of `radius` from this transfer
+    /// ([`RowProgram::fill`] of [`RowProgram::halo`]) and leaves the rest
+    /// of its cells — the *outer shell* — as they were. Debug builds write
+    /// [`SKIPPED`] there first, so that nothing can read the shell before a
+    /// full fill rewrites it.
+    pub fn fill_halo<S, D>(
+        &self,
+        radius: usize,
+        ncomp: usize,
+        src: &S,
+        dst: &mut D,
+        scratch: &mut Vec<f64>,
+    ) where
+        S: CellRows + ?Sized,
+        D: CellRows + ?Sized,
+    {
+        if cfg!(debug_assertions) {
+            self.for_each_row(ncomp, |j, k, v| {
+                dst.row_mut(self.dst.at(j, k, v), self.dst_len)
+                    .fill(SKIPPED);
+            });
+        }
+        if let Some(halo) = self.halo(radius) {
+            halo.fill(ncomp, src, dst, scratch);
+        }
     }
 
     /// Visits the receiver rows as `(j, k, component)`, in wire order.
@@ -741,11 +833,14 @@ fn copy_rows<S, D>(
 /// `2i, 2i + 1` of every fine row in `rows`, summed in row order, pair
 /// order within a row — the add sequence of [`restrict_average`] over the
 /// gathered `(tx, ty, tz)` values, so the bits are the same. Four output
-/// cells advance together, one per lane.
+/// cells advance together, one per lane; the cells after the last bundle
+/// (all of a halo x-face's short rows) take the same adds one at a time.
+/// The count `2R` is a power of two, so multiplying by its reciprocal
+/// rounds exactly as dividing by it does.
 #[inline(always)]
 fn restrict_row<const R: usize>(rows: [&[f64]; R], out: &mut [f64]) {
     const W: usize = 4;
-    let count = F64Lanes::<W>::splat((2 * R) as f64);
+    let inv = 1.0 / (2 * R) as f64;
     let n = out.len();
     let mut i = 0usize;
     while i + W <= n {
@@ -756,16 +851,16 @@ fn restrict_row<const R: usize>(rows: [&[f64]; R], out: &mut [f64]) {
             sum = sum + F64Lanes::from_fn(|l| pair[2 * l]);
             sum = sum + F64Lanes::from_fn(|l| pair[2 * l + 1]);
         }
-        (sum / count).store(&mut out[i..i + W]);
+        (sum * inv).store(&mut out[i..i + W]);
         i += W;
     }
     for (i, out) in out.iter_mut().enumerate().skip(i) {
-        let mut vals = [0.0f64; 8];
-        for (g, row) in rows.iter().enumerate() {
-            vals[2 * g] = row[2 * i];
-            vals[2 * g + 1] = row[2 * i + 1];
+        let mut sum = rows[0][2 * i] + rows[0][2 * i + 1];
+        for row in &rows[1..] {
+            sum += row[2 * i];
+            sum += row[2 * i + 1];
         }
-        *out = restrict_average(&vals[..2 * R]);
+        *out = sum * inv;
     }
 }
 
@@ -830,6 +925,61 @@ mod tests {
             }
         }
         a
+    }
+
+    /// `restrict_row` — lane bundles and the one-at-a-time tail — equals
+    /// `restrict_average` over the gathered fine values bit for bit, at
+    /// every row length a block edge or a halo face gives it, on signed
+    /// zeros, subnormals and cancelling magnitudes too.
+    #[test]
+    fn restrict_row_equals_restrict_average_bitwise() {
+        fn check<const R: usize>(values: &[f64]) {
+            for n in 1..=9 {
+                let mut at = 0usize;
+                let rows: [Vec<f64>; R] = std::array::from_fn(|_| {
+                    (0..2 * n)
+                        .map(|_| {
+                            at += 1;
+                            values[(at * 7 + at / values.len()) % values.len()]
+                        })
+                        .collect()
+                });
+                let mut out = vec![0.0; n];
+                restrict_row(rows.each_ref().map(Vec::as_slice), &mut out);
+                for (i, got) in out.iter().enumerate() {
+                    let gathered: Vec<f64> = rows
+                        .iter()
+                        .flat_map(|row| [row[2 * i], row[2 * i + 1]])
+                        .collect();
+                    let want = restrict_average(&gathered);
+                    assert_eq!(got.to_bits(), want.to_bits(), "R {R}, n {n}, cell {i}");
+                }
+            }
+        }
+        let tiny = f64::from_bits(1);
+        let values = [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            3.0 * tiny,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE / 3.0,
+            1.0,
+            -1.0,
+            1e308,
+            -1e308,
+            0.1,
+            1.0 + f64::EPSILON,
+            -7.25e-3,
+        ];
+        for len in 1..=values.len() {
+            check::<1>(&values[..len]);
+            check::<2>(&values[..len]);
+            check::<4>(&values[..len]);
+        }
+        // Rows of nothing but negative zeros keep their sign.
+        check::<4>(&[-0.0]);
     }
 
     #[test]

@@ -416,6 +416,39 @@ if [ "$unsafe_sites" -gt 22 ]; then
     exit 1
 fi
 
+echo "==> the halo is a stage property, not an option"
+# Every stage but the last of a cycle fills only the stencil halo its sweep
+# reads, and the last fills the whole ghost shell (boundary::GhostFill).
+# That is chosen once, in Driver::task_flux: no run description or option
+# carries a halo or shell field, and the ghost cells a fill writes are
+# written by the row kernels of crates/field/src/buffer.rs alone (fluxcorr.rs
+# writes face planes; boundary.rs's `Rows` is the storage they write into).
+for spec in "$driver:DriverParams" crates/core/src/boundary.rs:ExchangeConfig \
+    crates/serve/src/config.rs:JobConfig crates/rt/src/lib.rs:SessionOptions; do
+    file=${spec%%:*} type=${spec##*:}
+    if non_test "$file" | awk "/pub struct $type \\{/, /^}/" |
+        grep -niE '^\s*(pub )?[a-z_]*(halo|shell|radius)[a-z_]*:'; then
+        echo "$type in $file carries a halo or shell field (see above): which ghosts a stage fills is not an option" >&2
+        exit 1
+    fi
+done
+# Where a halo fill is asked for (comment lines and match arms aside).
+halo_sites=$(for file in $(find crates -path '*/src/*.rs' | sort); do
+    non_test "$file" | grep -vE '^\s*//|GhostFill::Halo\s*=>' | grep 'GhostFill::Halo' |
+        sed "s|^.*|$file|" || true
+done | uniq -c | awk '{ printf "%s:%s ", $2, $1 }')
+if [ "$halo_sites" != "$driver:1 " ] ||
+    ! non_test "$driver" | awk '/fn task_flux\(/, /^    }$/' | grep -q 'GhostFill::Halo'; then
+    echo "the halo fill must be chosen once, in Driver::task_flux (found: $halo_sites)" >&2
+    exit 1
+fi
+for file in $(find crates -path '*/src/*.rs' ! -name buffer.rs ! -name fluxcorr.rs); do
+    if non_test "$file" | grep -nE '\.row_mut\(|fill\(SKIPPED\)'; then
+        echo "$file writes transfer rows itself; ghost cells are written by crates/field/src/buffer.rs" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

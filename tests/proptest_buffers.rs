@@ -6,11 +6,11 @@ mod util;
 
 use util::Rng;
 
-use vibe_amr::field::buffer::compute_buffer_spec_with;
+use vibe_amr::field::buffer::{compute_buffer_spec_with, SKIPPED};
 use vibe_amr::field::{
     pack, restrict_average, unpack, Array4, BufferMode, BufferSpec, RowProgram, TransferProgram,
 };
-use vibe_amr::mesh::{IndexShape, LogicalLocation, NeighborOffset};
+use vibe_amr::mesh::{AmrFlag, IndexShape, LogicalLocation, Mesh, MeshParams, NeighborOffset};
 
 /// Fills a block array with a linear function of unwrapped global cell
 /// index at the block's own level.
@@ -426,5 +426,130 @@ fn lane_restriction_equals_restrict_average_bitwise() {
                 buf[cell]
             );
         }
+    }
+}
+
+/// The halo programs of a block ([`RowProgram::fill_halo`]) write exactly
+/// its stencil halo — the ghost cells with one coordinate outside the
+/// interior, at most `radius` deep — and skip the outer shell (writing
+/// [`SKIPPED`] there in debug builds, nothing in release builds), while its
+/// full programs still write every ghost cell some program covers: on
+/// random 1–3-D meshes of 1–3 levels, for every radius up to the ghost
+/// width, in every transfer mode, the tangential halves of fine→coarse
+/// faces included.
+#[test]
+fn halo_programs_write_exactly_the_stencil_halo() {
+    const UNTOUCHED: f64 = -7.0;
+    let mut rng = Rng::new(0xBF00_0007);
+    let mut face_modes = std::collections::HashSet::new();
+    let mut scratch = Vec::new();
+    for _case in 0..CASES {
+        let dim = rng.usize_in(1, 4);
+        let nghost = rng.usize_in(1, 5);
+        let levels = rng.usize_in(1, 4) as u32;
+        let block = 2 * rng.usize_in(nghost.max(2), nghost.max(2) + 3);
+        let params = MeshParams::builder()
+            .dim(dim)
+            .mesh_cells(2 * block)
+            .block_cells(block)
+            .max_levels(levels)
+            .nghost(nghost)
+            .build()
+            .unwrap();
+        let mut mesh = Mesh::new(params).unwrap();
+        for _ in 1..levels {
+            let flags: Vec<AmrFlag> = (0..mesh.num_blocks())
+                .map(|_| match rng.usize_in(0, 3) {
+                    0 => AmrFlag::Refine,
+                    _ => AmrFlag::Same,
+                })
+                .collect();
+            mesh.regrid(&mesh.proper_nesting(&flags)).unwrap();
+        }
+        let shape = mesh.index_shape();
+        let radius = rng.usize_in(1, nghost + 1);
+        let restrict_on_send = rng.bool();
+        let entire = [shape.entire_d(2), shape.entire_d(1), shape.entire_d(0)];
+        // Sender values in [1, 2): whatever a program writes from them is
+        // finite and never UNTOUCHED.
+        let sender = {
+            let mut a = Array4::zeros([1, entire[0], entire[1], entire[2]]);
+            a.as_mut_slice()
+                .iter_mut()
+                .for_each(|v| *v = rng.f64_in(1.0, 2.0));
+            a
+        };
+        for recv in 0..mesh.num_blocks() {
+            let r_loc = mesh.block(recv).loc();
+            let mut halo = Array4::zeros([1, entire[0], entire[1], entire[2]]);
+            halo.fill(UNTOUCHED);
+            let mut full = halo.clone();
+            let coarser = mesh.neighbors(recv).iter().any(|nb| nb.level_diff < 0);
+            for nb in mesh.neighbors(recv) {
+                let spec =
+                    compute_buffer_spec_with(&shape, &r_loc, &nb.loc, &nb.offset, restrict_on_send);
+                let prog = RowProgram::compile(&spec);
+                if prog.halo(radius).is_some() {
+                    face_modes.insert(spec.mode());
+                }
+                let src = sender.as_slice();
+                prog.fill_halo(radius, 1, src, halo.as_mut_slice(), &mut scratch);
+                prog.fill(1, src, full.as_mut_slice(), &mut scratch);
+            }
+            for k in 0..entire[0] {
+                for j in 0..entire[1] {
+                    for i in 0..entire[2] {
+                        // How far outside the interior, per axis it is outside on.
+                        let cell = [i, j, k];
+                        let outside: Vec<usize> = (0..3)
+                            .map(|d| {
+                                let (g, n) = (shape.nghost_d(d), shape.ncells()[d]);
+                                (g.saturating_sub(cell[d])).max((cell[d] + 1).saturating_sub(g + n))
+                            })
+                            .filter(|&o| o > 0)
+                            .collect();
+                        let (h, f) = (halo.get(0, k, j, i), full.get(0, k, j, i));
+                        let at = format!(
+                            "block {recv} cell ({i},{j},{k}), {dim}-D, g {nghost}, r {radius}"
+                        );
+                        match outside[..] {
+                            [] => {
+                                assert_eq!(h, UNTOUCHED, "halo fill wrote the interior at {at}");
+                                assert_eq!(f, UNTOUCHED, "full fill wrote the interior at {at}");
+                            }
+                            [o] if o <= radius => {
+                                assert!(
+                                    h.is_finite() && h != UNTOUCHED,
+                                    "halo cell skipped at {at}"
+                                );
+                                assert_eq!(h.to_bits(), f.to_bits(), "halo cell differs at {at}");
+                            }
+                            _ => {
+                                // A coarser neighbour reached through a face
+                                // and an adjoining edge or corner is listed
+                                // once (`find_neighbors`), so no program
+                                // writes those edge and corner cells.
+                                let written = f != UNTOUCHED;
+                                assert!(written || coarser, "full fill skipped {at}");
+                                assert!(!written || f.is_finite(), "full fill wrote NaN at {at}");
+                                let skipped = match cfg!(debug_assertions) && written {
+                                    true => SKIPPED,
+                                    false => UNTOUCHED,
+                                };
+                                assert_eq!(h.to_bits(), skipped.to_bits(), "shell cell at {at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for mode in [
+        BufferMode::Copy,
+        BufferMode::RestrictFromFine,
+        BufferMode::FineUnrestricted,
+        BufferMode::CoarseToFine,
+    ] {
+        assert!(face_modes.contains(&mode), "no {mode:?} face was drawn");
     }
 }
