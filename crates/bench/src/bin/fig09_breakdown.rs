@@ -14,7 +14,7 @@ use vibe_bench::{format_table, paper_workload, run_workload};
 use vibe_core::DriverParams;
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
-use vibe_prof::{measured_by_function, ProfLevel, StepFunction};
+use vibe_prof::{ProfLevel, StepFunction};
 use vibe_serve::JobConfig;
 use vibe_sim::{simulate, SimConfig, SimWorkload};
 
@@ -74,7 +74,7 @@ fn main() {
             .with_cycles(|cycles| {
                 let mut acc: BTreeMap<StepFunction, (u64, u64)> = BTreeMap::new();
                 for c in cycles {
-                    for (f, (ns, n)) in measured_by_function(&c.tree) {
+                    for (f, (ns, n)) in c.tree.by_step_function() {
                         let e = acc.entry(f).or_insert((0, 0));
                         e.0 += ns;
                         e.1 += n;

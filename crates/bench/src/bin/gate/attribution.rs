@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use vibe_bench::{format_table, paper_workload, run_workload, run_workload_distributed};
 use vibe_core::DriverParams;
 use vibe_prof::json::Json;
-use vibe_prof::{validate_flow_events, Attribution, ProfLevel};
+use vibe_prof::{validate_trace, Attribution, ProfLevel};
 use vibe_rt::RtRun;
 use vibe_serve::JobConfig;
 
@@ -197,8 +197,8 @@ pub fn run(scenario: &JobConfig, gate: &mut Gate) {
 
     // Flow-linked Perfetto trace from the widest instrumented run.
     let (_, _, widest) = reports.last().expect("RANKS is not empty");
-    let json = widest.perfetto_trace_with_flows_json();
-    if let Some(stats) = gate.ok(validate_flow_events(&json), "flow trace") {
+    let json = widest.perfetto_trace_json();
+    if let Some(stats) = gate.ok(validate_trace(&json), "flow trace") {
         gate.check(stats.flows == widest.flows.len(), || {
             format!(
                 "flow validator counted {} arrows, run produced {}",

@@ -266,7 +266,7 @@ fn session(base: &JobConfig, port: u16, service: &Service, gate: &mut Gate) -> O
         format!("cached fingerprint mismatch: {fp1:x?} vs {fp7:x?}")
     });
 
-    // The HTTP artifacts must parse.
+    // The HTTP metrics stream must parse.
     let jsonl = expect_http(gate, port, "GET", &job6("metrics"), "", 200)?;
     let rows = gate
         .ok(parse_lines(&jsonl), "metrics JSONL")
@@ -274,8 +274,6 @@ fn session(base: &JobConfig, port: u16, service: &Service, gate: &mut Gate) -> O
     gate.check(rows as u64 == cycles, || {
         format!("expected {cycles} metric rows, got {rows}")
     });
-    let trace = expect_http(gate, port, "GET", &job6("trace"), "", 200)?;
-    gate.ok(parse(&trace), "trace JSON");
 
     // Fairness. The six uniform jobs (0..5) carry equal work per tenant;
     // mean turnaround per tenant must stay within 3x.

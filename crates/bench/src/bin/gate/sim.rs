@@ -12,8 +12,8 @@
 //!    duration: small blocks are launch-bound, §VIII-C);
 //! 3. parallel efficiency of 1→8 simulated ranks sharing one GPU;
 //! 4. what-if knobs: streams per rank and graph-style launch batching;
-//! 5. a Perfetto async trace (`trace.json` in the out-dir) with one lane
-//!    per rank host thread, NIC channel, and GPU stream.
+//! 5. a Perfetto trace (`trace.json` in the out-dir) with one labelled
+//!    lane per rank host thread, NIC channel, and GPU stream.
 //!
 //! The sections override the scenario's rank count and, in section 2, its
 //! block size. Fails if any report has NaN/negative times or idle fractions
@@ -25,7 +25,7 @@ use vibe_bench::{format_table, paper_workload, run_workload, sci, WorkloadResult
 use vibe_core::DriverParams;
 use vibe_hwmodel::platform::evaluate;
 use vibe_hwmodel::PlatformConfig;
-use vibe_prof::{perfetto_async_trace_json, validate_async_trace};
+use vibe_prof::validate_trace;
 use vibe_serve::JobConfig;
 use vibe_sim::{simulate, SimConfig, SimReport, SimTimeline, SimWorkload};
 
@@ -224,18 +224,23 @@ pub fn run(scenario: &JobConfig, gate: &mut Gate) {
         format_table(&["Config", "Wall (s)", "FOM", "GPU busy frac"], &what_rows)
     );
 
-    // --- 5. Perfetto async trace ---------------------------------------
+    // --- 5. Perfetto trace ---------------------------------------------
     let cfg2 = SimConfig::streamed(2, block, 2);
     let (_, tl2) = replay(gate, "trace-run report", &record(&spec(2, block)), &cfg2);
     gate.ok(tl2.validate(), "trace-run timeline");
-    let spans = tl2.to_async_spans();
-    let json = perfetto_async_trace_json(&spans, "vibe-sim", &tl2.tracks);
-    if let Some(stats) = gate.ok(validate_async_trace(&json), "async trace") {
+    let json = tl2.trace_json("vibe-sim");
+    if let Some(stats) = gate.ok(validate_trace(&json), "trace") {
+        gate.check(stats.spans == tl2.spans.len(), || {
+            format!(
+                "{} spans written, {} simulated",
+                stats.spans,
+                tl2.spans.len()
+            )
+        });
         println!(
-            "trace: {} spans across {} tracks validate ({} b/e pairs)",
-            spans.len(),
-            stats.tracks,
-            stats.pairs
+            "trace: {} spans across {} tracks validate",
+            stats.spans,
+            tl2.tracks.len()
         );
     }
     gate.write("trace.json", &json);

@@ -11,8 +11,8 @@
 
 use vibe_bench::{paper_workload, run_workload};
 use vibe_core::DriverParams;
-use vibe_prof::json::{parse, parse_lines, Json};
-use vibe_prof::{metrics_jsonl, perfetto_trace_json, summary_table, ProfLevel};
+use vibe_prof::json::{parse_lines, Json};
+use vibe_prof::{metrics_jsonl, perfetto_trace_json, summary_table, validate_trace, ProfLevel};
 use vibe_serve::JobConfig;
 
 use crate::Gate;
@@ -56,7 +56,11 @@ pub fn run(job: &JobConfig, gate: &mut Gate) {
         .expect("profiling was enabled");
     // Validate before writing, so a malformed export fails here rather
     // than in a viewer.
-    gate.ok(parse(&trace), "trace.json");
+    if let Some(stats) = gate.ok(validate_trace(&trace), "trace.json") {
+        gate.check(stats.spans == events.len(), || {
+            format!("{} spans written, {} events", stats.spans, events.len())
+        });
+    }
     let lines = gate
         .ok(parse_lines(&jsonl), "metrics.jsonl")
         .map_or(0, |l| l.len());

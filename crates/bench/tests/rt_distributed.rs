@@ -42,10 +42,9 @@ fn sim_replays_merged_multirank_log() {
     assert_eq!(report.per_rank.len(), nranks);
     assert_eq!(report.per_cycle.len(), run.cycles as usize);
     assert!(report.zone_cycles > 0);
-    // The timeline renders to a valid async Perfetto trace.
-    let spans = timeline.to_async_spans();
-    let json = vibe_prof::perfetto_async_trace_json(&spans, "vibe-rt-sim", &timeline.tracks);
-    vibe_prof::validate_async_trace(&json).expect("valid simulated trace");
+    // The timeline renders to a valid Perfetto trace.
+    let json = timeline.trace_json("vibe-rt-sim");
+    vibe_prof::validate_trace(&json).expect("valid simulated trace");
 }
 
 /// With wall-clock profiling on in every shard, the merged run exports a
@@ -69,6 +68,7 @@ fn multirank_trace_export_is_rank_tagged() {
         );
     }
     let json = run.perfetto_trace_json();
+    vibe_prof::validate_trace(&json).expect("valid multi-rank trace");
     let doc = parse(&json).expect("well-formed multi-rank trace");
     let Some(Json::Arr(events)) = doc.get("traceEvents") else {
         panic!("no traceEvents array");

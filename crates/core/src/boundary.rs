@@ -833,8 +833,8 @@ struct Visited<'a> {
     data: SharedCells<'a, BlockData>,
     out: &'a mut [FluxOut],
     stage0: &'a mut Vec<Vec<f64>>,
-    /// Nanoseconds the fill side and the sweep took.
-    ns: (u64, u64),
+    /// Nanoseconds the fill side, the stage copy and the sweep took.
+    ns: [u64; 3],
 }
 
 /// The stage visit (`SetBounds`, and `CalculateFluxes` with a `sweep`): in
@@ -854,10 +854,10 @@ struct Visited<'a> {
 /// [`Rows`]): the result is the same bits in any visiting order at any
 /// thread count.
 ///
-/// The dispatch's wall time is credited to `SetBounds` and
-/// `CalculateFluxes` in proportion to the summed per-block times of the two
-/// sides, and `cost`, if given (indexed by gid), is charged each block's
-/// own sweep time.
+/// The dispatch's wall time is credited to `SetBounds`, `SaveStage0` (if
+/// `save`) and `CalculateFluxes` (with a `sweep`) in proportion to the
+/// summed per-block times of the fill, the copy and the sweep, and `cost`,
+/// if given (indexed by gid), is charged each block's own sweep time.
 #[allow(clippy::too_many_arguments)]
 pub fn ghost_visit(
     plan: &ExchangePlan,
@@ -895,7 +895,7 @@ pub fn ghost_visit(
         if visited(info.gid) {
             let (out, tail) = rest.split_at_mut(swept.len());
             rest = tail;
-            let ns = (0, 0);
+            let ns = [0; 3];
             items.push(Visited {
                 info,
                 data,
@@ -929,24 +929,28 @@ pub fn ghost_visit(
         // container: other workers only read the interior cells of its
         // arrays, through `views`, and this worker's ghost writes are done.
         let data = unsafe { &block.data.read(0, 1)[0] };
-        if save {
-            save_stage0(data, &plan.two_stage_ids, block.stage0);
-        }
         let t1 = Instant::now();
+        let t2 = if save {
+            save_stage0(data, &plan.two_stage_ids, block.stage0);
+            Instant::now()
+        } else {
+            t1
+        };
         if let Some(sweep) = sweep {
             sweep(block.info, data, block.out);
         }
-        let filled = t1.duration_since(t0).as_nanos() as u64;
-        block.ns = (filled, t1.elapsed().as_nanos() as u64);
+        let ns = |a: Instant, b: Instant| b.duration_since(a).as_nanos() as u64;
+        block.ns = [ns(t0, t1), ns(t1, t2), t2.elapsed().as_nanos() as u64];
     });
 
-    let (mut fill_ns, mut sweep_ns) = (0u64, 0u64);
+    let mut sums = [0u64; 3];
     let mut cost = cost;
     for block in &items {
-        fill_ns += block.ns.0;
-        sweep_ns += block.ns.1;
+        for (sum, part) in sums.iter_mut().zip(block.ns) {
+            *sum += part;
+        }
         if let Some(cost) = cost.as_deref_mut() {
-            cost[block.info.gid] += block.ns.1;
+            cost[block.info.gid] += block.ns[2];
         }
     }
     drop((items, views));
@@ -956,14 +960,23 @@ pub fn ghost_visit(
             slot.data.var_mut(id).put_flux_out(out);
         }
     }
+    // The fill takes the rounding remainder, and the sweep's share too
+    // when there is no sweep, so the credits tile the wall time.
     let wall_ns = start.elapsed().as_nanos() as u64;
-    let busy = (fill_ns + sweep_ns).max(1) as u128;
-    let fill_share = (wall_ns as u128 * fill_ns as u128 / busy) as u64;
-    wall.credit(RegionKey::Step(StepFunction::SetBounds), start, fill_share);
-    if sweep.is_some() {
-        let sweep_start = start + std::time::Duration::from_nanos(fill_share);
-        let key = RegionKey::Step(StepFunction::CalculateFluxes);
-        wall.credit(key, sweep_start, wall_ns - fill_share);
+    let busy = sums.iter().sum::<u64>().max(1) as u128;
+    let share = |part: u64| (wall_ns as u128 * part as u128 / busy) as u64;
+    let copy_ns = share(sums[1]);
+    let sweep_ns = if sweep.is_some() { share(sums[2]) } else { 0 };
+    let (bounds, fluxes) = (StepFunction::SetBounds, StepFunction::CalculateFluxes);
+    let credits = [
+        (RegionKey::Step(bounds), true, wall_ns - copy_ns - sweep_ns),
+        (RegionKey::Named("SaveStage0"), save, copy_ns),
+        (RegionKey::Step(fluxes), sweep.is_some(), sweep_ns),
+    ];
+    let mut at = start;
+    for (key, _, part) in credits.into_iter().filter(|credit| credit.1) {
+        wall.credit(key, at, part);
+        at += std::time::Duration::from_nanos(part);
     }
 }
 
@@ -2007,6 +2020,75 @@ mod tests {
             }
         }
         rec.end_cycle(mesh.num_blocks() as u64, 0, 0, 0);
+    }
+
+    /// A visit's wall time is credited three ways, back to back from its
+    /// start: the fill to `SetBounds`, the stage copy — only when the
+    /// visit takes one — to `SaveStage0`, the sweep to `CalculateFluxes`.
+    #[test]
+    fn visit_credits_fill_copy_and_sweep_apart() {
+        use crate::sweep::{sweep_block, with_scratch, CellBox, Planes};
+        use crate::test_package::Advect;
+        use vibe_prof::ProfLevel;
+        let mesh = uniform_mesh();
+        let (cfg, pkg) = (ExchangeConfig::default(), Advect::default());
+        let radius = crate::Package::stencil_radius(&pkg);
+        let budget = crate::sweep::TILE_BUDGET_BYTES / 8;
+        let tiles = CellBox::interior(&mesh.index_shape()).tiles(2, 5, budget);
+        let sweep = |info: &BlockInfo, data: &BlockData, out: &mut [FluxOut]| {
+            with_scratch(|s| sweep_block(&pkg, info, data, out, &tiles, Planes::Save, s));
+        };
+        for (save, fill) in [(true, GhostFill::Halo), (false, GhostFill::Full)] {
+            let mut slots = build_varied(&mesh, 2);
+            let (mut comm, mut cache) = (Communicator::new(1), BufferCache::new());
+            let mut rec = Recorder::new();
+            rec.begin_cycle(0);
+            let containers = slots.iter_mut().map(|s| &mut s.data);
+            let plan = ExchangePlan::build(&mesh, containers, &cfg, radius, &mut rec);
+            let index = resident_index(&slots, mesh.num_blocks());
+            let mut blocks = BlockTable::of(&mut slots, &index, &mesh);
+            let exec = ExecCtx::new(2);
+            let mut state =
+                ghost_pack_and_send(&plan, &blocks, &mut comm, &mut cache, &cfg, exec, &mut rec);
+            assert!(ghost_poll(&mut state, &mut comm, &mut rec));
+            let wall = WallClock::new(ProfLevel::Full);
+            let before = Instant::now();
+            for phase in [FluxPhase::Interior, FluxPhase::Exterior] {
+                let sweep = Some(&sweep as VisitSweep<'_>);
+                ghost_visit(
+                    &plan,
+                    &state,
+                    &mut blocks,
+                    phase,
+                    fill,
+                    save,
+                    sweep,
+                    None,
+                    exec,
+                    &wall,
+                );
+            }
+            let outer_ns = before.elapsed().as_nanos() as u64;
+            ghost_retire(&plan, state, &mut comm, &mut rec);
+            rec.end_cycle(mesh.num_blocks() as u64, 0, 0, 0);
+
+            let (events, _) = wall.trace_events();
+            let names: Vec<&str> = events.iter().map(|e| e.name).collect();
+            let want = match save {
+                true => &["SetBounds", "SaveStage0", "CalculateFluxes"][..],
+                false => &["SetBounds", "CalculateFluxes"][..],
+            };
+            assert_eq!(names, want, "one visit, save = {save}");
+            for pair in events.windows(2) {
+                assert_eq!(pair[0].ts_ns + pair[0].dur_ns, pair[1].ts_ns, "{names:?}");
+            }
+            assert!(events.iter().all(|e| e.dur_ns > 0), "{events:?}");
+            let credited: u64 = events.iter().map(|e| e.dur_ns).sum();
+            assert!(
+                credited <= outer_ns,
+                "{credited} ns credited in {outer_ns} ns"
+            );
+        }
     }
 
     /// Event logging is gated at the source: with capture off an exchange

@@ -51,9 +51,7 @@ pub use regions::{FlatRegion, RegionKey, RegionStats, RegionTree};
 pub use spans::{span_epoch, span_now_ns, CrossEdge, FlowEvent, TaskKind, TaskSpan, WaitProbes};
 pub use timeline::{evolution_line, sparkline};
 pub use trace_export::{
-    job_metrics_jsonl, measured_by_function, metrics_jsonl, perfetto_async_trace_json,
-    perfetto_multirank_trace_json, perfetto_multirank_trace_with_flows_json, perfetto_trace_json,
-    summary_table, validate_async_trace, validate_flow_events, AsyncSpan, AsyncTraceStats,
-    FlowStats, JobCycleMetric,
+    job_metrics_jsonl, metrics_jsonl, perfetto_trace_json, summary_table, validate_trace,
+    JobCycleMetric, TraceStats, TraceWriter,
 };
 pub use wallclock::{ProfLevel, RegionGuard, TraceEvent, WallClock, WallCycleStats};

@@ -17,11 +17,10 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// The process-global span epoch. Every rank thread measures span
-/// timestamps against this single `Instant`, which is what makes spans
-/// from concurrently executing shards comparable on one time axis
-/// (per-rank `WallClock`s each carry their *own* epoch and need rebasing —
-/// see `WallClock::epoch`).
+/// The process-global span epoch. Every rank thread measures task spans,
+/// flow arrows and wall-clock regions (`WallClock`) against this single
+/// `Instant`, which is what makes the streams of concurrently executing
+/// shards comparable on one time axis with no re-basing.
 pub fn span_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)

@@ -1,13 +1,12 @@
-//! Exporters for the measured-time profiler: Chrome/Perfetto
-//! `trace_events` JSON, per-cycle JSONL metrics streams, a
-//! TinyProfiler-style text summary, and offline validators for the
-//! pairing rules of async and flow events. All JSON is built as
-//! [`Json`] values and written or parsed by [`crate::json`].
+//! Exporters for the measured-time profiler: the one Chrome/Perfetto
+//! `trace_events` writer ([`TraceWriter`]) and its offline validator
+//! ([`validate_trace`]), per-cycle JSONL metrics streams and a
+//! TinyProfiler-style text summary. All JSON is built as [`Json`] values
+//! and written or parsed by [`crate::json`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::functions::StepFunction;
 use crate::json::{obj, parse, Json};
 use crate::pool_stats::PoolStats;
 use crate::regions::RegionTree;
@@ -16,7 +15,7 @@ use crate::wallclock::{TraceEvent, WallCycleStats};
 
 /// Sorts events for export: by tid, then start time, then *descending*
 /// duration so an enclosing span precedes the spans it contains.
-pub fn sort_events(events: &mut [TraceEvent]) {
+fn sort_events(events: &mut [TraceEvent]) {
     events.sort_by(|a, b| {
         (a.tid, a.ts_ns)
             .cmp(&(b.tid, b.ts_ns))
@@ -29,17 +28,24 @@ fn us(ns: u64) -> Json {
     Json::Num(ns as f64 / 1e3)
 }
 
-/// Streams a `trace_events` document (the JSON Object Format, one event
-/// per line): each event is built, written and dropped on its own, so an
-/// export of N events never holds a whole-trace value.
-struct TraceWriter {
+/// The one Chrome/Perfetto trace writer. Every trace of the workspace — a
+/// serial run, a fabric session, a simulated timeline — is made of three
+/// event shapes: complete `X` spans on `(pid, tid)` tracks, `M` process
+/// and thread labels, and `s`/`f` flow arrows. Timestamps are integer ns
+/// on one time axis, rendered in µs.
+///
+/// It streams the JSON Object Format, one event per line: each event is
+/// built, written and dropped on its own, so an export of N events never
+/// holds a whole-trace value. Open the result at `ui.perfetto.dev` or
+/// `chrome://tracing`.
+pub struct TraceWriter {
     out: String,
     events: usize,
 }
 
 impl TraceWriter {
     /// Opens the document, sized for about `events` events.
-    fn new(events: usize) -> Self {
+    pub fn new(events: usize) -> Self {
         let mut out = String::with_capacity(256 + events * 128);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
         Self { out, events: 0 }
@@ -66,60 +72,42 @@ impl TraceWriter {
         self.event(kind, "M", pid, tid, vec![("args", args)]);
     }
 
-    /// One process track: its name, then `events` as complete `X` spans.
-    fn process(&mut self, pid: usize, label: &str, events: &[TraceEvent]) {
+    /// Names process track `pid`.
+    pub fn process(&mut self, pid: usize, label: &str) {
         self.label("process_name", pid, 0, label);
+    }
+
+    /// Names thread track `tid` of process `pid`.
+    pub fn thread(&mut self, pid: usize, tid: u32, label: &str) {
+        self.label("thread_name", pid, tid, label);
+    }
+
+    /// One complete `X` span on track `(pid, tid)`.
+    pub fn span(&mut self, pid: usize, tid: u32, name: &str, cat: &str, ts_ns: u64, dur_ns: u64) {
+        let fields = vec![
+            ("cat", Json::Str(cat.to_string())),
+            ("ts", us(ts_ns)),
+            ("dur", us(dur_ns)),
+        ];
+        self.event(name, "X", pid, tid, fields);
+    }
+
+    /// A wall-clock stream as `X` spans of process `pid`, each on its
+    /// event's `tid`, in export order ([`sort_events`]).
+    pub fn events(&mut self, pid: usize, events: &[TraceEvent]) {
         let mut sorted = events.to_vec();
         sort_events(&mut sorted);
         for ev in &sorted {
-            let fields = vec![
-                ("cat", Json::Str(ev.cat.to_string())),
-                ("ts", us(ev.ts_ns)),
-                ("dur", us(ev.dur_ns)),
-            ];
-            self.event(ev.name, "X", pid, ev.tid, fields);
+            self.span(pid, ev.tid, ev.name, ev.cat, ev.ts_ns, ev.dur_ns);
         }
     }
 
-    fn finish(mut self) -> String {
-        self.out.push_str("\n]}\n");
-        self.out
-    }
-}
-
-/// Renders a Chrome/Perfetto trace (the JSON Object Format with a
-/// `traceEvents` array of complete `ph: "X"` events; timestamps in µs).
-/// Open the result at `ui.perfetto.dev` or `chrome://tracing`.
-pub fn perfetto_trace_json(events: &[TraceEvent], process_name: &str) -> String {
-    let mut w = TraceWriter::new(events.len());
-    w.process(1, process_name, events);
-    w.finish()
-}
-
-/// Renders one Chrome/Perfetto trace for a rank-parallel run: each rank's
-/// wall-clock stream becomes its own process track (`pid` = rank + 1,
-/// named `rank N`), so concurrent shard timelines render side by side with
-/// their per-rank worker threads nested under them.
-pub fn perfetto_multirank_trace_json(ranks: &[(usize, Vec<TraceEvent>)]) -> String {
-    perfetto_multirank_trace_with_flows_json(ranks, &[])
-}
-
-/// Renders the multi-rank trace plus Perfetto *flow* arrows (`ph:"s"` /
-/// `ph:"f"` pairs, one per matched cross-rank message) linking the sending
-/// rank's timeline to the receiving rank's. The flow id is the send's
-/// globally unique sequence number; the terminating `f` event carries
-/// `bp:"e"` so Perfetto binds the arrowhead to the enclosing span. Flow
-/// timestamps must already be on the same epoch as the rank streams.
-pub fn perfetto_multirank_trace_with_flows_json(
-    ranks: &[(usize, Vec<TraceEvent>)],
-    flows: &[FlowEvent],
-) -> String {
-    let spans: usize = ranks.iter().map(|(_, evs)| evs.len()).sum();
-    let mut w = TraceWriter::new(spans + 2 * flows.len());
-    for (rank, events) in ranks {
-        w.process(rank + 1, &format!("rank {rank}"), events);
-    }
-    for f in flows {
+    /// One flow arrow (`ph:"s"` / `ph:"f"`) from the sending rank's
+    /// process (`pid` = rank + 1) to the receiving one's. The flow id is
+    /// the send's globally unique sequence number; the terminating `f`
+    /// event carries `bp:"e"` so Perfetto binds the arrowhead to the
+    /// enclosing span.
+    pub fn flow(&mut self, f: &FlowEvent) {
         let end = |ts_ns: u64| {
             vec![
                 ("cat", Json::Str("flow".to_string())),
@@ -127,225 +115,101 @@ pub fn perfetto_multirank_trace_with_flows_json(
                 ("ts", us(ts_ns)),
             ]
         };
-        w.event(f.name, "s", f.src_rank + 1, 0, end(f.src_ts_ns));
+        self.event(f.name, "s", f.src_rank + 1, 0, end(f.src_ts_ns));
         let mut fields = end(f.dst_ts_ns);
         fields.push(("bp", Json::Str("e".to_string())));
-        w.event(f.name, "f", f.dst_rank + 1, 0, fields);
+        self.event(f.name, "f", f.dst_rank + 1, 0, fields);
     }
+
+    /// Closes the document.
+    pub fn finish(mut self) -> String {
+        self.out.push_str("\n]}\n");
+        self.out
+    }
+}
+
+/// The one-process trace of a wall-clock stream: a `process_name` label
+/// and `events` as `X` spans.
+pub fn perfetto_trace_json(events: &[TraceEvent], process_name: &str) -> String {
+    let mut w = TraceWriter::new(events.len());
+    w.process(1, process_name);
+    w.events(1, events);
     w.finish()
 }
 
-/// One span on an async (overlap-capable) track: the Chrome `trace_events`
-/// `"b"`/`"e"` pair representation used for simulator timelines, where one
-/// track per rank/stream/NIC must render *concurrent* spans side by side
-/// instead of the `ph: "X"` exporter's nested rendering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsyncSpan {
-    /// Span label (kernel name, serial section, message, ...).
-    pub name: String,
-    /// Category string (e.g. `host`, `stream`, `nic`).
-    pub cat: &'static str,
-    /// Track id: becomes both the async `id` and the `tid`, so each
-    /// resource renders as its own lane.
-    pub track: u32,
-    /// Start, ns since the simulation epoch.
-    pub ts_ns: u64,
-    /// Duration in ns.
-    pub dur_ns: u64,
-}
-
-impl AsyncSpan {
-    /// End timestamp in ns.
-    pub fn end_ns(&self) -> u64 {
-        self.ts_ns + self.dur_ns
-    }
-}
-
-/// Renders async spans as a Chrome/Perfetto trace of `"b"`/`"e"` event
-/// pairs. `tracks` names each track id (rendered as thread-name metadata,
-/// e.g. `rank0/stream1`). Spans on one track must not overlap (each track
-/// is one serially-occupied resource); spans on *different* tracks may
-/// overlap freely — that is the point of the async representation.
-pub fn perfetto_async_trace_json(
-    spans: &[AsyncSpan],
-    process_name: &str,
-    tracks: &[(u32, String)],
-) -> String {
-    // Order events by time; at equal timestamps close before opening so a
-    // back-to-back pair on one track stays balanced.
-    let mut endpoints: Vec<(u64, u8, usize)> = Vec::with_capacity(spans.len() * 2);
-    for (i, s) in spans.iter().enumerate() {
-        endpoints.push((s.ts_ns, 1, i));
-        endpoints.push((s.end_ns(), 0, i));
-    }
-    endpoints.sort_by_key(|&(ts, phase, i)| (ts, phase, spans[i].track, i));
-
-    let mut w = TraceWriter::new(endpoints.len());
-    w.label("process_name", 1, 0, process_name);
-    for (tid, label) in tracks {
-        w.label("thread_name", 1, *tid, label);
-    }
-    for &(ts, phase, i) in &endpoints {
-        let s = &spans[i];
-        let fields = vec![
-            ("cat", Json::Str(s.cat.to_string())),
-            ("id", Json::Str(format!("0x{:x}", s.track))),
-            ("ts", us(ts)),
-        ];
-        w.event(
-            &s.name,
-            if phase == 1 { "b" } else { "e" },
-            1,
-            s.track,
-            fields,
-        );
-    }
-    w.finish()
-}
-
-/// Statistics from a validated async trace.
+/// What a validated trace holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AsyncTraceStats {
-    /// Matched `"b"`/`"e"` pairs.
-    pub pairs: usize,
-    /// Distinct async ids (tracks) seen.
-    pub tracks: usize,
-}
-
-/// One event of an open/close pairing (`b`/`e` or `s`/`f`).
-struct PairEvent<'a> {
-    /// Position in `traceEvents`, for error messages.
-    index: usize,
-    opens: bool,
-    /// The rendered `id` value (a string for async events, a number for
-    /// flows).
-    id: String,
-    name: &'a str,
-    ts: f64,
-}
-
-impl PairEvent<'_> {
-    fn at(&self, msg: &str) -> String {
-        format!("event {}: {msg}", self.index)
-    }
-
-    /// This closing event against the opening one it pairs with.
-    fn check_close(&self, open_name: &str, open_ts: f64, order: &str) -> Result<(), String> {
-        let id = &self.id;
-        if open_name != self.name {
-            let name = self.name;
-            return Err(self.at(&format!(
-                "closing name {name:?} does not match opening {open_name:?} on id {id}"
-            )));
-        }
-        if self.ts < open_ts {
-            let ts = self.ts;
-            return Err(self.at(&format!(
-                "{order}: closes at {ts} before opening at {open_ts} on id {id}"
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Every event of `doc.traceEvents` whose `ph` is `open` or `close`, in
-/// document order, with the fields a pairing check needs.
-fn pair_events<'a>(doc: &'a Json, open: &str, close: &str) -> Result<Vec<PairEvent<'a>>, String> {
-    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
-        return Err("no traceEvents array".to_string());
-    };
-    let mut out = Vec::new();
-    for (index, ev) in events.iter().enumerate() {
-        let ph = ev.get("ph").and_then(Json::as_str);
-        if ph != Some(open) && ph != Some(close) {
-            continue;
-        }
-        let at = |msg: &str| format!("event {index}: {msg}");
-        let id = ev.get("id").ok_or_else(|| at("paired event without id"))?;
-        let name = ev.get("name").and_then(Json::as_str);
-        let ts = ev.get("ts").and_then(Json::as_f64);
-        let name = name.ok_or_else(|| at("paired event without a string name"))?;
-        let ts = ts.ok_or_else(|| at("paired event without a numeric ts"))?;
-        if ts < 0.0 {
-            return Err(at(&format!("negative ts {ts}")));
-        }
-        out.push(PairEvent {
-            index,
-            opens: ph == Some(open),
-            id: id.render(),
-            name,
-            ts,
-        });
-    }
-    Ok(out)
-}
-
-/// Offline validation of an async trace produced by
-/// [`perfetto_async_trace_json`], in any layout: parses the document, then
-/// checks that every `"b"` has a matching `"e"` (same id, same name, in
-/// order), that timestamps are non-negative and a pair never ends before
-/// it starts, and that no event is left open.
-pub fn validate_async_trace(json: &str) -> Result<AsyncTraceStats, String> {
-    let doc = parse(json)?;
-    let mut open: BTreeMap<String, Vec<(&str, f64)>> = BTreeMap::new();
-    let mut pairs = 0usize;
-    for ev in pair_events(&doc, "b", "e")? {
-        let stack = open.entry(ev.id.clone()).or_default();
-        if ev.opens {
-            stack.push((ev.name, ev.ts));
-            continue;
-        }
-        let (open_name, open_ts) = stack
-            .pop()
-            .ok_or_else(|| ev.at(&format!("'e' event with no open 'b' on id {}", ev.id)))?;
-        ev.check_close(open_name, open_ts, "negative duration")?;
-        pairs += 1;
-    }
-    if let Some((id, stack)) = open.iter().find(|(_, s)| !s.is_empty()) {
-        let name = stack.last().expect("non-empty").0;
-        return Err(format!("unclosed async event {name:?} on id {id}"));
-    }
-    Ok(AsyncTraceStats {
-        pairs,
-        tracks: open.len(),
-    })
-}
-
-/// Statistics from a validated set of flow events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowStats {
-    /// Matched `"s"` → `"f"` arrow pairs.
+pub struct TraceStats {
+    /// Complete `X` spans.
+    pub spans: usize,
+    /// Matched `s` → `f` flow arrows.
     pub flows: usize,
 }
 
-/// Offline validation of the flow events in a trace produced by
-/// [`perfetto_multirank_trace_with_flows_json`], in any layout: parses the
-/// document, then checks that every flow id carries exactly one `"s"` and
-/// one `"f"` event (in that order), that names match within a pair, that
-/// the terminating event does not precede the start, and that every
-/// timestamp is non-negative. Traces without any flow events validate
-/// with `flows == 0`.
-pub fn validate_flow_events(json: &str) -> Result<FlowStats, String> {
+/// Offline validation of a trace in any layout. Parses the document and
+/// accepts only the phases [`TraceWriter`] writes: `X`, `M`, `s` and `f`.
+/// Every `X` span needs a string name, `ts >= 0` and `dur >= 0`. Every
+/// flow id carries exactly one `s` and one `f` event, in that order, with
+/// matching names, non-negative timestamps and an end no earlier than its
+/// start.
+pub fn validate_trace(json: &str) -> Result<TraceStats, String> {
     let doc = parse(json)?;
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        return Err("no traceEvents array".to_string());
+    };
+    let mut stats = TraceStats { spans: 0, flows: 0 };
     let mut open: BTreeMap<String, (&str, f64)> = BTreeMap::new();
-    let mut flows = 0usize;
-    for ev in pair_events(&doc, "s", "f")? {
-        if ev.opens {
-            if open.insert(ev.id.clone(), (ev.name, ev.ts)).is_some() {
-                return Err(ev.at(&format!("duplicate flow start on id {}", ev.id)));
+    for (index, ev) in events.iter().enumerate() {
+        let at = |msg: &str| format!("event {index}: {msg}");
+        let field = |key: &str| ev.get(key).and_then(Json::as_f64);
+        let ph = ev.get("ph").and_then(Json::as_str);
+        if ph == Some("M") {
+            continue;
+        }
+        if !matches!(ph, Some("X" | "s" | "f")) {
+            return Err(at(&format!("phase {ph:?} is not one of X, M, s, f")));
+        }
+        let name = ev.get("name").and_then(Json::as_str);
+        let name = name.ok_or_else(|| at("event without a string name"))?;
+        let ts = field("ts").ok_or_else(|| at("event without a numeric ts"))?;
+        if ts < 0.0 {
+            return Err(at(&format!("negative ts {ts}")));
+        }
+        if ph == Some("X") {
+            let dur = field("dur").ok_or_else(|| at("span without a numeric dur"))?;
+            if dur < 0.0 {
+                return Err(at(&format!("negative duration {dur} of {name:?}")));
+            }
+            stats.spans += 1;
+            continue;
+        }
+        let id = ev.get("id").ok_or_else(|| at("flow event without id"))?;
+        let id = id.render();
+        if ph == Some("s") {
+            if open.insert(id.clone(), (name, ts)).is_some() {
+                return Err(at(&format!("duplicate flow start on id {id}")));
             }
             continue;
         }
         let (open_name, open_ts) = open
-            .remove(&ev.id)
-            .ok_or_else(|| ev.at(&format!("'f' event with no open 's' on id {}", ev.id)))?;
-        ev.check_close(open_name, open_ts, "flow runs backwards")?;
-        flows += 1;
+            .remove(&id)
+            .ok_or_else(|| at(&format!("'f' event with no open 's' on id {id}")))?;
+        if open_name != name {
+            return Err(at(&format!(
+                "closing name {name:?} does not match opening {open_name:?} on id {id}"
+            )));
+        }
+        if ts < open_ts {
+            return Err(at(&format!(
+                "flow runs backwards: closes at {ts} before opening at {open_ts} on id {id}"
+            )));
+        }
+        stats.flows += 1;
     }
     if let Some(id) = open.keys().next() {
         return Err(format!("flow start on id {id} never terminated"));
     }
-    Ok(FlowStats { flows })
+    Ok(stats)
 }
 
 fn push_line(v: &Json, out: &mut String) {
@@ -472,13 +336,6 @@ pub fn summary_table(totals: &RegionTree, pool: &PoolStats) -> String {
         );
     }
     out
-}
-
-/// Measured inclusive wall time (ns) and call count per [`StepFunction`],
-/// for side-by-side comparison against the hwmodel's modeled per-function
-/// times.
-pub fn measured_by_function(totals: &RegionTree) -> BTreeMap<StepFunction, (u64, u64)> {
-    totals.by_step_function()
 }
 
 #[cfg(test)]
@@ -640,98 +497,39 @@ mod tests {
         assert!(table.contains("load-imbalance"));
     }
 
+    /// A trace with every shape the writer has: two rank processes, a
+    /// labelled thread, spans that overlap on different tracks and abut
+    /// on one, and flow arrows both ways.
     #[test]
-    fn measured_by_function_extracts_taxonomy() {
-        let cycles = sample_cycles();
-        let by = measured_by_function(&cycles[0].tree);
-        assert_eq!(by[&crate::StepFunction::CalculateFluxes], (700, 1));
-        assert_eq!(by.len(), 1);
-    }
-
-    fn sample_async_spans() -> Vec<AsyncSpan> {
-        vec![
-            AsyncSpan {
-                name: "serial:FillDerived".into(),
-                cat: "host",
-                track: 0,
-                ts_ns: 0,
-                dur_ns: 4_000,
-            },
-            // Overlaps the host span above on a different track.
-            AsyncSpan {
-                name: "CalculateFluxes".into(),
-                cat: "stream",
-                track: 1,
-                ts_ns: 1_000,
-                dur_ns: 6_000,
-            },
-            // Back-to-back on track 1: begins exactly where the previous
-            // span ends, exercising e-before-b ordering at equal ts.
-            AsyncSpan {
-                name: "UpdateVars".into(),
-                cat: "stream",
-                track: 1,
-                ts_ns: 7_000,
-                dur_ns: 500,
-            },
-        ]
-    }
-
-    #[test]
-    fn async_trace_round_trips_through_validator() {
-        let spans = sample_async_spans();
-        let tracks = vec![
-            (0, "rank0/host".to_string()),
-            (1, "rank0/stream0".to_string()),
-        ];
-        let json = perfetto_async_trace_json(&spans, "vibe-sim", &tracks);
-        assert!(json.contains("\"ph\":\"b\""));
-        assert!(json.contains("\"ph\":\"e\""));
-        assert!(json.contains("\"id\":\"0x1\""));
-        assert!(json.contains("rank0/stream0"));
-        let stats = in_any_layout(validate_async_trace, &json).unwrap();
-        assert_eq!(stats.pairs, 3);
-        assert_eq!(stats.tracks, 2);
-        // The 'e' closing UpdateVars's predecessor must precede its 'b'.
-        let events = trace_events(&json);
-        assert!(position(&events, "CalculateFluxes", "e") < position(&events, "UpdateVars", "b"));
-    }
-
-    #[test]
-    fn multirank_trace_with_flows_round_trips_through_validator() {
+    fn writer_round_trips_through_validator() {
         use crate::spans::FlowEvent;
-        let ranks = vec![
-            (0usize, sample_events()),
-            (
-                1usize,
-                vec![TraceEvent {
-                    name: "Stage0::WaitUnpack",
-                    cat: "region",
-                    ts_ns: 3_000,
-                    dur_ns: 2_000,
-                    tid: 0,
-                }],
-            ),
-        ];
-        let flows = vec![
-            FlowEvent {
-                id: 42,
-                name: "ghost",
-                src_rank: 0,
-                src_ts_ns: 2_500,
-                dst_rank: 1,
-                dst_ts_ns: 5_000,
-            },
-            FlowEvent {
-                id: 43,
-                name: "ghost",
-                src_rank: 1,
-                src_ts_ns: 3_000,
-                dst_rank: 0,
-                dst_ts_ns: 3_500,
-            },
-        ];
-        let json = perfetto_multirank_trace_with_flows_json(&ranks, &flows);
+        let mut w = TraceWriter::new(16);
+        w.process(1, "rank 0");
+        w.events(1, &sample_events());
+        w.process(2, "rank 1");
+        w.thread(2, 1, "rank1/stream0");
+        w.span(2, 0, "Stage0::WaitUnpack", "region", 3_000, 2_000);
+        w.span(2, 1, "CalculateFluxes", "kernel", 1_000, 6_000);
+        // Begins exactly where the previous span on its track ends.
+        w.span(2, 1, "UpdateVars", "kernel", 7_000, 500);
+        w.span(2, 1, "empty", "kernel", 7_500, 0);
+        w.flow(&FlowEvent {
+            id: 42,
+            name: "ghost",
+            src_rank: 0,
+            src_ts_ns: 2_500,
+            dst_rank: 1,
+            dst_ts_ns: 5_000,
+        });
+        w.flow(&FlowEvent {
+            id: 43,
+            name: "ghost",
+            src_rank: 1,
+            src_ts_ns: 3_000,
+            dst_rank: 0,
+            dst_ts_ns: 3_500,
+        });
+        let json = w.finish();
         let events = trace_events(&json);
         let start = &events[position(&events, "ghost", "s")];
         let finish = &events[position(&events, "ghost", "f")];
@@ -739,75 +537,71 @@ mod tests {
         assert_eq!(start.get("bp"), None);
         assert_eq!(finish.get("bp").and_then(Json::as_str), Some("e"));
         assert_eq!(finish.get("pid"), Some(&Json::Num(2.0)));
-        let stats = in_any_layout(validate_flow_events, &json).unwrap();
-        assert_eq!(stats.flows, 2);
-        // Without flows the validator still accepts the plain trace.
-        let plain = perfetto_multirank_trace_json(&ranks);
-        assert_eq!(
-            in_any_layout(validate_flow_events, &plain).unwrap().flows,
-            0
-        );
+        let label = &events[position(&events, "thread_name", "M")];
+        assert_eq!(label.get("tid"), Some(&Json::Num(1.0)));
+        assert!(json.contains("rank1/stream0"));
+        let stats = in_any_layout(validate_trace, &json).unwrap();
+        assert_eq!(stats, TraceStats { spans: 7, flows: 2 });
+        // Without flows the validator still accepts the one-process trace.
+        let plain = perfetto_trace_json(&sample_events(), "vibe-amr");
+        let stats = in_any_layout(validate_trace, &plain).unwrap();
+        assert_eq!(stats, TraceStats { spans: 3, flows: 0 });
+    }
+
+    /// One event wrapped in a document.
+    fn doc(events: &[&str]) -> String {
+        format!("{{\"traceEvents\":[\n{}\n]}}", events.join(",\n"))
     }
 
     #[test]
-    fn flow_validator_rejects_malformed_pairings() {
-        let orphan_f = "{\"traceEvents\":[\n{\"name\":\"g\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":1,\"ts\":2.0,\"pid\":1,\"tid\":0}\n]}";
-        assert!(in_any_layout(validate_flow_events, orphan_f)
-            .unwrap_err()
-            .contains("no open 's'"));
-
-        let dangling_s = "{\"traceEvents\":[\n{\"name\":\"g\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":1,\"ts\":2.0,\"pid\":1,\"tid\":0}\n]}";
-        assert!(in_any_layout(validate_flow_events, dangling_s)
-            .unwrap_err()
-            .contains("never terminated"));
-
-        let dup_s = "{\"traceEvents\":[\n{\"name\":\"g\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":1,\"ts\":1.0,\"pid\":1,\"tid\":0},\n{\"name\":\"g\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":1,\"ts\":2.0,\"pid\":1,\"tid\":0}\n]}";
-        assert!(in_any_layout(validate_flow_events, dup_s)
-            .unwrap_err()
-            .contains("duplicate flow start"));
-
-        let backwards = "{\"traceEvents\":[\n{\"name\":\"g\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":1,\"ts\":5.0,\"pid\":1,\"tid\":0},\n{\"name\":\"g\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":1,\"ts\":2.0,\"pid\":2,\"tid\":0}\n]}";
-        assert!(in_any_layout(validate_flow_events, backwards)
-            .unwrap_err()
-            .contains("backwards"));
-
-        let name_mismatch = "{\"traceEvents\":[\n{\"name\":\"g\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":1,\"ts\":1.0,\"pid\":1,\"tid\":0},\n{\"name\":\"h\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":1,\"ts\":2.0,\"pid\":2,\"tid\":0}\n]}";
-        assert!(in_any_layout(validate_flow_events, name_mismatch)
-            .unwrap_err()
-            .contains("does not match"));
-
-        assert!(in_any_layout(validate_flow_events, "{\"traceEvents\":[").is_err());
-    }
-
-    #[test]
-    fn async_validator_rejects_malformed_pairings() {
-        let unclosed = "{\"traceEvents\":[\n{\"name\":\"k\",\"cat\":\"s\",\"ph\":\"b\",\"id\":\"0x1\",\"ts\":1.0,\"pid\":1,\"tid\":1}\n]}";
-        assert!(in_any_layout(validate_async_trace, unclosed)
-            .unwrap_err()
-            .contains("unclosed"));
-
-        let orphan_end = "{\"traceEvents\":[\n{\"name\":\"k\",\"cat\":\"s\",\"ph\":\"e\",\"id\":\"0x1\",\"ts\":1.0,\"pid\":1,\"tid\":1}\n]}";
-        assert!(in_any_layout(validate_async_trace, orphan_end)
-            .unwrap_err()
-            .contains("no open 'b'"));
-
-        let name_mismatch = "{\"traceEvents\":[\n{\"name\":\"k\",\"cat\":\"s\",\"ph\":\"b\",\"id\":\"0x1\",\"ts\":1.0,\"pid\":1,\"tid\":1},\n{\"name\":\"j\",\"cat\":\"s\",\"ph\":\"e\",\"id\":\"0x1\",\"ts\":2.0,\"pid\":1,\"tid\":1}\n]}";
-        assert!(in_any_layout(validate_async_trace, name_mismatch)
-            .unwrap_err()
-            .contains("does not match"));
-
-        let negative_dur = "{\"traceEvents\":[\n{\"name\":\"k\",\"cat\":\"s\",\"ph\":\"b\",\"id\":\"0x1\",\"ts\":5.0,\"pid\":1,\"tid\":1},\n{\"name\":\"k\",\"cat\":\"s\",\"ph\":\"e\",\"id\":\"0x1\",\"ts\":2.0,\"pid\":1,\"tid\":1}\n]}";
-        assert!(in_any_layout(validate_async_trace, negative_dur)
-            .unwrap_err()
-            .contains("negative duration"));
-
-        let negative_ts = "{\"traceEvents\":[\n{\"name\":\"k\",\"cat\":\"s\",\"ph\":\"b\",\"id\":\"0x1\",\"ts\":-1.0,\"pid\":1,\"tid\":1}\n]}";
-        assert!(in_any_layout(validate_async_trace, negative_ts)
-            .unwrap_err()
-            .contains("negative"));
-
+    fn validator_rejects_malformed_flows() {
+        let s = |id: u32, name: &str, ts: f64| {
+            format!("{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{id},\"ts\":{ts:?},\"pid\":1,\"tid\":0}}")
+        };
+        let f = |id: u32, name: &str, ts: f64| {
+            format!("{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\"ts\":{ts:?},\"pid\":2,\"tid\":0}}")
+        };
+        let rejects = |events: &[String], why: &str| {
+            let events: Vec<&str> = events.iter().map(String::as_str).collect();
+            let err = in_any_layout(validate_trace, &doc(&events)).unwrap_err();
+            assert!(err.contains(why), "{err:?} does not say {why:?}");
+        };
+        rejects(&[f(1, "g", 2.0)], "no open 's'");
+        rejects(&[s(1, "g", 2.0)], "never terminated");
+        rejects(&[s(1, "g", 1.0), s(1, "g", 2.0)], "duplicate flow start");
+        rejects(&[s(1, "g", 5.0), f(1, "g", 2.0)], "backwards");
+        rejects(&[s(1, "g", 1.0), f(1, "h", 2.0)], "does not match");
+        rejects(&[s(1, "g", -1.0), f(1, "g", 2.0)], "negative");
+        let paired = doc(&[&s(1, "g", 1.0), &f(1, "g", 1.0)]);
+        let stats = in_any_layout(validate_trace, &paired).unwrap();
+        assert_eq!(stats, TraceStats { spans: 0, flows: 1 });
         // Not even valid JSON fails at the syntax layer first.
-        assert!(in_any_layout(validate_async_trace, "{\"traceEvents\":[").is_err());
+        assert!(in_any_layout(validate_trace, "{\"traceEvents\":[").is_err());
+    }
+
+    /// The async `b`/`e` pairs are no trace shape any more, and a span
+    /// must not start before the epoch or end before it starts.
+    #[test]
+    fn validator_rejects_other_phases_and_negative_spans() {
+        let x = |ts: &str, dur: &str| {
+            format!("{{\"name\":\"k\",\"cat\":\"s\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":1,\"tid\":1}}")
+        };
+        let rejects = |event: &str, why: &str| {
+            let err = in_any_layout(validate_trace, &doc(&[event])).unwrap_err();
+            assert!(err.contains(why), "{err:?} does not say {why:?}");
+        };
+        for ph in ["b", "e", "B", "E", "i"] {
+            let ev = format!("{{\"name\":\"k\",\"cat\":\"s\",\"ph\":\"{ph}\",\"id\":\"0x1\",\"ts\":1.0,\"pid\":1,\"tid\":1}}");
+            rejects(&ev, "is not one of");
+        }
+        rejects("{\"name\":\"k\",\"ts\":1.0}", "is not one of");
+        rejects(&x("5.0", "-3.0"), "negative duration");
+        rejects(&x("-1.0", "1.0"), "negative");
+        rejects(&x("1.0", "null"), "numeric dur");
+        rejects(&x("1.0", "1.0").replace("\"k\"", "7"), "string name");
+        let label = "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"p\"}}";
+        let ok = in_any_layout(validate_trace, &doc(&[label, &x("0.0", "0.0")])).unwrap();
+        assert_eq!(ok, TraceStats { spans: 1, flows: 0 });
     }
 
     #[test]

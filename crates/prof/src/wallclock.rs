@@ -34,6 +34,7 @@ use std::time::Instant;
 
 use crate::pool_stats::{PoolRunSample, PoolStats};
 use crate::regions::{RegionKey, RegionTree};
+use crate::spans::span_epoch;
 
 /// How much measured-time instrumentation to pay for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -55,7 +56,7 @@ pub struct TraceEvent {
     pub name: &'static str,
     /// Category (`region` or `pool`).
     pub cat: &'static str,
-    /// Start, ns since the profiler epoch.
+    /// Start, ns since the process-wide [`span_epoch`].
     pub ts_ns: u64,
     /// Duration in ns.
     pub dur_ns: u64,
@@ -94,7 +95,6 @@ struct WallState {
 #[derive(Debug)]
 struct WallInner {
     level: ProfLevel,
-    epoch: Instant,
     state: Mutex<WallState>,
 }
 
@@ -159,15 +159,18 @@ pub struct RegionGuard {
 }
 
 impl WallClock {
-    /// Creates a profiler at `level` (`Off` allocates nothing).
+    /// Creates a profiler at `level` (`Off` allocates nothing). Its
+    /// timestamps count from the process-wide [`span_epoch`], which this
+    /// pins no later than now, so every clock, task span and flow arrow of
+    /// the process shares one time axis.
     pub fn new(level: ProfLevel) -> Self {
         if level == ProfLevel::Off {
             return Self { inner: None };
         }
+        span_epoch();
         Self {
             inner: Some(Arc::new(WallInner {
                 level,
-                epoch: Instant::now(),
                 state: Mutex::new(WallState::default()),
             })),
         }
@@ -244,7 +247,7 @@ impl WallClock {
                 let mut workers: Vec<_> = sample.workers.clone();
                 workers.sort_by_key(|w| std::cmp::Reverse(w.busy_ns));
                 for (slot, w) in workers.iter().enumerate() {
-                    let ts_ns = w.start.saturating_duration_since(inner.epoch).as_nanos() as u64;
+                    let ts_ns = w.start.saturating_duration_since(span_epoch()).as_nanos() as u64;
                     push_event(
                         &mut st,
                         TraceEvent {
@@ -318,15 +321,6 @@ impl WallClock {
             .map_or_else(PoolStats::new, |i| i.lock().pool_totals.clone())
     }
 
-    /// The instant this profiler's timestamps are measured from, when
-    /// enabled. Per-rank profilers each carry their own epoch; rebasing
-    /// their trace streams onto the process-global span epoch
-    /// (`crate::spans::span_epoch`) via this accessor puts concurrent
-    /// shard timelines — and the flow arrows between them — on one axis.
-    pub fn epoch(&self) -> Option<Instant> {
-        self.inner.as_ref().map(|i| i.epoch)
-    }
-
     /// Snapshot of the buffered trace events (sorted by `(tid, ts)` at
     /// export time, not here) and the count of events dropped at the cap.
     pub fn trace_events(&self) -> (Vec<TraceEvent>, u64) {
@@ -369,7 +363,7 @@ fn record_span(inner: &WallInner, st: &mut WallState, node: usize, start: Instan
         let event = TraceEvent {
             name: st.current.key_of(node).name(),
             cat: "region",
-            ts_ns: start.saturating_duration_since(inner.epoch).as_nanos() as u64,
+            ts_ns: start.saturating_duration_since(span_epoch()).as_nanos() as u64,
             dur_ns,
             tid: 0,
         };
@@ -402,6 +396,21 @@ mod tests {
         let spans = events.iter().filter(|e| e.name == key.name());
         assert_eq!(spans.map(|e| e.dur_ns).collect::<Vec<_>>(), [1_500, 500]);
         WallClock::default().credit(key, Instant::now(), 1);
+    }
+
+    /// A wall clock created long after the span epoch stamps its regions
+    /// on the epoch's axis, not on one of its own.
+    #[test]
+    fn regions_share_the_span_epoch() {
+        span_epoch();
+        std::thread::sleep(Duration::from_millis(5));
+        let wall = WallClock::new(ProfLevel::Full);
+        let read = crate::spans::span_now_ns();
+        {
+            let _g = wall.region(RegionKey::Named("after"));
+        }
+        let (events, _) = wall.trace_events();
+        assert!(events[0].ts_ns >= read, "{} < {read}", events[0].ts_ns);
     }
 
     #[test]

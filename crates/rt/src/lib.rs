@@ -36,9 +36,8 @@ use vibe_core::driver::CycleSummary;
 use vibe_core::{fingerprint_slots, Driver, Package, ShardOutput, Snapshot};
 use vibe_ft::{ChaosTransport, FaultPlan, InjectedKill};
 use vibe_prof::{
-    attribute_run, build_span_graph, perfetto_multirank_trace_json,
-    perfetto_multirank_trace_with_flows_json, span_epoch, Attribution, CrossEdge, FlowEvent,
-    Recorder, TaskSpan, TraceEvent, WaitProbes,
+    attribute_run, build_span_graph, Attribution, CrossEdge, FlowEvent, Recorder, TaskSpan,
+    TraceEvent, TraceWriter, WaitProbes,
 };
 
 pub mod recovery;
@@ -78,8 +77,8 @@ pub struct RtRun {
     /// Final owned-block count per rank.
     pub rank_blocks: Vec<usize>,
     /// Per-rank measured-time trace streams (empty unless the replica was
-    /// built with wall-clock profiling on), rebased onto the shared span
-    /// epoch so concurrent rank timelines align.
+    /// built with wall-clock profiling on), all on the process-wide span
+    /// epoch, so concurrent rank timelines align.
     pub rank_traces: Vec<(usize, Vec<TraceEvent>)>,
     /// Every rank's causal task spans merged and sorted (empty unless the
     /// replica was built with `capture_spans`).
@@ -105,16 +104,21 @@ impl RtRun {
         self.rank_wall_ns.iter().copied().max().unwrap_or(0)
     }
 
-    /// Renders the per-rank wall-clock streams as one Perfetto trace with
-    /// a process track per rank.
+    /// Renders the per-rank wall-clock streams as one Perfetto trace, a
+    /// process track per rank (`pid` = rank + 1, named `rank N`), plus one
+    /// flow arrow per matched cross-rank message ([`RtRun::flows`], empty
+    /// unless both spans and comm events were captured).
     pub fn perfetto_trace_json(&self) -> String {
-        perfetto_multirank_trace_json(&self.rank_traces)
-    }
-
-    /// Like [`RtRun::perfetto_trace_json`] but with one flow arrow per
-    /// matched cross-rank message, linking sender and receiver timelines.
-    pub fn perfetto_trace_with_flows_json(&self) -> String {
-        perfetto_multirank_trace_with_flows_json(&self.rank_traces, &self.flows)
+        let spans: usize = self.rank_traces.iter().map(|(_, evs)| evs.len()).sum();
+        let mut w = TraceWriter::new(spans + 2 * self.flows.len());
+        for (rank, events) in &self.rank_traces {
+            w.process(rank + 1, &format!("rank {rank}"));
+            w.events(rank + 1, events);
+        }
+        for f in &self.flows {
+            w.flow(f);
+        }
+        w.finish()
     }
 }
 
@@ -212,7 +216,7 @@ fn pick_root_cause(mut failures: Vec<RankFailure>) -> Option<SessionError> {
 
 /// Merges the per-rank shard outputs an [`RtSession`]'s threads hand back
 /// into one [`RtRun`]: global gid-ordered slots and their fingerprint, the
-/// seq-sorted validated event log, absorbed recorders, span-epoch-rebased
+/// seq-sorted validated event log, absorbed recorders, the per-rank
 /// traces, matched cross edges / flow arrows, and (when spans were
 /// captured) the wait-state attribution.
 ///
@@ -221,12 +225,7 @@ fn pick_root_cause(mut failures: Vec<RankFailure>) -> Option<SessionError> {
 /// Panics when the merged outputs violate a determinism invariant: shard
 /// ownership not tiling the mesh, a mis-ordered event log, or ranks
 /// disagreeing on collective-derived scalars.
-fn merge_shard_results(
-    nranks: usize,
-    cycles: u64,
-    epoch: Instant,
-    mut results: Vec<RankExit>,
-) -> RtRun {
+fn merge_shard_results(nranks: usize, cycles: u64, mut results: Vec<RankExit>) -> RtRun {
     results.sort_by_key(|(_, _, out)| out.rank);
 
     // Merge owned blocks back into the global gid order and fingerprint.
@@ -245,17 +244,7 @@ fn merge_shard_results(
         events.append(&mut out.events);
         wait_probes[out.rank] = out.probes;
         spans.append(&mut out.spans);
-        let (mut trace, _) = out.recorder.wall().trace_events();
-        // Each rank's wall clock carries its own epoch; shift onto the
-        // shared span epoch so the merged timelines (and flow arrows, which
-        // are already span-epoch-relative) line up.
-        if let Some(rank_epoch) = out.recorder.wall().epoch() {
-            let off = rank_epoch.saturating_duration_since(epoch).as_nanos() as u64;
-            for ev in &mut trace {
-                ev.ts_ns += off;
-            }
-        }
-        rank_traces.push((out.rank, trace));
+        rank_traces.push((out.rank, out.recorder.wall().trace_events().0));
         match recorder.as_mut() {
             Some(merged) => merged.absorb(&out.recorder),
             None => recorder = Some(out.recorder.clone()),
@@ -469,7 +458,6 @@ pub struct RtSession<P: Package> {
     cmd_tx: Vec<Sender<Cmd>>,
     reply_rx: Vec<Receiver<Reply>>,
     handles: Vec<std::thread::JoinHandle<RankExit>>,
-    epoch: Instant,
     _marker: std::marker::PhantomData<fn() -> P>,
 }
 
@@ -519,11 +507,6 @@ impl<P: Package + Send + 'static> RtSession<P> {
         F: FnOnce() -> Driver<P> + Send + 'static,
     {
         assert!(nranks > 0, "at least one rank");
-        // Pin the process-global span epoch before any rank thread starts,
-        // so every per-rank wall clock (created afterwards) sits at a
-        // non-negative offset from it and trace streams can be rebased
-        // without underflow.
-        let epoch = span_epoch();
         let (part_tx, part_rx): (Vec<_>, Vec<_>) =
             (1..nranks).map(|_| std::sync::mpsc::channel()).unzip();
         let starts = std::iter::once(Start::Build(make_replica, part_tx))
@@ -615,7 +598,6 @@ impl<P: Package + Send + 'static> RtSession<P> {
             cmd_tx,
             reply_rx,
             handles,
-            epoch,
             _marker: std::marker::PhantomData,
         }
     }
@@ -736,12 +718,7 @@ impl<P: Package + Send + 'static> RtSession<P> {
                 "the session already lost a rank".into(),
             ));
         }
-        Ok(merge_shard_results(
-            self.nranks,
-            self.cycles,
-            self.epoch,
-            results,
-        ))
+        Ok(merge_shard_results(self.nranks, self.cycles, results))
     }
 }
 
@@ -1012,8 +989,8 @@ mod tests {
         assert!(attr.critical_path.switches + 1 == attr.critical_path.segments.len());
         assert!(attr.matched_cross_edges > 0, "cross edges must match");
         assert!(!run.flows.is_empty(), "matched edges must yield flows");
-        let json = run.perfetto_trace_with_flows_json();
-        let stats = vibe_prof::validate_flow_events(&json).expect("flow trace validates");
+        let json = run.perfetto_trace_json();
+        let stats = vibe_prof::validate_trace(&json).expect("flow trace validates");
         assert_eq!(stats.flows, run.flows.len());
 
         // Determinism: re-deriving the attribution from the same spans and

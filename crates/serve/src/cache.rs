@@ -26,8 +26,6 @@ pub struct CachedResult {
     /// The producing job's per-cycle metrics; a hit re-serves them under
     /// its own job id.
     pub metrics: Vec<JobCycleMetric>,
-    /// Perfetto trace of the producing run, re-served verbatim.
-    pub trace_json: String,
 }
 
 /// Thread-safe result cache with hit/miss counters.
@@ -88,7 +86,6 @@ mod tests {
             dt: 0.1,
             cycles: 4,
             metrics: Vec::new(),
-            trace_json: String::new(),
         }
     }
 

@@ -14,7 +14,6 @@
 //! | POST   | `/jobs`               | submit `{tenant, weight?, config}`  |
 //! | GET    | `/jobs/:id`           | status                              |
 //! | GET    | `/jobs/:id/metrics`   | per-cycle JSONL (chunked)           |
-//! | GET    | `/jobs/:id/trace`     | Perfetto trace JSON                 |
 //! | POST   | `/jobs/:id/preempt`   | checkpoint and park                 |
 //! | POST   | `/jobs/:id/resume`    | re-queue, optional `{nranks,threads}` |
 //! | GET    | `/stats`              | service counters                    |
@@ -169,12 +168,6 @@ fn route(stream: &TcpStream, service: &Service, req: &Request) -> io::Result<()>
         ("GET", ["jobs", id, "metrics"]) => {
             match parse_id(id).and_then(|id| service.metrics_jsonl(id)) {
                 Some(jsonl) => respond_chunked(stream, "application/jsonl", &jsonl),
-                None => not_found(stream),
-            }
-        }
-        ("GET", ["jobs", id, "trace"]) => {
-            match parse_id(id).and_then(|id| service.trace_json(id)) {
-                Some(trace) => respond(stream, 200, "application/json", trace.as_bytes()),
                 None => not_found(stream),
             }
         }
@@ -450,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_submit_status_metrics_trace_stats() {
+    fn end_to_end_submit_status_metrics_stats() {
         let (server, port) = boot();
         let (code, body) = http(
             port,
@@ -493,10 +486,14 @@ mod tests {
         assert_eq!(code, 200);
         assert_eq!(crate::json::parse_lines(&jsonl).unwrap().len(), 5);
 
-        // Perfetto trace is valid JSON.
-        let (code, trace) = http(port, "GET", "/jobs/0/trace", "");
-        assert_eq!(code, 200);
-        parse(&trace).unwrap();
+        // A served job records no trace, so there is no route to one: the
+        // router's fallback answers it.
+        let (code, body) = http(port, "GET", "/jobs/0/trace", "");
+        assert_eq!(
+            (code, body.contains("no such route")),
+            (405, true),
+            "{body}"
+        );
 
         // Duplicate config from another tenant: served from cache.
         let (code, body) = http(

@@ -17,8 +17,8 @@
 //! fresh run would compute bit for bit.
 //!
 //! The [`http`] module puts a dependency-free HTTP/1.1 front end on top
-//! (`POST /jobs`, `GET /jobs/:id`, chunked JSONL metrics, Perfetto
-//! traces, preempt/resume, `GET /stats`).
+//! (`POST /jobs`, `GET /jobs/:id`, chunked JSONL metrics,
+//! preempt/resume, `GET /stats`).
 //!
 //! ```no_run
 //! use std::sync::Arc;

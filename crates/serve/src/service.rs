@@ -105,7 +105,6 @@ struct Job {
     session: Option<Session>,
     metrics: Vec<JobCycleMetric>,
     result: Option<JobResult>,
-    trace_json: Option<String>,
     error: Option<String>,
     submitted: Instant,
     finished: Option<Instant>,
@@ -318,7 +317,6 @@ impl Service {
             session: None,
             metrics: Vec::new(),
             result: None,
-            trace_json: None,
             error: None,
             submitted: now,
             finished: None,
@@ -332,7 +330,6 @@ impl Service {
                 time: c.time,
                 dt: c.dt,
             });
-            job.trace_json = Some(c.trace_json);
             // Re-serve the producer's rows under this job's id so the
             // JSONL stream stays job-scoped.
             job.metrics = c.metrics;
@@ -403,12 +400,6 @@ impl Service {
         st.jobs
             .get(id as usize)
             .map(|j| job_metrics_jsonl(&j.metrics))
-    }
-
-    /// The job's Perfetto trace (available once `Done`).
-    pub fn trace_json(&self, id: u64) -> Option<String> {
-        let st = self.shared.lock();
-        st.jobs.get(id as usize).and_then(|j| j.trace_json.clone())
     }
 
     /// Aggregate counters.
@@ -643,15 +634,12 @@ fn run_slice(shared: &Arc<Shared>, id: u64) {
                         time: run.time,
                         dt: run.dt,
                     });
-                    let trace = run.perfetto_trace_json();
-                    job.trace_json = Some(trace.clone());
                     let cached = CachedResult {
                         fingerprint: run.fingerprint,
                         time: run.time,
                         dt: run.dt,
                         cycles: job.cycles_done,
                         metrics: job.metrics.clone(),
-                        trace_json: trace,
                     };
                     let key = job.config.cache_key();
                     shared.cache.insert(key, cached);
@@ -758,7 +746,7 @@ fn execute_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse, parse_lines, Json};
+    use crate::json::{parse_lines, Json};
     use vibe_core::DriverParams;
 
     fn small_cfg(cycles: u64, nranks: usize, threads: usize) -> JobConfig {
@@ -805,7 +793,6 @@ mod tests {
         assert_eq!(v.cycles_executed, 7);
         let jsonl = svc.metrics_jsonl(id).unwrap();
         assert_eq!(parse_lines(&jsonl).unwrap().len(), 7);
-        parse(&svc.trace_json(id).unwrap()).unwrap();
         // A finished job keeps its answer and nothing it ran on.
         {
             let st = svc.shared.lock();

@@ -16,8 +16,8 @@
 //!   transfer has finished *and* the receiver polls —
 //!
 //! and produces per-cycle, per-rank timelines with explicit idle/overlap
-//! accounting, exportable to Perfetto via `vibe-prof`'s async trace
-//! format (one lane per rank/stream/NIC).
+//! accounting, exportable to Perfetto through `vibe-prof`'s one trace
+//! writer ([`SimTimeline::trace_json`]: one lane per rank/stream/NIC).
 //!
 //! What-if knobs ([`SimConfig`]): streams per rank, batched (graph-style)
 //! launches, per-block launches, block size. The hardware and its costs
@@ -264,14 +264,37 @@ mod tests {
     }
 
     #[test]
-    fn async_trace_export_validates() {
+    fn trace_export_validates() {
         let cfg = SimConfig::streamed(2, 16, 2);
         let w = sample_workload(1, &cfg);
         let (_, tl) = simulate(&w, &cfg).unwrap();
-        let spans = tl.to_async_spans();
-        let json = vibe_prof::perfetto_async_trace_json(&spans, "vibe-sim", &tl.tracks);
-        let stats = vibe_prof::validate_async_trace(&json).unwrap();
-        assert_eq!(stats.pairs, spans.len());
+        tl.validate().unwrap();
+        let json = tl.trace_json("vibe-sim");
+        let stats = vibe_prof::validate_trace(&json).unwrap();
+        assert_eq!(stats.spans, tl.spans.len());
+        assert_eq!(json.matches("\"thread_name\"").count(), tl.tracks.len());
+    }
+
+    /// A track is one serially occupied resource: two spans that overlap
+    /// on it are refused, while abutting ones and overlap across tracks
+    /// are fine.
+    #[test]
+    fn overlapping_spans_on_one_track_are_refused() {
+        let span = |track, start_s, dur_s| Span {
+            name: format!("k{track}@{start_s}"),
+            cat: "kernel",
+            track,
+            start_s,
+            dur_s,
+        };
+        let mut tl = SimTimeline {
+            spans: vec![span(0, 0.0, 2.0), span(1, 1.0, 2.0), span(0, 2.0, 0.5)],
+            tracks: vec![(0, "a".into()), (1, "b".into())],
+        };
+        tl.validate().unwrap();
+        tl.spans.push(span(1, 2.5, 1.0));
+        let err = tl.validate().unwrap_err();
+        assert!(err.contains("inside") && err.contains("track 1"), "{err}");
     }
 
     #[test]

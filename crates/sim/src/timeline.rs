@@ -1,7 +1,7 @@
 //! Simulated timelines: per-resource spans, per-rank idle/overlap
-//! accounting, and export to the Perfetto async trace format.
+//! accounting, and export through the one Perfetto trace writer.
 
-use vibe_prof::AsyncSpan;
+use vibe_prof::TraceWriter;
 
 /// One occupied interval on a simulated resource track.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,35 +30,35 @@ pub struct SimTimeline {
 }
 
 impl SimTimeline {
-    /// Converts to the async `"b"`/`"e"` span representation
-    /// ([`vibe_prof::perfetto_async_trace_json`] renders these with one
-    /// Perfetto lane per track, so concurrent resources display side by
-    /// side). Spans shorter than 1 ns are dropped: a zero-duration pair
-    /// would place its `"e"` at the same timestamp as its `"b"`, where the
-    /// exporter's end-before-begin ordering corrupts the per-track stack.
-    pub fn to_async_spans(&self) -> Vec<AsyncSpan> {
-        self.spans
-            .iter()
-            .filter_map(|s| {
-                // Round the absolute endpoints, not the duration: rounding
-                // start and duration independently can push a span's end
-                // 1 ns past the next span's start on the same track,
-                // breaking b/e pairing.
-                let ts_ns = (s.start_s * 1e9).round() as u64;
-                let end_ns = ((s.start_s + s.dur_s) * 1e9).round() as u64;
-                (end_ns > ts_ns).then(|| AsyncSpan {
-                    name: s.name.clone(),
-                    cat: s.cat,
-                    track: s.track,
-                    ts_ns,
-                    dur_ns: end_ns - ts_ns,
-                })
-            })
-            .collect()
+    /// Renders the timeline through the one trace writer: a process named
+    /// `process_name`, a `thread_name` label per track, and every span as
+    /// an `X` span on `tid = track`, so each resource is its own lane.
+    /// The absolute endpoints are rounded to ns, not the duration, so two
+    /// spans that abut in seconds abut in the trace.
+    pub fn trace_json(&self, process_name: &str) -> String {
+        let mut w = TraceWriter::new(self.tracks.len() + self.spans.len());
+        w.process(1, process_name);
+        for (tid, label) in &self.tracks {
+            w.thread(1, *tid, label);
+        }
+        for s in &self.spans {
+            let ts_ns = (s.start_s * 1e9).round() as u64;
+            let end_ns = ((s.start_s + s.dur_s) * 1e9).round() as u64;
+            w.span(
+                1,
+                s.track,
+                &s.name,
+                s.cat,
+                ts_ns,
+                end_ns.saturating_sub(ts_ns),
+            );
+        }
+        w.finish()
     }
 
-    /// Checks every span for NaN/negative start or duration and every
-    /// track reference for a registered name.
+    /// Checks every span for NaN/negative start or duration, every track
+    /// reference for a registered name, and that spans on one track never
+    /// overlap: a track is one serially occupied resource.
     pub fn validate(&self) -> Result<(), String> {
         for s in &self.spans {
             if !s.start_s.is_finite() || s.start_s < 0.0 {
@@ -71,6 +71,21 @@ impl SimTimeline {
                 return Err(format!(
                     "span {:?} on unregistered track {}",
                     s.name, s.track
+                ));
+            }
+        }
+        let mut by_track: Vec<&Span> = self.spans.iter().collect();
+        by_track.sort_by(|a, b| {
+            (a.track.cmp(&b.track))
+                .then(a.start_s.total_cmp(&b.start_s))
+                .then(a.dur_s.total_cmp(&b.dur_s))
+        });
+        for pair in by_track.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            if a.track == b.track && b.start_s < a.start_s + a.dur_s {
+                return Err(format!(
+                    "span {:?} starts at {} s, inside {:?} ({} s + {} s) on track {}",
+                    b.name, b.start_s, a.name, a.start_s, a.dur_s, a.track
                 ));
             }
         }

@@ -449,6 +449,41 @@ for file in $(find crates -path '*/src/*.rs' ! -name buffer.rs ! -name fluxcorr.
     fi
 done
 
+echo "==> one trace"
+# Every run writes one trace kind: a serial driver, a fabric session and the
+# simulator all go through vibe_prof::TraceWriter (X spans on (pid, tid)
+# tracks, M labels, s/f flow arrows), checked by the one validator, on the
+# one clock (the process-wide span epoch). The async renderer, the
+# multi-rank renderers, the second validator, the wall clock's private
+# epoch and the trace a served job could never fill stay deleted.
+writer=crates/prof/src/trace_export.rs
+trace_gone='perfetto_async_trace_json|AsyncSpan|AsyncTraceStats|validate_async_trace'
+trace_gone="$trace_gone|perfetto_multirank_trace_json|perfetto_multirank_trace_with_flows_json"
+trace_gone="$trace_gone|validate_flow_events|FlowStats|to_async_spans|perfetto_trace_with_flows_json"
+trace_gone="$trace_gone|measured_by_function|fn epoch\(|\.epoch\(\)|epoch: Instant"
+if grep -rnE --include='*.rs' --exclude-dir=target "$trace_gone" crates tests examples ||
+    grep -rnE 'trace_json|"trace"\]' crates/serve/src; then
+    echo "a deleted trace renderer, validator, clock epoch or served trace is back (see above)" >&2
+    exit 1
+fi
+for file in $(find crates -path '*/src/*.rs' ! -path "$writer"); do
+    if non_test "$file" | grep -nF 'traceEvents'; then
+        echo "$file writes a trace document itself; use vibe_prof::TraceWriter" >&2
+        exit 1
+    fi
+done
+validators=$(grep -rnE --include='*.rs' 'fn validate_[a-z_]*trace|fn validate_flow' crates src tests examples)
+if [ "$(wc -l <<<"$validators")" -ne 1 ] || ! grep -q "^$writer:[0-9]*:pub fn validate_trace(" <<<"$validators"; then
+    echo "fn validate_trace must be the one trace validator, in $writer (found: $validators)" >&2
+    exit 1
+fi
+renderers=$(for file in crates/prof/src/*.rs; do non_test "$file"; done |
+    grep -oE 'fn perfetto_[a-z_]*' | sort -u | tr '\n' ' ')
+if [ "$renderers" != 'fn perfetto_trace_json ' ]; then
+    echo "perfetto_trace_json must be the only perfetto_ fn in vibe-prof (found: $renderers)" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -515,18 +550,19 @@ grep -q '"fingerprint":"e0786d63ab143f55"' <<<"$verdict"
 # (max/min mean turnaround > 3x), or a leaked thread after shutdown.
 gate serve '{"cycles":10}'
 
-# Fails on NaN/negative times, idle fractions outside [0,1], calibration
-# drift > 1%, a missing launch-bound regime at the smallest block size, or
-# a trace that fails the offline async validator.
+# Fails on NaN/negative times, idle fractions outside [0,1], spans that
+# overlap on one simulated track, calibration drift > 1%, a missing
+# launch-bound regime at the smallest block size, or a trace that fails the
+# offline validator.
 gate sim "$ci_scale" target/ci-sim
 grep -q '"traceEvents"' target/ci-sim/trace.json
-grep -q '"ph":"b"' target/ci-sim/trace.json
-grep -q '"ph":"e"' target/ci-sim/trace.json
+grep -q '"ph":"X"' target/ci-sim/trace.json
+grep -q '"thread_name"' target/ci-sim/trace.json
 
 # Causal cross-rank attribution: fails if any fingerprint diverges with
 # attribution on/off, any rank's buckets miss its wall by > 5%, < 90% of
 # wall lands in named buckets, multi-rank runs match no cross-rank edges,
-# or the exported flow events fail the offline Perfetto validator.
+# or the exported flow trace fails the offline Perfetto validator.
 gate attribution "$ci_scale" target/ci-scaling
 grep -q '"dominant_loss_4rank":"' <<<"$verdict"
 grep -q '"ph":"s"' target/ci-scaling/trace_flows.json
