@@ -188,40 +188,46 @@ pub fn run(base: &JobConfig, gate: &mut Gate) {
 /// depends on.
 fn session(base: &JobConfig, port: u16, service: &Service, gate: &mut Gate) -> Option<()> {
     let cycles = base.cycles;
-    // 8 jobs from 3 tenants. Jobs 0..6 are submitted up-front (8-deep
-    // concurrent backlog once the preempt target is counted); job 7 is
-    // the cache probe submitted after its twin completes.
+    // 8 jobs from 3 tenants. Seven are submitted up-front (an 8-deep
+    // concurrent backlog once the preempt target is counted); the last is
+    // the cache probe submitted after its twin completes. By submission
+    // order (the service's job ids):
     //
-    //   alpha: 0, 3, and 6 (the preempt/resume target)
-    //   beta : 1, 4
-    //   gamma: 2, 5, and 7 (duplicate of beta's job 1 problem)
+    //   alpha: 0 (the twin), 1 (the preempt/resume target), 4
+    //   beta : 2, 5
+    //   gamma: 3, 6, and 7 (duplicate of beta's job 2 problem)
     //
-    // Job 6 shares its *problem* with job 0 but runs on a different
-    // geometry and is preempted mid-flight — job 0's uninterrupted
-    // fingerprint is the reference the resumed run must reproduce.
+    // The target shares its *problem* with the twin but runs on a
+    // different geometry and is preempted mid-flight — the twin's
+    // uninterrupted fingerprint is the reference the resumed run must
+    // reproduce. The two go first and back to back, so neither can find
+    // the other's result in the cache: the twin cannot finish a run
+    // between two consecutive requests.
     let tol = |i: u64| 0.2 + i as f64 * 0.005;
-    let mut ids = Vec::new();
-    for (i, tenant) in (0..6).zip(["alpha", "beta", "gamma"].into_iter().cycle()) {
-        ids.push(submit(gate, port, tenant, base, tol(i), 1)?.0);
-    }
-    let (id6, cached6) = submit(gate, port, "alpha", base, tol(0), 2)?;
-    ids.push(id6);
-    gate.check(!cached6, || {
-        "preempt target was served from cache before its twin completed".to_string()
+    let (twin, cached_twin) = submit(gate, port, "alpha", base, tol(0), 1)?;
+    let (target, cached_target) = submit(gate, port, "alpha", base, tol(0), 2)?;
+    gate.check(!cached_twin && !cached_target, || {
+        "the preempt target or its twin was served from cache".to_string()
     })
     .then_some(())?;
+    // `ids[..6]` are the six uniform jobs, `ids[6]` the target.
+    let mut ids = vec![twin];
+    for (i, tenant) in (1..6).zip(["beta", "gamma", "alpha"].into_iter().cycle()) {
+        ids.push(submit(gate, port, tenant, base, tol(i), 1)?.0);
+    }
+    ids.push(target);
 
-    // Preempt job 6 once it has advanced past its first slice but still
+    // Preempt the target once it has advanced past its first slice but still
     // has most of its cycles ahead.
-    let in_window = service.wait_for(id6, WAIT, |v| {
+    let in_window = service.wait_for(target, WAIT, |v| {
         v.cycles_done >= BUDGET && v.state != JobState::Done
     });
     gate.ok(in_window, "waiting for preempt window")?;
-    let job6 = |what: &str| format!("/jobs/{id6}/{what}");
-    expect_http(gate, port, "POST", &job6("preempt"), "", 200)?;
-    let parked = service.wait_for(id6, WAIT, |v| v.state == JobState::Preempted);
+    let on_target = |what: &str| format!("/jobs/{target}/{what}");
+    expect_http(gate, port, "POST", &on_target("preempt"), "", 200)?;
+    let parked = service.wait_for(target, WAIT, |v| v.state == JobState::Preempted);
     let parked = gate.ok(parked, "waiting for park")?.cycles_done;
-    eprintln!("gate serve: job {id6} parked at cycle {parked}/{cycles}");
+    eprintln!("gate serve: job {target} parked at cycle {parked}/{cycles}");
     gate.check(parked > 0 && parked < cycles, || {
         format!("preemption did not land mid-run (cycle {parked}/{cycles})")
     })
@@ -230,7 +236,7 @@ fn session(base: &JobConfig, port: u16, service: &Service, gate: &mut Gate) -> O
     // Resume on a different shard/thread decomposition, then drain the
     // backlog.
     let geometry = r#"{"nranks":3,"threads":2}"#;
-    expect_http(gate, port, "POST", &job6("resume"), geometry, 200)?;
+    expect_http(gate, port, "POST", &on_target("resume"), geometry, 200)?;
     let mut views = Vec::new();
     for &id in &ids {
         views.push(gate.ok(service.wait_done(id, WAIT), &format!("job {id}"))?);
@@ -252,7 +258,8 @@ fn session(base: &JobConfig, port: u16, service: &Service, gate: &mut Gate) -> O
     );
 
     // Identical problem resubmission (job 7, different tenant and
-    // geometry) is served from cache with zero recompute.
+    // geometry than beta's first job) is served from cache with zero
+    // recompute.
     let (id7, cached7) = submit(gate, port, "gamma", base, tol(1), 4)?;
     gate.check(cached7, || {
         "identical resubmission missed the result cache".to_string()
@@ -267,7 +274,7 @@ fn session(base: &JobConfig, port: u16, service: &Service, gate: &mut Gate) -> O
     });
 
     // The HTTP metrics stream must parse.
-    let jsonl = expect_http(gate, port, "GET", &job6("metrics"), "", 200)?;
+    let jsonl = expect_http(gate, port, "GET", &on_target("metrics"), "", 200)?;
     let rows = gate
         .ok(parse_lines(&jsonl), "metrics JSONL")
         .map_or(0, |r| r.len());

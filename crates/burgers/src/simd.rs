@@ -1,8 +1,9 @@
 //! What Burgers hands the framework's line walker
 //! ([`vibe_core::sweep::fill_lines`]): its two reconstruction kernels, its
 //! HLL face flux, and the counters of the faces the walker evaluated for
-//! it — in lane bundles, or at `W = 1` on lines shorter than a bundle
-//! (degenerate blocks), so the measured lane coverage is observable.
+//! it — in lane bundles, or at `W = 1` where fewer rows than a bundle
+//! are left (degenerate blocks), so the measured lane coverage is
+//! observable.
 //! Counters accumulate globally across blocks and threads; see
 //! [`take_face_counts`].
 

@@ -29,7 +29,7 @@ pub fn prolongate_to_child(parent: &BlockData, child_index: usize, child: &mut B
     let bit = |d: usize| (child_index >> d) & 1;
 
     for v in 0..parent.num_vars() {
-        let src = parent.vars()[v].data().clone();
+        let src = parent.vars()[v].data();
         let dst = child.var_mut(vibe_field::VarId(v)).data_mut();
         for c in 0..src.ncomp() {
             for kk in 0..n[2] {

@@ -617,8 +617,8 @@ pub struct ExchangePlan {
     /// [`Metadata::TWO_STAGE`] variable ids.
     pub two_stage_ids: Vec<VarId>,
     /// Per block, the outer faces flux correction overwrites: bit
-    /// `2 * normal + upper side`. The stage update re-sweeps the layers
-    /// under them.
+    /// `2 * normal + upper side`. The stage sweep keeps the fluxes of the
+    /// layers under them, and the stage update re-reduces those layers.
     pub corrected: Vec<u8>,
     /// How deep a [`GhostFill::Halo`] fills the face ghosts: the package's
     /// stencil radius.
@@ -802,14 +802,13 @@ pub fn ghost_poll(
 
 /// Which ghost cells a stage visit fills directly.
 ///
-/// Until the next stage's fill only the dimension-by-dimension sweep (and
-/// the stage update's re-sweep under corrected faces) reads ghosts, and it
-/// reads only face ghosts within the stencil radius of the interior. So
-/// every stage but the last of a cycle fills that *stencil halo* alone, and
-/// the last stage fills the whole shell: everything that observes a whole
-/// array — fingerprints, snapshots, regrid, refinement tagging — runs at a
-/// cycle boundary, after that full fill, and sees the bits a full fill in
-/// every stage would leave. Delivered payloads are always unpacked whole.
+/// Until the next stage's fill only the dimension-by-dimension sweep reads
+/// ghosts, and it reads only face ghosts within the stencil radius of the
+/// interior. So every stage but the last of a cycle fills that *stencil
+/// halo* alone, and the last stage fills the whole shell: everything that
+/// observes a whole array — fingerprints, snapshots, regrid, refinement
+/// tagging — runs at a cycle boundary, after that full fill, and sees the
+/// bits a full fill in every stage would leave. Delivered payloads are always unpacked whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GhostFill {
     /// Face ghosts within the plan's stencil radius of the interior
@@ -1144,7 +1143,7 @@ pub fn flux_corr_apply(
 
 /// Fine→coarse flux correction across all level-boundary faces: restricted
 /// fine face fluxes replace the coarse neighbor's on its face planes before
-/// the stage update re-sweeps the cells under them (prevents conservation
+/// the stage update re-reduces the cells under them (prevents conservation
 /// errors). Builds a one-shot [`ExchangePlan`] over `slots`, every block
 /// of `mesh`, and runs the send and apply phases back-to-back.
 ///
@@ -1880,7 +1879,7 @@ mod tests {
     /// count.
     #[test]
     fn stage_visit_is_invariant_under_block_order_and_threads() {
-        use crate::sweep::{sweep_block, sweep_slot, with_scratch, CellBox, Planes};
+        use crate::sweep::{sweep_block, sweep_slot, with_scratch, CellBox};
         use crate::test_package::Advect;
         let params = MeshParams::builder()
             .dim(3)
@@ -1932,13 +1931,13 @@ mod tests {
         );
         for slot in &mut reference {
             slot.save_stage0(&ids);
-            with_scratch(|s| sweep_slot(&pkg, slot, &ids, &tiles, Planes::Save, s));
+            with_scratch(|s| sweep_slot(&pkg, slot, &ids, &tiles, 0, s));
         }
         let want = visit_bits(&reference);
         assert!(want != visit_bits(&fresh()), "the reference moved bits");
 
         let sweep = |info: &BlockInfo, data: &BlockData, out: &mut [FluxOut]| {
-            with_scratch(|s| sweep_block(&pkg, info, data, out, &tiles, Planes::Save, s));
+            with_scratch(|s| sweep_block(&pkg, info, data, out, &tiles, 0, s));
         };
         let wall = WallClock::default();
         let mut seed = 0x0dd_ba11_5eed_0022u64;
@@ -2027,7 +2026,7 @@ mod tests {
     /// visit takes one — to `SaveStage0`, the sweep to `CalculateFluxes`.
     #[test]
     fn visit_credits_fill_copy_and_sweep_apart() {
-        use crate::sweep::{sweep_block, with_scratch, CellBox, Planes};
+        use crate::sweep::{sweep_block, with_scratch, CellBox};
         use crate::test_package::Advect;
         use vibe_prof::ProfLevel;
         let mesh = uniform_mesh();
@@ -2036,7 +2035,7 @@ mod tests {
         let budget = crate::sweep::TILE_BUDGET_BYTES / 8;
         let tiles = CellBox::interior(&mesh.index_shape()).tiles(2, 5, budget);
         let sweep = |info: &BlockInfo, data: &BlockData, out: &mut [FluxOut]| {
-            with_scratch(|s| sweep_block(&pkg, info, data, out, &tiles, Planes::Save, s));
+            with_scratch(|s| sweep_block(&pkg, info, data, out, &tiles, 0, s));
         };
         for (save, fill) in [(true, GhostFill::Halo), (false, GhostFill::Full)] {
             let mut slots = build_varied(&mesh, 2);

@@ -3,7 +3,8 @@
 //! stable timestep, partition and width invariance of the flux primitive
 //! (any tiling of a block yields the same divergence and face planes, every
 //! face of a tile is written and with the same bits at any lane width, a
-//! correction re-sweep fed uncorrected planes changes nothing), and
+//! layer re-reduce fed uncorrected planes changes nothing and fed others
+//! equals the per-face reference with those planes), and
 //! thread-count determinism. What the types enforce is not checked here:
 //! the driver tags each block once from its one indicator, and hands each
 //! block a history row exactly as long as the labels.
@@ -19,7 +20,9 @@ use crate::block::fingerprint_slots;
 use crate::block::{BlockInfo, BlockSlot};
 use crate::driver::Driver;
 use crate::package::Package;
-use crate::sweep::{sweep_slot, CellBox, FluxTile, Planes, Walk, TILE_BUDGET_BYTES};
+use crate::sweep::{
+    copy_surface, reduce, reduce_layers, sweep_slot, CellBox, FluxTile, Walk, TILE_BUDGET_BYTES,
+};
 
 /// What [`check_package`] measured while the checks ran.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,13 +189,17 @@ fn random_partition(cells: CellBox, dim: usize, rng: &mut Rng, out: &mut Vec<Cel
 }
 
 /// Bit patterns of what a sweep leaves on `slot`: every flux-bearing
-/// variable's divergence, then its face planes.
-fn swept_bits(slot: &BlockSlot, ids: &[VarId]) -> (Vec<u64>, Vec<u64>) {
-    let bits = |a: &vibe_field::Array4| a.as_slice().iter().map(|v| v.to_bits()).collect();
-    let vars = ids.iter().map(|&id| slot.data.var(id));
-    let div: Vec<Vec<u64>> = vars.clone().map(|v| bits(v.div().expect("div"))).collect();
-    let planes: Vec<Vec<u64>> = vars.flat_map(|v| v.planes().iter().map(bits)).collect();
-    (div.concat(), planes.concat())
+/// variable's divergence, then its face planes, then its kept layers.
+fn swept_bits(slot: &BlockSlot, ids: &[VarId]) -> [Vec<u64>; 3] {
+    let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let mut out = [Vec::new(), Vec::new(), Vec::new()];
+    for &id in ids {
+        let var = slot.data.var(id);
+        out[0].extend(bits(var.div().expect("div").as_slice()));
+        out[1].extend(var.planes().iter().flat_map(|p| bits(p.as_slice())));
+        out[2].extend(var.layers().iter().flat_map(|l| bits(l)));
+    }
+    out
 }
 
 /// Checks that `pkg`'s flux primitive is a pure function of the block's
@@ -200,14 +207,19 @@ fn swept_bits(slot: &BlockSlot, ids: &[VarId]) -> (Vec<u64>, Vec<u64>) {
 ///
 /// * one whole-block tile, the production tiling, a thin tiling (slabs
 ///   that carry their shared plane, or y-strips) and a seeded random box
-///   partition leave bitwise the same divergence and face planes;
+///   partition leave bitwise the same divergence, face planes and kept
+///   layer fluxes;
 /// * a tile pre-filled with a NaN sentinel comes back with every face
 ///   written — and with the same bits by the line walker
 ///   ([`crate::sweep::fill_lines`]), by the walker held to `W = 1` and by
 ///   its per-face reference through the same kernels (trivially so for a
 ///   package that fills its tile by other means);
-/// * re-sweeping the layers under all outer faces with the (uncorrected)
-///   planes overriding reproduces the divergence bit for bit.
+/// * the fluxes a sweep keeps of the layers under all outer faces are the
+///   same bits in every tiling; re-reducing those layers
+///   ([`crate::sweep::reduce_layers`]) with the uncorrected planes
+///   reproduces the divergence bit for bit, and with perturbed planes
+///   gives the divergence of the per-face reference's fluxes with those
+///   planes in place of the block's own surface fluxes.
 pub fn check_partition_invariance<P: Package>(
     pkg: &P,
     slot: &BlockSlot,
@@ -254,7 +266,9 @@ pub fn check_partition_invariance<P: Package>(
         }
     }
 
-    // --- Any tiling, same bits.
+    // --- Any tiling, same bits, the kept layers under every outer face
+    // included.
+    let all = (1u8 << (2 * dim)) - 1;
     let one_row = CellBox {
         lo: [0; 3],
         n: [whole.n[0], 1, 1],
@@ -269,43 +283,63 @@ pub fn check_partition_invariance<P: Package>(
         ("a random partition", random),
     ];
     let mut reference = slot.clone();
-    sweep_slot(
-        pkg,
-        &mut reference,
-        &ids,
-        &[whole],
-        Planes::Save,
-        &mut scratch,
-    );
+    sweep_slot(pkg, &mut reference, &ids, &[whole], all, &mut scratch);
     let want = swept_bits(&reference, &ids);
     for (what, boxes) in &tilings {
         let mut tiled = slot.clone();
-        sweep_slot(pkg, &mut tiled, &ids, boxes, Planes::Save, &mut scratch);
+        sweep_slot(pkg, &mut tiled, &ids, boxes, all, &mut scratch);
         let got = swept_bits(&tiled, &ids);
-        if got.0 != want.0 {
-            return Err(format!(
-                "div differs between one whole-block tile and {what}"
-            ));
-        }
-        if got.1 != want.1 {
-            return Err(format!(
-                "face planes differ between one whole-block tile and {what}"
-            ));
+        for (part, name) in ["div", "face planes", "kept layer fluxes"]
+            .iter()
+            .enumerate()
+        {
+            if got[part] != want[part] {
+                return Err(format!(
+                    "{name} differ between one whole-block tile and {what}"
+                ));
+            }
         }
     }
 
-    // --- A correction re-sweep fed the uncorrected planes is a no-op.
-    let layers: Vec<CellBox> = (0..2 * dim).map(|face| whole.layer(face)).collect();
-    sweep_slot(
-        pkg,
-        &mut reference,
-        &ids,
-        &layers,
-        Planes::Override,
-        &mut scratch,
-    );
+    // --- A layer re-reduce fed the uncorrected planes is a no-op.
+    reduce_layers(&mut reference, &ids, all);
     if swept_bits(&reference, &ids) != want {
-        return Err("re-sweeping the surface layers with uncorrected planes moved div".to_string());
+        return Err(
+            "re-reducing the surface layers with uncorrected planes moved bits".to_string(),
+        );
+    }
+
+    // --- Fed other planes, it equals the per-face reference taken with
+    // those planes in place of the block's surface fluxes.
+    for &id in &ids {
+        for plane in reference.data.var_mut(id).planes_mut() {
+            plane
+                .as_mut_slice()
+                .iter_mut()
+                .for_each(|v| *v = rng.unit());
+        }
+    }
+    let mut expect = reference.clone();
+    reduce_layers(&mut reference, &ids, all);
+    let mut tile = FluxTile::new(whole, dim, ncomp, &mut scratch);
+    tile.walk = Walk::PerFace;
+    pkg.fill_fluxes(&slot.info, &slot.data, &mut tile);
+    let inv = slot.info.geom.dx().map(|dx| 1.0 / dx);
+    let mut c0 = 0;
+    for &id in &ids {
+        let var = expect.data.var_mut(id);
+        let mut out = var.take_flux_out();
+        copy_surface(&mut tile, c0, &mut out.planes, shape.ncells(), false);
+        reduce(&tile, c0, inv, &mut out.div);
+        c0 += out.div.shape()[0];
+        var.put_flux_out(out);
+    }
+    if swept_bits(&reference, &ids)[0] != swept_bits(&expect, &ids)[0] {
+        return Err(
+            "re-reducing the surface layers with perturbed planes differs from the per-face \
+             reference with those planes"
+                .to_string(),
+        );
     }
     Ok(())
 }

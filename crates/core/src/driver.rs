@@ -31,9 +31,7 @@ use crate::boundary::{
     FluxCorrState, GhostExchangeState, GhostFill, NOT_RESIDENT,
 };
 use crate::package::{FluxPhase, Package};
-use crate::sweep::{
-    record_flux_launch, sweep_block, with_scratch, CellBox, Planes, TILE_BUDGET_BYTES,
-};
+use crate::sweep::{record_flux_launch, sweep_block, with_scratch, CellBox, TILE_BUDGET_BYTES};
 use crate::tasks::{self, TaskKind, TaskNode, TaskStatus};
 use crate::update::flux_divergence_update;
 
@@ -934,11 +932,10 @@ impl<P: Package> Driver<P> {
         let shape = self.mesh.index_shape();
         let budget = TILE_BUDGET_BYTES / 8;
         let tiles = CellBox::interior(&shape).tiles(shape.dim(), plan.flux_ncomp(), budget);
-        let pkg: &P = &self.package;
+        let (pkg, corrected): (&P, _) = (&self.package, &plan.corrected);
         let sweep = |info: &BlockInfo, data: &BlockData, out: &mut [vibe_field::FluxOut]| {
-            with_scratch(|scratch| {
-                sweep_block(pkg, info, data, out, &tiles, Planes::Save, scratch);
-            });
+            let keep = corrected[info.gid];
+            with_scratch(|scratch| sweep_block(pkg, info, data, out, &tiles, keep, scratch));
         };
         let measured = self.params.measured_costs;
         let fill = match stage {
@@ -1007,10 +1004,10 @@ impl<P: Package> Driver<P> {
         let (ids, corrected) = (&plan.flux_ids, &plan.corrected);
         let measured = self.params.measured_costs;
         let ledger = &mut self.block_cost_ns;
-        let (pkg, rec): (&P, _) = (&self.package, &mut self.rec);
+        let rec = &mut self.rec;
         for_each_rank_pack(&mut self.slots, |pack| {
             let cost = measured.then_some(&mut ledger[..]);
-            flux_divergence_update(pkg, pack, exec, coef, dt, ids, corrected, rec, cost);
+            flux_divergence_update(pack, exec, coef, dt, ids, corrected, rec, cost);
         });
     }
 

@@ -140,9 +140,10 @@ pub trait Package: Sync {
     /// each direction from [`FluxTile::first_face`] on — into the tile, one
     /// value per component of every flux-bearing variable in registration
     /// order. Must be a pure function of the block's state: the framework
-    /// calls it for whatever boxes tile the block, in any order, and again
-    /// for the layers under corrected faces, and relies on a face getting
-    /// the same bits every time.
+    /// calls it for whatever boxes tile the block, in any order, keeps the
+    /// fluxes of the layers under corrected faces from whichever tile
+    /// computed them, and relies on a face getting the same bits every
+    /// time.
     fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>);
 
     /// Recomputes one block's derived quantities from its evolved state.

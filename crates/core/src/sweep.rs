@@ -19,36 +19,36 @@
 //! flux correction exchanges ([`vibe_field::FluxProgram`]). The z-plane two
 //! consecutive slabs share is carried over in the scratch, not recomputed.
 //!
-//! After flux correction the stage update re-sweeps the one-cell layers
-//! under corrected faces with the planes' values *overriding* the tile's
-//! surface faces ([`Planes::Override`]): uncorrected plane entries hold the
-//! bits the tile would compute anyway, corrected ones the restricted fine
-//! fluxes, so the layer's `div` comes out as if the block had kept all its
-//! fluxes and had them corrected in place.
+//! Under each flux-corrected outer face the sweep also keeps the fluxes of
+//! the one-cell layer beneath it ([`vibe_field::FluxOut::layers`]). Once
+//! flux correction has overwritten planes, the stage update re-reduces
+//! each such layer from its kept fluxes with the planes' values on the
+//! block's surface ([`reduce_layers`]): uncorrected plane entries hold the
+//! bits the sweep computed, corrected ones the restricted fine fluxes, so
+//! the layer's `div` comes out as if the block had kept all its fluxes and
+//! had them corrected in place — and no face flux is evaluated twice.
 //!
 //! # The line walker
 //!
 //! A package does not loop over faces. It picks a [`ReconKernel`], writes
 //! one pointwise [`FaceFlux`] generic over the lane width, and its
-//! `fill_fluxes` is one call of [`fill_lines`], which owns the loop nest:
+//! `fill_fluxes` is one call of [`fill_lines`], which owns the loop nest
+//! over each face plane of a tile (the faces of one direction at one `k`)
+//! and evaluates every face exactly once:
 //!
-//! - **x-faces**: consecutive faces along a row are unit-stride, so each
-//!   stencil position is one contiguous [`LANES`]-wide load at a shifted
-//!   offset.
-//! - **y/z-faces**: consecutive faces along the sweep direction are
-//!   strided, but the *i*-direction is still unit-stride, so bundles batch
-//!   faces at consecutive `i` of one face plane — again one contiguous
-//!   load per stencil position, no gather or transpose.
-//! - A row remainder is one *overlapped* final bundle: the kernels are
-//!   elementwise, so re-evaluating the last few already-computed faces of
-//!   a line re-stores the exact same bits.
-//! - Where a box is narrower than a bundle in `i` (the one-cell x-layers
-//!   re-swept under a corrected face), bundles run *across* rows — faces
-//!   at consecutive `j`, gathered and scattered lane by lane.
-//! - Lines shorter than a bundle either way (degenerate blocks) run the
-//!   same kernels at `W = 1`: [`F64Lanes<1>`] executes the scalar
-//!   operation sequence, so there is no second, hand-written scalar copy
-//!   of any kernel.
+//! - **Along rows**: consecutive faces along `i` are unit-stride for every
+//!   direction — x-faces along their row, y/z-faces across consecutive `i`
+//!   of one face plane — so each stencil position is one contiguous
+//!   [`LANES`]-wide load at a shifted offset, no gather or transpose. A row
+//!   runs only full bundles.
+//! - **Across rows**: the faces a row has left over (one per row at 8 or
+//!   16 cells, where an x-row holds `n + 1` faces) are bundled along `j`,
+//!   faces of consecutive rows gathered and scattered lane by lane. A box
+//!   narrower than a bundle in `i` runs entirely this way.
+//! - Where fewer than [`LANES`] rows remain (degenerate blocks), the
+//!   leftover faces run the same kernels at `W = 1`: [`F64Lanes<1>`]
+//!   executes the scalar operation sequence, so there is no second,
+//!   hand-written scalar copy of any kernel.
 //!
 //! A kernel must give a face the same bits in any lane of any width: the
 //! same per-lane operation sequence, branches as [`vibe_field::LaneMask`]
@@ -159,7 +159,8 @@ impl CellBox {
 /// references the conformance harness holds it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Walk {
-    /// Bundles of [`LANES`] faces; `W = 1` for lines shorter than that.
+    /// Bundles of [`LANES`] faces along rows and, for a row's remainder,
+    /// across rows; `W = 1` where fewer rows than that are left.
     Lanes,
     /// Every line at `W = 1`.
     Single,
@@ -424,16 +425,11 @@ unsafe fn flux_bundle<R: ReconKernel, F: FaceFlux, const W: usize, const ACROSS:
     }
 }
 
-/// Fills one line of `len >= W` faces whose data/flux indices advance by
-/// `steps` per face — both 1 along a row, where lanes load and store
-/// contiguously; `ACROSS` rows they gather and scatter. `bases` index the
-/// face-0 cell in a component's state slice and in component 0 of `out`.
-///
-/// Full bundles first, then — if faces remain — one final bundle shifted
-/// back to end exactly at the line's last face. The shifted bundle
-/// re-evaluates a few already-stored faces, but the kernels are elementwise
-/// (a face's value does not depend on its lane position), so the overlap
-/// re-stores identical bits.
+/// Fills one line of `len` faces, a multiple of `W`, in bundles of `W`;
+/// the faces' data/flux indices advance by `steps` per face — both 1 along
+/// a row, where lanes load and store contiguously; `ACROSS` rows they
+/// gather and scatter. `bases` index the face-0 cell in a component's
+/// state slice and in component 0 of `out`.
 ///
 /// # Safety
 ///
@@ -450,16 +446,16 @@ unsafe fn flux_line<R: ReconKernel, F: FaceFlux, const W: usize, const ACROSS: b
     steps: (usize, usize),
     len: usize,
 ) {
+    debug_assert!(
+        len.is_multiple_of(W),
+        "a line of {len} faces in bundles of {W}"
+    );
     // Along a row the steps are compile-time ones in the hot loops.
     let steps = if ACROSS { steps } else { (1, 1) };
     // The bundles cover faces of this line only, so the caller's contract
     // is `flux_bundle`'s.
-    let mut bundle = |k| flux_bundle::<R, F, W, ACROSS>(lines, out, scratch, bases, steps, k);
-    (0..=len - W).step_by(W).for_each(&mut bundle);
-    if !len.is_multiple_of(W) {
-        // Overlapped final bundle covering faces [len - W, len).
-        bundle(len - W);
-    }
+    let bundle = |k| flux_bundle::<R, F, W, ACROSS>(lines, out, scratch, bases, steps, k);
+    (0..len).step_by(W).for_each(bundle);
 }
 
 /// The flux-bearing variables' arrays, in registration order: the
@@ -510,12 +506,11 @@ pub fn fill_faces_reference<R: ReconKernel, F: FaceFlux>(
 }
 
 /// The line walker — the one way a package fills a tile: every face of
-/// `tile` the framework asks for, from the state in `data`, through `R`
-/// and `flux`, [`LANES`] faces per bundle along the unit-stride direction —
-/// x-faces along their row, y- and z-faces across consecutive `i` of one
-/// face plane — or, for boxes narrower than a bundle in `i`, along `j`;
-/// lines shorter than a bundle either way at `W = 1`. Returns the faces
-/// filled as `(in lane bundles, at W = 1)`, each counted once.
+/// `tile` the framework asks for, exactly once, from the state in `data`,
+/// through `R` and `flux`. Per face plane, [`LANES`] faces per bundle
+/// along each row (unit-stride in `i`), the rows' remainder faces in
+/// bundles across rows (along `j`), and what is left at `W = 1`. Returns
+/// the faces filled as `(in lane bundles, at W = 1)`.
 ///
 /// # Panics
 ///
@@ -528,10 +523,10 @@ pub fn fill_lines<R: ReconKernel, F: FaceFlux>(
     data: &BlockData,
     tile: &mut FluxTile<'_>,
 ) -> (u64, u64) {
-    // Lines at least this long run in lane bundles.
-    let bundled = match tile.walk {
-        Walk::Lanes => LANES,
-        Walk::Single => usize::MAX,
+    // The faces of a run of `len` that go in lane bundles.
+    let bundled: fn(usize) -> usize = match tile.walk {
+        Walk::Lanes => |len| len - len % LANES,
+        Walk::Single => |_| 0,
         Walk::PerFace => {
             fill_faces_reference::<R, F>(flux, info, data, tile);
             return (0, 0);
@@ -569,7 +564,6 @@ pub fn fill_lines<R: ReconKernel, F: FaceFlux>(
     for (d, &soff) in data_strides.iter().enumerate().take(tile.dim()) {
         let [ni, nj, nk] = tile.extent(d);
         let [_, sj, sk, flux_comp] = tile.steps(d);
-        let first: [usize; 3] = std::array::from_fn(|a| usize::from(a == d) * tile.first_face(d));
         let lines = Lines {
             flux,
             comps: &comps[..ncomp],
@@ -578,59 +572,38 @@ pub fn fill_lines<R: ReconKernel, F: FaceFlux>(
             d,
             inv_dx: inv_dx[d],
         };
+        let first = tile.first_face(d);
         let out = tile.faces_mut(d);
-        // Lines run along i; across rows (along j) where only those reach
-        // a bundle.
-        let across = ni - first[0] < bundled && nj - first[1] >= bundled;
-        let (a, len, steps) = match across {
-            true => (0, nj - first[1], (ex, sj)),
-            false => (1, ni - first[0], (1, 1)),
-        };
-        for k in first[2]..nk {
-            for line in first[a]..[ni, nj][a] {
-                let (i, j) = match across {
-                    true => (line, first[1]),
-                    false => (first[0], line),
-                };
-                let bases = (origin + i + j * ex + k * ex * ey, i + j * sj + k * sk);
-                // SAFETY: the box lies in the interior and the ghost shell
-                // is at least RADIUS wide along `d` (asserted above), so the
-                // stencils of the line's faces stay inside each component's
-                // slice; `out` is direction `d`'s array of the tile, which
-                // holds `ncomp` components `flux_comp` apart over `ni` faces
-                // per row.
-                unsafe {
-                    match (len >= bundled, across) {
-                        (true, true) => flux_line::<R, F, LANES, true>(
-                            &lines, out, &mut wide, bases, steps, len,
-                        ),
-                        (true, false) => flux_line::<R, F, LANES, false>(
-                            &lines, out, &mut wide, bases, steps, len,
-                        ),
-                        (false, _) => {
-                            flux_line::<R, F, 1, false>(&lines, out, &mut one, bases, steps, len)
-                        }
-                    }
+        // Faces `..full` of every row in bundles along it; faces `full..`
+        // of rows `..across` in bundles across them, the rest at W = 1.
+        let (full, across) = (bundled(ni), bundled(nj));
+        for k in first..nk {
+            let plane = (origin + k * ex * ey, k * sk);
+            // SAFETY: the box lies in the interior and the ghost shell is
+            // at least RADIUS wide along `d` (asserted above), so the
+            // stencils of the plane's faces stay inside each component's
+            // slice; `out` is direction `d`'s array of the tile, which
+            // holds `ncomp` components `flux_comp` apart over `ni` faces
+            // per row and `nj` rows per plane.
+            unsafe {
+                for j in 0..nj {
+                    let bases = (plane.0 + j * ex, plane.1 + j * sj);
+                    flux_line::<R, F, LANES, false>(&lines, out, &mut wide, bases, (1, 1), full);
                 }
-                match len >= bundled {
-                    true => faces.0 += len as u64,
-                    false => faces.1 += len as u64,
+                for i in full..ni {
+                    let bases = (plane.0 + i, plane.1 + i);
+                    let rest = (bases.0 + across * ex, bases.1 + across * sj);
+                    let steps = (ex, sj);
+                    flux_line::<R, F, LANES, true>(&lines, out, &mut wide, bases, steps, across);
+                    flux_line::<R, F, 1, true>(&lines, out, &mut one, rest, steps, nj - across);
                 }
             }
         }
+        let planes = (nk - first) as u64;
+        faces.0 += planes * (full * nj + (ni - full) * across) as u64;
+        faces.1 += planes * ((ni - full) * (nj - across)) as u64;
     }
     faces
-}
-
-/// What a sweep does where a tile touches the block's surface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Planes {
-    /// The stage's sweep: the tile's surface fluxes are saved to the
-    /// variable's face planes.
-    Save,
-    /// A re-sweep after flux correction: the face planes' values replace
-    /// the tile's surface fluxes before the divergence is taken.
-    Override,
 }
 
 /// Pairs the rows of a tile's face plane `f` of direction `d` (the tile
@@ -663,7 +636,7 @@ fn plane_rows(
 
 /// Takes the divergence of the tile's fluxes for the variable whose first
 /// component is the tile's `c0`, into the rows of `div` its cells cover.
-fn reduce(tile: &FluxTile<'_>, c0: usize, inv: [f64; 3], div: &mut Array4) {
+pub(crate) fn reduce(tile: &FluxTile<'_>, c0: usize, inv: [f64; 3], div: &mut Array4) {
     let CellBox { lo, n } = tile.cells();
     let [ncomp, nz, ny, nx] = div.shape();
     let div = div.as_mut_slice();
@@ -709,13 +682,73 @@ fn reduce(tile: &FluxTile<'_>, c0: usize, inv: [f64; 3], div: &mut Array4) {
     }
 }
 
+/// Copies the fluxes of the tile's faces that lie on the block's surface
+/// (a block of `ncells`) into the variable's face `planes` (`save`), or the
+/// planes' values over those faces (`!save`), for the variable whose first
+/// component is the tile's `c0`.
+pub(crate) fn copy_surface(
+    tile: &mut FluxTile<'_>,
+    c0: usize,
+    planes: &mut [Array4],
+    ncells: [usize; 3],
+    save: bool,
+) {
+    let cells = tile.cells();
+    for (face, plane) in planes.iter_mut().enumerate() {
+        let (d, side) = (face / 2, face % 2);
+        if cells.lo[d] + side * cells.n[d] != side * ncells[d] {
+            continue;
+        }
+        let (shape, plane) = (plane.shape(), plane.as_mut_slice());
+        let (steps, on_tile) = (tile.steps(d), (d, side * cells.n[d]));
+        let fluxes = tile.faces_mut(d);
+        plane_rows(cells, steps, on_tile, c0, shape, |t, p, len| match save {
+            true => plane[p..p + len].copy_from_slice(&fluxes[t..t + len]),
+            false => fluxes[t..t + len].copy_from_slice(&plane[p..p + len]),
+        });
+    }
+}
+
+/// Copies the faces `tile` shares with `kept`, a tile over another box of
+/// the same block, into it: components `c0..` of `tile` become `kept`'s
+/// components `0..`.
+fn keep_shared(tile: &FluxTile<'_>, c0: usize, kept: &mut FluxTile<'_>) {
+    let (t, l) = (tile.cells(), kept.cells());
+    for d in 0..tile.dim() {
+        // The faces both hold, in block face coordinates: `lo..hi` per axis.
+        let lo: [usize; 3] = std::array::from_fn(|a| t.lo[a].max(l.lo[a]));
+        let hi: [usize; 3] = std::array::from_fn(|a| {
+            let up = usize::from(a == d);
+            (t.lo[a] + t.n[a] + up).min(l.lo[a] + l.n[a] + up)
+        });
+        if (0..3).any(|a| lo[a] >= hi[a]) {
+            continue;
+        }
+        let ([_, tj, tk, tc], [_, lj, lk, lc]) = (tile.steps(d), kept.steps(d));
+        let (ncomp, len) = (kept.ncomp(), hi[0] - lo[0]);
+        let (src, dst) = (tile.faces(d), kept.faces_mut(d));
+        for c in 0..ncomp {
+            for k in lo[2]..hi[2] {
+                for j in lo[1]..hi[1] {
+                    let from = lo[0] - t.lo[0] + (j - t.lo[1]) * tj + (k - t.lo[2]) * tk;
+                    let to = lo[0] - l.lo[0] + (j - l.lo[1]) * lj + (k - l.lo[2]) * lk;
+                    let (from, to) = (from + (c0 + c) * tc, to + c * lc);
+                    dst[to..to + len].copy_from_slice(&src[from..from + len]);
+                }
+            }
+        }
+    }
+}
+
 /// Sweeps the tiles `boxes` of one block: fills each tile's fluxes in
 /// `scratch` from the block's state, which it only borrows shared, saves
-/// or overrides the surface planes, and takes the divergence over the
-/// tile's cells — into `out`, the flux-bearing variables' divergence arrays
-/// and planes in registration order, moved out of `data`
-/// ([`vibe_field::CellVariable::take_flux_out`]). A tile stacked on the
-/// previous one in z inherits the plane they share.
+/// the surface planes, keeps the fluxes of the one-cell layers under the
+/// outer faces in `keep` (bit `2 * d + side`), and takes the divergence
+/// over the tile's cells — into `out`, the flux-bearing variables'
+/// divergence arrays, planes and kept layers in registration order, moved
+/// out of `data` ([`vibe_field::CellVariable::take_flux_out`]). A layer's
+/// storage is sized here, so it exists only for the faces asked for. A
+/// tile stacked on the previous one in z inherits the plane they share.
 ///
 /// # Panics
 ///
@@ -726,13 +759,27 @@ pub fn sweep_block<P: Package>(
     data: &BlockData,
     out: &mut [FluxOut],
     boxes: &[CellBox],
-    planes: Planes,
+    keep: u8,
     scratch: &mut [f64],
 ) {
     let shape = *data.shape();
-    let dim = shape.dim();
-    let ncomp: usize = out.iter().map(|(div, _)| div.shape()[0]).sum();
+    let (dim, ncells) = (shape.dim(), shape.ncells());
+    let ncomp: usize = out.iter().map(|o| o.div.shape()[0]).sum();
     let inv = info.geom.dx().map(|dx| 1.0 / dx);
+    let layers: [CellBox; 6] = std::array::from_fn(|face| CellBox::interior(&shape).layer(face));
+    for o in out.iter_mut() {
+        let nc = o.div.shape()[0];
+        o.layers.resize_with(2 * dim, Vec::new);
+        for (face, kept) in o.layers.iter_mut().enumerate() {
+            let len = match keep >> face & 1 {
+                1 => layers[face].tile_len(dim, nc),
+                _ => 0,
+            };
+            if kept.len() != len {
+                *kept = vec![0.0; len];
+            }
+        }
+    }
     let mut below: Option<CellBox> = None;
     for &cells in boxes {
         let stacked = |b: CellBox| {
@@ -752,22 +799,16 @@ pub fn sweep_block<P: Package>(
         tile.carried = carried;
         pkg.fill_fluxes(info, data, &mut tile);
         let mut c0 = 0;
-        for (div, saved) in out.iter_mut() {
-            for (face, plane) in saved.iter_mut().enumerate() {
-                let (d, side) = (face / 2, face % 2);
-                if cells.lo[d] + side * cells.n[d] != side * shape.ncells()[d] {
-                    continue;
+        for o in out.iter_mut() {
+            let nc = o.div.shape()[0];
+            copy_surface(&mut tile, c0, &mut o.planes, ncells, true);
+            for (&layer, kept) in layers.iter().zip(&mut o.layers) {
+                if !kept.is_empty() {
+                    keep_shared(&tile, c0, &mut FluxTile::new(layer, dim, nc, kept));
                 }
-                let (shape, plane) = (plane.shape(), plane.as_mut_slice());
-                let (steps, on_tile) = (tile.steps(d), (d, side * cells.n[d]));
-                let fluxes = tile.faces_mut(d);
-                plane_rows(cells, steps, on_tile, c0, shape, |t, p, len| match planes {
-                    Planes::Save => plane[p..p + len].copy_from_slice(&fluxes[t..t + len]),
-                    Planes::Override => fluxes[t..t + len].copy_from_slice(&plane[p..p + len]),
-                });
             }
-            reduce(&tile, c0, inv, div);
-            c0 += div.shape()[0];
+            reduce(&tile, c0, inv, &mut o.div);
+            c0 += nc;
         }
         below = Some(cells);
     }
@@ -780,16 +821,51 @@ pub fn sweep_slot<P: Package>(
     slot: &mut BlockSlot,
     ids: &[VarId],
     boxes: &[CellBox],
-    planes: Planes,
+    keep: u8,
     scratch: &mut [f64],
 ) {
     let take = |&id| slot.data.var_mut(id).take_flux_out();
     let mut out: Vec<FluxOut> = ids.iter().map(take).collect();
-    sweep_block(
-        pkg, &slot.info, &slot.data, &mut out, boxes, planes, scratch,
-    );
+    sweep_block(pkg, &slot.info, &slot.data, &mut out, boxes, keep, scratch);
     for (&id, out) in ids.iter().zip(out) {
         slot.data.var_mut(id).put_flux_out(out);
+    }
+}
+
+/// Re-takes the divergence of the one-cell layers under the outer faces
+/// `faces` (bit `2 * d + side`) of `slot` for every variable `ids`, from
+/// the fluxes the stage's sweep kept of them ([`sweep_block`]'s `keep`)
+/// with the face planes' values, corrected or not, on the block's surface
+/// — the sweep's own reduction over the layer's faces, so a layer whose
+/// planes are as the sweep saved them gets its `div` back bit for bit.
+///
+/// # Panics
+///
+/// Panics if the sweep did not keep one of the layers.
+pub fn reduce_layers(slot: &mut BlockSlot, ids: &[VarId], faces: u8) {
+    let shape = *slot.data.shape();
+    let (dim, ncells) = (shape.dim(), shape.ncells());
+    let inv = slot.info.geom.dx().map(|dx| 1.0 / dx);
+    for &id in ids {
+        let var = slot.data.var_mut(id);
+        let mut out = var.take_flux_out();
+        let nc = out.div.shape()[0];
+        for face in (0..2 * dim).filter(|face| faces >> face & 1 == 1) {
+            let cells = CellBox::interior(&shape).layer(face);
+            let kept = out
+                .layers
+                .get_mut(face)
+                .map_or(&mut [][..], Vec::as_mut_slice);
+            assert_eq!(
+                kept.len(),
+                cells.tile_len(dim, nc),
+                "the sweep kept the layer under face {face}"
+            );
+            let mut tile = FluxTile::new(cells, dim, nc, kept);
+            copy_surface(&mut tile, 0, &mut out.planes, ncells, false);
+            reduce(&tile, 0, inv, &mut out.div);
+        }
+        var.put_flux_out(out);
     }
 }
 
@@ -897,6 +973,114 @@ mod tests {
         });
         for seen in workers {
             assert_eq!(seen, [(4, TILE_BUDGET_BYTES), (64, TILE_BUDGET_BYTES)]);
+        }
+    }
+
+    /// A package whose flux records every face it is evaluated on, by the
+    /// bits of the two cells beside it — every cell holds its own storage
+    /// index, so that pair names one face.
+    struct Counting {
+        ncomp: usize,
+        seen: std::sync::Mutex<Vec<(usize, u64, u64)>>,
+    }
+
+    impl FaceFlux for Counting {
+        fn flux<const W: usize>(
+            &self,
+            d: usize,
+            _inv_dx: f64,
+            left: &[F64Lanes<W>],
+            right: &[F64Lanes<W>],
+            out: &mut [F64Lanes<W>],
+        ) {
+            let mut seen = self.seen.lock().expect("one sweep at a time");
+            seen.extend((0..W).map(|l| (d, left[0].lane(l).to_bits(), right[0].lane(l).to_bits())));
+            out.copy_from_slice(left);
+        }
+    }
+
+    impl Package for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn register(&self, data: &mut BlockData) {
+            data.add_variable(
+                "q",
+                self.ncomp,
+                Metadata::INDEPENDENT | Metadata::WITH_FLUXES,
+            );
+        }
+
+        fn nghost(&self) -> usize {
+            1
+        }
+
+        fn stencil_radius(&self) -> usize {
+            1
+        }
+
+        fn fill_fluxes(&self, info: &BlockInfo, data: &BlockData, tile: &mut FluxTile<'_>) {
+            fill_lines::<DonorCell, _>(self, info, data, tile);
+        }
+
+        fn estimate_dt(&self, _info: &BlockInfo, _data: &mut BlockData) -> f64 {
+            1.0
+        }
+
+        fn refinement_indicator(&self, _info: &BlockInfo, _data: &mut BlockData) -> f64 {
+            0.0
+        }
+    }
+
+    /// One stage sweep evaluates each face of a block in exactly one lane
+    /// of one bundle — the remainder of a row is not re-run in an
+    /// overlapped bundle, a slab's carried plane is not re-run — and the
+    /// stage update's re-reduce of the layers under every outer face
+    /// evaluates none: 8³ and 16³ blocks (one slab; four slabs at seven
+    /// components) and a 2-D block of 5² (a W = 1 tail).
+    #[test]
+    fn a_stage_evaluates_each_face_once() {
+        for (dim, n, ncomp) in [(3, 8, 1), (3, 16, 7), (2, 5, 1)] {
+            let pkg = Counting {
+                ncomp,
+                seen: Default::default(),
+            };
+            let params = MeshParams::builder()
+                .dim(dim)
+                .mesh_cells(n)
+                .block_cells(n)
+                .max_levels(1)
+                .nghost(1)
+                .build()
+                .unwrap();
+            let mesh = Mesh::new(params).unwrap();
+            let mut data = BlockData::new(mesh.index_shape());
+            pkg.register(&mut data);
+            let q = data.var_mut(VarId(0)).data_mut().as_mut_slice();
+            q.iter_mut().enumerate().for_each(|(at, v)| *v = at as f64);
+            let mut slot = BlockSlot::new(BlockInfo::from_mesh(&mesh, 0), data);
+            let shape = mesh.index_shape();
+            let tiles = CellBox::interior(&shape).tiles(dim, ncomp, TILE_BUDGET_BYTES / 8);
+            let all = (1u8 << (2 * dim)) - 1;
+            with_scratch(|s| sweep_slot(&pkg, &mut slot, &[VarId(0)], &tiles, all, s));
+            let mut seen = pkg.seen.lock().unwrap().clone();
+            let evaluated = seen.len();
+            seen.sort_unstable();
+            seen.dedup();
+            let faces = dim * (n + 1) * n.pow(dim as u32 - 1);
+            assert_eq!(
+                (seen.len(), evaluated),
+                (faces, faces),
+                "{dim}-D, {n} cells, {} tiles: distinct faces and evaluations",
+                tiles.len()
+            );
+            reduce_layers(&mut slot, &[VarId(0)], all);
+            assert_eq!(
+                pkg.seen.lock().unwrap().len(),
+                faces,
+                "the re-reduce evaluates no face"
+            );
         }
     }
 

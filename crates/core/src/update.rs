@@ -1,16 +1,13 @@
 //! Conserved-state updates: Runge-Kutta stage averaging over the flux
 //! divergence the sweep left behind (`WeightedSumData` + `FluxDivergence`),
-//! after re-sweeping the layers under flux-corrected faces.
+//! after re-reducing the layers under flux-corrected faces.
 
 use vibe_exec::{catalog, ExecCtx};
 use vibe_field::VarId;
 use vibe_prof::{Recorder, RegionKey, StepFunction};
 
 use crate::block::BlockSlot;
-use crate::package::Package;
-use crate::sweep::{
-    for_each_block_costed, sweep_slot, with_scratch, CellBox, Planes, TILE_BUDGET_BYTES,
-};
+use crate::sweep::{for_each_block_costed, reduce_layers};
 
 /// Applies one Runge-Kutta stage update to every flux-bearing independent
 /// variable `ids` in `pack`:
@@ -23,16 +20,17 @@ use crate::sweep::{
 /// divergence the stage's sweep wrote ([`crate::sweep`]). RK2 uses
 /// `(a0, b, c) = (0, 1, 1)` for the predictor and `(0.5, 0.5, 0.5)` for the
 /// corrector. A block with flux-corrected faces — bit `2 * d + side` of
-/// `corrected[gid]` — first has the one-cell layers under them re-swept
-/// with the corrected planes overriding its own surface fluxes. Records
+/// `corrected[gid]`, the faces whose layers the stage's sweep kept — first
+/// has the divergence of the one-cell layers under them re-reduced from
+/// the kept fluxes and the corrected planes ([`reduce_layers`]); no face
+/// flux is evaluated again. Records
 /// the `WeightedSumData` and `FluxDivergence` kernels (one launch each per
 /// pack); blocks are updated independently, in parallel under `exec`.
 /// `cost`, if given (indexed by gid), is charged each block's own
 /// update time — the measured-cost feed of the load balancer
 /// (`DriverParams::measured_costs`), which never perturbs the solution.
 #[allow(clippy::too_many_arguments)]
-pub fn flux_divergence_update<P: Package>(
-    pkg: &P,
+pub fn flux_divergence_update(
     pack: &mut [&mut BlockSlot],
     exec: ExecCtx,
     (a0, b, c): (f64, f64, f64),
@@ -55,20 +53,10 @@ pub fn flux_divergence_update<P: Package>(
     let comp_cells = (pack.len() * shape.interior_count() * ncomp) as u64;
     catalog::WEIGHTED_SUM_DATA.record(rec, comp_cells, 1.0);
     catalog::FLUX_DIVERGENCE.record(rec, comp_cells, 1.0);
-    let interior = CellBox::interior(&shape);
     for_each_block_costed(pack, exec, cost, |slot| {
         let faces = corrected.get(slot.info.gid).copied().unwrap_or(0);
-        let layers: Vec<CellBox> = (0..2 * shape.dim())
-            .filter(|face| faces >> face & 1 == 1)
-            .flat_map(|face| {
-                let layer = interior.layer(face);
-                layer.tiles(shape.dim(), ncomp, TILE_BUDGET_BYTES / 8)
-            })
-            .collect();
-        if !layers.is_empty() {
-            with_scratch(|scratch| {
-                sweep_slot(pkg, slot, ids, &layers, Planes::Override, scratch);
-            });
+        if faces != 0 {
+            reduce_layers(slot, ids, faces);
         }
         stage_update(slot, ids, a0, b, c * dt);
     });
@@ -107,6 +95,8 @@ fn stage_update(slot: &mut BlockSlot, ids: &[VarId], a0: f64, b: f64, cdt: f64) 
 mod tests {
     use super::*;
     use crate::block::{BlockInfo, BlockSlot};
+    use crate::package::Package;
+    use crate::sweep::{sweep_block, with_scratch, CellBox, TILE_BUDGET_BYTES};
     use crate::test_package::Advect;
     use vibe_field::BlockData;
     use vibe_mesh::{Mesh, MeshParams};
@@ -137,18 +127,22 @@ mod tests {
         (slot, qid)
     }
 
-    /// Sweeps every block of `pack` once in the production tiling.
+    /// Sweeps `q` on every block of `pack` once in the production tiling,
+    /// keeping the layers under the faces `keep`.
     fn sweep_pack(
         pkg: &Advect,
         pack: &mut [&mut BlockSlot],
-        ids: &[VarId],
-        exec: ExecCtx,
+        qid: VarId,
+        (exec, keep): (ExecCtx, u8),
         cost: Option<&mut [u64]>,
     ) {
         let shape = *pack[0].data.shape();
         let tiles = CellBox::interior(&shape).tiles(shape.dim(), 1, TILE_BUDGET_BYTES / 8);
         for_each_block_costed(pack, exec, cost, |slot| {
-            with_scratch(|scratch| sweep_slot(pkg, slot, ids, &tiles, Planes::Save, scratch));
+            let mut out = [slot.data.var_mut(qid).take_flux_out()];
+            with_scratch(|s| sweep_block(pkg, &slot.info, &slot.data, &mut out, &tiles, keep, s));
+            let [out] = out;
+            slot.data.var_mut(qid).put_flux_out(out);
         });
     }
 
@@ -157,8 +151,8 @@ mod tests {
         let mut rec = Recorder::new();
         rec.begin_cycle(0);
         let (pkg, mut pack) = (Advect::default(), vec![slot]);
-        sweep_pack(&pkg, &mut pack, &[qid], exec, None);
-        flux_divergence_update(&pkg, &mut pack, exec, coef, dt, &[qid], &[], &mut rec, None);
+        sweep_pack(&pkg, &mut pack, qid, (exec, 0), None);
+        flux_divergence_update(&mut pack, exec, coef, dt, &[qid], &[], &mut rec, None);
         rec.end_cycle(1, 0, 0, 0);
     }
 
@@ -208,9 +202,8 @@ mod tests {
             let (pkg, exec, mut pack) = (Advect::default(), ExecCtx::serial(), vec![&mut slot]);
             let mut cost = [0u64; 2];
             let (swept, updated) = cost.split_at_mut(1);
-            sweep_pack(&pkg, &mut pack, &[qid], exec, costed.then_some(swept));
+            sweep_pack(&pkg, &mut pack, qid, (exec, 0), costed.then_some(swept));
             flux_divergence_update(
-                &pkg,
                 &mut pack,
                 exec,
                 (0.5, 0.5, 0.5),
@@ -231,7 +224,7 @@ mod tests {
         assert!(build(false) == build(true));
     }
 
-    /// A corrected face makes the update re-sweep the layer under it with
+    /// A corrected face makes the update re-reduce the layer under it with
     /// the plane's value in place of the block's own flux.
     #[test]
     fn corrected_plane_reaches_the_layer_under_it() {
@@ -240,13 +233,12 @@ mod tests {
             let mut rec = Recorder::new();
             rec.begin_cycle(0);
             let (pkg, exec, mut pack) = (Advect::default(), ExecCtx::serial(), vec![&mut slot]);
-            sweep_pack(&pkg, &mut pack, &[qid], exec, None);
+            sweep_pack(&pkg, &mut pack, qid, (exec, corrected[0]), None);
             // The low-x face flux (own value: q_1 = 1) as flux correction
             // would overwrite it.
             pack[0].data.var_mut(qid).planes_mut()[0].fill(3.0);
             let coef = (0.0, 1.0, 1.0);
             flux_divergence_update(
-                &pkg,
                 &mut pack,
                 exec,
                 coef,
@@ -275,7 +267,6 @@ mod tests {
         rec.begin_cycle(0);
         let mut pack = vec![&mut slot];
         flux_divergence_update(
-            &Advect::default(),
             &mut pack,
             ExecCtx::serial(),
             (0.0, 1.0, 1.0),

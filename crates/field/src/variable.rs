@@ -91,15 +91,26 @@ impl fmt::Display for Metadata {
     }
 }
 
-/// What a flux sweep writes for one variable: its divergence array and its
-/// outer face planes.
-pub type FluxOut = (Array4, Vec<Array4>);
+/// What a flux sweep writes for one variable, moved out of it for the sweep
+/// ([`CellVariable::take_flux_out`]).
+#[derive(Debug)]
+pub struct FluxOut {
+    /// Flux divergence over the interior cells.
+    pub div: Array4,
+    /// Fluxes on the block's outer faces, `[2 * d + side]`.
+    pub planes: Vec<Array4>,
+    /// The fluxes the sweep keeps of the one-cell layer under outer face
+    /// `[2 * d + side]`, laid out as the sweep's tile over that layer;
+    /// empty for a face whose layer is not kept.
+    pub layers: Vec<Vec<f64>>,
+}
 
 /// One named, multi-component, cell-centered variable on one block. A
 /// [`Metadata::WITH_FLUXES`] variable also keeps what the flux sweep leaves
 /// behind for the stage update and for flux correction: the divergence of
-/// its face fluxes over the interior cells and the fluxes on the block's
-/// outer faces. The fluxes themselves live in the sweep's per-worker tile
+/// its face fluxes over the interior cells, the fluxes on the block's
+/// outer faces and, under flux-corrected faces, the fluxes of the one-cell
+/// layer beneath. All other fluxes live in the sweep's per-worker tile
 /// scratch only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellVariable {
@@ -115,6 +126,9 @@ pub struct CellVariable {
     /// over the interior, one thick along `d`. Empty without
     /// [`Metadata::WITH_FLUXES`].
     planes: Vec<Array4>,
+    /// The kept fluxes of the layer under each outer face ([`FluxOut`]);
+    /// sized by the sweep for the faces it is asked to keep.
+    layers: Vec<Vec<f64>>,
 }
 
 impl CellVariable {
@@ -157,6 +171,7 @@ impl CellVariable {
             data,
             div: with_fluxes.then(|| Array4::zeros([ncomp, nz, ny, nx])),
             planes,
+            layers: Vec::new(),
         }
     }
 
@@ -201,21 +216,31 @@ impl CellVariable {
         &mut self.planes
     }
 
-    /// Moves the divergence array and the face planes out of the variable
-    /// — the borrow split of a sweep that reads the block's state shared
-    /// while it writes these; [`CellVariable::put_flux_out`] moves them back.
+    /// The fluxes the sweep kept of the layer under each outer face,
+    /// `[2 * d + side]` ([`FluxOut::layers`]).
+    pub fn layers(&self) -> &[Vec<f64>] {
+        &self.layers
+    }
+
+    /// Moves the divergence array, the face planes and the kept layer
+    /// fluxes out of the variable — the borrow split of a sweep that reads
+    /// the block's state shared while it writes these;
+    /// [`CellVariable::put_flux_out`] moves them back.
     ///
     /// # Panics
     ///
     /// Panics if the variable has no fluxes (or they are already out).
     pub fn take_flux_out(&mut self) -> FluxOut {
-        let div = self.div.take().expect("variable carries fluxes");
-        (div, std::mem::take(&mut self.planes))
+        FluxOut {
+            div: self.div.take().expect("variable carries fluxes"),
+            planes: std::mem::take(&mut self.planes),
+            layers: std::mem::take(&mut self.layers),
+        }
     }
 
     /// Moves what [`CellVariable::take_flux_out`] took back in.
-    pub fn put_flux_out(&mut self, (div, planes): FluxOut) {
-        (self.div, self.planes) = (Some(div), planes);
+    pub fn put_flux_out(&mut self, out: FluxOut) {
+        (self.div, self.planes, self.layers) = (Some(out.div), out.planes, out.layers);
     }
 
     /// Mutable cell data beside the flux divergence — the borrow split the
@@ -240,11 +265,13 @@ impl CellVariable {
         self.data.nbytes() + usize::from(self.div.is_some()) * ncomp * faces * 8
     }
 
-    /// Bytes actually allocated: data, divergence and face planes.
+    /// Bytes actually allocated: data, divergence, face planes and kept
+    /// layer fluxes.
     pub fn resident_bytes(&self) -> usize {
         self.data.nbytes()
             + self.div.as_ref().map_or(0, Array4::nbytes)
             + self.planes.iter().map(Array4::nbytes).sum::<usize>()
+            + self.layers.iter().map(|l| 8 * l.len()).sum::<usize>()
     }
 }
 

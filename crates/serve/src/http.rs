@@ -183,15 +183,26 @@ fn route(stream: &TcpStream, service: &Service, req: &Request) -> io::Result<()>
             None => not_found(stream),
         },
         ("GET", ["stats"]) => respond_json(stream, 200, &stats_json(service).render()),
-        _ => respond_json(
-            stream,
-            if segs.first() == Some(&"jobs") || segs.first() == Some(&"stats") {
-                405
-            } else {
-                404
-            },
-            &obj(vec![("error", Json::Str("no such route".into()))]).render(),
-        ),
+        _ => {
+            let body = obj(vec![("error", Json::Str("no such route".into()))]).render();
+            match allowed_methods(&segs) {
+                [] => respond_json(stream, 404, &body),
+                allow => {
+                    let allow = format!("Allow: {}\r\n", allow.join(", "));
+                    respond(stream, 405, "application/json", &allow, body.as_bytes())
+                }
+            }
+        }
+    }
+}
+
+/// The methods `route` answers the path `segs` under: empty for a path no
+/// route has.
+fn allowed_methods(segs: &[&str]) -> &'static [&'static str] {
+    match segs {
+        ["jobs"] | ["jobs", _, "preempt" | "resume"] => &["POST"],
+        ["jobs", _] | ["jobs", _, "metrics"] | ["stats"] => &["GET"],
+        _ => &[],
     }
 }
 
@@ -347,10 +358,18 @@ const fn status_text(code: u16) -> &'static str {
     }
 }
 
-fn respond(mut stream: &TcpStream, code: u16, ctype: &str, body: &[u8]) -> io::Result<()> {
+/// Writes a whole response; `headers` are extra header lines, each ending
+/// in CRLF.
+fn respond(
+    mut stream: &TcpStream,
+    code: u16,
+    ctype: &str,
+    headers: &str,
+    body: &[u8],
+) -> io::Result<()> {
     write!(
         stream,
-        "HTTP/1.1 {code} {}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        "HTTP/1.1 {code} {}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n",
         status_text(code),
         body.len()
     )?;
@@ -359,7 +378,7 @@ fn respond(mut stream: &TcpStream, code: u16, ctype: &str, body: &[u8]) -> io::R
 }
 
 fn respond_json(stream: &TcpStream, code: u16, body: &str) -> io::Result<()> {
-    respond(stream, code, "application/json", body.as_bytes())
+    respond(stream, code, "application/json", "", body.as_bytes())
 }
 
 /// Streams `body` with chunked transfer encoding, one chunk per line —
@@ -393,6 +412,12 @@ mod tests {
     /// Minimal HTTP/1.1 client: one request, reads to EOF, decodes
     /// chunked bodies.
     fn http(port: u16, method: &str, path: &str, body: &str) -> (u16, String) {
+        let (code, _, body) = request(port, method, path, body);
+        (code, body)
+    }
+
+    /// [`http`] with the response's header lines.
+    fn request(port: u16, method: &str, path: &str, body: &str) -> (u16, String, String) {
         let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
         write!(
             stream,
@@ -413,7 +438,7 @@ mod tests {
         } else {
             payload.to_string()
         };
-        (code, body)
+        (code, head.to_string(), body)
     }
 
     fn decode_chunked(payload: &str) -> String {
@@ -491,7 +516,7 @@ mod tests {
         let (code, body) = http(port, "GET", "/jobs/0/trace", "");
         assert_eq!(
             (code, body.contains("no such route")),
-            (405, true),
+            (404, true),
             "{body}"
         );
 
@@ -622,8 +647,17 @@ mod tests {
         assert_eq!(code, 404);
         let (code, _) = http(port, "GET", "/nope", "");
         assert_eq!(code, 404);
-        let (code, _) = http(port, "DELETE", "/jobs/0", "");
+        let (code, _) = http(port, "GET", "/jobs/0/nope", "");
+        assert_eq!(code, 404, "no route under any method");
+        let (code, head, _) = request(port, "DELETE", "/jobs/0", "");
         assert_eq!(code, 405);
+        assert!(head.contains("\r\nAllow: GET\r\n"), "{head}");
+        let (code, head, _) = request(port, "DELETE", "/stats", "");
+        assert_eq!(code, 405);
+        assert!(head.contains("\r\nAllow: GET\r\n"), "{head}");
+        let (code, head, _) = request(port, "GET", "/jobs/0/preempt", "");
+        assert_eq!(code, 405);
+        assert!(head.contains("\r\nAllow: POST\r\n"), "{head}");
         server.shutdown();
     }
 

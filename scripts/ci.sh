@@ -353,7 +353,7 @@ echo "==> one flux storage, one sweep"
 # Fluxes live in the sweep's per-worker tile scratch (crates/core/src/sweep.rs)
 # and nowhere else: no per-block 3-D flux arrays or accessors to them, no
 # face-band phase split, and one per-block sweep entry point that the stage
-# sweep, the correction re-sweep and the conformance harness all go through.
+# sweep and the conformance harness go through.
 gone='calculate_fluxes_phase|data_and_flux_mut|data_mut_and_fluxes|fluxes_mut|flux_mut|face_bands'
 if grep -rnE "$gone" crates tests examples --include='*.rs'; then
     echo "a per-block flux array accessor or the face-band split is back (see above)" >&2
@@ -387,6 +387,29 @@ for file in $(find crates/burgers/src crates/physics/src -name '*.rs') crates/co
         exit 1
     fi
 done
+
+echo "==> each face once"
+# The sweep evaluates every face flux exactly once per stage: the walker
+# runs only full bundles along a row and bundles a row's remainder faces
+# across rows, with no overlapped final bundle re-running faces already
+# stored; and the stage update re-takes the divergence of the layers under
+# flux-corrected faces from the fluxes the sweep kept (sweep::reduce_layers)
+# with no re-sweep of them: no override mode for the planes, and no layer
+# tiling, sweep entry point or flux fill in non-test update.rs (its tests
+# sweep a block to have a divergence to update).
+update=crates/core/src/update.rs
+if grep -rnE 'Planes::Override|\bOverride\b' crates --include='*.rs'; then
+    echo "the plane override of the correction re-sweep is back (see above)" >&2
+    exit 1
+fi
+if non_test "$walker" | grep -niE 'overlap|bundle\(len - W\)'; then
+    echo "$walker re-evaluates a row's last faces in an overlapped bundle (see above)" >&2
+    exit 1
+fi
+if non_test "$update" | grep -nE 'sweep_slot|sweep_block|fill_fluxes|with_scratch|\.layer\(|\.tiles\('; then
+    echo "$update re-sweeps the layers under corrected faces; re-reduce them (sweep::reduce_layers)" >&2
+    exit 1
+fi
 
 echo "==> one visit per block, one nesting rule"
 # A stage fills and sweeps a block in one visit (boundary::ghost_visit): the

@@ -12,9 +12,11 @@ use vibe_amr::burgers::{
     hll_flux, reconstruct_linear, reconstruct_weno5, BurgersPackage, BurgersParams, LinearKernel,
     Weno5Kernel,
 };
-use vibe_amr::core::sweep::{fill_faces_reference, fill_lines, FaceFlux, ReconKernel, LANES};
+use vibe_amr::core::sweep::{
+    fill_faces_reference, fill_lines, reduce_layers, sweep_slot, FaceFlux, ReconKernel, LANES,
+};
 use vibe_amr::core::{synthetic_block, CellBox, FluxTile, Package};
-use vibe_amr::field::{minmod, F64Lanes};
+use vibe_amr::field::{minmod, F64Lanes, Metadata, VarId};
 use vibe_amr::physics::{Advect, DiffusionPackage, EulerPackage};
 
 const CASES: usize = 256;
@@ -327,8 +329,9 @@ fn linear_and_burgers_face_fluxes_are_width_invariant() {
 }
 
 /// Every line length from one face to two bundles and a remainder — full
-/// bundles, the overlapped final bundle, the sub-bundle `W = 1` tail —
-/// along a row and across rows: the walker fills what its per-face
+/// bundles along a row, the rows' remainder faces bundled across rows, the
+/// `W = 1` faces where fewer rows than a bundle are left — in a box of two
+/// rows and in a one-cell column: the walker fills what its per-face
 /// reference fills, and counts each face once.
 #[test]
 fn walker_matches_its_reference_at_every_line_length() {
@@ -347,14 +350,12 @@ fn walker_matches_its_reference_at_every_line_length() {
                     .map(|d| tile.extent(d).iter().product::<usize>())
                     .sum();
                 assert_eq!((lane + tail) as usize, faces, "{cells:?}: faces counted");
-                // Which directions reach a bundle, along i or along j.
+                // Each row's full bundles, then its remainder faces in
+                // bundles across full groups of rows.
                 let bundled = |d: usize| {
                     let [ni, nj, _] = tile.extent(d);
-                    if ni >= LANES || nj >= LANES {
-                        ni * nj
-                    } else {
-                        0
-                    }
+                    let (full, across) = (ni - ni % LANES, nj - nj % LANES);
+                    full * nj + (ni - full) * across
                 };
                 assert_eq!(
                     lane as usize,
@@ -379,4 +380,129 @@ fn walker_matches_its_reference_at_every_line_length() {
         ..BurgersParams::default()
     });
     check::<Weno5Kernel, _>(&burgers, 5);
+}
+
+/// Random 1–3-D blocks of 3 to 17 cells a side, in every tiling
+/// `CellBox::tiles` produces: the walker fills each tile as its per-face
+/// reference does, bit for bit; and after a sweep in that tiling that
+/// keeps the layers under every outer face, re-reducing those layers with
+/// random planes — flux correction's worst case — gives every cell the
+/// divergence of the reference fluxes with those planes in place of the
+/// block's surface fluxes, in the sweep's add order.
+#[test]
+fn every_tiling_sweeps_and_re_reduces_like_the_reference() {
+    fn check<R: ReconKernel, P: Package + FaceFlux>(pkg: &P, rng: &mut Rng) {
+        let (dim, n) = (rng.usize_in(1, 4), rng.usize_in(3, 18));
+        let slot = synthetic_block(pkg, dim, n, rng.next_u64());
+        let shape = *slot.data.shape();
+        let ids: Vec<VarId> = (0..slot.data.vars().len())
+            .map(VarId)
+            .filter(|&id| slot.data.var(id).metadata().contains(Metadata::WITH_FLUXES))
+            .collect();
+        let ncomp: usize = ids.iter().map(|&id| slot.data.var(id).ncomp()).sum();
+        let whole = CellBox::interior(&shape);
+        let mut reference = vec![0.0; whole.tile_len(dim, ncomp)];
+        let mut tile = FluxTile::new(whole, dim, ncomp, &mut reference);
+        fill_faces_reference::<R, P>(pkg, &slot.info, &slot.data, &mut tile);
+        let reference = tile;
+
+        // Every tiling, from single rows up to the whole block.
+        let row = CellBox {
+            lo: [0; 3],
+            n: [n, 1, 1],
+        };
+        let mut tilings: Vec<Vec<CellBox>> = Vec::new();
+        for budget in row.tile_len(dim, ncomp)..=whole.tile_len(dim, ncomp) {
+            let tiling = whole.tiles(dim, ncomp, budget);
+            if tilings.last() != Some(&tiling) {
+                tilings.push(tiling);
+            }
+        }
+        let mut scratch = vec![0.0; whole.tile_len(dim, ncomp)];
+        for tiling in &tilings {
+            for &cells in tiling {
+                let mut walked = vec![f64::NAN; cells.tile_len(dim, ncomp)];
+                let mut tile = FluxTile::new(cells, dim, ncomp, &mut walked);
+                fill_lines::<R, P>(pkg, &slot.info, &slot.data, &mut tile);
+                for d in 0..dim {
+                    for (face, _) in tile.faces_to_fill(d) {
+                        let at = std::array::from_fn(|a| cells.lo[a] + face[a]);
+                        for c in 0..ncomp {
+                            let (w, r) = (tile.get(d, c, face), reference.get(d, c, at));
+                            assert_eq!(w.to_bits(), r.to_bits(), "{cells:?} d{d} c{c} {at:?}");
+                        }
+                    }
+                }
+            }
+
+            let all = (1u8 << (2 * dim)) - 1;
+            let mut swept = slot.clone();
+            sweep_slot(pkg, &mut swept, &ids, tiling, all, &mut scratch);
+            for &id in &ids {
+                for plane in swept.data.var_mut(id).planes_mut() {
+                    plane
+                        .as_mut_slice()
+                        .iter_mut()
+                        .for_each(|v| *v = rng.f64_in(-1.0, 1.0));
+                }
+            }
+            reduce_layers(&mut swept, &ids, all);
+
+            let inv = slot.info.geom.dx().map(|dx| 1.0 / dx);
+            let mut c0 = 0;
+            for &id in &ids {
+                let var = swept.data.var(id);
+                let div = var.div().expect("swept");
+                for c in 0..var.ncomp() {
+                    for at in (0..whole.n.iter().product()).map(|q: usize| {
+                        [
+                            q % whole.n[0],
+                            q / whole.n[0] % whole.n[1],
+                            q / whole.n[0] / whole.n[1],
+                        ]
+                    }) {
+                        // The flux through face `face` of direction `d`:
+                        // the plane's value on the block's surface.
+                        let flux = |d: usize, face: [usize; 3]| {
+                            if !face[d].is_multiple_of(n) {
+                                return reference.get(d, c0 + c, face);
+                            }
+                            let plane = &var.planes()[2 * d + face[d] / n];
+                            let mut p = face;
+                            p[d] = 0;
+                            plane.get(c, p[2], p[1], p[0])
+                        };
+                        let jump = |d: usize| {
+                            let mut up = at;
+                            up[d] += 1;
+                            (flux(d, up) - flux(d, at)) * inv[d]
+                        };
+                        let want = match dim {
+                            1 => jump(0),
+                            2 => jump(0) + jump(1),
+                            _ => (jump(0) + jump(1)) + jump(2),
+                        };
+                        let got = div.get(c, at[2], at[1], at[0]);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "dim {dim}, n {n}, {} tiles: component {c} of {} at {at:?}",
+                            tiling.len(),
+                            var.name()
+                        );
+                    }
+                }
+                c0 += var.ncomp();
+            }
+        }
+    }
+    let mut rng = Rng::new(0x57E0_000C);
+    let burgers = BurgersPackage::new(BurgersParams {
+        num_scalars: 1,
+        ..BurgersParams::default()
+    });
+    for _ in 0..6 {
+        check::<Weno5Kernel, _>(&burgers, &mut rng);
+        check::<LinearKernel, _>(&EulerPackage::default(), &mut rng);
+    }
 }
