@@ -151,7 +151,6 @@ pub fn run(base: &JobConfig, gate: &mut Gate) {
         runners: 2,
         budget_cycles: BUDGET,
         tenant_weights: Vec::new(),
-        ..ServiceConfig::default()
     }));
     let Some(server) = gate.ok(
         Server::start(Arc::clone(&service), 0),

@@ -155,10 +155,6 @@ impl Package for BurgersPackage {
         4
     }
 
-    fn default_cfl(&self) -> f64 {
-        0.3
-    }
-
     fn initial_condition(&self, info: &BlockInfo, data: &mut BlockData) {
         // The canonical Burgers workload: three overlapping Gaussian blobs
         // (the bench probe's `multi_blob(0.9, 0.002, 3)`), preserving the

@@ -2,11 +2,12 @@
 //! derefined parents, and the wire form of a block that migrates between
 //! processes (used by `RedistributeAndRefineMeshBlocks`).
 
-use vibe_field::{minmod, BlockData, VarId};
+use vibe_field::{BlockData, RowProgram, TransferProgram, VarId};
 
 /// Prolongates all variables of `parent` into `child` (which occupies
 /// octant `child_index` of the parent's volume), using per-dimension
-/// slope-limited linear interpolation. Fills the child's interior cells;
+/// slope-limited linear interpolation ([`RowProgram::refine`], the ghost
+/// exchange's coarse-to-fine kernel). Fills the child's interior cells;
 /// ghosts are left to the next exchange.
 ///
 /// # Panics
@@ -15,119 +16,39 @@ use vibe_field::{minmod, BlockData, VarId};
 /// block extents are odd.
 pub fn prolongate_to_child(parent: &BlockData, child_index: usize, child: &mut BlockData) {
     let shape = *parent.shape();
-    assert_eq!(&shape, child.shape(), "parent/child shape mismatch");
-    assert_eq!(parent.num_vars(), child.num_vars(), "registration mismatch");
-    let dim = shape.dim();
-    let n = shape.ncells();
-    for nd in n.iter().take(dim) {
+    for nd in shape.ncells().iter().take(shape.dim()) {
         assert!(
             nd.is_multiple_of(2),
             "active extent must be even for refinement"
         );
     }
-    let g = [shape.nghost_d(0), shape.nghost_d(1), shape.nghost_d(2)];
-    let bit = |d: usize| (child_index >> d) & 1;
-
-    for v in 0..parent.num_vars() {
-        let src = parent.vars()[v].data();
-        let dst = child.var_mut(vibe_field::VarId(v)).data_mut();
-        for c in 0..src.ncomp() {
-            for kk in 0..n[2] {
-                for jj in 0..n[1] {
-                    for ii in 0..n[0] {
-                        let idx = [ii, jj, kk];
-                        // Parent storage coordinate covering this fine cell.
-                        let mut p = [0usize; 3];
-                        let mut sign = [0.0f64; 3];
-                        for d in 0..3 {
-                            if d < dim {
-                                p[d] = g[d] + bit(d) * n[d] / 2 + idx[d] / 2;
-                                sign[d] = if idx[d] % 2 == 0 { -1.0 } else { 1.0 };
-                            } else {
-                                p[d] = 0;
-                                sign[d] = 0.0;
-                            }
-                        }
-                        let center = src.get(c, p[2], p[1], p[0]);
-                        let mut value = center;
-                        for d in 0..dim {
-                            let hi = {
-                                let mut q = p;
-                                q[d] = (q[d] + 1).min(shape.entire_d(d) - 1);
-                                src.get(c, q[2], q[1], q[0])
-                            };
-                            let lo = {
-                                let mut q = p;
-                                q[d] = q[d].saturating_sub(1);
-                                src.get(c, q[2], q[1], q[0])
-                            };
-                            let slope = minmod(hi - center, center - lo);
-                            value += 0.25 * sign[d] * slope;
-                        }
-                        dst.set(c, g[2] + kk, g[1] + jj, g[0] + ii, value);
-                    }
-                }
-            }
-        }
-    }
+    fill_vars(&RowProgram::refine(&shape, child_index), parent, child);
 }
 
 /// Restricts (volume-averages) all variables of `children` (in child-index
-/// order, `2^dim` of them) into `parent`'s interior.
+/// order, `2^dim` of them) into `parent`'s interior
+/// ([`RowProgram::coarsen`], the ghost exchange's restrict-on-send kernel).
 ///
 /// # Panics
 ///
-/// Panics if the child count does not match `2^dim` or shapes mismatch.
+/// Panics if the child count does not match `2^dim` or the containers have
+/// different shapes/registrations.
 pub fn restrict_to_parent(children: &[&BlockData], parent: &mut BlockData) {
     let shape = *parent.shape();
-    let dim = shape.dim();
-    assert_eq!(children.len(), 1 << dim, "need 2^dim children");
-    let n = shape.ncells();
-    let g = [shape.nghost_d(0), shape.nghost_d(1), shape.nghost_d(2)];
-    let two = |d: usize| if d < dim { 2usize } else { 1 };
+    assert_eq!(children.len(), 1 << shape.dim(), "need 2^dim children");
+    for (child_index, child) in children.iter().enumerate() {
+        fill_vars(&RowProgram::coarsen(&shape, child_index), child, parent);
+    }
+}
 
-    for v in 0..parent.num_vars() {
-        for c in 0..parent.vars()[v].ncomp() {
-            for kk in 0..n[2] {
-                for jj in 0..n[1] {
-                    for ii in 0..n[0] {
-                        let idx = [ii, jj, kk];
-                        // Which child covers this parent cell, and where.
-                        let mut child_index = 0usize;
-                        let mut base = [0usize; 3];
-                        for d in 0..dim {
-                            let b = usize::from(idx[d] >= n[d] / 2);
-                            child_index |= b << d;
-                            base[d] = 2 * (idx[d] - b * n[d] / 2);
-                        }
-                        let child = children[child_index];
-                        let src = child.vars()[v].data();
-                        let mut sum = 0.0;
-                        let mut count = 0.0;
-                        for tz in 0..two(2) {
-                            for ty in 0..two(1) {
-                                for tx in 0..two(0) {
-                                    let t = [tx, ty, tz];
-                                    let mut s = [0usize; 3];
-                                    for d in 0..3 {
-                                        s[d] = if d < dim { g[d] + base[d] + t[d] } else { 0 };
-                                    }
-                                    sum += src.get(c, s[2], s[1], s[0]);
-                                    count += 1.0;
-                                }
-                            }
-                        }
-                        parent.var_mut(vibe_field::VarId(v)).data_mut().set(
-                            c,
-                            g[2] + kk,
-                            g[1] + jj,
-                            g[0] + ii,
-                            sum / count,
-                        );
-                    }
-                }
-            }
-        }
+/// Runs `prog` on every variable, from `src`'s data into `dst`'s.
+fn fill_vars(prog: &RowProgram, src: &BlockData, dst: &mut BlockData) {
+    assert_eq!(src.shape(), dst.shape(), "parent/child shape mismatch");
+    assert_eq!(src.num_vars(), dst.num_vars(), "registration mismatch");
+    let mut scratch = Vec::new();
+    for (from, to) in src.vars().iter().zip(dst.vars_mut()) {
+        let (rows, out) = (from.data().as_slice(), to.data_mut().as_mut_slice());
+        prog.fill(from.ncomp(), rows, out, &mut scratch);
     }
 }
 

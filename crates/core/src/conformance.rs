@@ -82,10 +82,6 @@ where
             "mesh built with {mesh_nghost} ghosts but the package requires {nghost}"
         ));
     }
-    let cfl = d.package().default_cfl();
-    if !(cfl > 0.0 && cfl <= 1.0) {
-        return Err(format!("default_cfl() = {cfl} outside (0, 1]"));
-    }
 
     // --- Timestep: initialize must produce a positive, finite dt.
     if !(d.dt() > 0.0 && d.dt().is_finite()) {

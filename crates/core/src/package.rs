@@ -74,9 +74,8 @@ impl Default for RefinementPolicy {
 /// lookups (the §VIII-A `PackStrategy` ablation).
 ///
 /// Beyond the kernels, a package owns its *problem setup*: the ghost-layer
-/// width its stencils need ([`Package::nghost`]), its advisory CFL factor
-/// ([`Package::default_cfl`]), its canonical initial condition
-/// ([`Package::initial_condition`]), its refinement thresholds
+/// width its stencils need ([`Package::nghost`]), its canonical initial
+/// condition ([`Package::initial_condition`]), its refinement thresholds
 /// ([`Package::refinement_policy`]), and labels for its history columns
 /// ([`Package::history_labels`]). These hooks let every layer — driver,
 /// rank shards, the service, the benchmarks — construct a problem from
@@ -97,13 +96,6 @@ pub trait Package: Sync {
     /// prolongation halo.
     fn nghost(&self) -> usize {
         4
-    }
-
-    /// Advisory CFL safety factor paired with [`Package::estimate_dt`]:
-    /// problem setup multiplies the estimate by this when the caller does
-    /// not pin an explicit CFL.
-    fn default_cfl(&self) -> f64 {
-        0.3
     }
 
     /// Fills one block's initial condition (Parthenon's problem
@@ -183,10 +175,6 @@ impl Package for DynPackage {
 
     fn nghost(&self) -> usize {
         (**self).nghost()
-    }
-
-    fn default_cfl(&self) -> f64 {
-        (**self).default_cfl()
     }
 
     fn initial_condition(&self, info: &BlockInfo, data: &mut BlockData) {
@@ -280,7 +268,6 @@ mod tests {
     fn boxed_package_forwards_hooks() {
         let pkg: DynPackage = Box::<Advect>::default();
         assert_eq!(pkg.nghost(), 2);
-        assert!(pkg.default_cfl() > 0.0);
         assert_eq!(pkg.history_labels(), vec!["q_mass"]);
     }
 

@@ -353,12 +353,86 @@ pub struct RowProgram {
 }
 
 impl RowProgram {
-    /// Compiles `spec`.
+    /// Compiles `spec`, a ghost transfer.
     ///
     /// In debug builds, checks the invariant the direct fill of the ghost
     /// exchange rests on: every cell read lies in the sender's interior and
     /// every cell written lies in the receiver's ghost band.
     pub fn compile(spec: &BufferSpec) -> Self {
+        let (prog, reads) = Self::lower(spec);
+        // What lets the ghost exchange run the programs of different
+        // receivers concurrently on shared storage: no program writes a
+        // cell another one reads.
+        let interior = |d| spec.shape.range(d, IndexDomain::Interior);
+        debug_assert!(
+            (0..3).all(|d| interior(d).contains(reads[d].s) && interior(d).contains(reads[d].e)),
+            "{spec:?} reads outside the sender's interior"
+        );
+        let r = spec.recv_region.ranges();
+        debug_assert!(
+            (0..spec.shape.dim()).any(|d| r[d].e < interior(d).s || r[d].s > interior(d).e),
+            "{spec:?} writes outside the receiver's ghost band"
+        );
+        prog
+    }
+
+    /// The regrid's prolongation from a block of `shape` into its child
+    /// `child_index` (bit `d` of which picks the child's half along axis
+    /// `d`): the slope-limited linear prolongation of the ghost exchange,
+    /// from the parent's octant into the child's whole interior. The octant
+    /// is read dilated by one cell, into the parent's ghosts where it meets
+    /// the block edge, so every slope is two-sided. Parent and child are
+    /// different containers, so [`RowProgram::compile`]'s check of a ghost
+    /// transfer does not apply.
+    pub fn refine(shape: &IndexShape, child_index: usize) -> Self {
+        Self::octant(shape, child_index, BufferMode::CoarseToFine)
+    }
+
+    /// The regrid's restriction from child `child_index`'s interior into
+    /// its octant of the parent's interior: the volume average of the
+    /// ghost exchange's restrict-on-send.
+    pub fn coarsen(shape: &IndexShape, child_index: usize) -> Self {
+        Self::octant(shape, child_index, BufferMode::RestrictFromFine)
+    }
+
+    /// The regrid's transfer between a block of `shape` and its child
+    /// `child_index` over the block's octant, in global cells with the
+    /// parent's interior at the origin: the child's starts at `bit·n`, an
+    /// even index, so a fine cell's parity is its child-local one.
+    /// [`BufferMode::CoarseToFine`] fills the child's interior from the
+    /// octant dilated by one cell; [`BufferMode::RestrictFromFine`] fills
+    /// the octant from the child's interior.
+    fn octant(shape: &IndexShape, child_index: usize, mode: BufferMode) -> Self {
+        let refine = mode == BufferMode::CoarseToFine;
+        let mut recv: [IndexRange; 3] =
+            std::array::from_fn(|d| shape.range(d, IndexDomain::Interior));
+        let mut packed = [IndexRange::new(0, 0); 3];
+        let (mut recv_origin, mut sender_origin) = ([0i64; 3], [0i64; 3]);
+        for d in 0..shape.dim() {
+            let half = shape.ncells()[d] as i64 / 2;
+            // The octant's first cell, counted from the parent's interior.
+            let lo = ((child_index >> d) & 1) as i64 * half;
+            if refine {
+                recv_origin[d] = 2 * lo;
+                packed[d] = IndexRange::new(lo - 1, lo + half);
+            } else {
+                sender_origin[d] = 2 * lo;
+                recv[d] = IndexRange::new(recv[d].s + lo, recv[d].s + lo + half - 1);
+            }
+        }
+        let spec = BufferSpec {
+            mode,
+            shape: *shape,
+            recv_region: Region::new(recv),
+            recv_origin,
+            sender_origin,
+            packed_region: refine.then(|| Region::new(packed)),
+        };
+        Self::lower(&spec).0
+    }
+
+    /// Compiles `spec` and returns the storage box it reads.
+    fn lower(spec: &BufferSpec) -> (Self, [IndexRange; 3]) {
         let shape = &spec.shape;
         let dim = shape.dim();
         let (ex, ey) = (shape.entire_d(0), shape.entire_d(1));
@@ -433,24 +507,9 @@ impl RowProgram {
             }
         };
         prog.src.first = flat(src_lo);
-        // What lets the ghost exchange run the programs of different
-        // receivers concurrently on shared storage: no program writes a
-        // cell another one reads.
-        debug_assert!(
-            (0..3).all(|d| {
-                let interior = shape.range(d, IndexDomain::Interior);
-                interior.contains(src_lo[d]) && interior.contains(src_lo[d] + src_n[d] as i64 - 1)
-            }),
-            "{spec:?} reads outside the sender's interior"
-        );
-        debug_assert!(
-            (0..dim).any(|d| {
-                let interior = shape.range(d, IndexDomain::Interior);
-                r[d].e < interior.s || r[d].s > interior.e
-            }),
-            "{spec:?} writes outside the receiver's ghost band"
-        );
-        prog
+        let reads =
+            std::array::from_fn(|d| IndexRange::new(src_lo[d], src_lo[d] + src_n[d] as i64 - 1));
+        (prog, reads)
     }
 
     fn dst_cells(&self) -> usize {

@@ -31,7 +31,7 @@ pub use buffer::{
 pub use container::{BlockData, PackStrategy, VarId, VariablePack};
 pub use fluxcorr::{apply_flux, flux_correction_spec, pack_flux, FluxCorrSpec, FluxProgram};
 pub use lanes::{minmod_lanes, F64Lanes, LaneMask};
-pub use ops::{minmod, prolongate_linear_1d, restrict_average};
+pub use ops::{minmod, restrict_average};
 pub use region::Region;
 pub use variable::{CellVariable, FluxOut, Metadata};
 

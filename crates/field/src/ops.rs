@@ -1,5 +1,6 @@
-//! Inter-level resampling primitives: restriction and slope-limited
-//! prolongation.
+//! Inter-level resampling primitives: the slope limiter of the
+//! prolongation and the restriction average. Both operators run as
+//! [`RowProgram`](crate::RowProgram) kernels.
 
 /// The minmod slope limiter: the smaller-magnitude of `a` and `b` when they
 /// agree in sign, zero otherwise. Guarantees monotone (non-oscillatory)
@@ -39,16 +40,6 @@ pub fn restrict_average(fine: &[f64]) -> f64 {
     fine.iter().sum::<f64>() / fine.len() as f64
 }
 
-/// Slope-limited linear prolongation along one dimension: the contribution of
-/// dimension-`d` variation to a fine cell offset `sign ∈ {-1, +1}` a quarter
-/// cell from the coarse center. `left`/`right` are the adjacent coarse values
-/// (pass `center` itself at clamped edges to zero the slope).
-#[inline]
-pub fn prolongate_linear_1d(center: f64, left: f64, right: f64, sign: f64) -> f64 {
-    let slope = minmod(right - center, center - left);
-    0.25 * sign * slope
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,33 +67,5 @@ mod tests {
         let coarse = restrict_average(&fine);
         let fine_total: f64 = fine.iter().sum();
         assert!((coarse * 8.0 - fine_total).abs() < 1e-14);
-    }
-
-    #[test]
-    fn prolongation_reproduces_linear_fields() {
-        // For a linear field with slope s per coarse cell, fine values are
-        // center ± s/4.
-        let (l, c, r) = (1.0, 2.0, 3.0);
-        let lo = c + prolongate_linear_1d(c, l, r, -1.0);
-        let hi = c + prolongate_linear_1d(c, l, r, 1.0);
-        assert!((lo - 1.75).abs() < 1e-15);
-        assert!((hi - 2.25).abs() < 1e-15);
-    }
-
-    #[test]
-    fn prolongation_is_conservative() {
-        // The two fine values average back to the coarse value.
-        let (l, c, r) = (0.5, 2.0, 2.5);
-        let lo = c + prolongate_linear_1d(c, l, r, -1.0);
-        let hi = c + prolongate_linear_1d(c, l, r, 1.0);
-        assert!(((lo + hi) / 2.0 - c).abs() < 1e-15);
-    }
-
-    #[test]
-    fn prolongation_limited_at_extrema() {
-        // Local extremum: slope limited to zero, fine values equal coarse.
-        let (l, c, r) = (1.0, 5.0, 1.0);
-        assert_eq!(prolongate_linear_1d(c, l, r, 1.0), 0.0);
-        assert_eq!(prolongate_linear_1d(c, l, r, -1.0), 0.0);
     }
 }

@@ -106,10 +106,6 @@ impl Package for Advect {
         }
     }
 
-    fn default_cfl(&self) -> f64 {
-        0.3
-    }
-
     fn initial_condition(&self, info: &BlockInfo, data: &mut BlockData) {
         // A sharp off-center Gaussian pulse on a unit background; its
         // periodic transit exercises every flux direction and keeps a

@@ -82,12 +82,6 @@ impl Package for DiffusionPackage {
         2
     }
 
-    fn default_cfl(&self) -> f64 {
-        // estimate_dt already returns the explicit stability bound
-        // dx²/(2·dim·D); 0.4 leaves margin under RK2.
-        0.4
-    }
-
     fn initial_condition(&self, info: &BlockInfo, data: &mut BlockData) {
         // Three sharp hot spots at deterministic low-discrepancy centers;
         // they relax toward uniformity, walking the tagger from refine to

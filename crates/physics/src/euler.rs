@@ -133,10 +133,6 @@ impl Package for EulerPackage {
         2
     }
 
-    fn default_cfl(&self) -> f64 {
-        0.3
-    }
-
     fn initial_condition(&self, info: &BlockInfo, data: &mut BlockData) {
         // A quiescent ideal gas with a strong central pressure pulse: the
         // pulse collapses into an expanding blast shell whose shock front

@@ -841,9 +841,6 @@ mod tests {
         fn nghost(&self) -> usize {
             self.inner.nghost()
         }
-        fn default_cfl(&self) -> f64 {
-            self.inner.default_cfl()
-        }
         fn initial_condition(&self, info: &BlockInfo, data: &mut BlockData) {
             self.inner.initial_condition(info, data)
         }

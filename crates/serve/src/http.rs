@@ -460,7 +460,6 @@ mod tests {
             runners: 1,
             budget_cycles: 4,
             tenant_weights: Vec::new(),
-            ..ServiceConfig::default()
         }));
         let server = Server::start(service, 0).unwrap();
         let port = server.port();
@@ -557,7 +556,6 @@ mod tests {
             runners: 1,
             budget_cycles: 1,
             tenant_weights: Vec::new(),
-            ..ServiceConfig::default()
         }));
         let server = Server::start(Arc::clone(&service), 0).unwrap();
         let port = server.port();

@@ -177,9 +177,14 @@ struct Shared {
     shutdown: AtomicBool,
     runners: usize,
     budget_cycles: u64,
-    max_retries: u32,
-    retry_backoff: Duration,
 }
+
+/// Rank failures tolerated per job before it is marked `Degraded`.
+const MAX_RETRIES: u32 = 2;
+
+/// Pause before re-enqueueing a failed job, scaled by its retry count, so a
+/// crash-looping job cannot monopolize the pool.
+const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 
 impl Shared {
     /// The job table and scheduler. A panic while the lock was held
@@ -205,11 +210,6 @@ pub struct ServiceConfig {
     pub budget_cycles: u64,
     /// Initial tenant weights; unknown tenants default to weight 1.
     pub tenant_weights: Vec<(String, u64)>,
-    /// Rank failures tolerated per job before it is marked `Degraded`.
-    pub max_retries: u32,
-    /// Pause before re-enqueueing a failed job (scaled by its retry
-    /// count), so a crash-looping job cannot monopolize the pool.
-    pub retry_backoff: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -218,8 +218,6 @@ impl Default for ServiceConfig {
             runners: 2,
             budget_cycles: 4,
             tenant_weights: Vec::new(),
-            max_retries: 2,
-            retry_backoff: Duration::from_millis(25),
         }
     }
 }
@@ -274,8 +272,6 @@ impl Service {
             shutdown: AtomicBool::new(false),
             runners: cfg.runners.max(1),
             budget_cycles: cfg.budget_cycles.max(1),
-            max_retries: cfg.max_retries,
-            retry_backoff: cfg.retry_backoff,
         });
         let runners = (0..shared.runners)
             .map(|_| {
@@ -594,7 +590,7 @@ fn run_slice(shared: &Arc<Shared>, id: u64) {
     let mut released = None;
     match outcome {
         Err(e) => {
-            if job.recoveries < shared.max_retries {
+            if job.recoveries < MAX_RETRIES {
                 // Recover: the job's snapshot still holds the last slice
                 // boundary (nothing advanced on the failed slice), so
                 // re-enqueueing replays it — bitwise — after a backoff
@@ -603,7 +599,7 @@ fn run_slice(shared: &Arc<Shared>, id: u64) {
                 job.error = Some(e);
                 job.state = JobState::Queued;
                 let tenant = job.tenant.clone();
-                let pause = shared.retry_backoff * job.recoveries;
+                let pause = RETRY_BACKOFF * job.recoveries;
                 drop(st);
                 std::thread::sleep(pause);
                 shared.lock().sched.enqueue(&tenant, id);
@@ -777,7 +773,6 @@ mod tests {
             runners: 1,
             budget_cycles: 3,
             tenant_weights: Vec::new(),
-            ..ServiceConfig::default()
         });
         let cfg = small_cfg(7, 1, 1);
         let (fp, time, dt) = direct_fingerprint(&cfg);
@@ -870,7 +865,6 @@ mod tests {
             runners: 1,
             budget_cycles: 8,
             tenant_weights: Vec::new(),
-            ..ServiceConfig::default()
         });
         let cfg = small_cfg(5, 1, 1);
         let (a, key_a, cached_a) = svc.submit("acme", cfg.clone()).unwrap();
@@ -915,7 +909,6 @@ mod tests {
             runners: 1,
             budget_cycles: 2,
             tenant_weights: Vec::new(),
-            ..ServiceConfig::default()
         });
         let cfg = small_cfg(6, 2, 1);
         let (fp, _, _) = direct_fingerprint(&cfg);
@@ -1014,7 +1007,6 @@ mod tests {
             runners: 2,
             budget_cycles: 4,
             tenant_weights: Vec::new(),
-            ..ServiceConfig::default()
         });
         let mut ids = Vec::new();
         for physics in vibe_physics::PACKAGES {
@@ -1064,7 +1056,6 @@ mod tests {
         let svc = Service::start(ServiceConfig {
             runners: 1,
             budget_cycles: 2,
-            retry_backoff: Duration::from_millis(1),
             ..ServiceConfig::default()
         });
         let clean = small_cfg(6, 2, 1);
@@ -1101,7 +1092,6 @@ mod tests {
         let svc = Service::start(ServiceConfig {
             runners: 1,
             budget_cycles: 2,
-            max_retries: 0,
             ..ServiceConfig::default()
         });
         // Killed in the second slice, after the first one checkpointed.
@@ -1111,11 +1101,20 @@ mod tests {
             ..small_cfg(4, 2, 1)
         };
         let (id, _, _) = svc.submit("acme", cfg).unwrap();
+        // A kill fires once per job, so the job is charged every retry up
+        // front: the runner reads the count only when a slice fails, and
+        // the kill waits for the second slice.
+        {
+            let mut st = svc.shared.lock();
+            let job = &mut st.jobs[id as usize];
+            assert_eq!(job.recoveries, 0, "the kill fired before the charge");
+            job.recoveries = MAX_RETRIES;
+        }
         let err = svc.wait_done(id, Duration::from_secs(120)).unwrap_err();
         assert!(err.contains("injected"), "{err}");
         let v = svc.job(id).unwrap();
         assert_eq!(v.state, JobState::Degraded);
-        assert_eq!(v.recoveries, 0);
+        assert_eq!(v.recoveries, MAX_RETRIES, "the kill found no retry left");
         assert_eq!(v.cycles_done, 2);
         {
             let st = svc.shared.lock();
@@ -1124,7 +1123,10 @@ mod tests {
             assert!(job.session.is_none(), "a degraded job holds no session");
         }
         let s = svc.stats();
-        assert_eq!((s.degraded, s.failures_detected), (1, 1));
+        assert_eq!(
+            (s.degraded, s.failures_detected),
+            (1, u64::from(MAX_RETRIES) + 1)
+        );
         svc.shutdown();
     }
 
@@ -1139,7 +1141,6 @@ mod tests {
             runners: 2,
             budget_cycles: 2,
             tenant_weights: Vec::new(),
-            ..ServiceConfig::default()
         });
         let (id, _, _) = svc.submit("acme", small_cfg(4, 1, 1)).unwrap();
         svc.wait_done(id, Duration::from_secs(120)).unwrap();

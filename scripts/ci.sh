@@ -507,6 +507,23 @@ if [ "$renderers" != 'fn perfetto_trace_json ' ]; then
     exit 1
 fi
 
+echo "==> one resampling implementation"
+# Each inter-level operator exists once, as a vibe_field::RowProgram kernel:
+# regrid refines and coarsens blocks with the ghost exchange's programs
+# (RowProgram::refine / RowProgram::coarsen), so non-test amr.rs holds no
+# slope limiter and no per-cell loop. The 1-D prolongation helper only its
+# own tests read, the package CFL hook nothing applied and the two service
+# retry settings nothing set stay deleted.
+amr=crates/core/src/amr.rs
+if non_test "$amr" | grep -nE 'minmod|\.get\(c,|\.set\(c,'; then
+    echo "$amr resamples cell by cell again; run RowProgram::refine / coarsen" >&2
+    exit 1
+fi
+if grep -rnE --exclude-dir=target 'prolongate_linear_1d|fn default_cfl|max_retries:|retry_backoff:' crates; then
+    echo "a deleted resampling helper, package CFL hook or service retry setting is back (see above)" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

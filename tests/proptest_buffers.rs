@@ -8,7 +8,8 @@ use util::Rng;
 
 use vibe_amr::field::buffer::{compute_buffer_spec_with, SKIPPED};
 use vibe_amr::field::{
-    pack, restrict_average, unpack, Array4, BufferMode, BufferSpec, RowProgram, TransferProgram,
+    minmod, pack, restrict_average, unpack, Array4, BufferMode, BufferSpec, RowProgram,
+    TransferProgram,
 };
 use vibe_amr::mesh::{AmrFlag, IndexShape, LogicalLocation, Mesh, MeshParams, NeighborOffset};
 
@@ -552,4 +553,188 @@ fn halo_programs_write_exactly_the_stencil_halo() {
     ] {
         assert!(face_modes.contains(&mode), "no {mode:?} face was drawn");
     }
+}
+
+/// The regrid's programs ([`RowProgram::refine`], [`RowProgram::coarsen`])
+/// equal, bit for bit, the per-cell operators below — their spec — and
+/// write nothing outside the child's interior or the parent's octant: for
+/// every dimension 1–3, block edge 4, 6, 8 and 16, ghost width with
+/// `2·nghost <= n`, and child index, on data with ghosts, signed zeros and
+/// repeated values (minmod ties) in it.
+#[test]
+fn regrid_programs_equal_the_per_cell_operators_bitwise() {
+    /// The prolongation of one fine cell of child `bit` from the parent's
+    /// storage: the coarse value plus, per dimension, a quarter of the
+    /// minmod slope of its two axis neighbours toward the fine cell's side.
+    fn prolong_cell(
+        parent: &Array4,
+        shape: &IndexShape,
+        c: usize,
+        bit: [usize; 3],
+        fine: [usize; 3],
+    ) -> f64 {
+        let (dim, n) = (shape.dim(), shape.ncells());
+        let p: [usize; 3] = std::array::from_fn(|d| {
+            if d < dim {
+                shape.nghost_d(d) + bit[d] * n[d] / 2 + fine[d] / 2
+            } else {
+                0
+            }
+        });
+        let at = |q: [usize; 3]| parent.get(c, q[2], q[1], q[0]);
+        let center = at(p);
+        let mut value = center;
+        for d in 0..dim {
+            let (mut lo, mut hi) = (p, p);
+            lo[d] -= 1;
+            hi[d] += 1;
+            let sign = if fine[d].is_multiple_of(2) { -1.0 } else { 1.0 };
+            value += 0.25 * sign * minmod(at(hi) - center, center - at(lo));
+        }
+        value
+    }
+
+    /// The restriction of one parent cell of child `bit`'s octant: the
+    /// `2^dim` fine values covering it summed in `(z, y, x)` order, the
+    /// first one starting the sum, over their count.
+    fn restrict_cell(
+        child: &Array4,
+        shape: &IndexShape,
+        c: usize,
+        bit: [usize; 3],
+        coarse: [usize; 3],
+    ) -> f64 {
+        let (dim, n) = (shape.dim(), shape.ncells());
+        let t = |d: usize| if d < dim { 2 } else { 1 };
+        let mut values = Vec::new();
+        for tz in 0..t(2) {
+            for ty in 0..t(1) {
+                for tx in 0..t(0) {
+                    let s: [usize; 3] = std::array::from_fn(|d| {
+                        let off = [tx, ty, tz][d];
+                        let g = shape.nghost_d(d);
+                        if d < dim {
+                            g + 2 * (coarse[d] - g - bit[d] * n[d] / 2) + off
+                        } else {
+                            0
+                        }
+                    });
+                    values.push(child.get(c, s[2], s[1], s[0]));
+                }
+            }
+        }
+        values[1..].iter().fold(values[0], |sum, v| sum + v) / values.len() as f64
+    }
+
+    const PALETTE: [f64; 7] = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324];
+    let mut rng = Rng::new(0xBF00_0008);
+    let mut fill = |a: &mut Array4| {
+        for v in a.as_mut_slice() {
+            *v = if rng.bool() {
+                PALETTE[rng.usize_in(0, PALETTE.len())]
+            } else {
+                rng.f64_in(-3.0, 3.0)
+            };
+        }
+    };
+    let mut scratch = Vec::new();
+    let mut cases = 0;
+    for dim in 1..=3 {
+        for edge in [4, 6, 8, 16] {
+            for nghost in (1..=4).filter(|g| 2 * g <= edge) {
+                let ncells: [usize; 3] = std::array::from_fn(|d| if d < dim { edge } else { 1 });
+                let shape = IndexShape::new(ncells, nghost, dim);
+                let entire = [2, shape.entire_d(2), shape.entire_d(1), shape.entire_d(0)];
+                let interior = |d: usize| shape.nghost_d(d)..shape.nghost_d(d) + ncells[d];
+                let mut parent = Array4::zeros(entire);
+                fill(&mut parent);
+                let mut restricted = parent.clone();
+                let mut want_restricted = parent.clone();
+                for child_index in 0..1usize << dim {
+                    let bit: [usize; 3] = std::array::from_fn(|d| (child_index >> d) & 1);
+                    let at = format!("{dim}-D, n {edge}, g {nghost}, child {child_index}");
+
+                    let mut child = Array4::zeros(entire);
+                    fill(&mut child);
+                    let mut want = child.clone();
+                    for c in 0..2 {
+                        for k in interior(2) {
+                            for j in interior(1) {
+                                for i in interior(0) {
+                                    let fine: [usize; 3] =
+                                        std::array::from_fn(|d| [i, j, k][d] - shape.nghost_d(d));
+                                    want.set(
+                                        c,
+                                        k,
+                                        j,
+                                        i,
+                                        prolong_cell(&parent, &shape, c, bit, fine),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    RowProgram::refine(&shape, child_index).fill(
+                        2,
+                        parent.as_slice(),
+                        child.as_mut_slice(),
+                        &mut scratch,
+                    );
+                    assert_eq!(bits(&child), bits(&want), "refine, {at}");
+
+                    // Coarsening reads fresh data, ghosts and all.
+                    fill(&mut child);
+                    for c in 0..2 {
+                        for k in interior(2) {
+                            for j in interior(1) {
+                                for i in interior(0) {
+                                    let coarse = [i, j, k];
+                                    let inside = (0..dim).all(|d| {
+                                        let lo = shape.nghost_d(d) + bit[d] * edge / 2;
+                                        (lo..lo + edge / 2).contains(&coarse[d])
+                                    });
+                                    if inside {
+                                        let v = restrict_cell(&child, &shape, c, bit, coarse);
+                                        want_restricted.set(c, k, j, i, v);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    RowProgram::coarsen(&shape, child_index).fill(
+                        2,
+                        child.as_slice(),
+                        restricted.as_mut_slice(),
+                        &mut scratch,
+                    );
+                    assert_eq!(bits(&restricted), bits(&want_restricted), "coarsen, {at}");
+                    cases += 1;
+                }
+
+                // A group of negative zeros restricts to a negative zero,
+                // the IEEE sum of the group.
+                let zeros = Array4::filled(entire, -0.0);
+                let mut parent = Array4::zeros(entire);
+                for child_index in 0..1usize << dim {
+                    RowProgram::coarsen(&shape, child_index).fill(
+                        2,
+                        zeros.as_slice(),
+                        parent.as_mut_slice(),
+                        &mut scratch,
+                    );
+                }
+                for c in 0..2 {
+                    for k in interior(2) {
+                        for j in interior(1) {
+                            for i in interior(0) {
+                                let v = parent.get(c, k, j, i);
+                                assert_eq!(v.to_bits(), (-0.0f64).to_bits(), "{dim}-D, n {edge}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 182, "every dimension, edge, ghost width and child");
 }
