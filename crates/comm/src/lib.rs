@@ -12,12 +12,14 @@
 //!
 //! The layer reproduces the structure of Parthenon's communication stack:
 //!
-//! * [`Communicator::start_receive`] — `StartReceiveBoundBufs` posts
-//!   asynchronous receives;
 //! * [`Communicator::send`] — `SendBoundBufs` ships packed buffers
 //!   (non-blocking);
 //! * [`Communicator::try_receive`] — `ReceiveBoundBufs` probes
-//!   (`MPI_Iprobe`) and completes (`MPI_Test`) incoming messages;
+//!   (`MPI_Iprobe`) and completes (`MPI_Test`) incoming messages: each key
+//!   is one FIFO queue of arrived messages, so a message is matched
+//!   whether or not a receive was posted for it
+//!   ([`Communicator::start_receive`], `StartReceiveBoundBufs`, records
+//!   nothing);
 //! * [`BufferCache`] — the recorded cost inputs of the boundary-key
 //!   sort/shuffle of `InitializeBufferCache` and of the allocation-heavy
 //!   `RebuildBufferCache`, both identified as serial hotspots in §VIII-A of
@@ -35,7 +37,7 @@ pub mod transport;
 
 pub use cache::{BoundaryKey, BufferCache, CacheConfig};
 pub use events::{match_cross_edges, validate_event_order, CommEvent, CommEventKind};
-pub use mailbox::{Communicator, MessageStatus};
+pub use mailbox::Communicator;
 pub use transport::{
     channel_fabric, ChannelTransport, CollectiveHub, PeerLost, SendMeta, Transport, WireMessage,
 };

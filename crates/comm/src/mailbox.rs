@@ -2,10 +2,10 @@
 //! [`Transport`].
 //!
 //! Every message reaches its receiver one way: the transport's `drain`
-//! (the receiving endpoint's channel) feeds per-key FIFO queues, and a probe
-//! promotes the oldest queued message into the key's slot once the slot
-//! is free. A message that has arrived is ready on the next probe; a probe
-//! comes back empty only while a message is still on its way.
+//! (the receiving endpoint's channel) feeds one FIFO queue per key, and a
+//! receive pops the front of its key's queue. A message that has arrived is
+//! ready on the next probe; a probe comes back empty only while a message
+//! is still on its way.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -14,23 +14,6 @@ use vibe_prof::{CollectiveOp, Recorder, SerialWork, StepFunction};
 use crate::cache::BoundaryKey;
 use crate::events::{CommEvent, CommEventKind};
 use crate::transport::{channel_fabric, PeerLost, SendMeta, Transport, WireMessage};
-
-/// Delivery state of one boundary message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MessageStatus {
-    /// Receive posted, nothing sent yet.
-    Posted,
-    /// Data sent, not yet consumed by the receiver.
-    InFlight,
-    /// Consumed by the receiver this cycle.
-    Received,
-}
-
-#[derive(Debug)]
-struct Slot {
-    status: MessageStatus,
-    payload: Vec<f64>,
-}
 
 /// Communicator over `nranks` ranks.
 ///
@@ -41,8 +24,8 @@ struct Slot {
 /// process: its blocks exchange boundaries by direct copy, the labels only
 /// decide whether a transfer is recorded as a *local copy* or a *remote
 /// message*, and a message to a label without an endpoint is refused. The
-/// mailbox owns message *matching*: posted receives, FIFO per-key delivery
-/// and probe semantics.
+/// mailbox owns message *matching*: FIFO per-key delivery and probe
+/// semantics.
 ///
 /// ```
 /// use vibe_comm::{channel_fabric, BoundaryKey, Communicator, SendMeta};
@@ -54,7 +37,6 @@ struct Slot {
 /// let mut rank0 = Communicator::with_transport(2, Box::new(ends.next().unwrap()));
 /// let mut rank1 = Communicator::with_transport(2, Box::new(ends.next().unwrap()));
 /// let key = BoundaryKey::new(0, 1, 0);
-/// rank1.start_receive(key);
 /// let meta = SendMeta { src: 0, dst: 1, cells: 2 };
 /// rank0.send(key, vec![1.0, 2.0], meta, StepFunction::SendBoundBufs, &mut rec);
 /// assert_eq!(rank1.try_receive(key, &mut rec), Some(vec![1.0, 2.0]));
@@ -64,12 +46,10 @@ struct Slot {
 pub struct Communicator {
     nranks: usize,
     transport: Box<dyn Transport>,
-    slots: HashMap<BoundaryKey, Slot>,
-    /// Messages drained off the transport but not yet promoted into a slot:
-    /// per-key FIFO queues, exactly MPI's same-(source,tag) message order.
-    /// A message is promoted only when the slot for its key is free (absent
-    /// or merely Posted) — a fast sender's next-exchange message must not
-    /// overwrite an unconsumed one.
+    /// Messages drained off the transport but not yet received: per-key
+    /// FIFO queues, exactly MPI's same-(source,tag) message order, so a
+    /// fast sender's next-exchange message queues behind an unconsumed one.
+    /// A key whose queue empties is removed.
     inbox: HashMap<BoundaryKey, VecDeque<Vec<f64>>>,
     /// Monotone id stamped onto outgoing messages (`uid`), starting at 1 so
     /// `0` means "unassigned".
@@ -78,7 +58,7 @@ pub struct Communicator {
     /// within one sender makes uids strictly increasing along a stream, so
     /// an arrival at or below the watermark is a duplicated delivery (a
     /// lossy-wire retransmission, or an injected chaos duplicate) and is
-    /// discarded — delivery is exactly-once as far as slots are concerned.
+    /// discarded — every accepted message is received exactly once.
     seen_uids: HashMap<(BoundaryKey, usize), u64>,
     /// Ordered event log with globally monotone sequence numbers.
     log: Vec<CommEvent>,
@@ -115,7 +95,6 @@ impl Communicator {
         Self {
             nranks,
             transport,
-            slots: HashMap::new(),
             inbox: HashMap::new(),
             next_uid: 0,
             seen_uids: HashMap::new(),
@@ -206,13 +185,9 @@ impl Communicator {
         self.transport.nranks()
     }
 
-    /// Posts an asynchronous receive for `key` (idempotent until satisfied).
-    pub fn start_receive(&mut self, key: BoundaryKey) {
-        self.slots.entry(key).or_insert(Slot {
-            status: MessageStatus::Posted,
-            payload: Vec::new(),
-        });
-    }
+    /// `MPI_Irecv` for `key`: records nothing and changes nothing. A
+    /// message is matched on arrival whether or not its receive was posted.
+    pub fn start_receive(&self, _key: BoundaryKey) {}
 
     /// Sends `payload` for `key`. Records a local copy when
     /// `meta.src == meta.dst`, a remote message otherwise.
@@ -282,35 +257,6 @@ impl Communicator {
         }
     }
 
-    /// Moves the oldest queued message for `key` into its slot, but only if
-    /// the slot is free (absent or merely Posted) — never over an
-    /// unconsumed (`InFlight`) or just-consumed (`Received`) message.
-    fn promote(&mut self, key: BoundaryKey) {
-        let free = !matches!(
-            self.slots.get(&key).map(|s| s.status),
-            Some(MessageStatus::InFlight) | Some(MessageStatus::Received)
-        );
-        if !free {
-            return;
-        }
-        let Some(queue) = self.inbox.get_mut(&key) else {
-            return;
-        };
-        let Some(payload) = queue.pop_front() else {
-            return;
-        };
-        if queue.is_empty() {
-            self.inbox.remove(&key);
-        }
-        self.slots.insert(
-            key,
-            Slot {
-                status: MessageStatus::InFlight,
-                payload,
-            },
-        );
-    }
-
     /// One non-blocking probe for `key`: records the `MPI_Iprobe` cost,
     /// drains the transport, and reports whether the message has arrived —
     /// without consuming it.
@@ -322,8 +268,7 @@ impl Communicator {
     pub fn poll_ready(&mut self, key: BoundaryKey, rec: &mut Recorder) -> bool {
         rec.record_serial(StepFunction::ReceiveBoundBufs, SerialWork::BoundaryLoop(1));
         self.pump();
-        self.promote(key);
-        let ready = self.status(key) == Some(MessageStatus::InFlight);
+        let ready = self.inbox.contains_key(&key);
         // A message that will never come must not spin forever: when a peer
         // endpoint has died (shard panic, injected kill) the fabric reports
         // unhealthy and this rank raises PeerLost — a cascade, which the
@@ -337,9 +282,9 @@ impl Communicator {
         ready
     }
 
-    /// Probes for and completes the message for `key`, consuming it.
-    /// Returns `None` when nothing has arrived yet (the receiver must poll
-    /// again).
+    /// Probes for and completes the oldest message for `key`, consuming
+    /// it. Returns `None` when nothing has arrived yet (the receiver must
+    /// poll again).
     ///
     /// # Panics
     ///
@@ -349,26 +294,13 @@ impl Communicator {
         if !self.poll_ready(key, rec) {
             return None;
         }
-        let slot = self.slots.get_mut(&key)?;
-        slot.status = MessageStatus::Received;
-        let payload = std::mem::take(&mut slot.payload);
+        let queue = self.inbox.get_mut(&key)?;
+        let payload = queue.pop_front()?;
+        if queue.is_empty() {
+            self.inbox.remove(&key);
+        }
         self.record_event(key, StepFunction::ReceiveBoundBufs, CommEventKind::Complete);
         Some(payload)
-    }
-
-    /// Delivery status of `key`, if known.
-    pub fn status(&self, key: BoundaryKey) -> Option<MessageStatus> {
-        self.slots.get(&key).map(|s| s.status)
-    }
-
-    /// The end-of-exchange reset performed by `SetBounds`: drops consumed
-    /// and stale-posted slots. Unconsumed `InFlight` messages survive —
-    /// with real concurrent ranks a fast sender's *next*-exchange message
-    /// may already have been promoted, and destroying it would deadlock the
-    /// next exchange.
-    pub fn mark_all_stale(&mut self) {
-        self.slots
-            .retain(|_, s| s.status == MessageStatus::InFlight);
     }
 
     /// Blocking AllGather that really moves data: deposits `payload` and
@@ -514,7 +446,6 @@ mod tests {
         let (mut c0, mut comm) = channel_pair();
         let key = BoundaryKey::new(0, 1, 3);
         comm.start_receive(key);
-        assert_eq!(comm.status(key), Some(MessageStatus::Posted));
         assert!(comm.try_receive(key, &mut rec).is_none());
         c0.send(
             key,
@@ -528,7 +459,6 @@ mod tests {
             &mut rec,
         );
         assert_eq!(comm.try_receive(key, &mut rec), Some(vec![5.0]));
-        assert_eq!(comm.status(key), Some(MessageStatus::Received));
         // Second receive finds nothing new.
         assert!(comm.try_receive(key, &mut rec).is_none());
         rec.end_cycle(1, 0, 0, 0);
@@ -568,45 +498,34 @@ mod tests {
     }
 
     #[test]
-    fn stale_reset_drops_consumed_keeps_inflight() {
+    fn each_key_is_one_fifo_queue() {
         let mut rec = recorder();
         let (mut c0, mut comm) = channel_pair();
-        let consumed = BoundaryKey::new(0, 1, 0);
+        let key = BoundaryKey::new(0, 1, 0);
         let early = BoundaryKey::new(2, 1, 0);
-        c0.send(
-            consumed,
-            vec![1.0],
-            SendMeta {
+        // A fast sender ships two exchanges' worth of `key`, then the next
+        // exchange's message for `early`; no receive is ever posted.
+        for (k, v) in [(key, 1.0), (key, 2.0), (early, 3.0)] {
+            let meta = SendMeta {
                 src: 0,
                 dst: 1,
                 cells: 1,
-            },
-            StepFunction::SendBoundBufs,
-            &mut rec,
-        );
-        assert!(comm.try_receive(consumed, &mut rec).is_some());
-        // An early arrival for the *next* exchange must survive the reset.
-        c0.send(
-            early,
-            vec![2.0],
-            SendMeta {
-                src: 0,
-                dst: 1,
-                cells: 1,
-            },
-            StepFunction::SendBoundBufs,
-            &mut rec,
-        );
-        assert!(comm.poll_ready(early, &mut rec), "probed into its slot");
-        assert_eq!(comm.status(early), Some(MessageStatus::InFlight));
-        comm.mark_all_stale();
-        assert_eq!(comm.status(consumed), None, "consumed slot is dropped");
+            };
+            c0.send(k, vec![v], meta, StepFunction::SendBoundBufs, &mut rec);
+        }
+        assert!(comm.poll_ready(early, &mut rec), "all three drained");
+        assert_eq!(comm.try_receive(key, &mut rec), Some(vec![1.0]));
         assert_eq!(
-            comm.status(early),
-            Some(MessageStatus::InFlight),
-            "unconsumed message survives"
+            comm.try_receive(key, &mut rec),
+            Some(vec![2.0]),
+            "the second message comes out second, on the next receive"
         );
-        assert_eq!(comm.try_receive(early, &mut rec), Some(vec![2.0]));
+        assert!(comm.try_receive(key, &mut rec).is_none(), "queue empty");
+        assert_eq!(
+            comm.try_receive(early, &mut rec),
+            Some(vec![3.0]),
+            "an early arrival for another key survives"
+        );
         rec.end_cycle(1, 0, 0, 0);
     }
 
@@ -809,7 +728,6 @@ mod tests {
         assert_eq!(comm.resident_events(), 0);
         // Back on, numbering starts where it would have without the gap.
         comm.set_event_capture(true);
-        comm.mark_all_stale();
         comm.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec);
         assert_eq!(comm.events().len(), 1);
         assert_eq!(comm.events()[0].seq, 0);
@@ -835,8 +753,6 @@ mod tests {
             &mut rec,
         );
         assert_eq!(c1.try_receive(key, &mut rec), Some(vec![3.5, 4.5]));
-        // The sender's slot map never saw the message.
-        assert_eq!(c0.status(key), None);
     }
 
     #[test]
@@ -885,9 +801,8 @@ mod tests {
         }
         c1.start_receive(key);
         assert_eq!(c1.try_receive(key, &mut rec), Some(vec![1.0]));
-        // The second message must not have overwritten the first; it is
-        // promoted only after the end-of-exchange reset frees the slot.
-        c1.mark_all_stale();
+        // The second message must not have overwritten the first; it comes
+        // out on the next receive.
         c1.start_receive(key);
         assert_eq!(c1.try_receive(key, &mut rec), Some(vec![2.0]));
         rec.end_cycle(1, 0, 0, 0);
@@ -928,7 +843,6 @@ mod tests {
         }
         comm.start_receive(key);
         assert_eq!(comm.try_receive(key, &mut rec), Some(vec![1.0]));
-        comm.mark_all_stale();
         comm.start_receive(key);
         assert_eq!(comm.try_receive(key, &mut rec), Some(vec![2.0]));
         rec.end_cycle(1, 0, 0, 0);
@@ -990,7 +904,7 @@ mod tests {
     #[test]
     fn zero_length_payloads_round_trip() {
         // Empty boundary buffers (a degenerate face, or a chaos-exercised
-        // edge) must flow through post/drain/promote/complete unchanged.
+        // edge) must flow through post/drain/complete unchanged.
         let mut rec = recorder();
         let (mut c0, mut c1) = channel_pair();
         let key = BoundaryKey::new(0, 1, 9);
@@ -1081,10 +995,8 @@ mod tests {
         let mut comm = Communicator::with_transport(2, Box::new(transport));
         comm.start_receive(key);
         assert_eq!(comm.try_receive(key, &mut rec), Some(vec![1.0]));
-        comm.mark_all_stale();
         comm.start_receive(key);
         assert_eq!(comm.try_receive(key, &mut rec), Some(vec![2.0]));
-        comm.mark_all_stale();
         comm.start_receive(key);
         assert!(
             comm.try_receive(key, &mut rec).is_none(),
@@ -1124,7 +1036,6 @@ mod tests {
         let mut comm = Communicator::with_transport(2, Box::new(transport));
         comm.start_receive(key);
         assert_eq!(comm.try_receive(key, &mut rec), Some(vec![1.0]));
-        comm.mark_all_stale();
         comm.start_receive(key);
         assert_eq!(comm.try_receive(key, &mut rec), Some(vec![2.0]));
         rec.end_cycle(1, 0, 0, 0);

@@ -24,7 +24,7 @@
 //! running while messages are in flight:
 //!
 //! * [`ExchangePlan::build`] — per-mesh-generation compilation;
-//! * [`ghost_pack_and_send`] — route, post receives, pack and ship;
+//! * [`ghost_pack_and_send`] — route, account the receives, pack and ship;
 //! * [`ghost_visit`] — the stage visit: one worker per receiver block runs
 //!   its direct fills, unpacks its delivered payloads and, while the block
 //!   is resident in cache, sweeps it (the domain is periodic, so every
@@ -280,8 +280,8 @@ struct Flight {
 
 impl Flight {
     /// Routes every transfer from residency, reads the live rank labels,
-    /// posts the mailbox receives, and queues what the poll pass waits on.
-    fn open(&mut self, transfers: &[Transfer], blocks: &BlockTable<'_>, comm: &mut Communicator) {
+    /// counts the receives, and queues what the poll pass waits on.
+    fn open(&mut self, transfers: &[Transfer], blocks: &BlockTable<'_>, comm: &Communicator) {
         let logging = comm.captures_events();
         self.labels.clear();
         self.labels.extend(
@@ -317,7 +317,6 @@ impl Flight {
                     self.pending.push(waiting);
                 }
             } else {
-                comm.start_receive(t.key);
                 self.pending.push(waiting);
                 self.mailed.push(b);
                 self.awaits[t.recv] = true;
@@ -733,7 +732,7 @@ pub struct GhostExchangeState {
     remote_bytes_live: i64,
 }
 
-/// Routes every boundary, posts the receives (`StartReceiveBoundBufs`),
+/// Routes every boundary, accounts the receives (`StartReceiveBoundBufs`),
 /// packs the mailbox-bound buffers in parallel (pure reads of the sender
 /// blocks) and streams those sends serially in key order
 /// (`SendBoundBufs`). Direct boundaries move nothing yet: the receiver's
@@ -986,12 +985,7 @@ pub fn ghost_visit(
 /// # Panics
 ///
 /// Panics unless [`ghost_poll`] reported completion for `state`.
-pub fn ghost_retire(
-    plan: &ExchangePlan,
-    state: GhostExchangeState,
-    comm: &mut Communicator,
-    rec: &mut Recorder,
-) {
+pub fn ghost_retire(plan: &ExchangePlan, state: GhostExchangeState, rec: &mut Recorder) {
     let mut flight = state.flight;
     assert!(
         flight.pending.is_empty(),
@@ -1005,7 +999,6 @@ pub fn ghost_retire(
         StepFunction::SetBounds,
         SerialWork::BoundaryLoop(flight.receives),
     );
-    comm.mark_all_stale();
     rec.record_alloc(MemSpace::MpiBuffers, -state.remote_bytes_live);
     plan.ghosts.park(flight);
 }
@@ -1041,35 +1034,7 @@ pub fn exchange_ghosts_with_plan(
             plan, &state, blocks, phase, full, false, None, None, exec, &wall,
         );
     }
-    ghost_retire(plan, state, comm, rec);
-}
-
-/// Performs one full ghost-zone exchange of all [`Metadata::FILL_GHOST`]
-/// variables across all block boundaries, building a one-shot
-/// [`ExchangePlan`].
-///
-/// Fine→coarse data is restricted on the sender; coarse→fine data ships at
-/// coarse resolution and is prolongated during `SetBounds` — matching
-/// Parthenon's communication volumes.
-///
-/// # Panics
-///
-/// Panics if `slots` is not every block of `mesh` in gid order.
-pub fn exchange_ghosts(
-    mesh: &Mesh,
-    slots: &mut [BlockSlot],
-    comm: &mut Communicator,
-    cache: &mut BufferCache,
-    cfg: &ExchangeConfig,
-    exec: ExecCtx,
-    rec: &mut Recorder,
-) {
-    let containers = slots.iter_mut().map(|s| &mut s.data);
-    let radius = mesh.index_shape().nghost();
-    let plan = ExchangePlan::build(mesh, containers, cfg, radius, rec);
-    let index = resident_index(slots, mesh.num_blocks());
-    let mut blocks = BlockTable::of(slots, &index, mesh);
-    exchange_ghosts_with_plan(&plan, &mut blocks, comm, cache, cfg, exec, rec);
+    ghost_retire(plan, state, rec);
 }
 
 /// In-flight state of one flux-correction round between its send and
@@ -1141,43 +1106,56 @@ pub fn flux_corr_apply(
     TaskStatus::Complete
 }
 
-/// Fine→coarse flux correction across all level-boundary faces: restricted
-/// fine face fluxes replace the coarse neighbor's on its face planes before
-/// the stage update re-reduces the cells under them (prevents conservation
-/// errors). Builds a one-shot [`ExchangePlan`] over `slots`, every block
-/// of `mesh`, and runs the send and apply phases back-to-back.
-///
-/// # Panics
-///
-/// Panics if a correction has not arrived after one delivery sweep (see
-/// [`exchange_ghosts_with_plan`]).
-pub fn flux_correction(
-    mesh: &Mesh,
-    slots: &mut [BlockSlot],
-    comm: &mut Communicator,
-    exec: ExecCtx,
-    rec: &mut Recorder,
-) {
-    let cfg = ExchangeConfig::default();
-    let containers = slots.iter_mut().map(|s| &mut s.data);
-    let radius = mesh.index_shape().nghost();
-    let plan = ExchangePlan::build(mesh, containers, &cfg, radius, rec);
-    let index = resident_index(slots, mesh.num_blocks());
-    let blocks = &mut BlockTable::of(slots, &index, mesh);
-    let mut state = flux_corr_send(&plan, blocks, comm, exec, rec);
-    assert_eq!(
-        flux_corr_apply(&plan, &mut state, blocks, comm, exec, rec),
-        TaskStatus::Complete,
-        "a one-shot flux correction waits on a message not yet sent"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::{BlockInfo, BlockSlot};
     use vibe_field::BlockData;
     use vibe_mesh::{enforce_proper_nesting, AmrFlag, MeshParams};
+
+    /// One full ghost exchange of every [`Metadata::FILL_GHOST`] variable
+    /// over `slots`, every block of `mesh` in gid order, with a one-shot
+    /// [`ExchangePlan`].
+    fn exchange_ghosts(
+        mesh: &Mesh,
+        slots: &mut [BlockSlot],
+        comm: &mut Communicator,
+        cache: &mut BufferCache,
+        cfg: &ExchangeConfig,
+        exec: ExecCtx,
+        rec: &mut Recorder,
+    ) {
+        let containers = slots.iter_mut().map(|s| &mut s.data);
+        let radius = mesh.index_shape().nghost();
+        let plan = ExchangePlan::build(mesh, containers, cfg, radius, rec);
+        let index = resident_index(slots, mesh.num_blocks());
+        let mut blocks = BlockTable::of(slots, &index, mesh);
+        exchange_ghosts_with_plan(&plan, &mut blocks, comm, cache, cfg, exec, rec);
+    }
+
+    /// One fine→coarse flux correction over `slots`, every block of
+    /// `mesh`, with a one-shot [`ExchangePlan`]: the send and apply phases
+    /// back-to-back.
+    fn flux_correction(
+        mesh: &Mesh,
+        slots: &mut [BlockSlot],
+        comm: &mut Communicator,
+        exec: ExecCtx,
+        rec: &mut Recorder,
+    ) {
+        let cfg = ExchangeConfig::default();
+        let containers = slots.iter_mut().map(|s| &mut s.data);
+        let radius = mesh.index_shape().nghost();
+        let plan = ExchangePlan::build(mesh, containers, &cfg, radius, rec);
+        let index = resident_index(slots, mesh.num_blocks());
+        let blocks = &mut BlockTable::of(slots, &index, mesh);
+        let mut state = flux_corr_send(&plan, blocks, comm, exec, rec);
+        assert_eq!(
+            flux_corr_apply(&plan, &mut state, blocks, comm, exec, rec),
+            TaskStatus::Complete,
+            "a one-shot flux correction waits on a message not yet sent"
+        );
+    }
 
     fn build(mesh: &Mesh, ncomp: usize) -> Vec<BlockSlot> {
         (0..mesh.num_blocks())
@@ -1692,7 +1670,7 @@ mod tests {
                         &wall,
                     );
                 }
-                ghost_retire(plan, state, comm, rec);
+                ghost_retire(plan, state, rec);
             }
             waited
         }
@@ -2008,7 +1986,7 @@ mod tests {
                         &wall,
                     );
                 }
-                ghost_retire(&plan, state, &mut comm, &mut rec);
+                ghost_retire(&plan, state, &mut rec);
                 slots.sort_by_key(|slot| slot.info.gid);
                 check(
                     fill,
@@ -2068,7 +2046,7 @@ mod tests {
                 );
             }
             let outer_ns = before.elapsed().as_nanos() as u64;
-            ghost_retire(&plan, state, &mut comm, &mut rec);
+            ghost_retire(&plan, state, &mut rec);
             rec.end_cycle(mesh.num_blocks() as u64, 0, 0, 0);
 
             let (events, _) = wall.trace_events();

@@ -956,7 +956,7 @@ impl<P: Package> Driver<P> {
         );
         if phase == FluxPhase::Exterior {
             let state = std::mem::take(&mut self.ghost_state);
-            ghost_retire(plan, state, &mut self.comm, &mut self.rec);
+            ghost_retire(plan, state, &mut self.rec);
         }
     }
 
@@ -1204,7 +1204,6 @@ impl<P: Package> Driver<P> {
             self.cache
                 .rebuild(boundaries, boundaries * 96, &mut self.rec);
         }
-        self.comm.mark_all_stale();
     }
 
     /// Rebuilds the communication plan if the mesh generation changed
@@ -1357,9 +1356,6 @@ impl<P: Package> Driver<P> {
         // blocking, because it hides inside a task action the span layer
         // counts as busy).
         let stall_t0 = self.params.capture_spans.then(std::time::Instant::now);
-        for &old_gid in &wanted {
-            self.comm.start_receive(key(old_gid));
-        }
         let mut payloads = Vec::with_capacity(wanted.len());
         while !wanted.is_empty() {
             wanted.retain(

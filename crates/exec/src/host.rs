@@ -111,64 +111,6 @@ impl<'a, T> SharedCells<'a, T> {
     }
 }
 
-/// Applies `f` to every element of `items` using up to `nthreads` OS
-/// threads (the persistent [`pool`], caller included), preserving no
-/// particular order. Each item is visited exactly once; with
-/// `nthreads <= 1` the loop runs inline, in index order, with no pool
-/// interaction — the serial path is exactly the plain `for` loop.
-///
-/// This is the CPU analogue of launching one packed kernel over all mesh
-/// blocks owned by a rank: blocks are independent, so the per-block bodies
-/// run concurrently. Items are claimed dynamically through an atomic
-/// index, so imbalanced per-block costs load-balance automatically.
-///
-/// The index of each item is passed alongside the mutable reference.
-pub fn for_each_block_parallel<T, F>(items: &mut [T], nthreads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Send + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let threads = nthreads.clamp(1, n);
-    if threads == 1 {
-        let start = pool::stats_sampling().then(std::time::Instant::now);
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        if let Some(start) = start {
-            pool::stats_record_inline(n, start);
-        }
-        return;
-    }
-    let base = SharedMut(items.as_mut_ptr());
-    pool::global().run(n, threads, &|i| {
-        let item = unsafe { base.at(i) };
-        f(i, item);
-    });
-}
-
-/// Like [`for_each_block_parallel`] but collecting one result per item, in
-/// item order regardless of execution order — per-block partials for the
-/// deterministic fixed-order reductions (timestep minima, history sums).
-pub fn map_block_parallel<T, R, F>(items: &mut [T], nthreads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Send + Sync,
-{
-    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    let mut pairs: Vec<(&mut T, &mut Option<R>)> = items.iter_mut().zip(&mut out).collect();
-    for_each_block_parallel(&mut pairs, nthreads, |i, (item, slot)| {
-        **slot = Some(f(i, item))
-    });
-    out.into_iter()
-        .map(|r| r.expect("every index executed"))
-        .collect()
-}
-
 /// Per-driver host execution context of the framework's per-block
 /// parallel stages: carries their thread budget.
 ///
@@ -205,29 +147,72 @@ impl ExecCtx {
         self.threads
     }
 
-    /// [`for_each_block_parallel`] with this context's thread budget.
+    /// Applies `f` to every element of `items` using up to the thread
+    /// budget of OS threads (the persistent [`pool`], caller included),
+    /// preserving no particular order. Each item is visited exactly once;
+    /// with a budget of 1 (or one item) the loop runs inline, in index
+    /// order, with no pool interaction — the serial path is exactly the
+    /// plain `for` loop.
+    ///
+    /// This is the CPU analogue of launching one packed kernel over all
+    /// mesh blocks owned by a rank: blocks are independent, so the
+    /// per-block bodies run concurrently. Items are claimed dynamically
+    /// through an atomic index, so imbalanced per-block costs load-balance
+    /// automatically.
+    ///
+    /// The index of each item is passed alongside the mutable reference.
     pub fn for_each_block<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Send + Sync,
     {
-        for_each_block_parallel(items, self.threads, f);
+        let n = items.len();
+        if n == 0 {
+            return;
+        }
+        let threads = self.threads.min(n);
+        if threads == 1 {
+            let start = pool::stats_sampling().then(std::time::Instant::now);
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
+            }
+            if let Some(start) = start {
+                pool::stats_record_inline(n, start);
+            }
+            return;
+        }
+        let base = SharedMut(items.as_mut_ptr());
+        pool::global().run(n, threads, &|i| {
+            let item = unsafe { base.at(i) };
+            f(i, item);
+        });
     }
 
-    /// [`map_block_parallel`] with this context's thread budget.
+    /// Like [`ExecCtx::for_each_block`] but collecting one result per
+    /// item, in item order regardless of execution order — per-block
+    /// partials for the deterministic fixed-order reductions (timestep
+    /// minima, history sums).
     pub fn map_blocks<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(usize, &mut T) -> R + Send + Sync,
     {
-        map_block_parallel(items, self.threads, f)
+        let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        let mut pairs: Vec<(&mut T, &mut Option<R>)> = items.iter_mut().zip(&mut out).collect();
+        self.for_each_block(&mut pairs, |i, (item, slot)| **slot = Some(f(i, item)));
+        out.into_iter()
+            .map(|r| r.expect("every index executed"))
+            .collect()
     }
 
-    /// Index-space parallel-for (`f(0), …, f(n-1)`) with this context's
-    /// thread budget; inline and in order when the budget is 1.
+    /// Index-space parallel-for (`f(0), …, f(n-1)`) on the [`global`]
+    /// pool with this context's thread budget, blocking until all
+    /// complete; inline and in order when the budget is 1.
+    ///
+    /// [`global`]: pool::global
     pub fn for_each_index(&self, n: usize, f: impl Fn(usize) + Sync) {
-        pool::for_each_index(n, self.threads, f);
+        pool::global().run(n, self.threads, &f);
     }
 }
 
@@ -252,7 +237,7 @@ mod tests {
         {
             let [a, b] = &mut blocks;
             let views = [SharedCells::new(a), SharedCells::new(b)];
-            for_each_block_parallel(&mut sums, 2, |r, sum| {
+            ExecCtx::new(2).for_each_block(&mut sums, |r, sum| {
                 let (recv, send) = (views[r], views[1 - r]);
                 // SAFETY: reads are interior cells 2..6 of either block,
                 // which nobody writes, and this worker's own ghost cells
@@ -277,7 +262,7 @@ mod tests {
     #[test]
     fn visits_every_item_once_inline() {
         let mut v = vec![0u64; 10];
-        for_each_block_parallel(&mut v, 1, |i, x| *x += i as u64 + 1);
+        ExecCtx::new(1).for_each_block(&mut v, |i, x| *x += i as u64 + 1);
         let expected: Vec<u64> = (1..=10).collect();
         assert_eq!(v, expected);
     }
@@ -285,7 +270,7 @@ mod tests {
     #[test]
     fn visits_every_item_once_parallel() {
         let mut v = vec![0u64; 1000];
-        for_each_block_parallel(&mut v, 8, |i, x| *x = i as u64 * 3);
+        ExecCtx::new(8).for_each_block(&mut v, |i, x| *x = i as u64 * 3);
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i as u64 * 3);
         }
@@ -295,7 +280,7 @@ mod tests {
     fn thread_count_clamped_to_items() {
         let counter = AtomicUsize::new(0);
         let mut v = vec![(); 3];
-        for_each_block_parallel(&mut v, 64, |_, _| {
+        ExecCtx::new(64).for_each_block(&mut v, |_, _| {
             counter.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 3);
@@ -304,15 +289,15 @@ mod tests {
     #[test]
     fn empty_slice_is_noop() {
         let mut v: Vec<u8> = Vec::new();
-        for_each_block_parallel(&mut v, 4, |_, _| panic!("must not run"));
+        ExecCtx::new(4).for_each_block(&mut v, |_, _| panic!("must not run"));
     }
 
     #[test]
     fn parallel_matches_serial_result() {
         let mut a = vec![1.5f64; 257];
         let mut b = a.clone();
-        for_each_block_parallel(&mut a, 1, |i, x| *x += (i as f64).sin());
-        for_each_block_parallel(&mut b, 7, |i, x| *x += (i as f64).sin());
+        ExecCtx::new(1).for_each_block(&mut a, |i, x| *x += (i as f64).sin());
+        ExecCtx::new(7).for_each_block(&mut b, |i, x| *x += (i as f64).sin());
         assert_eq!(a, b);
     }
 
@@ -324,7 +309,7 @@ mod tests {
         for x in expect.iter_mut() {
             *x = x.sqrt() + 1.0;
         }
-        for_each_block_parallel(&mut v, 5, |i, x| {
+        ExecCtx::new(5).for_each_block(&mut v, |i, x| {
             if i % 7 == 0 {
                 std::thread::yield_now();
             }
@@ -336,8 +321,8 @@ mod tests {
     #[test]
     fn map_results_in_item_order() {
         let mut v: Vec<u32> = (0..333).collect();
-        let serial = map_block_parallel(&mut v, 1, |i, x| *x as u64 + i as u64);
-        let parallel = map_block_parallel(&mut v, 6, |i, x| *x as u64 + i as u64);
+        let serial = ExecCtx::new(1).map_blocks(&mut v, |i, x| *x as u64 + i as u64);
+        let parallel = ExecCtx::new(6).map_blocks(&mut v, |i, x| *x as u64 + i as u64);
         assert_eq!(serial, parallel);
         assert_eq!(serial[10], 20);
     }

@@ -12,16 +12,15 @@
 //! driver records every launch — packages supply per-block kernels and
 //! never see a pack or a recorder.
 //!
-//! Host-side data parallelism over mesh blocks is provided by
-//! [`for_each_block_parallel`], backed by the persistent [`pool`] of
-//! parked worker threads with dynamic (atomic-index) scheduling.
+//! Host-side data parallelism over mesh blocks has one entry point,
+//! [`ExecCtx`] (`for_each_block`, `map_blocks`, `for_each_index`), backed
+//! by the persistent [`pool`] of parked worker threads with dynamic
+//! (atomic-index) scheduling.
 
 pub mod descriptor;
 pub mod host;
 pub mod pool;
 
 pub use descriptor::{catalog, ghost_byte_multiplier, InnerLoop, KernelDescriptor};
-pub use host::{for_each_block_parallel, map_block_parallel, ExecCtx, SharedCells};
-pub use pool::{
-    dispatch_label, for_each_index, set_dispatch_label, stats_begin, stats_end, WorkerPool,
-};
+pub use host::{ExecCtx, SharedCells};
+pub use pool::{dispatch_label, set_dispatch_label, stats_begin, stats_end, WorkerPool};

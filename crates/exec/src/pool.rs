@@ -13,7 +13,7 @@
 //!
 //! The dispatching thread always participates in the region and blocks
 //! until every item has completed, which is what makes the scoped-borrow
-//! API of [`crate::for_each_block_parallel`] sound: borrows captured by
+//! API of [`crate::ExecCtx::for_each_block`] sound: borrows captured by
 //! the body cannot dangle while any worker still runs it.
 //!
 //! Determinism: a region's result never depends on which thread ran which
@@ -165,7 +165,7 @@ struct Shared {
 /// regions with dynamic index scheduling.
 ///
 /// Use [`global`] for the process-wide pool (what
-/// [`crate::for_each_block_parallel`] uses); independent instances are
+/// [`crate::ExecCtx`] uses); independent instances are
 /// mainly for tests.
 pub struct WorkerPool {
     shared: Arc<Shared>,
@@ -396,19 +396,12 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// The process-wide pool used by [`crate::for_each_block_parallel`].
+/// The process-wide pool used by [`crate::ExecCtx`].
 /// Workers are spawned on first use and grown to the largest thread count
 /// ever requested; they park on a condvar between regions.
 pub fn global() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(WorkerPool::new)
-}
-
-/// Index-space parallel-for on the [`global`] pool: runs `f(i)` for
-/// `i in 0..n` on up to `threads` threads (caller included), blocking
-/// until all complete. `threads <= 1` runs inline.
-pub fn for_each_index(n: usize, threads: usize, f: impl Fn(usize) + Sync) {
-    global().run(n, threads, &f);
 }
 
 #[cfg(test)]
@@ -498,7 +491,7 @@ mod tests {
     #[test]
     fn global_pool_for_each_index() {
         let sum = AtomicUsize::new(0);
-        for_each_index(100, 8, |i| {
+        crate::ExecCtx::new(8).for_each_index(100, |i| {
             sum.fetch_add(i, Ordering::SeqCst);
         });
         assert_eq!(sum.load(Ordering::SeqCst), 99 * 100 / 2);

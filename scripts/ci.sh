@@ -524,6 +524,21 @@ if grep -rnE --exclude-dir=target 'prolongate_linear_1d|fn default_cfl|max_retri
     exit 1
 fi
 
+echo "==> one receive queue"
+# The mailbox keeps one FIFO queue of arrived messages per key and nothing
+# else per key but the uid watermark: a receive pops the front of its
+# key's queue, so the posted/in-flight/received slot state, its promotion
+# step and its end-of-exchange reset stay deleted. ExecCtx is the one
+# host-parallel entry point, so the free-function forms stay deleted too.
+if grep -rnE --exclude-dir=target 'MessageStatus|mark_all_stale|fn promote\b' crates; then
+    echo "the mailbox's slot state machine is back (see above); receive from the per-key FIFO" >&2
+    exit 1
+fi
+if grep -rnE --exclude-dir=target 'pub fn (for_each_block_parallel|map_block_parallel)\b' crates; then
+    echo "a second host-parallel entry point is back (see above); use ExecCtx" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
