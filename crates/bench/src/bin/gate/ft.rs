@@ -20,7 +20,7 @@ use vibe_bench::{format_table, paper_workload, run_workload_distributed};
 use vibe_core::DriverParams;
 use vibe_ft::{FaultPlan, FaultPlanSpec, FaultStats, KillSpec};
 use vibe_prof::json::Json;
-use vibe_rt::{run_resilient, ResilienceOptions, RtSession, SessionOptions};
+use vibe_rt::{run_resilient, ResilienceOptions, RtSession};
 use vibe_serve::JobConfig;
 
 use crate::Gate;
@@ -55,17 +55,10 @@ pub fn run(job: &JobConfig, gate: &mut Gate) {
 
             // 2. Chaos off must be byte-for-byte neutral.
             let zero = Arc::new(FaultPlan::new(FaultPlanSpec::default()));
-            let mut session = RtSession::with_options(
-                nranks,
-                SessionOptions {
-                    fault_plan: Some(Arc::clone(&zero)),
-                    ..SessionOptions::default()
-                },
-                {
-                    let cfg = cfg.clone();
-                    move || cfg.replica(cfg.driver_params(), None)
-                },
-            );
+            let mut session = RtSession::with_faults(nranks, Some(Arc::clone(&zero)), {
+                let cfg = cfg.clone();
+                move || cfg.replica(cfg.driver_params(), None)
+            });
             let neutral = session.run(cycles).and_then(|_| session.finish());
             let neutral_fp = gate.ok(neutral, "zero-rate session").map(|r| r.fingerprint);
             gate.check(

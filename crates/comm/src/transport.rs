@@ -52,8 +52,9 @@ pub struct WireMessage {
 /// The wire beneath the mailbox: moves payloads between ranks, allocates
 /// event sequence numbers, and runs collectives.
 ///
-/// The mailbox owns message *matching* (posted receives, probe semantics);
-/// the transport owns message *movement*. A posted message surfaces from a
+/// The mailbox owns message *matching* (one FIFO queue of arrived messages
+/// per key, popped by that key's receive); the transport owns message
+/// *movement*. A posted message surfaces from a
 /// later `drain` of the endpoint it is addressed to — this one included.
 pub trait Transport: Send + std::fmt::Debug {
     /// This endpoint's rank.

@@ -305,7 +305,12 @@ pub struct ShardOutput {
 /// loop (`Step` → `LoadBalancingAndAMR` → `EstimateTimeStep`), each cycle
 /// executed as the dependency-driven task graph of [`cycle_task_graph`].
 /// See the module docs for which blocks it holds.
+///
+/// Cache-line aligned: a rank thread keeps its shard on its stack, and
+/// where in a cache line the driver then started moved `serve-mix`
+/// throughput by 5–15 % between builds that did the same work.
 #[derive(Debug)]
+#[repr(align(64))]
 pub struct Driver<P: Package> {
     /// The replicated mesh: every block's location, neighbors and rank.
     mesh: Mesh,

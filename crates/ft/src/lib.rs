@@ -21,8 +21,8 @@
 //! * **Per-key FIFO.** A held message blocks delivery of newer messages
 //!   on the same boundary key (duplicates excepted — the mailbox's
 //!   per-`(key, src)` uid watermark discards those), so reordering only
-//!   happens *across* keys, which the mailbox's posted-receive matching
-//!   tolerates by construction.
+//!   happens *across* keys, which the mailbox tolerates by construction:
+//!   it keeps one FIFO queue of arrived messages per key.
 //! * **Kill-once.** The rank-kill trigger latches: after the conductor
 //!   fires it and recovery replays the run, the same plan does not kill
 //!   again, so a bounded retry budget always converges.

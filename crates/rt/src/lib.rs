@@ -41,7 +41,7 @@ use vibe_prof::{
 };
 
 pub mod recovery;
-pub use recovery::{run_resilient, RecoveryReport, ResilienceOptions};
+pub use recovery::{run_resilient, RecoveryReport, ResilienceOptions, Resumable};
 
 /// The merged result of a rank-parallel run.
 #[derive(Debug)]
@@ -413,20 +413,6 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// Conductor-level configuration for an [`RtSession`].
-#[derive(Debug, Clone, Default)]
-pub struct SessionOptions {
-    /// Deterministic fault schedule. When set, every rank's transport is
-    /// wrapped in a [`ChaosTransport`] and the session's rank threads
-    /// honor the plan's kill trigger at cycle boundaries. A plan whose
-    /// rates are zero and whose kill is `None` is byte-for-byte neutral.
-    pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Absolute cycle number the replicas start at (non-zero when the
-    /// session resumes a checkpoint); the kill trigger compares against
-    /// absolute cycles so recovery replays line up with the plan.
-    pub start_cycle: u64,
-}
-
 /// What a rank thread hands back when it exits: per-cycle summaries, the
 /// cycle count it completed, and the shard's merged output.
 type RankExit = (Vec<CycleSummary>, u64, ShardOutput);
@@ -434,10 +420,10 @@ type RankExit = (Vec<CycleSummary>, u64, ShardOutput);
 /// A preemptible, resumable distributed run, and the only code that turns
 /// a replica into a rank ([`run_distributed`] is one session run once).
 ///
-/// A session keeps its rank shards alive between commands, so a scheduler
-/// advances a job in budget-sized slices on one session and
-/// [`checkpoint`]s it at a slice boundary as a recovery point, without
-/// stopping it. A checkpoint also resumes in a *new* session — after a
+/// A session keeps its rank shards alive between commands, so a run
+/// advances in slices on one session and is [`checkpoint`]ed at a slice
+/// boundary as a recovery point, without stopping it ([`Resumable`] is
+/// that loop). A checkpoint also resumes in a *new* session — after a
 /// failure, or under a different `(nranks, host_threads)` configuration
 /// (build the replicas with
 /// [`restore_driver`](vibe_core::restore_driver)) — and the bitwise-
@@ -497,12 +483,17 @@ impl<P: Package + Send + 'static> RtSession<P> {
     where
         F: FnOnce() -> Driver<P> + Send + 'static,
     {
-        Self::with_options(nranks, SessionOptions::default(), make_replica)
+        Self::with_faults(nranks, None, make_replica)
     }
 
-    /// [`RtSession::new`] with conductor options: fault injection and the
-    /// absolute start cycle for resumed checkpoints.
-    pub fn with_options<F>(nranks: usize, opts: SessionOptions, make_replica: F) -> Self
+    /// [`RtSession::new`] under a deterministic fault schedule. With a plan,
+    /// every rank's transport is wrapped in a [`ChaosTransport`] and each
+    /// rank honors the plan's kill trigger at cycle boundaries, comparing
+    /// it against its replica's own cycle — a replica restored from a
+    /// checkpoint carries the checkpoint's cycle, so a resumed session
+    /// lines up with the plan. A plan whose rates are zero and whose kill
+    /// is `None` is byte-for-byte neutral.
+    pub fn with_faults<F>(nranks: usize, plan: Option<Arc<FaultPlan>>, make_replica: F) -> Self
     where
         F: FnOnce() -> Driver<P> + Send + 'static,
     {
@@ -517,8 +508,7 @@ impl<P: Package + Send + 'static> RtSession<P> {
             .into_iter()
             .zip(starts)
             .map(|(transport, start)| {
-                let plan = opts.fault_plan.clone();
-                let start_cycle = opts.start_cycle;
+                let plan = plan.clone();
                 let (ctx, crx) = std::sync::mpsc::channel::<Cmd>();
                 let (rtx, rrx) = std::sync::mpsc::channel::<Reply>();
                 cmd_tx.push(ctx);
@@ -549,7 +539,6 @@ impl<P: Package + Send + 'static> RtSession<P> {
                     shard.barrier(SESSION_BEGIN);
                     let mut all: Vec<CycleSummary> = Vec::new();
                     let mut wall_ns = 0u64;
-                    let mut cur = start_cycle;
                     loop {
                         match crx.recv() {
                             Ok(Cmd::Run(n)) => {
@@ -562,16 +551,14 @@ impl<P: Package + Send + 'static> RtSession<P> {
                                     // latch makes the recovery replay of
                                     // the same plan run fault-free.
                                     if let Some(plan) = &plan {
-                                        if plan.pending_kill(rank) == Some(cur) && plan.fire_kill()
+                                        let cycle = shard.cycle();
+                                        if plan.pending_kill(rank) == Some(cycle)
+                                            && plan.fire_kill()
                                         {
-                                            std::panic::panic_any(InjectedKill {
-                                                rank,
-                                                cycle: cur,
-                                            });
+                                            std::panic::panic_any(InjectedKill { rank, cycle });
                                         }
                                     }
                                     summaries.push(shard.step());
-                                    cur += 1;
                                 }
                                 wall_ns += start.elapsed().as_nanos() as u64;
                                 all.extend(summaries.iter().cloned());
@@ -1434,11 +1421,7 @@ mod tests {
     /// — on both the run path and the finish path.
     #[test]
     fn injected_kill_is_classified_to_the_killed_rank() {
-        let opts = SessionOptions {
-            fault_plan: Some(kill_plan(1, 2)),
-            ..SessionOptions::default()
-        };
-        let mut session = RtSession::with_options(2, opts, || replica(2, 1));
+        let mut session = RtSession::with_faults(2, Some(kill_plan(1, 2)), || replica(2, 1));
         let err = session
             .run(4)
             .err()
@@ -1455,6 +1438,25 @@ mod tests {
                 assert!(payload.contains("cycle 2"), "payload: {payload}");
             }
             other => panic!("expected RankFailed, got: {other}"),
+        }
+    }
+
+    /// A session reads its start cycle from its replica: one that already
+    /// ran two cycles fires a kill planned for cycle 3 in its second step,
+    /// not its fourth.
+    #[test]
+    fn the_kill_lines_up_with_the_replica_cycle() {
+        let mut ran = replica(2, 1);
+        ran.run_cycles(2);
+        let mut session = RtSession::with_faults(2, Some(kill_plan(1, 3)), move || ran);
+        session.run(1).expect("cycle 2 runs");
+        match session.run(1) {
+            Err(SessionError::RankFailed {
+                rank: 1,
+                payload,
+                injected: true,
+            }) => assert!(payload.contains("cycle 3"), "payload: {payload}"),
+            other => panic!("expected rank 1's injected kill, got: {other:?}"),
         }
     }
 
@@ -1606,11 +1608,7 @@ mod tests {
         };
         let plan = Arc::new(FaultPlan::new(FaultPlanSpec::default()));
         let chaotic = {
-            let opts = SessionOptions {
-                fault_plan: Some(Arc::clone(&plan)),
-                ..SessionOptions::default()
-            };
-            let mut s = RtSession::with_options(2, opts, || replica(2, 1));
+            let mut s = RtSession::with_faults(2, Some(Arc::clone(&plan)), || replica(2, 1));
             s.run(4).unwrap();
             s.finish().unwrap()
         };
@@ -1655,11 +1653,7 @@ mod tests {
             delay_ticks: 3,
             ..Default::default()
         }));
-        let opts = SessionOptions {
-            fault_plan: Some(Arc::clone(&plan)),
-            ..SessionOptions::default()
-        };
-        let mut s = RtSession::with_options(3, opts, || replica(3, 1));
+        let mut s = RtSession::with_faults(3, Some(Arc::clone(&plan)), || replica(3, 1));
         s.run(5).unwrap();
         let run = s.finish().unwrap();
         assert_eq!(run.fingerprint, reference.fingerprint);

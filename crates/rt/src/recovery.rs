@@ -1,24 +1,109 @@
-//! Checkpoint-based automatic rank recovery: the elastic, fault-tolerant
-//! conductor loop on top of [`RtSession`].
+//! Checkpoint-based resumption and automatic rank recovery.
 //!
-//! [`run_resilient`] advances a distributed run in two-cycle slices,
-//! checkpointing between them. When a rank
-//! dies — injected by a [`FaultPlan`] kill or a real panic — the failure is
-//! classified (root cause, not cascade), the dead session is torn down,
-//! the surviving geometry shrinks by one rank (never below one), and a
-//! fresh session is rebuilt from the last checkpoint via the caller's
-//! factory, which re-partitions the dead rank's blocks onto the remaining
-//! ranks. The bitwise-reproducibility
-//! invariant does the heavy lifting: a replayed slice recomputes exactly
-//! the lost state, so the recovered end state is bitwise identical to
-//! the fault-free run's.
+//! [`Resumable`] is the one way a distributed run resumes: it advances the
+//! run in slices on one [`RtSession`], checkpoints at every slice boundary,
+//! and after a failure — or a caller that released the session — starts a
+//! fresh session from the last checkpoint. The service's budget slices and
+//! [`run_resilient`] both drive it.
+//!
+//! [`run_resilient`] is the elastic, fault-tolerant conductor: it advances
+//! a run in two-cycle slices, and when a rank dies — injected by a
+//! [`FaultPlan`] kill or a real panic — the failure is classified (root
+//! cause, not cascade), the dead session is torn down, the surviving
+//! geometry shrinks by one rank (never below one), and the slice is
+//! replayed from the last checkpoint on a session the caller's factory
+//! builds, which re-partitions the dead rank's blocks onto the remaining
+//! ranks. The bitwise-reproducibility invariant does the heavy lifting: a
+//! replayed slice recomputes exactly the lost state, so the recovered end
+//! state is bitwise identical to the fault-free run's.
 
 use std::sync::Arc;
 
+use vibe_core::driver::CycleSummary;
 use vibe_core::{Driver, Package, Snapshot};
 use vibe_ft::{FaultPlan, FaultStats};
 
-use crate::{RtRun, RtSession, SessionError, SessionOptions};
+use crate::{RtRun, RtSession, SessionError};
+
+/// A distributed run advanced in checkpointed slices.
+///
+/// Holds the checkpoint of the last slice boundary and, between slices,
+/// the live session that took it. A session starts from the checkpoint
+/// (from the initial condition before the first boundary) only when there
+/// is no live one: for the first slice, after a failed slice, and after
+/// [`release`](Self::release). Its replica carries the checkpoint's cycle,
+/// so a fault plan's kill lines up with the run whatever session replays
+/// it.
+pub struct Resumable<P: Package> {
+    checkpoint: Option<Arc<Snapshot>>,
+    session: Option<RtSession<P>>,
+}
+
+impl<P: Package> Default for Resumable<P> {
+    fn default() -> Self {
+        Self {
+            checkpoint: None,
+            session: None,
+        }
+    }
+}
+
+impl<P: Package + Send + 'static> Resumable<P> {
+    /// The cycle of the last slice boundary, where the next slice starts
+    /// (0 before the first).
+    pub fn cycle(&self) -> u64 {
+        self.checkpoint.as_ref().map_or(0, |s| s.cycle)
+    }
+
+    /// The checkpoint of the last slice boundary.
+    pub fn checkpoint(&self) -> Option<&Arc<Snapshot>> {
+        self.checkpoint.as_ref()
+    }
+
+    /// Whether a live session is kept between slices.
+    pub fn is_live(&self) -> bool {
+        self.session.is_some()
+    }
+
+    /// Hands over the live session, if there is one; the next slice starts
+    /// a session from the checkpoint. Dropping it joins its rank threads.
+    pub fn release(&mut self) -> Option<RtSession<P>> {
+        self.session.take()
+    }
+
+    /// Runs `n` cycles on the live session, or on the one `build` starts
+    /// from the checkpoint, then finishes the run (`last`) or checkpoints
+    /// it and keeps the session. Returns rank 0's summaries of the slice
+    /// and, on the last slice, the finished run (whose `cycles` and
+    /// `summaries` cover its session's share of the run only).
+    ///
+    /// # Errors
+    ///
+    /// The session's [`SessionError`]. The session is dropped (its rank
+    /// threads joined) and the checkpoint kept, so the next call replays
+    /// the slice.
+    pub fn slice<B>(
+        &mut self,
+        n: u64,
+        last: bool,
+        build: B,
+    ) -> Result<(Vec<CycleSummary>, Option<RtRun>), SessionError>
+    where
+        B: FnOnce(Option<Arc<Snapshot>>) -> RtSession<P>,
+    {
+        let mut session = match self.session.take() {
+            Some(live) => live,
+            None => build(self.checkpoint.clone()),
+        };
+        let summaries = session.run(n)?;
+        if last {
+            return Ok((summaries, Some(session.finish()?)));
+        }
+        self.checkpoint = Some(Arc::new(session.checkpoint()?));
+        self.session = Some(session);
+        Ok((summaries, None))
+    }
+}
 
 /// Checkpoint cadence of [`run_resilient`], in cycles.
 const CHECKPOINT_EVERY: u64 = 2;
@@ -84,68 +169,37 @@ where
 {
     assert!(nranks > 0, "at least one rank");
     let factory = Arc::new(factory);
-    let mut report = RecoveryReport {
-        final_nranks: nranks,
-        ..Default::default()
-    };
+    let mut report = RecoveryReport::default();
     let mut cur_nranks = nranks;
-    let mut snapshot: Option<Arc<Snapshot>> = None;
-    let mut done: u64 = 0;
-    'attempt: loop {
-        // Bookkeeping shared by every failure site in the slice loop:
-        // count the failure, spend one retry, roll back to the last
-        // checkpoint, shrink the surviving geometry, and start a fresh
-        // attempt. (The dead session drops — joining its threads — when
-        // control leaves the loop body.)
-        macro_rules! recover {
-            ($e:expr) => {{
-                let e = $e;
+    let mut run = Resumable::default();
+    loop {
+        let n = CHECKPOINT_EVERY.min(cycles - run.cycle());
+        let ranks = cur_nranks;
+        let build = |checkpoint: Option<Arc<Snapshot>>| {
+            let factory = Arc::clone(&factory);
+            RtSession::with_faults(ranks, opts.fault_plan.clone(), move || {
+                factory(checkpoint.as_deref(), ranks)
+            })
+        };
+        match run.slice(n, run.cycle() + n == cycles, build) {
+            Ok((_, Some(done))) => {
+                if let Some(plan) = &opts.fault_plan {
+                    report.fault_stats = plan.stats();
+                }
+                report.final_nranks = ranks;
+                return Ok((done, report));
+            }
+            Ok((_, None)) => {}
+            // The dead session is gone and the checkpoint kept: spend one
+            // retry and replay the slice on one rank fewer.
+            Err(e) => {
                 report.failures += 1;
                 report.detected.push(e.clone());
                 if report.failures > MAX_RETRIES {
                     return Err(e);
                 }
-                done = snapshot.as_ref().map(|s| s.cycle).unwrap_or(0);
-                cur_nranks = (cur_nranks - 1).max(1);
                 report.recoveries += 1;
-                continue 'attempt;
-            }};
-        }
-
-        let session_opts = SessionOptions {
-            fault_plan: opts.fault_plan.clone(),
-            start_cycle: done,
-        };
-        let make = {
-            let factory = Arc::clone(&factory);
-            let snap = snapshot.clone();
-            let n = cur_nranks;
-            move || factory(snap.as_deref(), n)
-        };
-        let mut session = RtSession::with_options(cur_nranks, session_opts, make);
-        loop {
-            if done >= cycles {
-                match session.finish() {
-                    Ok(run) => {
-                        if let Some(plan) = &opts.fault_plan {
-                            report.fault_stats = plan.stats();
-                        }
-                        report.final_nranks = cur_nranks;
-                        return Ok((run, report));
-                    }
-                    Err(e) => recover!(e),
-                }
-            }
-            let slice = CHECKPOINT_EVERY.min(cycles - done);
-            if let Err(e) = session.run(slice) {
-                recover!(e);
-            }
-            done += slice;
-            if done < cycles {
-                match session.checkpoint() {
-                    Ok(s) => snapshot = Some(Arc::new(s)),
-                    Err(e) => recover!(e),
-                }
+                cur_nranks = (cur_nranks - 1).max(1);
             }
         }
     }

@@ -590,6 +590,51 @@ mod tests {
         server.shutdown();
     }
 
+    /// A refused resume geometry leaves the job as it was: its config
+    /// reads the same, and a plain resume then completes it.
+    #[test]
+    fn a_refused_resume_geometry_leaves_the_job_unchanged() {
+        let service = Arc::new(Service::start(ServiceConfig {
+            runners: 1,
+            budget_cycles: 1,
+            tenant_weights: Vec::new(),
+        }));
+        let server = Server::start(Arc::clone(&service), 0).unwrap();
+        let port = server.port();
+        let (code, _) = http(
+            port,
+            "POST",
+            "/jobs",
+            r#"{"tenant":"acme","config":{"cycles":6,"nranks":2}}"#,
+        );
+        assert_eq!(code, 201);
+        let (code, body) = http(port, "POST", "/jobs/0/preempt", "");
+        assert_eq!(code, 200, "{body}");
+        service
+            .wait_for(0, Duration::from_secs(120), |v| {
+                v.state == crate::service::JobState::Preempted
+            })
+            .unwrap();
+        let config = || {
+            let (_, body) = http(port, "GET", "/jobs/0", "");
+            parse(&body).unwrap().get("config").cloned()
+        };
+        let before = config();
+        let (code, body) = http(
+            port,
+            "POST",
+            "/jobs/0/resume",
+            r#"{"nranks":0,"threads":1}"#,
+        );
+        assert_eq!(code, 409, "{body}");
+        let (code, body) = http(port, "POST", "/jobs/0/resume", "");
+        assert_eq!(code, 200, "{body}");
+        let v = service.wait_done(0, Duration::from_secs(60)).unwrap();
+        assert_eq!(v.cycles_done, 6);
+        assert_eq!(config(), before, "the refused geometry stuck");
+        server.shutdown();
+    }
+
     #[test]
     fn unknown_physics_gets_a_structured_4xx() {
         let (server, port) = boot();

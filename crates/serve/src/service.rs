@@ -3,19 +3,19 @@
 //! result cache.
 //!
 //! Execution model: a bounded pool of runner threads pulls jobs off the
-//! weighted round-robin [`Scheduler`] one *budget slice* at a time. A job
-//! keeps its live [`RtSession`] between slices: a slice advances the
-//! job's session at most `budget_cycles`, then either finishes the job, or
-//! checkpoints it and re-enqueues it (time slicing), or checkpoints it and
-//! parks it (explicit preempt). The slice-boundary checkpoint is only the
-//! job's recovery point; a session is built from it (or from the initial
-//! condition) for a job's first slice, after a rank failure, after a
-//! preempt, and after a slice that ended with more than `runners` other
-//! jobs queued — the session is released then, so a burst of submissions
-//! never holds a session per job. Because the runtime is bitwise
-//! reproducible, a resumed slice may use a *different* `(nranks, threads)`
-//! geometry and the final solution fingerprint is unchanged — which also
-//! makes the config-keyed result cache exact.
+//! weighted round-robin [`Scheduler`] one *budget slice* at a time. A job's
+//! run is a [`Resumable`]: a slice advances it at most `budget_cycles` on
+//! its live session, then either finishes the job, or checkpoints it and
+//! re-enqueues it (time slicing), or checkpoints it and parks it (explicit
+//! preempt). The slice-boundary checkpoint is only the job's recovery
+//! point; a session is built from it (or from the initial condition) for a
+//! job's first slice, after a rank failure, after a preempt, and after a
+//! slice that ended with more than `runners` other jobs queued — the
+//! session is released then, so a burst of submissions never holds a
+//! session per job. Because the runtime is bitwise reproducible, a resumed
+//! slice may use a *different* `(nranks, threads)` geometry and the final
+//! solution fingerprint is unchanged — which also makes the config-keyed
+//! result cache exact.
 //!
 //! What a job holds: a queued job its recovery point (from its first slice
 //! boundary on) and, while the queue is short, its parked session; a
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use vibe_core::{DynPackage, Package, Snapshot};
 use vibe_ft::FaultPlan;
 use vibe_prof::{job_metrics_jsonl, JobCycleMetric};
-use vibe_rt::{RtRun, RtSession, SessionOptions};
+use vibe_rt::{Resumable, RtSession};
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::config::JobConfig;
@@ -98,11 +98,10 @@ struct Job {
     plan: Option<Arc<FaultPlan>>,
     /// Rank failures recovered by replaying from the last checkpoint.
     recoveries: u32,
-    /// The recovery point: the checkpoint of the last slice boundary.
-    /// Each one replaces the previous; a terminal job holds none.
-    snapshot: Option<Arc<Snapshot>>,
-    /// The job's live session, parked between two slices.
-    session: Option<Session>,
+    /// The recovery point — the checkpoint of the last slice boundary —
+    /// and the live session parked between two slices. A runner holds it
+    /// while it advances a slice; a terminal job holds an empty one.
+    run: Resumable<DynPackage>,
     metrics: Vec<JobCycleMetric>,
     result: Option<JobResult>,
     error: Option<String>,
@@ -157,7 +156,7 @@ impl State {
         match job.state {
             JobState::Queued => {
                 job.state = JobState::Preempted;
-                let parked = job.session.take();
+                let parked = job.run.release();
                 self.sched.remove(id);
                 Ok(parked)
             }
@@ -181,10 +180,6 @@ struct Shared {
 
 /// Rank failures tolerated per job before it is marked `Degraded`.
 const MAX_RETRIES: u32 = 2;
-
-/// Pause before re-enqueueing a failed job, scaled by its retry count, so a
-/// crash-looping job cannot monopolize the pool.
-const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 
 impl Shared {
     /// The job table and scheduler. A panic while the lock was held
@@ -309,8 +304,7 @@ impl Service {
             preempt_requested: false,
             plan,
             recoveries: 0,
-            snapshot: None,
-            session: None,
+            run: Resumable::default(),
             metrics: Vec::new(),
             result: None,
             error: None,
@@ -372,9 +366,14 @@ impl Service {
             return Err(format!("cannot resume a {} job", job.state.name()));
         }
         if let Some((nranks, threads)) = geometry {
-            job.config.nranks = nranks;
-            job.config.threads = threads;
-            job.config.validate().map_err(|e| e.to_string())?;
+            // A refused geometry leaves the job as it was.
+            let config = JobConfig {
+                nranks,
+                threads,
+                ..job.config.clone()
+            };
+            config.validate().map_err(|e| e.to_string())?;
+            job.config = config;
         }
         job.state = JobState::Queued;
         let tenant = job.tenant.clone();
@@ -555,8 +554,8 @@ fn runner_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Advances one budget slice of `id` on the job's parked session, or on
-/// one built from its recovery point (or the initial condition), then
+/// Advances one budget slice of `id`'s run — on its parked session, or on
+/// one built from its recovery point (or the initial condition) — then
 /// finishes, parks or re-enqueues the job.
 ///
 /// A re-enqueued job keeps its session only while at most `runners` other
@@ -565,177 +564,112 @@ fn runner_loop(shared: &Arc<Shared>) {
 /// queued jobs and every park happens with at most `runners + 1` jobs
 /// queued, so no more than `runners + 1` are ever parked.
 fn run_slice(shared: &Arc<Shared>, id: u64) {
-    let (config, cycles_done, parked, snapshot, plan) = {
+    let (config, cycles_done, mut run, plan) = {
         let mut st = shared.lock();
         let job = &mut st.jobs[id as usize];
         job.state = JobState::Running;
         (
             job.config.clone(),
             job.cycles_done,
-            job.session.take(),
-            job.snapshot.clone(),
+            std::mem::take(&mut job.run),
             job.plan.clone(),
         )
     };
-    let session = parked.unwrap_or_else(|| start_session(&config, snapshot, plan, cycles_done));
     let remaining = config.cycles.saturating_sub(cycles_done);
     let slice = remaining.min(shared.budget_cycles);
-    let outcome = execute_slice(session, slice, remaining == slice, id);
+    let t0 = Instant::now();
+    let outcome = run.slice(slice, slice == remaining, |checkpoint| {
+        session(&config, plan, checkpoint)
+    });
+    let per_cycle_ns = t0.elapsed().as_nanos() as u64 / slice.max(1);
 
     let mut st = shared.lock();
     let park = st.sched.queued() <= shared.runners;
     let job = &mut st.jobs[id as usize];
-    // Dropped once the lock is released: dropping a session joins its
-    // rank threads.
-    let mut released = None;
     match outcome {
-        Err(e) => {
-            if job.recoveries < MAX_RETRIES {
-                // Recover: the job's snapshot still holds the last slice
-                // boundary (nothing advanced on the failed slice), so
-                // re-enqueueing replays it — bitwise — after a backoff
-                // proportional to how often this job has crashed.
-                job.recoveries += 1;
-                job.error = Some(e);
-                job.state = JobState::Queued;
-                let tenant = job.tenant.clone();
-                let pause = RETRY_BACKOFF * job.recoveries;
-                drop(st);
-                std::thread::sleep(pause);
-                shared.lock().sched.enqueue(&tenant, id);
-                return;
-            }
-            job.state = JobState::Degraded;
-            job.error = Some(e);
-            job.finished = Some(Instant::now());
-            job.snapshot = None;
-        }
-        Ok(SliceOutcome {
-            metrics,
-            completion,
-        }) => {
+        Ok((summaries, finished)) => {
             job.cycles_done += slice;
             job.cycles_executed += slice;
             // A successful slice clears the note left by a recovered
             // failure; the recovery count keeps the evidence.
             job.error = None;
-            job.metrics.extend(metrics);
-            match completion {
-                Completion::Finished(run) => {
-                    job.state = JobState::Done;
-                    job.finished = Some(Instant::now());
-                    job.snapshot = None;
-                    job.result = Some(JobResult {
-                        fingerprint: run.fingerprint,
-                        time: run.time,
-                        dt: run.dt,
-                    });
-                    let cached = CachedResult {
-                        fingerprint: run.fingerprint,
-                        time: run.time,
-                        dt: run.dt,
-                        cycles: job.cycles_done,
-                        metrics: job.metrics.clone(),
-                    };
-                    let key = job.config.cache_key();
-                    shared.cache.insert(key, cached);
-                }
-                Completion::Checkpointed { session, snapshot } => {
-                    job.snapshot = Some(snapshot);
-                    if job.preempt_requested {
-                        job.preempt_requested = false;
-                        job.state = JobState::Preempted;
-                        released = Some(session);
-                    } else {
-                        job.state = JobState::Queued;
-                        if park {
-                            job.session = Some(session);
-                        } else {
-                            released = Some(session);
-                        }
-                        let tenant = job.tenant.clone();
-                        st.sched.enqueue(&tenant, id);
-                    }
-                }
+            job.metrics.extend(summaries.iter().map(|s| JobCycleMetric {
+                job: id,
+                cycle: s.cycle,
+                time: s.time,
+                dt: s.dt,
+                nblocks: s.nblocks,
+                refined: s.refined,
+                derefined: s.derefined,
+                wall_ns: per_cycle_ns,
+            }));
+            if let Some(finished) = finished {
+                job.state = JobState::Done;
+                job.finished = Some(Instant::now());
+                job.result = Some(JobResult {
+                    fingerprint: finished.fingerprint,
+                    time: finished.time,
+                    dt: finished.dt,
+                });
+                let cached = CachedResult {
+                    fingerprint: finished.fingerprint,
+                    time: finished.time,
+                    dt: finished.dt,
+                    cycles: job.cycles_done,
+                    metrics: job.metrics.clone(),
+                };
+                shared.cache.insert(job.config.cache_key(), cached);
+                return;
             }
         }
+        // Recover: the run kept the last slice boundary's checkpoint
+        // (nothing advanced on the failed slice), so the job's next slice
+        // replays it — bitwise.
+        Err(e) if job.recoveries < MAX_RETRIES => {
+            job.recoveries += 1;
+            job.error = Some(e.to_string());
+        }
+        Err(e) => {
+            job.state = JobState::Degraded;
+            job.error = Some(e.to_string());
+            job.finished = Some(Instant::now());
+            return;
+        }
+    }
+    // The slice ended at a boundary the run can resume from. The job is
+    // parked or re-enqueued under the lock that ends its `Running` state,
+    // so a preempt or resume never finds it queued outside the scheduler.
+    // A released session is dropped — joining its rank threads — once the
+    // lock is released.
+    let preempted = std::mem::take(&mut job.preempt_requested);
+    let released = if preempted || !park {
+        run.release()
+    } else {
+        None
+    };
+    job.run = run;
+    if preempted {
+        job.state = JobState::Preempted;
+    } else {
+        job.state = JobState::Queued;
+        let tenant = job.tenant.clone();
+        st.sched.enqueue(&tenant, id);
     }
     drop(st);
     drop(released);
 }
 
-enum Completion {
-    Finished(Box<RtRun>),
-    /// The slice ended at a boundary: the still-live session and the
-    /// recovery point it just took.
-    Checkpointed {
-        session: Session,
-        snapshot: Arc<Snapshot>,
-    },
-}
-
-struct SliceOutcome {
-    metrics: Vec<JobCycleMetric>,
-    completion: Completion,
-}
-
 /// Builds a job's session, from its recovery point or, before its first
 /// slice boundary, from the initial condition: the only place the service
 /// builds one.
-fn start_session(
+fn session(
     config: &JobConfig,
-    snapshot: Option<Arc<Snapshot>>,
     plan: Option<Arc<FaultPlan>>,
-    start_cycle: u64,
+    checkpoint: Option<Arc<Snapshot>>,
 ) -> Session {
     let cfg = config.clone();
-    let opts = SessionOptions {
-        fault_plan: plan,
-        // The plan's kill cycle is absolute; the session must know where
-        // it starts so the boundary check lines up across checkpoints and
-        // retries.
-        start_cycle,
-    };
-    RtSession::with_options(config.nranks, opts, move || {
-        cfg.replica(cfg.driver_params(), snapshot.as_deref())
-    })
-}
-
-/// Runs `slice` cycles on `session`, then finishes it (`is_last`) or takes
-/// the boundary checkpoint and hands the session back. A failed slice
-/// drops the session, which joins its rank threads.
-fn execute_slice(
-    mut session: Session,
-    slice: u64,
-    is_last: bool,
-    id: u64,
-) -> Result<SliceOutcome, String> {
-    let t0 = Instant::now();
-    let summaries = session.run(slice).map_err(|e| e.to_string())?;
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let per_cycle_ns = wall_ns / slice.max(1);
-    let metrics = summaries
-        .iter()
-        .map(|s| JobCycleMetric {
-            job: id,
-            cycle: s.cycle,
-            time: s.time,
-            dt: s.dt,
-            nblocks: s.nblocks,
-            refined: s.refined,
-            derefined: s.derefined,
-            wall_ns: per_cycle_ns,
-        })
-        .collect();
-    let completion = if is_last {
-        Completion::Finished(Box::new(session.finish().map_err(|e| e.to_string())?))
-    } else {
-        let snapshot = Arc::new(session.checkpoint().map_err(|e| e.to_string())?);
-        Completion::Checkpointed { session, snapshot }
-    };
-    Ok(SliceOutcome {
-        metrics,
-        completion,
+    RtSession::with_faults(config.nranks, plan, move || {
+        cfg.replica(cfg.driver_params(), checkpoint.as_deref())
     })
 }
 
@@ -792,8 +726,11 @@ mod tests {
         {
             let st = svc.shared.lock();
             let job = &st.jobs[id as usize];
-            assert!(job.snapshot.is_none(), "a done job holds no snapshot");
-            assert!(job.session.is_none(), "a done job holds no session");
+            assert!(
+                job.run.checkpoint().is_none(),
+                "a done job holds no snapshot"
+            );
+            assert!(!job.run.is_live(), "a done job holds no session");
         }
         svc.shutdown();
     }
@@ -818,27 +755,25 @@ mod tests {
         // The benchmark's golden for this job shape.
         assert_eq!(fp, 0xd6a4_0b12_c361_25bc);
 
-        let first = execute_slice(start_session(&cfg, None, None, 0), 4, false, 0).unwrap();
-        let Completion::Checkpointed { session, snapshot } = first.completion else {
-            panic!("a slice short of the end checkpoints");
-        };
+        let mut job = Resumable::default();
+        let (first, finished) = job
+            .slice(4, false, |checkpoint| session(&cfg, None, checkpoint))
+            .unwrap();
+        assert!(finished.is_none(), "a slice short of the end checkpoints");
         let mut plain = cfg.replica(cfg.driver_params(), None);
         plain.run_cycles(4);
-        assert!(*snapshot == plain.to_snapshot());
+        assert!(**job.checkpoint().unwrap() == plain.to_snapshot());
 
-        let last = execute_slice(session, 4, true, 0).unwrap();
-        let Completion::Finished(run) = last.completion else {
-            panic!("the last slice finishes the session");
-        };
+        let (last, finished) = job
+            .slice(4, true, |_| {
+                unreachable!("the first slice's session is live")
+            })
+            .unwrap();
+        let run = finished.expect("the last slice finishes the session");
         assert_eq!(run.fingerprint, fp);
         assert_eq!(run.time.to_bits(), time.to_bits());
         assert_eq!(run.dt.to_bits(), dt.to_bits());
-        let cycles: Vec<u64> = first
-            .metrics
-            .iter()
-            .chain(&last.metrics)
-            .map(|m| m.cycle)
-            .collect();
+        let cycles: Vec<u64> = first.iter().chain(&last).map(|s| s.cycle).collect();
         assert_eq!(cycles, (0..8).collect::<Vec<_>>());
     }
 
@@ -846,11 +781,12 @@ mod tests {
     fn served_slices_archive_no_comm_events() {
         let cfg = small_cfg(4, 2, 1);
         let (fp, _, _) = direct_fingerprint(&cfg);
-        let session = start_session(&cfg, None, None, 0);
-        let slice = execute_slice(session, cfg.cycles, true, 0).unwrap();
-        let Completion::Finished(run) = slice.completion else {
-            panic!("the last slice finishes the session");
-        };
+        let (_, finished) = Resumable::default()
+            .slice(cfg.cycles, true, |checkpoint| {
+                session(&cfg, None, checkpoint)
+            })
+            .unwrap();
+        let run = finished.expect("the last slice finishes the session");
         // No rank archived a message event, so there was no merged log to
         // sort and order-validate — and the answer is the one computed
         // with the archive on.
@@ -951,7 +887,7 @@ mod tests {
         let (parked, plan) = loop {
             let mut st = svc.shared.lock();
             let job = &st.jobs[id as usize];
-            if job.state == JobState::Queued && job.session.is_some() {
+            if job.state == JobState::Queued && job.run.is_live() {
                 let plan = job.plan.clone().expect("a chaos job has a plan");
                 break (st.preempt(id).unwrap(), plan);
             }
@@ -965,9 +901,9 @@ mod tests {
         {
             let st = svc.shared.lock();
             let job = &st.jobs[id as usize];
-            assert!(job.session.is_none(), "a preempted job holds no session");
+            assert!(!job.run.is_live(), "a preempted job holds no session");
             assert!(
-                job.snapshot.is_some(),
+                job.run.checkpoint().is_some(),
                 "a preempted job holds its checkpoint"
             );
         }
@@ -1087,6 +1023,47 @@ mod tests {
         svc.shutdown();
     }
 
+    /// A preempt that lands while a job recovers from a rank failure
+    /// holds: the job settles `Preempted` and stays there, and a resume
+    /// ends it on the direct run's answer.
+    #[test]
+    fn a_preempt_during_a_recovery_holds() {
+        let svc = Service::start(ServiceConfig {
+            runners: 1,
+            budget_cycles: 2,
+            ..ServiceConfig::default()
+        });
+        // Enough cycles after the kill that the preempt lands before the
+        // job can finish.
+        let clean = JobConfig {
+            mesh_cells: 64,
+            ..small_cfg(12, 2, 1)
+        };
+        let (fp, _, _) = direct_fingerprint(&clean);
+        let cfg = JobConfig {
+            kill_rank: Some(1),
+            kill_cycle: 3,
+            ..clean
+        };
+        let (id, _, _) = svc.submit("acme", cfg).unwrap();
+        while svc.job(id).unwrap().recoveries < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        svc.preempt(id).unwrap();
+        svc.wait_for(id, Duration::from_secs(120), |v| {
+            v.state == JobState::Preempted
+        })
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        let v = svc.job(id).unwrap();
+        assert_eq!(v.state, JobState::Preempted, "the preempt was lost");
+        svc.resume(id, None).unwrap();
+        let v = svc.wait_done(id, Duration::from_secs(120)).unwrap();
+        assert_eq!(v.result.unwrap().fingerprint, fp);
+        assert_eq!(v.cycles_executed, 12);
+        svc.shutdown();
+    }
+
     #[test]
     fn exhausted_retry_budget_degrades_the_job() {
         let svc = Service::start(ServiceConfig {
@@ -1119,8 +1096,11 @@ mod tests {
         {
             let st = svc.shared.lock();
             let job = &st.jobs[id as usize];
-            assert!(job.snapshot.is_none(), "a degraded job holds no snapshot");
-            assert!(job.session.is_none(), "a degraded job holds no session");
+            assert!(
+                job.run.checkpoint().is_none(),
+                "a degraded job holds no snapshot"
+            );
+            assert!(!job.run.is_live(), "a degraded job holds no session");
         }
         let s = svc.stats();
         assert_eq!(
@@ -1179,7 +1159,7 @@ mod tests {
         let mut most_parked = 0;
         loop {
             let st = svc.shared.lock();
-            let parked = st.jobs.iter().filter(|j| j.session.is_some()).count();
+            let parked = st.jobs.iter().filter(|j| j.run.is_live()).count();
             let finished = st.jobs.iter().all(|j| {
                 matches!(
                     j.state,

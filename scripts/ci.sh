@@ -145,12 +145,12 @@ fi
 
 echo "==> one session per served job, no unwrapped service locks"
 # A served job keeps its RtSession across slices, and the service builds one
-# in one place (service::start_session). A poisoned lock under
+# in one place (service::session). A poisoned lock under
 # crates/serve/src is recovered (PoisonError::into_inner), never unwrapped,
 # so one panic cannot take every later call down with it. (Whitespace and
 # line breaks are dropped first, so a call split over lines still counts.)
 service=crates/serve/src/service.rs
-if [ "$(non_test "$service" | grep -cF 'RtSession::with_options')" -ne 1 ]; then
+if [ "$(non_test "$service" | grep -cF 'RtSession::with_faults')" -ne 1 ]; then
     echo "$service must build a job's session in exactly one place" >&2
     exit 1
 fi
@@ -447,7 +447,7 @@ echo "==> the halo is a stage property, not an option"
 # written by the row kernels of crates/field/src/buffer.rs alone (fluxcorr.rs
 # writes face planes; boundary.rs's `Rows` is the storage they write into).
 for spec in "$driver:DriverParams" crates/core/src/boundary.rs:ExchangeConfig \
-    crates/serve/src/config.rs:JobConfig crates/rt/src/lib.rs:SessionOptions; do
+    crates/serve/src/config.rs:JobConfig; do
     file=${spec%%:*} type=${spec##*:}
     if non_test "$file" | awk "/pub struct $type \\{/, /^}/" |
         grep -niE '^\s*(pub )?[a-z_]*(halo|shell|radius)[a-z_]*:'; then
@@ -536,6 +536,28 @@ if grep -rnE --exclude-dir=target 'MessageStatus|mark_all_stale|fn promote\b' cr
 fi
 if grep -rnE --exclude-dir=target 'pub fn (for_each_block_parallel|map_block_parallel)\b' crates; then
     echo "a second host-parallel entry point is back (see above); use ExecCtx" >&2
+    exit 1
+fi
+
+echo "==> one way to resume"
+# A distributed run resumes one way: vibe_rt::Resumable advances it in
+# checkpointed slices and starts a session from the last checkpoint, whose
+# replica carries its own cycle. The service and run_resilient both drive
+# it, so the session options and their start cycle, the service's own slice
+# step and session starter and its retry backoff stay deleted, and non-test
+# crates/{rt,serve}/src checkpoint a session only inside Resumable::slice
+# (`shard.checkpoint()` is a rank's own driver taking its part).
+if grep -rnE --exclude-dir=target 'SessionOptions|start_cycle|RETRY_BACKOFF|fn execute_slice|fn start_session' crates; then
+    echo "a second way to resume a run is back (see above); advance a vibe_rt::Resumable" >&2
+    exit 1
+fi
+checkpoints=$(for file in crates/rt/src/*.rs crates/serve/src/*.rs; do
+    non_test "$file" | grep -vE '^\s*//' | grep -F '.checkpoint()' | grep -vF 'shard.checkpoint()' |
+        sed "s|^.*|$file|" || true
+done | uniq -c | awk '{ printf "%s:%s ", $2, $1 }')
+if [ "$checkpoints" != "crates/rt/src/recovery.rs:1 " ] ||
+    ! non_test crates/rt/src/recovery.rs | awk '/pub fn slice</, /^    }$/' | grep -qF '.checkpoint()'; then
+    echo "a session is checkpointed outside Resumable::slice (found: $checkpoints)" >&2
     exit 1
 fi
 

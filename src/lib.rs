@@ -83,8 +83,6 @@ pub mod prelude {
     pub use vibe_mesh::{Mesh, MeshParams};
     pub use vibe_physics::{resolve, Advect, AdvectRecon, PACKAGES};
     pub use vibe_prof::{ProfLevel, Recorder, RegionKey, StepFunction};
-    pub use vibe_rt::{
-        run_distributed, run_resilient, ResilienceOptions, RtRun, RtSession, SessionOptions,
-    };
+    pub use vibe_rt::{run_distributed, run_resilient, ResilienceOptions, RtRun, RtSession};
     pub use vibe_serve::{JobConfig, Service, ServiceConfig};
 }
