@@ -1,15 +1,18 @@
 //! `gate attribution` — distributed wait-state attribution: runs the
-//! rank-parallel runtime at ranks {1,2,4,8} with causal span capture and
-//! measured per-block costs on, classifies every rank's wall time into
-//! named wait-state buckets, extracts the cross-rank critical path and
-//! exports a flow-linked Perfetto trace (`trace_flows.json` in the
-//! out-dir). The scenario (default Burgers Mesh 64 / B16 / L2, 3 cycles)
-//! gives the problem; the probe matrix overrides its geometry fields.
+//! rank-parallel runtime at ranks {1,2,4,8} with causal span capture on,
+//! classifies every rank's wall time into named wait-state buckets,
+//! extracts the cross-rank critical path and exports a flow-linked
+//! Perfetto trace (`trace_flows.json` in the out-dir). The scenario
+//! (default Burgers Mesh 64 / B16 / L2, 3 cycles) gives the problem; the
+//! probe matrix overrides its geometry fields.
 //!
 //! Fails unless:
 //! * every run's merged solution fingerprint — attribution on or off, at
 //!   every probed `(ranks, host_threads)` — equals the single-process
 //!   uninstrumented reference (profiling neutrality);
+//! * every attribution-on run ends with the blocks per rank of the
+//!   attribution-off run at its rank count (observation never steers
+//!   ownership);
 //! * every rank's buckets sum to its measured wall time within 5%;
 //! * at least 90% of every rank's wall time lands in named buckets;
 //! * the exported flow events pass the offline Perfetto validator, and
@@ -138,7 +141,6 @@ pub fn run(scenario: &JobConfig, gate: &mut Gate) {
             let params = DriverParams {
                 capture_spans: true,
                 capture_comm_events: true,
-                measured_costs: true,
                 prof_level: if t == 1 {
                     ProfLevel::Coarse
                 } else {
@@ -152,6 +154,12 @@ pub fn run(scenario: &JobConfig, gate: &mut Gate) {
                 &run,
                 format!("attribution ON at ranks={n} threads={t}"),
             );
+            gate.check(run.rank_blocks == off.rank_blocks, || {
+                format!(
+                    "ranks={n} threads={t}: blocks per rank {:?} with attribution on, {:?} off",
+                    run.rank_blocks, off.rank_blocks
+                )
+            });
             if t != 1 {
                 continue;
             }

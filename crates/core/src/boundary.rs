@@ -854,8 +854,7 @@ struct Visited<'a> {
 ///
 /// The dispatch's wall time is credited to `SetBounds`, `SaveStage0` (if
 /// `save`) and `CalculateFluxes` (with a `sweep`) in proportion to the
-/// summed per-block times of the fill, the copy and the sweep, and `cost`,
-/// if given (indexed by gid), is charged each block's own sweep time.
+/// summed per-block times of the fill, the copy and the sweep.
 #[allow(clippy::too_many_arguments)]
 pub fn ghost_visit(
     plan: &ExchangePlan,
@@ -865,7 +864,6 @@ pub fn ghost_visit(
     fill: GhostFill,
     save: bool,
     sweep: Option<VisitSweep<'_>>,
-    cost: Option<&mut [u64]>,
     exec: ExecCtx,
     wall: &WallClock,
 ) {
@@ -942,13 +940,9 @@ pub fn ghost_visit(
     });
 
     let mut sums = [0u64; 3];
-    let mut cost = cost;
     for block in &items {
         for (sum, part) in sums.iter_mut().zip(block.ns) {
             *sum += part;
-        }
-        if let Some(cost) = cost.as_deref_mut() {
-            cost[block.info.gid] += block.ns[2];
         }
     }
     drop((items, views));
@@ -1030,9 +1024,7 @@ pub fn exchange_ghosts_with_plan(
     );
     for phase in [FluxPhase::Interior, FluxPhase::Exterior] {
         let full = GhostFill::Full;
-        ghost_visit(
-            plan, &state, blocks, phase, full, false, None, None, exec, &wall,
-        );
+        ghost_visit(plan, &state, blocks, phase, full, false, None, exec, &wall);
     }
     ghost_retire(plan, state, rec);
 }
@@ -1665,7 +1657,6 @@ mod tests {
                         fill,
                         save,
                         sweep,
-                        None,
                         exec,
                         &wall,
                     );
@@ -1981,7 +1972,6 @@ mod tests {
                         fill,
                         true,
                         sweep,
-                        None,
                         exec,
                         &wall,
                     );
@@ -2040,7 +2030,6 @@ mod tests {
                     fill,
                     save,
                     sweep,
-                    None,
                     exec,
                     &wall,
                 );

@@ -75,11 +75,6 @@ pub struct DriverParams {
     /// wait probes that feed `vibe_prof::attribute_run`). Observational
     /// only: the solution is bitwise identical with capture on or off.
     pub capture_spans: bool,
-    /// Feed *measured* per-block wall times (flux + RK update) into
-    /// `Mesh::set_block_cost` before each cycle's load balance, instead of
-    /// the uniform estimate. Changes only block *ownership*
-    /// (never the numerics), so the solution fingerprint is unchanged.
-    pub measured_costs: bool,
 }
 
 impl DriverParams {
@@ -104,7 +99,6 @@ impl Default for DriverParams {
             prof_level: ProfLevel::Off,
             capture_comm_events: false,
             capture_spans: false,
-            measured_costs: false,
         }
     }
 }
@@ -355,10 +349,6 @@ pub struct Driver<P: Package> {
     span_log: Vec<vibe_prof::TaskSpan>,
     /// Accumulated wait probes (collective blocking, migration stalls).
     wait_probes: vibe_prof::WaitProbes,
-    /// This cycle's measured per-gid cost ledger (ns) of the resident
-    /// blocks, reset every cycle and consumed by the Regrid task when
-    /// [`DriverParams::measured_costs`] is on.
-    block_cost_ns: Vec<u64>,
 }
 
 impl<P: Package> Driver<P> {
@@ -409,7 +399,6 @@ impl<P: Package> Driver<P> {
             comm_log: Vec::new(),
             span_log: Vec::new(),
             wait_probes: vibe_prof::WaitProbes::default(),
-            block_cost_ns: Vec::new(),
             mesh,
             package,
             params,
@@ -616,12 +605,6 @@ impl<P: Package> Driver<P> {
         self.wait_probes
     }
 
-    /// Last cycle's measured per-gid cost ledger (ns); empty unless
-    /// [`DriverParams::measured_costs`] is on.
-    pub fn block_costs_ns(&self) -> &[u64] {
-        &self.block_cost_ns
-    }
-
     /// Current simulation time.
     pub fn time(&self) -> f64 {
         self.time
@@ -789,10 +772,6 @@ impl<P: Package> Driver<P> {
         }
         let cycle_guard = wall.region(RegionKey::Named("Cycle"));
         self.ensure_plan();
-        if self.params.measured_costs {
-            self.block_cost_ns.clear();
-            self.block_cost_ns.resize(self.mesh.num_blocks(), 0);
-        }
         let dt = self.dt;
         self.step_dt = dt;
         let capture = self.params.capture_spans;
@@ -923,9 +902,7 @@ impl<P: Package> Driver<P> {
     /// own scratch; the exterior one then retires the exchange. Stage 0
     /// fills only the stencil halo, which is all its sweep reads; stage 1,
     /// the last, fills the whole ghost shell, so every observer after the
-    /// cycle sees the bits of a full fill ([`GhostFill`]). Under
-    /// [`DriverParams::measured_costs`] each block's own sweep time goes
-    /// into the cost ledger.
+    /// cycle sees the bits of a full fill ([`GhostFill`]).
     fn task_flux(&mut self, stage: usize, phase: FluxPhase) {
         let exec = self.exec();
         let ids = self.plan.as_ref().expect("plan built").flux_ids.clone();
@@ -942,7 +919,6 @@ impl<P: Package> Driver<P> {
             let keep = corrected[info.gid];
             with_scratch(|scratch| sweep_block(pkg, info, data, out, &tiles, keep, scratch));
         };
-        let measured = self.params.measured_costs;
         let fill = match stage {
             0 => GhostFill::Halo,
             _ => GhostFill::Full,
@@ -955,7 +931,6 @@ impl<P: Package> Driver<P> {
             fill,
             stage == 0,
             Some(&sweep),
-            measured.then_some(&mut self.block_cost_ns[..]),
             exec,
             &wall,
         );
@@ -1007,12 +982,9 @@ impl<P: Package> Driver<P> {
         let _g = wall.region(RegionKey::Named("RK2Update"));
         let plan = self.plan.as_ref().expect("plan built");
         let (ids, corrected) = (&plan.flux_ids, &plan.corrected);
-        let measured = self.params.measured_costs;
-        let ledger = &mut self.block_cost_ns;
         let rec = &mut self.rec;
         for_each_rank_pack(&mut self.slots, |pack| {
-            let cost = measured.then_some(&mut ledger[..]);
-            flux_divergence_update(pack, exec, coef, dt, ids, corrected, rec, cost);
+            flux_divergence_update(pack, exec, coef, dt, ids, corrected, rec);
         });
     }
 
@@ -1148,37 +1120,10 @@ impl<P: Package> Driver<P> {
                 .map(|old_gid| RegridSource::Unchanged { old_gid })
                 .collect()
         };
-        // Load balancing every cycle (paper configuration), with per-block
-        // workload costs: either the modeled estimate or this cycle's
-        // measured flux+update ledger mapped through the regrid provenance.
+        // Load balancing every cycle (paper configuration) over the
+        // mesh's uniform per-block cost: equal cell counts, equal cost.
         let nblocks = self.mesh.num_blocks();
         let labels_before: Vec<usize> = (0..nblocks).map(|g| self.mesh.block(g).rank()).collect();
-        if self.params.measured_costs && !self.block_cost_ns.is_empty() {
-            // An endpoint measured only the blocks it holds (the ledger is
-            // zero elsewhere): gather every endpoint's ledger and merge by
-            // maximum, so every replica applies identical weights (the
-            // deterministic partition depends on it).
-            let payload = self
-                .block_cost_ns
-                .iter()
-                .flat_map(|ns| ns.to_le_bytes())
-                .collect();
-            let mut ledger = vec![0u64; self.block_cost_ns.len()];
-            for part in self.gather_across_endpoints(func, payload) {
-                for (merged, ns) in ledger.iter_mut().zip(part.chunks_exact(8)) {
-                    let ns = u64::from_le_bytes(ns.try_into().expect("8-byte cost"));
-                    *merged = (*merged).max(ns);
-                }
-            }
-            for (gid, &ns) in map_block_costs(&ledger, &sources).iter().enumerate() {
-                self.mesh.set_block_cost(gid, (ns as f64).max(1.0));
-            }
-        } else {
-            // Modeled estimate: equal cell counts, equal cost.
-            for gid in 0..self.mesh.num_blocks() {
-                self.mesh.set_block_cost(gid, 1.0);
-            }
-        }
         self.mesh.load_balance(self.params.nranks);
         self.move_blocks(&sources, structural);
         // A block that changed label between two ranks this driver plays
@@ -1612,20 +1557,6 @@ fn old_gids(source: &RegridSource) -> &[usize] {
     }
 }
 
-/// Maps a per-old-gid measured cost ledger through a regrid's provenance
-/// records onto the new gid space: unchanged blocks keep their cost,
-/// refined children inherit the parent's (every block has the same cell
-/// count), derefined parents take the mean of their children.
-fn map_block_costs(old_costs: &[u64], sources: &[RegridSource]) -> Vec<u64> {
-    sources
-        .iter()
-        .map(|source| {
-            let from = old_gids(source);
-            from.iter().map(|&g| old_costs[g]).sum::<u64>() / from.len().max(1) as u64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2023,68 +1954,57 @@ mod tests {
         );
     }
 
-    /// Span capture and the measured-cost load-balance feed are
-    /// observational: the solution fingerprint and timestep sequence are
-    /// bitwise identical with both on or both off.
+    /// Instrumentation is observational: with span capture and full
+    /// profiling on, the solution fingerprint and timestep sequence are
+    /// bitwise those of a plain run, every cycle ends with the same rank
+    /// label on every block, and the recorder counts the same messages
+    /// and bytes.
     #[test]
-    fn spans_and_measured_costs_do_not_perturb_solution() {
+    fn instrumentation_changes_neither_numerics_nor_ownership() {
+        // Long enough that a wall-time block cost would move some
+        // partition boundary in one of the cycles.
+        const CYCLES: usize = 32;
         let mut plain = driver(4);
         let mut instrumented = driver_with(DriverParams {
             nranks: 4,
             cfl: 0.3,
             capture_spans: true,
-            measured_costs: true,
+            prof_level: ProfLevel::Full,
             ..DriverParams::default()
         });
-        for _ in 0..5 {
+        let labels = |d: &Driver<Advect>| -> Vec<(usize, usize)> {
+            d.slots()
+                .iter()
+                .map(|s| (s.info.gid, s.info.rank))
+                .collect()
+        };
+        for cycle in 0..CYCLES {
             let a = plain.step();
             let b = instrumented.step();
             assert_eq!(a.dt.to_bits(), b.dt.to_bits());
             assert_eq!(a.nblocks, b.nblocks);
+            assert_eq!(
+                labels(&plain),
+                labels(&instrumented),
+                "ownership diverged in cycle {cycle}"
+            );
         }
         assert_eq!(
             crate::block::fingerprint_slots(plain.slots()),
             crate::block::fingerprint_slots(instrumented.slots()),
             "attribution instrumentation must not touch the numerics"
         );
+        let comm = |d: &Driver<Advect>| d.recorder().totals().comm.clone();
+        assert_eq!(comm(&plain), comm(&instrumented), "recorded traffic moved");
+        let remote: u64 = comm(&plain).values().map(|c| c.p2p_remote_bytes).sum();
+        assert!(remote > 0, "four ranks exchange remote messages");
         assert!(plain.task_spans().is_empty());
-        assert!(plain.block_costs_ns().is_empty());
 
         // 22 labeled tasks per cycle, every span cycle-stamped on rank 0.
-        assert_eq!(instrumented.task_spans().len(), 5 * 22);
-        assert!(instrumented.task_spans().iter().all(|s| s.rank == 0));
-        assert_eq!(
-            instrumented
-                .task_spans()
-                .iter()
-                .filter(|s| s.cycle == 3)
-                .count(),
-            22
-        );
-        // The measured ledger saw real flux/update work on every block.
-        assert!(instrumented.block_costs_ns().iter().all(|&ns| ns > 0));
-    }
-
-    /// The regrid provenance mapping keeps the measured ledger aligned
-    /// with the new gid space.
-    #[test]
-    fn map_block_costs_follows_regrid_provenance() {
-        let old = [10u64, 20, 30, 40, 50];
-        let sources = [
-            RegridSource::Unchanged { old_gid: 2 },
-            RegridSource::Refined {
-                parent_old_gid: 4,
-                child_index: 0,
-            },
-            RegridSource::Refined {
-                parent_old_gid: 4,
-                child_index: 1,
-            },
-            RegridSource::Derefined {
-                child_old_gids: vec![0, 1, 2, 3],
-            },
-        ];
-        assert_eq!(map_block_costs(&old, &sources), [30, 50, 50, 25]);
+        let spans = instrumented.task_spans();
+        assert_eq!(spans.len(), CYCLES * 22);
+        assert!(spans.iter().all(|s| s.rank == 0));
+        assert_eq!(spans.iter().filter(|s| s.cycle == 3).count(), 22);
     }
 
     /// The transport-swap constructor on a lone endpoint of its own

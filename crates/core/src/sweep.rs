@@ -55,9 +55,8 @@
 //! selects, no reduction across lanes.
 
 use std::cell::RefCell;
-use std::time::Instant;
 
-use vibe_exec::{catalog, ExecCtx};
+use vibe_exec::catalog;
 use vibe_field::{Array4, BlockData, F64Lanes, FluxOut, Metadata, VarId};
 use vibe_mesh::IndexShape;
 use vibe_prof::Recorder;
@@ -867,36 +866,6 @@ pub fn reduce_layers(slot: &mut BlockSlot, ids: &[VarId], faces: u8) {
         }
         var.put_flux_out(out);
     }
-}
-
-/// Runs `work` on every block of `pack` (ascending gid) under `exec`; with
-/// a `cost` ledger indexed by gid, each block's own wall time is added to
-/// its entry. The timing is observational only — the work is the same code
-/// either way.
-pub(crate) fn for_each_block_costed(
-    pack: &mut [&mut BlockSlot],
-    exec: ExecCtx,
-    cost: Option<&mut [u64]>,
-    work: impl Fn(&mut BlockSlot) + Sync,
-) {
-    let Some(mut rest) = cost else {
-        return exec.for_each_block(pack, |_, slot| work(slot));
-    };
-    // Each block's own entry, split off the ledger in gid order.
-    let mut next = 0;
-    let mut items: Vec<(&mut &mut BlockSlot, &mut u64)> = Vec::with_capacity(pack.len());
-    for slot in pack.iter_mut() {
-        let (entry, tail) = rest[slot.info.gid - next..]
-            .split_first_mut()
-            .expect("a ledger entry per gid");
-        (next, rest) = (slot.info.gid + 1, tail);
-        items.push((slot, entry));
-    }
-    exec.for_each_block(&mut items, |_, (slot, ns)| {
-        let t0 = Instant::now();
-        work(slot);
-        **ns += t0.elapsed().as_nanos() as u64;
-    });
 }
 
 /// Records what one flux node of a stage launches over one rank's `pack`

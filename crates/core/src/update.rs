@@ -7,7 +7,7 @@ use vibe_field::VarId;
 use vibe_prof::{Recorder, RegionKey, StepFunction};
 
 use crate::block::BlockSlot;
-use crate::sweep::{for_each_block_costed, reduce_layers};
+use crate::sweep::reduce_layers;
 
 /// Applies one Runge-Kutta stage update to every flux-bearing independent
 /// variable `ids` in `pack`:
@@ -26,10 +26,6 @@ use crate::sweep::{for_each_block_costed, reduce_layers};
 /// flux is evaluated again. Records
 /// the `WeightedSumData` and `FluxDivergence` kernels (one launch each per
 /// pack); blocks are updated independently, in parallel under `exec`.
-/// `cost`, if given (indexed by gid), is charged each block's own
-/// update time — the measured-cost feed of the load balancer
-/// (`DriverParams::measured_costs`), which never perturbs the solution.
-#[allow(clippy::too_many_arguments)]
 pub fn flux_divergence_update(
     pack: &mut [&mut BlockSlot],
     exec: ExecCtx,
@@ -38,7 +34,6 @@ pub fn flux_divergence_update(
     ids: &[VarId],
     corrected: &[u8],
     rec: &mut Recorder,
-    cost: Option<&mut [u64]>,
 ) {
     // The weighted sum and flux divergence run fused per block, so one
     // region covers both kernels (their split shows up in the modeled
@@ -53,7 +48,7 @@ pub fn flux_divergence_update(
     let comp_cells = (pack.len() * shape.interior_count() * ncomp) as u64;
     catalog::WEIGHTED_SUM_DATA.record(rec, comp_cells, 1.0);
     catalog::FLUX_DIVERGENCE.record(rec, comp_cells, 1.0);
-    for_each_block_costed(pack, exec, cost, |slot| {
+    exec.for_each_block(pack, |_, slot| {
         let faces = corrected.get(slot.info.gid).copied().unwrap_or(0);
         if faces != 0 {
             reduce_layers(slot, ids, faces);
@@ -134,11 +129,10 @@ mod tests {
         pack: &mut [&mut BlockSlot],
         qid: VarId,
         (exec, keep): (ExecCtx, u8),
-        cost: Option<&mut [u64]>,
     ) {
         let shape = *pack[0].data.shape();
         let tiles = CellBox::interior(&shape).tiles(shape.dim(), 1, TILE_BUDGET_BYTES / 8);
-        for_each_block_costed(pack, exec, cost, |slot| {
+        exec.for_each_block(pack, |_, slot| {
             let mut out = [slot.data.var_mut(qid).take_flux_out()];
             with_scratch(|s| sweep_block(pkg, &slot.info, &slot.data, &mut out, &tiles, keep, s));
             let [out] = out;
@@ -151,8 +145,8 @@ mod tests {
         let mut rec = Recorder::new();
         rec.begin_cycle(0);
         let (pkg, mut pack) = (Advect::default(), vec![slot]);
-        sweep_pack(&pkg, &mut pack, qid, (exec, 0), None);
-        flux_divergence_update(&mut pack, exec, coef, dt, &[qid], &[], &mut rec, None);
+        sweep_pack(&pkg, &mut pack, qid, (exec, 0));
+        flux_divergence_update(&mut pack, exec, coef, dt, &[qid], &[], &mut rec);
         rec.end_cycle(1, 0, 0, 0);
     }
 
@@ -193,37 +187,6 @@ mod tests {
         assert!(build(ExecCtx::serial()) == build(ExecCtx::new(4)));
     }
 
-    #[test]
-    fn costed_update_matches_plain_bitwise_and_measures() {
-        let build = |costed: bool| {
-            let (mut slot, qid) = setup(|i| (i as f64 * 0.29).sin());
-            let mut rec = Recorder::new();
-            rec.begin_cycle(0);
-            let (pkg, exec, mut pack) = (Advect::default(), ExecCtx::serial(), vec![&mut slot]);
-            let mut cost = [0u64; 2];
-            let (swept, updated) = cost.split_at_mut(1);
-            sweep_pack(&pkg, &mut pack, qid, (exec, 0), costed.then_some(swept));
-            flux_divergence_update(
-                &mut pack,
-                exec,
-                (0.5, 0.5, 0.5),
-                0.013,
-                &[qid],
-                &[],
-                &mut rec,
-                costed.then_some(updated),
-            );
-            rec.end_cycle(1, 0, 0, 0);
-            assert_eq!(
-                cost.iter().all(|&ns| ns > 0),
-                costed,
-                "per-block cost measured"
-            );
-            slot.data.var(qid).data().clone()
-        };
-        assert!(build(false) == build(true));
-    }
-
     /// A corrected face makes the update re-reduce the layer under it with
     /// the plane's value in place of the block's own flux.
     #[test]
@@ -233,21 +196,12 @@ mod tests {
             let mut rec = Recorder::new();
             rec.begin_cycle(0);
             let (pkg, exec, mut pack) = (Advect::default(), ExecCtx::serial(), vec![&mut slot]);
-            sweep_pack(&pkg, &mut pack, qid, (exec, corrected[0]), None);
+            sweep_pack(&pkg, &mut pack, qid, (exec, corrected[0]));
             // The low-x face flux (own value: q_1 = 1) as flux correction
             // would overwrite it.
             pack[0].data.var_mut(qid).planes_mut()[0].fill(3.0);
             let coef = (0.0, 1.0, 1.0);
-            flux_divergence_update(
-                &mut pack,
-                exec,
-                coef,
-                0.01,
-                &[qid],
-                corrected,
-                &mut rec,
-                None,
-            );
+            flux_divergence_update(&mut pack, exec, coef, 0.01, &[qid], corrected, &mut rec);
             rec.end_cycle(1, 0, 0, 0);
             slot.data.var(qid).data().clone()
         };
@@ -274,7 +228,6 @@ mod tests {
             &[qid],
             &[],
             &mut rec,
-            None,
         );
         rec.end_cycle(1, 0, 0, 0);
         let t = rec.totals();

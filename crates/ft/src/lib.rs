@@ -28,7 +28,7 @@
 //!   again, so a bounded retry budget always converges.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use vibe_comm::{BoundaryKey, Transport, WireMessage};
@@ -167,10 +167,6 @@ fn mix(mut x: u64) -> u64 {
 pub struct FaultPlan {
     spec: FaultPlanSpec,
     kill_fired: AtomicBool,
-    dropped: AtomicU64,
-    delayed: AtomicU64,
-    duplicated: AtomicU64,
-    killed: AtomicU64,
     log: Mutex<Vec<FaultEvent>>,
 }
 
@@ -191,10 +187,6 @@ impl FaultPlan {
         Self {
             spec,
             kill_fired: AtomicBool::new(false),
-            dropped: AtomicU64::new(0),
-            delayed: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            killed: AtomicU64::new(0),
             log: Mutex::new(Vec::new()),
         }
     }
@@ -245,7 +237,6 @@ impl FaultPlan {
             .is_ok();
         if won {
             let k = self.spec.kill.expect("fire_kill without a kill spec");
-            self.killed.fetch_add(1, Ordering::Relaxed);
             self.log.lock().unwrap().push(FaultEvent::Kill {
                 rank: k.rank,
                 cycle: k.cycle,
@@ -256,11 +247,6 @@ impl FaultPlan {
 
     /// Records one injected message fault.
     fn note_message(&self, kind: FaultKind, msg: &WireMessage, dst: usize, tick: u64) {
-        match kind {
-            FaultKind::Drop => self.dropped.fetch_add(1, Ordering::Relaxed),
-            FaultKind::Delay => self.delayed.fetch_add(1, Ordering::Relaxed),
-            FaultKind::Duplicate => self.duplicated.fetch_add(1, Ordering::Relaxed),
-        };
         self.log.lock().unwrap().push(FaultEvent::Message {
             kind,
             key: msg.key,
@@ -276,14 +262,21 @@ impl FaultPlan {
         self.log.lock().unwrap().clone()
     }
 
-    /// Snapshot of the injection counters.
+    /// The injection counts of the event log.
     pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            dropped: self.dropped.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            killed: self.killed.load(Ordering::Relaxed),
+        let mut stats = FaultStats::default();
+        for event in self.log.lock().unwrap().iter() {
+            let count = match event {
+                FaultEvent::Message { kind, .. } => match kind {
+                    FaultKind::Drop => &mut stats.dropped,
+                    FaultKind::Delay => &mut stats.delayed,
+                    FaultKind::Duplicate => &mut stats.duplicated,
+                },
+                FaultEvent::Kill { .. } => &mut stats.killed,
+            };
+            *count += 1;
         }
+        stats
     }
 }
 

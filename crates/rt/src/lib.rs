@@ -785,7 +785,6 @@ mod tests {
             // attribution are what these tests look at.
             capture_comm_events: true,
             capture_spans: instrumented,
-            measured_costs: instrumented,
             prof_level: if instrumented {
                 vibe_prof::ProfLevel::Coarse
             } else {
@@ -933,9 +932,9 @@ mod tests {
         assert_eq!(serial.dt.to_bits(), threaded.dt.to_bits());
     }
 
-    /// Attribution capture and measured costs are observational: the
-    /// merged solution fingerprint is bitwise identical with them on or
-    /// off, across rank and thread counts.
+    /// Attribution capture is observational: the merged solution
+    /// fingerprint is bitwise identical with it on or off, across rank
+    /// and thread counts.
     #[test]
     fn attribution_capture_does_not_perturb_fingerprint() {
         let cycles = 5;

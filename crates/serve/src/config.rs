@@ -22,6 +22,11 @@ use vibe_ft::{FaultPlan, FaultPlanSpec, KillSpec};
 
 use crate::json::{obj, Json};
 
+/// The most cells, ghosts included, that [`JobConfig::validate`] lets a
+/// fully refined mesh hold: those of the paper's workload
+/// (`vibe_bench::paper_workload()`, 3-D Burgers Mesh 32/B8/L3, four ghosts).
+const MAX_ALLOCATED_CELLS: u128 = 1 << 24;
+
 /// A rejected configuration, structured so the HTTP layer can render a
 /// machine-readable 4xx body instead of a bare message string.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -307,6 +312,14 @@ impl JobConfig {
             )
             .into());
         }
+        let cells = self.max_allocated_cells(nghost);
+        if cells > MAX_ALLOCATED_CELLS {
+            return Err(format!(
+                "fully refined, the mesh holds {cells} cells with ghosts (limit {MAX_ALLOCATED_CELLS}): \
+                 lower mesh_cells or levels, or raise block_cells"
+            )
+            .into());
+        }
         if self.cycles == 0 || self.cycles > 100_000 {
             return Err("cycles must be 1..=100000".into());
         }
@@ -334,6 +347,17 @@ impl JobConfig {
             }
         }
         Ok(())
+    }
+
+    /// Cells, ghosts included, of the mesh refined everywhere to `levels`
+    /// with `nghost`-deep ghost shells: the most a run of this config can
+    /// allocate per variable component. The dimension and level bounds are
+    /// checked first, so this cannot overflow.
+    fn max_allocated_cells(&self, nghost: usize) -> u128 {
+        let dim = self.dim as u32;
+        let base = (self.mesh_cells / self.block_cells) as u128;
+        let block = (self.block_cells + 2 * nghost) as u128;
+        (base << (self.levels - 1)).pow(dim) * block.pow(dim)
     }
 
     /// Builds the package the physics name selects ([`vibe_physics::resolve`]),
@@ -574,6 +598,30 @@ mod tests {
                 "accepted {bad}"
             );
         }
+    }
+
+    #[test]
+    fn the_fully_refined_mesh_is_bounded() {
+        let cfg = |physics: &str, mesh_cells, block_cells, levels| JobConfig {
+            physics: physics.to_string(),
+            dim: 3,
+            mesh_cells,
+            block_cells,
+            levels,
+            ..JobConfig::default()
+        };
+        for bad in [
+            cfg("diffusion", 256, 2, 1),
+            cfg("advect", 256, 4, 1),
+            cfg("advect", 64, 8, 6),
+        ] {
+            let err = bad.validate().expect_err("an oversized mesh");
+            assert!(err.to_string().starts_with("fully refined"), "{err}");
+        }
+        // The paper's workload sits exactly at the limit.
+        let paper = cfg("burgers", 32, 8, 3);
+        assert_eq!(paper.max_allocated_cells(4), MAX_ALLOCATED_CELLS);
+        assert_eq!(paper.validate(), Ok(()));
     }
 
     #[test]

@@ -561,6 +561,17 @@ if [ "$checkpoints" != "crates/rt/src/recovery.rs:1 " ] ||
     exit 1
 fi
 
+echo "==> one cost model"
+# Block ownership follows from the mesh and the rank count alone: the load
+# balancer weighs every block by the uniform cost the mesh builds it with.
+# The wall-time cost ledger, its driver switch and its costed block loops
+# stay deleted; a measured cost made ownership, and every recorded copy,
+# message and migration, differ from run to run.
+if grep -rnE --exclude-dir=target 'measured_costs|block_cost_ns|block_costs_ns|for_each_block_costed|map_block_costs' crates tests; then
+    echo "a measured block cost is back (see above); ownership must follow from the mesh alone" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
