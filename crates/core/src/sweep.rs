@@ -54,7 +54,7 @@
 //! same per-lane operation sequence, branches as [`vibe_field::LaneMask`]
 //! selects, no reduction across lanes.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use vibe_exec::catalog;
 use vibe_field::{Array4, BlockData, F64Lanes, FluxOut, Metadata, VarId};
@@ -73,6 +73,13 @@ thread_local! {
     /// Per-worker tile scratch; pool workers are persistent, so it is
     /// allocated on a worker's first sweep and reused.
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// Per-worker lane scratch of the line walker, kept on the heap: on
+    /// the stack its distance from the state and tile arrays, modulo a
+    /// page, would follow the stack's random start from run to run, and
+    /// so would the sweep's speed (stores and loads that alias modulo
+    /// 4 KiB stall).
+    static WALKER: Cell<Option<Box<(LaneScratch<LANES>, LaneScratch<1>)>>> =
+        const { Cell::new(None) };
 }
 
 /// Runs `f` on the calling worker's tile scratch.
@@ -300,7 +307,7 @@ impl<'a> FluxTile<'a> {
 pub const LANES: usize = 4;
 
 /// Most flux components a tile may carry: the walker keeps a face's
-/// left/right states and fluxes in stack scratch.
+/// left/right states and fluxes in its per-thread lane scratch.
 pub const MAX_COMPONENTS: usize = 32;
 
 /// Widest stencil a [`ReconKernel`] may read.
@@ -346,9 +353,9 @@ pub trait FaceFlux {
     );
 }
 
-/// SoA lane scratch reused across every bundle of a tile: one left/right
-/// state bundle and one flux bundle per component, plus the stencil gather
-/// buffer. Only the first `ncomp` components (resp. `2·RADIUS` stencil
+/// SoA lane scratch reused across every bundle a worker sweeps: one
+/// left/right state bundle and one flux bundle per component, plus the
+/// stencil gather buffer. Only the first `ncomp` components (resp. `2·RADIUS` stencil
 /// slots) are ever written and read.
 struct LaneScratch<const W: usize> {
     left: [F64Lanes<W>; MAX_COMPONENTS],
@@ -558,8 +565,10 @@ pub fn fill_lines<R: ReconKernel, F: FaceFlux>(
     let inv_dx = info.geom.dx().map(|dx| 1.0 / dx);
 
     let mut faces = (0u64, 0u64);
-    let mut wide = LaneScratch::<LANES>::new();
-    let mut one = LaneScratch::<1>::new();
+    let mut walker = WALKER
+        .take()
+        .unwrap_or_else(|| Box::new((LaneScratch::new(), LaneScratch::new())));
+    let (wide, one) = &mut *walker;
     for (d, &soff) in data_strides.iter().enumerate().take(tile.dim()) {
         let [ni, nj, nk] = tile.extent(d);
         let [_, sj, sk, flux_comp] = tile.steps(d);
@@ -587,14 +596,14 @@ pub fn fill_lines<R: ReconKernel, F: FaceFlux>(
             unsafe {
                 for j in 0..nj {
                     let bases = (plane.0 + j * ex, plane.1 + j * sj);
-                    flux_line::<R, F, LANES, false>(&lines, out, &mut wide, bases, (1, 1), full);
+                    flux_line::<R, F, LANES, false>(&lines, out, wide, bases, (1, 1), full);
                 }
                 for i in full..ni {
                     let bases = (plane.0 + i, plane.1 + i);
                     let rest = (bases.0 + across * ex, bases.1 + across * sj);
                     let steps = (ex, sj);
-                    flux_line::<R, F, LANES, true>(&lines, out, &mut wide, bases, steps, across);
-                    flux_line::<R, F, 1, true>(&lines, out, &mut one, rest, steps, nj - across);
+                    flux_line::<R, F, LANES, true>(&lines, out, wide, bases, steps, across);
+                    flux_line::<R, F, 1, true>(&lines, out, one, rest, steps, nj - across);
                 }
             }
         }
@@ -602,6 +611,7 @@ pub fn fill_lines<R: ReconKernel, F: FaceFlux>(
         faces.0 += planes * (full * nj + (ni - full) * across) as u64;
         faces.1 += planes * ((ni - full) * (nj - across)) as u64;
     }
+    WALKER.set(Some(walker));
     faces
 }
 
